@@ -200,48 +200,30 @@ func BenchmarkInference_LSTM(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceScoring measures full-trace window scoring — the batch
-// path cmd/xsec-detect and threshold calibration run — sequentially and
-// through the worker pool. The parallel variant should approach a
-// GOMAXPROCS-factor speedup on multi-core hosts (BENCH_nn.json records
-// the measured ratio per machine).
+// BenchmarkTraceScoring measures whole-trace window scoring through the
+// scalar float64 reference scorers (worker pool sized by GOMAXPROCS,
+// inline on one CPU); BENCH_nn.json records the same rows per machine.
 func BenchmarkTraceScoring(b *testing.B) {
 	env, err := bench.BuildEnv(benchCfg(b))
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"AE_Sequential", 1},
-		{"AE_Parallel", 0},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if out := env.Models.ScoreTraceAEParallel(env.Mixed.Trace, bc.workers); len(out) == 0 {
-					b.Fatal("no windows scored")
-				}
+	b.Run("AE", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if out := env.Models.ScoreTraceAE(env.Mixed.Trace); len(out) == 0 {
+				b.Fatal("no windows scored")
 			}
-		})
-	}
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"LSTM_Sequential", 1},
-		{"LSTM_Parallel", 0},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if out := env.Models.ScoreTraceLSTMParallel(env.Mixed.Trace, bc.workers); len(out) == 0 {
-					b.Fatal("no windows scored")
-				}
+		}
+	})
+	b.Run("LSTM", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if out := env.Models.ScoreTraceLSTM(env.Mixed.Trace); len(out) == 0 {
+				b.Fatal("no windows scored")
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkE2Loop_Latency measures the live control-loop latency from

@@ -13,8 +13,6 @@
 //	xsec-bench -obs                 # live-pipeline metrics baseline → BENCH_obs.json
 //	xsec-bench -mitigate            # closed-loop mitigation baseline → BENCH_mitigate.json
 //	xsec-bench -prov                # provenance ledger baseline → BENCH_prov.json
-//	xsec-bench -ingest              # telemetry ingest baseline → BENCH_ingest.json
-//	xsec-bench -ingest -smoke       # reduced ingest workload (CI path check)
 //	xsec-bench -fed                 # federated throughput baseline → BENCH_fed.json
 //	xsec-bench -fed -smoke          # reduced federation workload (CI path check)
 //	xsec-bench -fleet               # fleet observability baseline → BENCH_fleet.json
@@ -48,11 +46,10 @@ func main() {
 		obsBench    = flag.Bool("obs", false, "run the live pipeline and snapshot the observability registry")
 		mitBench    = flag.Bool("mitigate", false, "measure the closed mitigation loop under the DoS attacks")
 		provBench   = flag.Bool("prov", false, "measure provenance ledger overhead and chain reconstruction")
-		ingestBench = flag.Bool("ingest", false, "measure the telemetry ingest path, scaled vs unsharded baseline")
 		fedBench    = flag.Bool("fed", false, "measure federated multi-RIC throughput vs a single instance")
 		fleetBench  = flag.Bool("fleet", false, "measure the fleet observability plane: scrapes, trace stitching, failure detection")
 		llmBench    = flag.Bool("llm", false, "measure the LLM serving layer: cache, coalescing, hedging, saturation fallback")
-		smoke       = flag.Bool("smoke", false, "shrink the -ingest/-nn workload so CI exercises the path quickly")
+		smoke       = flag.Bool("smoke", false, "shrink the -nn/-fed/-fleet/-llm workload so CI exercises the path quickly")
 		outPath     = flag.String("out", "", "baseline output path (default BENCH_<name>.json)")
 		logLevel    = flag.String("log-level", envDefault("XSEC_LOG_LEVEL", "info"), "log verbosity: debug | info | warn | error")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz, and /fleet/* on this address for the run")
@@ -125,20 +122,6 @@ func main() {
 		out := *outPath
 		if out == "" {
 			out = "BENCH_mitigate.json"
-		}
-		data, err := res.JSON()
-		writeBaseline(res.Format(), data, err, out)
-		return
-	}
-	if *ingestBench {
-		res, err := bench.RunIngestBench(bench.IngestOptions{Smoke: *smoke})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xsec-bench:", err)
-			os.Exit(1)
-		}
-		out := *outPath
-		if out == "" {
-			out = "BENCH_ingest.json"
 		}
 		data, err := res.JSON()
 		writeBaseline(res.Format(), data, err, out)

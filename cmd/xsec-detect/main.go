@@ -28,7 +28,7 @@ func main() {
 		demo      = flag.Bool("demo", false, "score a generated attack dataset instead of a file")
 		show      = flag.Int("show", 5, "print the N highest-scoring windows")
 		seed      = flag.Int64("seed", 2, "demo dataset seed")
-		inference = flag.String("inference", "", "scoring precision: f32 (default), i8, or f64")
+		inference = flag.String("inference", "", "scoring precision: f32 (default) or i8 (the batched engine the xApp runs), or f64 (scalar reference)")
 	)
 	flag.Parse()
 	if err := run(*modelPath, *csvIn, *demo, *show, *seed, *inference); err != nil {

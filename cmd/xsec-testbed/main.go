@@ -10,7 +10,7 @@
 //	xsec-testbed -auto                # apply closed-loop controls automatically
 //	xsec-testbed -mitigate enforce    # governed mitigation engine (off | dry-run | enforce)
 //	xsec-testbed -model llama3        # pick the analyst personality
-//	xsec-testbed -inference i8        # MobiWatch scoring precision (f32 | i8 | f64)
+//	xsec-testbed -inference i8        # MobiWatch scoring engine (f32 | i8)
 //	xsec-testbed -federation 2        # federated mode: N RIC instances, mid-attack UE migration
 package main
 
@@ -40,7 +40,7 @@ func main() {
 		seed        = flag.Int64("seed", 4, "seed")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /traces and /debug/pprof on this address (e.g. :9090)")
 		logLevel    = flag.String("log-level", "", "emit structured pipeline logs to stderr at this level: debug | info | warn | error")
-		inference   = flag.String("inference", "", "MobiWatch scoring precision: f32 (default), i8, or f64")
+		inference   = flag.String("inference", "", "MobiWatch scoring engine: f32 (default) or i8 (f64 is offline-only; see xsec-detect)")
 		federation  = flag.Int("federation", 0, "run N federated RIC instances and migrate the attack UEs mid-flood")
 	)
 	flag.Parse()

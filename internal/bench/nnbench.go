@@ -22,12 +22,12 @@ type NNBenchEntry struct {
 	Ops     int     `json:"ops"`
 }
 
-// NNBenchResult is the machine-readable baseline. Trace speedups compare
-// the worker-pool trace-scoring path against the sequential one on this
-// machine; they approach 1.0 on a single core and scale with GOMAXPROCS.
-// Batch speedups compare the batched GEMM inference engine (per-window
-// ns at the given precision) against the scalar float64 window scores —
-// a per-core number, independent of GOMAXPROCS.
+// NNBenchResult is the machine-readable baseline. The trace_* entries
+// time the scalar float64 reference scorers over the whole mixed trace
+// (worker pool sized by GOMAXPROCS, inline on one CPU). Batch speedups
+// compare the batched GEMM inference engine (per-window ns at the given
+// precision) against the scalar float64 window scores — a per-core
+// number, independent of GOMAXPROCS.
 type NNBenchResult struct {
 	GoMaxProcs   int            `json:"gomaxprocs"`
 	NumCPU       int            `json:"num_cpu"`
@@ -35,8 +35,6 @@ type NNBenchResult struct {
 	TraceWindows int            `json:"trace_windows"`
 	BatchWindows int            `json:"batch_windows"`
 	Entries      []NNBenchEntry `json:"entries"`
-	SpeedupAE    float64        `json:"trace_ae_speedup"`
-	SpeedupLSTM  float64        `json:"trace_lstm_speedup"`
 
 	BatchSpeedupAE   float64 `json:"ae_batch_f32_speedup"`
 	BatchSpeedupLSTM float64 `json:"lstm_batch_f32_speedup"`
@@ -66,8 +64,8 @@ func measure(minTime time.Duration, f func()) NNBenchEntry {
 }
 
 // batchN is the window-batch size the batched-inference entries score
-// per GEMM call, matching the xApp fast path's default flush size order
-// of magnitude.
+// per GEMM call, the same order of magnitude as the xApp worker's flush
+// size.
 const batchN = 32
 
 // RunNNBench builds the cached experiment environment and measures the
@@ -175,20 +173,8 @@ func RunNNBench(cfg Config, smoke bool) (*NNBenchResult, error) {
 	res.BatchSpeedupLSTM = lstmScalar.NsPerOp / lstmF32.NsPerOp
 	res.QuantSpeedupLSTM = lstmScalar.NsPerOp / lstmI8.NsPerOp
 
-	aeSeq := add("trace_ae_sequential", minTime, func() {
-		models.ScoreTraceAEParallel(env.Mixed.Trace, 1)
-	})
-	aePar := add("trace_ae_parallel", minTime, func() {
-		models.ScoreTraceAEParallel(env.Mixed.Trace, 0)
-	})
-	lstmSeq := add("trace_lstm_sequential", minTime, func() {
-		models.ScoreTraceLSTMParallel(env.Mixed.Trace, 1)
-	})
-	lstmPar := add("trace_lstm_parallel", minTime, func() {
-		models.ScoreTraceLSTMParallel(env.Mixed.Trace, 0)
-	})
-	res.SpeedupAE = aeSeq.NsPerOp / aePar.NsPerOp
-	res.SpeedupLSTM = lstmSeq.NsPerOp / lstmPar.NsPerOp
+	add("trace_ae", minTime, func() { models.ScoreTraceAE(env.Mixed.Trace) })
+	add("trace_lstm", minTime, func() { models.ScoreTraceLSTM(env.Mixed.Trace) })
 
 	// One training epoch, sequential vs data-parallel, on the benign
 	// window set the models were fitted to.
@@ -223,9 +209,7 @@ func (r *NNBenchResult) Format() string {
 	out := fmt.Sprintf("NN hot-path baseline (GOMAXPROCS=%d, simd=%s, %d trace windows)\n\n",
 		r.GoMaxProcs, r.SIMD, r.TraceWindows)
 	out += formatTable([]string{"op", "ns/op", "ops"}, rows)
-	out += fmt.Sprintf("\ntrace scoring speedup: AE %.2fx, LSTM %.2fx (parallel vs sequential)\n",
-		r.SpeedupAE, r.SpeedupLSTM)
-	out += fmt.Sprintf("batched inference speedup per window vs scalar float64 (batch=%d):\n", r.BatchWindows)
+	out += fmt.Sprintf("\nbatched inference speedup per window vs scalar float64 (batch=%d):\n", r.BatchWindows)
 	out += fmt.Sprintf("  AE   f32 %.1fx, i8 %.1fx\n", r.BatchSpeedupAE, r.QuantSpeedupAE)
 	out += fmt.Sprintf("  LSTM f32 %.1fx, i8 %.1fx\n", r.BatchSpeedupLSTM, r.QuantSpeedupLSTM)
 	return out

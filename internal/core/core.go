@@ -52,9 +52,9 @@ type Options struct {
 	ReportPeriod time.Duration
 	// TrainOpts parameterizes MobiWatch training.
 	TrainOpts mobiwatch.TrainOptions
-	// Inference selects the MobiWatch scoring precision: "f32" (the
-	// default batched fast path), "i8", or "f64" (the scalar reference
-	// path). See mobiwatch.RunOptions.Inference.
+	// Inference selects the MobiWatch batched scoring engine: "f32" (the
+	// default) or "i8"; DeployXApps refuses "f64", which is an offline
+	// reference scorer only. See mobiwatch.RunOptions.Inference.
 	Inference string
 	// LLMModel selects the analyst personality (default "chatgpt-4o").
 	LLMModel string
@@ -153,16 +153,8 @@ type Framework struct {
 
 // New assembles the data plane, control plane, and expert service. xApps
 // are deployed separately (DeployXApps) once models exist.
-func New(opts Options) (*Framework, error) {
+func New(opts Options) (_ *Framework, err error) {
 	opts.defaults()
-	store := sdl.New()
-	// Install the SDL-backed provenance ledger before any pipeline
-	// goroutine starts, so every event of every chain is persisted and
-	// xsec-audit can reconstruct evidence after the run.
-	ledger := prov.New(prov.Options{Store: store})
-	prevLedger := prov.SetActive(ledger)
-	platform := ric.NewPlatform(store)
-
 	amf := corenet.NewAMF(opts.Seed + 1)
 	clock := dataset.NewVClock(time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC))
 	g, err := gnb.New(gnb.Config{NodeID: opts.NodeID, AMF: amf, Clock: clock.Now})
@@ -170,15 +162,15 @@ func New(opts Options) (*Framework, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 
-	// E2 loopback: the gNB agent on one end, the RIC E2T on the other.
-	ricEnd, nodeEnd := e2ap.Pipe()
-	go platform.AttachNode(ricEnd)
-	go g.ServeE2(nodeEnd)
-
+	store := sdl.New()
+	// Install the SDL-backed provenance ledger before any pipeline
+	// goroutine starts, so every event of every chain is persisted and
+	// xsec-audit can reconstruct evidence after the run.
+	ledger := prov.New(prov.Options{Store: store})
 	fw := &Framework{
 		Opts:     opts,
 		SDL:      store,
-		RIC:      platform,
+		RIC:      ric.NewPlatform(store),
 		GNB:      g,
 		AMF:      amf,
 		Registry: smo.NewRegistry(store),
@@ -186,16 +178,27 @@ func New(opts Options) (*Framework, error) {
 		cases:    make(chan *analyzer.Case, opts.CaseBuffer),
 		clock:    clock,
 		prov:     ledger,
-		prevProv: prevLedger,
+		prevProv: prov.SetActive(ledger),
 	}
+	// From here on something is running or installed: every error return
+	// unwinds through Close, which restores the previous ledger and stops
+	// the E2 goroutines and listeners started so far.
+	defer func() {
+		if err != nil {
+			fw.Close()
+		}
+	}()
+
+	// E2 loopback: the gNB agent on one end, the RIC E2T on the other.
+	ricEnd, nodeEnd := e2ap.Pipe()
+	go fw.RIC.AttachNode(ricEnd)
+	go g.ServeE2(nodeEnd)
 
 	if opts.MetricsAddr != "" {
-		addr, shutdown, err := obs.ListenAndServe(opts.MetricsAddr)
+		fw.obsAddr, fw.obsShutdown, err = obs.ListenAndServe(opts.MetricsAddr)
 		if err != nil {
 			return nil, fmt.Errorf("core: starting metrics endpoint: %w", err)
 		}
-		fw.obsAddr = addr
-		fw.obsShutdown = shutdown
 	}
 	// Sampled at scrape time; re-registered per framework so the last
 	// deployment wins.
@@ -203,20 +206,19 @@ func New(opts Options) (*Framework, error) {
 		"Processed cases waiting to be consumed.", func() float64 { return float64(len(fw.cases)) })
 
 	if opts.LLMBaseURL == "" {
-		srv := llm.NewServer()
-		addr, shutdown, err := srv.Listen("127.0.0.1:0")
+		var addr string
+		addr, fw.llmShutdown, err = llm.NewServer().Listen("127.0.0.1:0")
 		if err != nil {
 			return nil, fmt.Errorf("core: starting expert service: %w", err)
 		}
 		fw.llmAddr = "http://" + addr
-		fw.llmShutdown = shutdown
 	} else {
 		fw.llmAddr = opts.LLMBaseURL
 	}
 
 	// Wait for the E2 setup handshake to complete.
 	deadline := time.Now().Add(2 * time.Second)
-	for len(platform.Nodes()) == 0 {
+	for len(fw.RIC.Nodes()) == 0 {
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("core: gNB did not complete E2 setup")
 		}

@@ -8,6 +8,7 @@ import (
 	"github.com/6g-xsec/xsec/internal/e2sm"
 	"github.com/6g-xsec/xsec/internal/llm"
 	"github.com/6g-xsec/xsec/internal/mobiwatch"
+	"github.com/6g-xsec/xsec/internal/prov"
 	"github.com/6g-xsec/xsec/internal/smo"
 	"github.com/6g-xsec/xsec/internal/ue"
 )
@@ -137,6 +138,21 @@ func TestFrameworkValidation(t *testing.T) {
 	// Registry is empty; Train with garbage fails.
 	if err := fw.Train(nil); err == nil {
 		t.Error("Train(nil) succeeded")
+	}
+}
+
+// TestNewUnwindsOnError pins the error paths of New: a failure after the
+// provenance ledger was installed must hand the process back the ledger
+// that was active before the call, not leave the half-built framework's.
+func TestNewUnwindsOnError(t *testing.T) {
+	before := prov.Active()
+	fw, err := New(Options{Seed: 9, MetricsAddr: "127.0.0.1:-1"})
+	if err == nil {
+		fw.Close()
+		t.Fatal("New accepted an unusable MetricsAddr")
+	}
+	if prov.Active() != before {
+		t.Error("failed New left its own provenance ledger active")
 	}
 }
 

@@ -221,8 +221,8 @@ func RunMigrationScenario(opts ScenarioOptions) (*ScenarioResult, error) {
 	}
 
 	// Wait for the destination to flag the flood and for the deferred
-	// window flushes to land in the ledger: the batched scoring path
-	// records window provenance at the next tensor flush (BatchAge), so
+	// window flushes to land in the ledger: the xApp worker records
+	// window provenance at its next batch flush (≤ 2 ms later), so
 	// the ledger can trail the record counters by a few milliseconds.
 	deadline := time.Now().Add(opts.AlertTimeout)
 	for {

@@ -54,7 +54,7 @@ func subscribe(t *testing.T, x *ric.XApp, nodeID string, period time.Duration) *
 	t.Helper()
 	trigger := asn1lite.Marshal(&e2sm.EventTrigger{Period: period})
 	sub, err := x.Subscribe(nodeID, e2sm.MobiFlowRANFunctionID, trigger,
-		[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport}}, 64)
+		[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport}}, ric.SubscribeOptions{Buffer: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestAgentReportsTelemetry(t *testing.T) {
 	driveRegistration(t, g)
 
 	select {
-	case ind := <-sub.C():
+	case ind := <-sub.C(0):
 		var hdr e2sm.IndicationHeader
 		if err := asn1lite.Unmarshal(ind.Header, &hdr); err != nil {
 			t.Fatal(err)
@@ -98,18 +98,18 @@ func TestAgentRejectsBadSubscriptions(t *testing.T) {
 
 	// Wrong RAN function.
 	if _, err := x.Subscribe("gnb-test", 99, asn1lite.Marshal(&e2sm.EventTrigger{Period: time.Millisecond}),
-		[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport}}, 1); !errors.Is(err, ric.ErrSubscriptionFailed) {
+		[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport}}, ric.SubscribeOptions{Buffer: 1}); !errors.Is(err, ric.ErrSubscriptionFailed) {
 		t.Errorf("wrong fn: err = %v", err)
 	}
 	// Invalid trigger.
 	if _, err := x.Subscribe("gnb-test", e2sm.MobiFlowRANFunctionID, []byte{0xFF},
-		[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport}}, 1); !errors.Is(err, ric.ErrSubscriptionFailed) {
+		[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport}}, ric.SubscribeOptions{Buffer: 1}); !errors.Is(err, ric.ErrSubscriptionFailed) {
 		t.Errorf("bad trigger: err = %v", err)
 	}
 	// No report action.
 	if _, err := x.Subscribe("gnb-test", e2sm.MobiFlowRANFunctionID,
 		asn1lite.Marshal(&e2sm.EventTrigger{Period: time.Millisecond}),
-		[]e2ap.Action{{ID: 1, Type: e2ap.ActionPolicy}}, 1); !errors.Is(err, ric.ErrSubscriptionFailed) {
+		[]e2ap.Action{{ID: 1, Type: e2ap.ActionPolicy}}, ric.SubscribeOptions{Buffer: 1}); !errors.Is(err, ric.ErrSubscriptionFailed) {
 		t.Errorf("no report action: err = %v", err)
 	}
 }
@@ -274,7 +274,7 @@ func TestAgentOverTCP(t *testing.T) {
 	sub := subscribe(t, x, "gnb-test", 5*time.Millisecond)
 	driveRegistration(t, g)
 	select {
-	case ind := <-sub.C():
+	case ind := <-sub.C(0):
 		msg, err := e2sm.DecodeIndicationMessage(ind.Message)
 		if err != nil || len(msg.Records) == 0 {
 			t.Fatalf("bad indication: %v", err)

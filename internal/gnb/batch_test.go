@@ -68,7 +68,7 @@ func TestReportBatchesPerUE(t *testing.T) {
 	timeout := time.After(2 * time.Second)
 	for total < ues*perUE {
 		select {
-		case ind := <-sub.C():
+		case ind := <-sub.C(0):
 			var hdr e2sm.IndicationHeader
 			if err := asn1lite.Unmarshal(ind.Header, &hdr); err != nil {
 				t.Fatal(err)
@@ -147,7 +147,7 @@ func TestBatchPolicyDefaults(t *testing.T) {
 	defer sub.Delete()
 	g2.InjectTelemetry(mobiflow.Trace{{Seq: 1, UEID: 1, Msg: "RRCSetupRequest", Timestamp: time.Now()}})
 	select {
-	case <-sub.C():
+	case <-sub.C(0):
 		// Flushed well before the 500ms period: MaxAge took effect.
 	case <-time.After(250 * time.Millisecond):
 		t.Fatal("MaxAge did not flush ahead of the period")

@@ -228,8 +228,9 @@ func (g *GNB) DrainRecordsInto(buf mobiflow.Trace) mobiflow.Trace {
 }
 
 // InjectTelemetry appends pre-built records directly to the telemetry
-// buffer, bypassing the RAN procedures. The ingest benchmark uses it to
-// drive the E2 report path at controlled record rates and UE spreads.
+// buffer, bypassing the RAN procedures. The benchmark's replay generator
+// uses it to drive the E2 report path at controlled record rates and UE
+// spreads.
 func (g *GNB) InjectTelemetry(tr mobiflow.Trace) {
 	g.mu.Lock()
 	g.records = append(g.records, tr...)

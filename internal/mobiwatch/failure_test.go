@@ -28,6 +28,9 @@ func startGarbageNode(t *testing.T, p *ric.Platform) *garbageNode {
 	if resp, err := nodeEnd.Recv(); err != nil || resp.Type != e2ap.TypeE2SetupResponse {
 		t.Fatalf("setup: %+v %v", resp, err)
 	}
+	for len(p.Nodes()) == 0 { // listed once the RIC has seen the response written
+		time.Sleep(time.Millisecond)
+	}
 	go func() {
 		for {
 			msg, err := nodeEnd.Recv()

@@ -1,21 +1,20 @@
 package mobiwatch
 
 import (
-	"time"
-
 	"github.com/6g-xsec/xsec/internal/feature"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
 	"github.com/6g-xsec/xsec/internal/nn"
 	"github.com/6g-xsec/xsec/internal/prov"
 )
 
-// This file is the xApp's batched scoring fast path. Instead of scoring
-// each window as its completing record arrives (one GEMV per layer per
-// window), workers encode records straight into a float32 row buffer,
-// append completed windows to a pending batch tensor, and score the
-// whole batch with one tiled GEMM per layer when it fills or ages out.
-// The float64 models, training, and the scalar reference path
-// (RunOptions.Inference = "f64") are untouched.
+// This file is the batched scoring engine both the online xApp and the
+// offline ScoreTrace*Batched entry points score through. Instead of
+// scoring each window as its completing record arrives (one GEMV per
+// layer per window), records are encoded straight into a float32 row
+// buffer, completed windows are appended to a pending batch tensor, and
+// the whole batch is scored with one tiled GEMM per layer. The float64
+// models, training and the scalar reference scorers (models.go) are
+// untouched.
 
 // FastEngines bundles the reduced-precision batched engines for one
 // model bundle. Engines are immutable and safe for concurrent use with
@@ -58,191 +57,93 @@ func (m *Models) Engines(prec nn.Precision) *FastEngines {
 	return e
 }
 
-// winMeta carries everything a pending window needs to raise an alert
-// after its batch is scored: its position in the worker's record
-// history, its sequence-number span, and the E2 indication that
-// completed it.
-type winMeta struct {
-	start    int // index of the window's first record in worker.recent
-	n        int // records in the window (N; N+1 for LSTM incl. predicted)
-	seqFirst uint64
-	seqLast  uint64
-	at       time.Time
-	sn       uint64
+// pendingBatch is one model's batch of windows awaiting a single batched
+// scoring pass: the window tensor, the LSTM's next-vector targets, and
+// the engine scratch. The online worker and the offline
+// ScoreTrace*Batched scorers fill and score the same type, so an offline
+// evaluation runs the shipped scoring path by construction. Not safe for
+// concurrent use; each owner allocates its own.
+type pendingBatch struct {
+	model  ModelName
+	eng    *FastEngines
+	window int // N
+	dim    int // per-record feature dimension
+
+	n       int       // windows pushed since the last reset
+	x       []float32 // n windows, each window×dim
+	targets []float32 // LSTM only: n next vectors, each dim
+	scores  []float32
+
+	aeScratch   *nn.AEBatchScratch   // ModelAE only
+	lstmScratch *nn.LSTMBatchScratch // ModelLSTM only
 }
 
-// fastState is one worker's batch accumulator. All fields are owned by
-// the worker goroutine.
-type fastState struct {
-	eng  *FastEngines
-	rows *feature.RowBuffer // float32 mirror of worker.recent
-
-	aeBatch []float32 // pending AE windows, each Window×dim
-	aeMeta  []winMeta
-
-	lstmBatch   []float32 // pending LSTM windows, each Window×dim
-	lstmTargets []float32 // their next vectors, each dim
-	lstmMeta    []winMeta
-
-	aeScratch   *nn.AEBatchScratch
-	lstmScratch *nn.LSTMBatchScratch
-	scores      []float32
+func newPendingBatch(m *Models, model ModelName, prec nn.Precision) *pendingBatch {
+	b := &pendingBatch{model: model, eng: m.Engines(prec), window: m.Window, dim: m.RecordDim()}
+	if model == ModelLSTM {
+		b.lstmScratch = b.eng.LSTM.NewBatchScratch()
+	} else {
+		b.aeScratch = b.eng.AE.NewBatchScratch()
+	}
+	return b
 }
 
-func newFastState(models *Models, prec nn.Precision) *fastState {
-	eng := models.Engines(prec)
-	return &fastState{
-		eng:         eng,
-		rows:        feature.NewRowBuffer(models.RecordDim()),
-		aeScratch:   eng.AE.NewBatchScratch(),
-		lstmScratch: eng.LSTM.NewBatchScratch(),
+// span is how many records one window covers: the N inputs, plus the
+// predicted record for the LSTM.
+func (b *pendingBatch) span() int {
+	if b.model == ModelLSTM {
+		return b.window + 1
 	}
+	return b.window
 }
 
-// pending returns how many AE windows are waiting (LSTM windows pair
-// with AE windows one-to-one after warm-up, so this is the batch size).
-func (f *fastState) pending() int { return len(f.aeMeta) + len(f.lstmMeta) }
-
-// minPendingStart returns the smallest record index any pending window
-// still references, or n when nothing is pending.
-func (f *fastState) minPendingStart(n int) int {
-	min := n
-	if len(f.aeMeta) > 0 && f.aeMeta[0].start < min {
-		min = f.aeMeta[0].start
+// push appends the window starting at row start — and, for the LSTM, the
+// row after it as the prediction target. One contiguous copy per window,
+// no allocation in steady state.
+func (b *pendingBatch) push(rows *feature.RowBuffer, start int) {
+	b.x = rows.AppendWindowF32(b.x, start, b.window)
+	if b.model == ModelLSTM {
+		b.targets = rows.AppendWindowF32(b.targets, start+b.window, 1)
 	}
-	if len(f.lstmMeta) > 0 && f.lstmMeta[0].start < min {
-		min = f.lstmMeta[0].start
-	}
-	return min
+	b.n++
 }
 
-// shift rebases pending window indices after the worker dropped the
-// oldest drop records from its history.
-func (f *fastState) shift(drop int) {
-	f.rows.Trim(drop)
-	for i := range f.aeMeta {
-		f.aeMeta[i].start -= drop
+// score runs one batched pass over every pushed window and returns their
+// scores in push order, valid until the next score call.
+func (b *pendingBatch) score() []float32 {
+	if cap(b.scores) < b.n {
+		b.scores = make([]float32, b.n)
 	}
-	for i := range f.lstmMeta {
-		f.lstmMeta[i].start -= drop
+	b.scores = b.scores[:b.n]
+	if b.model == ModelLSTM {
+		b.eng.LSTM.ScoreBatch(b.lstmScratch, b.x, b.targets, b.n, b.window, b.scores)
+	} else {
+		b.eng.AE.ScoreBatch(b.aeScratch, b.x, b.n, b.dim, b.scores)
 	}
+	return b.scores
 }
 
-// enqueueLatest appends the newest completed AE window — and, once
-// enough history exists, the newest LSTM (window, next) pair — to the
-// pending batch tensors. One contiguous copy per window, no allocation
-// in steady state.
-func (w *worker) enqueueLatest() {
-	f := w.fast
-	N := w.rt.models.Window
-	n := f.rows.Len()
-
-	f.aeBatch = f.rows.AppendWindowF32(f.aeBatch, n-N, N)
-	f.aeMeta = append(f.aeMeta, winMeta{
-		start:    n - N,
-		n:        N,
-		seqFirst: w.recent[n-N].Seq,
-		seqLast:  w.recent[n-1].Seq,
-		at:       w.batchAt,
-		sn:       w.batchSN,
-	})
-
-	if n >= N+1 {
-		f.lstmBatch = f.rows.AppendWindowF32(f.lstmBatch, n-N-1, N)
-		f.lstmTargets = f.rows.AppendWindowF32(f.lstmTargets, n-1, 1)
-		// The raised window spans the N inputs plus the predicted record.
-		f.lstmMeta = append(f.lstmMeta, winMeta{
-			start:    n - N - 1,
-			n:        N + 1,
-			seqFirst: w.recent[n-N-1].Seq,
-			seqLast:  w.recent[n-1].Seq,
-			at:       w.batchAt,
-			sn:       w.batchSN,
-		})
+// digest fingerprints the i-th pushed window's model input for its
+// provenance event.
+func (b *pendingBatch) digest(i int) prov.Digest {
+	winLen := b.window * b.dim
+	d := prov.DigestFloats32(b.x[i*winLen : (i+1)*winLen])
+	if b.model == ModelLSTM {
+		d = d.Floats32(b.targets[i*b.dim : (i+1)*b.dim])
 	}
+	return d
 }
 
-// flushLocked scores every pending window in one batched pass per model
-// and raises alerts for threshold crossings. The caller holds the
-// runtime's threshold read-lock.
-func (w *worker) flushLocked(nodeID string) {
-	rt := w.rt
-	f := w.fast
-	dim := f.rows.Dim()
-	N := rt.models.Window
-
-	if nAE := len(f.aeMeta); nAE > 0 {
-		f.scores = ensureScores(f.scores, nAE)
-		f.eng.AE.ScoreBatch(f.aeScratch, f.aeBatch, nAE, dim, f.scores)
-		winLen := N * dim
-		for i := range f.aeMeta {
-			m := &f.aeMeta[i]
-			s := float64(f.scores[i])
-			rt.stats.WindowsScored.Add(1)
-			obsWindows.Inc()
-			prov.Record(prov.Event{
-				Chain:     prov.ChainID{Node: nodeID, SN: m.sn},
-				Kind:      prov.KindWindow,
-				At:        m.at,
-				SeqFirst:  m.seqFirst,
-				SeqLast:   m.seqLast,
-				Digest:    prov.DigestFloats32(f.aeBatch[i*winLen : (i+1)*winLen]),
-				Model:     string(ModelAE),
-				Score:     s,
-				Threshold: rt.models.AEThreshold,
-				Flagged:   s > rt.models.AEThreshold,
-			})
-			if s > rt.models.AEThreshold {
-				obsAnomalyAE.Inc()
-				w.raise(nodeID, m.start, m.n, s, rt.models.AEThreshold, ModelAE, m.at, m.sn)
-			}
-		}
-		f.aeBatch = f.aeBatch[:0]
-		f.aeMeta = f.aeMeta[:0]
-	}
-
-	if nLSTM := len(f.lstmMeta); nLSTM > 0 {
-		f.scores = ensureScores(f.scores, nLSTM)
-		f.eng.LSTM.ScoreBatch(f.lstmScratch, f.lstmBatch, f.lstmTargets, nLSTM, N, f.scores)
-		winLen := N * dim
-		for i := range f.lstmMeta {
-			m := &f.lstmMeta[i]
-			s := float64(f.scores[i])
-			rt.stats.WindowsScored.Add(1)
-			obsWindows.Inc()
-			prov.Record(prov.Event{
-				Chain:    prov.ChainID{Node: nodeID, SN: m.sn},
-				Kind:     prov.KindWindow,
-				At:       m.at,
-				SeqFirst: m.seqFirst,
-				SeqLast:  m.seqLast,
-				Digest: prov.NewDigest().
-					Floats32(f.lstmBatch[i*winLen : (i+1)*winLen]).
-					Floats32(f.lstmTargets[i*dim : (i+1)*dim]),
-				Model:     string(ModelLSTM),
-				Score:     s,
-				Threshold: rt.models.LSTMThreshold,
-				Flagged:   s > rt.models.LSTMThreshold,
-			})
-			if s > rt.models.LSTMThreshold {
-				obsAnomalyLSTM.Inc()
-				w.raise(nodeID, m.start, m.n, s, rt.models.LSTMThreshold, ModelLSTM, m.at, m.sn)
-			}
-		}
-		f.lstmBatch = f.lstmBatch[:0]
-		f.lstmTargets = f.lstmTargets[:0]
-		f.lstmMeta = f.lstmMeta[:0]
-	}
-
-	// Pending windows no longer pin history; trim to context needs.
-	w.trimHistory()
+func (b *pendingBatch) reset() {
+	b.n, b.x, b.targets = 0, b.x[:0], b.targets[:0]
 }
 
-func ensureScores(buf []float32, n int) []float32 {
-	if cap(buf) < n {
-		return make([]float32, n)
+// threshold returns the model's active detection threshold.
+func (m *Models) threshold(model ModelName) float64 {
+	if model == ModelLSTM {
+		return m.LSTMThreshold
 	}
-	return buf[:n]
+	return m.AEThreshold
 }
 
 // batchChunk is the offline batched scorers' tensor size: large enough
@@ -256,35 +157,7 @@ func (m *Models) ScoreTraceAEBatched(tr mobiflow.Trace, prec nn.Precision) []Win
 	if prec == nn.Float64 {
 		return m.ScoreTraceAE(tr)
 	}
-	eng := m.Engines(prec)
-	dim := m.RecordDim()
-	N := m.Window
-	rows := encodeRows(tr, m.Vocab, dim)
-	if rows.Len() < N {
-		return nil
-	}
-	nWins := rows.Len() - N + 1
-	out := make([]WindowScore, nWins)
-	scratch := eng.AE.NewBatchScratch()
-	xb := make([]float32, 0, batchChunk*N*dim)
-	scores := make([]float32, batchChunk)
-	for base := 0; base < nWins; base += batchChunk {
-		n := batchChunk
-		if base+n > nWins {
-			n = nWins - base
-		}
-		xb = xb[:0]
-		for i := 0; i < n; i++ {
-			xb = rows.AppendWindowF32(xb, base+i, N)
-		}
-		eng.AE.ScoreBatch(scratch, xb, n, dim, scores)
-		for i := 0; i < n; i++ {
-			sc := float64(scores[i])
-			out[base+i] = WindowScore{Index: base + i, Score: sc,
-				Threshold: m.AEThreshold, Anomalous: sc > m.AEThreshold, Model: ModelAE}
-		}
-	}
-	return out
+	return m.scoreTraceBatched(tr, newPendingBatch(m, ModelAE, prec))
 }
 
 // ScoreTraceLSTMBatched scores every (window, next) pair of a trace
@@ -294,46 +167,34 @@ func (m *Models) ScoreTraceLSTMBatched(tr mobiflow.Trace, prec nn.Precision) []W
 	if prec == nn.Float64 {
 		return m.ScoreTraceLSTM(tr)
 	}
-	eng := m.Engines(prec)
-	dim := m.RecordDim()
-	N := m.Window
-	rows := encodeRows(tr, m.Vocab, dim)
-	if rows.Len() < N+1 {
-		return nil
-	}
-	nWins := rows.Len() - N
-	out := make([]WindowScore, nWins)
-	scratch := eng.LSTM.NewBatchScratch()
-	xb := make([]float32, 0, batchChunk*N*dim)
-	targets := make([]float32, 0, batchChunk*dim)
-	scores := make([]float32, batchChunk)
-	for base := 0; base < nWins; base += batchChunk {
-		n := batchChunk
-		if base+n > nWins {
-			n = nWins - base
-		}
-		xb, targets = xb[:0], targets[:0]
-		for i := 0; i < n; i++ {
-			xb = rows.AppendWindowF32(xb, base+i, N)
-			targets = rows.AppendWindowF32(targets, base+i+N, 1)
-		}
-		eng.LSTM.ScoreBatch(scratch, xb, targets, n, N, scores)
-		for i := 0; i < n; i++ {
-			sc := float64(scores[i])
-			out[base+i] = WindowScore{Index: base + i, Score: sc,
-				Threshold: m.LSTMThreshold, Anomalous: sc > m.LSTMThreshold, Model: ModelLSTM}
-		}
-	}
-	return out
+	return m.scoreTraceBatched(tr, newPendingBatch(m, ModelLSTM, prec))
 }
 
-// encodeRows runs the streaming encoder over a whole trace into a
-// float32 row buffer — the offline counterpart of the worker's ingest.
-func encodeRows(tr mobiflow.Trace, vocab *feature.Vocabulary, dim int) *feature.RowBuffer {
-	e := feature.NewEncoder(vocab)
-	rows := feature.NewRowBuffer(dim)
+// scoreTraceBatched encodes the trace the way the worker's ingest does
+// and scores its windows through b, batchChunk at a time.
+func (m *Models) scoreTraceBatched(tr mobiflow.Trace, b *pendingBatch) []WindowScore {
+	e := feature.NewEncoder(m.Vocab)
+	rows := feature.NewRowBuffer(b.dim)
 	for _, r := range tr {
 		rows.Push(e, r)
 	}
-	return rows
+	nWins := rows.Len() - b.span() + 1
+	if nWins <= 0 {
+		return nil
+	}
+	th := m.threshold(b.model)
+	out := make([]WindowScore, 0, nWins)
+	for base := 0; base < nWins; base += batchChunk {
+		end := min(base+batchChunk, nWins)
+		for i := base; i < end; i++ {
+			b.push(rows, i)
+		}
+		for _, s := range b.score() {
+			sc := float64(s)
+			out = append(out, WindowScore{Index: len(out), Score: sc,
+				Threshold: th, Anomalous: sc > th, Model: b.model})
+		}
+		b.reset()
+	}
+	return out
 }

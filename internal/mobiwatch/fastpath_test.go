@@ -2,9 +2,12 @@ package mobiwatch
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/6g-xsec/xsec/internal/nn"
+	"github.com/6g-xsec/xsec/internal/ric"
+	"github.com/6g-xsec/xsec/internal/sdl"
 )
 
 // Divergence bounds for the reduced-precision engines against the
@@ -144,11 +147,97 @@ func TestBatchedFloat64FallsBackToReference(t *testing.T) {
 	}
 }
 
-// TestRunRejectsUnknownInference pins flag validation at xApp start.
+// TestOnlineFlagsMatchOfflineBatched feeds the mixed trace through the
+// worker's ingest entry in indication batches of several sizes and
+// requires the flagged windows to be exactly the Anomalous windows of the
+// offline batched scorers: both sides fill and score the same
+// pendingBatch, so neither the indication size nor the flush cadence may
+// change which windows cross.
+func TestOnlineFlagsMatchOfflineBatched(t *testing.T) {
+	_, mixed, models := fixtures(t)
+	tr := mixed.Trace
+
+	type flag struct {
+		model             ModelName
+		seqFirst, seqLast uint64
+	}
+	want := map[flag]bool{}
+	for _, off := range []struct {
+		scores []WindowScore
+		span   int
+	}{
+		{models.ScoreTraceAEBatched(tr, nn.Float32), models.Window},
+		{models.ScoreTraceLSTMBatched(tr, nn.Float32), models.Window + 1},
+	} {
+		for _, s := range off.scores {
+			if s.Anomalous {
+				want[flag{s.Model, tr[s.Index].Seq, tr[s.Index+off.span-1].Seq}] = true
+			}
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("offline scorers flag nothing on the mixed trace")
+	}
+
+	x, err := ric.NewPlatform(sdl.New()).RegisterXApp("online-offline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{1, 7, 64} {
+		rt := &Runtime{
+			models:     models,
+			opts:       RunOptions{NodeID: "gnb-replay"},
+			xapp:       x,
+			alerts:     make(chan Alert, 2*len(tr)), // room for every window of both models
+			queueDepth: obsQueueDepth.With("gnb-replay"),
+		}
+		w := newWorker(rt, nn.Float32)
+		for base, sn := 0, uint64(1); base < len(tr); base, sn = base+size, sn+1 {
+			w.ingest(ric.Indication{NodeID: "gnb-replay", SN: sn}, tr[base:min(base+size, len(tr))])
+		}
+		w.flushLocked("gnb-replay") // the tail the age ticker would score
+		close(rt.alerts)
+
+		got := map[flag]bool{}
+		for a := range rt.alerts {
+			got[flag{a.Model, a.Window[0].Seq, a.Window[len(a.Window)-1].Seq}] = true
+		}
+		if n := rt.stats.AlertsDropped.Load(); n != 0 {
+			t.Fatalf("batch %d: %d alerts dropped; the comparison needs all of them", size, n)
+		}
+		for f := range want {
+			if !got[f] {
+				t.Errorf("batch %d: offline flags %+v, online does not", size, f)
+			}
+		}
+		for f := range got {
+			if !want[f] {
+				t.Errorf("batch %d: online flags %+v, offline does not", size, f)
+			}
+		}
+		if wins := rt.stats.WindowsScored.Load(); int(wins) != 2*len(tr)-2*models.Window+1 {
+			t.Errorf("batch %d: %d windows scored online, want %d", size, wins, 2*len(tr)-2*models.Window+1)
+		}
+	}
+}
+
+// TestRunRejectsUnknownInference pins flag validation at xApp start:
+// unknown precisions are refused, and so is f64 — the scalar scorer is an
+// offline reference, not an online path — with an error that names what
+// the xApp does run.
 func TestRunRejectsUnknownInference(t *testing.T) {
 	_, _, models := fixtures(t)
 	if _, err := Run(nil, models, RunOptions{NodeID: "gnb-x", Inference: "bf16"}); err == nil {
 		t.Fatal("Run accepted unknown inference precision")
+	}
+	_, err := Run(nil, models, RunOptions{NodeID: "gnb-x", Inference: "f64"})
+	if err == nil {
+		t.Fatal("Run accepted the offline-only f64 scorer")
+	}
+	for _, want := range []string{"f32", "i8"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("f64 refusal %q does not name accepted value %q", err, want)
+		}
 	}
 }
 

@@ -177,11 +177,7 @@ func (w *worker) checkpoint(ue uint64) (*UESnapshot, bool) {
 func (w *worker) restore(snap *UESnapshot) {
 	for _, rec := range snap.Records {
 		w.recent = append(w.recent, rec)
-		if w.fast != nil {
-			w.fast.rows.Push(w.encoder, rec)
-		} else {
-			w.vecs = append(w.vecs, w.encoder.Encode(rec))
-		}
+		w.rows.Push(w.encoder, rec)
 		w.trimHistory()
 	}
 	// The restored-but-not-yet-scored UE stays attributed to its source

@@ -176,11 +176,11 @@ func Train(benign mobiflow.Trace, opts TrainOptions) (*Models, error) {
 func (m *Models) CalibrateThresholds(winAE [][]float64, winL [][][]float64, nexts [][]float64, pct float64) {
 	dim := m.RecordDim()
 	aeScores := make([]float64, len(winAE))
-	m.forEachWindow(len(winAE), 0, func(s *ScoreScratch, i int) {
+	m.forEachWindow(len(winAE), func(s *ScoreScratch, i int) {
 		aeScores[i] = aeWindowScoreWith(m.AE, s.AE, winAE[i], dim)
 	})
 	lstmScores := make([]float64, len(winL))
-	m.forEachWindow(len(winL), 0, func(s *ScoreScratch, i int) {
+	m.forEachWindow(len(winL), func(s *ScoreScratch, i int) {
 		lstmScores[i] = m.LSTM.ScoreWith(s.LSTM, winL[i], nexts[i])
 	})
 	m.AEThreshold, m.AEQuantiles = calibrate(aeScores, pct)
@@ -338,21 +338,16 @@ const scoreChunk = 16
 const seqScoreCutoff = 2 * scoreChunk
 
 // forEachWindow invokes fn(scratch, i) for every window index in [0, n),
-// fanning out over a worker pool with one ScoreScratch per worker.
-// workers <= 0 sizes the pool to GOMAXPROCS. Every index is computed
-// independently into its own output slot, so results are identical to a
-// sequential pass regardless of scheduling.
-func (m *Models) forEachWindow(n, workers int, fn func(s *ScoreScratch, i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > (n+scoreChunk-1)/scoreChunk {
-		workers = (n + scoreChunk - 1) / scoreChunk
-	}
+// fanning out over a GOMAXPROCS-sized worker pool with one ScoreScratch
+// per worker. Every index is computed independently into its own output
+// slot, so results are identical to a sequential pass regardless of
+// scheduling.
+func (m *Models) forEachWindow(n int, fn func(s *ScoreScratch, i int)) {
+	workers := min(runtime.GOMAXPROCS(0), (n+scoreChunk-1)/scoreChunk)
 	// On a single schedulable CPU the pool cannot overlap any work; its
 	// goroutine startup and atomic traffic are pure overhead, so score
-	// inline regardless of the requested fan-out.
-	if workers <= 1 || n < seqScoreCutoff || runtime.GOMAXPROCS(0) == 1 {
+	// inline.
+	if workers <= 1 || n < seqScoreCutoff {
 		s := m.NewScoreScratch()
 		for i := 0; i < n; i++ {
 			fn(s, i)
@@ -384,41 +379,30 @@ func (m *Models) forEachWindow(n, workers int, fn func(s *ScoreScratch, i int)) 
 	wg.Wait()
 }
 
-// ScoreTraceAE scores every window of a trace with the autoencoder,
-// fanning the windows out over a GOMAXPROCS-sized worker pool.
+// ScoreTraceAE scores every window of a trace with the scalar float64
+// autoencoder — the reference the batched engines are tested against —
+// fanning the windows out over the worker pool. Scores are identical for
+// every GOMAXPROCS.
 func (m *Models) ScoreTraceAE(tr mobiflow.Trace) []WindowScore {
-	return m.ScoreTraceAEParallel(tr, 0)
-}
-
-// ScoreTraceAEParallel is ScoreTraceAE with an explicit worker count
-// (0 = GOMAXPROCS, 1 = sequential). Scores are identical for every
-// worker count.
-func (m *Models) ScoreTraceAEParallel(tr mobiflow.Trace, workers int) []WindowScore {
 	vecs := feature.Vectorize(tr, m.Vocab)
 	wins := feature.WindowsAE(vecs, m.Window)
 	dim := m.RecordDim()
 	out := make([]WindowScore, len(wins))
-	m.forEachWindow(len(wins), workers, func(s *ScoreScratch, i int) {
+	m.forEachWindow(len(wins), func(s *ScoreScratch, i int) {
 		sc := aeWindowScoreWith(m.AE, s.AE, wins[i], dim)
 		out[i] = WindowScore{Index: i, Score: sc, Threshold: m.AEThreshold, Anomalous: sc > m.AEThreshold, Model: ModelAE}
 	})
 	return out
 }
 
-// ScoreTraceLSTM scores every (window, next) pair with the LSTM,
-// fanning the windows out over a GOMAXPROCS-sized worker pool.
+// ScoreTraceLSTM scores every (window, next) pair with the scalar
+// float64 LSTM, fanning the windows out over the worker pool. Scores are
+// identical for every GOMAXPROCS.
 func (m *Models) ScoreTraceLSTM(tr mobiflow.Trace) []WindowScore {
-	return m.ScoreTraceLSTMParallel(tr, 0)
-}
-
-// ScoreTraceLSTMParallel is ScoreTraceLSTM with an explicit worker
-// count (0 = GOMAXPROCS, 1 = sequential). Scores are identical for
-// every worker count.
-func (m *Models) ScoreTraceLSTMParallel(tr mobiflow.Trace, workers int) []WindowScore {
 	vecs := feature.Vectorize(tr, m.Vocab)
 	wins, nexts := feature.WindowsLSTM(vecs, m.Window)
 	out := make([]WindowScore, len(wins))
-	m.forEachWindow(len(wins), workers, func(s *ScoreScratch, i int) {
+	m.forEachWindow(len(wins), func(s *ScoreScratch, i int) {
 		sc := m.LSTM.ScoreWith(s.LSTM, wins[i], nexts[i])
 		out[i] = WindowScore{Index: i, Score: sc, Threshold: m.LSTMThreshold, Anomalous: sc > m.LSTMThreshold, Model: ModelLSTM}
 	})

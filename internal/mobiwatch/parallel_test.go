@@ -10,29 +10,35 @@ import (
 	"github.com/6g-xsec/xsec/internal/feature"
 )
 
-// TestScoreTraceParallelMatchesSequential forces multi-worker pools
-// (regardless of GOMAXPROCS) and requires bit-identical scores to the
-// sequential path for both detectors.
+// TestScoreTraceParallelMatchesSequential scores the mixed trace inline
+// (GOMAXPROCS 1) and through the worker pool (GOMAXPROCS 4) and requires
+// bit-identical scores for both detectors.
 func TestScoreTraceParallelMatchesSequential(t *testing.T) {
 	_, mixed, models := fixtures(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
-	seqAE := models.ScoreTraceAEParallel(mixed.Trace, 1)
-	seqLSTM := models.ScoreTraceLSTMParallel(mixed.Trace, 1)
-	for _, workers := range []int{2, 4, 8} {
-		parAE := models.ScoreTraceAEParallel(mixed.Trace, workers)
-		if len(parAE) != len(seqAE) {
-			t.Fatalf("AE: %d windows with %d workers, want %d", len(parAE), workers, len(seqAE))
+	seqAE := models.ScoreTraceAE(mixed.Trace)
+	seqLSTM := models.ScoreTraceLSTM(mixed.Trace)
+	if len(seqAE) < seqScoreCutoff {
+		t.Fatalf("only %d windows: the pool would not engage", len(seqAE))
+	}
+	runtime.GOMAXPROCS(4)
+	parAE := models.ScoreTraceAE(mixed.Trace)
+	if len(parAE) != len(seqAE) {
+		t.Fatalf("AE: %d windows from the pool, want %d", len(parAE), len(seqAE))
+	}
+	for i := range seqAE {
+		if parAE[i] != seqAE[i] {
+			t.Fatalf("AE window %d from the pool = %+v, inline %+v", i, parAE[i], seqAE[i])
 		}
-		for i := range seqAE {
-			if parAE[i] != seqAE[i] {
-				t.Fatalf("AE window %d with %d workers = %+v, sequential %+v", i, workers, parAE[i], seqAE[i])
-			}
-		}
-		parLSTM := models.ScoreTraceLSTMParallel(mixed.Trace, workers)
-		for i := range seqLSTM {
-			if parLSTM[i] != seqLSTM[i] {
-				t.Fatalf("LSTM window %d with %d workers = %+v, sequential %+v", i, workers, parLSTM[i], seqLSTM[i])
-			}
+	}
+	parLSTM := models.ScoreTraceLSTM(mixed.Trace)
+	if len(parLSTM) != len(seqLSTM) {
+		t.Fatalf("LSTM: %d windows from the pool, want %d", len(parLSTM), len(seqLSTM))
+	}
+	for i := range seqLSTM {
+		if parLSTM[i] != seqLSTM[i] {
+			t.Fatalf("LSTM window %d from the pool = %+v, inline %+v", i, parLSTM[i], seqLSTM[i])
 		}
 	}
 }
@@ -103,8 +109,7 @@ func goroutineID() string {
 
 // TestForEachWindowInlineOnSingleCPU pins the BENCH_nn anomaly fix:
 // with one schedulable CPU the scoring pool cannot overlap any work, so
-// forEachWindow must run every window inline on the calling goroutine
-// even when a multi-worker fan-out is requested.
+// forEachWindow must run every window inline on the calling goroutine.
 func TestForEachWindowInlineOnSingleCPU(t *testing.T) {
 	_, _, models := fixtures(t)
 	prev := runtime.GOMAXPROCS(1)
@@ -115,7 +120,7 @@ func TestForEachWindowInlineOnSingleCPU(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[string]bool{}
 	hits := 0
-	models.forEachWindow(n, 8, func(s *ScoreScratch, i int) {
+	models.forEachWindow(n, func(s *ScoreScratch, i int) {
 		mu.Lock()
 		seen[goroutineID()] = true
 		hits++
@@ -128,17 +133,17 @@ func TestForEachWindowInlineOnSingleCPU(t *testing.T) {
 		t.Errorf("with GOMAXPROCS=1 scoring ran on goroutines %v, want only caller %s", seen, caller)
 	}
 
-	// With more schedulable CPUs the requested fan-out must still engage
-	// the pool: work moves off the calling goroutine.
+	// With more schedulable CPUs the pool must engage: work moves off the
+	// calling goroutine.
 	runtime.GOMAXPROCS(4)
 	seen = map[string]bool{}
-	models.forEachWindow(n, 8, func(s *ScoreScratch, i int) {
+	models.forEachWindow(n, func(s *ScoreScratch, i int) {
 		mu.Lock()
 		seen[goroutineID()] = true
 		mu.Unlock()
 	})
 	if seen[caller] {
-		t.Errorf("with GOMAXPROCS=4 and 8 workers, scoring still ran on the calling goroutine")
+		t.Errorf("with GOMAXPROCS=4, scoring still ran on the calling goroutine")
 	}
 }
 

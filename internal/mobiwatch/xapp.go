@@ -75,16 +75,6 @@ type RunOptions struct {
 	// ReportPeriod is the E2SM event-trigger period (default 50 ms,
 	// inside the near-RT control loop).
 	ReportPeriod time.Duration
-	// ContextRecords is how much preceding telemetry each alert carries
-	// (default 12).
-	ContextRecords int
-	// ContextSpan bounds the context temporally: records older than
-	// this (by telemetry timestamp) relative to the window start are
-	// excluded, so stale incidents do not leak into a new analysis
-	// (default 1 s).
-	ContextSpan time.Duration
-	// AlertBuffer bounds the alert channel (default 64).
-	AlertBuffer int
 	// Shards is the number of parallel scoring workers. Indications are
 	// partitioned by the UE ID in their headers (per-UE batches are the
 	// gNB agent's default), so records of one UE are always scored in
@@ -93,39 +83,21 @@ type RunOptions struct {
 	Shards int
 	// ShardBuffer bounds each shard's dispatch queue (default 256).
 	ShardBuffer int
-	// Inference selects the scoring engine: "f32" (default) and "i8"
-	// run the batched reduced-precision fast path, "f64" the scalar
-	// float64 reference path.
+	// Inference selects the batched scoring engine: "f32" (default) or
+	// "i8". The scalar float64 scorer is an offline reference only
+	// (ScoreTraceAE/LSTM, xsec-detect -inference f64); Run refuses "f64".
 	Inference string
-	// BatchWindows is the fast path's batch size: pending windows are
-	// scored together once this many accumulate (default 16).
-	BatchWindows int
-	// BatchAge bounds how long a pending window may wait before being
-	// scored when traffic is slow (default 2 ms — negligible against the
-	// 50 ms E2 report period).
-	BatchAge time.Duration
 	// ScoreLatency, when set, additionally receives every per-batch
 	// scoring latency observation. Colocated federated instances share
 	// the process-global histogram, so each instance passes its own
 	// private histogram here to report instance-attributed latency to
 	// the fleet collector.
 	ScoreLatency *obs.Histogram
-	// Clock is used for alert timestamps (default time.Now).
-	Clock func() time.Time
 }
 
 func (o *RunOptions) defaults() {
 	if o.ReportPeriod == 0 {
 		o.ReportPeriod = 50 * time.Millisecond
-	}
-	if o.ContextRecords == 0 {
-		o.ContextRecords = 12
-	}
-	if o.AlertBuffer == 0 {
-		o.AlertBuffer = 64
-	}
-	if o.ContextSpan == 0 {
-		o.ContextSpan = time.Second
 	}
 	if o.Shards <= 0 {
 		o.Shards = 1
@@ -133,16 +105,26 @@ func (o *RunOptions) defaults() {
 	if o.ShardBuffer <= 0 {
 		o.ShardBuffer = 256
 	}
-	if o.BatchWindows <= 0 {
-		o.BatchWindows = 16
-	}
-	if o.BatchAge <= 0 {
-		o.BatchAge = 2 * time.Millisecond
-	}
-	if o.Clock == nil {
-		o.Clock = time.Now
-	}
 }
+
+const (
+	// contextRecords is how much preceding telemetry each alert carries.
+	contextRecords = 12
+	// contextSpan bounds the context temporally: records older than this
+	// (by telemetry timestamp) relative to the window start are excluded,
+	// so stale incidents do not leak into a new analysis.
+	contextSpan = time.Second
+	// alertBuffer bounds the alert channel; a full channel drops, counted.
+	alertBuffer = 64
+	// flushWindows is the pending-window count, summed over both models,
+	// at which a worker scores its batch. Past warm-up every record
+	// completes one AE and one LSTM window, so a flush covers ≈ 8 records.
+	flushWindows = 16
+	// flushAge bounds how long a pending window may wait before being
+	// scored when traffic is slow — negligible against the 50 ms E2
+	// report period.
+	flushAge = 2 * time.Millisecond
+)
 
 // Stats counts xApp activity.
 type Stats struct {
@@ -158,7 +140,7 @@ type Runtime struct {
 	models *Models
 	opts   RunOptions
 	xapp   *ric.XApp
-	sub    *ric.ShardedSubscription
+	sub    *ric.Subscription
 
 	alerts chan Alert
 	stats  Stats
@@ -178,14 +160,12 @@ type Runtime struct {
 type worker struct {
 	rt      *Runtime
 	encoder *feature.Encoder
-	recent  mobiflow.Trace // trailing records for window + context
-	vecs    [][]float64    // encoded counterparts of recent (scalar path)
-	scratch *ScoreScratch  // inference workspace (scalar path)
-	flat    []float64      // reusable window-flattening buffer (scalar path)
-	fast    *fastState     // batched reduced-precision path (nil = scalar)
-	keyBuf  []byte         // reusable SDL key-rendering buffer
-	batchAt time.Time      // RIC arrival time of the batch being ingested
-	batchSN uint64         // its E2 indication sequence number
+	recent  mobiflow.Trace     // trailing records for window + context
+	rows    *feature.RowBuffer // float32 encoding of recent, row for row
+	queues  [2]windowQueue     // windows awaiting the next flush: AE, LSTM
+	keyBuf  []byte             // reusable SDL key-rendering buffer
+	batchAt time.Time          // RIC arrival time of the batch being ingested
+	batchSN uint64             // its E2 indication sequence number
 
 	// Migration state (migrate.go): the control channel delivers
 	// checkpoint/restore operations into the worker goroutine; ueLast
@@ -194,6 +174,27 @@ type worker struct {
 	ctrl   chan ctrlOp
 	ueLast map[uint64]chainMark
 	joins  map[uint64]joinInfo
+}
+
+// windowQueue is one model's share of a worker's pending batch: the
+// tensor being filled plus, per pushed window, what raising an alert
+// after the batch is scored needs.
+type windowQueue struct {
+	batch     *pendingBatch
+	meta      []winMeta
+	anomalies *obs.Counter
+}
+
+// winMeta locates a pending window in the worker's record history and
+// names the E2 indication that completed it. A flush raises windows that
+// are no longer at the end of the history, so these travel with the
+// window rather than with the worker.
+type winMeta struct {
+	start    int // index of the window's first record in worker.recent
+	seqFirst uint64
+	seqLast  uint64
+	at       time.Time
+	sn       uint64
 }
 
 // Run subscribes MobiWatch to a node's MOBIFLOW telemetry and starts
@@ -209,11 +210,14 @@ func Run(x *ric.XApp, models *Models, opts RunOptions) (*Runtime, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mobiwatch: %w", err)
 	}
+	if prec == nn.Float64 {
+		return nil, fmt.Errorf("mobiwatch: inference %q is the offline reference scorer; the online xApp runs f32 or i8", opts.Inference)
+	}
 	trigger := asn1lite.Marshal(&e2sm.EventTrigger{Period: opts.ReportPeriod})
 	action := asn1lite.Marshal(&e2sm.ActionDefinition{AllUEs: true})
-	sub, err := x.SubscribeSharded(opts.NodeID, e2sm.MobiFlowRANFunctionID, trigger,
+	sub, err := x.Subscribe(opts.NodeID, e2sm.MobiFlowRANFunctionID, trigger,
 		[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport, Definition: action}},
-		ric.ShardedOptions{
+		ric.SubscribeOptions{
 			Shards: opts.Shards,
 			Buffer: opts.ShardBuffer,
 			Key:    func(ind ric.Indication) uint64 { return e2sm.PeekIndicationUE(ind.Header) },
@@ -226,25 +230,14 @@ func Run(x *ric.XApp, models *Models, opts RunOptions) (*Runtime, error) {
 		opts:       opts,
 		xapp:       x,
 		sub:        sub,
-		alerts:     make(chan Alert, opts.AlertBuffer),
+		alerts:     make(chan Alert, alertBuffer),
 		queueDepth: obsQueueDepth.With(opts.NodeID),
 		done:       make(chan struct{}),
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < sub.Shards(); i++ {
-		w := &worker{
-			rt:      rt,
-			encoder: feature.NewEncoder(models.Vocab),
-			ctrl:    make(chan ctrlOp),
-			ueLast:  make(map[uint64]chainMark),
-			joins:   make(map[uint64]joinInfo),
-		}
+		w := newWorker(rt, prec)
 		rt.workers = append(rt.workers, w)
-		if prec == nn.Float64 {
-			w.scratch = models.NewScoreScratch()
-		} else {
-			w.fast = newFastState(models, prec)
-		}
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
@@ -257,6 +250,22 @@ func Run(x *ric.XApp, models *Models, opts RunOptions) (*Runtime, error) {
 		close(rt.done)
 	}()
 	return rt, nil
+}
+
+func newWorker(rt *Runtime, prec nn.Precision) *worker {
+	m := rt.models
+	return &worker{
+		rt:      rt,
+		encoder: feature.NewEncoder(m.Vocab),
+		rows:    feature.NewRowBuffer(m.RecordDim()),
+		queues: [2]windowQueue{
+			{batch: newPendingBatch(m, ModelAE, prec), anomalies: obsAnomalyAE},
+			{batch: newPendingBatch(m, ModelLSTM, prec), anomalies: obsAnomalyLSTM},
+		},
+		ctrl:   make(chan ctrlOp),
+		ueLast: make(map[uint64]chainMark),
+		joins:  make(map[uint64]joinInfo),
+	}
 }
 
 // Alerts streams flagged windows. Closed when the runtime stops.
@@ -290,23 +299,16 @@ func (rt *Runtime) Thresholds() (ae, lstm float64) {
 
 func (w *worker) loop(c <-chan ric.Indication) {
 	rt := w.rt
-	// The fast path accumulates windows into a batch tensor; an age
-	// ticker bounds how long a pending window can wait for company when
-	// traffic is slow.
-	var tick <-chan time.Time
-	if w.fast != nil {
-		ticker := time.NewTicker(rt.opts.BatchAge)
-		defer ticker.Stop()
-		tick = ticker.C
-	}
+	// Windows accumulate into a batch tensor; the age ticker bounds how
+	// long a pending window can wait for company when traffic is slow.
+	ticker := time.NewTicker(flushAge)
+	defer ticker.Stop()
 	for {
 		select {
 		case ind, ok := <-c:
 			if !ok {
-				if w.fast != nil && w.fast.pending() > 0 {
-					rt.thMu.RLock()
-					w.flushLocked(rt.opts.NodeID)
-					rt.thMu.RUnlock()
+				if w.pending() > 0 {
+					w.flush()
 					rt.queueDepth.Set(float64(len(rt.alerts)))
 				}
 				return
@@ -325,31 +327,38 @@ func (w *worker) loop(c <-chan ric.Indication) {
 			rt.thMu.RLock()
 			w.ingest(ind, msg.Records)
 			rt.thMu.RUnlock()
-			elapsed := time.Since(start).Nanoseconds()
-			obsScoreSeconds.ObserveSeconds(elapsed)
-			if rt.opts.ScoreLatency != nil {
-				rt.opts.ScoreLatency.ObserveSeconds(elapsed)
-			}
+			w.observeScore(start)
 			span.End()
-			rt.queueDepth.Set(float64(len(rt.alerts)))
 		case op := <-w.ctrl:
 			w.handleCtrl(op)
-		case <-tick:
-			if w.fast.pending() == 0 {
+		case <-ticker.C:
+			if w.pending() == 0 {
 				continue
 			}
 			start := time.Now()
-			rt.thMu.RLock()
-			w.flushLocked(rt.opts.NodeID)
-			rt.thMu.RUnlock()
-			elapsed := time.Since(start).Nanoseconds()
-			obsScoreSeconds.ObserveSeconds(elapsed)
-			if rt.opts.ScoreLatency != nil {
-				rt.opts.ScoreLatency.ObserveSeconds(elapsed)
-			}
-			rt.queueDepth.Set(float64(len(rt.alerts)))
+			w.flush()
+			w.observeScore(start)
 		}
 	}
+}
+
+// flush is flushLocked for the loop's callers outside ingest.
+func (w *worker) flush() {
+	w.rt.thMu.RLock()
+	w.flushLocked(w.rt.opts.NodeID)
+	w.rt.thMu.RUnlock()
+}
+
+// observeScore records one scoring pass that began at start and samples
+// the alert queue it may have fed.
+func (w *worker) observeScore(start time.Time) {
+	rt := w.rt
+	elapsed := time.Since(start).Nanoseconds()
+	obsScoreSeconds.ObserveSeconds(elapsed)
+	if rt.opts.ScoreLatency != nil {
+		rt.opts.ScoreLatency.ObserveSeconds(elapsed)
+	}
+	rt.queueDepth.Set(float64(len(rt.alerts)))
 }
 
 // persistKey renders "nodeID/%020d" into buf without fmt, so the SDL
@@ -391,7 +400,6 @@ func (w *worker) ingest(ind ric.Indication, batch mobiflow.Trace) {
 			})
 		}
 	}
-	N := rt.models.Window
 	store := rt.xapp.SDL()
 	for _, rec := range batch {
 		rt.stats.RecordsSeen.Add(1)
@@ -402,134 +410,123 @@ func (w *worker) ingest(ind ric.Indication, batch mobiflow.Trace) {
 		w.keyBuf = persistKey(w.keyBuf, nodeID, rec.Seq)
 		store.SetOwned("mobiflow", string(w.keyBuf), mobiflow.Encode(&rec))
 
+		// Encode straight into the row buffer and enqueue the window(s)
+		// the record completes; scoring happens when the batch fills
+		// (here) or ages out (loop).
 		w.recent = append(w.recent, rec)
-		if w.fast != nil {
-			// Fast path: encode straight into the row buffer and enqueue
-			// the completed window(s) into the batch tensor; scoring
-			// happens when the batch fills (below) or ages out (loop).
-			w.fast.rows.Push(w.encoder, rec)
-			if w.fast.rows.Len() >= N {
-				w.enqueueLatest()
-			}
-			if w.fast.pending() >= rt.opts.BatchWindows {
-				w.flushLocked(nodeID)
-			}
-		} else {
-			w.vecs = append(w.vecs, w.encoder.Encode(rec))
-			if len(w.vecs) >= N {
-				w.scoreLatest(nodeID)
-			}
+		w.rows.Push(w.encoder, rec)
+		w.enqueueLatest()
+		if w.pending() >= flushWindows {
+			w.flushLocked(nodeID)
 		}
 		w.trimHistory()
 	}
 }
 
-// trimHistory drops records no longer needed for context windows. On the
-// fast path, records referenced by still-pending windows (and their
-// context) are kept until the batch flushes.
-func (w *worker) trimHistory() {
+// pending returns how many windows, summed over both models, await the
+// next flush.
+func (w *worker) pending() int { return len(w.queues[0].meta) + len(w.queues[1].meta) }
+
+// enqueueLatest appends the window the newest record completes to each
+// model's pending batch, once enough history exists to fill it.
+func (w *worker) enqueueLatest() {
+	n := len(w.recent)
+	for i := range w.queues {
+		q := &w.queues[i]
+		start := n - q.batch.span()
+		if start < 0 {
+			continue
+		}
+		q.batch.push(w.rows, start)
+		q.meta = append(q.meta, winMeta{
+			start:    start,
+			seqFirst: w.recent[start].Seq,
+			seqLast:  w.recent[n-1].Seq,
+			at:       w.batchAt,
+			sn:       w.batchSN,
+		})
+	}
+}
+
+// flushLocked scores every pending window in one batched pass per model
+// and raises alerts for threshold crossings. The caller holds the
+// runtime's threshold read-lock.
+func (w *worker) flushLocked(nodeID string) {
 	rt := w.rt
-	max := rt.opts.ContextRecords + rt.models.Window + 1
-	drop := len(w.recent) - max
+	for i := range w.queues {
+		q := &w.queues[i]
+		if len(q.meta) == 0 {
+			continue
+		}
+		b := q.batch
+		threshold := rt.models.threshold(b.model)
+		for k, s32 := range b.score() {
+			m := &q.meta[k]
+			s := float64(s32)
+			rt.stats.WindowsScored.Add(1)
+			obsWindows.Inc()
+			// Every scored window joins the evidence chain; prov.Record is
+			// a struct channel send, so the benign path stays
+			// allocation-free (consecutive benign windows coalesce
+			// writer-side).
+			prov.Record(prov.Event{
+				Chain:     prov.ChainID{Node: nodeID, SN: m.sn},
+				Kind:      prov.KindWindow,
+				At:        m.at,
+				SeqFirst:  m.seqFirst,
+				SeqLast:   m.seqLast,
+				Digest:    b.digest(k),
+				Model:     string(b.model),
+				Score:     s,
+				Threshold: threshold,
+				Flagged:   s > threshold,
+			})
+			if s > threshold {
+				q.anomalies.Inc()
+				w.raise(nodeID, m.start, b.span(), s, threshold, b.model, m.at, m.sn)
+			}
+		}
+		b.reset()
+		q.meta = q.meta[:0]
+	}
+	// Pending windows no longer pin history; trim to context needs.
+	w.trimHistory()
+}
+
+// trimHistory drops records no longer needed for context windows.
+// Records referenced by still-pending windows (and their context) are
+// kept until the batch flushes.
+func (w *worker) trimHistory() {
+	drop := len(w.recent) - (contextRecords + w.rt.models.Window + 1)
+	for i := range w.queues {
+		// meta is in arrival order, so its head is the oldest window.
+		if q := &w.queues[i]; len(q.meta) > 0 {
+			drop = min(drop, q.meta[0].start-contextRecords)
+		}
+	}
 	if drop <= 0 {
 		return
 	}
-	if w.fast != nil {
-		if lim := w.fast.minPendingStart(len(w.recent)) - rt.opts.ContextRecords; drop > lim {
-			drop = lim
-		}
-		if drop <= 0 {
-			return
-		}
-		w.recent = w.recent[drop:]
-		w.fast.shift(drop)
-		return
-	}
 	w.recent = w.recent[drop:]
-	w.vecs = w.vecs[drop:]
-}
-
-// scoreLatest evaluates the newest AE window and, when possible, the
-// newest LSTM pair.
-func (w *worker) scoreLatest(nodeID string) {
-	rt := w.rt
-	N := rt.models.Window
-	n := len(w.vecs)
-
-	// Autoencoder: flatten the last N vectors into the reusable buffer,
-	// then score through the worker's workspace — the streaming hot
-	// path performs no per-window allocation.
-	flat := w.flat[:0]
-	for _, v := range w.vecs[n-N:] {
-		flat = append(flat, v...)
-	}
-	w.flat = flat
-	rt.stats.WindowsScored.Add(1)
-	obsWindows.Inc()
-	s := rt.models.ScoreAEWindowWith(w.scratch, flat)
-	// Every scored window joins the evidence chain; prov.Record is a
-	// struct channel send, so the benign path stays allocation-free
-	// (consecutive benign windows coalesce writer-side).
-	prov.Record(prov.Event{
-		Chain:     prov.ChainID{Node: nodeID, SN: w.batchSN},
-		Kind:      prov.KindWindow,
-		At:        w.batchAt,
-		SeqFirst:  w.recent[len(w.recent)-N].Seq,
-		SeqLast:   w.recent[len(w.recent)-1].Seq,
-		Digest:    prov.DigestFloats(flat),
-		Model:     string(ModelAE),
-		Score:     s,
-		Threshold: rt.models.AEThreshold,
-		Flagged:   s > rt.models.AEThreshold,
-	})
-	if s > rt.models.AEThreshold {
-		obsAnomalyAE.Inc()
-		w.raise(nodeID, len(w.recent)-N, N, s, rt.models.AEThreshold, ModelAE, w.batchAt, w.batchSN)
-	}
-
-	// LSTM: previous N vectors predict the newest one.
-	if n >= N+1 {
-		window := w.vecs[n-N-1 : n-1]
-		next := w.vecs[n-1]
-		rt.stats.WindowsScored.Add(1)
-		obsWindows.Inc()
-		s := rt.models.LSTM.ScoreWith(w.scratch.LSTM, window, next)
-		prov.Record(prov.Event{
-			Chain:     prov.ChainID{Node: nodeID, SN: w.batchSN},
-			Kind:      prov.KindWindow,
-			At:        w.batchAt,
-			SeqFirst:  w.recent[n-N-1].Seq,
-			SeqLast:   w.recent[n-1].Seq,
-			Digest:    prov.NewDigest().Vecs(window).Floats(next),
-			Model:     string(ModelLSTM),
-			Score:     s,
-			Threshold: rt.models.LSTMThreshold,
-			Flagged:   s > rt.models.LSTMThreshold,
-		})
-		if s > rt.models.LSTMThreshold {
-			obsAnomalyLSTM.Inc()
-			w.raise(nodeID, len(w.recent)-N-1, N+1, s, rt.models.LSTMThreshold, ModelLSTM, w.batchAt, w.batchSN)
+	w.rows.Trim(drop)
+	for i := range w.queues {
+		for k := range w.queues[i].meta {
+			w.queues[i].meta[k].start -= drop
 		}
 	}
 }
 
 // raise flags the window at w.recent[winStart : winStart+winLen]. at and
-// sn identify the E2 indication that completed the window (the batched
-// path raises windows that are no longer at the end of the history, so
-// they travel with the window rather than with the worker).
+// sn identify the E2 indication that completed the window.
 func (w *worker) raise(nodeID string, winStart, winLen int, score, threshold float64, model ModelName, at time.Time, sn uint64) {
 	rt := w.rt
 	window := w.recent[winStart : winStart+winLen]
-	ctxLen := rt.opts.ContextRecords
-	start := winStart - ctxLen
-	if start < 0 {
-		start = 0
-	}
-	// Temporal bound: drop context records older than ContextSpan
+	start := max(winStart-contextRecords, 0)
+	// Temporal bound: drop context records older than contextSpan
 	// before the window starts.
 	windowStart := window[0].Timestamp
 	for start < winStart &&
-		windowStart.Sub(w.recent[start].Timestamp) > rt.opts.ContextSpan {
+		windowStart.Sub(w.recent[start].Timestamp) > contextSpan {
 		start++
 	}
 	alert := Alert{
@@ -539,7 +536,7 @@ func (w *worker) raise(nodeID string, winStart, winLen int, score, threshold flo
 		Score:        score,
 		Threshold:    threshold,
 		Model:        model,
-		At:           rt.opts.Clock(),
+		At:           time.Now(),
 		ReceivedAt:   at,
 		IndicationSN: sn,
 	}

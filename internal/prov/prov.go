@@ -219,14 +219,6 @@ func (d Digest) Floats(vs []float64) Digest {
 	return d
 }
 
-// Vecs mixes a sequence of feature vectors.
-func (d Digest) Vecs(vecs [][]float64) Digest {
-	for _, v := range vecs {
-		d = d.Floats(v)
-	}
-	return d
-}
-
 // Floats32 mixes a float32 feature vector through the same float64 bit
 // pattern as Floats, so a window digested from the batched float32
 // scoring path matches the float64 path digest when the values are

@@ -23,7 +23,7 @@ func TestObsIndicationCounters(t *testing.T) {
 	}
 	// Buffer of one and no consumer: the first indication fills the
 	// channel, the second hits the non-blocking send's drop path.
-	sub, err := x.Subscribe("gnb-obs", 2, nil, nil, 1)
+	sub, err := x.Subscribe("gnb-obs", 2, nil, nil, SubscribeOptions{Buffer: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,6 +110,11 @@ type Platform struct {
 type nodeConn struct {
 	info NodeInfo
 	ep   *e2ap.Endpoint
+	// ready is set (under Platform.mu) once the E2SetupResponse has been
+	// written. Until then the entry only reserves the node ID: Nodes and
+	// request do not see it, so no procedure can overtake the response on
+	// the connection.
+	ready bool
 }
 
 // Option configures the platform.
@@ -155,7 +160,9 @@ func (p *Platform) Nodes() []NodeInfo {
 	defer p.mu.Unlock()
 	out := make([]NodeInfo, 0, len(p.nodes))
 	for _, n := range p.nodes {
-		out = append(out, n.info)
+		if n.ready {
+			out = append(out, n.info)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].NodeID < out[j].NodeID })
 	return out
@@ -203,14 +210,17 @@ func (p *Platform) AttachNode(ep *e2ap.Endpoint) error {
 		return fmt.Errorf("ric: node %q already connected", first.NodeID)
 	}
 	p.nodes[first.NodeID] = node
-	obsNodes.Set(float64(len(p.nodes)))
 	p.mu.Unlock()
-	obs.L().Info("ric: E2 node attached", "node", first.NodeID, "functions", len(first.RANFunctions))
 
 	if err := ep.Send(&e2ap.Message{Type: e2ap.TypeE2SetupResponse, NodeID: "ric-0", TransactionID: first.TransactionID}); err != nil {
 		p.detachNode(first.NodeID)
 		return fmt.Errorf("ric: E2 setup response: %w", err)
 	}
+	p.mu.Lock()
+	node.ready = true
+	obsNodes.Set(float64(len(p.nodes)))
+	p.mu.Unlock()
+	obs.L().Info("ric: E2 node attached", "node", first.NodeID, "functions", len(first.RANFunctions))
 
 	for {
 		msg, err := ep.Recv()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -110,6 +111,53 @@ func TestDuplicateNodeRejected(t *testing.T) {
 	}
 }
 
+// TestSubscribeCannotOvertakeSetupResponse pins the E2 set-up ordering:
+// a caller that subscribes the instant Nodes() lists the node must not
+// get its SubscriptionRequest onto the connection ahead of the
+// E2SetupResponse (a gNB agent reads that as a refused set-up and exits).
+// The window is a few instructions wide, so the handshake is repeated.
+func TestSubscribeCannotOvertakeSetupResponse(t *testing.T) {
+	for i := 0; i < 300; i++ {
+		p := NewPlatform(sdl.New(), WithTimeout(time.Second))
+		x, err := p.RegisterXApp("eager")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ricEnd, nodeEnd := e2ap.Pipe()
+		go p.AttachNode(ricEnd)
+		subErr := make(chan error, 1)
+		go func() {
+			for len(p.Nodes()) == 0 {
+				runtime.Gosched()
+			}
+			_, err := x.Subscribe("gnb-eager", 2, nil, nil, SubscribeOptions{})
+			subErr <- err
+		}()
+
+		if err := nodeEnd.Send(&e2ap.Message{Type: e2ap.TypeE2SetupRequest, NodeID: "gnb-eager"}); err != nil {
+			t.Fatal(err)
+		}
+		first, err := nodeEnd.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Type != e2ap.TypeE2SetupResponse {
+			t.Fatalf("handshake %d: node read %s before E2SetupResponse", i, first.Type)
+		}
+		req, err := nodeEnd.Recv()
+		if err != nil || req.Type != e2ap.TypeSubscriptionRequest {
+			t.Fatalf("handshake %d: after set-up node read %+v, err %v", i, req, err)
+		}
+		if err := nodeEnd.Send(&e2ap.Message{Type: e2ap.TypeSubscriptionResponse, RequestID: req.RequestID}); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-subErr; err != nil {
+			t.Fatalf("handshake %d: Subscribe: %v", i, err)
+		}
+		p.Close()
+	}
+}
+
 func TestBadFirstMessageRejected(t *testing.T) {
 	p := NewPlatform(sdl.New())
 	defer p.Close()
@@ -136,7 +184,7 @@ func TestSubscribeAndIndications(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := x.Subscribe("gnb-1", 2, []byte("trigger"), []e2ap.Action{{ID: 1, Type: e2ap.ActionReport}}, 16)
+	sub, err := x.Subscribe("gnb-1", 2, []byte("trigger"), []e2ap.Action{{ID: 1, Type: e2ap.ActionReport}}, SubscribeOptions{Buffer: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +195,7 @@ func TestSubscribeAndIndications(t *testing.T) {
 	}
 	for sn := uint64(1); sn <= 3; sn++ {
 		select {
-		case ind := <-sub.C():
+		case ind := <-sub.C(0):
 			if ind.SN != sn || string(ind.Message) != fmt.Sprintf("payload-%d", sn) {
 				t.Errorf("indication %d = %+v", sn, ind)
 			}
@@ -170,7 +218,7 @@ func TestSubscriptionRejected(t *testing.T) {
 	waitFor(t, func() bool { return len(p.Nodes()) == 1 })
 
 	x, _ := p.RegisterXApp("x")
-	if _, err := x.Subscribe("gnb-1", 2, nil, nil, 1); !errors.Is(err, ErrSubscriptionFailed) {
+	if _, err := x.Subscribe("gnb-1", 2, nil, nil, SubscribeOptions{Buffer: 1}); !errors.Is(err, ErrSubscriptionFailed) {
 		t.Errorf("err = %v, want ErrSubscriptionFailed", err)
 	}
 	if got := p.Metrics().SubscriptionsFail.Load(); got != 1 {
@@ -182,7 +230,7 @@ func TestSubscribeUnknownNode(t *testing.T) {
 	p := NewPlatform(sdl.New())
 	defer p.Close()
 	x, _ := p.RegisterXApp("x")
-	if _, err := x.Subscribe("nowhere", 2, nil, nil, 1); !errors.Is(err, ErrNoSuchNode) {
+	if _, err := x.Subscribe("nowhere", 2, nil, nil, SubscribeOptions{Buffer: 1}); !errors.Is(err, ErrNoSuchNode) {
 		t.Errorf("err = %v, want ErrNoSuchNode", err)
 	}
 }
@@ -194,7 +242,7 @@ func TestSubscriptionDelete(t *testing.T) {
 	waitFor(t, func() bool { return len(p.Nodes()) == 1 })
 
 	x, _ := p.RegisterXApp("x")
-	sub, err := x.Subscribe("gnb-1", 2, nil, nil, 4)
+	sub, err := x.Subscribe("gnb-1", 2, nil, nil, SubscribeOptions{Buffer: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +250,7 @@ func TestSubscriptionDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Channel closed.
-	if _, open := <-sub.C(); open {
+	if _, open := <-sub.C(0); open {
 		t.Error("channel open after delete")
 	}
 	// Indications after delete are dropped, not delivered.
@@ -240,6 +288,7 @@ func TestControlContextTimeout(t *testing.T) {
 	if _, err := nodeEnd.Recv(); err != nil {
 		t.Fatal(err)
 	}
+	waitFor(t, func() bool { return len(p.Nodes()) == 1 })
 	go func() { // swallow the control request silently
 		for {
 			if _, err := nodeEnd.Recv(); err != nil {
@@ -282,13 +331,13 @@ func TestNodeDisconnectClosesSubscriptions(t *testing.T) {
 	waitFor(t, func() bool { return len(p.Nodes()) == 1 })
 
 	x, _ := p.RegisterXApp("x")
-	sub, err := x.Subscribe("gnb-1", 2, nil, nil, 4)
+	sub, err := x.Subscribe("gnb-1", 2, nil, nil, SubscribeOptions{Buffer: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	node.ep.Close()
 	select {
-	case _, open := <-sub.C():
+	case _, open := <-sub.C(0):
 		if open {
 			t.Error("expected closed channel after node disconnect")
 		}
@@ -320,6 +369,7 @@ func TestProcedureTimeout(t *testing.T) {
 	if _, err := nodeEnd.Recv(); err != nil {
 		t.Fatal(err)
 	}
+	waitFor(t, func() bool { return len(p.Nodes()) == 1 })
 	go func() { // swallow the subscription request silently
 		for {
 			if _, err := nodeEnd.Recv(); err != nil {
@@ -329,7 +379,7 @@ func TestProcedureTimeout(t *testing.T) {
 	}()
 
 	x, _ := p.RegisterXApp("x")
-	if _, err := x.Subscribe("mute", 2, nil, nil, 1); !errors.Is(err, ErrTimeout) {
+	if _, err := x.Subscribe("mute", 2, nil, nil, SubscribeOptions{Buffer: 1}); !errors.Is(err, ErrTimeout) {
 		t.Errorf("err = %v, want ErrTimeout", err)
 	}
 }

@@ -43,9 +43,9 @@ func TestShardedOrderingAndFanout(t *testing.T) {
 		t.Fatal(err)
 	}
 	const shards = 4
-	sub, err := x.SubscribeSharded("gnb-shard", 2, []byte("trigger"),
+	sub, err := x.Subscribe("gnb-shard", 2, []byte("trigger"),
 		[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport}},
-		ShardedOptions{Shards: shards, Buffer: 256, Key: headerKey})
+		SubscribeOptions{Shards: shards, Buffer: 256, Key: headerKey})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestShardedOrderingAndFanout(t *testing.T) {
 	for seq := 0; seq < perUE; seq++ {
 		for ue := byte(1); ue <= ues; ue++ {
 			sn++
-			if err := node.indicateUE(sub.ID(), sn, ue, []byte(fmt.Sprintf("%d/%d", ue, seq))); err != nil {
+			if err := node.indicateUE(sub.ID, sn, ue, []byte(fmt.Sprintf("%d/%d", ue, seq))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -123,8 +123,8 @@ func TestShardedBackpressureIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	const buffer = 2
-	sub, err := x.SubscribeSharded("gnb-bp", 2, nil, nil,
-		ShardedOptions{Shards: 2, Buffer: buffer, Key: headerKey})
+	sub, err := x.Subscribe("gnb-bp", 2, nil, nil,
+		SubscribeOptions{Shards: 2, Buffer: buffer, Key: headerKey})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestShardedBackpressureIsolation(t *testing.T) {
 	// fill its queue, the rest hit the per-shard drop path.
 	const sent = buffer + 3
 	for i := 0; i < sent; i++ {
-		if err := node.indicateUE(sub.ID(), uint64(i+1), 2, []byte("x")); err != nil {
+		if err := node.indicateUE(sub.ID, uint64(i+1), 2, []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,7 +155,7 @@ func TestShardedBackpressureIsolation(t *testing.T) {
 		ind := <-sub.C(1)
 		done <- ind
 	}()
-	if err := node.indicateUE(sub.ID(), 100, 3, []byte("flows")); err != nil {
+	if err := node.indicateUE(sub.ID, 100, 3, []byte("flows")); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -187,8 +187,8 @@ func TestShardedDeleteClosesAllShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := x.SubscribeSharded("gnb-close", 2, nil, nil,
-		ShardedOptions{Shards: 3, Buffer: 4, Key: headerKey})
+	sub, err := x.Subscribe("gnb-close", 2, nil, nil,
+		SubscribeOptions{Shards: 3, Buffer: 4, Key: headerKey})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,13 +208,14 @@ func TestShardedDeleteClosesAllShards(t *testing.T) {
 	// A straggler indication for the deleted subscription is dropped at
 	// the platform, never reaching closed shard queues.
 	before := p.Metrics().IndicationsDropped.Load()
-	if err := node.indicateUE(sub.ID(), 9, 1, []byte("late")); err != nil {
+	if err := node.indicateUE(sub.ID, 9, 1, []byte("late")); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return p.Metrics().IndicationsDropped.Load() == before+1 })
 }
 
-// TestSubscribeShardedRequiresKey pins the option contract.
+// TestSubscribeShardedRequiresKey pins the option contract: several
+// shards cannot be fed without a partition key, one shard needs none.
 func TestSubscribeShardedRequiresKey(t *testing.T) {
 	p := NewPlatform(sdl.New())
 	defer p.Close()
@@ -224,7 +225,14 @@ func TestSubscribeShardedRequiresKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := x.SubscribeSharded("gnb-key", 2, nil, nil, ShardedOptions{}); err == nil {
-		t.Fatal("SubscribeSharded accepted a nil Key")
+	if _, err := x.Subscribe("gnb-key", 2, nil, nil, SubscribeOptions{Shards: 2}); err == nil {
+		t.Fatal("Subscribe accepted a nil Key with Shards > 1")
+	}
+	sub, err := x.Subscribe("gnb-key", 2, nil, nil, SubscribeOptions{})
+	if err != nil {
+		t.Fatalf("Subscribe with default options: %v", err)
+	}
+	if sub.Shards() != 1 {
+		t.Errorf("default Shards = %d, want 1", sub.Shards())
 	}
 }

@@ -3,6 +3,7 @@ package ric
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -46,25 +47,41 @@ func (x *XApp) Name() string { return x.name }
 // SDL returns the shared data layer.
 func (x *XApp) SDL() *sdl.Store { return x.platform.store }
 
-// Subscription is an active RIC subscription. Indications arrive on C
-// until Delete is called or the node disconnects, after which C is closed.
+// ShardFunc extracts the partition key from an indication; indications
+// with equal keys are delivered to the same shard queue in arrival
+// order. The E2SM layer supplies it (e.g. e2sm.PeekIndicationUE over the
+// indication header) — the platform itself stays service-model agnostic.
+type ShardFunc func(Indication) uint64
+
+// SubscribeOptions configures Subscribe.
+type SubscribeOptions struct {
+	// Shards is the number of bounded dispatch queues (default 1).
+	Shards int
+	// Buffer is each shard queue's capacity (default 64). A full queue
+	// drops, counted per shard.
+	Buffer int
+	// Key partitions indications across queues. Required when Shards > 1.
+	Key ShardFunc
+}
+
+// Subscription is an active RIC subscription. Its indication stream is
+// partitioned into bounded per-shard queues by a caller-provided key
+// (typically the UE ID from the indication header). Indications with the
+// same key stay strictly ordered on one queue; different keys land on
+// different queues so downstream workers — one per shard — process them
+// in parallel. Backpressure is explicit: a full shard queue drops that
+// indication and increments its own counter, without stalling the E2
+// Termination or the other shards. Indications arrive until Delete is
+// called or the node disconnects, after which every shard stream is
+// closed.
 type Subscription struct {
 	ID     e2ap.RequestID
 	nodeID string
 	fnID   uint16
 	xapp   *XApp
 
-	// sendMu serializes deliveries against channel close: the router
-	// may be mid-send on another goroutine when Delete or a node detach
-	// closes the stream. Sends are non-blocking, so the lock is never
-	// held across a wait.
-	sendMu sync.Mutex
-	closed bool
-	ch     chan Indication
-
-	// sharded, when non-nil, replaces the single channel with per-shard
-	// bounded queues (see SubscribeSharded); ch is nil then.
-	sharded *ShardedSubscription
+	key    ShardFunc
+	shards []shardQueue
 
 	// Interned per-xApp routing counters; resolved once at Subscribe
 	// so the delivery hot path performs no label lookup.
@@ -72,41 +89,57 @@ type Subscription struct {
 	obsDropped *obs.Counter
 }
 
-// C is the indication stream. It is nil for sharded subscriptions; use
-// ShardedSubscription.C instead.
-func (s *Subscription) C() <-chan Indication { return s.ch }
+type shardQueue struct {
+	// mu serializes deliveries against channel close: the router may be
+	// mid-send on another goroutine when Delete or a node detach closes
+	// the stream. Sends are non-blocking, so the lock is never held
+	// across a wait.
+	mu      sync.Mutex
+	closed  bool
+	ch      chan Indication
+	routed  *obs.Counter
+	dropped *obs.Counter
+}
 
-// deliver attempts a non-blocking send; it reports false when the
-// buffer is full or the subscription is already closed.
+// Shards reports the queue count.
+func (s *Subscription) Shards() int { return len(s.shards) }
+
+// C returns shard i's indication stream.
+func (s *Subscription) C(i int) <-chan Indication { return s.shards[i].ch }
+
+// deliver routes one indication to its shard, non-blocking; false means
+// the queue was full or closed (the caller counts the xApp-level drop).
 func (s *Subscription) deliver(ind Indication) bool {
-	if s.sharded != nil {
-		return s.sharded.deliver(ind)
+	q := &s.shards[0]
+	if len(s.shards) > 1 {
+		q = &s.shards[s.key(ind)%uint64(len(s.shards))]
 	}
-	s.sendMu.Lock()
-	defer s.sendMu.Unlock()
-	if s.closed {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
 		return false
 	}
 	select {
-	case s.ch <- ind:
+	case q.ch <- ind:
+		q.routed.Inc()
 		return true
 	default:
+		q.dropped.Inc()
 		return false
 	}
 }
 
-// closeCh closes the indication stream exactly once, excluding any
+// closeCh closes every shard stream exactly once, excluding any
 // in-flight deliver.
 func (s *Subscription) closeCh() {
-	if s.sharded != nil {
-		s.sharded.closeAll()
-		return
-	}
-	s.sendMu.Lock()
-	defer s.sendMu.Unlock()
-	if !s.closed {
-		s.closed = true
-		close(s.ch)
+	for i := range s.shards {
+		q := &s.shards[i]
+		q.mu.Lock()
+		if !q.closed {
+			q.closed = true
+			close(q.ch)
+		}
+		q.mu.Unlock()
 	}
 }
 
@@ -133,7 +166,7 @@ func (p *Platform) request(nodeID string, msg *e2ap.Message) (*e2ap.Message, err
 func (p *Platform) requestCtx(ctx context.Context, nodeID string, msg *e2ap.Message) (*e2ap.Message, error) {
 	p.mu.Lock()
 	node := p.nodes[nodeID]
-	if node == nil {
+	if node == nil || !node.ready {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchNode, nodeID)
 	}
@@ -164,40 +197,47 @@ func (p *Platform) requestCtx(ctx context.Context, nodeID string, msg *e2ap.Mess
 	}
 }
 
-// Subscribe establishes a RIC subscription on nodeID's RAN function. The
-// returned subscription's channel buffers buffer indications; a full
-// buffer drops (counted in Metrics), matching the RMR behavior of the OSC
-// platform.
-func (x *XApp) Subscribe(nodeID string, ranFunctionID uint16, eventTrigger []byte, actions []e2ap.Action, buffer int) (*Subscription, error) {
+// Subscribe establishes a RIC subscription on nodeID's RAN function,
+// delivering into opts.Shards bounded queues. A full queue drops (counted
+// in Metrics and per shard), matching the RMR behavior of the OSC
+// platform. The subscription is registered before the request is sent
+// (so indications racing the response are kept) and the registration is
+// rolled back on failure.
+func (x *XApp) Subscribe(nodeID string, ranFunctionID uint16, eventTrigger []byte, actions []e2ap.Action, opts SubscribeOptions) (*Subscription, error) {
+	if opts.Shards <= 0 {
+		opts.Shards = 1
+	}
+	if opts.Buffer <= 0 {
+		opts.Buffer = 64
+	}
+	if opts.Key == nil && opts.Shards > 1 {
+		return nil, fmt.Errorf("ric: Subscribe with %d shards requires SubscribeOptions.Key", opts.Shards)
+	}
+	reqID := x.nextRequestID()
 	sub := &Subscription{
+		ID:         reqID,
 		nodeID:     nodeID,
 		fnID:       ranFunctionID,
 		xapp:       x,
-		ch:         make(chan Indication, buffer),
+		key:        opts.Key,
+		shards:     make([]shardQueue, opts.Shards),
 		obsRouted:  obsIndications.With(x.name, "routed"),
 		obsDropped: obsIndications.With(x.name, "dropped"),
 	}
-	if err := x.establish(sub, eventTrigger, actions, buffer); err != nil {
-		return nil, err
+	for i := range sub.shards {
+		lbl := strconv.Itoa(i)
+		sub.shards[i].ch = make(chan Indication, opts.Buffer)
+		sub.shards[i].routed = obsShardIndications.With(x.name, lbl, "routed")
+		sub.shards[i].dropped = obsShardIndications.With(x.name, lbl, "dropped")
 	}
-	return sub, nil
-}
-
-// establish runs the subscription handshake for a prepared Subscription:
-// it assigns the request ID, registers the subscription before sending
-// (so indications racing the response are kept), and rolls the
-// registration back on failure.
-func (x *XApp) establish(sub *Subscription, eventTrigger []byte, actions []e2ap.Action, buffer int) error {
-	reqID := x.nextRequestID()
-	sub.ID = reqID
 	x.platform.mu.Lock()
 	x.platform.subs[reqID] = sub
 	x.platform.mu.Unlock()
 
-	resp, err := x.platform.request(sub.nodeID, &e2ap.Message{
+	resp, err := x.platform.request(nodeID, &e2ap.Message{
 		Type:          e2ap.TypeSubscriptionRequest,
 		RequestID:     reqID,
-		RANFunctionID: sub.fnID,
+		RANFunctionID: ranFunctionID,
 		EventTrigger:  eventTrigger,
 		Actions:       actions,
 	})
@@ -208,18 +248,19 @@ func (x *XApp) establish(sub *Subscription, eventTrigger []byte, actions []e2ap.
 		x.platform.metrics.SubscriptionsFail.Add(1)
 		obsProcedures.With("subscribe", "fail").Inc()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return fmt.Errorf("%w: %s", ErrSubscriptionFailed, resp.Cause)
+		return nil, fmt.Errorf("%w: %s", ErrSubscriptionFailed, resp.Cause)
 	}
 	x.platform.metrics.SubscriptionsOK.Add(1)
 	obsProcedures.With("subscribe", "ok").Inc()
 	obs.L().Info("ric: subscription established",
-		"xapp", x.name, "node", sub.nodeID, "function", sub.fnID, "buffer", buffer)
-	return nil
+		"xapp", x.name, "node", nodeID, "function", ranFunctionID, "buffer", opts.Shards*opts.Buffer)
+	return sub, nil
 }
 
-// Delete tears the subscription down on the node and closes the stream.
+// Delete tears the subscription down on the node and closes every shard
+// stream.
 func (s *Subscription) Delete() error {
 	p := s.xapp.platform
 	p.mu.Lock()

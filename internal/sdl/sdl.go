@@ -54,8 +54,7 @@ type Event struct {
 type Options struct {
 	// Shards is the lock-stripe count, rounded up to a power of two
 	// (default DefaultShards). Shards == 1 yields the unsharded
-	// single-lock layout, which the ingest benchmark uses as its
-	// baseline.
+	// single-lock layout.
 	Shards int
 	// Clock is injectable for TTL tests (default time.Now).
 	Clock func() time.Time

@@ -3,8 +3,8 @@
 # recipe — ROADMAP.md, README.md, and .claude/skills/verify/SKILL.md all
 # point here, so change it in one place only.
 #
-# Usage: scripts/verify.sh  (from the repo root; ~4 min on a 1-CPU host,
-# dominated by the -race test run)
+# Usage: scripts/verify.sh  (from the repo root; about 10 min on a 2-CPU
+# host — ROADMAP measured 9m47s — dominated by the -race test run)
 set -eu
 
 cd "$(dirname "$0")/.."
