@@ -13,6 +13,7 @@
 //	xsec-bench -obs                 # live-pipeline metrics baseline → BENCH_obs.json
 //	xsec-bench -mitigate            # closed-loop mitigation baseline → BENCH_mitigate.json
 //	xsec-bench -prov                # provenance ledger baseline → BENCH_prov.json
+//	xsec-bench -prov -smoke         # reduced ledger workload (CI path check; fails on a dropped event)
 //	xsec-bench -fed                 # federated throughput baseline → BENCH_fed.json
 //	xsec-bench -fed -smoke          # reduced federation workload (CI path check)
 //	xsec-bench -fleet               # fleet observability baseline → BENCH_fleet.json
@@ -49,7 +50,7 @@ func main() {
 		fedBench    = flag.Bool("fed", false, "measure federated multi-RIC throughput vs a single instance")
 		fleetBench  = flag.Bool("fleet", false, "measure the fleet observability plane: scrapes, trace stitching, failure detection")
 		llmBench    = flag.Bool("llm", false, "measure the LLM serving layer: cache, coalescing, hedging, saturation fallback")
-		smoke       = flag.Bool("smoke", false, "shrink the -nn/-fed/-fleet/-llm workload so CI exercises the path quickly")
+		smoke       = flag.Bool("smoke", false, "shrink the -nn/-fed/-fleet/-llm/-prov workload so CI exercises the path quickly")
 		outPath     = flag.String("out", "", "baseline output path (default BENCH_<name>.json)")
 		logLevel    = flag.String("log-level", envDefault("XSEC_LOG_LEVEL", "info"), "log verbosity: debug | info | warn | error")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz, and /fleet/* on this address for the run")
@@ -170,7 +171,10 @@ func main() {
 		return
 	}
 	if *provBench {
-		res, err := bench.RunProvBench(cfg)
+		if *smoke && !*quick {
+			cfg = bench.Quick(*seed)
+		}
+		res, err := bench.RunProvBench(cfg, *smoke)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "xsec-bench:", err)
 			os.Exit(1)

@@ -18,6 +18,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"sync/atomic"
 	"time"
 
@@ -134,6 +135,7 @@ type Framework struct {
 	xappMit    *ric.XApp
 
 	llmAddr     string
+	llmLocal    http.RoundTripper // reaches the built-in expert without a socket; nil for an external endpoint
 	llmShutdown func() error
 	a1Cancel    func()
 
@@ -207,7 +209,13 @@ func New(opts Options) (_ *Framework, err error) {
 
 	if opts.LLMBaseURL == "" {
 		var addr string
-		addr, fw.llmShutdown, err = llm.NewServer().Listen("127.0.0.1:0")
+		// The expert listens for other processes (LLMBaseURL); the
+		// framework's own analyzer calls it in-process, so a verdict
+		// does not queue behind the network poller when ingest has the
+		// CPUs saturated.
+		expert := llm.NewServer()
+		fw.llmLocal = expert.Transport()
+		addr, fw.llmShutdown, err = expert.Listen("127.0.0.1:0")
 		if err != nil {
 			return nil, fmt.Errorf("core: starting expert service: %w", err)
 		}
@@ -320,6 +328,9 @@ func (f *Framework) DeployXApps() error {
 	}
 	client := llm.NewClient(f.llmAddr, f.Opts.LLMModel)
 	client.RAG = f.Opts.LLMRAG
+	if f.llmLocal != nil {
+		client.HTTPClient = &http.Client{Transport: f.llmLocal}
+	}
 	serving := f.Opts.LLMServing
 	serving.Store = f.SDL // governor journal always lands in the SDL
 	f.llmServing = llm.NewService(client, serving)

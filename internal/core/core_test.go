@@ -189,3 +189,36 @@ func TestFrameworkSMOWorkflowVisible(t *testing.T) {
 		t.Errorf("models = %v err=%v", models, err)
 	}
 }
+
+// The framework's own analyzer reaches the built-in expert in-process:
+// verdicts stay live after the expert's listener is gone. An external
+// endpoint is always reached over its URL.
+func TestBuiltInExpertServedInProcess(t *testing.T) {
+	fw := newTrainedFramework(t, false)
+	if err := fw.llmShutdown(); err != nil {
+		t.Fatal(err)
+	}
+	attacker := fw.NewUE(ue.OAIUE, 300)
+	attacker.Profile.RetransProb = 0
+	attacker.Pace = func() { fw.Clock().Advance(500 * time.Microsecond) }
+	if _, err := attacker.RunBTSDoS(fw.GNB, 8); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case c := <-fw.Cases():
+		if c.Analysis == nil || c.Analysis.Served != llm.ServedLive {
+			t.Errorf("analysis = %+v, want a live verdict", c.Analysis)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no case with the listener closed")
+	}
+
+	ext, err := New(Options{LLMBaseURL: fw.LLMBaseURL()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ext.Close()
+	if ext.llmLocal != nil {
+		t.Error("external endpoint given an in-process transport")
+	}
+}

@@ -158,7 +158,8 @@ func (a *e2Agent) subscribe(msg *e2ap.Message) {
 // reporter is the per-subscription batching state of the report loop.
 // Everything it touches per flush — the pending drain buffer, the per-UE
 // grouping, the header/message encoders, and the indication PDU — is
-// reused, so the steady-state emit path allocates nothing.
+// reused, so the reporter itself allocates nothing in steady state and
+// holds nothing for a UE between flushes.
 type reporter struct {
 	a        *e2Agent
 	reqID    e2ap.RequestID
@@ -167,9 +168,10 @@ type reporter struct {
 
 	batchSeq uint64
 	pending  mobiflow.Trace
-	byUE     map[uint64]mobiflow.Trace
-	order    []uint64 // UEs with records this flush, in arrival order
-	held     bool     // pending survived the previous poll unflushed
+	byUE     map[uint64]mobiflow.Trace // UEs with records this flush only
+	order    []uint64                  // those UEs, in arrival order
+	free     []mobiflow.Trace          // emptied per-UE slices awaiting reuse
+	held     bool                      // pending survived the previous poll unflushed
 
 	hdrEnc asn1lite.Encoder
 	msgEnc asn1lite.Encoder
@@ -236,25 +238,31 @@ func (a *e2Agent) report(reqID e2ap.RequestID, actionID uint16, period time.Dura
 func (r *reporter) flush(start time.Time) bool {
 	for i := range r.pending {
 		ue := r.pending[i].UEID
-		if len(r.byUE[ue]) == 0 {
+		recs, seen := r.byUE[ue]
+		if !seen {
 			r.order = append(r.order, ue)
+			if n := len(r.free); n > 0 {
+				recs, r.free = r.free[n-1], r.free[:n-1]
+			}
 		}
-		r.byUE[ue] = append(r.byUE[ue], r.pending[i])
+		r.byUE[ue] = append(recs, r.pending[i])
 	}
 	r.pending = r.pending[:0]
 	for _, ue := range r.order {
-		chunk := r.byUE[ue]
-		for len(chunk) > 0 {
-			n := len(chunk)
-			if n > r.pol.MaxRecords {
-				n = r.pol.MaxRecords
-			}
+		recs := r.byUE[ue]
+		for chunk := recs; len(chunk) > 0; {
+			n := min(len(chunk), r.pol.MaxRecords)
 			if !r.emit(ue, chunk[:n], start) {
 				return false
 			}
 			chunk = chunk[n:]
 		}
-		r.byUE[ue] = r.byUE[ue][:0]
+		// A UE's state lives for one flush: drop its entry and recycle
+		// the slice (cleared, so it pins no record strings), or the map
+		// grows with every UE the subscription ever saw.
+		clear(recs)
+		r.free = append(r.free, recs[:0])
+		delete(r.byUE, ue)
 	}
 	r.order = r.order[:0]
 	return true

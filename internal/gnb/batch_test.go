@@ -1,6 +1,8 @@
 package gnb
 
 import (
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -9,8 +11,10 @@ import (
 	"github.com/6g-xsec/xsec/internal/e2ap"
 	"github.com/6g-xsec/xsec/internal/e2sm"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
+	"github.com/6g-xsec/xsec/internal/prov"
 	"github.com/6g-xsec/xsec/internal/ric"
 	"github.com/6g-xsec/xsec/internal/sdl"
+	"github.com/6g-xsec/xsec/internal/wire"
 )
 
 // TestReportBatchesPerUE injects interleaved telemetry for several UEs
@@ -151,5 +155,88 @@ func TestBatchPolicyDefaults(t *testing.T) {
 		// Flushed well before the 500ms period: MaxAge took effect.
 	case <-time.After(250 * time.Millisecond):
 		t.Fatal("MaxAge did not flush ahead of the period")
+	}
+}
+
+// TestReporterPerUEStateIsBounded drives 10 000 distinct UEs through the
+// report loop's flush: per-UE grouping state must not outlive the flush
+// that used it (it used to grow by one map entry and one backing array
+// of stale records per UE ever seen), and recycling the slices means a
+// warm flush allocates nothing for UEs it has never seen.
+func TestReporterPerUEStateIsBounded(t *testing.T) {
+	g := newTestGNB(t, nil)
+	// The far end discards raw frames without allocating. net.Pipe is
+	// unbuffered: flush returns once the peer has consumed every
+	// indication.
+	near, far := net.Pipe()
+	defer near.Close()
+	go io.Copy(io.Discard, far)
+	r := &reporter{
+		a:           &e2Agent{g: g, ep: e2ap.NewEndpoint(wire.NewConn(near))},
+		pol:         BatchPolicy{MaxRecords: 4},
+		byUE:        make(map[uint64]mobiflow.Trace),
+		records:     obsRecords.With("gnb-test"),
+		indications: obsIndicationsSent.With("gnb-test"),
+		batchSize:   obsBatchRecords.With("gnb-test"),
+	}
+	base := time.Unix(1700000000, 0)
+	var seq uint64
+	// fill queues 6 records (two chunks) for each of 8 UEs, interleaved.
+	fill := func(firstUE uint64) {
+		for i := 0; i < 6; i++ {
+			for ue := firstUE; ue < firstUE+8; ue++ {
+				seq++
+				r.pending = append(r.pending, mobiflow.Record{Seq: seq, UEID: ue, Msg: "RRCSetupRequest", Timestamp: base})
+			}
+		}
+	}
+
+	for ue := uint64(1); ue <= 10000; ue += 8 {
+		fill(ue)
+		if !r.flush(base) {
+			t.Fatal("flush reported a transport failure")
+		}
+	}
+	if len(r.byUE) != 0 {
+		t.Fatalf("byUE holds %d entries after flushing 10000 distinct UEs, want 0", len(r.byUE))
+	}
+	if len(r.free) > 8 {
+		t.Fatalf("free list holds %d slices, want at most one per UE of a flush (8)", len(r.free))
+	}
+	for _, recs := range r.free {
+		for _, rec := range recs[:cap(recs)] {
+			if rec != (mobiflow.Record{}) {
+				t.Fatalf("recycled slice still pins record %+v", rec)
+			}
+		}
+	}
+	if want := uint64(10000 * 6 / 3); r.batchSeq != want { // chunks of 4 + 2 per UE
+		t.Fatalf("emitted %d indications, want %d", r.batchSeq, want)
+	}
+
+	// What one emit costs downstream (the transport's frame copy, the
+	// span key) is not the reporter's; with the ledger writer parked, a
+	// flush of known UEs measures that floor, and a flush of UEs never
+	// seen before must not add to it.
+	parked := prov.New(prov.Options{})
+	parked.Close()
+	defer prov.SetActive(prov.SetActive(parked)) // swap now, restore on return
+	flushAllocs := func(next func() uint64) float64 {
+		return testing.AllocsPerRun(100, func() {
+			fill(next())
+			r.flush(base)
+		})
+	}
+	known := flushAllocs(func() uint64 { return 1 })
+	ue := uint64(20000)
+	fresh := flushAllocs(func() uint64 { ue += 8; return ue })
+	// AllocsPerRun counts the whole process (under -race the two figures
+	// differ by one either way); unrecycled per-UE state would cost at
+	// least one slice per new UE, 8 a run.
+	if fresh-known >= 4 {
+		t.Fatalf("warm flush of 8 new UEs allocates %.0f per run, of 8 known UEs %.0f: per-UE state is not recycled", fresh, known)
+	}
+	if len(r.byUE) != 0 {
+		t.Fatalf("byUE holds %d entries after the warm flushes, want 0", len(r.byUE))
 	}
 }

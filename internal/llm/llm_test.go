@@ -2,6 +2,10 @@ package llm
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"io"
+	"net/http"
 	"strings"
 	"testing"
 
@@ -265,6 +269,69 @@ func TestServerErrors(t *testing.T) {
 	// Prompt without data.
 	if _, err := c.AnalyzePromptText(context.Background(), "hello"); err == nil {
 		t.Error("dataless prompt accepted")
+	}
+}
+
+// The in-process transport must be indistinguishable from the socket:
+// same status, content type and body for good and bad requests alike.
+func TestServerTransportMatchesSocket(t *testing.T) {
+	l := mixed(t)
+	srv := NewServer()
+	addr, shutdown, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown()
+	socket := &http.Client{}
+	local := &http.Client{Transport: srv.Transport()}
+
+	good, _ := json.Marshal(ChatRequest{Model: "chatgpt-4o", Prompt: RenderPrompt(attackWindow(l, ue.AttackBTSDoS))})
+	unknown, _ := json.Marshal(ChatRequest{Model: "gpt-99", Prompt: "x"})
+	for _, tc := range []struct{ name, method, path, body string }{
+		{"analyze", http.MethodPost, "/v1/analyze", string(good)},
+		{"unknown model", http.MethodPost, "/v1/analyze", string(unknown)},
+		{"bad json", http.MethodPost, "/v1/analyze", "{"},
+		{"wrong method", http.MethodGet, "/v1/analyze", ""},
+		{"models", http.MethodGet, "/v1/models", ""},
+		{"no route", http.MethodGet, "/v2/nothing", ""},
+	} {
+		fetch := func(c *http.Client) (int, string, string) {
+			req, err := http.NewRequest(tc.method, "http://"+addr+tc.path, strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := c.Do(req)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp.StatusCode, resp.Header.Get("Content-Type"), string(body)
+		}
+		wantStatus, wantType, wantBody := fetch(socket)
+		status, ctype, body := fetch(local)
+		if status != wantStatus || ctype != wantType || body != wantBody {
+			t.Errorf("%s: in-process %d %q %q, socket %d %q %q", tc.name, status, ctype, body, wantStatus, wantType, wantBody)
+		}
+	}
+	if srv.Requests() != 2 {
+		t.Errorf("server requests = %d, want one analyze per transport", srv.Requests())
+	}
+
+	// A full client over the transport, and a cancelled context refused.
+	client := NewClient("http://expert.invalid", "chatgpt-4o")
+	client.HTTPClient = local
+	analysis, err := client.AnalyzeWindow(context.Background(), attackWindow(l, ue.AttackBTSDoS))
+	if err != nil || analysis.TopClass() != ClassBTSDoS {
+		t.Errorf("analysis over transport = %+v, %v", analysis, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := client.AnalyzeWindow(ctx, attackWindow(l, ue.AttackBTSDoS)); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled request: err = %v", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/6g-xsec/xsec/internal/nn"
+	"github.com/6g-xsec/xsec/internal/prov"
 	"github.com/6g-xsec/xsec/internal/ric"
 	"github.com/6g-xsec/xsec/internal/sdl"
 )
@@ -152,7 +153,9 @@ func TestBatchedFloat64FallsBackToReference(t *testing.T) {
 // requires the flagged windows to be exactly the Anomalous windows of the
 // offline batched scorers: both sides fill and score the same
 // pendingBatch, so neither the indication size nor the flush cadence may
-// change which windows cross.
+// change which windows cross. Evidence is recorded by run, so the ledger
+// is checked too: the Counts of its window events must add up to every
+// window scored.
 func TestOnlineFlagsMatchOfflineBatched(t *testing.T) {
 	_, mixed, models := fixtures(t)
 	tr := mixed.Trace
@@ -192,11 +195,16 @@ func TestOnlineFlagsMatchOfflineBatched(t *testing.T) {
 			queueDepth: obsQueueDepth.With("gnb-replay"),
 		}
 		w := newWorker(rt, nn.Float32)
+		// One chain per indication; sized so nothing is evicted or dropped.
+		ledger := prov.New(prov.Options{MaxChains: len(tr) + 1, Buffer: 8 * len(tr)})
+		old := prov.SetActive(ledger)
 		for base, sn := 0, uint64(1); base < len(tr); base, sn = base+size, sn+1 {
 			w.ingest(ric.Indication{NodeID: "gnb-replay", SN: sn}, tr[base:min(base+size, len(tr))])
 		}
 		w.flushLocked("gnb-replay") // the tail the age ticker would score
 		close(rt.alerts)
+		prov.SetActive(old)
+		ledger.Close() // drains what was recorded
 
 		got := map[flag]bool{}
 		for a := range rt.alerts {
@@ -217,6 +225,18 @@ func TestOnlineFlagsMatchOfflineBatched(t *testing.T) {
 		}
 		if wins := rt.stats.WindowsScored.Load(); int(wins) != 2*len(tr)-2*models.Window+1 {
 			t.Errorf("batch %d: %d windows scored online, want %d", size, wins, 2*len(tr)-2*models.Window+1)
+		}
+		var inChains uint64
+		for _, c := range ledger.Chains() {
+			for _, ev := range c.Events {
+				if ev.Kind == prov.KindWindow {
+					inChains += uint64(ev.Count)
+				}
+			}
+		}
+		if wins := rt.stats.WindowsScored.Load(); inChains != wins || ledger.Dropped() != 0 {
+			t.Errorf("batch %d: evidence chains account for %d windows (%d events dropped), %d were scored",
+				size, inChains, ledger.Dropped(), wins)
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"github.com/6g-xsec/xsec/internal/obs"
 	"github.com/6g-xsec/xsec/internal/prov"
 	"github.com/6g-xsec/xsec/internal/ric"
+	"github.com/6g-xsec/xsec/internal/sdl"
 )
 
 // Detection-pipeline observability. Scoring runs per telemetry batch on
@@ -164,6 +165,7 @@ type worker struct {
 	rows    *feature.RowBuffer // float32 encoding of recent, row for row
 	queues  [2]windowQueue     // windows awaiting the next flush: AE, LSTM
 	keyBuf  []byte             // reusable SDL key-rendering buffer
+	recEnc  asn1lite.Encoder   // reusable SDL record-encoding buffer
 	batchAt time.Time          // RIC arrival time of the batch being ingested
 	batchSN uint64             // its E2 indication sequence number
 
@@ -374,6 +376,16 @@ func persistKey(buf []byte, nodeID string, seq uint64) []byte {
 	return append(buf, digits[:]...)
 }
 
+// persist stores one telemetry record in the SDL for other services
+// (§3.1). It encodes into the worker's reused buffers, so a record costs
+// two allocations: its key string and the exact-length copy Set keeps.
+func (w *worker) persist(store *sdl.Store, nodeID string, rec *mobiflow.Record) {
+	w.keyBuf = persistKey(w.keyBuf, nodeID, rec.Seq)
+	w.recEnc.Reset()
+	rec.MarshalTLV(&w.recEnc)
+	store.Set("mobiflow", string(w.keyBuf), w.recEnc.Bytes())
+}
+
 // ingest runs streaming inference over a telemetry batch. The caller
 // holds the runtime's threshold read-lock.
 func (w *worker) ingest(ind ric.Indication, batch mobiflow.Trace) {
@@ -401,20 +413,17 @@ func (w *worker) ingest(ind ric.Indication, batch mobiflow.Trace) {
 		}
 	}
 	store := rt.xapp.SDL()
-	for _, rec := range batch {
+	for i := range batch {
+		rec := &batch[i]
 		rt.stats.RecordsSeen.Add(1)
 		obsRecords.Inc()
-		// Persist telemetry in the SDL for other services (§3.1). The
-		// encoded buffer is single-use, so the store takes ownership
-		// instead of copying.
-		w.keyBuf = persistKey(w.keyBuf, nodeID, rec.Seq)
-		store.SetOwned("mobiflow", string(w.keyBuf), mobiflow.Encode(&rec))
+		w.persist(store, nodeID, rec)
 
 		// Encode straight into the row buffer and enqueue the window(s)
 		// the record completes; scoring happens when the batch fills
 		// (here) or ages out (loop).
-		w.recent = append(w.recent, rec)
-		w.rows.Push(w.encoder, rec)
+		w.recent = append(w.recent, *rec)
+		w.rows.Push(w.encoder, *rec)
 		w.enqueueLatest()
 		if w.pending() >= flushWindows {
 			w.flushLocked(nodeID)
@@ -448,9 +457,9 @@ func (w *worker) enqueueLatest() {
 	}
 }
 
-// flushLocked scores every pending window in one batched pass per model
-// and raises alerts for threshold crossings. The caller holds the
-// runtime's threshold read-lock.
+// flushLocked scores every pending window in one batched pass per model,
+// records the evidence by run, and raises alerts for threshold crossings.
+// The caller holds the runtime's threshold read-lock.
 func (w *worker) flushLocked(nodeID string) {
 	rt := w.rt
 	for i := range w.queues {
@@ -460,37 +469,92 @@ func (w *worker) flushLocked(nodeID string) {
 		}
 		b := q.batch
 		threshold := rt.models.threshold(b.model)
+		evidence := windowEvidence{batch: b, node: nodeID, threshold: threshold}
 		for k, s32 := range b.score() {
 			m := &q.meta[k]
 			s := float64(s32)
 			rt.stats.WindowsScored.Add(1)
 			obsWindows.Inc()
-			// Every scored window joins the evidence chain; prov.Record is
-			// a struct channel send, so the benign path stays
-			// allocation-free (consecutive benign windows coalesce
-			// writer-side).
-			prov.Record(prov.Event{
-				Chain:     prov.ChainID{Node: nodeID, SN: m.sn},
-				Kind:      prov.KindWindow,
-				At:        m.at,
-				SeqFirst:  m.seqFirst,
-				SeqLast:   m.seqLast,
-				Digest:    b.digest(k),
-				Model:     string(b.model),
-				Score:     s,
-				Threshold: threshold,
-				Flagged:   s > threshold,
-			})
-			if s > threshold {
+			if evidence.observe(k, m, s) {
 				q.anomalies.Inc()
 				w.raise(nodeID, m.start, b.span(), s, threshold, b.model, m.at, m.sn)
 			}
 		}
+		evidence.close()
 		b.reset()
 		q.meta = q.meta[:0]
 	}
 	// Pending windows no longer pin history; trim to context needs.
 	w.trimHistory()
+}
+
+// windowEvidence puts one scored batch of one model on the evidence
+// chains. Every scored window is accounted for, but by run: consecutive
+// benign windows on one chain fold into a single prov.Event before it is
+// recorded, by the rule prov.Ledger applies writer-side (Count
+// accumulates, Score keeps the worst, SeqFirst and Threshold stay the
+// run's first, SeqLast, At and Digest track its last window). The ledger
+// retains the same chain either way; the scoring goroutine digests one
+// window and sends one event per run instead of per window. prov.Record
+// is a struct channel send, so the path stays allocation-free.
+type windowEvidence struct {
+	batch     *pendingBatch
+	node      string
+	threshold float64
+
+	run  prov.Event // the open benign run; Count == 0 when there is none
+	last int        // batch index of the run's latest window
+}
+
+// observe accounts for the batch's k-th window, scored s, and reports
+// whether it is flagged. A flagged window or a change of chain closes the
+// open run first, so each chain reads in scoring order around its alerts.
+func (e *windowEvidence) observe(k int, m *winMeta, s float64) (flagged bool) {
+	chain := prov.ChainID{Node: e.node, SN: m.sn}
+	if s > e.threshold {
+		e.close()
+		prov.Record(prov.Event{
+			Chain:     chain,
+			Kind:      prov.KindWindow,
+			At:        m.at,
+			SeqFirst:  m.seqFirst,
+			SeqLast:   m.seqLast,
+			Digest:    e.batch.digest(k),
+			Model:     string(e.batch.model),
+			Score:     s,
+			Threshold: e.threshold,
+			Flagged:   true,
+		})
+		return true
+	}
+	if e.run.Count > 0 && e.run.Chain != chain {
+		e.close()
+	}
+	if e.run.Count == 0 {
+		e.run = prov.Event{
+			Chain:     chain,
+			Kind:      prov.KindWindow,
+			SeqFirst:  m.seqFirst,
+			Model:     string(e.batch.model),
+			Score:     s,
+			Threshold: e.threshold,
+		}
+	} else if s > e.run.Score {
+		e.run.Score = s
+	}
+	e.run.Count++
+	e.run.At, e.run.SeqLast, e.last = m.at, m.seqLast, k
+	return false
+}
+
+// close records the open run, if any, digesting only its last window.
+func (e *windowEvidence) close() {
+	if e.run.Count == 0 {
+		return
+	}
+	e.run.Digest = e.batch.digest(e.last)
+	prov.Record(e.run)
+	e.run.Count = 0
 }
 
 // trimHistory drops records no longer needed for context windows.
@@ -507,7 +571,12 @@ func (w *worker) trimHistory() {
 	if drop <= 0 {
 		return
 	}
-	w.recent = w.recent[drop:]
+	// Slide down in place, as rows does: re-slicing from the front gives
+	// the capacity away and append would regrow the history every few
+	// batches.
+	kept := copy(w.recent, w.recent[drop:])
+	clear(w.recent[kept:])
+	w.recent = w.recent[:kept]
 	w.rows.Trim(drop)
 	for i := range w.queues {
 		for k := range w.queues[i].meta {

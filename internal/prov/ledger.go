@@ -2,7 +2,6 @@ package prov
 
 import (
 	"encoding/json"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,7 +47,8 @@ const (
 // Ledger is an append-only provenance store. Record is safe for
 // concurrent use, never blocks, and allocates nothing; a single writer
 // goroutine owns all mutation, coalescing runs of benign window
-// observations and enforcing the retention bounds.
+// observations (whatever a producer has not already folded) and
+// enforcing the retention bounds.
 type Ledger struct {
 	store *sdl.Store
 	ttl   time.Duration
@@ -68,11 +68,18 @@ type Ledger struct {
 
 	mu     sync.RWMutex
 	chains map[ChainID]*chain
-	order  []ChainID // insertion order, for FIFO eviction
+	// order is the FIFO eviction ring: it grows to maxChains, after which
+	// head indexes the oldest chain and a new chain takes the evicted
+	// one's slot.
+	order []ChainID
+	head  int
 }
 
 type chain struct {
-	events    []Event
+	events []Event
+	// keys[i] is the SDL key events[i] is persisted under (empty for a
+	// memory-only ledger): the ledger deletes exactly what it wrote.
+	keys      []string
 	truncated bool
 }
 
@@ -177,9 +184,8 @@ func (l *Ledger) handle(ev Event) {
 	c := l.chains[ev.Chain]
 	if c == nil {
 		c = &chain{}
+		l.admitLocked(ev.Chain)
 		l.chains[ev.Chain] = c
-		l.order = append(l.order, ev.Chain)
-		l.evictLocked()
 	}
 
 	// Runs of benign window observations for the same model coalesce
@@ -197,7 +203,7 @@ func (l *Ledger) handle(ev Event) {
 			if ev.Score > last.Score {
 				last.Score = ev.Score
 			}
-			l.persistLocked(ev.Chain, n-1, *last)
+			l.persistLocked(ev.Chain, c, n-1)
 			l.mu.Unlock()
 			return
 		}
@@ -209,48 +215,82 @@ func (l *Ledger) handle(ev Event) {
 		return
 	}
 	c.events = append(c.events, ev)
-	l.persistLocked(ev.Chain, len(c.events)-1, ev)
+	l.persistLocked(ev.Chain, c, len(c.events)-1)
 	l.mu.Unlock()
 }
 
-// evictLocked enforces MaxChains by dropping the oldest chains and
-// deleting their persisted keys.
-func (l *Ledger) evictLocked() {
-	for len(l.order) > l.maxChains {
-		id := l.order[0]
-		l.order = l.order[1:]
-		delete(l.chains, id)
-		l.evicted.Add(1)
-		obsEvicted.Inc()
-		if l.store != nil {
-			for _, k := range l.store.Keys(Namespace, keyPrefix(id)) {
-				l.store.Delete(Namespace, k)
-			}
-		}
+// admitLocked enters a new chain into the FIFO ring, evicting the oldest
+// chain once MaxChains are retained.
+func (l *Ledger) admitLocked(id ChainID) {
+	if len(l.order) < l.maxChains {
+		l.order = append(l.order, id)
+		return
 	}
+	l.evictLocked(l.order[l.head])
+	l.order[l.head] = id
+	l.head = (l.head + 1) % len(l.order)
 }
 
-func (l *Ledger) persistLocked(id ChainID, idx int, ev Event) {
+// evictLocked drops a chain from memory and deletes its persisted keys.
+// The cost is the chain's own event count: no scan of the namespace, so
+// neighbours and foreign keys are never touched.
+func (l *Ledger) evictLocked(id ChainID) {
+	for _, k := range l.chains[id].keys {
+		l.store.Delete(Namespace, k)
+	}
+	delete(l.chains, id)
+	l.evicted.Add(1)
+	obsEvicted.Inc()
+}
+
+// persistLocked writes c.events[idx] through to the SDL, under the key
+// rendered when the event was first appended.
+func (l *Ledger) persistLocked(id ChainID, c *chain, idx int) {
 	if l.store == nil {
 		return
 	}
-	data, err := json.Marshal(ev)
+	data, err := json.Marshal(&c.events[idx])
 	if err != nil {
 		return // Event is marshal-safe by construction; never reached.
 	}
+	if idx == len(c.keys) {
+		c.keys = append(c.keys, eventKey(id, idx))
+	}
 	// The marshal buffer is single-use: hand it to the store instead of
 	// paying a defensive copy on every persisted event.
-	l.store.SetOwnedTTL(Namespace, eventKey(id, idx), data, l.ttl)
+	l.store.SetOwnedTTL(Namespace, c.keys[idx], data, l.ttl)
+}
+
+// appendKeyPrefix renders "ev/<node>/<sn>/" with the sequence number
+// zero-padded to 20 digits.
+func appendKeyPrefix(buf []byte, id ChainID) []byte {
+	buf = append(buf, "ev/"...)
+	buf = append(buf, id.Node...)
+	buf = append(buf, '/')
+	buf = appendPadded(buf, id.SN, 20)
+	return append(buf, '/')
+}
+
+// appendPadded renders v in decimal, zero-padded to at least width digits.
+func appendPadded(buf []byte, v uint64, width int) []byte {
+	var digits [20]byte
+	i := len(digits)
+	for ; v > 0 || len(digits)-i < width; v /= 10 {
+		i--
+		digits[i] = byte('0' + v%10)
+	}
+	return append(buf, digits[i:]...)
 }
 
 // keyPrefix is the SDL key prefix holding one chain's events.
 func keyPrefix(id ChainID) string {
-	return fmt.Sprintf("ev/%s/%020d/", id.Node, id.SN)
+	return string(appendKeyPrefix(make([]byte, 0, 64), id))
 }
 
-// eventKey is the SDL key for one event of a chain.
+// eventKey is the SDL key for one event of a chain; the index is
+// zero-padded to four digits.
 func eventKey(id ChainID, idx int) string {
-	return fmt.Sprintf("ev/%s/%020d/%04d", id.Node, id.SN, idx)
+	return string(appendPadded(appendKeyPrefix(make([]byte, 0, 64), id), uint64(idx), 4))
 }
 
 // Flush blocks until every event recorded before the call has been
@@ -300,6 +340,13 @@ func init() {
 	active.Store(New(Options{}))
 	obs.NewGaugeFunc("xsec_prov_chains", "Provenance chains retained in memory.", func() float64 {
 		return float64(Active().ChainCount())
+	})
+	// Saturation is visible here before xsec_prov_dropped_total moves.
+	obs.NewGaugeFunc("xsec_prov_queue_depth", "Events waiting in the active ledger's recording buffer.", func() float64 {
+		return float64(len(Active().ch))
+	})
+	obs.NewGaugeFunc("xsec_prov_queue_capacity", "Capacity of the active ledger's recording buffer.", func() float64 {
+		return float64(cap(Active().ch))
 	})
 }
 

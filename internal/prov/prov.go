@@ -12,10 +12,13 @@
 // identity obs.IndicationKey mints for spans). Pipeline packages record
 // fixed-size Event structs into the active Ledger; recording is a
 // non-blocking channel send and performs no allocation, so it is safe on
-// the streaming-inference hot path even for benign windows (the common
-// case). A single writer goroutine serializes events, coalesces runs of
-// benign window observations, persists chains to the SDL, and enforces
-// bounded retention.
+// the streaming-inference hot path. Benign windows (the common case) are
+// evidence by run, not by window: MobiWatch folds each run it scores into
+// one event before recording it, and the single writer goroutine, which
+// serializes events, merges whatever still arrives window by window with
+// the same rule — so the chain retained is the same wherever the fold
+// happened. The writer persists chains to the SDL and enforces bounded
+// retention, deleting on eviction exactly the keys it wrote.
 package prov
 
 import (
@@ -72,7 +75,8 @@ const (
 	// indication toward xApp subscriptions.
 	KindIndication
 	// KindWindow: MobiWatch scored a feature window against a model
-	// threshold (benign observations coalesce; flagged ones append).
+	// threshold (runs of benign observations fold into one event, Count
+	// windows long; flagged ones append).
 	KindWindow
 	// KindAlert: a flagged window was offered to the analyzer stream.
 	KindAlert
@@ -192,8 +196,23 @@ func NewDigest() Digest { return fnvOffset64 }
 // they operate on the value receiver and return the updated digest.
 func (d Digest) Byte(b byte) Digest { return (d ^ Digest(b)) * fnvPrime64 }
 
-// U64 mixes an unsigned integer, little-endian.
+// fnvZeroWord is fnvPrime64^8: mixing a zero byte is one multiplication
+// by the prime, so mixing eight of them is one multiplication by this.
+var fnvZeroWord = func() Digest {
+	p := fnvPrime64
+	for i := 0; i < 3; i++ {
+		p *= p
+	}
+	return p
+}()
+
+// U64 mixes an unsigned integer, little-endian. Zero — most of a feature
+// window, which is one-hot indicators — takes one step instead of eight,
+// to the same value.
 func (d Digest) U64(v uint64) Digest {
+	if v == 0 {
+		return d * fnvZeroWord
+	}
 	for i := 0; i < 8; i++ {
 		d = d.Byte(byte(v >> (8 * i)))
 	}

@@ -1,7 +1,10 @@
 package prov
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"github.com/6g-xsec/xsec/internal/mobiflow"
@@ -62,6 +65,30 @@ func TestDigestDeterministicAndSensitive(t *testing.T) {
 	// The string terminator keeps concatenations distinguishable.
 	if NewDigest().Str("ab").Str("c") == NewDigest().Str("a").Str("bc") {
 		t.Fatal(`digest("ab","c") == digest("a","bc")`)
+	}
+}
+
+// TestDigestIsBytewiseFNV1a pins digests to the standard library's
+// FNV-1a over the little-endian bytes, zeros included: the one-step zero
+// word in U64 is a shortcut to the same value, so stored digests from
+// before it still verify.
+func TestDigestIsBytewiseFNV1a(t *testing.T) {
+	window := []float64{0, 1, 0, 0, 0.25, 0, -0.0, 0, 0, 0, 3.5, 0}
+	h := fnv.New64a()
+	var le [8]byte
+	for _, v := range window {
+		binary.LittleEndian.PutUint64(le[:], math.Float64bits(v))
+		h.Write(le[:])
+	}
+	if got, want := DigestFloats(window), Digest(h.Sum64()); got != want {
+		t.Fatalf("DigestFloats = %s, bytewise FNV-1a = %s", got, want)
+	}
+	f32 := make([]float32, len(window))
+	for i, v := range window {
+		f32[i] = float32(v)
+	}
+	if got, want := DigestFloats32(f32), DigestFloats(window); got != want {
+		t.Fatalf("DigestFloats32 = %s, DigestFloats of the same values = %s", got, want)
 	}
 }
 

@@ -138,7 +138,8 @@ func (l *Ledger) Chains() []ChainRecord {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	out := make([]ChainRecord, 0, len(l.order))
-	for _, id := range l.order {
+	for i := range l.order {
+		id := l.order[(l.head+i)%len(l.order)]
 		out = append(out, snapshotLocked(id, l.chains[id]))
 	}
 	return out
