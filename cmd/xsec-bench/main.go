@@ -10,14 +10,13 @@
 //	xsec-bench -quick -table 2      # reduced dataset / epochs
 //	xsec-bench -nn                  # NN hot-path baseline → BENCH_nn.json
 //	xsec-bench -nn -smoke           # reduced NN workload (CI path check)
-//	xsec-bench -obs                 # live-pipeline metrics baseline → BENCH_obs.json
 //	xsec-bench -mitigate            # closed-loop mitigation baseline → BENCH_mitigate.json
 //	xsec-bench -prov                # provenance ledger baseline → BENCH_prov.json
 //	xsec-bench -prov -smoke         # reduced ledger workload (CI path check; fails on a dropped event)
 //	xsec-bench -fed                 # federated throughput baseline → BENCH_fed.json
-//	xsec-bench -fed -smoke          # reduced federation workload (CI path check)
+//	xsec-bench -fed -smoke          # reduced federation workload (CI path check; fails on a record lost across join+kill)
 //	xsec-bench -fleet               # fleet observability baseline → BENCH_fleet.json
-//	xsec-bench -fleet -smoke        # reduced fleet drill (CI path check)
+//	xsec-bench -fleet -smoke        # reduced fleet drill (CI path check; fails unless the victim left the ring and the stitched trace is complete)
 //	xsec-bench -llm                 # LLM serving-layer baseline → BENCH_llm.json
 //	xsec-bench -llm -smoke          # reduced LLM workload (CI path check)
 //
@@ -44,13 +43,12 @@ func main() {
 		quick       = flag.Bool("quick", false, "use the reduced configuration")
 		seed        = flag.Int64("seed", 1, "experiment seed")
 		nnBench     = flag.Bool("nn", false, "measure the NN hot paths and write the machine-readable baseline")
-		obsBench    = flag.Bool("obs", false, "run the live pipeline and snapshot the observability registry")
 		mitBench    = flag.Bool("mitigate", false, "measure the closed mitigation loop under the DoS attacks")
 		provBench   = flag.Bool("prov", false, "measure provenance ledger overhead and chain reconstruction")
 		fedBench    = flag.Bool("fed", false, "measure federated multi-RIC throughput vs a single instance")
 		fleetBench  = flag.Bool("fleet", false, "measure the fleet observability plane: scrapes, trace stitching, failure detection")
 		llmBench    = flag.Bool("llm", false, "measure the LLM serving layer: cache, coalescing, hedging, saturation fallback")
-		smoke       = flag.Bool("smoke", false, "shrink the -nn/-fed/-fleet/-llm/-prov workload so CI exercises the path quickly")
+		smoke       = flag.Bool("smoke", false, "shrink the -nn/-fed/-fleet/-llm/-prov workload so CI exercises the path quickly (-fed fails on a lost record, -fleet on a missed eviction or incomplete trace, -prov on a dropped event)")
 		outPath     = flag.String("out", "", "baseline output path (default BENCH_<name>.json)")
 		logLevel    = flag.String("log-level", envDefault("XSEC_LOG_LEVEL", "info"), "log verbosity: debug | info | warn | error")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz, and /fleet/* on this address for the run")
@@ -67,124 +65,50 @@ func main() {
 		cfg = bench.Quick(*seed)
 	}
 
-	// writeBaseline persists a machine-readable baseline next to the
-	// human-readable table.
-	writeBaseline := func(table string, data []byte, err error, path string) {
+	// smokeCfg pairs a -smoke run's short measurement windows with the
+	// reduced dataset unless -quick was given.
+	smokeCfg := func() bench.Config {
+		if *smoke && !*quick {
+			return bench.Quick(*seed)
+		}
+		return cfg
+	}
+	// One row per machine-readable baseline: the flag that selects it,
+	// the file it lands in, and the run that produces it.
+	baselines := []struct {
+		selected *bool
+		file     string
+		run      func() (baseline, error)
+	}{
+		{nnBench, "BENCH_nn.json", func() (baseline, error) { return bench.RunNNBench(smokeCfg(), *smoke) }},
+		{mitBench, "BENCH_mitigate.json", func() (baseline, error) { return bench.RunMitigateBench(cfg) }},
+		{fedBench, "BENCH_fed.json", func() (baseline, error) {
+			return bench.RunFedBench(bench.FedOptions{Seed: *seed, Smoke: *smoke})
+		}},
+		{fleetBench, "BENCH_fleet.json", func() (baseline, error) {
+			return bench.RunFleetBench(bench.FleetOptions{Seed: *seed, Smoke: *smoke})
+		}},
+		{llmBench, "BENCH_llm.json", func() (baseline, error) {
+			return bench.RunLLMBench(bench.LLMOptions{Seed: *seed, Smoke: *smoke})
+		}},
+		{provBench, "BENCH_prov.json", func() (baseline, error) { return bench.RunProvBench(smokeCfg(), *smoke) }},
+	}
+	for _, b := range baselines {
+		if !*b.selected {
+			continue
+		}
+		path := *outPath
+		if path == "" {
+			path = b.file
+		}
+		res, err := b.run()
 		if err == nil {
-			err = os.WriteFile(path, append(data, '\n'), 0o644)
+			err = writeBaseline(res, path)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "xsec-bench:", err)
 			os.Exit(1)
 		}
-		fmt.Println(table)
-		fmt.Println("baseline written to", path)
-	}
-
-	if *nnBench {
-		if *smoke && !*quick {
-			// Smoke mode is a CI path check; pair the short measurement
-			// windows with the reduced dataset unless -quick was given.
-			cfg = bench.Quick(*seed)
-		}
-		res, err := bench.RunNNBench(cfg, *smoke)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xsec-bench:", err)
-			os.Exit(1)
-		}
-		out := *outPath
-		if out == "" {
-			out = "BENCH_nn.json"
-		}
-		data, err := res.JSON()
-		writeBaseline(res.Format(), data, err, out)
-		return
-	}
-	if *obsBench {
-		res, err := bench.RunObsBench(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xsec-bench:", err)
-			os.Exit(1)
-		}
-		out := *outPath
-		if out == "" {
-			out = "BENCH_obs.json"
-		}
-		data, err := res.JSON()
-		writeBaseline(res.Format(), data, err, out)
-		return
-	}
-	if *mitBench {
-		res, err := bench.RunMitigateBench(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xsec-bench:", err)
-			os.Exit(1)
-		}
-		out := *outPath
-		if out == "" {
-			out = "BENCH_mitigate.json"
-		}
-		data, err := res.JSON()
-		writeBaseline(res.Format(), data, err, out)
-		return
-	}
-	if *fedBench {
-		res, err := bench.RunFedBench(bench.FedOptions{Seed: *seed, Smoke: *smoke})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xsec-bench:", err)
-			os.Exit(1)
-		}
-		out := *outPath
-		if out == "" {
-			out = "BENCH_fed.json"
-		}
-		data, err := res.JSON()
-		writeBaseline(res.Format(), data, err, out)
-		return
-	}
-	if *fleetBench {
-		res, err := bench.RunFleetBench(bench.FleetOptions{Seed: *seed, Smoke: *smoke})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xsec-bench:", err)
-			os.Exit(1)
-		}
-		out := *outPath
-		if out == "" {
-			out = "BENCH_fleet.json"
-		}
-		data, err := res.JSON()
-		writeBaseline(res.Format(), data, err, out)
-		return
-	}
-	if *llmBench {
-		res, err := bench.RunLLMBench(bench.LLMOptions{Seed: *seed, Smoke: *smoke})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xsec-bench:", err)
-			os.Exit(1)
-		}
-		out := *outPath
-		if out == "" {
-			out = "BENCH_llm.json"
-		}
-		data, err := res.JSON()
-		writeBaseline(res.Format(), data, err, out)
-		return
-	}
-	if *provBench {
-		if *smoke && !*quick {
-			cfg = bench.Quick(*seed)
-		}
-		res, err := bench.RunProvBench(cfg, *smoke)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xsec-bench:", err)
-			os.Exit(1)
-		}
-		out := *outPath
-		if out == "" {
-			out = "BENCH_prov.json"
-		}
-		data, err := res.JSON()
-		writeBaseline(res.Format(), data, err, out)
 		return
 	}
 
@@ -194,6 +118,28 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println(out)
+}
+
+// baseline is what every machine-readable bench result offers: the JSON
+// that is committed and the table that is printed.
+type baseline interface {
+	JSON() ([]byte, error)
+	Format() string
+}
+
+// writeBaseline persists a machine-readable baseline next to the
+// human-readable table.
+func writeBaseline(res baseline, path string) error {
+	data, err := res.JSON()
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Println(res.Format())
+	fmt.Println("baseline written to", path)
+	return nil
 }
 
 // envDefault returns the environment variable's value, or def when the

@@ -1,13 +1,13 @@
 // Command xsec-testbed runs the complete 6G-XSec deployment live: the
 // simulated 5G data plane, the near-RT RIC with the MobiWatch and LLM
-// Analyzer xApps, the SMO training workflow, and (optionally) the closed
-// control loop — then launches attacks and reports every processed case.
+// Analyzer xApps, the SMO training workflow, and (optionally) the
+// governed mitigation engine closing the control loop — then launches
+// attacks and reports every processed case.
 //
 // Usage:
 //
 //	xsec-testbed                       # train, deploy, run all five attacks
 //	xsec-testbed -attack bts-dos      # one attack
-//	xsec-testbed -auto                # apply closed-loop controls automatically
 //	xsec-testbed -mitigate enforce    # governed mitigation engine (off | dry-run | enforce)
 //	xsec-testbed -model llama3        # pick the analyst personality
 //	xsec-testbed -inference i8        # MobiWatch scoring engine (f32 | i8)
@@ -32,7 +32,6 @@ import (
 func main() {
 	var (
 		attack      = flag.String("attack", "all", "attack to launch: bts-dos | blind-dos | uplink-id | downlink-id | null-cipher | all")
-		auto        = flag.Bool("auto", false, "apply recommended E2 control actions automatically (ungoverned legacy path)")
 		mitigateMod = flag.String("mitigate", "", "deploy the mitigation engine: off | dry-run | enforce")
 		model       = flag.String("model", "chatgpt-4o", "LLM analyst personality")
 		sessions    = flag.Int("sessions", 60, "benign training sessions")
@@ -57,7 +56,7 @@ func main() {
 	if *federation > 0 {
 		err = runFederation(*federation, *seed)
 	} else {
-		err = run(*attack, *auto, *mitigateMod, *model, *sessions, *epochs, *seed, *metricsAddr, *inference)
+		err = run(*attack, *mitigateMod, *model, *sessions, *epochs, *seed, *metricsAddr, *inference)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "xsec-testbed:", err)
@@ -94,14 +93,13 @@ func runFederation(instances int, seed int64) error {
 	return nil
 }
 
-func run(attack string, auto bool, mitigateMode, model string, sessions, epochs int, seed int64, metricsAddr, inference string) error {
+func run(attack, mitigateMode, model string, sessions, epochs int, seed int64, metricsAddr, inference string) error {
 	fmt.Println("=== 6G-XSec testbed ===")
 	fw, err := core.New(core.Options{
 		Seed:         seed,
 		ReportPeriod: 10 * time.Millisecond,
 		TrainOpts:    mobiwatch.TrainOptions{Epochs: epochs, Seed: seed},
 		LLMModel:     model,
-		AutoRespond:  auto,
 		Mitigate:     mitigateMode,
 		MetricsAddr:  metricsAddr,
 		Inference:    inference,
@@ -215,13 +213,17 @@ func run(attack string, auto bool, mitigateMode, model string, sessions, epochs 
 	fmt.Printf("cases processed:          %d (agree %d, disagree %d, failures %d)\n",
 		as.Processed.Load(), as.Agreements.Load(), as.Disagrees.Load(), as.Failures.Load())
 	fmt.Printf("human-review queue:       %d\n", fw.Analyzer().HumanQueueLen())
-	fmt.Printf("closed-loop controls:     %d\n", fw.ControlsSent())
 	if eng := fw.Mitigator(); eng != nil {
 		eng.Quiesce()
 		tally := map[string]int{}
+		acked := 0
 		for _, en := range mitigate.Entries(fw.SDL) {
 			tally[en.Decision]++
+			if en.Acked() {
+				acked++
+			}
 		}
+		fmt.Printf("closed-loop controls:     %d acked by the gNB\n", acked)
 		decisions := make([]string, 0, len(tally))
 		for d := range tally {
 			decisions = append(decisions, d)

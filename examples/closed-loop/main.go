@@ -1,8 +1,8 @@
 // Closed-loop control (§5, Automated Network Responses): the framework
 // detects a Blind DoS via MobiWatch, the LLM Analyzer classifies it and
-// recommends blocking the replayed TMSI, the control is applied over
-// E2SM-XRC automatically — and the attacker's next wave is rejected at
-// the RAN.
+// recommends blocking the replayed TMSI, the mitigation engine governs
+// and issues that control over E2SM-XRC — and the attacker's next wave
+// is rejected at the RAN.
 //
 // Run with: go run ./examples/closed-loop
 package main
@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"github.com/6g-xsec/xsec/internal/core"
-	"github.com/6g-xsec/xsec/internal/e2sm"
+	"github.com/6g-xsec/xsec/internal/mitigate"
 	"github.com/6g-xsec/xsec/internal/mobiwatch"
 	"github.com/6g-xsec/xsec/internal/ue"
 )
@@ -23,14 +23,14 @@ func main() {
 		Seed:         31,
 		ReportPeriod: 10 * time.Millisecond,
 		TrainOpts:    mobiwatch.TrainOptions{Epochs: 20, Seed: 31},
-		AutoRespond:  true, // the closed loop
+		Mitigate:     "enforce", // the closed loop
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer fw.Close()
 
-	fmt.Println("training and deploying xApps with AutoRespond enabled...")
+	fmt.Println("training and deploying xApps with the mitigation engine enforcing...")
 	benign, err := fw.CollectBenign(50)
 	if err != nil {
 		log.Fatal(err)
@@ -42,11 +42,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Consume cases in the background, printing applied controls.
+	// Consume cases in the background, printing recommended controls.
 	go func() {
 		for c := range fw.Cases() {
 			if c.Control != nil {
-				fmt.Printf("  closed loop applied: %s (%s)\n", c.Control.Action, c.Control.Reason)
+				fmt.Printf("  recommended to the engine: %s (%s)\n", c.Control.Action, c.Control.Reason)
 			}
 		}
 	}()
@@ -68,15 +68,24 @@ func main() {
 	}
 	fmt.Printf("  wave 1 consumed %d RAN contexts\n", len(before.UEIDs))
 
-	// Wait for the pipeline to detect, classify, and block.
+	// Wait for the pipeline to detect, classify, and block: the journal
+	// shows a control the gNB acknowledged.
+	acked := func() (n int) {
+		for _, en := range mitigate.Entries(fw.SDL) {
+			if en.Acked() {
+				n++
+			}
+		}
+		return n
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for fw.ControlsSent() == 0 && time.Now().Before(deadline) {
+	for acked() == 0 && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
 	}
-	if fw.ControlsSent() == 0 {
+	if acked() == 0 {
 		log.Fatal("closed loop did not fire")
 	}
-	fmt.Printf("\n%d control action(s) applied via E2SM-%s\n", fw.ControlsSent(), "XRC")
+	fmt.Printf("\n%d control action(s) acked via E2SM-XRC\n", acked())
 	time.Sleep(200 * time.Millisecond)
 
 	fmt.Println("\nwave 2: the attacker tries again")
@@ -90,5 +99,4 @@ func main() {
 	if leaked <= 0 {
 		fmt.Println("\nSUCCESS: the replayed identity is blocked; the attack no longer consumes resources")
 	}
-	_ = e2sm.ControlBlockTMSI
 }

@@ -31,45 +31,29 @@ import (
 
 // FedOptions configures the federation benchmark.
 type FedOptions struct {
-	// Instances is the federation size to compare against one instance
-	// (default 4).
-	Instances int
-	// Passes replays the mixed telemetry trace this many times per
-	// phase (default 30; Smoke reduces it to 2).
-	Passes int
-	// Batch is the records-per-indication chunk each feeder emission
-	// carries for one UE (default 4, the agent's typical flush).
-	Batch int
-	// Chunk is the per-instance pacing quantum in records: the feeder
-	// waits for the instance to drain each chunk before sending the
-	// next, so bounded shard queues never drop (default 256).
-	Chunk int
 	// Seed drives dataset generation and training.
 	Seed int64
 	// Smoke shrinks the workload so CI can exercise the path quickly.
 	Smoke bool
 }
 
-func (o *FedOptions) defaults() {
-	if o.Instances <= 0 {
-		o.Instances = 4
-	}
-	if o.Passes == 0 {
-		o.Passes = 30
-		if o.Smoke {
-			o.Passes = 2
-		}
-	}
-	if o.Batch <= 0 {
-		o.Batch = 4
-	}
-	if o.Chunk <= 0 {
-		o.Chunk = 256
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-}
+const (
+	// fedInstances is the federation size compared against one instance.
+	fedInstances = 4
+	// fedPasses / fedSmokePasses replay the mixed telemetry trace this
+	// many times per phase.
+	fedPasses      = 30
+	fedSmokePasses = 2
+	// fedWindow bounds the records outstanding at one instance (injected
+	// but not yet scored). The gNB agent reports on a 10 ms period, so
+	// stop-and-wait chunks would measure that period, not the scorer;
+	// a window keeps the agent's buffer fed while the scorer drains.
+	// Every indication carries at least one record, so a shard queue of
+	// fedWindow entries can never overflow and nothing is dropped.
+	fedWindow = 2048
+	// fedStall fails a feed whose instance stops scoring.
+	fedStall = 30 * time.Second
+)
 
 // FedResult is the machine-readable baseline for BENCH_fed.json.
 type FedResult struct {
@@ -129,78 +113,42 @@ func (r *FedResult) Format() string {
 
 func fedRate(v float64) string { return fmt.Sprintf("%.0f", v) }
 
-// emission is one feeder send: a batch of consecutive records of one UE.
-type emission struct {
-	ue   uint64
-	recs mobiflow.Trace
-}
-
-// buildEmissions groups a trace into per-UE batches and interleaves the
-// UEs round-robin, approximating live multi-UE traffic while keeping
-// each UE's records in order.
-func buildEmissions(tr mobiflow.Trace, batch int) []emission {
-	perUE := map[uint64]mobiflow.Trace{}
-	var order []uint64
+// partition splits a trace by ring owner, keeping stream order within
+// each share; the gNB agent does the per-UE grouping.
+func partition(cl *fed.Cluster, tr mobiflow.Trace) (map[string]mobiflow.Trace, error) {
+	parts := make(map[string]mobiflow.Trace)
 	for _, rec := range tr {
-		if _, ok := perUE[rec.UEID]; !ok {
-			order = append(order, rec.UEID)
+		owner := cl.OwnerOf(rec.UEID)
+		if owner == nil {
+			return nil, fmt.Errorf("bench: no ring owner for UE %d", rec.UEID)
 		}
-		perUE[rec.UEID] = append(perUE[rec.UEID], rec)
+		parts[owner.ID()] = append(parts[owner.ID()], rec)
 	}
-	var out []emission
-	for len(perUE) > 0 {
-		for _, u := range order {
-			recs, ok := perUE[u]
-			if !ok {
-				continue
-			}
-			n := batch
-			if n > len(recs) {
-				n = len(recs)
-			}
-			out = append(out, emission{ue: u, recs: recs[:n]})
-			if len(recs) > n {
-				perUE[u] = recs[n:]
-			} else {
-				delete(perUE, u)
-			}
-		}
-	}
-	return out
+	return parts, nil
 }
 
-func countRecords(ems []emission) int {
-	n := 0
-	for _, em := range ems {
-		n += len(em.recs)
-	}
-	return n
-}
-
-// feedPaced replays emissions into one instance, waiting for the
-// instance to drain each chunk so the bounded shard queues never drop.
-func feedPaced(inst *fed.Instance, ems []emission, chunk int) error {
+// feedWindowed replays tr passes times into one instance's gNB, keeping
+// at most fedWindow records outstanding, and returns once every record
+// has been scored.
+func feedWindowed(inst *fed.Instance, tr mobiflow.Trace, passes int) error {
 	base := inst.Records()
-	var sent uint64
-	for start := 0; start < len(ems); {
-		n := 0
-		for start < len(ems) && n < chunk {
-			em := ems[start]
-			if err := inst.Feeder().Emit(em.ue, em.recs); err != nil {
-				return err
-			}
-			n += len(em.recs)
-			start++
+	total, sent := len(tr)*passes, 0
+	scored, progressAt := 0, time.Now()
+	for scored < total {
+		if now := int(inst.Records() - base); now > scored {
+			scored, progressAt = now, time.Now()
 		}
-		sent += uint64(n)
-		deadline := time.Now().Add(30 * time.Second)
-		for inst.Records()-base < sent {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("bench: instance %s drained %d/%d records",
-					inst.ID(), inst.Records()-base, sent)
-			}
-			time.Sleep(100 * time.Microsecond)
+		if room := fedWindow - (sent - scored); room > 0 && sent < total {
+			at := sent % len(tr)
+			n := min(room, len(tr)-at, total-sent)
+			inst.GNB().InjectTelemetry(tr[at : at+n])
+			sent += n
+			continue
 		}
+		if time.Since(progressAt) > fedStall {
+			return fmt.Errorf("bench: instance %s scored %d/%d records", inst.ID(), scored, sent)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 	return nil
 }
@@ -215,112 +163,72 @@ func drainAlerts(cl *fed.Cluster) {
 }
 
 // RunFedBench measures federated versus single-instance detection
-// throughput and runs the join/kill rebalance smoke.
+// throughput and runs the join/kill rebalance smoke. It fails when the
+// smoke loses a record, so a CI run of it asserts zero loss.
 func RunFedBench(opts FedOptions) (*FedResult, error) {
-	opts.defaults()
+	if opts.Seed == 0 {
+		opts.Seed = 1
+	}
+	passes := fedPasses
+	if opts.Smoke {
+		passes = fedSmokePasses
+	}
 	env, err := BuildEnv(Quick(opts.Seed))
 	if err != nil {
 		return nil, err
 	}
-	ems := buildEmissions(env.Mixed.Trace, opts.Batch)
-	perPass := countRecords(ems)
+	trace := env.Mixed.Trace
+	phaseRecords := len(trace) * passes
 	res := &FedResult{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Smoke:      opts.Smoke,
-		Instances:  opts.Instances,
-		Records:    perPass * opts.Passes,
+		Instances:  fedInstances,
+		Records:    phaseRecords,
 	}
-
-	clOpts := fed.ClusterOptions{
-		Models:      env.Models,
-		ShardBuffer: 4 * opts.Chunk,
+	withCluster := func(n int, phase func(*fed.Cluster) error) error {
+		cl, err := fed.StartCluster(fed.ClusterOptions{
+			Instances: n, Models: env.Models, ShardBuffer: fedWindow,
+		})
+		if err != nil {
+			return err
+		}
+		defer cl.Close()
+		drainAlerts(cl)
+		return phase(cl)
 	}
 
 	// Phase 1: one instance scores everything.
-	single, err := fed.StartCluster(withInstances(clOpts, 1))
+	err = withCluster(1, func(cl *fed.Cluster) error {
+		startT := time.Now()
+		err := feedWindowed(cl.Instances()[0], trace, passes)
+		res.SingleRate = float64(phaseRecords) / time.Since(startT).Seconds()
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	drainAlerts(single)
-	inst := single.Instances()[0]
-	startT := time.Now()
-	for p := 0; p < opts.Passes; p++ {
-		if err := feedPaced(inst, ems, opts.Chunk); err != nil {
-			single.Close()
-			return nil, err
-		}
-	}
-	res.SingleRate = float64(perPass*opts.Passes) / time.Since(startT).Seconds()
-	single.Close()
-
 	// Phases 2+3: an N-instance federation over the hash-partitioned
-	// stream — first each partition in isolation (capacity), then all
-	// partitions concurrently (colocated).
-	cl, err := fed.StartCluster(withInstances(clOpts, opts.Instances))
+	// stream.
+	err = withCluster(fedInstances, func(cl *fed.Cluster) error {
+		return measureFederation(cl, trace, passes, res)
+	})
 	if err != nil {
 		return nil, err
 	}
-	drainAlerts(cl)
-	parts := make(map[string][]emission)
-	for _, em := range ems {
-		owner := cl.OwnerOf(em.ue)
-		if owner == nil {
-			cl.Close()
-			return nil, fmt.Errorf("bench: no ring owner for UE %d", em.ue)
-		}
-		parts[owner.ID()] = append(parts[owner.ID()], em)
-	}
-	for _, member := range cl.Instances() {
-		share := parts[member.ID()]
-		if len(share) == 0 {
-			res.CapacityPerInstance = append(res.CapacityPerInstance, 0)
-			continue
-		}
-		startT = time.Now()
-		for p := 0; p < opts.Passes; p++ {
-			if err := feedPaced(member, share, opts.Chunk); err != nil {
-				cl.Close()
-				return nil, err
-			}
-		}
-		r := float64(countRecords(share)*opts.Passes) / time.Since(startT).Seconds()
-		res.CapacityPerInstance = append(res.CapacityPerInstance, r)
-		res.CapacityRate += r
-	}
-
-	errc := make(chan error, len(parts))
-	startT = time.Now()
-	for _, member := range cl.Instances() {
-		share := parts[member.ID()]
-		if len(share) == 0 {
-			continue
-		}
-		go func(member *fed.Instance, share []emission) {
-			for p := 0; p < opts.Passes; p++ {
-				if err := feedPaced(member, share, opts.Chunk); err != nil {
-					errc <- err
-					return
-				}
-			}
-			errc <- nil
-		}(member, share)
-	}
-	for i, n := 0, activeParts(parts); i < n; i++ {
-		if err := <-errc; err != nil {
-			cl.Close()
-			return nil, err
-		}
-	}
-	res.ColocatedRate = float64(perPass*opts.Passes) / time.Since(startT).Seconds()
-	cl.Close()
 	if res.SingleRate > 0 {
 		res.CapacitySpeedup = res.CapacityRate / res.SingleRate
 		res.ColocatedSpeedup = res.ColocatedRate / res.SingleRate
 	}
-
-	if err := runRebalanceSmoke(clOpts, ems, opts, res); err != nil {
+	err = withCluster(2, func(cl *fed.Cluster) error {
+		return runRebalanceSmoke(cl, trace, res)
+	})
+	if err != nil {
 		return nil, err
+	}
+	if !res.RebalanceZeroLoss {
+		return nil, fmt.Errorf("bench: rebalance smoke lost records: %d/%d scored across join+kill",
+			res.RebalanceScored, res.RebalanceInjected)
 	}
 
 	res.Note = "capacity sums per-instance isolated rates (sequential measurement; what N " +
@@ -331,57 +239,72 @@ func RunFedBench(opts FedOptions) (*FedResult, error) {
 	return res, nil
 }
 
-func withInstances(o fed.ClusterOptions, n int) fed.ClusterOptions {
-	o.Instances = n
-	return o
-}
-
-func activeParts(parts map[string][]emission) int {
-	n := 0
-	for _, share := range parts {
-		if len(share) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// runRebalanceSmoke feeds a paced stream to the current ring owners
-// while a member joins (receiving live-migrated UE state) and is then
-// abruptly killed; every injected record must still be scored by some
-// member because pacing quiesces the pipeline between chunks.
-func runRebalanceSmoke(clOpts fed.ClusterOptions, ems []emission, opts FedOptions, res *FedResult) error {
-	cl, err := fed.StartCluster(withInstances(clOpts, 2))
+// measureFederation scores the ring-partitioned stream on cl twice:
+// each member's share in isolation (capacity), then all shares
+// concurrently (colocated).
+func measureFederation(cl *fed.Cluster, trace mobiflow.Trace, passes int, res *FedResult) error {
+	parts, err := partition(cl, trace)
 	if err != nil {
 		return err
 	}
-	defer cl.Close()
-	drainAlerts(cl)
-
-	feedChunk := func(chunk []emission) error {
-		pending := 0
-		for _, em := range chunk {
-			owner := cl.OwnerOf(em.ue)
-			if owner == nil {
-				return fmt.Errorf("bench: no ring owner for UE %d", em.ue)
-			}
-			if err := owner.Feeder().Emit(em.ue, em.recs); err != nil {
-				return err
-			}
-			res.RebalanceInjected += uint64(len(em.recs))
-			pending += len(em.recs)
-			if pending >= opts.Chunk {
-				if err := cl.WaitRecords(res.RebalanceInjected, 30*time.Second); err != nil {
-					return err
-				}
-				pending = 0
-			}
+	for _, member := range cl.Instances() {
+		share := parts[member.ID()]
+		if len(share) == 0 {
+			res.CapacityPerInstance = append(res.CapacityPerInstance, 0)
+			continue
 		}
-		return cl.WaitRecords(res.RebalanceInjected, 30*time.Second)
+		startT := time.Now()
+		if err := feedWindowed(member, share, passes); err != nil {
+			return err
+		}
+		r := float64(len(share)*passes) / time.Since(startT).Seconds()
+		res.CapacityPerInstance = append(res.CapacityPerInstance, r)
+		res.CapacityRate += r
 	}
 
-	third := len(ems) / 3
-	if err := feedChunk(ems[:third]); err != nil {
+	errc := make(chan error, len(parts))
+	startT := time.Now()
+	for id, share := range parts {
+		go func(member *fed.Instance, share mobiflow.Trace) {
+			errc <- feedWindowed(member, share, passes)
+		}(cl.Instance(id), share)
+	}
+	for range parts {
+		if ferr := <-errc; ferr != nil {
+			err = ferr
+		}
+	}
+	res.ColocatedRate = float64(len(trace)*passes) / time.Since(startT).Seconds()
+	return err
+}
+
+// runRebalanceSmoke feeds a stream to the current ring owners while a
+// member joins (receiving live-migrated UE state) and is then abruptly
+// killed. Every injected record must still be scored by some member:
+// each step quiesces the pipeline, so no record is in a gNB agent's
+// buffer when its instance is killed.
+func runRebalanceSmoke(cl *fed.Cluster, trace mobiflow.Trace, res *FedResult) error {
+	feed := func(tr mobiflow.Trace) error {
+		for len(tr) > 0 {
+			n := min(fedWindow, len(tr))
+			parts, err := partition(cl, tr[:n])
+			if err != nil {
+				return err
+			}
+			for id, share := range parts {
+				cl.Instance(id).GNB().InjectTelemetry(share)
+			}
+			res.RebalanceInjected += uint64(n)
+			if err := cl.WaitRecords(res.RebalanceInjected, fedStall); err != nil {
+				return err
+			}
+			tr = tr[n:]
+		}
+		return nil
+	}
+
+	third := len(trace) / 3
+	if err := feed(trace[:third]); err != nil {
 		return err
 	}
 
@@ -389,7 +312,7 @@ func runRebalanceSmoke(clOpts fed.ClusterOptions, ems []emission, opts FedOption
 	if err != nil {
 		return err
 	}
-	if err := feedChunk(ems[third : 2*third]); err != nil {
+	if err := feed(trace[third : 2*third]); err != nil {
 		return err
 	}
 	// Let the ring-driven migrations toward the joiner settle, then
@@ -409,7 +332,7 @@ func runRebalanceSmoke(clOpts fed.ClusterOptions, ems []emission, opts FedOption
 		return err
 	}
 
-	if err := feedChunk(ems[2*third:]); err != nil {
+	if err := feed(trace[2*third:]); err != nil {
 		return err
 	}
 	res.RebalanceScored = cl.TotalRecords()

@@ -18,31 +18,20 @@ import (
 
 // FleetOptions configures the fleet benchmark.
 type FleetOptions struct {
-	// Instances is the federation size (default 4).
-	Instances int
-	// ScrapeRounds is how many timed federation scrapes to run
-	// (default 10; Smoke reduces it to 3).
-	ScrapeRounds int
 	// Seed drives dataset generation and training.
 	Seed int64
 	// Smoke shrinks the workload so CI can exercise the path quickly.
 	Smoke bool
 }
 
-func (o *FleetOptions) defaults() {
-	if o.Instances <= 0 {
-		o.Instances = 4
-	}
-	if o.ScrapeRounds == 0 {
-		o.ScrapeRounds = 10
-		if o.Smoke {
-			o.ScrapeRounds = 3
-		}
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-}
+const (
+	// fleetInstances is the drill's federation size.
+	fleetInstances = 4
+	// fleetScrapeRounds / fleetSmokeScrapeRounds is how many timed
+	// federation scrapes the drill runs.
+	fleetScrapeRounds      = 10
+	fleetSmokeScrapeRounds = 3
+)
 
 // FleetResult is the machine-readable baseline for BENCH_fleet.json.
 type FleetResult struct {
@@ -65,7 +54,8 @@ type FleetResult struct {
 	TraceComplete  bool    `json:"trace_complete"`
 
 	// Failure detection: crash (no coordinator notification) to
-	// automatic ring eviction, against the configured DeadAfter.
+	// the coordinator's ring no longer holding the instance, against
+	// the detector's dead-after silence (the floor of that wait).
 	KillToEvictSeconds float64 `json:"kill_to_evict_seconds"`
 	DeadAfterSeconds   float64 `json:"dead_after_seconds"`
 	EvictedFromRing    bool    `json:"evicted_from_ring"`
@@ -88,7 +78,7 @@ func (r *FleetResult) Format() string {
 		fleetDur(r.ScrapeP50), fleetDur(r.ScrapeMax), r.ScrapeRounds)
 	fmt.Fprintf(&b, "  trace stitch        %s for %d traces (migrated UE: %d segments, %d spans, complete=%v)\n",
 		fleetDur(r.StitchSeconds), r.StitchedTraces, r.TraceSegments, r.TraceSpans, r.TraceComplete)
-	fmt.Fprintf(&b, "  kill -> auto-evict  %s (deadline %s, ring updated=%v)\n",
+	fmt.Fprintf(&b, "  kill -> auto-evict  %s (dead-after %s, ring updated=%v)\n",
 		fleetDur(r.KillToEvictSeconds), fleetDur(r.DeadAfterSeconds), r.EvictedFromRing)
 	fmt.Fprintf(&b, "  merged exposition   %d series, %d SLOs firing\n", r.MergedSeries, r.FiringSLOs)
 	return b.String()
@@ -98,24 +88,35 @@ func fleetDur(s float64) string {
 	return time.Duration(s * float64(time.Second)).Round(10 * time.Microsecond).String()
 }
 
-// RunFleetBench runs the fleet drill and distills its baseline.
+// RunFleetBench runs the fleet drill and distills its baseline. It fails
+// when the drill's crashed instance was not evicted from the ring or the
+// migrated UE's stitched trace is incomplete, so a CI run of it asserts
+// both.
 func RunFleetBench(opts FleetOptions) (*FleetResult, error) {
-	opts.defaults()
+	if opts.Seed == 0 {
+		opts.Seed = 1
+	}
+	rounds := fleetScrapeRounds
+	if opts.Smoke {
+		rounds = fleetSmokeScrapeRounds
+	}
 	env, err := BuildEnv(Quick(opts.Seed))
 	if err != nil {
 		return nil, err
 	}
-	deadAfter := 600 * time.Millisecond
 	drill, err := fed.RunFleetDrill(fed.FleetDrillOptions{
-		Instances:    opts.Instances,
+		Instances:    fleetInstances,
 		Seed:         opts.Seed,
 		Models:       env.Models,
 		Mixed:        env.Mixed,
-		DeadAfter:    deadAfter,
-		ScrapeRounds: opts.ScrapeRounds,
+		ScrapeRounds: rounds,
 	})
 	if err != nil {
 		return nil, err
+	}
+	if !drill.EvictedFromRing || !drill.TraceComplete {
+		return nil, fmt.Errorf("bench: fleet drill failed: evicted_from_ring=%v trace_complete=%v",
+			drill.EvictedFromRing, drill.TraceComplete)
 	}
 	res := &FleetResult{
 		GoMaxProcs:         runtime.GOMAXPROCS(0),
@@ -129,12 +130,12 @@ func RunFleetBench(opts FleetOptions) (*FleetResult, error) {
 		TraceSpans:         drill.TraceSpans,
 		TraceComplete:      drill.TraceComplete,
 		KillToEvictSeconds: drill.KillToEvictSecs,
-		DeadAfterSeconds:   deadAfter.Seconds(),
+		DeadAfterSeconds:   fed.DrillDeadAfter.Seconds(),
 		EvictedFromRing:    drill.EvictedFromRing,
 		MergedSeries:       drill.MergedSeries,
 		FiringSLOs:         drill.FiringSLOs,
 		Note: "scrape = full federation round-trip; kill_to_evict measured from Crash " +
-			"(no coordinator notification) to the failure detector's automatic ring eviction",
+			"(no coordinator notification) to the coordinator's ring at a later epoch without the victim",
 	}
 	if n := len(drill.ScrapeSeconds); n > 0 { // sorted by the drill
 		res.ScrapeP50 = drill.ScrapeSeconds[n/2]

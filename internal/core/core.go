@@ -23,12 +23,10 @@ import (
 	"time"
 
 	"github.com/6g-xsec/xsec/internal/analyzer"
-	"github.com/6g-xsec/xsec/internal/asn1lite"
 	"github.com/6g-xsec/xsec/internal/cell"
 	"github.com/6g-xsec/xsec/internal/corenet"
 	"github.com/6g-xsec/xsec/internal/dataset"
 	"github.com/6g-xsec/xsec/internal/e2ap"
-	"github.com/6g-xsec/xsec/internal/e2sm"
 	"github.com/6g-xsec/xsec/internal/gnb"
 	"github.com/6g-xsec/xsec/internal/llm"
 	"github.com/6g-xsec/xsec/internal/mitigate"
@@ -73,13 +71,12 @@ type Options struct {
 	// retries, and the saturation governor. Zero value means defaults;
 	// the governor journal always lands in the framework SDL.
 	LLMServing llm.ServingOptions
-	// AutoRespond applies recommended E2 control actions automatically
-	// (the closed loop); otherwise cases only surface recommendations.
-	// Ignored when Mitigate deploys the governed engine.
-	AutoRespond bool
 	// Mitigate deploys the mitigation-engine xApp in the given mode
-	// ("off", "dry-run", "enforce"); empty leaves it undeployed and
-	// AutoRespond in charge. A1 policies can switch the mode at runtime.
+	// ("off", "dry-run", "enforce"); empty leaves it undeployed, and
+	// cases only surface their recommended control. The engine is the
+	// one way a control reaches the gNB: rate-limited, journaled, rolled
+	// back on TTL and recorded on the prov chain. A1 policies can switch
+	// the mode at runtime.
 	Mitigate string
 	// MitigateTTL overrides the engine's rollback TTL for reversible
 	// actions (default 30 s).
@@ -147,7 +144,6 @@ type Framework struct {
 
 	cases        chan *analyzer.Case
 	casesDropped atomic.Uint64
-	controlsSent atomic.Uint64
 
 	fleetSize int
 	clock     *dataset.VClock
@@ -422,16 +418,9 @@ func (f *Framework) pump(ctx context.Context) {
 		}
 	}()
 	for c := range f.anlz.RunPool(ctx, deduped, analyzer.PoolOptions{Workers: f.Opts.LLMWorkers}) {
-		if c.Control != nil {
-			switch {
-			case f.mitigator != nil:
-				// The engine governs, journals, issues, and rolls back.
-				f.mitigator.Submit(c)
-			case f.Opts.AutoRespond:
-				if err := f.SendControl(c.Control); err == nil {
-					f.controlsSent.Add(1)
-				}
-			}
+		if c.Control != nil && f.mitigator != nil {
+			// The engine governs, journals, issues, and rolls back.
+			f.mitigator.Submit(c)
 		}
 		select {
 		case f.cases <- c:
@@ -444,16 +433,8 @@ func (f *Framework) pump(ctx context.Context) {
 	}
 }
 
-// SendControl issues an E2SM-XRC control action toward the gNB.
-func (f *Framework) SendControl(req *e2sm.ControlRequest) error {
-	return f.xappAnlz.Control(f.Opts.NodeID, e2sm.XRCRANFunctionID, nil, asn1lite.Marshal(req))
-}
-
 // Cases streams processed incidents (after DeployXApps).
 func (f *Framework) Cases() <-chan *analyzer.Case { return f.cases }
-
-// ControlsSent reports how many closed-loop actions were applied.
-func (f *Framework) ControlsSent() uint64 { return f.controlsSent.Load() }
 
 // WatchStats exposes the MobiWatch runtime counters (nil before deploy).
 func (f *Framework) WatchStats() *mobiwatch.Stats {

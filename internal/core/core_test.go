@@ -14,13 +14,12 @@ import (
 )
 
 // newTrainedFramework assembles a framework with trained, deployed xApps.
-func newTrainedFramework(t *testing.T, auto bool) *Framework {
+func newTrainedFramework(t *testing.T) *Framework {
 	t.Helper()
 	fw, err := New(Options{
 		Seed:         3,
 		ReportPeriod: 5 * time.Millisecond,
 		TrainOpts:    mobiwatch.TrainOptions{Epochs: 15, Seed: 7},
-		AutoRespond:  auto,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +40,7 @@ func newTrainedFramework(t *testing.T, auto bool) *Framework {
 }
 
 func TestEndToEndDetectionAndExplanation(t *testing.T) {
-	fw := newTrainedFramework(t, false)
+	fw := newTrainedFramework(t)
 
 	// Benign traffic must flow silently.
 	u := fw.NewUE(ue.Pixel5, 100)
@@ -98,34 +97,6 @@ func TestEndToEndDetectionAndExplanation(t *testing.T) {
 	}
 }
 
-func TestClosedLoopAutoResponse(t *testing.T) {
-	fw := newTrainedFramework(t, true)
-
-	attacker := fw.NewUE(ue.OAIUE, 200)
-	attacker.Profile.RetransProb = 0
-	attacker.Pace = func() { fw.Clock().Advance(500 * time.Microsecond) }
-	if _, err := attacker.RunBTSDoS(fw.GNB, 8); err != nil {
-		t.Fatal(err)
-	}
-
-	// The closed loop must fire at least one control action.
-	deadline := time.Now().Add(5 * time.Second)
-	for fw.ControlsSent() == 0 && time.Now().Before(deadline) {
-		select {
-		case <-fw.Cases():
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-	if fw.ControlsSent() == 0 {
-		t.Fatal("no closed-loop control applied")
-	}
-	// The control was a release: attacker contexts must shrink below
-	// the full flood size.
-	if n := fw.GNB.ActiveUEs(); n >= 8 {
-		t.Errorf("ActiveUEs = %d after release control", n)
-	}
-}
-
 func TestFrameworkValidation(t *testing.T) {
 	fw, err := New(Options{Seed: 9})
 	if err != nil {
@@ -157,7 +128,7 @@ func TestNewUnwindsOnError(t *testing.T) {
 }
 
 func TestA1PolicyAdjustsLiveThresholds(t *testing.T) {
-	fw := newTrainedFramework(t, false)
+	fw := newTrainedFramework(t)
 	aeBefore, lstmBefore := fw.Watch().Thresholds()
 
 	if err := fw.A1.Put(smo.Policy{ID: "mobiwatch", ThresholdPercentile: 90}); err != nil {
@@ -177,7 +148,7 @@ func TestA1PolicyAdjustsLiveThresholds(t *testing.T) {
 }
 
 func TestFrameworkSMOWorkflowVisible(t *testing.T) {
-	fw := newTrainedFramework(t, false)
+	fw := newTrainedFramework(t)
 	// The training run published a bundle version.
 	if _, v, ok := fw.Registry.Latest("mobiwatch"); !ok || v != 1 {
 		t.Errorf("registry latest = v%d ok=%v", v, ok)
@@ -194,7 +165,7 @@ func TestFrameworkSMOWorkflowVisible(t *testing.T) {
 // verdicts stay live after the expert's listener is gone. An external
 // endpoint is always reached over its URL.
 func TestBuiltInExpertServedInProcess(t *testing.T) {
-	fw := newTrainedFramework(t, false)
+	fw := newTrainedFramework(t)
 	if err := fw.llmShutdown(); err != nil {
 		t.Fatal(err)
 	}

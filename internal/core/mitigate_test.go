@@ -47,7 +47,8 @@ func newMitigatingFramework(t *testing.T, mode string, ttl time.Duration) *Frame
 // TestMitigationEnforceEndToEnd exercises the full closed loop against
 // the real gNB: blind-DoS telemetry → detector alert → LLM verdict →
 // governor approval → E2 block-tmsi control → gNB ack (the TMSI is
-// actually denied service) → TTL expiry → unblock-tmsi rollback.
+// actually denied service) → TTL expiry → unblock-tmsi rollback; then a
+// BTS-DoS flood → acked release-ue → attacker contexts actually freed.
 func TestMitigationEnforceEndToEnd(t *testing.T) {
 	fw := newMitigatingFramework(t, "enforce", 400*time.Millisecond)
 
@@ -101,6 +102,29 @@ func TestMitigationEnforceEndToEnd(t *testing.T) {
 	}
 	if n := fw.Mitigator().ActiveCount(); n != 0 {
 		t.Errorf("ActiveCount = %d after rollback", n)
+	}
+
+	// A one-shot action closes the loop too: the engine must get a
+	// release-ue acked for a BTS-DoS flood, and the release must free
+	// attacker contexts on the gNB.
+	const flood = 8
+	idle := fw.GNB.ActiveUEs()
+	flooder := fw.NewUE(ue.OAIUE, 302)
+	flooder.Profile.RetransProb = 0
+	flooder.Pace = func() { fw.Clock().Advance(500 * time.Microsecond) }
+	if _, err := flooder.RunBTSDoS(fw.GNB, flood); err != nil {
+		t.Fatal(err)
+	}
+	waitJournal("acked release-ue", func(entries []mitigate.Entry) bool {
+		for _, en := range entries {
+			if en.Action == "release-ue" && en.Acked() {
+				return true
+			}
+		}
+		return false
+	})
+	if n := fw.GNB.ActiveUEs(); n >= idle+flood {
+		t.Errorf("ActiveUEs = %d after an acked release (idle %d + flood %d)", n, idle, flood)
 	}
 }
 

@@ -19,13 +19,8 @@ type ClusterOptions struct {
 	Instances int
 	// Models are deployed to every instance (required).
 	Models *mobiwatch.Models
-	// Vnodes, Shards, ShardBuffer, MigrationTimeout, and
-	// MaxConcurrentMigrations are passed through (see InstanceOptions).
-	Vnodes                  int
-	Shards                  int
-	ShardBuffer             int
-	MigrationTimeout        time.Duration
-	MaxConcurrentMigrations int
+	// ShardBuffer is passed to every instance (see InstanceOptions).
+	ShardBuffer int
 	// InstallLedger activates a provenance ledger backed by the
 	// coordinator's store for the cluster's lifetime, so migration
 	// hand-offs from every instance land in one auditable place.
@@ -84,7 +79,7 @@ func StartCluster(opts ClusterOptions) (*Cluster, error) {
 		return nil, err
 	}
 	cl.Broker = broker
-	cl.Coordinator = NewCoordinator(store, broker, opts.Vnodes)
+	cl.Coordinator = NewCoordinator(store, broker)
 	if opts.Fleet != nil {
 		cl.collector = StartFleet(cl.Coordinator, broker, store, *opts.Fleet)
 	}
@@ -113,14 +108,11 @@ func StartCluster(opts ClusterOptions) (*Cluster, error) {
 
 func (cl *Cluster) startInstance(id string) (*Instance, error) {
 	inst, err := StartInstance(InstanceOptions{
-		ID:                      id,
-		Models:                  cl.opts.Models,
-		BusAddr:                 cl.Broker.Addr(),
-		Shards:                  cl.opts.Shards,
-		ShardBuffer:             cl.opts.ShardBuffer,
-		MigrationTimeout:        cl.opts.MigrationTimeout,
-		MaxConcurrentMigrations: cl.opts.MaxConcurrentMigrations,
-		HeartbeatPeriod:         cl.opts.HeartbeatPeriod,
+		ID:              id,
+		Models:          cl.opts.Models,
+		BusAddr:         cl.Broker.Addr(),
+		ShardBuffer:     cl.opts.ShardBuffer,
+		HeartbeatPeriod: cl.opts.HeartbeatPeriod,
 	})
 	if err != nil {
 		return nil, err

@@ -16,18 +16,14 @@ type Coordinator struct {
 	store  *sdl.Store
 	broker *Broker
 	a1     *smo.A1
-	vnodes int
 
 	mu   sync.Mutex
 	ring *Ring
 }
 
 // NewCoordinator wraps the SMO's store and the federation broker.
-func NewCoordinator(store *sdl.Store, broker *Broker, vnodes int) *Coordinator {
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
-	return &Coordinator{store: store, broker: broker, a1: smo.NewA1(store), vnodes: vnodes}
+func NewCoordinator(store *sdl.Store, broker *Broker) *Coordinator {
+	return &Coordinator{store: store, broker: broker, a1: smo.NewA1(store)}
 }
 
 // A1 returns the coordinator's policy store.
@@ -47,7 +43,7 @@ func (c *Coordinator) SetInstances(ids []string) (*Ring, error) {
 	if c.ring != nil {
 		epoch = c.ring.Epoch + 1
 	}
-	r := NewRing(epoch, ids, c.vnodes)
+	r := NewRing(epoch, ids, DefaultVnodes)
 	c.ring = r
 	c.mu.Unlock()
 	return r, c.publish(r)

@@ -15,11 +15,13 @@
 //     offset it resumes from, so a reconnecting instance replays what it
 //     missed instead of starting blind. When the bus is unreachable an
 //     instance degrades to standalone detection rather than stopping.
-//   - Feeder (feeder.go): a synthetic E2 node speaking the real gNB
-//     handshake, used by federation tests and benches to emit telemetry
-//     with caller-controlled UE identity.
 //   - Instance (instance.go): one federated RIC — platform, MobiWatch
-//     runtime, bus client, and the migration protocol endpoints.
+//     runtime, bus client, and the migration protocol endpoints. Each
+//     instance runs the shipped gNB agent (gnb.GNB.ServeE2) as its E2
+//     node: tests, drills and benches feed it with
+//     Instance.GNB().InjectTelemetry, which gives them the UE
+//     identities they need, and wait on Cluster.WaitRecords before a
+//     step that must see everything injected.
 //   - Coordinator (coordinator.go): the SMO side — ring epochs on
 //     join/leave and policy fan-out.
 //   - Cluster (cluster.go): an in-process harness wiring N instances to

@@ -7,8 +7,12 @@ import (
 	"time"
 
 	"github.com/6g-xsec/xsec/internal/dataset"
+	"github.com/6g-xsec/xsec/internal/gnb"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
 	"github.com/6g-xsec/xsec/internal/mobiwatch"
+	"github.com/6g-xsec/xsec/internal/obs"
+	"github.com/6g-xsec/xsec/internal/prov"
+	"github.com/6g-xsec/xsec/internal/sdl"
 	"github.com/6g-xsec/xsec/internal/smo"
 	"github.com/6g-xsec/xsec/internal/wire"
 )
@@ -110,9 +114,7 @@ func TestClusterJoinRebalance(t *testing.T) {
 			t.Fatalf("no owner for UE %d", u)
 		}
 		for _, rec := range tr[:4] {
-			if err := owner.Feeder().Emit(u, mobiflow.Trace{rec}); err != nil {
-				t.Fatal(err)
-			}
+			owner.GNB().InjectTelemetry(mobiflow.Trace{rec})
 			fed++
 		}
 	}
@@ -222,9 +224,7 @@ func TestDegradedStandalone(t *testing.T) {
 		}
 	}
 	for _, rec := range tr {
-		if err := inst.Feeder().Emit(u, mobiflow.Trace{rec}); err != nil {
-			t.Fatal(err)
-		}
+		inst.GNB().InjectTelemetry(mobiflow.Trace{rec})
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for inst.Records() < uint64(len(tr)) && time.Now().Before(deadline) {
@@ -275,5 +275,133 @@ func TestPolicyFanout(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
+	}
+}
+
+// indicationsSent reads the gNB agent's indication counter for node
+// from the process registry.
+func indicationsSent(node string) float64 {
+	for _, sr := range obs.Default.Snapshot() {
+		if sr.Name == "xsec_gnb_indications_sent_total" && sr.Labels["node"] == node {
+			return sr.Value
+		}
+	}
+	return 0
+}
+
+// TestInstanceRunsShippedGNBAgent checks that a federated instance's E2
+// node is the shipped gNB agent, not a stand-in: injected telemetry is
+// scored, the agent's own series move, every evidence chain of the node
+// carries the agent's emit event (per-UE, at most DefaultBatchRecords,
+// digest over exactly the records it names), and stopping the instance
+// stops the node.
+func TestInstanceRunsShippedGNBAgent(t *testing.T) {
+	models, mixed := testEnv(t)
+	store := sdl.New()
+	ledger := prov.New(prov.Options{Store: store})
+	prev := prov.SetActive(ledger)
+	defer func() {
+		prov.SetActive(prev)
+		ledger.Close()
+	}()
+
+	inst, err := StartInstance(InstanceOptions{ID: "ric-agent", Models: models})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Stop()
+	go func() {
+		for range inst.Alerts() {
+		}
+	}()
+	node := inst.GNB().NodeID()
+	if node != "gnb-ric-agent" {
+		t.Fatalf("node ID = %q", node)
+	}
+
+	// 201 records spread over 3 UEs: 67 each, so a UE's share of one
+	// flush can exceed the agent's per-indication cap.
+	injected := append(mobiflow.Trace(nil), mixed.Trace[:201]...)
+	bySeq := map[uint64]int{}
+	for n := range injected {
+		injected[n].Seq = uint64(n + 1)
+		injected[n].UEID = uint64(1 + n%3)
+		bySeq[injected[n].Seq] = n
+	}
+	sentBefore := indicationsSent(node)
+	inst.GNB().InjectTelemetry(injected)
+	deadline := time.Now().Add(5 * time.Second)
+	for inst.Records() < uint64(len(injected)) {
+		if time.Now().After(deadline) {
+			t.Fatalf("scored %d/%d injected records", inst.Records(), len(injected))
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if got := indicationsSent(node); got <= sentBefore {
+		t.Errorf("xsec_gnb_indications_sent_total{node=%q} did not move (%v -> %v)", node, sentBefore, got)
+	}
+
+	ledger.Flush()
+	chains, named := 0, 0
+	for _, id := range prov.StoredChains(store) {
+		if id.Node != node {
+			continue
+		}
+		chains++
+		c, err := prov.ReadChain(store, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Ledger order is arrival order, so the RIC's indication event
+		// may precede the emit it answers; the root is the one emit.
+		var emits []prov.Event
+		for _, ev := range c.Events {
+			if ev.Kind == prov.KindEmit {
+				emits = append(emits, ev)
+			}
+		}
+		if len(emits) != 1 {
+			t.Fatalf("chain %s has %d emit events, want 1", id, len(emits))
+		}
+		emit := emits[0]
+		if emit.Records == 0 || emit.Records > gnb.DefaultBatchRecords {
+			t.Errorf("chain %s: emit carries %d records, want 1..%d", id, emit.Records, gnb.DefaultBatchRecords)
+		}
+		first, ok := bySeq[emit.SeqFirst]
+		if !ok {
+			t.Fatalf("chain %s: emit names unknown first seq %d", id, emit.SeqFirst)
+		}
+		var batch mobiflow.Trace
+		for _, rec := range injected[first:] {
+			if rec.Seq > emit.SeqLast {
+				break
+			}
+			if rec.UEID == injected[first].UEID {
+				batch = append(batch, rec)
+			}
+		}
+		if uint32(len(batch)) != emit.Records {
+			t.Errorf("chain %s: emit says %d records, seq range %d..%d holds %d of UE %d",
+				id, emit.Records, emit.SeqFirst, emit.SeqLast, len(batch), injected[first].UEID)
+		}
+		if got := prov.DigestRecords(batch); got != emit.Digest {
+			t.Errorf("chain %s: emit digest %s, records digest %s", id, emit.Digest, got)
+		}
+		named += len(batch)
+	}
+	if chains == 0 {
+		t.Fatal("ledger holds no chain of the instance's node")
+	}
+	if named != len(injected) {
+		t.Errorf("emit events name %d records, injected %d", named, len(injected))
+	}
+
+	// A stopped instance's node reports nothing further.
+	inst.Stop()
+	scored := inst.Records()
+	inst.GNB().InjectTelemetry(injected[:4])
+	time.Sleep(5 * reportPeriod)
+	if got := inst.Records(); got != scored {
+		t.Errorf("records after Stop: %d -> %d", scored, got)
 	}
 }

@@ -114,9 +114,10 @@ func TestClusterFleetMergedExposition(t *testing.T) {
 	// Feed a few records so counters move.
 	inst := cl.Instances()[0]
 	for _, rec := range mixed.Trace[:4] {
-		if err := inst.Feeder().Emit(rec.UEID, mobiflow.Trace{rec}); err != nil {
-			t.Fatal(err)
-		}
+		inst.GNB().InjectTelemetry(mobiflow.Trace{rec})
+	}
+	if err := cl.WaitRecords(4, 5*time.Second); err != nil {
+		t.Fatal(err)
 	}
 
 	done := col.ScrapeOnce()
@@ -158,5 +159,49 @@ func TestClusterFleetMergedExposition(t *testing.T) {
 	out := b.String()
 	if !strings.Contains(out, `instance="ric-0"`) || !strings.Contains(out, "xsec_fleet_records_total") {
 		t.Fatalf("text exposition missing expected content:\n%s", out)
+	}
+}
+
+// TestEvictionWaitTimesTheRingUpdate pins what kill_to_evict_seconds
+// measures. The collector marks an instance dead before it calls Evict,
+// so a drill that stops its clock at the dead state reads the ring too
+// early: with an Evict that takes 100 ms to reach Coordinator.Leave, the
+// wait must still end with the victim out of the ring, and the measured
+// time must include that delay.
+func TestEvictionWaitTimesTheRingUpdate(t *testing.T) {
+	models, _ := testEnv(t)
+	const evictDelay = 100 * time.Millisecond
+	var cl *Cluster
+	cl, err := StartCluster(ClusterOptions{
+		Instances: 2, Models: models,
+		HeartbeatPeriod: drillHeartbeatPeriod,
+		Fleet: &fleet.CollectorOptions{
+			SuspectAfter: drillSuspectAfter, DeadAfter: DrillDeadAfter,
+			ScrapePeriod: time.Hour,
+			SweepPeriod:  drillHeartbeatPeriod / 2,
+			Evict: func(instance string) error {
+				time.Sleep(evictDelay)
+				_, err := cl.Coordinator.Leave(instance)
+				return err
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := waitFor(5*time.Second, func() bool { return cl.Fleet().Alive() >= 2 }); err != nil {
+		t.Fatalf("collector never saw both instances: %v", err)
+	}
+
+	secs, evicted, err := crashAndAwaitEviction(cl, "ric-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !evicted || cl.Coordinator.Ring().Contains("ric-1") {
+		t.Fatalf("victim still in the ring after the wait (evicted=%v)", evicted)
+	}
+	if secs < evictDelay.Seconds() {
+		t.Errorf("kill-to-evict = %.3fs, shorter than the %v eviction itself", secs, evictDelay)
 	}
 }

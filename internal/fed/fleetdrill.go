@@ -6,11 +6,9 @@ import (
 	"time"
 
 	"github.com/6g-xsec/xsec/internal/dataset"
-	"github.com/6g-xsec/xsec/internal/mobiflow"
 	"github.com/6g-xsec/xsec/internal/mobiwatch"
 	"github.com/6g-xsec/xsec/internal/obs/fleet"
 	"github.com/6g-xsec/xsec/internal/sdl"
-	"github.com/6g-xsec/xsec/internal/ue"
 )
 
 // FleetDrillOptions configure the fleet observability drill.
@@ -24,18 +22,24 @@ type FleetDrillOptions struct {
 	// environment).
 	Models *mobiwatch.Models
 	Mixed  *dataset.Labeled
-	// HeartbeatPeriod, SuspectAfter, and DeadAfter compress the failure
-	// detector's timebase for the drill (defaults 50ms / 250ms / 600ms).
-	HeartbeatPeriod time.Duration
-	SuspectAfter    time.Duration
-	DeadAfter       time.Duration
 	// ScrapeRounds is how many timed federation scrapes to run
 	// (default 5).
 	ScrapeRounds int
-	// EvictTimeout bounds the wait for the killed instance's automatic
-	// eviction (default 10s).
-	EvictTimeout time.Duration
 }
+
+// The drill compresses the failure detector's timebase so a crash is
+// noticed in well under a second: heartbeats every 50 ms, suspect after
+// 5 missed, dead (and evicted) after 12.
+const (
+	drillHeartbeatPeriod = 50 * time.Millisecond
+	drillSuspectAfter    = 250 * time.Millisecond
+	// DrillDeadAfter is the silence after which the drill's detector
+	// declares an instance dead — the floor of kill_to_evict_seconds.
+	DrillDeadAfter = 600 * time.Millisecond
+	// drillEvictTimeout bounds the wait for the killed instance's
+	// automatic eviction.
+	drillEvictTimeout = 10 * time.Second
+)
 
 // FleetDrillResult reports what the drill observed.
 type FleetDrillResult struct {
@@ -87,65 +91,24 @@ func RunFleetDrill(opts FleetDrillOptions) (*FleetDrillResult, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	if opts.HeartbeatPeriod == 0 {
-		opts.HeartbeatPeriod = 50 * time.Millisecond
-	}
-	if opts.SuspectAfter == 0 {
-		opts.SuspectAfter = 250 * time.Millisecond
-	}
-	if opts.DeadAfter == 0 {
-		opts.DeadAfter = 600 * time.Millisecond
-	}
 	if opts.ScrapeRounds == 0 {
 		opts.ScrapeRounds = 5
 	}
-	if opts.EvictTimeout == 0 {
-		opts.EvictTimeout = 10 * time.Second
+	models, h, err := drillEnv(opts.Models, opts.Mixed, opts.Seed)
+	if err != nil {
+		return nil, err
 	}
-	models, mixed := opts.Models, opts.Mixed
-	if models == nil || mixed == nil {
-		var err error
-		models, mixed, err = buildScenarioEnv(opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	var attackUEs []uint64
-	for _, ev := range mixed.Events {
-		if ev.Kind == ue.AttackBTSDoS {
-			attackUEs = append(attackUEs, ev.UEIDs...)
-			break
-		}
-	}
-	if len(attackUEs) == 0 {
-		return nil, fmt.Errorf("fed: dataset contains no BTS-DoS event")
-	}
-	isAttack := make(map[uint64]bool, len(attackUEs))
-	for _, u := range attackUEs {
-		isAttack[u] = true
-	}
-	var flood mobiflow.Trace
-	for _, rec := range mixed.Trace {
-		if isAttack[rec.UEID] {
-			flood = append(flood, rec)
-		}
-	}
-	if len(flood) < 8 {
-		return nil, fmt.Errorf("fed: flood too short (%d records)", len(flood))
-	}
-	boundary := len(flood) / 2
 
 	cl, err := StartCluster(ClusterOptions{
 		Instances:       opts.Instances,
 		Models:          models,
 		InstallLedger:   true,
-		HeartbeatPeriod: opts.HeartbeatPeriod,
+		HeartbeatPeriod: drillHeartbeatPeriod,
 		Fleet: &fleet.CollectorOptions{
-			SuspectAfter: opts.SuspectAfter,
-			DeadAfter:    opts.DeadAfter,
+			SuspectAfter: drillSuspectAfter,
+			DeadAfter:    DrillDeadAfter,
 			ScrapePeriod: 500 * time.Millisecond,
-			SweepPeriod:  opts.HeartbeatPeriod / 2,
+			SweepPeriod:  drillHeartbeatPeriod / 2,
 		},
 	})
 	if err != nil {
@@ -169,36 +132,10 @@ func RunFleetDrill(opts FleetDrillOptions) (*FleetDrillResult, error) {
 		return nil, fmt.Errorf("fed: collector never saw all %d instances: %w", opts.Instances, err)
 	}
 
-	// Mid-attack migration: first half of the flood at ric-0, migrate
-	// the attacking UEs to ric-1, second half there.
-	src, dest := cl.Instance("ric-0"), cl.Instance("ric-1")
-	for _, rec := range flood[:boundary] {
-		if err := src.Feeder().Emit(rec.UEID, mobiflow.Trace{rec}); err != nil {
-			return nil, err
-		}
-	}
-	if err := cl.WaitRecords(uint64(boundary), 10*time.Second); err != nil {
+	if err := h.run(cl); err != nil {
 		return nil, err
 	}
-	migrated := map[uint64]bool{}
-	for _, u := range attackUEs {
-		if migrated[u] {
-			continue
-		}
-		migrated[u] = true
-		if err := cl.MigrateUE(u, src.ID(), dest.ID()); err != nil {
-			return nil, fmt.Errorf("fed: migrating UE %d: %w", u, err)
-		}
-	}
-	res.MigratedUE = attackUEs[0]
-	for _, rec := range flood[boundary:] {
-		if err := dest.Feeder().Emit(rec.UEID, mobiflow.Trace{rec}); err != nil {
-			return nil, err
-		}
-	}
-	if err := cl.WaitRecords(uint64(len(flood)), 10*time.Second); err != nil {
-		return nil, err
-	}
+	res.MigratedUE = h.ues[0]
 	cl.FlushProv()
 
 	// Timed federation scrapes. Each round waits for every live
@@ -246,31 +183,9 @@ func RunFleetDrill(opts FleetDrillOptions) (*FleetDrillResult, error) {
 	// coordinator; only the failure detector can notice.
 	victim := fmt.Sprintf("ric-%d", opts.Instances-1)
 	res.Victim = victim
-	ringBefore := cl.Coordinator.Ring().Epoch
-	killedAt := time.Now()
-	if err := cl.Crash(victim); err != nil {
-		return nil, err
-	}
-	err = waitFor(opts.EvictTimeout, func() bool {
-		for _, h := range col.Health() {
-			if h.Instance == victim && h.State == fleet.StateDead {
-				return true
-			}
-		}
-		return false
-	})
+	res.KillToEvictSecs, res.EvictedFromRing, err = crashAndAwaitEviction(cl, victim)
 	if err != nil {
-		return nil, fmt.Errorf("fed: %s was never detected dead: %w", victim, err)
-	}
-	res.KillToEvictSecs = time.Since(killedAt).Seconds()
-
-	// The eviction must have published a ring without the victim.
-	ring := cl.Coordinator.Ring()
-	res.EvictedFromRing = ring.Epoch > ringBefore
-	for _, id := range ring.Instances {
-		if id == victim {
-			res.EvictedFromRing = false
-		}
+		return nil, err
 	}
 	res.JournalTransitions = len(fleet.ReadJournal(cl.Store))
 
@@ -284,6 +199,26 @@ func RunFleetDrill(opts FleetDrillOptions) (*FleetDrillResult, error) {
 	}
 	sort.Float64s(res.ScrapeSeconds)
 	return res, nil
+}
+
+// crashAndAwaitEviction crashes victim without telling the coordinator
+// and waits for what the drill claims to time: the coordinator's ring
+// at a later epoch without the victim. The collector marks an instance
+// dead, journals that, and only then calls Evict, so its health view
+// turns dead before the ring changes; the clock stops at the ring. It
+// reports the seconds waited and whether the ring was updated within
+// drillEvictTimeout.
+func crashAndAwaitEviction(cl *Cluster, victim string) (secs float64, evicted bool, err error) {
+	epochBefore := cl.Coordinator.Ring().Epoch
+	killedAt := time.Now()
+	if err := cl.Crash(victim); err != nil {
+		return 0, false, err
+	}
+	evicted = waitFor(drillEvictTimeout, func() bool {
+		ring := cl.Coordinator.Ring()
+		return ring.Epoch > epochBefore && !ring.Contains(victim)
+	}) == nil
+	return time.Since(killedAt).Seconds(), evicted, nil
 }
 
 // waitFor polls cond until true or timeout.

@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"github.com/6g-xsec/xsec/internal/asn1lite"
+	"github.com/6g-xsec/xsec/internal/corenet"
 	"github.com/6g-xsec/xsec/internal/e2ap"
+	"github.com/6g-xsec/xsec/internal/gnb"
 	"github.com/6g-xsec/xsec/internal/mobiwatch"
 	"github.com/6g-xsec/xsec/internal/obs"
 	"github.com/6g-xsec/xsec/internal/obs/fleet"
@@ -118,24 +120,34 @@ type InstanceOptions struct {
 	BusAddr string
 	// Dial overrides the bus transport (tests inject failures).
 	Dial func() (*wire.Conn, error)
-	// Store is the instance's SDL (default: a fresh store).
-	Store *sdl.Store
-	// Shards / ShardBuffer / ReportPeriod tune the MobiWatch runtime.
-	Shards       int
-	ShardBuffer  int
-	ReportPeriod time.Duration
+	// ShardBuffer bounds each MobiWatch shard queue (see
+	// mobiwatch.RunOptions).
+	ShardBuffer int
 	// MigrationTimeout bounds checkpoint-to-ack for one outbound
 	// migration (default 5s); on expiry the UE stays local.
 	MigrationTimeout time.Duration
-	// MaxConcurrentMigrations bounds parallel outbound migrations during
-	// a rebalance (default 4), so a ring change cannot stampede the bus.
-	MaxConcurrentMigrations int
-	// OwnerTTL is the ownership lease written on restore (default 10s).
-	OwnerTTL time.Duration
 	// HeartbeatPeriod is the fleet-plane liveness beacon cadence
 	// (default 500ms; negative disables heartbeats).
 	HeartbeatPeriod time.Duration
 }
+
+const (
+	// scoringShards is the MobiWatch worker count per instance;
+	// indications are sharded by UE, so one UE's records stay in order
+	// on one worker.
+	scoringShards = 2
+	// reportPeriod is the E2 report period the instance subscribes with —
+	// the one every shipped cmd/, examples/ and benchmark/ caller uses.
+	// Injected records sit in the gNB agent for at most one period, so
+	// callers quiesce (Cluster.WaitRecords) before Kill, Leave or a
+	// handover.
+	reportPeriod = 10 * time.Millisecond
+	// maxConcurrentMigrations bounds parallel outbound migrations during
+	// a rebalance, so a ring change cannot stampede the bus.
+	maxConcurrentMigrations = 4
+	// ownerTTL is the ownership lease written on restore.
+	ownerTTL = 10 * time.Second
+)
 
 func (o *InstanceOptions) defaults() error {
 	if o.ID == "" {
@@ -144,20 +156,8 @@ func (o *InstanceOptions) defaults() error {
 	if o.Models == nil {
 		return fmt.Errorf("fed: instance %s: models required", o.ID)
 	}
-	if o.Store == nil {
-		o.Store = sdl.New()
-	}
-	if o.Shards == 0 {
-		o.Shards = 2
-	}
 	if o.MigrationTimeout == 0 {
 		o.MigrationTimeout = 5 * time.Second
-	}
-	if o.MaxConcurrentMigrations == 0 {
-		o.MaxConcurrentMigrations = 4
-	}
-	if o.OwnerTTL == 0 {
-		o.OwnerTTL = 10 * time.Second
 	}
 	if o.HeartbeatPeriod == 0 {
 		o.HeartbeatPeriod = 500 * time.Millisecond
@@ -165,19 +165,22 @@ func (o *InstanceOptions) defaults() error {
 	return nil
 }
 
-// Instance is one federated near-RT RIC: a platform with an attached
-// feeder node, the MobiWatch runtime scoring that node's telemetry, and
-// the bus endpoints of the migration protocol. When the bus is
-// unreachable the instance keeps detecting standalone — federation
-// degrades, the security function does not.
+// Instance is one federated near-RT RIC: a platform with the shipped
+// gNB agent attached over E2, the MobiWatch runtime scoring that node's
+// telemetry, and the bus endpoints of the migration protocol. When the
+// bus is unreachable the instance keeps detecting standalone —
+// federation degrades, the security function does not.
 type Instance struct {
 	opts     InstanceOptions
 	id       string
 	store    *sdl.Store
 	platform *ric.Platform
 	rt       *mobiwatch.Runtime
-	feeder   *Feeder
+	gnb      *gnb.GNB
 	bus      *Client
+
+	nodeEnd   *e2ap.Endpoint // the agent's end of the E2 loopback
+	agentDone chan struct{}  // closed when the agent's serve loop exits
 
 	// scoreReg is a private registry holding this instance's
 	// score-latency histogram: colocated instances share the process
@@ -207,29 +210,45 @@ func StartInstance(opts InstanceOptions) (*Instance, error) {
 	if err := opts.defaults(); err != nil {
 		return nil, err
 	}
+	// The instance's E2 node is the shipped gNB agent, wired as core.New
+	// wires it. No RAN procedure runs here — drills and benches inject
+	// MobiFlow records with the UE identities they need — so the AMF
+	// only satisfies gnb.Config.
+	g, err := gnb.New(gnb.Config{NodeID: "gnb-" + opts.ID, AMF: corenet.NewAMF(1)})
+	if err != nil {
+		return nil, fmt.Errorf("fed: instance %s: %w", opts.ID, err)
+	}
+	nodeEnd, ricEnd := e2ap.Pipe()
+	store := sdl.New()
 	i := &Instance{
-		opts:     opts,
-		id:       opts.ID,
-		store:    opts.Store,
-		inflight: make(map[uint64]*outMigration),
-		migSem:   make(chan struct{}, opts.MaxConcurrentMigrations),
-		scoreReg: obs.NewRegistry(),
-		hbStop:   make(chan struct{}),
+		opts:      opts,
+		id:        opts.ID,
+		store:     store,
+		platform:  ric.NewPlatform(store),
+		gnb:       g,
+		nodeEnd:   nodeEnd,
+		agentDone: make(chan struct{}),
+		inflight:  make(map[uint64]*outMigration),
+		migSem:    make(chan struct{}, maxConcurrentMigrations),
+		scoreReg:  obs.NewRegistry(),
+		hbStop:    make(chan struct{}),
 	}
 	i.scoreHist = i.scoreReg.HistogramVec("xsec_mobiwatch_score_seconds",
 		"Streaming-inference latency per telemetry batch (this instance only).",
 		obs.ExpBuckets(1e-6, 4, 12)).With()
-	i.platform = ric.NewPlatform(opts.Store)
-
-	feederEp, platEp := e2ap.Pipe()
-	go i.platform.AttachNode(platEp)
-	i.feeder = NewFeeder("gnb-"+opts.ID, feederEp)
+	go i.platform.AttachNode(ricEnd)
+	go func() {
+		defer close(i.agentDone)
+		// teardown ends the loop by closing the transport; a failed
+		// set-up shows as the node never attaching, checked below.
+		_ = g.ServeE2(nodeEnd)
+	}()
 
 	deadline := time.Now().Add(2 * time.Second)
 	for len(i.platform.Nodes()) == 0 {
 		if time.Now().After(deadline) {
 			i.teardown()
-			return nil, fmt.Errorf("fed: instance %s: feeder node never attached", opts.ID)
+			return nil, fmt.Errorf("fed: instance %s: gNB did not complete E2 setup", opts.ID)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -252,20 +271,18 @@ func StartInstance(opts InstanceOptions) (*Instance, error) {
 		i.teardown()
 		return nil, fmt.Errorf("fed: instance %s: %w", opts.ID, err)
 	}
+	// Run returns once the agent has admitted the subscription, so
+	// records injected from here on have a route.
 	i.rt, err = mobiwatch.Run(xapp, models, mobiwatch.RunOptions{
-		NodeID:       i.feeder.NodeID(),
-		Shards:       opts.Shards,
+		NodeID:       i.gnb.NodeID(),
+		Shards:       scoringShards,
 		ShardBuffer:  opts.ShardBuffer,
-		ReportPeriod: opts.ReportPeriod,
+		ReportPeriod: reportPeriod,
 		ScoreLatency: i.scoreHist,
 	})
 	if err != nil {
 		i.teardown()
 		return nil, fmt.Errorf("fed: instance %s: mobiwatch: %w", opts.ID, err)
-	}
-	if err := i.feeder.WaitReady(2 * time.Second); err != nil {
-		i.teardown()
-		return nil, err
 	}
 
 	dial := opts.Dial
@@ -293,17 +310,18 @@ func (i *Instance) teardown() {
 	if i.rt != nil {
 		i.rt.Stop()
 	}
-	if i.feeder != nil {
-		i.feeder.Close()
-	}
 	i.platform.Close()
+	i.nodeEnd.Close()
+	<-i.agentDone
 }
 
 // ID returns the instance's federation identity.
 func (i *Instance) ID() string { return i.id }
 
-// Feeder returns the instance's synthetic E2 node.
-func (i *Instance) Feeder() *Feeder { return i.feeder }
+// GNB returns the instance's E2 node: the shipped gNB agent. Feed it
+// with InjectTelemetry; records reach the scorer within one report
+// period.
+func (i *Instance) GNB() *gnb.GNB { return i.gnb }
 
 // Runtime returns the MobiWatch runtime (alerts, stats, thresholds).
 func (i *Instance) Runtime() *mobiwatch.Runtime { return i.rt }
@@ -369,7 +387,7 @@ func (i *Instance) healthDetail() (string, error) {
 
 // onRing applies a published ring epoch and migrates out every UE this
 // instance holds but no longer owns. Migrations run concurrently under
-// the MaxConcurrentMigrations semaphore.
+// the maxConcurrentMigrations semaphore.
 func (i *Instance) onRing(_ uint64, payload []byte) {
 	r, err := ParseRing(payload)
 	if err != nil {
@@ -526,7 +544,7 @@ func (i *Instance) onMigrate(_ uint64, payload []byte, _ string) {
 		return
 	}
 	i.store.SetOwnedTTL(OwnerNamespace, ownerKey(i.id, msg.UE),
-		[]byte(i.id), i.opts.OwnerTTL)
+		[]byte(i.id), ownerTTL)
 	obsMigrations.With(i.id, "in").Inc()
 	if msg.Trace != "" {
 		obs.RecordSpan(msg.Trace, "fed.restore", restoreStart, time.Now())
@@ -597,9 +615,7 @@ func (i *Instance) Stop() {
 	if i.bus != nil {
 		i.bus.Close()
 	}
-	i.rt.Stop()
-	i.feeder.Close()
-	i.platform.Close()
+	i.teardown()
 }
 
 // heartbeatLoop publishes fleet liveness beacons until Stop. A beacon
@@ -619,7 +635,7 @@ func (i *Instance) heartbeatLoop(period time.Duration) {
 			seq++
 			hb := fleet.Heartbeat{
 				Instance:  i.id,
-				Node:      i.feeder.NodeID(),
+				Node:      i.gnb.NodeID(),
 				Seq:       seq,
 				UnixNanos: time.Now().UnixNano(),
 				Epoch:     i.RingEpoch(),
@@ -642,7 +658,7 @@ func (i *Instance) onScrape(_ uint64, payload []byte) {
 	}
 	rep := fleet.Report{
 		Instance:  i.id,
-		Node:      i.feeder.NodeID(),
+		Node:      i.gnb.NodeID(),
 		Seq:       req.Seq,
 		UnixNanos: time.Now().UnixNano(),
 		Series:    i.ObsSnapshot(),
@@ -664,7 +680,7 @@ func (i *Instance) onScrape(_ uint64, payload []byte) {
 // counters, and the private score-latency histogram.
 func (i *Instance) ObsSnapshot() []obs.SeriesSnapshot {
 	st := i.rt.Stats()
-	node := i.feeder.NodeID()
+	node := i.gnb.NodeID()
 	nodeLbl := func() map[string]string { return map[string]string{"node": node} }
 	out := []obs.SeriesSnapshot{
 		{Name: "xsec_mobiwatch_records_total", Kind: "counter", Labels: nodeLbl(),
@@ -697,7 +713,7 @@ func (i *Instance) ObsSnapshot() []obs.SeriesSnapshot {
 // key, so span attribution follows the trace context, not the
 // process).
 func (i *Instance) fleetSpans() []obs.Span {
-	prefix := i.feeder.NodeID() + "/"
+	prefix := i.gnb.NodeID() + "/"
 	var out []obs.Span
 	for _, sp := range obs.DefaultTracer.Spans() {
 		if len(sp.Key) > len(prefix) && sp.Key[:len(prefix)] == prefix {

@@ -26,10 +26,17 @@ type ScenarioOptions struct {
 	// environment; the CLIs let the scenario build its own).
 	Models *mobiwatch.Models
 	Mixed  *dataset.Labeled
-	// AlertTimeout bounds the wait for the post-migration detection
-	// (default 10s).
-	AlertTimeout time.Duration
 }
+
+const (
+	// alertTimeout bounds the scenario's wait for the post-migration
+	// detection and its ledger events.
+	alertTimeout = 10 * time.Second
+	// handoverWait bounds each quiescence wait of the handover replay:
+	// records sit in the gNB agent for up to one report period, so this
+	// only ever expires on a stall.
+	handoverWait = 10 * time.Second
+)
 
 // ScenarioResult reports what the migration scenario observed.
 type ScenarioResult struct {
@@ -93,6 +100,79 @@ func buildScenarioEnv(seed int64) (*mobiwatch.Models, *dataset.Labeled, error) {
 	return models, mixed, nil
 }
 
+// floodHandover is the BTS-DoS flood of a mixed dataset, split where the
+// drills hand its UE contexts over from ric-0 to ric-1.
+type floodHandover struct {
+	ues      []uint64        // the flood's UE contexts, each once
+	isAttack map[uint64]bool // membership in ues
+	flood    mobiflow.Trace  // every record of those UEs, in stream order
+	boundary int             // records the source sees before the handover
+}
+
+func newFloodHandover(mixed *dataset.Labeled) (*floodHandover, error) {
+	h := &floodHandover{isAttack: map[uint64]bool{}}
+	for _, ev := range mixed.Events {
+		if ev.Kind != ue.AttackBTSDoS {
+			continue
+		}
+		for _, u := range ev.UEIDs {
+			if !h.isAttack[u] {
+				h.isAttack[u] = true
+				h.ues = append(h.ues, u)
+			}
+		}
+		break
+	}
+	if len(h.ues) == 0 {
+		return nil, fmt.Errorf("fed: dataset contains no BTS-DoS event")
+	}
+	for _, rec := range mixed.Trace {
+		if h.isAttack[rec.UEID] {
+			h.flood = append(h.flood, rec)
+		}
+	}
+	if len(h.flood) < 8 {
+		return nil, fmt.Errorf("fed: flood too short (%d records)", len(h.flood))
+	}
+	h.boundary = len(h.flood) / 2
+	return h, nil
+}
+
+// drillEnv resolves what both drills start from: the caller's cached
+// models and dataset (or ones built from seed when either is missing)
+// and the dataset's flood, split for the handover.
+func drillEnv(models *mobiwatch.Models, mixed *dataset.Labeled, seed int64) (*mobiwatch.Models, *floodHandover, error) {
+	if models == nil || mixed == nil {
+		var err error
+		models, mixed, err = buildScenarioEnv(seed)
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	h, err := newFloodHandover(mixed)
+	return models, h, err
+}
+
+// run replays the flood across a mid-attack handover: the first half
+// arrives at ric-0's gNB, every flood UE the source holds is migrated
+// to ric-1, state and all, and the second half arrives at ric-1's gNB.
+// Each half is scored before the next step, so no record is in an
+// agent's buffer while its UE's state moves.
+func (h *floodHandover) run(cl *Cluster) error {
+	src, dest := cl.Instance("ric-0"), cl.Instance("ric-1")
+	src.GNB().InjectTelemetry(h.flood[:h.boundary])
+	if err := cl.WaitRecords(uint64(h.boundary), handoverWait); err != nil {
+		return err
+	}
+	for _, u := range h.ues {
+		if err := cl.MigrateUE(u, src.ID(), dest.ID()); err != nil {
+			return fmt.Errorf("fed: migrating UE %d: %w", u, err)
+		}
+	}
+	dest.GNB().InjectTelemetry(h.flood[h.boundary:])
+	return cl.WaitRecords(uint64(len(h.flood)), handoverWait)
+}
+
 // RunMigrationScenario replays a BTS-DoS flood against a federated
 // cluster and hands the attacking UEs over from ric-0 to ric-1 in the
 // middle of it: the first half of the attack stream arrives at the
@@ -108,44 +188,10 @@ func RunMigrationScenario(opts ScenarioOptions) (*ScenarioResult, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	if opts.AlertTimeout == 0 {
-		opts.AlertTimeout = 10 * time.Second
+	models, h, err := drillEnv(opts.Models, opts.Mixed, opts.Seed)
+	if err != nil {
+		return nil, err
 	}
-	models, mixed := opts.Models, opts.Mixed
-	if models == nil || mixed == nil {
-		var err error
-		models, mixed, err = buildScenarioEnv(opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// The BTS-DoS flood: every record of the attack's UE contexts, in
-	// stream order.
-	var attackUEs []uint64
-	for _, ev := range mixed.Events {
-		if ev.Kind == ue.AttackBTSDoS {
-			attackUEs = append(attackUEs, ev.UEIDs...)
-			break
-		}
-	}
-	if len(attackUEs) == 0 {
-		return nil, fmt.Errorf("fed: dataset contains no BTS-DoS event")
-	}
-	isAttack := make(map[uint64]bool, len(attackUEs))
-	for _, u := range attackUEs {
-		isAttack[u] = true
-	}
-	var flood mobiflow.Trace
-	for _, rec := range mixed.Trace {
-		if isAttack[rec.UEID] {
-			flood = append(flood, rec)
-		}
-	}
-	if len(flood) < 8 {
-		return nil, fmt.Errorf("fed: flood too short (%d records)", len(flood))
-	}
-	boundary := len(flood) / 2
 
 	cl, err := StartCluster(ClusterOptions{
 		Instances:     opts.Instances,
@@ -159,12 +205,12 @@ func RunMigrationScenario(opts ScenarioOptions) (*ScenarioResult, error) {
 
 	src, dest := cl.Instance("ric-0"), cl.Instance("ric-1")
 	res := &ScenarioResult{
-		AttackUEs:   attackUEs,
+		AttackUEs:   h.ues,
 		Source:      src.ID(),
 		Dest:        dest.ID(),
-		PreRecords:  boundary,
-		PostRecords: len(flood) - boundary,
-		BoundarySeq: flood[:boundary].LastSeq(),
+		PreRecords:  h.boundary,
+		PostRecords: len(h.flood) - h.boundary,
+		BoundarySeq: h.flood[:h.boundary].LastSeq(),
 	}
 
 	// Drain destination alerts continuously; the channel is bounded.
@@ -187,36 +233,7 @@ func RunMigrationScenario(opts ScenarioOptions) (*ScenarioResult, error) {
 		return append([]mobiwatch.Alert(nil), destAlerts...)
 	}
 
-	// First half of the flood hits the source's cells.
-	for _, rec := range flood[:boundary] {
-		if err := src.Feeder().Emit(rec.UEID, mobiflow.Trace{rec}); err != nil {
-			return nil, err
-		}
-	}
-	if err := cl.WaitRecords(uint64(boundary), 10*time.Second); err != nil {
-		return nil, err
-	}
-
-	// Handover mid-attack: every flood UE the source holds moves to the
-	// destination, state and all.
-	migrated := map[uint64]bool{}
-	for _, u := range attackUEs {
-		if migrated[u] {
-			continue
-		}
-		migrated[u] = true
-		if err := cl.MigrateUE(u, src.ID(), dest.ID()); err != nil {
-			return nil, fmt.Errorf("fed: migrating UE %d: %w", u, err)
-		}
-	}
-
-	// Second half of the flood arrives at the destination.
-	for _, rec := range flood[boundary:] {
-		if err := dest.Feeder().Emit(rec.UEID, mobiflow.Trace{rec}); err != nil {
-			return nil, err
-		}
-	}
-	if err := cl.WaitRecords(uint64(len(flood)), 10*time.Second); err != nil {
+	if err := h.run(cl); err != nil {
 		return nil, err
 	}
 
@@ -224,10 +241,10 @@ func RunMigrationScenario(opts ScenarioOptions) (*ScenarioResult, error) {
 	// window flushes to land in the ledger: the xApp worker records
 	// window provenance at its next batch flush (≤ 2 ms later), so
 	// the ledger can trail the record counters by a few milliseconds.
-	deadline := time.Now().Add(opts.AlertTimeout)
+	deadline := time.Now().Add(alertTimeout)
 	for {
 		res.AlertsOnDest, res.AlertSpansBoundary =
-			summarizeAlerts(snapshotAlerts(), isAttack, res.BoundarySeq)
+			summarizeAlerts(snapshotAlerts(), h.isAttack, res.BoundarySeq)
 		res.Audits = cl.AuditMigrations()
 		res.AuditsOK = len(res.Audits) > 0
 		for _, a := range res.Audits {

@@ -214,6 +214,18 @@ type Entry struct {
 	History  []Transition `json:"history"`
 }
 
+// Acked reports whether the gNB acknowledged the action's control: its
+// history passed through StateAcked, whatever followed (active,
+// expired, rolled back).
+func (en Entry) Acked() bool {
+	for _, tr := range en.History {
+		if tr.State == StateAcked.String() {
+			return true
+		}
+	}
+	return false
+}
+
 // JournalNS is the SDL namespace holding audit entries.
 const JournalNS = "mitigate/journal"
 

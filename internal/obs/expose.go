@@ -145,8 +145,9 @@ type BucketSnapshot struct {
 	Exemplar *Exemplar `json:"exemplar,omitempty"`
 }
 
-// SeriesSnapshot is one series' state, machine-readable — the benchmark
-// harness persists these into BENCH_obs.json.
+// SeriesSnapshot is one series' state, machine-readable — what
+// Registry.Snapshot returns, the fleet plane ships between instances,
+// and xsec-bench -llm persists as llm_series.
 type SeriesSnapshot struct {
 	Name    string            `json:"name"`
 	Kind    string            `json:"kind"`

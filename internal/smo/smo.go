@@ -129,10 +129,6 @@ type Policy struct {
 	ID string `json:"id"`
 	// ThresholdPercentile overrides MobiWatch's detection percentile.
 	ThresholdPercentile float64 `json:"threshold_percentile,omitempty"`
-	// ReportPeriodMS overrides the E2 report interval.
-	ReportPeriodMS int `json:"report_period_ms,omitempty"`
-	// AutoRespond enables closed-loop control without human approval.
-	AutoRespond bool `json:"auto_respond"`
 	// MitigationMode switches the mitigation engine between "off",
 	// "dry-run", and "enforce". Empty leaves the engine unchanged.
 	MitigationMode string `json:"mitigation_mode,omitempty"`

@@ -92,12 +92,12 @@ func TestA1Policies(t *testing.T) {
 	events, cancel := a1.Watch(4)
 	defer cancel()
 
-	p := Policy{ID: "sec-1", ThresholdPercentile: 95, ReportPeriodMS: 100, AutoRespond: true}
+	p := Policy{ID: "sec-1", ThresholdPercentile: 95, MitigationMode: "enforce"}
 	if err := a1.Put(p); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := a1.Get("sec-1")
-	if !ok || got.ThresholdPercentile != 95 || !got.AutoRespond {
+	if !ok || got.ThresholdPercentile != 95 || got.MitigationMode != "enforce" {
 		t.Errorf("Get = %+v ok=%v", got, ok)
 	}
 	if got.UpdatedAt.IsZero() {
@@ -110,6 +110,12 @@ func TestA1Policies(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("no watch event")
+	}
+	// Keys this version does not know — including the two it used to
+	// accept and never acted on — are tolerated, not an error.
+	old, err := ParsePolicy([]byte(`{"id":"sec-0","threshold_percentile":97,"auto_respond":true,"report_period_ms":100}`))
+	if err != nil || old.ID != "sec-0" || old.ThresholdPercentile != 97 {
+		t.Errorf("ParsePolicy with retired keys = %+v, %v", old, err)
 	}
 	if ids := a1.List(); len(ids) != 1 || ids[0] != "sec-1" {
 		t.Errorf("List = %v", ids)
