@@ -140,7 +140,12 @@ func run(attack, mitigateMode, model string, sessions, epochs int, seed int64, m
 	go func() {
 		defer close(done)
 		for c := range fw.Cases() {
-			fmt.Printf("\n*** CASE (%s, score %.5f > %.5f)\n", c.Alert.Model, c.Alert.Score, c.Alert.Threshold)
+			fmt.Printf("\n*** CASE (%s, score %.5f > %.5f)", c.Alert.Model, c.Alert.Score, c.Alert.Threshold)
+			if c.Alert.Folded > 0 {
+				// One flood, one case: the strongest of its flagged windows.
+				fmt.Printf(" ×%d windows", 1+c.Alert.Folded)
+			}
+			fmt.Println()
 			if c.Analysis != nil {
 				fmt.Printf("    LLM verdict: %s", c.Analysis.Verdict)
 				if len(c.Analysis.Hypotheses) > 0 {
@@ -209,7 +214,8 @@ func run(attack, mitigateMode, model string, sessions, epochs int, seed int64, m
 	fmt.Printf("\n=== summary ===\n")
 	fmt.Printf("telemetry records seen:   %d\n", ws.RecordsSeen.Load())
 	fmt.Printf("windows scored:           %d\n", ws.WindowsScored.Load())
-	fmt.Printf("alerts raised:            %d\n", ws.AlertsRaised.Load())
+	fmt.Printf("alerts raised:            %d (%d folded into another, %d shed by the triage queue)\n",
+		ws.AlertsRaised.Load(), ws.AlertsFolded.Load(), ws.AlertsShedPriority.Load()+ws.AlertsShedStale.Load())
 	fmt.Printf("cases processed:          %d (agree %d, disagree %d, failures %d)\n",
 		as.Processed.Load(), as.Agreements.Load(), as.Disagrees.Load(), as.Failures.Load())
 	fmt.Printf("human-review queue:       %d\n", fw.Analyzer().HumanQueueLen())

@@ -183,67 +183,60 @@ func (a *Analyzer) Process(ctx context.Context, alert mobiwatch.Alert) (*Case, e
 
 // PoolOptions tunes RunPool. The zero value means defaults.
 type PoolOptions struct {
-	// Workers is the pool size (default 4). One worker reproduces the
-	// original strictly-serial behavior.
+	// Workers is the pool size (default 4). One worker analyses strictly
+	// serially.
 	Workers int
-	// CaseTimeout bounds one alert's expert query (default 15 s). The
-	// serving layer degrades a timed-out case to a rule-based verdict, so
-	// a stuck endpoint cannot stall the loop.
-	CaseTimeout time.Duration
-	// Buffer sizes the output channel (default 16).
-	Buffer int
 }
 
-func (o *PoolOptions) defaults() {
-	if o.Workers <= 0 {
-		o.Workers = 4
-	}
-	if o.CaseTimeout <= 0 {
-		o.CaseTimeout = 15 * time.Second
-	}
-	if o.Buffer <= 0 {
-		o.Buffer = 16
-	}
+const (
+	// caseTimeout bounds one alert's expert query. The serving layer
+	// degrades a timed-out case to a rule-based verdict, so a stuck
+	// endpoint cannot stall the loop.
+	caseTimeout = 15 * time.Second
+	// caseBuffer sizes RunPool's output channel: a few cases per worker,
+	// so a worker is free for the next alert while its consumer catches up.
+	caseBuffer = 16
+)
+
+// AlertSource is where the pool's workers get their work: the MobiWatch
+// triage queue (mobiwatch.Runtime). A worker takes an alert the moment it
+// is free, so the source decides what is analysed next, and reports back
+// whether the expert agreed, which is what lets the source fold an
+// episode's later alerts into the verdict or re-arm it.
+type AlertSource interface {
+	Take(ctx context.Context) (mobiwatch.Alert, mobiwatch.Ticket, bool)
+	Resolve(t mobiwatch.Ticket, agreed bool)
 }
 
-// Run consumes alerts serially until the channel closes, emitting
-// processed cases. Equivalent to RunPool with one worker.
-func (a *Analyzer) Run(ctx context.Context, alerts <-chan mobiwatch.Alert) <-chan *Case {
-	return a.RunPool(ctx, alerts, PoolOptions{Workers: 1})
-}
-
-// RunPool consumes alerts with a bounded worker pool until the channel
-// closes or ctx is canceled, emitting processed cases (order follows
-// completion, not arrival). Each case runs under its own deadline
-// derived from ctx, so analyzer shutdown cancels in-flight REST calls.
-func (a *Analyzer) RunPool(ctx context.Context, alerts <-chan mobiwatch.Alert, opts PoolOptions) <-chan *Case {
-	opts.defaults()
-	if ctx == nil {
-		ctx = context.Background()
+// RunPool analyses alerts from src with a bounded worker pool until src
+// is exhausted or ctx is canceled, emitting processed cases (order
+// follows completion, not arrival). Each case runs under its own
+// deadline derived from ctx, so analyzer shutdown cancels in-flight REST
+// calls.
+func (a *Analyzer) RunPool(ctx context.Context, src AlertSource, opts PoolOptions) <-chan *Case {
+	if opts.Workers <= 0 {
+		opts.Workers = 4
 	}
-	out := make(chan *Case, opts.Buffer)
+	out := make(chan *Case, caseBuffer)
 	var wg sync.WaitGroup
 	wg.Add(opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
 		go func() {
 			defer wg.Done()
 			for {
+				alert, ticket, ok := src.Take(ctx)
+				if !ok {
+					return
+				}
+				cctx, cancel := context.WithTimeout(ctx, caseTimeout)
+				c, err := a.Process(cctx, alert)
+				cancel()
+				src.Resolve(ticket, err == nil && c.Agree)
+				if err != nil {
+					continue
+				}
 				select {
-				case alert, ok := <-alerts:
-					if !ok {
-						return
-					}
-					cctx, cancel := context.WithTimeout(ctx, opts.CaseTimeout)
-					c, err := a.Process(cctx, alert)
-					cancel()
-					if err != nil {
-						continue
-					}
-					select {
-					case out <- c:
-					case <-ctx.Done():
-						return
-					}
+				case out <- c:
 				case <-ctx.Done():
 					return
 				}
@@ -259,9 +252,12 @@ func (a *Analyzer) RunPool(ctx context.Context, alerts <-chan mobiwatch.Alert, o
 
 // humanQueueEntry is the SDL persistence format for the review queue.
 type humanQueueEntry struct {
-	Reason  string    `json:"reason"`
-	Model   string    `json:"model"`
-	Score   float64   `json:"score"`
+	Reason string  `json:"reason"`
+	Model  string  `json:"model"`
+	Score  float64 `json:"score"`
+	// Windows is how many flagged windows of one episode the case stands
+	// for (1 + Alert.Folded); Records is the strongest of them.
+	Windows int       `json:"windows"`
 	Records []string  `json:"records"`
 	At      time.Time `json:"at"`
 }
@@ -271,10 +267,11 @@ func (a *Analyzer) enqueueHuman(c *Case, reason string) {
 		return
 	}
 	entry := humanQueueEntry{
-		Reason: reason,
-		Model:  string(c.Alert.Model),
-		Score:  c.Alert.Score,
-		At:     c.ProcessedAt,
+		Reason:  reason,
+		Model:   string(c.Alert.Model),
+		Score:   c.Alert.Score,
+		Windows: 1 + c.Alert.Folded,
+		At:      c.ProcessedAt,
 	}
 	for _, r := range c.Alert.Window {
 		entry.Records = append(entry.Records, r.String())

@@ -2,6 +2,7 @@ package analyzer
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -92,6 +93,7 @@ func TestProcessDisagreementGoesToHumans(t *testing.T) {
 	alert := mobiwatch.Alert{
 		Model: mobiwatch.ModelAE, Score: 0.5, Threshold: 0.1,
 		Window: windowOf(l, ue.AttackBTSDoS), At: time.Now(),
+		Folded: 6, // the strongest of a flood's seven flagged windows
 	}
 	c, err := a.Process(context.Background(), alert)
 	if err != nil {
@@ -108,6 +110,12 @@ func TestProcessDisagreementGoesToHumans(t *testing.T) {
 	}
 	if a.HumanQueueLen() != 1 {
 		t.Errorf("human queue = %d", a.HumanQueueLen())
+	}
+	for key, raw := range store.GetAll("analyzer/human-queue", "case/") {
+		// One flood, one review entry, carrying the count.
+		if !strings.Contains(string(raw), `"windows":7`) {
+			t.Errorf("human-queue entry %s = %s, want windows 7", key, raw)
+		}
 	}
 	if a.Stats().Disagrees.Load() != 1 {
 		t.Error("disagreement not counted")
@@ -142,13 +150,12 @@ func TestRunChannelPipeline(t *testing.T) {
 	base := startExpert(t)
 	a := New(llm.NewClient(base, "chatgpt-4o"), sdl.New())
 
-	alerts := make(chan mobiwatch.Alert, 2)
-	alerts <- mobiwatch.Alert{Model: mobiwatch.ModelAE, Window: windowOf(l, ue.AttackNullCipher), At: time.Now()}
-	alerts <- mobiwatch.Alert{Model: mobiwatch.ModelLSTM, Window: windowOf(l, ue.AttackBlindDoS), At: time.Now()}
-	close(alerts)
+	alerts := sourceOf(
+		mobiwatch.Alert{Model: mobiwatch.ModelAE, Window: windowOf(l, ue.AttackNullCipher), At: time.Now()},
+		mobiwatch.Alert{Model: mobiwatch.ModelLSTM, Window: windowOf(l, ue.AttackBlindDoS), At: time.Now()})
 
 	var cases []*Case
-	for c := range a.Run(context.Background(), alerts) {
+	for c := range a.RunPool(context.Background(), alerts, PoolOptions{Workers: 1}) {
 		cases = append(cases, c)
 	}
 	if len(cases) != 2 {

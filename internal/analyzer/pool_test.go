@@ -48,19 +48,51 @@ func (s *stubExpert) AnalyzeWindow(ctx context.Context, window mobiflow.Trace) (
 	}, nil
 }
 
-func poolAlerts(t *testing.T, n int) chan mobiwatch.Alert {
+// chanSource is a FIFO AlertSource over a closed channel that records
+// what the pool reported back.
+type chanSource struct {
+	alerts   chan mobiwatch.Alert
+	resolved atomic.Int64
+	agreed   atomic.Int64
+}
+
+func (s *chanSource) Take(ctx context.Context) (mobiwatch.Alert, mobiwatch.Ticket, bool) {
+	select {
+	case a, ok := <-s.alerts:
+		return a, mobiwatch.Ticket{}, ok
+	case <-ctx.Done():
+		return mobiwatch.Alert{}, mobiwatch.Ticket{}, false
+	}
+}
+
+func (s *chanSource) Resolve(_ mobiwatch.Ticket, agreed bool) {
+	s.resolved.Add(1)
+	if agreed {
+		s.agreed.Add(1)
+	}
+}
+
+func sourceOf(alerts ...mobiwatch.Alert) *chanSource {
+	s := &chanSource{alerts: make(chan mobiwatch.Alert, len(alerts))}
+	for _, a := range alerts {
+		s.alerts <- a
+	}
+	close(s.alerts)
+	return s
+}
+
+func poolAlerts(t *testing.T, n int) *chanSource {
 	t.Helper()
 	l := mixedTrace(t)
 	window := windowOf(l, ue.AttackNullCipher)
-	alerts := make(chan mobiwatch.Alert, n)
-	for i := 0; i < n; i++ {
-		alerts <- mobiwatch.Alert{
+	alerts := make([]mobiwatch.Alert, n)
+	for i := range alerts {
+		alerts[i] = mobiwatch.Alert{
 			NodeID: "gnb-001", Model: mobiwatch.ModelAE, Score: 0.5, Threshold: 0.1,
 			IndicationSN: uint64(i), Window: window, At: time.Now(),
 		}
 	}
-	close(alerts)
-	return alerts
+	return sourceOf(alerts...)
 }
 
 func TestRunPoolProcessesEveryAlert(t *testing.T) {
@@ -68,7 +100,8 @@ func TestRunPoolProcessesEveryAlert(t *testing.T) {
 	a := New(expert, sdl.New())
 	const n = 24
 	got := 0
-	for c := range a.RunPool(context.Background(), poolAlerts(t, n), PoolOptions{Workers: 4}) {
+	src := poolAlerts(t, n)
+	for c := range a.RunPool(context.Background(), src, PoolOptions{Workers: 4}) {
 		if c.Analysis == nil {
 			t.Error("case without analysis")
 		}
@@ -83,12 +116,16 @@ func TestRunPoolProcessesEveryAlert(t *testing.T) {
 	if a.Stats().Processed.Load() != n {
 		t.Errorf("processed = %d", a.Stats().Processed.Load())
 	}
+	// The stub expert agrees with every alert, and the pool says so.
+	if r, ag := src.resolved.Load(), src.agreed.Load(); r != n || ag != n {
+		t.Errorf("resolved %d alerts, %d as agreed; want %d and %d", r, ag, n, n)
+	}
 }
 
 func TestRunPoolSingleWorkerIsSerial(t *testing.T) {
 	expert := &stubExpert{served: llm.ServedLive, delay: time.Millisecond}
 	a := New(expert, sdl.New())
-	for range a.Run(context.Background(), poolAlerts(t, 8)) {
+	for range a.RunPool(context.Background(), poolAlerts(t, 8), PoolOptions{Workers: 1}) {
 	}
 	if peak := expert.peak.Load(); peak != 1 {
 		t.Errorf("peak concurrency = %d, want 1", peak)

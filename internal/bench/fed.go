@@ -153,15 +153,6 @@ func feedWindowed(inst *fed.Instance, tr mobiflow.Trace, passes int) error {
 	return nil
 }
 
-func drainAlerts(cl *fed.Cluster) {
-	for _, inst := range cl.Instances() {
-		go func(inst *fed.Instance) {
-			for range inst.Alerts() {
-			}
-		}(inst)
-	}
-}
-
 // RunFedBench measures federated versus single-instance detection
 // throughput and runs the join/kill rebalance smoke. It fails when the
 // smoke loses a record, so a CI run of it asserts zero loss.
@@ -194,7 +185,6 @@ func RunFedBench(opts FedOptions) (*FedResult, error) {
 			return err
 		}
 		defer cl.Close()
-		drainAlerts(cl)
 		return phase(cl)
 	}
 

@@ -391,33 +391,14 @@ func (f *Framework) ApplyPolicy(policy smo.Policy) {
 // Watch exposes the MobiWatch runtime (nil before DeployXApps).
 func (f *Framework) Watch() *mobiwatch.Runtime { return f.watch }
 
-// pump processes alerts into cases: a serial dedup stage drops windows
-// overlapping an already-analyzed incident (one incident, one LLM round
-// trip), then a bounded analyzer worker pool runs expert referencing
-// concurrently. ctx cancellation (framework shutdown) aborts in-flight
-// REST calls.
+// pump turns alerts into cases: the analyzer pool's workers pull from
+// MobiWatch's triage queue, which folds an incident's flagged windows into
+// one alert (one incident, one LLM round trip) and decides what a free
+// worker analyses next. ctx cancellation (framework shutdown) aborts
+// in-flight REST calls.
 func (f *Framework) pump(ctx context.Context) {
 	defer close(f.cases)
-	// Dedup must stay serial — lastSeq ordering only exists before the
-	// pool fans out.
-	deduped := make(chan mobiwatch.Alert, f.Opts.CaseBuffer)
-	go func() {
-		defer close(deduped)
-		var lastSeq uint64
-		for alert := range f.watch.Alerts() {
-			windowEnd := alert.Window[len(alert.Window)-1].Seq
-			if windowEnd <= lastSeq {
-				continue // overlaps an already-analyzed incident
-			}
-			lastSeq = windowEnd
-			select {
-			case deduped <- alert:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	for c := range f.anlz.RunPool(ctx, deduped, analyzer.PoolOptions{Workers: f.Opts.LLMWorkers}) {
+	for c := range f.anlz.RunPool(ctx, f.watch, analyzer.PoolOptions{Workers: f.Opts.LLMWorkers}) {
 		if c.Control != nil && f.mitigator != nil {
 			// The engine governs, journals, issues, and rolls back.
 			f.mitigator.Submit(c)

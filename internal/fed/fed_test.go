@@ -90,13 +90,6 @@ func TestClusterJoinRebalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	for _, inst := range cl.Instances() {
-		go func(inst *Instance) {
-			for range inst.Alerts() {
-			}
-		}(inst)
-	}
-
 	// Feed a handful of UEs to their ring owners.
 	byUE := map[uint64]mobiflow.Trace{}
 	for _, rec := range mixed.Trace {
@@ -204,10 +197,6 @@ func TestDegradedStandalone(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer inst.Stop()
-	go func() {
-		for range inst.Alerts() {
-		}
-	}()
 
 	var u uint64
 	var tr mobiflow.Trace
@@ -310,10 +299,6 @@ func TestInstanceRunsShippedGNBAgent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer inst.Stop()
-	go func() {
-		for range inst.Alerts() {
-		}
-	}()
 	node := inst.GNB().NodeID()
 	if node != "gnb-ric-agent" {
 		t.Fatalf("node ID = %q", node)

@@ -99,14 +99,6 @@ func TestClusterFleetMergedExposition(t *testing.T) {
 	}
 	defer cl.Close()
 	col := cl.Fleet()
-	for _, inst := range cl.Instances() {
-		drain := inst.Alerts()
-		go func() {
-			for range drain {
-			}
-		}()
-	}
-
 	if err := waitFor(5*time.Second, func() bool { return col.Alive() >= 2 }); err != nil {
 		t.Fatalf("collector never saw both instances: %v", err)
 	}

@@ -119,14 +119,6 @@ func RunFleetDrill(opts FleetDrillOptions) (*FleetDrillResult, error) {
 
 	res := &FleetDrillResult{Instances: opts.Instances, Store: cl.Store}
 
-	// Drain every alert stream so the bounded channels never stall.
-	for _, inst := range cl.Instances() {
-		go func(ch <-chan mobiwatch.Alert) {
-			for range ch {
-			}
-		}(inst.Alerts())
-	}
-
 	// Wait for the first heartbeats so the detector knows the fleet.
 	if err := waitFor(5*time.Second, func() bool { return col.Alive() >= opts.Instances }); err != nil {
 		return nil, fmt.Errorf("fed: collector never saw all %d instances: %w", opts.Instances, err)

@@ -595,8 +595,10 @@ func ownerKey(instance string, ue uint64) string {
 // UEs lists the UE contexts this instance currently holds.
 func (i *Instance) UEs() []uint64 { return i.rt.UEs() }
 
-// Alerts exposes the runtime's alert stream.
-func (i *Instance) Alerts() <-chan mobiwatch.Alert { return i.rt.Alerts() }
+// DrainAlerts passes every alert the runtime's triage queue hands out to
+// fn until the instance stops (mobiwatch.Runtime.Drain). An instance runs
+// no analyzer, so alerts nobody drains are shed as stale, and counted.
+func (i *Instance) DrainAlerts(fn func(mobiwatch.Alert)) { i.rt.Drain(fn) }
 
 // Stop retires the instance: bus first (no new migrations in), then the
 // scoring runtime, then the transports. The final record count stays

@@ -213,20 +213,15 @@ func RunMigrationScenario(opts ScenarioOptions) (*ScenarioResult, error) {
 		BoundarySeq: h.flood[:h.boundary].LastSeq(),
 	}
 
-	// Drain destination alerts continuously; the channel is bounded.
+	// Collect the destination's alerts as its triage queue hands them
+	// out; the source's are left to be shed as stale, nobody analyses them.
 	var alertMu sync.Mutex
 	var destAlerts []mobiwatch.Alert
-	go func() {
-		for a := range dest.Alerts() {
-			alertMu.Lock()
-			destAlerts = append(destAlerts, a)
-			alertMu.Unlock()
-		}
-	}()
-	go func() {
-		for range src.Alerts() {
-		}
-	}()
+	go dest.DrainAlerts(func(a mobiwatch.Alert) {
+		alertMu.Lock()
+		destAlerts = append(destAlerts, a)
+		alertMu.Unlock()
+	})
 	snapshotAlerts := func() []mobiwatch.Alert {
 		alertMu.Lock()
 		defer alertMu.Unlock()

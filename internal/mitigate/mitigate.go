@@ -251,7 +251,7 @@ type Engine struct {
 	inflight   map[string]uint64    // target → action ID holding the slot
 	cooldown   map[string]time.Time // target → earliest re-mitigation
 	timers     map[uint64]*time.Timer
-	actions    map[uint64]*action
+	actions    map[uint64]*action // live actions; terminal ones are only in the journal
 	active     int
 	tokens     float64
 	lastRefill time.Time
@@ -387,10 +387,12 @@ func (e *Engine) Submit(c *analyzer.Case) *Entry {
 	case !approved:
 		act.entry.Decision = "suppressed:" + reason
 		e.recordLocked(act, StateSuppressed, reason, now)
+		delete(e.actions, act.entry.ID)
 		obsSuppressed.With(reason).Inc()
 	case e.mode == ModeDryRun:
 		act.entry.Decision = "dry-run"
 		e.recordLocked(act, StateApproved, "dry-run: control withheld", now)
+		delete(e.actions, act.entry.ID) // a rehearsal ends at approval
 		obsActions.With(act.entry.Action, "dry_run").Inc()
 	default:
 		act.entry.Decision = "approved"
@@ -429,6 +431,13 @@ func (e *Engine) governLocked(act *action, now time.Time) (reason string, approv
 			e.tokens = max
 		}
 		e.lastRefill = now
+		// Time moved: forget the cooldowns it ended, so the map holds
+		// targets mitigated within one Cooldown, not every target ever.
+		for target, until := range e.cooldown {
+			if !now.Before(until) {
+				delete(e.cooldown, target)
+			}
+		}
 	}
 	if e.tokens < 1 {
 		return "rate-limited", false
@@ -452,6 +461,7 @@ func (e *Engine) issue(act *action) {
 		e.mu.Lock()
 		delete(e.inflight, act.entry.Target)
 		e.recordLocked(act, StateFailed, err.Error(), e.cfg.Clock())
+		delete(e.actions, act.entry.ID)
 		e.mu.Unlock()
 		obsActions.With(act.entry.Action, "failed").Inc()
 		obs.L().Warn("mitigate: control failed", "action", act.entry.Action,
@@ -470,6 +480,7 @@ func (e *Engine) issue(act *action) {
 		e.cooldown[act.entry.Target] = now.Add(e.cfg.Cooldown)
 		delete(e.inflight, act.entry.Target)
 		e.recordLocked(act, StateExpired, "one-shot action complete", now)
+		delete(e.actions, act.entry.ID)
 		e.mu.Unlock()
 		obsActions.With(act.entry.Action, "expired").Inc()
 		return
@@ -515,6 +526,7 @@ func (e *Engine) expire(id uint64) {
 		e.active--
 		e.cooldown[act.entry.Target] = now.Add(e.cfg.Cooldown)
 		delete(e.inflight, act.entry.Target)
+		delete(e.actions, act.entry.ID)
 		if err != nil {
 			e.recordLocked(act, StateFailed, "rollback: "+err.Error(), now)
 			e.mu.Unlock()

@@ -455,3 +455,69 @@ func TestEntryChainJoinsProvenance(t *testing.T) {
 		t.Fatalf("offline Entry.Chain = %q, want empty", en2.Chain)
 	}
 }
+
+// TestTerminalActionsAndLapsedCooldownsAreForgotten pins the engine's
+// memory to what is live: an action leaves the map when its lifecycle
+// ends (the SDL journal keeps the record), and a cooldown when it lapses.
+func TestTerminalActionsAndLapsedCooldownsAreForgotten(t *testing.T) {
+	var clockMu sync.Mutex
+	now := time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
+	clock := func() time.Time {
+		clockMu.Lock()
+		defer clockMu.Unlock()
+		return now
+	}
+	advance := func(d time.Duration) {
+		clockMu.Lock()
+		now = now.Add(d)
+		clockMu.Unlock()
+	}
+	iss := &fakeIssuer{}
+	store := sdl.New()
+	e := New(Config{
+		NodeID: "gnb-test", Issuer: iss, Store: store, Mode: ModeEnforce,
+		Cooldown: time.Second, Rate: 1, Burst: 1, Clock: clock,
+	})
+	defer e.Close()
+	held := func() (actions, cooldowns int) {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return len(e.actions), len(e.cooldown)
+	}
+
+	// One one-shot release runs to completion and leaves a cooldown.
+	release := caseFor(llm.ClassBTSDoS, &e2sm.ControlRequest{Action: e2sm.ControlReleaseUE, UEID: 7, Reason: "test"})
+	if en := e.Submit(release); en == nil || en.Decision != "approved" {
+		t.Fatalf("release entry = %+v", en)
+	}
+	e.Quiesce()
+	if a, c := held(); a != 0 || c != 1 {
+		t.Fatalf("after an expired one-shot: %d actions, %d cooldowns held; want 0 and 1", a, c)
+	}
+
+	// A thousand proposals the governor suppresses (the bucket is empty
+	// and the clock stands still), each against its own target.
+	for i := 0; i < 1000; i++ {
+		en := e.Submit(blockCase(cell.TMSI(100 + i)))
+		if en == nil || !strings.HasPrefix(en.Decision, "suppressed:") {
+			t.Fatalf("proposal %d: entry = %+v", i, en)
+		}
+	}
+	if a, _ := held(); a != 0 {
+		t.Errorf("%d actions held after 1000 suppressed proposals and one expired one-shot, want 0", a)
+	}
+	if n := len(Entries(store)); n != 1001 {
+		t.Errorf("journal holds %d entries, want all 1001", n)
+	}
+
+	// Past the cooldown, the next trip through the refill path prunes it.
+	advance(2 * time.Second)
+	e.Submit(blockCase(5000))
+	e.Quiesce()
+	e.mu.Lock()
+	_, lapsed := e.cooldown["ue/7"]
+	e.mu.Unlock()
+	if lapsed {
+		t.Error("lapsed cooldown of ue/7 still held")
+	}
+}

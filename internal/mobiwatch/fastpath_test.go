@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/6g-xsec/xsec/internal/nn"
 	"github.com/6g-xsec/xsec/internal/prov"
@@ -153,9 +154,12 @@ func TestBatchedFloat64FallsBackToReference(t *testing.T) {
 // requires the flagged windows to be exactly the Anomalous windows of the
 // offline batched scorers: both sides fill and score the same
 // pendingBatch, so neither the indication size nor the flush cadence may
-// change which windows cross. Evidence is recorded by run, so the ledger
-// is checked too: the Counts of its window events must add up to every
-// window scored.
+// change which windows cross. The triage queue folds flagged windows by
+// episode, so the flagged set is read from where every one of them is
+// accounted for: the KindAlert event raise records on the window's chain,
+// whatever the queue did with the alert. Evidence is recorded by run, so
+// the ledger is checked further: the Counts of its window events must add
+// up to every window scored.
 func TestOnlineFlagsMatchOfflineBatched(t *testing.T) {
 	_, mixed, models := fixtures(t)
 	tr := mixed.Trace
@@ -188,12 +192,11 @@ func TestOnlineFlagsMatchOfflineBatched(t *testing.T) {
 	}
 	for _, size := range []int{1, 7, 64} {
 		rt := &Runtime{
-			models:     models,
-			opts:       RunOptions{NodeID: "gnb-replay"},
-			xapp:       x,
-			alerts:     make(chan Alert, 2*len(tr)), // room for every window of both models
-			queueDepth: obsQueueDepth.With("gnb-replay"),
+			models: models,
+			opts:   RunOptions{NodeID: "gnb-replay"},
+			xapp:   x,
 		}
+		rt.triage = newAlertQueue(&rt.stats, obsQueueDepth.With("gnb-replay"), time.Now)
 		w := newWorker(rt, nn.Float32)
 		// One chain per indication; sized so nothing is evicted or dropped.
 		ledger := prov.New(prov.Options{MaxChains: len(tr) + 1, Buffer: 8 * len(tr)})
@@ -202,16 +205,31 @@ func TestOnlineFlagsMatchOfflineBatched(t *testing.T) {
 			w.ingest(ric.Indication{NodeID: "gnb-replay", SN: sn}, tr[base:min(base+size, len(tr))])
 		}
 		w.flushLocked("gnb-replay") // the tail the age ticker would score
-		close(rt.alerts)
 		prov.SetActive(old)
 		ledger.Close() // drains what was recorded
 
 		got := map[flag]bool{}
-		for a := range rt.alerts {
-			got[flag{a.Model, a.Window[0].Seq, a.Window[len(a.Window)-1].Seq}] = true
+		offered := 0
+		for _, c := range ledger.Chains() {
+			for _, ev := range c.Events {
+				// Nothing takes from the queue here, so raise's own event
+				// is the first on the window; a later one is the queue
+				// shedding or folding an alert it had kept.
+				f := flag{ModelName(ev.Model), ev.SeqFirst, ev.SeqLast}
+				if ev.Kind == prov.KindAlert && !got[f] {
+					got[f] = true
+					offered++
+				}
+			}
 		}
-		if n := rt.stats.AlertsDropped.Load(); n != 0 {
-			t.Fatalf("batch %d: %d alerts dropped; the comparison needs all of them", size, n)
+		st := &rt.stats
+		if n := st.AlertsRaised.Load() + st.AlertsDropped.Load(); int(n) != offered || ledger.Dropped() != 0 {
+			t.Fatalf("batch %d: %d alerts offered, %d on the evidence chains (%d events dropped); the comparison needs all of them",
+				size, n, offered, ledger.Dropped())
+		}
+		if in, out := st.AlertsRaised.Load()+st.AlertsDropped.Load(),
+			st.AlertsTaken.Load()+st.AlertsFolded.Load()+st.AlertsShedPriority.Load()+st.AlertsShedStale.Load()+uint64(st.AlertsQueued.Load()); in != out {
+			t.Errorf("batch %d: %d alerts offered, %d accounted for", size, in, out)
 		}
 		for f := range want {
 			if !got[f] {

@@ -58,11 +58,7 @@ func TestCheckpointRestoreUE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		rt.Stop()
-		for range rt.Alerts() {
-		}
-	}()
+	defer rt.Stop()
 
 	var k [nas.KeySize]byte
 	copy(k[:], "migrate-test-key")

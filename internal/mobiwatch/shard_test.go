@@ -1,6 +1,7 @@
 package mobiwatch
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -58,21 +59,15 @@ func TestXAppShardedDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	var got int
-	for time.Now().Before(deadline) && got == 0 {
-		select {
-		case a := <-rt.Alerts():
-			if a.NodeID != "gnb-live" || len(a.Window) == 0 {
-				t.Errorf("alert = %+v", a)
-			}
-			got++
-		case <-time.After(10 * time.Millisecond):
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	a, _, got := rt.Take(ctx)
+	if got && (a.NodeID != "gnb-live" || len(a.Window) == 0) {
+		t.Errorf("alert = %+v", a)
 	}
 	close(stopPolicy)
 	<-policyDone
-	if got == 0 {
+	if !got {
 		t.Fatalf("sharded pipeline raised no alert for BTS DoS (stats: %d records, %d windows)",
 			rt.Stats().RecordsSeen.Load(), rt.Stats().WindowsScored.Load())
 	}
@@ -84,7 +79,5 @@ func TestXAppShardedDetection(t *testing.T) {
 
 	if err := rt.Stop(); err != nil {
 		t.Fatalf("Stop: %v", err)
-	}
-	for range rt.Alerts() {
 	}
 }

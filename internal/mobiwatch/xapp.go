@@ -1,6 +1,7 @@
 package mobiwatch
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -31,13 +32,13 @@ var (
 	obsAnomalyAE   = obsAnomalies.With(string(ModelAE))
 	obsAnomalyLSTM = obsAnomalies.With(string(ModelLSTM))
 	obsAlerts      = obs.NewCounterVec("xsec_mobiwatch_alerts_total",
-		"Alerts offered to the analyzer stream, by outcome.", "outcome")
+		"Flagged windows offered to the triage queue: refused at offer (dropped) or not (raised).", "outcome")
 	obsAlertsRaised  = obsAlerts.With("raised")
 	obsAlertsDropped = obsAlerts.With("dropped")
 	obsBadBatches    = obs.NewCounter("xsec_mobiwatch_bad_batches_total",
 		"E2 indication payloads that failed to decode.")
 	obsQueueDepth = obs.NewGaugeVec("xsec_mobiwatch_alert_queue_depth",
-		"Pending alerts in the xApp alert buffer, by node.", "node")
+		"Alerts waiting in the triage queue for an analyzer worker, by node.", "node")
 	obsScoreSeconds = obs.NewHistogram("xsec_mobiwatch_score_seconds",
 		"Streaming-inference latency per telemetry batch.", obs.ExpBuckets(1e-6, 4, 12))
 	obsFlagSeconds = obs.NewHistogram("xsec_mobiwatch_flag_seconds",
@@ -67,6 +68,10 @@ type Alert struct {
 	// IndicationSN is that indication's sequence number; together with
 	// NodeID it keys the pipeline trace spans.
 	IndicationSN uint64
+	// Folded is how many further flagged windows of the same episode the
+	// triage queue folded into this alert while it waited: the case
+	// stands for 1+Folded windows, of which this is the strongest.
+	Folded int
 }
 
 // RunOptions configures the online xApp.
@@ -115,8 +120,6 @@ const (
 	// (by telemetry timestamp) relative to the window start are excluded,
 	// so stale incidents do not leak into a new analysis.
 	contextSpan = time.Second
-	// alertBuffer bounds the alert channel; a full channel drops, counted.
-	alertBuffer = 64
 	// flushWindows is the pending-window count, summed over both models,
 	// at which a worker scores its batch. Past warm-up every record
 	// completes one AE and one LSTM window, so a flush covers ≈ 8 records.
@@ -127,13 +130,23 @@ const (
 	flushAge = 2 * time.Millisecond
 )
 
-// Stats counts xApp activity.
+// Stats counts xApp activity. Every flagged window is either
+// AlertsDropped (refused at offer by a full triage queue it did not
+// outrank) or AlertsRaised, and the queue accounts for each one:
+// raised + dropped = taken + folded + shed (both reasons) + queued, where
+// AlertsShedPriority includes the dropped.
 type Stats struct {
 	RecordsSeen    atomic.Uint64
 	WindowsScored  atomic.Uint64
 	AlertsRaised   atomic.Uint64
 	AlertsDropped  atomic.Uint64
 	BatchesHandled atomic.Uint64
+
+	AlertsTaken        atomic.Uint64
+	AlertsFolded       atomic.Uint64
+	AlertsShedPriority atomic.Uint64
+	AlertsShedStale    atomic.Uint64
+	AlertsQueued       atomic.Int64
 }
 
 // Runtime is a running MobiWatch instance.
@@ -143,15 +156,14 @@ type Runtime struct {
 	xapp   *ric.XApp
 	sub    *ric.Subscription
 
-	alerts chan Alert
+	triage *alertQueue
 	stats  Stats
 
 	// thMu guards the shared model thresholds: workers hold the read
 	// side per batch, SetThresholdPercentile the write side.
-	thMu       sync.RWMutex
-	queueDepth *obs.Gauge
-	workers    []*worker
-	done       chan struct{}
+	thMu    sync.RWMutex
+	workers []*worker
+	done    chan struct{}
 }
 
 // worker is one scoring pipeline. Each worker owns a shard of the
@@ -200,8 +212,8 @@ type winMeta struct {
 }
 
 // Run subscribes MobiWatch to a node's MOBIFLOW telemetry and starts
-// online inference. The returned runtime's Alerts channel streams flagged
-// windows until Stop. With RunOptions.Shards > 1 the indication stream is
+// online inference. The returned runtime's Take hands out flagged windows
+// until Stop. With RunOptions.Shards > 1 the indication stream is
 // UE-sharded and scored by that many parallel workers.
 func Run(x *ric.XApp, models *Models, opts RunOptions) (*Runtime, error) {
 	opts.defaults()
@@ -228,14 +240,13 @@ func Run(x *ric.XApp, models *Models, opts RunOptions) (*Runtime, error) {
 		return nil, fmt.Errorf("mobiwatch: subscribing to %s: %w", opts.NodeID, err)
 	}
 	rt := &Runtime{
-		models:     models,
-		opts:       opts,
-		xapp:       x,
-		sub:        sub,
-		alerts:     make(chan Alert, alertBuffer),
-		queueDepth: obsQueueDepth.With(opts.NodeID),
-		done:       make(chan struct{}),
+		models: models,
+		opts:   opts,
+		xapp:   x,
+		sub:    sub,
+		done:   make(chan struct{}),
 	}
+	rt.triage = newAlertQueue(&rt.stats, obsQueueDepth.With(opts.NodeID), time.Now)
 	var wg sync.WaitGroup
 	for i := 0; i < sub.Shards(); i++ {
 		w := newWorker(rt, prec)
@@ -248,7 +259,7 @@ func Run(x *ric.XApp, models *Models, opts RunOptions) (*Runtime, error) {
 	}
 	go func() {
 		wg.Wait()
-		close(rt.alerts)
+		rt.triage.close()
 		close(rt.done)
 	}()
 	return rt, nil
@@ -270,13 +281,40 @@ func newWorker(rt *Runtime, prec nn.Precision) *worker {
 	}
 }
 
-// Alerts streams flagged windows. Closed when the runtime stops.
-func (rt *Runtime) Alerts() <-chan Alert { return rt.alerts }
+// Take blocks until the triage queue has an alert due an analyzer worker
+// and returns the highest-priority one: the first analysis of an episode
+// before a repeat, then the strongest window. The alert's episode is not
+// handed out again until Resolve(t, …). ok is false when ctx is done or
+// the runtime has stopped and nothing is left to take.
+func (rt *Runtime) Take(ctx context.Context) (a Alert, t Ticket, ok bool) {
+	return rt.triage.Take(ctx)
+}
+
+// Resolve reports the outcome of the analysis Take started: agreed folds
+// the episode's alerts into that verdict for contextSpan, anything else
+// re-arms it.
+func (rt *Runtime) Resolve(t Ticket, agreed bool) { rt.triage.Resolve(t, agreed) }
+
+// Drain takes every alert until the runtime stops, for callers that run
+// no analyzer. Each is resolved as not agreed, so nothing folds behind a
+// verdict that was never given. fn may be nil.
+func (rt *Runtime) Drain(fn func(Alert)) {
+	for {
+		a, t, ok := rt.Take(context.Background())
+		if !ok {
+			return
+		}
+		rt.Resolve(t, false)
+		if fn != nil {
+			fn(a)
+		}
+	}
+}
 
 // Stats returns live counters.
 func (rt *Runtime) Stats() *Stats { return &rt.stats }
 
-// Stop deletes the subscription and closes the alert stream.
+// Stop deletes the subscription and closes the triage queue.
 func (rt *Runtime) Stop() error {
 	err := rt.sub.Delete()
 	<-rt.done
@@ -311,7 +349,6 @@ func (w *worker) loop(c <-chan ric.Indication) {
 			if !ok {
 				if w.pending() > 0 {
 					w.flush()
-					rt.queueDepth.Set(float64(len(rt.alerts)))
 				}
 				return
 			}
@@ -351,8 +388,7 @@ func (w *worker) flush() {
 	w.rt.thMu.RUnlock()
 }
 
-// observeScore records one scoring pass that began at start and samples
-// the alert queue it may have fed.
+// observeScore records one scoring pass that began at start.
 func (w *worker) observeScore(start time.Time) {
 	rt := w.rt
 	elapsed := time.Since(start).Nanoseconds()
@@ -360,7 +396,6 @@ func (w *worker) observeScore(start time.Time) {
 	if rt.opts.ScoreLatency != nil {
 		rt.opts.ScoreLatency.ObserveSeconds(elapsed)
 	}
-	rt.queueDepth.Set(float64(len(rt.alerts)))
 }
 
 // persistKey renders "nodeID/%020d" into buf without fmt, so the SDL
@@ -586,9 +621,10 @@ func (w *worker) trimHistory() {
 }
 
 // raise flags the window at w.recent[winStart : winStart+winLen]. at and
-// sn identify the E2 indication that completed the window.
+// sn identify the E2 indication that completed the window. The alert
+// offered views the worker's history; the triage queue copies what it
+// keeps.
 func (w *worker) raise(nodeID string, winStart, winLen int, score, threshold float64, model ModelName, at time.Time, sn uint64) {
-	rt := w.rt
 	window := w.recent[winStart : winStart+winLen]
 	start := max(winStart-contextRecords, 0)
 	// Temporal bound: drop context records older than contextSpan
@@ -600,8 +636,8 @@ func (w *worker) raise(nodeID string, winStart, winLen int, score, threshold flo
 	}
 	alert := Alert{
 		NodeID:       nodeID,
-		Window:       append(mobiflow.Trace(nil), window...),
-		Context:      append(mobiflow.Trace(nil), w.recent[start:winStart+winLen]...),
+		Window:       window,
+		Context:      w.recent[start : winStart+winLen],
 		Score:        score,
 		Threshold:    threshold,
 		Model:        model,
@@ -610,31 +646,12 @@ func (w *worker) raise(nodeID string, winStart, winLen int, score, threshold flo
 		IndicationSN: sn,
 	}
 	if !at.IsZero() {
-		obsFlagSeconds.ObserveSeconds(time.Since(at).Nanoseconds())
+		obsFlagSeconds.ObserveSeconds(alert.At.Sub(at).Nanoseconds())
 	}
-	disposition := "raised"
-	select {
-	case rt.alerts <- alert:
-		rt.stats.AlertsRaised.Add(1)
-		obsAlertsRaised.Inc()
-	default:
-		disposition = "dropped"
-		rt.stats.AlertsDropped.Add(1)
-		obsAlertsDropped.Inc()
-		obs.L().Warn("mobiwatch: alert buffer full, alert dropped",
+	label := w.rt.triage.offer(alert)
+	if label == labelShedPriority {
+		obs.L().Warn("mobiwatch: triage queue full of stronger alerts, alert refused",
 			"node", nodeID, "model", string(model))
 	}
-	prov.Record(prov.Event{
-		Chain:     prov.ChainID{Node: nodeID, SN: sn},
-		Kind:      prov.KindAlert,
-		At:        alert.At,
-		SeqFirst:  window[0].Seq,
-		SeqLast:   window[len(window)-1].Seq,
-		Digest:    prov.DigestRecords(window),
-		Model:     string(model),
-		Score:     score,
-		Threshold: threshold,
-		Flagged:   true,
-		Label:     disposition,
-	})
+	prov.Record(alertEvent(&alert, label, alert.At))
 }

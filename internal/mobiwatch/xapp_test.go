@@ -1,6 +1,7 @@
 package mobiwatch
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -62,7 +63,6 @@ func TestXAppOnlineDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(30 * time.Millisecond)
-	benignAlerts := len(rt.Alerts())
 
 	// An attack: alerts must flow.
 	attacker := ue.New("imsi-001010000000077", k, ue.OAIUE, 4)
@@ -71,18 +71,10 @@ func TestXAppOnlineDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadline := time.Now().Add(3 * time.Second)
-	got := benignAlerts
-	var sample Alert
-	for time.Now().Before(deadline) && got == benignAlerts {
-		select {
-		case a := <-rt.Alerts():
-			sample = a
-			got++
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-	if got == benignAlerts {
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	sample, _, ok := rt.Take(ctx)
+	if !ok {
 		t.Fatalf("no alert raised for BTS DoS (stats: %d records, %d windows)",
 			rt.Stats().RecordsSeen.Load(), rt.Stats().WindowsScored.Load())
 	}
@@ -101,9 +93,9 @@ func TestXAppOnlineDetection(t *testing.T) {
 	if err := rt.Stop(); err != nil {
 		t.Fatalf("Stop: %v", err)
 	}
-	// Channel closes after stop.
-	for range rt.Alerts() {
-	}
+	// The queue closes after stop: whatever is left drains, then Take
+	// reports the end instead of blocking.
+	rt.Drain(nil)
 }
 
 func TestXAppRunValidation(t *testing.T) {
