@@ -218,7 +218,7 @@ func run(attack, mitigateMode, model string, sessions, epochs int, seed int64, m
 		ws.AlertsRaised.Load(), ws.AlertsFolded.Load(), ws.AlertsShedPriority.Load()+ws.AlertsShedStale.Load())
 	fmt.Printf("cases processed:          %d (agree %d, disagree %d, failures %d)\n",
 		as.Processed.Load(), as.Agreements.Load(), as.Disagrees.Load(), as.Failures.Load())
-	fmt.Printf("human-review queue:       %d\n", fw.Analyzer().HumanQueueLen())
+	fmt.Printf("human-review queue:       %d (%d aged out)\n", fw.Analyzer().HumanQueueLen(), fw.Analyzer().HumanQueueAgedOut())
 	if eng := fw.Mitigator(); eng != nil {
 		eng.Quiesce()
 		tally := map[string]int{}

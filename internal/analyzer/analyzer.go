@@ -90,9 +90,21 @@ type Analyzer struct {
 	stats  Stats
 }
 
+const (
+	humanQueueNamespace = "analyzer/human-queue"
+	// HumanQueueCap bounds the review queue (sdl.Store.Bound): the newest
+	// 4 096 escalated cases, ≈ 1.2 KB each, so ≈ 5 MB. Nobody reviews past
+	// a few thousand entries; an older case ages out counted
+	// (HumanQueueAgedOut) and its verdict event stays on its prov chain.
+	HumanQueueCap = 4096
+)
+
 // New builds an analyzer querying client and persisting its human-review
 // queue in store (may be nil to skip persistence).
 func New(client Expert, store *sdl.Store) *Analyzer {
+	if store != nil {
+		store.Bound(humanQueueNamespace, HumanQueueCap)
+	}
 	return &Analyzer{client: client, store: store, clock: time.Now}
 }
 
@@ -281,7 +293,7 @@ func (a *Analyzer) enqueueHuman(c *Case, reason string) {
 		return
 	}
 	key := fmt.Sprintf("case/%020d", c.Alert.Window[0].Seq)
-	a.store.Set("analyzer/human-queue", key, data)
+	a.store.Set(humanQueueNamespace, key, data)
 }
 
 // HumanQueueLen reports pending human-review cases.
@@ -289,7 +301,16 @@ func (a *Analyzer) HumanQueueLen() int {
 	if a.store == nil {
 		return 0
 	}
-	return a.store.Len("analyzer/human-queue")
+	return a.store.Len(humanQueueNamespace)
+}
+
+// HumanQueueAgedOut reports how many escalated cases left the queue
+// unreviewed because HumanQueueCap newer ones arrived.
+func (a *Analyzer) HumanQueueAgedOut() uint64 {
+	if a.store == nil {
+		return 0
+	}
+	return a.store.Evicted(humanQueueNamespace)
 }
 
 // RecommendControl maps an LLM classification to a closed-loop E2 control

@@ -234,3 +234,36 @@ func TestBTSDoSReleaseTargetsOffenderNotBystander(t *testing.T) {
 		t.Errorf("all-complete window produced control %+v", got)
 	}
 }
+
+// benignExpert contradicts every alert it is shown.
+type benignExpert struct{}
+
+func (benignExpert) AnalyzeWindow(context.Context, mobiflow.Trace) (*llm.Analysis, error) {
+	return &llm.Analysis{Verdict: llm.VerdictBenign, Confidence: 0.9}, nil
+}
+
+// TestHumanQueueIsBounded escalates twice HumanQueueCap distinct cases:
+// the review queue holds the newest cap of them and counts the rest as
+// aged out, so a detector and an expert that disagree for a day cost the
+// RIC a fixed amount of memory.
+func TestHumanQueueIsBounded(t *testing.T) {
+	l := mixedTrace(t)
+	a := New(benignExpert{}, sdl.New())
+	window := append(mobiflow.Trace(nil), windowOf(l, ue.AttackBTSDoS)[:4]...)
+	for i := 1; i <= 2*HumanQueueCap; i++ {
+		window[0].Seq = uint64(i) // the queue keys a case by its window's first record
+		alert := mobiwatch.Alert{Model: mobiwatch.ModelAE, Score: 0.5, Threshold: 0.1, Window: window, At: time.Now()}
+		if c, err := a.Process(context.Background(), alert); err != nil || !c.NeedsHuman {
+			t.Fatalf("case %d: err %v, case %+v; want an escalation", i, err, c)
+		}
+	}
+	if got := a.HumanQueueLen(); got != HumanQueueCap {
+		t.Errorf("human queue holds %d cases after %d escalations, want the cap %d", got, 2*HumanQueueCap, HumanQueueCap)
+	}
+	if got := a.HumanQueueAgedOut(); got != HumanQueueCap {
+		t.Errorf("%d cases aged out, want %d", got, HumanQueueCap)
+	}
+	if New(benignExpert{}, nil).HumanQueueAgedOut() != 0 {
+		t.Error("an analyzer without a store reports aged-out cases")
+	}
+}

@@ -132,7 +132,7 @@ const (
 // String returns the 3GPP name.
 func (a CipherAlg) String() string {
 	if a <= NEA3 {
-		return fmt.Sprintf("NEA%d", uint8(a))
+		return [...]string{"NEA0", "NEA1", "NEA2", "NEA3"}[a]
 	}
 	return fmt.Sprintf("CipherAlg(%d)", uint8(a))
 }
@@ -155,7 +155,7 @@ const (
 // String returns the 3GPP name.
 func (a IntegAlg) String() string {
 	if a <= NIA3 {
-		return fmt.Sprintf("NIA%d", uint8(a))
+		return [...]string{"NIA0", "NIA1", "NIA2", "NIA3"}[a]
 	}
 	return fmt.Sprintf("IntegAlg(%d)", uint8(a))
 }

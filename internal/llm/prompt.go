@@ -30,21 +30,28 @@ const (
 	promptQuestion = `Determine whether this sequence is anomalous or benign and explain why. Next, if the sequence constitutes attacks, provide the top 3 most possible attacks, and describe the implications.`
 
 	dataHeader = "DATA:"
+
+	// promptFixedLen is the prompt's text around the records, newlines
+	// included; promptRecordLen is what a rendered record with its newline
+	// stays under (≈ 142 bytes on average, 186 with every identifier set).
+	promptFixedLen  = len(promptPreamble) + len(promptDataDescriptions) + len(dataHeader) + len(promptQuestion) + 5
+	promptRecordLen = 192
 )
 
 // RenderPrompt builds the zero-shot analysis prompt for a telemetry
 // window.
 func RenderPrompt(window mobiflow.Trace) string {
 	var b strings.Builder
+	b.Grow(promptFixedLen + len(window)*promptRecordLen)
 	b.WriteString(promptPreamble)
 	b.WriteString("\n")
 	b.WriteString(promptDataDescriptions)
 	b.WriteString("\n\n")
 	b.WriteString(dataHeader)
 	b.WriteString("\n")
-	for _, r := range window {
-		b.WriteString(r.String())
-		b.WriteString("\n")
+	var line [promptRecordLen]byte
+	for i := range window {
+		b.Write(append(window[i].AppendTo(line[:0]), '\n'))
 	}
 	b.WriteString("\n")
 	b.WriteString(promptQuestion)

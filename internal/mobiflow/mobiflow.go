@@ -21,7 +21,7 @@ package mobiflow
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 	"time"
 
 	"github.com/6g-xsec/xsec/internal/asn1lite"
@@ -100,27 +100,54 @@ type Record struct {
 
 // String renders a compact single-line form used in logs and LLM prompts.
 func (r Record) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "#%d %s %s %s rnti=%s", r.Seq, r.Dir, r.Layer, r.Msg, r.RNTI)
+	var buf [192]byte // a line is ≈ 140 bytes, 185 with every identifier set
+	return string(r.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the String form to b. Every escalated case and every
+// prompt renders its window line by line, so this formats by append
+// rather than through fmt.
+func (r *Record) AppendTo(b []byte) []byte {
+	kv := func(key, value string) { b = append(append(b, key...), value...) }
+	b = strconv.AppendUint(append(b, '#'), r.Seq, 10)
+	kv(" ", r.Dir.String())
+	kv(" ", r.Layer.String())
+	kv(" ", r.Msg)
+	b = appendHex(append(b, " rnti="...), uint64(r.RNTI), 4)
 	if r.TMSI != cell.InvalidTMSI {
-		fmt.Fprintf(&b, " tmsi=%s", r.TMSI)
+		b = appendHex(append(b, " tmsi="...), uint64(r.TMSI), 8)
 	}
 	if r.SUPI != "" {
-		fmt.Fprintf(&b, " supi=%s(PLAINTEXT)", r.SUPI)
+		kv(" supi=", string(r.SUPI))
+		b = append(b, "(PLAINTEXT)"...)
 	}
-	sec := "off"
+	kv(" cipher=", r.CipherAlg.String())
+	kv(" integ=", r.IntegAlg.String())
 	if r.SecurityOn {
-		sec = "on"
+		b = append(b, " sec=on"...)
+	} else {
+		b = append(b, " sec=off"...)
 	}
-	fmt.Fprintf(&b, " cipher=%s integ=%s sec=%s cause=%s rrc=%s nas=%s",
-		r.CipherAlg, r.IntegAlg, sec, r.EstCause, r.RRCState, r.NASState)
+	kv(" cause=", r.EstCause.String())
+	kv(" rrc=", r.RRCState.String())
+	kv(" nas=", r.NASState.String())
 	if r.OutOfOrder {
-		b.WriteString(" OUT-OF-ORDER")
+		b = append(b, " OUT-OF-ORDER"...)
 	}
 	if r.Retransmission {
-		b.WriteString(" RETX")
+		b = append(b, " RETX"...)
 	}
-	return b.String()
+	return b
+}
+
+// appendHex renders v as cell.RNTI and cell.TMSI print themselves: 0x and
+// width upper-case digits.
+func appendHex(b []byte, v uint64, width int) []byte {
+	b = append(b, "0x"...)
+	for shift := 4 * (width - 1); shift >= 0; shift -= 4 {
+		b = append(b, "0123456789ABCDEF"[v>>shift&0xF])
+	}
+	return b
 }
 
 // TLV field tags for the E2 encoding of a record.

@@ -3,6 +3,7 @@ package mobiwatch
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"github.com/6g-xsec/xsec/internal/asn1lite"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
@@ -96,6 +97,66 @@ type chainMark struct {
 	sn   uint64
 }
 
+// ueIdleHorizon is how long a UE context may stay silent, once its records
+// have left the worker's history, before its bookkeeping is forgotten: a
+// worker's ueMarks holds between one and two horizons' worth of UEs (≈ 50 B
+// each) instead of every UE ever seen. A gNB releases an inactive context
+// within seconds and a handover drill completes in less, so half a minute
+// is generous; a UE idle for longer has no history left to migrate.
+const ueIdleHorizon = 30 * time.Second
+
+// ueMarks is a worker's chainMark per UE, in two generations so that
+// forgetting is a map swap rather than a scan: a UE seen moves to cur, and
+// each horizon old is dropped, cur becomes old and a new cur starts.
+type ueMarks struct {
+	cur, old map[uint64]chainMark
+	turned   time.Time // arrival time of the indication that began cur
+}
+
+func (u *ueMarks) get(ue uint64) (chainMark, bool) {
+	if m, ok := u.cur[ue]; ok {
+		return m, true
+	}
+	m, ok := u.old[ue]
+	return m, ok
+}
+
+func (u *ueMarks) put(ue uint64, m chainMark) {
+	u.cur[ue] = m
+	delete(u.old, ue)
+}
+
+func (u *ueMarks) forget(ue uint64) {
+	delete(u.cur, ue)
+	delete(u.old, ue)
+}
+
+func (u *ueMarks) len() int { return len(u.cur) + len(u.old) }
+
+// forgetIdle turns the generations once per ueIdleHorizon of RIC arrival
+// time, from the ingest path. What the old generation still held is
+// forgotten as ctrlForget would, except UEs whose state is still live:
+// records in the history, or a restored snapshot waiting for its join.
+// Replays without arrival times (now is zero) forget nothing.
+func (w *worker) forgetIdle(now time.Time) {
+	u := &w.ues
+	if now.IsZero() || now.Sub(u.turned) < ueIdleHorizon {
+		return
+	}
+	keep := func(ue uint64) {
+		if m, ok := u.old[ue]; ok {
+			u.put(ue, m)
+		}
+	}
+	for i := range w.recent {
+		keep(w.recent[i].UEID)
+	}
+	for ue := range w.joins {
+		keep(ue)
+	}
+	u.old, u.cur, u.turned = u.cur, make(map[uint64]chainMark), now
+}
+
 // joinInfo is a pending migration join: state restored for a UE whose
 // first post-restore indication has not arrived yet. When it does, the
 // worker records the migration "in" event on that indication's chain.
@@ -138,13 +199,15 @@ func (w *worker) handleCtrl(op ctrlOp) {
 		w.restore(op.snap)
 		r.ok = true
 	case ctrlForget:
-		delete(w.ueLast, op.ue)
+		w.ues.forget(op.ue)
 		delete(w.joins, op.ue)
 		r.ok = true
 	case ctrlList:
-		r.ues = make([]uint64, 0, len(w.ueLast))
-		for ue := range w.ueLast {
-			r.ues = append(r.ues, ue)
+		r.ues = make([]uint64, 0, w.ues.len())
+		for _, gen := range []map[uint64]chainMark{w.ues.cur, w.ues.old} {
+			for ue := range gen {
+				r.ues = append(r.ues, ue)
+			}
 		}
 		r.ok = true
 	}
@@ -157,7 +220,7 @@ func (w *worker) handleCtrl(op ctrlOp) {
 // reached the new owner — checkpoint → publish → forget, so a failed
 // handoff loses nothing.
 func (w *worker) checkpoint(ue uint64) (*UESnapshot, bool) {
-	mark, ok := w.ueLast[ue]
+	mark, ok := w.ues.get(ue)
 	if !ok {
 		return nil, false
 	}
@@ -183,7 +246,7 @@ func (w *worker) restore(snap *UESnapshot) {
 	// The restored-but-not-yet-scored UE stays attributed to its source
 	// chain: a further checkpoint before any new indication forwards the
 	// original chain, keeping multi-hop migrations joined.
-	w.ueLast[snap.UE] = chainMark{node: snap.Node, sn: snap.LastSN}
+	w.ues.put(snap.UE, chainMark{node: snap.Node, sn: snap.LastSN})
 	w.joins[snap.UE] = joinInfo{
 		src:      prov.ChainID{Node: snap.Node, SN: snap.LastSN},
 		seqFirst: snap.Records.FirstSeq(),

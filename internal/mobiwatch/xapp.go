@@ -114,6 +114,18 @@ func (o *RunOptions) defaults() {
 }
 
 const (
+	// TelemetryNamespace is the SDL namespace MobiWatch persists MobiFlow
+	// records to, one per key "<node>/<seq, 20 digits>", for other RIC
+	// services (§3.1).
+	TelemetryNamespace = "mobiflow"
+	// TelemetryCap bounds that namespace (sdl.Store.Bound): the newest
+	// 65 536 records, ≈ 250 B each with key, map entry and ring slot, so
+	// ≈ 16 MB — under a second of telemetry at ingest capacity, about half
+	// a minute at the attack_mix rate. The record rate is the attacker's
+	// to choose (a signalling storm is a record flood), so the bound is a
+	// count, not an age.
+	TelemetryCap = 1 << 16
+
 	// contextRecords is how much preceding telemetry each alert carries.
 	contextRecords = 12
 	// contextSpan bounds the context temporally: records older than this
@@ -182,12 +194,13 @@ type worker struct {
 	batchSN uint64             // its E2 indication sequence number
 
 	// Migration state (migrate.go): the control channel delivers
-	// checkpoint/restore operations into the worker goroutine; ueLast
-	// tracks each UE's latest provenance chain; joins holds restored
-	// UEs awaiting their first post-migration indication.
-	ctrl   chan ctrlOp
-	ueLast map[uint64]chainMark
-	joins  map[uint64]joinInfo
+	// checkpoint/restore operations into the worker goroutine; ues
+	// tracks each UE's latest provenance chain until it has been idle
+	// for ueIdleHorizon; joins holds restored UEs awaiting their first
+	// post-migration indication.
+	ctrl  chan ctrlOp
+	ues   ueMarks
+	joins map[uint64]joinInfo
 }
 
 // windowQueue is one model's share of a worker's pending batch: the
@@ -239,6 +252,7 @@ func Run(x *ric.XApp, models *Models, opts RunOptions) (*Runtime, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mobiwatch: subscribing to %s: %w", opts.NodeID, err)
 	}
+	x.SDL().Bound(TelemetryNamespace, TelemetryCap)
 	rt := &Runtime{
 		models: models,
 		opts:   opts,
@@ -275,9 +289,9 @@ func newWorker(rt *Runtime, prec nn.Precision) *worker {
 			{batch: newPendingBatch(m, ModelAE, prec), anomalies: obsAnomalyAE},
 			{batch: newPendingBatch(m, ModelLSTM, prec), anomalies: obsAnomalyLSTM},
 		},
-		ctrl:   make(chan ctrlOp),
-		ueLast: make(map[uint64]chainMark),
-		joins:  make(map[uint64]joinInfo),
+		ctrl:  make(chan ctrlOp),
+		ues:   ueMarks{cur: make(map[uint64]chainMark)},
+		joins: make(map[uint64]joinInfo),
 	}
 }
 
@@ -418,7 +432,7 @@ func (w *worker) persist(store *sdl.Store, nodeID string, rec *mobiflow.Record) 
 	w.keyBuf = persistKey(w.keyBuf, nodeID, rec.Seq)
 	w.recEnc.Reset()
 	rec.MarshalTLV(&w.recEnc)
-	store.Set("mobiflow", string(w.keyBuf), w.recEnc.Bytes())
+	store.Set(TelemetryNamespace, string(w.keyBuf), w.recEnc.Bytes())
 }
 
 // ingest runs streaming inference over a telemetry batch. The caller
@@ -427,8 +441,9 @@ func (w *worker) ingest(ind ric.Indication, batch mobiflow.Trace) {
 	rt := w.rt
 	nodeID := ind.NodeID
 	w.batchAt, w.batchSN = ind.ReceivedAt, ind.SN
+	w.forgetIdle(ind.ReceivedAt)
 	if ue := e2sm.PeekIndicationUE(ind.Header); ue != 0 {
-		w.ueLast[ue] = chainMark{node: nodeID, sn: ind.SN}
+		w.ues.put(ue, chainMark{node: nodeID, sn: ind.SN})
 		if j, ok := w.joins[ue]; ok {
 			// First indication for a migrated-in UE: join this chain to
 			// the one its history arrived from. The windows this batch

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -128,5 +129,23 @@ func TestSnapshot(t *testing.T) {
 	}
 	if hs.Buckets[2].LE != math.MaxFloat64 {
 		t.Fatalf("+Inf bucket LE = %v", hs.Buckets[2].LE)
+	}
+}
+
+// TestRuntimeSeriesExposed checks the Go runtime series are on the default
+// registry with live values: "is this process level or climbing" must be
+// answerable from /metrics alone.
+func TestRuntimeSeriesExposed(t *testing.T) {
+	runtime.GC() // live heap and pause time are as of the last collection
+	out := scrape(t, Default)
+	for _, name := range []string{"xsec_go_heap_live_bytes", "xsec_go_gc_pause_seconds", "xsec_go_goroutines"} {
+		if !strings.Contains(out, "# TYPE "+name+" gauge\n") {
+			t.Errorf("exposition missing gauge %s", name)
+		}
+		for _, s := range Default.Snapshot() {
+			if s.Name == name && s.Value <= 0 {
+				t.Errorf("%s = %v, want a positive sample", name, s.Value)
+			}
+		}
 	}
 }

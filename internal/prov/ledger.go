@@ -30,9 +30,6 @@ type Options struct {
 	// MaxEventsPerChain caps one chain's event list; further events are
 	// dropped and the chain marked truncated.
 	MaxEventsPerChain int
-	// TTL, when positive, sets a time-to-live on persisted SDL keys so
-	// a shared store ages provenance out even if the ledger is gone.
-	TTL time.Duration
 	// Clock is injectable for tests.
 	Clock func() time.Time
 }
@@ -42,6 +39,12 @@ const (
 	DefaultBuffer            = 4096
 	DefaultMaxChains         = 1024
 	DefaultMaxEventsPerChain = 512
+
+	// chainEventsHint is the capacity a new chain's event and key lists
+	// start with — what a benign indication's chain reaches (emit,
+	// transport, indication, a handful of window runs) — so the common
+	// chain is allocated once instead of doubling its way up from one.
+	chainEventsHint = 10
 )
 
 // Ledger is an append-only provenance store. Record is safe for
@@ -51,7 +54,6 @@ const (
 // enforcing the retention bounds.
 type Ledger struct {
 	store *sdl.Store
-	ttl   time.Duration
 	clock func() time.Time
 
 	maxChains int
@@ -113,7 +115,6 @@ func newLedger(o Options) *Ledger {
 	}
 	return &Ledger{
 		store:     o.Store,
-		ttl:       o.TTL,
 		clock:     o.Clock,
 		maxChains: o.MaxChains,
 		maxEvents: o.MaxEventsPerChain,
@@ -183,7 +184,10 @@ func (l *Ledger) handle(ev Event) {
 	l.mu.Lock()
 	c := l.chains[ev.Chain]
 	if c == nil {
-		c = &chain{}
+		c = &chain{events: make([]Event, 0, chainEventsHint)}
+		if l.store != nil {
+			c.keys = make([]string, 0, chainEventsHint)
+		}
 		l.admitLocked(ev.Chain)
 		l.chains[ev.Chain] = c
 	}
@@ -258,7 +262,7 @@ func (l *Ledger) persistLocked(id ChainID, c *chain, idx int) {
 	}
 	// The marshal buffer is single-use: hand it to the store instead of
 	// paying a defensive copy on every persisted event.
-	l.store.SetOwnedTTL(Namespace, c.keys[idx], data, l.ttl)
+	l.store.SetOwned(Namespace, c.keys[idx], data)
 }
 
 // appendKeyPrefix renders "ev/<node>/<sn>/" with the sequence number

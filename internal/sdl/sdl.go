@@ -7,7 +7,19 @@
 // The OSC reference implementation backs its SDL with Redis; this package
 // provides an in-process equivalent with the operations the framework
 // needs: get/set/delete with versions, prefix listing, watch subscriptions,
-// and per-key TTL.
+// and two retention classes beside "keep for ever": per-key TTL and a
+// per-namespace key bound.
+//
+// # Retention
+//
+// SetTTL hides an entry from readers once its time is up; the bytes stay
+// until Purge (a scan of the whole store) or an overwrite. Use it for
+// state that must stop being *believed* after a while — an ownership
+// record whose writer may have died. Bound makes a namespace a counted
+// FIFO: the insert that would exceed the bound deletes the oldest key,
+// O(1), inside that same write. Use it for append-only data whose rate
+// the writer does not control (telemetry, a review queue): a time bound
+// is not a memory bound when the rate is an attacker's.
 //
 // # Sharding
 //
@@ -28,11 +40,24 @@
 package sdl
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/6g-xsec/xsec/internal/obs"
+)
+
+// Bounded namespaces are the only ones whose size is worth a series: an
+// unbounded one is bounded by its writer (prov/ledger by MaxChains) or
+// not at all.
+var (
+	obsEvicted = obs.NewCounterVec("xsec_sdl_evicted_total",
+		"Keys deleted from a bounded namespace to admit a newer one.", "namespace")
+	obsKeys = obs.NewGaugeVec("xsec_sdl_keys",
+		"Keys held in a bounded namespace.", "namespace")
 )
 
 // DefaultShards is the lock-stripe count used by New. Sixteen stripes
@@ -67,6 +92,9 @@ type Store struct {
 	nextWID atomic.Uint64
 	mask    uint32
 	shards  []shard
+
+	boundMu sync.Mutex
+	bounds  map[string]*bound
 }
 
 type shard struct {
@@ -75,12 +103,35 @@ type shard struct {
 	// watchers indexes this shard's registered watchers by namespace, so
 	// a mutation touches only the watchers that could match it.
 	watchers map[string]map[uint64]*watcher
+	// rings holds this stripe's share of every bounded namespace.
+	rings map[string]*ring
 }
 
 type entry struct {
 	value     []byte
 	version   uint64
-	expiresAt time.Time // zero = no TTL
+	expiresAt int64 // Unix nanoseconds; zero = no TTL
+	slot      int   // index in the namespace's ring, when it is bounded
+}
+
+// bound is one namespace's retention declaration, shared by its rings.
+type bound struct {
+	maxKeys    int
+	evicted    atomic.Uint64
+	obsEvicted *obs.Counter
+	obsKeys    *obs.Gauge
+}
+
+// ring is the keys one stripe inserted into a bounded namespace, in
+// insertion order: slots grows to max, after which head indexes the oldest
+// and a new key takes its slot. A slot is only a claim — the key it names
+// may have been deleted, or deleted and inserted again under a later slot
+// — so eviction checks the entry's own slot before it believes one.
+type ring struct {
+	b     *bound
+	slots []string
+	max   int
+	head  int
 }
 
 type watcher struct {
@@ -109,12 +160,66 @@ func NewWithOptions(o Options) *Store {
 	if o.Clock == nil {
 		o.Clock = time.Now
 	}
-	s := &Store{clock: o.Clock, mask: uint32(n - 1), shards: make([]shard, n)}
+	s := &Store{clock: o.Clock, mask: uint32(n - 1), shards: make([]shard, n), bounds: make(map[string]*bound)}
 	for i := range s.shards {
 		s.shards[i].ns = make(map[string]map[string]entry)
 		s.shards[i].watchers = make(map[string]map[uint64]*watcher)
+		s.shards[i].rings = make(map[string]*ring)
 	}
 	return s
+}
+
+// Bound makes namespace a counted FIFO of at most maxKeys keys: every
+// stripe keeps the keys it inserted in a ring of maxKeys/ShardCount()
+// slots, and the Set that needs a slot of a full ring first deletes the
+// key holding the oldest one — under the stripe lock that write already
+// holds, delivered to watchers as a Delete is, and counted (Evicted).
+// Overwriting a key keeps its slot; Delete frees the key but not the
+// slot, which is skipped when its turn comes. Eviction is oldest-first
+// per stripe, so across the namespace only approximately: a stripe the
+// hash favours starts evicting while another still has room, and the
+// namespace levels off at or just under maxKeys.
+//
+// The namespace's writer declares the bound before its first write.
+// Repeating a declaration is a no-op (colocated instances share a
+// store); changing one, bounding a namespace that already has keys, or a
+// bound below one key per stripe is a bug in the caller and panics.
+func (s *Store) Bound(namespace string, maxKeys int) {
+	per := maxKeys / len(s.shards)
+	if per < 1 {
+		panic(fmt.Sprintf("sdl: Bound(%q, %d) is under one key per stripe (%d stripes)", namespace, maxKeys, len(s.shards)))
+	}
+	s.boundMu.Lock()
+	defer s.boundMu.Unlock()
+	if b := s.bounds[namespace]; b != nil {
+		if b.maxKeys != maxKeys {
+			panic(fmt.Sprintf("sdl: Bound(%q, %d) after Bound(%q, %d)", namespace, maxKeys, namespace, b.maxKeys))
+		}
+		return
+	}
+	if s.Len(namespace) > 0 {
+		panic(fmt.Sprintf("sdl: Bound(%q) after the namespace's first write", namespace))
+	}
+	b := &bound{maxKeys: maxKeys, obsEvicted: obsEvicted.With(namespace), obsKeys: obsKeys.With(namespace)}
+	s.bounds[namespace] = b
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		sh.rings[namespace] = &ring{b: b, max: per}
+		sh.mu.Unlock()
+	}
+}
+
+// Evicted reports how many keys a bounded namespace has aged out (0 for
+// an unbounded one).
+func (s *Store) Evicted(namespace string) uint64 {
+	s.boundMu.Lock()
+	b := s.bounds[namespace]
+	s.boundMu.Unlock()
+	if b == nil {
+		return 0
+	}
+	return b.evicted.Load()
 }
 
 // ShardCount reports the number of lock stripes.
@@ -174,15 +279,56 @@ func (s *Store) set(namespace, key string, value []byte, ttl time.Duration, copy
 		m = make(map[string]entry)
 		sh.ns[namespace] = m
 	}
+	var slot int
+	if r := sh.rings[namespace]; r != nil {
+		if old, ok := m[key]; ok {
+			slot = old.slot
+		} else {
+			slot = s.admitLocked(sh, r, m, namespace, key)
+		}
+	}
 	v := s.version.Add(1)
-	e := entry{value: value, version: v}
+	e := entry{value: value, version: v, slot: slot}
 	if ttl > 0 {
-		e.expiresAt = s.clock().Add(ttl)
+		e.expiresAt = s.clock().Add(ttl).UnixNano()
 	}
 	m[key] = e
 	sh.notifyLocked(Event{Namespace: namespace, Key: key, Value: e.value, Version: v})
 	sh.mu.Unlock()
 	return v
+}
+
+// admitLocked gives a key new to a bounded namespace its ring slot,
+// evicting the key that holds the oldest slot once the ring is full.
+func (s *Store) admitLocked(sh *shard, r *ring, m map[string]entry, namespace, key string) (slot int) {
+	if slot = len(r.slots); slot < r.max {
+		r.slots = append(r.slots, key)
+	} else {
+		slot = r.head
+		oldest := r.slots[slot]
+		if e, ok := m[oldest]; ok && e.slot == slot {
+			s.removeLocked(sh, m, namespace, oldest, e)
+			r.b.evicted.Add(1)
+			r.b.obsEvicted.Inc()
+		}
+		r.slots[slot] = key
+		r.head = (slot + 1) % r.max
+	}
+	r.b.obsKeys.Add(1)
+	return slot
+}
+
+// removeLocked deletes a present key and tells the namespace's watchers,
+// unless the entry had already expired out of their sight.
+func (s *Store) removeLocked(sh *shard, m map[string]entry, namespace, key string, e entry) {
+	delete(m, key)
+	if r := sh.rings[namespace]; r != nil {
+		r.b.obsKeys.Add(-1)
+	}
+	v := s.version.Add(1)
+	if !s.expired(e) {
+		sh.notifyLocked(Event{Namespace: namespace, Key: key, Version: v, Deleted: true})
+	}
 }
 
 // Get returns the value and version for (namespace, key). ok is false if
@@ -205,11 +351,7 @@ func (s *Store) Delete(namespace, key string) bool {
 	m := sh.ns[namespace]
 	e, ok := m[key]
 	if ok {
-		delete(m, key)
-		v := s.version.Add(1)
-		if !s.expired(e) {
-			sh.notifyLocked(Event{Namespace: namespace, Key: key, Version: v, Deleted: true})
-		}
+		s.removeLocked(sh, m, namespace, key, e)
 	}
 	sh.mu.Unlock()
 	return ok
@@ -250,7 +392,7 @@ func (s *Store) GetAll(namespace, prefix string) map[string][]byte {
 }
 
 func (s *Store) expired(e entry) bool {
-	return !e.expiresAt.IsZero() && s.clock().After(e.expiresAt)
+	return e.expiresAt != 0 && s.clock().UnixNano() > e.expiresAt
 }
 
 // Watch subscribes to mutations in a namespace under a key prefix. The
@@ -319,10 +461,10 @@ func (s *Store) Purge() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for _, m := range sh.ns {
+		for namespace, m := range sh.ns {
 			for k, e := range m {
 				if s.expired(e) {
-					delete(m, k)
+					s.removeLocked(sh, m, namespace, k, e)
 					n++
 				}
 			}
