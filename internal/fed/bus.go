@@ -332,6 +332,7 @@ type Client struct {
 	conn     *wire.Conn
 	next     map[string]uint64
 	handlers map[string]func(offset uint64, payload []byte, trace string)
+	topics   []string // handlers' keys in the order they were first subscribed
 	closed   bool
 
 	connected atomic.Bool
@@ -380,6 +381,9 @@ func (c *Client) Subscribe(topic string, fn func(offset uint64, payload []byte))
 // before the handler runs.
 func (c *Client) SubscribeTraced(topic string, fn func(offset uint64, payload []byte, trace string)) {
 	c.mu.Lock()
+	if _, ok := c.handlers[topic]; !ok {
+		c.topics = append(c.topics, topic)
+	}
 	c.handlers[topic] = fn
 	if _, ok := c.next[topic]; !ok {
 		c.next[topic] = 0
@@ -471,13 +475,19 @@ func (c *Client) run() {
 			return
 		}
 		c.conn = conn
-		resume := make(map[string]uint64, len(c.next))
-		for topic := range c.handlers {
-			resume[topic] = c.next[topic]
+		resume := make([]frame, len(c.topics))
+		for n, topic := range c.topics {
+			resume[n] = frame{Op: opSubscribe, Topic: topic, Offset: c.next[topic]}
 		}
 		c.mu.Unlock()
-		for topic, from := range resume {
-			c.send(conn, frame{Op: opSubscribe, Topic: topic, Offset: from})
+		// In subscription order, not map order: the broker replays each
+		// topic's retained log as it is subscribed, so whoever subscribes
+		// to the ring before the migrations (Instance does) applies every
+		// retained epoch before the first snapshot addressed to it. The
+		// other way round a joiner restores a UE, then applies the stale
+		// epoch that does not list it yet, and migrates the UE back.
+		for _, f := range resume {
+			c.send(conn, f)
 		}
 		c.connected.Store(true)
 		obs.L().Info("fed: bus connected", "instance", c.instance)

@@ -161,3 +161,45 @@ func TestBusDegradedModeAndReconnectResume(t *testing.T) {
 		t.Fatalf("post-reconnect tail = %v", msgs)
 	}
 }
+
+// TestBusReplaysTopicsInSubscriptionOrder: a client that connects after
+// messages were retained on several topics sees each topic's log whole, in
+// the order it subscribed to the topics — every ring epoch before the
+// first migration, which is what keeps a joining instance from restoring
+// a UE and then applying a stale epoch that sends it back. With five
+// topics, map order would get this right one time in 120.
+func TestBusReplaysTopicsInSubscriptionOrder(t *testing.T) {
+	b, err := NewBroker("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	topics := []string{TopicRing, TopicPolicy, TopicMigrate, TopicMigrateAck, "scrape"}
+	for round := 0; round < 2; round++ {
+		for _, topic := range topics {
+			b.Publish(topic, []byte(fmt.Sprintf("%s-%d", topic, round)))
+		}
+	}
+
+	var gate atomic.Bool
+	c := NewClient("ric-joiner", func() (*wire.Conn, error) {
+		if !gate.Load() {
+			return nil, fmt.Errorf("not yet")
+		}
+		return wire.Dial(b.Addr(), time.Second)
+	})
+	defer c.Close()
+	var got collect
+	for _, topic := range topics {
+		c.Subscribe(topic, func(_ uint64, payload []byte) { got.add(payload) })
+	}
+	gate.Store(true) // every subscription is registered before the first connect
+
+	var want []string
+	for _, topic := range topics {
+		want = append(want, topic+"-0", topic+"-1")
+	}
+	if msgs := got.waitLen(t, len(want)); fmt.Sprint(msgs) != fmt.Sprint(want) {
+		t.Fatalf("replay order\n  got  %v\n  want %v", msgs, want)
+	}
+}

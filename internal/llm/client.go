@@ -37,6 +37,20 @@ var (
 // context carries no deadline of its own.
 const DefaultRequestTimeout = 30 * time.Second
 
+// maxResponseBytes bounds a response body the client will read: an
+// analysis is a few KB of text, and the endpoint is a remote service the
+// RIC does not control.
+const maxResponseBytes = 1 << 20
+
+// decodeBody parses a response's JSON body, read under maxResponseBytes.
+func decodeBody(resp *http.Response, v any) error {
+	data, err := readSized(resp.Body, resp.ContentLength, maxResponseBytes)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(data, v)
+}
+
 // Client queries a model endpoint over REST (§3.3: "accesses the LLMs
 // through RESTful web APIs"). Point BaseURL at the built-in expert
 // service or at any compatible real endpoint. All query methods take a
@@ -158,12 +172,12 @@ func (c *Client) do(ctx context.Context, prompt string) (*Analysis, error) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		var apiErr ErrorResponse
-		json.NewDecoder(resp.Body).Decode(&apiErr)
+		_ = decodeBody(resp, &apiErr) // best effort: the status is the error, the body its detail
 		obsRequests.With(c.Model, "http_error").Inc()
 		return nil, fmt.Errorf("llm: %s returned HTTP %d: %s", c.Model, resp.StatusCode, apiErr.Error)
 	}
 	var chat ChatResponse
-	if err := json.NewDecoder(resp.Body).Decode(&chat); err != nil {
+	if err := decodeBody(resp, &chat); err != nil {
 		obsRequests.With(c.Model, "bad_response").Inc()
 		return nil, fmt.Errorf("llm: decoding response: %w", err)
 	}
@@ -196,7 +210,7 @@ func (c *Client) Models(ctx context.Context) ([]string, error) {
 	}
 	defer resp.Body.Close()
 	var names []string
-	if err := json.NewDecoder(resp.Body).Decode(&names); err != nil {
+	if err := decodeBody(resp, &names); err != nil {
 		return nil, fmt.Errorf("llm: decoding model list: %w", err)
 	}
 	return names, nil

@@ -376,3 +376,95 @@ func TestFigure5StyleResponse(t *testing.T) {
 		}
 	}
 }
+
+// TestServerRefusesOversizedRequest: a request body past maxRequestBytes —
+// declared so, or streamed without a length — is answered 413 with an
+// ErrorResponse over socket and in-process transport alike, and the server
+// goes on serving.
+func TestServerRefusesOversizedRequest(t *testing.T) {
+	l := mixed(t)
+	srv := NewServer()
+	addr, shutdown, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown()
+
+	huge, _ := json.Marshal(ChatRequest{Model: "chatgpt-4o", Prompt: strings.Repeat("A", maxRequestBytes)})
+	for _, tr := range []struct {
+		name   string
+		client *http.Client
+	}{{"socket", &http.Client{}}, {"in-process", &http.Client{Transport: srv.Transport()}}} {
+		for _, declared := range []bool{true, false} {
+			var body io.Reader = strings.NewReader(string(huge))
+			if !declared {
+				body = io.MultiReader(body) // hides the length: sent chunked
+			}
+			resp, err := tr.client.Post("http://"+addr+"/v1/analyze", "application/json", body)
+			if err != nil {
+				t.Fatalf("%s, declared=%v: %v", tr.name, declared, err)
+			}
+			var apiErr ErrorResponse
+			decodeErr := json.NewDecoder(resp.Body).Decode(&apiErr)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || decodeErr != nil || apiErr.Error == "" {
+				t.Errorf("%s, declared=%v: status %d, body %+v (%v); want 413 and an ErrorResponse",
+					tr.name, declared, resp.StatusCode, apiErr, decodeErr)
+			}
+		}
+	}
+	if srv.Requests() != 0 {
+		t.Errorf("%d oversized requests were analyzed", srv.Requests())
+	}
+	client := NewClient("http://"+addr, "chatgpt-4o")
+	if a, err := client.AnalyzeWindow(context.Background(), attackWindow(l, ue.AttackBTSDoS)); err != nil || a.TopClass() != ClassBTSDoS {
+		t.Errorf("after the refusals the server answers %+v, %v", a, err)
+	}
+}
+
+// endless is a response body that never ends; read counts what was taken.
+type endless struct{ read int64 }
+
+func (e *endless) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'A'
+	}
+	e.read += int64(len(p))
+	return len(p), nil
+}
+
+// respondWith is a transport answering every request with one response.
+type respondWith func() *http.Response
+
+func (f respondWith) RoundTrip(*http.Request) (*http.Response, error) { return f(), nil }
+
+// TestClientRefusesOversizedResponse: a response that declares a terabyte,
+// or streams without end, is an error on every client path — after at most
+// maxResponseBytes and a read-ahead are taken from it, and without a
+// buffer sized by what the endpoint claims.
+func TestClientRefusesOversizedResponse(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		status   int
+		declared int64
+	}{
+		{"declared, 200", http.StatusOK, 1 << 40},
+		{"undeclared, 200", http.StatusOK, -1},
+		{"undeclared, 500", http.StatusInternalServerError, -1},
+	} {
+		body := &endless{}
+		client := NewClient("http://expert.invalid", "chatgpt-4o")
+		client.HTTPClient = &http.Client{Transport: respondWith(func() *http.Response {
+			return &http.Response{StatusCode: tc.status, ContentLength: tc.declared, Body: io.NopCloser(body), Header: http.Header{}}
+		})}
+		if _, err := client.AnalyzePromptText(context.Background(), "DATA:\n#1 UL RRC RRCSetupRequest rnti=0x1\nDetermine"); err == nil {
+			t.Errorf("%s: analyze accepted an endless response", tc.name)
+		}
+		if _, err := client.Models(context.Background()); err == nil {
+			t.Errorf("%s: model listing accepted an endless response", tc.name)
+		}
+		if limit := int64(2 * (maxResponseBytes + 64<<10)); body.read > limit {
+			t.Errorf("%s: %d bytes read from two oversized responses, want at most %d", tc.name, body.read, limit)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package llm
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -28,6 +29,38 @@ type ChatResponse struct {
 // ErrorResponse is the REST error body.
 type ErrorResponse struct {
 	Error string `json:"error"`
+}
+
+// maxRequestBytes bounds an analyze request body. A 64-record window with
+// its context and retrieved specification text renders to a prompt of
+// ≈ 20–30 KB, so 1 MiB is generous; anything larger is answered 413 and
+// not read.
+const maxRequestBytes = 1 << 20
+
+var errBodyTooLarge = errors.New("llm: body exceeds its size limit")
+
+// readSized reads an HTTP body of at most limit bytes. A body whose length
+// was declared (every request Client sends, every response Server writes)
+// is read into one buffer of that size — json.Decoder would regrow its
+// own, doubling from 512 B, on each call — and one declared or found
+// larger than limit is errBodyTooLarge before anything that large is
+// allocated. Zero is read as undeclared: that is what a client-side
+// request with a streamed body says, and what the in-process transport
+// hands the handler unchanged.
+func readSized(r io.Reader, declared, limit int64) ([]byte, error) {
+	if declared > limit {
+		return nil, errBodyTooLarge
+	}
+	if declared > 0 {
+		buf := make([]byte, declared)
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	buf, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err == nil && int64(len(buf)) > limit {
+		err = errBodyTooLarge
+	}
+	return buf, err
 }
 
 // Server hosts the model personalities behind an HTTP API:
@@ -175,8 +208,17 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST only"})
 		return
 	}
+	// MaxBytesReader also has net/http close a connection whose client
+	// kept sending past the limit, instead of draining it.
+	body, err := readSized(http.MaxBytesReader(w, r.Body, maxRequestBytes), r.ContentLength, maxRequestBytes)
+	var tooLarge *http.MaxBytesError
+	if errors.Is(err, errBodyTooLarge) || errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			ErrorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", maxRequestBytes)})
+		return
+	}
 	var req ChatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err != nil || json.Unmarshal(body, &req) != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "invalid JSON body"})
 		return
 	}

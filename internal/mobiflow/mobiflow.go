@@ -192,6 +192,31 @@ func (r *Record) MarshalTLV(e *asn1lite.Encoder) {
 	e.PutBool(tagRetrans, r.Retransmission)
 }
 
+// msgNames is the closed set of message names the rrc and nas packages
+// define, keyed by itself. It is filled here and only read afterwards.
+var msgNames = func() map[string]string {
+	m := make(map[string]string)
+	for t := rrc.MsgType(1); t.Valid(); t++ {
+		m[t.String()] = t.String()
+	}
+	for t := nas.MsgType(1); t.Valid(); t++ {
+		m[t.String()] = t.String()
+	}
+	return m
+}()
+
+// internMsg returns a decoded record's message name without allocating
+// when it is one of msgNames, which every name an Extractor emits is: the
+// name is then shared by every record, window and alert context that
+// carries it. Any other name is UE-originated bytes; it is copied as
+// before and never enters the table.
+func internMsg(raw []byte) string {
+	if s, ok := msgNames[string(raw)]; ok {
+		return s
+	}
+	return string(raw)
+}
+
 // UnmarshalTLV implements asn1lite.Unmarshaler.
 func (r *Record) UnmarshalTLV(d *asn1lite.Decoder) error {
 	for d.Next() {
@@ -208,7 +233,7 @@ func (r *Record) UnmarshalTLV(d *asn1lite.Decoder) error {
 		case tagUEID:
 			r.UEID, err = d.Uint()
 		case tagMsg:
-			r.Msg, err = d.String()
+			r.Msg = internMsg(d.RawValue())
 		case tagLayer:
 			var v uint64
 			v, err = d.Uint()

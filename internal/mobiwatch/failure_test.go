@@ -10,9 +10,9 @@ import (
 	"github.com/6g-xsec/xsec/internal/sdl"
 )
 
-// garbageNode is an E2 node that admits subscriptions and then sends
-// malformed indication payloads — failure injection for the xApp's
-// decode path.
+// garbageNode is an E2 node that admits (and deletes) subscriptions and
+// sends only what a test makes it send: malformed indication payloads for
+// the xApp's decode path, hand-built valid ones for the pipeline tests.
 type garbageNode struct {
 	ep   *e2ap.Endpoint
 	subs chan e2ap.RequestID
@@ -38,9 +38,12 @@ func startGarbageNode(t *testing.T, p *ric.Platform) *garbageNode {
 			if err != nil {
 				return
 			}
-			if msg.Type == e2ap.TypeSubscriptionRequest {
+			switch msg.Type {
+			case e2ap.TypeSubscriptionRequest:
 				nodeEnd.Send(&e2ap.Message{Type: e2ap.TypeSubscriptionResponse, RequestID: msg.RequestID})
 				n.subs <- msg.RequestID
+			case e2ap.TypeSubscriptionDeleteRequest:
+				nodeEnd.Send(&e2ap.Message{Type: e2ap.TypeSubscriptionDeleteResponse, RequestID: msg.RequestID})
 			}
 		}
 	}()

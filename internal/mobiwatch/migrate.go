@@ -15,9 +15,12 @@ import (
 // into another instance's worker, so a UE handing over between RICs
 // keeps its detection continuity (an attacker must not be able to
 // launder anomaly-window history by forcing handovers). The federation
-// layer (internal/fed) drives these; the worker goroutine itself
-// executes every operation through its control channel, so no scoring
-// state is ever touched concurrently.
+// layer (internal/fed) drives these; the worker's scoring goroutine
+// itself executes every operation through its control channel, so no
+// scoring state is ever touched concurrently. An operation sees the UE as
+// of the last batch scored: batches intake has decoded but the scorer has
+// not taken yet are in the same position as indications still queued at
+// the RIC — not in a checkpoint taken now, scored here afterwards.
 
 // UESnapshot is one UE's portable detection state: the telemetry records
 // the owning worker still holds for it, plus the provenance chain of the
@@ -166,7 +169,7 @@ type joinInfo struct {
 	seqLast  uint64
 }
 
-// ctrl operations, executed by the owning worker goroutine.
+// ctrl operations, executed by the owning worker's scoring goroutine.
 type ctrlKind uint8
 
 const (

@@ -13,8 +13,8 @@ import (
 	"github.com/6g-xsec/xsec/internal/sdl"
 )
 
-// retentionWorker is one scoring worker outside a Runtime's goroutines,
-// driven through ingest as the loop drives it, on a store bounded as Run
+// retentionWorker is one worker outside a Runtime's goroutines, driven
+// through feed as its two stages drive it, on a store bounded as Run
 // bounds it.
 func retentionWorker(t *testing.T, node string) (*worker, *sdl.Store) {
 	t.Helper()
@@ -28,6 +28,19 @@ func retentionWorker(t *testing.T, node string) (*worker, *sdl.Store) {
 	rt := &Runtime{models: models, opts: RunOptions{NodeID: node}, xapp: x}
 	rt.triage = newAlertQueue(&rt.stats, obsQueueDepth.With(node), time.Now)
 	return newWorker(rt, nn.Float32), store
+}
+
+// feed puts one indication carrying batch through both of the worker's
+// stages on the caller's goroutine: admit, the intake entry point, decodes
+// the payload and persists the records; ingest scores what it decoded.
+func feed(t testing.TB, w *worker, ind ric.Indication, batch mobiflow.Trace) {
+	t.Helper()
+	ind.Message = e2sm.EncodeIndicationMessage(&e2sm.IndicationMessage{Records: batch})
+	b, ok := w.admit(ind)
+	if !ok {
+		t.Fatalf("intake refused indication %d", ind.SN)
+	}
+	w.ingest(b.ind, b.records)
 }
 
 // TestRunBoundsTelemetryNamespace: Run is what declares the bound, so a
@@ -54,7 +67,7 @@ func TestRunBoundsTelemetryNamespace(t *testing.T) {
 }
 
 // TestTelemetryRetentionIsCounted pushes three times TelemetryCap records
-// through ingest: the namespace holds at most the cap, what left is
+// through intake and ingest: the namespace holds at most the cap, what left is
 // counted, the newest record reads back as it was sent, and a persist that
 // evicts still costs its key and its value and nothing else.
 func TestTelemetryRetentionIsCounted(t *testing.T) {
@@ -73,7 +86,7 @@ func TestTelemetryRetentionIsCounted(t *testing.T) {
 			batch = append(batch, rec)
 		}
 		newest = batch[len(batch)-1]
-		w.ingest(ric.Indication{NodeID: node, SN: sn}, batch)
+		feed(t, w, ric.Indication{NodeID: node, SN: sn}, batch)
 	}
 
 	live, evicted := store.Len(TelemetryNamespace), store.Evicted(TelemetryNamespace)
@@ -132,7 +145,7 @@ func TestIdleUEsAreForgotten(t *testing.T) {
 		rec := benign[int(sn)%len(benign)]
 		rec.Seq, rec.UEID, rec.RRCState = sn, ue, rrc.StateReleased
 		hdr := asn1lite.Marshal(&e2sm.IndicationHeader{NodeID: node, BatchSeq: sn, UEID: ue})
-		w.ingest(ric.Indication{NodeID: node, SN: sn, Header: hdr, ReceivedAt: t0.Add(time.Duration(sn) * step)},
+		feed(t, w, ric.Indication{NodeID: node, SN: sn, Header: hdr, ReceivedAt: t0.Add(time.Duration(sn) * step)},
 			mobiflow.Trace{rec})
 	}
 	listed := func() int {

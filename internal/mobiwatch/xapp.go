@@ -39,8 +39,12 @@ var (
 		"E2 indication payloads that failed to decode.")
 	obsQueueDepth = obs.NewGaugeVec("xsec_mobiwatch_alert_queue_depth",
 		"Alerts waiting in the triage queue for an analyzer worker, by node.", "node")
+	obsIntakeSeconds = obs.NewHistogram("xsec_mobiwatch_intake_seconds",
+		"Intake-stage time per E2 indication: payload decode plus the SDL persist of each record.", obs.ExpBuckets(1e-6, 4, 12))
 	obsScoreSeconds = obs.NewHistogram("xsec_mobiwatch_score_seconds",
-		"Streaming-inference latency per telemetry batch.", obs.ExpBuckets(1e-6, 4, 12))
+		"Scoring-stage time per decoded telemetry batch (feature encode, batched inference, evidence, alerts) or per age-ticker flush; decode and persist are xsec_mobiwatch_intake_seconds.", obs.ExpBuckets(1e-6, 4, 12))
+	obsHandoffDepth = obs.NewGaugeVec("xsec_mobiwatch_handoff_depth",
+		"Decoded, persisted batches the scoring stage has not taken yet, by node, counting the one an intake goroutine is blocked handing over: past the bound while scoring is the bottleneck, near zero while intake is.", "node")
 	obsFlagSeconds = obs.NewHistogram("xsec_mobiwatch_flag_seconds",
 		"E2 indication arrival to anomaly flag.", obs.DefLatencyBuckets)
 )
@@ -137,9 +141,19 @@ const (
 	// completes one AE and one LSTM window, so a flush covers ≈ 8 records.
 	flushWindows = 16
 	// flushAge bounds how long a pending window may wait before being
-	// scored when traffic is slow — negligible against the 50 ms E2
-	// report period.
+	// scored when traffic is slow: a fifth to a tenth of the 10–20 ms E2
+	// report period every shipped caller sets (50 ms is only RunOptions'
+	// default), so it is a visible but minor share of detection latency.
 	flushAge = 2 * time.Millisecond
+	// handoffDepth bounds, in indications, the FIFO between a shard's
+	// intake and scoring goroutines. It only has to ride out the scorer's
+	// longest pause between receives — one flush of flushWindows windows,
+	// about two indications' worth of intake work — so that intake is not
+	// idle when the scorer comes back; anything deeper is queueing delay
+	// ahead of the score and records held decoded. A full hand-off blocks
+	// intake, so the wait moves to the RIC's shard queue (ShardBuffer),
+	// whose drops are counted.
+	handoffDepth = 16
 )
 
 // Stats counts xApp activity. Every flagged window is either
@@ -178,29 +192,50 @@ type Runtime struct {
 	done    chan struct{}
 }
 
-// worker is one scoring pipeline. Each worker owns a shard of the
-// indication stream (all indications of a UE land on the same worker, in
-// order) and its own sliding-window state, so shards score concurrently
-// without sharing anything but the read-mostly models.
+// worker is one shard's detection pipeline: all indications of a UE land
+// on the same worker, in order. It runs as two goroutines joined by the
+// handoff channel. The intake stage (intake, admit) decodes each
+// indication and persists its records to the SDL; the scoring stage (loop,
+// ingest) owns the sliding-window state and everything that reads it. One
+// of each, in FIFO order, so the scorer sees the record stream exactly as
+// one goroutine doing both would, and a record is always persisted before
+// it is scored. Shards share nothing but the read-mostly models.
 type worker struct {
-	rt      *Runtime
+	rt *Runtime
+
+	// Intake stage only.
+	keyBuf []byte           // reusable SDL key-rendering buffer
+	recEnc asn1lite.Encoder // reusable SDL record-encoding buffer
+
+	handoff chan decoded // intake → scoring, closed by intake
+	depth   *obs.Gauge   // batches admitted and not yet taken by the scorer, summed over the node's shards
+
+	// Scoring stage only, from here down.
 	encoder *feature.Encoder
 	recent  mobiflow.Trace     // trailing records for window + context
 	rows    *feature.RowBuffer // float32 encoding of recent, row for row
 	queues  [2]windowQueue     // windows awaiting the next flush: AE, LSTM
-	keyBuf  []byte             // reusable SDL key-rendering buffer
-	recEnc  asn1lite.Encoder   // reusable SDL record-encoding buffer
 	batchAt time.Time          // RIC arrival time of the batch being ingested
 	batchSN uint64             // its E2 indication sequence number
 
 	// Migration state (migrate.go): the control channel delivers
-	// checkpoint/restore operations into the worker goroutine; ues
+	// checkpoint/restore operations into the scoring goroutine; ues
 	// tracks each UE's latest provenance chain until it has been idle
 	// for ueIdleHorizon; joins holds restored UEs awaiting their first
 	// post-migration indication.
 	ctrl  chan ctrlOp
 	ues   ueMarks
 	joins map[uint64]joinInfo
+}
+
+// decoded is what intake hands the scorer: an indication whose records are
+// decoded and already in the SDL. ind.Message is dropped (the scorer needs
+// only the header and stamps); key is the indication's trace key, minted
+// once for both stages' spans.
+type decoded struct {
+	ind     ric.Indication
+	records mobiflow.Trace
+	key     string
 }
 
 // windowQueue is one model's share of a worker's pending batch: the
@@ -265,11 +300,15 @@ func Run(x *ric.XApp, models *Models, opts RunOptions) (*Runtime, error) {
 	for i := 0; i < sub.Shards(); i++ {
 		w := newWorker(rt, prec)
 		rt.workers = append(rt.workers, w)
-		wg.Add(1)
+		wg.Add(2)
 		go func(shard int) {
 			defer wg.Done()
-			w.loop(sub.C(shard))
+			w.intake(sub.C(shard))
 		}(i)
+		go func() {
+			defer wg.Done()
+			w.loop()
+		}()
 	}
 	go func() {
 		wg.Wait()
@@ -283,6 +322,8 @@ func newWorker(rt *Runtime, prec nn.Precision) *worker {
 	m := rt.models
 	return &worker{
 		rt:      rt,
+		handoff: make(chan decoded, handoffDepth),
+		depth:   obsHandoffDepth.With(rt.opts.NodeID),
 		encoder: feature.NewEncoder(m.Vocab),
 		rows:    feature.NewRowBuffer(m.RecordDim()),
 		queues: [2]windowQueue{
@@ -351,7 +392,54 @@ func (rt *Runtime) Thresholds() (ae, lstm float64) {
 	return rt.models.AEThreshold, rt.models.LSTMThreshold
 }
 
-func (w *worker) loop(c <-chan ric.Indication) {
+// intake is the shard's first stage: it admits each indication and hands
+// the decoded batch to the scorer in arrival order. The send blocks while
+// the hand-off is full, so a scorer that falls behind backs the stream up
+// into the RIC's shard queue, the one place on this path that drops — and
+// counts. Closing the shard stream (Stop, or the node vanishing) ends
+// intake, which closes the hand-off, which ends the scorer.
+func (w *worker) intake(in <-chan ric.Indication) {
+	defer close(w.handoff)
+	for ind := range in {
+		if b, ok := w.admit(ind); ok {
+			w.depth.Add(1)
+			w.handoff <- b
+		}
+	}
+}
+
+// admit is the intake stage's work on one indication, none of which
+// touches window state: decode the payload and persist every record to
+// the SDL. ok is false for an undecodable payload, which is counted and
+// goes no further.
+func (w *worker) admit(ind ric.Indication) (b decoded, ok bool) {
+	start := time.Now()
+	msg, err := e2sm.DecodeIndicationMessage(ind.Message)
+	if err != nil {
+		obsBadBatches.Inc()
+		obs.L().Warn("mobiwatch: undecodable indication payload",
+			"node", ind.NodeID, "sn", ind.SN, "err", err)
+		return decoded{}, false
+	}
+	store := w.rt.xapp.SDL()
+	for i := range msg.Records {
+		w.persist(store, ind.NodeID, &msg.Records[i])
+	}
+	end := time.Now()
+	obsIntakeSeconds.ObserveSeconds(end.Sub(start).Nanoseconds())
+	key := obs.IndicationKey(ind.NodeID, ind.SN)
+	obs.RecordSpan(key, "mobiwatch.intake", start, end)
+	ind.Message = nil
+	return decoded{ind: ind, records: msg.Records, key: key}, true
+}
+
+// loop is the shard's second stage and the only goroutine that touches
+// window state: it scores the decoded batches in hand-off order, runs the
+// migration control operations and flushes on the age ticker. A control
+// operation therefore races the batches still in the hand-off exactly as
+// it already raced the indications still in the shard queue: a checkpoint
+// taken now does not contain them, and they are scored here afterwards.
+func (w *worker) loop() {
 	rt := w.rt
 	// Windows accumulate into a batch tensor; the age ticker bounds how
 	// long a pending window can wait for company when traffic is slow.
@@ -359,29 +447,21 @@ func (w *worker) loop(c <-chan ric.Indication) {
 	defer ticker.Stop()
 	for {
 		select {
-		case ind, ok := <-c:
+		case b, ok := <-w.handoff:
 			if !ok {
 				if w.pending() > 0 {
 					w.flush()
 				}
 				return
 			}
-			span := obs.StartSpan(obs.IndicationKey(ind.NodeID, ind.SN), "mobiwatch.score")
-			msg, err := e2sm.DecodeIndicationMessage(ind.Message)
-			if err != nil {
-				obsBadBatches.Inc()
-				obs.L().Warn("mobiwatch: undecodable indication payload",
-					"node", ind.NodeID, "sn", ind.SN, "err", err)
-				span.End()
-				continue
-			}
+			w.depth.Add(-1)
 			rt.stats.BatchesHandled.Add(1)
 			start := time.Now()
 			rt.thMu.RLock()
-			w.ingest(ind, msg.Records)
+			w.ingest(b.ind, b.records)
 			rt.thMu.RUnlock()
-			w.observeScore(start)
-			span.End()
+			end := w.observeScore(start)
+			obs.RecordSpan(b.key, "mobiwatch.score", start, end)
 		case op := <-w.ctrl:
 			w.handleCtrl(op)
 		case <-ticker.C:
@@ -402,14 +482,17 @@ func (w *worker) flush() {
 	w.rt.thMu.RUnlock()
 }
 
-// observeScore records one scoring pass that began at start.
-func (w *worker) observeScore(start time.Time) {
+// observeScore records one scoring pass that began at start and returns
+// when it ended.
+func (w *worker) observeScore(start time.Time) (end time.Time) {
 	rt := w.rt
-	elapsed := time.Since(start).Nanoseconds()
+	end = time.Now()
+	elapsed := end.Sub(start).Nanoseconds()
 	obsScoreSeconds.ObserveSeconds(elapsed)
 	if rt.opts.ScoreLatency != nil {
 		rt.opts.ScoreLatency.ObserveSeconds(elapsed)
 	}
+	return end
 }
 
 // persistKey renders "nodeID/%020d" into buf without fmt, so the SDL
@@ -426,8 +509,9 @@ func persistKey(buf []byte, nodeID string, seq uint64) []byte {
 }
 
 // persist stores one telemetry record in the SDL for other services
-// (§3.1). It encodes into the worker's reused buffers, so a record costs
-// two allocations: its key string and the exact-length copy Set keeps.
+// (§3.1). It encodes into the intake stage's reused buffers, so a record
+// costs two allocations: its key string and the exact-length copy Set
+// keeps.
 func (w *worker) persist(store *sdl.Store, nodeID string, rec *mobiflow.Record) {
 	w.keyBuf = persistKey(w.keyBuf, nodeID, rec.Seq)
 	w.recEnc.Reset()
@@ -435,8 +519,9 @@ func (w *worker) persist(store *sdl.Store, nodeID string, rec *mobiflow.Record) 
 	store.Set(TelemetryNamespace, string(w.keyBuf), w.recEnc.Bytes())
 }
 
-// ingest runs streaming inference over a telemetry batch. The caller
-// holds the runtime's threshold read-lock.
+// ingest runs streaming inference over a telemetry batch that intake has
+// already persisted. The caller is the scoring goroutine and holds the
+// runtime's threshold read-lock.
 func (w *worker) ingest(ind ric.Indication, batch mobiflow.Trace) {
 	rt := w.rt
 	nodeID := ind.NodeID
@@ -462,12 +547,10 @@ func (w *worker) ingest(ind ric.Indication, batch mobiflow.Trace) {
 			})
 		}
 	}
-	store := rt.xapp.SDL()
 	for i := range batch {
 		rec := &batch[i]
 		rt.stats.RecordsSeen.Add(1)
 		obsRecords.Inc()
-		w.persist(store, nodeID, rec)
 
 		// Encode straight into the row buffer and enqueue the window(s)
 		// the record completes; scoring happens when the batch fills

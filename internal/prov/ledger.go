@@ -1,7 +1,6 @@
 package prov
 
 import (
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,6 +74,8 @@ type Ledger struct {
 	// one's slot.
 	order []ChainID
 	head  int
+	// enc is persistLocked's render buffer, reused from event to event.
+	enc []byte
 }
 
 type chain struct {
@@ -253,16 +254,17 @@ func (l *Ledger) persistLocked(id ChainID, c *chain, idx int) {
 	if l.store == nil {
 		return
 	}
-	data, err := json.Marshal(&c.events[idx])
-	if err != nil {
-		return // Event is marshal-safe by construction; never reached.
+	data, ok := c.events[idx].appendJSON(l.enc[:0])
+	l.enc = data
+	if !ok {
+		return // a non-finite score or an out-of-range time: json.Marshal refuses these too
 	}
 	if idx == len(c.keys) {
 		c.keys = append(c.keys, eventKey(id, idx))
 	}
-	// The marshal buffer is single-use: hand it to the store instead of
-	// paying a defensive copy on every persisted event.
-	l.store.SetOwned(Namespace, c.keys[idx], data)
+	// The store keeps an exact-length copy, the event's one allocation;
+	// the render buffer stays with the ledger.
+	l.store.Set(Namespace, c.keys[idx], data)
 }
 
 // appendKeyPrefix renders "ev/<node>/<sn>/" with the sequence number

@@ -253,11 +253,16 @@ func (d Digest) Floats32(vs []float32) Digest {
 // String renders the digest as 16 hex digits.
 func (d Digest) String() string {
 	var buf [16]byte
+	return string(d.appendHex(buf[:0]))
+}
+
+// appendHex appends the digest's 16 hex digits to b.
+func (d Digest) appendHex(b []byte) []byte {
 	const hex = "0123456789abcdef"
-	for i := 0; i < 16; i++ {
-		buf[i] = hex[(d>>(60-4*uint(i)))&0xf]
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, hex[(d>>uint(shift))&0xf])
 	}
-	return string(buf[:])
+	return b
 }
 
 // MarshalJSON renders the digest as a quoted hex string.

@@ -257,8 +257,8 @@ func (s *Store) SetTTL(namespace, key string, value []byte, ttl time.Duration) u
 // SetOwned stores value under (namespace, key) WITHOUT copying: the store
 // takes ownership of the slice and the caller must not read or mutate it
 // afterwards. It exists for single-use buffers on hot write paths (the
-// provenance ledger and mitigation journal marshal a fresh buffer per
-// event and discard it), where the defensive copy of Set is pure waste.
+// mitigation journal marshals a fresh buffer per entry and discards it),
+// where the defensive copy of Set is pure waste.
 func (s *Store) SetOwned(namespace, key string, value []byte) uint64 {
 	return s.set(namespace, key, value, 0, false)
 }
