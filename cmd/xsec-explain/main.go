@@ -82,6 +82,12 @@ func run(csvIn, demo, model, endpoint string, raw, rag bool, seed int64) error {
 	if analysis.Verdict == llm.VerdictAnomalous {
 		fmt.Printf("Class:       %s\n", analysis.TopClass())
 		fmt.Printf("Explanation: %s\n", analysis.Explanation)
+		// The prompt, and so the explanation, names identifiers by
+		// per-prompt alias; the legend maps them back to the window's.
+		fmt.Println("Legend:")
+		for _, al := range llm.Legend(window) {
+			fmt.Printf("  %s\n", al)
+		}
 		fmt.Printf("Attribution: %s\n", analysis.Attribution)
 		fmt.Println("Remediation:")
 		for _, r := range analysis.Remediation {

@@ -19,10 +19,12 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/6g-xsec/xsec/internal/core"
 	"github.com/6g-xsec/xsec/internal/fed"
+	"github.com/6g-xsec/xsec/internal/llm"
 	"github.com/6g-xsec/xsec/internal/mitigate"
 	"github.com/6g-xsec/xsec/internal/mobiwatch"
 	"github.com/6g-xsec/xsec/internal/obs"
@@ -154,6 +156,12 @@ func run(attack, mitigateMode, model string, sessions, epochs int, seed int64, m
 				fmt.Println()
 				if c.Analysis.Explanation != "" {
 					fmt.Printf("    why: %s\n", c.Analysis.Explanation)
+					// The expert saw per-prompt aliases; the case has the UEs.
+					var where []string
+					for _, al := range llm.Legend(c.Alert.Context) {
+						where = append(where, al.String())
+					}
+					fmt.Printf("    where: %s\n", strings.Join(where, ", "))
 				}
 			}
 			switch {

@@ -77,7 +77,9 @@ type Stats struct {
 
 // Expert answers for a telemetry window. Both the bare llm.Client and
 // the llm.Service serving layer (cache / coalesce / hedge / shed)
-// satisfy it; the analyzer does not care which is behind it.
+// satisfy it; the analyzer does not care which is behind it. The
+// analysis returned is read-only: the Service hands every cache hit the
+// same value, and the analyzer only ever reads it.
 type Expert interface {
 	AnalyzeWindow(ctx context.Context, window mobiflow.Trace) (*llm.Analysis, error)
 }

@@ -2,6 +2,7 @@ package analyzer
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -193,6 +194,47 @@ func TestRecommendControl(t *testing.T) {
 	ctrl := RecommendControl(blind, w)
 	if ctrl == nil || ctrl.TMSI != cell.TMSI(5) {
 		t.Errorf("control = %+v", ctrl)
+	}
+}
+
+// TestSharedVerdictActsOnItsOwnWindow: the serving layer hands one
+// analysis to every UE showing the same pattern, and the analysis names
+// identifiers by per-prompt alias, so the control's target has to come
+// from the window of the case at hand and from nothing in the analysis.
+func TestSharedVerdictActsOnItsOwnWindow(t *testing.T) {
+	l := mixedTrace(t)
+	svc := llm.NewService(llm.NewClient(startExpert(t), "chatgpt-4o"), llm.ServingOptions{})
+	defer svc.Close()
+	an := New(svc, nil)
+
+	episode := windowOf(l, ue.AttackBlindDoS)
+	other := slices.Clone(episode)
+	for i := range other {
+		other[i].UEID += 1000
+		other[i].RNTI += 0x100
+		other[i].TMSI ^= 0x5A5A5A5A
+	}
+	first, err := an.Process(context.Background(), mobiwatch.Alert{Window: episode, Context: episode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := an.Process(context.Background(), mobiwatch.Alert{Window: other, Context: other})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Analysis.Served != llm.ServedCache {
+		t.Fatalf("the second UE's verdict was served %q, want the first's from the cache", second.Analysis.Served)
+	}
+	if first.Control == nil || second.Control == nil || first.Control.Action != e2sm.ControlBlockTMSI {
+		t.Fatalf("controls = %+v, %+v", first.Control, second.Control)
+	}
+	if first.Control.TMSI != episode[0].TMSI || second.Control.TMSI != other[0].TMSI {
+		t.Errorf("blocked %v and %v, want each case's own TMSI %v and %v",
+			first.Control.TMSI, second.Control.TMSI, episode[0].TMSI, other[0].TMSI)
+	}
+	if legend := llm.Legend(other); strings.Contains(second.Analysis.Explanation, other[0].TMSI.String()) ||
+		!strings.Contains(second.Analysis.Explanation, legend[1].Alias) {
+		t.Errorf("explanation %q: want the replayed TMSI by its alias %v", second.Analysis.Explanation, legend[1])
 	}
 }
 

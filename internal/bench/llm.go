@@ -159,16 +159,20 @@ func windowOfKind(l *dataset.Labeled, kind ue.AttackKind) mobiflow.Trace {
 }
 
 // variantWindows derives n distinct windows from one attack pattern by
-// shifting sequence numbers — each renders a distinct prompt (distinct
-// cache digest) with identical analytical content, the shape of a
-// volumetric attack producing a stream of near-identical alerts.
+// marking a different set of its records as radio retransmissions (the
+// bits of i) — each renders a distinct prompt (distinct cache key) with
+// the same finding, the shape of a volumetric attack producing a stream
+// of near-identical alerts. Shifting sequence numbers or identifiers
+// would not do: the canonical prompt carries neither.
 func variantWindows(base mobiflow.Trace, n int) []mobiflow.Trace {
 	out := make([]mobiflow.Trace, n)
 	for i := range out {
 		w := make(mobiflow.Trace, len(base))
 		copy(w, base)
-		for j := range w {
-			w[j].Seq += uint64(i) * 1_000_000
+		for j := 0; i>>j > 0; j++ { // n ≤ 80: seven records of a flood's dozens
+			if i>>j&1 == 1 {
+				w[j].Retransmission = !w[j].Retransmission
+			}
 		}
 		out[i] = w
 	}

@@ -114,9 +114,9 @@ type Analysis struct {
 	Served string
 }
 
-// clone returns a shallow copy — cache hits and coalesced followers get
-// their own struct (Served differs per caller) over the same immutable
-// slices.
+// clone returns a shallow copy over the same immutable slices: what the
+// cache keeps (Served "cache", handed to every hit as is) and what a
+// coalesced follower gets.
 func (a *Analysis) clone() *Analysis {
 	cp := *a
 	return &cp

@@ -38,22 +38,58 @@ func fmtRecord(r mobiflow.Record) string {
 	return b.String()
 }
 
-// fmtPrompt is RenderPrompt as it was written without Grow or AppendTo.
-func fmtPrompt(window mobiflow.Trace) string {
+// promptAround is the prompt with the given DATA lines.
+func promptAround(lines []string) string {
+	return promptPreamble + "\n" + promptDataDescriptions + "\n\n" + dataHeader + "\n" +
+		strings.Join(lines, "") + "\n" + promptQuestion
+}
+
+// rawPrompt is the prompt as it was before it became canonical: every
+// record as Record.String prints it, gNB sequence number and identifiers
+// included.
+func rawPrompt(window mobiflow.Trace) string {
 	lines := make([]string, 0, len(window))
 	for _, r := range window {
 		lines = append(lines, fmtRecord(r)+"\n")
 	}
-	return promptPreamble + "\n" + promptDataDescriptions + "\n\n" + dataHeader + "\n" +
-		strings.Join(lines, "") + "\n" + promptQuestion
+	return promptAround(lines)
+}
+
+// fmtPrompt is RenderPrompt as it was written without Grow or AppendTo,
+// applying the canonical substitution the plain way: three maps numbering
+// each identifier by first appearance, the position for Seq.
+func fmtPrompt(window mobiflow.Trace) string {
+	rntis, tmsis, supis := map[cell.RNTI]int{}, map[cell.TMSI]int{}, map[cell.SUPI]int{}
+	lines := make([]string, 0, len(window))
+	for i, r := range window {
+		r.Seq = uint64(i + 1)
+		if rntis[r.RNTI] == 0 {
+			rntis[r.RNTI] = len(rntis) + 1
+		}
+		r.RNTI = cell.RNTI(rntis[r.RNTI])
+		if r.TMSI != cell.InvalidTMSI {
+			if tmsis[r.TMSI] == 0 {
+				tmsis[r.TMSI] = len(tmsis) + 1
+			}
+			r.TMSI = cell.TMSI(tmsis[r.TMSI])
+		}
+		if r.SUPI != "" {
+			if supis[r.SUPI] == 0 {
+				supis[r.SUPI] = len(supis) + 1
+			}
+			r.SUPI = cell.SUPI(fmt.Sprintf("subscriber-%d", supis[r.SUPI]))
+		}
+		lines = append(lines, fmtRecord(r)+"\n")
+	}
+	return promptAround(lines)
 }
 
 // TestRenderingIsByteIdentical holds the prompt bytes still while how they
 // are produced changes: every record of the attack dataset and of a benign
 // fleet, and records no generator emits (undefined enum values, the widest
 // identifiers, a message longer than the line buffer), render as the fmt
-// reference does, and the cache key and prompt digest of a fixed window are
-// the values verdict caches and prov chains written before the change hold.
+// reference does, the prompt digest of a fixed window is the value prov
+// chains hold, and its cache key is one Service's own.
 func TestRenderingIsByteIdentical(t *testing.T) {
 	l := mixed(t)
 	benign, err := dataset.GenerateBenign(dataset.BenignConfig{Fleet: 12, Seed: 5})
@@ -91,12 +127,15 @@ func TestRenderingIsByteIdentical(t *testing.T) {
 
 	w := attackWindow(l, ue.AttackBTSDoS)
 	prompt := RenderPrompt(w)
-	const (
-		wantKey    prov.Digest = 0x38ae3370d63bb5e4
-		wantDigest prov.Digest = 0x9e85a02a131b12b7
-	)
-	if got := CacheKey("chatgpt-4o", prompt); got != wantKey {
-		t.Errorf("CacheKey of the BTS-DoS window = %#x, pinned %#x", uint64(got), uint64(wantKey))
+	// Re-pinned when the prompt became canonical (0x9e85a02a131b12b7 before).
+	const wantDigest prov.Digest = 0xbe55cf55dd7facc7
+	a := NewService(NewClient("http://unused", "chatgpt-4o"), ServingOptions{})
+	b := NewService(NewClient("http://unused", "chatgpt-4o"), ServingOptions{})
+	if a.windowKey(w) != a.windowKey(w) {
+		t.Error("one Service keys the BTS-DoS window differently on a second call")
+	}
+	if a.windowKey(w) == b.windowKey(w) {
+		t.Error("two Services key the BTS-DoS window alike: the key is not keyed per Service")
 	}
 	if got := prov.DigestText(prompt); got != wantDigest {
 		t.Errorf("PromptDigest of the BTS-DoS window = %#x, pinned %#x", uint64(got), uint64(wantDigest))

@@ -4,9 +4,10 @@
 // REST-bound stage of the loop into a bottleneck or a single point of
 // failure, so the Service wraps the raw Client with four mechanisms:
 //
-//   - a verdict cache keyed by (model, prompt) digest with TTL and
-//     bounded LRU eviction, so repeated windows from the same attack
-//     pattern short-circuit the round trip entirely;
+//   - a verdict cache keyed on the canonical prompt (windowKey) with TTL
+//     and bounded LRU eviction, so windows showing the same traffic
+//     pattern, from whichever UE, short-circuit the round trip entirely
+//     and the prompt is not even built;
 //   - single-flight request coalescing, so N concurrent identical
 //     prompts issue one upstream call and share its answer;
 //   - hedged retries: when the primary attempt is slow a second one is
@@ -22,6 +23,7 @@ package llm
 
 import (
 	"context"
+	"crypto/rand"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -68,8 +70,11 @@ type ServingOptions struct {
 	// negative disables caching).
 	CacheSize int
 	// CacheTTL expires cached verdicts (default 5 min; negative means
-	// no TTL). A TTL keeps a stale "benign" from suppressing analysis
-	// of traffic that has since turned hostile.
+	// no TTL). A hit means the expert was asked, less than a TTL ago,
+	// about a window with the same canonical prompt: the same messages,
+	// states and flags in the same order, with the same records sharing
+	// identifiers, from any UE. A cached "benign" therefore covers every
+	// UE showing that structure, for at most the TTL.
 	CacheTTL time.Duration
 	// MaxInflight bounds concurrent upstream REST calls (default 8).
 	MaxInflight int
@@ -132,6 +137,7 @@ func (o *ServingOptions) defaults() {
 type ServingStats struct {
 	Live          atomic.Uint64 // fresh upstream answers
 	CacheHits     atomic.Uint64 // verdict-cache short-circuits
+	CacheMisses   atomic.Uint64 // analyses the cache did not answer
 	Coalesced     atomic.Uint64 // joined an identical in-flight call
 	Shed          atomic.Uint64 // degraded rule-based fallbacks
 	HedgeAttempts atomic.Uint64 // second attempts launched
@@ -150,11 +156,17 @@ type flightCall struct {
 type Service struct {
 	client *Client
 	opts   ServingOptions
+	// secret keys the cache and single-flight maps (cacheKey): drawn once
+	// per Service, so keys mean nothing outside it.
+	secret [keySecretLen]byte
 	cache  *verdictCache
+	// parsed holds one parsed Analysis per distinct response text, so
+	// patterns the expert answers in the same words retain the words once.
+	parsed *verdictCache
 	stats  ServingStats
 
 	flightMu sync.Mutex
-	flight   map[prov.Digest]*flightCall
+	flight   map[cacheKey]*flightCall
 
 	sem chan struct{} // upstream admission slots
 
@@ -174,8 +186,14 @@ func NewService(client *Client, opts ServingOptions) *Service {
 		client: client,
 		opts:   opts,
 		cache:  newVerdictCache(opts.CacheSize, opts.CacheTTL, opts.Clock),
-		flight: make(map[prov.Digest]*flightCall),
+		parsed: newVerdictCache(opts.CacheSize, opts.CacheTTL, opts.Clock),
+		flight: make(map[cacheKey]*flightCall),
 		sem:    make(chan struct{}, opts.MaxInflight),
+	}
+	if _, err := rand.Read(s.secret[:]); err != nil {
+		// No entropy source: from go1.24 crypto/rand ends the process
+		// itself. A Service keyed with a guessable secret must not serve.
+		panic("llm: drawing the cache-key secret: " + err.Error())
 	}
 	obs.NewGaugeFunc("xsec_llm_cache_entries",
 		"Verdicts currently held by the cache.", func() float64 { return float64(s.cache.len()) })
@@ -210,9 +228,9 @@ func (s *Service) Models(ctx context.Context) ([]string, error) {
 func (s *Service) RegisterHealth(name string) {
 	s.healthName = name
 	obs.RegisterHealthDetail(name, func() (string, error) {
-		detail := fmt.Sprintf("model=%s cache=%d inflight=%d/%d shed=%d hedges=%d",
-			s.client.Model, s.cache.len(), len(s.sem), cap(s.sem),
-			s.stats.Shed.Load(), s.stats.HedgeAttempts.Load())
+		detail := fmt.Sprintf("model=%s cache=%d hits=%d misses=%d inflight=%d/%d shed=%d hedges=%d",
+			s.client.Model, s.cache.len(), s.stats.CacheHits.Load(), s.stats.CacheMisses.Load(),
+			len(s.sem), cap(s.sem), s.stats.Shed.Load(), s.stats.HedgeAttempts.Load())
 		if s.Saturated() {
 			return detail, errors.New("expert endpoint saturated; shedding to rule-based verdicts")
 		}
@@ -231,31 +249,28 @@ func (s *Service) Close() {
 
 // AnalyzeWindow answers for a telemetry window through the serving
 // layer: cache, coalesce, hedge, or — when the endpoint saturates —
-// degrade, in that order.
+// degrade, in that order. Only the window's DATA lines are rendered to
+// look it up; the prompt is built, and RAG-augmented, on a miss. The
+// analysis returned may be shared with other callers and is not to be
+// written.
 func (s *Service) AnalyzeWindow(ctx context.Context, window mobiflow.Trace) (*Analysis, error) {
 	if len(window) == 0 {
 		return nil, fmt.Errorf("llm: empty window")
 	}
-	return s.AnalyzePromptText(ctx, s.client.renderPrompt(window))
-}
-
-// AnalyzePromptText answers for an already-rendered prompt through the
-// serving layer.
-func (s *Service) AnalyzePromptText(ctx context.Context, prompt string) (*Analysis, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	key := CacheKey(s.client.Model, prompt)
+	key := s.windowKey(window)
 	if a, ok := s.cache.get(key); ok {
 		s.stats.CacheHits.Add(1)
 		obsCacheHits.Inc()
 		obsServedCache.Inc()
-		a.Served = ServedCache
 		return a, nil
 	}
+	s.stats.CacheMisses.Add(1)
 	obsCacheMisses.Inc()
 
-	// Single flight: concurrent identical digests share one upstream
+	// Single flight: concurrent identical keys share one upstream
 	// exchange.
 	s.flightMu.Lock()
 	if call, ok := s.flight[key]; ok {
@@ -281,7 +296,7 @@ func (s *Service) AnalyzePromptText(ctx context.Context, prompt string) (*Analys
 	s.flight[key] = call
 	s.flightMu.Unlock()
 
-	a, err := s.resolve(ctx, key, prompt)
+	a, err := s.resolve(ctx, key, s.client.renderPrompt(window))
 	call.analysis, call.err = a, err
 	s.flightMu.Lock()
 	delete(s.flight, key)
@@ -292,7 +307,7 @@ func (s *Service) AnalyzePromptText(ctx context.Context, prompt string) (*Analys
 
 // resolve is the leader path: governor check, upstream exchange, cache
 // fill, degraded fallback.
-func (s *Service) resolve(ctx context.Context, key prov.Digest, prompt string) (*Analysis, error) {
+func (s *Service) resolve(ctx context.Context, key cacheKey, prompt string) (*Analysis, error) {
 	if s.shedNow() {
 		return s.degrade(prompt, "governor open")
 	}
@@ -301,7 +316,10 @@ func (s *Service) resolve(ctx context.Context, key prov.Digest, prompt string) (
 		s.recovered()
 		s.stats.Live.Add(1)
 		obsServedLive.Inc()
-		s.cache.put(key, a)
+		a = s.shareText(a)
+		hit := a.clone()
+		hit.Served = ServedCache // what every hit is handed, as is
+		s.cache.put(key, hit)
 		return a, nil
 	}
 	// A canceled caller (analyzer shutdown) is not the endpoint's
@@ -311,6 +329,22 @@ func (s *Service) resolve(ctx context.Context, key prov.Digest, prompt string) (
 		s.saturation(err)
 	}
 	return s.degrade(prompt, err.Error())
+}
+
+// shareText returns a over the parsed fields of an answer already held
+// with the same response text, or holds a as that answer. The built-in
+// expert answers a pattern in a few dozen distinct texts, ≈ 1.3 KB each
+// parsed; a real endpoint never repeats one and pays a failed lookup.
+func (s *Service) shareText(a *Analysis) *Analysis {
+	tk := s.textKey(a.Raw)
+	held, ok := s.parsed.get(tk)
+	if !ok {
+		s.parsed.put(tk, a)
+		return a
+	}
+	cp := *held
+	cp.Model, cp.PromptDigest, cp.Served = a.Model, a.PromptDigest, a.Served
+	return &cp
 }
 
 // errAdmission marks a request the governor refused an upstream slot.

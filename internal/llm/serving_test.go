@@ -5,12 +5,18 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
+	"github.com/6g-xsec/xsec/internal/cell"
+	"github.com/6g-xsec/xsec/internal/dataset"
+	"github.com/6g-xsec/xsec/internal/mobiflow"
 	"github.com/6g-xsec/xsec/internal/obs"
+	"github.com/6g-xsec/xsec/internal/prov"
 	"github.com/6g-xsec/xsec/internal/sdl"
 	"github.com/6g-xsec/xsec/internal/ue"
 )
@@ -82,12 +88,14 @@ func TestServingCacheHit(t *testing.T) {
 	if svc.Stats().CacheHits.Load() != 1 || svc.Stats().Live.Load() != 1 {
 		t.Errorf("stats = live %d cache %d", svc.Stats().Live.Load(), svc.Stats().CacheHits.Load())
 	}
-	// The cached copy is the caller's own: mutating it must not poison
-	// the cache.
-	second.Explanation = "mutated"
+	// A hit is the cache's own immutable analysis, Served already "cache":
+	// serving it again copies nothing.
 	third, _ := svc.AnalyzeWindow(context.Background(), window)
-	if third.Explanation == "mutated" {
-		t.Error("cache returned a shared pointer")
+	if third != second {
+		t.Error("two hits on one key were served two analyses")
+	}
+	if first.Served != ServedLive {
+		t.Error("caching the live analysis rewrote how it says it was served")
 	}
 }
 
@@ -119,9 +127,7 @@ func TestServingCacheTTL(t *testing.T) {
 
 func TestVerdictCacheLRU(t *testing.T) {
 	vc := newVerdictCache(2, 0, nil)
-	k1 := CacheKey("m", "p1")
-	k2 := CacheKey("m", "p2")
-	k3 := CacheKey("m", "p3")
+	k1, k2, k3 := cacheKey{1}, cacheKey{2}, cacheKey{3}
 	vc.put(k1, &Analysis{Explanation: "1"})
 	vc.put(k2, &Analysis{Explanation: "2"})
 	if _, ok := vc.get(k1); !ok { // touch k1: k2 becomes LRU
@@ -444,5 +450,211 @@ func TestServingHealthCheck(t *testing.T) {
 	svc.Close()
 	if _, ok := find(); ok {
 		t.Error("health check survived Close")
+	}
+}
+
+// fromUE returns the episode w as another UE would show it: its own
+// sequence numbers, RNTIs, TMSI and context ID.
+func fromUE(w mobiflow.Trace, n int) mobiflow.Trace {
+	out := slices.Clone(w)
+	for i := range out {
+		out[i].Seq += uint64(n) * 1000
+		out[i].UEID += uint64(n) * 100
+		out[i].RNTI += cell.RNTI(n) * 0x40
+		if out[i].TMSI != cell.InvalidTMSI {
+			out[i].TMSI += cell.TMSI(n)
+		}
+	}
+	return out
+}
+
+// TestServingOnePatternFromManyUEs: the same BTS-DoS episode shown by 50
+// UEs is one question. The expert is asked once (twice if the first two
+// callers race the cache fill), every verdict is bound to the same prompt,
+// and each caller's window still names its own UE.
+func TestServingOnePatternFromManyUEs(t *testing.T) {
+	l := mixed(t)
+	srv, base := startServer(t)
+	svc := NewService(NewClient(base, "chatgpt-4o"), ServingOptions{})
+	defer svc.Close()
+
+	episode := attackWindow(l, ue.AttackBTSDoS)
+	const ues = 50
+	windows := make([]mobiflow.Trace, ues)
+	for n := range windows {
+		windows[n] = fromUE(episode, n)
+	}
+	results := make([]*Analysis, ues)
+	var wg sync.WaitGroup
+	for worker := 0; worker < 4; worker++ { // the analyzer pool's width
+		wg.Add(1)
+		go func(worker int) {
+			defer wg.Done()
+			for n := worker; n < ues; n += 4 {
+				a, err := svc.AnalyzeWindow(context.Background(), windows[n])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				results[n] = a
+			}
+		}(worker)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if got := srv.Requests(); got > 2 {
+		t.Errorf("%d upstream requests for one pattern from %d UEs, want at most 2", got, ues)
+	}
+	want := prov.DigestText(RenderPrompt(episode))
+	for n, a := range results {
+		if a.PromptDigest != want {
+			t.Errorf("UE %d: prompt digest %v, want %v (the canonical prompt of the episode)", n, a.PromptDigest, want)
+		}
+		if a.Verdict != VerdictAnomalous || a.TopClass() != ClassBTSDoS {
+			t.Errorf("UE %d: %v/%v", n, a.Verdict, a.TopClass())
+		}
+		if !slices.Equal(windows[n], fromUE(episode, n)) {
+			t.Errorf("UE %d: its window no longer carries its own identifiers", n)
+		}
+	}
+	st := svc.Stats()
+	if hits, misses := st.CacheHits.Load(), st.CacheMisses.Load(); hits+misses != ues || hits < ues-4 {
+		t.Errorf("hits %d misses %d over %d analyses", hits, misses, ues)
+	}
+}
+
+// TestServingHitsAllocateNothing: a hit costs a key and a lookup. No
+// Analysis, prompt or key buffer is allocated for it, and what it returns
+// is the cache's own value.
+func TestServingHitsAllocateNothing(t *testing.T) {
+	l := mixed(t)
+	_, base := startServer(t)
+	svc := NewService(NewClient(base, "chatgpt-4o"), ServingOptions{})
+	defer svc.Close()
+
+	w := attackWindow(l, ue.AttackBlindDoS)
+	if len(w) > escalated {
+		w = w[:escalated]
+	}
+	ctx := context.Background()
+	first, err := svc.AnalyzeWindow(ctx, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, _ := svc.AnalyzeWindow(ctx, w)
+	if hit == first || hit.Served != ServedCache || first.Served != ServedLive {
+		t.Fatalf("live %p served %q, hit %p served %q", first, first.Served, hit, hit.Served)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		a, err := svc.AnalyzeWindow(ctx, w)
+		if err != nil || a != hit {
+			t.Fatal("a hit was not served the cached analysis")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a hit allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestServingSharesParsedAnswers: two patterns the expert answers in the
+// same words hold those words once, and evicting one pattern's verdict
+// leaves the other's served.
+func TestServingSharesParsedAnswers(t *testing.T) {
+	l := mixed(t)
+	srv, base := startServer(t)
+	svc := NewService(NewClient(base, "chatgpt-4o"), ServingOptions{CacheSize: 2})
+	defer svc.Close()
+	ctx := context.Background()
+
+	w1 := attackWindow(l, ue.AttackNullCipher)
+	w2 := slices.Clone(w1)
+	w2[0].Retransmission = !w2[0].Retransmission // another pattern, the same finding
+	a1, err := svc.AnalyzeWindow(ctx, w1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2, err := svc.AnalyzeWindow(ctx, w2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a1.Served != ServedLive || a2.Served != ServedLive || srv.Requests() != 2 {
+		t.Fatalf("served %q and %q over %d requests, want two live answers", a1.Served, a2.Served, srv.Requests())
+	}
+	if a1.Raw != a2.Raw {
+		t.Fatalf("the two patterns were answered differently:\n%s\n%s", a1.Raw, a2.Raw)
+	}
+	if unsafe.StringData(a1.Raw) != unsafe.StringData(a2.Raw) {
+		t.Error("two live answers with one text hold the text twice")
+	}
+	if a1.PromptDigest == a2.PromptDigest {
+		t.Error("two prompts, one digest: the shared answer carried its first prompt's binding along")
+	}
+	if a2.PromptDigest != prov.DigestText(RenderPrompt(w2)) {
+		t.Error("the second answer is not bound to its own prompt")
+	}
+
+	// A third pattern evicts the first (CacheSize 2, w1 least recently
+	// used); the second is still a hit, text and all.
+	if _, err := svc.AnalyzeWindow(ctx, attackWindow(l, ue.AttackBTSDoS)); err != nil {
+		t.Fatal(err)
+	}
+	h2, err := svc.AnalyzeWindow(ctx, w2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h2.Served != ServedCache || h2.Raw != a2.Raw || h2.PromptDigest != a2.PromptDigest {
+		t.Errorf("after the eviction the second pattern is served %q", h2.Served)
+	}
+	r1, err := svc.AnalyzeWindow(ctx, w1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1.Served != ServedLive {
+		t.Errorf("the evicted pattern is served %q, want live", r1.Served)
+	}
+}
+
+// benchWindow is the window the serving benchmarks analyse: a flagged
+// window with its context, as MobiWatch escalates it.
+func benchWindow(b *testing.B) mobiflow.Trace {
+	l, err := dataset.GenerateMixed(dataset.MixedConfig{
+		BenignConfig:       dataset.BenignConfig{Fleet: 8, Seed: 17},
+		InstancesPerAttack: 1,
+		BenignBetween:      2,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return l.Trace[:escalated]
+}
+
+var benchSink int
+
+// BenchmarkRenderPrompt times building the full canonical prompt, which
+// the serving layer does on a miss only.
+func BenchmarkRenderPrompt(b *testing.B) {
+	w := benchWindow(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += len(RenderPrompt(w))
+	}
+}
+
+// BenchmarkServiceHit times what every analysis pays: the canonical DATA
+// lines, their keyed 128-bit key, and the cache lookup.
+func BenchmarkServiceHit(b *testing.B) {
+	w := benchWindow(b)
+	svc := NewService(NewClient("http://unused", "chatgpt-4o"), ServingOptions{})
+	svc.cache.put(svc.windowKey(w), &Analysis{Served: ServedCache})
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := svc.AnalyzeWindow(ctx, w); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -198,10 +198,11 @@ func (q *alertQueue) offerLocked(a Alert, now time.Time) (label string) {
 	return labelRaised
 }
 
-// keep makes a, copied, the episode's pending alert.
+// keep makes a, copied, the episode's pending alert. raise builds Window
+// as the tail of Context, so one copy holds both.
 func (e *episode) keep(a Alert, now time.Time) {
-	a.Window = slices.Clone(a.Window)
 	a.Context = slices.Clone(a.Context)
+	a.Window = a.Context[len(a.Context)-len(a.Window):]
 	e.alert, e.offered = a, now
 }
 

@@ -166,6 +166,35 @@ func TestTriageFoldKeepsStrongestAndCount(t *testing.T) {
 	}
 }
 
+// TestTriageKeptAlertHoldsItsRecordsOnce: raise offers a window that is the
+// tail of its context, both viewing the worker's history; the queue keeps
+// one copy of the context and the window inside it, and the worker's
+// history moving on changes neither.
+func TestTriageKeptAlertHoldsItsRecordsOnce(t *testing.T) {
+	q, _, _ := newTestQueue()
+	history := make(mobiflow.Trace, 12)
+	for i := range history {
+		history[i] = mobiflow.Record{Seq: uint64(100 + i), UEID: 7, Msg: "RRCSetupRequest"}
+	}
+	a := flagged(7, 2.0, 31)
+	a.Context, a.Window = history[2:12], history[8:12]
+	q.offer(a)
+	for i := range history {
+		history[i].Seq = 0 // the worker trims and reuses its history
+	}
+	kept, _, ok := takeNow(q)
+	if !ok || len(kept.Context) != 10 || len(kept.Window) != 4 {
+		t.Fatalf("took context %d window %d (ok=%v), want 10 and 4", len(kept.Context), len(kept.Window), ok)
+	}
+	if &kept.Window[0] != &kept.Context[len(kept.Context)-len(kept.Window)] {
+		t.Error("a kept alert holds its window apart from its context")
+	}
+	if kept.Context.FirstSeq() != 102 || kept.Window.FirstSeq() != 108 || kept.Window.LastSeq() != 111 {
+		t.Errorf("kept context starts #%d, window #%d..#%d; want #102, #108..#111",
+			kept.Context.FirstSeq(), kept.Window.FirstSeq(), kept.Window.LastSeq())
+	}
+}
+
 // TestTriageFullQueueShedsLowestPriority: at capacity the entry every
 // other outranks goes, a repeat before any first analysis, and an arrival
 // that outranks nothing is refused (the one case Stats calls dropped).
