@@ -222,8 +222,9 @@ func run(attack, mitigateMode, model string, sessions, epochs int, seed int64, m
 	fmt.Printf("\n=== summary ===\n")
 	fmt.Printf("telemetry records seen:   %d\n", ws.RecordsSeen.Load())
 	fmt.Printf("windows scored:           %d\n", ws.WindowsScored.Load())
-	fmt.Printf("alerts raised:            %d (%d folded into another, %d shed by the triage queue)\n",
-		ws.AlertsRaised.Load(), ws.AlertsFolded.Load(), ws.AlertsShedPriority.Load()+ws.AlertsShedStale.Load())
+	fmt.Printf("alerts raised:            %d (%d folded into another, %d shed by the triage queue, %d of %d taken answered from memory)\n",
+		ws.AlertsRaised.Load(), ws.AlertsFolded.Load(), ws.AlertsShedPriority.Load()+ws.AlertsShedStale.Load(),
+		ws.AlertsRecalled.Load(), ws.AlertsTaken.Load())
 	fmt.Printf("cases processed:          %d (agree %d, disagree %d, failures %d)\n",
 		as.Processed.Load(), as.Agreements.Load(), as.Disagrees.Load(), as.Failures.Load())
 	fmt.Printf("human-review queue:       %d (%d aged out)\n", fw.Analyzer().HumanQueueLen(), fw.Analyzer().HumanQueueAgedOut())

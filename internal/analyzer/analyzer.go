@@ -77,11 +77,21 @@ type Stats struct {
 
 // Expert answers for a telemetry window. Both the bare llm.Client and
 // the llm.Service serving layer (cache / coalesce / hedge / shed)
-// satisfy it; the analyzer does not care which is behind it. The
-// analysis returned is read-only: the Service hands every cache hit the
-// same value, and the analyzer only ever reads it.
+// satisfy it; the analyzer does not care which is behind it. An expert
+// that can also answer from memory, without a round trip, says so by
+// implementing recaller (llm.Service does); RunPool then serves those
+// answers beside its round-trip workers. Either way the analysis returned
+// is read-only: the Service hands every cache hit the same value, and the
+// analyzer only ever reads it.
 type Expert interface {
 	AnalyzeWindow(ctx context.Context, window mobiflow.Trace) (*llm.Analysis, error)
+}
+
+// recaller is the optional half of an Expert: Recall answers for a window
+// only if it can do so at once, from memory, and never asks the endpoint.
+// What it returns is served and counted by the expert as an analysis given.
+type recaller interface {
+	Recall(window mobiflow.Trace) (*llm.Analysis, bool)
 }
 
 // Analyzer is the xApp.
@@ -117,6 +127,22 @@ func (a *Analyzer) Stats() *Stats { return &a.stats }
 // expert query: cancellation (analyzer shutdown, per-case timeout)
 // aborts the in-flight REST call.
 func (a *Analyzer) Process(ctx context.Context, alert mobiwatch.Alert) (*Case, error) {
+	return a.process(ctx, alert, nil)
+}
+
+// expertWindow is what the expert is asked about: the alert's context when
+// it has one.
+func expertWindow(alert *mobiwatch.Alert) mobiflow.Trace {
+	if len(alert.Context) > 0 {
+		return alert.Context
+	}
+	return alert.Window
+}
+
+// process is Process for an alert the expert may already have answered
+// from memory: a non-nil recalled is the analysis, and the expert is not
+// asked again.
+func (a *Analyzer) process(ctx context.Context, alert mobiwatch.Alert, recalled *llm.Analysis) (*Case, error) {
 	chainKey := obs.IndicationKey(alert.NodeID, alert.IndicationSN)
 	span := obs.StartSpan(chainKey, "analyzer.process")
 	defer span.End()
@@ -130,11 +156,12 @@ func (a *Analyzer) Process(ctx context.Context, alert mobiwatch.Alert) (*Case, e
 	}
 	chain := prov.ChainID{Node: alert.NodeID, SN: alert.IndicationSN}
 	c := &Case{Alert: alert, ProcessedAt: a.clock()}
-	window := alert.Context
-	if len(window) == 0 {
-		window = alert.Window
+	window := expertWindow(&alert)
+	analysis := recalled
+	var err error
+	if analysis == nil {
+		analysis, err = a.client.AnalyzeWindow(ctx, window)
 	}
-	analysis, err := a.client.AnalyzeWindow(ctx, window)
 	a.stats.Processed.Add(1)
 	if err != nil {
 		// The LLM is unreachable or hallucinated an unparseable answer:
@@ -197,8 +224,10 @@ func (a *Analyzer) Process(ctx context.Context, alert mobiwatch.Alert) (*Case, e
 
 // PoolOptions tunes RunPool. The zero value means defaults.
 type PoolOptions struct {
-	// Workers is the pool size (default 4). One worker analyses strictly
-	// serially.
+	// Workers is how many expert round trips the pool keeps in flight at
+	// most (default 4): each round-trip worker takes an alert and stays
+	// with it until the expert has answered. Answers the expert gives from
+	// memory are served beside them and are not bounded by it.
 	Workers int
 }
 
@@ -212,50 +241,73 @@ const (
 	caseBuffer = 16
 )
 
-// AlertSource is where the pool's workers get their work: the MobiWatch
-// triage queue (mobiwatch.Runtime). A worker takes an alert the moment it
+// AlertSource is where the pool's takers get their work: the MobiWatch
+// triage queue (mobiwatch.Runtime). A taker takes an alert the moment it
 // is free, so the source decides what is analysed next, and reports back
 // whether the expert agreed, which is what lets the source fold an
-// episode's later alerts into the verdict or re-arm it.
+// episode's later alerts into the verdict or re-arm it. A taker that can
+// serve only some alerts passes want (nil: any), which the source asks at
+// most once per alert and which must not block.
 type AlertSource interface {
-	Take(ctx context.Context) (mobiwatch.Alert, mobiwatch.Ticket, bool)
+	Take(ctx context.Context, want func(*mobiwatch.Alert) bool) (mobiwatch.Alert, mobiwatch.Ticket, bool)
 	Resolve(t mobiwatch.Ticket, agreed bool)
 }
 
-// RunPool analyses alerts from src with a bounded worker pool until src
-// is exhausted or ctx is canceled, emitting processed cases (order
-// follows completion, not arrival). Each case runs under its own
-// deadline derived from ctx, so analyzer shutdown cancels in-flight REST
-// calls.
+// RunPool analyses alerts from src until src is exhausted or ctx is
+// canceled, emitting processed cases (order follows completion, not
+// arrival). Each case runs under its own deadline derived from ctx, so
+// analyzer shutdown cancels in-flight REST calls.
+//
+// The pool is opts.Workers round-trip workers, which take whatever the
+// source ranks first, and, when the expert can recall, one recall lane: a
+// taker that wants only alerts the expert answers from memory. The lane is
+// handed its analysis by Recall and never calls AnalyzeWindow, so it is
+// never inside a round trip and an answer already in memory does not wait
+// for a worker that is.
 func (a *Analyzer) RunPool(ctx context.Context, src AlertSource, opts PoolOptions) <-chan *Case {
 	if opts.Workers <= 0 {
 		opts.Workers = 4
 	}
 	out := make(chan *Case, caseBuffer)
 	var wg sync.WaitGroup
+	taker := func(want func(*mobiwatch.Alert) bool) {
+		defer wg.Done()
+		for {
+			alert, ticket, ok := src.Take(ctx, want)
+			if !ok {
+				return
+			}
+			// A worker may be handed an alert the lane has asked about:
+			// the answer rides on it, and is the one lookup it gets.
+			recalled, _ := alert.Recalled.(*llm.Analysis)
+			alert.Recalled = nil
+			cctx, cancel := context.WithTimeout(ctx, caseTimeout)
+			c, err := a.process(cctx, alert, recalled)
+			cancel()
+			src.Resolve(ticket, err == nil && c.Agree)
+			if err != nil {
+				continue
+			}
+			select {
+			case out <- c:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}
 	wg.Add(opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
-		go func() {
-			defer wg.Done()
-			for {
-				alert, ticket, ok := src.Take(ctx)
-				if !ok {
-					return
-				}
-				cctx, cancel := context.WithTimeout(ctx, caseTimeout)
-				c, err := a.Process(cctx, alert)
-				cancel()
-				src.Resolve(ticket, err == nil && c.Agree)
-				if err != nil {
-					continue
-				}
-				select {
-				case out <- c:
-				case <-ctx.Done():
-					return
-				}
+		go taker(nil)
+	}
+	if r, ok := a.client.(recaller); ok {
+		wg.Add(1)
+		go taker(func(alert *mobiwatch.Alert) bool {
+			analysis, ok := r.Recall(expertWindow(alert))
+			if ok {
+				alert.Recalled = analysis
 			}
-		}()
+			return ok
+		})
 	}
 	go func() {
 		wg.Wait()

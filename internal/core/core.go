@@ -63,8 +63,9 @@ type Options struct {
 	// LLMRAG enables retrieval-augmented prompting for the analyzer
 	// (3GPP passages appended per window; §5 of the paper).
 	LLMRAG bool
-	// LLMWorkers sizes the analyzer worker pool (default 4). One worker
-	// reproduces the original strictly-serial analyzer.
+	// LLMWorkers bounds the expert round trips the analyzer pool keeps in
+	// flight (default 4): one round-trip worker each. Verdicts the serving
+	// layer gives from memory are served beside them (analyzer.RunPool).
 	LLMWorkers int
 	// LLMServing tunes the serving layer between the analyzer and the
 	// expert endpoint: verdict cache, request coalescing, hedged

@@ -43,11 +43,13 @@ func waitAlertsConserved(t *testing.T, fw *Framework) {
 }
 
 // TestOverloadDegradesByPolicy floods the loop with back-to-back BTS and
-// blind DoS against a 20 ms expert, far more flagged windows than four
-// workers can have analysed. The triage queue must keep every delivered
-// case near real time, shed the excess by counted decision, and still
-// end the flood in an acknowledged mitigation with a whole evidence
-// chain behind it.
+// blind DoS against a 20 ms expert, far more flagged windows than two
+// round-trip workers can have analysed (two, not the default four: the
+// pool's recall lane serves the flood's repeated patterns from memory, and
+// what is left for four no longer overloads them on every run). The
+// triage queue must keep every delivered case near real time, shed the
+// excess by counted decision, and still end the flood in an acknowledged
+// mitigation with a whole evidence chain behind it.
 func TestOverloadDegradesByPolicy(t *testing.T) {
 	const expertRTT = 20 * time.Millisecond
 	expert := llm.NewServer()
@@ -63,6 +65,7 @@ func TestOverloadDegradesByPolicy(t *testing.T) {
 		ReportPeriod: 5 * time.Millisecond,
 		TrainOpts:    mobiwatch.TrainOptions{Epochs: 5, Seed: 7}, // a flood is blatant; training dominates under -race
 		LLMBaseURL:   "http://" + addr,
+		LLMWorkers:   2,
 		Mitigate:     "enforce",
 		MitigateTTL:  time.Second,
 	})

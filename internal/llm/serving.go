@@ -261,10 +261,7 @@ func (s *Service) AnalyzeWindow(ctx context.Context, window mobiflow.Trace) (*An
 		ctx = context.Background()
 	}
 	key := s.windowKey(window)
-	if a, ok := s.cache.get(key); ok {
-		s.stats.CacheHits.Add(1)
-		obsCacheHits.Inc()
-		obsServedCache.Inc()
+	if a, ok := s.recall(key); ok {
 		return a, nil
 	}
 	s.stats.CacheMisses.Add(1)
@@ -303,6 +300,29 @@ func (s *Service) AnalyzeWindow(ctx context.Context, window mobiflow.Trace) (*An
 	s.flightMu.Unlock()
 	close(call.done)
 	return a, err
+}
+
+// Recall answers for window only if the answer is in memory: the verdict
+// cache's lookup and nothing else, so it never waits on the endpoint. A
+// hit is an analysis served, counted and shared exactly as AnalyzeWindow's
+// hit is (the caller does not ask AnalyzeWindow as well); a miss counts
+// nothing, because the AnalyzeWindow that follows it counts the miss.
+func (s *Service) Recall(window mobiflow.Trace) (*Analysis, bool) {
+	if len(window) == 0 {
+		return nil, false
+	}
+	return s.recall(s.windowKey(window))
+}
+
+// recall is the cache hit both entry points serve.
+func (s *Service) recall(key cacheKey) (*Analysis, bool) {
+	a, ok := s.cache.get(key)
+	if ok {
+		s.stats.CacheHits.Add(1)
+		obsCacheHits.Inc()
+		obsServedCache.Inc()
+	}
+	return a, ok
 }
 
 // resolve is the leader path: governor check, upstream exchange, cache

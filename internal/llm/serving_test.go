@@ -556,6 +556,81 @@ func TestServingHitsAllocateNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("a hit allocates %.1f times, want 0", allocs)
 	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		if a, ok := svc.Recall(w); !ok || a != hit {
+			t.Fatal("Recall did not serve the cached analysis")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a recalled hit allocates %.1f times, want 0", allocs)
+	}
+}
+
+// servingCounts reads every counter a served analysis moves: the
+// Service's own and the process-wide series.
+func servingCounts(svc *Service) [6]uint64 {
+	st := svc.Stats()
+	return [6]uint64{
+		st.CacheHits.Load(), st.CacheMisses.Load(), st.Live.Load(),
+		obsCacheHits.Value(), obsCacheMisses.Value(), obsServedCache.Value(),
+	}
+}
+
+// TestRecallIsTheHitAndNothingElse: Recall serves what AnalyzeWindow's hit
+// serves and counts what it counts; a miss, an expired entry included,
+// answers false, moves no counter and reaches no endpoint, so hits +
+// misses stays the number of analyses served.
+func TestRecallIsTheHitAndNothingElse(t *testing.T) {
+	l := mixed(t)
+	srv, base := startServer(t)
+	clk := newFakeClock()
+	svc := NewService(NewClient(base, "chatgpt-4o"), ServingOptions{CacheTTL: time.Minute, Clock: clk.Now})
+	defer svc.Close()
+	ctx := context.Background()
+	w := attackWindow(l, ue.AttackNullCipher)
+
+	before := servingCounts(svc)
+	if a, ok := svc.Recall(w); ok || a != nil {
+		t.Fatalf("Recall of a window never asked about = %v, %v", a, ok)
+	}
+	if a, ok := svc.Recall(nil); ok || a != nil {
+		t.Fatalf("Recall of an empty window = %v, %v", a, ok)
+	}
+	if got := servingCounts(svc); got != before || srv.Requests() != 0 {
+		t.Fatalf("a Recall miss moved counters %v -> %v, upstream requests %d", before, got, srv.Requests())
+	}
+
+	if _, err := svc.AnalyzeWindow(ctx, w); err != nil { // the miss, counted here
+		t.Fatal(err)
+	}
+	hit, _ := svc.AnalyzeWindow(ctx, w)
+	before = servingCounts(svc)
+	a, ok := svc.Recall(w)
+	if !ok || a != hit || a.Served != ServedCache {
+		t.Fatalf("Recall = %p, %v; want the analysis a hit is served, %p", a, ok, hit)
+	}
+	want := before
+	want[0]++ // CacheHits
+	want[3]++ // xsec_llm_cache_hits_total
+	want[5]++ // xsec_llm_served_total{source="cache"}
+	if got := servingCounts(svc); got != want {
+		t.Errorf("a Recall hit moved counters %v -> %v, want %v", before, got, want)
+	}
+	// Three analyses were served (live, hit, recalled hit) over one round trip.
+	st := svc.Stats()
+	if served := st.CacheHits.Load() + st.CacheMisses.Load(); served != 3 || srv.Requests() != 1 {
+		t.Errorf("hits %d + misses %d = %d analyses over %d requests, want 3 over 1",
+			st.CacheHits.Load(), st.CacheMisses.Load(), served, srv.Requests())
+	}
+
+	clk.Advance(2 * time.Minute)
+	before = servingCounts(svc)
+	if a, ok := svc.Recall(w); ok || a != nil {
+		t.Errorf("Recall past the TTL = %v, %v; want a miss", a, ok)
+	}
+	if got := servingCounts(svc); got != before || srv.Requests() != 1 {
+		t.Errorf("an expired Recall moved counters %v -> %v, upstream requests %d", before, got, srv.Requests())
+	}
 }
 
 // TestServingSharesParsedAnswers: two patterns the expert answers in the

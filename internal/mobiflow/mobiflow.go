@@ -317,13 +317,25 @@ func AppendTrace(e *asn1lite.Encoder, tr Trace) {
 	}
 }
 
-// DecodeTrace parses a trace produced by EncodeTrace.
+// DecodeTrace parses a trace produced by EncodeTrace into a slice sized
+// once, from a count of the record fields actually present in data: a
+// pass over the field headers, so the size is bounded by len(data) and
+// never read from it. Like DecodeTraceInto it returns the records decoded
+// before an error alongside the error.
 func DecodeTrace(data []byte) (Trace, error) {
-	tr, err := DecodeTraceInto(nil, data)
-	if err != nil {
-		return nil, err
+	var d asn1lite.Decoder
+	d.Reset(data)
+	n := 0
+	for d.Next() {
+		if d.Tag() == 1 {
+			n++
+		}
 	}
-	return tr, nil
+	var buf Trace // stays nil when data holds no record
+	if n > 0 {
+		buf = make(Trace, 0, n)
+	}
+	return DecodeTraceInto(buf, data)
 }
 
 // DecodeTraceInto parses a trace produced by EncodeTrace, appending its

@@ -113,7 +113,7 @@ func TestXAppStopsWhenNodeVanishes(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	if _, _, ok := rt.Take(ctx); ok {
+	if _, _, ok := rt.Take(ctx, nil); ok {
 		t.Error("alert instead of close after node death")
 	}
 	if ctx.Err() != nil {

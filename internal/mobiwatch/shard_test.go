@@ -61,7 +61,7 @@ func TestXAppShardedDetection(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	a, _, got := rt.Take(ctx)
+	a, _, got := rt.Take(ctx, nil)
 	if got && (a.NodeID != "gnb-live" || len(a.Window) == 0) {
 		t.Errorf("alert = %+v", a)
 	}

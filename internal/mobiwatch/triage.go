@@ -35,8 +35,11 @@ var (
 		"Alerts shed from the triage queue before an analyzer worker took them, by reason.", "reason")
 	obsShedPriority = obsAlertsShed.With("lower_priority")
 	obsShedStale    = obsAlertsShed.With("stale")
-	obsQueueWait    = obs.NewHistogram("xsec_mobiwatch_alert_queue_wait_seconds",
-		"Time an alert waited in the triage queue, offer to take.", obs.DefLatencyBuckets)
+	obsQueueWait    = obs.NewHistogramVec("xsec_mobiwatch_alert_queue_wait_seconds",
+		"Time an alert waited in the triage queue, offer to take, by the kind of taker that got it: a filtered one (the analyzer's recall lane) or an unfiltered one (a round-trip worker).",
+		obs.DefLatencyBuckets, "lane")
+	obsWaitRecall    = obsQueueWait.With("recall")
+	obsWaitRoundTrip = obsQueueWait.With("round_trip")
 )
 
 // Alert dispositions, as the KindAlert event on the alert's chain labels
@@ -62,6 +65,9 @@ type episode struct {
 	alert   Alert
 	pending bool
 	offered time.Time // when alert was offered: staleness and wait epoch
+	// asked, wanted: a filtered Take put its question about alert, and the
+	// answer. keep clears both: the question is asked once per kept window.
+	asked, wanted bool
 	// inflight: a worker holds this key, so no second worker is handed it.
 	inflight bool
 	// repeat: the pending alert follows an analysis of the same episode.
@@ -163,7 +169,13 @@ func (q *alertQueue) offerLocked(a Alert, now time.Time) (label string) {
 		// The stronger window stands for the episode from here on.
 		prov.Record(alertEvent(&ep.alert, labelFolded, now))
 		a.Folded = ep.alert.Folded + 1
+		// A filtered taker that did not want the old window may be parked
+		// with this episode pending: it has a new window to ask about.
+		reask := ep.asked && !ep.wanted && !ep.inflight
 		ep.keep(a, now)
+		if reask {
+			q.wakeLocked()
+		}
 		return labelRaised
 	case ep.inflight:
 		// Held behind the analysis in progress: it folds into an agreeing
@@ -204,20 +216,36 @@ func (e *episode) keep(a Alert, now time.Time) {
 	a.Context = slices.Clone(a.Context)
 	a.Window = a.Context[len(a.Context)-len(a.Window):]
 	e.alert, e.offered = a, now
+	e.asked, e.wanted = false, false
 }
 
 // Take blocks until an alert is due a worker and returns the one that
-// outranks the rest, marking its episode in flight until Resolve. ok is
-// false once ctx is done, or the queue is closed and holds nothing a
-// worker may take.
-func (q *alertQueue) Take(ctx context.Context) (a Alert, t Ticket, ok bool) {
+// outranks the rest, marking its episode in flight until Resolve. A taker
+// that can only serve some alerts passes want: it is asked, under the
+// queue's lock and once per kept window, whether it wants the alert, may
+// note on it what it found out (Alert.Recalled), and is handed the one that
+// outranks the rest among those it wanted; nil wants any. ok is false once
+// ctx is done, or the queue is closed and holds nothing this taker may
+// take.
+func (q *alertQueue) Take(ctx context.Context, want func(*Alert) bool) (a Alert, t Ticket, ok bool) {
 	for {
 		q.mu.Lock()
 		now := q.now()
 		q.expireLocked(now)
 		var best *episode
 		for _, p := range q.pending {
-			if !p.inflight && (best == nil || p.outranks(best)) {
+			if p.inflight {
+				continue
+			}
+			if want != nil {
+				if !p.asked {
+					p.asked, p.wanted = true, want(&p.alert)
+				}
+				if !p.wanted {
+					continue
+				}
+			}
+			if best == nil || p.outranks(best) {
 				best = p
 			}
 		}
@@ -227,9 +255,14 @@ func (q *alertQueue) Take(ctx context.Context) (a Alert, t Ticket, ok bool) {
 			best.alert = Alert{} // the table must not pin a taken alert
 			best.inflight = true
 			q.stats.AlertsTaken.Add(1)
+			wait := obsWaitRoundTrip
+			if want != nil {
+				q.stats.AlertsRecalled.Add(1)
+				wait = obsWaitRecall
+			}
 			waited := now.Sub(best.offered)
 			q.mu.Unlock()
-			obsQueueWait.ObserveWithExemplar(waited.Seconds(), obs.IndicationKey(a.NodeID, a.IndicationSN))
+			wait.ObserveWithExemplar(waited.Seconds(), obs.IndicationKey(a.NodeID, a.IndicationSN))
 			return a, Ticket{best}, true
 		}
 		closed, wake := q.closed, q.wake

@@ -48,7 +48,7 @@ func flagged(ue uint64, ratio float64, sn uint64) Alert {
 func takeNow(q *alertQueue) (Alert, Ticket, bool) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	return q.Take(ctx)
+	return q.Take(ctx, nil)
 }
 
 // accounted checks the conservation identity and returns what was offered.
@@ -387,9 +387,9 @@ func TestTriageStateIsBounded(t *testing.T) {
 	accounted(t, st)
 }
 
-// TestTriageConservationUnderConcurrency: 8 offerers against 4 takers on
-// the wall clock; every alert ends in exactly one disposition and no key
-// is ever in two workers' hands.
+// TestTriageConservationUnderConcurrency: 8 offerers against 4 takers and
+// one filtered taker on the wall clock; every alert ends in exactly one
+// disposition and no key is ever in two workers' hands.
 func TestTriageConservationUnderConcurrency(t *testing.T) {
 	stats := &Stats{}
 	q := newAlertQueue(stats, obsQueueDepth.With("gnb-triage-test"), time.Now)
@@ -399,15 +399,24 @@ func TestTriageConservationUnderConcurrency(t *testing.T) {
 	var doubles atomic.Int64
 	ctx, cancel := context.WithCancel(context.Background())
 	var tw sync.WaitGroup
-	for i := 0; i < takers; i++ {
+	var unwanted atomic.Int64
+	evenUE := func(a *Alert) bool { return a.Window[0].UEID%2 == 0 }
+	for i := 0; i <= takers; i++ {
 		tw.Add(1)
 		go func(seed int64) {
 			defer tw.Done()
 			rng := rand.New(rand.NewSource(seed))
+			var want func(*Alert) bool
+			if seed == takers { // the last taker takes even UEs only
+				want = evenUE
+			}
 			for {
-				a, tk, ok := q.Take(ctx)
+				a, tk, ok := q.Take(ctx, want)
 				if !ok {
 					return
+				}
+				if want != nil && !want(&a) {
+					unwanted.Add(1)
 				}
 				key := a.Window[len(a.Window)-1].UEID
 				if _, dup := held.LoadOrStore(key, struct{}{}); dup {
@@ -448,4 +457,164 @@ func TestTriageConservationUnderConcurrency(t *testing.T) {
 	if stats.AlertsTaken.Load() == 0 || stats.AlertsFolded.Load() == 0 {
 		t.Errorf("scenario exercised nothing: taken %d, folded %d", stats.AlertsTaken.Load(), stats.AlertsFolded.Load())
 	}
+	if n := unwanted.Load(); n != 0 {
+		t.Errorf("the filtered taker was handed %d alerts it did not want", n)
+	}
+	if r := stats.AlertsRecalled.Load(); r == 0 || r >= stats.AlertsTaken.Load() {
+		t.Errorf("filtered takes %d of %d takes; want some, counted within the takes", r, stats.AlertsTaken.Load())
+	}
+}
+
+// TestTriageFilteredTake: a taker with a filter is asked once per kept
+// window, again when a stronger window replaces it, never about an
+// episode in flight, and is handed the alert that outranks the rest among
+// those it wanted, with what it noted on it; the rest stay for an
+// unfiltered taker.
+func TestTriageFilteredTake(t *testing.T) {
+	q, st, clock := newTestQueue()
+	asked := map[uint64]int{} // by indication SN
+	wanted := map[uint64]bool{}
+	want := func(a *Alert) bool {
+		asked[a.IndicationSN]++
+		if wanted[a.IndicationSN] {
+			a.Recalled = a.IndicationSN
+			return true
+		}
+		return false
+	}
+	takeWanted := func() (Alert, Ticket, bool) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		return q.Take(ctx, want)
+	}
+	offer := func(ue uint64, ratio float64, sn uint64) {
+		clock.advance(time.Millisecond)
+		q.offer(flagged(ue, ratio, sn))
+	}
+
+	offer(1, 9.0, 11) // the strongest, not wanted
+	offer(2, 2.0, 12) // wanted
+	offer(3, 3.0, 13) // wanted, stronger
+	wanted[12], wanted[13] = true, true
+	a, tk13, ok := takeWanted()
+	if !ok || a.IndicationSN != 13 || a.Recalled != uint64(13) {
+		t.Fatalf("took SN %d noted %v (ok=%v); want SN 13, the strongest wanted, carrying the filter's note", a.IndicationSN, a.Recalled, ok)
+	}
+	a, _, ok = takeWanted()
+	if !ok || a.IndicationSN != 12 {
+		t.Fatalf("took SN %d (ok=%v), want SN 12", a.IndicationSN, ok)
+	}
+	if _, _, ok := takeWanted(); ok {
+		t.Fatal("the filtered taker was handed an alert it did not want")
+	}
+	wanted[11] = true // the answer landed after the question: not asked again
+	if _, _, ok := takeWanted(); ok {
+		t.Fatal("an alert was asked about twice")
+	}
+	for sn, n := range asked {
+		if n != 1 {
+			t.Errorf("SN %d asked about %d times over five takes, want once", sn, n)
+		}
+	}
+
+	// A stronger window replaces SN 11's: the question is put again.
+	wanted[14] = true
+	offer(1, 9.5, 14)
+	a, _, ok = takeWanted()
+	if !ok || a.IndicationSN != 14 || a.Folded != 1 || asked[14] != 1 {
+		t.Fatalf("took SN %d folded %d (ok=%v) after %d questions; want SN 14, folded 1, asked once", a.IndicationSN, a.Folded, ok, asked[14])
+	}
+
+	// UE 3 is in flight: its next alert is neither asked about nor handed
+	// out until the analysis resolves, and then it is.
+	wanted[15] = true
+	offer(3, 4.0, 15)
+	if _, _, ok := takeWanted(); ok || asked[15] != 0 {
+		t.Fatalf("an in-flight episode was handed out or asked about (ok=%v, asked %d times)", ok, asked[15])
+	}
+	q.Resolve(tk13, false)
+	a, _, ok = takeWanted()
+	if !ok || a.IndicationSN != 15 || asked[15] != 1 {
+		t.Fatalf("after Resolve took SN %d (ok=%v, asked %d times); want SN 15, asked once", a.IndicationSN, ok, asked[15])
+	}
+
+	// An unwanted alert stays for an unfiltered taker, which gets a nil note.
+	offer(4, 2.0, 16)
+	if _, _, ok := takeWanted(); ok {
+		t.Fatal("SN 16 was not wanted")
+	}
+	a, _, ok = takeNow(q)
+	if !ok || a.IndicationSN != 16 || a.Recalled != nil {
+		t.Fatalf("unfiltered take: SN %d noted %v (ok=%v), want SN 16 and no note", a.IndicationSN, a.Recalled, ok)
+	}
+	if st.AlertsTaken.Load() != 5 || st.AlertsRecalled.Load() != 4 {
+		t.Errorf("taken %d, of which filtered %d; want 5 and 4", st.AlertsTaken.Load(), st.AlertsRecalled.Load())
+	}
+	accounted(t, st)
+}
+
+// TestTriageFilteredTakeWakesOnReplacement: a filtered taker parked on an
+// episode whose window it did not want is woken when a stronger window
+// replaces that one, and asked about the new window.
+func TestTriageFilteredTakeWakesOnReplacement(t *testing.T) {
+	q, st, _ := newTestQueue()
+	q.offer(flagged(1, 2.0, 11))
+	asked := make(chan uint64, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second) // failsafe only
+	defer cancel()
+	took := make(chan Alert)
+	go func() {
+		a, _, _ := q.Take(ctx, func(a *Alert) bool {
+			asked <- a.IndicationSN
+			return a.IndicationSN == 12
+		})
+		took <- a
+	}()
+	if sn := <-asked; sn != 11 {
+		t.Fatalf("asked about SN %d first, want SN 11", sn)
+	}
+	// offer waits for the queue's lock, which the taker holds until it has
+	// finished looking and is committed to waiting for the next wake.
+	q.offer(flagged(1, 3.0, 12))
+	if a := <-took; a.IndicationSN != 12 || a.Folded != 1 {
+		t.Fatalf("took SN %d folded %d; want the replacement, SN 12, folded 1", a.IndicationSN, a.Folded)
+	}
+	if sn := <-asked; sn != 12 || len(asked) != 0 {
+		t.Errorf("second question about SN %d, %d more; want SN 12 and none", sn, len(asked))
+	}
+	accounted(t, st)
+}
+
+// TestTriageFilteredTakeAtClose: once the queue is closed a filtered taker
+// parked in Take returns, leaving what it does not want to the unfiltered
+// takers, which drain it.
+func TestTriageFilteredTakeAtClose(t *testing.T) {
+	q, st, _ := newTestQueue()
+	q.offer(flagged(1, 2.0, 11))
+	q.offer(flagged(2, 3.0, 12))
+	asked := make(chan struct{}, 2)
+	lane := make(chan bool)
+	go func() {
+		_, _, ok := q.Take(context.Background(), func(*Alert) bool {
+			asked <- struct{}{}
+			return false
+		})
+		lane <- ok
+	}()
+	<-asked
+	<-asked // the lane has looked at both and is parked, or about to be
+	q.close()
+	if ok := <-lane; ok {
+		t.Fatal("a filtered Take returned an alert it did not want")
+	}
+	for _, sn := range []uint64{12, 11} {
+		a, _, ok := q.Take(context.Background(), nil)
+		if !ok || a.IndicationSN != sn {
+			t.Fatalf("draining a closed queue: took SN %d (ok=%v), want SN %d", a.IndicationSN, ok, sn)
+		}
+	}
+	if _, _, ok := q.Take(context.Background(), nil); ok {
+		t.Error("a closed, empty queue handed out an alert")
+	}
+	accounted(t, st)
 }

@@ -76,6 +76,11 @@ type Alert struct {
 	// triage queue folded into this alert while it waited: the case
 	// stands for 1+Folded windows, of which this is the strongest.
 	Folded int
+	// Recalled is for a Take filter to note what it found out when asked
+	// about this alert, so that whichever taker is handed the alert need
+	// not find it out again (the analyzer's recall lane: the analysis the
+	// expert gave from memory). MobiWatch neither sets nor reads it.
+	Recalled any
 }
 
 // RunOptions configures the online xApp.
@@ -169,6 +174,7 @@ type Stats struct {
 	BatchesHandled atomic.Uint64
 
 	AlertsTaken        atomic.Uint64
+	AlertsRecalled     atomic.Uint64 // of AlertsTaken: by a filtered Take
 	AlertsFolded       atomic.Uint64
 	AlertsShedPriority atomic.Uint64
 	AlertsShedStale    atomic.Uint64
@@ -339,10 +345,13 @@ func newWorker(rt *Runtime, prec nn.Precision) *worker {
 // Take blocks until the triage queue has an alert due an analyzer worker
 // and returns the highest-priority one: the first analysis of an episode
 // before a repeat, then the strongest window. The alert's episode is not
-// handed out again until Resolve(t, …). ok is false when ctx is done or
-// the runtime has stopped and nothing is left to take.
-func (rt *Runtime) Take(ctx context.Context) (a Alert, t Ticket, ok bool) {
-	return rt.triage.Take(ctx)
+// handed out again until Resolve(t, …). A non-nil want narrows the take to
+// the alerts it answers true for; it is asked once per alert, under the
+// queue's lock, so it must be quick and must not block. ok is false when
+// ctx is done or the runtime has stopped and nothing is left for this
+// taker.
+func (rt *Runtime) Take(ctx context.Context, want func(*Alert) bool) (a Alert, t Ticket, ok bool) {
+	return rt.triage.Take(ctx, want)
 }
 
 // Resolve reports the outcome of the analysis Take started: agreed folds
@@ -355,7 +364,7 @@ func (rt *Runtime) Resolve(t Ticket, agreed bool) { rt.triage.Resolve(t, agreed)
 // verdict that was never given. fn may be nil.
 func (rt *Runtime) Drain(fn func(Alert)) {
 	for {
-		a, t, ok := rt.Take(context.Background())
+		a, t, ok := rt.Take(context.Background(), nil)
 		if !ok {
 			return
 		}

@@ -73,7 +73,7 @@ func TestXAppOnlineDetection(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
-	sample, _, ok := rt.Take(ctx)
+	sample, _, ok := rt.Take(ctx, nil)
 	if !ok {
 		t.Fatalf("no alert raised for BTS DoS (stats: %d records, %d windows)",
 			rt.Stats().RecordsSeen.Load(), rt.Stats().WindowsScored.Load())
