@@ -36,8 +36,12 @@ const DefaultBatchRecords = 64
 type BatchPolicy struct {
 	// MaxRecords caps the records carried by one indication; a flush
 	// holding more splits into multiple indications per UE. A pending
-	// set reaching MaxRecords also flushes immediately, so bursts ship
-	// without waiting out the period. Default DefaultBatchRecords.
+	// set that has reached MaxRecords is flushed by the poll that finds
+	// it so, not by the record that fills it: the size is looked at
+	// once per MaxAge tick and nothing wakes the reporter in between,
+	// so with the default MaxAge (the period) a burst still waits for
+	// the period's tick. The event-driven report is ROADMAP item 1(h).
+	// Default DefaultBatchRecords.
 	MaxRecords int
 	// MaxAge is the drain cadence and staleness bound: telemetry is
 	// polled every MaxAge, and records flushed no later than one poll

@@ -134,7 +134,33 @@ func (m *Models) SetPercentile(pct float64) error {
 // Train fits both models on a benign telemetry trace and calibrates the
 // detection thresholds (§4.1: "we select a 99% percentile threshold
 // among the reconstruction errors").
+//
+// The two fits share nothing but the read-only feature vectors, so they
+// run side by side: each mini-batch ends in a serial reduce-and-step
+// tail, and one model's tail overlaps the other's sharded pass. Each fit
+// keeps its own seeds and its own fixed shard layout, so the bundle is
+// the one fitting them in turn produces, whatever GOMAXPROCS is.
 func Train(benign mobiflow.Trace, opts TrainOptions) (*Models, error) {
+	return train(benign, opts, sideBySide)
+}
+
+// sideBySide runs the two fits at once, the LSTM's on a second
+// goroutine, and returns only after both have: a fit left running would
+// go on writing a model nobody holds.
+func sideBySide(fitAE, fitLSTM func() error) (aeErr, lstmErr error) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		lstmErr = fitLSTM()
+	}()
+	aeErr = fitAE()
+	<-done
+	return aeErr, lstmErr
+}
+
+// train is Train with the scheduling of the two fits handed in, so that
+// a test can fit them in turn and hold Train's bundle to the result.
+func train(benign mobiflow.Trace, opts TrainOptions, run func(fitAE, fitLSTM func() error) (aeErr, lstmErr error)) (*Models, error) {
 	opts.defaults()
 	if len(benign) <= opts.Window {
 		return nil, fmt.Errorf("mobiwatch: %d records cannot fill window %d", len(benign), opts.Window)
@@ -142,19 +168,24 @@ func Train(benign mobiflow.Trace, opts TrainOptions) (*Models, error) {
 	vocab := feature.BuildVocabulary(benign)
 	vecs := feature.Vectorize(benign, vocab)
 	dim := len(vecs[0])
-
-	// Autoencoder on flattened windows.
-	winAE := feature.WindowsAE(vecs, opts.Window)
-	ae := nn.NewAutoencoder(nn.AEConfig{InputDim: dim * opts.Window, Hidden: opts.Hidden, Seed: opts.Seed})
-	if _, err := ae.Train(winAE, nn.TrainConfig{Epochs: opts.Epochs, BatchSize: 16, LR: opts.LR, Seed: opts.Seed + 1}); err != nil {
-		return nil, fmt.Errorf("mobiwatch: training autoencoder: %w", err)
+	cfg := func(seed int64) nn.TrainConfig {
+		return nn.TrainConfig{Epochs: opts.Epochs, BatchSize: 16, LR: opts.LR, Seed: seed}
 	}
 
-	// LSTM next-entry prediction.
+	// Autoencoder on flattened windows; LSTM next-entry prediction.
+	winAE := feature.WindowsAE(vecs, opts.Window)
+	ae := nn.NewAutoencoder(nn.AEConfig{InputDim: dim * opts.Window, Hidden: opts.Hidden, Seed: opts.Seed})
 	winL, nexts := feature.WindowsLSTM(vecs, opts.Window)
 	lstm := nn.NewLSTM(opts.Seed+2, dim, opts.LSTMHidden, dim)
-	if _, err := lstm.TrainNextStep(winL, nexts, nn.TrainConfig{Epochs: opts.Epochs, BatchSize: 16, LR: opts.LR, Seed: opts.Seed + 3}); err != nil {
-		return nil, fmt.Errorf("mobiwatch: training lstm: %w", err)
+	aeErr, lstmErr := run(
+		func() error { _, err := ae.Train(winAE, cfg(opts.Seed+1)); return err },
+		func() error { _, err := lstm.TrainNextStep(winL, nexts, cfg(opts.Seed+3)); return err },
+	)
+	if aeErr != nil {
+		return nil, fmt.Errorf("mobiwatch: training autoencoder: %w", aeErr)
+	}
+	if lstmErr != nil {
+		return nil, fmt.Errorf("mobiwatch: training lstm: %w", lstmErr)
 	}
 
 	m := &Models{

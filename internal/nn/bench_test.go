@@ -107,3 +107,20 @@ func BenchmarkAETrainParallel(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLSTMTrain measures one training epoch at MobiWatch's LSTM
+// dimensions on telemetry-shaped rows (one-hot groups and a few reals,
+// about one element in six non-zero) — the input the index-list wx pass
+// is for; BenchmarkAETrain's syntheticWindows rows are fully dense, the
+// list's worst case.
+func BenchmarkLSTMTrain(b *testing.B) {
+	windows, nexts := slidingWindows(telemetryRows(rand.New(rand.NewSource(4)), 260, 64), 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l := NewLSTM(1, 64, 32, 64)
+		if _, err := l.TrainNextStep(windows, nexts, TrainConfig{Epochs: 1, Seed: 2, Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

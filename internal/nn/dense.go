@@ -27,6 +27,13 @@ type denseScratch struct {
 	in     []float64 // input cached by forward
 	out    []float64 // activations cached by forward
 	gradIn []float64 // backward's dLoss/dInput buffer
+
+	// nz marks an MLP's input layer (nil everywhere else) and holds the
+	// indices of its input's non-zero elements, collected by forward
+	// (see nonZero). The input layer runs its dot products and its
+	// dW += δ·x over that list, and has neither a dLoss/dInput nor a
+	// gradIn to hold one: nothing sits upstream of it to read either.
+	nz []int32
 }
 
 // NewDense creates a layer with Xavier-initialized weights.
@@ -43,17 +50,21 @@ func NewDense(rng *rand.Rand, in, out int, act Activation) *Dense {
 // Params implements Model.
 func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
 
-func (d *Dense) newScratch() *denseScratch {
-	return &denseScratch{
-		in:     make([]float64, d.In),
-		out:    make([]float64, d.Out),
-		gradIn: make([]float64, d.In),
+// newScratch allocates a workspace for the layer; input says it is an
+// MLP's first (see denseScratch.nz).
+func (d *Dense) newScratch(input bool) *denseScratch {
+	s := &denseScratch{in: make([]float64, d.In), out: make([]float64, d.Out)}
+	if input {
+		s.nz = make([]int32, 0, d.In)
+	} else {
+		s.gradIn = make([]float64, d.In)
 	}
+	return s
 }
 
 func (d *Dense) scratch() *denseScratch {
 	if d.def == nil {
-		d.def = d.newScratch()
+		d.def = d.newScratch(false)
 	}
 	return d.def
 }
@@ -65,11 +76,22 @@ func (d *Dense) forward(s *denseScratch, x []float64) []float64 {
 		panic(fmt.Sprintf("nn: Dense.Forward input %d, want %d", len(x), d.In))
 	}
 	copy(s.in, x)
+	if s.nz != nil {
+		s.nz = nonZero(s.nz[:0], x)
+	}
 	for o := 0; o < d.Out; o++ {
 		sum := d.b.W[o]
-		row := d.w.W[o*d.In : (o+1)*d.In]
-		for i, xi := range x {
-			sum += row[i] * xi
+		// Sliced to len(x), so that an index checked against one of row
+		// and x is known to be inside the other.
+		row := d.w.W[o*d.In:][:len(x)]
+		if s.nz != nil {
+			for _, i := range s.nz {
+				sum += row[i] * x[i]
+			}
+		} else {
+			for i, xi := range x {
+				sum += row[i] * xi
+			}
 		}
 		s.out[o] = d.Act.apply(sum)
 	}
@@ -79,9 +101,23 @@ func (d *Dense) forward(s *denseScratch, x []float64) []float64 {
 // backward consumes dLoss/dOutput, accumulates parameter gradients into
 // wG/bG (shaped like d.w.G / d.b.G), and returns dLoss/dInput. The
 // returned slice is owned by s and overwritten by its next backward.
+// An MLP's input layer returns nil: nothing upstream reads its
+// dLoss/dInput, and its dW += δ·x runs over the non-zero inputs only.
 func (d *Dense) backward(s *denseScratch, wG, bG, gradOut []float64) []float64 {
 	if len(gradOut) != d.Out {
 		panic(fmt.Sprintf("nn: Dense.Backward grad %d, want %d", len(gradOut), d.Out))
+	}
+	if s.nz != nil {
+		in := s.in
+		for o := 0; o < d.Out; o++ {
+			delta := gradOut[o] * d.Act.derivFromOutput(s.out[o])
+			bG[o] += delta
+			grow := wG[o*d.In:][:len(in)]
+			for _, i := range s.nz {
+				grow[i] += delta * in[i]
+			}
+		}
+		return nil
 	}
 	gradIn := s.gradIn
 	for i := range gradIn {
@@ -160,7 +196,7 @@ func (m *MLP) Layers() []*Dense { return m.layers }
 func (m *MLP) NewScratch() *MLPScratch {
 	s := &MLPScratch{layers: make([]*denseScratch, len(m.layers))}
 	for i, l := range m.layers {
-		s.layers[i] = l.newScratch()
+		s.layers[i] = l.newScratch(i == 0)
 	}
 	return s
 }
@@ -191,22 +227,21 @@ func (m *MLP) ForwardWith(s *MLPScratch, x []float64) []float64 {
 
 // backwardInto propagates dLoss/dOutput through the stack using
 // workspace s, accumulating parameter gradients into grads (aligned
-// with Params(), two entries — w then b — per layer), and returns
-// dLoss/dInput.
-func (m *MLP) backwardInto(s *MLPScratch, grads [][]float64, gradOut []float64) []float64 {
+// with Params(), two entries — w then b — per layer). dLoss/dInput of
+// the network is not computed: training never read it.
+func (m *MLP) backwardInto(s *MLPScratch, grads [][]float64, gradOut []float64) {
 	g := gradOut
 	for i := len(m.layers) - 1; i >= 0; i-- {
 		g = m.layers[i].backward(s.layers[i], grads[2*i], grads[2*i+1], g)
 	}
-	return g
 }
 
 // BackwardWith propagates gradients through workspace s, accumulating
 // into the shared Params. Concurrent BackwardWith calls on the same
 // model race on Param.G; use per-goroutine gradient buffers (as Train
 // does) when training in parallel.
-func (m *MLP) BackwardWith(s *MLPScratch, gradOut []float64) []float64 {
-	return m.backwardInto(s, m.grads(), gradOut)
+func (m *MLP) BackwardWith(s *MLPScratch, gradOut []float64) {
+	m.backwardInto(s, m.grads(), gradOut)
 }
 
 // Forward runs the network through the default scratch (single-threaded
@@ -214,7 +249,7 @@ func (m *MLP) BackwardWith(s *MLPScratch, gradOut []float64) []float64 {
 func (m *MLP) Forward(x []float64) []float64 { return m.ForwardWith(m.scratch(), x) }
 
 // Backward propagates dLoss/dOutput through the stack, accumulating
-// parameter gradients, and returns dLoss/dInput.
-func (m *MLP) Backward(gradOut []float64) []float64 {
-	return m.backwardInto(m.scratch(), m.grads(), gradOut)
+// parameter gradients.
+func (m *MLP) Backward(gradOut []float64) {
+	m.backwardInto(m.scratch(), m.grads(), gradOut)
 }

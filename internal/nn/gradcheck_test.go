@@ -18,33 +18,60 @@ func numericalGrad(loss func() float64, w *float64) float64 {
 	return (up - down) / (2 * eps)
 }
 
-// TestDenseGradients verifies MLP backprop against numerical gradients.
+// TestDenseGradients verifies MLP backprop against numerical gradients,
+// on a dense input and on inputs with exact zeros, whose terms the input
+// layer skips (see nonZero).
 func TestDenseGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := NewMLP(1, []int{4, 5, 3}, []Activation{ActTanh, ActIdentity})
-	x := make([]float64, 4)
+	dense := make([]float64, 4)
 	target := make([]float64, 3)
-	for i := range x {
-		x[i] = rng.NormFloat64()
+	for i := range dense {
+		dense[i] = rng.NormFloat64()
 	}
 	for i := range target {
 		target[i] = rng.NormFloat64()
 	}
-	loss := func() float64 { return MSE(m.Forward(x), target, nil) }
+	for name, x := range map[string][]float64{
+		"dense":      dense,
+		"some zeros": {0, dense[1], 0, dense[3]},
+		"all zero":   make([]float64, 4),
+	} {
+		loss := func() float64 { return MSE(m.Forward(x), target, nil) }
 
-	// Analytic gradients.
-	ZeroGrads(m)
-	grad := make([]float64, 3)
-	MSE(m.Forward(x), target, grad)
-	m.Backward(grad)
+		// Analytic gradients.
+		ZeroGrads(m)
+		grad := make([]float64, 3)
+		MSE(m.Forward(x), target, grad)
+		m.Backward(grad)
 
-	for _, p := range m.Params() {
-		for i := range p.W {
-			want := numericalGrad(loss, &p.W[i])
-			got := p.G[i]
-			if math.Abs(got-want) > 1e-5*(1+math.Abs(want)) {
-				t.Fatalf("%s[%d]: analytic %g, numerical %g", p.Name, i, got, want)
+		for _, p := range m.Params() {
+			for i := range p.W {
+				want := numericalGrad(loss, &p.W[i])
+				got := p.G[i]
+				if math.Abs(got-want) > 1e-5*(1+math.Abs(want)) {
+					t.Fatalf("%s input: %s[%d]: analytic %g, numerical %g", name, p.Name, i, got, want)
+				}
 			}
+		}
+	}
+}
+
+// TestDenseInputGradient checks the one dLoss/dInput the public API still
+// returns — a lone layer's Dense.Backward; an MLP's Backward returns
+// nothing — against numerical differentiation, zeros in the input
+// included.
+func TestDenseInputGradient(t *testing.T) {
+	d := NewDense(rand.New(rand.NewSource(5)), 4, 3, ActTanh)
+	x := []float64{0.4, 0, -1.2, 0}
+	target := []float64{0.1, -0.6, 0.9}
+	loss := func() float64 { return MSE(d.Forward(x), target, nil) }
+	grad := make([]float64, 3)
+	MSE(d.Forward(x), target, grad)
+	got := append([]float64(nil), d.Backward(grad)...)
+	for i := range x {
+		if want := numericalGrad(loss, &x[i]); math.Abs(got[i]-want) > 1e-5*(1+math.Abs(want)) {
+			t.Errorf("dLoss/dInput[%d]: analytic %g, numerical %g", i, got[i], want)
 		}
 	}
 }
@@ -84,31 +111,37 @@ func TestDenseGradientsAllActivations(t *testing.T) {
 }
 
 // TestLSTMGradients verifies LSTM BPTT against numerical gradients — the
-// strongest correctness check in the package.
+// strongest correctness check in the package — on a dense window and on
+// one with exact zeros, an all-zero row among them.
 func TestLSTMGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	l := NewLSTM(3, 3, 4, 2)
-	window := make([][]float64, 3)
-	for i := range window {
-		window[i] = make([]float64, 3)
-		for j := range window[i] {
-			window[i][j] = rng.NormFloat64() * 0.5
+	dense := make([][]float64, 3)
+	for i := range dense {
+		dense[i] = make([]float64, 3)
+		for j := range dense[i] {
+			dense[i][j] = rng.NormFloat64() * 0.5
 		}
 	}
 	target := []float64{0.7, -0.3}
-	loss := func() float64 { return MSE(l.Forward(window), target, nil) }
+	for name, window := range map[string][][]float64{
+		"dense":      dense,
+		"with zeros": {{0, dense[0][1], 0}, {0, 0, 0}, {dense[2][0], 0, dense[2][2]}},
+	} {
+		loss := func() float64 { return MSE(l.Forward(window), target, nil) }
 
-	ZeroGrads(l)
-	grad := make([]float64, 2)
-	MSE(l.Forward(window), target, grad)
-	l.Backward(grad)
+		ZeroGrads(l)
+		grad := make([]float64, 2)
+		MSE(l.Forward(window), target, grad)
+		l.Backward(grad)
 
-	for _, p := range l.Params() {
-		for i := range p.W {
-			want := numericalGrad(loss, &p.W[i])
-			got := p.G[i]
-			if math.Abs(got-want) > 1e-4*(1+math.Abs(want)) {
-				t.Fatalf("%s[%d]: analytic %g, numerical %g", p.Name, i, got, want)
+		for _, p := range l.Params() {
+			for i := range p.W {
+				want := numericalGrad(loss, &p.W[i])
+				got := p.G[i]
+				if math.Abs(got-want) > 1e-4*(1+math.Abs(want)) {
+					t.Fatalf("%s window: %s[%d]: analytic %g, numerical %g", name, p.Name, i, got, want)
+				}
 			}
 		}
 	}

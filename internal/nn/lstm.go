@@ -30,6 +30,7 @@ type LSTM struct {
 
 type lstmStep struct {
 	x          []float64
+	nz         []int32   // indices of x's non-zero elements (see nonZero)
 	i, f, g, o []float64 // post-activation gates
 	c, h       []float64 // cell and hidden state after this step
 	tanhC      []float64
@@ -112,10 +113,11 @@ func (l *LSTM) grads() [][]float64 {
 
 // step returns the t-th step cache, growing the workspace if the window
 // is longer than any seen before.
-func (s *LSTMScratch) step(t, H int) *lstmStep {
+func (s *LSTMScratch) step(t, H, D int) *lstmStep {
 	for len(s.steps) <= t {
 		s.steps = append(s.steps, lstmStep{
-			i: make([]float64, H), f: make([]float64, H),
+			nz: make([]int32, 0, D),
+			i:  make([]float64, H), f: make([]float64, H),
 			g: make([]float64, H), o: make([]float64, H),
 			c: make([]float64, H), h: make([]float64, H),
 			tanhC: make([]float64, H),
@@ -141,17 +143,20 @@ func (l *LSTM) ForwardWith(s *LSTMScratch, window [][]float64) []float64 {
 		if len(x) != l.inDim {
 			panic(fmt.Sprintf("nn: LSTM input dim %d, want %d", len(x), l.inDim))
 		}
-		st := s.step(t, H)
+		st := s.step(t, H, l.inDim)
 		st.x = x
+		st.nz = nonZero(st.nz[:0], x)
 		for h := 0; h < H; h++ {
 			// Pre-activations for the four gates of unit h.
 			var pre [4]float64
 			for gate := 0; gate < 4; gate++ {
 				row := (gate*H + h)
 				sum := l.b.W[row]
-				wxRow := l.wx.W[row*l.inDim : (row+1)*l.inDim]
-				for k, xk := range x {
-					sum += wxRow[k] * xk
+				// Sliced to len(x), so that an index checked against
+				// wxRow is known to be inside x.
+				wxRow := l.wx.W[row*l.inDim:][:len(x)]
+				for _, k := range st.nz {
+					sum += wxRow[k] * x[k]
 				}
 				whRow := l.wh.W[row*H : (row+1)*H]
 				for k, hk := range hPrev {
@@ -226,6 +231,7 @@ func (l *LSTM) backwardInto(s *LSTMScratch, grads [][]float64, gradOut []float64
 	dhPrev := s.dhAlt
 	for t := T - 1; t >= 0; t-- {
 		st := &s.steps[t]
+		x, nz := st.x, st.nz
 		cPrev, hPrev := s.zero, s.zero
 		if t > 0 {
 			cPrev, hPrev = s.steps[t-1].c, s.steps[t-1].h
@@ -253,9 +259,9 @@ func (l *LSTM) backwardInto(s *LSTMScratch, grads [][]float64, gradOut []float64
 				continue
 			}
 			bG[row] += a
-			wxRow := wxG[row*l.inDim : (row+1)*l.inDim]
-			for k, xk := range st.x {
-				wxRow[k] += a * xk
+			wxRow := wxG[row*l.inDim:][:len(x)]
+			for _, k := range nz {
+				wxRow[k] += a * x[k]
 			}
 			whW := l.wh.W[row*H : (row+1)*H]
 			whRow := whG[row*H : (row+1)*H]
@@ -312,6 +318,21 @@ func (l *LSTM) TrainNextStep(windows [][][]float64, nexts [][]float64, cfg Train
 	cfg.defaults()
 	if len(windows) == 0 || len(windows) != len(nexts) {
 		return nil, fmt.Errorf("nn: TrainNextStep needs matching non-empty windows/nexts, got %d/%d", len(windows), len(nexts))
+	}
+	// A wrong shape would otherwise panic on a shard goroutine, where
+	// no caller can recover it.
+	for i, w := range windows {
+		if len(w) == 0 {
+			return nil, fmt.Errorf("nn: window %d is empty", i)
+		}
+		for t, x := range w {
+			if len(x) != l.inDim {
+				return nil, fmt.Errorf("nn: window %d step %d has dim %d, want %d", i, t, len(x), l.inDim)
+			}
+		}
+		if len(nexts[i]) != l.outDim {
+			return nil, fmt.Errorf("nn: next %d has dim %d, want %d", i, len(nexts[i]), l.outDim)
+		}
 	}
 	opt := NewAdam(cfg.LR)
 	rng := rand.New(rand.NewSource(cfg.Seed))

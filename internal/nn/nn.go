@@ -14,6 +14,11 @@
 // can run inside an xApp within the near-RT control loop (10 ms–1 s);
 // window-sized inputs and one or two hidden layers. This library targets
 // exactly that scale and favors clarity and determinism over SIMD tricks.
+// The one liberty the float64 path takes is exact: telemetry rows are
+// mostly zeros (one-hot groups), so the two input layers — the MLP's
+// first Dense and the LSTM's wx — run over the indices of the non-zero
+// inputs and skip the "+ w·0" terms, in training, calibration and
+// reference scoring alike (see nonZero).
 //
 // Concurrency model: layer structs hold only parameters; all forward and
 // backward state lives in explicit per-goroutine workspaces (MLPScratch,
@@ -119,6 +124,23 @@ func ZeroGrads(m Model) {
 	for _, p := range m.Params() {
 		p.ZeroGrad()
 	}
+}
+
+// nonZero appends the indices of x's non-zero elements to dst, in
+// ascending order. The float64 input layers (the MLP's first Dense, the
+// LSTM's wx) run their dot products and their dW += δ·x over this list:
+// a telemetry row is one-hot groups plus a few reals, about one element
+// in six non-zero. Every sum keeps its operands and their order minus
+// the "+ w·0" terms, so for finite weights the result is the dense
+// loop's — the one representable difference is the sign of a sum that is
+// itself zero, which compares equal and propagates equal.
+func nonZero(dst []int32, x []float64) []int32 {
+	for i, v := range x {
+		if v != 0 {
+			dst = append(dst, int32(i))
+		}
+	}
+	return dst
 }
 
 // xavierInit fills w with Glorot-uniform values for a fan-in/fan-out pair.

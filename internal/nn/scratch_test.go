@@ -104,6 +104,31 @@ func TestScoreZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { l.ScoreWith(ls, windows[0], nexts[0]) }); n != 0 {
 		t.Errorf("LSTM.ScoreWith allocates %v/op, want 0", n)
 	}
+	// The input layers' index lists are sized for a full row when the
+	// scratch is built, not grown to the rows seen: every call below,
+	// AllocsPerRun's warm-up included, takes a scratch that has only ever
+	// seen all-zero rows and runs a row without a zero through it.
+	const runs = 10
+	zeroRow := make([]float64, len(flat[0]))
+	zeroWindow := make([][]float64, len(windows[0]))
+	for i := range zeroWindow {
+		zeroWindow[i] = zeroRow[:len(windows[0][0])]
+	}
+	var aes [runs + 1]*AEScratch
+	var lss [runs + 1]*LSTMScratch
+	for i := range aes {
+		aes[i], lss[i] = ae.NewScratch(), l.NewScratch()
+		ae.ReconstructWith(aes[i], zeroRow)
+		l.ForwardWith(lss[i], zeroWindow)
+	}
+	call := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		ae.ReconstructWith(aes[call], flat[0])
+		l.ForwardWith(lss[call], windows[0])
+		call++
+	}); n != 0 {
+		t.Errorf("ForwardWith on a row denser than any the scratch has seen allocates %v/op, want 0", n)
+	}
 	// The convenience API reuses the model's default scratch, so it is
 	// allocation-free too once warm.
 	if n := testing.AllocsPerRun(100, func() { ae.Score(flat[0]) }); n != 0 {

@@ -129,6 +129,23 @@ func TestLSTMTrainValidation(t *testing.T) {
 	if _, err := l.TrainNextStep([][][]float64{{{1, 2}}}, nil, TrainConfig{}); err == nil {
 		t.Error("TrainNextStep with mismatched lengths succeeded")
 	}
+	// Shapes are rejected before any shard goroutine starts: a panic
+	// there could not be recovered by the caller.
+	good := [][]float64{{1, 2}, {3, 4}}
+	for name, tc := range map[string]struct {
+		window [][]float64
+		next   []float64
+	}{
+		"empty window": {nil, []float64{1, 2}},
+		"ragged row":   {[][]float64{{1, 2}, {3}}, []float64{1, 2}},
+		"short next":   {good, []float64{1}},
+	} {
+		windows := [][][]float64{good, tc.window}
+		nexts := [][]float64{{1, 2}, tc.next}
+		if _, err := l.TrainNextStep(windows, nexts, TrainConfig{Epochs: 1}); err == nil {
+			t.Errorf("TrainNextStep with %s succeeded", name)
+		}
+	}
 }
 
 func TestSGDMomentumConverges(t *testing.T) {

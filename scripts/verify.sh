@@ -3,8 +3,11 @@
 # recipe — ROADMAP.md, README.md, and .claude/skills/verify/SKILL.md all
 # point here, so change it in one place only.
 #
-# Usage: scripts/verify.sh  (from the repo root; about 10 min on a 2-CPU
-# host — ROADMAP measured 9m47s — dominated by the -race test run)
+# Usage: scripts/verify.sh  (from the repo root; about 7.5 min cold on a
+# 2-CPU host — 7m23s measured at PR 21, test cache emptied — dominated by
+# the -race test run: internal/core 223 s and internal/mobiwatch 93 s
+# when run alone with -p 1, 371 s and 125 s before training skipped zero
+# inputs and fitted both models side by side)
 set -eu
 
 cd "$(dirname "$0")/.."
