@@ -16,8 +16,9 @@
 // In testbed mode the command exits non-zero when any issued mitigation
 // action lacks a complete evidence chain — the auditability contract. In
 // federation mode it exits non-zero when any migrated UE's source and
-// destination chains are not joined, or the destination never scored the
-// joining indication. In fleet mode it exits non-zero when the crashed
+// destination chains are not joined, the destination never scored the
+// joining indication, or it reached no governed mitigation decision on an
+// audited chain. In fleet mode it exits non-zero when the crashed
 // instance is not auto-evicted, the migrated UE's trace does not stitch
 // across instances, or any SLO is burning error budget above threshold.
 //
@@ -170,9 +171,17 @@ func auditFederation(instances int, seed int64) error {
 	if failed > 0 {
 		return fmt.Errorf("%d of %d migrated UE(s) lack a joined, gap-free evidence chain", failed, len(res.Audits))
 	}
-	if res.AlertsOnDest == 0 {
-		return fmt.Errorf("the destination instance never flagged the migrated attack")
+	if err := res.Err(); err != nil {
+		return err
 	}
+	en := res.Mitigation
+	fmt.Printf("--- closed loop on %s: verdict %s -> %s %s (%s) ---\n", res.Dest, res.Verdict, en.Action, en.Target, en.Decision)
+	if chain, err := prov.ParseChainID(en.Chain); err == nil {
+		if rec, err := prov.ReadChain(res.Store, chain); err == nil {
+			prov.WriteChain(os.Stdout, rec)
+		}
+	}
+	fmt.Println()
 	fmt.Printf("audit OK: all %d migrated UE(s) have joined chains with scoring resumed at the join (%d with direct seq reachback)\n",
 		len(res.Audits), res.Reachbacks)
 	return nil

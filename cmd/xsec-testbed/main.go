@@ -68,7 +68,8 @@ func main() {
 
 // runFederation drives the multi-RIC scenario: a BTS-DoS flood is
 // handed over between two federated instances mid-attack, and the
-// destination must keep detecting it using the migrated window state.
+// destination must keep detecting it using the migrated window state and
+// end it in a governed (dry-run), audited mitigation decision.
 func runFederation(instances int, seed int64) error {
 	fmt.Printf("=== 6G-XSec federated testbed (%d RIC instances) ===\n", instances)
 	fmt.Println("training models and generating the attack dataset...")
@@ -86,13 +87,11 @@ func runFederation(instances int, seed int64) error {
 		res.Dest, res.AlertsOnDest, res.AlertSpansBoundary)
 	fmt.Printf("migration audits:           %d joined chains, all OK: %v (%d with direct seq reachback)\n",
 		len(res.Audits), res.AuditsOK, res.Reachbacks)
-	if res.AlertsOnDest == 0 {
-		return fmt.Errorf("the destination instance never flagged the migrated attack")
+	if en := res.Mitigation; en != nil {
+		fmt.Printf("closed loop on %s:       verdict %s -> %s %s (%s), chain %s audited across the handover: %v\n",
+			res.Dest, res.Verdict, en.Action, en.Target, en.Decision, en.Chain, res.DecisionAudited)
 	}
-	if !res.AuditsOK {
-		return fmt.Errorf("migration provenance audit failed")
-	}
-	return nil
+	return res.Err()
 }
 
 func run(attack, mitigateMode, model string, sessions, epochs int, seed int64, metricsAddr, inference string) error {

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/6g-xsec/xsec/internal/e2sm"
 	"github.com/6g-xsec/xsec/internal/llm"
 	"github.com/6g-xsec/xsec/internal/mobiwatch"
+	"github.com/6g-xsec/xsec/internal/obs"
 	"github.com/6g-xsec/xsec/internal/prov"
 	"github.com/6g-xsec/xsec/internal/smo"
 	"github.com/6g-xsec/xsec/internal/ue"
@@ -124,6 +126,76 @@ func TestNewUnwindsOnError(t *testing.T) {
 	}
 	if prov.Active() != before {
 		t.Error("failed New left its own provenance ledger active")
+	}
+}
+
+// gnbCounters sums the gNB agent's xsec_gnb_* counters for node.
+func gnbCounters(node string) (total float64) {
+	for _, sr := range obs.Default.Snapshot() {
+		if strings.HasPrefix(sr.Name, "xsec_gnb_") && sr.Kind == "counter" && sr.Labels["node"] == node {
+			total += sr.Value
+		}
+	}
+	return total
+}
+
+// TestCloseWaitsForTheAgent pins the one shutdown order's last step:
+// Close returns only after the gNB agent's serve and report loops have
+// exited, so the node ships and counts nothing afterwards — not even
+// telemetry that was waiting in the agent when Close was called.
+func TestCloseWaitsForTheAgent(t *testing.T) {
+	const node = "gnb-close"
+	fw, err := New(Options{
+		Seed:         3,
+		NodeID:       node,
+		ReportPeriod: 5 * time.Millisecond,
+		TrainOpts:    mobiwatch.TrainOptions{Epochs: 2, Seed: 7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fw.Close()
+	benign, err := fw.CollectBenign(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Train(benign); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.DeployXApps(); err != nil {
+		t.Fatal(err)
+	}
+
+	fw.GNB.InjectTelemetry(benign[:64])
+	deadline := time.Now().Add(5 * time.Second)
+	for fw.WatchStats().RecordsSeen.Load() < 64 {
+		if time.Now().After(deadline) {
+			t.Fatalf("scored %d/64 injected records", fw.WatchStats().RecordsSeen.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if gnbCounters(node) == 0 {
+		t.Fatalf("no xsec_gnb_* counter of %s moved while the node ran", node)
+	}
+
+	fw.GNB.InjectTelemetry(benign[:64]) // in the agent's buffer as Close starts
+	fw.Close()
+	closed := gnbCounters(node)
+	scored := fw.WatchStats().RecordsSeen.Load()
+	fw.GNB.InjectTelemetry(benign[:64])
+	time.Sleep(5 * fw.Opts.ReportPeriod)
+	if got := gnbCounters(node); got != closed {
+		t.Errorf("xsec_gnb_* counters of %s moved after Close returned: %v -> %v", node, closed, got)
+	}
+	if got := fw.WatchStats().RecordsSeen.Load(); got != scored {
+		t.Errorf("records scored after Close: %d -> %d", scored, got)
+	}
+	for open := true; open; {
+		select {
+		case _, open = <-fw.Cases():
+		default:
+			t.Fatal("case stream still open after Close returned")
+		}
 	}
 }
 

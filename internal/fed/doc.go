@@ -15,10 +15,10 @@
 //     offset it resumes from, so a reconnecting instance replays what it
 //     missed instead of starting blind. When the bus is unreachable an
 //     instance degrades to standalone detection rather than stopping.
-//   - Instance (instance.go): one federated RIC — platform, MobiWatch
-//     runtime, bus client, and the migration protocol endpoints. Each
-//     instance runs the shipped gNB agent (gnb.GNB.ServeE2) as its E2
-//     node: tests, drills and benches feed it with
+//   - Instance (instance.go): one federated RIC — a core.Node (the
+//     whole loop, gNB agent to mitigation engine; DESIGN.md §11,
+//     "Composition") plus the bus client and the migration protocol
+//     endpoints. Tests, drills and benches feed its gNB agent with
 //     Instance.GNB().InjectTelemetry, which gives them the UE
 //     identities they need, and wait on Cluster.WaitRecords before a
 //     step that must see everything injected.

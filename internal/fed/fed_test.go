@@ -2,12 +2,15 @@ package fed
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/6g-xsec/xsec/internal/dataset"
 	"github.com/6g-xsec/xsec/internal/gnb"
+	"github.com/6g-xsec/xsec/internal/llm"
+	"github.com/6g-xsec/xsec/internal/mitigate"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
 	"github.com/6g-xsec/xsec/internal/mobiwatch"
 	"github.com/6g-xsec/xsec/internal/obs"
@@ -40,8 +43,11 @@ func testEnv(t *testing.T) (*mobiwatch.Models, *dataset.Labeled) {
 // TestMigrationScenarioContinuity is the federation acceptance test: a
 // BTS-DoS flood is handed over from ric-0 to ric-1 mid-attack, and the
 // destination must still detect it — with alert windows reaching back
-// into pre-migration history — while the provenance ledger shows every
-// migrated UE's chains joined with no scoring gap.
+// into pre-migration history — and close the loop on it: a verdict and a
+// governed mitigation decision journaled in the destination's own SDL,
+// both on a destination chain the released UE's migration audit joins to
+// the source, while the provenance ledger shows every migrated UE's
+// chains joined with no scoring gap.
 func TestMigrationScenarioContinuity(t *testing.T) {
 	models, mixed := testEnv(t)
 	res, err := RunMigrationScenario(ScenarioOptions{
@@ -77,6 +83,24 @@ func TestMigrationScenarioContinuity(t *testing.T) {
 	}
 	if !res.AuditsOK {
 		t.Error("scenario reports AuditsOK=false")
+	}
+
+	en := res.Mitigation
+	if en == nil {
+		t.Fatal("destination journaled no governed decision for the migrated flood")
+	}
+	t.Logf("destination decision: verdict %s, %s %s (%s) on chain %s", res.Verdict, en.Action, en.Target, en.Decision, en.Chain)
+	if want := llm.VerdictAnomalous.String() + "/" + llm.ClassBTSDoS.String(); res.Verdict != want {
+		t.Errorf("verdict = %q, want the flood classified", res.Verdict)
+	}
+	if en.Action != "release-ue" || en.Decision != "dry-run" || en.Mode != "dry-run" || en.NodeID != "gnb-"+res.Dest {
+		t.Errorf("journal entry = %+v, want a dry-run release-ue on the destination's node", en)
+	}
+	if err := res.Err(); err != nil {
+		t.Errorf("drill verdict: %v", err)
+	}
+	if !res.DecisionAudited {
+		t.Errorf("decision on chain %s is not on a destination chain carrying verdict and mitigation events for a UE whose migration audit is OK", en.Chain)
 	}
 }
 
@@ -234,15 +258,26 @@ func TestDegradedStandalone(t *testing.T) {
 	}
 }
 
-// TestPolicyFanout checks coordinator→bus→instance A1 distribution:
-// one PushPolicy retunes the detection threshold on every instance.
+// TestPolicyFanout checks coordinator→bus→instance A1 distribution
+// through the shared core.Node.ApplyPolicy: one PushPolicy retunes the
+// detection threshold of every instance's private model copy, and one
+// with a mitigation mode re-governs every instance's engine.
 func TestPolicyFanout(t *testing.T) {
 	models, _ := testEnv(t)
+	sharedAE := models.AEThreshold
 	cl, err := StartCluster(ClusterOptions{Instances: 2, Models: models})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	eventually := func(what string, cond func(*Instance) bool) {
+		t.Helper()
+		for _, inst := range cl.Instances() {
+			if err := waitFor(5*time.Second, func() bool { return cond(inst) }); err != nil {
+				t.Fatalf("instance %s never %s", inst.ID(), what)
+			}
+		}
+	}
 
 	before := map[string]float64{}
 	for _, inst := range cl.Instances() {
@@ -252,18 +287,73 @@ func TestPolicyFanout(t *testing.T) {
 	if err := cl.Coordinator.PushPolicy(smo.Policy{ID: "fed-tune", ThresholdPercentile: 90}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
+	eventually("applied the fanned-out threshold policy", func(inst *Instance) bool {
+		ae, _ := inst.Runtime().Thresholds()
+		return ae != before[inst.ID()]
+	})
+	if models.AEThreshold != sharedAE {
+		t.Errorf("policy re-fitted the shared bundle (%g -> %g); each instance owns a private copy", sharedAE, models.AEThreshold)
+	}
+
 	for _, inst := range cl.Instances() {
-		for {
-			ae, _ := inst.Runtime().Thresholds()
-			if ae != before[inst.ID()] {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("instance %s never applied the fanned-out policy", inst.ID())
-			}
-			time.Sleep(5 * time.Millisecond)
+		if got := inst.node.Mitigator().Mode(); got != mitigate.ModeOff {
+			t.Fatalf("instance %s engine starts in %v, want off until a policy says otherwise", inst.ID(), got)
 		}
+	}
+	for _, mode := range []mitigate.Mode{mitigate.ModeEnforce, mitigate.ModeDryRun} {
+		if err := cl.Coordinator.PushPolicy(smo.Policy{ID: "fed-mitigation", MitigationMode: mode.String()}); err != nil {
+			t.Fatal(err)
+		}
+		eventually("switched its engine to "+mode.String(), func(inst *Instance) bool {
+			return inst.node.Mitigator().Mode() == mode
+		})
+	}
+}
+
+// healthChecks returns the registered /healthz checks whose name has the
+// given prefix, by name.
+func healthChecks(prefix string) map[string]obs.HealthStatus {
+	out := map[string]obs.HealthStatus{}
+	for _, h := range obs.HealthSnapshot() {
+		if strings.HasPrefix(h.Name, prefix) {
+			out[h.Name] = h
+		}
+	}
+	return out
+}
+
+// TestColocatedInstancesKeepTheirOwnHealthChecks pins the process-global
+// names two nodes in one process would fight over: each instance's
+// serving layer answers /healthz under its own node's name, and stopping
+// one instance leaves the other's check registered.
+func TestColocatedInstancesKeepTheirOwnHealthChecks(t *testing.T) {
+	models, _ := testEnv(t)
+	var insts []*Instance
+	for _, id := range []string{"ric-hz-a", "ric-hz-b"} {
+		inst, err := StartInstance(InstanceOptions{ID: id, Models: models})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer inst.Stop()
+		insts = append(insts, inst)
+	}
+	checks := healthChecks("llm-serving/gnb-ric-hz-")
+	for _, inst := range insts {
+		h, ok := checks["llm-serving/"+inst.GNB().NodeID()]
+		if !ok || !h.OK || !strings.Contains(h.Detail, "hits=") {
+			t.Errorf("instance %s: serving health = %+v (registered %v)", inst.ID(), h, ok)
+		}
+	}
+	insts[0].Stop()
+	checks = healthChecks("llm-serving/gnb-ric-hz-")
+	if _, ok := checks["llm-serving/gnb-ric-hz-a"]; ok {
+		t.Error("stopped instance's serving check is still registered")
+	}
+	if h, ok := checks["llm-serving/gnb-ric-hz-b"]; !ok || !h.OK {
+		t.Errorf("stopping ric-hz-a took ric-hz-b's serving check with it (%+v, registered %v)", h, ok)
+	}
+	if fedChecks := healthChecks("fed/ric-hz-"); len(fedChecks) != 1 {
+		t.Errorf("fed checks after one Stop = %v, want only ric-hz-b's", fedChecks)
 	}
 }
 

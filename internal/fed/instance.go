@@ -6,14 +6,12 @@ import (
 	"time"
 
 	"github.com/6g-xsec/xsec/internal/asn1lite"
-	"github.com/6g-xsec/xsec/internal/corenet"
-	"github.com/6g-xsec/xsec/internal/e2ap"
+	"github.com/6g-xsec/xsec/internal/core"
 	"github.com/6g-xsec/xsec/internal/gnb"
 	"github.com/6g-xsec/xsec/internal/mobiwatch"
 	"github.com/6g-xsec/xsec/internal/obs"
 	"github.com/6g-xsec/xsec/internal/obs/fleet"
 	"github.com/6g-xsec/xsec/internal/prov"
-	"github.com/6g-xsec/xsec/internal/ric"
 	"github.com/6g-xsec/xsec/internal/sdl"
 	"github.com/6g-xsec/xsec/internal/smo"
 	"github.com/6g-xsec/xsec/internal/wire"
@@ -165,29 +163,23 @@ func (o *InstanceOptions) defaults() error {
 	return nil
 }
 
-// Instance is one federated near-RT RIC: a platform with the shipped
-// gNB agent attached over E2, the MobiWatch runtime scoring that node's
-// telemetry, and the bus endpoints of the migration protocol. When the
-// bus is unreachable the instance keeps detecting standalone —
-// federation degrades, the security function does not.
+// Instance is one federated near-RT RIC: a core.Node — the whole loop,
+// gNB agent to mitigation engine, wired as core.New wires it — plus what
+// is federation: the bus endpoints of the migration protocol, the ring,
+// heartbeats and the fleet scrape. When the bus is unreachable the
+// instance keeps detecting standalone — federation degrades, the
+// security function does not.
 type Instance struct {
-	opts     InstanceOptions
-	id       string
-	store    *sdl.Store
-	platform *ric.Platform
-	rt       *mobiwatch.Runtime
-	gnb      *gnb.GNB
-	bus      *Client
-
-	nodeEnd   *e2ap.Endpoint // the agent's end of the E2 loopback
-	agentDone chan struct{}  // closed when the agent's serve loop exits
+	opts InstanceOptions
+	id   string // opts.ID
+	node *core.Node
+	bus  *Client
 
 	// scoreReg is a private registry holding this instance's
 	// score-latency histogram: colocated instances share the process
 	// Default registry, so instance-attributed series for the fleet
 	// plane are built here instead (see ObsSnapshot).
-	scoreReg  *obs.Registry
-	scoreHist *obs.Histogram
+	scoreReg *obs.Registry
 
 	hbStop chan struct{}
 	hbWG   sync.WaitGroup
@@ -210,79 +202,45 @@ func StartInstance(opts InstanceOptions) (*Instance, error) {
 	if err := opts.defaults(); err != nil {
 		return nil, err
 	}
-	// The instance's E2 node is the shipped gNB agent, wired as core.New
-	// wires it. No RAN procedure runs here — drills and benches inject
-	// MobiFlow records with the UE identities they need — so the AMF
-	// only satisfies gnb.Config.
-	g, err := gnb.New(gnb.Config{NodeID: "gnb-" + opts.ID, AMF: corenet.NewAMF(1)})
-	if err != nil {
-		return nil, fmt.Errorf("fed: instance %s: %w", opts.ID, err)
-	}
-	nodeEnd, ricEnd := e2ap.Pipe()
-	store := sdl.New()
-	i := &Instance{
-		opts:      opts,
-		id:        opts.ID,
-		store:     store,
-		platform:  ric.NewPlatform(store),
-		gnb:       g,
-		nodeEnd:   nodeEnd,
-		agentDone: make(chan struct{}),
-		inflight:  make(map[uint64]*outMigration),
-		migSem:    make(chan struct{}, maxConcurrentMigrations),
-		scoreReg:  obs.NewRegistry(),
-		hbStop:    make(chan struct{}),
-	}
-	i.scoreHist = i.scoreReg.HistogramVec("xsec_mobiwatch_score_seconds",
-		"Streaming-inference latency per telemetry batch (this instance only).",
-		obs.ExpBuckets(1e-6, 4, 12)).With()
-	go i.platform.AttachNode(ricEnd)
-	go func() {
-		defer close(i.agentDone)
-		// teardown ends the loop by closing the transport; a failed
-		// set-up shows as the node never attaching, checked below.
-		_ = g.ServeE2(nodeEnd)
-	}()
-
-	deadline := time.Now().Add(2 * time.Second)
-	for len(i.platform.Nodes()) == 0 {
-		if time.Now().After(deadline) {
-			i.teardown()
-			return nil, fmt.Errorf("fed: instance %s: gNB did not complete E2 setup", opts.ID)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	xapp, err := i.platform.RegisterXApp("mobiwatch")
-	if err != nil {
-		i.teardown()
-		return nil, fmt.Errorf("fed: instance %s: %w", opts.ID, err)
-	}
 	// Deploy a private copy of the models: A1 threshold policies mutate
 	// the runtime's model state, and federated instances apply policies
 	// independently.
 	saved, err := opts.Models.Save()
 	if err != nil {
-		i.teardown()
 		return nil, fmt.Errorf("fed: instance %s: %w", opts.ID, err)
 	}
 	models, err := mobiwatch.Load(saved)
 	if err != nil {
-		i.teardown()
 		return nil, fmt.Errorf("fed: instance %s: %w", opts.ID, err)
 	}
-	// Run returns once the agent has admitted the subscription, so
-	// records injected from here on have a route.
-	i.rt, err = mobiwatch.Run(xapp, models, mobiwatch.RunOptions{
-		NodeID:       i.gnb.NodeID(),
+	// The instance owns its SDL and stamps telemetry with wall time; no
+	// RAN procedure runs here — drills and benches inject MobiFlow
+	// records with the UE identities they need. The engine starts "off":
+	// a fleet's mode is the coordinator's to push (onPolicy).
+	node, err := core.NewNode(core.Options{NodeID: "gnb-" + opts.ID, Mitigate: "off"}, sdl.New(), nil)
+	if err != nil {
+		return nil, fmt.Errorf("fed: instance %s: %w", opts.ID, err)
+	}
+	i := &Instance{
+		opts:     opts,
+		id:       opts.ID,
+		node:     node,
+		inflight: make(map[uint64]*outMigration),
+		migSem:   make(chan struct{}, maxConcurrentMigrations),
+		scoreReg: obs.NewRegistry(),
+		hbStop:   make(chan struct{}),
+	}
+	err = node.Deploy(models, mobiwatch.RunOptions{
 		Shards:       scoringShards,
 		ShardBuffer:  opts.ShardBuffer,
 		ReportPeriod: reportPeriod,
-		ScoreLatency: i.scoreHist,
+		ScoreLatency: i.scoreReg.HistogramVec("xsec_mobiwatch_score_seconds",
+			"Streaming-inference latency per telemetry batch (this instance only).",
+			obs.ExpBuckets(1e-6, 4, 12)).With(),
 	})
 	if err != nil {
-		i.teardown()
-		return nil, fmt.Errorf("fed: instance %s: mobiwatch: %w", opts.ID, err)
+		node.Close()
+		return nil, fmt.Errorf("fed: instance %s: %w", opts.ID, err)
 	}
 
 	dial := opts.Dial
@@ -306,28 +264,19 @@ func StartInstance(opts InstanceOptions) (*Instance, error) {
 	return i, nil
 }
 
-func (i *Instance) teardown() {
-	if i.rt != nil {
-		i.rt.Stop()
-	}
-	i.platform.Close()
-	i.nodeEnd.Close()
-	<-i.agentDone
-}
-
 // ID returns the instance's federation identity.
 func (i *Instance) ID() string { return i.id }
 
 // GNB returns the instance's E2 node: the shipped gNB agent. Feed it
 // with InjectTelemetry; records reach the scorer within one report
 // period.
-func (i *Instance) GNB() *gnb.GNB { return i.gnb }
+func (i *Instance) GNB() *gnb.GNB { return i.node.GNB }
 
-// Runtime returns the MobiWatch runtime (alerts, stats, thresholds).
-func (i *Instance) Runtime() *mobiwatch.Runtime { return i.rt }
+// Runtime returns the MobiWatch runtime (stats, thresholds, UE state).
+func (i *Instance) Runtime() *mobiwatch.Runtime { return i.node.Watch() }
 
 // Store returns the instance's SDL.
-func (i *Instance) Store() *sdl.Store { return i.store }
+func (i *Instance) Store() *sdl.Store { return i.node.SDL }
 
 // Bus returns the instance's bus client (nil when standalone).
 func (i *Instance) Bus() *Client { return i.bus }
@@ -336,7 +285,7 @@ func (i *Instance) Bus() *Client { return i.bus }
 // The counter is readable after Stop, so zero-loss accounting can still
 // include retired instances.
 func (i *Instance) Records() uint64 {
-	return i.rt.Stats().RecordsSeen.Load()
+	return i.node.WatchStats().RecordsSeen.Load()
 }
 
 // RingEpoch returns the last ring epoch this instance applied (0 before
@@ -348,17 +297,6 @@ func (i *Instance) RingEpoch() int {
 		return 0
 	}
 	return i.ring.Epoch
-}
-
-// Owns reports whether this instance owns ue in its applied ring; with
-// no ring applied (standalone) it owns everything it sees.
-func (i *Instance) Owns(ue uint64) bool {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if i.ring == nil {
-		return true
-	}
-	return i.ring.Owner(ue) == i.id
 }
 
 // healthDetail is the /healthz readiness check: a federated instance is
@@ -375,7 +313,7 @@ func (i *Instance) healthDetail() (string, error) {
 	i.mu.Unlock()
 	detail := fmt.Sprintf("bus=%s epoch=%d ues=%d shards=%d",
 		map[bool]string{true: "connected", false: "disconnected"}[i.bus != nil && i.bus.Connected()],
-		epoch, len(i.rt.UEs()), i.store.ShardCount())
+		epoch, len(i.Runtime().UEs()), i.node.SDL.ShardCount())
 	if stopped {
 		return detail, fmt.Errorf("instance stopped")
 	}
@@ -406,7 +344,7 @@ func (i *Instance) onRing(_ uint64, payload []byte) {
 	obs.L().Info("fed: ring applied", "instance", i.id, "epoch", r.Epoch,
 		"instances", len(r.Instances), "owned", fmt.Sprintf("%.3f", r.OwnedFraction(i.id)))
 
-	for _, ue := range i.rt.UEs() {
+	for _, ue := range i.Runtime().UEs() {
 		owner := r.Owner(ue)
 		if owner == "" || owner == i.id {
 			continue
@@ -420,19 +358,16 @@ func (i *Instance) onRing(_ uint64, payload []byte) {
 	}
 }
 
-// onPolicy applies an A1 policy fanned out by the coordinator.
+// onPolicy applies an A1 policy fanned out by the coordinator: detection
+// thresholds and the mitigation engine's mode, deny list and TTL.
 func (i *Instance) onPolicy(_ uint64, payload []byte) {
 	p, err := smo.ParsePolicy(payload)
 	if err != nil {
 		obs.L().Warn("fed: bad policy payload", "instance", i.id, "err", err)
 		return
 	}
-	if p.ThresholdPercentile > 0 {
-		if err := i.rt.SetThresholdPercentile(p.ThresholdPercentile); err == nil {
-			obs.L().Info("fed: policy applied", "instance", i.id,
-				"policy", p.ID, "percentile", p.ThresholdPercentile)
-		}
-	}
+	i.node.ApplyPolicy(p)
+	obs.L().Info("fed: policy applied", "instance", i.id, "policy", p.ID)
 }
 
 // MigrateUE checkpoints ue, records the provenance hand-off, ships the
@@ -453,7 +388,7 @@ func (i *Instance) MigrateUE(ue uint64, dest string) error {
 	defer obsMigrationsInflight.Add(-1)
 
 	cpStart := time.Now()
-	snap, err := i.rt.CheckpointUE(ue)
+	snap, err := i.Runtime().CheckpointUE(ue)
 	if err != nil {
 		return fmt.Errorf("fed: checkpoint UE %d: %w", ue, err)
 	}
@@ -502,7 +437,7 @@ func (i *Instance) MigrateUE(ue uint64, dest string) error {
 
 	select {
 	case <-m.done:
-		if err := i.rt.ForgetUE(ue); err != nil {
+		if err := i.Runtime().ForgetUE(ue); err != nil {
 			obs.L().Warn("fed: forget after ack", "instance", i.id, "ue", ue, "err", err)
 		}
 		obsMigrations.With(i.id, "out").Inc()
@@ -538,12 +473,12 @@ func (i *Instance) onMigrate(_ uint64, payload []byte, _ string) {
 		obsMigrations.With(i.id, "failed").Inc()
 		return
 	}
-	if err := i.rt.RestoreUE(snap); err != nil {
+	if err := i.Runtime().RestoreUE(snap); err != nil {
 		obs.L().Warn("fed: restore failed", "instance", i.id, "ue", msg.UE, "err", err)
 		obsMigrations.With(i.id, "failed").Inc()
 		return
 	}
-	i.store.SetOwnedTTL(OwnerNamespace, ownerKey(i.id, msg.UE),
+	i.node.SDL.SetOwnedTTL(OwnerNamespace, ownerKey(i.id, msg.UE),
 		[]byte(i.id), ownerTTL)
 	obsMigrations.With(i.id, "in").Inc()
 	if msg.Trace != "" {
@@ -581,7 +516,7 @@ func (i *Instance) onAck(_ uint64, payload []byte, _ string) {
 	if ownsStill {
 		return
 	}
-	if err := i.rt.ForgetUE(ack.UE); err == nil {
+	if err := i.Runtime().ForgetUE(ack.UE); err == nil {
 		obsMigrations.With(i.id, "out").Inc()
 		obs.L().Info("fed: late migration ack adopted",
 			"instance", i.id, "ue", ack.UE, "dest", ack.Dest)
@@ -593,16 +528,11 @@ func ownerKey(instance string, ue uint64) string {
 }
 
 // UEs lists the UE contexts this instance currently holds.
-func (i *Instance) UEs() []uint64 { return i.rt.UEs() }
-
-// DrainAlerts passes every alert the runtime's triage queue hands out to
-// fn until the instance stops (mobiwatch.Runtime.Drain). An instance runs
-// no analyzer, so alerts nobody drains are shed as stale, and counted.
-func (i *Instance) DrainAlerts(fn func(mobiwatch.Alert)) { i.rt.Drain(fn) }
+func (i *Instance) UEs() []uint64 { return i.Runtime().UEs() }
 
 // Stop retires the instance: bus first (no new migrations in), then the
-// scoring runtime, then the transports. The final record count stays
-// readable through Records.
+// node (core.Node.Close). The final record count stays readable through
+// Records.
 func (i *Instance) Stop() {
 	i.mu.Lock()
 	if i.stopped {
@@ -617,7 +547,7 @@ func (i *Instance) Stop() {
 	if i.bus != nil {
 		i.bus.Close()
 	}
-	i.teardown()
+	i.node.Close()
 }
 
 // heartbeatLoop publishes fleet liveness beacons until Stop. A beacon
@@ -637,11 +567,11 @@ func (i *Instance) heartbeatLoop(period time.Duration) {
 			seq++
 			hb := fleet.Heartbeat{
 				Instance:  i.id,
-				Node:      i.gnb.NodeID(),
+				Node:      i.node.GNB.NodeID(),
 				Seq:       seq,
 				UnixNanos: time.Now().UnixNano(),
 				Epoch:     i.RingEpoch(),
-				UEs:       len(i.rt.UEs()),
+				UEs:       len(i.Runtime().UEs()),
 				Records:   i.Records(),
 			}
 			if payload, err := hb.Encode(); err == nil {
@@ -660,7 +590,7 @@ func (i *Instance) onScrape(_ uint64, payload []byte) {
 	}
 	rep := fleet.Report{
 		Instance:  i.id,
-		Node:      i.gnb.NodeID(),
+		Node:      i.node.GNB.NodeID(),
 		Seq:       req.Seq,
 		UnixNanos: time.Now().UnixNano(),
 		Series:    i.ObsSnapshot(),
@@ -681,8 +611,8 @@ func (i *Instance) onScrape(_ uint64, payload []byte) {
 // the runtime's counters, ring state, the instance-labeled migration
 // counters, and the private score-latency histogram.
 func (i *Instance) ObsSnapshot() []obs.SeriesSnapshot {
-	st := i.rt.Stats()
-	node := i.gnb.NodeID()
+	st := i.Runtime().Stats()
+	node := i.node.GNB.NodeID()
 	nodeLbl := func() map[string]string { return map[string]string{"node": node} }
 	out := []obs.SeriesSnapshot{
 		{Name: "xsec_mobiwatch_records_total", Kind: "counter", Labels: nodeLbl(),
@@ -695,7 +625,7 @@ func (i *Instance) ObsSnapshot() []obs.SeriesSnapshot {
 		{Name: "xsec_mobiwatch_alerts_total", Kind: "counter",
 			Labels: map[string]string{"node": node, "outcome": "dropped"},
 			Value:  float64(st.AlertsDropped.Load())},
-		{Name: "xsec_fed_ues", Kind: "gauge", Value: float64(len(i.rt.UEs()))},
+		{Name: "xsec_fed_ues", Kind: "gauge", Value: float64(len(i.Runtime().UEs()))},
 		{Name: "xsec_fed_ring_epoch", Kind: "gauge", Value: float64(i.RingEpoch())},
 	}
 	for _, dir := range []string{"out", "in", "failed"} {
@@ -715,7 +645,7 @@ func (i *Instance) ObsSnapshot() []obs.SeriesSnapshot {
 // key, so span attribution follows the trace context, not the
 // process).
 func (i *Instance) fleetSpans() []obs.Span {
-	prefix := i.gnb.NodeID() + "/"
+	prefix := i.node.GNB.NodeID() + "/"
 	var out []obs.Span
 	for _, sp := range obs.DefaultTracer.Spans() {
 		if len(sp.Key) > len(prefix) && sp.Key[:len(prefix)] == prefix {

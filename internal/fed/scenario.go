@@ -1,16 +1,20 @@
 package fed
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
+	"github.com/6g-xsec/xsec/internal/analyzer"
 	"github.com/6g-xsec/xsec/internal/dataset"
+	"github.com/6g-xsec/xsec/internal/mitigate"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
 	"github.com/6g-xsec/xsec/internal/mobiwatch"
 	"github.com/6g-xsec/xsec/internal/prov"
 	"github.com/6g-xsec/xsec/internal/sdl"
+	"github.com/6g-xsec/xsec/internal/smo"
 	"github.com/6g-xsec/xsec/internal/ue"
 )
 
@@ -38,7 +42,12 @@ const (
 	handoverWait = 10 * time.Second
 )
 
-// ScenarioResult reports what the migration scenario observed.
+// ScenarioResult reports what the migration scenario observed. The drill
+// runs the fleet's engines in dry-run: its records are injected, so the
+// destination's gNB agent holds no UE context and could not ack a
+// BTS-DoS release-ue; what is asserted is the governed, journaled
+// decision on the destination (an acked enforce runs through the same
+// core.Node wiring in core.TestMitigationEnforceEndToEnd).
 type ScenarioResult struct {
 	// AttackUEs are the BTS-DoS flood's UE contexts; all of them are
 	// migrated mid-attack from Source to Dest.
@@ -50,13 +59,26 @@ type ScenarioResult struct {
 	PostRecords int `json:"post_records"`
 	// BoundarySeq is the highest record sequence fed before migration.
 	BoundarySeq uint64 `json:"boundary_seq"`
-	// AlertsOnDest counts attack alerts raised by the destination after
-	// the handover; detection continuity requires at least one.
+	// AlertsOnDest counts the attack alerts the destination's analyzer
+	// took after the handover (a case each; an episode's later windows
+	// fold into one); detection continuity requires at least one.
 	AlertsOnDest int `json:"alerts_on_dest"`
 	// AlertSpansBoundary is the direct continuity witness: some alert
 	// window on the destination contains pre-migration records, which is
 	// only possible if the restored state was used.
 	AlertSpansBoundary bool `json:"alert_spans_boundary"`
+	// Verdict is the destination expert's answer ("verdict/class") on the
+	// flood case Mitigation was decided on; "" if no such case came.
+	Verdict string `json:"verdict"`
+	// Mitigation is the destination engine's journal entry for that case,
+	// read back from the destination's own SDL: a release-ue of a flood
+	// UE the governor let through ("dry-run").
+	Mitigation *mitigate.Entry `json:"mitigation,omitempty"`
+	// DecisionAudited closes the loop across the handover: Mitigation's
+	// chain is a destination chain complete from emit to mitigation
+	// (prov.ChainRecord.MissingStages), and the released UE's migration
+	// audit joins the destination to the source's pre-migration chain.
+	DecisionAudited bool `json:"decision_audited"`
 	// Audits holds one provenance verdict per migrated UE.
 	Audits []prov.MigrationAudit `json:"audits"`
 	// AuditsOK is true when every migrated UE's chains are joined with
@@ -179,8 +201,10 @@ func (h *floodHandover) run(cl *Cluster) error {
 // source, every flood UE's window state is checkpointed and migrated,
 // and the second half arrives at the destination. It reports whether
 // the destination still detected the attack (using the restored
-// pre-migration history) and whether the provenance ledger shows every
-// migrated UE's evidence chains joined without a scoring gap.
+// pre-migration history), whether it then closed the loop on it — a
+// verdict and a governed mitigation decision in its own journal, on an
+// audited chain — and whether the provenance ledger shows every migrated
+// UE's evidence chains joined without a scoring gap.
 func RunMigrationScenario(opts ScenarioOptions) (*ScenarioResult, error) {
 	if opts.Instances < 2 {
 		opts.Instances = 2
@@ -213,45 +237,48 @@ func RunMigrationScenario(opts ScenarioOptions) (*ScenarioResult, error) {
 		BoundarySeq: h.flood[:h.boundary].LastSeq(),
 	}
 
-	// Collect the destination's alerts as its triage queue hands them
-	// out; the source's are left to be shed as stale, nobody analyses them.
-	var alertMu sync.Mutex
-	var destAlerts []mobiwatch.Alert
-	go dest.DrainAlerts(func(a mobiwatch.Alert) {
-		alertMu.Lock()
-		destAlerts = append(destAlerts, a)
-		alertMu.Unlock()
+	// The fleet's engines get their mode the way a fleet would: one push.
+	if err := cl.Coordinator.PushPolicy(smo.Policy{ID: "mitigation", MitigationMode: "dry-run"}); err != nil {
+		return nil, err
+	}
+	err = waitFor(handoverWait, func() bool {
+		for _, inst := range cl.Instances() {
+			if inst.node.Mitigator().Mode() != mitigate.ModeDryRun {
+				return false
+			}
+		}
+		return true
 	})
-	snapshotAlerts := func() []mobiwatch.Alert {
-		alertMu.Lock()
-		defer alertMu.Unlock()
-		return append([]mobiwatch.Alert(nil), destAlerts...)
+	if err != nil {
+		return nil, fmt.Errorf("fed: dry-run policy never reached every engine: %w", err)
 	}
 
 	if err := h.run(cl); err != nil {
 		return nil, err
 	}
 
-	// Wait for the destination to flag the flood and for the deferred
-	// window flushes to land in the ledger: the xApp worker records
-	// window provenance at its next batch flush (≤ 2 ms later), so
-	// the ledger can trail the record counters by a few milliseconds.
-	deadline := time.Now().Add(alertTimeout)
-	for {
-		res.AlertsOnDest, res.AlertSpansBoundary =
-			summarizeAlerts(snapshotAlerts(), h.isAttack, res.BoundarySeq)
-		res.Audits = cl.AuditMigrations()
-		res.AuditsOK = len(res.Audits) > 0
-		for _, a := range res.Audits {
-			if !a.OK() {
-				res.AuditsOK = false
+	// Wait for the destination's cases to show both witnesses (they come
+	// one verdict at a time) and for the deferred window flushes to land
+	// in the ledger: the xApp worker records window provenance at its
+	// next batch flush (≤ 2 ms later), so the ledger can trail the record
+	// counters by a few milliseconds. The source's cases stay in its case
+	// buffer; nobody reads them here.
+	var destCases []*analyzer.Case
+	_ = waitFor(alertTimeout, func() bool { // res says what, if anything, never came
+		for more := true; more; {
+			select {
+			case c := <-dest.node.Cases():
+				destCases = append(destCases, c)
+			default:
+				more = false
 			}
 		}
-		if (res.AlertsOnDest > 0 && res.AuditsOK) || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		res.Audits = cl.AuditMigrations()
+		res.AuditsOK = len(res.Audits) > 0 &&
+			!slices.ContainsFunc(res.Audits, func(a prov.MigrationAudit) bool { return !a.OK() })
+		res.judge(destCases, h, dest, cl.Store)
+		return res.AlertSpansBoundary && res.DecisionAudited && res.AuditsOK
+	})
 
 	res.TotalRecords = cl.TotalRecords()
 	res.Store = cl.Store
@@ -264,22 +291,55 @@ func RunMigrationScenario(opts ScenarioOptions) (*ScenarioResult, error) {
 	return res, nil
 }
 
-func summarizeAlerts(alerts []mobiwatch.Alert, isAttack map[uint64]bool, boundarySeq uint64) (int, bool) {
-	count, spans := 0, false
-	for _, a := range alerts {
-		hit := false
-		for _, rec := range a.Window {
-			if isAttack[rec.UEID] {
-				hit = true
-			}
-		}
-		if !hit {
+// Err is the drill's verdict, the exit code of xsec-testbed -federation
+// and xsec-audit -federation: nil when the destination flagged the
+// migrated flood, every migrated UE's chains are joined, and the loop
+// closed on an audited chain.
+func (res *ScenarioResult) Err() error {
+	switch {
+	case res.AlertsOnDest == 0:
+		return errors.New("the destination instance never flagged the migrated attack")
+	case !res.AuditsOK:
+		return errors.New("migration provenance audit failed")
+	case !res.DecisionAudited:
+		return errors.New("the destination instance reached no governed, audited mitigation decision on the migrated attack")
+	}
+	return nil
+}
+
+// judge reads the destination's cases for the drill's two witnesses:
+// detection continuity (a flood case whose window reaches back over the
+// handover) and the closed loop (see ScenarioResult.DecisionAudited).
+// ledger is the store the cluster's provenance ledger persists to;
+// res.Audits must be current.
+func (res *ScenarioResult) judge(cases []*analyzer.Case, h *floodHandover, dest *Instance, ledger *sdl.Store) {
+	res.AlertsOnDest, res.AlertSpansBoundary = 0, false
+	journal := mitigate.Entries(dest.Store())
+	for _, c := range cases {
+		if !slices.ContainsFunc(c.Alert.Window, func(r mobiflow.Record) bool { return h.isAttack[r.UEID] }) {
 			continue
 		}
-		count++
-		if a.Window.FirstSeq() <= boundarySeq {
-			spans = true
+		res.AlertsOnDest++
+		if c.Alert.Window.FirstSeq() <= res.BoundarySeq {
+			res.AlertSpansBoundary = true
 		}
+		if res.DecisionAudited || c.Analysis == nil || c.Control == nil || !h.isAttack[c.Control.UEID] {
+			continue
+		}
+		chain := prov.ChainID{Node: c.Alert.NodeID, SN: c.Alert.IndicationSN}
+		n := slices.IndexFunc(journal, func(en mitigate.Entry) bool {
+			return en.Chain == chain.String() && en.Decision == "dry-run"
+		})
+		if n < 0 {
+			continue
+		}
+		res.Verdict = c.Analysis.Verdict.String() + "/" + c.Analysis.TopClass().String()
+		res.Mitigation = &journal[n]
+		rec, err := prov.ReadChain(ledger, chain)
+		res.DecisionAudited = err == nil && len(rec.MissingStages()) == 0 &&
+			chain.Node == dest.GNB().NodeID() &&
+			slices.ContainsFunc(res.Audits, func(a prov.MigrationAudit) bool {
+				return a.UEID == c.Control.UEID && a.To.Node == chain.Node && a.OK()
+			})
 	}
-	return count, spans
 }

@@ -57,8 +57,10 @@ type BatchPolicy struct {
 // telemetry as RIC Indications, and applies RIC Control actions to the
 // data plane — the full Figure 3 agent role.
 //
-// ServeE2 blocks until the connection closes. Telemetry reporting is
-// single-consumer: concurrent report subscriptions share the drain.
+// ServeE2 blocks until the connection closes and its report loops have
+// exited, so the node ships and counts nothing after it returns.
+// Telemetry reporting is single-consumer: concurrent report
+// subscriptions share the drain.
 func (g *GNB) ServeE2(ep *e2ap.Endpoint) error {
 	ep.SetNodeID(g.cfg.NodeID)
 	if err := ep.Send(&e2ap.Message{
@@ -99,6 +101,7 @@ type e2Agent struct {
 
 	mu        sync.Mutex
 	reporters map[e2ap.RequestID]chan struct{}
+	reporting sync.WaitGroup // the report loops; stopAll waits for them
 }
 
 func (a *e2Agent) handle(msg *e2ap.Message) {
@@ -156,7 +159,11 @@ func (a *e2Agent) subscribe(msg *e2ap.Message) {
 		Type: e2ap.TypeSubscriptionResponse, RequestID: msg.RequestID,
 		RANFunctionID: msg.RANFunctionID, AdmittedActions: admitted,
 	})
-	go a.report(msg.RequestID, actionID, trigger.Period, stop)
+	a.reporting.Add(1)
+	go func() {
+		defer a.reporting.Done()
+		a.report(msg.RequestID, actionID, trigger.Period, stop)
+	}()
 }
 
 // reporter is the per-subscription batching state of the report loop.
@@ -368,9 +375,10 @@ func (a *e2Agent) control(msg *e2ap.Message) {
 
 func (a *e2Agent) stopAll() {
 	a.mu.Lock()
-	defer a.mu.Unlock()
 	for id, stop := range a.reporters {
 		close(stop)
 		delete(a.reporters, id)
 	}
+	a.mu.Unlock()
+	a.reporting.Wait()
 }

@@ -359,22 +359,6 @@ func (rt *Runtime) Take(ctx context.Context, want func(*Alert) bool) (a Alert, t
 // re-arms it.
 func (rt *Runtime) Resolve(t Ticket, agreed bool) { rt.triage.Resolve(t, agreed) }
 
-// Drain takes every alert until the runtime stops, for callers that run
-// no analyzer. Each is resolved as not agreed, so nothing folds behind a
-// verdict that was never given. fn may be nil.
-func (rt *Runtime) Drain(fn func(Alert)) {
-	for {
-		a, t, ok := rt.Take(context.Background(), nil)
-		if !ok {
-			return
-		}
-		rt.Resolve(t, false)
-		if fn != nil {
-			fn(a)
-		}
-	}
-}
-
 // Stats returns live counters.
 func (rt *Runtime) Stats() *Stats { return &rt.stats }
 

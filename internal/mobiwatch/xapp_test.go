@@ -95,7 +95,13 @@ func TestXAppOnlineDetection(t *testing.T) {
 	}
 	// The queue closes after stop: whatever is left drains, then Take
 	// reports the end instead of blocking.
-	rt.Drain(nil)
+	for {
+		_, ticket, ok := rt.Take(context.Background(), nil)
+		if !ok {
+			break
+		}
+		rt.Resolve(ticket, false)
+	}
 }
 
 func TestXAppRunValidation(t *testing.T) {
