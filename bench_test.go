@@ -202,7 +202,7 @@ func BenchmarkInference_LSTM(b *testing.B) {
 
 // BenchmarkTraceScoring measures whole-trace window scoring through the
 // scalar float64 reference scorers (worker pool sized by GOMAXPROCS,
-// inline on one CPU); BENCH_nn.json records the same rows per machine.
+// inline on one CPU).
 func BenchmarkTraceScoring(b *testing.B) {
 	env, err := bench.BuildEnv(benchCfg(b))
 	if err != nil {

@@ -8,17 +8,14 @@
 //	xsec-bench -figure 4            # one figure (2, 4, 5)
 //	xsec-bench -ablation threshold  # window | threshold | bottleneck
 //	xsec-bench -quick -table 2      # reduced dataset / epochs
-//	xsec-bench -nn                  # NN hot-path baseline → BENCH_nn.json
-//	xsec-bench -nn -smoke           # reduced NN workload (CI path check)
-//	xsec-bench -mitigate            # closed-loop mitigation baseline → BENCH_mitigate.json
-//	xsec-bench -prov                # provenance ledger baseline → BENCH_prov.json
-//	xsec-bench -prov -smoke         # reduced ledger workload (CI path check; fails on a dropped event)
 //	xsec-bench -fed                 # federated throughput baseline → BENCH_fed.json
 //	xsec-bench -fed -smoke          # reduced federation workload (CI path check; fails on a record lost across join+kill)
 //	xsec-bench -fleet               # fleet observability baseline → BENCH_fleet.json
 //	xsec-bench -fleet -smoke        # reduced fleet drill (CI path check; fails unless the victim left the ring and the stitched trace is complete)
-//	xsec-bench -llm                 # LLM serving-layer baseline → BENCH_llm.json
-//	xsec-bench -llm -smoke          # reduced LLM workload (CI path check)
+//
+// How fast a layer of the shipped system runs is benchmark/'s question
+// (bash benchmark/run.sh), not this command's; the two federation drills
+// stay here until benchmark/ has a federated workload.
 //
 // -log-level (default $XSEC_LOG_LEVEL, else info) tunes structured log
 // verbosity; -metrics-addr serves /metrics, /healthz, and the /fleet/*
@@ -42,13 +39,9 @@ func main() {
 		all         = flag.Bool("all", false, "regenerate every artifact")
 		quick       = flag.Bool("quick", false, "use the reduced configuration")
 		seed        = flag.Int64("seed", 1, "experiment seed")
-		nnBench     = flag.Bool("nn", false, "measure the NN hot paths and write the machine-readable baseline")
-		mitBench    = flag.Bool("mitigate", false, "measure the closed mitigation loop under the DoS attacks")
-		provBench   = flag.Bool("prov", false, "measure provenance ledger overhead and chain reconstruction")
 		fedBench    = flag.Bool("fed", false, "measure federated multi-RIC throughput vs a single instance")
 		fleetBench  = flag.Bool("fleet", false, "measure the fleet observability plane: scrapes, trace stitching, failure detection")
-		llmBench    = flag.Bool("llm", false, "measure the LLM serving layer: cache, coalescing, hedging, saturation fallback")
-		smoke       = flag.Bool("smoke", false, "shrink the -nn/-fed/-fleet/-llm/-prov workload so CI exercises the path quickly (-fed fails on a lost record, -fleet on a missed eviction or incomplete trace, -prov on a dropped event)")
+		smoke       = flag.Bool("smoke", false, "shrink the -fed/-fleet workload so CI exercises the path quickly (-fed fails on a lost record, -fleet on a missed eviction or incomplete trace)")
 		outPath     = flag.String("out", "", "baseline output path (default BENCH_<name>.json)")
 		logLevel    = flag.String("log-level", envDefault("XSEC_LOG_LEVEL", "info"), "log verbosity: debug | info | warn | error")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz, and /fleet/* on this address for the run")
@@ -65,14 +58,6 @@ func main() {
 		cfg = bench.Quick(*seed)
 	}
 
-	// smokeCfg pairs a -smoke run's short measurement windows with the
-	// reduced dataset unless -quick was given.
-	smokeCfg := func() bench.Config {
-		if *smoke && !*quick {
-			return bench.Quick(*seed)
-		}
-		return cfg
-	}
 	// One row per machine-readable baseline: the flag that selects it,
 	// the file it lands in, and the run that produces it.
 	baselines := []struct {
@@ -80,18 +65,12 @@ func main() {
 		file     string
 		run      func() (baseline, error)
 	}{
-		{nnBench, "BENCH_nn.json", func() (baseline, error) { return bench.RunNNBench(smokeCfg(), *smoke) }},
-		{mitBench, "BENCH_mitigate.json", func() (baseline, error) { return bench.RunMitigateBench(cfg) }},
 		{fedBench, "BENCH_fed.json", func() (baseline, error) {
 			return bench.RunFedBench(bench.FedOptions{Seed: *seed, Smoke: *smoke})
 		}},
 		{fleetBench, "BENCH_fleet.json", func() (baseline, error) {
 			return bench.RunFleetBench(bench.FleetOptions{Seed: *seed, Smoke: *smoke})
 		}},
-		{llmBench, "BENCH_llm.json", func() (baseline, error) {
-			return bench.RunLLMBench(bench.LLMOptions{Seed: *seed, Smoke: *smoke})
-		}},
-		{provBench, "BENCH_prov.json", func() (baseline, error) { return bench.RunProvBench(smokeCfg(), *smoke) }},
 	}
 	for _, b := range baselines {
 		if !*b.selected {

@@ -7,6 +7,7 @@ import (
 	"github.com/6g-xsec/xsec/internal/detect"
 	"github.com/6g-xsec/xsec/internal/feature"
 	"github.com/6g-xsec/xsec/internal/mobiwatch"
+	"github.com/6g-xsec/xsec/internal/nn"
 )
 
 // AblationRow is one configuration's outcome.
@@ -44,7 +45,7 @@ func (r *AblationResult) Format() string {
 
 // evaluateModels computes the ablation metrics for a trained bundle.
 func evaluateModels(env *Env, models *mobiwatch.Models) AblationRow {
-	scores := models.ScoreTraceAE(env.Mixed.Trace)
+	scores := models.ScoreTraceAEBatched(env.Mixed.Trace, nn.Float32)
 	labels := feature.WindowLabels(env.Mixed.Malicious, models.Window)
 	pred := make([]bool, len(scores))
 	for i, s := range scores {
@@ -52,7 +53,7 @@ func evaluateModels(env *Env, models *mobiwatch.Models) AblationRow {
 	}
 	conf := detect.Evaluate(pred, labels)
 
-	benignScores := models.ScoreTraceAE(env.Benign)
+	benignScores := models.ScoreTraceAEBatched(env.Benign, nn.Float32)
 	below := 0
 	for _, s := range benignScores {
 		if !s.Anomalous {

@@ -4,6 +4,10 @@
 // Figure 2 (attack sequences), Figure 4 (reconstruction-error series),
 // and Figure 5 (prompt/response example) — plus the ablations DESIGN.md
 // commits to (window size, threshold percentile, bottleneck width).
+// How fast the shipped system runs is benchmark/'s question, not this
+// package's; fed.go and fleet.go (BENCH_fed.json, BENCH_fleet.json) are
+// the exception, kept because they are CI's only record-loss and eviction
+// drills until benchmark/ has a federated workload (ROADMAP 2(f)).
 //
 // The cmd/xsec-bench binary and the repository-root benchmarks both call
 // into this package, so the printed artifacts and the testing.B numbers

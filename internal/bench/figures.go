@@ -7,6 +7,7 @@ import (
 	"github.com/6g-xsec/xsec/internal/feature"
 	"github.com/6g-xsec/xsec/internal/llm"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
+	"github.com/6g-xsec/xsec/internal/nn"
 	"github.com/6g-xsec/xsec/internal/ue"
 )
 
@@ -118,7 +119,7 @@ func RunFigure4(cfg Config) (*Figure4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	scores := env.Models.ScoreTraceAE(env.Mixed.Trace)
+	scores := env.Models.ScoreTraceAEBatched(env.Mixed.Trace, nn.Float32)
 	labels := feature.WindowLabels(env.Mixed.Malicious, cfg.Window)
 	res := &Figure4Result{Threshold: env.Models.AEThreshold}
 	for i, s := range scores {

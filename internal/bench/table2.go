@@ -95,7 +95,7 @@ func RunTable2(cfg Config) (*Table2Result, error) {
 	})
 
 	// --- Attack rows: the fully trained models on the mixed dataset.
-	aeScores := env.Models.ScoreTraceAE(env.Mixed.Trace)
+	aeScores := env.Models.ScoreTraceAEBatched(env.Mixed.Trace, nn.Float32)
 	aeLabels := feature.WindowLabels(env.Mixed.Malicious, cfg.Window)
 	aePred := make([]bool, len(aeScores))
 	for i, s := range aeScores {
@@ -108,7 +108,7 @@ func RunTable2(cfg Config) (*Table2Result, error) {
 		Recall: aeConf.Recall(), F1: aeConf.F1(),
 	})
 
-	lstmScores := env.Models.ScoreTraceLSTM(env.Mixed.Trace)
+	lstmScores := env.Models.ScoreTraceLSTMBatched(env.Mixed.Trace, nn.Float32)
 	lstmLabels := feature.WindowLabelsNext(env.Mixed.Malicious, cfg.Window)
 	lstmPred := make([]bool, len(lstmScores))
 	for i, s := range lstmScores {

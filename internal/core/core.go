@@ -22,7 +22,6 @@ import (
 	"github.com/6g-xsec/xsec/internal/cell"
 	"github.com/6g-xsec/xsec/internal/corenet"
 	"github.com/6g-xsec/xsec/internal/dataset"
-	"github.com/6g-xsec/xsec/internal/llm"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
 	"github.com/6g-xsec/xsec/internal/mobiwatch"
 	"github.com/6g-xsec/xsec/internal/nas"
@@ -56,11 +55,6 @@ type Options struct {
 	// flight (default 4): one round-trip worker each. Verdicts the serving
 	// layer gives from memory are served beside them (analyzer.RunPool).
 	LLMWorkers int
-	// LLMServing tunes the serving layer between the analyzer and the
-	// expert endpoint: verdict cache, request coalescing, hedged
-	// retries, and the saturation governor. Zero value means defaults;
-	// the governor journal always lands in the framework SDL.
-	LLMServing llm.ServingOptions
 	// Mitigate deploys the mitigation-engine xApp in the given mode
 	// ("off", "dry-run", "enforce"); empty leaves it undeployed, and
 	// cases only surface their recommended control. The engine is the

@@ -149,9 +149,8 @@ func (n *Node) Deploy(models *mobiwatch.Models, run mobiwatch.RunOptions) error 
 	if n.llmLocal != nil {
 		client.HTTPClient = &http.Client{Transport: n.llmLocal}
 	}
-	serving := n.Opts.LLMServing
-	serving.Store = n.SDL // governor journal always lands in the SDL
-	n.llmServing = llm.NewService(client, serving)
+	// The governor's journal lands in the node's SDL.
+	n.llmServing = llm.NewService(client, llm.ServingOptions{Store: n.SDL})
 	// Colocated nodes each answer /healthz under their own name.
 	n.llmServing.RegisterHealth("llm-serving/" + nodeID)
 	n.anlz = analyzer.New(n.llmServing, n.SDL)
@@ -245,10 +244,6 @@ func (n *Node) AnalyzerStats() *analyzer.Stats {
 
 // Analyzer exposes the analyzer xApp (nil before Deploy).
 func (n *Node) Analyzer() *analyzer.Analyzer { return n.anlz }
-
-// LLMServing exposes the serving layer between the analyzer and the
-// expert endpoint (nil before Deploy).
-func (n *Node) LLMServing() *llm.Service { return n.llmServing }
 
 // Mitigator exposes the mitigation engine (nil unless Options.Mitigate
 // deployed it).

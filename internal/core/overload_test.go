@@ -146,6 +146,44 @@ func TestOverloadDegradesByPolicy(t *testing.T) {
 		t.Errorf("chain %s of acked mitigation %d lacks stages %v", id, acked.ID, missing)
 	}
 
+	// A verdict served degraded is whole evidence too. With the expert
+	// gone, a flood whose retransmissions make its windows ones the
+	// verdict cache has not seen gets the rule-based verdict, and that
+	// case's chain still reads emit to mitigation.
+	shutdown()
+	orphan := fw.NewUE(ue.OAIUE, 499)
+	orphan.Profile.RetransProb = 0.5
+	orphan.Pace = func() { fw.Clock().Advance(500 * time.Microsecond) }
+	_, _ = orphan.RunBTSDoS(fw.GNB, 20) // may be cut short by the mitigation
+	var degraded *analyzer.Case
+	deadline = time.Now().Add(8 * time.Second)
+	for degraded == nil {
+		mu.Lock()
+		for _, c := range cases {
+			if c.Analysis != nil && c.Analysis.Served == llm.ServedDegraded && c.Control != nil {
+				degraded = c
+				break
+			}
+		}
+		mu.Unlock()
+		if degraded == nil {
+			if time.Now().After(deadline) {
+				t.Fatalf("no case served degraded after the expert went away (analyzer degraded=%d failures=%d)",
+					fw.AnalyzerStats().Degraded.Load(), fw.AnalyzerStats().Failures.Load())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	waitAlertsConserved(t, fw)
+	fw.Prov().Flush()
+	id = prov.ChainID{Node: degraded.Alert.NodeID, SN: degraded.Alert.IndicationSN}
+	if rec, err = prov.ReadChain(fw.SDL, id); err != nil {
+		t.Fatalf("chain %s of the degraded case: %v", id, err)
+	}
+	if missing := rec.MissingStages(); len(missing) > 0 {
+		t.Errorf("chain %s, verdict served degraded, lacks stages %v", id, missing)
+	}
+
 	// Overload was shed by decision, not by arrival order.
 	st := fw.WatchStats()
 	shed := st.AlertsShedPriority.Load() + st.AlertsShedStale.Load()

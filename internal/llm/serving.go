@@ -85,9 +85,6 @@ type ServingOptions struct {
 	// answered within this duration (default 500 ms; negative disables
 	// hedging). The first response wins; the loser is canceled.
 	HedgeDelay time.Duration
-	// RequestTimeout bounds one logical upstream exchange, hedges
-	// included (default 10 s).
-	RequestTimeout time.Duration
 	// BreakerTrip is how many consecutive saturation events (admission
 	// timeouts or failed exchanges) open the governor (default 4).
 	// While open, requests shed immediately; one probe per
@@ -117,9 +114,6 @@ func (o *ServingOptions) defaults() {
 	}
 	if o.HedgeDelay == 0 {
 		o.HedgeDelay = 500 * time.Millisecond
-	}
-	if o.RequestTimeout <= 0 {
-		o.RequestTimeout = 10 * time.Second
 	}
 	if o.BreakerTrip <= 0 {
 		o.BreakerTrip = 4
@@ -370,6 +364,9 @@ func (s *Service) shareText(a *Analysis) *Analysis {
 // errAdmission marks a request the governor refused an upstream slot.
 var errAdmission = errors.New("llm: upstream admission timed out")
 
+// exchangeTimeout bounds one logical upstream exchange, hedges included.
+const exchangeTimeout = 10 * time.Second
+
 // upstream performs the bounded, hedged exchange. One admission slot
 // covers the primary and its hedge; the prompt-token metric is charged
 // once here regardless of how many attempts run.
@@ -387,7 +384,7 @@ func (s *Service) upstream(ctx context.Context, prompt string) (*Analysis, error
 
 	CountPromptTokens(prompt)
 
-	actx, cancel := context.WithTimeout(ctx, s.opts.RequestTimeout)
+	actx, cancel := context.WithTimeout(ctx, exchangeTimeout)
 	defer cancel() // the losing attempt is aborted, not leaked
 
 	type result struct {

@@ -77,6 +77,41 @@ func BenchmarkLSTMScoreParallel(b *testing.B) {
 	})
 }
 
+// BenchmarkScoreBatch times the batched engines the xApp scores through,
+// at both shipped precisions, on a 32-window batch — the order of one
+// worker flush. ns/op is per batch: divide by 32 to set a row beside
+// BenchmarkAEScore / BenchmarkLSTMScore, the scalar float64 reference.
+func BenchmarkScoreBatch(b *testing.B) {
+	const n, recordDim = 32, 40 // benchAE's 160 inputs are 4 records of 40
+	ae, x := benchAE()
+	l, window, next := benchLSTM()
+	aeBatch, lstmBatch, targets := make([][]float64, n), make([][][]float64, n), make([][]float64, n)
+	for i := range aeBatch {
+		aeBatch[i], lstmBatch[i], targets[i] = x, window, next
+	}
+	xbAE, xbLSTM, tgt := flattenF32(aeBatch), flattenWindowsF32(lstmBatch), flattenF32(targets)
+	scores := make([]float32, n)
+
+	run := func(name string, score func()) {
+		b.Run(name, func(b *testing.B) {
+			score() // grow the scratch arena outside the timed loop
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				score()
+			}
+		})
+	}
+	for _, e := range []*AEInference{ae.QuantizeF32(), ae.QuantizeI8()} {
+		s := e.NewBatchScratch()
+		run("ae/"+e.Precision().String(), func() { e.ScoreBatch(s, xbAE, n, recordDim, scores) })
+	}
+	for _, e := range []*LSTMInference{l.QuantizeF32(), l.QuantizeI8()} {
+		s := e.NewBatchScratch()
+		run("lstm/"+e.Precision().String(), func() { e.ScoreBatch(s, xbLSTM, tgt, n, len(window), scores) })
+	}
+}
+
 func benchTrainData() [][]float64 {
 	rng := rand.New(rand.NewSource(3))
 	return syntheticWindows(rng, 256, 160)

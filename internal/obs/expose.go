@@ -146,8 +146,7 @@ type BucketSnapshot struct {
 }
 
 // SeriesSnapshot is one series' state, machine-readable — what
-// Registry.Snapshot returns, the fleet plane ships between instances,
-// and xsec-bench -llm persists as llm_series.
+// Registry.Snapshot returns and the fleet plane ships between instances.
 type SeriesSnapshot struct {
 	Name    string            `json:"name"`
 	Kind    string            `json:"kind"`

@@ -3,11 +3,9 @@
 # recipe — ROADMAP.md, README.md, and .claude/skills/verify/SKILL.md all
 # point here, so change it in one place only.
 #
-# Usage: scripts/verify.sh  (from the repo root; about 7.5 min cold on a
-# 2-CPU host — 7m23s measured at PR 21, test cache emptied — dominated by
-# the -race test run: internal/core 223 s and internal/mobiwatch 93 s
-# when run alone with -p 1, 371 s and 125 s before training skipped zero
-# inputs and fitted both models side by side)
+# Usage: scripts/verify.sh  (from the repo root; 6 min 51 s cold on a
+# 2-CPU host, test cache emptied, measured at PR 24 — the -race test run
+# is all of it, and internal/core, 364 s inside that run, is its floor)
 set -eu
 
 cd "$(dirname "$0")/.."
