@@ -77,13 +77,40 @@ func TestHitsDoNotWaitBehindRoundTrips(t *testing.T) {
 		fw.Clock().Advance(500 * time.Microsecond)
 		time.Sleep(200 * time.Microsecond)
 	}
-	for round := 0; round < 8; round++ {
-		flooder := fw.NewUE(ue.OAIUE, 601+2*round)
+	flood := func(seed, connections int) {
+		flooder := fw.NewUE(ue.OAIUE, seed)
 		flooder.Profile.RetransProb = 0
 		flooder.Pace = pace
-		if _, err := flooder.RunBTSDoS(fw.GNB, 40); err != nil {
+		if _, err := flooder.RunBTSDoS(fw.GNB, connections); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// Every connection of a BTS flood is its own episode, and past its
+	// first few they render to one prompt. Whether that prompt had a
+	// verdict before the flood filled the queue used to decide the run:
+	// when the one worker was busy with stronger misses, the flood's
+	// windows were asked about before their answer existed — once per kept
+	// window, so never again — and were shed, ≈ 30 cases in place of
+	// ≈ 220. So the answer goes into memory first: floods without the
+	// replayer, each left to drain, until the lane takes three in four of
+	// one's alerts. The replayer's windows are not primed; they are the
+	// misses that keep the worker in round trips during the flood measured.
+	st := fw.WatchStats()
+	primes := 1
+	for ; ; primes++ {
+		taken, recalled := st.AlertsTaken.Load(), st.AlertsRecalled.Load()
+		flood(580+primes, 40)
+		waitAlertsConserved(t, fw)
+		if n := st.AlertsTaken.Load() - taken; n > 0 && 4*(st.AlertsRecalled.Load()-recalled) >= 3*n {
+			break
+		}
+		if primes == 6 {
+			t.Fatalf("%d floods and the lane never took three in four of one's alerts", primes)
+		}
+	}
+	primed := time.Now()
+	for round := 0; round < 8; round++ {
+		flood(601+2*round, 40)
 		replayer := fw.NewUE(ue.OAIUE, 602+2*round)
 		replayer.Pace = pace
 		if _, err := replayer.RunBlindDoS(fw.GNB, vres.GUTI.TMSI, 6); err != nil {
@@ -102,7 +129,7 @@ func TestHitsDoNotWaitBehindRoundTrips(t *testing.T) {
 			trips = append(trips, c.ProcessedAt)
 		}
 	}
-	var waits []time.Duration // of hits flagged with every worker in a round trip
+	var waits []time.Duration // of the flood's hits flagged with every worker in a round trip
 	for _, c := range cases {
 		if c.Analysis == nil {
 			t.Errorf("case of indication %d has no analysis", c.Alert.IndicationSN)
@@ -112,7 +139,7 @@ func TestHitsDoNotWaitBehindRoundTrips(t *testing.T) {
 			t.Errorf("case of indication %d (served %q): prompt digest %v, its context renders to %v",
 				c.Alert.IndicationSN, c.Analysis.Served, c.Analysis.PromptDigest, want)
 		}
-		if c.Analysis.Served != llm.ServedCache {
+		if c.Analysis.Served != llm.ServedCache || c.Alert.At.Before(primed) {
 			continue
 		}
 		busy := 0
@@ -125,7 +152,6 @@ func TestHitsDoNotWaitBehindRoundTrips(t *testing.T) {
 			waits = append(waits, c.ProcessedAt.Sub(c.Alert.At))
 		}
 	}
-	st := fw.WatchStats()
 	if len(waits) < 10 || st.AlertsRecalled.Load() == 0 {
 		t.Fatalf("scenario exercised nothing: %d of %d cases (%d round trips) were hits flagged with all %d workers in a round trip, %d taken by the lane",
 			len(waits), len(cases), len(trips), workers, st.AlertsRecalled.Load())
@@ -135,6 +161,6 @@ func TestHitsDoNotWaitBehindRoundTrips(t *testing.T) {
 		t.Errorf("hits flagged while every worker was in a %v round trip waited %v at the median (max %v, %d samples), want < 5 ms",
 			expertRTT, median, waits[len(waits)-1], len(waits))
 	}
-	t.Logf("%d cases over %d round trips; %d hits flagged with every worker busy waited %v at the median, %v at most; %d of %d takes by the lane",
-		len(cases), len(trips), len(waits), waits[len(waits)/2], waits[len(waits)-1], st.AlertsRecalled.Load(), st.AlertsTaken.Load())
+	t.Logf("primed in %d floods; %d cases over %d round trips; %d hits flagged with every worker busy waited %v at the median, %v at most; %d of %d takes by the lane",
+		primes, len(cases), len(trips), len(waits), waits[len(waits)/2], waits[len(waits)-1], st.AlertsRecalled.Load(), st.AlertsTaken.Load())
 }

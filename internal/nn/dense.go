@@ -79,20 +79,11 @@ func (d *Dense) forward(s *denseScratch, x []float64) []float64 {
 	if s.nz != nil {
 		s.nz = nonZero(s.nz[:0], x)
 	}
-	for o := 0; o < d.Out; o++ {
-		sum := d.b.W[o]
-		// Sliced to len(x), so that an index checked against one of row
-		// and x is known to be inside the other.
-		row := d.w.W[o*d.In:][:len(x)]
-		if s.nz != nil {
-			for _, i := range s.nz {
-				sum += row[i] * x[i]
-			}
-		} else {
-			for i, xi := range x {
-				sum += row[i] * xi
-			}
-		}
+	copy(s.out, d.b.W)
+	for o := 0; o < d.Out; o += 4 {
+		dot4(s.out[o:min(o+4, d.Out)], d.w.W[o*d.In:], d.In, x, s.nz)
+	}
+	for o, sum := range s.out {
 		s.out[o] = d.Act.apply(sum)
 	}
 	return s.out
@@ -126,12 +117,8 @@ func (d *Dense) backward(s *denseScratch, wG, bG, gradOut []float64) []float64 {
 	for o := 0; o < d.Out; o++ {
 		delta := gradOut[o] * d.Act.derivFromOutput(s.out[o])
 		bG[o] += delta
-		row := d.w.W[o*d.In : (o+1)*d.In]
-		grow := wG[o*d.In : (o+1)*d.In]
-		for i := 0; i < d.In; i++ {
-			grow[i] += delta * s.in[i]
-			gradIn[i] += delta * row[i]
-		}
+		axpy(delta, s.in, wG[o*d.In:(o+1)*d.In])
+		axpy(delta, d.w.W[o*d.In:(o+1)*d.In], gradIn)
 	}
 	return gradIn
 }

@@ -2,10 +2,11 @@
 
 package nn
 
-// Runtime CPU-feature detection for the AVX2+FMA GEMM kernels. The
-// binary builds for baseline amd64 (GOAMD64=v1); the SIMD path is only
-// entered when CPUID and XGETBV prove the instructions and OS state
-// support are present, so the portable kernels remain the fallback.
+// Runtime CPU-feature detection for the AVX2+FMA GEMM kernels and the
+// AVX training kernels (kernels64_amd64.go). The binary builds for
+// baseline amd64 (GOAMD64=v1); the SIMD path is only entered when CPUID
+// and XGETBV prove the instructions and OS state support are present, so
+// the portable kernels remain the fallback.
 
 // Implemented in gemm_amd64.s.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -19,24 +20,31 @@ func vsigmoidAVX2(v *float32, n int)
 //go:noescape
 func vtanhAVX2(v *float32, n int)
 
-// hasAVX2FMA reports whether the CPU and OS support the assembly kernels:
-// AVX, FMA, and OSXSAVE in CPUID.1:ECX, XMM+YMM state enabled in XCR0,
-// and AVX2 in CPUID.7:EBX.
-func hasAVX2FMA() bool {
-	maxID, _, _, _ := cpuid(0, 0)
-	if maxID < 7 {
-		return false
-	}
+// hasAVX reports whether the CPU and OS support 256-bit AVX: AVX and
+// OSXSAVE in CPUID.1:ECX, and XMM+YMM state enabled in XCR0.
+func hasAVX() bool {
 	_, _, ecx1, _ := cpuid(1, 0)
 	const (
-		fma     = 1 << 12
 		osxsave = 1 << 27
 		avx     = 1 << 28
 	)
-	if ecx1&(fma|osxsave|avx) != fma|osxsave|avx {
+	if ecx1&(osxsave|avx) != osxsave|avx {
 		return false
 	}
-	if xa, _ := xgetbv(); xa&6 != 6 { // XMM and YMM state saved by the OS
+	xa, _ := xgetbv()
+	return xa&6 == 6 // XMM and YMM state saved by the OS
+}
+
+// hasAVX2FMA reports whether the CPU and OS support the GEMM kernels:
+// AVX, FMA in CPUID.1:ECX, and AVX2 in CPUID.7:EBX.
+func hasAVX2FMA() bool {
+	maxID, _, _, _ := cpuid(0, 0)
+	if maxID < 7 || !hasAVX() {
+		return false
+	}
+	_, _, ecx1, _ := cpuid(1, 0)
+	const fma = 1 << 12
+	if ecx1&fma == 0 {
 		return false
 	}
 	_, ebx7, _, _ := cpuid(7, 0)

@@ -23,17 +23,21 @@ func scoreDiverged(got float32, want, rel, abs float64) bool {
 	return d > abs+rel*math.Abs(want)
 }
 
-// forcePortableKernels pins the package to the pure-Go kernels for the
-// duration of a test, restoring the runtime-selected ones after.
+// forcePortableKernels pins the package to the pure-Go kernels — the
+// float32 engines' and the float64 training path's — for the duration of
+// a test, restoring the runtime-selected ones after.
 func forcePortableKernels(t *testing.T) {
 	t.Helper()
 	f32, i8 := kernelF32, kernelI8
 	vs, vt := vsigmoidF32, vtanhF32
+	avx := avx64
 	kernelF32, kernelI8 = gemmBlockGo, gemmBlockI8Go
 	vsigmoidF32, vtanhF32 = vsigmoidGo, vtanhGo
+	avx64 = false
 	t.Cleanup(func() {
 		kernelF32, kernelI8 = f32, i8
 		vsigmoidF32, vtanhF32 = vs, vt
+		avx64 = avx
 	})
 }
 

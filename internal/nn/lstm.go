@@ -147,23 +147,11 @@ func (l *LSTM) ForwardWith(s *LSTMScratch, window [][]float64) []float64 {
 		st.x = x
 		st.nz = nonZero(st.nz[:0], x)
 		for h := 0; h < H; h++ {
-			// Pre-activations for the four gates of unit h.
-			var pre [4]float64
-			for gate := 0; gate < 4; gate++ {
-				row := (gate*H + h)
-				sum := l.b.W[row]
-				// Sliced to len(x), so that an index checked against
-				// wxRow is known to be inside x.
-				wxRow := l.wx.W[row*l.inDim:][:len(x)]
-				for _, k := range st.nz {
-					sum += wxRow[k] * x[k]
-				}
-				whRow := l.wh.W[row*H : (row+1)*H]
-				for k, hk := range hPrev {
-					sum += whRow[k] * hk
-				}
-				pre[gate] = sum
-			}
+			// Pre-activations for the four gates of unit h: rows
+			// gate·H + h, so H rows apart in b and 4H-row-stacked wx, wh.
+			pre := [4]float64{l.b.W[h], l.b.W[H+h], l.b.W[2*H+h], l.b.W[3*H+h]}
+			dot4(pre[:], l.wx.W[h*l.inDim:], H*l.inDim, x, st.nz)
+			dot4(pre[:], l.wh.W[h*H:], H*H, hPrev, nil)
 			st.i[h] = sigmoid(pre[0])
 			st.f[h] = sigmoid(pre[1])
 			st.g[h] = math.Tanh(pre[2])
@@ -175,13 +163,9 @@ func (l *LSTM) ForwardWith(s *LSTMScratch, window [][]float64) []float64 {
 		hPrev, cPrev = st.h, st.c
 	}
 
-	for o := 0; o < l.outDim; o++ {
-		sum := l.by.W[o]
-		row := l.wy.W[o*H : (o+1)*H]
-		for k, hk := range hPrev {
-			sum += row[k] * hk
-		}
-		s.yOut[o] = sum
+	copy(s.yOut, l.by.W)
+	for o := 0; o < l.outDim; o += 4 {
+		dot4(s.yOut[o:min(o+4, l.outDim)], l.wy.W[o*H:], H, hPrev, nil)
 	}
 	return s.yOut
 }
@@ -215,12 +199,8 @@ func (l *LSTM) backwardInto(s *LSTMScratch, grads [][]float64, gradOut []float64
 	for o := 0; o < l.outDim; o++ {
 		g := gradOut[o]
 		byG[o] += g
-		row := l.wy.W[o*H : (o+1)*H]
-		grow := wyG[o*H : (o+1)*H]
-		for k := 0; k < H; k++ {
-			grow[k] += g * last.h[k]
-			dh[k] += g * row[k]
-		}
+		axpy(g, last.h, wyG[o*H:(o+1)*H])
+		axpy(g, l.wy.W[o*H:(o+1)*H], dh)
 	}
 
 	dc := s.dc
@@ -263,12 +243,8 @@ func (l *LSTM) backwardInto(s *LSTMScratch, grads [][]float64, gradOut []float64
 			for _, k := range nz {
 				wxRow[k] += a * x[k]
 			}
-			whW := l.wh.W[row*H : (row+1)*H]
-			whRow := whG[row*H : (row+1)*H]
-			for k := 0; k < H; k++ {
-				whRow[k] += a * hPrev[k]
-				dhPrev[k] += a * whW[k]
-			}
+			axpy(a, hPrev, whG[row*H:(row+1)*H])
+			axpy(a, l.wh.W[row*H:(row+1)*H], dhPrev)
 		}
 		dh, dhPrev = dhPrev, dh
 	}

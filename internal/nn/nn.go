@@ -6,19 +6,20 @@
 //
 // The library provides float64 tensors, dense and LSTM layers with full
 // backpropagation (verified against numerical differentiation in the
-// tests), MSE loss, SGD and Adam optimizers, deterministic seeded
+// tests), MSE loss, the Adam optimizer, deterministic seeded
 // initialization, and JSON model serialization for the SMO's
 // train-then-deploy workflow.
 //
 // Scale note: the paper's models are deliberately "lightweight" so they
 // can run inside an xApp within the near-RT control loop (10 ms–1 s);
 // window-sized inputs and one or two hidden layers. This library targets
-// exactly that scale and favors clarity and determinism over SIMD tricks.
-// The one liberty the float64 path takes is exact: telemetry rows are
-// mostly zeros (one-hot groups), so the two input layers — the MLP's
-// first Dense and the LSTM's wx — run over the indices of the non-zero
-// inputs and skip the "+ w·0" terms, in training, calibration and
-// reference scoring alike (see nonZero).
+// exactly that scale and favors determinism: the float64 path's liberties
+// are exact. Telemetry rows are mostly zeros (one-hot groups), so the two
+// input layers — the MLP's first Dense and the LSTM's wx — run over the
+// indices of the non-zero inputs and skip the "+ w·0" terms, in training,
+// calibration and reference scoring alike (see nonZero); and its element
+// loops run as AVX kernels on amd64 that compute every element's bits the
+// way the Go loop does (see kernels64.go).
 //
 // Concurrency model: layer structs hold only parameters; all forward and
 // backward state lives in explicit per-goroutine workspaces (MLPScratch,
@@ -97,8 +98,8 @@ func (a Activation) derivFromOutput(y float64) float64 {
 	}
 }
 
-// Param is one trainable tensor with its gradient accumulator. Optimizers
-// update W in place from G.
+// Param is one trainable tensor with its gradient accumulator. Adam
+// updates W in place from G.
 type Param struct {
 	Name string
 	W    []float64

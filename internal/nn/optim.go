@@ -2,47 +2,6 @@ package nn
 
 import "math"
 
-// Optimizer updates model parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update and implicitly consumes the gradients
-	// (callers still ZeroGrads before the next accumulation).
-	Step(params []*Param)
-}
-
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	velocity map[*Param][]float64
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param][]float64)}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if s.Momentum == 0 {
-			for i := range p.W {
-				p.W[i] -= s.LR * p.G[i]
-			}
-			continue
-		}
-		v, ok := s.velocity[p]
-		if !ok {
-			v = make([]float64, len(p.W))
-			s.velocity[p] = v
-		}
-		for i := range p.W {
-			v[i] = s.Momentum*v[i] - s.LR*p.G[i]
-			p.W[i] += v[i]
-		}
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba, 2015).
 type Adam struct {
 	LR      float64
@@ -64,11 +23,16 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step applies one update to params from their accumulated gradients
+// (callers still ZeroGrads before the next accumulation).
 func (a *Adam) Step(params []*Param) {
 	a.t++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	c := adamCoef{
+		b1: a.Beta1, c1: 1 - a.Beta1, b2: a.Beta2, c2: 1 - a.Beta2,
+		bc1: 1 - math.Pow(a.Beta1, float64(a.t)),
+		bc2: 1 - math.Pow(a.Beta2, float64(a.t)),
+		lr:  a.LR, eps: a.Epsilon,
+	}
 	for _, p := range params {
 		m, ok := a.m[p]
 		if !ok {
@@ -80,13 +44,6 @@ func (a *Adam) Step(params []*Param) {
 			v = make([]float64, len(p.W))
 			a.v[p] = v
 		}
-		for i := range p.W {
-			g := p.G[i]
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
-			mh := m[i] / bc1
-			vh := v[i] / bc2
-			p.W[i] -= a.LR * mh / (math.Sqrt(vh) + a.Epsilon)
-		}
+		adam(p.W, p.G, m, v, &c)
 	}
 }

@@ -50,12 +50,7 @@ func newShardGrads(params []*Param) shardGrads {
 func reduceGrads(params []*Param, shards []shardGrads) {
 	for _, sg := range shards {
 		for pi, p := range params {
-			src := sg[pi]
-			dst := p.G
-			for i := range dst {
-				dst[i] += src[i]
-				src[i] = 0
-			}
+			addClear(p.G, sg[pi])
 		}
 	}
 }

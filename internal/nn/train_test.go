@@ -148,19 +148,6 @@ func TestLSTMTrainValidation(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumConverges(t *testing.T) {
-	// Minimize (w-3)^2 with SGD+momentum via a fake param.
-	p := &Param{W: []float64{0}, G: []float64{0}}
-	opt := NewSGD(0.1, 0.9)
-	for i := 0; i < 200; i++ {
-		p.G[0] = 2 * (p.W[0] - 3)
-		opt.Step([]*Param{p})
-	}
-	if math.Abs(p.W[0]-3) > 1e-3 {
-		t.Errorf("w = %g, want 3", p.W[0])
-	}
-}
-
 func TestAdamConverges(t *testing.T) {
 	p := &Param{W: []float64{-4}, G: []float64{0}}
 	opt := NewAdam(0.1)

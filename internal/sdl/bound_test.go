@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/6g-xsec/xsec/internal/obs"
 )
@@ -87,7 +88,7 @@ func TestBoundHoldsUnderConcurrentWriters(t *testing.T) {
 // oneStripe is a store whose bounded namespace is a single ring of max
 // slots, so a test can say which key is the oldest.
 func oneStripe(ns string, max int) *Store {
-	s := NewWithOptions(Options{Shards: 1})
+	s := newStore(1, time.Now)
 	s.Bound(ns, max)
 	return s
 }
@@ -150,7 +151,7 @@ func TestBoundStaleSlotSparesReinsert(t *testing.T) {
 func TestBoundEvictionReachesWatchersAndReaders(t *testing.T) {
 	for _, shards := range []int{1, 16} {
 		const maxKeys = 64
-		s := NewWithOptions(Options{Shards: shards})
+		s := newStore(shards, time.Now)
 		s.Bound("ns", maxKeys)
 		events, cancel := s.Watch("ns", "", 8*maxKeys)
 		for i := 0; i < 3*maxKeys; i++ {

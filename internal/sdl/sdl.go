@@ -75,16 +75,6 @@ type Event struct {
 	Deleted   bool
 }
 
-// Options configures a Store.
-type Options struct {
-	// Shards is the lock-stripe count, rounded up to a power of two
-	// (default DefaultShards). Shards == 1 yields the unsharded
-	// single-lock layout.
-	Shards int
-	// Clock is injectable for TTL tests (default time.Now).
-	Clock func() time.Time
-}
-
 // Store is the shared data layer. The zero value is not usable; call New.
 type Store struct {
 	clock   func() time.Time
@@ -141,26 +131,21 @@ type watcher struct {
 }
 
 // New returns an empty store using the real clock and DefaultShards.
-func New() *Store { return NewWithOptions(Options{}) }
+func New() *Store { return newStore(DefaultShards, time.Now) }
 
 // NewWithClock returns a store with an injectable clock for TTL tests.
 func NewWithClock(clock func() time.Time) *Store {
-	return NewWithOptions(Options{Clock: clock})
+	return newStore(DefaultShards, clock)
 }
 
-// NewWithOptions returns a store with explicit shard count and clock.
-func NewWithOptions(o Options) *Store {
-	if o.Shards <= 0 {
-		o.Shards = DefaultShards
-	}
+// newStore returns a store of shards lock stripes, rounded up to a power
+// of two; 1 is the unsharded single-lock layout.
+func newStore(shards int, clock func() time.Time) *Store {
 	n := 1
-	for n < o.Shards {
+	for n < shards {
 		n <<= 1
 	}
-	if o.Clock == nil {
-		o.Clock = time.Now
-	}
-	s := &Store{clock: o.Clock, mask: uint32(n - 1), shards: make([]shard, n), bounds: make(map[string]*bound)}
+	s := &Store{clock: clock, mask: uint32(n - 1), shards: make([]shard, n), bounds: make(map[string]*bound)}
 	for i := range s.shards {
 		s.shards[i].ns = make(map[string]map[string]entry)
 		s.shards[i].watchers = make(map[string]map[uint64]*watcher)

@@ -8,20 +8,23 @@ import (
 )
 
 func TestShardCountRoundsUpToPowerOfTwo(t *testing.T) {
+	if got := New().ShardCount(); got != DefaultShards {
+		t.Errorf("New().ShardCount() = %d, want %d", got, DefaultShards)
+	}
 	for _, tc := range []struct{ ask, want int }{
-		{0, DefaultShards}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {16, 16}, {17, 32},
+		{1, 1}, {2, 2}, {3, 4}, {5, 8}, {16, 16}, {17, 32},
 	} {
-		s := NewWithOptions(Options{Shards: tc.ask})
+		s := newStore(tc.ask, time.Now)
 		if got := s.ShardCount(); got != tc.want {
-			t.Errorf("Shards=%d -> ShardCount=%d, want %d", tc.ask, got, tc.want)
+			t.Errorf("shards=%d -> ShardCount=%d, want %d", tc.ask, got, tc.want)
 		}
 	}
 }
 
-// TestUnshardedOptionBehaves proves Shards=1 (the benchmark baseline) is
+// TestUnshardedOptionBehaves proves the one-stripe layout is
 // semantically identical to the striped store.
 func TestUnshardedOptionBehaves(t *testing.T) {
-	s := NewWithOptions(Options{Shards: 1})
+	s := newStore(1, time.Now)
 	events, cancel := s.Watch("ns", "", 4)
 	defer cancel()
 	v1 := s.Set("ns", "a", []byte("1"))
@@ -42,7 +45,7 @@ func TestUnshardedOptionBehaves(t *testing.T) {
 // events are (a) complete per key, (b) version-ordered per key — the
 // per-shard delivery guarantee — and (c) carry globally unique versions.
 func TestWatchOrderingAcrossShards(t *testing.T) {
-	s := NewWithOptions(Options{Shards: 8})
+	s := newStore(8, time.Now)
 	const keys, writes = 32, 50
 	events, cancel := s.Watch("ns", "", keys*writes+16)
 	defer cancel()
@@ -92,7 +95,7 @@ drain:
 // no send-on-closed-channel panic, no deadlock (the per-shard
 // deregistration must fully exclude in-flight deliveries).
 func TestWatchCancelRacesMutations(t *testing.T) {
-	s := NewWithOptions(Options{Shards: 4})
+	s := newStore(4, time.Now)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -125,7 +128,7 @@ func TestWatchCancelRacesMutations(t *testing.T) {
 // verifies expiry and Purge see every shard.
 func TestTTLExpiryPerShard(t *testing.T) {
 	now := time.Unix(1000, 0)
-	s := NewWithOptions(Options{Shards: 8, Clock: func() time.Time { return now }})
+	s := newStore(8, func() time.Time { return now })
 	const n = 64
 	for i := 0; i < n; i++ {
 		s.SetTTL("ns", fmt.Sprintf("ttl/%03d", i), []byte("v"), time.Second)
@@ -205,7 +208,7 @@ func BenchmarkSetParallelUnsharded(b *testing.B) {
 }
 
 func benchSetParallel(b *testing.B, shards int) {
-	s := NewWithOptions(Options{Shards: shards})
+	s := newStore(shards, time.Now)
 	val := make([]byte, 128)
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
