@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -251,7 +252,7 @@ func ParseResponse(text string) (*Analysis, error) {
 		case strings.Contains(line, "confidence"):
 			if start := strings.Index(line, "confidence "); start >= 0 {
 				numStr := strings.TrimRight(line[start+len("confidence "):], ")")
-				if v, err := strconv.ParseFloat(numStr, 64); err == nil {
+				if v, ok := parseFinite(numStr); ok {
 					a.Confidence = v
 				}
 			}
@@ -273,7 +274,7 @@ func ParseResponse(text string) (*Analysis, error) {
 			if idx := strings.Index(line, "likelihood "); idx >= 0 {
 				numStr := line[idx+len("likelihood "):]
 				if end := strings.IndexAny(numStr, ")"); end > 0 {
-					if v, err := strconv.ParseFloat(numStr[:end], 64); err == nil {
+					if v, ok := parseFinite(numStr[:end]); ok {
 						h.Likelihood = v
 					}
 				}
@@ -285,4 +286,11 @@ func ParseResponse(text string) (*Analysis, error) {
 		}
 	}
 	return a, nil
+}
+
+// parseFinite parses a number a model wrote. "NaN" and "Inf" parse as
+// floats but are no confidence: they leave the default in place.
+func parseFinite(s string) (float64, bool) {
+	v, err := strconv.ParseFloat(s, 64)
+	return v, err == nil && !math.IsNaN(v) && !math.IsInf(v, 0)
 }

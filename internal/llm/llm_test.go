@@ -347,6 +347,13 @@ func TestParseResponseEdgeCases(t *testing.T) {
 	if err != nil || a.Verdict != VerdictAnomalous {
 		t.Errorf("free-form anomalous: %+v, %v", a, err)
 	}
+	// A number that parses but is no number: the defaults stand.
+	for _, bad := range []string{"NaN", "+Inf", "-Inf", "infinity"} {
+		a, err = ParseResponse("Verdict: ANOMALOUS (confidence " + bad + ")\n1. Signaling Storm (BTS DoS) (likelihood " + bad + "): storm")
+		if err != nil || a.Confidence != 0.5 || len(a.Hypotheses) != 1 || a.Hypotheses[0].Likelihood != 0 {
+			t.Errorf("confidence and likelihood %s: %+v, %v; want 0.5 and 0", bad, a, err)
+		}
+	}
 }
 
 func TestVerdictAndClassStrings(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/6g-xsec/xsec/internal/asn1lite"
 	"github.com/6g-xsec/xsec/internal/obs"
 	"github.com/6g-xsec/xsec/internal/sdl"
 )
@@ -14,17 +15,17 @@ import (
 // zero-padded so lexicographic SDL prefix scans return causal order.
 const Namespace = "prov/ledger"
 
-// Options configures a Ledger. The zero value gives a memory-only
-// ledger with the defaults below.
+// Options configures a Ledger. The zero value gives a ledger over a
+// private SDL store with the defaults below.
 type Options struct {
-	// Store is the SDL to persist chains into; nil keeps the ledger
-	// memory-only (events remain queryable until eviction).
+	// Store is the SDL chains persist into; nil gives the ledger a
+	// private one. Either way the store holds the only copy of an event.
 	Store *sdl.Store
 	// Buffer is the recording channel depth; events beyond it are
 	// dropped (and counted) rather than blocking the pipeline.
 	Buffer int
 	// MaxChains bounds retention: beyond it the oldest chain is evicted
-	// from memory and its SDL keys deleted.
+	// and its SDL keys deleted.
 	MaxChains int
 	// MaxEventsPerChain caps one chain's event list; further events are
 	// dropped and the chain marked truncated.
@@ -39,10 +40,10 @@ const (
 	DefaultMaxChains         = 1024
 	DefaultMaxEventsPerChain = 512
 
-	// chainEventsHint is the capacity a new chain's event and key lists
-	// start with — what a benign indication's chain reaches (emit,
-	// transport, indication, a handful of window runs) — so the common
-	// chain is allocated once instead of doubling its way up from one.
+	// chainEventsHint is the capacity a new chain's key list starts
+	// with — what a benign indication's chain reaches (emit, transport,
+	// indication, a handful of window runs) — so the common chain is
+	// allocated once instead of doubling its way up from one.
 	chainEventsHint = 10
 )
 
@@ -74,15 +75,19 @@ type Ledger struct {
 	// one's slot.
 	order []ChainID
 	head  int
-	// enc is persistLocked's render buffer, reused from event to event.
+	// enc is persistLocked's encode buffer, reused from event to event.
 	enc []byte
 }
 
+// chain is what the ledger holds of a chain besides the SDL: the events
+// themselves live only in the store.
 type chain struct {
-	events []Event
-	// keys[i] is the SDL key events[i] is persisted under (empty for a
-	// memory-only ledger): the ledger deletes exactly what it wrote.
-	keys      []string
+	// keys[i] is the SDL key event i is stored under: the ledger reads
+	// and deletes exactly what it wrote.
+	keys []string
+	// last is the latest stored event, the open benign run a window
+	// folds into without reading it back.
+	last      Event
 	truncated bool
 }
 
@@ -113,6 +118,9 @@ func newLedger(o Options) *Ledger {
 	}
 	if o.Clock == nil {
 		o.Clock = time.Now
+	}
+	if o.Store == nil {
+		o.Store = sdl.New()
 	}
 	return &Ledger{
 		store:     o.Store,
@@ -185,10 +193,7 @@ func (l *Ledger) handle(ev Event) {
 	l.mu.Lock()
 	c := l.chains[ev.Chain]
 	if c == nil {
-		c = &chain{events: make([]Event, 0, chainEventsHint)}
-		if l.store != nil {
-			c.keys = make([]string, 0, chainEventsHint)
-		}
+		c = &chain{keys: make([]string, 0, chainEventsHint)}
 		l.admitLocked(ev.Chain)
 		l.chains[ev.Chain] = c
 	}
@@ -198,29 +203,28 @@ func (l *Ledger) handle(ev Event) {
 	// and the sequence range / digest track the latest window. This
 	// bounds chain growth in the steady state (the overwhelmingly
 	// common case is "window scored, nothing fired").
-	if n := len(c.events); n > 0 && ev.Kind == KindWindow && !ev.Flagged {
-		last := &c.events[n-1]
-		if last.Kind == KindWindow && !last.Flagged && last.Model == ev.Model {
-			last.Count += ev.Count
-			last.At = ev.At
-			last.SeqLast = ev.SeqLast
-			last.Digest = ev.Digest
-			if ev.Score > last.Score {
-				last.Score = ev.Score
-			}
-			l.persistLocked(ev.Chain, c, n-1)
-			l.mu.Unlock()
-			return
+	if last := &c.last; len(c.keys) > 0 && ev.Kind == KindWindow && !ev.Flagged &&
+		last.Kind == KindWindow && !last.Flagged && last.Model == ev.Model {
+		last.Count += ev.Count
+		last.At = ev.At
+		last.SeqLast = ev.SeqLast
+		last.Digest = ev.Digest
+		if ev.Score > last.Score {
+			last.Score = ev.Score
 		}
+		l.persistLocked(c)
+		l.mu.Unlock()
+		return
 	}
 
-	if len(c.events) >= l.maxEvents {
+	if len(c.keys) >= l.maxEvents {
 		c.truncated = true
 		l.mu.Unlock()
 		return
 	}
-	c.events = append(c.events, ev)
-	l.persistLocked(ev.Chain, c, len(c.events)-1)
+	c.last = ev
+	c.keys = append(c.keys, eventKey(ev.Chain, len(c.keys)))
+	l.persistLocked(c)
 	l.mu.Unlock()
 }
 
@@ -236,9 +240,9 @@ func (l *Ledger) admitLocked(id ChainID) {
 	l.head = (l.head + 1) % len(l.order)
 }
 
-// evictLocked drops a chain from memory and deletes its persisted keys.
-// The cost is the chain's own event count: no scan of the namespace, so
-// neighbours and foreign keys are never touched.
+// evictLocked forgets a chain and deletes its SDL keys. The cost is the
+// chain's own event count: no scan of the namespace, so neighbours and
+// foreign keys are never touched.
 func (l *Ledger) evictLocked(id ChainID) {
 	for _, k := range l.chains[id].keys {
 		l.store.Delete(Namespace, k)
@@ -248,23 +252,15 @@ func (l *Ledger) evictLocked(id ChainID) {
 	obsEvicted.Inc()
 }
 
-// persistLocked writes c.events[idx] through to the SDL, under the key
-// rendered when the event was first appended.
-func (l *Ledger) persistLocked(id ChainID, c *chain, idx int) {
-	if l.store == nil {
-		return
-	}
-	data, ok := c.events[idx].appendJSON(l.enc[:0])
-	l.enc = data
-	if !ok {
-		return // a non-finite score or an out-of-range time: json.Marshal refuses these too
-	}
-	if idx == len(c.keys) {
-		c.keys = append(c.keys, eventKey(id, idx))
-	}
+// persistLocked stores c.last, the chain's latest event, under the key
+// rendered when it was appended.
+func (l *Ledger) persistLocked(c *chain) {
+	e := asn1lite.NewEncoder(l.enc[:0])
+	c.last.MarshalTLV(&e)
+	l.enc = e.Bytes()
 	// The store keeps an exact-length copy, the event's one allocation;
-	// the render buffer stays with the ledger.
-	l.store.Set(Namespace, c.keys[idx], data)
+	// the encode buffer stays with the ledger.
+	l.store.Set(Namespace, c.keys[len(c.keys)-1], l.enc)
 }
 
 // appendKeyPrefix renders "ev/<node>/<sn>/" with the sequence number
@@ -288,11 +284,6 @@ func appendPadded(buf []byte, v uint64, width int) []byte {
 	return append(buf, digits[i:]...)
 }
 
-// keyPrefix is the SDL key prefix holding one chain's events.
-func keyPrefix(id ChainID) string {
-	return string(appendKeyPrefix(make([]byte, 0, 64), id))
-}
-
 // eventKey is the SDL key for one event of a chain; the index is
 // zero-padded to four digits.
 func eventKey(id ChainID, idx int) string {
@@ -300,7 +291,7 @@ func eventKey(id ChainID, idx int) string {
 }
 
 // Flush blocks until every event recorded before the call has been
-// applied to chain state (and the SDL, when persisting).
+// applied to chain state and the SDL.
 func (l *Ledger) Flush() {
 	ack := make(chan struct{})
 	select {
@@ -330,7 +321,7 @@ func (l *Ledger) Dropped() uint64 { return l.dropped.Load() }
 // Evicted reports how many chains retention has discarded.
 func (l *Ledger) Evicted() uint64 { return l.evicted.Load() }
 
-// ChainCount reports how many chains are held in memory.
+// ChainCount reports how many chains the ledger retains.
 func (l *Ledger) ChainCount() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -338,8 +329,8 @@ func (l *Ledger) ChainCount() int {
 }
 
 // active is the process-wide ledger pipeline packages record into. It
-// starts memory-only so instrumentation is always safe to call; core
-// swaps in an SDL-backed ledger at framework start.
+// starts over a private store so instrumentation is always safe to call;
+// core swaps in one over the framework's SDL at framework start.
 var active atomic.Pointer[Ledger]
 
 func init() {

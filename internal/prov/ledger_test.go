@@ -235,6 +235,19 @@ func TestEventKeyLayout(t *testing.T) {
 	}
 }
 
+// keyPrefix is the SDL key prefix holding one chain's events.
+func keyPrefix(id ChainID) string {
+	return string(appendKeyPrefix(make([]byte, 0, 64), id))
+}
+
+// recordFlagged drives n flagged windows of chain id through an
+// unstarted writer's handle, on the caller's goroutine.
+func recordFlagged(l *Ledger, id ChainID, n int) {
+	for e := 0; e < n; e++ {
+		l.handle(Event{Chain: id, Kind: KindWindow, Model: "autoencoder", Score: float64(e), Flagged: true})
+	}
+}
+
 // BenchmarkLedgerEvict times evicting one six-event chain while the
 // namespace holds 1k or 16k other ledger keys. Eviction deletes the keys
 // the chain recorded, so ns/op must not grow with the resident count and
@@ -243,18 +256,9 @@ func BenchmarkLedgerEvict(b *testing.B) {
 	const eventsPerChain = 6
 	for _, resident := range []int{1 << 10, 16 << 10} {
 		b.Run(fmt.Sprintf("resident=%dk", resident>>10), func(b *testing.B) {
-			// Unstarted writer: the benchmark drives handle and
-			// evictLocked itself, on one goroutine.
 			l := newLedger(Options{Store: sdl.New(), MaxChains: 1 << 30, Clock: testClock})
-			fill := func(node string, sn uint64) ChainID {
-				id := ChainID{Node: node, SN: sn}
-				for e := 0; e < eventsPerChain; e++ {
-					l.handle(Event{Chain: id, Kind: KindWindow, Model: "autoencoder", Score: float64(e), Flagged: true})
-				}
-				return id
-			}
 			for c := 0; c < resident/eventsPerChain; c++ {
-				fill("resident", uint64(c))
+				recordFlagged(l, ChainID{Node: "resident", SN: uint64(c)}, eventsPerChain)
 			}
 			const batch = 256
 			victims := make([]ChainID, 0, batch)
@@ -264,11 +268,37 @@ func BenchmarkLedgerEvict(b *testing.B) {
 				b.StopTimer()
 				victims = victims[:0]
 				for v := 0; v < min(batch, b.N-done); v++ {
-					victims = append(victims, fill("victim", uint64(done+v)))
+					id := ChainID{Node: "victim", SN: uint64(done + v)}
+					recordFlagged(l, id, eventsPerChain)
+					victims = append(victims, id)
 				}
 				b.StartTimer()
 				for _, id := range victims {
 					l.evictLocked(id)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReadChain times reading one six-event chain back from the SDL
+// alone while the namespace holds 1k or 16k ledger keys. ReadChain gets
+// the chain's own keys, so ns/op must not grow with the resident count.
+func BenchmarkReadChain(b *testing.B) {
+	const eventsPerChain = 6
+	for _, resident := range []int{1 << 10, 16 << 10} {
+		b.Run(fmt.Sprintf("resident=%dk", resident>>10), func(b *testing.B) {
+			store := sdl.New()
+			l := newLedger(Options{Store: store, MaxChains: 1 << 30, Clock: testClock})
+			for c := 0; c < resident/eventsPerChain; c++ {
+				recordFlagged(l, ChainID{Node: "resident", SN: uint64(c)}, eventsPerChain)
+			}
+			id := ChainID{Node: "resident", SN: 0}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rec, err := ReadChain(store, id); err != nil || len(rec.Events) != eventsPerChain {
+					b.Fatalf("ReadChain = %d events, %v; want %d", len(rec.Events), err, eventsPerChain)
 				}
 			}
 		})

@@ -17,8 +17,9 @@
 // one event before recording it, and the single writer goroutine, which
 // serializes events, merges whatever still arrives window by window with
 // the same rule — so the chain retained is the same wherever the fold
-// happened. The writer persists chains to the SDL and enforces bounded
-// retention, deleting on eviction exactly the keys it wrote.
+// happened. The writer stores each event once, as TLV in the SDL, and
+// enforces bounded retention, deleting on eviction exactly the keys it
+// wrote.
 package prov
 
 import (
@@ -28,6 +29,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/6g-xsec/xsec/internal/asn1lite"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
 )
 
@@ -135,7 +137,8 @@ func (k *Kind) UnmarshalJSON(data []byte) error {
 
 // Event is one link of an evidence chain. The struct is fixed-size and
 // recording one is allocation-free; only the fields a stage needs are
-// set, the rest stay zero and are omitted from the JSON form.
+// set, the rest stay zero and are omitted from the stored TLV and the
+// JSON form.
 type Event struct {
 	Chain ChainID   `json:"chain"`
 	Kind  Kind      `json:"kind"`
@@ -179,8 +182,143 @@ type Event struct {
 	Note string `json:"note,omitempty"`
 }
 
-// Digest is a 64-bit FNV-1a fingerprint, rendered as hex in JSON so the
-// value survives encoders that truncate large integers to float64.
+// TLV field tags of an event's stored form. There is no chain tag: the
+// chain is the SDL key's. Tags are the format: a new field takes a new
+// tag, and none is ever renumbered.
+const (
+	tagKind = iota + 1
+	tagAt
+	tagSeqFirst
+	tagSeqLast
+	tagRecords
+	tagCount
+	tagDigest
+	tagModel
+	tagScore
+	tagThreshold
+	tagFlagged
+	tagLabel
+	tagAction
+	tagTarget
+	tagUEID
+	tagActionID
+	tagNote
+)
+
+// MarshalTLV implements asn1lite.Marshaler: the form the ledger stores,
+// one copy per event. Zero fields are left out, At is an instant in
+// UnixNano, floats are their bits and strings their bytes, so NaN, ±Inf,
+// -0 and invalid UTF-8 all read back exactly.
+func (ev *Event) MarshalTLV(e *asn1lite.Encoder) {
+	putUint := func(tag uint32, v uint64) {
+		if v != 0 {
+			e.PutUint(tag, v)
+		}
+	}
+	putString := func(tag uint32, s string) {
+		if s != "" {
+			e.PutString(tag, s)
+		}
+	}
+	putFloat := func(tag uint32, v float64) {
+		if math.Float64bits(v) != 0 {
+			e.PutFloat(tag, v)
+		}
+	}
+	putUint(tagKind, uint64(ev.Kind))
+	if !ev.At.IsZero() {
+		e.PutInt(tagAt, ev.At.UnixNano())
+	}
+	putUint(tagSeqFirst, ev.SeqFirst)
+	putUint(tagSeqLast, ev.SeqLast)
+	putUint(tagRecords, uint64(ev.Records))
+	putUint(tagCount, uint64(ev.Count))
+	putUint(tagDigest, uint64(ev.Digest))
+	putString(tagModel, ev.Model)
+	putFloat(tagScore, ev.Score)
+	putFloat(tagThreshold, ev.Threshold)
+	if ev.Flagged {
+		e.PutBool(tagFlagged, true)
+	}
+	putString(tagLabel, ev.Label)
+	putString(tagAction, ev.Action)
+	putString(tagTarget, ev.Target)
+	putUint(tagUEID, ev.UEID)
+	putUint(tagActionID, ev.ActionID)
+	putString(tagNote, ev.Note)
+}
+
+// UnmarshalTLV implements asn1lite.Unmarshaler. It leaves Chain alone
+// and reads At back in UTC; a value too wide for its field is an error,
+// not a truncation.
+func (ev *Event) UnmarshalTLV(d *asn1lite.Decoder) error {
+	for d.Next() {
+		var err error
+		switch d.Tag() {
+		case tagKind:
+			ev.Kind, err = uintOf[Kind](d)
+		case tagAt:
+			var ns int64
+			ns, err = d.Int()
+			ev.At = time.Unix(0, ns).UTC()
+		case tagSeqFirst:
+			ev.SeqFirst, err = d.Uint()
+		case tagSeqLast:
+			ev.SeqLast, err = d.Uint()
+		case tagRecords:
+			ev.Records, err = uintOf[uint32](d)
+		case tagCount:
+			ev.Count, err = uintOf[uint32](d)
+		case tagDigest:
+			ev.Digest, err = uintOf[Digest](d)
+		case tagModel:
+			ev.Model = string(d.RawValue())
+		case tagScore:
+			ev.Score, err = d.Float()
+		case tagThreshold:
+			ev.Threshold, err = d.Float()
+		case tagFlagged:
+			ev.Flagged, err = d.Bool()
+		case tagLabel:
+			ev.Label = string(d.RawValue())
+		case tagAction:
+			ev.Action = string(d.RawValue())
+		case tagTarget:
+			ev.Target = string(d.RawValue())
+		case tagUEID:
+			ev.UEID, err = d.Uint()
+		case tagActionID:
+			ev.ActionID, err = d.Uint()
+		case tagNote:
+			ev.Note = string(d.RawValue())
+		}
+		if err != nil {
+			return fmt.Errorf("prov: event tag %d: %w", d.Tag(), err)
+		}
+	}
+	return d.Err()
+}
+
+// uintOf decodes the current field as an unsigned integer that fits T.
+func uintOf[T ~uint8 | ~uint32 | ~uint64](d *asn1lite.Decoder) (T, error) {
+	v, err := d.Uint()
+	if err == nil && uint64(T(v)) != v {
+		err = fmt.Errorf("%d overflows %T: %w", v, T(0), asn1lite.ErrBadValue)
+	}
+	return T(v), err
+}
+
+// decodeEvent reads one stored event of chain id.
+func decodeEvent(id ChainID, data []byte) (Event, error) {
+	var d asn1lite.Decoder
+	d.Reset(data)
+	ev := Event{Chain: id}
+	err := ev.UnmarshalTLV(&d)
+	return ev, err
+}
+
+// Digest is a 64-bit FNV-1a fingerprint, rendered as hex in /prov JSON
+// so the value survives encoders that truncate large integers to float64.
 type Digest uint64
 
 // fnv-1a parameters.

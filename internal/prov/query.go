@@ -121,8 +121,8 @@ func (q Query) matches(c ChainRecord) bool {
 	return true
 }
 
-// Chain returns one chain from memory; ok is false if unknown (it may
-// still exist in the SDL — see ReadChain).
+// Chain returns one retained chain; ok is false if unknown (it may still
+// exist in the SDL — see ReadChain).
 func (l *Ledger) Chain(id ChainID) (ChainRecord, bool) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -130,7 +130,7 @@ func (l *Ledger) Chain(id ChainID) (ChainRecord, bool) {
 	if !ok {
 		return ChainRecord{}, false
 	}
-	return snapshotLocked(id, c), true
+	return l.readLocked(id, c), true
 }
 
 // Chains returns every retained chain, oldest first.
@@ -140,7 +140,7 @@ func (l *Ledger) Chains() []ChainRecord {
 	out := make([]ChainRecord, 0, len(l.order))
 	for i := range l.order {
 		id := l.order[(l.head+i)%len(l.order)]
-		out = append(out, snapshotLocked(id, l.chains[id]))
+		out = append(out, l.readLocked(id, l.chains[id]))
 	}
 	return out
 }
@@ -156,42 +156,41 @@ func (l *Ledger) Select(q Query) []ChainRecord {
 	return out
 }
 
-func snapshotLocked(id ChainID, c *chain) ChainRecord {
-	return ChainRecord{
-		ID:        id,
-		Key:       id.String(),
-		Events:    append([]Event(nil), c.events...),
-		Truncated: c.truncated,
+// readLocked decodes a retained chain's events from the store, the only
+// copy there is, so what a query returns is what an auditor reads back.
+// A key some other writer deleted or overwrote with what is not an event
+// is skipped: the ledger answers only for what it wrote.
+func (l *Ledger) readLocked(id ChainID, c *chain) ChainRecord {
+	rec := ChainRecord{ID: id, Key: id.String(), Events: make([]Event, 0, len(c.keys)), Truncated: c.truncated}
+	for _, k := range c.keys {
+		if data, _, ok := l.store.Get(Namespace, k); ok {
+			if ev, err := decodeEvent(id, data); err == nil {
+				rec.Events = append(rec.Events, ev)
+			}
+		}
 	}
+	return rec
 }
 
 // ReadChain reconstructs one chain from the SDL, for auditing after
-// the ledger (or the process that owned it) is gone.
+// the ledger (or the process that owned it) is gone. The ledger writes a
+// chain's indices contiguously from 0, so this gets them by key until
+// the first miss: the cost is the chain's, not the namespace's.
 func ReadChain(store *sdl.Store, id ChainID) (ChainRecord, error) {
-	all := store.GetAll(Namespace, keyPrefix(id))
-	if len(all) == 0 {
-		return ChainRecord{}, fmt.Errorf("prov: no persisted chain %s", id)
-	}
-	type kv struct {
-		idx  int
-		data []byte
-	}
-	pairs := make([]kv, 0, len(all))
-	for k, v := range all {
-		_, idx, ok := parseEventKey(k)
+	rec := ChainRecord{ID: id, Key: id.String()}
+	for idx := 0; ; idx++ {
+		data, _, ok := store.Get(Namespace, eventKey(id, idx))
 		if !ok {
-			continue
+			break
 		}
-		pairs = append(pairs, kv{idx, v})
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].idx < pairs[j].idx })
-	rec := ChainRecord{ID: id, Key: id.String(), Events: make([]Event, 0, len(pairs))}
-	for _, p := range pairs {
-		var ev Event
-		if err := json.Unmarshal(p.data, &ev); err != nil {
-			return ChainRecord{}, fmt.Errorf("prov: chain %s: %w", id, err)
+		ev, err := decodeEvent(id, data)
+		if err != nil {
+			return ChainRecord{}, fmt.Errorf("prov: chain %s event %d: %w", id, idx, err)
 		}
 		rec.Events = append(rec.Events, ev)
+	}
+	if len(rec.Events) == 0 {
+		return ChainRecord{}, fmt.Errorf("prov: no persisted chain %s", id)
 	}
 	return rec, nil
 }
