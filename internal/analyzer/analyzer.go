@@ -104,18 +104,18 @@ type Analyzer struct {
 
 const (
 	humanQueueNamespace = "analyzer/human-queue"
-	// HumanQueueCap bounds the review queue (sdl.Store.Bound): the newest
-	// 4 096 escalated cases, ≈ 1.2 KB each, so ≈ 5 MB. Nobody reviews past
-	// a few thousand entries; an older case ages out counted
+	// HumanQueueBytes bounds the review queue (sdl.Store.Bound): 5 MiB,
+	// the newest ≈ 4 000 escalated cases at ≈ 1.2 KB each. Nobody reviews
+	// past a few thousand entries; an older case ages out counted
 	// (HumanQueueAgedOut) and its verdict event stays on its prov chain.
-	HumanQueueCap = 4096
+	HumanQueueBytes = 5 << 20
 )
 
 // New builds an analyzer querying client and persisting its human-review
 // queue in store (may be nil to skip persistence).
 func New(client Expert, store *sdl.Store) *Analyzer {
 	if store != nil {
-		store.Bound(humanQueueNamespace, HumanQueueCap)
+		store.Bound(humanQueueNamespace, HumanQueueBytes)
 	}
 	return &Analyzer{client: client, store: store, clock: time.Now}
 }
@@ -359,7 +359,7 @@ func (a *Analyzer) HumanQueueLen() int {
 }
 
 // HumanQueueAgedOut reports how many escalated cases left the queue
-// unreviewed because HumanQueueCap newer ones arrived.
+// unreviewed because HumanQueueBytes of newer ones arrived.
 func (a *Analyzer) HumanQueueAgedOut() uint64 {
 	if a.store == nil {
 		return 0

@@ -2,6 +2,7 @@ package analyzer
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -284,26 +285,39 @@ func (benignExpert) AnalyzeWindow(context.Context, mobiflow.Trace) (*llm.Analysi
 	return &llm.Analysis{Verdict: llm.VerdictBenign, Confidence: 0.9}, nil
 }
 
-// TestHumanQueueIsBounded escalates twice HumanQueueCap distinct cases:
-// the review queue holds the newest cap of them and counts the rest as
-// aged out, so a detector and an expert that disagree for a day cost the
-// RIC a fixed amount of memory.
+// TestHumanQueueIsBounded escalates distinct cases until the review queue
+// has aged out as many as it holds: the queue is never charged more than
+// HumanQueueBytes and ends near it, every escalation is held or counted as
+// aged out, and the oldest case is the one that left, so a detector and
+// an expert that disagree for a day cost the RIC a fixed amount of memory.
 func TestHumanQueueIsBounded(t *testing.T) {
 	l := mixedTrace(t)
 	a := New(benignExpert{}, sdl.New())
 	window := append(mobiflow.Trace(nil), windowOf(l, ue.AttackBTSDoS)[:4]...)
-	for i := 1; i <= 2*HumanQueueCap; i++ {
-		window[0].Seq = uint64(i) // the queue keys a case by its window's first record
+	escalated := 0
+	for a.HumanQueueAgedOut() == 0 || a.HumanQueueAgedOut() < uint64(a.HumanQueueLen()) {
+		escalated++
+		window[0].Seq = uint64(escalated) // the queue keys a case by its window's first record
 		alert := mobiwatch.Alert{Model: mobiwatch.ModelAE, Score: 0.5, Threshold: 0.1, Window: window, At: time.Now()}
 		if c, err := a.Process(context.Background(), alert); err != nil || !c.NeedsHuman {
-			t.Fatalf("case %d: err %v, case %+v; want an escalation", i, err, c)
+			t.Fatalf("case %d: err %v, case %+v; want an escalation", escalated, err, c)
+		}
+		if b := a.store.Bytes(humanQueueNamespace); b > HumanQueueBytes {
+			t.Fatalf("after %d escalations the queue is charged %d B, its budget is %d", escalated, b, HumanQueueBytes)
 		}
 	}
-	if got := a.HumanQueueLen(); got != HumanQueueCap {
-		t.Errorf("human queue holds %d cases after %d escalations, want the cap %d", got, 2*HumanQueueCap, HumanQueueCap)
+	held, agedOut := a.HumanQueueLen(), a.HumanQueueAgedOut()
+	if uint64(held)+agedOut != uint64(escalated) {
+		t.Errorf("escalated %d ≠ held %d + aged out %d", escalated, held, agedOut)
 	}
-	if got := a.HumanQueueAgedOut(); got != HumanQueueCap {
-		t.Errorf("%d cases aged out, want %d", got, HumanQueueCap)
+	if b := a.store.Bytes(humanQueueNamespace); b < HumanQueueBytes*9/10 {
+		t.Errorf("the queue is charged %d B after %d escalations, want its budget %d or just under", b, escalated, HumanQueueBytes)
+	}
+	if _, _, ok := a.store.Get(humanQueueNamespace, fmt.Sprintf("case/%020d", 1)); ok {
+		t.Error("the first case escalated is still queued")
+	}
+	if _, _, ok := a.store.Get(humanQueueNamespace, fmt.Sprintf("case/%020d", escalated)); !ok {
+		t.Error("the newest case escalated is not queued")
 	}
 	if New(benignExpert{}, nil).HumanQueueAgedOut() != 0 {
 		t.Error("an analyzer without a store reports aged-out cases")

@@ -12,13 +12,15 @@ import (
 
 // TestSteadyStateHeapIsLevel runs the assembled framework the way the
 // benchmark's capacity workload does — a closed loop of benign telemetry
-// through GNB.InjectTelemetry, mitigation off — and compares the live heap
-// at two and at four times the telemetry cap. A RIC that retains what it
-// ingests differs by the second half's records (≈ 350 B each, 46 MB); one
-// in a steady state differs by less than the telemetry ring itself holds.
+// through GNB.InjectTelemetry, mitigation off. It first ingests until the
+// telemetry namespace evicts — its TelemetryBytes hold that many records —
+// and then compares the live heap at one and a half and at two times that.
+// A RIC that retains what it ingests differs by the last quarter's records
+// (≈ 350 B each, over 30 MB); one in a steady state differs by less than
+// the telemetry budget itself.
 func TestSteadyStateHeapIsLevel(t *testing.T) {
 	if testing.Short() {
-		t.Skip("ingests 4 × TelemetryCap records through the whole framework")
+		t.Skip("ingests three telemetry budgets' worth of records through the whole framework")
 	}
 	fw, err := New(Options{
 		Seed:         3,
@@ -81,18 +83,33 @@ func TestSteadyStateHeapIsLevel(t *testing.T) {
 		return ms.HeapAlloc
 	}
 
-	const ringBytes = 16 << 20 // TelemetryCap records at ≈ 250 B
-	at2 := ingestTo(2 * mobiwatch.TelemetryCap)
-	at4 := ingestTo(4 * mobiwatch.TelemetryCap)
-	t.Logf("live heap %d MB at 2× cap, %d MB at 4× cap", at2>>20, at4>>20)
-	if grew := int64(at4) - int64(at2); grew > ringBytes {
-		t.Errorf("live heap grew %d MB between 2× and 4× the telemetry cap (%d → %d MB); a steady state grows by less than the ring's own %d MB",
-			grew>>20, at2>>20, at4>>20, ringBytes>>20)
+	const ns = mobiwatch.TelemetryNamespace
+	var fill uint64
+	for fill = 1 << 16; fw.SDL.Evicted(ns) == 0; fill += 1 << 14 {
+		ingestTo(fill)
 	}
-	if n := fw.SDL.Len(mobiwatch.TelemetryNamespace); n > mobiwatch.TelemetryCap {
-		t.Errorf("%d telemetry records in the SDL, cap %d", n, mobiwatch.TelemetryCap)
+	at15 := ingestTo(3 * fill / 2)
+	at2 := ingestTo(2 * fill)
+	t.Logf("telemetry budget full at %d records; live heap %d MB at 1.5× that, %d MB at 2×", fill, at15>>20, at2>>20)
+	if grew := int64(at2) - int64(at15); grew > mobiwatch.TelemetryBytes {
+		t.Errorf("live heap grew %d MB between 1.5× and 2× the records the telemetry budget holds (%d → %d MB); a steady state grows by less than the budget's own %d MB",
+			grew>>20, at15>>20, at2>>20, mobiwatch.TelemetryBytes>>20)
 	}
-	if got, want := fw.SDL.Evicted(mobiwatch.TelemetryNamespace)+uint64(fw.SDL.Len(mobiwatch.TelemetryNamespace)), seen.Load(); got != want {
-		t.Errorf("telemetry retained + evicted = %d, MobiWatch ingested %d", got, want)
+	if b := fw.SDL.Bytes(ns); b > mobiwatch.TelemetryBytes {
+		t.Errorf("the telemetry namespace is charged %d B, its budget is %d", b, mobiwatch.TelemetryBytes)
+	}
+	if got, want := fw.SDL.Evicted(ns)+uint64(fw.SDL.Len(ns)), fw.WatchStats().BatchesHandled.Load(); got != want {
+		t.Errorf("telemetry batches retained + evicted = %d, MobiWatch admitted %d indications", got, want)
+	}
+	retained := 0
+	for k, v := range fw.SDL.GetAll(ns, "") {
+		tr, err := mobiflow.DecodeTrace(v)
+		if err != nil || len(tr) == 0 {
+			t.Fatalf("stored batch %s: %d records, err %v", k, len(tr), err)
+		}
+		retained += len(tr)
+	}
+	if retained <= 2<<16 || uint64(retained) > seen.Load()-base {
+		t.Errorf("%d records retained of %d ingested, want more than twice the 65 536 a key per record held", retained, seen.Load()-base)
 	}
 }

@@ -171,10 +171,14 @@ const (
 	tagRetrans    = 17
 )
 
-// MarshalTLV implements asn1lite.Marshaler.
+// MarshalTLV implements asn1lite.Marshaler. A zero Timestamp is left out,
+// as the decoder leaves it: its UnixNano is not a time the decoder could
+// give back.
 func (r *Record) MarshalTLV(e *asn1lite.Encoder) {
 	e.PutUint(tagSeq, r.Seq)
-	e.PutInt(tagTimestamp, r.Timestamp.UnixNano())
+	if !r.Timestamp.IsZero() {
+		e.PutInt(tagTimestamp, r.Timestamp.UnixNano())
+	}
 	e.PutUint(tagUEID, r.UEID)
 	e.PutString(tagMsg, r.Msg)
 	e.PutUint(tagLayer, uint64(r.Layer))
@@ -291,13 +295,29 @@ func (r *Record) UnmarshalTLV(d *asn1lite.Decoder) error {
 // Encode serializes a record for E2 transport.
 func Encode(r *Record) []byte { return asn1lite.Marshal(r) }
 
-// Decode parses a record from its E2 wire form.
+// Decode parses a record from its E2 wire form. Given a batch as
+// EncodeTrace writes it — a telemetry value as MobiWatch keeps it in the
+// SDL — it returns the batch's first record. A batch never decodes as a
+// record: where a record has its sequence number, a varint, a batch has a
+// whole record, which never reads as one.
 func Decode(data []byte) (Record, error) {
 	var r Record
-	if err := asn1lite.Unmarshal(data, &r); err != nil {
-		return Record{}, err
+	err := asn1lite.Unmarshal(data, &r)
+	if err == nil {
+		return r, nil
 	}
-	return r, nil
+	var d asn1lite.Decoder
+	d.Reset(data)
+	for d.Next() {
+		if d.Tag() == 1 {
+			var first Record
+			if d.Message(&first) == nil {
+				return first, nil
+			}
+			break
+		}
+	}
+	return Record{}, err
 }
 
 // EncodeTrace serializes a whole trace as repeated nested records.

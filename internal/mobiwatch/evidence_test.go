@@ -1,14 +1,17 @@
 package mobiwatch
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
+	"github.com/6g-xsec/xsec/internal/e2sm"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
 	"github.com/6g-xsec/xsec/internal/obs"
 	"github.com/6g-xsec/xsec/internal/prov"
+	"github.com/6g-xsec/xsec/internal/ric"
 	"github.com/6g-xsec/xsec/internal/sdl"
 )
 
@@ -235,32 +238,62 @@ func TestFoldedEvidenceMatchesWriterFold(t *testing.T) {
 	}
 }
 
-// TestPersistAllocatesKeyAndValueOnly pins the telemetry persist cost: the
-// record is encoded into the worker's buffers, so the SDL write allocates
-// the key string and the stored value and nothing else.
+// traceKeySink keeps the baseline's trace key on the heap, as intake's is.
+var traceKeySink string
+
+// TestPersistAllocatesKeyAndValueOnly pins the telemetry persist cost:
+// beyond decoding the payload and minting its trace key, intake allocates
+// the key string and the stored copy of the message — two allocations per
+// indication, whatever its record count.
 func TestPersistAllocatesKeyAndValueOnly(t *testing.T) {
-	w := &worker{}
 	store := sdl.New()
+	x, err := ric.NewPlatform(store).RegisterXApp("persist-allocs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Bound(TelemetryNamespace, TelemetryBytes)
+	w := &worker{rt: &Runtime{xapp: x}}
 	rec := mobiflow.Record{
 		Seq: 1, UEID: 7, Msg: "RRCSetupRequest", SUPI: "imsi-001010000000007",
 		RNTI: 0x4601, TMSI: 0xdeadbeef, Timestamp: time.Unix(1700000000, 0),
 	}
-	// Rewrite a fixed key set so SDL map growth stays out of the count.
-	next := func() {
-		rec.Seq = rec.Seq%64 + 1
-		w.persist(store, "gnb-001", &rec)
-	}
-	for i := 0; i < 64; i++ {
-		next()
-	}
-	if allocs := testing.AllocsPerRun(1000, next); allocs > 2 {
-		t.Fatalf("persisting one record allocates %.1f times, want at most 2 (key + value)", allocs)
-	}
-	data, _, ok := store.Get("mobiflow", string(persistKey(nil, "gnb-001", rec.Seq)))
-	if !ok {
-		t.Fatal("persisted record missing from the SDL")
-	}
-	if got, err := mobiflow.Decode(data); err != nil || got.Seq != rec.Seq || got.Msg != rec.Msg || got.SUPI != rec.SUPI {
-		t.Fatalf("persisted record decodes to %+v, err %v; want %+v", got, err, rec)
+	for _, records := range []int{1, 9, 64} {
+		// Rewrite a fixed key set so SDL map growth stays out of the count.
+		msgs := make([][]byte, 64)
+		for i := range msgs {
+			batch := make(mobiflow.Trace, records)
+			for k := range batch {
+				batch[k] = rec
+				batch[k].Seq = uint64(i*records + k + 1)
+			}
+			msgs[i] = e2sm.EncodeIndicationMessage(&e2sm.IndicationMessage{Records: batch})
+		}
+		ind := ric.Indication{NodeID: "gnb-001", SN: 12345}
+		i := 0
+		admit := func() {
+			ind.Message = msgs[i%len(msgs)]
+			i++
+			if _, ok := w.admit(ind); !ok {
+				t.Fatal("intake refused a valid indication")
+			}
+		}
+		decode := func() {
+			ind.Message = msgs[i%len(msgs)]
+			i++
+			if _, err := e2sm.DecodeIndicationMessage(ind.Message); err != nil {
+				t.Fatal(err)
+			}
+			traceKeySink = obs.IndicationKey(ind.NodeID, ind.SN)
+		}
+		for range msgs {
+			admit()
+		}
+		if extra := testing.AllocsPerRun(1000, admit) - testing.AllocsPerRun(1000, decode); extra > 2 {
+			t.Errorf("%d-record indications: persisting allocates %.1f times, want at most 2 (key + value)", records, extra)
+		}
+		data, _, ok := store.Get(TelemetryNamespace, string(persistKey(nil, "gnb-001", 1)))
+		if !ok || !bytes.Equal(data, msgs[0]) {
+			t.Fatalf("%d-record indications: the first batch reads back as %d bytes (present %v), want its %d-byte message", records, len(data), ok, len(msgs[0]))
+		}
 	}
 }

@@ -51,9 +51,9 @@ func eventually(t *testing.T, what string, cond func() bool) {
 // fills the hand-off and then blocks, having persisted no more than it
 // could hand over; the shard queue fills behind it; everything after that
 // is dropped by the RIC, where drops are counted. Released, the pipeline
-// scores exactly what was routed: shipped = seen + dropped, and what is in
-// the SDL is what was scored. The two stages' series say which one was
-// the bottleneck meanwhile.
+// scores exactly what was routed: shipped = seen + dropped, one batch per
+// routed indication is in the SDL, and its batches hold what was scored.
+// The two stages' series say which one was the bottleneck meanwhile.
 func TestStalledScorerBacksUpIntoCountedDrops(t *testing.T) {
 	benign, _, models := fixtures(t)
 	store := sdl.New()
@@ -101,9 +101,9 @@ func TestStalledScorerBacksUpIntoCountedDrops(t *testing.T) {
 	if n := obsIntakeSeconds.Count() - intake0; n != upstream {
 		t.Errorf("intake admitted %d indications against a stalled scorer, want it blocked after %d", n, upstream)
 	}
-	if got := store.Len(TelemetryNamespace); got != upstream*perIndication {
-		t.Errorf("%d records persisted ahead of a stalled scorer, want the %d the hand-off lets intake reach",
-			got, upstream*perIndication)
+	if got, recs := store.Len(TelemetryNamespace), persistedRecords(t, store); got != upstream || recs != upstream*perIndication {
+		t.Errorf("%d batches of %d records persisted ahead of a stalled scorer, want the %d of %d the hand-off lets intake reach",
+			got, recs, upstream, upstream*perIndication)
 	}
 	if seen := rt.stats.RecordsSeen.Load(); seen != 0 {
 		t.Errorf("%d records scored while the scorer was held", seen)
@@ -132,8 +132,9 @@ func TestStalledScorerBacksUpIntoCountedDrops(t *testing.T) {
 	if seen+dropped*perIndication != sent*perIndication {
 		t.Errorf("shipped %d records ≠ seen %d + dropped %d", sent*perIndication, seen, dropped*perIndication)
 	}
-	if got := store.Len(TelemetryNamespace); uint64(got) != seen {
-		t.Errorf("%d records persisted, %d scored", got, seen)
+	if got, recs := store.Len(TelemetryNamespace), persistedRecords(t, store); uint64(got)+store.Evicted(TelemetryNamespace) != routed || uint64(recs) != seen {
+		t.Errorf("%d batches of %d records persisted (%d evicted) for %d routed indications, %d records scored",
+			got, recs, store.Evicted(TelemetryNamespace), routed, seen)
 	}
 	if in, sc := obsIntakeSeconds.Count()-intake0, obsScoreSeconds.Count()-score0; in != routed || sc < routed {
 		t.Errorf("%d intake and %d score observations for %d routed indications", in, sc, routed)
@@ -146,7 +147,7 @@ func TestStalledScorerBacksUpIntoCountedDrops(t *testing.T) {
 // TestStopMidStreamDrainsBothStages stops the runtime while indications
 // are still arriving. Stop returns only when intake has emptied the shard
 // queue, the scorer has emptied the hand-off and both goroutines are gone;
-// nothing is left between the stages, so every record that reached the SDL
+// nothing is left between the stages, so every batch that reached the SDL
 // was scored, and every indication sent is routed or counted as dropped.
 func TestStopMidStreamDrainsBothStages(t *testing.T) {
 	benign, _, models := fixtures(t)
@@ -178,18 +179,18 @@ func TestStopMidStreamDrainsBothStages(t *testing.T) {
 	if err := rt.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	seen, persisted := rt.stats.RecordsSeen.Load(), store.Len(TelemetryNamespace)
+	seen, batches, persisted := rt.stats.RecordsSeen.Load(), store.Len(TelemetryNamespace), persistedRecords(t, store)
 	<-sending
 
 	m := p.Metrics()
 	eventually(t, "every indication is routed or dropped", func() bool {
 		return m.IndicationsRouted.Load()+m.IndicationsDropped.Load() == sent
 	})
-	if routed := m.IndicationsRouted.Load(); seen != routed*perIndication || uint64(persisted) != seen {
-		t.Errorf("%d indications routed (%d records), %d records scored, %d persisted: Stop left records between the stages",
-			routed, routed*perIndication, seen, persisted)
+	if routed := m.IndicationsRouted.Load(); seen != routed*perIndication || uint64(batches) != routed || uint64(persisted) != seen {
+		t.Errorf("%d indications routed (%d records), %d records scored, %d persisted in %d batches: Stop left records between the stages",
+			routed, routed*perIndication, seen, persisted, batches)
 	}
-	if rt.stats.RecordsSeen.Load() != seen || store.Len(TelemetryNamespace) != persisted {
+	if rt.stats.RecordsSeen.Load() != seen || store.Len(TelemetryNamespace) != batches {
 		t.Error("a stage was still working after Stop returned")
 	}
 	eventually(t, "the runtime's goroutines are gone", func() bool { return runtime.NumGoroutine() <= before })
@@ -202,7 +203,7 @@ func TestStopMidStreamDrainsBothStages(t *testing.T) {
 
 // BenchmarkWorkerIntake times the intake stage on one nine-record
 // indication — the gNB agent's usual batch: decode plus one SDL write per
-// record into the bounded telemetry namespace.
+// indication into the bounded telemetry namespace.
 func BenchmarkWorkerIntake(b *testing.B) {
 	benign, err := dataset.GenerateBenign(dataset.BenignConfig{Sessions: 4, Fleet: 2, Seed: 3})
 	if err != nil {
@@ -213,7 +214,7 @@ func BenchmarkWorkerIntake(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	store.Bound(TelemetryNamespace, TelemetryCap)
+	store.Bound(TelemetryNamespace, TelemetryBytes)
 	w := &worker{rt: &Runtime{xapp: x}}
 	batch := append(mobiflow.Trace(nil), benign[:9]...)
 	ind := ric.Indication{NodeID: "gnb-bench"}

@@ -1,6 +1,9 @@
 package mobiwatch
 
 import (
+	"bytes"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -24,7 +27,7 @@ func retentionWorker(t *testing.T, node string) (*worker, *sdl.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.Bound(TelemetryNamespace, TelemetryCap)
+	store.Bound(TelemetryNamespace, TelemetryBytes)
 	rt := &Runtime{models: models, opts: RunOptions{NodeID: node}, xapp: x}
 	rt.triage = newAlertQueue(&rt.stats, obsQueueDepth.With(node), time.Now)
 	return newWorker(rt, nn.Float32), store
@@ -32,7 +35,7 @@ func retentionWorker(t *testing.T, node string) (*worker, *sdl.Store) {
 
 // feed puts one indication carrying batch through both of the worker's
 // stages on the caller's goroutine: admit, the intake entry point, decodes
-// the payload and persists the records; ingest scores what it decoded.
+// the payload and persists it; ingest scores what it decoded.
 func feed(t testing.TB, w *worker, ind ric.Indication, batch mobiflow.Trace) {
 	t.Helper()
 	ind.Message = e2sm.EncodeIndicationMessage(&e2sm.IndicationMessage{Records: batch})
@@ -41,6 +44,41 @@ func feed(t testing.TB, w *worker, ind ric.Indication, batch mobiflow.Trace) {
 		t.Fatalf("intake refused indication %d", ind.SN)
 	}
 	w.ingest(b.ind, b.records)
+}
+
+// persistedRecords decodes every batch the telemetry namespace holds and
+// returns how many records they carry, failing on a batch that does not
+// decode or is not stored under its first record's sequence number.
+func persistedRecords(t testing.TB, store *sdl.Store) int {
+	t.Helper()
+	n := 0
+	for k, v := range store.GetAll(TelemetryNamespace, "") {
+		tr, err := mobiflow.DecodeTrace(v)
+		if err != nil || len(tr) == 0 {
+			t.Fatalf("stored batch %s: %d records, err %v", k, len(tr), err)
+		}
+		if node, _, _ := strings.Cut(k, "/"); k != string(persistKey(nil, node, tr[0].Seq)) {
+			t.Fatalf("batch starting at seq %d stored under %s", tr[0].Seq, k)
+		}
+		n += len(tr)
+	}
+	return n
+}
+
+// nineRecordBatches returns n encoded indication messages of nine benign
+// records each — the gNB agent's usual batch on attack_mix — numbered from
+// seq onwards, and the last batch.
+func nineRecordBatches(benign mobiflow.Trace, n int, seq uint64) (msgs [][]byte, last mobiflow.Trace) {
+	batch := make(mobiflow.Trace, 9)
+	for i := 0; i < n; i++ {
+		for k := range batch {
+			batch[k] = benign[int(seq)%len(benign)]
+			batch[k].Seq = seq
+			seq++
+		}
+		msgs = append(msgs, e2sm.EncodeIndicationMessage(&e2sm.IndicationMessage{Records: batch}))
+	}
+	return msgs, batch
 }
 
 // TestRunBoundsTelemetryNamespace: Run is what declares the bound, so a
@@ -57,66 +95,98 @@ func TestRunBoundsTelemetryNamespace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Stop()
-	x.SDL().Bound(TelemetryNamespace, TelemetryCap)
+	x.SDL().Bound(TelemetryNamespace, TelemetryBytes)
 	defer func() {
 		if recover() == nil {
 			t.Error("Run left the telemetry namespace unbounded: a different bound was accepted")
 		}
 	}()
-	x.SDL().Bound(TelemetryNamespace, 2*TelemetryCap)
+	x.SDL().Bound(TelemetryNamespace, 2*TelemetryBytes)
 }
 
-// TestTelemetryRetentionIsCounted pushes three times TelemetryCap records
-// through intake and ingest: the namespace holds at most the cap, what left is
-// counted, the newest record reads back as it was sent, and a persist that
-// evicts still costs its key and its value and nothing else.
+// TestTelemetryRetentionIsCounted pushes nine-record indications through
+// intake until TelemetryBytes has been filled about three times over: the
+// namespace is never charged more than the budget and ends near it,
+// every indication is retained or counted as evicted, what is retained
+// decodes to whole batches — more than twice the 65 536 records a key
+// per record held in the same memory — the newest batch reads back
+// byte-identical to the message that carried it, and the oldest is gone.
 func TestTelemetryRetentionIsCounted(t *testing.T) {
 	benign, _, _ := fixtures(t)
 	const node = "gnb-keep"
 	w, store := retentionWorker(t, node)
 
-	const total = 3 * TelemetryCap
-	batch := make(mobiflow.Trace, 0, 16)
-	var newest mobiflow.Record
-	for seq, sn := uint64(1), uint64(1); seq <= total; sn++ {
-		batch = batch[:0]
-		for ; len(batch) < cap(batch) && seq <= total; seq++ {
-			rec := benign[int(seq)%len(benign)]
-			rec.Seq = seq
-			batch = append(batch, rec)
+	var (
+		sent int
+		msgs [][]byte
+		last mobiflow.Trace
+	)
+	for sent == 0 || store.Evicted(TelemetryNamespace) < 2*uint64(store.Len(TelemetryNamespace)) {
+		msgs, last = nineRecordBatches(benign, 4096, uint64(9*sent+1))
+		for _, msg := range msgs {
+			sent++
+			if _, ok := w.admit(ric.Indication{NodeID: node, SN: uint64(sent), Message: msg}); !ok {
+				t.Fatalf("intake refused indication %d", sent)
+			}
 		}
-		newest = batch[len(batch)-1]
-		feed(t, w, ric.Indication{NodeID: node, SN: sn}, batch)
+		if b := store.Bytes(TelemetryNamespace); b > TelemetryBytes {
+			t.Fatalf("after %d indications the namespace is charged %d B, the budget is %d", sent, b, TelemetryBytes)
+		}
 	}
 
-	live, evicted := store.Len(TelemetryNamespace), store.Evicted(TelemetryNamespace)
-	if live > TelemetryCap || live < TelemetryCap*9/10 {
-		t.Errorf("%d records retained of %d ingested, want the cap %d or just under", live, total, TelemetryCap)
+	live, evicted, charged := store.Len(TelemetryNamespace), store.Evicted(TelemetryNamespace), store.Bytes(TelemetryNamespace)
+	if uint64(live)+evicted != uint64(sent) {
+		t.Errorf("persisted %d indications ≠ retained %d + evicted %d", sent, live, evicted)
 	}
-	if uint64(live)+evicted != total {
-		t.Errorf("ingested %d ≠ retained %d + evicted %d", total, live, evicted)
+	if charged < TelemetryBytes*9/10 {
+		t.Errorf("the namespace is charged %d B after %d indications, want the budget %d or just under", charged, sent, TelemetryBytes)
 	}
-	data, _, ok := store.Get(TelemetryNamespace, string(persistKey(nil, node, newest.Seq)))
-	if !ok {
-		t.Fatal("the newest record is not in the SDL")
+	if recs := persistedRecords(t, store); recs != 9*live || recs <= 2<<16 {
+		t.Errorf("%d records retained in %d batches, want nine per batch and more than %d", recs, live, 2<<16)
 	}
-	got, err := mobiflow.Decode(data)
-	if err != nil || !got.Timestamp.Equal(newest.Timestamp) {
-		t.Fatalf("newest record decodes to %+v, err %v; want %+v", got, err, newest)
-	}
-	if got.Timestamp = newest.Timestamp; got != newest {
-		t.Errorf("newest record decodes to %+v, want %+v", got, newest)
+	data, _, ok := store.Get(TelemetryNamespace, string(persistKey(nil, node, last[0].Seq)))
+	if !ok || !bytes.Equal(data, msgs[len(msgs)-1]) {
+		t.Fatalf("the newest batch reads back as %d bytes (present %v), want the %d-byte message that carried it", len(data), ok, len(msgs[len(msgs)-1]))
 	}
 	if _, _, ok := store.Get(TelemetryNamespace, string(persistKey(nil, node, 1))); ok {
-		t.Error("the oldest record is still in the SDL")
+		t.Error("the oldest batch is still in the SDL")
 	}
+}
 
-	rec := newest
-	if allocs := testing.AllocsPerRun(2000, func() {
-		rec.Seq++
-		w.persist(store, node, &rec)
-	}); allocs > 2 {
-		t.Errorf("persisting into the full namespace allocates %.2f times per record, want at most 2 (key + value)", allocs)
+// TestTelemetryRetainedBytesPerRecord pins what keeping telemetry at rest
+// costs the live heap: the key, the one stored copy of the message and the
+// store's entry, shared by the nine records an indication carries.
+func TestTelemetryRetainedBytesPerRecord(t *testing.T) {
+	benign, _, _ := fixtures(t)
+	const node = "gnb-heap"
+	w, store := retentionWorker(t, node)
+	admit := func(msgs [][]byte) {
+		for sn, msg := range msgs {
+			if _, ok := w.admit(ric.Indication{NodeID: node, SN: uint64(sn + 1), Message: msg}); !ok {
+				t.Fatalf("intake refused indication %d", sn+1)
+			}
+		}
+	}
+	// A first round fills the span tracer's ring, so it holds the same
+	// number of trace keys before and after the measured round.
+	warm, _ := nineRecordBatches(benign, 5000, 1)
+	admit(warm)
+	const n = 10_000
+	msgs, _ := nineRecordBatches(benign, n, 1_000_000)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	admit(msgs)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(msgs)
+	if store.Evicted(TelemetryNamespace) != 0 {
+		t.Fatal("the measured round evicted: it measures retention, not replacement")
+	}
+	perRecord := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (9 * n)
+	t.Logf("%.0f B of live heap per persisted record (%d-byte nine-record messages)", perRecord, len(msgs[0]))
+	if perRecord > 130 {
+		t.Errorf("persisted telemetry costs %.0f B of live heap per record, want at most 130", perRecord)
 	}
 }
 

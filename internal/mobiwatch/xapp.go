@@ -16,7 +16,6 @@ import (
 	"github.com/6g-xsec/xsec/internal/obs"
 	"github.com/6g-xsec/xsec/internal/prov"
 	"github.com/6g-xsec/xsec/internal/ric"
-	"github.com/6g-xsec/xsec/internal/sdl"
 )
 
 // Detection-pipeline observability. Scoring runs per telemetry batch on
@@ -40,7 +39,7 @@ var (
 	obsQueueDepth = obs.NewGaugeVec("xsec_mobiwatch_alert_queue_depth",
 		"Alerts waiting in the triage queue for an analyzer worker, by node.", "node")
 	obsIntakeSeconds = obs.NewHistogram("xsec_mobiwatch_intake_seconds",
-		"Intake-stage time per E2 indication: payload decode plus the SDL persist of each record.", obs.ExpBuckets(1e-6, 4, 12))
+		"Intake-stage time per E2 indication: payload decode plus its one SDL write.", obs.ExpBuckets(1e-6, 4, 12))
 	obsScoreSeconds = obs.NewHistogram("xsec_mobiwatch_score_seconds",
 		"Scoring-stage time per decoded telemetry batch (feature encode, batched inference, evidence, alerts) or per age-ticker flush; decode and persist are xsec_mobiwatch_intake_seconds.", obs.ExpBuckets(1e-6, 4, 12))
 	obsHandoffDepth = obs.NewGaugeVec("xsec_mobiwatch_handoff_depth",
@@ -123,17 +122,19 @@ func (o *RunOptions) defaults() {
 }
 
 const (
-	// TelemetryNamespace is the SDL namespace MobiWatch persists MobiFlow
-	// records to, one per key "<node>/<seq, 20 digits>", for other RIC
-	// services (§3.1).
+	// TelemetryNamespace is the SDL namespace MobiWatch keeps MobiFlow
+	// telemetry in for other RIC services (§3.1): one value per admitted
+	// E2 indication, the indication message exactly as it was decoded
+	// (e2sm.DecodeIndicationMessage or mobiflow.DecodeTrace reads it
+	// back), under "<node>/<first record's seq, 20 digits>".
 	TelemetryNamespace = "mobiflow"
-	// TelemetryCap bounds that namespace (sdl.Store.Bound): the newest
-	// 65 536 records, ≈ 250 B each with key, map entry and ring slot, so
-	// ≈ 16 MB — under a second of telemetry at ingest capacity, about half
-	// a minute at the attack_mix rate. The record rate is the attacker's
-	// to choose (a signalling storm is a record flood), so the bound is a
-	// count, not an age.
-	TelemetryCap = 1 << 16
+	// TelemetryBytes bounds that namespace (sdl.Store.Bound). At the gNB
+	// agent's nine records per indication a record is charged ≈ 107 B, so
+	// 16 MiB holds the newest ≈ 155 000 records: about a second of
+	// telemetry at ingest capacity, over a minute at the attack_mix rate.
+	// The record rate is the attacker's to choose (a signalling storm is a
+	// record flood), so the bound is bytes, not an age.
+	TelemetryBytes = 16 << 20
 
 	// contextRecords is how much preceding telemetry each alert carries.
 	contextRecords = 12
@@ -201,7 +202,7 @@ type Runtime struct {
 // worker is one shard's detection pipeline: all indications of a UE land
 // on the same worker, in order. It runs as two goroutines joined by the
 // handoff channel. The intake stage (intake, admit) decodes each
-// indication and persists its records to the SDL; the scoring stage (loop,
+// indication and persists it to the SDL; the scoring stage (loop,
 // ingest) owns the sliding-window state and everything that reads it. One
 // of each, in FIFO order, so the scorer sees the record stream exactly as
 // one goroutine doing both would, and a record is always persisted before
@@ -210,8 +211,7 @@ type worker struct {
 	rt *Runtime
 
 	// Intake stage only.
-	keyBuf []byte           // reusable SDL key-rendering buffer
-	recEnc asn1lite.Encoder // reusable SDL record-encoding buffer
+	keyBuf []byte // reusable SDL key-rendering buffer
 
 	handoff chan decoded // intake → scoring, closed by intake
 	depth   *obs.Gauge   // batches admitted and not yet taken by the scorer, summed over the node's shards
@@ -293,7 +293,7 @@ func Run(x *ric.XApp, models *Models, opts RunOptions) (*Runtime, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mobiwatch: subscribing to %s: %w", opts.NodeID, err)
 	}
-	x.SDL().Bound(TelemetryNamespace, TelemetryCap)
+	x.SDL().Bound(TelemetryNamespace, TelemetryBytes)
 	rt := &Runtime{
 		models: models,
 		opts:   opts,
@@ -402,9 +402,11 @@ func (w *worker) intake(in <-chan ric.Indication) {
 }
 
 // admit is the intake stage's work on one indication, none of which
-// touches window state: decode the payload and persist every record to
-// the SDL. ok is false for an undecodable payload, which is counted and
-// goes no further.
+// touches window state: decode the payload and persist it to the SDL for
+// other services (§3.1) — the message bytes just accepted, in one write
+// that allocates the key string and the exact-length copy Set keeps,
+// whatever the record count. ok is false for an undecodable payload,
+// which is counted and goes no further.
 func (w *worker) admit(ind ric.Indication) (b decoded, ok bool) {
 	start := time.Now()
 	msg, err := e2sm.DecodeIndicationMessage(ind.Message)
@@ -414,9 +416,9 @@ func (w *worker) admit(ind ric.Indication) (b decoded, ok bool) {
 			"node", ind.NodeID, "sn", ind.SN, "err", err)
 		return decoded{}, false
 	}
-	store := w.rt.xapp.SDL()
-	for i := range msg.Records {
-		w.persist(store, ind.NodeID, &msg.Records[i])
+	if len(msg.Records) > 0 {
+		w.keyBuf = persistKey(w.keyBuf, ind.NodeID, msg.Records[0].Seq)
+		w.rt.xapp.SDL().Set(TelemetryNamespace, string(w.keyBuf), ind.Message)
 	}
 	end := time.Now()
 	obsIntakeSeconds.ObserveSeconds(end.Sub(start).Nanoseconds())
@@ -489,7 +491,7 @@ func (w *worker) observeScore(start time.Time) (end time.Time) {
 }
 
 // persistKey renders "nodeID/%020d" into buf without fmt, so the SDL
-// persist path pays one allocation (the key string) per record.
+// write pays one allocation (the key string) per indication.
 func persistKey(buf []byte, nodeID string, seq uint64) []byte {
 	buf = append(buf[:0], nodeID...)
 	buf = append(buf, '/')
@@ -499,17 +501,6 @@ func persistKey(buf []byte, nodeID string, seq uint64) []byte {
 		seq /= 10
 	}
 	return append(buf, digits[:]...)
-}
-
-// persist stores one telemetry record in the SDL for other services
-// (§3.1). It encodes into the intake stage's reused buffers, so a record
-// costs two allocations: its key string and the exact-length copy Set
-// keeps.
-func (w *worker) persist(store *sdl.Store, nodeID string, rec *mobiflow.Record) {
-	w.keyBuf = persistKey(w.keyBuf, nodeID, rec.Seq)
-	w.recEnc.Reset()
-	rec.MarshalTLV(&w.recEnc)
-	store.Set(TelemetryNamespace, string(w.keyBuf), w.recEnc.Bytes())
 }
 
 // ingest runs streaming inference over a telemetry batch that intake has

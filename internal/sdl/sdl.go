@@ -8,18 +8,18 @@
 // provides an in-process equivalent with the operations the framework
 // needs: get/set/delete with versions, prefix listing, watch subscriptions,
 // and two retention classes beside "keep for ever": per-key TTL and a
-// per-namespace key bound.
+// per-namespace byte bound.
 //
 // # Retention
 //
 // SetTTL hides an entry from readers once its time is up; the bytes stay
 // until Purge (a scan of the whole store) or an overwrite. Use it for
 // state that must stop being *believed* after a while — an ownership
-// record whose writer may have died. Bound makes a namespace a counted
-// FIFO: the insert that would exceed the bound deletes the oldest key,
-// O(1), inside that same write. Use it for append-only data whose rate
-// the writer does not control (telemetry, a review queue): a time bound
-// is not a memory bound when the rate is an attacker's.
+// record whose writer may have died. Bound makes a namespace a FIFO of at
+// most so many bytes: the write that would exceed the bound deletes the
+// oldest keys inside that same write. Use it for append-only data whose
+// rate the writer does not control (telemetry, a review queue): a time
+// bound is not a memory bound when the rate is an attacker's.
 //
 // # Sharding
 //
@@ -58,7 +58,17 @@ var (
 		"Keys deleted from a bounded namespace to admit a newer one.", "namespace")
 	obsKeys = obs.NewGaugeVec("xsec_sdl_keys",
 		"Keys held in a bounded namespace.", "namespace")
+	obsBytes = obs.NewGaugeVec("xsec_sdl_bytes",
+		"Bytes a bounded namespace is charged for: key, value and a fixed per-entry overhead of each entry it holds.", "namespace")
 )
+
+// entryOverhead is what a bounded namespace charges an entry beyond its
+// key and value bytes: its map slot (key header and entry struct) at the
+// table's load factor, its ring claim, and the allocator's rounding of
+// the two buffers — 125 to 195 B of live heap on amd64 (go1.24) as the
+// namespace grows from 3 000 to 70 000 entries, which
+// TestEntryOverheadIsMeasured holds it to.
+const entryOverhead = 160
 
 // DefaultShards is the lock-stripe count used by New. Sixteen stripes
 // keep per-shard contention negligible for the framework's writer mix
@@ -100,28 +110,42 @@ type shard struct {
 type entry struct {
 	value     []byte
 	version   uint64
-	expiresAt int64 // Unix nanoseconds; zero = no TTL
-	slot      int   // index in the namespace's ring, when it is bounded
+	expiresAt int64  // Unix nanoseconds; zero = no TTL
+	tick      uint64 // admission number in a bounded namespace's ring; zero = never charged
 }
 
 // bound is one namespace's retention declaration, shared by its rings.
 type bound struct {
-	maxKeys    int
+	maxBytes   int
 	evicted    atomic.Uint64
 	obsEvicted *obs.Counter
 	obsKeys    *obs.Gauge
+	obsBytes   *obs.Gauge
 }
 
-// ring is the keys one stripe inserted into a bounded namespace, in
-// insertion order: slots grows to max, after which head indexes the oldest
-// and a new key takes its slot. A slot is only a claim — the key it names
-// may have been deleted, or deleted and inserted again under a later slot
-// — so eviction checks the entry's own slot before it believes one.
+// ring is one stripe's share of a bounded namespace: the keys it admitted,
+// oldest first from head, and the bytes they are charged. A claim is only
+// a claim — the key it names may have been deleted, or deleted and
+// admitted again under a later tick — so eviction believes one only if
+// the entry still carries the claim's tick.
 type ring struct {
-	b     *bound
-	slots []string
-	max   int
-	head  int
+	b      *bound
+	claims []claim
+	head   int
+	max    int64  // this stripe's share of the bound
+	used   int64  // bytes charged to the entries this stripe holds
+	live   int    // entries charged
+	ticker uint64 // last tick handed out
+}
+
+type claim struct {
+	key  string
+	tick uint64
+}
+
+// charge is what a bounded namespace accounts for one entry.
+func charge(key string, value []byte) int64 {
+	return int64(len(key) + len(value) + entryOverhead)
 }
 
 type watcher struct {
@@ -154,45 +178,74 @@ func newStore(shards int, clock func() time.Time) *Store {
 	return s
 }
 
-// Bound makes namespace a counted FIFO of at most maxKeys keys: every
-// stripe keeps the keys it inserted in a ring of maxKeys/ShardCount()
-// slots, and the Set that needs a slot of a full ring first deletes the
-// key holding the oldest one — under the stripe lock that write already
-// holds, delivered to watchers as a Delete is, and counted (Evicted).
-// Overwriting a key keeps its slot; Delete frees the key but not the
-// slot, which is skipped when its turn comes. Eviction is oldest-first
-// per stripe, so across the namespace only approximately: a stripe the
-// hash favours starts evicting while another still has room, and the
-// namespace levels off at or just under maxKeys.
+// Bound makes namespace a FIFO of at most maxBytes bytes, where an entry
+// costs len(key) + len(value) plus a fixed per-entry overhead: every
+// stripe admits its keys into a ring holding maxBytes/ShardCount() of
+// them, and the Set that would take a ring past its share first deletes
+// the keys holding its oldest claims — under the stripe lock that write
+// already holds, delivered to watchers as a Delete is, and counted
+// (Evicted). An entry is charged when it is admitted; Delete, an
+// overwrite and eviction release exactly that charge. Overwriting a key
+// keeps its place in the ring, and a larger value evicts other keys,
+// never the key itself; Delete frees the bytes at once and the claim when
+// its turn comes. An entry larger than a stripe's share is kept alone,
+// until the next write evicts it. Eviction is oldest-first per stripe,
+// so across the namespace only approximately: a stripe the hash favours
+// starts evicting while another still has room, and the namespace levels
+// off at or just under maxBytes.
 //
 // The namespace's writer declares the bound before its first write.
 // Repeating a declaration is a no-op (colocated instances share a
-// store); changing one, bounding a namespace that already has keys, or a
-// bound below one key per stripe is a bug in the caller and panics.
-func (s *Store) Bound(namespace string, maxKeys int) {
-	per := maxKeys / len(s.shards)
-	if per < 1 {
-		panic(fmt.Sprintf("sdl: Bound(%q, %d) is under one key per stripe (%d stripes)", namespace, maxKeys, len(s.shards)))
+// store); changing one, bounding a namespace that already holds entries
+// (expired ones too: their bytes were never charged), or a bound below
+// one empty entry per stripe is a bug in the caller and panics.
+func (s *Store) Bound(namespace string, maxBytes int) {
+	per := maxBytes / len(s.shards)
+	if per < entryOverhead {
+		panic(fmt.Sprintf("sdl: Bound(%q, %d) is under one entry per stripe (%d stripes)", namespace, maxBytes, len(s.shards)))
 	}
 	s.boundMu.Lock()
 	defer s.boundMu.Unlock()
 	if b := s.bounds[namespace]; b != nil {
-		if b.maxKeys != maxKeys {
-			panic(fmt.Sprintf("sdl: Bound(%q, %d) after Bound(%q, %d)", namespace, maxKeys, namespace, b.maxKeys))
+		if b.maxBytes != maxBytes {
+			panic(fmt.Sprintf("sdl: Bound(%q, %d) after Bound(%q, %d)", namespace, maxBytes, namespace, b.maxBytes))
 		}
 		return
 	}
-	if s.Len(namespace) > 0 {
-		panic(fmt.Sprintf("sdl: Bound(%q) after the namespace's first write", namespace))
+	b := &bound{maxBytes: maxBytes, obsEvicted: obsEvicted.With(namespace),
+		obsKeys: obsKeys.With(namespace), obsBytes: obsBytes.With(namespace)}
+	for i := range s.shards {
+		s.shards[i].mu.Lock()
 	}
-	b := &bound{maxKeys: maxKeys, obsEvicted: obsEvicted.With(namespace), obsKeys: obsKeys.With(namespace)}
+	defer func() {
+		for i := range s.shards {
+			s.shards[i].mu.Unlock()
+		}
+	}()
+	for i := range s.shards {
+		if len(s.shards[i].ns[namespace]) > 0 {
+			panic(fmt.Sprintf("sdl: Bound(%q) after the namespace's first write", namespace))
+		}
+	}
 	s.bounds[namespace] = b
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.rings[namespace] = &ring{b: b, max: per}
-		sh.mu.Unlock()
+		s.shards[i].rings[namespace] = &ring{b: b, max: int64(per)}
 	}
+}
+
+// Bytes reports the bytes a bounded namespace is charged for (0 for an
+// unbounded one).
+func (s *Store) Bytes(namespace string) int64 {
+	var n int64
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		if r := sh.rings[namespace]; r != nil {
+			n += r.used
+		}
+		sh.mu.RUnlock()
+	}
+	return n
 }
 
 // Evicted reports how many keys a bounded namespace has aged out (0 for
@@ -264,16 +317,12 @@ func (s *Store) set(namespace, key string, value []byte, ttl time.Duration, copy
 		m = make(map[string]entry)
 		sh.ns[namespace] = m
 	}
-	var slot int
+	var tick uint64
 	if r := sh.rings[namespace]; r != nil {
-		if old, ok := m[key]; ok {
-			slot = old.slot
-		} else {
-			slot = s.admitLocked(sh, r, m, namespace, key)
-		}
+		tick = s.admitLocked(sh, r, m, namespace, key, value)
 	}
 	v := s.version.Add(1)
-	e := entry{value: value, version: v, slot: slot}
+	e := entry{value: value, version: v, tick: tick}
 	if ttl > 0 {
 		e.expiresAt = s.clock().Add(ttl).UnixNano()
 	}
@@ -283,32 +332,91 @@ func (s *Store) set(namespace, key string, value []byte, ttl time.Duration, copy
 	return v
 }
 
-// admitLocked gives a key new to a bounded namespace its ring slot,
-// evicting the key that holds the oldest slot once the ring is full.
-func (s *Store) admitLocked(sh *shard, r *ring, m map[string]entry, namespace, key string) (slot int) {
-	if slot = len(r.slots); slot < r.max {
-		r.slots = append(r.slots, key)
-	} else {
-		slot = r.head
-		oldest := r.slots[slot]
-		if e, ok := m[oldest]; ok && e.slot == slot {
-			s.removeLocked(sh, m, namespace, oldest, e)
+// admitLocked charges value to a bounded namespace's ring and returns the
+// tick the entry carries: an overwrite keeps its own, and so its place,
+// after the old value's charge is released; a key new to the ring gets the
+// next one. Other entries are evicted oldest-first until the charge fits
+// in the stripe's share or none is left.
+func (s *Store) admitLocked(sh *shard, r *ring, m map[string]entry, namespace, key string, value []byte) (tick uint64) {
+	if old, ok := m[key]; ok && old.tick != 0 {
+		tick = old.tick
+		r.release(key, old.value)
+	}
+	c := charge(key, value)
+	for i := r.head; r.used+c > r.max && i < len(r.claims); i++ {
+		if cl := r.claims[i]; cl.tick != tick && r.holds(m, cl) {
+			s.removeLocked(sh, m, namespace, cl.key, m[cl.key])
 			r.b.evicted.Add(1)
 			r.b.obsEvicted.Inc()
 		}
-		r.slots[slot] = key
-		r.head = (slot + 1) % r.max
 	}
+	for r.head < len(r.claims) && !r.holds(m, r.claims[r.head]) {
+		r.pop()
+	}
+	if tick == 0 {
+		if len(r.claims)-r.head > 2*r.live+32 {
+			r.compact(m) // before the new claim, whose entry m does not hold yet
+		}
+		r.ticker++
+		tick = r.ticker
+		r.claims = append(r.claims, claim{key: key, tick: tick})
+	}
+	r.used += c
+	r.live++
 	r.b.obsKeys.Add(1)
-	return slot
+	r.b.obsBytes.Add(float64(c))
+	return tick
 }
 
-// removeLocked deletes a present key and tells the namespace's watchers,
-// unless the entry had already expired out of their sight.
+// holds reports whether cl still names a live entry: one deleted since,
+// or deleted and admitted again under a later tick, is only a claim.
+func (r *ring) holds(m map[string]entry, cl claim) bool {
+	e, ok := m[cl.key]
+	return ok && e.tick == cl.tick
+}
+
+// release returns a charged entry's bytes to its ring.
+func (r *ring) release(key string, value []byte) {
+	c := charge(key, value)
+	r.used -= c
+	r.live--
+	r.b.obsKeys.Add(-1)
+	r.b.obsBytes.Add(-float64(c))
+}
+
+// pop drops the oldest claim, sliding the queue down once half of it is
+// spent so the backing array stays within twice what is queued.
+func (r *ring) pop() {
+	r.claims[r.head] = claim{}
+	r.head++
+	if r.head >= 32 && r.head*2 >= len(r.claims) {
+		n := copy(r.claims, r.claims[r.head:])
+		clear(r.claims[n:])
+		r.claims, r.head = r.claims[:n], 0
+	}
+}
+
+// compact drops the claims whose entries were deleted, once they
+// outnumber the live ones: a namespace that deletes as fast as it writes
+// would otherwise queue a claim per write until the bound came round.
+func (r *ring) compact(m map[string]entry) {
+	kept := r.claims[:0]
+	for _, cl := range r.claims[r.head:] {
+		if r.holds(m, cl) {
+			kept = append(kept, cl)
+		}
+	}
+	clear(r.claims[len(kept):])
+	r.claims, r.head = kept, 0
+}
+
+// removeLocked deletes a present key, releases its charge and tells the
+// namespace's watchers, unless the entry had already expired out of their
+// sight.
 func (s *Store) removeLocked(sh *shard, m map[string]entry, namespace, key string, e entry) {
 	delete(m, key)
-	if r := sh.rings[namespace]; r != nil {
-		r.b.obsKeys.Add(-1)
+	if r := sh.rings[namespace]; r != nil && e.tick != 0 {
+		r.release(key, e.value)
 	}
 	v := s.version.Add(1)
 	if !s.expired(e) {
