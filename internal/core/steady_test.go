@@ -14,13 +14,14 @@ import (
 // benchmark's capacity workload does — a closed loop of benign telemetry
 // through GNB.InjectTelemetry, mitigation off. It first ingests until the
 // telemetry namespace evicts — its TelemetryBytes hold that many records —
-// and then compares the live heap at one and a half and at two times that.
-// A RIC that retains what it ingests differs by the last quarter's records
-// (≈ 350 B each, over 30 MB); one in a steady state differs by less than
-// the telemetry budget itself.
+// and then compares the live heap 65 536 and 196 608 records past that.
+// A RIC that retains what it ingests differs by the 131 072 records in
+// between (≈ 350 B each, over 40 MB); one in a steady state differs by
+// less than the telemetry budget itself, so a leak of 128 B per record
+// fails.
 func TestSteadyStateHeapIsLevel(t *testing.T) {
 	if testing.Short() {
-		t.Skip("ingests three telemetry budgets' worth of records through the whole framework")
+		t.Skip("ingests twice the records the telemetry budget holds through the whole framework")
 	}
 	fw, err := New(Options{
 		Seed:         3,
@@ -88,12 +89,12 @@ func TestSteadyStateHeapIsLevel(t *testing.T) {
 	for fill = 1 << 16; fw.SDL.Evicted(ns) == 0; fill += 1 << 14 {
 		ingestTo(fill)
 	}
-	at15 := ingestTo(3 * fill / 2)
-	at2 := ingestTo(2 * fill)
-	t.Logf("telemetry budget full at %d records; live heap %d MB at 1.5× that, %d MB at 2×", fill, at15>>20, at2>>20)
-	if grew := int64(at2) - int64(at15); grew > mobiwatch.TelemetryBytes {
-		t.Errorf("live heap grew %d MB between 1.5× and 2× the records the telemetry budget holds (%d → %d MB); a steady state grows by less than the budget's own %d MB",
-			grew>>20, at15>>20, at2>>20, mobiwatch.TelemetryBytes>>20)
+	before := ingestTo(fill + 1<<16)
+	after := ingestTo(fill + 3<<16)
+	t.Logf("telemetry budget full at %d records; live heap %d MB 65 536 records later, %d MB 131 072 after that", fill, before>>20, after>>20)
+	if grew := int64(after) - int64(before); grew > mobiwatch.TelemetryBytes {
+		t.Errorf("live heap grew %d MB over 131 072 records ingested past the telemetry budget (%d → %d MB); a steady state grows by less than the budget's own %d MB",
+			grew>>20, before>>20, after>>20, mobiwatch.TelemetryBytes>>20)
 	}
 	if b := fw.SDL.Bytes(ns); b > mobiwatch.TelemetryBytes {
 		t.Errorf("the telemetry namespace is charged %d B, its budget is %d", b, mobiwatch.TelemetryBytes)

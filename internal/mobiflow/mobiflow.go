@@ -297,27 +297,17 @@ func Encode(r *Record) []byte { return asn1lite.Marshal(r) }
 
 // Decode parses a record from its E2 wire form. Given a batch as
 // EncodeTrace writes it — a telemetry value as MobiWatch keeps it in the
-// SDL — it returns the batch's first record. A batch never decodes as a
-// record: where a record has its sequence number, a varint, a batch has a
-// whole record, which never reads as one.
+// SDL — it returns the batch's first record, so a reader that samples the
+// telemetry namespace one record per key still reads one.
 func Decode(data []byte) (Record, error) {
 	var r Record
-	err := asn1lite.Unmarshal(data, &r)
-	if err == nil {
-		return r, nil
-	}
-	var d asn1lite.Decoder
-	d.Reset(data)
-	for d.Next() {
-		if d.Tag() == 1 {
-			var first Record
-			if d.Message(&first) == nil {
-				return first, nil
-			}
-			break
+	if err := asn1lite.Unmarshal(data, &r); err != nil {
+		if tr, terr := DecodeTrace(data); terr == nil && len(tr) > 0 {
+			return tr[0], nil
 		}
+		return Record{}, err
 	}
-	return Record{}, err
+	return r, nil
 }
 
 // EncodeTrace serializes a whole trace as repeated nested records.

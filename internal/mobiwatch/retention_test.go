@@ -11,6 +11,7 @@ import (
 	"github.com/6g-xsec/xsec/internal/e2sm"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
 	"github.com/6g-xsec/xsec/internal/nn"
+	"github.com/6g-xsec/xsec/internal/obs"
 	"github.com/6g-xsec/xsec/internal/ric"
 	"github.com/6g-xsec/xsec/internal/rrc"
 	"github.com/6g-xsec/xsec/internal/sdl"
@@ -111,6 +112,8 @@ func TestRunBoundsTelemetryNamespace(t *testing.T) {
 // decodes to whole batches — more than twice the 65 536 records a key
 // per record held in the same memory — the newest batch reads back
 // byte-identical to the message that carried it, and the oldest is gone.
+// Persisting into the full namespace, where each indication evicts, costs
+// two allocations per indication.
 func TestTelemetryRetentionIsCounted(t *testing.T) {
 	benign, _, _ := fixtures(t)
 	const node = "gnb-keep"
@@ -150,6 +153,41 @@ func TestTelemetryRetentionIsCounted(t *testing.T) {
 	}
 	if _, _, ok := store.Get(TelemetryNamespace, string(persistKey(nil, node, 1))); ok {
 		t.Error("the oldest batch is still in the SDL")
+	}
+
+	// Into the full namespace every indication admits a new key and evicts
+	// an old one, and intake still allocates only the key string and the
+	// stored copy beyond decoding the payload and minting its trace key.
+	const runs = 2000
+	fresh, _ := nineRecordBatches(benign, runs+1, last[len(last)-1].Seq+1)
+	evictedBefore := store.Evicted(TelemetryNamespace)
+	i := 0
+	admit := func() {
+		sent++
+		if _, ok := w.admit(ric.Indication{NodeID: node, SN: uint64(sent), Message: fresh[i]}); !ok {
+			t.Fatalf("intake refused indication %d", sent)
+		}
+		i++
+	}
+	j := 0
+	decode := func() {
+		if _, err := e2sm.DecodeIndicationMessage(fresh[j%len(fresh)]); err != nil {
+			t.Fatal(err)
+		}
+		j++
+		traceKeySink = obs.IndicationKey(node, uint64(j))
+	}
+	if extra := testing.AllocsPerRun(runs, admit) - testing.AllocsPerRun(runs, decode); extra > 2 {
+		t.Errorf("persisting into the full namespace allocates %.1f times per indication, want at most 2 (key + value)", extra)
+	}
+	if got := store.Evicted(TelemetryNamespace) - evictedBefore; got < runs {
+		t.Errorf("%d indications admitted into the full namespace evicted %d batches, want at least %d", runs+1, got, runs)
+	}
+	if live, evicted := store.Len(TelemetryNamespace), store.Evicted(TelemetryNamespace); uint64(live)+evicted != uint64(sent) {
+		t.Errorf("persisted %d indications ≠ retained %d + evicted %d", sent, live, evicted)
+	}
+	if b := store.Bytes(TelemetryNamespace); b > TelemetryBytes {
+		t.Errorf("the namespace is charged %d B, the budget is %d", b, TelemetryBytes)
 	}
 }
 

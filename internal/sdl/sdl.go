@@ -65,9 +65,10 @@ var (
 // entryOverhead is what a bounded namespace charges an entry beyond its
 // key and value bytes: its map slot (key header and entry struct) at the
 // table's load factor, its ring claim, and the allocator's rounding of
-// the two buffers — 125 to 195 B of live heap on amd64 (go1.24) as the
-// namespace grows from 3 000 to 70 000 entries, which
-// TestEntryOverheadIsMeasured holds it to.
+// the two buffers — 125 to 195 B of live heap on amd64 as the namespace
+// grows from 3 000 to 70 000 entries, measured with go1.24.0's swiss-table
+// maps, the toolchain go.mod pins; TestEntryOverheadIsMeasured holds it to
+// that.
 const entryOverhead = 160
 
 // DefaultShards is the lock-stripe count used by New. Sixteen stripes
