@@ -101,6 +101,10 @@ func NewEncoder(buf []byte) Encoder { return Encoder{buf: buf} }
 // encoder's buffer; it remains valid until the next Put call.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
+// SetBytes makes b the encoded sequence: Bytes() as a codec with a layout
+// of its own (mobiflow's telemetry block) appended to it.
+func (e *Encoder) SetBytes(b []byte) { e.buf = b }
+
 // Len returns the number of encoded bytes so far.
 func (e *Encoder) Len() int { return len(e.buf) }
 
@@ -171,11 +175,6 @@ func (e *Encoder) PutNested(tag uint32, fn func(*Encoder)) {
 	fn(inner)
 	e.PutBytes(tag, inner.buf)
 	e.child = inner
-}
-
-// PutMessage appends a nested field holding m's encoding.
-func (e *Encoder) PutMessage(tag uint32, m Marshaler) {
-	e.PutNested(tag, m.MarshalTLV)
 }
 
 // A Decoder iterates over a TLV byte sequence. Typical use:
@@ -318,16 +317,4 @@ func (d *Decoder) Nested() (*Decoder, error) {
 		return nil, d.fail(fmt.Errorf("tag %d: %w", d.tag, ErrTooDeep))
 	}
 	return &Decoder{data: d.val, depth: d.depth + 1}, nil
-}
-
-// Message decodes the current field's value into m via its Unmarshaler.
-func (d *Decoder) Message(m Unmarshaler) error {
-	sub, err := d.Nested()
-	if err != nil {
-		return err
-	}
-	if err := m.UnmarshalTLV(sub); err != nil {
-		return d.fail(err)
-	}
-	return nil
 }

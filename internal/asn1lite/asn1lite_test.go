@@ -328,13 +328,17 @@ func TestMarshalUnmarshal(t *testing.T) {
 func TestMessageField(t *testing.T) {
 	in := &testMsg{ID: 3, Name: "nested"}
 	var e Encoder
-	e.PutMessage(8, in)
+	e.PutNested(8, in.MarshalTLV)
 	d := NewDecoder(e.Bytes())
 	if !d.Next() || d.Tag() != 8 {
 		t.Fatalf("missing message field: %v", d.Err())
 	}
 	var out testMsg
-	if err := d.Message(&out); err != nil {
+	sub, err := d.Nested()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := out.UnmarshalTLV(sub); err != nil {
 		t.Fatal(err)
 	}
 	if out.ID != 3 || out.Name != "nested" {

@@ -64,12 +64,12 @@ func TestPutNestedReuse(t *testing.T) {
 func TestPutNestedZeroAllocWhenWarm(t *testing.T) {
 	var e Encoder
 	p := &pair{A: 1, B: 2}
-	e.PutMessage(1, p) // warm the child encoder
+	e.PutNested(1, p.MarshalTLV) // warm the child encoder
 	if allocs := testing.AllocsPerRun(200, func() {
 		e.Reset()
-		e.PutMessage(1, p)
+		e.PutNested(1, p.MarshalTLV)
 	}); allocs != 0 {
-		t.Errorf("warm PutMessage = %.1f allocs/op, want 0", allocs)
+		t.Errorf("warm PutNested = %.1f allocs/op, want 0", allocs)
 	}
 }
 

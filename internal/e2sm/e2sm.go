@@ -166,7 +166,7 @@ func PeekIndicationUE(hdr []byte) uint64 {
 	return 0
 }
 
-// IndicationMessage carries one batch of telemetry records.
+// IndicationMessage carries one batch of telemetry records, as one block.
 type IndicationMessage struct {
 	Records mobiflow.Trace
 }

@@ -34,7 +34,7 @@ func sampleRecord() Record {
 	}
 }
 
-func TestRecordTLVRoundTrip(t *testing.T) {
+func TestRecordRoundTrip(t *testing.T) {
 	in := sampleRecord()
 	out, err := Decode(Encode(&in))
 	if err != nil {
@@ -251,7 +251,7 @@ func TestExtractorRetransmissionMarked(t *testing.T) {
 	}
 }
 
-// Property: records with arbitrary field values survive the TLV round trip.
+// Property: records with arbitrary field values survive the block round trip.
 func TestQuickRecordRoundTrip(t *testing.T) {
 	f := func(seq, ue uint64, msg string, rnti uint16, tmsi uint32, dir, layer, cipher, integ, cause, rrcS, nasS uint8, secOn, ooo, retx bool, ns int64) bool {
 		in := Record{

@@ -1,9 +1,12 @@
 package mobiflow
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"time"
+
+	"github.com/6g-xsec/xsec/internal/asn1lite"
 )
 
 // TestDecodeTraceIntoReusesBuffer pins the slice-reuse contract: decoding
@@ -61,8 +64,9 @@ func TestDecodeTraceIntoReusesBuffer(t *testing.T) {
 
 // TestDecodeTraceSizesItsSliceOnce: DecodeTrace costs one allocation more
 // than decoding into a buffer that is already large enough (the slice,
-// made once at the size the input's own headers give), keeps the records
-// before a truncation, and makes no slice for input that holds no record.
+// made once at the block's declared count), keeps the records before a
+// truncation, refuses a count the input has no room for before sizing
+// anything from it, and makes no slice for input that holds no record.
 func TestDecodeTraceSizesItsSliceOnce(t *testing.T) {
 	in := make(Trace, 16)
 	for i := range in {
@@ -87,32 +91,43 @@ func TestDecodeTraceSizesItsSliceOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got != floor+1 {
-		t.Errorf("DecodeTrace allocates %.0f times, decoding into a sized buffer %.0f: want one more, the slice", got, floor)
+	if floor != 0 || got != 1 {
+		t.Errorf("DecodeTrace allocates %.0f times, decoding into a sized buffer %.0f: want 1 (the slice) and 0", got, floor)
 	}
 
-	// Cut inside the eleventh record: ten are whole.
-	one := len(wire) / len(in) // the records encode to equal lengths
-	part, err := DecodeTrace(wire[:10*one+one/2])
-	if err == nil || !reflect.DeepEqual(part, in[:10]) || cap(part) != 10 {
+	// Cut inside the eleventh record: ten are whole. The header is the
+	// same two bytes for 10 and 16 records.
+	cut := len(EncodeTrace(in[:10])) + 2
+	part, err := DecodeTrace(wire[:cut])
+	if err == nil || !reflect.DeepEqual(part, in[:10]) || cap(part) != len(in) {
 		t.Errorf("truncated input: %d records (capacity %d), err %v; want the 10 whole ones and an error", len(part), cap(part), err)
+	}
+	// Claim more records than the bytes after the count can hold.
+	lying := append([]byte(nil), wire[:cut]...)
+	lying[1] = byte((cut-2)/minRecordBytes + 1)
+	if none, err := DecodeTrace(lying); err == nil || none != nil {
+		t.Errorf("a count of %d in %d bytes: %d records, %v; want no slice and an error", lying[1], cut-2, len(none), err)
 	}
 	if none, err := DecodeTrace(wire[:1]); err == nil || none != nil {
 		t.Errorf("1-byte input: %v, %v; want no slice and an error", none, err)
 	}
 }
 
-func BenchmarkDecodeTrace(b *testing.B) {
+// TestAppendTraceAllocatesNothingWarm: the gNB agent encodes every
+// indication into one long-lived encoder, which once grown allocates
+// nothing and writes what EncodeTrace writes.
+func TestAppendTraceAllocatesNothingWarm(t *testing.T) {
 	in := make(Trace, 16)
 	for i := range in {
-		in[i] = Record{Seq: uint64(i + 1), UEID: 7, RNTI: 0x4601, Msg: "RRCSetupRequest", Timestamp: time.Unix(1700000000+int64(i), 0).UTC()}
+		in[i] = Record{Seq: uint64(i + 1), UEID: 7, SUPI: "imsi-001010000000001", Msg: "RRCSetupRequest",
+			Timestamp: time.Unix(1700000000+int64(i), 0).UTC()}
 	}
-	wire := EncodeTrace(in)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(wire)))
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeTrace(wire); err != nil {
-			b.Fatal(err)
-		}
+	var e asn1lite.Encoder
+	AppendTrace(&e, in)
+	if got := testing.AllocsPerRun(100, func() { e.Reset(); AppendTrace(&e, in) }); got != 0 {
+		t.Errorf("warm AppendTrace allocates %.0f times, want 0", got)
+	}
+	if !bytes.Equal(e.Bytes(), EncodeTrace(in)) {
+		t.Error("AppendTrace and EncodeTrace write different blocks")
 	}
 }

@@ -68,11 +68,7 @@ func (s *UESnapshot) UnmarshalTLV(d *asn1lite.Decoder) error {
 		case snapTagLastSN:
 			s.LastSN, err = d.Uint()
 		case snapTagRecords:
-			var raw []byte
-			raw, err = d.Bytes()
-			if err == nil {
-				s.Records, err = mobiflow.DecodeTrace(raw)
-			}
+			s.Records, err = mobiflow.DecodeTrace(d.RawValue())
 		}
 		if err != nil {
 			return fmt.Errorf("mobiwatch: snapshot tag %d: %w", d.Tag(), err)

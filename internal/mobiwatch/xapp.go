@@ -128,12 +128,12 @@ const (
 	// (e2sm.DecodeIndicationMessage or mobiflow.DecodeTrace reads it
 	// back), under "<node>/<first record's seq, 20 digits>".
 	TelemetryNamespace = "mobiflow"
-	// TelemetryBytes bounds that namespace (sdl.Store.Bound). At the gNB
-	// agent's nine records per indication a record is charged ≈ 107 B, so
-	// 16 MiB holds the newest ≈ 155 000 records: about a second of
-	// telemetry at ingest capacity, over a minute at the attack_mix rate.
-	// The record rate is the attacker's to choose (a signalling storm is a
-	// record flood), so the bound is bytes, not an age.
+	// TelemetryBytes bounds that namespace (sdl.Store.Bound). A value costs
+	// key + block + 160 B: benign telemetry cut per UE into indications of
+	// ≤ 1, 9 or 16 records is charged ≈ 213, 33 or 27 B a record, so 16 MiB
+	// holds the newest ≈ 79 000, 508 000 or 625 000 (at the agent's ≈ 9,
+	// seconds at capacity, minutes at attack_mix rates). The record rate is
+	// the attacker's to choose, so the bound is bytes, not an age.
 	TelemetryBytes = 16 << 20
 
 	// contextRecords is how much preceding telemetry each alert carries.
