@@ -9,14 +9,15 @@
 package analyzer
 
 import (
+	"cmp"
 	"context"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/6g-xsec/xsec/internal/asn1lite"
 	"github.com/6g-xsec/xsec/internal/cell"
 	"github.com/6g-xsec/xsec/internal/e2sm"
 	"github.com/6g-xsec/xsec/internal/llm"
@@ -105,9 +106,10 @@ type Analyzer struct {
 const (
 	humanQueueNamespace = "analyzer/human-queue"
 	// HumanQueueBytes bounds the review queue (sdl.Store.Bound): 5 MiB,
-	// the newest ≈ 4 000 escalated cases at ≈ 1.2 KB each. Nobody reviews
-	// past a few thousand entries; an older case ages out counted
-	// (HumanQueueAgedOut) and its verdict event stays on its prov chain.
+	// the newest ≈ 16 500 escalated cases at ≈ 320 B charged each (a
+	// four-record window; TestHumanQueueIsBounded logs the figure). An
+	// older case ages out counted (HumanQueueAgedOut) and its verdict
+	// event stays on its prov chain.
 	HumanQueueBytes = 5 << 20
 )
 
@@ -316,16 +318,61 @@ func (a *Analyzer) RunPool(ctx context.Context, src AlertSource, opts PoolOption
 	return out
 }
 
-// humanQueueEntry is the SDL persistence format for the review queue.
+// humanQueueEntry is one case held for review, stored as TLV under
+// "case/<node>/<first seq>/<model>": two gNBs can number a record alike,
+// and both models can flag the window that starts at it.
 type humanQueueEntry struct {
-	Reason string  `json:"reason"`
-	Model  string  `json:"model"`
-	Score  float64 `json:"score"`
+	Reason, Model string
+	Score         float64
 	// Windows is how many flagged windows of one episode the case stands
-	// for (1 + Alert.Folded); Records is the strongest of them.
-	Windows int       `json:"windows"`
-	Records []string  `json:"records"`
-	At      time.Time `json:"at"`
+	// for (1 + Alert.Folded); Window is the strongest of them.
+	Windows uint64
+	Window  mobiflow.Trace
+	At      time.Time
+}
+
+// TLV tags of a stored humanQueueEntry.
+const (
+	tagReason = iota + 1
+	tagModel
+	tagScore
+	tagWindows
+	tagAt
+	tagWindow
+)
+
+// MarshalTLV implements asn1lite.Marshaler; Window is one telemetry block.
+func (h *humanQueueEntry) MarshalTLV(e *asn1lite.Encoder) {
+	e.PutString(tagReason, h.Reason)
+	e.PutString(tagModel, h.Model)
+	e.PutFloat(tagScore, h.Score)
+	e.PutUint(tagWindows, h.Windows)
+	e.PutInt(tagAt, h.At.UnixNano())
+	e.PutNested(tagWindow, func(e *asn1lite.Encoder) { mobiflow.AppendTrace(e, h.Window) })
+}
+
+// decodeHumanEntry reads a stored humanQueueEntry back; At reads in UTC.
+func decodeHumanEntry(data []byte) (h humanQueueEntry, err error) {
+	d := asn1lite.NewDecoder(data)
+	for err == nil && d.Next() {
+		switch d.Tag() {
+		case tagReason:
+			h.Reason = string(d.RawValue())
+		case tagModel:
+			h.Model = string(d.RawValue())
+		case tagScore:
+			h.Score, err = d.Float()
+		case tagWindows:
+			h.Windows, err = d.Uint()
+		case tagAt:
+			var ns int64
+			ns, err = d.Int()
+			h.At = time.Unix(0, ns).UTC()
+		case tagWindow:
+			h.Window, err = mobiflow.DecodeTrace(d.RawValue())
+		}
+	}
+	return h, cmp.Or(err, d.Err())
 }
 
 func (a *Analyzer) enqueueHuman(c *Case, reason string) {
@@ -336,18 +383,12 @@ func (a *Analyzer) enqueueHuman(c *Case, reason string) {
 		Reason:  reason,
 		Model:   string(c.Alert.Model),
 		Score:   c.Alert.Score,
-		Windows: 1 + c.Alert.Folded,
+		Windows: uint64(1 + c.Alert.Folded),
+		Window:  c.Alert.Window,
 		At:      c.ProcessedAt,
 	}
-	for _, r := range c.Alert.Window {
-		entry.Records = append(entry.Records, r.String())
-	}
-	data, err := json.Marshal(entry)
-	if err != nil {
-		return
-	}
-	key := fmt.Sprintf("case/%020d", c.Alert.Window[0].Seq)
-	a.store.Set(humanQueueNamespace, key, data)
+	key := fmt.Sprintf("case/%s/%020d/%s", c.Alert.NodeID, c.Alert.Window[0].Seq, c.Alert.Model)
+	a.store.Set(humanQueueNamespace, key, asn1lite.Marshal(&entry))
 }
 
 // HumanQueueLen reports pending human-review cases.

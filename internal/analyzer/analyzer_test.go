@@ -114,9 +114,10 @@ func TestProcessDisagreementGoesToHumans(t *testing.T) {
 		t.Errorf("human queue = %d", a.HumanQueueLen())
 	}
 	for key, raw := range store.GetAll("analyzer/human-queue", "case/") {
-		// One flood, one review entry, carrying the count.
-		if !strings.Contains(string(raw), `"windows":7`) {
-			t.Errorf("human-queue entry %s = %s, want windows 7", key, raw)
+		// One flood, one review entry, carrying the count and the window.
+		entry, err := decodeHumanEntry(raw)
+		if err != nil || entry.Windows != 7 || len(entry.Window) != len(alert.Window) || entry.Window[0].Seq != alert.Window[0].Seq {
+			t.Errorf("human-queue entry %s = %+v, %v; want windows 7 and the alert's window", key, entry, err)
 		}
 	}
 	if a.Stats().Disagrees.Load() != 1 {
@@ -295,9 +296,12 @@ func TestHumanQueueIsBounded(t *testing.T) {
 	a := New(benignExpert{}, sdl.New())
 	window := append(mobiflow.Trace(nil), windowOf(l, ue.AttackBTSDoS)[:4]...)
 	escalated := 0
-	for a.HumanQueueAgedOut() == 0 || a.HumanQueueAgedOut() < uint64(a.HumanQueueLen()) {
+	// Until as many have aged out as are held: HumanQueueLen counts the
+	// namespace, so the loop reads the conservation asserted below
+	// instead, held = escalated − aged out.
+	for a.HumanQueueAgedOut() == 0 || 2*a.HumanQueueAgedOut() < uint64(escalated) {
 		escalated++
-		window[0].Seq = uint64(escalated) // the queue keys a case by its window's first record
+		window[0].Seq = uint64(escalated) // the queue keys a case by node, its window's first record and model
 		alert := mobiwatch.Alert{Model: mobiwatch.ModelAE, Score: 0.5, Threshold: 0.1, Window: window, At: time.Now()}
 		if c, err := a.Process(context.Background(), alert); err != nil || !c.NeedsHuman {
 			t.Fatalf("case %d: err %v, case %+v; want an escalation", escalated, err, c)
@@ -313,13 +317,52 @@ func TestHumanQueueIsBounded(t *testing.T) {
 	if b := a.store.Bytes(humanQueueNamespace); b < HumanQueueBytes*9/10 {
 		t.Errorf("the queue is charged %d B after %d escalations, want its budget %d or just under", b, escalated, HumanQueueBytes)
 	}
-	if _, _, ok := a.store.Get(humanQueueNamespace, fmt.Sprintf("case/%020d", 1)); ok {
+	t.Logf("%d cases held in %d B, %d B charged per case", held, a.store.Bytes(humanQueueNamespace), a.store.Bytes(humanQueueNamespace)/int64(held))
+	if _, _, ok := a.store.Get(humanQueueNamespace, fmt.Sprintf("case//%020d/%s", 1, mobiwatch.ModelAE)); ok {
 		t.Error("the first case escalated is still queued")
 	}
-	if _, _, ok := a.store.Get(humanQueueNamespace, fmt.Sprintf("case/%020d", escalated)); !ok {
+	if _, _, ok := a.store.Get(humanQueueNamespace, fmt.Sprintf("case//%020d/%s", escalated, mobiwatch.ModelAE)); !ok {
 		t.Error("the newest case escalated is not queued")
 	}
 	if New(benignExpert{}, nil).HumanQueueAgedOut() != 0 {
 		t.Error("an analyzer without a store reports aged-out cases")
+	}
+}
+
+// TestHumanQueueKeepsCollidingCases escalates cases that share a first
+// record number: one window from each of two gNBs, and the autoencoder's
+// and the LSTM's windows starting at the same record. Each is a case of
+// its own, held and read back, and none is lost uncounted.
+func TestHumanQueueKeepsCollidingCases(t *testing.T) {
+	l := mixedTrace(t)
+	store := sdl.New()
+	a := New(benignExpert{}, store)
+	window := windowOf(l, ue.AttackBTSDoS)[:4]
+	type shape struct {
+		node  string
+		model mobiwatch.ModelName
+	}
+	cases := []shape{{"gnb-1", mobiwatch.ModelAE}, {"gnb-2", mobiwatch.ModelAE}, {"gnb-2", mobiwatch.ModelLSTM}}
+	for i, c := range cases {
+		alert := mobiwatch.Alert{NodeID: c.node, Model: c.model, Score: float64(i + 1), Window: window, At: time.Now()}
+		if got, err := a.Process(context.Background(), alert); err != nil || !got.NeedsHuman {
+			t.Fatalf("case %d: err %v, case %+v; want an escalation", i, err, got)
+		}
+	}
+	if held, agedOut := a.HumanQueueLen(), a.HumanQueueAgedOut(); held != len(cases) || agedOut != 0 {
+		t.Fatalf("escalated %d cases with one first record: %d held, %d aged out; want all held", len(cases), held, agedOut)
+	}
+	for i, c := range cases {
+		key := fmt.Sprintf("case/%s/%020d/%s", c.node, window[0].Seq, c.model)
+		raw, _, ok := store.Get(humanQueueNamespace, key)
+		if !ok {
+			t.Fatalf("case %d not under %s", i, key)
+		}
+		entry, err := decodeHumanEntry(raw)
+		if err != nil || entry.Model != string(c.model) || entry.Score != float64(i+1) || !slices.EqualFunc(entry.Window, window, func(a, b mobiflow.Record) bool {
+			return a.Seq == b.Seq && a.Msg == b.Msg && a.UEID == b.UEID && a.RNTI == b.RNTI && a.Timestamp.Equal(b.Timestamp)
+		}) {
+			t.Errorf("case %d reads back as %+v, %v", i, entry, err)
+		}
 	}
 }

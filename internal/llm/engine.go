@@ -26,7 +26,7 @@ type lineRecord struct {
 }
 
 // parseLine parses one rendered telemetry line (mobiflow.Record.String
-// format).
+// format, in which the message is one token, quoted if it must be).
 func parseLine(line string) (lineRecord, error) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "#") {
@@ -36,7 +36,13 @@ func parseLine(line string) (lineRecord, error) {
 	if err != nil {
 		return lineRecord{}, fmt.Errorf("llm: bad sequence in %q: %w", line, err)
 	}
-	rec := lineRecord{seq: seq, dir: fields[1], layer: fields[2], msg: fields[3]}
+	msg := fields[3]
+	if strings.HasPrefix(msg, `"`) { // a quoted token: see mobiflow's appendToken
+		if msg, err = strconv.Unquote(msg); err != nil {
+			return lineRecord{}, fmt.Errorf("llm: bad message in %q: %w", line, err)
+		}
+	}
+	rec := lineRecord{seq: seq, dir: fields[1], layer: fields[2], msg: msg}
 	for _, f := range fields[4:] {
 		switch {
 		case strings.HasPrefix(f, "rnti="):

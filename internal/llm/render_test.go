@@ -2,6 +2,7 @@ package llm
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -13,15 +14,23 @@ import (
 )
 
 // fmtRecord is mobiflow.Record.String as it was written through fmt, kept
-// as the reference the append rendering is compared against.
+// as the reference the append rendering is compared against. Msg and SUPI
+// are one token each: as they are when they are non-empty printable ASCII
+// without spaces and start with no quote, else quoted with spaces as \x20.
 func fmtRecord(r mobiflow.Record) string {
+	token := func(s string) string {
+		if s != "" && !strings.HasPrefix(s, `"`) && !strings.ContainsFunc(s, func(c rune) bool { return c <= ' ' || c >= 0x7f }) {
+			return s
+		}
+		return strings.ReplaceAll(strconv.QuoteToASCII(s), " ", `\x20`)
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "#%d %s %s %s rnti=%s", r.Seq, r.Dir, r.Layer, r.Msg, r.RNTI)
+	fmt.Fprintf(&b, "#%d %s %s %s rnti=%s", r.Seq, r.Dir, r.Layer, token(r.Msg), r.RNTI)
 	if r.TMSI != cell.InvalidTMSI {
 		fmt.Fprintf(&b, " tmsi=%s", r.TMSI)
 	}
 	if r.SUPI != "" {
-		fmt.Fprintf(&b, " supi=%s(PLAINTEXT)", r.SUPI)
+		fmt.Fprintf(&b, " supi=%s(PLAINTEXT)", token(string(r.SUPI)))
 	}
 	sec := "off"
 	if r.SecurityOn {

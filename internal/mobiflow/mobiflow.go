@@ -21,6 +21,7 @@ package mobiflow
 
 import (
 	"strconv"
+	"strings"
 	"time"
 
 	"github.com/6g-xsec/xsec/internal/cell"
@@ -110,14 +111,13 @@ func (r *Record) AppendTo(b []byte) []byte {
 	b = strconv.AppendUint(append(b, '#'), r.Seq, 10)
 	kv(" ", r.Dir.String())
 	kv(" ", r.Layer.String())
-	kv(" ", r.Msg)
+	b = appendToken(append(b, ' '), r.Msg)
 	b = appendHex(append(b, " rnti="...), uint64(r.RNTI), 4)
 	if r.TMSI != cell.InvalidTMSI {
 		b = appendHex(append(b, " tmsi="...), uint64(r.TMSI), 8)
 	}
 	if r.SUPI != "" {
-		kv(" supi=", string(r.SUPI))
-		b = append(b, "(PLAINTEXT)"...)
+		b = append(appendToken(append(b, " supi="...), string(r.SUPI)), "(PLAINTEXT)"...)
 	}
 	kv(" cipher=", r.CipherAlg.String())
 	kv(" integ=", r.IntegAlg.String())
@@ -136,6 +136,20 @@ func (r *Record) AppendTo(b []byte) []byte {
 		b = append(b, " RETX"...)
 	}
 	return b
+}
+
+// appendToken appends s as one token, so that a value the UE chooses can
+// neither forge a field nor start a prompt line: as it is if it is printable
+// ASCII with no space or leading quote, else Go-quoted with spaces as \x20.
+func appendToken(b []byte, s string) []byte {
+	plain := s != "" && s[0] != '"'
+	for i := 0; plain && i < len(s); i++ {
+		plain = s[i] > ' ' && s[i] < 0x7f
+	}
+	if plain {
+		return append(b, s...)
+	}
+	return append(b, strings.ReplaceAll(strconv.QuoteToASCII(s), " ", `\x20`)...)
 }
 
 // appendHex renders v as cell.RNTI and cell.TMSI print themselves: 0x and

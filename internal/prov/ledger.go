@@ -1,6 +1,7 @@
 package prov
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,10 +11,14 @@ import (
 	"github.com/6g-xsec/xsec/internal/sdl"
 )
 
-// Namespace is the dedicated SDL namespace chains persist to. Keys are
-// "ev/<node>/<sn>/<idx>" with the sequence number and event index
+// Namespace is the dedicated SDL namespace chains persist to, one value
+// per segment of up to segmentEvents events under "ev/<node>/<sn>/<seg>",
 // zero-padded so lexicographic SDL prefix scans return causal order.
 const Namespace = "prov/ledger"
+
+// segmentEvents bounds what a persist copies, so a chain at
+// MaxEventsPerChain costs the writer no more per event than a short one.
+const segmentEvents = 16
 
 // Options configures a Ledger. The zero value gives a ledger over a
 // private SDL store with the defaults below.
@@ -39,12 +44,6 @@ const (
 	DefaultBuffer            = 4096
 	DefaultMaxChains         = 1024
 	DefaultMaxEventsPerChain = 512
-
-	// chainEventsHint is the capacity a new chain's key list starts
-	// with — what a benign indication's chain reaches (emit, transport,
-	// indication, a handful of window runs) — so the common chain is
-	// allocated once instead of doubling its way up from one.
-	chainEventsHint = 10
 )
 
 // Ledger is an append-only provenance store. Record is safe for
@@ -82,9 +81,13 @@ type Ledger struct {
 // chain is what the ledger holds of a chain besides the SDL: the events
 // themselves live only in the store.
 type chain struct {
-	// keys[i] is the SDL key event i is stored under: the ledger reads
-	// and deletes exactly what it wrote.
-	keys []string
+	// seg is the open segment as published under key: the store holds
+	// this very slice, so it is never written again.
+	seg []byte
+	key string
+	// lastAt is where last's length prefix starts in seg; event i is in
+	// segment i/segmentEvents.
+	lastAt, events int
 	// last is the latest stored event, the open benign run a window
 	// folds into without reading it back.
 	last      Event
@@ -193,7 +196,7 @@ func (l *Ledger) handle(ev Event) {
 	l.mu.Lock()
 	c := l.chains[ev.Chain]
 	if c == nil {
-		c = &chain{keys: make([]string, 0, chainEventsHint)}
+		c = &chain{}
 		l.admitLocked(ev.Chain)
 		l.chains[ev.Chain] = c
 	}
@@ -203,7 +206,7 @@ func (l *Ledger) handle(ev Event) {
 	// and the sequence range / digest track the latest window. This
 	// bounds chain growth in the steady state (the overwhelmingly
 	// common case is "window scored, nothing fired").
-	if last := &c.last; len(c.keys) > 0 && ev.Kind == KindWindow && !ev.Flagged &&
+	if last := &c.last; c.events > 0 && ev.Kind == KindWindow && !ev.Flagged &&
 		last.Kind == KindWindow && !last.Flagged && last.Model == ev.Model {
 		last.Count += ev.Count
 		last.At = ev.At
@@ -217,13 +220,16 @@ func (l *Ledger) handle(ev Event) {
 		return
 	}
 
-	if len(c.keys) >= l.maxEvents {
+	if c.events >= l.maxEvents {
 		c.truncated = true
 		l.mu.Unlock()
 		return
 	}
-	c.last = ev
-	c.keys = append(c.keys, eventKey(ev.Chain, len(c.keys)))
+	if c.events%segmentEvents == 0 {
+		c.seg, c.key = nil, segmentKey(ev.Chain, c.events/segmentEvents)
+	}
+	c.last, c.lastAt = ev, len(c.seg)
+	c.events++
 	l.persistLocked(c)
 	l.mu.Unlock()
 }
@@ -241,26 +247,32 @@ func (l *Ledger) admitLocked(id ChainID) {
 }
 
 // evictLocked forgets a chain and deletes its SDL keys. The cost is the
-// chain's own event count: no scan of the namespace, so neighbours and
+// chain's own segment count: no scan of the namespace, so neighbours and
 // foreign keys are never touched.
 func (l *Ledger) evictLocked(id ChainID) {
-	for _, k := range l.chains[id].keys {
-		l.store.Delete(Namespace, k)
+	c := l.chains[id]
+	for s := 0; s < (c.events-1)/segmentEvents; s++ {
+		l.store.Delete(Namespace, segmentKey(id, s))
 	}
+	l.store.Delete(Namespace, c.key)
 	delete(l.chains, id)
 	l.evicted.Add(1)
 	obsEvicted.Inc()
 }
 
-// persistLocked stores c.last, the chain's latest event, under the key
-// rendered when it was appended.
+// persistLocked publishes a fresh copy of the open segment with c.last,
+// the chain's latest event, as its tail (appended, or in place of the run
+// it folded into): the persist's one allocation, handed to the store
+// without a copy, since the one it replaces may be in a reader's hands.
 func (l *Ledger) persistLocked(c *chain) {
 	e := asn1lite.NewEncoder(l.enc[:0])
 	c.last.MarshalTLV(&e)
 	l.enc = e.Bytes()
-	// The store keeps an exact-length copy, the event's one allocation;
-	// the encode buffer stays with the ledger.
-	l.store.Set(Namespace, c.keys[len(c.keys)-1], l.enc)
+	var prefix [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(prefix[:], uint64(len(l.enc)))
+	seg := make([]byte, 0, c.lastAt+n+len(l.enc))
+	c.seg = append(append(append(seg, c.seg[:c.lastAt]...), prefix[:n]...), l.enc...)
+	l.store.SetOwned(Namespace, c.key, c.seg)
 }
 
 // appendKeyPrefix renders "ev/<node>/<sn>/" with the sequence number
@@ -284,10 +296,10 @@ func appendPadded(buf []byte, v uint64, width int) []byte {
 	return append(buf, digits[i:]...)
 }
 
-// eventKey is the SDL key for one event of a chain; the index is
+// segmentKey is the SDL key of one segment of a chain; the index is
 // zero-padded to four digits.
-func eventKey(id ChainID, idx int) string {
-	return string(appendPadded(appendKeyPrefix(make([]byte, 0, 64), id), uint64(idx), 4))
+func segmentKey(id ChainID, seg int) string {
+	return string(appendPadded(appendKeyPrefix(make([]byte, 0, 64), id), uint64(seg), 4))
 }
 
 // Flush blocks until every event recorded before the call has been

@@ -48,10 +48,14 @@ func TestLedgerCoalescesBenignWindows(t *testing.T) {
 	if ev.SeqLast != 8 || ev.Digest != DigestFloats([]float64{4}) {
 		t.Fatalf("coalesced event does not track the latest window: %+v", ev)
 	}
-	// The SDL holds exactly one key for the chain: the coalesced event is
-	// overwritten in place, not appended.
+	// The SDL holds exactly one key for the chain, and its one segment
+	// one event: the coalesced event is overwritten in place, not appended.
 	if keys := store.Keys(Namespace, keyPrefix(id)); len(keys) != 1 {
 		t.Fatalf("SDL keys = %v, want 1", keys)
+	}
+	seg, _, _ := store.Get(Namespace, segmentKey(id, 0))
+	if evs, err := appendSegment(nil, id, seg); err != nil || len(evs) != 1 {
+		t.Fatalf("stored segment holds %d events, err %v; want 1", len(evs), err)
 	}
 }
 
@@ -139,16 +143,16 @@ func TestLedgerEvictionBoundsRetentionAndCleansSDL(t *testing.T) {
 }
 
 // TestLedgerEvictionTouchesOnlyItsOwnKeys pins the invariant "the ledger
-// deletes exactly what it wrote": evicting a chain removes every key of
-// that chain — multi-event, truncated, or re-created after an earlier
-// eviction — and nothing else in the namespace.
+// deletes exactly what it wrote": evicting a chain removes every segment
+// key of that chain — multi-segment, truncated, or re-created after an
+// earlier eviction — and nothing else in the namespace.
 func TestLedgerEvictionTouchesOnlyItsOwnKeys(t *testing.T) {
 	store := sdl.New()
-	l := New(Options{Store: store, MaxChains: 3, MaxEventsPerChain: 3, Clock: testClock})
+	l := New(Options{Store: store, MaxChains: 3, MaxEventsPerChain: 2*segmentEvents + 3, Clock: testClock})
 	defer l.Close()
 
 	// Keys the ledger did not write: one outside the ev/ layout and one
-	// that parses as an event of the chain about to be evicted.
+	// that parses as a segment of the chain about to be evicted.
 	victim := ChainID{Node: "n", SN: 1}
 	foreign := []string{"audit/marker", keyPrefix(victim) + "9999"}
 	for _, k := range foreign {
@@ -168,13 +172,14 @@ func TestLedgerEvictionTouchesOnlyItsOwnKeys(t *testing.T) {
 	}
 
 	// SNs sharing a decimal prefix, oldest first. The victim overflows
-	// MaxEventsPerChain, so it is truncated at three persisted events.
-	flagged(victim, 5)
-	flagged(ChainID{Node: "n", SN: 10}, 2)
+	// MaxEventsPerChain, so it is truncated at 35 persisted events: two
+	// full segments and a third of three.
+	flagged(victim, 3*segmentEvents)
+	flagged(ChainID{Node: "n", SN: 10}, segmentEvents+1)
 	flagged(ChainID{Node: "n", SN: 100}, 2)
 	l.Flush()
-	if rec, _ := l.Chain(victim); !rec.Truncated || chainKeys(victim) != 3 {
-		t.Fatalf("victim: truncated = %v, %d keys; want true, 3", rec.Truncated, chainKeys(victim))
+	if rec, _ := l.Chain(victim); !rec.Truncated || len(rec.Events) != 2*segmentEvents+3 || chainKeys(victim) != 3 {
+		t.Fatalf("victim: truncated = %v, %d events in %d keys; want true, %d in 3", rec.Truncated, len(rec.Events), chainKeys(victim), 2*segmentEvents+3)
 	}
 
 	flagged(ChainID{Node: "n", SN: 1000}, 1) // evicts SN 1
@@ -182,16 +187,17 @@ func TestLedgerEvictionTouchesOnlyItsOwnKeys(t *testing.T) {
 	if n := chainKeys(victim); n != 0 {
 		t.Fatalf("evicted truncated chain left %d keys behind", n)
 	}
-	for _, sn := range []uint64{10, 100} {
+	for sn, want := range map[uint64]int{10: segmentEvents + 1, 100: 2} {
 		id := ChainID{Node: "n", SN: sn}
 		disk, err := ReadChain(store, id)
-		if err != nil || len(disk.Events) != 2 {
-			t.Fatalf("neighbour %s after eviction: %d events, err %v; want 2", id, len(disk.Events), err)
+		if err != nil || len(disk.Events) != want {
+			t.Fatalf("neighbour %s after eviction: %d events, err %v; want %d", id, len(disk.Events), err, want)
 		}
 	}
 
-	// Re-create the evicted chain, then push it out again.
-	flagged(victim, 2) // evicts SN 10
+	// Re-create the evicted chain across a segment boundary, then push it
+	// out again.
+	flagged(victim, segmentEvents+2) // evicts SN 10
 	l.Flush()
 	if n := chainKeys(victim); n != 2 {
 		t.Fatalf("re-created chain has %d keys, want 2", n)
@@ -216,20 +222,20 @@ func TestLedgerEvictionTouchesOnlyItsOwnKeys(t *testing.T) {
 	}
 }
 
-// TestEventKeyLayout pins the hand-rendered SDL keys to the documented
-// fmt layout, including widths past the zero padding.
+// TestEventKeyLayout pins the hand-rendered SDL segment keys to the
+// documented fmt layout, including widths past the zero padding.
 func TestEventKeyLayout(t *testing.T) {
 	for _, id := range []ChainID{{"n", 0}, {"gnb-001", 42}, {"a/b", 1<<64 - 1}} {
 		if got, want := keyPrefix(id), fmt.Sprintf("ev/%s/%020d/", id.Node, id.SN); got != want {
 			t.Errorf("keyPrefix(%v) = %q, want %q", id, got, want)
 		}
-		for _, idx := range []int{0, 7, 511, 9999, 12345} {
-			got, want := eventKey(id, idx), fmt.Sprintf("ev/%s/%020d/%04d", id.Node, id.SN, idx)
+		for _, seg := range []int{0, 7, 31, 9999, 12345} {
+			got, want := segmentKey(id, seg), fmt.Sprintf("ev/%s/%020d/%04d", id.Node, id.SN, seg)
 			if got != want {
-				t.Errorf("eventKey(%v, %d) = %q, want %q", id, idx, got, want)
+				t.Errorf("segmentKey(%v, %d) = %q, want %q", id, seg, got, want)
 			}
-			if pid, pidx, ok := parseEventKey(got); !ok || pid != id || pidx != idx {
-				t.Errorf("parseEventKey(%q) = %v, %d, %v", got, pid, pidx, ok)
+			if pid, pseg, ok := parseSegmentKey(got); !ok || pid != id || pseg != seg {
+				t.Errorf("parseSegmentKey(%q) = %v, %d, %v", got, pid, pseg, ok)
 			}
 		}
 	}
@@ -249,15 +255,15 @@ func recordFlagged(l *Ledger, id ChainID, n int) {
 }
 
 // BenchmarkLedgerEvict times evicting one six-event chain while the
-// namespace holds 1k or 16k other ledger keys. Eviction deletes the keys
-// the chain recorded, so ns/op must not grow with the resident count and
-// the timed section allocates nothing.
+// namespace holds 1k or 16k other ledger keys, one segment each. Eviction
+// deletes the keys the chain recorded, so ns/op must not grow with the
+// resident count and the timed section allocates nothing.
 func BenchmarkLedgerEvict(b *testing.B) {
 	const eventsPerChain = 6
 	for _, resident := range []int{1 << 10, 16 << 10} {
 		b.Run(fmt.Sprintf("resident=%dk", resident>>10), func(b *testing.B) {
 			l := newLedger(Options{Store: sdl.New(), MaxChains: 1 << 30, Clock: testClock})
-			for c := 0; c < resident/eventsPerChain; c++ {
+			for c := 0; c < resident; c++ {
 				recordFlagged(l, ChainID{Node: "resident", SN: uint64(c)}, eventsPerChain)
 			}
 			const batch = 256
@@ -282,15 +288,16 @@ func BenchmarkLedgerEvict(b *testing.B) {
 }
 
 // BenchmarkReadChain times reading one six-event chain back from the SDL
-// alone while the namespace holds 1k or 16k ledger keys. ReadChain gets
-// the chain's own keys, so ns/op must not grow with the resident count.
+// alone while the namespace holds 1k or 16k ledger keys, one segment each.
+// ReadChain gets the chain's own keys, so ns/op must not grow with the
+// resident count.
 func BenchmarkReadChain(b *testing.B) {
 	const eventsPerChain = 6
 	for _, resident := range []int{1 << 10, 16 << 10} {
 		b.Run(fmt.Sprintf("resident=%dk", resident>>10), func(b *testing.B) {
 			store := sdl.New()
 			l := newLedger(Options{Store: store, MaxChains: 1 << 30, Clock: testClock})
-			for c := 0; c < resident/eventsPerChain; c++ {
+			for c := 0; c < resident; c++ {
 				recordFlagged(l, ChainID{Node: "resident", SN: uint64(c)}, eventsPerChain)
 			}
 			id := ChainID{Node: "resident", SN: 0}

@@ -23,6 +23,7 @@
 package prov
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -308,13 +309,23 @@ func uintOf[T ~uint8 | ~uint32 | ~uint64](d *asn1lite.Decoder) (T, error) {
 	return T(v), err
 }
 
-// decodeEvent reads one stored event of chain id.
-func decodeEvent(id ChainID, data []byte) (Event, error) {
+// appendSegment decodes a stored segment of chain id — a run of
+// uvarint(len) ‖ event TLV — onto evs, refusing a length past its end.
+func appendSegment(evs []Event, id ChainID, seg []byte) ([]Event, error) {
 	var d asn1lite.Decoder
-	d.Reset(data)
-	ev := Event{Chain: id}
-	err := ev.UnmarshalTLV(&d)
-	return ev, err
+	for len(seg) > 0 {
+		n, w := binary.Uvarint(seg)
+		if w <= 0 || n > uint64(len(seg)-w) {
+			return evs, fmt.Errorf("prov: segment length prefix: %w", asn1lite.ErrTruncated)
+		}
+		ev := Event{Chain: id}
+		d.Reset(seg[w : w+int(n)])
+		if err := ev.UnmarshalTLV(&d); err != nil {
+			return evs, err
+		}
+		evs, seg = append(evs, ev), seg[w+int(n):]
+	}
+	return evs, nil
 }
 
 // Digest is a 64-bit FNV-1a fingerprint, rendered as hex in /prov JSON

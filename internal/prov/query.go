@@ -158,14 +158,14 @@ func (l *Ledger) Select(q Query) []ChainRecord {
 
 // readLocked decodes a retained chain's events from the store, the only
 // copy there is, so what a query returns is what an auditor reads back.
-// A key some other writer deleted or overwrote with what is not an event
-// is skipped: the ledger answers only for what it wrote.
+// A segment some other writer deleted or overwrote with what is not a
+// segment is skipped: the ledger answers only for what it wrote.
 func (l *Ledger) readLocked(id ChainID, c *chain) ChainRecord {
-	rec := ChainRecord{ID: id, Key: id.String(), Events: make([]Event, 0, len(c.keys)), Truncated: c.truncated}
-	for _, k := range c.keys {
-		if data, _, ok := l.store.Get(Namespace, k); ok {
-			if ev, err := decodeEvent(id, data); err == nil {
-				rec.Events = append(rec.Events, ev)
+	rec := ChainRecord{ID: id, Key: id.String(), Events: make([]Event, 0, c.events), Truncated: c.truncated}
+	for s := 0; s <= (c.events-1)/segmentEvents; s++ {
+		if data, _, ok := l.store.Get(Namespace, segmentKey(id, s)); ok {
+			if evs, err := appendSegment(rec.Events, id, data); err == nil {
+				rec.Events = evs
 			}
 		}
 	}
@@ -174,20 +174,19 @@ func (l *Ledger) readLocked(id ChainID, c *chain) ChainRecord {
 
 // ReadChain reconstructs one chain from the SDL, for auditing after
 // the ledger (or the process that owned it) is gone. The ledger writes a
-// chain's indices contiguously from 0, so this gets them by key until
+// chain's segments contiguously from 0, so this gets them by key until
 // the first miss: the cost is the chain's, not the namespace's.
 func ReadChain(store *sdl.Store, id ChainID) (ChainRecord, error) {
 	rec := ChainRecord{ID: id, Key: id.String()}
-	for idx := 0; ; idx++ {
-		data, _, ok := store.Get(Namespace, eventKey(id, idx))
+	for s := 0; ; s++ {
+		data, _, ok := store.Get(Namespace, segmentKey(id, s))
 		if !ok {
 			break
 		}
-		ev, err := decodeEvent(id, data)
-		if err != nil {
-			return ChainRecord{}, fmt.Errorf("prov: chain %s event %d: %w", id, idx, err)
+		var err error
+		if rec.Events, err = appendSegment(rec.Events, id, data); err != nil {
+			return ChainRecord{}, fmt.Errorf("prov: chain %s segment %d: %w", id, s, err)
 		}
-		rec.Events = append(rec.Events, ev)
 	}
 	if len(rec.Events) == 0 {
 		return ChainRecord{}, fmt.Errorf("prov: no persisted chain %s", id)
@@ -195,15 +194,12 @@ func ReadChain(store *sdl.Store, id ChainID) (ChainRecord, error) {
 	return rec, nil
 }
 
-// StoredChains lists the chain IDs persisted in the SDL, ordered by
-// node then sequence number.
+// StoredChains lists the chain IDs persisted in the SDL — those with a
+// segment 0, where ReadChain starts — ordered by node then sequence number.
 func StoredChains(store *sdl.Store) []ChainID {
-	seen := make(map[ChainID]bool)
 	var out []ChainID
 	for _, k := range store.Keys(Namespace, "ev/") {
-		id, _, ok := parseEventKey(k)
-		if ok && !seen[id] {
-			seen[id] = true
+		if id, seg, ok := parseSegmentKey(k); ok && seg == 0 {
 			out = append(out, id)
 		}
 	}
@@ -216,9 +212,9 @@ func StoredChains(store *sdl.Store) []ChainID {
 	return out
 }
 
-// parseEventKey inverts eventKey: "ev/<node>/<sn>/<idx>". The node may
-// contain slashes; sn and idx are the fixed-width trailing segments.
-func parseEventKey(key string) (ChainID, int, bool) {
+// parseSegmentKey inverts segmentKey: "ev/<node>/<sn>/<seg>". The node
+// may contain slashes; sn and seg are the fixed-width trailing parts.
+func parseSegmentKey(key string) (ChainID, int, bool) {
 	rest, ok := strings.CutPrefix(key, "ev/")
 	if !ok {
 		return ChainID{}, 0, false
@@ -227,7 +223,7 @@ func parseEventKey(key string) (ChainID, int, bool) {
 	if j < 0 {
 		return ChainID{}, 0, false
 	}
-	idx, err := strconv.Atoi(rest[j+1:])
+	seg, err := strconv.Atoi(rest[j+1:])
 	if err != nil {
 		return ChainID{}, 0, false
 	}
@@ -240,7 +236,7 @@ func parseEventKey(key string) (ChainID, int, bool) {
 	if err != nil {
 		return ChainID{}, 0, false
 	}
-	return ChainID{Node: rest[:i], SN: sn}, idx, true
+	return ChainID{Node: rest[:i], SN: sn}, seg, true
 }
 
 // init mounts the query endpoint on the obs HTTP mux:

@@ -136,13 +136,13 @@ func TestReadChainAndStoredChains(t *testing.T) {
 
 func TestParseEventKey(t *testing.T) {
 	id := ChainID{Node: "region/site/gnb", SN: 77}
-	gotID, idx, ok := parseEventKey(eventKey(id, 12))
-	if !ok || gotID != id || idx != 12 {
-		t.Fatalf("parseEventKey = %v %d %v", gotID, idx, ok)
+	gotID, seg, ok := parseSegmentKey(segmentKey(id, 12))
+	if !ok || gotID != id || seg != 12 {
+		t.Fatalf("parseSegmentKey = %v %d %v", gotID, seg, ok)
 	}
 	for _, bad := range []string{"wrong/gnb/1/0", "ev/", "ev/n", "ev/n/x/0", "ev/n/1/x"} {
-		if _, _, ok := parseEventKey(bad); ok {
-			t.Fatalf("parseEventKey(%q) accepted", bad)
+		if _, _, ok := parseSegmentKey(bad); ok {
+			t.Fatalf("parseSegmentKey(%q) accepted", bad)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package prov
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"runtime"
 	"runtime/metrics"
@@ -107,8 +108,8 @@ func TestNonFiniteScoresPersist(t *testing.T) {
 }
 
 // TestPersistAllocatesOnlyTheStoredValue: re-persisting an event (what
-// every folded benign run does) costs the exact-length copy the SDL keeps
-// and nothing else; a new event adds its key.
+// every folded benign run does) costs the fresh segment the SDL keeps and
+// nothing else; a new segment adds its key.
 func TestPersistAllocatesOnlyTheStoredValue(t *testing.T) {
 	l := newLedger(Options{Store: sdl.New(), Clock: testClock})
 	id := ChainID{Node: "gnb-001", SN: 9}
@@ -128,8 +129,9 @@ func TestPersistAllocatesOnlyTheStoredValue(t *testing.T) {
 // TestLedgerRetainedBytesPerEvent sizes a full retention of attack-shaped
 // chains — emit, transport, indication, benign runs of both models, a
 // flagged window and its alert — counting the ledger and the SDL keys and
-// values it owns: at most 350 B of live heap per retained event. Holding
-// each event twice, as a struct and as JSON, cost ≈ 710 B here.
+// values it owns: at most 160 B of live heap per retained event. Holding
+// each event twice, as a struct and as JSON, cost ≈ 710 B here, and one
+// SDL key per event ≈ 315 B.
 func TestLedgerRetainedBytesPerEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fills a full ledger")
@@ -169,7 +171,7 @@ func TestLedgerRetainedBytesPerEvent(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	events := 0
 	for _, c := range l.chains {
-		events += len(c.keys)
+		events += c.events
 	}
 	runtime.KeepAlive(l)
 	if want := 8 * DefaultMaxChains; events != want {
@@ -177,66 +179,102 @@ func TestLedgerRetainedBytesPerEvent(t *testing.T) {
 	}
 	perEvent := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(events)
 	t.Logf("%.0f B of live heap per retained event, %.1f KB per chain", perEvent, perEvent*8/1024)
-	if perEvent > 350 {
-		t.Errorf("the ledger retains %.0f B per event, want at most 350", perEvent)
+	if perEvent > 160 {
+		t.Errorf("the ledger retains %.0f B per event, want at most 160", perEvent)
 	}
 }
 
-// BenchmarkLedgerPersist times the writer's whole per-event cost on the
-// path benign_capacity exercises: the fold into the chain's open run plus
-// its encode and SDL write.
+// BenchmarkLedgerPersist times the writer's whole per-event cost. fold is
+// the path benign_capacity exercises: the fold into the chain's open run
+// plus its encode and segment write. chain=N appends N flagged windows to
+// each chain, as an alert flood does, with evictions: each op is one
+// event, and the 512-event figure stays near the 16-event one because a
+// persist copies at most its own segment.
 func BenchmarkLedgerPersist(b *testing.B) {
-	l := newLedger(Options{Store: sdl.New(), Clock: testClock})
-	ev := Event{Chain: ChainID{Node: "gnb-001", SN: 9}, Kind: KindWindow, At: testClock(),
-		Model: "autoencoder", Score: 0.0123, Threshold: 1.5, Digest: 0xfeedface, SeqFirst: 1, SeqLast: 8, Count: 8}
-	l.handle(ev)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev.SeqLast++
+	b.Run("fold", func(b *testing.B) {
+		l := newLedger(Options{Store: sdl.New(), Clock: testClock})
+		ev := Event{Chain: ChainID{Node: "gnb-001", SN: 9}, Kind: KindWindow, At: testClock(),
+			Model: "autoencoder", Score: 0.0123, Threshold: 1.5, Digest: 0xfeedface, SeqFirst: 1, SeqLast: 8, Count: 8}
 		l.handle(ev)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ev.SeqLast++
+			l.handle(ev)
+		}
+	})
+	for _, n := range []int{segmentEvents, DefaultMaxEventsPerChain} {
+		b.Run(fmt.Sprintf("chain=%d", n), func(b *testing.B) {
+			l := newLedger(Options{Store: sdl.New(), MaxChains: 64, Clock: testClock})
+			ev := Event{Kind: KindWindow, At: testClock(), Model: "autoencoder", Threshold: 1.5, Flagged: true}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ev.Chain = ChainID{Node: "gnb-001", SN: uint64(i / n)}
+				ev.SeqFirst, ev.SeqLast, ev.Score, ev.Digest = uint64(i), uint64(i+15), float64(i), Digest(i)
+				l.handle(ev)
+			}
+		})
 	}
 }
 
-// FuzzEventTLV holds the stored form to three properties on arbitrary
-// bytes: decoding never panics; an event that decodes re-encodes to one
-// that decodes to it again; and a length field claiming more than the
-// input holds is refused without allocating what it claims. The seeds
-// are the stored values of a recorded end-to-end chain.
+// FuzzEventTLV holds a stored segment — a run of length-prefixed event
+// TLVs — to three properties on arbitrary bytes: decoding never panics; a
+// segment that decodes re-encodes to one that decodes to the same events;
+// and a length prefix or a TLV length claiming more than the input holds
+// is refused without allocating what it claims. The seeds are every value
+// the ledger published while recording an end-to-end chain and a verdict
+// with non-finite scores.
 func FuzzEventTLV(f *testing.F) {
 	store := sdl.New()
+	published, cancel := store.Watch(Namespace, "ev/", 64)
 	l := New(Options{Store: store, Clock: testClock})
 	fullChain(l, ChainID{Node: "gnb-001", SN: 1}, 901, testClock())
 	l.Record(Event{Chain: ChainID{Node: "gnb-001", SN: 2}, Kind: KindVerdict, Score: math.NaN(), Threshold: math.Inf(-1), Note: "\xff"})
 	l.Close()
-	for _, k := range store.Keys(Namespace, "ev/") {
-		v, _, _ := store.Get(Namespace, k)
-		f.Add(v)
+	cancel()
+	for ev := range published {
+		f.Add(ev.Value)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if ev, err := decodeEvent(ChainID{}, data); err == nil {
-			back, err := decodeEvent(ChainID{}, asn1lite.Marshal(&ev))
-			if err != nil || !sameEvent(back, ev) {
-				t.Fatalf("decode∘encode: %+v, %v; want %+v", back, err, ev)
+		if evs, err := appendSegment(nil, ChainID{}, data); err == nil {
+			var seg []byte
+			for i := range evs {
+				tlv := asn1lite.Marshal(&evs[i])
+				seg = append(binary.AppendUvarint(seg, uint64(len(tlv))), tlv...)
+			}
+			back, err := appendSegment(nil, ChainID{}, seg)
+			if err != nil || len(back) != len(evs) {
+				t.Fatalf("decode∘encode: %d events, %v; want %d", len(back), err, len(evs))
+			}
+			for i := range evs {
+				if !sameEvent(back[i], evs[i]) {
+					t.Fatalf("decode∘encode event %d: %+v; want %+v", i, back[i], evs[i])
+				}
 			}
 		}
 
 		if len(data) >= asn1lite.MaxValueLen {
 			return
 		}
-		lie := binary.AppendUvarint(binary.AppendUvarint(nil, tagNote), asn1lite.MaxValueLen)
-		lie = append(lie, data...)
-		allocated := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-		metrics.Read(allocated)
-		before := allocated[0].Value.Uint64()
-		_, err := decodeEvent(ChainID{}, lie)
-		metrics.Read(allocated)
-		if err == nil {
-			t.Fatal("a value running past the end of the input decoded")
-		}
-		if n := allocated[0].Value.Uint64() - before; n > 1<<20 {
-			t.Fatalf("refusing a %d-byte claim on %d bytes allocated %d bytes", asn1lite.MaxValueLen, len(data), n)
+		tlvLie := binary.AppendUvarint(binary.AppendUvarint(nil, tagNote), asn1lite.MaxValueLen)
+		tlvLie = append(tlvLie, data...)
+		for name, lie := range map[string][]byte{
+			"length prefix": append(binary.AppendUvarint(nil, asn1lite.MaxValueLen), data...),
+			"TLV length":    append(binary.AppendUvarint(nil, uint64(len(tlvLie))), tlvLie...),
+		} {
+			allocated := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+			metrics.Read(allocated)
+			before := allocated[0].Value.Uint64()
+			_, err := appendSegment(nil, ChainID{}, lie)
+			metrics.Read(allocated)
+			if err == nil {
+				t.Fatalf("a %s running past the end of the input decoded", name)
+			}
+			if n := allocated[0].Value.Uint64() - before; n > 1<<20 {
+				t.Fatalf("refusing a %d-byte %s claim on %d bytes allocated %d bytes", asn1lite.MaxValueLen, name, len(data), n)
+			}
 		}
 	})
 }
