@@ -79,13 +79,6 @@ func (a *AMF) AddSubscriber(s Subscriber) {
 	a.subs[s.SUPI] = s
 }
 
-// SubscriberCount reports provisioned SIMs.
-func (a *AMF) SubscriberCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.subs)
-}
-
 // algorithm capability bits, matching the UE capability bitmask layout:
 // bit i set = NEA_i supported, bit 8+i = NIA_i supported.
 const (

@@ -121,9 +121,6 @@ type InstanceOptions struct {
 	// ShardBuffer bounds each MobiWatch shard queue (see
 	// mobiwatch.RunOptions).
 	ShardBuffer int
-	// MigrationTimeout bounds checkpoint-to-ack for one outbound
-	// migration (default 5s); on expiry the UE stays local.
-	MigrationTimeout time.Duration
 	// HeartbeatPeriod is the fleet-plane liveness beacon cadence
 	// (default 500ms; negative disables heartbeats).
 	HeartbeatPeriod time.Duration
@@ -145,6 +142,9 @@ const (
 	maxConcurrentMigrations = 4
 	// ownerTTL is the ownership lease written on restore.
 	ownerTTL = 10 * time.Second
+	// migrationTimeout bounds checkpoint-to-ack for one outbound
+	// migration; on expiry the UE stays local.
+	migrationTimeout = 5 * time.Second
 )
 
 func (o *InstanceOptions) defaults() error {
@@ -153,9 +153,6 @@ func (o *InstanceOptions) defaults() error {
 	}
 	if o.Models == nil {
 		return fmt.Errorf("fed: instance %s: models required", o.ID)
-	}
-	if o.MigrationTimeout == 0 {
-		o.MigrationTimeout = 5 * time.Second
 	}
 	if o.HeartbeatPeriod == 0 {
 		o.HeartbeatPeriod = 500 * time.Millisecond
@@ -444,11 +441,11 @@ func (i *Instance) MigrateUE(ue uint64, dest string) error {
 		obsMigrationSeconds.Observe(time.Since(start).Seconds())
 		obs.RecordSpan(trace, "fed.migrate", start, time.Now())
 		return nil
-	case <-time.After(i.opts.MigrationTimeout):
+	case <-time.After(migrationTimeout):
 		i.clearInflight(ue)
 		obsMigrations.With(i.id, "failed").Inc()
 		return fmt.Errorf("fed: UE %d migration to %s: no ack within %v (UE stays local)",
-			ue, dest, i.opts.MigrationTimeout)
+			ue, dest, migrationTimeout)
 	}
 }
 

@@ -26,30 +26,9 @@ var (
 		obs.ExpBuckets(1, 2, 10), "node")
 )
 
-// DefaultBatchRecords is the per-indication record cap when
-// Config.Batch.MaxRecords is unset.
+// DefaultBatchRecords caps the records one RIC Indication carries: a
+// UE with more records in a report period ships several indications.
 const DefaultBatchRecords = 64
-
-// BatchPolicy controls how the E2 agent coalesces drained MobiFlow
-// records into RIC Indications (the max-records / max-age adaptive
-// flush). The zero value picks the defaults.
-type BatchPolicy struct {
-	// MaxRecords caps the records carried by one indication; a flush
-	// holding more splits into multiple indications per UE. A pending
-	// set that has reached MaxRecords is flushed by the poll that finds
-	// it so, not by the record that fills it: the size is looked at
-	// once per MaxAge tick and nothing wakes the reporter in between,
-	// so with the default MaxAge (the period) a burst still waits for
-	// the period's tick. The event-driven report is ROADMAP item 1(h).
-	// Default DefaultBatchRecords.
-	MaxRecords int
-	// MaxAge is the drain cadence and staleness bound: telemetry is
-	// polled every MaxAge, and records flushed no later than one poll
-	// after the one that drained them. It is clamped to the
-	// subscription period; the default (the period itself) reproduces
-	// the classic one-flush-per-period report loop.
-	MaxAge time.Duration
-}
 
 // ServeE2 runs the gNB's RIC agent over an E2 connection: it performs the
 // E2 Setup handshake (advertising the E2SM-MOBIFLOW and E2SM-XRC RAN
@@ -175,14 +154,12 @@ type reporter struct {
 	a        *e2Agent
 	reqID    e2ap.RequestID
 	actionID uint16
-	pol      BatchPolicy
 
 	batchSeq uint64
 	pending  mobiflow.Trace
 	byUE     map[uint64]mobiflow.Trace // UEs with records this flush only
 	order    []uint64                  // those UEs, in arrival order
 	free     []mobiflow.Trace          // emptied per-UE slices awaiting reuse
-	held     bool                      // pending survived the previous poll unflushed
 
 	hdrEnc asn1lite.Encoder
 	msgEnc asn1lite.Encoder
@@ -193,32 +170,20 @@ type reporter struct {
 	batchSize   *obs.Histogram
 }
 
-// report drains telemetry every BatchPolicy.MaxAge and coalesces it into
-// UE-scoped RIC Indications under the max-records / max-age flush policy.
+// report drains telemetry once per subscription period and ships it as
+// UE-scoped RIC Indications of at most DefaultBatchRecords records. A
+// record waits for the next tick however many arrive before it; the
+// event-driven report is ROADMAP item 1(h).
 func (a *e2Agent) report(reqID e2ap.RequestID, actionID uint16, period time.Duration, stop chan struct{}) {
-	pol := a.g.cfg.Batch
-	if pol.MaxRecords <= 0 {
-		pol.MaxRecords = DefaultBatchRecords
-	}
-	if pol.MaxAge <= 0 || pol.MaxAge > period {
-		pol.MaxAge = period
-	}
-	// Flush at least once per subscription period, measured in polls so
-	// ticker jitter cannot slip a flush by a whole extra period.
-	ticksPerPeriod := int(period / pol.MaxAge)
-	if ticksPerPeriod < 1 {
-		ticksPerPeriod = 1
-	}
 	r := &reporter{
-		a: a, reqID: reqID, actionID: actionID, pol: pol,
+		a: a, reqID: reqID, actionID: actionID,
 		byUE:        make(map[uint64]mobiflow.Trace),
 		records:     obsRecords.With(a.g.cfg.NodeID),
 		indications: obsIndicationsSent.With(a.g.cfg.NodeID),
 		batchSize:   obsBatchRecords.With(a.g.cfg.NodeID),
 	}
-	ticker := time.NewTicker(pol.MaxAge)
+	ticker := time.NewTicker(period)
 	defer ticker.Stop()
-	sinceFlush := 0
 	for {
 		select {
 		case <-stop:
@@ -226,26 +191,16 @@ func (a *e2Agent) report(reqID e2ap.RequestID, actionID uint16, period time.Dura
 		case <-ticker.C:
 			start := time.Now()
 			r.pending = a.g.DrainRecordsInto(r.pending)
-			sinceFlush++
-			if len(r.pending) == 0 {
-				continue
-			}
-			if r.held || len(r.pending) >= pol.MaxRecords || sinceFlush >= ticksPerPeriod {
-				if !r.flush(start) {
-					return
-				}
-				sinceFlush = 0
-				r.held = false
-			} else {
-				r.held = true
+			if len(r.pending) > 0 && !r.flush(start) {
+				return
 			}
 		}
 	}
 }
 
 // flush groups the pending records by UE (preserving per-UE arrival
-// order) and emits one indication per UE per MaxRecords chunk. It
-// reports false when the transport failed and the loop should exit.
+// order) and emits one indication per UE per DefaultBatchRecords chunk.
+// It reports false when the transport failed and the loop should exit.
 func (r *reporter) flush(start time.Time) bool {
 	for i := range r.pending {
 		ue := r.pending[i].UEID
@@ -262,7 +217,7 @@ func (r *reporter) flush(start time.Time) bool {
 	for _, ue := range r.order {
 		recs := r.byUE[ue]
 		for chunk := recs; len(chunk) > 0; {
-			n := min(len(chunk), r.pol.MaxRecords)
+			n := min(len(chunk), DefaultBatchRecords)
 			if !r.emit(ue, chunk[:n], start) {
 				return false
 			}

@@ -17,18 +17,15 @@ import (
 	"github.com/6g-xsec/xsec/internal/wire"
 )
 
-// TestReportBatchesPerUE injects interleaved telemetry for several UEs
+// TestReportBatchesPerUE injects one report period's telemetry for three
+// UEs, one of them with more than two indications' worth, interleaved,
 // and asserts the agent emits UE-scoped indications: every indication
-// carries records of exactly one UE (matching its header UEID), chunks
-// respect MaxRecords, per-UE sequence order is preserved, and nothing is
-// lost or duplicated.
+// carries records of exactly one UE (matching its header UEID), holds
+// at most DefaultBatchRecords, per-UE sequence order is preserved, and
+// nothing is lost or duplicated.
 func TestReportBatchesPerUE(t *testing.T) {
 	amf := corenet.NewAMF(7)
-	g, err := New(Config{
-		NodeID: "gnb-batch",
-		AMF:    amf,
-		Batch:  BatchPolicy{MaxRecords: 4},
-	})
+	g, err := New(Config{NodeID: "gnb-batch", AMF: amf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,27 +47,36 @@ func TestReportBatchesPerUE(t *testing.T) {
 	sub := subscribe(t, x, "gnb-batch", 5*time.Millisecond)
 	defer sub.Delete()
 
-	// 3 UEs × 6 records each, interleaved in round-robin arrival order.
-	const ues, perUE = 3, 6
+	// UE 1 sends 2·DefaultBatchRecords+5 records; UEs 2 and 3 send one
+	// record each between every two of UE 1's until they have sent six.
+	want := map[uint64]int{1: 2*DefaultBatchRecords + 5, 2: 6, 3: 6}
 	var tr mobiflow.Trace
 	var seq uint64
 	base := time.Unix(1700000000, 0)
-	for i := 0; i < perUE; i++ {
-		for ue := uint64(1); ue <= ues; ue++ {
-			seq++
-			tr = append(tr, mobiflow.Record{
-				Seq: seq, UEID: ue, Msg: "RRCSetupRequest",
-				Timestamp: base.Add(time.Duration(seq) * time.Millisecond),
-			})
+	sent := make(map[uint64]int)
+	add := func(ue uint64) {
+		seq++
+		sent[ue]++
+		tr = append(tr, mobiflow.Record{
+			Seq: seq, UEID: ue, Msg: "RRCSetupRequest",
+			Timestamp: base.Add(time.Duration(seq) * time.Millisecond),
+		})
+	}
+	for sent[1] < want[1] {
+		add(1)
+		for ue := uint64(2); ue <= 3; ue++ {
+			if sent[ue] < want[ue] {
+				add(ue)
+			}
 		}
 	}
 	g.InjectTelemetry(tr)
 
 	lastSeq := make(map[uint64]uint64)
 	counts := make(map[uint64]int)
-	total := 0
+	chunks := 0
 	timeout := time.After(2 * time.Second)
-	for total < ues*perUE {
+	for total := 0; total < len(tr); {
 		select {
 		case ind := <-sub.C(0):
 			var hdr e2sm.IndicationHeader
@@ -87,74 +93,33 @@ func TestReportBatchesPerUE(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(msg.Records) == 0 || len(msg.Records) > 4 {
-				t.Fatalf("chunk size %d violates MaxRecords=4", len(msg.Records))
+			if len(msg.Records) == 0 || len(msg.Records) > DefaultBatchRecords {
+				t.Fatalf("chunk size %d, want 1..%d", len(msg.Records), DefaultBatchRecords)
 			}
+			chunks++
 			for _, rec := range msg.Records {
 				if rec.UEID != hdr.UEID {
 					t.Fatalf("record for UE %d in indication scoped to UE %d", rec.UEID, hdr.UEID)
 				}
 				if rec.Seq <= lastSeq[rec.UEID] {
-					t.Fatalf("UE %d: seq %d after %d (order broken)", rec.UEID, rec.Seq, lastSeq[rec.UEID])
+					t.Fatalf("UE %d: seq %d after %d (order broken or duplicated)", rec.UEID, rec.Seq, lastSeq[rec.UEID])
 				}
 				lastSeq[rec.UEID] = rec.Seq
 				counts[rec.UEID]++
 				total++
 			}
 		case <-timeout:
-			t.Fatalf("timed out with %d/%d records delivered", total, ues*perUE)
+			t.Fatalf("timed out with %v records delivered, want %v", counts, want)
 		}
 	}
-	for ue := uint64(1); ue <= ues; ue++ {
-		if counts[ue] != perUE {
-			t.Errorf("UE %d: %d records, want %d", ue, counts[ue], perUE)
+	for ue, n := range want {
+		if counts[ue] != n {
+			t.Errorf("UE %d: %d records, want %d", ue, counts[ue], n)
 		}
 	}
-}
-
-// TestBatchPolicyDefaults pins the clamping rules the report loop
-// applies to a zero or out-of-range policy.
-func TestBatchPolicyDefaults(t *testing.T) {
-	amf := corenet.NewAMF(7)
-	g, err := New(Config{NodeID: "gnb-defaults", AMF: amf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.cfg.Batch.MaxRecords != 0 || g.cfg.Batch.MaxAge != 0 {
-		t.Fatalf("zero policy mutated at construction: %+v", g.cfg.Batch)
-	}
-	// The defaults are applied per subscription in report(); exercise
-	// one tick end to end with an explicit sub-period MaxAge.
-	g2, err := New(Config{
-		NodeID: "gnb-maxage",
-		AMF:    amf,
-		Batch:  BatchPolicy{MaxAge: time.Millisecond, MaxRecords: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := ric.NewPlatform(sdl.New())
-	t.Cleanup(p.Close)
-	ricEnd, nodeEnd := e2ap.Pipe()
-	go p.AttachNode(ricEnd)
-	go g2.ServeE2(nodeEnd)
-	deadline := time.Now().Add(2 * time.Second)
-	for len(p.Nodes()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("agent did not attach")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	x, _ := p.RegisterXApp("maxage-collector")
-	// Long period: the MaxAge bound, not the period, must flush this.
-	sub := subscribe(t, x, "gnb-maxage", 500*time.Millisecond)
-	defer sub.Delete()
-	g2.InjectTelemetry(mobiflow.Trace{{Seq: 1, UEID: 1, Msg: "RRCSetupRequest", Timestamp: time.Now()}})
-	select {
-	case <-sub.C(0):
-		// Flushed well before the 500ms period: MaxAge took effect.
-	case <-time.After(250 * time.Millisecond):
-		t.Fatal("MaxAge did not flush ahead of the period")
+	// One drain: three chunks for UE 1, one each for the others.
+	if chunks != 5 {
+		t.Errorf("%d indications, want 5", chunks)
 	}
 }
 
@@ -173,7 +138,6 @@ func TestReporterPerUEStateIsBounded(t *testing.T) {
 	go io.Copy(io.Discard, far)
 	r := &reporter{
 		a:           &e2Agent{g: g, ep: e2ap.NewEndpoint(wire.NewConn(near))},
-		pol:         BatchPolicy{MaxRecords: 4},
 		byUE:        make(map[uint64]mobiflow.Trace),
 		records:     obsRecords.With("gnb-test"),
 		indications: obsIndicationsSent.With("gnb-test"),
@@ -181,7 +145,7 @@ func TestReporterPerUEStateIsBounded(t *testing.T) {
 	}
 	base := time.Unix(1700000000, 0)
 	var seq uint64
-	// fill queues 6 records (two chunks) for each of 8 UEs, interleaved.
+	// fill queues 6 records (one chunk) for each of 8 UEs, interleaved.
 	fill := func(firstUE uint64) {
 		for i := 0; i < 6; i++ {
 			for ue := firstUE; ue < firstUE+8; ue++ {
@@ -210,7 +174,7 @@ func TestReporterPerUEStateIsBounded(t *testing.T) {
 			}
 		}
 	}
-	if want := uint64(10000 * 6 / 3); r.batchSeq != want { // chunks of 4 + 2 per UE
+	if want := uint64(10000); r.batchSeq != want { // one chunk per UE
 		t.Fatalf("emitted %d indications, want %d", r.batchSeq, want)
 	}
 

@@ -36,16 +36,13 @@ func TestReestablishmentFlow(t *testing.T) {
 }
 
 func TestDownlinkQueueOverflowDropsLikeRadioLoss(t *testing.T) {
-	amf := newTestGNB(t, nil).cfg.AMF // reuse AMF construction path
-	g, err := New(Config{NodeID: "tiny", AMF: amf, DLBuffer: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := newTestGNB(t, nil)
 	link := g.Attach()
-	// Two back-to-back uplinks produce two downlink responses; the
-	// 1-deep queue keeps only the first.
-	link.SendRRC(&rrc.SetupRequest{Identity: rrc.UEIdentity{Kind: rrc.IdentityRandom, Random: 1}})
-	link.SendRRC(&rrc.ReestablishmentRequest{RNTI: link.RNTI()})
+	// Each distinct setup request draws an RRCSetup; the queue keeps
+	// the first dlQueueDepth of them.
+	for i := range dlQueueDepth + 1 {
+		link.SendRRC(&rrc.SetupRequest{Identity: rrc.UEIdentity{Kind: rrc.IdentityRandom, Random: uint64(i + 1)}})
+	}
 	count := 0
 	for {
 		if _, ok := link.TryRecv(); !ok {
@@ -53,19 +50,18 @@ func TestDownlinkQueueOverflowDropsLikeRadioLoss(t *testing.T) {
 		}
 		count++
 	}
-	if count != 1 {
-		t.Errorf("delivered %d downlinks, want 1 (overflow drop)", count)
+	if count != dlQueueDepth {
+		t.Errorf("delivered %d downlinks, want %d (overflow drop)", count, dlQueueDepth)
 	}
 	// The dropped response is still in telemetry: the network sent it.
-	msgs := g.Records().Messages()
 	saw := 0
-	for _, m := range msgs {
-		if m == "RRCSetup" || m == "RRCReestablishment" {
+	for _, m := range g.Records().Messages() {
+		if m == "RRCSetup" {
 			saw++
 		}
 	}
-	if saw != 2 {
-		t.Errorf("telemetry shows %d downlink responses, want 2", saw)
+	if saw != dlQueueDepth+1 {
+		t.Errorf("telemetry shows %d downlink responses, want %d", saw, dlQueueDepth+1)
 	}
 }
 

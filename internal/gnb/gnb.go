@@ -43,14 +43,15 @@ type Config struct {
 	// Capture, when non-nil, receives F1AP/NGAP PDUs (the instrumented
 	// pcap stream of §4).
 	Capture *pcaplite.Writer
-	// DLBuffer is the per-UE downlink queue depth (default 64).
-	DLBuffer int
-	// FirstRNTI seeds C-RNTI allocation (default 0x4601, as OAI).
-	FirstRNTI cell.RNTI
-	// Batch tunes how the E2 agent coalesces telemetry into RIC
-	// Indications; the zero value keeps the defaults (see BatchPolicy).
-	Batch BatchPolicy
 }
+
+const (
+	// dlQueueDepth is the per-UE downlink queue depth; a downlink that
+	// finds it full is dropped like a radio loss.
+	dlQueueDepth = 64
+	// firstRNTI seeds C-RNTI allocation, as OAI does.
+	firstRNTI cell.RNTI = 0x4601
+)
 
 // GNB is the simulated gNodeB.
 type GNB struct {
@@ -94,16 +95,10 @@ func New(cfg Config) (*GNB, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	if cfg.DLBuffer == 0 {
-		cfg.DLBuffer = 64
-	}
-	if cfg.FirstRNTI == 0 {
-		cfg.FirstRNTI = 0x4601
-	}
 	g := &GNB{
 		cfg:         cfg,
 		extractor:   mobiflow.NewExtractor(cfg.Clock),
-		nextRNTI:    cfg.FirstRNTI,
+		nextRNTI:    firstRNTI,
 		ues:         make(map[uint64]*ueCtx),
 		byRNTI:      make(map[cell.RNTI]uint64),
 		blockedTMSI: make(map[cell.TMSI]bool),
@@ -130,7 +125,7 @@ func (g *GNB) Attach() *Link {
 	// Allocate the next free RNTI, skipping reserved values.
 	for {
 		if g.nextRNTI == 0 || g.nextRNTI == 0xFFFF {
-			g.nextRNTI = g.cfg.FirstRNTI
+			g.nextRNTI = firstRNTI
 		}
 		if _, used := g.byRNTI[g.nextRNTI]; !used {
 			break
@@ -140,7 +135,7 @@ func (g *GNB) Attach() *Link {
 	ctx := &ueCtx{
 		ueID: g.nextUEID,
 		rnti: g.nextRNTI,
-		dl:   make(chan rrc.Message, g.cfg.DLBuffer),
+		dl:   make(chan rrc.Message, dlQueueDepth),
 	}
 	g.nextRNTI++
 	g.ues[ctx.ueID] = ctx

@@ -73,7 +73,7 @@ func (s *Service) textKey(text string) cacheKey {
 type cacheEntry struct {
 	key      cacheKey
 	analysis *Analysis
-	expires  time.Time // zero = no TTL
+	expires  time.Time
 }
 
 // verdictCache is a bounded LRU with per-entry TTL. Windows showing the
@@ -91,9 +91,6 @@ type verdictCache struct {
 }
 
 func newVerdictCache(max int, ttl time.Duration, clock func() time.Time) *verdictCache {
-	if clock == nil {
-		clock = time.Now
-	}
 	return &verdictCache{
 		max: max, ttl: ttl, clock: clock,
 		ll: list.New(), items: make(map[cacheKey]*list.Element),
@@ -110,7 +107,7 @@ func (vc *verdictCache) get(key cacheKey) (*Analysis, bool) {
 		return nil, false
 	}
 	ent := el.Value.(*cacheEntry)
-	if !ent.expires.IsZero() && vc.clock().After(ent.expires) {
+	if vc.clock().After(ent.expires) {
 		vc.ll.Remove(el)
 		delete(vc.items, key)
 		obsCacheEvictTTL.Inc()
@@ -123,15 +120,9 @@ func (vc *verdictCache) get(key cacheKey) (*Analysis, bool) {
 // put stores a, which nobody writes afterwards, evicting the least
 // recently used entry when the bound is exceeded.
 func (vc *verdictCache) put(key cacheKey, a *Analysis) {
-	if vc.max <= 0 {
-		return
-	}
 	vc.mu.Lock()
 	defer vc.mu.Unlock()
-	ent := &cacheEntry{key: key, analysis: a}
-	if vc.ttl > 0 {
-		ent.expires = vc.clock().Add(vc.ttl)
-	}
+	ent := &cacheEntry{key: key, analysis: a, expires: vc.clock().Add(vc.ttl)}
 	if el, ok := vc.items[key]; ok {
 		el.Value = ent
 		vc.ll.MoveToFront(el)

@@ -11,7 +11,7 @@
 //   - single-flight request coalescing, so N concurrent identical
 //     prompts issue one upstream call and share its answer;
 //   - hedged retries: when the primary attempt is slow a second one is
-//     launched after HedgeDelay and the first response wins, taming the
+//     launched after hedgeDelay and the first response wins, taming the
 //     latency tail of a flaky endpoint;
 //   - a token/latency budget governor: upstream concurrency is bounded,
 //     admission waits are capped, and when the endpoint saturates the
@@ -64,66 +64,41 @@ const DegradedModel = "rulebase-degraded"
 // its state transitions into.
 const GovernorNamespace = "llm/governor"
 
-// ServingOptions tunes the Service. The zero value means defaults.
+// Serving-layer tuning.
+const (
+	// cacheSize bounds the verdict cache, in entries.
+	cacheSize = 4096
+	// cacheTTL expires cached verdicts. A hit means the expert was
+	// asked, less than a TTL ago, about a window with the same canonical
+	// prompt: the same messages, states and flags in the same order,
+	// with the same records sharing identifiers, from any UE. A cached
+	// "benign" therefore covers every UE showing that structure, for at
+	// most the TTL.
+	cacheTTL = 5 * time.Minute
+	// maxInflight bounds concurrent upstream REST calls.
+	maxInflight = 8
+	// admitWait caps how long a request may wait for an upstream slot
+	// before the governor sheds it.
+	admitWait = 250 * time.Millisecond
+	// hedgeDelay launches a second attempt when the primary has not
+	// answered within it. The first response wins; the loser is
+	// canceled.
+	hedgeDelay = 500 * time.Millisecond
+	// breakerTrip is how many consecutive saturation events (admission
+	// timeouts or failed exchanges) open the governor. While open,
+	// requests shed immediately; one probe per breakerCooldown tests
+	// for recovery.
+	breakerTrip     = 4
+	breakerCooldown = 2 * time.Second
+)
+
+// ServingOptions wires the Service to its node. The zero value is valid.
 type ServingOptions struct {
-	// CacheSize bounds the verdict cache (default 4096 entries;
-	// negative disables caching).
-	CacheSize int
-	// CacheTTL expires cached verdicts (default 5 min; negative means
-	// no TTL). A hit means the expert was asked, less than a TTL ago,
-	// about a window with the same canonical prompt: the same messages,
-	// states and flags in the same order, with the same records sharing
-	// identifiers, from any UE. A cached "benign" therefore covers every
-	// UE showing that structure, for at most the TTL.
-	CacheTTL time.Duration
-	// MaxInflight bounds concurrent upstream REST calls (default 8).
-	MaxInflight int
-	// AdmitWait caps how long a request may wait for an upstream slot
-	// before the governor sheds it (default 250 ms).
-	AdmitWait time.Duration
-	// HedgeDelay launches a second attempt when the primary has not
-	// answered within this duration (default 500 ms; negative disables
-	// hedging). The first response wins; the loser is canceled.
-	HedgeDelay time.Duration
-	// BreakerTrip is how many consecutive saturation events (admission
-	// timeouts or failed exchanges) open the governor (default 4).
-	// While open, requests shed immediately; one probe per
-	// BreakerCooldown tests for recovery.
-	BreakerTrip int
-	// BreakerCooldown spaces recovery probes while open (default 2 s).
-	BreakerCooldown time.Duration
 	// Store, when non-nil, receives the governor's state-transition
 	// journal in GovernorNamespace.
 	Store *sdl.Store
 	// Clock overrides time.Now for tests.
 	Clock func() time.Time
-}
-
-func (o *ServingOptions) defaults() {
-	if o.CacheSize == 0 {
-		o.CacheSize = 4096
-	}
-	if o.CacheTTL == 0 {
-		o.CacheTTL = 5 * time.Minute
-	}
-	if o.MaxInflight <= 0 {
-		o.MaxInflight = 8
-	}
-	if o.AdmitWait <= 0 {
-		o.AdmitWait = 250 * time.Millisecond
-	}
-	if o.HedgeDelay == 0 {
-		o.HedgeDelay = 500 * time.Millisecond
-	}
-	if o.BreakerTrip <= 0 {
-		o.BreakerTrip = 4
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 2 * time.Second
-	}
-	if o.Clock == nil {
-		o.Clock = time.Now
-	}
 }
 
 // ServingStats counts serving-layer activity for one Service instance
@@ -175,14 +150,16 @@ type Service struct {
 
 // NewService wraps client with the serving layer.
 func NewService(client *Client, opts ServingOptions) *Service {
-	opts.defaults()
+	if opts.Clock == nil {
+		opts.Clock = time.Now
+	}
 	s := &Service{
 		client: client,
 		opts:   opts,
-		cache:  newVerdictCache(opts.CacheSize, opts.CacheTTL, opts.Clock),
-		parsed: newVerdictCache(opts.CacheSize, opts.CacheTTL, opts.Clock),
+		cache:  newVerdictCache(cacheSize, cacheTTL, opts.Clock),
+		parsed: newVerdictCache(cacheSize, cacheTTL, opts.Clock),
 		flight: make(map[cacheKey]*flightCall),
-		sem:    make(chan struct{}, opts.MaxInflight),
+		sem:    make(chan struct{}, maxInflight),
 	}
 	if _, err := rand.Read(s.secret[:]); err != nil {
 		// No entropy source: from go1.24 crypto/rand ends the process
@@ -371,7 +348,7 @@ const exchangeTimeout = 10 * time.Second
 // covers the primary and its hedge; the prompt-token metric is charged
 // once here regardless of how many attempts run.
 func (s *Service) upstream(ctx context.Context, prompt string) (*Analysis, error) {
-	admit := time.NewTimer(s.opts.AdmitWait)
+	admit := time.NewTimer(admitWait)
 	defer admit.Stop()
 	select {
 	case s.sem <- struct{}{}:
@@ -406,12 +383,9 @@ func (s *Service) upstream(ctx context.Context, prompt string) (*Analysis, error
 		obsHedgeAttempts.Inc()
 		go attempt(true)
 	}
-	var hedgeTimer <-chan time.Time
-	if s.opts.HedgeDelay > 0 {
-		t := time.NewTimer(s.opts.HedgeDelay)
-		defer t.Stop()
-		hedgeTimer = t.C
-	}
+	hedge := time.NewTimer(hedgeDelay)
+	defer hedge.Stop()
+	hedgeTimer := hedge.C
 	var firstErr error
 	for pending > 0 {
 		select {
@@ -429,7 +403,7 @@ func (s *Service) upstream(ctx context.Context, prompt string) (*Analysis, error
 			}
 			// The primary failed before the hedge fired: spend the
 			// hedge as an immediate retry.
-			if !hedged && hedgeTimer != nil && pending == 0 && actx.Err() == nil {
+			if !hedged && pending == 0 && actx.Err() == nil {
 				launchHedge()
 			}
 		case <-hedgeTimer:
@@ -463,7 +437,7 @@ func (s *Service) shedNow() bool {
 		return false
 	}
 	now := s.opts.Clock()
-	if now.Sub(s.lastProbe) >= s.opts.BreakerCooldown {
+	if now.Sub(s.lastProbe) >= breakerCooldown {
 		s.lastProbe = now
 		return false
 	}
@@ -476,7 +450,7 @@ func (s *Service) saturation(cause error) {
 	s.satMu.Lock()
 	defer s.satMu.Unlock()
 	s.satStreak++
-	if !s.satOpen && s.satStreak >= s.opts.BreakerTrip {
+	if !s.satOpen && s.satStreak >= breakerTrip {
 		s.satOpen = true
 		s.lastProbe = s.opts.Clock()
 		s.journalLocked("saturated", cause.Error())

@@ -103,16 +103,14 @@ func TestServingCacheTTL(t *testing.T) {
 	l := mixed(t)
 	srv, base := startServer(t)
 	clk := newFakeClock()
-	svc := NewService(NewClient(base, "chatgpt-4o"), ServingOptions{
-		CacheTTL: time.Minute, Clock: clk.Now,
-	})
+	svc := NewService(NewClient(base, "chatgpt-4o"), ServingOptions{Clock: clk.Now})
 	defer svc.Close()
 
 	window := attackWindow(l, ue.AttackNullCipher)
 	if _, err := svc.AnalyzeWindow(context.Background(), window); err != nil {
 		t.Fatal(err)
 	}
-	clk.Advance(2 * time.Minute)
+	clk.Advance(cacheTTL + time.Second)
 	a, err := svc.AnalyzeWindow(context.Background(), window)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +124,7 @@ func TestServingCacheTTL(t *testing.T) {
 }
 
 func TestVerdictCacheLRU(t *testing.T) {
-	vc := newVerdictCache(2, 0, nil)
+	vc := newVerdictCache(2, cacheTTL, time.Now)
 	k1, k2, k3 := cacheKey{1}, cacheKey{2}, cacheKey{3}
 	vc.put(k1, &Analysis{Explanation: "1"})
 	vc.put(k2, &Analysis{Explanation: "2"})
@@ -152,9 +150,7 @@ func TestServingCoalesce(t *testing.T) {
 	l := mixed(t)
 	srv, base := startServer(t)
 	srv.Latency = 50 * time.Millisecond // hold the flight open for followers
-	svc := NewService(NewClient(base, "chatgpt-4o"), ServingOptions{
-		HedgeDelay: time.Second, // must not fire during the held flight
-	})
+	svc := NewService(NewClient(base, "chatgpt-4o"), ServingOptions{})
 	defer svc.Close()
 
 	window := attackWindow(l, ue.AttackBlindDoS)
@@ -202,6 +198,7 @@ func TestServingHedgeWins(t *testing.T) {
 	l := mixed(t)
 	// Custom endpoint: the first request hangs, later ones answer fast —
 	// the shape of a straggling LLM backend the hedge exists for.
+	const hang = 4 * hedgeDelay
 	var reqs atomic.Uint64
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		n := reqs.Add(1)
@@ -213,16 +210,18 @@ func TestServingHedgeWins(t *testing.T) {
 			return
 		}
 		if n == 1 {
-			time.Sleep(400 * time.Millisecond)
+			select { // the canceled loser returns early
+			case <-r.Context().Done():
+				return
+			case <-time.After(hang):
+			}
 		}
 		writeJSON(w, http.StatusOK, ChatResponse{Model: req.Model, Text: ChatGPT4o.Respond(findings)})
 	})
 	ts := httptest.NewServer(handler)
 	defer ts.Close()
 
-	svc := NewService(NewClient(ts.URL, "chatgpt-4o"), ServingOptions{
-		HedgeDelay: 20 * time.Millisecond,
-	})
+	svc := NewService(NewClient(ts.URL, "chatgpt-4o"), ServingOptions{})
 	defer svc.Close()
 
 	start := time.Now()
@@ -233,7 +232,7 @@ func TestServingHedgeWins(t *testing.T) {
 	if a.Served != ServedLive {
 		t.Errorf("served = %q", a.Served)
 	}
-	if elapsed := time.Since(start); elapsed >= 400*time.Millisecond {
+	if elapsed := time.Since(start); elapsed >= hang {
 		t.Errorf("hedge did not cut the tail: %v elapsed", elapsed)
 	}
 	if svc.Stats().HedgeAttempts.Load() != 1 || svc.Stats().HedgeWins.Load() != 1 {
@@ -244,11 +243,10 @@ func TestServingHedgeWins(t *testing.T) {
 
 func TestServingDegradesOnFailure(t *testing.T) {
 	l := mixed(t)
-	// No server listening: every upstream attempt fails, yet the alert
-	// must still get a verdict — the rule-based fallback.
-	svc := NewService(NewClient("http://127.0.0.1:1", "chatgpt-4o"), ServingOptions{
-		HedgeDelay: -1, // disabled: fail fast
-	})
+	// No server listening: every upstream attempt fails (the hedge is
+	// spent as an immediate retry), yet the alert must still get a
+	// verdict — the rule-based fallback.
+	svc := NewService(NewClient("http://127.0.0.1:1", "chatgpt-4o"), ServingOptions{})
 	defer svc.Close()
 
 	a, err := svc.AnalyzeWindow(context.Background(), attackWindow(l, ue.AttackBTSDoS))
@@ -302,20 +300,15 @@ func TestServingGovernorTripAndRecover(t *testing.T) {
 
 	clk := newFakeClock()
 	store := sdl.New()
-	svc := NewService(NewClient(ts.URL, "chatgpt-4o"), ServingOptions{
-		CacheSize:       -1, // force every request upstream
-		HedgeDelay:      -1,
-		BreakerTrip:     2,
-		BreakerCooldown: time.Minute,
-		Store:           store,
-		Clock:           clk.Now,
-	})
+	svc := NewService(NewClient(ts.URL, "chatgpt-4o"), ServingOptions{Store: store, Clock: clk.Now})
 	defer svc.Close()
 
-	windows := []ue.AttackKind{ue.AttackBTSDoS, ue.AttackBlindDoS, ue.AttackNullCipher}
+	// A failed exchange is not cached, so one window asked again goes
+	// upstream again.
+	windows := []ue.AttackKind{ue.AttackBTSDoS, ue.AttackNullCipher}
 	failing.Store(true)
-	for i := 0; i < 2; i++ { // two consecutive failures trip the breaker
-		a, err := svc.AnalyzeWindow(context.Background(), attackWindow(l, windows[i]))
+	for i := 0; i < breakerTrip; i++ { // consecutive failures trip the breaker
+		a, err := svc.AnalyzeWindow(context.Background(), attackWindow(l, windows[0]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,12 +317,12 @@ func TestServingGovernorTripAndRecover(t *testing.T) {
 		}
 	}
 	if !svc.Saturated() {
-		t.Fatal("governor did not open after BreakerTrip consecutive failures")
+		t.Fatal("governor did not open after breakerTrip consecutive failures")
 	}
 
 	// Open breaker, inside the cooldown: shed without touching upstream.
 	before := hits.Load()
-	a, err := svc.AnalyzeWindow(context.Background(), attackWindow(l, windows[2]))
+	a, err := svc.AnalyzeWindow(context.Background(), attackWindow(l, windows[1]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,8 +335,8 @@ func TestServingGovernorTripAndRecover(t *testing.T) {
 
 	// Past the cooldown with a healthy upstream: the probe recovers.
 	failing.Store(false)
-	clk.Advance(2 * time.Minute)
-	a, err = svc.AnalyzeWindow(context.Background(), attackWindow(l, windows[2]))
+	clk.Advance(breakerCooldown)
+	a, err = svc.AnalyzeWindow(context.Background(), attackWindow(l, windows[1]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,51 +362,73 @@ func TestServingGovernorTripAndRecover(t *testing.T) {
 
 func TestServingAdmissionShed(t *testing.T) {
 	l := mixed(t)
-	srv, base := startServer(t)
-	srv.Latency = 200 * time.Millisecond
-	svc := NewService(NewClient(base, "chatgpt-4o"), ServingOptions{
-		CacheSize:   -1, // every request wants an upstream slot
-		MaxInflight: 1,
-		AdmitWait:   5 * time.Millisecond,
-		HedgeDelay:  time.Second,
+	// The endpoint holds every request until released; arrived has room
+	// for every held primary and its hedge.
+	arrived := make(chan struct{}, 2*maxInflight)
+	release := make(chan struct{})
+	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrived <- struct{}{}
+		select {
+		case <-release:
+		case <-r.Context().Done():
+			return
+		}
+		var req ChatRequest
+		json.NewDecoder(r.Body).Decode(&req)
+		findings, err := AnalyzePrompt(req.Prompt)
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+			return
+		}
+		writeJSON(w, http.StatusOK, ChatResponse{Model: req.Model, Text: ChatGPT4o.Respond(findings)})
 	})
+	ts := httptest.NewServer(handler)
+	defer ts.Close()
+	svc := NewService(NewClient(ts.URL, "chatgpt-4o"), ServingOptions{})
 	defer svc.Close()
 
-	// Two distinct windows at once through one slot: the loser times out
-	// of admission and degrades instead of queueing unboundedly.
+	// maxInflight distinct windows (prefixes of one episode, so no two
+	// coalesce) take every upstream slot; one more times out of
+	// admission and degrades instead of queueing unboundedly.
+	episode := attackWindow(l, ue.AttackBTSDoS)
+	if len(episode) < maxInflight+2 {
+		t.Fatalf("episode has %d records, want at least %d", len(episode), maxInflight+2)
+	}
 	var wg sync.WaitGroup
-	served := make([]string, 2)
-	for i, kind := range []ue.AttackKind{ue.AttackBTSDoS, ue.AttackBlindDoS} {
+	served := make([]string, maxInflight)
+	for i := range served {
 		wg.Add(1)
-		go func(i int, kind ue.AttackKind) {
+		go func(i int) {
 			defer wg.Done()
-			a, err := svc.AnalyzeWindow(context.Background(), attackWindow(l, kind))
+			a, err := svc.AnalyzeWindow(context.Background(), episode[:i+2])
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			served[i] = a.Served
-		}(i, kind)
+		}(i)
 	}
+	for range maxInflight {
+		<-arrived
+	}
+	a, err := svc.AnalyzeWindow(context.Background(), episode[:maxInflight+2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Served != ServedDegraded {
+		t.Errorf("request past %d held slots served %q, want degraded", maxInflight, a.Served)
+	}
+	close(release)
 	wg.Wait()
-	lives, degraded := 0, 0
-	for _, s := range served {
-		switch s {
-		case ServedLive:
-			lives++
-		case ServedDegraded:
-			degraded++
+	for i, s := range served {
+		if s != ServedLive {
+			t.Errorf("held request %d served %q, want live", i, s)
 		}
-	}
-	if lives != 1 || degraded != 1 {
-		t.Errorf("served = %v, want one live and one degraded", served)
 	}
 }
 
 func TestServingHealthCheck(t *testing.T) {
-	svc := NewService(NewClient("http://127.0.0.1:1", "chatgpt-4o"), ServingOptions{
-		HedgeDelay: -1, BreakerTrip: 1,
-	})
+	svc := NewService(NewClient("http://127.0.0.1:1", "chatgpt-4o"), ServingOptions{})
 	const name = "llm-serving-test"
 	svc.RegisterHealth(name)
 	defer svc.Close()
@@ -434,10 +449,12 @@ func TestServingHealthCheck(t *testing.T) {
 		t.Errorf("healthy service reports not-OK: %+v", st)
 	}
 
-	// One failure trips the breaker (BreakerTrip: 1); /healthz must flip.
+	// breakerTrip failures trip the breaker; /healthz must flip.
 	l := mixed(t)
-	if _, err := svc.AnalyzeWindow(context.Background(), attackWindow(l, ue.AttackBTSDoS)); err != nil {
-		t.Fatal(err)
+	for range breakerTrip {
+		if _, err := svc.AnalyzeWindow(context.Background(), attackWindow(l, ue.AttackBTSDoS)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st, _ = find()
 	if st.OK {
@@ -584,7 +601,7 @@ func TestRecallIsTheHitAndNothingElse(t *testing.T) {
 	l := mixed(t)
 	srv, base := startServer(t)
 	clk := newFakeClock()
-	svc := NewService(NewClient(base, "chatgpt-4o"), ServingOptions{CacheTTL: time.Minute, Clock: clk.Now})
+	svc := NewService(NewClient(base, "chatgpt-4o"), ServingOptions{Clock: clk.Now})
 	defer svc.Close()
 	ctx := context.Background()
 	w := attackWindow(l, ue.AttackNullCipher)
@@ -623,7 +640,7 @@ func TestRecallIsTheHitAndNothingElse(t *testing.T) {
 			st.CacheHits.Load(), st.CacheMisses.Load(), served, srv.Requests())
 	}
 
-	clk.Advance(2 * time.Minute)
+	clk.Advance(cacheTTL + time.Second)
 	before = servingCounts(svc)
 	if a, ok := svc.Recall(w); ok || a != nil {
 		t.Errorf("Recall past the TTL = %v, %v; want a miss", a, ok)
@@ -639,7 +656,8 @@ func TestRecallIsTheHitAndNothingElse(t *testing.T) {
 func TestServingSharesParsedAnswers(t *testing.T) {
 	l := mixed(t)
 	srv, base := startServer(t)
-	svc := NewService(NewClient(base, "chatgpt-4o"), ServingOptions{CacheSize: 2})
+	svc := NewService(NewClient(base, "chatgpt-4o"), ServingOptions{})
+	svc.cache = newVerdictCache(2, cacheTTL, time.Now) // evicts at the third pattern
 	defer svc.Close()
 	ctx := context.Background()
 
@@ -670,7 +688,7 @@ func TestServingSharesParsedAnswers(t *testing.T) {
 		t.Error("the second answer is not bound to its own prompt")
 	}
 
-	// A third pattern evicts the first (CacheSize 2, w1 least recently
+	// A third pattern evicts the first (two entries, w1 least recently
 	// used); the second is still a hit, text and all.
 	if _, err := svc.AnalyzeWindow(ctx, attackWindow(l, ue.AttackBTSDoS)); err != nil {
 		t.Fatal(err)

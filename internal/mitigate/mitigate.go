@@ -135,48 +135,32 @@ type Config struct {
 	// TTL bounds reversible actions; expiry triggers the inverse
 	// control. Default 30 s.
 	TTL time.Duration
-	// Cooldown blocks re-mitigating a target after its action leaves
-	// the active set. Default 10 s.
-	Cooldown time.Duration
-	// Rate and Burst shape the token bucket gating issue volume.
-	// Defaults: 2 actions/s, burst 4.
-	Rate  float64
-	Burst int
-	// MaxRetries bounds re-issues after a failed control (default 2).
-	MaxRetries int
-	// RetryBackoff spaces retries (default 50 ms).
-	RetryBackoff time.Duration
-	// Timeout bounds each E2 control round trip (default 2 s).
-	Timeout time.Duration
 	// Clock supplies time (default time.Now). Journal timestamps and
 	// rate/cooldown accounting use it; TTL and backoff timers are
 	// real-time.
 	Clock func() time.Time
 }
 
+// Governor and issue tuning.
+const (
+	// targetCooldown blocks re-mitigating a target after its action
+	// leaves the active set.
+	targetCooldown = 10 * time.Second
+	// issueRate (actions/s) and issueBurst shape the token bucket
+	// gating issue volume.
+	issueRate  = 2
+	issueBurst = 4
+	// maxRetries bounds re-issues after a failed control; retryBackoff
+	// spaces them, doubling per retry.
+	maxRetries   = 2
+	retryBackoff = 50 * time.Millisecond
+	// controlTimeout bounds each E2 control round trip.
+	controlTimeout = 2 * time.Second
+)
+
 func (c *Config) defaults() {
 	if c.TTL <= 0 {
 		c.TTL = 30 * time.Second
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 10 * time.Second
-	}
-	if c.Rate <= 0 {
-		c.Rate = 2
-	}
-	if c.Burst <= 0 {
-		c.Burst = 4
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 50 * time.Millisecond
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 2 * time.Second
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -272,7 +256,7 @@ func New(cfg Config) *Engine {
 		cooldown:   map[string]time.Time{},
 		timers:     map[uint64]*time.Timer{},
 		actions:    map[uint64]*action{},
-		tokens:     float64(cfg.Burst),
+		tokens:     issueBurst,
 		lastRefill: cfg.Clock(),
 	}
 	// Sampled at scrape time; last-constructed engine wins, matching the
@@ -291,13 +275,6 @@ func (e *Engine) Mode() Mode {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.mode
-}
-
-// SetMode switches the engine mode at runtime.
-func (e *Engine) SetMode(m Mode) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.mode = m
 }
 
 // ActiveCount reports mitigations currently enforced.
@@ -426,13 +403,10 @@ func (e *Engine) governLocked(act *action, now time.Time) (reason string, approv
 	// enforce-mode behavior faithfully.
 	elapsed := now.Sub(e.lastRefill).Seconds()
 	if elapsed > 0 {
-		e.tokens += elapsed * e.cfg.Rate
-		if max := float64(e.cfg.Burst); e.tokens > max {
-			e.tokens = max
-		}
+		e.tokens = min(e.tokens+elapsed*issueRate, issueBurst)
 		e.lastRefill = now
 		// Time moved: forget the cooldowns it ended, so the map holds
-		// targets mitigated within one Cooldown, not every target ever.
+		// targets mitigated within one targetCooldown, not every target ever.
 		for target, until := range e.cooldown {
 			if !now.Before(until) {
 				delete(e.cooldown, target)
@@ -477,7 +451,7 @@ func (e *Engine) issue(act *action) {
 	if _, reversible := act.req.Action.Inverse(); !reversible {
 		// One-shot actions (e.g. release-ue) are complete at ack: they
 		// leave the active set immediately, holding only the cooldown.
-		e.cooldown[act.entry.Target] = now.Add(e.cfg.Cooldown)
+		e.cooldown[act.entry.Target] = now.Add(targetCooldown)
 		delete(e.inflight, act.entry.Target)
 		e.recordLocked(act, StateExpired, "one-shot action complete", now)
 		delete(e.actions, act.entry.ID)
@@ -524,7 +498,7 @@ func (e *Engine) expire(id uint64) {
 		now := e.cfg.Clock()
 		e.mu.Lock()
 		e.active--
-		e.cooldown[act.entry.Target] = now.Add(e.cfg.Cooldown)
+		e.cooldown[act.entry.Target] = now.Add(targetCooldown)
 		delete(e.inflight, act.entry.Target)
 		delete(e.actions, act.entry.ID)
 		if err != nil {
@@ -547,12 +521,12 @@ func (e *Engine) expire(id uint64) {
 // backoff between attempts.
 func (e *Engine) sendWithRetries(act *action, payload []byte) error {
 	var err error
-	for attempt := 0; attempt <= e.cfg.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if attempt > 0 {
-			time.Sleep(e.cfg.RetryBackoff << (attempt - 1))
+			time.Sleep(retryBackoff << (attempt - 1))
 			e.record(act, StateIssued, fmt.Sprintf("retry %d", attempt))
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), e.cfg.Timeout)
+		ctx, cancel := context.WithTimeout(context.Background(), controlTimeout)
 		err = e.cfg.Issuer.ControlContext(ctx, act.nodeID, e2sm.XRCRANFunctionID, nil, payload)
 		cancel()
 		if err == nil {

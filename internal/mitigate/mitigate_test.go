@@ -126,7 +126,7 @@ func TestEnforceLifecycleWithTTLRollback(t *testing.T) {
 	store := sdl.New()
 	e := New(Config{
 		NodeID: "gnb-test", Issuer: iss, Store: store, Mode: ModeEnforce,
-		TTL: 30 * time.Millisecond, Cooldown: time.Hour,
+		TTL: 30 * time.Millisecond,
 	})
 	defer e.Close()
 
@@ -220,9 +220,10 @@ func TestGovernorSuppressions(t *testing.T) {
 	})
 	t.Run("cooldown", func(t *testing.T) {
 		store := sdl.New()
+		clock, _ := stoppedClock()
 		e := New(Config{
 			Issuer: &fakeIssuer{}, Store: store, Mode: ModeEnforce,
-			TTL: 10 * time.Millisecond, Cooldown: time.Hour,
+			TTL: 10 * time.Millisecond, Clock: clock,
 		})
 		defer e.Close()
 		en := e.Submit(blockCase(9))
@@ -235,16 +236,20 @@ func TestGovernorSuppressions(t *testing.T) {
 		}
 	})
 	t.Run("rate-limited", func(t *testing.T) {
+		clock, _ := stoppedClock()
 		e := New(Config{
 			Issuer: &fakeIssuer{}, Store: sdl.New(), Mode: ModeEnforce,
-			Rate: 1e-9, Burst: 1, TTL: time.Hour,
+			TTL: time.Hour, Clock: clock,
 		})
 		defer e.Close()
-		if en := e.Submit(blockCase(20)); en.Decision != "approved" {
-			t.Fatalf("first decision = %s", en.Decision)
+		// The clock stands still: the bucket holds one burst and refills nothing.
+		for i := range issueBurst {
+			if en := e.Submit(blockCase(cell.TMSI(20 + i))); en.Decision != "approved" {
+				t.Fatalf("decision %d = %s", i, en.Decision)
+			}
 		}
-		if en := e.Submit(blockCase(21)); en.Decision != "suppressed:rate-limited" {
-			t.Errorf("second decision = %s", en.Decision)
+		if en := e.Submit(blockCase(20 + issueBurst)); en.Decision != "suppressed:rate-limited" {
+			t.Errorf("decision past the burst = %s", en.Decision)
 		}
 	})
 }
@@ -254,7 +259,7 @@ func TestRetryThenAck(t *testing.T) {
 	store := sdl.New()
 	e := New(Config{
 		NodeID: "gnb-test", Issuer: iss, Store: store, Mode: ModeEnforce,
-		TTL: time.Hour, MaxRetries: 2, RetryBackoff: time.Millisecond,
+		TTL: time.Hour,
 	})
 	defer e.Close()
 
@@ -283,7 +288,7 @@ func TestExhaustedRetriesFail(t *testing.T) {
 	store := sdl.New()
 	e := New(Config{
 		NodeID: "gnb-test", Issuer: iss, Store: store, Mode: ModeEnforce,
-		MaxRetries: 1, RetryBackoff: time.Millisecond, TTL: time.Hour,
+		TTL: time.Hour,
 	})
 	defer e.Close()
 
@@ -460,24 +465,10 @@ func TestEntryChainJoinsProvenance(t *testing.T) {
 // memory to what is live: an action leaves the map when its lifecycle
 // ends (the SDL journal keeps the record), and a cooldown when it lapses.
 func TestTerminalActionsAndLapsedCooldownsAreForgotten(t *testing.T) {
-	var clockMu sync.Mutex
-	now := time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
-	clock := func() time.Time {
-		clockMu.Lock()
-		defer clockMu.Unlock()
-		return now
-	}
-	advance := func(d time.Duration) {
-		clockMu.Lock()
-		now = now.Add(d)
-		clockMu.Unlock()
-	}
+	clock, advance := stoppedClock()
 	iss := &fakeIssuer{}
 	store := sdl.New()
-	e := New(Config{
-		NodeID: "gnb-test", Issuer: iss, Store: store, Mode: ModeEnforce,
-		Cooldown: time.Second, Rate: 1, Burst: 1, Clock: clock,
-	})
+	e := New(Config{NodeID: "gnb-test", Issuer: iss, Store: store, Mode: ModeEnforce, Clock: clock})
 	defer e.Close()
 	held := func() (actions, cooldowns int) {
 		e.mu.Lock()
@@ -485,14 +476,17 @@ func TestTerminalActionsAndLapsedCooldownsAreForgotten(t *testing.T) {
 		return len(e.actions), len(e.cooldown)
 	}
 
-	// One one-shot release runs to completion and leaves a cooldown.
-	release := caseFor(llm.ClassBTSDoS, &e2sm.ControlRequest{Action: e2sm.ControlReleaseUE, UEID: 7, Reason: "test"})
-	if en := e.Submit(release); en == nil || en.Decision != "approved" {
-		t.Fatalf("release entry = %+v", en)
+	// One burst of one-shot releases runs to completion and leaves a
+	// cooldown per UE.
+	for ueID := uint64(7); ueID < 7+issueBurst; ueID++ {
+		release := caseFor(llm.ClassBTSDoS, &e2sm.ControlRequest{Action: e2sm.ControlReleaseUE, UEID: ueID, Reason: "test"})
+		if en := e.Submit(release); en == nil || en.Decision != "approved" {
+			t.Fatalf("release entry = %+v", en)
+		}
 	}
 	e.Quiesce()
-	if a, c := held(); a != 0 || c != 1 {
-		t.Fatalf("after an expired one-shot: %d actions, %d cooldowns held; want 0 and 1", a, c)
+	if a, c := held(); a != 0 || c != issueBurst {
+		t.Fatalf("after %d expired one-shots: %d actions, %d cooldowns held; want 0 and %d", issueBurst, a, c, issueBurst)
 	}
 
 	// A thousand proposals the governor suppresses (the bucket is empty
@@ -504,14 +498,14 @@ func TestTerminalActionsAndLapsedCooldownsAreForgotten(t *testing.T) {
 		}
 	}
 	if a, _ := held(); a != 0 {
-		t.Errorf("%d actions held after 1000 suppressed proposals and one expired one-shot, want 0", a)
+		t.Errorf("%d actions held after 1000 suppressed proposals and expired one-shots, want 0", a)
 	}
-	if n := len(Entries(store)); n != 1001 {
-		t.Errorf("journal holds %d entries, want all 1001", n)
+	if n, want := len(Entries(store)), 1000+issueBurst; n != want {
+		t.Errorf("journal holds %d entries, want all %d", n, want)
 	}
 
 	// Past the cooldown, the next trip through the refill path prunes it.
-	advance(2 * time.Second)
+	advance(targetCooldown + time.Second)
 	e.Submit(blockCase(5000))
 	e.Quiesce()
 	e.mu.Lock()
@@ -520,4 +514,21 @@ func TestTerminalActionsAndLapsedCooldownsAreForgotten(t *testing.T) {
 	if lapsed {
 		t.Error("lapsed cooldown of ue/7 still held")
 	}
+}
+
+// stoppedClock returns a clock that moves only when advanced.
+func stoppedClock() (now func() time.Time, advance func(time.Duration)) {
+	var mu sync.Mutex
+	t := time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
+	now = func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return t
+	}
+	advance = func(d time.Duration) {
+		mu.Lock()
+		t = t.Add(d)
+		mu.Unlock()
+	}
+	return now, advance
 }

@@ -31,14 +31,15 @@ type TrainOptions struct {
 	Percentile float64
 	// Hidden are the autoencoder encoder widths (default {64, 16}).
 	Hidden []int
-	// LSTMHidden is the LSTM hidden width (default 32).
-	LSTMHidden int
 	// Epochs (default 40) and LR (default 3e-3) drive both models.
 	Epochs int
 	LR     float64
 	// Seed makes training deterministic.
 	Seed int64
 }
+
+// lstmHidden is the LSTM hidden width.
+const lstmHidden = 32
 
 func (o *TrainOptions) defaults() {
 	if o.Window == 0 {
@@ -49,9 +50,6 @@ func (o *TrainOptions) defaults() {
 	}
 	if len(o.Hidden) == 0 {
 		o.Hidden = []int{64, 16}
-	}
-	if o.LSTMHidden == 0 {
-		o.LSTMHidden = 32
 	}
 	if o.Epochs == 0 {
 		o.Epochs = 40
@@ -176,7 +174,7 @@ func train(benign mobiflow.Trace, opts TrainOptions, run func(fitAE, fitLSTM fun
 	winAE := feature.WindowsAE(vecs, opts.Window)
 	ae := nn.NewAutoencoder(nn.AEConfig{InputDim: dim * opts.Window, Hidden: opts.Hidden, Seed: opts.Seed})
 	winL, nexts := feature.WindowsLSTM(vecs, opts.Window)
-	lstm := nn.NewLSTM(opts.Seed+2, dim, opts.LSTMHidden, dim)
+	lstm := nn.NewLSTM(opts.Seed+2, dim, lstmHidden, dim)
 	aeErr, lstmErr := run(
 		func() error { _, err := ae.Train(winAE, cfg(opts.Seed+1)); return err },
 		func() error { _, err := lstm.TrainNextStep(winL, nexts, cfg(opts.Seed+3)); return err },

@@ -226,6 +226,22 @@ func unmarshalIdentityField(d *asn1lite.Decoder, mi *MobileIdentity) (handled bo
 	return true, nil
 }
 
+// declared is mi with only the variant its Type names: the IE carries
+// exactly one, and marshalIdentity writes that one alone, so a field of
+// another variant on the wire is not part of the message.
+func (mi MobileIdentity) declared() MobileIdentity {
+	out := MobileIdentity{Type: mi.Type}
+	switch mi.Type {
+	case IdentitySUCI:
+		out.SUCI = mi.SUCI
+	case IdentityGUTI:
+		out.GUTI = mi.GUTI
+	case IdentityIMEI:
+		out.IMEI = mi.IMEI
+	}
+	return out
+}
+
 func splitPLMN(s string) cell.PLMN {
 	if len(s) < 5 {
 		return cell.PLMN{}
@@ -296,6 +312,7 @@ func (m *RegistrationRequest) UnmarshalTLV(d *asn1lite.Decoder) error {
 			m.FollowOn = v
 		}
 	}
+	m.Identity = m.Identity.declared()
 	return d.Err()
 }
 
@@ -630,6 +647,7 @@ func (m *IdentityResponse) UnmarshalTLV(d *asn1lite.Decoder) error {
 			return err
 		}
 	}
+	m.Identity = m.Identity.declared()
 	return d.Err()
 }
 

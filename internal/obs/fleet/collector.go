@@ -36,17 +36,17 @@ type CollectorOptions struct {
 	// (migration audits live in the same store). Optional.
 	Store *sdl.Store
 
-	// Objectives are the SLOs to evaluate (DefaultObjectives when nil).
-	Objectives []Objective
-	// BurnFastWindow/BurnSlowWindow are the multi-window burn-rate alert
-	// windows (defaults 30s and 3m — scaled for the testbed's compressed
-	// timebase; production deployments would use 5m/1h).
-	BurnFastWindow time.Duration
-	BurnSlowWindow time.Duration
-
 	// Clock injects time (tests). Defaults to time.Now.
 	Clock func() time.Time
 }
+
+// burnFastWindow and burnSlowWindow are the multi-window burn-rate
+// alert windows, scaled for the testbed's compressed timebase;
+// production deployments would use 5m/1h.
+const (
+	burnFastWindow = 30 * time.Second
+	burnSlowWindow = 3 * time.Minute
+)
 
 func (o *CollectorOptions) fill() {
 	if o.SuspectAfter <= 0 {
@@ -63,15 +63,6 @@ func (o *CollectorOptions) fill() {
 	}
 	if o.SweepPeriod <= 0 {
 		o.SweepPeriod = 250 * time.Millisecond
-	}
-	if o.Objectives == nil {
-		o.Objectives = DefaultObjectives()
-	}
-	if o.BurnFastWindow <= 0 {
-		o.BurnFastWindow = 30 * time.Second
-	}
-	if o.BurnSlowWindow <= 0 {
-		o.BurnSlowWindow = 3 * time.Minute
 	}
 	if o.Clock == nil {
 		o.Clock = time.Now
@@ -92,7 +83,6 @@ type Collector struct {
 	// rate tracking for the fleet indication-rate gauge
 	lastRecords  map[string]uint64
 	lastRecordAt time.Time
-	indRate      float64
 	scrapeSeq    uint64
 	journalSeq   uint64
 	pending      map[uint64]*scrapeRound
@@ -259,23 +249,22 @@ func (c *Collector) recomputeLocked(now time.Time) {
 	if !c.lastRecordAt.IsZero() {
 		dt := now.Sub(c.lastRecordAt).Seconds()
 		if prev, ok := c.lastRecords["_fleet"]; ok && dt > 0 && total >= float64(prev) {
-			c.indRate = (total - float64(prev)) / dt
-			obsIndRate.Set(c.indRate)
+			obsIndRate.Set((total - float64(prev)) / dt)
 		}
 	}
 	c.lastRecords["_fleet"] = uint64(total)
 	c.lastRecordAt = now
 
 	if c.slos == nil {
-		for _, obj := range c.opts.Objectives {
+		for _, obj := range defaultObjectives() {
 			c.slos = append(c.slos, &sloState{obj: obj})
 		}
 	}
-	keep := 2 * c.opts.BurnSlowWindow
+	keep := 2 * burnSlowWindow
 	for _, st := range c.slos {
 		st.observe(now, c.rollups, keep)
-		fast := st.burnRate(now, c.opts.BurnFastWindow)
-		slow := st.burnRate(now, c.opts.BurnSlowWindow)
+		fast := st.burnRate(now, burnFastWindow)
+		slow := st.burnRate(now, burnSlowWindow)
 		obsSLOBurn.With(st.obj.Name, "fast").Set(fast)
 		obsSLOBurn.With(st.obj.Name, "slow").Set(slow)
 		firing := 0.0
@@ -484,10 +473,10 @@ func (c *Collector) SLO() []SLOStatus {
 			SLI:         ratio,
 			Good:        good,
 			Total:       total,
-			BurnFast:    st.burnRate(now, c.opts.BurnFastWindow),
-			BurnSlow:    st.burnRate(now, c.opts.BurnSlowWindow),
-			FastWindow:  c.opts.BurnFastWindow,
-			SlowWindow:  c.opts.BurnSlowWindow,
+			BurnFast:    st.burnRate(now, burnFastWindow),
+			BurnSlow:    st.burnRate(now, burnSlowWindow),
+			FastWindow:  burnFastWindow,
+			SlowWindow:  burnSlowWindow,
 			Threshold:   st.obj.burnThreshold(),
 		}
 		s.Firing = s.BurnFast > s.Threshold && s.BurnSlow > s.Threshold
@@ -514,13 +503,6 @@ func (c *Collector) Traces() []StitchedTrace {
 	}
 	c.mu.Unlock()
 	return Stitch(c.opts.Store, buildSpanIndex(reports), health)
-}
-
-// IndicationRate returns the last computed fleet-aggregate record rate.
-func (c *Collector) IndicationRate() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.indRate
 }
 
 // obsLogJoin notes the first sighting of an instance.

@@ -68,10 +68,10 @@ func (o Objective) burnThreshold() float64 {
 	return 2
 }
 
-// DefaultObjectives are the paper-motivated fleet SLOs: detection stays
+// defaultObjectives are the paper-motivated fleet SLOs: detection stays
 // inside the near-RT loop, alerts are not shed, and migrations do not
 // lose state.
-func DefaultObjectives() []Objective {
+func defaultObjectives() []Objective {
 	return []Objective{
 		{
 			Name:          "detect-latency",

@@ -16,7 +16,7 @@ func alertRollups(raised, dropped float64) []obs.SeriesSnapshot {
 
 func TestSLOBurnRateRatioObjective(t *testing.T) {
 	var obj Objective
-	for _, o := range DefaultObjectives() {
+	for _, o := range defaultObjectives() {
 		if o.Name == "alert-delivery" {
 			obj = o
 		}
@@ -86,7 +86,7 @@ func TestSLOLatencyObjective(t *testing.T) {
 }
 
 func TestSLONoTraffic(t *testing.T) {
-	st := &sloState{obj: DefaultObjectives()[1]}
+	st := &sloState{obj: defaultObjectives()[1]}
 	if burn := st.burnRate(time.Unix(0, 0), time.Minute); burn != 0 {
 		t.Fatalf("empty-history burn = %v", burn)
 	}
@@ -101,7 +101,7 @@ func TestSLONoTraffic(t *testing.T) {
 }
 
 func TestSLOHistoryTrim(t *testing.T) {
-	st := &sloState{obj: DefaultObjectives()[1]}
+	st := &sloState{obj: defaultObjectives()[1]}
 	t0 := time.Unix(4000, 0)
 	for i := 0; i < 100; i++ {
 		st.observe(t0.Add(time.Duration(i)*time.Second), alertRollups(float64(i), 0), 10*time.Second)

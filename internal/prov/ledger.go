@@ -17,7 +17,7 @@ import (
 const Namespace = "prov/ledger"
 
 // segmentEvents bounds what a persist copies, so a chain at
-// MaxEventsPerChain costs the writer no more per event than a short one.
+// DefaultMaxEventsPerChain costs the writer no more per event than a short one.
 const segmentEvents = 16
 
 // Options configures a Ledger. The zero value gives a ledger over a
@@ -32,19 +32,19 @@ type Options struct {
 	// MaxChains bounds retention: beyond it the oldest chain is evicted
 	// and its SDL keys deleted.
 	MaxChains int
-	// MaxEventsPerChain caps one chain's event list; further events are
-	// dropped and the chain marked truncated.
-	MaxEventsPerChain int
 	// Clock is injectable for tests.
 	Clock func() time.Time
 }
 
 // Defaults for Options fields left zero.
 const (
-	DefaultBuffer            = 4096
-	DefaultMaxChains         = 1024
-	DefaultMaxEventsPerChain = 512
+	DefaultBuffer    = 4096
+	DefaultMaxChains = 1024
 )
+
+// DefaultMaxEventsPerChain caps one chain's event list; further events
+// are dropped and the chain marked truncated.
+const DefaultMaxEventsPerChain = 512
 
 // Ledger is an append-only provenance store. Record is safe for
 // concurrent use, never blocks, and allocates nothing; a single writer
@@ -56,7 +56,6 @@ type Ledger struct {
 	clock func() time.Time
 
 	maxChains int
-	maxEvents int
 
 	ch       chan Event
 	flushReq chan chan struct{}
@@ -116,9 +115,6 @@ func newLedger(o Options) *Ledger {
 	if o.MaxChains <= 0 {
 		o.MaxChains = DefaultMaxChains
 	}
-	if o.MaxEventsPerChain <= 0 {
-		o.MaxEventsPerChain = DefaultMaxEventsPerChain
-	}
 	if o.Clock == nil {
 		o.Clock = time.Now
 	}
@@ -129,7 +125,6 @@ func newLedger(o Options) *Ledger {
 		store:     o.Store,
 		clock:     o.Clock,
 		maxChains: o.MaxChains,
-		maxEvents: o.MaxEventsPerChain,
 		ch:        make(chan Event, o.Buffer),
 		flushReq:  make(chan chan struct{}),
 		stop:      make(chan struct{}),
@@ -220,7 +215,7 @@ func (l *Ledger) handle(ev Event) {
 		return
 	}
 
-	if c.events >= l.maxEvents {
+	if c.events >= DefaultMaxEventsPerChain {
 		c.truncated = true
 		l.mu.Unlock()
 		return

@@ -148,7 +148,7 @@ func TestLedgerEvictionBoundsRetentionAndCleansSDL(t *testing.T) {
 // earlier eviction — and nothing else in the namespace.
 func TestLedgerEvictionTouchesOnlyItsOwnKeys(t *testing.T) {
 	store := sdl.New()
-	l := New(Options{Store: store, MaxChains: 3, MaxEventsPerChain: 2*segmentEvents + 3, Clock: testClock})
+	l := New(Options{Store: store, MaxChains: 3, Clock: testClock})
 	defer l.Close()
 
 	// Keys the ledger did not write: one outside the ev/ layout and one
@@ -172,14 +172,15 @@ func TestLedgerEvictionTouchesOnlyItsOwnKeys(t *testing.T) {
 	}
 
 	// SNs sharing a decimal prefix, oldest first. The victim overflows
-	// MaxEventsPerChain, so it is truncated at 35 persisted events: two
-	// full segments and a third of three.
-	flagged(victim, 3*segmentEvents)
+	// DefaultMaxEventsPerChain, so it is truncated at that many persisted
+	// events in full segments.
+	const victimKeys = DefaultMaxEventsPerChain / segmentEvents
+	flagged(victim, DefaultMaxEventsPerChain+segmentEvents)
 	flagged(ChainID{Node: "n", SN: 10}, segmentEvents+1)
 	flagged(ChainID{Node: "n", SN: 100}, 2)
 	l.Flush()
-	if rec, _ := l.Chain(victim); !rec.Truncated || len(rec.Events) != 2*segmentEvents+3 || chainKeys(victim) != 3 {
-		t.Fatalf("victim: truncated = %v, %d events in %d keys; want true, %d in 3", rec.Truncated, len(rec.Events), chainKeys(victim), 2*segmentEvents+3)
+	if rec, _ := l.Chain(victim); !rec.Truncated || len(rec.Events) != DefaultMaxEventsPerChain || chainKeys(victim) != victimKeys {
+		t.Fatalf("victim: truncated = %v, %d events in %d keys; want true, %d in %d", rec.Truncated, len(rec.Events), chainKeys(victim), DefaultMaxEventsPerChain, victimKeys)
 	}
 
 	flagged(ChainID{Node: "n", SN: 1000}, 1) // evicts SN 1
@@ -313,16 +314,16 @@ func BenchmarkReadChain(b *testing.B) {
 }
 
 func TestLedgerTruncatesLongChains(t *testing.T) {
-	l := New(Options{MaxEventsPerChain: 3, Clock: testClock})
+	l := New(Options{Clock: testClock})
 	defer l.Close()
 	id := ChainID{Node: "n", SN: 1}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < DefaultMaxEventsPerChain+3; i++ {
 		l.Record(Event{Chain: id, Kind: KindWindow, Model: "autoencoder", Score: float64(i), Flagged: true})
 	}
 	l.Flush()
 	rec, _ := l.Chain(id)
-	if len(rec.Events) != 3 || !rec.Truncated {
-		t.Fatalf("events = %d, truncated = %v; want 3, true", len(rec.Events), rec.Truncated)
+	if len(rec.Events) != DefaultMaxEventsPerChain || !rec.Truncated {
+		t.Fatalf("events = %d, truncated = %v; want %d, true", len(rec.Events), rec.Truncated, DefaultMaxEventsPerChain)
 	}
 }
 

@@ -92,9 +92,7 @@ type Metrics struct {
 
 // Platform is the near-RT RIC.
 type Platform struct {
-	store   *sdl.Store
-	timeout time.Duration
-	clock   func() time.Time
+	store *sdl.Store
 
 	mu      sync.Mutex
 	nodes   map[string]*nodeConn
@@ -117,35 +115,16 @@ type nodeConn struct {
 	ready bool
 }
 
-// Option configures the platform.
-type Option func(*Platform)
-
-// WithTimeout overrides the E2 procedure timeout.
-func WithTimeout(d time.Duration) Option {
-	return func(p *Platform) { p.timeout = d }
-}
-
-// WithClock injects a clock (tests).
-func WithClock(clock func() time.Time) Option {
-	return func(p *Platform) { p.clock = clock }
-}
-
 // NewPlatform creates a RIC platform around an SDL store (pass sdl.New()
 // unless sharing a store across services).
-func NewPlatform(store *sdl.Store, opts ...Option) *Platform {
-	p := &Platform{
+func NewPlatform(store *sdl.Store) *Platform {
+	return &Platform{
 		store:   store,
-		timeout: DefaultProcedureTimeout,
-		clock:   time.Now,
 		nodes:   make(map[string]*nodeConn),
 		subs:    make(map[e2ap.RequestID]*Subscription),
 		pending: make(map[e2ap.RequestID]chan *e2ap.Message),
 		xapps:   make(map[string]*XApp),
 	}
-	for _, o := range opts {
-		o(p)
-	}
-	return p
 }
 
 // SDL returns the shared data layer.
@@ -194,7 +173,7 @@ func (p *Platform) AttachNode(ep *e2ap.Endpoint) error {
 	}
 
 	node := &nodeConn{
-		info: NodeInfo{NodeID: first.NodeID, RANFunctions: first.RANFunctions, ConnectedAt: p.clock()},
+		info: NodeInfo{NodeID: first.NodeID, RANFunctions: first.RANFunctions, ConnectedAt: time.Now()},
 		ep:   ep,
 	}
 	p.mu.Lock()
@@ -269,7 +248,7 @@ func (p *Platform) route(node *nodeConn, msg *e2ap.Message) {
 			prov.Record(prov.Event{
 				Chain: prov.ChainID{Node: node.info.NodeID, SN: msg.IndicationSN},
 				Kind:  prov.KindIndication,
-				At:    p.clock(),
+				At:    time.Now(),
 				Label: "unmatched",
 			})
 			obs.L().Debug("ric: indication without subscription dropped",
@@ -283,7 +262,7 @@ func (p *Platform) route(node *nodeConn, msg *e2ap.Message) {
 			SN:         msg.IndicationSN,
 			Header:     msg.IndicationHeader,
 			Message:    msg.IndicationMessage,
-			ReceivedAt: p.clock(),
+			ReceivedAt: time.Now(),
 		}
 		routeLabel := "routed"
 		if sub.deliver(ind) {
@@ -299,7 +278,7 @@ func (p *Platform) route(node *nodeConn, msg *e2ap.Message) {
 				"xapp", sub.xapp.name, "node", node.info.NodeID, "sn", msg.IndicationSN)
 		}
 		obs.RecordSpan(obs.IndicationKey(node.info.NodeID, msg.IndicationSN),
-			"ric.route", ind.ReceivedAt, p.clock())
+			"ric.route", ind.ReceivedAt, time.Now())
 		prov.Record(prov.Event{
 			Chain: prov.ChainID{Node: node.info.NodeID, SN: msg.IndicationSN},
 			Kind:  prov.KindIndication,

@@ -118,7 +118,7 @@ func TestDuplicateNodeRejected(t *testing.T) {
 // The window is a few instructions wide, so the handshake is repeated.
 func TestSubscribeCannotOvertakeSetupResponse(t *testing.T) {
 	for i := 0; i < 300; i++ {
-		p := NewPlatform(sdl.New(), WithTimeout(time.Second))
+		p := NewPlatform(sdl.New())
 		x, err := p.RegisterXApp("eager")
 		if err != nil {
 			t.Fatal(err)
@@ -278,7 +278,7 @@ func TestControlRoundTrip(t *testing.T) {
 }
 
 func TestControlContextTimeout(t *testing.T) {
-	p := NewPlatform(sdl.New(), WithTimeout(5*time.Second))
+	p := NewPlatform(sdl.New())
 	defer p.Close()
 
 	// A node that completes setup but never acks controls: a hung gNB.
@@ -306,7 +306,7 @@ func TestControlContextTimeout(t *testing.T) {
 	if !errors.Is(err, ErrTimeout) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want ErrTimeout wrapping context.DeadlineExceeded", err)
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
+	if elapsed := time.Since(start); elapsed >= DefaultProcedureTimeout {
 		t.Errorf("control took %v; per-request deadline not honored", elapsed)
 	}
 	if got := p.Metrics().ControlsFail.Load(); got != 1 {
@@ -359,7 +359,7 @@ func TestXAppNamesUnique(t *testing.T) {
 }
 
 func TestProcedureTimeout(t *testing.T) {
-	p := NewPlatform(sdl.New(), WithTimeout(50*time.Millisecond))
+	p := NewPlatform(sdl.New())
 	defer p.Close()
 
 	// A node that completes setup but never answers subscriptions.

@@ -183,7 +183,7 @@ func (p *Platform) requestCtx(ctx context.Context, nodeID string, msg *e2ap.Mess
 		abandon()
 		return nil, fmt.Errorf("ric: sending %s to %s: %w", msg.Type, nodeID, err)
 	}
-	timer := time.NewTimer(p.timeout)
+	timer := time.NewTimer(DefaultProcedureTimeout)
 	defer timer.Stop()
 	select {
 	case resp := <-ch:

@@ -179,6 +179,16 @@ func (m *SetupRequest) UnmarshalTLV(d *asn1lite.Decoder) error {
 			m.Cause = cell.EstablishmentCause(v)
 		}
 	}
+	// The identity is the declared kind's field alone: a field of the
+	// other kind is not part of the message, and Encode drops it.
+	switch m.Identity.Kind {
+	case IdentityRandom:
+		m.Identity.TMSI = 0
+	case IdentityTMSI:
+		m.Identity.Random = 0
+	default:
+		m.Identity.Random, m.Identity.TMSI = 0, 0
+	}
 	return d.Err()
 }
 

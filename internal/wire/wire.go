@@ -118,9 +118,6 @@ func (c *Conn) Recv() ([]byte, error) {
 	return payload, nil
 }
 
-// SetDeadline sets read and write deadlines on the underlying connection.
-func (c *Conn) SetDeadline(t time.Time) error { return c.nc.SetDeadline(t) }
-
 // Close closes the connection. Pending Recv calls return io.EOF or an
 // error. Close is idempotent.
 func (c *Conn) Close() error {
@@ -131,12 +128,6 @@ func (c *Conn) Close() error {
 	})
 	return err
 }
-
-// RemoteAddr reports the remote address of the underlying connection.
-func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
-
-// LocalAddr reports the local address of the underlying connection.
-func (c *Conn) LocalAddr() net.Addr { return c.nc.LocalAddr() }
 
 // A Listener accepts framed connections.
 type Listener struct {
