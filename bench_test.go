@@ -20,6 +20,7 @@ import (
 	"github.com/6g-xsec/xsec/internal/core"
 	"github.com/6g-xsec/xsec/internal/feature"
 	"github.com/6g-xsec/xsec/internal/mobiwatch"
+	"github.com/6g-xsec/xsec/internal/nn"
 	"github.com/6g-xsec/xsec/internal/ue"
 )
 
@@ -167,42 +168,67 @@ func BenchmarkAblation_Bottleneck(b *testing.B) {
 	}
 }
 
-// BenchmarkInference_AE measures one autoencoder window score — the
-// pre-filter cost that makes chaining a cheap detector before the LLM
-// viable (§3.3).
+// benchWindowsF32 encodes the first 64 mixed-trace records the way the
+// xApp's worker does and returns n windows of them as one float32 batch
+// tensor — the autoencoder's and the LSTM's input alike — with the record
+// after each window as the LSTM's target.
+func benchWindowsF32(env *bench.Env) (n int, x, targets []float32) {
+	m := env.Models
+	rows := feature.NewRowBuffer(m.RecordDim())
+	e := feature.NewEncoder(m.Vocab)
+	for _, r := range env.Mixed.Trace[:64] {
+		rows.Push(e, r)
+	}
+	n = rows.Len() - m.Window // windows with a next record
+	for i := 0; i < n; i++ {
+		x = rows.AppendWindowF32(x, i, m.Window)
+		targets = rows.AppendWindowF32(targets, i+m.Window, 1)
+	}
+	return n, x, targets
+}
+
+// BenchmarkInference_AE measures one autoencoder window score on the
+// float32 engine the xApp runs — the pre-filter cost that makes chaining
+// a cheap detector before the LLM viable (§3.3).
 func BenchmarkInference_AE(b *testing.B) {
 	env, err := bench.BuildEnv(benchCfg(b))
 	if err != nil {
 		b.Fatal(err)
 	}
-	vecs := feature.Vectorize(env.Mixed.Trace[:64], env.Models.Vocab)
-	wins := feature.WindowsAE(vecs, env.Models.Window)
+	n, x, _ := benchWindowsF32(env)
+	eng := env.Models.Engines().AE
+	s, score := eng.NewBatchScratch(), make([]float32, 1)
+	w := eng.InputDim()
+	eng.ScoreBatch(s, x, 1, env.Models.RecordDim(), score) // grow the scratch arena
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env.Models.ScoreAEWindow(wins[i%len(wins)])
+		eng.ScoreBatch(s, x[i%n*w:], 1, env.Models.RecordDim(), score)
 	}
 }
 
-// BenchmarkInference_LSTM measures one LSTM next-entry prediction score.
+// BenchmarkInference_LSTM measures one LSTM next-entry prediction score
+// on the float32 engine the xApp runs.
 func BenchmarkInference_LSTM(b *testing.B) {
 	env, err := bench.BuildEnv(benchCfg(b))
 	if err != nil {
 		b.Fatal(err)
 	}
-	vecs := feature.Vectorize(env.Mixed.Trace[:64], env.Models.Vocab)
-	wins, nexts := feature.WindowsLSTM(vecs, env.Models.Window)
+	n, x, targets := benchWindowsF32(env)
+	eng := env.Models.Engines().LSTM
+	s, score := eng.NewBatchScratch(), make([]float32, 1)
+	dim, N := env.Models.RecordDim(), env.Models.Window
+	eng.ScoreBatch(s, x, targets, 1, N, score) // grow the scratch arena
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j := i % len(wins)
-		env.Models.LSTM.Score(wins[j], nexts[j])
+		j := i % n
+		eng.ScoreBatch(s, x[j*N*dim:], targets[j*dim:], 1, N, score)
 	}
 }
 
 // BenchmarkTraceScoring measures whole-trace window scoring through the
-// scalar float64 reference scorers (worker pool sized by GOMAXPROCS,
-// inline on one CPU).
+// batched engine the xApp runs.
 func BenchmarkTraceScoring(b *testing.B) {
 	env, err := bench.BuildEnv(benchCfg(b))
 	if err != nil {
@@ -211,7 +237,7 @@ func BenchmarkTraceScoring(b *testing.B) {
 	b.Run("AE", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if out := env.Models.ScoreTraceAE(env.Mixed.Trace); len(out) == 0 {
+			if out := env.Models.ScoreTraceAEBatched(env.Mixed.Trace, nn.Float32); len(out) == 0 {
 				b.Fatal("no windows scored")
 			}
 		}
@@ -219,7 +245,7 @@ func BenchmarkTraceScoring(b *testing.B) {
 	b.Run("LSTM", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if out := env.Models.ScoreTraceLSTM(env.Mixed.Trace); len(out) == 0 {
+			if out := env.Models.ScoreTraceLSTMBatched(env.Mixed.Trace, nn.Float32); len(out) == 0 {
 				b.Fatal("no windows scored")
 			}
 		}

@@ -1,12 +1,12 @@
 // Command xsec-detect runs MobiWatch anomaly detection offline over a
-// MOBIFLOW trace with a trained model bundle.
+// MOBIFLOW trace with a trained model bundle, scoring through the same
+// batched engine the online xApp runs.
 //
 // Usage:
 //
 //	xsec-detect -models models.json -csv capture.csv
 //	xsec-detect -models models.json -demo          # score a generated attack dataset
 //	xsec-detect ... -show 10                       # print the top-N anomalous windows
-//	xsec-detect ... -inference i8                  # scoring precision: f32 (default), i8, f64
 package main
 
 import (
@@ -28,20 +28,15 @@ func main() {
 		demo      = flag.Bool("demo", false, "score a generated attack dataset instead of a file")
 		show      = flag.Int("show", 5, "print the N highest-scoring windows")
 		seed      = flag.Int64("seed", 2, "demo dataset seed")
-		inference = flag.String("inference", "", "scoring precision: f32 (default) or i8 (the batched engine the xApp runs), or f64 (scalar reference)")
 	)
 	flag.Parse()
-	if err := run(*modelPath, *csvIn, *demo, *show, *seed, *inference); err != nil {
+	if err := run(*modelPath, *csvIn, *demo, *show, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "xsec-detect:", err)
 		os.Exit(1)
 	}
 }
 
-func run(modelPath, csvIn string, demo bool, show int, seed int64, inference string) error {
-	prec, err := nn.ParsePrecision(inference)
-	if err != nil {
-		return err
-	}
+func run(modelPath, csvIn string, demo bool, show int, seed int64) error {
 	bundle, err := os.ReadFile(modelPath)
 	if err != nil {
 		return err
@@ -77,8 +72,8 @@ func run(modelPath, csvIn string, demo bool, show int, seed int64, inference str
 		return fmt.Errorf("provide -csv FILE or -demo")
 	}
 
-	aeScores := models.ScoreTraceAEBatched(trace, prec)
-	lstmScores := models.ScoreTraceLSTMBatched(trace, prec)
+	aeScores := models.ScoreTraceAEBatched(trace, nn.Float32)
+	lstmScores := models.ScoreTraceLSTMBatched(trace, nn.Float32)
 
 	report := func(name string, scores []mobiwatch.WindowScore, span int) {
 		anomalous := 0

@@ -10,7 +10,6 @@
 //	xsec-testbed -attack bts-dos      # one attack
 //	xsec-testbed -mitigate enforce    # governed mitigation engine (off | dry-run | enforce)
 //	xsec-testbed -model llama3        # pick the analyst personality
-//	xsec-testbed -inference i8        # MobiWatch scoring engine (f32 | i8)
 //	xsec-testbed -federation 2        # federated mode: N RIC instances, mid-attack UE migration
 package main
 
@@ -41,7 +40,6 @@ func main() {
 		seed        = flag.Int64("seed", 4, "seed")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /traces and /debug/pprof on this address (e.g. :9090)")
 		logLevel    = flag.String("log-level", "", "emit structured pipeline logs to stderr at this level: debug | info | warn | error")
-		inference   = flag.String("inference", "", "MobiWatch scoring engine: f32 (default) or i8 (f64 is offline-only; see xsec-detect)")
 		federation  = flag.Int("federation", 0, "run N federated RIC instances and migrate the attack UEs mid-flood")
 	)
 	flag.Parse()
@@ -58,7 +56,7 @@ func main() {
 	if *federation > 0 {
 		err = runFederation(*federation, *seed)
 	} else {
-		err = run(*attack, *mitigateMod, *model, *sessions, *epochs, *seed, *metricsAddr, *inference)
+		err = run(*attack, *mitigateMod, *model, *sessions, *epochs, *seed, *metricsAddr)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "xsec-testbed:", err)
@@ -94,7 +92,7 @@ func runFederation(instances int, seed int64) error {
 	return res.Err()
 }
 
-func run(attack, mitigateMode, model string, sessions, epochs int, seed int64, metricsAddr, inference string) error {
+func run(attack, mitigateMode, model string, sessions, epochs int, seed int64, metricsAddr string) error {
 	fmt.Println("=== 6G-XSec testbed ===")
 	fw, err := core.New(core.Options{
 		Seed:         seed,
@@ -103,7 +101,6 @@ func run(attack, mitigateMode, model string, sessions, epochs int, seed int64, m
 		LLMModel:     model,
 		Mitigate:     mitigateMode,
 		MetricsAddr:  metricsAddr,
-		Inference:    inference,
 	})
 	if err != nil {
 		return err

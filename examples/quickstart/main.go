@@ -14,6 +14,7 @@ import (
 	"github.com/6g-xsec/xsec/internal/dataset"
 	"github.com/6g-xsec/xsec/internal/feature"
 	"github.com/6g-xsec/xsec/internal/mobiwatch"
+	"github.com/6g-xsec/xsec/internal/nn"
 )
 
 func main() {
@@ -44,8 +45,9 @@ func main() {
 	fmt.Printf("attack dataset: %d records, %d labeled malicious\n",
 		len(labeled.Trace), labeled.MaliciousCount())
 
-	// Score every sliding window with the autoencoder.
-	scores := models.ScoreTraceAE(labeled.Trace)
+	// Score every sliding window with the autoencoder, through the
+	// batched engine the online xApp runs.
+	scores := models.ScoreTraceAEBatched(labeled.Trace, nn.Float32)
 	truth := feature.WindowLabels(labeled.Malicious, models.Window)
 	var tp, fp, tn, fn int
 	for i, s := range scores {

@@ -104,12 +104,12 @@ func AblationThreshold(cfg Config, percentiles []float64) (*AblationResult, erro
 	if err != nil {
 		return nil, err
 	}
-	// Training-score distribution for refitting thresholds.
-	vecs := feature.Vectorize(env.Benign, env.Models.Vocab)
-	wins := feature.WindowsAE(vecs, cfg.Window)
-	trainScores := make([]float64, len(wins))
-	for i, w := range wins {
-		trainScores[i] = env.Models.ScoreAEWindow(w)
+	// Training-score distribution for refitting thresholds, from the
+	// engine Train calibrates on.
+	benign := env.Models.ScoreTraceAEBatched(env.Benign, nn.Float32)
+	trainScores := make([]float64, len(benign))
+	for i, s := range benign {
+		trainScores[i] = s.Score
 	}
 
 	res := &AblationResult{Name: "Threshold percentile"}

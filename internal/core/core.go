@@ -42,10 +42,6 @@ type Options struct {
 	ReportPeriod time.Duration
 	// TrainOpts parameterizes MobiWatch training.
 	TrainOpts mobiwatch.TrainOptions
-	// Inference selects the MobiWatch batched scoring engine: "f32" (the
-	// default) or "i8"; DeployXApps refuses "f64", which is an offline
-	// reference scorer only. See mobiwatch.RunOptions.Inference.
-	Inference string
 	// LLMModel selects the analyst personality (default "chatgpt-4o").
 	LLMModel string
 	// LLMBaseURL points at an external endpoint; empty starts the
@@ -219,10 +215,7 @@ func (f *Framework) DeployXApps() error {
 	if f.Models == nil {
 		return fmt.Errorf("core: no models deployed; call Train first")
 	}
-	err := f.Deploy(f.Models, mobiwatch.RunOptions{
-		ReportPeriod: f.Opts.ReportPeriod,
-		Inference:    f.Opts.Inference,
-	})
+	err := f.Deploy(f.Models, mobiwatch.RunOptions{ReportPeriod: f.Opts.ReportPeriod})
 	if err != nil {
 		return err
 	}

@@ -7,54 +7,38 @@ import (
 	"github.com/6g-xsec/xsec/internal/prov"
 )
 
-// This file is the batched scoring engine both the online xApp and the
-// offline ScoreTrace*Batched entry points score through. Instead of
-// scoring each window as its completing record arrives (one GEMV per
-// layer per window), records are encoded straight into a float32 row
-// buffer, completed windows are appended to a pending batch tensor, and
-// the whole batch is scored with one tiled GEMM per layer. The float64
-// models, training and the scalar reference scorers (models.go) are
-// untouched.
+// This file is the one scoring path: the online xApp, Train's threshold
+// calibration and the offline ScoreTrace*Batched entry points all score
+// through it. Instead of scoring each window as its completing record
+// arrives (one GEMV per layer per window), records are encoded straight
+// into a float32 row buffer, completed windows are appended to a pending
+// batch tensor, and the whole batch is scored with one tiled GEMM per
+// layer. The float64 models and their training are untouched; the
+// float64 forward pass is the reference the tests bound this path by.
 
-// FastEngines bundles the reduced-precision batched engines for one
-// model bundle. Engines are immutable and safe for concurrent use with
-// per-worker scratches.
+// FastEngines bundles the float32 batched engines for one model bundle.
+// Engines are immutable and safe for concurrent use with per-worker
+// scratches.
 type FastEngines struct {
-	Prec nn.Precision
 	AE   *nn.AEInference
 	LSTM *nn.LSTMInference
 }
 
-// Engines returns the bundle's inference engines at the given precision,
-// building them on first use and caching them for every later caller
-// (workers across shards and xApp instances share one engine pair).
-// Engines built from a bundle do not follow later retraining.
-func (m *Models) Engines(prec nn.Precision) *FastEngines {
+// Engines returns the bundle's inference engines, building them on first
+// use and caching them for every later caller (workers across shards and
+// xApp instances share one engine pair). Engines built from a bundle do
+// not follow later retraining.
+func (m *Models) Engines() *FastEngines {
 	build := func() *FastEngines {
-		e := &FastEngines{Prec: prec}
-		if prec == nn.Int8 {
-			e.AE, e.LSTM = m.AE.QuantizeI8(), m.LSTM.QuantizeI8()
-		} else {
-			e.AE, e.LSTM = m.AE.QuantizeF32(), m.LSTM.QuantizeF32()
-		}
-		return e
+		return &FastEngines{AE: m.AE.QuantizeF32(), LSTM: m.LSTM.QuantizeF32()}
 	}
 	c := m.engines
 	if c == nil {
 		// Hand-constructed bundle without a cache: build uncached.
 		return build()
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.byPre[prec]; ok {
-		return e
-	}
-	e := build()
-	if c.byPre == nil {
-		c.byPre = make(map[nn.Precision]*FastEngines)
-	}
-	c.byPre[prec] = e
-	return e
+	c.once.Do(func() { c.e = build() })
+	return c.e
 }
 
 // pendingBatch is one model's batch of windows awaiting a single batched
@@ -78,8 +62,8 @@ type pendingBatch struct {
 	lstmScratch *nn.LSTMBatchScratch // ModelLSTM only
 }
 
-func newPendingBatch(m *Models, model ModelName, prec nn.Precision) *pendingBatch {
-	b := &pendingBatch{model: model, eng: m.Engines(prec), window: m.Window, dim: m.RecordDim()}
+func newPendingBatch(m *Models, model ModelName) *pendingBatch {
+	b := &pendingBatch{model: model, eng: m.Engines(), window: m.Window, dim: m.RecordDim()}
 	if model == ModelLSTM {
 		b.lstmScratch = b.eng.LSTM.NewBatchScratch()
 	} else {
@@ -118,6 +102,11 @@ func (b *pendingBatch) score() []float32 {
 	if b.model == ModelLSTM {
 		b.eng.LSTM.ScoreBatch(b.lstmScratch, b.x, b.targets, b.n, b.window, b.scores)
 	} else {
+		// The AE window score is the worst per-record reconstruction
+		// MSE: the max keeps one strongly anomalous record from being
+		// diluted across the window (cf. per-timestamp error
+		// aggregation in the multivariate anomaly-detection literature
+		// the paper builds on).
 		b.eng.AE.ScoreBatch(b.aeScratch, b.x, b.n, b.dim, b.scores)
 	}
 	return b.scores
@@ -151,23 +140,17 @@ func (m *Models) threshold(model ModelName) float64 {
 const batchChunk = 64
 
 // ScoreTraceAEBatched scores every window of a trace through the batched
-// inference engine at the given precision. Float64 falls back to the
-// scalar reference path; scores then match ScoreTraceAE exactly.
+// engine the xApp runs. prec is always nn.Float32, the only engine: the
+// parameter stays only while benchmark/probes.go passes it.
 func (m *Models) ScoreTraceAEBatched(tr mobiflow.Trace, prec nn.Precision) []WindowScore {
-	if prec == nn.Float64 {
-		return m.ScoreTraceAE(tr)
-	}
-	return m.scoreTraceBatched(tr, newPendingBatch(m, ModelAE, prec))
+	return m.scoreTraceBatched(tr, newPendingBatch(m, ModelAE))
 }
 
 // ScoreTraceLSTMBatched scores every (window, next) pair of a trace
-// through the batched inference engine at the given precision. Float64
-// falls back to the scalar reference path.
+// through the batched engine the xApp runs. prec is as for
+// ScoreTraceAEBatched.
 func (m *Models) ScoreTraceLSTMBatched(tr mobiflow.Trace, prec nn.Precision) []WindowScore {
-	if prec == nn.Float64 {
-		return m.ScoreTraceLSTM(tr)
-	}
-	return m.scoreTraceBatched(tr, newPendingBatch(m, ModelLSTM, prec))
+	return m.scoreTraceBatched(tr, newPendingBatch(m, ModelLSTM))
 }
 
 // scoreTraceBatched encodes the trace the way the worker's ingest does

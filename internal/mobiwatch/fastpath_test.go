@@ -2,7 +2,6 @@ package mobiwatch
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -12,15 +11,12 @@ import (
 	"github.com/6g-xsec/xsec/internal/sdl"
 )
 
-// Divergence bounds for the reduced-precision engines against the
-// float64 reference scores, asserted per attack class below. Float32
-// loses only arithmetic rounding; int8 quantizes each weight row to 255
-// levels, so scores can shift by a few percent.
+// Divergence bounds for the float32 engine against the float64
+// reference scores, asserted per attack class below. Float32 loses only
+// arithmetic rounding.
 const (
 	f32ScoreRel = 1e-4
 	f32ScoreAbs = 1e-6
-	i8ScoreRel  = 0.08
-	i8ScoreAbs  = 1e-3
 )
 
 // windowClass maps a window covering records [start, end) to the attack
@@ -36,115 +32,85 @@ func windowClass(attackOf []int, start, end int) int {
 }
 
 // TestBatchedScoreDivergenceByAttackClass is the score-equivalence
-// contract of the fast inference engine: across every seeded attack
-// class (plus benign windows), batched float32 and int8 scores must stay
-// within the documented bounds of the float64 reference, and float32
-// threshold crossings must agree exactly on the seed dataset.
+// contract of the engine: across every seeded attack class (plus benign
+// windows), batched float32 scores must stay within the documented
+// bounds of the float64 reference, and threshold crossings must agree
+// exactly on the seed dataset.
 func TestBatchedScoreDivergenceByAttackClass(t *testing.T) {
 	_, mixed, models := fixtures(t)
 	N := models.Window
 
 	for _, det := range []struct {
-		name  string
-		ref   []WindowScore
-		span  int // records covered by window i: [i, i+span)
-		score func(prec nn.Precision) []WindowScore
+		name     string
+		ref, got []WindowScore
+		span     int // records covered by window i: [i, i+span)
 	}{
-		{"ae", models.ScoreTraceAE(mixed.Trace), N,
-			func(p nn.Precision) []WindowScore { return models.ScoreTraceAEBatched(mixed.Trace, p) }},
-		{"lstm", models.ScoreTraceLSTM(mixed.Trace), N + 1,
-			func(p nn.Precision) []WindowScore { return models.ScoreTraceLSTMBatched(mixed.Trace, p) }},
+		{"ae", models.ScoreTraceAE(mixed.Trace), models.ScoreTraceAEBatched(mixed.Trace, nn.Float32), N},
+		{"lstm", models.ScoreTraceLSTM(mixed.Trace), models.ScoreTraceLSTMBatched(mixed.Trace, nn.Float32), N + 1},
 	} {
 		t.Run(det.name, func(t *testing.T) {
-			for _, prec := range []struct {
-				p        nn.Precision
-				rel, abs float64
-				strict   bool // threshold crossings must agree exactly
-			}{
-				{nn.Float32, f32ScoreRel, f32ScoreAbs, true},
-				{nn.Int8, i8ScoreRel, i8ScoreAbs, false},
-			} {
-				got := det.score(prec.p)
-				if len(got) != len(det.ref) {
-					t.Fatalf("%v: %d windows, reference %d", prec.p, len(got), len(det.ref))
+			got := det.got
+			if len(got) != len(det.ref) {
+				t.Fatalf("%d windows, reference %d", len(got), len(det.ref))
+			}
+			worst := map[int]float64{}
+			classes := map[int]int{}
+			for i := range got {
+				cls := windowClass(mixed.AttackOf, i, i+det.span)
+				classes[cls]++
+				d := math.Abs(got[i].Score - det.ref[i].Score)
+				if d > worst[cls] {
+					worst[cls] = d
 				}
-				worst := map[int]float64{}
-				classes := map[int]int{}
-				for i := range got {
-					cls := windowClass(mixed.AttackOf, i, i+det.span)
-					classes[cls]++
-					d := math.Abs(got[i].Score - det.ref[i].Score)
-					if d > worst[cls] {
-						worst[cls] = d
-					}
-					if d > prec.abs+prec.rel*math.Abs(det.ref[i].Score) {
-						t.Errorf("%v window %d (class %d): score %g, reference %g",
-							prec.p, i, cls, got[i].Score, det.ref[i].Score)
-					}
-					if prec.strict && got[i].Anomalous != det.ref[i].Anomalous {
-						t.Errorf("%v window %d (class %d): crossing %v, reference %v (score %g vs %g, threshold %g)",
-							prec.p, i, cls, got[i].Anomalous, det.ref[i].Anomalous,
-							got[i].Score, det.ref[i].Score, got[i].Threshold)
-					}
+				if d > f32ScoreAbs+f32ScoreRel*math.Abs(det.ref[i].Score) {
+					t.Errorf("window %d (class %d): score %g, reference %g",
+						i, cls, got[i].Score, det.ref[i].Score)
 				}
-				// The mixed dataset must actually exercise benign windows
-				// and all five seeded attack classes.
-				for cls := -1; cls < 5; cls++ {
-					if classes[cls] == 0 {
-						t.Errorf("no windows of class %d in the mixed trace", cls)
-					}
+				if got[i].Anomalous != det.ref[i].Anomalous {
+					t.Errorf("window %d (class %d): crossing %v, reference %v (score %g vs %g, threshold %g)",
+						i, cls, got[i].Anomalous, det.ref[i].Anomalous,
+						got[i].Score, det.ref[i].Score, got[i].Threshold)
 				}
-				for cls, d := range worst {
-					t.Logf("%s %v class %d: %d windows, max |Δscore| %.3g",
-						det.name, prec.p, cls, classes[cls], d)
+			}
+			// The mixed dataset must actually exercise benign windows
+			// and all five seeded attack classes.
+			for cls := -1; cls < 5; cls++ {
+				if classes[cls] == 0 {
+					t.Errorf("no windows of class %d in the mixed trace", cls)
 				}
+			}
+			for cls, d := range worst {
+				t.Logf("%s class %d: %d windows, max |Δscore| %.3g", det.name, cls, classes[cls], d)
 			}
 		})
 	}
 }
 
-// TestBatchedInt8CrossingAgreement holds int8 to the detection outcome
-// that matters operationally: on the seed dataset every threshold
-// crossing must agree with the float64 reference (no windows sit close
-// enough to the 99th-percentile thresholds for quantization noise to
-// flip them).
-func TestBatchedInt8CrossingAgreement(t *testing.T) {
-	_, mixed, models := fixtures(t)
-	refAE := models.ScoreTraceAE(mixed.Trace)
-	refLSTM := models.ScoreTraceLSTM(mixed.Trace)
-	i8AE := models.ScoreTraceAEBatched(mixed.Trace, nn.Int8)
-	i8LSTM := models.ScoreTraceLSTMBatched(mixed.Trace, nn.Int8)
-	for i := range refAE {
-		if i8AE[i].Anomalous != refAE[i].Anomalous {
-			t.Errorf("AE window %d: i8 crossing %v, f64 %v (score %g vs %g, threshold %g)",
-				i, i8AE[i].Anomalous, refAE[i].Anomalous, i8AE[i].Score, refAE[i].Score, refAE[i].Threshold)
+// TestThresholdsAreTheEnginePercentile pins where Train's cut comes
+// from: the thresholds and quantile tables are calibrate over the scores
+// the shipped engine gives the benign training trace, exactly.
+func TestThresholdsAreTheEnginePercentile(t *testing.T) {
+	benign, _, models := fixtures(t)
+	for _, c := range []struct {
+		name   string
+		scores []WindowScore
+		thr    float64
+		quants []float64
+	}{
+		{"ae", models.ScoreTraceAEBatched(benign, nn.Float32), models.AEThreshold, models.AEQuantiles},
+		{"lstm", models.ScoreTraceLSTMBatched(benign, nn.Float32), models.LSTMThreshold, models.LSTMQuantiles},
+	} {
+		thr, quants := calibrate(windowScores(c.scores), 99)
+		if c.thr != thr {
+			t.Errorf("%s threshold %.17g, engine's 99th percentile %.17g", c.name, c.thr, thr)
 		}
-	}
-	for i := range refLSTM {
-		if i8LSTM[i].Anomalous != refLSTM[i].Anomalous {
-			t.Errorf("LSTM window %d: i8 crossing %v, f64 %v (score %g vs %g, threshold %g)",
-				i, i8LSTM[i].Anomalous, refLSTM[i].Anomalous, i8LSTM[i].Score, refLSTM[i].Score, refLSTM[i].Threshold)
+		if len(c.quants) != len(quants) {
+			t.Fatalf("%s: %d quantiles, want %d", c.name, len(c.quants), len(quants))
 		}
-	}
-}
-
-// TestBatchedFloat64FallsBackToReference pins the precision escape
-// hatch: requesting f64 from the batched entry points returns the
-// scalar reference path bit for bit.
-func TestBatchedFloat64FallsBackToReference(t *testing.T) {
-	_, mixed, models := fixtures(t)
-	ae := models.ScoreTraceAEBatched(mixed.Trace, nn.Float64)
-	ref := models.ScoreTraceAE(mixed.Trace)
-	for i := range ref {
-		if ae[i] != ref[i] {
-			t.Fatalf("AE window %d: f64 batched %+v != reference %+v", i, ae[i], ref[i])
-		}
-	}
-	lstm := models.ScoreTraceLSTMBatched(mixed.Trace, nn.Float64)
-	refL := models.ScoreTraceLSTM(mixed.Trace)
-	for i := range refL {
-		if lstm[i] != refL[i] {
-			t.Fatalf("LSTM window %d: f64 batched %+v != reference %+v", i, lstm[i], refL[i])
+		for p := range quants {
+			if c.quants[p] != quants[p] {
+				t.Errorf("%s quantile %d = %.17g, engine's %.17g", c.name, p, c.quants[p], quants[p])
+			}
 		}
 	}
 }
@@ -197,7 +163,7 @@ func TestOnlineFlagsMatchOfflineBatched(t *testing.T) {
 			xapp:   x,
 		}
 		rt.triage = newAlertQueue(&rt.stats, obsQueueDepth.With("gnb-replay"), time.Now)
-		w := newWorker(rt, nn.Float32)
+		w := newWorker(rt)
 		// One chain per indication; sized so nothing is evicted or dropped.
 		ledger := prov.New(prov.Options{MaxChains: len(tr) + 1, Buffer: 8 * len(tr)})
 		old := prov.SetActive(ledger)
@@ -259,43 +225,15 @@ func TestOnlineFlagsMatchOfflineBatched(t *testing.T) {
 	}
 }
 
-// TestRunRejectsUnknownInference pins flag validation at xApp start:
-// unknown precisions are refused, and so is f64 — the scalar scorer is an
-// offline reference, not an online path — with an error that names what
-// the xApp does run.
-func TestRunRejectsUnknownInference(t *testing.T) {
-	_, _, models := fixtures(t)
-	if _, err := Run(nil, models, RunOptions{NodeID: "gnb-x", Inference: "bf16"}); err == nil {
-		t.Fatal("Run accepted unknown inference precision")
-	}
-	_, err := Run(nil, models, RunOptions{NodeID: "gnb-x", Inference: "f64"})
-	if err == nil {
-		t.Fatal("Run accepted the offline-only f64 scorer")
-	}
-	for _, want := range []string{"f32", "i8"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("f64 refusal %q does not name accepted value %q", err, want)
-		}
-	}
-}
-
 // TestEnginesCached proves engine construction is shared: repeated
-// Engines calls at one precision return the same instance, and distinct
-// precisions are distinct engines.
+// Engines calls return the same pair.
 func TestEnginesCached(t *testing.T) {
 	_, _, models := fixtures(t)
-	f32 := models.Engines(nn.Float32)
-	if models.Engines(nn.Float32) != f32 {
-		t.Error("Engines(f32) not cached")
+	e := models.Engines()
+	if models.Engines() != e {
+		t.Error("Engines not cached")
 	}
-	i8 := models.Engines(nn.Int8)
-	if i8 == f32 {
-		t.Error("distinct precisions share an engine")
-	}
-	if f32.Prec != nn.Float32 || i8.Prec != nn.Int8 {
-		t.Errorf("engine precisions %v/%v", f32.Prec, i8.Prec)
-	}
-	if f32.AE.InputDim() != models.RecordDim()*models.Window {
-		t.Errorf("AE engine input dim %d, want %d", f32.AE.InputDim(), models.RecordDim()*models.Window)
+	if e.AE.InputDim() != models.RecordDim()*models.Window {
+		t.Errorf("AE engine input dim %d, want %d", e.AE.InputDim(), models.RecordDim()*models.Window)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"github.com/6g-xsec/xsec/internal/detect"
 	"github.com/6g-xsec/xsec/internal/feature"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
+	"github.com/6g-xsec/xsec/internal/nn"
 )
 
 // Shared fixtures: training is the expensive part, so build once.
@@ -56,7 +57,7 @@ func TestDetectionTable2Shape(t *testing.T) {
 	_, mixed, models := fixtures(t)
 
 	// Window-level metrics at the paper's 99th-percentile threshold.
-	aeScores := models.ScoreTraceAE(mixed.Trace)
+	aeScores := models.ScoreTraceAEBatched(mixed.Trace, nn.Float32)
 	labels := feature.WindowLabels(mixed.Malicious, models.Window)
 	if len(aeScores) != len(labels) {
 		t.Fatalf("scores %d vs labels %d", len(aeScores), len(labels))
@@ -77,7 +78,7 @@ func TestDetectionTable2Shape(t *testing.T) {
 	}
 
 	// LSTM window-level: the AE leads on F1, as in Table 2.
-	lstmScores := models.ScoreTraceLSTM(mixed.Trace)
+	lstmScores := models.ScoreTraceLSTMBatched(mixed.Trace, nn.Float32)
 	lstmLabels := feature.WindowLabelsNext(mixed.Malicious, models.Window)
 	predL := make([]bool, len(lstmScores))
 	for i, s := range lstmScores {
@@ -129,13 +130,7 @@ func TestDetectionTable2Shape(t *testing.T) {
 	// At the paper's benign-accuracy operating point (~93%), recall
 	// approaches 100%: refit the threshold at the 93rd percentile and
 	// re-evaluate — the Table 2 shape.
-	benign := fixtureBenign
-	vecs := feature.Vectorize(benign, models.Vocab)
-	wins := feature.WindowsAE(vecs, models.Window)
-	trainScores := make([]float64, len(wins))
-	for i, w := range wins {
-		trainScores[i] = models.ScoreAEWindow(w)
-	}
+	trainScores := windowScores(models.ScoreTraceAEBatched(fixtureBenign, nn.Float32))
 	thr93 := detect.PercentileThreshold(trainScores, 93)
 	for i, s := range aeScores {
 		pred[i] = s.Score > thr93
@@ -151,7 +146,7 @@ func TestBenignAccuracyShape(t *testing.T) {
 	// Held-out style check on the training distribution: the fraction
 	// of benign windows below threshold must be high but imperfect
 	// (the paper reports 93.23% / 91.15%).
-	scores := models.ScoreTraceAE(benign)
+	scores := models.ScoreTraceAEBatched(benign, nn.Float32)
 	below := 0
 	for _, s := range scores {
 		if !s.Anomalous {
@@ -166,7 +161,7 @@ func TestBenignAccuracyShape(t *testing.T) {
 
 func TestPerAttackDetection(t *testing.T) {
 	_, mixed, models := fixtures(t)
-	scores := models.ScoreTraceAE(mixed.Trace)
+	scores := models.ScoreTraceAEBatched(mixed.Trace, nn.Float32)
 	labels := feature.WindowLabels(mixed.Malicious, models.Window)
 
 	// For every attack kind, at least one of its malicious windows is
@@ -216,8 +211,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Error("bundle metadata mismatch")
 	}
 	// Identical scores after reload.
-	a := models.ScoreTraceAE(mixed.Trace[:40])
-	b := loaded.ScoreTraceAE(mixed.Trace[:40])
+	a := models.ScoreTraceAEBatched(mixed.Trace[:40], nn.Float32)
+	b := loaded.ScoreTraceAEBatched(mixed.Trace[:40], nn.Float32)
 	for i := range a {
 		if a[i].Score != b[i].Score {
 			t.Fatalf("window %d: scores differ after reload", i)

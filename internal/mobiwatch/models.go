@@ -10,10 +10,8 @@ package mobiwatch
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"github.com/6g-xsec/xsec/internal/detect"
 	"github.com/6g-xsec/xsec/internal/feature"
@@ -77,17 +75,17 @@ type Models struct {
 	AEQuantiles   []float64
 	LSTMQuantiles []float64
 
-	// engines caches the lazily built reduced-precision inference
-	// engines shared by every scoring worker (see Engines). It lives
-	// behind a pointer — set at construction — so a Models value can be
-	// shallow-copied (the tests do, to vary thresholds).
+	// engines caches the lazily built inference engines shared by every
+	// scoring worker (see Engines). It lives behind a pointer — set at
+	// construction — so a Models value can be shallow-copied (the tests
+	// do, to vary thresholds).
 	engines *engineCache
 }
 
-// engineCache holds built inference engines, keyed by precision.
+// engineCache holds the bundle's engine pair, built once.
 type engineCache struct {
-	mu    sync.Mutex
-	byPre map[nn.Precision]*FastEngines
+	once sync.Once
+	e    *FastEngines
 }
 
 // calibrate fits a percentile threshold and the 0..100 quantile table
@@ -193,27 +191,22 @@ func train(benign mobiflow.Trace, opts TrainOptions, run func(fitAE, fitLSTM fun
 		LSTM:    lstm,
 		engines: &engineCache{},
 	}
-	m.CalibrateThresholds(winAE, winL, nexts, opts.Percentile)
+	// The thresholds are percentiles of the benign scores from the engine
+	// the xApp runs, so the cut is fitted on the scorer that decides.
+	aeScores := windowScores(m.scoreTraceBatched(benign, newPendingBatch(m, ModelAE)))
+	lstmScores := windowScores(m.scoreTraceBatched(benign, newPendingBatch(m, ModelLSTM)))
+	m.AEThreshold, m.AEQuantiles = calibrate(aeScores, opts.Percentile)
+	m.LSTMThreshold, m.LSTMQuantiles = calibrate(lstmScores, opts.Percentile)
 	return m, nil
 }
 
-// CalibrateThresholds re-scores the given benign windows with both
-// models — across a worker pool — and fits the detection thresholds and
-// quantile tables at the given percentile. Train calls it after
-// fitting; callers can re-invoke it to recalibrate a deployed bundle on
-// fresh benign telemetry without retraining.
-func (m *Models) CalibrateThresholds(winAE [][]float64, winL [][][]float64, nexts [][]float64, pct float64) {
-	dim := m.RecordDim()
-	aeScores := make([]float64, len(winAE))
-	m.forEachWindow(len(winAE), func(s *ScoreScratch, i int) {
-		aeScores[i] = aeWindowScoreWith(m.AE, s.AE, winAE[i], dim)
-	})
-	lstmScores := make([]float64, len(winL))
-	m.forEachWindow(len(winL), func(s *ScoreScratch, i int) {
-		lstmScores[i] = m.LSTM.ScoreWith(s.LSTM, winL[i], nexts[i])
-	})
-	m.AEThreshold, m.AEQuantiles = calibrate(aeScores, pct)
-	m.LSTMThreshold, m.LSTMQuantiles = calibrate(lstmScores, pct)
+// windowScores returns the scores of ws in order.
+func windowScores(ws []WindowScore) []float64 {
+	out := make([]float64, len(ws))
+	for i, w := range ws {
+		out[i] = w.Score
+	}
+	return out
 }
 
 // bundleJSON is the serialized model bundle for the SMO registry.
@@ -267,8 +260,18 @@ func Load(data []byte) (*Models, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mobiwatch: loading lstm: %w", err)
 	}
+	// The engines index rows by the vocabulary's record width, so a model
+	// of any other width would read misaligned rows or past a batch.
+	vocab := feature.NewVocabulary(b.Messages)
+	dim := feature.Dim(vocab)
+	if in := ae.InputDim(); in%dim != 0 || in/dim != b.Window {
+		return nil, fmt.Errorf("mobiwatch: autoencoder input is %d wide, want %d records of %d", in, b.Window, dim)
+	}
+	if in, _, out := lstm.Dims(); in != dim || out != dim {
+		return nil, fmt.Errorf("mobiwatch: lstm maps %d to %d features, want %d", in, out, dim)
+	}
 	return &Models{
-		Vocab:         feature.NewVocabulary(b.Messages),
+		Vocab:         vocab,
 		Window:        b.Window,
 		AE:            ae,
 		AEThreshold:   b.AEThreshold,
@@ -302,138 +305,5 @@ type WindowScore struct {
 	Model     ModelName
 }
 
-// ScoreScratch is a per-goroutine workspace for scoring windows against
-// a Models bundle. The bundle itself is read-only after training, so N
-// goroutines can score the same bundle concurrently given N scratches;
-// steady-state scoring through a scratch performs no heap allocation.
-type ScoreScratch struct {
-	AE   *nn.AEScratch
-	LSTM *nn.LSTMScratch
-}
-
-// NewScoreScratch allocates a workspace sized for both detectors.
-func (m *Models) NewScoreScratch() *ScoreScratch {
-	return &ScoreScratch{AE: m.AE.NewScratch(), LSTM: m.LSTM.NewScratch()}
-}
-
-// aeWindowScoreWith scores one flattened window: the window is
-// reconstructed jointly, and the score is the worst per-record
-// reconstruction MSE. The max-aggregation avoids diluting a single
-// strongly anomalous entry across the whole window (cf. per-timestamp
-// error aggregation in the multivariate anomaly-detection literature
-// the paper builds on).
-func aeWindowScoreWith(ae *nn.Autoencoder, s *nn.AEScratch, flat []float64, recordDim int) float64 {
-	return worstRecordMSE(ae.ReconstructWith(s, flat), flat, recordDim)
-}
-
-// worstRecordMSE returns the maximum per-record reconstruction MSE.
-func worstRecordMSE(recon, flat []float64, recordDim int) float64 {
-	worst := 0.0
-	for off := 0; off+recordDim <= len(flat); off += recordDim {
-		var sum float64
-		for i := off; i < off+recordDim; i++ {
-			d := recon[i] - flat[i]
-			sum += d * d
-		}
-		if mse := sum / float64(recordDim); mse > worst {
-			worst = mse
-		}
-	}
-	return worst
-}
-
 // RecordDim returns the per-record feature dimension of the bundle.
 func (m *Models) RecordDim() int { return feature.Dim(m.Vocab) }
-
-// ScoreAEWindow scores one flattened window with the autoencoder using
-// the model's default workspace (single-threaded convenience API).
-func (m *Models) ScoreAEWindow(flat []float64) float64 {
-	return worstRecordMSE(m.AE.Reconstruct(flat), flat, m.RecordDim())
-}
-
-// ScoreAEWindowWith scores one flattened window through the given
-// workspace; safe to call from many goroutines with distinct scratches.
-func (m *Models) ScoreAEWindowWith(s *ScoreScratch, flat []float64) float64 {
-	return aeWindowScoreWith(m.AE, s.AE, flat, m.RecordDim())
-}
-
-// scoreChunk is how many windows a pool worker claims at a time —
-// coarse enough to amortize the atomic fetch, fine enough to balance
-// tail latency across workers.
-const scoreChunk = 16
-
-// seqScoreCutoff is the window count below which the pool is not worth
-// its goroutine startup cost and scoring stays on the calling goroutine.
-const seqScoreCutoff = 2 * scoreChunk
-
-// forEachWindow invokes fn(scratch, i) for every window index in [0, n),
-// fanning out over a GOMAXPROCS-sized worker pool with one ScoreScratch
-// per worker. Every index is computed independently into its own output
-// slot, so results are identical to a sequential pass regardless of
-// scheduling.
-func (m *Models) forEachWindow(n int, fn func(s *ScoreScratch, i int)) {
-	workers := min(runtime.GOMAXPROCS(0), (n+scoreChunk-1)/scoreChunk)
-	// On a single schedulable CPU the pool cannot overlap any work; its
-	// goroutine startup and atomic traffic are pure overhead, so score
-	// inline.
-	if workers <= 1 || n < seqScoreCutoff {
-		s := m.NewScoreScratch()
-		for i := 0; i < n; i++ {
-			fn(s, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			s := m.NewScoreScratch()
-			for {
-				base := int(next.Add(scoreChunk)) - scoreChunk
-				if base >= n {
-					return
-				}
-				end := base + scoreChunk
-				if end > n {
-					end = n
-				}
-				for i := base; i < end; i++ {
-					fn(s, i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// ScoreTraceAE scores every window of a trace with the scalar float64
-// autoencoder — the reference the batched engines are tested against —
-// fanning the windows out over the worker pool. Scores are identical for
-// every GOMAXPROCS.
-func (m *Models) ScoreTraceAE(tr mobiflow.Trace) []WindowScore {
-	vecs := feature.Vectorize(tr, m.Vocab)
-	wins := feature.WindowsAE(vecs, m.Window)
-	dim := m.RecordDim()
-	out := make([]WindowScore, len(wins))
-	m.forEachWindow(len(wins), func(s *ScoreScratch, i int) {
-		sc := aeWindowScoreWith(m.AE, s.AE, wins[i], dim)
-		out[i] = WindowScore{Index: i, Score: sc, Threshold: m.AEThreshold, Anomalous: sc > m.AEThreshold, Model: ModelAE}
-	})
-	return out
-}
-
-// ScoreTraceLSTM scores every (window, next) pair with the scalar
-// float64 LSTM, fanning the windows out over the worker pool. Scores are
-// identical for every GOMAXPROCS.
-func (m *Models) ScoreTraceLSTM(tr mobiflow.Trace) []WindowScore {
-	vecs := feature.Vectorize(tr, m.Vocab)
-	wins, nexts := feature.WindowsLSTM(vecs, m.Window)
-	out := make([]WindowScore, len(wins))
-	m.forEachWindow(len(wins), func(s *ScoreScratch, i int) {
-		sc := m.LSTM.ScoreWith(s.LSTM, wins[i], nexts[i])
-		out[i] = WindowScore{Index: i, Score: sc, Threshold: m.LSTMThreshold, Anomalous: sc > m.LSTMThreshold, Model: ModelLSTM}
-	})
-	return out
-}

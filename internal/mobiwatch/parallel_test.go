@@ -11,54 +11,18 @@ import (
 	"github.com/6g-xsec/xsec/internal/dataset"
 	"github.com/6g-xsec/xsec/internal/detect"
 	"github.com/6g-xsec/xsec/internal/feature"
+	"github.com/6g-xsec/xsec/internal/nn"
 )
 
-// TestScoreTraceParallelMatchesSequential scores the mixed trace inline
-// (GOMAXPROCS 1) and through the worker pool (GOMAXPROCS 4) and requires
-// bit-identical scores for both detectors.
-func TestScoreTraceParallelMatchesSequential(t *testing.T) {
-	_, mixed, models := fixtures(t)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-
-	seqAE := models.ScoreTraceAE(mixed.Trace)
-	seqLSTM := models.ScoreTraceLSTM(mixed.Trace)
-	if len(seqAE) < seqScoreCutoff {
-		t.Fatalf("only %d windows: the pool would not engage", len(seqAE))
-	}
-	runtime.GOMAXPROCS(4)
-	parAE := models.ScoreTraceAE(mixed.Trace)
-	if len(parAE) != len(seqAE) {
-		t.Fatalf("AE: %d windows from the pool, want %d", len(parAE), len(seqAE))
-	}
-	for i := range seqAE {
-		if parAE[i] != seqAE[i] {
-			t.Fatalf("AE window %d from the pool = %+v, inline %+v", i, parAE[i], seqAE[i])
-		}
-	}
-	parLSTM := models.ScoreTraceLSTM(mixed.Trace)
-	if len(parLSTM) != len(seqLSTM) {
-		t.Fatalf("LSTM: %d windows from the pool, want %d", len(parLSTM), len(seqLSTM))
-	}
-	for i := range seqLSTM {
-		if parLSTM[i] != seqLSTM[i] {
-			t.Fatalf("LSTM window %d from the pool = %+v, inline %+v", i, parLSTM[i], seqLSTM[i])
-		}
-	}
-}
-
 // TestConcurrentBundleScoring scores one shared bundle from many
-// goroutines, each with its own ScoreScratch — the xApp fleet shape.
-// Under -race this proves the bundle is read-only during inference.
+// goroutines, each with its own pendingBatch over the shared engine pair
+// — the sharded xApp's shape. Under -race this proves the engines are
+// read-only during inference.
 func TestConcurrentBundleScoring(t *testing.T) {
 	_, mixed, models := fixtures(t)
-	vecs := feature.Vectorize(mixed.Trace, models.Vocab)
-	wins := feature.WindowsAE(vecs, models.Window)
-	if len(wins) == 0 {
+	want := models.ScoreTraceAEBatched(mixed.Trace, nn.Float32)
+	if len(want) == 0 {
 		t.Fatal("no windows")
-	}
-	want := make([]float64, len(wins))
-	for i, w := range wins {
-		want[i] = models.ScoreAEWindow(w)
 	}
 
 	var wg sync.WaitGroup
@@ -67,9 +31,9 @@ func TestConcurrentBundleScoring(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := models.NewScoreScratch()
-			for i, w := range wins {
-				if got := models.ScoreAEWindowWith(s, w); got != want[i] {
+			got := models.ScoreTraceAEBatched(mixed.Trace, nn.Float32)
+			for i := range want {
+				if got[i] != want[i] {
 					errs <- "concurrent AE score diverged"
 					return
 				}
@@ -83,70 +47,29 @@ func TestConcurrentBundleScoring(t *testing.T) {
 	}
 }
 
-// TestScoreWindowZeroAllocs proves steady-state window scoring through
-// a scratch does not touch the heap.
+// TestScoreWindowZeroAllocs proves steady-state batch scoring — push a
+// batch of windows, score it, reset — does not touch the heap once the
+// batch's buffers have grown.
 func TestScoreWindowZeroAllocs(t *testing.T) {
 	_, mixed, models := fixtures(t)
-	vecs := feature.Vectorize(mixed.Trace, models.Vocab)
-	wins := feature.WindowsAE(vecs, models.Window)
-	winsL, nexts := feature.WindowsLSTM(vecs, models.Window)
-	s := models.NewScoreScratch()
-	if n := testing.AllocsPerRun(100, func() { models.ScoreAEWindowWith(s, wins[0]) }); n != 0 {
-		t.Errorf("ScoreAEWindowWith allocates %v/op, want 0", n)
+	rows := feature.NewRowBuffer(models.RecordDim())
+	e := feature.NewEncoder(models.Vocab)
+	for _, r := range mixed.Trace[:64] {
+		rows.Push(e, r)
 	}
-	if n := testing.AllocsPerRun(100, func() { models.LSTM.ScoreWith(s.LSTM, winsL[0], nexts[0]) }); n != 0 {
-		t.Errorf("LSTM.ScoreWith allocates %v/op, want 0", n)
-	}
-}
-
-// goroutineID returns the "goroutine N" prefix of the caller's stack —
-// enough to tell whether two calls ran on the same goroutine.
-func goroutineID() string {
-	buf := make([]byte, 64)
-	buf = buf[:runtime.Stack(buf, false)]
-	if i := bytes.IndexByte(buf, '['); i > 0 {
-		buf = buf[:i]
-	}
-	return string(bytes.TrimSpace(buf))
-}
-
-// TestForEachWindowInlineOnSingleCPU pins the BENCH_nn anomaly fix:
-// with one schedulable CPU the scoring pool cannot overlap any work, so
-// forEachWindow must run every window inline on the calling goroutine.
-func TestForEachWindowInlineOnSingleCPU(t *testing.T) {
-	_, _, models := fixtures(t)
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-
-	caller := goroutineID()
-	n := 2 * seqScoreCutoff // large enough that the pool path would engage
-	var mu sync.Mutex
-	seen := map[string]bool{}
-	hits := 0
-	models.forEachWindow(n, func(s *ScoreScratch, i int) {
-		mu.Lock()
-		seen[goroutineID()] = true
-		hits++
-		mu.Unlock()
-	})
-	if hits != n {
-		t.Fatalf("forEachWindow visited %d windows, want %d", hits, n)
-	}
-	if len(seen) != 1 || !seen[caller] {
-		t.Errorf("with GOMAXPROCS=1 scoring ran on goroutines %v, want only caller %s", seen, caller)
-	}
-
-	// With more schedulable CPUs the pool must engage: work moves off the
-	// calling goroutine.
-	runtime.GOMAXPROCS(4)
-	seen = map[string]bool{}
-	models.forEachWindow(n, func(s *ScoreScratch, i int) {
-		mu.Lock()
-		seen[goroutineID()] = true
-		mu.Unlock()
-	})
-	if seen[caller] {
-		t.Errorf("with GOMAXPROCS=4, scoring still ran on the calling goroutine")
+	for _, model := range []ModelName{ModelAE, ModelLSTM} {
+		b := newPendingBatch(models, model)
+		pass := func() {
+			for i := 0; i+b.span() <= rows.Len(); i++ {
+				b.push(rows, i)
+			}
+			b.score()
+			b.reset()
+		}
+		pass() // grow the batch and the engine scratch
+		if n := testing.AllocsPerRun(100, pass); n != 0 {
+			t.Errorf("%s: a steady-state batch allocates %v/op, want 0", model, n)
+		}
 	}
 }
 
@@ -154,12 +77,7 @@ func TestForEachWindowInlineOnSingleCPU(t *testing.T) {
 // calibration against the legacy per-percentile path.
 func TestCalibrateMatchesPercentileThreshold(t *testing.T) {
 	benign, _, models := fixtures(t)
-	vecs := feature.Vectorize(benign, models.Vocab)
-	wins := feature.WindowsAE(vecs, models.Window)
-	scores := make([]float64, len(wins))
-	for i, w := range wins {
-		scores[i] = models.ScoreAEWindow(w)
-	}
+	scores := windowScores(models.ScoreTraceAEBatched(benign, nn.Float32))
 	thr, quants := calibrate(scores, 99)
 	if want := detect.PercentileThreshold(scores, 99); thr != want {
 		t.Errorf("calibrate threshold = %g, PercentileThreshold = %g", thr, want)

@@ -10,7 +10,6 @@ import (
 	"github.com/6g-xsec/xsec/internal/asn1lite"
 	"github.com/6g-xsec/xsec/internal/e2sm"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
-	"github.com/6g-xsec/xsec/internal/nn"
 	"github.com/6g-xsec/xsec/internal/obs"
 	"github.com/6g-xsec/xsec/internal/ric"
 	"github.com/6g-xsec/xsec/internal/rrc"
@@ -31,7 +30,7 @@ func retentionWorker(t *testing.T, node string) (*worker, *sdl.Store) {
 	store.Bound(TelemetryNamespace, TelemetryBytes)
 	rt := &Runtime{models: models, opts: RunOptions{NodeID: node}, xapp: x}
 	rt.triage = newAlertQueue(&rt.stats, obsQueueDepth.With(node), time.Now)
-	return newWorker(rt, nn.Float32), store
+	return newWorker(rt), store
 }
 
 // feed puts one indication carrying batch through both of the worker's

@@ -12,7 +12,6 @@ import (
 	"github.com/6g-xsec/xsec/internal/e2sm"
 	"github.com/6g-xsec/xsec/internal/feature"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
-	"github.com/6g-xsec/xsec/internal/nn"
 	"github.com/6g-xsec/xsec/internal/obs"
 	"github.com/6g-xsec/xsec/internal/prov"
 	"github.com/6g-xsec/xsec/internal/ric"
@@ -97,10 +96,6 @@ type RunOptions struct {
 	Shards int
 	// ShardBuffer bounds each shard's dispatch queue (default 256).
 	ShardBuffer int
-	// Inference selects the batched scoring engine: "f32" (default) or
-	// "i8". The scalar float64 scorer is an offline reference only
-	// (ScoreTraceAE/LSTM, xsec-detect -inference f64); Run refuses "f64".
-	Inference string
 	// ScoreLatency, when set, additionally receives every per-batch
 	// scoring latency observation. Colocated federated instances share
 	// the process-global histogram, so each instance passes its own
@@ -274,13 +269,6 @@ func Run(x *ric.XApp, models *Models, opts RunOptions) (*Runtime, error) {
 	if opts.NodeID == "" {
 		return nil, fmt.Errorf("mobiwatch: RunOptions.NodeID is required")
 	}
-	prec, err := nn.ParsePrecision(opts.Inference)
-	if err != nil {
-		return nil, fmt.Errorf("mobiwatch: %w", err)
-	}
-	if prec == nn.Float64 {
-		return nil, fmt.Errorf("mobiwatch: inference %q is the offline reference scorer; the online xApp runs f32 or i8", opts.Inference)
-	}
 	trigger := asn1lite.Marshal(&e2sm.EventTrigger{Period: opts.ReportPeriod})
 	action := asn1lite.Marshal(&e2sm.ActionDefinition{AllUEs: true})
 	sub, err := x.Subscribe(opts.NodeID, e2sm.MobiFlowRANFunctionID, trigger,
@@ -304,7 +292,7 @@ func Run(x *ric.XApp, models *Models, opts RunOptions) (*Runtime, error) {
 	rt.triage = newAlertQueue(&rt.stats, obsQueueDepth.With(opts.NodeID), time.Now)
 	var wg sync.WaitGroup
 	for i := 0; i < sub.Shards(); i++ {
-		w := newWorker(rt, prec)
+		w := newWorker(rt)
 		rt.workers = append(rt.workers, w)
 		wg.Add(2)
 		go func(shard int) {
@@ -324,7 +312,7 @@ func Run(x *ric.XApp, models *Models, opts RunOptions) (*Runtime, error) {
 	return rt, nil
 }
 
-func newWorker(rt *Runtime, prec nn.Precision) *worker {
+func newWorker(rt *Runtime) *worker {
 	m := rt.models
 	return &worker{
 		rt:      rt,
@@ -333,8 +321,8 @@ func newWorker(rt *Runtime, prec nn.Precision) *worker {
 		encoder: feature.NewEncoder(m.Vocab),
 		rows:    feature.NewRowBuffer(m.RecordDim()),
 		queues: [2]windowQueue{
-			{batch: newPendingBatch(m, ModelAE, prec), anomalies: obsAnomalyAE},
-			{batch: newPendingBatch(m, ModelLSTM, prec), anomalies: obsAnomalyLSTM},
+			{batch: newPendingBatch(m, ModelAE), anomalies: obsAnomalyAE},
+			{batch: newPendingBatch(m, ModelLSTM), anomalies: obsAnomalyLSTM},
 		},
 		ctrl:  make(chan ctrlOp),
 		ues:   ueMarks{cur: make(map[uint64]chainMark)},

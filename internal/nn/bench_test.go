@@ -77,8 +77,8 @@ func BenchmarkLSTMScoreParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkScoreBatch times the batched engines the xApp scores through,
-// at both shipped precisions, on a 32-window batch — the order of one
+// BenchmarkScoreBatch times the float32 batched engines the xApp scores
+// through, on a 32-window batch — the order of one
 // worker flush. ns/op is per batch: divide by 32 to set a row beside
 // BenchmarkAEScore / BenchmarkLSTMScore, the scalar float64 reference.
 func BenchmarkScoreBatch(b *testing.B) {
@@ -102,14 +102,10 @@ func BenchmarkScoreBatch(b *testing.B) {
 			}
 		})
 	}
-	for _, e := range []*AEInference{ae.QuantizeF32(), ae.QuantizeI8()} {
-		s := e.NewBatchScratch()
-		run("ae/"+e.Precision().String(), func() { e.ScoreBatch(s, xbAE, n, recordDim, scores) })
-	}
-	for _, e := range []*LSTMInference{l.QuantizeF32(), l.QuantizeI8()} {
-		s := e.NewBatchScratch()
-		run("lstm/"+e.Precision().String(), func() { e.ScoreBatch(s, xbLSTM, tgt, n, len(window), scores) })
-	}
+	aeEng, lEng := ae.QuantizeF32(), l.QuantizeF32()
+	aeS, lS := aeEng.NewBatchScratch(), lEng.NewBatchScratch()
+	run("ae/f32", func() { aeEng.ScoreBatch(aeS, xbAE, n, recordDim, scores) })
+	run("lstm/f32", func() { lEng.ScoreBatch(lS, xbLSTM, tgt, n, len(window), scores) })
 }
 
 func benchTrainData() [][]float64 {

@@ -6,27 +6,24 @@ package nn
 // columns — no horizontal reductions — and a batch of W windows becomes
 // one matrix-matrix product per layer instead of W GEMVs.
 //
-// Two kernel families exist per block of laneCols output columns:
+// The block kernel computes, per block of laneCols output columns,
 //
 //	kernelF32: Y[m][0:32] += Σ_k X[m][k] · Wt[k][0:32]
-//	kernelI8:  Y[m][0:32] += scale[0:32] · Σ_k X[m][k] · float32(W8[k][0:32])
 //
 // On amd64 with AVX2+FMA (detected at runtime, so the build stays
-// GOAMD64=v1) the kernels are assembly (gemm_amd64.s); everywhere else
-// the portable Go versions below run. Both share exact semantics, so the
-// selection is invisible above this file.
+// GOAMD64=v1) the kernel is assembly (gemm_amd64.s); everywhere else
+// the portable Go version below runs. FMA rounds each product-sum once,
+// so the two agree to rounding, not bit for bit
+// (FuzzGemmBlockAsmMatchesGo bounds the difference).
 
 // laneCols is the kernel's output-column block width. Weight planes pad
 // their output dimension up to a multiple of it.
 const laneCols = 32
 
-// kernelF32 and kernelI8 are the selected block kernels. They are
-// package variables so tests can force the portable versions; init in
-// gemm_amd64.go upgrades them when the CPU allows.
-var (
-	kernelF32 = gemmBlockGo
-	kernelI8  = gemmBlockI8Go
-)
+// kernelF32 is the selected block kernel. It is a package variable so
+// tests can force the portable version; init in gemm_amd64.go upgrades
+// it when the CPU allows.
+var kernelF32 = gemmBlockGo
 
 // simdKernel names the active kernel implementation ("avx2" or
 // "generic") for benchmark metadata.
@@ -56,85 +53,28 @@ func gemmBlockGo(y []float32, yStride int, x []float32, xStride int, wt []float3
 	}
 }
 
-// gemmBlockI8Go is the portable int8 block kernel: integer weights
-// accumulate in float32 and the per-output-column scale is applied once
-// at the end, so y[m][o] += scale[o] · Σ_k x[m][k] · w8[k][o].
-func gemmBlockI8Go(y []float32, yStride int, x []float32, xStride int, w8 []int8, wtStride int, scale []float32, n, k int) {
-	var acc [laneCols]float32
-	for m := 0; m < n; m++ {
-		for o := range acc {
-			acc[o] = 0
-		}
-		xrow := x[m*xStride:]
-		for kk := 0; kk < k; kk++ {
-			xv := xrow[kk]
-			if xv == 0 {
-				continue
-			}
-			wrow := w8[kk*wtStride : kk*wtStride+laneCols : kk*wtStride+laneCols]
-			for o := 0; o < laneCols; o++ {
-				acc[o] += xv * float32(wrow[o])
-			}
-		}
-		yrow := y[m*yStride : m*yStride+laneCols : m*yStride+laneCols]
-		for o := 0; o < laneCols; o++ {
-			yrow[o] += acc[o] * scale[o]
-		}
-	}
-}
-
 // padCols rounds an output dimension up to the kernel block width.
 func padCols(out int) int {
 	return (out + laneCols - 1) / laneCols * laneCols
 }
 
-// plane is one quantized dense layer: transposed weights padded to a
-// multiple of laneCols output columns, bias, and activation. Exactly one
-// of w32 / w8 is set.
+// plane is one float32 dense layer: transposed weights padded to a
+// multiple of laneCols output columns, bias, and activation.
 type plane struct {
 	in, out, outPad int
 	act             Activation
 
-	w32   []float32 // in×outPad, transposed: w32[k*outPad+o]
-	w8    []int8    // in×outPad, transposed
-	scale []float32 // per-output-column dequantization scale (int8 only)
-	bias  []float32 // outPad, padding zero
+	w32  []float32 // in×outPad, transposed: w32[k*outPad+o]
+	bias []float32 // outPad, padding zero
 }
 
 // newPlane converts one float64 layer (row-major w[o*in+k], bias b) into
-// a transposed padded plane at the requested precision.
-func newPlane(w, b []float64, in, out int, act Activation, prec Precision) plane {
+// a transposed padded float32 plane.
+func newPlane(w, b []float64, in, out int, act Activation) plane {
 	p := plane{in: in, out: out, outPad: padCols(out), act: act}
 	p.bias = make([]float32, p.outPad)
 	for o := 0; o < out; o++ {
 		p.bias[o] = float32(b[o])
-	}
-	if prec == Int8 {
-		p.w8 = make([]int8, in*p.outPad)
-		p.scale = make([]float32, p.outPad)
-		for o := 0; o < out; o++ {
-			var mx float64
-			for k := 0; k < in; k++ {
-				if a := w[o*in+k]; a > mx {
-					mx = a
-				} else if -a > mx {
-					mx = -a
-				}
-			}
-			if mx == 0 {
-				continue // zero row quantizes to zeros with scale 0
-			}
-			s := mx / 127
-			p.scale[o] = float32(s)
-			for k := 0; k < in; k++ {
-				q := int(w[o*in+k]/s + 0.5)
-				if w[o*in+k] < 0 {
-					q = int(w[o*in+k]/s - 0.5)
-				}
-				p.w8[k*p.outPad+o] = int8(q)
-			}
-		}
-		return p
 	}
 	p.w32 = make([]float32, in*p.outPad)
 	for o := 0; o < out; o++ {
@@ -159,12 +99,6 @@ func (p *plane) fillBias(y []float32, n int) {
 // fresh layer, or with a previous gemm's output to chain accumulations.
 func (p *plane) gemm(y []float32, yStride int, x []float32, xStride, n int) {
 	if n == 0 || p.in == 0 {
-		return
-	}
-	if p.w8 != nil {
-		for ob := 0; ob < p.outPad; ob += laneCols {
-			kernelI8(y[ob:], yStride, x, xStride, p.w8[ob:], p.outPad, p.scale[ob:], n, p.in)
-		}
 		return
 	}
 	for ob := 0; ob < p.outPad; ob += laneCols {

@@ -12,7 +12,6 @@ package nn
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 func gemmBlockAVX2(y *float32, yStride int, x *float32, xStride int, wt *float32, wtStride int, n, k int)
-func gemmBlockI8AVX2(y *float32, yStride int, x *float32, xStride int, w8 *int8, wtStride int, scale *float32, n, k int)
 
 //go:noescape
 func vsigmoidAVX2(v *float32, n int)
@@ -58,10 +57,6 @@ func gemmBlockAsm(y []float32, yStride int, x []float32, xStride int, wt []float
 	gemmBlockAVX2(&y[0], yStride, &x[0], xStride, &wt[0], wtStride, n, k)
 }
 
-func gemmBlockI8Asm(y []float32, yStride int, x []float32, xStride int, w8 []int8, wtStride int, scale []float32, n, k int) {
-	gemmBlockI8AVX2(&y[0], yStride, &x[0], xStride, &w8[0], wtStride, &scale[0], n, k)
-}
-
 // vsigmoidAsm and vtanhAsm run the 8-lane kernels over the aligned body
 // and fall back to the scalar activations for the remainder, so results
 // depend only on each element's index, never on the vector's length.
@@ -88,7 +83,6 @@ func vtanhAsm(v []float32) {
 func init() {
 	if hasAVX2FMA() {
 		kernelF32 = gemmBlockAsm
-		kernelI8 = gemmBlockI8Asm
 		vsigmoidF32 = vsigmoidAsm
 		vtanhF32 = vtanhAsm
 		simdKernel = "avx2"

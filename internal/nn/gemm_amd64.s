@@ -135,87 +135,6 @@ done:
 	VZEROUPPER
 	RET
 
-// func gemmBlockI8AVX2(y *float32, yStride int, x *float32, xStride int,
-//                      w8 *int8, wtStride int, scale *float32, n, k int)
-//
-// Y[m][0:32] += scale[0:32] * sum_k X[m][k] * float32(W8[k][0:32]).
-// Integer weights are sign-extended and converted per load; the
-// accumulators start at zero so the per-column scale distributes over
-// the sum and applies once at the end.
-TEXT ·gemmBlockI8AVX2(SB), NOSPLIT, $0-72
-	MOVQ y+0(FP), DI
-	MOVQ yStride+8(FP), R8
-	MOVQ x+16(FP), SI
-	MOVQ xStride+24(FP), R9
-	MOVQ w8+32(FP), DX
-	MOVQ wtStride+40(FP), R10
-	MOVQ scale+48(FP), R12
-	MOVQ n+56(FP), AX
-	MOVQ k+64(FP), CX
-
-	SHLQ $2, R8
-	SHLQ $2, R9
-	// wtStride is in elements = bytes for int8.
-
-i8mloop:
-	TESTQ AX, AX
-	JZ    i8done
-
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-
-	MOVQ SI, R11
-	MOVQ DX, BX
-	MOVQ CX, R15
-
-i8kloop:
-	VBROADCASTSS (R11), Y8
-	VPMOVSXBD    (BX), Y10
-	VPMOVSXBD    8(BX), Y11
-	VPMOVSXBD    16(BX), Y12
-	VPMOVSXBD    24(BX), Y13
-	VCVTDQ2PS    Y10, Y10
-	VCVTDQ2PS    Y11, Y11
-	VCVTDQ2PS    Y12, Y12
-	VCVTDQ2PS    Y13, Y13
-	VFMADD231PS  Y10, Y8, Y0
-	VFMADD231PS  Y11, Y8, Y1
-	VFMADD231PS  Y12, Y8, Y2
-	VFMADD231PS  Y13, Y8, Y3
-	ADDQ         $4, R11
-	ADDQ         R10, BX
-	DECQ         R15
-	JNZ          i8kloop
-
-	// dst += acc * scale
-	VMOVUPS     (R12), Y10
-	VMOVUPS     32(R12), Y11
-	VMOVUPS     64(R12), Y12
-	VMOVUPS     96(R12), Y13
-	VMOVUPS     (DI), Y4
-	VMOVUPS     32(DI), Y5
-	VMOVUPS     64(DI), Y6
-	VMOVUPS     96(DI), Y7
-	VFMADD231PS Y10, Y0, Y4
-	VFMADD231PS Y11, Y1, Y5
-	VFMADD231PS Y12, Y2, Y6
-	VFMADD231PS Y13, Y3, Y7
-	VMOVUPS     Y4, (DI)
-	VMOVUPS     Y5, 32(DI)
-	VMOVUPS     Y6, 64(DI)
-	VMOVUPS     Y7, 96(DI)
-
-	ADDQ R8, DI
-	ADDQ R9, SI
-	DECQ AX
-	JMP  i8mloop
-
-i8done:
-	VZEROUPPER
-	RET
-
 // Vectorized activations: 8-lane sigmoid/tanh built on the same Cephes
 // exp used by the scalar versions in mathf32.go. Inputs are clamped to
 // the scalar saturation ranges first, which also bounds the exponent k

@@ -1,19 +1,11 @@
 package nn
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
-// This file is the public surface of the fast inference engine. Trained
-// models stay float64 — training, checkpoints, and the reference scalar
-// scorers are untouched — and Quantize* converts a trained model into an
-// immutable inference engine at reduced precision:
-//
-//	Float32: weights and arithmetic in float32 (the default fast path).
-//	Int8:    weights quantized per output row to int8 with a float32
-//	         scale; accumulation stays float32, so only the weight
-//	         representation loses precision.
+// This file is the public surface of the batched inference engine.
+// Trained models stay float64 — training, checkpoints and the scalar
+// forward pass are untouched — and QuantizeF32 converts a trained model
+// into an immutable float32 engine.
 //
 // Engines score whole batches of windows: one tiled matrix-matrix
 // product per layer instead of one GEMV per window, with the activation
@@ -21,55 +13,13 @@ import (
 // materializing reconstructions. All scratch lives in a reusable arena,
 // so steady-state scoring performs no heap allocation.
 
-// Precision selects the weight representation of an inference engine.
-// The zero value is Float64, the reference scalar path.
+// Precision names an inference engine's arithmetic. Float32 is its only
+// value: the type survives because benchmark/probes.go passes nn.Float32
+// to mobiwatch's ScoreTrace*Batched, and goes when that caller stops.
 type Precision int
 
-const (
-	// Float64 is the trained-model reference path (no engine).
-	Float64 Precision = iota
-	// Float32 stores weights and computes in single precision.
-	Float32
-	// Int8 stores weights as int8 with per-output-row float32 scales
-	// and accumulates in float32.
-	Int8
-)
-
-// String returns the flag-style name of the precision.
-func (p Precision) String() string {
-	switch p {
-	case Float64:
-		return "f64"
-	case Float32:
-		return "f32"
-	case Int8:
-		return "i8"
-	}
-	return fmt.Sprintf("Precision(%d)", int(p))
-}
-
-// ParsePrecision parses a flag-style precision name. It accepts the
-// String forms plus common aliases ("float32", "int8", ...). The empty
-// string parses to Float32, the default fast path.
-func ParsePrecision(s string) (Precision, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "":
-		return Float32, nil
-	case "f64", "float64", "fp64":
-		return Float64, nil
-	case "f32", "float32", "fp32":
-		return Float32, nil
-	case "i8", "int8":
-		return Int8, nil
-	}
-	return Float64, fmt.Errorf("nn: unknown precision %q (want f64, f32, or i8)", s)
-}
-
-// Inference is implemented by the batched inference engines.
-type Inference interface {
-	// Precision reports the engine's weight representation.
-	Precision() Precision
-}
+// Float32 stores weights and computes in single precision.
+const Float32 Precision = 1
 
 // ensureF32 grows a float32 arena buffer to at least n elements,
 // preserving nothing. Steady state (fixed batch size) never grows.
@@ -80,15 +30,13 @@ func ensureF32(buf []float32, n int) []float32 {
 	return buf[:n]
 }
 
-// AEInference is an immutable reduced-precision autoencoder engine.
-// Build one with Autoencoder.QuantizeF32 / QuantizeI8; score batches of
-// flattened windows with ScoreBatch. Safe for concurrent use with
-// per-goroutine scratches.
+// AEInference is an immutable float32 autoencoder engine. Build one
+// with Autoencoder.QuantizeF32; score batches of flattened windows with
+// ScoreBatch. Safe for concurrent use with per-goroutine scratches.
 type AEInference struct {
 	planes   []plane
 	inputDim int
 	maxPad   int // widest plane output, for scratch sizing
-	prec     Precision
 }
 
 // AEBatchScratch is the per-goroutine arena for AEInference.ScoreBatch.
@@ -97,10 +45,13 @@ type AEBatchScratch struct {
 	a, b []float32
 }
 
-func newAEInference(a *Autoencoder, prec Precision) *AEInference {
-	e := &AEInference{inputDim: a.inputDim, prec: prec}
+// QuantizeF32 converts the trained autoencoder into a float32 batched
+// inference engine. The autoencoder is unchanged and further training
+// does not affect the returned engine.
+func (a *Autoencoder) QuantizeF32() *AEInference {
+	e := &AEInference{inputDim: a.inputDim}
 	for _, l := range a.net.Layers() {
-		p := newPlane(l.w.W, l.b.W, l.In, l.Out, l.Act, prec)
+		p := newPlane(l.w.W, l.b.W, l.In, l.Out, l.Act)
 		if p.outPad > e.maxPad {
 			e.maxPad = p.outPad
 		}
@@ -108,18 +59,6 @@ func newAEInference(a *Autoencoder, prec Precision) *AEInference {
 	}
 	return e
 }
-
-// QuantizeF32 converts the trained autoencoder into a float32 batched
-// inference engine. The autoencoder is unchanged and further training
-// does not affect the returned engine.
-func (a *Autoencoder) QuantizeF32() *AEInference { return newAEInference(a, Float32) }
-
-// QuantizeI8 converts the trained autoencoder into an int8-weight
-// inference engine (float32 accumulation, per-output-row scales).
-func (a *Autoencoder) QuantizeI8() *AEInference { return newAEInference(a, Int8) }
-
-// Precision implements Inference.
-func (e *AEInference) Precision() Precision { return e.prec }
 
 // InputDim returns the flattened window dimension the engine expects.
 func (e *AEInference) InputDim() int { return e.inputDim }
@@ -190,16 +129,15 @@ func (e *AEInference) ScoreBatch(s *AEBatchScratch, xb []float32, n, recordDim i
 	}
 }
 
-// LSTMInference is an immutable reduced-precision LSTM engine. Build one
-// with LSTM.QuantizeF32 / QuantizeI8; score batches of windows with
-// ScoreBatch. Safe for concurrent use with per-goroutine scratches.
+// LSTMInference is an immutable float32 LSTM engine. Build one with
+// LSTM.QuantizeF32; score batches of windows with ScoreBatch. Safe for
+// concurrent use with per-goroutine scratches.
 type LSTMInference struct {
 	inDim, hidDim, outDim int
 
 	wx   plane // (4H)×D gate input weights, bias = gate bias
 	wh   plane // (4H)×H recurrent weights, bias zero
 	head plane // Dout×H projection head
-	prec Precision
 }
 
 // LSTMBatchScratch is the per-goroutine arena for LSTMInference.ScoreBatch.
@@ -209,28 +147,18 @@ type LSTMBatchScratch struct {
 	pred  []float32 // n × padCols(Dout) head output
 }
 
-func newLSTMInference(l *LSTM, prec Precision) *LSTMInference {
-	H := l.hidDim
-	return &LSTMInference{
-		inDim: l.inDim, hidDim: H, outDim: l.outDim,
-		wx:   newPlane(l.wx.W, l.b.W, l.inDim, 4*H, ActIdentity, prec),
-		wh:   newPlane(l.wh.W, make([]float64, 4*H), H, 4*H, ActIdentity, prec),
-		head: newPlane(l.wy.W, l.by.W, H, l.outDim, ActIdentity, prec),
-		prec: prec,
-	}
-}
-
 // QuantizeF32 converts the trained LSTM into a float32 batched inference
 // engine. The LSTM is unchanged and further training does not affect the
 // returned engine.
-func (l *LSTM) QuantizeF32() *LSTMInference { return newLSTMInference(l, Float32) }
-
-// QuantizeI8 converts the trained LSTM into an int8-weight inference
-// engine (float32 accumulation, per-output-row scales).
-func (l *LSTM) QuantizeI8() *LSTMInference { return newLSTMInference(l, Int8) }
-
-// Precision implements Inference.
-func (e *LSTMInference) Precision() Precision { return e.prec }
+func (l *LSTM) QuantizeF32() *LSTMInference {
+	H := l.hidDim
+	return &LSTMInference{
+		inDim: l.inDim, hidDim: H, outDim: l.outDim,
+		wx:   newPlane(l.wx.W, l.b.W, l.inDim, 4*H, ActIdentity),
+		wh:   newPlane(l.wh.W, make([]float64, 4*H), H, 4*H, ActIdentity),
+		head: newPlane(l.wy.W, l.by.W, H, l.outDim, ActIdentity),
+	}
+}
 
 // Dims returns (input, hidden, output) widths.
 func (e *LSTMInference) Dims() (in, hidden, out int) { return e.inDim, e.hidDim, e.outDim }

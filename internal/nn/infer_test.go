@@ -6,16 +6,13 @@ import (
 	"testing"
 )
 
-// Divergence bounds for the reduced-precision engines against the
-// float64 reference scorers, checked by the tests below on trained
-// models. Float32 loses only rounding (~1e-7 relative per operation, a
-// few µ across a layer); int8 quantizes each weight to 1 of 255 levels
-// per output row, so scores can move by a few percent.
+// Divergence bounds for the float32 engines against the float64
+// reference scorers, checked by the tests below on trained models.
+// Float32 loses only rounding (~1e-7 relative per operation, a few µ
+// across a layer).
 const (
 	f32RelBound = 1e-4
 	f32AbsBound = 1e-6
-	i8RelBound  = 0.08
-	i8AbsBound  = 1e-3
 )
 
 func scoreDiverged(got float32, want, rel, abs float64) bool {
@@ -28,20 +25,20 @@ func scoreDiverged(got float32, want, rel, abs float64) bool {
 // a test, restoring the runtime-selected ones after.
 func forcePortableKernels(t *testing.T) {
 	t.Helper()
-	f32, i8 := kernelF32, kernelI8
+	f32 := kernelF32
 	vs, vt := vsigmoidF32, vtanhF32
 	avx := avx64
-	kernelF32, kernelI8 = gemmBlockGo, gemmBlockI8Go
+	kernelF32 = gemmBlockGo
 	vsigmoidF32, vtanhF32 = vsigmoidGo, vtanhGo
 	avx64 = false
 	t.Cleanup(func() {
-		kernelF32, kernelI8 = f32, i8
+		kernelF32 = f32
 		vsigmoidF32, vtanhF32 = vs, vt
 		avx64 = avx
 	})
 }
 
-// TestGemmKernelAsmMatchesGo proves the SIMD kernels compute the same
+// TestGemmKernelAsmMatchesGo proves the SIMD kernel computes the same
 // block product as the portable reference, including odd row counts and
 // strided inputs. Skipped when the host selected the portable kernels.
 func TestGemmKernelAsmMatchesGo(t *testing.T) {
@@ -62,37 +59,21 @@ func TestGemmKernelAsmMatchesGo(t *testing.T) {
 			}
 			wtStride := laneCols
 			wf := make([]float32, k*wtStride)
-			w8 := make([]int8, k*wtStride)
-			scale := make([]float32, laneCols)
 			for i := range wf {
 				wf[i] = float32(rng.NormFloat64())
-				w8[i] = int8(rng.Intn(255) - 127)
-			}
-			for i := range scale {
-				scale[i] = float32(rng.Float64() * 0.02)
 			}
 			seed := make([]float32, n*yStride)
 			for i := range seed {
 				seed[i] = float32(rng.NormFloat64())
 			}
 
-			run := func(f32 bool, kf func(y []float32, yStride int, x []float32, xStride int, wt []float32, wtStride, n, k int),
-				ki func(y []float32, yStride int, x []float32, xStride int, w8 []int8, wtStride int, scale []float32, n, k int)) []float32 {
-				y := append([]float32(nil), seed...)
-				if f32 {
-					kf(y, yStride, x, xStride, wf, wtStride, n, k)
-				} else {
-					ki(y, yStride, x, xStride, w8, wtStride, scale, n, k)
-				}
-				return y
-			}
-			for _, f32 := range []bool{true, false} {
-				want := run(f32, gemmBlockGo, gemmBlockI8Go)
-				got := run(f32, kernelF32, kernelI8)
-				for i := range want {
-					if d := math.Abs(float64(got[i] - want[i])); d > 1e-4 {
-						t.Fatalf("n=%d k=%d f32=%v: y[%d] = %g (asm) vs %g (go)", n, k, f32, i, got[i], want[i])
-					}
+			want := append([]float32(nil), seed...)
+			gemmBlockGo(want, yStride, x, xStride, wf, wtStride, n, k)
+			got := append([]float32(nil), seed...)
+			kernelF32(got, yStride, x, xStride, wf, wtStride, n, k)
+			for i := range want {
+				if d := math.Abs(float64(got[i] - want[i])); d > 1e-4 {
+					t.Fatalf("n=%d k=%d: y[%d] = %g (asm) vs %g (go)", n, k, i, got[i], want[i])
 				}
 			}
 		}
@@ -163,26 +144,6 @@ func TestFastActivations(t *testing.T) {
 	}
 }
 
-func TestParsePrecision(t *testing.T) {
-	cases := map[string]Precision{
-		"": Float32, "f32": Float32, "FLOAT32": Float32,
-		"f64": Float64, "float64": Float64,
-		"i8": Int8, "int8": Int8,
-	}
-	for in, want := range cases {
-		got, err := ParsePrecision(in)
-		if err != nil || got != want {
-			t.Errorf("ParsePrecision(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParsePrecision("bf16"); err == nil {
-		t.Error("ParsePrecision(bf16) should fail")
-	}
-	if Float32.String() != "f32" || Int8.String() != "i8" || Float64.String() != "f64" {
-		t.Error("Precision.String round-trip broken")
-	}
-}
-
 // flattenF32 packs float64 windows row-major into a float32 batch tensor.
 func flattenF32(rows [][]float64) []float32 {
 	if len(rows) == 0 {
@@ -211,8 +172,8 @@ func flattenWindowsF32(windows [][][]float64) []float32 {
 	return out
 }
 
-// TestAEScoreBatchMatchesFloat64 bounds the batched engines' divergence
-// from the float64 reference scorer, on both kernel families, for both
+// TestAEScoreBatchMatchesFloat64 bounds the batched engine's divergence
+// from the float64 reference scorer, on both kernels, for both
 // whole-window MSE and the worst-record windowed score.
 func TestAEScoreBatchMatchesFloat64(t *testing.T) {
 	ae, _, flat, _, _ := trainedPair(t)
@@ -263,14 +224,9 @@ func TestAEScoreBatchMatchesFloat64(t *testing.T) {
 		}
 	}
 	t.Run("f32", func(t *testing.T) { check(t, ae.QuantizeF32(), f32RelBound, f32AbsBound) })
-	t.Run("i8", func(t *testing.T) { check(t, ae.QuantizeI8(), i8RelBound, i8AbsBound) })
 	t.Run("f32-portable", func(t *testing.T) {
 		forcePortableKernels(t)
 		check(t, ae.QuantizeF32(), f32RelBound, f32AbsBound)
-	})
-	t.Run("i8-portable", func(t *testing.T) {
-		forcePortableKernels(t)
-		check(t, ae.QuantizeI8(), i8RelBound, i8AbsBound)
 	})
 }
 
@@ -306,14 +262,9 @@ func TestLSTMScoreBatchMatchesFloat64(t *testing.T) {
 		}
 	}
 	t.Run("f32", func(t *testing.T) { check(t, l.QuantizeF32(), f32RelBound, f32AbsBound) })
-	t.Run("i8", func(t *testing.T) { check(t, l.QuantizeI8(), i8RelBound, i8AbsBound) })
 	t.Run("f32-portable", func(t *testing.T) {
 		forcePortableKernels(t)
 		check(t, l.QuantizeF32(), f32RelBound, f32AbsBound)
-	})
-	t.Run("i8-portable", func(t *testing.T) {
-		forcePortableKernels(t)
-		check(t, l.QuantizeI8(), i8RelBound, i8AbsBound)
 	})
 }
 
@@ -336,7 +287,7 @@ func TestScoreBatchZeroAllocs(t *testing.T) {
 	wxb := flattenWindowsF32(windows)
 	targets := flattenF32(nexts)
 	T := len(windows[0])
-	lEng := l.QuantizeI8()
+	lEng := l.QuantizeF32()
 	ls := lEng.NewBatchScratch()
 	lEng.ScoreBatch(ls, wxb, targets, len(windows), T, scores)
 	if a := testing.AllocsPerRun(50, func() { lEng.ScoreBatch(ls, wxb, targets, len(windows), T, scores) }); a != 0 {

@@ -51,11 +51,18 @@ func LoadAutoencoder(data []byte) (*Autoencoder, error) {
 	if len(snap.Layers) == 0 {
 		return nil, fmt.Errorf("nn: autoencoder snapshot has no layers")
 	}
+	// The layers chain from input_dim back to input_dim, so every width
+	// is some layer's bias length: no product below can overflow.
 	m := &MLP{}
+	width := snap.InputDim
 	for i, ls := range snap.Layers {
+		if ls.In != width || ls.In <= 0 || ls.Out <= 0 {
+			return nil, fmt.Errorf("nn: layer %d is %d→%d, but its input is %d wide", i, ls.In, ls.Out, width)
+		}
 		if len(ls.W) != ls.In*ls.Out || len(ls.B) != ls.Out {
 			return nil, fmt.Errorf("nn: layer %d has inconsistent shapes", i)
 		}
+		width = ls.Out
 		d := &Dense{
 			In: ls.In, Out: ls.Out, Act: ls.Act,
 			w: &Param{Name: fmt.Sprintf("dense%dx%d.w", ls.Out, ls.In), W: append([]float64(nil), ls.W...), G: make([]float64, len(ls.W))},
@@ -63,6 +70,9 @@ func LoadAutoencoder(data []byte) (*Autoencoder, error) {
 		}
 		m.layers = append(m.layers, d)
 		m.params = append(m.params, d.Params()...)
+	}
+	if width != snap.InputDim {
+		return nil, fmt.Errorf("nn: autoencoder reconstructs %d values of a %d-wide input", width, snap.InputDim)
 	}
 	return &Autoencoder{net: m, inputDim: snap.InputDim}, nil
 }
@@ -104,9 +114,12 @@ func LoadLSTM(data []byte) (*LSTM, error) {
 	if snap.InDim <= 0 || snap.HidDim <= 0 || snap.OutDim <= 0 {
 		return nil, fmt.Errorf("nn: lstm snapshot has non-positive dims")
 	}
+	// H and O are checked against bias lengths, D by division, so a huge
+	// declared dim cannot wrap a product round to a length it has.
 	H, D, O := snap.HidDim, snap.InDim, snap.OutDim
-	if len(snap.Wx) != 4*H*D || len(snap.Wh) != 4*H*H || len(snap.B) != 4*H ||
-		len(snap.Wy) != O*H || len(snap.By) != O {
+	if len(snap.B)%4 != 0 || len(snap.B)/4 != H || len(snap.By) != O ||
+		len(snap.Wx)%(4*H) != 0 || len(snap.Wx)/(4*H) != D ||
+		len(snap.Wh) != 4*H*H || len(snap.Wy) != O*H {
 		return nil, fmt.Errorf("nn: lstm snapshot has inconsistent shapes")
 	}
 	l := NewLSTM(0, D, H, O)

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"encoding/json"
 	"math/rand"
 	"testing"
 )
@@ -71,6 +72,46 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadLSTM([]byte(`{"kind":"lstm","in_dim":2,"hid_dim":2,"out_dim":2,"wx":[1]}`)); err == nil {
 		t.Error("inconsistent lstm shapes accepted")
+	}
+}
+
+// TestLoadAutoencoderRejectsBrokenChain feeds snapshots whose layer
+// widths do not chain from input_dim back to input_dim. Every one would
+// otherwise load and score rows of the wrong width — or index past them.
+func TestLoadAutoencoderRejectsBrokenChain(t *testing.T) {
+	// resize makes layer i out wide with consistent weight and bias
+	// lengths, so only the chain is wrong.
+	resize := func(s *aeSnapshot, i, out int) {
+		s.Layers[i].Out = out
+		s.Layers[i].W = make([]float64, s.Layers[i].In*out)
+		s.Layers[i].B = make([]float64, out)
+	}
+	for _, c := range []struct {
+		name    string
+		corrupt func(s *aeSnapshot)
+	}{
+		{"input_dim is not the first layer's in", func(s *aeSnapshot) { s.InputDim-- }},
+		{"a layer's out is not the next layer's in", func(s *aeSnapshot) { resize(s, 0, s.Layers[0].Out+1) }},
+		{"the last layer's out is not input_dim", func(s *aeSnapshot) { resize(s, len(s.Layers)-1, s.InputDim-1) }},
+		{"a zero-width layer", func(s *aeSnapshot) { resize(s, 0, 0); s.Layers[1].In, s.Layers[1].W = 0, nil }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			data, err := NewAutoencoder(AEConfig{InputDim: 6, Hidden: []int{4, 2}, Seed: 1}).Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snap aeSnapshot
+			if err := json.Unmarshal(data, &snap); err != nil {
+				t.Fatal(err)
+			}
+			c.corrupt(&snap)
+			if data, err = json.Marshal(snap); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadAutoencoder(data); err == nil {
+				t.Error("loaded")
+			}
+		})
 	}
 }
 
