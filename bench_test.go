@@ -168,23 +168,23 @@ func BenchmarkAblation_Bottleneck(b *testing.B) {
 	}
 }
 
-// benchWindowsF32 encodes the first 64 mixed-trace records the way the
-// xApp's worker does and returns n windows of them as one float32 batch
-// tensor — the autoencoder's and the LSTM's input alike — with the record
-// after each window as the LSTM's target.
-func benchWindowsF32(env *bench.Env) (n int, x, targets []float32) {
+// benchRows encodes the first 64 mixed-trace records the way the xApp's
+// worker does and returns them as the engines read them, with the start
+// of each of the n windows that have a next record — the autoencoder's
+// input and the LSTM's alike, the record after each window being the
+// LSTM's target.
+func benchRows(env *bench.Env) (in nn.Rows, starts []int) {
 	m := env.Models
 	rows := feature.NewRowBuffer(m.RecordDim())
 	e := feature.NewEncoder(m.Vocab)
 	for _, r := range env.Mixed.Trace[:64] {
 		rows.Push(e, r)
 	}
-	n = rows.Len() - m.Window // windows with a next record
-	for i := 0; i < n; i++ {
-		x = rows.AppendWindowF32(x, i, m.Window)
-		targets = rows.AppendWindowF32(targets, i+m.Window, 1)
+	for i := 0; i+m.Window < rows.Len(); i++ {
+		starts = append(starts, i)
 	}
-	return n, x, targets
+	x, cols, off := rows.Sparse()
+	return nn.Rows{X: x, Dim: m.RecordDim(), Cols: cols, Off: off}, starts
 }
 
 // BenchmarkInference_AE measures one autoencoder window score on the
@@ -195,15 +195,15 @@ func BenchmarkInference_AE(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n, x, _ := benchWindowsF32(env)
+	in, starts := benchRows(env)
 	eng := env.Models.Engines().AE
 	s, score := eng.NewBatchScratch(), make([]float32, 1)
-	w := eng.InputDim()
-	eng.ScoreBatch(s, x, 1, env.Models.RecordDim(), score) // grow the scratch arena
+	eng.ScoreWindows(s, in, starts[:1], score) // grow the scratch arena
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.ScoreBatch(s, x[i%n*w:], 1, env.Models.RecordDim(), score)
+		j := i % len(starts)
+		eng.ScoreWindows(s, in, starts[j:j+1], score)
 	}
 }
 
@@ -214,16 +214,16 @@ func BenchmarkInference_LSTM(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n, x, targets := benchWindowsF32(env)
+	in, starts := benchRows(env)
 	eng := env.Models.Engines().LSTM
 	s, score := eng.NewBatchScratch(), make([]float32, 1)
-	dim, N := env.Models.RecordDim(), env.Models.Window
-	eng.ScoreBatch(s, x, targets, 1, N, score) // grow the scratch arena
+	N := env.Models.Window
+	eng.ScoreWindows(s, in, starts[:1], N, score) // grow the scratch arena
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j := i % n
-		eng.ScoreBatch(s, x[j*N*dim:], targets[j*dim:], 1, N, score)
+		j := i % len(starts)
+		eng.ScoreWindows(s, in, starts[j:j+1], N, score)
 	}
 }
 

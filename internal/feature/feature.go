@@ -12,6 +12,7 @@ package feature
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -117,26 +118,27 @@ type Encoder struct {
 	rntiSeen  map[cell.RNTI]bool
 	tmsiOwner map[cell.TMSI]uint64
 	// incomplete tracks UE contexts whose registration procedure is in
-	// flight; its size is the RAN's "incomplete load", the multivariate
-	// DoS signature (many fabricated sessions stuck before completion).
+	// flight; the count of its true entries is the RAN's "incomplete
+	// load", the multivariate DoS signature (many fabricated sessions
+	// stuck before completion), kept in inFlight as entries change.
 	incomplete map[uint64]bool
+	inFlight   int
 	// lastTS is the previous record's timestamp for inter-arrival
 	// features (zero until the first record).
 	lastTS time.Time
 
-	// buf stages EncodeF32 output so the float32 path allocates nothing
-	// in steady state.
-	buf []float64
+	// cols and vals are the last record's non-zero features, ascending
+	// by column: every encoding writes through them, so the float32
+	// paths allocate nothing in steady state.
+	cols []int32
+	vals []float64
 }
 
 // NewEncoder returns an Encoder over vocab with empty identity history.
 func NewEncoder(vocab *Vocabulary) *Encoder {
-	return &Encoder{
-		vocab:      vocab,
-		rntiSeen:   make(map[cell.RNTI]bool),
-		tmsiOwner:  make(map[cell.TMSI]uint64),
-		incomplete: make(map[uint64]bool),
-	}
+	e := &Encoder{vocab: vocab}
+	e.Reset()
+	return e
 }
 
 // Reset clears the identity history (e.g. between independent captures).
@@ -144,6 +146,7 @@ func (e *Encoder) Reset() {
 	e.rntiSeen = make(map[cell.RNTI]bool)
 	e.tmsiOwner = make(map[cell.TMSI]uint64)
 	e.incomplete = make(map[uint64]bool)
+	e.inFlight = 0
 }
 
 // Dim returns the output dimension of Encode.
@@ -153,82 +156,86 @@ func (e *Encoder) Dim() int { return Dim(e.vocab) }
 // identity history.
 func (e *Encoder) Encode(r mobiflow.Record) []float64 {
 	out := make([]float64, e.Dim())
-	e.encodeInto(out, r)
+	e.encode(r)
+	for i, c := range e.cols {
+		out[c] = e.vals[i]
+	}
 	return out
 }
 
 // EncodeF32 encodes one record into dst (len ≥ e.Dim()) as float32,
-// updating the identity history exactly like Encode — the fast-path
-// variant feeding batched inference tensors. It stages through a reused
-// internal buffer, so steady-state calls perform no heap allocation.
+// updating the identity history exactly like Encode: dst[i] is
+// float32(Encode(r)[i]). Steady-state calls perform no heap allocation.
 func (e *Encoder) EncodeF32(dst []float32, r mobiflow.Record) {
-	if e.buf == nil {
-		e.buf = make([]float64, e.Dim())
-	}
-	e.encodeInto(e.buf, r)
-	for i, v := range e.buf {
-		dst[i] = float32(v)
+	e.encode(r)
+	clear(dst[:e.Dim()])
+	for i, c := range e.cols {
+		dst[c] = float32(e.vals[i])
 	}
 }
 
-// encodeInto writes the feature vector of r into out (len == e.Dim()),
-// zeroing it first, and updates the identity history.
-func (e *Encoder) encodeInto(out []float64, r mobiflow.Record) {
-	for i := range out {
-		out[i] = 0
-	}
+// set records feature col = v; columns arrive in ascending order.
+func (e *Encoder) set(col int, v float64) {
+	e.cols = append(e.cols, int32(col))
+	e.vals = append(e.vals, v)
+}
+
+// encode computes the non-zero features of r into e.cols / e.vals and
+// updates the identity history.
+func (e *Encoder) encode(r mobiflow.Record) {
+	e.cols, e.vals = e.cols[:0], e.vals[:0]
 	pos := 0
 
 	// Message one-hot (with unknown bucket).
-	out[pos+e.vocab.Index(r.Msg)] = 1
+	e.set(pos+e.vocab.Index(r.Msg), 1)
 	pos += e.vocab.Size()
 
 	// Direction and layer.
 	if r.Dir == cell.Uplink {
-		out[pos] = 1
+		e.set(pos, 1)
 	}
 	pos += widthDirection
 	if r.Layer == mobiflow.LayerNAS {
-		out[pos] = 1
+		e.set(pos, 1)
 	}
 	pos += widthLayer
 
 	// Security algorithms.
 	if int(r.CipherAlg) < widthCipher {
-		out[pos+int(r.CipherAlg)] = 1
+		e.set(pos+int(r.CipherAlg), 1)
 	}
 	pos += widthCipher
 	if int(r.IntegAlg) < widthInteg {
-		out[pos+int(r.IntegAlg)] = 1
+		e.set(pos+int(r.IntegAlg), 1)
 	}
 	pos += widthInteg
 	if r.SecurityOn {
-		out[pos] = 1
+		e.set(pos, 1)
 	}
 	pos += widthSecOn
 
 	// Establishment cause.
 	if int(r.EstCause) < widthCause {
-		out[pos+int(r.EstCause)] = 1
+		e.set(pos+int(r.EstCause), 1)
 	}
 	pos += widthCause
 
 	// Protocol states.
 	if int(r.RRCState) < widthRRCState {
-		out[pos+int(r.RRCState)] = 1
+		e.set(pos+int(r.RRCState), 1)
 	}
 	pos += widthRRCState
 	if int(r.NASState) < widthNASState {
-		out[pos+int(r.NASState)] = 1
+		e.set(pos+int(r.NASState), 1)
 	}
 	pos += widthNASState
 
 	// Protocol flags.
 	if r.OutOfOrder {
-		out[pos] = 1
+		e.set(pos, 1)
 	}
 	if r.Retransmission {
-		out[pos+1] = 1
+		e.set(pos+1, 1)
 	}
 	pos += widthFlags
 
@@ -245,25 +252,26 @@ func (e *Encoder) encodeInto(out []float64, r mobiflow.Record) {
 		e.tmsiOwner[r.TMSI] = r.UEID
 	}
 	if rntiFresh {
-		out[pos] = 1
+		e.set(pos, 1)
 	}
 	if tmsiReuse {
-		out[pos+1] = 1
+		e.set(pos+1, 1)
 	}
 	if r.TMSI != cell.InvalidTMSI {
-		out[pos+2] = 1
+		e.set(pos+2, 1)
 	}
 	if r.SUPI != "" && !r.SecurityOn {
-		out[pos+3] = 1 // plaintext permanent identity exposure
+		e.set(pos+3, 1) // plaintext permanent identity exposure
 	}
 	if r.SecurityOn && (r.CipherAlg.Null() || r.IntegAlg.Null()) {
-		out[pos+4] = 1 // null security actively selected
+		e.set(pos+4, 1) // null security actively selected
 	}
 
 	// Incomplete-session load: how many UE contexts have a registration
 	// procedure in flight. Released or registered contexts leave the
 	// set; abandoned ones accumulate — the resource-exhaustion footprint
 	// of the DoS attacks.
+	wasInFlight := e.incomplete[r.UEID]
 	switch {
 	case r.RRCState == rrc.StateReleased:
 		delete(e.incomplete, r.UEID)
@@ -272,18 +280,19 @@ func (e *Encoder) encodeInto(out []float64, r mobiflow.Record) {
 	default:
 		e.incomplete[r.UEID] = true
 	}
-	load := 0
-	for _, inFlight := range e.incomplete {
-		if inFlight {
-			load++
+	if nowInFlight := e.incomplete[r.UEID]; nowInFlight != wasInFlight {
+		if nowInFlight {
+			e.inFlight++
+		} else {
+			e.inFlight--
 		}
 	}
-	if load > incompleteLoadCap {
-		load = incompleteLoadCap
+	load := min(e.inFlight, incompleteLoadCap)
+	if load > 0 {
+		e.set(pos+5, float64(load)/incompleteLoadCap)
 	}
-	out[pos+5] = float64(load) / incompleteLoadCap
 	if load >= floodThreshold {
-		out[pos+6] = 1
+		e.set(pos+6, 1)
 	}
 
 	// Inter-arrival time (t_i − t_{i−1}), log-scaled, plus a burst
@@ -299,20 +308,22 @@ func (e *Encoder) encodeInto(out []float64, r mobiflow.Record) {
 		if scaled > 1 {
 			scaled = 1
 		}
-		out[pos+7] = scaled
+		if scaled != 0 {
+			e.set(pos+7, scaled)
+		}
 		if dt < burstInterval {
-			out[pos+8] = 1
+			e.set(pos+8, 1)
 		}
 	} else {
-		out[pos+7] = 0.5 // unknown: neutral midpoint
+		e.set(pos+7, 0.5) // unknown: neutral midpoint
 	}
 	if !r.Timestamp.IsZero() {
 		e.lastTS = r.Timestamp
 	}
 	pos += widthDerived
 
-	if pos != len(out) {
-		panic(fmt.Sprintf("feature: encoded %d of %d dims", pos, len(out)))
+	if pos != e.Dim() {
+		panic(fmt.Sprintf("feature: encoded %d of %d dims", pos, e.Dim()))
 	}
 }
 
@@ -358,13 +369,16 @@ func WindowsLSTM(vecs [][]float64, n int) (windows [][][]float64, nexts [][]floa
 }
 
 // RowBuffer accumulates encoded records as contiguous float32 rows — the
-// staging area between the streaming encoder and a batched inference
-// tensor. Records are encoded directly into the buffer's backing array
-// and windows are appended to the batch tensor with one contiguous copy,
-// so the feature→tensor path performs no steady-state heap allocation.
+// staging area between the streaming encoder and batched inference —
+// with each row's non-zero column list kept beside it, as the encoder
+// wrote it. The scoring engines read windows of rows in place and run
+// their input layers over those lists, so the feature→tensor path copies
+// nothing and allocates nothing in steady state.
 type RowBuffer struct {
 	dim  int
 	rows []float32 // flat, Len()×dim
+	cols []int32   // every row's non-zero columns, ascending per row
+	off  []int32   // Len()+1 offsets: row i's list is cols[off[i]:off[i+1]]
 }
 
 // NewRowBuffer returns an empty buffer for rows of the given dimension.
@@ -372,7 +386,7 @@ func NewRowBuffer(dim int) *RowBuffer {
 	if dim <= 0 {
 		panic("feature: NewRowBuffer needs dim > 0")
 	}
-	return &RowBuffer{dim: dim}
+	return &RowBuffer{dim: dim, off: []int32{0}}
 }
 
 // Dim returns the per-row feature dimension.
@@ -381,18 +395,27 @@ func (b *RowBuffer) Dim() int { return b.dim }
 // Len returns the number of buffered rows.
 func (b *RowBuffer) Len() int { return len(b.rows) / b.dim }
 
-// Push encodes r through e directly into the buffer's next row. The
-// backing array grows geometrically and is then reused, so a buffer that
-// is Trimmed back down stops allocating.
+// Push encodes r through e directly into the buffer's next row and its
+// column list: the columns whose float32 bit pattern is not zero, so a
+// −0 would be listed. The backing arrays grow geometrically and are then
+// reused, so a buffer that is Trimmed back down stops allocating.
 func (b *RowBuffer) Push(e *Encoder, r mobiflow.Record) {
-	n := len(b.rows)
-	if cap(b.rows) < n+b.dim {
-		grown := make([]float32, n, 2*(n+b.dim))
-		copy(grown, b.rows)
-		b.rows = grown
+	if e.Dim() != b.dim {
+		panic(fmt.Sprintf("feature: RowBuffer of %d columns pushed a record of %d", b.dim, e.Dim()))
 	}
-	b.rows = b.rows[:n+b.dim]
-	e.EncodeF32(b.rows[n:n+b.dim], r)
+	e.encode(r)
+	n := len(b.rows)
+	b.rows = slices.Grow(b.rows, b.dim)[:n+b.dim]
+	row := b.rows[n:]
+	clear(row)
+	for i, c := range e.cols {
+		v := float32(e.vals[i])
+		row[c] = v
+		if math.Float32bits(v) != 0 {
+			b.cols = append(b.cols, c)
+		}
+	}
+	b.off = append(b.off, int32(len(b.cols)))
 }
 
 // Trim drops the oldest drop rows, sliding the rest down in place.
@@ -401,11 +424,16 @@ func (b *RowBuffer) Trim(drop int) {
 		return
 	}
 	if drop >= b.Len() {
-		b.rows = b.rows[:0]
+		b.rows, b.cols, b.off = b.rows[:0], b.cols[:0], b.off[:1]
 		return
 	}
-	kept := copy(b.rows, b.rows[drop*b.dim:])
-	b.rows = b.rows[:kept]
+	cut := b.off[drop]
+	b.rows = b.rows[:copy(b.rows, b.rows[drop*b.dim:])]
+	b.cols = b.cols[:copy(b.cols, b.cols[cut:])]
+	b.off = b.off[:copy(b.off, b.off[drop:])]
+	for i := range b.off {
+		b.off[i] -= cut
+	}
 }
 
 // Row returns a view of row i, valid until the next Push or Trim.
@@ -413,11 +441,17 @@ func (b *RowBuffer) Row(i int) []float32 {
 	return b.rows[i*b.dim : (i+1)*b.dim]
 }
 
-// AppendWindowF32 appends rows [start, start+n) to dst as one flattened
-// window — a single contiguous copy into the batch tensor. With dst
-// capacity pre-sized it performs no allocation.
-func (b *RowBuffer) AppendWindowF32(dst []float32, start, n int) []float32 {
-	return append(dst, b.rows[start*b.dim:(start+n)*b.dim]...)
+// Cols returns row i's non-zero columns, ascending, valid until the next
+// Push or Trim.
+func (b *RowBuffer) Cols(i int) []int32 {
+	return b.cols[b.off[i]:b.off[i+1]]
+}
+
+// Sparse returns views of the whole buffer, valid until the next Push or
+// Trim: the rows, flat, and every row's column list as Cols describes it
+// — cols[off[i]:off[i+1]] for row i.
+func (b *RowBuffer) Sparse() (rows []float32, cols, off []int32) {
+	return b.rows, b.cols, b.off
 }
 
 // WindowLabels derives per-window labels from per-record labels using the

@@ -2,6 +2,7 @@ package feature
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -62,8 +63,8 @@ func TestEncodeF32MatchesEncode(t *testing.T) {
 	}
 }
 
-// TestRowBufferWindows checks Push/Trim/AppendWindowF32 bookkeeping
-// against independently encoded rows.
+// TestRowBufferWindows checks Push/Trim bookkeeping, the rows and each
+// row's column list, against independently encoded rows.
 func TestRowBufferWindows(t *testing.T) {
 	tr := variedTrace(40, 9)
 	v := BuildVocabulary(tr)
@@ -86,12 +87,12 @@ func TestRowBufferWindows(t *testing.T) {
 		}
 	}
 
-	// A flattened window is the concatenation of its rows.
+	checkCols(t, b, ref)
+
+	// A window is a view of its consecutive rows.
 	const start, n = 5, 4
-	win := b.AppendWindowF32(nil, start, n)
-	if len(win) != n*b.Dim() {
-		t.Fatalf("window len = %d, want %d", len(win), n*b.Dim())
-	}
+	rows, _, _ := b.Sparse()
+	win := rows[start*b.Dim() : (start+n)*b.Dim()]
 	for i := 0; i < n; i++ {
 		for j := 0; j < b.Dim(); j++ {
 			if win[i*b.Dim()+j] != float32(ref[start+i][j]) {
@@ -111,16 +112,45 @@ func TestRowBufferWindows(t *testing.T) {
 			t.Fatalf("post-trim row 0 feature %d = %g, want %g", j, row[j], ref[10][j])
 		}
 	}
+	checkCols(t, b, ref[10:])
 	b.Trim(b.Len() + 5)
 	if b.Len() != 0 {
 		t.Fatalf("Len after over-trim = %d, want 0", b.Len())
+	}
+	b.Push(enc, tr[0]) // lists restart from an empty buffer
+	row = b.Row(0)
+	again := make([]float64, len(row))
+	for j, f := range row {
+		again[j] = float64(f)
+	}
+	checkCols(t, b, [][]float64{again})
+}
+
+// checkCols requires every row's column list to be exactly the columns
+// of want's row whose float32 is not zero, ascending, and Sparse to
+// describe the same lists.
+func checkCols(t *testing.T, b *RowBuffer, want [][]float64) {
+	t.Helper()
+	_, cols, off := b.Sparse()
+	if len(off) != b.Len()+1 || off[0] != 0 || int(off[b.Len()]) != len(cols) {
+		t.Fatalf("%d rows described by %d offsets from %d over %d columns", b.Len(), len(off), off[0], len(cols))
+	}
+	for i, row := range want {
+		var listed []int32
+		for j, v := range row {
+			if float32(v) != 0 {
+				listed = append(listed, int32(j))
+			}
+		}
+		if got := b.Cols(i); !slices.Equal(got, listed) || !slices.Equal(cols[off[i]:off[i+1]], listed) {
+			t.Fatalf("row %d lists columns %v, want %v", i, got, listed)
+		}
 	}
 }
 
 // TestFeatureToTensorZeroAllocs proves the streaming feature→tensor path
 // allocates nothing in steady state: a warm RowBuffer cycles Push/Trim
-// without touching the heap, and window extraction into a pre-sized
-// batch tensor is a pure copy.
+// without touching the heap, its rows and column lists read in place.
 func TestFeatureToTensorZeroAllocs(t *testing.T) {
 	tr := variedTrace(64, 11)
 	v := BuildVocabulary(tr)
@@ -136,12 +166,10 @@ func TestFeatureToTensorZeroAllocs(t *testing.T) {
 		b.Push(enc, r)
 	}
 
-	const winSize = 4
-	batch := make([]float32, 0, 16*winSize*b.Dim())
-	i := 0
+	i, listed := 0, 0
 	if a := testing.AllocsPerRun(200, func() {
 		b.Push(enc, tr[i%len(tr)])
-		batch = b.AppendWindowF32(batch[:0], b.Len()-winSize, winSize)
+		listed += len(b.Cols(b.Len() - 1))
 		b.Trim(1)
 		i++
 	}); a != 0 {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/6g-xsec/xsec/internal/e2sm"
+	"github.com/6g-xsec/xsec/internal/feature"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
 	"github.com/6g-xsec/xsec/internal/obs"
 	"github.com/6g-xsec/xsec/internal/prov"
@@ -37,9 +38,10 @@ func TestFoldedEvidenceMatchesWriterFold(t *testing.T) {
 		node      = "gnb-fold"
 		threshold = 1.0
 		window    = 4
-		dim       = 3
-		flushLen  = 8 // windows per model per flush, as flushWindows/2 online
+		flushLen  = 8 // windows per model per flush
 	)
+	vocab := feature.NewVocabulary([]string{"a", "b", "c"})
+	dim := feature.Dim(vocab)
 	// One letter per scored window, in scoring order: F flagged, b benign.
 	chains := []struct {
 		sn      uint64
@@ -95,26 +97,27 @@ func TestFoldedEvidenceMatchesWriterFold(t *testing.T) {
 	}
 
 	// replay feeds the sequence flush by flush, AE queue then LSTM queue as
-	// flushLocked does, filling each batch tensor with fresh window data so
-	// every window has its own digest. A flagged window is followed by the
-	// KindAlert raise records.
+	// flushLocked does, each window cut from rows of fresh random records
+	// so every window has its own digest. A flagged window is followed by
+	// the KindAlert raise records.
 	replay := func(record func(b *pendingBatch, flush []scored, alert func(k int))) {
-		fill := rand.New(rand.NewSource(15)) // same tensors on both sides
+		fill := rand.New(rand.NewSource(15)) // same rows on both sides
+		rows, enc := feature.NewRowBuffer(dim), feature.NewEncoder(vocab)
 		for off := 0; off < len(models[0].wins); off += flushLen {
 			for _, m := range models {
 				b := m.batch
 				flush := m.wins[off:min(off+flushLen, len(m.wins))]
 				b.reset()
 				for range flush {
-					for i := 0; i < window*dim; i++ {
-						b.x = append(b.x, fill.Float32())
+					start := rows.Len()
+					for i := 0; i < b.span(); i++ {
+						rows.Push(enc, mobiflow.Record{
+							Msg:       vocab.Messages[fill.Intn(len(vocab.Messages))],
+							UEID:      uint64(fill.Intn(8)),
+							Timestamp: base.Add(time.Duration(fill.Int63n(int64(time.Second)))),
+						})
 					}
-					if b.model == ModelLSTM {
-						for i := 0; i < dim; i++ {
-							b.targets = append(b.targets, fill.Float32())
-						}
-					}
-					b.n++
+					b.push(rows, start)
 				}
 				record(b, flush, func(k int) {
 					w := flush[k]

@@ -11,10 +11,11 @@ import (
 // calibration and the offline ScoreTrace*Batched entry points all score
 // through it. Instead of scoring each window as its completing record
 // arrives (one GEMV per layer per window), records are encoded straight
-// into a float32 row buffer, completed windows are appended to a pending
-// batch tensor, and the whole batch is scored with one tiled GEMM per
-// layer. The float64 models and their training are untouched; the
-// float64 forward pass is the reference the tests bound this path by.
+// into a float32 row buffer with their non-zero column lists, completed
+// windows join a pending batch as views into it, and the whole batch is
+// scored with one tiled GEMM per layer. The float64 models and their
+// training are untouched; the float64 forward pass is the reference the
+// tests bound this path by.
 
 // FastEngines bundles the float32 batched engines for one model bundle.
 // Engines are immutable and safe for concurrent use with per-worker
@@ -42,21 +43,23 @@ func (m *Models) Engines() *FastEngines {
 }
 
 // pendingBatch is one model's batch of windows awaiting a single batched
-// scoring pass: the window tensor, the LSTM's next-vector targets, and
-// the engine scratch. The online worker and the offline
-// ScoreTrace*Batched scorers fill and score the same type, so an offline
-// evaluation runs the shipped scoring path by construction. Not safe for
-// concurrent use; each owner allocates its own.
+// scoring pass: where each window starts in the row buffer it was cut
+// from, and the engine scratch. Windows are views, not copies: the
+// engines read the buffer's rows and their non-zero column lists in
+// place, and the LSTM projects each row once per pass however many of
+// the batch's windows it sits in. The online worker and the offline
+// ScoreTrace*Batched scorers fill and score the same type, so an
+// offline evaluation runs the shipped scoring path by construction. Not
+// safe for concurrent use; each owner allocates its own.
 type pendingBatch struct {
 	model  ModelName
 	eng    *FastEngines
 	window int // N
 	dim    int // per-record feature dimension
 
-	n       int       // windows pushed since the last reset
-	x       []float32 // n windows, each window×dim
-	targets []float32 // LSTM only: n next vectors, each dim
-	scores  []float32
+	rows   *feature.RowBuffer // what the windows are cut from
+	starts []int              // each pushed window's first row, in push order
+	scores []float32
 
 	aeScratch   *nn.AEBatchScratch   // ModelAE only
 	lstmScratch *nn.LSTMBatchScratch // ModelLSTM only
@@ -81,51 +84,62 @@ func (b *pendingBatch) span() int {
 	return b.window
 }
 
-// push appends the window starting at row start — and, for the LSTM, the
-// row after it as the prediction target. One contiguous copy per window,
-// no allocation in steady state.
+// push adds the window whose span() rows start at row start of rows.
+// The rows must stay in the buffer until the batch is scored; a Trim
+// before then moves them down, and shift must follow it.
 func (b *pendingBatch) push(rows *feature.RowBuffer, start int) {
-	b.x = rows.AppendWindowF32(b.x, start, b.window)
-	if b.model == ModelLSTM {
-		b.targets = rows.AppendWindowF32(b.targets, start+b.window, 1)
+	b.rows = rows
+	b.starts = append(b.starts, start)
+}
+
+// len returns how many windows are pending.
+func (b *pendingBatch) len() int { return len(b.starts) }
+
+// shift follows a Trim of drop rows from the front of the buffer.
+func (b *pendingBatch) shift(drop int) {
+	for i := range b.starts {
+		b.starts[i] -= drop
 	}
-	b.n++
 }
 
 // score runs one batched pass over every pushed window and returns their
 // scores in push order, valid until the next score call.
 func (b *pendingBatch) score() []float32 {
-	if cap(b.scores) < b.n {
-		b.scores = make([]float32, b.n)
+	n := len(b.starts)
+	if cap(b.scores) < n {
+		b.scores = make([]float32, n)
 	}
-	b.scores = b.scores[:b.n]
+	b.scores = b.scores[:n]
+	if n == 0 {
+		return b.scores
+	}
+	x, cols, off := b.rows.Sparse()
+	in := nn.Rows{X: x, Dim: b.dim, Cols: cols, Off: off}
 	if b.model == ModelLSTM {
-		b.eng.LSTM.ScoreBatch(b.lstmScratch, b.x, b.targets, b.n, b.window, b.scores)
+		b.eng.LSTM.ScoreWindows(b.lstmScratch, in, b.starts, b.window, b.scores)
 	} else {
 		// The AE window score is the worst per-record reconstruction
 		// MSE: the max keeps one strongly anomalous record from being
 		// diluted across the window (cf. per-timestamp error
 		// aggregation in the multivariate anomaly-detection literature
 		// the paper builds on).
-		b.eng.AE.ScoreBatch(b.aeScratch, b.x, b.n, b.dim, b.scores)
+		b.eng.AE.ScoreWindows(b.aeScratch, in, b.starts, b.scores)
 	}
 	return b.scores
 }
 
 // digest fingerprints the i-th pushed window's model input for its
-// provenance event.
+// provenance event: its rows, and for the LSTM the target row after
+// them, in order — at the cost of their non-zeros.
 func (b *pendingBatch) digest(i int) prov.Digest {
-	winLen := b.window * b.dim
-	d := prov.DigestFloats32(b.x[i*winLen : (i+1)*winLen])
-	if b.model == ModelLSTM {
-		d = d.Floats32(b.targets[i*b.dim : (i+1)*b.dim])
+	d := prov.NewDigest()
+	for r := b.starts[i]; r < b.starts[i]+b.span(); r++ {
+		d = d.SparseFloats32(b.rows.Row(r), b.rows.Cols(r))
 	}
 	return d
 }
 
-func (b *pendingBatch) reset() {
-	b.n, b.x, b.targets = 0, b.x[:0], b.targets[:0]
-}
+func (b *pendingBatch) reset() { b.starts = b.starts[:0] }
 
 // threshold returns the model's active detection threshold.
 func (m *Models) threshold(model ModelName) float64 {
@@ -135,8 +149,11 @@ func (m *Models) threshold(model ModelName) float64 {
 	return m.AEThreshold
 }
 
-// batchChunk is the offline batched scorers' tensor size: large enough
-// to amortize per-batch overhead, small enough to stay L2-resident.
+// batchChunk is the most windows one model's batch holds: offline
+// scorers score batchChunk at a time, and the online worker flushes when
+// a model's pending batch reaches it, if the hand-off has not emptied
+// first. Large enough to amortize per-batch overhead and the LSTM's
+// T−1 extra projected rows, small enough to stay L2-resident.
 const batchChunk = 64
 
 // ScoreTraceAEBatched scores every window of a trace through the batched

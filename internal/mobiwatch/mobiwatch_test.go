@@ -20,7 +20,7 @@ var (
 	fixtureErr    error
 )
 
-func fixtures(t *testing.T) (mobiflow.Trace, *dataset.Labeled, *Models) {
+func fixtures(t testing.TB) (mobiflow.Trace, *dataset.Labeled, *Models) {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		fixtureBenign, fixtureErr = dataset.GenerateBenign(dataset.BenignConfig{Sessions: 60, Fleet: 10, Seed: 21})

@@ -48,8 +48,12 @@ func TestConcurrentBundleScoring(t *testing.T) {
 }
 
 // TestScoreWindowZeroAllocs proves steady-state batch scoring — push a
-// batch of windows, score it, reset — does not touch the heap once the
-// batch's buffers have grown.
+// batch of windows, score it, digest every window, reset — does not
+// touch the heap once the buffers have grown: the engine scratch, the
+// autoencoder's per-window index list and the LSTM's input projections,
+// which grow to the widest batch seen and then serve every smaller one.
+// A warm row buffer cycling Push and Trim, as the worker runs it, keeps
+// its rows and their column lists without allocating either.
 func TestScoreWindowZeroAllocs(t *testing.T) {
 	_, mixed, models := fixtures(t)
 	rows := feature.NewRowBuffer(models.RecordDim())
@@ -59,17 +63,32 @@ func TestScoreWindowZeroAllocs(t *testing.T) {
 	}
 	for _, model := range []ModelName{ModelAE, ModelLSTM} {
 		b := newPendingBatch(models, model)
+		size := 0
 		pass := func() {
-			for i := 0; i+b.span() <= rows.Len(); i++ {
+			for i := 0; i+b.span() <= rows.Len() && i <= size; i++ {
 				b.push(rows, i)
 			}
 			b.score()
+			for i := range b.starts {
+				b.digest(i)
+			}
 			b.reset()
+			size = (size + 7) % rows.Len()
 		}
-		pass() // grow the batch and the engine scratch
+		size = rows.Len()
+		pass() // grow the batch and the engine scratch to the widest batch
 		if n := testing.AllocsPerRun(100, pass); n != 0 {
 			t.Errorf("%s: a steady-state batch allocates %v/op, want 0", model, n)
 		}
+	}
+
+	cycle := func() {
+		rows.Push(e, mixed.Trace[63]) // identities the encoder has seen
+		rows.Trim(1)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("a warm row buffer's Push and Trim allocate %v/op, want 0", n)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"github.com/6g-xsec/xsec/internal/e2sm"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
 	"github.com/6g-xsec/xsec/internal/obs"
+	"github.com/6g-xsec/xsec/internal/prov"
 	"github.com/6g-xsec/xsec/internal/ric"
 	"github.com/6g-xsec/xsec/internal/sdl"
 )
@@ -231,4 +232,45 @@ func BenchmarkWorkerIntake(b *testing.B) {
 			b.Fatal("intake refused a valid indication")
 		}
 	}
+}
+
+// BenchmarkWorkerIngest times the scoring stage per record on nine-record
+// indications of fixture benign telemetry: worker.ingest (encode, enqueue
+// the windows each record completes) plus the flush the scorer runs when
+// the hand-off is empty behind an indication — batched inference over
+// both models, evidence and alerts. It reports ns/rec; allocs/op is 0.
+// Evidence goes to a closed ledger, which counts and drops it: what the
+// ledger's writer does with an event is BenchmarkLedgerPersist's.
+func BenchmarkWorkerIngest(b *testing.B) {
+	benign, _, models := fixtures(b)
+	ledger := prov.New(prov.Options{})
+	ledger.Close()
+	defer prov.SetActive(prov.SetActive(ledger))
+	rt := &Runtime{models: models, opts: RunOptions{NodeID: "gnb-bench"}}
+	rt.triage = newAlertQueue(&rt.stats, obsQueueDepth.With("gnb-bench"), time.Now)
+	w := newWorker(rt)
+	const perInd = 9
+	batch := make(mobiflow.Trace, perInd)
+	ind := ric.Indication{NodeID: "gnb-bench"}
+	next := func(i int) {
+		for k := range batch {
+			j := i*perInd + k
+			batch[k] = benign[j%len(benign)]
+			batch[k].Seq = uint64(j + 1)
+		}
+		ind.SN = uint64(i)
+	}
+	for i := 0; i < 64; i++ { // fill the history and grow every buffer
+		next(i)
+		w.ingest(ind, batch)
+		w.flushLocked(ind.NodeID)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next(64 + i)
+		w.ingest(ind, batch)
+		w.flushLocked(ind.NodeID)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perInd), "ns/rec")
 }

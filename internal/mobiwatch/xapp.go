@@ -40,7 +40,7 @@ var (
 	obsIntakeSeconds = obs.NewHistogram("xsec_mobiwatch_intake_seconds",
 		"Intake-stage time per E2 indication: payload decode plus its one SDL write.", obs.ExpBuckets(1e-6, 4, 12))
 	obsScoreSeconds = obs.NewHistogram("xsec_mobiwatch_score_seconds",
-		"Scoring-stage time per decoded telemetry batch (feature encode, batched inference, evidence, alerts) or per age-ticker flush; decode and persist are xsec_mobiwatch_intake_seconds.", obs.ExpBuckets(1e-6, 4, 12))
+		"Scoring-stage time per decoded telemetry batch (feature encode, batched inference, evidence, alerts); decode and persist are xsec_mobiwatch_intake_seconds.", obs.ExpBuckets(1e-6, 4, 12))
 	obsHandoffDepth = obs.NewGaugeVec("xsec_mobiwatch_handoff_depth",
 		"Decoded, persisted batches the scoring stage has not taken yet, by node, counting the one an intake goroutine is blocked handing over: past the bound while scoring is the bottleneck, near zero while intake is.", "node")
 	obsFlagSeconds = obs.NewHistogram("xsec_mobiwatch_flag_seconds",
@@ -137,23 +137,14 @@ const (
 	// (by telemetry timestamp) relative to the window start are excluded,
 	// so stale incidents do not leak into a new analysis.
 	contextSpan = time.Second
-	// flushWindows is the pending-window count, summed over both models,
-	// at which a worker scores its batch. Past warm-up every record
-	// completes one AE and one LSTM window, so a flush covers ≈ 8 records.
-	flushWindows = 16
-	// flushAge bounds how long a pending window may wait before being
-	// scored when traffic is slow: a fifth to a tenth of the 10–20 ms E2
-	// report period every shipped caller sets (50 ms is only RunOptions'
-	// default), so it is a visible but minor share of detection latency.
-	flushAge = 2 * time.Millisecond
 	// handoffDepth bounds, in indications, the FIFO between a shard's
-	// intake and scoring goroutines. It only has to ride out the scorer's
-	// longest pause between receives — one flush of flushWindows windows,
-	// about two indications' worth of intake work — so that intake is not
-	// idle when the scorer comes back; anything deeper is queueing delay
-	// ahead of the score and records held decoded. A full hand-off blocks
-	// intake, so the wait moves to the RIC's shard queue (ShardBuffer),
-	// whose drops are counted.
+	// intake and scoring goroutines. The scorer flushes whenever it finds
+	// the hand-off empty, so while scoring is the bottleneck a flush
+	// batches up to batchChunk windows (≈ 7 nine-record indications) and
+	// intake can run this far ahead of the scorer's longest pause; anything
+	// deeper is queueing delay ahead of the score and records held decoded. A full hand-off blocks intake,
+	// so the wait moves to the RIC's shard queue (ShardBuffer), whose
+	// drops are counted.
 	handoffDepth = 16
 )
 
@@ -248,12 +239,12 @@ type windowQueue struct {
 	anomalies *obs.Counter
 }
 
-// winMeta locates a pending window in the worker's record history and
-// names the E2 indication that completed it. A flush raises windows that
-// are no longer at the end of the history, so these travel with the
-// window rather than with the worker.
+// winMeta names the records a pending window covers and the E2
+// indication that completed it; where it starts in the worker's history
+// is its batch's starts entry. A flush raises windows that are no longer
+// at the end of the history, so these travel with the window rather than
+// with the worker.
 type winMeta struct {
-	start    int // index of the window's first record in worker.recent
 	seqFirst uint64
 	seqLast  uint64
 	at       time.Time
@@ -417,24 +408,23 @@ func (w *worker) admit(ind ric.Indication) (b decoded, ok bool) {
 }
 
 // loop is the shard's second stage and the only goroutine that touches
-// window state: it scores the decoded batches in hand-off order, runs the
-// migration control operations and flushes on the age ticker. A control
-// operation therefore races the batches still in the hand-off exactly as
-// it already raced the indications still in the shard queue: a checkpoint
-// taken now does not contain them, and they are scored here afterwards.
+// window state: it scores the decoded batches in hand-off order and runs
+// the migration control operations. A control operation therefore races
+// the batches still in the hand-off exactly as it already raced the
+// indications still in the shard queue: a checkpoint taken now does not
+// contain them, and they are scored here afterwards.
+//
+// Windows wait in the pending batches only while there is company for
+// them: behind each indication the scorer flushes if the hand-off is
+// empty, and ingest flushes when a model's batch reaches batchChunk. So
+// when the hand-off closes nothing is pending, and an idle scorer holds
+// no window back — no timer decides when a window is scored.
 func (w *worker) loop() {
 	rt := w.rt
-	// Windows accumulate into a batch tensor; the age ticker bounds how
-	// long a pending window can wait for company when traffic is slow.
-	ticker := time.NewTicker(flushAge)
-	defer ticker.Stop()
 	for {
 		select {
 		case b, ok := <-w.handoff:
 			if !ok {
-				if w.pending() > 0 {
-					w.flush()
-				}
 				return
 			}
 			w.depth.Add(-1)
@@ -442,27 +432,16 @@ func (w *worker) loop() {
 			start := time.Now()
 			rt.thMu.RLock()
 			w.ingest(b.ind, b.records)
+			if len(w.handoff) == 0 {
+				w.flushLocked(b.ind.NodeID)
+			}
 			rt.thMu.RUnlock()
 			end := w.observeScore(start)
 			obs.RecordSpan(b.key, "mobiwatch.score", start, end)
 		case op := <-w.ctrl:
 			w.handleCtrl(op)
-		case <-ticker.C:
-			if w.pending() == 0 {
-				continue
-			}
-			start := time.Now()
-			w.flush()
-			w.observeScore(start)
 		}
 	}
-}
-
-// flush is flushLocked for the loop's callers outside ingest.
-func (w *worker) flush() {
-	w.rt.thMu.RLock()
-	w.flushLocked(w.rt.opts.NodeID)
-	w.rt.thMu.RUnlock()
 }
 
 // observeScore records one scoring pass that began at start and returns
@@ -525,21 +504,17 @@ func (w *worker) ingest(ind ric.Indication, batch mobiflow.Trace) {
 		obsRecords.Inc()
 
 		// Encode straight into the row buffer and enqueue the window(s)
-		// the record completes; scoring happens when the batch fills
-		// (here) or ages out (loop).
+		// the record completes; scoring happens when a batch fills
+		// (here) or the hand-off is empty behind the indication (loop).
 		w.recent = append(w.recent, *rec)
 		w.rows.Push(w.encoder, *rec)
 		w.enqueueLatest()
-		if w.pending() >= flushWindows {
+		if w.queues[0].batch.len() >= batchChunk || w.queues[1].batch.len() >= batchChunk {
 			w.flushLocked(nodeID)
 		}
 		w.trimHistory()
 	}
 }
-
-// pending returns how many windows, summed over both models, await the
-// next flush.
-func (w *worker) pending() int { return len(w.queues[0].meta) + len(w.queues[1].meta) }
 
 // enqueueLatest appends the window the newest record completes to each
 // model's pending batch, once enough history exists to fill it.
@@ -553,7 +528,6 @@ func (w *worker) enqueueLatest() {
 		}
 		q.batch.push(w.rows, start)
 		q.meta = append(q.meta, winMeta{
-			start:    start,
 			seqFirst: w.recent[start].Seq,
 			seqLast:  w.recent[n-1].Seq,
 			at:       w.batchAt,
@@ -582,7 +556,7 @@ func (w *worker) flushLocked(nodeID string) {
 			obsWindows.Inc()
 			if evidence.observe(k, m, s) {
 				q.anomalies.Inc()
-				w.raise(nodeID, m.start, b.span(), s, threshold, b.model, m.at, m.sn)
+				w.raise(nodeID, b.starts[k], b.span(), s, threshold, b.model, m.at, m.sn)
 			}
 		}
 		evidence.close()
@@ -668,9 +642,9 @@ func (e *windowEvidence) close() {
 func (w *worker) trimHistory() {
 	drop := len(w.recent) - (contextRecords + w.rt.models.Window + 1)
 	for i := range w.queues {
-		// meta is in arrival order, so its head is the oldest window.
-		if q := &w.queues[i]; len(q.meta) > 0 {
-			drop = min(drop, q.meta[0].start-contextRecords)
+		// Windows are pushed in arrival order, so the first is the oldest.
+		if b := w.queues[i].batch; b.len() > 0 {
+			drop = min(drop, b.starts[0]-contextRecords)
 		}
 	}
 	if drop <= 0 {
@@ -684,9 +658,7 @@ func (w *worker) trimHistory() {
 	w.recent = w.recent[:kept]
 	w.rows.Trim(drop)
 	for i := range w.queues {
-		for k := range w.queues[i].meta {
-			w.queues[i].meta[k].start -= drop
-		}
+		w.queues[i].batch.shift(drop)
 	}
 }
 

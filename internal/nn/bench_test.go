@@ -78,18 +78,19 @@ func BenchmarkLSTMScoreParallel(b *testing.B) {
 }
 
 // BenchmarkScoreBatch times the float32 batched engines the xApp scores
-// through, on a 32-window batch — the order of one
-// worker flush. ns/op is per batch: divide by 32 to set a row beside
-// BenchmarkAEScore / BenchmarkLSTMScore, the scalar float64 reference.
+// through, on a 32-window batch — the order of one worker flush — of
+// sliding windows over 35 sparse telemetry-shaped rows. ns/op is per
+// batch: divide by 32 to set a row beside BenchmarkAEScore /
+// BenchmarkLSTMScore, the scalar float64 reference.
 func BenchmarkScoreBatch(b *testing.B) {
-	const n, recordDim = 32, 40 // benchAE's 160 inputs are 4 records of 40
-	ae, x := benchAE()
-	l, window, next := benchLSTM()
-	aeBatch, lstmBatch, targets := make([][]float64, n), make([][][]float64, n), make([][]float64, n)
-	for i := range aeBatch {
-		aeBatch[i], lstmBatch[i], targets[i] = x, window, next
+	const n, recordDim, T = 32, 40, 4 // benchAE's 160 inputs are 4 records of 40
+	ae, _ := benchAE()
+	l, _, _ := benchLSTM()
+	rows := toRows(telemetryRows(rand.New(rand.NewSource(3)), n+T, recordDim))
+	starts := make([]int, n)
+	for i := range starts {
+		starts[i] = i
 	}
-	xbAE, xbLSTM, tgt := flattenF32(aeBatch), flattenWindowsF32(lstmBatch), flattenF32(targets)
 	scores := make([]float32, n)
 
 	run := func(name string, score func()) {
@@ -104,8 +105,8 @@ func BenchmarkScoreBatch(b *testing.B) {
 	}
 	aeEng, lEng := ae.QuantizeF32(), l.QuantizeF32()
 	aeS, lS := aeEng.NewBatchScratch(), lEng.NewBatchScratch()
-	run("ae/f32", func() { aeEng.ScoreBatch(aeS, xbAE, n, recordDim, scores) })
-	run("lstm/f32", func() { lEng.ScoreBatch(lS, xbLSTM, tgt, n, len(window), scores) })
+	run("ae/f32", func() { aeEng.ScoreWindows(aeS, rows, starts, scores) })
+	run("lstm/f32", func() { lEng.ScoreWindows(lS, rows, starts, T, scores) })
 }
 
 func benchTrainData() [][]float64 {

@@ -15,6 +15,19 @@ package nn
 // the portable Go version below runs. FMA rounds each product-sum once,
 // so the two agree to rounding, not bit for bit
 // (FuzzGemmBlockAsmMatchesGo bounds the difference).
+//
+// The index kernel is the block kernel's twin for sparse inputs: one
+// input row, only the columns an ascending list names,
+//
+//	kernelIdxF32: y[0:32] += Σ_{k ∈ nz} x[k] · Wt[k][0:32]
+//
+// Each implementation returns the bits of its own block kernel whenever
+// every column left out holds +0: it adds the listed terms in index
+// order exactly as that kernel does (one FMA each in assembly, a product
+// and a sum in Go), and a +0 term leaves a finite sum as it was — the Go
+// block kernel already skips it. Only the sign of a zero sum can differ,
+// and no score observes it (each is a mean of squares;
+// FuzzGemmIndexMatchesDense holds both pairs to this).
 
 // laneCols is the kernel's output-column block width. Weight planes pad
 // their output dimension up to a multiple of it.
@@ -24,6 +37,9 @@ const laneCols = 32
 // tests can force the portable version; init in gemm_amd64.go upgrades
 // it when the CPU allows.
 var kernelF32 = gemmBlockGo
+
+// kernelIdxF32 is the selected index kernel, upgraded with kernelF32.
+var kernelIdxF32 = gemmIdxGo
 
 // simdKernel names the active kernel implementation ("avx2" or
 // "generic") for benchmark metadata.
@@ -49,6 +65,19 @@ func gemmBlockGo(y []float32, yStride int, x []float32, xStride int, wt []float3
 			for o := 0; o < laneCols; o++ {
 				yrow[o] += xv * wrow[o]
 			}
+		}
+	}
+}
+
+// gemmIdxGo is the portable index kernel: y[o] += x[k] · wt[k*wtStride+o]
+// for o in [0, laneCols), for each k of nz in order.
+func gemmIdxGo(y []float32, x []float32, nz []int32, wt []float32, wtStride int) {
+	yrow := y[:laneCols:laneCols]
+	for _, k := range nz {
+		xv := x[k]
+		wrow := wt[int(k)*wtStride : int(k)*wtStride+laneCols : int(k)*wtStride+laneCols]
+		for o := range yrow {
+			yrow[o] += xv * wrow[o]
 		}
 	}
 }
@@ -103,6 +132,18 @@ func (p *plane) gemm(y []float32, yStride int, x []float32, xStride, n int) {
 	}
 	for ob := 0; ob < p.outPad; ob += laneCols {
 		kernelF32(y[ob:], yStride, x, xStride, p.w32[ob:], p.outPad, n, p.in)
+	}
+}
+
+// gemmIdx accumulates one input row into y (len ≥ p.outPad), over the
+// columns nz lists: x (logical width p.in) may hold non-zeros only there.
+func (p *plane) gemmIdx(y []float32, x []float32, nz []int32) {
+	if len(nz) == 0 {
+		return
+	}
+	_ = x[:p.in][nz[len(nz)-1]] // ascending, so the largest index
+	for ob := 0; ob < p.outPad; ob += laneCols {
+		kernelIdxF32(y[ob:], x, nz, p.w32[ob:], p.outPad)
 	}
 }
 

@@ -14,6 +14,12 @@ func xgetbv() (eax, edx uint32)
 func gemmBlockAVX2(y *float32, yStride int, x *float32, xStride int, wt *float32, wtStride int, n, k int)
 
 //go:noescape
+func gemmIdxAVX2(y *float32, x *float32, nz *int32, nnz int, wt *float32, wtStride int)
+
+//go:noescape
+func lstmCellAVX2(gates, c, h *float32, hid, n int)
+
+//go:noescape
 func vsigmoidAVX2(v *float32, n int)
 
 //go:noescape
@@ -57,6 +63,30 @@ func gemmBlockAsm(y []float32, yStride int, x []float32, xStride int, wt []float
 	gemmBlockAVX2(&y[0], yStride, &x[0], xStride, &wt[0], wtStride, n, k)
 }
 
+// gemmIdxAsm adapts the index kernel; the block and the listed columns
+// are bounds-checked here, since the assembly checks nothing.
+func gemmIdxAsm(y []float32, x []float32, nz []int32, wt []float32, wtStride int) {
+	_ = y[laneCols-1]
+	if len(nz) == 0 {
+		return
+	}
+	last := int(nz[len(nz)-1]) // ascending, so the largest index
+	_ = x[last]
+	_ = wt[last*wtStride+laneCols-1]
+	gemmIdxAVX2(&y[0], &x[0], &nz[0], len(nz), &wt[0], wtStride)
+}
+
+// lstmCellAsm runs lstmCellAVX2 where it applies — whole 8-lane groups,
+// gate rows packed 4·H apart — and lstmCellGo otherwise.
+func lstmCellAsm(g []float32, gStride int, c, h []float32, H, n int) {
+	if H <= 0 || H%8 != 0 || gStride != 4*H || n <= 0 {
+		lstmCellGo(g, gStride, c, h, H, n)
+		return
+	}
+	_, _, _ = g[n*gStride-1], c[n*H-1], h[n*H-1]
+	lstmCellAVX2(&g[0], &c[0], &h[0], H, n)
+}
+
 // vsigmoidAsm and vtanhAsm run the 8-lane kernels over the aligned body
 // and fall back to the scalar activations for the remainder, so results
 // depend only on each element's index, never on the vector's length.
@@ -83,6 +113,8 @@ func vtanhAsm(v []float32) {
 func init() {
 	if hasAVX2FMA() {
 		kernelF32 = gemmBlockAsm
+		kernelIdxF32 = gemmIdxAsm
+		lstmCell = lstmCellAsm
 		vsigmoidF32 = vsigmoidAsm
 		vtanhF32 = vtanhAsm
 		simdKernel = "avx2"

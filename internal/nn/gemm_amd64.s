@@ -212,6 +212,28 @@ GLOBL vactTanhLo<>(SB), RODATA|NOPTR, $4
 	VPSLLD       $23, Y1, Y1;         \
 	VMULPS       Y1, Y3, Y0
 
+// VSIGMOID replaces Y0 with 1/(1+e**-Y0), Y9/Y10 holding the sigmoid
+// saturation bounds: clamp to the scalar range, negate, exp, reciprocal.
+#define VSIGMOID \
+	VMINPS Y10, Y0, Y0; \
+	VMAXPS Y9, Y0, Y0;  \
+	VXORPS Y1, Y1, Y1;  \
+	VSUBPS Y0, Y1, Y0;  \
+	VEXP;               \
+	VADDPS Y15, Y0, Y0; \
+	VDIVPS Y0, Y15, Y0
+
+// VTANH replaces Y0 with tanh(Y0) = (e**2x - 1)/(e**2x + 1), Y9/Y10
+// holding the tanh saturation bounds.
+#define VTANH \
+	VMINPS Y10, Y0, Y0; \
+	VMAXPS Y9, Y0, Y0;  \
+	VADDPS Y0, Y0, Y0;  \
+	VEXP;               \
+	VSUBPS Y15, Y0, Y2; \
+	VADDPS Y15, Y0, Y3; \
+	VDIVPS Y3, Y2, Y0
+
 // func vsigmoidAVX2(v *float32, n int)
 //
 // v[i] = 1/(1+e**-v[i]) for i in [0, n); n > 0 and a multiple of 8.
@@ -224,13 +246,7 @@ TEXT ·vsigmoidAVX2(SB), NOSPLIT, $0-16
 
 sigloop:
 	VMOVUPS (DI), Y0
-	VMINPS  Y10, Y0, Y0 // clamp to the scalar saturation range
-	VMAXPS  Y9, Y0, Y0
-	VXORPS  Y1, Y1, Y1
-	VSUBPS  Y0, Y1, Y0  // -x
-	VEXP
-	VADDPS  Y15, Y0, Y0 // 1 + e**-x
-	VDIVPS  Y0, Y15, Y0
+	VSIGMOID
 	VMOVUPS Y0, (DI)
 	ADDQ    $32, DI
 	SUBQ    $8, CX
@@ -251,17 +267,138 @@ TEXT ·vtanhAVX2(SB), NOSPLIT, $0-16
 
 tanhloop:
 	VMOVUPS (DI), Y0
-	VMINPS  Y10, Y0, Y0
-	VMAXPS  Y9, Y0, Y0
-	VADDPS  Y0, Y0, Y0 // 2x
-	VEXP
-	VSUBPS  Y15, Y0, Y2 // e - 1
-	VADDPS  Y15, Y0, Y3 // e + 1
-	VDIVPS  Y3, Y2, Y0
+	VTANH
 	VMOVUPS Y0, (DI)
 	ADDQ    $32, DI
 	SUBQ    $8, CX
 	JNZ     tanhloop
+
+	VZEROUPPER
+	RET
+
+// func gemmIdxAVX2(y *float32, x *float32, nz *int32, nnz int, wt *float32, wtStride int)
+//
+// Y[0:32] += X[k] * Wt[k][0:32] for each k of nz[0:nnz], in order: the
+// index twin of gemmBlockAVX2 for one row, the same FMA per listed term.
+TEXT ·gemmIdxAVX2(SB), NOSPLIT, $0-48
+	MOVQ y+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ nz+16(FP), R8
+	MOVQ nnz+24(FP), CX
+	MOVQ wt+32(FP), DX
+	MOVQ wtStride+40(FP), R10
+	SHLQ $2, R10 // stride in bytes
+
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	TESTQ   CX, CX
+	JZ      idxdone
+
+idxloop:
+	MOVLQSX      (R8), AX
+	VBROADCASTSS (SI)(AX*4), Y8
+	IMULQ        R10, AX
+	VFMADD231PS  (DX)(AX*1), Y8, Y0
+	VFMADD231PS  32(DX)(AX*1), Y8, Y1
+	VFMADD231PS  64(DX)(AX*1), Y8, Y2
+	VFMADD231PS  96(DX)(AX*1), Y8, Y3
+	ADDQ         $4, R8
+	DECQ         CX
+	JNZ          idxloop
+
+idxdone:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VZEROUPPER
+	RET
+
+// func lstmCellAVX2(gates, c, h *float32, hid, n int)
+//
+// One LSTM step over n rows, exactly as lstmCellGo computes it with the
+// 8-lane activations: each row's 4·hid gate pre-activations (i|f|g|o,
+// rows 4·hid apart) become activations in place, then c = f*c + i*g
+// (two VMULPS and a VADDPS: Go rounds each product, never fuses) and
+// h = tanh(c)*o. hid > 0 and a multiple of 8, n > 0; the exp constants
+// are loaded once for all rows.
+TEXT ·lstmCellAVX2(SB), NOSPLIT, $0-40
+	MOVQ gates+0(FP), DI
+	MOVQ c+8(FP), SI
+	MOVQ h+16(FP), DX
+	MOVQ hid+24(FP), R8
+	MOVQ n+32(FP), R9
+	VACTCONSTS
+	MOVQ R8, R10
+	SHLQ $2, R10 // hid in bytes
+
+cellrow:
+	VBROADCASTSS vactSigLo<>(SB), Y9
+	VBROADCASTSS vactSigHi<>(SB), Y10
+	MOVQ         DI, BX
+	LEAQ         (R8)(R8*1), CX
+
+cellif: // i|f
+	VMOVUPS (BX), Y0
+	VSIGMOID
+	VMOVUPS Y0, (BX)
+	ADDQ    $32, BX
+	SUBQ    $8, CX
+	JNZ     cellif
+
+	VBROADCASTSS vactTanhLo<>(SB), Y9
+	VBROADCASTSS vactTanhHi<>(SB), Y10
+	MOVQ         R8, CX
+
+cellg: // g
+	VMOVUPS (BX), Y0
+	VTANH
+	VMOVUPS Y0, (BX)
+	ADDQ    $32, BX
+	SUBQ    $8, CX
+	JNZ     cellg
+
+	VBROADCASTSS vactSigLo<>(SB), Y9
+	VBROADCASTSS vactSigHi<>(SB), Y10
+	MOVQ         R8, CX
+
+cello: // o
+	VMOVUPS (BX), Y0
+	VSIGMOID
+	VMOVUPS Y0, (BX)
+	ADDQ    $32, BX
+	SUBQ    $8, CX
+	JNZ     cello
+
+	VBROADCASTSS vactTanhLo<>(SB), Y9
+	VBROADCASTSS vactTanhHi<>(SB), Y10
+	LEAQ         (DI)(R10*1), R11 // f
+	LEAQ         (R11)(R10*1), R12 // g
+	LEAQ         (R12)(R10*1), R13 // o
+	XORQ         AX, AX
+	MOVQ         R8, CX
+
+cellstate:
+	VMOVUPS (R11)(AX*1), Y0
+	VMULPS  (SI)(AX*1), Y0, Y0   // f*c
+	VMOVUPS (DI)(AX*1), Y1
+	VMULPS  (R12)(AX*1), Y1, Y1  // i*g
+	VADDPS  Y1, Y0, Y0
+	VMOVUPS Y0, (SI)(AX*1)
+	VTANH
+	VMULPS  (R13)(AX*1), Y0, Y0  // tanh(c)*o
+	VMOVUPS Y0, (DX)(AX*1)
+	ADDQ    $32, AX
+	SUBQ    $8, CX
+	JNZ     cellstate
+
+	LEAQ (DI)(R10*4), DI
+	ADDQ R10, SI
+	ADDQ R10, DX
+	DECQ R9
+	JNZ  cellrow
 
 	VZEROUPPER
 	RET

@@ -25,14 +25,14 @@ func scoreDiverged(got float32, want, rel, abs float64) bool {
 // a test, restoring the runtime-selected ones after.
 func forcePortableKernels(t *testing.T) {
 	t.Helper()
-	f32 := kernelF32
+	f32, idx, cell := kernelF32, kernelIdxF32, lstmCell
 	vs, vt := vsigmoidF32, vtanhF32
 	avx := avx64
-	kernelF32 = gemmBlockGo
+	kernelF32, kernelIdxF32, lstmCell = gemmBlockGo, gemmIdxGo, lstmCellGo
 	vsigmoidF32, vtanhF32 = vsigmoidGo, vtanhGo
 	avx64 = false
 	t.Cleanup(func() {
-		kernelF32 = f32
+		kernelF32, kernelIdxF32, lstmCell = f32, idx, cell
 		vsigmoidF32, vtanhF32 = vs, vt
 		avx64 = avx
 	})
@@ -158,8 +158,8 @@ func flattenF32(rows [][]float64) []float32 {
 	return out
 }
 
-// flattenWindowsF32 packs [][][]float64 LSTM windows into the batch
-// layout ScoreBatch expects (window-major, then timestep-major).
+// flattenWindowsF32 packs [][][]float64 LSTM windows into the dense
+// reference's layout (window-major, then timestep-major).
 func flattenWindowsF32(windows [][][]float64) []float32 {
 	var out []float32
 	for _, w := range windows {
@@ -170,6 +170,52 @@ func flattenWindowsF32(windows [][][]float64) []float32 {
 		}
 	}
 	return out
+}
+
+// toRows packs float64 rows of one width into Rows, listing each row's
+// columns whose float32 bit pattern is not zero.
+func toRows(rows [][]float64) Rows {
+	r := Rows{Dim: len(rows[0]), Off: []int32{0}}
+	for _, row := range rows {
+		for c, v := range row {
+			f := float32(v)
+			r.X = append(r.X, f)
+			if math.Float32bits(f) != 0 {
+				r.Cols = append(r.Cols, int32(c))
+			}
+		}
+		r.Off = append(r.Off, int32(len(r.Cols)))
+	}
+	return r
+}
+
+// aeRows cuts each flat window into records of recDim (recDim ≤ 0: one
+// row per window) and returns them as Rows plus every window's start.
+func aeRows(flat [][]float64, recDim int) (Rows, []int) {
+	if recDim <= 0 {
+		recDim = len(flat[0])
+	}
+	var rows [][]float64
+	starts := make([]int, len(flat))
+	for m, x := range flat {
+		starts[m] = len(rows)
+		for off := 0; off < len(x); off += recDim {
+			rows = append(rows, x[off:off+recDim])
+		}
+	}
+	return toRows(rows), starts
+}
+
+// lstmRows lays each window out as its T rows followed by its next
+// vector, and returns them as Rows plus every window's start.
+func lstmRows(windows [][][]float64, nexts [][]float64) (Rows, []int) {
+	var rows [][]float64
+	starts := make([]int, len(windows))
+	for m, w := range windows {
+		starts[m] = len(rows)
+		rows = append(append(rows, w...), nexts[m])
+	}
+	return toRows(rows), starts
 }
 
 // TestAEScoreBatchMatchesFloat64 bounds the batched engine's divergence
@@ -195,19 +241,20 @@ func TestAEScoreBatchMatchesFloat64(t *testing.T) {
 			}
 		}
 	}
-	xb := flattenF32(flat)
 	n := len(flat)
 
 	check := func(t *testing.T, e *AEInference, rel, abs float64) {
 		bs := e.NewBatchScratch()
 		scores := make([]float32, n)
-		e.ScoreBatch(bs, xb, n, 0, scores)
+		whole, wholeStarts := aeRows(flat, 0)
+		e.ScoreWindows(bs, whole, wholeStarts, scores)
 		for i := range scores {
 			if scoreDiverged(scores[i], want[i], rel, abs) {
 				t.Fatalf("window %d: batch MSE %g, float64 %g (rel bound %g)", i, scores[i], want[i], rel)
 			}
 		}
-		e.ScoreBatch(bs, xb, n, recDim, scores)
+		rows, starts := aeRows(flat, recDim)
+		e.ScoreWindows(bs, rows, starts, scores)
 		for i := range scores {
 			if scoreDiverged(scores[i], wantRec[i], rel, abs) {
 				t.Fatalf("window %d: batch worst-record %g, float64 %g (rel bound %g)", i, scores[i], wantRec[i], rel)
@@ -217,7 +264,7 @@ func TestAEScoreBatchMatchesFloat64(t *testing.T) {
 		// time produces bit-identical scores.
 		one := make([]float32, 1)
 		for i := 0; i < n; i += 17 {
-			e.ScoreBatch(bs, xb[i*e.InputDim():], 1, recDim, one)
+			e.ScoreWindows(bs, rows, starts[i:i+1], one)
 			if one[0] != scores[i] {
 				t.Fatalf("window %d: n=1 score %g != batched %g", i, one[0], scores[i])
 			}
@@ -239,15 +286,13 @@ func TestLSTMScoreBatchMatchesFloat64(t *testing.T) {
 	for i := range windows {
 		want[i] = l.ScoreWith(s, windows[i], nexts[i])
 	}
-	xb := flattenWindowsF32(windows)
-	targets := flattenF32(nexts)
+	rows, starts := lstmRows(windows, nexts)
 	n, T := len(windows), len(windows[0])
 
 	check := func(t *testing.T, e *LSTMInference, rel, abs float64) {
 		bs := e.NewBatchScratch()
 		scores := make([]float32, n)
-		e.ScoreBatch(bs, xb, targets, n, T, scores)
-		in, _, out := e.Dims()
+		e.ScoreWindows(bs, rows, starts, T, scores)
 		for i := range scores {
 			if scoreDiverged(scores[i], want[i], rel, abs) {
 				t.Fatalf("window %d: batch score %g, float64 %g (rel bound %g)", i, scores[i], want[i], rel)
@@ -255,7 +300,7 @@ func TestLSTMScoreBatchMatchesFloat64(t *testing.T) {
 		}
 		one := make([]float32, 1)
 		for i := 0; i < n; i += 13 {
-			e.ScoreBatch(bs, xb[i*T*in:], targets[i*out:], 1, T, one)
+			e.ScoreWindows(bs, rows, starts[i:i+1], T, one)
 			if one[0] != scores[i] {
 				t.Fatalf("window %d: n=1 score %g != batched %g", i, one[0], scores[i])
 			}
@@ -269,28 +314,27 @@ func TestLSTMScoreBatchMatchesFloat64(t *testing.T) {
 }
 
 // TestScoreBatchZeroAllocs proves the batched hot path allocates nothing
-// in steady state: the scratch arena grows once on the first call and is
+// in steady state: the scratch arena — activations, the window's index
+// list, the input projections — grows once on the first call and is
 // reused afterwards.
 func TestScoreBatchZeroAllocs(t *testing.T) {
 	ae, l, flat, windows, nexts := trainedPair(t)
-	xb := flattenF32(flat)
-	n := len(flat)
-	scores := make([]float32, n)
+	scores := make([]float32, len(flat))
 
+	rows, starts := aeRows(flat, 8)
 	aeEng := ae.QuantizeF32()
 	as := aeEng.NewBatchScratch()
-	aeEng.ScoreBatch(as, xb, n, 8, scores) // warm the arena
-	if a := testing.AllocsPerRun(50, func() { aeEng.ScoreBatch(as, xb, n, 8, scores) }); a != 0 {
-		t.Errorf("AEInference.ScoreBatch allocates %v/op, want 0", a)
+	aeEng.ScoreWindows(as, rows, starts, scores) // warm the arena
+	if a := testing.AllocsPerRun(50, func() { aeEng.ScoreWindows(as, rows, starts, scores) }); a != 0 {
+		t.Errorf("AEInference.ScoreWindows allocates %v/op, want 0", a)
 	}
 
-	wxb := flattenWindowsF32(windows)
-	targets := flattenF32(nexts)
+	lrows, lstarts := lstmRows(windows, nexts)
 	T := len(windows[0])
 	lEng := l.QuantizeF32()
 	ls := lEng.NewBatchScratch()
-	lEng.ScoreBatch(ls, wxb, targets, len(windows), T, scores)
-	if a := testing.AllocsPerRun(50, func() { lEng.ScoreBatch(ls, wxb, targets, len(windows), T, scores) }); a != 0 {
-		t.Errorf("LSTMInference.ScoreBatch allocates %v/op, want 0", a)
+	lEng.ScoreWindows(ls, lrows, lstarts, T, scores)
+	if a := testing.AllocsPerRun(50, func() { lEng.ScoreWindows(ls, lrows, lstarts, T, scores) }); a != 0 {
+		t.Errorf("LSTMInference.ScoreWindows allocates %v/op, want 0", a)
 	}
 }

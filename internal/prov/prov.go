@@ -345,22 +345,36 @@ func NewDigest() Digest { return fnvOffset64 }
 // they operate on the value receiver and return the updated digest.
 func (d Digest) Byte(b byte) Digest { return (d ^ Digest(b)) * fnvPrime64 }
 
-// fnvZeroWord is fnvPrime64^8: mixing a zero byte is one multiplication
-// by the prime, so mixing eight of them is one multiplication by this.
-var fnvZeroWord = func() Digest {
-	p := fnvPrime64
-	for i := 0; i < 3; i++ {
-		p *= p
+// fnvZeroWords[n] is fnvPrime64^(8n): mixing a zero byte is one
+// multiplication by the prime, so mixing n zero 64-bit words — a run of
+// a feature window, which is mostly one-hot indicators — is one
+// multiplication by this.
+var fnvZeroWords = func() (t [65]Digest) {
+	t[0] = 1
+	for n := 1; n < len(t); n++ {
+		p := t[n-1]
+		for i := 0; i < 8; i++ {
+			p *= fnvPrime64
+		}
+		t[n] = p
 	}
-	return p
+	return t
 }()
 
-// U64 mixes an unsigned integer, little-endian. Zero — most of a feature
-// window, which is one-hot indicators — takes one step instead of eight,
-// to the same value.
+// zeroWords mixes n zero 64-bit words, to the value 8n Byte(0) calls
+// give, in one multiplication per 64 of them.
+func (d Digest) zeroWords(n int) Digest {
+	for ; n >= len(fnvZeroWords); n -= len(fnvZeroWords) - 1 {
+		d *= fnvZeroWords[len(fnvZeroWords)-1]
+	}
+	return d * fnvZeroWords[n]
+}
+
+// U64 mixes an unsigned integer, little-endian. Zero takes one step
+// instead of eight, to the same value.
 func (d Digest) U64(v uint64) Digest {
 	if v == 0 {
-		return d * fnvZeroWord
+		return d * fnvZeroWords[1]
 	}
 	for i := 0; i < 8; i++ {
 		d = d.Byte(byte(v >> (8 * i)))
@@ -391,12 +405,30 @@ func (d Digest) Floats(vs []float64) Digest {
 // pattern as Floats, so a window digested from the batched float32
 // scoring path matches the float64 path digest when the values are
 // exactly representable (feature vectors are: indicators and small
-// fixed-point ratios).
+// fixed-point ratios). A run of +0 elements costs one multiplication.
 func (d Digest) Floats32(vs []float32) Digest {
+	run := 0
 	for _, v := range vs {
-		d = d.F64(float64(v))
+		if math.Float32bits(v) == 0 {
+			run++
+			continue
+		}
+		d = d.zeroWords(run).F64(float64(v))
+		run = 0
 	}
-	return d
+	return d.zeroWords(run)
+}
+
+// SparseFloats32 is Floats32(vs) for a vector whose every element
+// outside nz, an ascending index list, is +0: it costs one step per
+// listed element, whatever the length of the runs between them.
+func (d Digest) SparseFloats32(vs []float32, nz []int32) Digest {
+	next := 0
+	for _, i := range nz {
+		d = d.zeroWords(int(i) - next).F64(float64(vs[i]))
+		next = int(i) + 1
+	}
+	return d.zeroWords(len(vs) - next)
 }
 
 // String renders the digest as 16 hex digits.

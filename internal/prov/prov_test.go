@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/6g-xsec/xsec/internal/mobiflow"
@@ -89,6 +90,69 @@ func TestDigestIsBytewiseFNV1a(t *testing.T) {
 	}
 	if got, want := DigestFloats32(f32), DigestFloats(window); got != want {
 		t.Fatalf("DigestFloats32 = %s, DigestFloats of the same values = %s", got, want)
+	}
+}
+
+// TestDigestZeroRunsMatchBytewise is the differential test of the
+// digest's fast path: Floats32 and SparseFloats32 mix a run of +0
+// elements as one multiplication per 64 of them, and must land where
+// byte-serial FNV-1a over every element's float64 bytes does — on random
+// vectors with runs longer than the power table, −0 (which is not a
+// zero run) and NaN payloads. The pinned value is what Floats32 gave
+// before it had a fast path, so a wrong table entry cannot hide behind a
+// reference that shares it.
+func TestDigestZeroRunsMatchBytewise(t *testing.T) {
+	bytewise := func(vs []float32) Digest {
+		h := fnv.New64a()
+		var le [8]byte
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(le[:], math.Float64bits(float64(v)))
+			h.Write(le[:])
+		}
+		return Digest(h.Sum64())
+	}
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 400; trial++ {
+		vs := make([]float32, rng.Intn(400))
+		var nz []int32
+		for i := 0; i < len(vs); {
+			if run := rng.Intn(3*len(fnvZeroWords)) * rng.Intn(2); run > 0 {
+				i += run // a zero run, often past the table
+				continue
+			}
+			switch rng.Intn(4) {
+			case 0:
+				vs[i] = float32(math.Copysign(0, -1))
+			case 1:
+				vs[i] = math.Float32frombits(0x7f800001 + uint32(rng.Intn(1<<22))) // a NaN payload
+			default:
+				vs[i] = float32(rng.NormFloat64())
+			}
+			nz = append(nz, int32(i))
+			i++
+		}
+		want := bytewise(vs)
+		if got := DigestFloats32(vs); got != want {
+			t.Fatalf("trial %d (%d elements): Floats32 = %s, bytewise FNV-1a = %s", trial, len(vs), got, want)
+		}
+		if got := NewDigest().SparseFloats32(vs, nz); got != want {
+			t.Fatalf("trial %d (%d elements): SparseFloats32 = %s, bytewise FNV-1a = %s", trial, len(vs), got, want)
+		}
+	}
+
+	pinned := make([]float32, 300)
+	for i := range pinned {
+		switch {
+		case i%37 == 0:
+			pinned[i] = float32(i) / 8
+		case i%53 == 0:
+			pinned[i] = float32(math.Copysign(0, -1))
+		case i == 201:
+			pinned[i] = math.Float32frombits(0x7fc01234)
+		}
+	}
+	if got, want := DigestFloats32(pinned).String(), "3056df145f3925df"; got != want {
+		t.Fatalf("pinned vector digests to %s, want %s", got, want)
 	}
 }
 
