@@ -22,9 +22,10 @@
 // instance is not auto-evicted, the migrated UE's trace does not stitch
 // across instances, or any SLO is burning error budget above threshold.
 //
-// -log-level (default $XSEC_LOG_LEVEL, else info) tunes structured log
-// verbosity; -metrics-addr serves /metrics, /healthz, and the /fleet/*
-// endpoints for the duration of the run.
+// -log-level (default $XSEC_LOG_LEVEL) writes structured logs to stderr
+// at that level and above, none when empty; -metrics-addr serves
+// /metrics, /healthz, and the /fleet/* endpoints for the duration of the
+// run.
 package main
 
 import (
@@ -62,12 +63,12 @@ func main() {
 		sessions    = flag.Int("sessions", 60, "testbed mode: benign training sessions")
 		epochs      = flag.Int("epochs", 25, "testbed mode: training epochs")
 		seed        = flag.Int64("seed", 4, "testbed mode: seed")
-		logLevel    = flag.String("log-level", envDefault("XSEC_LOG_LEVEL", "info"), "log verbosity: debug | info | warn | error")
+		logLevel    = obs.LogLevelFlag()
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz, and /fleet/* on this address for the run")
 	)
 	flag.Parse()
 
-	if err := setupObs(*logLevel, *metricsAddr); err != nil {
+	if err := obs.SetupCLI(os.Stderr, *logLevel, *metricsAddr); err != nil {
 		fmt.Fprintln(os.Stderr, "xsec-audit:", err)
 		os.Exit(1)
 	}
@@ -249,33 +250,6 @@ func auditFleet(seed int64) error {
 		return fmt.Errorf("fleet audit failed %d check(s)", len(problems))
 	}
 	fmt.Println("audit OK: trace stitched, victim auto-evicted, no SLO firing")
-	return nil
-}
-
-// envDefault returns the environment variable's value, or def when the
-// variable is unset or empty.
-func envDefault(key, def string) string {
-	if v := os.Getenv(key); v != "" {
-		return v
-	}
-	return def
-}
-
-// setupObs applies the log level and, when requested, serves the
-// observability endpoints for the duration of the run.
-func setupObs(logLevel, metricsAddr string) error {
-	lv, err := obs.ParseLevel(logLevel)
-	if err != nil {
-		return err
-	}
-	obs.SetLogLevel(lv)
-	if metricsAddr != "" {
-		addr, _, err := obs.ListenAndServe(metricsAddr)
-		if err != nil {
-			return fmt.Errorf("metrics listener: %w", err)
-		}
-		fmt.Fprintln(os.Stderr, "metrics on http://"+addr)
-	}
 	return nil
 }
 

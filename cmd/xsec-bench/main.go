@@ -17,9 +17,10 @@
 // (bash benchmark/run.sh), not this command's; the two federation drills
 // stay here until benchmark/ has a federated workload.
 //
-// -log-level (default $XSEC_LOG_LEVEL, else info) tunes structured log
-// verbosity; -metrics-addr serves /metrics, /healthz, and the /fleet/*
-// endpoints for the duration of the run.
+// -log-level (default $XSEC_LOG_LEVEL) writes structured logs to stderr
+// at that level and above, none when empty; -metrics-addr serves
+// /metrics, /healthz, and the /fleet/* endpoints for the duration of the
+// run.
 package main
 
 import (
@@ -43,12 +44,12 @@ func main() {
 		fleetBench  = flag.Bool("fleet", false, "measure the fleet observability plane: scrapes, trace stitching, failure detection")
 		smoke       = flag.Bool("smoke", false, "shrink the -fed/-fleet workload so CI exercises the path quickly (-fed fails on a lost record, -fleet on a missed eviction or incomplete trace)")
 		outPath     = flag.String("out", "", "baseline output path (default BENCH_<name>.json)")
-		logLevel    = flag.String("log-level", envDefault("XSEC_LOG_LEVEL", "info"), "log verbosity: debug | info | warn | error")
+		logLevel    = obs.LogLevelFlag()
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz, and /fleet/* on this address for the run")
 	)
 	flag.Parse()
 
-	if err := setupObs(*logLevel, *metricsAddr); err != nil {
+	if err := obs.SetupCLI(os.Stderr, *logLevel, *metricsAddr); err != nil {
 		fmt.Fprintln(os.Stderr, "xsec-bench:", err)
 		os.Exit(1)
 	}
@@ -118,33 +119,6 @@ func writeBaseline(res baseline, path string) error {
 	}
 	fmt.Println(res.Format())
 	fmt.Println("baseline written to", path)
-	return nil
-}
-
-// envDefault returns the environment variable's value, or def when the
-// variable is unset or empty.
-func envDefault(key, def string) string {
-	if v := os.Getenv(key); v != "" {
-		return v
-	}
-	return def
-}
-
-// setupObs applies the log level and, when requested, serves the
-// observability endpoints for the duration of the run.
-func setupObs(logLevel, metricsAddr string) error {
-	lv, err := obs.ParseLevel(logLevel)
-	if err != nil {
-		return err
-	}
-	obs.SetLogLevel(lv)
-	if metricsAddr != "" {
-		addr, _, err := obs.ListenAndServe(metricsAddr)
-		if err != nil {
-			return fmt.Errorf("metrics listener: %w", err)
-		}
-		fmt.Fprintln(os.Stderr, "metrics on http://"+addr)
-	}
 	return nil
 }
 

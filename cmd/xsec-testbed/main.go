@@ -39,18 +39,13 @@ func main() {
 		epochs      = flag.Int("epochs", 25, "training epochs")
 		seed        = flag.Int64("seed", 4, "seed")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /traces and /debug/pprof on this address (e.g. :9090)")
-		logLevel    = flag.String("log-level", "", "emit structured pipeline logs to stderr at this level: debug | info | warn | error")
+		logLevel    = obs.LogLevelFlag()
 		federation  = flag.Int("federation", 0, "run N federated RIC instances and migrate the attack UEs mid-flood")
 	)
 	flag.Parse()
-	if *logLevel != "" {
-		lv, err := obs.ParseLevel(*logLevel)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xsec-testbed:", err)
-			os.Exit(2)
-		}
-		obs.SetLogOutput(os.Stderr)
-		obs.SetLogLevel(lv)
+	if err := obs.SetupCLI(os.Stderr, *logLevel, ""); err != nil {
+		fmt.Fprintln(os.Stderr, "xsec-testbed:", err)
+		os.Exit(2)
 	}
 	var err error
 	if *federation > 0 {

@@ -36,27 +36,13 @@ func TestRepeatedPatternFloodHitsTheCache(t *testing.T) {
 		t.Skip("trains and floods the whole framework")
 	}
 	hits0, misses0 := counterValue("xsec_llm_cache_hits_total"), counterValue("xsec_llm_cache_misses_total")
-	fw, err := New(Options{
+	fw, _ := newDeployed(t, Options{
 		Seed:         3,
 		ReportPeriod: 5 * time.Millisecond,
 		TrainOpts:    mobiwatch.TrainOptions{Epochs: 5, Seed: 7}, // a flood is blatant; training dominates under -race
 		Mitigate:     "enforce",
 		MitigateTTL:  200 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(fw.Close)
-	benign, err := fw.CollectBenign(40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Train(benign); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.DeployXApps(); err != nil {
-		t.Fatal(err)
-	}
 	var mu sync.Mutex
 	byChain := make(map[string]*analyzer.Case)
 	go func() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -18,26 +19,7 @@ import (
 // newTrainedFramework assembles a framework with trained, deployed xApps.
 func newTrainedFramework(t *testing.T) *Framework {
 	t.Helper()
-	fw, err := New(Options{
-		Seed:         3,
-		ReportPeriod: 5 * time.Millisecond,
-		TrainOpts:    mobiwatch.TrainOptions{Epochs: 15, Seed: 7},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(fw.Close)
-
-	benign, err := fw.CollectBenign(40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Train(benign); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.DeployXApps(); err != nil {
-		t.Fatal(err)
-	}
+	fw, _ := newDeployed(t, trainedOptions)
 	return fw
 }
 
@@ -219,11 +201,32 @@ func TestA1PolicyAdjustsLiveThresholds(t *testing.T) {
 	}
 }
 
+// TestFrameworkSMOWorkflowVisible trains through the real SMO workflow,
+// and so also checks the bundle the other tests share (sharedBundle)
+// against a fresh fit's.
 func TestFrameworkSMOWorkflowVisible(t *testing.T) {
-	fw := newTrainedFramework(t)
+	fw, err := New(trainedOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fw.Close)
+	benign, err := fw.CollectBenign(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Train(benign); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.DeployXApps(); err != nil {
+		t.Fatal(err)
+	}
 	// The training run published a bundle version.
-	if _, v, ok := fw.Registry.Latest("mobiwatch"); !ok || v != 1 {
+	bundle, v, ok := fw.Registry.Latest("mobiwatch")
+	if !ok || v != 1 {
 		t.Errorf("registry latest = v%d ok=%v", v, ok)
+	}
+	if !bytes.Equal(bundle, sharedBundle(t, fw.Opts.TrainOpts, benign)) {
+		t.Error("the bundle the tests share differs from the one fw.Train fitted")
 	}
 	// The expert endpoint is live and hosts five models.
 	client := llm.NewClient(fw.LLMBaseURL(), "gemini")

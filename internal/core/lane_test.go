@@ -35,27 +35,13 @@ func TestHitsDoNotWaitBehindRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer shutdown()
-	fw, err := New(Options{
+	fw, _ := newDeployed(t, Options{
 		Seed:         3,
 		ReportPeriod: 5 * time.Millisecond,
 		TrainOpts:    mobiwatch.TrainOptions{Epochs: 5, Seed: 7}, // a flood is blatant; training dominates under -race
 		LLMBaseURL:   "http://" + addr,
 		LLMWorkers:   workers,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(fw.Close)
-	benign, err := fw.CollectBenign(40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Train(benign); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.DeployXApps(); err != nil {
-		t.Fatal(err)
-	}
 	var mu sync.Mutex
 	var cases []*analyzer.Case
 	go func() {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/6g-xsec/xsec/internal/mitigate"
-	"github.com/6g-xsec/xsec/internal/mobiwatch"
 	"github.com/6g-xsec/xsec/internal/smo"
 	"github.com/6g-xsec/xsec/internal/ue"
 )
@@ -14,28 +13,9 @@ import (
 // engine in the given mode.
 func newMitigatingFramework(t *testing.T, mode string, ttl time.Duration) *Framework {
 	t.Helper()
-	fw, err := New(Options{
-		Seed:         3,
-		ReportPeriod: 5 * time.Millisecond,
-		TrainOpts:    mobiwatch.TrainOptions{Epochs: 15, Seed: 7},
-		Mitigate:     mode,
-		MitigateTTL:  ttl,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(fw.Close)
-
-	benign, err := fw.CollectBenign(40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Train(benign); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.DeployXApps(); err != nil {
-		t.Fatal(err)
-	}
+	opts := trainedOptions
+	opts.Mitigate, opts.MitigateTTL = mode, ttl
+	fw, _ := newDeployed(t, opts)
 	// The case stream is informational here; drain it.
 	go func() {
 		for range fw.Cases() {

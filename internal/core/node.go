@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -58,6 +57,8 @@ type Node struct {
 
 	cases        chan *analyzer.Case
 	casesDropped atomic.Uint64
+	// unregister removes the node from xsec_core_case_queue_depth.
+	unregister func()
 }
 
 // NewNode brings up a node's data and control plane — gNB (stamping
@@ -91,7 +92,7 @@ func NewNode(opts Options, store *sdl.Store, clock func() time.Time) (_ *Node, e
 		// shows as the node never attaching, checked below.
 		_ = g.ServeE2(nodeEnd)
 	}()
-	live.Store(n, struct{}{})
+	n.unregister = obsCaseQueueDepth.Add(func() float64 { return float64(len(n.cases)) })
 	// From here on something is running: every error return unwinds
 	// through Close.
 	defer func() {
@@ -255,7 +256,7 @@ func (n *Node) Mitigator() *mitigate.Engine { return n.mitigator }
 // once the agent's serve loop and the case pump have exited, so nothing
 // of this node is counted, journaled or recorded after it.
 func (n *Node) Close() {
-	live.Delete(n)
+	n.unregister()
 	if n.mitigator != nil {
 		n.mitigator.Close()
 	}
@@ -279,23 +280,10 @@ func (n *Node) Close() {
 	}
 }
 
-// live is the set of nodes between NewNode and Close (*Node → struct{}),
-// which xsec_core_case_queue_depth sums over: colocated nodes share the
-// series, and a closed node (and its case channel) is not kept reachable
-// by it.
-var live sync.Map
-
-func init() {
-	obs.NewGaugeFunc("xsec_core_case_queue_depth",
-		"Processed cases waiting to be consumed.", func() float64 {
-			depth := 0
-			live.Range(func(n, _ any) bool {
-				depth += len(n.(*Node).cases)
-				return true
-			})
-			return float64(depth)
-		})
-}
+// obsCaseQueueDepth sums the case streams of the nodes between NewNode
+// and Close.
+var obsCaseQueueDepth = obs.NewSumGauge("xsec_core_case_queue_depth",
+	"Processed cases waiting to be consumed.")
 
 // obsCasesDropped counts processed cases lost to a full case stream.
 var obsCasesDropped = obs.NewCounter("xsec_core_cases_dropped_total",

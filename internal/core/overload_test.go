@@ -60,7 +60,7 @@ func TestOverloadDegradesByPolicy(t *testing.T) {
 	}
 	defer shutdown()
 
-	fw, err := New(Options{
+	fw, _ := newDeployed(t, Options{
 		Seed:         3,
 		ReportPeriod: 5 * time.Millisecond,
 		TrainOpts:    mobiwatch.TrainOptions{Epochs: 5, Seed: 7}, // a flood is blatant; training dominates under -race
@@ -69,20 +69,6 @@ func TestOverloadDegradesByPolicy(t *testing.T) {
 		Mitigate:     "enforce",
 		MitigateTTL:  time.Second,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(fw.Close)
-	benign, err := fw.CollectBenign(40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Train(benign); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.DeployXApps(); err != nil {
-		t.Fatal(err)
-	}
 	var mu sync.Mutex
 	var cases []*analyzer.Case
 	go func() {

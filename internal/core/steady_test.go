@@ -22,25 +22,11 @@ func TestSteadyStateHeapIsLevel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ingests 262 144 records through the whole framework")
 	}
-	fw, err := New(Options{
+	fw, benign := newDeployed(t, Options{
 		Seed:         3,
 		ReportPeriod: 5 * time.Millisecond,
 		TrainOpts:    mobiwatch.TrainOptions{Epochs: 5, Seed: 7}, // heap, not recall, is under test
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fw.Close()
-	benign, err := fw.CollectBenign(40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Train(benign); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.DeployXApps(); err != nil {
-		t.Fatal(err)
-	}
 	go func() {
 		for range fw.Cases() {
 		}

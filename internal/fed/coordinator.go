@@ -43,7 +43,7 @@ func (c *Coordinator) SetInstances(ids []string) (*Ring, error) {
 	if c.ring != nil {
 		epoch = c.ring.Epoch + 1
 	}
-	r := NewRing(epoch, ids, DefaultVnodes)
+	r := NewRing(epoch, ids)
 	c.ring = r
 	c.mu.Unlock()
 	return r, c.publish(r)

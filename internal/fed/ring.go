@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"github.com/6g-xsec/xsec/internal/sdl"
@@ -19,9 +20,11 @@ const (
 	RingKey        = "current"
 	OwnerNamespace = "fed/ue"
 
-	// DefaultVnodes is the virtual-node count per instance. 64 tokens
-	// per instance keeps the owned fractions within a few percent of
-	// even for small federations.
+	// DefaultVnodes is the virtual-node count of every instance. 64
+	// tokens per instance keeps the owned fractions within a few percent
+	// of even for small federations. It is not part of the published
+	// ring: a payload from the bus cannot choose how many tokens every
+	// instance builds.
 	DefaultVnodes = 64
 )
 
@@ -32,7 +35,6 @@ const (
 // they already applied.
 type Ring struct {
 	Epoch     int      `json:"epoch"`
-	Vnodes    int      `json:"vnodes"`
 	Instances []string `json:"instances"`
 
 	tokens []ringToken
@@ -44,12 +46,9 @@ type ringToken struct {
 }
 
 // NewRing builds a ring over instances (order-insensitive; the token
-// positions depend only on instance IDs and vnodes).
-func NewRing(epoch int, instances []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVnodes
-	}
-	r := &Ring{Epoch: epoch, Vnodes: vnodes, Instances: append([]string(nil), instances...)}
+// positions depend only on instance IDs).
+func NewRing(epoch int, instances []string) *Ring {
+	r := &Ring{Epoch: epoch, Instances: append([]string(nil), instances...)}
 	sort.Strings(r.Instances)
 	r.build()
 	return r
@@ -58,7 +57,7 @@ func NewRing(epoch int, instances []string, vnodes int) *Ring {
 func (r *Ring) build() {
 	r.tokens = r.tokens[:0]
 	for _, inst := range r.Instances {
-		for v := 0; v < r.Vnodes; v++ {
+		for v := 0; v < DefaultVnodes; v++ {
 			h := fnv.New64a()
 			fmt.Fprintf(h, "%s#%d", inst, v)
 			// Finalize through the avalanche mixer: FNV sums of strings
@@ -107,14 +106,7 @@ func (r *Ring) Owner(ue uint64) string {
 }
 
 // Contains reports whether instance participates in this epoch.
-func (r *Ring) Contains(instance string) bool {
-	for _, id := range r.Instances {
-		if id == instance {
-			return true
-		}
-	}
-	return false
-}
+func (r *Ring) Contains(instance string) bool { return slices.Contains(r.Instances, instance) }
 
 // OwnedFraction returns the share of the hash circle owned by instance,
 // the xsec_fed_owned_fraction gauge. Each token owns the arc from its
@@ -143,7 +135,7 @@ func (r *Ring) WithJoined(instance string) *Ring {
 	if !r.Contains(instance) {
 		ids = append(ids, instance)
 	}
-	return NewRing(r.Epoch+1, ids, r.Vnodes)
+	return NewRing(r.Epoch+1, ids)
 }
 
 // WithLeft returns the next epoch with instance removed.
@@ -154,7 +146,7 @@ func (r *Ring) WithLeft(instance string) *Ring {
 			ids = append(ids, id)
 		}
 	}
-	return NewRing(r.Epoch+1, ids, r.Vnodes)
+	return NewRing(r.Epoch+1, ids)
 }
 
 // Encode renders the ring for the SDL and the bus.
@@ -171,9 +163,6 @@ func ParseRing(data []byte) (*Ring, error) {
 	var r Ring
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("fed: decoding ring: %w", err)
-	}
-	if r.Vnodes <= 0 {
-		r.Vnodes = DefaultVnodes
 	}
 	sort.Strings(r.Instances)
 	r.build()

@@ -8,7 +8,7 @@ import (
 )
 
 func TestRingOwnershipPartition(t *testing.T) {
-	r := NewRing(1, []string{"ric-0", "ric-1", "ric-2", "ric-3"}, 0)
+	r := NewRing(1, []string{"ric-0", "ric-1", "ric-2", "ric-3"})
 
 	// Every UE has exactly one owner, deterministically.
 	counts := map[string]int{}
@@ -46,7 +46,7 @@ func TestRingOwnershipPartition(t *testing.T) {
 }
 
 func TestRingRebalanceIsIncremental(t *testing.T) {
-	r3 := NewRing(1, []string{"ric-0", "ric-1", "ric-2"}, 0)
+	r3 := NewRing(1, []string{"ric-0", "ric-1", "ric-2"})
 	r4 := r3.WithJoined("ric-3")
 	if r4.Epoch != 2 || !r4.Contains("ric-3") {
 		t.Fatalf("WithJoined: epoch %d instances %v", r4.Epoch, r4.Instances)
@@ -82,7 +82,7 @@ func TestRingRebalanceIsIncremental(t *testing.T) {
 
 func TestRingPublishRoundtrip(t *testing.T) {
 	store := sdl.New()
-	r := NewRing(7, []string{"ric-a", "ric-b"}, 32)
+	r := NewRing(7, []string{"ric-a", "ric-b"})
 	if err := PublishRing(store, r); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestRingPublishRoundtrip(t *testing.T) {
 	if !ok {
 		t.Fatal("ring not readable back")
 	}
-	if got.Epoch != 7 || got.Vnodes != 32 || len(got.Instances) != 2 {
+	if got.Epoch != 7 || len(got.Instances) != 2 || len(got.tokens) != 2*DefaultVnodes {
 		t.Fatalf("roundtrip = %+v", got)
 	}
 	for ue := uint64(1); ue <= 100; ue++ {
@@ -101,4 +101,45 @@ func TestRingPublishRoundtrip(t *testing.T) {
 	if _, err := ParseRing([]byte("not json")); err == nil {
 		t.Error("ParseRing accepted garbage")
 	}
+}
+
+// TestParseRingIgnoresPeerVnodes pins that a published ring cannot choose
+// how many tokens every instance builds: any bus client may publish on
+// the ring topic, and this 47-byte payload once cost a second and a
+// million tokens per instance.
+func TestParseRingIgnoresPeerVnodes(t *testing.T) {
+	r, err := ParseRing([]byte(`{"epoch":0,"vnodes":1048576,"instances":["x"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.tokens) != DefaultVnodes {
+		t.Fatalf("one-instance ring built %d tokens, want %d", len(r.tokens), DefaultVnodes)
+	}
+}
+
+// FuzzParseRing feeds ParseRing arbitrary payloads: it must not panic,
+// and a ring it accepts has DefaultVnodes tokens per listed instance and
+// an owner for every UE when it lists any.
+func FuzzParseRing(f *testing.F) {
+	for _, r := range []*Ring{NewRing(3, []string{"ric-0", "ric-1"}), NewRing(0, nil)} {
+		data, err := r.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"epoch":0,"vnodes":1048576,"instances":["x"]}`))
+	f.Add([]byte(`{"epoch":-1,"instances":["x","x",""]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := ParseRing(data)
+		if err != nil {
+			return
+		}
+		if len(r.tokens) != DefaultVnodes*len(r.Instances) {
+			t.Fatalf("%d tokens over %d instances, want %d each", len(r.tokens), len(r.Instances), DefaultVnodes)
+		}
+		if len(r.Instances) > 0 && !r.Contains(r.Owner(42)) {
+			t.Fatalf("UE 42 owned by %q, not a member of %q", r.Owner(42), r.Instances)
+		}
+	})
 }

@@ -10,9 +10,8 @@ import (
 	"github.com/6g-xsec/xsec/internal/obs"
 )
 
-// Verdict-cache observability. Entries is sampled at scrape time from
-// the most recently constructed Service (last writer wins, the obs
-// GaugeFunc contract).
+// Verdict-cache observability. The entries gauge is serving.go's
+// obsCacheEntries.
 var (
 	obsCacheHits = obs.NewCounter("xsec_llm_cache_hits_total",
 		"Analyses served from the verdict cache without an upstream round trip. A hit is per canonical traffic pattern (model, RAG setting, DATA lines of the prompt), not per UE.")

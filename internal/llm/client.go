@@ -68,12 +68,6 @@ type Client struct {
 	// specification passages are retrieved from the knowledge base and
 	// appended to every prompt (§5, "Specialized LLM for 6G").
 	RAG bool
-	// Knowledge overrides the retrieval corpus (DefaultKnowledgeBase
-	// when nil and RAG is set).
-	Knowledge []KnowledgeEntry
-	// Timeout bounds one REST attempt when the context has no deadline
-	// (DefaultRequestTimeout when zero). Contexts with deadlines win.
-	Timeout time.Duration
 	// HTTPClient defaults to a plain client; per-request deadlines come
 	// from the context, not from http.Client.Timeout.
 	HTTPClient *http.Client
@@ -93,11 +87,7 @@ func NewClient(baseURL, model string) *Client {
 func (c *Client) renderPrompt(window mobiflow.Trace) string {
 	prompt := RenderPrompt(window)
 	if c.RAG {
-		kb := c.Knowledge
-		if kb == nil {
-			kb = DefaultKnowledgeBase
-		}
-		prompt = AugmentPrompt(prompt, kb)
+		prompt = AugmentPrompt(prompt, DefaultKnowledgeBase)
 	}
 	return prompt
 }
@@ -125,8 +115,8 @@ func CountPromptTokens(prompt string) {
 	obsPromptTokens.Add(uint64(len(prompt)+3) / 4)
 }
 
-// withDeadline applies the client's fallback timeout when the caller's
-// context has none.
+// withDeadline bounds one REST attempt by DefaultRequestTimeout when the
+// caller's context has no deadline; a context's own deadline wins.
 func (c *Client) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -134,11 +124,7 @@ func (c *Client) withDeadline(ctx context.Context) (context.Context, context.Can
 	if _, ok := ctx.Deadline(); ok {
 		return ctx, func() {}
 	}
-	timeout := c.Timeout
-	if timeout <= 0 {
-		timeout = DefaultRequestTimeout
-	}
-	return context.WithTimeout(ctx, timeout)
+	return context.WithTimeout(ctx, DefaultRequestTimeout)
 }
 
 func (c *Client) httpClient() *http.Client {

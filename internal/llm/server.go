@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -187,20 +188,11 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	}
 	// Include any custom models not in the default order.
 	for name := range s.models {
-		if !contains(names, name) {
+		if !slices.Contains(names, name) {
 			names = append(names, name)
 		}
 	}
 	writeJSON(w, http.StatusOK, names)
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {

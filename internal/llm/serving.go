@@ -13,12 +13,14 @@
 //   - hedged retries: when the primary attempt is slow a second one is
 //     launched after hedgeDelay and the first response wins, taming the
 //     latency tail of a flaky endpoint;
-//   - a token/latency budget governor: upstream concurrency is bounded,
-//     admission waits are capped, and when the endpoint saturates the
-//     request is shed to a rule-based degraded verdict produced locally
-//     by the expert engine — every alert still gets a verdict. Governor
-//     state transitions are journaled to the SDL and surface on
-//     /healthz.
+//   - a circuit-breaker governor: when exchanges with the endpoint keep
+//     failing, requests are shed to a rule-based degraded verdict
+//     produced locally by the expert engine — every alert still gets a
+//     verdict. Governor state transitions are journaled to the SDL and
+//     surface on /healthz.
+//
+// The Service bounds nothing itself: its callers do. The analyzer pool's
+// round-trip workers each hold one exchange at a time.
 package llm
 
 import (
@@ -38,8 +40,13 @@ import (
 	"github.com/6g-xsec/xsec/internal/sdl"
 )
 
-// Serving-layer observability (the cache counters live in cache.go).
+// Serving-layer observability (the cache counters live in cache.go). The
+// gauges sum over the Services between NewService and Close.
 var (
+	obsCacheEntries = obs.NewSumGauge("xsec_llm_cache_entries",
+		"Verdicts currently held by the verdict caches of the live Services.")
+	obsInflight = obs.NewSumGauge("xsec_llm_inflight",
+		"Upstream REST exchanges currently in flight, a hedge included in its exchange.")
 	obsServed = obs.NewCounterVec("xsec_llm_served_total",
 		"Analyses served, by source.", "source")
 	obsServedLive      = obsServed.With(ServedLive)
@@ -75,19 +82,13 @@ const (
 	// "benign" therefore covers every UE showing that structure, for at
 	// most the TTL.
 	cacheTTL = 5 * time.Minute
-	// maxInflight bounds concurrent upstream REST calls.
-	maxInflight = 8
-	// admitWait caps how long a request may wait for an upstream slot
-	// before the governor sheds it.
-	admitWait = 250 * time.Millisecond
 	// hedgeDelay launches a second attempt when the primary has not
 	// answered within it. The first response wins; the loser is
 	// canceled.
 	hedgeDelay = 500 * time.Millisecond
-	// breakerTrip is how many consecutive saturation events (admission
-	// timeouts or failed exchanges) open the governor. While open,
-	// requests shed immediately; one probe per breakerCooldown tests
-	// for recovery.
+	// breakerTrip is how many consecutive failed exchanges open the
+	// governor. While open, requests shed immediately; one probe per
+	// breakerCooldown tests for recovery.
 	breakerTrip     = 4
 	breakerCooldown = 2 * time.Second
 )
@@ -137,15 +138,17 @@ type Service struct {
 	flightMu sync.Mutex
 	flight   map[cacheKey]*flightCall
 
-	sem chan struct{} // upstream admission slots
+	inflight atomic.Int64 // upstream exchanges under way
 
 	satMu      sync.Mutex
-	satStreak  int  // consecutive saturation events
+	satStreak  int  // consecutive failed exchanges
 	satOpen    bool // breaker open: shedding
 	lastProbe  time.Time
 	journalSeq uint64
 
 	healthName string
+	// unregister removes the Service's sources from the summing gauges.
+	unregister []func()
 }
 
 // NewService wraps client with the serving layer.
@@ -159,17 +162,16 @@ func NewService(client *Client, opts ServingOptions) *Service {
 		cache:  newVerdictCache(cacheSize, cacheTTL, opts.Clock),
 		parsed: newVerdictCache(cacheSize, cacheTTL, opts.Clock),
 		flight: make(map[cacheKey]*flightCall),
-		sem:    make(chan struct{}, maxInflight),
 	}
 	if _, err := rand.Read(s.secret[:]); err != nil {
 		// No entropy source: from go1.24 crypto/rand ends the process
 		// itself. A Service keyed with a guessable secret must not serve.
 		panic("llm: drawing the cache-key secret: " + err.Error())
 	}
-	obs.NewGaugeFunc("xsec_llm_cache_entries",
-		"Verdicts currently held by the cache.", func() float64 { return float64(s.cache.len()) })
-	obs.NewGaugeFunc("xsec_llm_inflight",
-		"Upstream REST calls currently in flight.", func() float64 { return float64(len(s.sem)) })
+	s.unregister = []func(){
+		obsCacheEntries.Add(func() float64 { return float64(s.cache.len()) }),
+		obsInflight.Add(func() float64 { return float64(s.inflight.Load()) }),
+	}
 	return s
 }
 
@@ -199,9 +201,9 @@ func (s *Service) Models(ctx context.Context) ([]string, error) {
 func (s *Service) RegisterHealth(name string) {
 	s.healthName = name
 	obs.RegisterHealthDetail(name, func() (string, error) {
-		detail := fmt.Sprintf("model=%s cache=%d hits=%d misses=%d inflight=%d/%d shed=%d hedges=%d",
+		detail := fmt.Sprintf("model=%s cache=%d hits=%d misses=%d inflight=%d shed=%d hedges=%d",
 			s.client.Model, s.cache.len(), s.stats.CacheHits.Load(), s.stats.CacheMisses.Load(),
-			len(s.sem), cap(s.sem), s.stats.Shed.Load(), s.stats.HedgeAttempts.Load())
+			s.inflight.Load(), s.stats.Shed.Load(), s.stats.HedgeAttempts.Load())
 		if s.Saturated() {
 			return detail, errors.New("expert endpoint saturated; shedding to rule-based verdicts")
 		}
@@ -209,13 +211,17 @@ func (s *Service) RegisterHealth(name string) {
 	})
 }
 
-// Close unregisters the health check. In-flight requests finish on
-// their own contexts.
+// Close unregisters the health check and the Service's gauge sources.
+// In-flight requests finish on their own contexts.
 func (s *Service) Close() {
 	if s.healthName != "" {
 		obs.UnregisterHealth(s.healthName)
 		s.healthName = ""
 	}
+	for _, remove := range s.unregister {
+		remove()
+	}
+	s.unregister = nil
 }
 
 // AnalyzeWindow answers for a telemetry window through the serving
@@ -338,26 +344,15 @@ func (s *Service) shareText(a *Analysis) *Analysis {
 	return &cp
 }
 
-// errAdmission marks a request the governor refused an upstream slot.
-var errAdmission = errors.New("llm: upstream admission timed out")
-
 // exchangeTimeout bounds one logical upstream exchange, hedges included.
 const exchangeTimeout = 10 * time.Second
 
-// upstream performs the bounded, hedged exchange. One admission slot
-// covers the primary and its hedge; the prompt-token metric is charged
-// once here regardless of how many attempts run.
+// upstream performs the bounded, hedged exchange. It counts as one
+// exchange in flight, primary and hedge together; the prompt-token metric
+// is charged once here regardless of how many attempts run.
 func (s *Service) upstream(ctx context.Context, prompt string) (*Analysis, error) {
-	admit := time.NewTimer(admitWait)
-	defer admit.Stop()
-	select {
-	case s.sem <- struct{}{}:
-	case <-admit.C:
-		return nil, errAdmission
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	defer func() { <-s.sem }()
+	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
 
 	CountPromptTokens(prompt)
 
@@ -444,7 +439,7 @@ func (s *Service) shedNow() bool {
 	return true
 }
 
-// saturation records one saturation event; enough in a row open the
+// saturation records one failed exchange; enough in a row open the
 // governor.
 func (s *Service) saturation(cause error) {
 	s.satMu.Lock()

@@ -360,73 +360,6 @@ func TestServingGovernorTripAndRecover(t *testing.T) {
 	}
 }
 
-func TestServingAdmissionShed(t *testing.T) {
-	l := mixed(t)
-	// The endpoint holds every request until released; arrived has room
-	// for every held primary and its hedge.
-	arrived := make(chan struct{}, 2*maxInflight)
-	release := make(chan struct{})
-	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		arrived <- struct{}{}
-		select {
-		case <-release:
-		case <-r.Context().Done():
-			return
-		}
-		var req ChatRequest
-		json.NewDecoder(r.Body).Decode(&req)
-		findings, err := AnalyzePrompt(req.Prompt)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, ChatResponse{Model: req.Model, Text: ChatGPT4o.Respond(findings)})
-	})
-	ts := httptest.NewServer(handler)
-	defer ts.Close()
-	svc := NewService(NewClient(ts.URL, "chatgpt-4o"), ServingOptions{})
-	defer svc.Close()
-
-	// maxInflight distinct windows (prefixes of one episode, so no two
-	// coalesce) take every upstream slot; one more times out of
-	// admission and degrades instead of queueing unboundedly.
-	episode := attackWindow(l, ue.AttackBTSDoS)
-	if len(episode) < maxInflight+2 {
-		t.Fatalf("episode has %d records, want at least %d", len(episode), maxInflight+2)
-	}
-	var wg sync.WaitGroup
-	served := make([]string, maxInflight)
-	for i := range served {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			a, err := svc.AnalyzeWindow(context.Background(), episode[:i+2])
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			served[i] = a.Served
-		}(i)
-	}
-	for range maxInflight {
-		<-arrived
-	}
-	a, err := svc.AnalyzeWindow(context.Background(), episode[:maxInflight+2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Served != ServedDegraded {
-		t.Errorf("request past %d held slots served %q, want degraded", maxInflight, a.Served)
-	}
-	close(release)
-	wg.Wait()
-	for i, s := range served {
-		if s != ServedLive {
-			t.Errorf("held request %d served %q, want live", i, s)
-		}
-	}
-}
-
 func TestServingHealthCheck(t *testing.T) {
 	svc := NewService(NewClient("http://127.0.0.1:1", "chatgpt-4o"), ServingOptions{})
 	const name = "llm-serving-test"

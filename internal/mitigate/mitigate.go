@@ -47,6 +47,8 @@ var (
 	obsLatency = obs.NewHistogram("xsec_mitigate_latency_seconds",
 		"Mitigation latency: LLM verdict to E2 control acknowledgment.",
 		obs.DefLatencyBuckets)
+	obsActive = obs.NewSumGauge("xsec_mitigate_active",
+		"Mitigations currently enforced on the RAN, summed over the live engines.")
 )
 
 // Mode selects how far the engine goes with an approved action.
@@ -242,6 +244,8 @@ type Engine struct {
 	closed     bool
 
 	wg sync.WaitGroup
+	// unregister removes the engine from xsec_mitigate_active.
+	unregister func()
 }
 
 // New builds an engine. Close it to stop TTL timers and in-flight work.
@@ -259,14 +263,7 @@ func New(cfg Config) *Engine {
 		tokens:     issueBurst,
 		lastRefill: cfg.Clock(),
 	}
-	// Sampled at scrape time; last-constructed engine wins, matching the
-	// re-registration semantics the core framework relies on.
-	obs.NewGaugeFunc("xsec_mitigate_active",
-		"Mitigations currently enforced on the RAN.", func() float64 {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			return float64(e.active)
-		})
+	e.unregister = obsActive.Add(func() float64 { return float64(e.ActiveCount()) })
 	return e
 }
 
@@ -615,6 +612,7 @@ func (e *Engine) Close() {
 	}
 	e.mu.Unlock()
 	e.wg.Wait()
+	e.unregister()
 }
 
 // targetKey canonicalizes what a control acts on, the unit of dedup and

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"github.com/6g-xsec/xsec/internal/llm"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
 	"github.com/6g-xsec/xsec/internal/mobiwatch"
+	"github.com/6g-xsec/xsec/internal/obs"
 	"github.com/6g-xsec/xsec/internal/prov"
 	"github.com/6g-xsec/xsec/internal/sdl"
 	"github.com/6g-xsec/xsec/internal/smo"
@@ -531,4 +533,59 @@ func stoppedClock() (now func() time.Time, advance func(time.Duration)) {
 		mu.Unlock()
 	}
 	return now, advance
+}
+
+// gauge reads an unlabeled gauge of the process-wide registry, 0 before
+// anything registered it.
+func gauge(name string) float64 {
+	for _, sr := range obs.Default.Snapshot() {
+		if sr.Name == name {
+			return sr.Value
+		}
+	}
+	return 0
+}
+
+// TestGaugesSumLiveInstances keeps two serving layers and two engines
+// alive, as two colocated nodes do, then closes one of each: every gauge
+// a component registers counts each live instance once and a closed one
+// not at all.
+func TestGaugesSumLiveInstances(t *testing.T) {
+	const cache, active = "xsec_llm_cache_entries", "xsec_mitigate_active"
+	cache0, active0 := gauge(cache), gauge(active)
+	expert := &http.Client{Transport: llm.NewServer().Transport()}
+	var svcs [2]*llm.Service
+	var engines [2]*Engine
+	for i := range svcs {
+		client := llm.NewClient("http://expert", "chatgpt-4o")
+		client.HTTPClient = expert
+		svcs[i] = llm.NewService(client, llm.ServingOptions{})
+		defer svcs[i].Close()
+		c := blockCase(cell.TMSI(0xA0 + i))
+		if _, err := svcs[i].AnalyzeWindow(context.Background(), c.Alert.Window); err != nil {
+			t.Fatal(err)
+		}
+		if n := svcs[i].CacheLen(); n != 1 {
+			t.Fatalf("service %d caches %d verdicts, want 1", i, n)
+		}
+		engines[i] = New(Config{NodeID: "gnb-test", Issuer: &fakeIssuer{}, Mode: ModeEnforce, TTL: time.Hour})
+		defer engines[i].Close()
+		engines[i].Submit(c)
+		waitFor(t, "active mitigation", func() bool { return engines[i].ActiveCount() == 1 })
+	}
+	if got := gauge(cache) - cache0; got != 2 {
+		t.Errorf("%s = %v over two live services holding one verdict each, want 2", cache, got)
+	}
+	if got := gauge(active) - active0; got != 2 {
+		t.Errorf("%s = %v over two live engines enforcing one action each, want 2", active, got)
+	}
+
+	svcs[1].Close()
+	engines[0].Close()
+	if got := gauge(cache) - cache0; got != 1 {
+		t.Errorf("%s = %v after one service closed, want 1", cache, got)
+	}
+	if got := gauge(active) - active0; got != 1 {
+		t.Errorf("%s = %v after one engine closed, want 1", active, got)
+	}
 }

@@ -170,7 +170,7 @@ func TestOnlineFlagsMatchOfflineBatched(t *testing.T) {
 		for base, sn := 0, uint64(1); base < len(tr); base, sn = base+size, sn+1 {
 			w.ingest(ric.Indication{NodeID: "gnb-replay", SN: sn}, tr[base:min(base+size, len(tr))])
 		}
-		w.flushLocked("gnb-replay") // the tail the age ticker would score
+		w.flushLocked("gnb-replay") // the tail the scoring stage flushes once its hand-off runs empty
 		prov.SetActive(old)
 		ledger.Close() // drains what was recorded
 

@@ -21,10 +21,10 @@ const (
 	// Alerts are keyed into episodes, so the bound counts distinct UEs
 	// with an unanalysed flagged window, not flagged windows.
 	alertBuffer = 64
-	// AlertStaleAfter is how long an alert may wait before it is shed:
-	// the llm governor's default admission budget, the longest the loop
-	// already accepts a verdict to queue. A verdict on an older window
-	// would arrive after the near-real-time loop has moved on.
+	// AlertStaleAfter is how long an alert may wait before it is shed.
+	// An expert round trip takes tens of milliseconds, so this is several
+	// of them: a verdict on an older window would arrive after the
+	// near-real-time loop has moved on.
 	AlertStaleAfter = 250 * time.Millisecond
 )
 

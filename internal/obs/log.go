@@ -1,192 +1,60 @@
 package obs
 
 import (
+	"flag"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
-	"sync"
+	"log/slog"
+	"math"
+	"os"
 	"sync/atomic"
-	"time"
 )
 
-// Level orders log severities.
-type Level int32
+// logLevelEnv names the environment variable every command's -log-level
+// defaults to.
+const logLevelEnv = "XSEC_LOG_LEVEL"
 
-// Log levels.
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
+// silent is the logger before a binary sets an output: its handler is
+// enabled at no level, so a call returns before formatting anything.
+var silent = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 
-// String returns the logfmt level token.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	}
-	return "level(" + strconv.Itoa(int(l)) + ")"
+var std atomic.Pointer[slog.Logger]
+
+func init() { std.Store(silent) }
+
+// L returns the process-wide logger. Library code logs through it
+// unconditionally; it writes nothing until a binary calls SetupCLI.
+func L() *slog.Logger { return std.Load() }
+
+// LogLevelFlag registers the -log-level flag every command shares on the
+// default flag set. Its default is $XSEC_LOG_LEVEL.
+func LogLevelFlag() *string {
+	return flag.String("log-level", os.Getenv(logLevelEnv),
+		"write structured logs to stderr at this level and above: debug | info | warn | error (default $"+logLevelEnv+"; empty: no logs)")
 }
 
-// ParseLevel maps a level name to its Level (case-insensitive).
-func ParseLevel(s string) (Level, error) {
-	switch strings.ToLower(s) {
-	case "debug":
-		return LevelDebug, nil
-	case "info":
-		return LevelInfo, nil
-	case "warn", "warning":
-		return LevelWarn, nil
-	case "error":
-		return LevelError, nil
-	}
-	return LevelInfo, fmt.Errorf("obs: unknown log level %q", s)
-}
-
-// logCore is the shared sink behind a Logger and all its With children.
-type logCore struct {
-	mu    sync.Mutex
-	w     io.Writer
-	level atomic.Int32
-	clock func() time.Time
-}
-
-// Logger is a leveled structured logger emitting logfmt lines:
-//
-//	t=2026-08-06T12:00:00.000Z lvl=warn msg="buffer full" xapp=mobiwatch
-//
-// Loggers derived via With share the sink, level, and clock of their
-// root. A disabled level costs one atomic load and no allocation for
-// the argument-free call shapes; formatting happens only when the
-// record is actually emitted.
-type Logger struct {
-	core *logCore
-	ctx  string // pre-rendered " key=value" pairs from With
-}
-
-// NewLogger returns a logger writing to w at LevelInfo.
-func NewLogger(w io.Writer) *Logger {
-	c := &logCore{w: w, clock: time.Now}
-	c.level.Store(int32(LevelInfo))
-	return &Logger{core: c}
-}
-
-// SetOutput atomically swaps the sink (io.Discard silences).
-func (l *Logger) SetOutput(w io.Writer) {
-	l.core.mu.Lock()
-	l.core.w = w
-	l.core.mu.Unlock()
-}
-
-// SetLevel sets the minimum emitted level.
-func (l *Logger) SetLevel(lv Level) { l.core.level.Store(int32(lv)) }
-
-// Level reports the minimum emitted level.
-func (l *Logger) Level() Level { return Level(l.core.level.Load()) }
-
-// setClock injects a clock (tests).
-func (l *Logger) setClock(clock func() time.Time) { l.core.clock = clock }
-
-// With returns a child logger whose records carry the given key-value
-// pairs. Keys must be strings; values are rendered immediately.
-func (l *Logger) With(kv ...any) *Logger {
-	var b strings.Builder
-	b.WriteString(l.ctx)
-	appendPairs(&b, kv)
-	return &Logger{core: l.core, ctx: b.String()}
-}
-
-// Debug logs at LevelDebug. kv alternates string keys and values.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
-
-// Info logs at LevelInfo.
-func (l *Logger) Info(msg string, kv ...any) { l.log(LevelInfo, msg, kv) }
-
-// Warn logs at LevelWarn.
-func (l *Logger) Warn(msg string, kv ...any) { l.log(LevelWarn, msg, kv) }
-
-// Error logs at LevelError.
-func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv) }
-
-func (l *Logger) log(lv Level, msg string, kv []any) {
-	if lv < Level(l.core.level.Load()) {
-		return
-	}
-	var b strings.Builder
-	b.WriteString("t=")
-	b.WriteString(l.core.clock().UTC().Format("2006-01-02T15:04:05.000Z"))
-	b.WriteString(" lvl=")
-	b.WriteString(lv.String())
-	b.WriteString(" msg=")
-	b.WriteString(quoteIfNeeded(msg))
-	b.WriteString(l.ctx)
-	appendPairs(&b, kv)
-	b.WriteByte('\n')
-
-	l.core.mu.Lock()
-	defer l.core.mu.Unlock()
-	io.WriteString(l.core.w, b.String())
-}
-
-// appendPairs renders alternating key-value pairs; a trailing odd value
-// is reported rather than dropped.
-func appendPairs(b *strings.Builder, kv []any) {
-	for i := 0; i+1 < len(kv); i += 2 {
-		key, ok := kv[i].(string)
-		if !ok {
-			key = fmt.Sprint(kv[i])
+// SetupCLI is the observability set-up every command shares. At a
+// non-empty level the process-wide logger writes slog text lines
+// (time=… level=… msg=… key=value…) to w at that level and above; an
+// empty level leaves it silent. A non-empty metricsAddr serves /metrics,
+// /healthz, /traces and the registered extensions for the life of the
+// process and names the bound address on w.
+func SetupCLI(w io.Writer, level, metricsAddr string) error {
+	logger := silent
+	if level != "" {
+		var lv slog.Level
+		if err := lv.UnmarshalText([]byte(level)); err != nil {
+			return fmt.Errorf("obs: unknown log level %q (want debug, info, warn or error)", level)
 		}
-		b.WriteByte(' ')
-		b.WriteString(key)
-		b.WriteByte('=')
-		b.WriteString(quoteIfNeeded(renderValue(kv[i+1])))
+		logger = slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: lv}))
 	}
-	if len(kv)%2 == 1 {
-		b.WriteString(" !ODD=")
-		b.WriteString(quoteIfNeeded(renderValue(kv[len(kv)-1])))
+	std.Store(logger)
+	if metricsAddr != "" {
+		addr, _, err := ListenAndServe(metricsAddr)
+		if err != nil {
+			return fmt.Errorf("metrics listener: %w", err)
+		}
+		fmt.Fprintln(w, "metrics on http://"+addr)
 	}
+	return nil
 }
-
-func renderValue(v any) string {
-	switch x := v.(type) {
-	case string:
-		return x
-	case error:
-		return x.Error()
-	case fmt.Stringer:
-		return x.String()
-	}
-	return fmt.Sprint(v)
-}
-
-// quoteIfNeeded quotes values containing logfmt-breaking characters.
-func quoteIfNeeded(s string) string {
-	if s == "" {
-		return `""`
-	}
-	if strings.ContainsAny(s, " \t\n\"=") {
-		return strconv.Quote(s)
-	}
-	return s
-}
-
-// std is the process-wide logger; silent by default so library code can
-// log unconditionally and binaries opt in with SetLogOutput.
-var std = NewLogger(io.Discard)
-
-// L returns the process-wide logger.
-func L() *Logger { return std }
-
-// SetLogOutput directs the process-wide logger at w.
-func SetLogOutput(w io.Writer) { std.SetOutput(w) }
-
-// SetLogLevel sets the process-wide minimum level.
-func SetLogLevel(lv Level) { std.SetLevel(lv) }

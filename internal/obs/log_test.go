@@ -1,101 +1,93 @@
 package obs
 
 import (
+	"context"
 	"errors"
+	"io"
+	"log/slog"
 	"strings"
 	"testing"
-	"time"
 )
 
-func newTestLogger() (*Logger, *strings.Builder) {
+// setupLogs runs the shared command set-up at level with a buffer for its
+// output, and puts the process-wide logger back to silent afterwards.
+func setupLogs(t *testing.T, level string) *strings.Builder {
+	t.Helper()
 	var sb strings.Builder
-	l := NewLogger(&sb)
-	l.setClock(func() time.Time {
-		return time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
-	})
-	return l, &sb
+	if err := SetupCLI(&sb, level, ""); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { SetupCLI(io.Discard, "", "") })
+	return &sb
 }
 
-func TestLoggerLogfmt(t *testing.T) {
-	l, sb := newTestLogger()
-	l.Info("indication routed", "xapp", "mobiwatch", "sn", 42)
-	want := "t=2026-08-06T12:00:00.000Z lvl=info msg=\"indication routed\" xapp=mobiwatch sn=42\n"
-	if sb.String() != want {
-		t.Fatalf("got  %q\nwant %q", sb.String(), want)
+// formatProbe counts the times a handler asked it for its value.
+type formatProbe struct{ formatted *int }
+
+func (p formatProbe) LogValue() slog.Value {
+	*p.formatted++
+	return slog.StringValue("formatted")
+}
+
+// TestLoggerSilentUntilSetup pins the library contract: before a binary
+// sets an output, a call at any level formats nothing and allocates
+// nothing.
+func TestLoggerSilentUntilSetup(t *testing.T) {
+	setupLogs(t, "") // the state every process starts in
+	formatted := 0
+	probe := formatProbe{&formatted}
+	L().Error("not written", "v", probe)
+	L().Warn("not written", "v", probe)
+	if formatted != 0 {
+		t.Errorf("a silent logger formatted its arguments %d times", formatted)
+	}
+	if L().Enabled(context.Background(), slog.LevelError) {
+		t.Error("a silent logger is enabled at error")
+	}
+	if n := testing.AllocsPerRun(100, func() { L().Warn("not written", "sn", 42, "xapp", "mobiwatch") }); n != 0 {
+		t.Errorf("a silent call allocates %.0f times", n)
 	}
 }
 
 func TestLoggerLevelGating(t *testing.T) {
-	l, sb := newTestLogger()
-	l.SetLevel(LevelWarn)
-	l.Debug("hidden")
-	l.Info("hidden")
-	l.Warn("shown")
-	l.Error("shown too")
+	sb := setupLogs(t, "debug")
+	L().Debug("debug shown", "sn", 1)
+	if !strings.Contains(sb.String(), `level=DEBUG msg="debug shown" sn=1`) {
+		t.Fatalf("debug record missing after a debug set-up: %q", sb.String())
+	}
+
+	sb = setupLogs(t, "warn")
+	L().Debug("hidden")
+	L().Info("hidden")
+	L().Warn("shown")
+	L().Error("shown too")
 	out := sb.String()
 	if strings.Contains(out, "hidden") {
 		t.Fatalf("below-level records emitted:\n%s", out)
 	}
-	if !strings.Contains(out, "lvl=warn msg=shown") || !strings.Contains(out, "lvl=error") {
+	if !strings.Contains(out, "level=WARN msg=shown") || !strings.Contains(out, "level=ERROR") {
 		t.Fatalf("at-level records missing:\n%s", out)
 	}
 }
 
-func TestLoggerWith(t *testing.T) {
-	l, sb := newTestLogger()
-	child := l.With("node", "gnb-001").With("xapp", "mobiwatch")
-	child.Info("ok")
-	if !strings.Contains(sb.String(), "msg=ok node=gnb-001 xapp=mobiwatch") {
-		t.Fatalf("With context missing: %q", sb.String())
-	}
-	// The parent is unaffected.
-	sb.Reset()
-	l.Info("bare")
-	if strings.Contains(sb.String(), "node=") {
-		t.Fatalf("parent inherited child context: %q", sb.String())
-	}
-}
-
-func TestLoggerValueRendering(t *testing.T) {
-	l, sb := newTestLogger()
-	l.Info("vals",
-		"err", errors.New("boom failed"),
-		"lvl", LevelWarn, // fmt.Stringer
-		"quoted", `say "hi"`,
-		"empty", "",
-	)
+func TestLoggerLogfmt(t *testing.T) {
+	sb := setupLogs(t, "info")
+	L().Info("indication routed", "xapp", "mobiwatch", "sn", 42, "err", errors.New("boom failed"))
 	out := sb.String()
-	for _, want := range []string{
-		`err="boom failed"`,
-		"lvl=warn",
-		`quoted="say \"hi\""`,
-		`empty=""`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in %q", want, out)
-		}
-	}
-}
-
-func TestLoggerOddPairs(t *testing.T) {
-	l, sb := newTestLogger()
-	l.Info("odd", "dangling")
-	if !strings.Contains(sb.String(), "!ODD=dangling") {
-		t.Fatalf("odd trailing value dropped: %q", sb.String())
+	want := ` level=INFO msg="indication routed" xapp=mobiwatch sn=42 err="boom failed"` + "\n"
+	if !strings.HasPrefix(out, "time=") || !strings.HasSuffix(out, want) || strings.Count(out, "\n") != 1 {
+		t.Fatalf("got  %q\nwant time=… %q", out, want)
 	}
 }
 
 func TestParseLevel(t *testing.T) {
-	for in, want := range map[string]Level{
-		"debug": LevelDebug, "INFO": LevelInfo, "Warn": LevelWarn,
-		"warning": LevelWarn, "error": LevelError,
-	} {
-		got, err := ParseLevel(in)
-		if err != nil || got != want {
-			t.Errorf("ParseLevel(%q) = %v, %v", in, got, err)
+	for _, in := range []string{"debug", "INFO", "Warn", "error"} {
+		if err := SetupCLI(io.Discard, in, ""); err != nil {
+			t.Errorf("SetupCLI(%q): %v", in, err)
 		}
 	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Error("ParseLevel accepted an unknown level")
+	if err := SetupCLI(io.Discard, "loud", ""); err == nil {
+		t.Error("SetupCLI accepted an unknown level")
 	}
+	SetupCLI(io.Discard, "", "")
 }

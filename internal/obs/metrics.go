@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -92,7 +93,7 @@ func (r *Registry) family(name, help string, kind Kind, labels []string, buckets
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.families[name]; ok {
-		if f.kind != kind || !equalStrings(f.labels, labels) || !equalFloats(f.buckets, buckets) {
+		if f.kind != kind || !slices.Equal(f.labels, labels) || !slices.Equal(f.buckets, buckets) {
 			panic(fmt.Sprintf("obs: metric %q re-registered with a different schema", name))
 		}
 		return f
@@ -105,30 +106,6 @@ func (r *Registry) family(name, help string, kind Kind, labels []string, buckets
 	}
 	r.families[name] = f
 	return f
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // labelKey joins label values with an unprintable separator; the result

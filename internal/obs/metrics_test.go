@@ -93,6 +93,44 @@ func TestGaugeFuncSampledAtScrape(t *testing.T) {
 	}
 }
 
+// TestSumGaugeUnderChurn adds and removes sources from several goroutines
+// while another scrapes: each scrape reads a whole number of live
+// sources, and once every goroutine has removed its own only the kept
+// source is left.
+func TestSumGaugeUnderChurn(t *testing.T) {
+	g := NewSumGauge("test_sum_gauge_churn", "help")
+	defer g.Add(func() float64 { return 100 })()
+	const workers, rounds = 4, 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				g.Add(func() float64 { return 1 })()
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
+		if v := g.Value(); v < 100 || v > 100+workers {
+			t.Fatalf("scrape read %v with the kept source and at most %d others live", v, workers)
+		}
+	}
+	if v := g.Value(); v != 100 {
+		t.Errorf("after churn the gauge reads %v, want the kept source's 100", v)
+	}
+}
+
 func TestConcurrentRegistryAccess(t *testing.T) {
 	r := NewRegistry()
 	const workers = 8

@@ -1,7 +1,8 @@
 // Package obs is the observability layer of the 6G-XSec stack: a
 // concurrency-safe metrics registry (counters, gauges, and histograms
-// with fixed exponential buckets, all labelable), a leveled structured
-// logger, and span-style pipeline tracing keyed by E2 indication ID.
+// with fixed exponential buckets, all labelable), the process-wide
+// log/slog logger, and span-style pipeline tracing keyed by E2
+// indication ID.
 // Everything is pure standard library and allocation-free on the hot
 // paths (Counter.Inc, Gauge.Set, Histogram.Observe).
 //
@@ -24,6 +25,8 @@
 // returns the identical series, so handles should be resolved outside
 // hot loops and the increment itself costs one atomic add.
 package obs
+
+import "sync"
 
 // Default is the process-wide registry. The convenience constructors
 // (NewCounter, NewGauge, NewHistogram, and their Vec variants) register
@@ -52,10 +55,58 @@ func NewGaugeVec(name, help string, labels ...string) *GaugeVec {
 }
 
 // NewGaugeFunc registers a gauge in Default whose value is sampled by
-// calling fn at scrape time. Re-registering replaces the callback
-// (last writer wins), so restartable components can re-bind.
+// calling fn at scrape time. Re-registering replaces the callback (last
+// writer wins); a component with several live instances uses SumGauge.
 func NewGaugeFunc(name, help string, fn func() float64) {
 	Default.GaugeFunc(name, help, fn)
+}
+
+// SumGauge is a gauge in Default whose value at scrape time is the sum
+// over the sources registered with it. A component that comes and goes
+// (a node, its serving layer, its mitigation engine) adds its source in
+// its constructor and removes it in Close: colocated instances share the
+// series, and a closed one is neither counted nor kept reachable.
+type SumGauge struct {
+	mu   sync.Mutex
+	next uint64
+	src  map[uint64]func() float64
+}
+
+// NewSumGauge registers a summing gauge in Default.
+func NewSumGauge(name, help string) *SumGauge {
+	g := &SumGauge{src: make(map[uint64]func() float64)}
+	NewGaugeFunc(name, help, g.Value)
+	return g
+}
+
+// Add registers fn as a source and returns the function that removes it.
+func (g *SumGauge) Add(fn func() float64) (remove func()) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	id := g.next
+	g.next++
+	g.src[id] = fn
+	return func() {
+		g.mu.Lock()
+		delete(g.src, id)
+		g.mu.Unlock()
+	}
+}
+
+// Value sums the registered sources. They are called outside the lock,
+// so a source may take its component's own lock.
+func (g *SumGauge) Value() float64 {
+	g.mu.Lock()
+	fns := make([]func() float64, 0, len(g.src))
+	for _, fn := range g.src {
+		fns = append(fns, fn)
+	}
+	g.mu.Unlock()
+	var sum float64
+	for _, fn := range fns {
+		sum += fn()
+	}
+	return sum
 }
 
 // NewHistogram registers (or fetches) an unlabeled histogram in

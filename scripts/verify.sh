@@ -3,9 +3,9 @@
 # recipe — ROADMAP.md, README.md, and .claude/skills/verify/SKILL.md all
 # point here, so change it in one place only.
 #
-# Usage: scripts/verify.sh  (from the repo root; 2 min 19 s cold on a
+# Usage: scripts/verify.sh  (from the repo root; 2 min 40 s cold on a
 # 2-CPU host, test cache emptied — the -race test run is nearly all of
-# it, and internal/core, 81 s inside that run, is its floor)
+# it; internal/core, mobiwatch and bench take 56, 57 and 41 s inside it)
 set -eu
 
 cd "$(dirname "$0")/.."
