@@ -10,17 +10,16 @@
 //	xsec-audit -mitigate dry-run        # audit the rehearsal journal instead
 //	xsec-audit -chain gnb-001/42        # restrict the audit to one chain
 //	xsec-audit -endpoint http://host:9090 -label bts-dos   # query a live deployment's /prov
-//	xsec-audit -federation 2            # audit a federated mid-attack UE migration
-//	xsec-audit -fleet                   # audit the fleet observability plane end to end
+//	xsec-audit -federation 2            # audit the federation drill: mid-attack migration, fleet plane, crash
 //
 // In testbed mode the command exits non-zero when any issued mitigation
 // action lacks a complete evidence chain — the auditability contract. In
-// federation mode it exits non-zero when any migrated UE's source and
-// destination chains are not joined, the destination never scored the
-// joining indication, or it reached no governed mitigation decision on an
-// audited chain. In fleet mode it exits non-zero when the crashed
-// instance is not auto-evicted, the migrated UE's trace does not stitch
-// across instances, or any SLO is burning error budget above threshold.
+// federation mode the exit code is the drill's verdict: non-zero when any
+// migrated UE's source and destination chains are not joined, the
+// destination reached no governed mitigation decision on an audited
+// chain, the migrated UE's trace does not stitch across instances, the
+// crashed instance is not auto-evicted, or any SLO is burning error
+// budget above threshold.
 //
 // -log-level (default $XSEC_LOG_LEVEL) writes structured logs to stderr
 // at that level and above, none when empty; -metrics-addr serves
@@ -56,8 +55,7 @@ func main() {
 		since    = flag.String("since", "", "endpoint mode: RFC 3339 lower time bound")
 		until    = flag.String("until", "", "endpoint mode: RFC 3339 upper time bound")
 
-		federation  = flag.Int("federation", 0, "audit a federated migration: run N instances, hand the attack over mid-flood, verify joined chains")
-		fleetAudit  = flag.Bool("fleet", false, "audit the fleet observability plane: stitched traces, failure detection, SLO burn")
+		federation  = flag.Int("federation", 0, "audit the federation drill: run N instances, hand the attack over mid-flood, crash one; verify joined chains, stitched trace, eviction, SLOs")
 		attack      = flag.String("attack", "bts-dos", "testbed mode: attack to launch and audit")
 		mitigateMod = flag.String("mitigate", "enforce", "testbed mode: mitigation engine mode (off | dry-run | enforce)")
 		sessions    = flag.Int("sessions", 60, "testbed mode: benign training sessions")
@@ -77,8 +75,6 @@ func main() {
 	switch {
 	case *endpoint != "":
 		err = auditEndpoint(*endpoint, *chainID, *ueFilter, *label, *since, *until)
-	case *fleetAudit:
-		err = auditFleet(*seed)
 	case *federation > 0:
 		err = auditFederation(*federation, *seed)
 	default:
@@ -130,15 +126,18 @@ func auditEndpoint(endpoint, chainID, ueFilter, label, since, until string) erro
 	return nil
 }
 
-// auditFederation runs the federated migration scenario and audits the
-// ledger it leaves behind: every migrated UE's destination chain must
-// join to its source chain, and the joining indication must have been
-// scored. The joined chains are rendered so the hand-off is readable
-// end to end.
+// auditFederation runs the federation drill and audits what it leaves
+// behind: every migrated UE's destination chain must join to its source
+// chain with the joining indication scored, the destination must close
+// the loop on an audited chain, the migrated UE's spans must stitch into
+// one cross-instance trace, the crashed instance must be evicted from the
+// ring by the failure detector alone, and no SLO may burn error budget
+// above threshold. The joined chains are rendered so the hand-off is
+// readable end to end.
 func auditFederation(instances int, seed int64) error {
-	fmt.Printf("=== xsec-audit: federated UE-state migration (%d instances) ===\n", instances)
-	fmt.Println("training models, generating the attack, migrating mid-flood...")
-	res, err := fed.RunMigrationScenario(fed.ScenarioOptions{Instances: instances, Seed: seed})
+	fmt.Printf("=== xsec-audit: federation drill (%d instances) ===\n", instances)
+	fmt.Println("training models, migrating mid-flood, crashing an instance...")
+	res, err := fed.RunDrill(fed.DrillOptions{Instances: instances, Seed: seed})
 	if err != nil {
 		return err
 	}
@@ -146,12 +145,10 @@ func auditFederation(instances int, seed int64) error {
 		len(res.AttackUEs), res.Source, res.Dest, res.PreRecords,
 		res.PreRecords+res.PostRecords, res.AlertsOnDest, res.Dest)
 
-	failed := 0
 	for _, a := range res.Audits {
 		status := "OK"
 		if !a.OK() {
 			status = "FAILED: " + a.Err
-			failed++
 		}
 		fmt.Printf("--- UE %d: %s -> %s (%s", a.UEID, a.From, a.To, status)
 		if a.Reachback {
@@ -168,38 +165,14 @@ func auditFederation(instances int, seed int64) error {
 		}
 		fmt.Println()
 	}
-
-	if failed > 0 {
-		return fmt.Errorf("%d of %d migrated UE(s) lack a joined, gap-free evidence chain", failed, len(res.Audits))
-	}
-	if err := res.Err(); err != nil {
-		return err
-	}
-	en := res.Mitigation
-	fmt.Printf("--- closed loop on %s: verdict %s -> %s %s (%s) ---\n", res.Dest, res.Verdict, en.Action, en.Target, en.Decision)
-	if chain, err := prov.ParseChainID(en.Chain); err == nil {
-		if rec, err := prov.ReadChain(res.Store, chain); err == nil {
-			prov.WriteChain(os.Stdout, rec)
+	if en := res.Mitigation; en != nil {
+		fmt.Printf("--- closed loop on %s: verdict %s -> %s %s (%s), audited across the handover: %v ---\n",
+			res.Dest, res.Verdict, en.Action, en.Target, en.Decision, res.DecisionAudited)
+		if chain, err := prov.ParseChainID(en.Chain); err == nil {
+			if rec, err := prov.ReadChain(res.Store, chain); err == nil {
+				prov.WriteChain(os.Stdout, rec)
+			}
 		}
-	}
-	fmt.Println()
-	fmt.Printf("audit OK: all %d migrated UE(s) have joined chains with scoring resumed at the join (%d with direct seq reachback)\n",
-		len(res.Audits), res.Reachbacks)
-	return nil
-}
-
-// auditFleet drives the fleet observability drill — a federation with
-// the SMO-side collector attached, a mid-attack migration, timed scrape
-// rounds, then a crash — and audits what the plane observed: the
-// migrated UE's spans must stitch into one cross-instance trace, the
-// crashed instance must be auto-evicted from the ring by the failure
-// detector alone, and no SLO may burn error budget above threshold.
-func auditFleet(seed int64) error {
-	fmt.Println("=== xsec-audit: fleet observability plane ===")
-	fmt.Println("training models, replaying the flood with a mid-attack migration, crashing an instance...")
-	res, err := fed.RunFleetDrill(fed.FleetDrillOptions{Seed: seed})
-	if err != nil {
-		return err
 	}
 
 	fmt.Printf("\n--- fleet health (%d instances) ---\n", res.Instances)
@@ -210,16 +183,13 @@ func auditFleet(seed int64) error {
 		}
 		fmt.Println(line)
 	}
-
 	fmt.Printf("\n--- failure-detector journal (%d transitions) ---\n", res.JournalTransitions)
 	for _, tr := range fleet.ReadJournal(res.Store) {
 		fmt.Printf("#%d %s: %s -> %s (%s)\n", tr.Seq, tr.Instance, tr.From, tr.To, tr.Reason)
 	}
-
 	fmt.Printf("\n--- distributed traces ---\n")
 	fmt.Printf("%d stitched trace(s); migrated UE %d: %d segments across %d instances, %d spans, complete=%v\n",
 		res.StitchedTraces, res.MigratedUE, res.TraceSegments, res.TraceInstances, res.TraceSpans, res.TraceComplete)
-
 	fmt.Printf("\n--- SLOs ---\n")
 	for _, s := range res.SLOs {
 		status := "ok"
@@ -229,27 +199,14 @@ func auditFleet(seed int64) error {
 		fmt.Printf("%-18s target=%.4g sli=%.6f burn fast=%.3f slow=%.3f (threshold %.3g) %s\n",
 			s.Name, s.Target, s.SLI, s.BurnFast, s.BurnSlow, s.Threshold, status)
 	}
-
-	fmt.Printf("\nkill -> auto-evict: %s in %.3fs (ring updated=%v)\n",
+	fmt.Printf("\nkill -> auto-evict: %s in %.3fs (ring updated=%v)\n\n",
 		res.Victim, res.KillToEvictSecs, res.EvictedFromRing)
 
-	var problems []string
-	if res.TraceSegments < 2 || !res.TraceComplete {
-		problems = append(problems, fmt.Sprintf("migrated UE %d did not yield a complete cross-instance trace", res.MigratedUE))
+	if err := res.Err(); err != nil {
+		return err
 	}
-	if !res.EvictedFromRing {
-		problems = append(problems, fmt.Sprintf("crashed instance %s was not auto-evicted from the ring", res.Victim))
-	}
-	if res.FiringSLOs > 0 {
-		problems = append(problems, fmt.Sprintf("%d SLO(s) burning error budget above threshold", res.FiringSLOs))
-	}
-	if len(problems) > 0 {
-		for _, p := range problems {
-			fmt.Fprintln(os.Stderr, "FAILED:", p)
-		}
-		return fmt.Errorf("fleet audit failed %d check(s)", len(problems))
-	}
-	fmt.Println("audit OK: trace stitched, victim auto-evicted, no SLO firing")
+	fmt.Printf("audit OK: all %d migrated UE(s) have joined chains with scoring resumed at the join (%d with direct seq reachback); "+
+		"trace stitched, victim auto-evicted, no SLO firing\n", len(res.Audits), res.Reachbacks)
 	return nil
 }
 

@@ -10,12 +10,11 @@
 //	xsec-bench -quick -table 2      # reduced dataset / epochs
 //	xsec-bench -fed                 # federated throughput baseline → BENCH_fed.json
 //	xsec-bench -fed -smoke          # reduced federation workload (CI path check; fails on a record lost across join+kill)
-//	xsec-bench -fleet               # fleet observability baseline → BENCH_fleet.json
-//	xsec-bench -fleet -smoke        # reduced fleet drill (CI path check; fails unless the victim left the ring and the stitched trace is complete)
+//	xsec-bench -fleet               # federation drill's fleet baseline → BENCH_fleet.json (exit code = the drill's verdict)
 //
 // How fast a layer of the shipped system runs is benchmark/'s question
-// (bash benchmark/run.sh), not this command's; the two federation drills
-// stay here until benchmark/ has a federated workload.
+// (bash benchmark/run.sh), not this command's; the two federation
+// baselines stay here until benchmark/ has a federated workload.
 //
 // -log-level (default $XSEC_LOG_LEVEL) writes structured logs to stderr
 // at that level and above, none when empty; -metrics-addr serves
@@ -42,7 +41,7 @@ func main() {
 		seed        = flag.Int64("seed", 1, "experiment seed")
 		fedBench    = flag.Bool("fed", false, "measure federated multi-RIC throughput vs a single instance")
 		fleetBench  = flag.Bool("fleet", false, "measure the fleet observability plane: scrapes, trace stitching, failure detection")
-		smoke       = flag.Bool("smoke", false, "shrink the -fed/-fleet workload so CI exercises the path quickly (-fed fails on a lost record, -fleet on a missed eviction or incomplete trace)")
+		smoke       = flag.Bool("smoke", false, "shrink the -fed workload so CI exercises the path quickly (fails on a lost record)")
 		outPath     = flag.String("out", "", "baseline output path (default BENCH_<name>.json)")
 		logLevel    = obs.LogLevelFlag()
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz, and /fleet/* on this address for the run")
@@ -70,7 +69,7 @@ func main() {
 			return bench.RunFedBench(bench.FedOptions{Seed: *seed, Smoke: *smoke})
 		}},
 		{fleetBench, "BENCH_fleet.json", func() (baseline, error) {
-			return bench.RunFleetBench(bench.FleetOptions{Seed: *seed, Smoke: *smoke})
+			return bench.RunFleetBench(bench.FleetOptions{Seed: *seed})
 		}},
 	}
 	for _, b := range baselines {

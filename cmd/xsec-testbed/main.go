@@ -10,7 +10,7 @@
 //	xsec-testbed -attack bts-dos      # one attack
 //	xsec-testbed -mitigate enforce    # governed mitigation engine (off | dry-run | enforce)
 //	xsec-testbed -model llama3        # pick the analyst personality
-//	xsec-testbed -federation 2        # federated mode: N RIC instances, mid-attack UE migration
+//	xsec-testbed -federation 2        # federation drill: N RIC instances, mid-attack UE migration, a crash
 package main
 
 import (
@@ -40,7 +40,7 @@ func main() {
 		seed        = flag.Int64("seed", 4, "seed")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /traces and /debug/pprof on this address (e.g. :9090)")
 		logLevel    = obs.LogLevelFlag()
-		federation  = flag.Int("federation", 0, "run N federated RIC instances and migrate the attack UEs mid-flood")
+		federation  = flag.Int("federation", 0, "run the federation drill: N RIC instances, the attack UEs migrated mid-flood, the last instance crashed")
 	)
 	flag.Parse()
 	if err := obs.SetupCLI(os.Stderr, *logLevel, ""); err != nil {
@@ -59,14 +59,15 @@ func main() {
 	}
 }
 
-// runFederation drives the multi-RIC scenario: a BTS-DoS flood is
-// handed over between two federated instances mid-attack, and the
-// destination must keep detecting it using the migrated window state and
-// end it in a governed (dry-run), audited mitigation decision.
+// runFederation drives the federation drill: a BTS-DoS flood is handed
+// over between two federated instances mid-attack, and the destination
+// must keep detecting it using the migrated window state and end it in a
+// governed (dry-run), audited mitigation decision; the fleet plane must
+// then stitch the migrated UE's trace and evict a crashed instance.
 func runFederation(instances int, seed int64) error {
 	fmt.Printf("=== 6G-XSec federated testbed (%d RIC instances) ===\n", instances)
 	fmt.Println("training models and generating the attack dataset...")
-	res, err := fed.RunMigrationScenario(fed.ScenarioOptions{Instances: instances, Seed: seed})
+	res, err := fed.RunDrill(fed.DrillOptions{Instances: instances, Seed: seed})
 	if err != nil {
 		return err
 	}
@@ -84,6 +85,10 @@ func runFederation(instances int, seed int64) error {
 		fmt.Printf("closed loop on %s:       verdict %s -> %s %s (%s), chain %s audited across the handover: %v\n",
 			res.Dest, res.Verdict, en.Action, en.Target, en.Decision, en.Chain, res.DecisionAudited)
 	}
+	fmt.Printf("stitched migration trace:   UE %d, %d segments across %d instances, complete: %v\n",
+		res.MigratedUE, res.TraceSegments, res.TraceInstances, res.TraceComplete)
+	fmt.Printf("crash -> ring eviction:     %s in %.3fs (ring updated: %v); SLOs firing: %d\n",
+		res.Victim, res.KillToEvictSecs, res.EvictedFromRing, res.FiringSLOs)
 	return res.Err()
 }
 

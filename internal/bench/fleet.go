@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/6g-xsec/xsec/internal/fed"
+	"github.com/6g-xsec/xsec/internal/obs/fleet"
 )
 
 // This file produces the fleet observability baseline (BENCH_fleet.json,
@@ -20,25 +21,16 @@ import (
 type FleetOptions struct {
 	// Seed drives dataset generation and training.
 	Seed int64
-	// Smoke shrinks the workload so CI can exercise the path quickly.
-	Smoke bool
 }
 
-const (
-	// fleetInstances is the drill's federation size.
-	fleetInstances = 4
-	// fleetScrapeRounds / fleetSmokeScrapeRounds is how many timed
-	// federation scrapes the drill runs.
-	fleetScrapeRounds      = 10
-	fleetSmokeScrapeRounds = 3
-)
+// fleetInstances is the drill's federation size.
+const fleetInstances = 4
 
 // FleetResult is the machine-readable baseline for BENCH_fleet.json.
 type FleetResult struct {
-	GoMaxProcs int  `json:"gomaxprocs"`
-	NumCPU     int  `json:"num_cpu"`
-	Smoke      bool `json:"smoke"`
-	Instances  int  `json:"instances"`
+	GoMaxProcs int `json:"gomaxprocs"`
+	NumCPU     int `json:"num_cpu"`
+	Instances  int `json:"instances"`
 
 	// Scrape cost: one full federation round (request fan-out, snapshot
 	// assembly on every instance, bus transit, merge), in seconds.
@@ -88,49 +80,41 @@ func fleetDur(s float64) string {
 	return time.Duration(s * float64(time.Second)).Round(10 * time.Microsecond).String()
 }
 
-// RunFleetBench runs the fleet drill and distills its baseline. It fails
-// when the drill's crashed instance was not evicted from the ring or the
-// migrated UE's stitched trace is incomplete, so a CI run of it asserts
-// both.
+// RunFleetBench runs the federation drill and distills its baseline. It
+// fails with the drill's verdict (fed.DrillResult.Err), so a CI run of
+// it asserts the handover, the stitched trace, the eviction and the SLOs.
 func RunFleetBench(opts FleetOptions) (*FleetResult, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
-	}
-	rounds := fleetScrapeRounds
-	if opts.Smoke {
-		rounds = fleetSmokeScrapeRounds
 	}
 	env, err := BuildEnv(Quick(opts.Seed))
 	if err != nil {
 		return nil, err
 	}
-	drill, err := fed.RunFleetDrill(fed.FleetDrillOptions{
-		Instances:    fleetInstances,
-		Seed:         opts.Seed,
-		Models:       env.Models,
-		Mixed:        env.Mixed,
-		ScrapeRounds: rounds,
+	drill, err := fed.RunDrill(fed.DrillOptions{
+		Instances: fleetInstances,
+		Seed:      opts.Seed,
+		Models:    env.Models,
+		Mixed:     env.Mixed,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if !drill.EvictedFromRing || !drill.TraceComplete {
-		return nil, fmt.Errorf("bench: fleet drill failed: evicted_from_ring=%v trace_complete=%v",
-			drill.EvictedFromRing, drill.TraceComplete)
+	if err := drill.Err(); err != nil {
+		return nil, fmt.Errorf("bench: federation drill failed: %w", err)
 	}
 	res := &FleetResult{
 		GoMaxProcs:         runtime.GOMAXPROCS(0),
 		NumCPU:             runtime.NumCPU(),
-		Smoke:              opts.Smoke,
 		Instances:          drill.Instances,
-		ScrapeRounds:       drill.ScrapeRounds,
+		ScrapeRounds:       len(drill.ScrapeSeconds),
 		StitchSeconds:      drill.StitchSeconds,
 		StitchedTraces:     drill.StitchedTraces,
 		TraceSegments:      drill.TraceSegments,
 		TraceSpans:         drill.TraceSpans,
 		TraceComplete:      drill.TraceComplete,
 		KillToEvictSeconds: drill.KillToEvictSecs,
-		DeadAfterSeconds:   fed.DrillDeadAfter.Seconds(),
+		DeadAfterSeconds:   fleet.DeadAfter.Seconds(),
 		EvictedFromRing:    drill.EvictedFromRing,
 		MergedSeries:       drill.MergedSeries,
 		FiringSLOs:         drill.FiringSLOs,

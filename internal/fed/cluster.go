@@ -25,11 +25,10 @@ type ClusterOptions struct {
 	// coordinator's store for the cluster's lifetime, so migration
 	// hand-offs from every instance land in one auditable place.
 	InstallLedger bool
-	// HeartbeatPeriod is passed to every instance (see InstanceOptions).
-	HeartbeatPeriod time.Duration
 	// Fleet, when set, attaches a fleet collector (failure detection,
-	// metrics federation, SLOs, trace stitching) to the coordinator.
-	// Publish/Evict/Store are wired by the cluster.
+	// metrics federation, SLOs, trace stitching) to the coordinator. The
+	// cluster wires Publish and Store, and Evict (through the
+	// coordinator's Leave) unless it is set.
 	Fleet *fleet.CollectorOptions
 }
 
@@ -81,7 +80,32 @@ func StartCluster(opts ClusterOptions) (*Cluster, error) {
 	cl.Broker = broker
 	cl.Coordinator = NewCoordinator(store, broker)
 	if opts.Fleet != nil {
-		cl.collector = StartFleet(cl.Coordinator, broker, store, *opts.Fleet)
+		// Heartbeats and scrape reports are consumed broker-side (no
+		// loopback connection), scrape requests go out on the broker's
+		// bus, and a dead instance is evicted through the coordinator's
+		// Leave: survivors take over its hash range on the next epoch.
+		fo := *opts.Fleet
+		fo.Publish, fo.Store = broker.Publish, store
+		if fo.Evict == nil {
+			fo.Evict = func(instance string) error {
+				_, err := cl.Coordinator.Leave(instance)
+				return err
+			}
+		}
+		col := fleet.NewCollector(fo)
+		broker.SubscribeLocal(fleet.TopicHeartbeat, func(_ uint64, payload []byte, _ string) {
+			if hb, err := fleet.ParseHeartbeat(payload); err == nil {
+				col.OnHeartbeat(hb)
+			}
+		})
+		broker.SubscribeLocal(fleet.TopicReport, func(_ uint64, payload []byte, _ string) {
+			if rep, err := fleet.ParseReport(payload); err == nil {
+				col.OnReport(rep)
+			}
+		})
+		col.Mount()
+		col.Start()
+		cl.collector = col
 	}
 
 	ids := make([]string, 0, opts.Instances)
@@ -108,11 +132,10 @@ func StartCluster(opts ClusterOptions) (*Cluster, error) {
 
 func (cl *Cluster) startInstance(id string) (*Instance, error) {
 	inst, err := StartInstance(InstanceOptions{
-		ID:              id,
-		Models:          cl.opts.Models,
-		BusAddr:         cl.Broker.Addr(),
-		ShardBuffer:     cl.opts.ShardBuffer,
-		HeartbeatPeriod: cl.opts.HeartbeatPeriod,
+		ID:          id,
+		Models:      cl.opts.Models,
+		BusAddr:     cl.Broker.Addr(),
+		ShardBuffer: cl.opts.ShardBuffer,
 	})
 	if err != nil {
 		return nil, err

@@ -32,12 +32,28 @@ var (
 func testEnv(t *testing.T) (*mobiwatch.Models, *dataset.Labeled) {
 	t.Helper()
 	envOnce.Do(func() {
-		envModels, envMixed, envErr = buildScenarioEnv(1)
+		envModels, envMixed, envErr = buildDrillEnv(1)
 	})
 	if envErr != nil {
 		t.Fatalf("building test env: %v", envErr)
 	}
 	return envModels, envMixed
+}
+
+// testDrill runs the acceptance drill that the migration and fleet
+// acceptance tests below each judge. Three instances, so the crashed
+// ric-2 is not the destination. Each test runs its own drill, so a
+// repeated run (-count) repeats the drill too.
+func testDrill(t *testing.T) *DrillResult {
+	t.Helper()
+	models, mixed := testEnv(t)
+	res, err := RunDrill(DrillOptions{
+		Instances: 3, Seed: 1, Models: models, Mixed: mixed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestMigrationScenarioContinuity is the federation acceptance test: a
@@ -49,14 +65,8 @@ func testEnv(t *testing.T) (*mobiwatch.Models, *dataset.Labeled) {
 // the source, while the provenance ledger shows every migrated UE's
 // chains joined with no scoring gap.
 func TestMigrationScenarioContinuity(t *testing.T) {
-	models, mixed := testEnv(t)
-	res, err := RunMigrationScenario(ScenarioOptions{
-		Instances: 2, Seed: 1, Models: models, Mixed: mixed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("scenario: %d UEs, %d+%d records, %d dest alerts (spansBoundary=%v), %d audits",
+	res := testDrill(t)
+	t.Logf("drill: %d UEs, %d+%d records, %d dest alerts (spansBoundary=%v), %d audits",
 		len(res.AttackUEs), res.PreRecords, res.PostRecords,
 		res.AlertsOnDest, res.AlertSpansBoundary, len(res.Audits))
 
@@ -82,7 +92,7 @@ func TestMigrationScenarioContinuity(t *testing.T) {
 		}
 	}
 	if !res.AuditsOK {
-		t.Error("scenario reports AuditsOK=false")
+		t.Error("drill reports AuditsOK=false")
 	}
 
 	en := res.Mitigation
@@ -95,9 +105,6 @@ func TestMigrationScenarioContinuity(t *testing.T) {
 	}
 	if en.Action != "release-ue" || en.Decision != "dry-run" || en.Mode != "dry-run" || en.NodeID != "gnb-"+res.Dest {
 		t.Errorf("journal entry = %+v, want a dry-run release-ue on the destination's node", en)
-	}
-	if err := res.Err(); err != nil {
-		t.Errorf("drill verdict: %v", err)
 	}
 	if !res.DecisionAudited {
 		t.Errorf("decision on chain %s is not on a destination chain carrying verdict and mitigation events for a UE whose migration audit is OK", en.Chain)

@@ -10,19 +10,16 @@ import (
 	"github.com/6g-xsec/xsec/internal/obs/fleet"
 )
 
-// TestFleetDrill is the fleet observability acceptance test: one drill
-// must produce a stitched cross-instance trace for the migrated UE,
-// timed scrape rounds with a merged exposition, and an automatic ring
-// eviction after an unannounced crash.
+// TestClusterFleetMergedExposition checks the merged series surface of
+// a live cluster: per-instance families under the instance label and
+// TestFleetDrill is the fleet observability acceptance test: the same
+// drill must produce a stitched cross-instance trace for the migrated
+// UE, timed scrape rounds with a merged exposition, and an automatic
+// ring eviction after an unannounced crash, with no SLO firing.
 func TestFleetDrill(t *testing.T) {
-	models, mixed := testEnv(t)
-	res, err := RunFleetDrill(FleetDrillOptions{
-		Instances: 3, Seed: 1, Models: models, Mixed: mixed,
-		ScrapeRounds: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := testDrill(t)
+	t.Logf("fleet drill: %d stitched traces, %d merged series, kill->evict %.3fs",
+		res.StitchedTraces, res.MergedSeries, res.KillToEvictSecs)
 
 	// Trace stitching: the migrated UE's spans from source and
 	// destination assemble into one distributed trace.
@@ -42,8 +39,8 @@ func TestFleetDrill(t *testing.T) {
 
 	// Scrapes completed and merged per-instance series under the
 	// instance label plus fleet rollups.
-	if res.ScrapeRounds != 2 {
-		t.Fatalf("scrape rounds = %d", res.ScrapeRounds)
+	if len(res.ScrapeSeconds) != scrapeRounds {
+		t.Fatalf("scrape rounds = %d, want %d", len(res.ScrapeSeconds), scrapeRounds)
 	}
 	if res.MergedSeries == 0 {
 		t.Fatal("merged exposition is empty")
@@ -51,8 +48,8 @@ func TestFleetDrill(t *testing.T) {
 
 	// Failure detection: the crashed instance was evicted by the
 	// detector (no Leave call) within its deadline budget.
-	if !res.EvictedFromRing {
-		t.Fatalf("victim %s still in the ring", res.Victim)
+	if res.Victim != "ric-2" || !res.EvictedFromRing {
+		t.Fatalf("victim %s still in the ring (evicted=%v)", res.Victim, res.EvictedFromRing)
 	}
 	if res.KillToEvictSecs <= 0 || res.KillToEvictSecs > 5 {
 		t.Fatalf("kill-to-evict = %vs", res.KillToEvictSecs)
@@ -78,21 +75,22 @@ func TestFleetDrill(t *testing.T) {
 	if !sawSuspect || !sawDead {
 		t.Fatalf("victim transitions missing (suspect=%v dead=%v): %+v", sawSuspect, sawDead, journal)
 	}
+
+	for _, s := range res.SLOs {
+		if s.Firing {
+			t.Errorf("SLO %s firing: sli %.4f, burn fast %.2f slow %.2f", s.Name, s.SLI, s.BurnFast, s.BurnSlow)
+		}
+	}
+	if err := res.Err(); err != nil {
+		t.Errorf("drill verdict: %v", err)
+	}
 }
 
-// TestClusterFleetMergedExposition checks the merged series surface of
-// a live cluster: per-instance families under the instance label and
 // xsec_fleet_* rollups over them.
 func TestClusterFleetMergedExposition(t *testing.T) {
 	models, mixed := testEnv(t)
 	cl, err := StartCluster(ClusterOptions{
-		Instances: 2, Models: models,
-		HeartbeatPeriod: 20 * time.Millisecond,
-		Fleet: &fleet.CollectorOptions{
-			SuspectAfter: time.Second, DeadAfter: 2 * time.Second,
-			ScrapePeriod: time.Hour, // scrapes driven manually
-			SweepPeriod:  10 * time.Millisecond,
-		},
+		Instances: 2, Models: models, Fleet: &fleet.CollectorOptions{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,11 +164,7 @@ func TestEvictionWaitTimesTheRingUpdate(t *testing.T) {
 	var cl *Cluster
 	cl, err := StartCluster(ClusterOptions{
 		Instances: 2, Models: models,
-		HeartbeatPeriod: drillHeartbeatPeriod,
 		Fleet: &fleet.CollectorOptions{
-			SuspectAfter: drillSuspectAfter, DeadAfter: DrillDeadAfter,
-			ScrapePeriod: time.Hour,
-			SweepPeriod:  drillHeartbeatPeriod / 2,
 			Evict: func(instance string) error {
 				time.Sleep(evictDelay)
 				_, err := cl.Coordinator.Leave(instance)
@@ -195,5 +189,56 @@ func TestEvictionWaitTimesTheRingUpdate(t *testing.T) {
 	}
 	if secs < evictDelay.Seconds() {
 		t.Errorf("kill-to-evict = %.3fs, shorter than the %v eviction itself", secs, evictDelay)
+	}
+}
+
+// migrationsReported reads the xsec_fed_migrations_total series of one
+// direction from what inst reports to the fleet plane.
+func migrationsReported(inst *Instance, dir string) float64 {
+	for _, s := range inst.ObsSnapshot() {
+		if s.Name == "xsec_fed_migrations_total" && s.Labels["direction"] == dir {
+			return s.Value
+		}
+	}
+	return -1
+}
+
+// TestObsSnapshotCountsOnlyItsOwnMigrations pins what an instance
+// reports to the fleet plane: its own migrations, not the process-global
+// counter that every cluster in the process adds to under the same
+// instance names. Two clusters in sequence each migrate one UE from
+// ric-0 to ric-1; the second must report one migration, not two.
+func TestObsSnapshotCountsOnlyItsOwnMigrations(t *testing.T) {
+	models, mixed := testEnv(t)
+	u := mixed.Trace[0].UEID
+	var tr mobiflow.Trace
+	for _, rec := range mixed.Trace {
+		if rec.UEID == u && len(tr) < 4 {
+			tr = append(tr, rec)
+		}
+	}
+	for run := 1; run <= 2; run++ {
+		cl, err := StartCluster(ClusterOptions{Instances: 2, Models: models})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.Instance("ric-0").GNB().InjectTelemetry(tr)
+		if err := cl.WaitRecords(uint64(len(tr)), 5*time.Second); err != nil {
+			cl.Close()
+			t.Fatal(err)
+		}
+		if err := cl.MigrateUE(u, "ric-0", "ric-1"); err != nil {
+			cl.Close()
+			t.Fatal(err)
+		}
+		for _, want := range []struct {
+			inst, dir string
+			n         float64
+		}{{"ric-0", "out", 1}, {"ric-1", "in", 1}, {"ric-0", "failed", 0}, {"ric-1", "failed", 0}} {
+			if got := migrationsReported(cl.Instance(want.inst), want.dir); got != want.n {
+				t.Errorf("cluster %d: %s reports %v %q migrations, want %v", run, want.inst, got, want.dir, want.n)
+			}
+		}
+		cl.Close()
 	}
 }

@@ -3,6 +3,7 @@ package fed
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/6g-xsec/xsec/internal/asn1lite"
@@ -121,9 +122,6 @@ type InstanceOptions struct {
 	// ShardBuffer bounds each MobiWatch shard queue (see
 	// mobiwatch.RunOptions).
 	ShardBuffer int
-	// HeartbeatPeriod is the fleet-plane liveness beacon cadence
-	// (default 500ms; negative disables heartbeats).
-	HeartbeatPeriod time.Duration
 }
 
 const (
@@ -154,9 +152,6 @@ func (o *InstanceOptions) defaults() error {
 	if o.Models == nil {
 		return fmt.Errorf("fed: instance %s: models required", o.ID)
 	}
-	if o.HeartbeatPeriod == 0 {
-		o.HeartbeatPeriod = 500 * time.Millisecond
-	}
 	return nil
 }
 
@@ -177,6 +172,10 @@ type Instance struct {
 	// Default registry, so instance-attributed series for the fleet
 	// plane are built here instead (see ObsSnapshot).
 	scoreReg *obs.Registry
+	// migrations counts this instance's migrations by direction beside
+	// the process-global xsec_fed_migrations_total, which every cluster
+	// in the process adds to; ObsSnapshot reports these.
+	migrations [len(migrationDirs)]atomic.Uint64
 
 	hbStop chan struct{}
 	hbWG   sync.WaitGroup
@@ -186,6 +185,22 @@ type Instance struct {
 	inflight map[uint64]*outMigration
 	migSem   chan struct{}
 	stopped  bool
+}
+
+// migrationDirs are the direction labels of xsec_fed_migrations_total,
+// indexed by migOut, migIn and migFailed.
+var migrationDirs = [...]string{"out", "in", "failed"}
+
+const (
+	migOut = iota
+	migIn
+	migFailed
+)
+
+// countMigration counts one migration of this instance in direction dir.
+func (i *Instance) countMigration(dir int) {
+	i.migrations[dir].Add(1)
+	obsMigrations.With(i.id, migrationDirs[dir]).Inc()
 }
 
 type outMigration struct {
@@ -252,10 +267,8 @@ func StartInstance(opts InstanceOptions) (*Instance, error) {
 		i.bus.SubscribeTraced(TopicMigrate, i.onMigrate)
 		i.bus.SubscribeTraced(TopicMigrateAck, i.onAck)
 		i.bus.Subscribe(fleet.TopicScrape, i.onScrape)
-		if opts.HeartbeatPeriod > 0 {
-			i.hbWG.Add(1)
-			go i.heartbeatLoop(opts.HeartbeatPeriod)
-		}
+		i.hbWG.Add(1)
+		go i.heartbeatLoop()
 	}
 	obs.RegisterHealthDetail("fed/"+opts.ID, i.healthDetail)
 	return i, nil
@@ -428,7 +441,7 @@ func (i *Instance) MigrateUE(ue uint64, dest string) error {
 	}
 	if err := i.bus.PublishTraced(TopicMigrate, asn1lite.Marshal(&msg), trace); err != nil {
 		i.clearInflight(ue)
-		obsMigrations.With(i.id, "failed").Inc()
+		i.countMigration(migFailed)
 		return err
 	}
 
@@ -437,13 +450,13 @@ func (i *Instance) MigrateUE(ue uint64, dest string) error {
 		if err := i.Runtime().ForgetUE(ue); err != nil {
 			obs.L().Warn("fed: forget after ack", "instance", i.id, "ue", ue, "err", err)
 		}
-		obsMigrations.With(i.id, "out").Inc()
+		i.countMigration(migOut)
 		obsMigrationSeconds.Observe(time.Since(start).Seconds())
 		obs.RecordSpan(trace, "fed.migrate", start, time.Now())
 		return nil
 	case <-time.After(migrationTimeout):
 		i.clearInflight(ue)
-		obsMigrations.With(i.id, "failed").Inc()
+		i.countMigration(migFailed)
 		return fmt.Errorf("fed: UE %d migration to %s: no ack within %v (UE stays local)",
 			ue, dest, migrationTimeout)
 	}
@@ -467,17 +480,17 @@ func (i *Instance) onMigrate(_ uint64, payload []byte, _ string) {
 	snap, err := mobiwatch.DecodeSnapshot(msg.Snapshot)
 	if err != nil {
 		obs.L().Warn("fed: bad snapshot", "instance", i.id, "ue", msg.UE, "err", err)
-		obsMigrations.With(i.id, "failed").Inc()
+		i.countMigration(migFailed)
 		return
 	}
 	if err := i.Runtime().RestoreUE(snap); err != nil {
 		obs.L().Warn("fed: restore failed", "instance", i.id, "ue", msg.UE, "err", err)
-		obsMigrations.With(i.id, "failed").Inc()
+		i.countMigration(migFailed)
 		return
 	}
 	i.node.SDL.SetOwnedTTL(OwnerNamespace, ownerKey(i.id, msg.UE),
 		[]byte(i.id), ownerTTL)
-	obsMigrations.With(i.id, "in").Inc()
+	i.countMigration(migIn)
 	if msg.Trace != "" {
 		obs.RecordSpan(msg.Trace, "fed.restore", restoreStart, time.Now())
 	}
@@ -514,7 +527,7 @@ func (i *Instance) onAck(_ uint64, payload []byte, _ string) {
 		return
 	}
 	if err := i.Runtime().ForgetUE(ack.UE); err == nil {
-		obsMigrations.With(i.id, "out").Inc()
+		i.countMigration(migOut)
 		obs.L().Info("fed: late migration ack adopted",
 			"instance", i.id, "ue", ack.UE, "dest", ack.Dest)
 	}
@@ -551,9 +564,9 @@ func (i *Instance) Stop() {
 // that fails to publish (bus degraded) is simply skipped — the missing
 // heartbeats are exactly the signal the collector's failure detector
 // consumes.
-func (i *Instance) heartbeatLoop(period time.Duration) {
+func (i *Instance) heartbeatLoop() {
 	defer i.hbWG.Done()
-	t := time.NewTicker(period)
+	t := time.NewTicker(fleet.HeartbeatPeriod)
 	defer t.Stop()
 	var seq uint64
 	for {
@@ -605,8 +618,8 @@ func (i *Instance) onScrape(_ uint64, payload []byte) {
 // ObsSnapshot builds this instance's per-instance metric snapshot for
 // the fleet plane. Colocated instances share the process-global Default
 // registry, so the snapshot is assembled from instance-owned sources:
-// the runtime's counters, ring state, the instance-labeled migration
-// counters, and the private score-latency histogram.
+// the runtime's counters, ring state, the instance's own migration
+// counts, and the private score-latency histogram.
 func (i *Instance) ObsSnapshot() []obs.SeriesSnapshot {
 	st := i.Runtime().Stats()
 	node := i.node.GNB.NodeID()
@@ -625,11 +638,11 @@ func (i *Instance) ObsSnapshot() []obs.SeriesSnapshot {
 		{Name: "xsec_fed_ues", Kind: "gauge", Value: float64(len(i.Runtime().UEs()))},
 		{Name: "xsec_fed_ring_epoch", Kind: "gauge", Value: float64(i.RingEpoch())},
 	}
-	for _, dir := range []string{"out", "in", "failed"} {
+	for dir, label := range migrationDirs {
 		out = append(out, obs.SeriesSnapshot{
 			Name: "xsec_fed_migrations_total", Kind: "counter",
-			Labels: map[string]string{"direction": dir},
-			Value:  float64(obsMigrations.With(i.id, dir).Value()),
+			Labels: map[string]string{"direction": label},
+			Value:  float64(i.migrations[dir].Load()),
 		})
 	}
 	out = append(out, i.scoreReg.Snapshot()...)

@@ -14,17 +14,6 @@ import (
 
 // CollectorOptions configure the SMO-side fleet collector.
 type CollectorOptions struct {
-	// SuspectAfter is how long without a heartbeat before an instance is
-	// marked suspect (default 2s). DeadAfter marks it dead — and triggers
-	// automatic ring eviction — after a further silence (default 5s total
-	// from the last heartbeat).
-	SuspectAfter time.Duration
-	DeadAfter    time.Duration
-	// ScrapePeriod is the cadence of snapshot pull rounds (default 2s).
-	// SweepPeriod is the failure-detector tick (default 250ms).
-	ScrapePeriod time.Duration
-	SweepPeriod  time.Duration
-
 	// Publish sends a payload on a federation bus topic — typically
 	// Broker-local. Required for scraping; heartbeats and reports arrive
 	// via OnHeartbeat/OnReport regardless.
@@ -40,6 +29,22 @@ type CollectorOptions struct {
 	Clock func() time.Time
 }
 
+// The fleet plane's one timebase, compressed so the testbed notices a
+// crash in well under a second: instances beacon every HeartbeatPeriod,
+// an instance is suspect after 5 missed beacons and dead (and evicted
+// from the ring) after 12.
+const (
+	HeartbeatPeriod = 50 * time.Millisecond
+	suspectAfter    = 250 * time.Millisecond
+	// DeadAfter is the silence after which the detector declares an
+	// instance dead — the floor of a crash's kill-to-evict time.
+	DeadAfter = 600 * time.Millisecond
+	// scrapePeriod is the cadence of snapshot pull rounds, sweepPeriod
+	// the failure-detector tick.
+	scrapePeriod = 500 * time.Millisecond
+	sweepPeriod  = HeartbeatPeriod / 2
+)
+
 // burnFastWindow and burnSlowWindow are the multi-window burn-rate
 // alert windows, scaled for the testbed's compressed timebase;
 // production deployments would use 5m/1h.
@@ -47,27 +52,6 @@ const (
 	burnFastWindow = 30 * time.Second
 	burnSlowWindow = 3 * time.Minute
 )
-
-func (o *CollectorOptions) fill() {
-	if o.SuspectAfter <= 0 {
-		o.SuspectAfter = 2 * time.Second
-	}
-	if o.DeadAfter <= 0 {
-		o.DeadAfter = 5 * time.Second
-	}
-	if o.DeadAfter <= o.SuspectAfter {
-		o.DeadAfter = o.SuspectAfter * 2
-	}
-	if o.ScrapePeriod <= 0 {
-		o.ScrapePeriod = 2 * time.Second
-	}
-	if o.SweepPeriod <= 0 {
-		o.SweepPeriod = 250 * time.Millisecond
-	}
-	if o.Clock == nil {
-		o.Clock = time.Now
-	}
-}
 
 // Collector is the fleet observability plane's SMO half: failure
 // detector, metrics federator, SLO engine, and trace stitcher.
@@ -102,7 +86,9 @@ type scrapeRound struct {
 // NewCollector builds a collector; call Start to run its loops, or
 // drive OnHeartbeat/Sweep/ScrapeOnce directly in tests.
 func NewCollector(opts CollectorOptions) *Collector {
-	opts.fill()
+	if opts.Clock == nil {
+		opts.Clock = time.Now
+	}
 	return &Collector{
 		opts:        opts,
 		health:      make(map[string]*InstanceHealth),
@@ -119,7 +105,7 @@ func (c *Collector) Start() {
 	c.done.Add(2)
 	go func() {
 		defer c.done.Done()
-		t := time.NewTicker(c.opts.SweepPeriod)
+		t := time.NewTicker(sweepPeriod)
 		defer t.Stop()
 		for {
 			select {
@@ -132,7 +118,7 @@ func (c *Collector) Start() {
 	}()
 	go func() {
 		defer c.done.Done()
-		t := time.NewTicker(c.opts.ScrapePeriod)
+		t := time.NewTicker(scrapePeriod)
 		defer t.Stop()
 		for {
 			select {
@@ -268,7 +254,7 @@ func (c *Collector) recomputeLocked(now time.Time) {
 		obsSLOBurn.With(st.obj.Name, "fast").Set(fast)
 		obsSLOBurn.With(st.obj.Name, "slow").Set(slow)
 		firing := 0.0
-		if fast > st.obj.burnThreshold() && slow > st.obj.burnThreshold() {
+		if fast > burnThreshold && slow > burnThreshold {
 			firing = 1
 		}
 		obsSLOFiring.With(st.obj.Name).Set(firing)
@@ -289,7 +275,7 @@ func (c *Collector) Sweep(now time.Time) {
 		silent := now.Sub(h.LastHeartbeat)
 		switch h.State {
 		case StateAlive:
-			if silent >= c.opts.SuspectAfter {
+			if silent >= suspectAfter {
 				h.State = StateSuspect
 				transitions = append(transitions, Transition{
 					Instance: id, From: StateAlive, To: StateSuspect, At: now,
@@ -297,7 +283,7 @@ func (c *Collector) Sweep(now time.Time) {
 				})
 			}
 		case StateSuspect:
-			if silent >= c.opts.DeadAfter {
+			if silent >= DeadAfter {
 				h.State = StateDead
 				h.EvictedAt = now
 				transitions = append(transitions, Transition{
@@ -477,7 +463,7 @@ func (c *Collector) SLO() []SLOStatus {
 			BurnSlow:    st.burnRate(now, burnSlowWindow),
 			FastWindow:  burnFastWindow,
 			SlowWindow:  burnSlowWindow,
-			Threshold:   st.obj.burnThreshold(),
+			Threshold:   burnThreshold,
 		}
 		s.Firing = s.BurnFast > s.Threshold && s.BurnSlow > s.Threshold
 		out = append(out, s)

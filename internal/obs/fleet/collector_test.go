@@ -41,11 +41,9 @@ func TestFailureDetectorLifecycle(t *testing.T) {
 	store := sdl.New()
 	var evicted []string
 	col := NewCollector(CollectorOptions{
-		SuspectAfter: 2 * time.Second,
-		DeadAfter:    5 * time.Second,
-		Store:        store,
-		Clock:        clock.Now,
-		Evict:        func(instance string) error { evicted = append(evicted, instance); return nil },
+		Store: store,
+		Clock: clock.Now,
+		Evict: func(instance string) error { evicted = append(evicted, instance); return nil },
 	})
 
 	col.OnHeartbeat(Heartbeat{Instance: "ric-0", Node: "gnb-ric-0", Seq: 1})
@@ -54,36 +52,45 @@ func TestFailureDetectorLifecycle(t *testing.T) {
 		t.Fatalf("alive after heartbeats = %d", got)
 	}
 
-	// ric-1 keeps beating; ric-0 goes silent.
-	col.Sweep(clock.Advance(time.Second))
-	col.OnHeartbeat(Heartbeat{Instance: "ric-1", Seq: 2})
+	// ric-0 goes silent; ric-1 beats after every sweep, so it is never
+	// silent for more than one step and never lapses. ric-0's silence
+	// after n sweeps is n steps: past suspectAfter at 2, short of
+	// DeadAfter at 3, past it at 4.
+	const step = suspectAfter * 3 / 4
+	if 2*step < suspectAfter || 3*step >= DeadAfter || 4*step < DeadAfter {
+		t.Fatalf("step %v does not stage the detector's %v/%v deadlines", step, suspectAfter, DeadAfter)
+	}
+	seq := uint64(1)
+	sweep := func() {
+		col.Sweep(clock.Advance(step))
+		seq++
+		col.OnHeartbeat(Heartbeat{Instance: "ric-1", Seq: seq})
+	}
+	sweep()
 	if st := stateOf(col, "ric-0"); st != StateAlive {
 		t.Fatalf("ric-0 before deadline = %v", st)
 	}
 
-	// Past SuspectAfter: suspect, not yet evicted.
-	col.Sweep(clock.Advance(1500 * time.Millisecond))
-	if st := stateOf(col, "ric-0"); st != StateSuspect {
-		t.Fatalf("ric-0 past suspect deadline = %v", st)
-	}
-	if len(evicted) != 0 {
-		t.Fatalf("evicted while suspect: %v", evicted)
+	// Past suspectAfter: suspect, not yet evicted, until DeadAfter.
+	for n := 2; n <= 3; n++ {
+		sweep()
+		if st := stateOf(col, "ric-0"); st != StateSuspect {
+			t.Fatalf("ric-0 after %d steps = %v, want suspect", n, st)
+		}
+		if len(evicted) != 0 {
+			t.Fatalf("evicted while suspect: %v", evicted)
+		}
 	}
 
-	// Past DeadAfter: dead, evicted exactly once, journaled. ric-1 keeps
-	// beating through the whole window so it never lapses.
-	col.OnHeartbeat(Heartbeat{Instance: "ric-1", Seq: 3})
-	col.Sweep(clock.Advance(1500 * time.Millisecond))
-	col.OnHeartbeat(Heartbeat{Instance: "ric-1", Seq: 4})
-	col.Sweep(clock.Advance(1500 * time.Millisecond))
+	// Past DeadAfter: dead, evicted exactly once, journaled.
+	sweep()
 	if st := stateOf(col, "ric-0"); st != StateDead {
 		t.Fatalf("ric-0 past dead deadline = %v", st)
 	}
 	if len(evicted) != 1 || evicted[0] != "ric-0" {
 		t.Fatalf("evictions = %v", evicted)
 	}
-	col.OnHeartbeat(Heartbeat{Instance: "ric-1", Seq: 5})
-	col.Sweep(clock.Advance(time.Second))
+	sweep()
 	if len(evicted) != 1 {
 		t.Fatalf("dead instance evicted twice: %v", evicted)
 	}
@@ -201,15 +208,13 @@ func TestScrapeSkipsDeadInstances(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(40_000, 0)}
 	var rounds int
 	col := NewCollector(CollectorOptions{
-		SuspectAfter: time.Second,
-		DeadAfter:    2 * time.Second,
-		Clock:        clock.Now,
-		Publish:      func(string, []byte) error { rounds++; return nil },
+		Clock:   clock.Now,
+		Publish: func(string, []byte) error { rounds++; return nil },
 	})
 	col.OnHeartbeat(Heartbeat{Instance: "ric-0", Seq: 1})
 	col.OnHeartbeat(Heartbeat{Instance: "ric-1", Seq: 1})
 	// The detector is staged: one sweep to suspect, another to dead.
-	col.Sweep(clock.Advance(90 * time.Second))
+	col.Sweep(clock.Advance(DeadAfter))
 	col.Sweep(clock.Now())
 
 	if done := col.ScrapeOnce(); done != nil {

@@ -129,7 +129,7 @@ func ParseReport(data []byte) (Report, error) {
 type State uint8
 
 // Failure-detector states: a heartbeat keeps an instance Alive; missing
-// beacons past SuspectAfter mark it Suspect, past DeadAfter Dead (and
+// beacons past suspectAfter mark it Suspect, past DeadAfter Dead (and
 // auto-evicted). A beacon from a Suspect or Dead instance rejoins it as
 // Alive.
 const (

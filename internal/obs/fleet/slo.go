@@ -54,19 +54,12 @@ type Objective struct {
 	// merged histogram: good = observations with value <= bound.
 	LatencySeries string  `json:"latency_series,omitempty"`
 	LatencyBound  float64 `json:"latency_bound,omitempty"`
-
-	// BurnThreshold is the burn-rate multiple that fires the alert in
-	// both windows at once (default 2: burning the budget at twice the
-	// sustainable rate).
-	BurnThreshold float64 `json:"burn_threshold,omitempty"`
 }
 
-func (o Objective) burnThreshold() float64 {
-	if o.BurnThreshold > 0 {
-		return o.BurnThreshold
-	}
-	return 2
-}
+// burnThreshold is the burn-rate multiple that fires an objective's
+// alert in both windows at once: burning the budget at twice the
+// sustainable rate.
+const burnThreshold = 2
 
 // defaultObjectives are the paper-motivated fleet SLOs: detection stays
 // inside the near-RT loop, alerts are not shed, and migrations do not
