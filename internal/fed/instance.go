@@ -278,8 +278,8 @@ func StartInstance(opts InstanceOptions) (*Instance, error) {
 func (i *Instance) ID() string { return i.id }
 
 // GNB returns the instance's E2 node: the shipped gNB agent. Feed it
-// with InjectTelemetry; records reach the scorer within one report
-// period.
+// with InjectTelemetry; records reach the scorer at most one report
+// period later, sooner once a full indication's worth is pending.
 func (i *Instance) GNB() *gnb.GNB { return i.node.GNB }
 
 // Runtime returns the MobiWatch runtime (stats, thresholds, UE state).

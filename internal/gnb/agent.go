@@ -24,17 +24,22 @@ var (
 	obsBatchRecords = obs.NewHistogramVec("xsec_gnb_indication_batch_records",
 		"Records coalesced into each RIC indication, by node.",
 		obs.ExpBuckets(1, 2, 10), "node")
+	obsFlushes = obs.NewCounterVec("xsec_gnb_report_flushes_total",
+		"Report-loop drains that shipped telemetry, by node and by what woke the loop: a full indication pending or the report tick.",
+		"node", "trigger")
 )
 
 // DefaultBatchRecords caps the records one RIC Indication carries: a
-// UE with more records in a report period ships several indications.
+// UE with more records in one drain ships several indications. A
+// backlog of that many records wakes the report loop before its tick.
 const DefaultBatchRecords = 64
 
 // ServeE2 runs the gNB's RIC agent over an E2 connection: it performs the
 // E2 Setup handshake (advertising the E2SM-MOBIFLOW and E2SM-XRC RAN
-// functions), serves RIC subscriptions by periodically reporting drained
-// telemetry as RIC Indications, and applies RIC Control actions to the
-// data plane — the full Figure 3 agent role.
+// functions), serves RIC subscriptions by reporting drained telemetry as
+// RIC Indications once per period or as soon as a full indication is
+// pending, and applies RIC Control actions to the data plane — the full
+// Figure 3 agent role.
 //
 // ServeE2 blocks until the connection closes and its report loops have
 // exited, so the node ships and counts nothing after it returns.
@@ -170,31 +175,44 @@ type reporter struct {
 	batchSize   *obs.Histogram
 }
 
-// report drains telemetry once per subscription period and ships it as
-// UE-scoped RIC Indications of at most DefaultBatchRecords records. A
-// record waits for the next tick however many arrive before it; the
-// event-driven report is ROADMAP item 1(h).
+// report drains telemetry and ships it as UE-scoped RIC Indications of
+// at most DefaultBatchRecords records. It drains as soon as a full
+// indication's worth is buffered, or at the subscription period's tick,
+// whichever comes first. A smaller backlog waits for the tick, which
+// keeps indications from shrinking to a record or two each; no record
+// waits longer than one period.
 func (a *e2Agent) report(reqID e2ap.RequestID, actionID uint16, period time.Duration, stop chan struct{}) {
+	node := a.g.cfg.NodeID
 	r := &reporter{
 		a: a, reqID: reqID, actionID: actionID,
 		byUE:        make(map[uint64]mobiflow.Trace),
-		records:     obsRecords.With(a.g.cfg.NodeID),
-		indications: obsIndicationsSent.With(a.g.cfg.NodeID),
-		batchSize:   obsBatchRecords.With(a.g.cfg.NodeID),
+		records:     obsRecords.With(node),
+		indications: obsIndicationsSent.With(node),
+		batchSize:   obsBatchRecords.With(node),
 	}
+	fullFlushes, tickFlushes := obsFlushes.With(node, "full"), obsFlushes.With(node, "tick")
 	ticker := time.NewTicker(period)
 	defer ticker.Stop()
 	for {
+		flushes := tickFlushes
 		select {
 		case <-stop:
 			return
 		case <-ticker.C:
-			start := time.Now()
-			r.pending = a.g.DrainRecordsInto(r.pending)
-			if len(r.pending) > 0 && !r.flush(start) {
-				return
-			}
+		case <-a.g.full:
+			flushes = fullFlushes
 		}
+		start := time.Now()
+		r.pending = a.g.DrainRecordsInto(r.pending)
+		if len(r.pending) == 0 {
+			// An idle tick, or a wake whose backlog an earlier drain
+			// already shipped.
+			continue
+		}
+		if !r.flush(start) {
+			return
+		}
+		flushes.Inc()
 	}
 }
 

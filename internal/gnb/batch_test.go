@@ -3,6 +3,7 @@ package gnb
 import (
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,25 +25,7 @@ import (
 // at most DefaultBatchRecords, per-UE sequence order is preserved, and
 // nothing is lost or duplicated.
 func TestReportBatchesPerUE(t *testing.T) {
-	amf := corenet.NewAMF(7)
-	g, err := New(Config{NodeID: "gnb-batch", AMF: amf})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	p := ric.NewPlatform(sdl.New())
-	t.Cleanup(p.Close)
-	ricEnd, nodeEnd := e2ap.Pipe()
-	go p.AttachNode(ricEnd)
-	go g.ServeE2(nodeEnd)
-	deadline := time.Now().Add(2 * time.Second)
-	for len(p.Nodes()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("agent did not attach")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
+	p, g, _ := serveAgent(t, "gnb-batch")
 	x, _ := p.RegisterXApp("batch-collector")
 	sub := subscribe(t, x, "gnb-batch", 5*time.Millisecond)
 	defer sub.Delete()
@@ -203,4 +186,184 @@ func TestReporterPerUEStateIsBounded(t *testing.T) {
 	if len(r.byUE) != 0 {
 		t.Fatalf("byUE holds %d entries after the warm flushes, want 0", len(r.byUE))
 	}
+}
+
+// serveAgent serves a gNB named node to a fresh platform over an
+// in-process pipe. hangUp closes the gNB's end of the pipe and fails the
+// test unless ServeE2 returns, its report loops with it.
+func serveAgent(t *testing.T, node string) (p *ric.Platform, g *GNB, hangUp func()) {
+	t.Helper()
+	g, err := New(Config{NodeID: node, AMF: corenet.NewAMF(7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = ric.NewPlatform(sdl.New())
+	t.Cleanup(p.Close)
+	ricEnd, nodeEnd := e2ap.Pipe()
+	go p.AttachNode(ricEnd)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		g.ServeE2(nodeEnd)
+	}()
+	deadline := time.Now().Add(2 * time.Second)
+	for len(p.Nodes()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("agent did not attach")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return p, g, func() {
+		t.Helper()
+		nodeEnd.Close()
+		select {
+		case <-served:
+		case <-time.After(2 * time.Second):
+			t.Fatal("ServeE2 did not return after its pipe closed")
+		}
+	}
+}
+
+// ueRecords returns n records of one UE with consecutive Seq from first.
+func ueRecords(ue, first uint64, n int) mobiflow.Trace {
+	base := time.Unix(1700000000, 0)
+	tr := make(mobiflow.Trace, n)
+	for i := range tr {
+		seq := first + uint64(i)
+		tr[i] = mobiflow.Record{Seq: seq, UEID: ue, Msg: "RRCSetupRequest",
+			Timestamp: base.Add(time.Duration(seq) * time.Millisecond)}
+	}
+	return tr
+}
+
+// decodeRecords decodes one indication's telemetry.
+func decodeRecords(t *testing.T, ind ric.Indication) mobiflow.Trace {
+	t.Helper()
+	msg, err := e2sm.DecodeIndicationMessage(ind.Message)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return msg.Records
+}
+
+// TestReportShipsFullBacklogBeforeTick subscribes with an hour's period:
+// one record short of a full indication nothing wakes the report loop,
+// the record that completes it ships all of them at once, and a wake that
+// finds the backlog already drained ships nothing.
+func TestReportShipsFullBacklogBeforeTick(t *testing.T) {
+	const node = "gnb-full"
+	p, g, hangUp := serveAgent(t, node)
+	x, _ := p.RegisterXApp("full-collector")
+	sub := subscribe(t, x, node, time.Hour)
+	full, tick := obsFlushes.With(node, "full"), obsFlushes.With(node, "tick")
+	sent := obsIndicationsSent.With(node)
+	full0, tick0, sent0 := full.Value(), tick.Value(), sent.Value()
+
+	tr := ueRecords(1, 1, 2*DefaultBatchRecords)
+	g.InjectTelemetry(tr[:DefaultBatchRecords-1])
+	if len(g.full) != 0 {
+		t.Fatalf("%d records woke the report loop, want a wake at %d", DefaultBatchRecords-1, DefaultBatchRecords)
+	}
+	g.InjectTelemetry(tr[DefaultBatchRecords-1 : DefaultBatchRecords])
+	expect := func(want mobiflow.Trace) {
+		t.Helper()
+		select {
+		case ind := <-sub.C(0):
+			got := decodeRecords(t, ind)
+			if len(got) != len(want) {
+				t.Fatalf("indication carries %d records, want %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Seq != want[i].Seq {
+					t.Fatalf("record %d has seq %d, want %d", i, got[i].Seq, want[i].Seq)
+				}
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("no indication within 2 s of a %d-record backlog (report period 1 h)", len(want))
+		}
+	}
+	expect(tr[:DefaultBatchRecords])
+
+	// A wake whose backlog a tick drained first finds nothing buffered:
+	// it ships and counts nothing, and the next indication on the stream
+	// is the next full backlog.
+	g.full <- struct{}{}
+	for deadline := time.Now().Add(2 * time.Second); len(g.full) != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the report loop did not take its wake")
+		}
+	}
+	g.InjectTelemetry(tr[DefaultBatchRecords:])
+	expect(tr[DefaultBatchRecords:])
+
+	hangUp() // the loop has counted everything it shipped
+	if got := sent.Value() - sent0; got != 2 {
+		t.Errorf("%d indications sent, want 2", got)
+	}
+	if got := full.Value() - full0; got != 2 {
+		t.Errorf("flushes{trigger=full} moved by %d, want 2", got)
+	}
+	if got := tick.Value() - tick0; got != 0 {
+		t.Errorf("flushes{trigger=tick} moved by %d, want 0", got)
+	}
+}
+
+// TestReportConservesConcurrentInjection races eight injectors, each
+// owning one UE and one Seq range, against a report loop that drains on
+// a 1 ms tick and on every full backlog: every record arrives exactly
+// once and in its UE's order, and hanging up stops the loop.
+func TestReportConservesConcurrentInjection(t *testing.T) {
+	const (
+		node      = "gnb-conc"
+		injectors = 8
+		perUE     = 1500
+	)
+	p, g, hangUp := serveAgent(t, node)
+	x, _ := p.RegisterXApp("conc-collector")
+	// Room for one indication per record: the collector never drops.
+	sub, err := x.Subscribe(node, e2sm.MobiFlowRANFunctionID,
+		asn1lite.Marshal(&e2sm.EventTrigger{Period: time.Millisecond}),
+		[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport}},
+		ric.SubscribeOptions{Buffer: injectors * perUE})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	for i := range injectors {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr := ueRecords(uint64(i+1), uint64(i*perUE+1), perUE)
+			// Chunks of 1 to 97 records: some cross a full backlog
+			// alone, some add to one another injector started.
+			for n := 1 + i; len(tr) > 0; n = n%97 + 1 {
+				n = min(n, len(tr))
+				g.InjectTelemetry(tr[:n])
+				tr = tr[n:]
+			}
+		}()
+	}
+
+	next := make(map[uint64]uint64) // UE → the seq it must deliver next
+	for i := range injectors {
+		next[uint64(i+1)] = uint64(i*perUE + 1)
+	}
+	timeout := time.After(10 * time.Second)
+	for got := 0; got < injectors*perUE; {
+		select {
+		case ind := <-sub.C(0):
+			for _, rec := range decodeRecords(t, ind) {
+				if rec.Seq != next[rec.UEID] {
+					t.Fatalf("UE %d delivered seq %d, want %d (lost, duplicated or reordered)", rec.UEID, rec.Seq, next[rec.UEID])
+				}
+				next[rec.UEID]++
+				got++
+			}
+		case <-timeout:
+			t.Fatalf("%d of %d records delivered", got, injectors*perUE)
+		}
+	}
+	wg.Wait()
+	hangUp()
 }

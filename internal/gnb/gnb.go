@@ -64,6 +64,10 @@ type GNB struct {
 	ues       map[uint64]*ueCtx
 	byRNTI    map[cell.RNTI]uint64
 	records   mobiflow.Trace
+	// full holds a token once the buffered telemetry reaches
+	// DefaultBatchRecords: the report loop ships it without waiting for
+	// its tick.
+	full chan struct{}
 
 	blockedTMSI map[cell.TMSI]bool
 }
@@ -101,6 +105,7 @@ func New(cfg Config) (*GNB, error) {
 		nextRNTI:    firstRNTI,
 		ues:         make(map[uint64]*ueCtx),
 		byRNTI:      make(map[cell.RNTI]uint64),
+		full:        make(chan struct{}, 1),
 		blockedTMSI: make(map[cell.TMSI]bool),
 	}
 	return g, nil
@@ -228,7 +233,7 @@ func (g *GNB) DrainRecordsInto(buf mobiflow.Trace) mobiflow.Trace {
 // spreads.
 func (g *GNB) InjectTelemetry(tr mobiflow.Trace) {
 	g.mu.Lock()
-	g.records = append(g.records, tr...)
+	g.record(tr...)
 	g.mu.Unlock()
 }
 
@@ -239,8 +244,18 @@ func (g *GNB) ActiveUEs() int {
 	return len(g.ues)
 }
 
-func (g *GNB) record(r mobiflow.Record) {
-	g.records = append(g.records, r)
+// record buffers telemetry for the report loop and wakes it when the
+// backlog grows from below one full indication to at least one. Caller
+// holds g.mu.
+func (g *GNB) record(rs ...mobiflow.Record) {
+	below := len(g.records) < DefaultBatchRecords
+	g.records = append(g.records, rs...)
+	if below && len(g.records) >= DefaultBatchRecords {
+		select {
+		case g.full <- struct{}{}:
+		default: // a wake is already pending
+		}
+	}
 }
 
 func (g *GNB) capture(iface pcaplite.Interface, payload []byte) {
