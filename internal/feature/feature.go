@@ -436,6 +436,22 @@ func (b *RowBuffer) Trim(drop int) {
 	}
 }
 
+// CopyFrom makes b a copy of src's rows from row from on, each with its
+// column list: row i of b is then row from+i of src. b's backing arrays
+// are reused, so a buffer copied into again and again stops allocating.
+func (b *RowBuffer) CopyFrom(src *RowBuffer, from int) {
+	if src.dim != b.dim {
+		panic(fmt.Sprintf("feature: RowBuffer of %d columns copied from one of %d", b.dim, src.dim))
+	}
+	cut := src.off[from]
+	b.rows = append(b.rows[:0], src.rows[from*b.dim:]...)
+	b.cols = append(b.cols[:0], src.cols[cut:]...)
+	b.off = append(b.off[:0], src.off[from:]...)
+	for i := range b.off {
+		b.off[i] -= cut
+	}
+}
+
 // Row returns a view of row i, valid until the next Push or Trim.
 func (b *RowBuffer) Row(i int) []float32 {
 	return b.rows[i*b.dim : (i+1)*b.dim]

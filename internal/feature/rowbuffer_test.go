@@ -176,3 +176,34 @@ func TestFeatureToTensorZeroAllocs(t *testing.T) {
 		t.Errorf("feature→tensor cycle allocates %v/op, want 0", a)
 	}
 }
+
+// TestRowBufferCopyFrom checks that a copy of a buffer's tail holds the
+// same rows and column lists as the source from that row on, that copying
+// into a used buffer replaces what it held, and that a warm copy allocates
+// nothing.
+func TestRowBufferCopyFrom(t *testing.T) {
+	tr := variedTrace(40, 13)
+	v := BuildVocabulary(tr)
+	ref := Vectorize(tr, v)
+	enc := NewEncoder(v)
+	src := NewRowBuffer(Dim(v))
+	for _, r := range tr {
+		src.Push(enc, r)
+	}
+	dst := NewRowBuffer(Dim(v))
+	for _, from := range []int{0, 7, 39, 40, 3} {
+		dst.CopyFrom(src, from)
+		if dst.Len() != len(tr)-from {
+			t.Fatalf("copy from row %d holds %d rows, want %d", from, dst.Len(), len(tr)-from)
+		}
+		for i := 0; i < dst.Len(); i++ {
+			if !slices.Equal(dst.Row(i), src.Row(from+i)) {
+				t.Fatalf("copy from row %d: row %d differs from the source's row %d", from, i, from+i)
+			}
+		}
+		checkCols(t, dst, ref[from:])
+	}
+	if a := testing.AllocsPerRun(100, func() { dst.CopyFrom(src, 5) }); a != 0 {
+		t.Errorf("a warm CopyFrom allocates %v/op, want 0", a)
+	}
+}

@@ -247,7 +247,7 @@ func StartInstance(opts InstanceOptions) (*Instance, error) {
 		ShardBuffer:  opts.ShardBuffer,
 		ReportPeriod: reportPeriod,
 		ScoreLatency: i.scoreReg.HistogramVec("xsec_mobiwatch_score_seconds",
-			"Streaming-inference latency per telemetry batch (this instance only).",
+			"Scoring time per stage pass: window, ae and lstm (this instance only).",
 			obs.ExpBuckets(1e-6, 4, 12)).With(),
 	})
 	if err != nil {

@@ -30,9 +30,13 @@ func provEventsAccepted() float64 {
 // "the fold is the writer's fold": one scored-window sequence — both
 // models, two chains, benign runs of 1, 2 and 16, a flagged window inside
 // a run and at either end of a chain, flushes that cut runs — goes into
-// two SDL-backed ledgers, once as one Record per window and once through
-// windowEvidence. What each ledger retains, in memory and in the SDL,
-// must be equal event for event.
+// two SDL-backed ledgers, once as one Record per window over the window
+// stage's own history, and once through windowEvidence over the jobs the
+// flushes are cut into, each scored by both lanes in turn as a worker
+// scoring inline does. What each ledger retains, in memory and in the
+// SDL, must be equal event for event: a window's digest read from its
+// job's copy of the rows is the one read from the history it was cut
+// from.
 func TestFoldedEvidenceMatchesWriterFold(t *testing.T) {
 	const (
 		node      = "gnb-fold"
@@ -96,30 +100,48 @@ func TestFoldedEvidenceMatchesWriterFold(t *testing.T) {
 		}
 	}
 
-	// replay feeds the sequence flush by flush, AE queue then LSTM queue as
-	// flushLocked does, each window cut from rows of fresh random records
-	// so every window has its own digest. A flagged window is followed by
-	// the KindAlert raise records.
-	replay := func(record func(b *pendingBatch, flush []scored, alert func(k int))) {
+	// replay feeds the sequence flush by flush, AE windows then LSTM
+	// windows, each cut from rows of fresh random records so every window
+	// has its own digest, into a window stage's history and pending lists.
+	// record then sees each model's windows of the flush in turn: as the
+	// history holds them or, cut, as the flush's job does. A flagged window
+	// is followed by the KindAlert raise records.
+	replay := func(cut bool, record func(b *pendingBatch, meta []winMeta, flush []scored, alert func(k int))) {
 		fill := rand.New(rand.NewSource(15)) // same rows on both sides
+		var recent mobiflow.Trace
 		rows, enc := feature.NewRowBuffer(dim), feature.NewEncoder(vocab)
+		var pending [2]windowList
+		job := &scoreJob{rows: feature.NewRowBuffer(dim)}
 		for off := 0; off < len(models[0].wins); off += flushLen {
-			for _, m := range models {
-				b := m.batch
-				flush := m.wins[off:min(off+flushLen, len(m.wins))]
-				b.reset()
-				for range flush {
+			flushes := [2][]scored{}
+			for i, m := range models {
+				flushes[i] = m.wins[off:min(off+flushLen, len(m.wins))]
+				for _, w := range flushes[i] {
 					start := rows.Len()
-					for i := 0; i < b.span(); i++ {
-						rows.Push(enc, mobiflow.Record{
+					for k := 0; k < m.batch.span(); k++ {
+						rec := mobiflow.Record{
 							Msg:       vocab.Messages[fill.Intn(len(vocab.Messages))],
 							UEID:      uint64(fill.Intn(8)),
 							Timestamp: base.Add(time.Duration(fill.Int63n(int64(time.Second)))),
-						})
+						}
+						recent = append(recent, rec)
+						rows.Push(enc, rec)
 					}
-					b.push(rows, start)
+					pending[i].push(start, w.meta)
 				}
-				record(b, flush, func(k int) {
+			}
+			from, lists := rows, &pending
+			if cut {
+				job.cut(recent, rows, &pending)
+				from, lists = job.rows, &job.windows
+			}
+			for i, m := range models {
+				b, flush := m.batch, flushes[i]
+				b.reset()
+				for _, start := range lists[i].starts {
+					b.push(from, start)
+				}
+				record(b, lists[i].meta, flush, func(k int) {
 					w := flush[k]
 					prov.Record(prov.Event{
 						Chain:     prov.ChainID{Node: node, SN: w.meta.sn},
@@ -135,9 +157,12 @@ func TestFoldedEvidenceMatchesWriterFold(t *testing.T) {
 					})
 				})
 			}
+			pending[0].reset()
+			pending[1].reset()
+			job.reset()
 		}
 	}
-	perWindow := func(b *pendingBatch, flush []scored, alert func(k int)) {
+	perWindow := func(b *pendingBatch, _ []winMeta, flush []scored, alert func(k int)) {
 		for k, w := range flush {
 			prov.Record(prov.Event{
 				Chain:     prov.ChainID{Node: node, SN: w.meta.sn},
@@ -156,10 +181,10 @@ func TestFoldedEvidenceMatchesWriterFold(t *testing.T) {
 			}
 		}
 	}
-	folded := func(b *pendingBatch, flush []scored, alert func(k int)) {
+	folded := func(b *pendingBatch, meta []winMeta, flush []scored, alert func(k int)) {
 		evidence := windowEvidence{batch: b, node: node, threshold: threshold}
 		for k := range flush {
-			if evidence.observe(k, &flush[k].meta, flush[k].score) {
+			if evidence.observe(k, &meta[k], flush[k].score) {
 				alert(k)
 			}
 		}
@@ -171,12 +196,12 @@ func TestFoldedEvidenceMatchesWriterFold(t *testing.T) {
 		disk   []prov.ChainRecord
 		sent   float64
 	}
-	run := func(record func(*pendingBatch, []scored, func(int))) retained {
+	run := func(cut bool, record func(*pendingBatch, []winMeta, []scored, func(int))) retained {
 		store := sdl.New()
 		l := prov.New(prov.Options{Store: store})
 		old := prov.SetActive(l)
 		before := provEventsAccepted()
-		replay(record)
+		replay(cut, record)
 		prov.SetActive(old)
 		l.Flush()
 		defer l.Close()
@@ -193,7 +218,7 @@ func TestFoldedEvidenceMatchesWriterFold(t *testing.T) {
 		}
 		return out
 	}
-	want, got := run(perWindow), run(folded)
+	want, got := run(false, perWindow), run(true, folded)
 
 	if len(want.memory) != len(chains) || len(want.disk) != len(chains) {
 		t.Fatalf("reference ledger holds %d chains in memory, %d in the SDL; want %d", len(want.memory), len(want.disk), len(chains))

@@ -85,21 +85,11 @@ func (b *pendingBatch) span() int {
 }
 
 // push adds the window whose span() rows start at row start of rows.
-// The rows must stay in the buffer until the batch is scored; a Trim
-// before then moves them down, and shift must follow it.
+// The rows must stay in the buffer, unmoved, until the batch is scored
+// and digested.
 func (b *pendingBatch) push(rows *feature.RowBuffer, start int) {
 	b.rows = rows
 	b.starts = append(b.starts, start)
-}
-
-// len returns how many windows are pending.
-func (b *pendingBatch) len() int { return len(b.starts) }
-
-// shift follows a Trim of drop rows from the front of the buffer.
-func (b *pendingBatch) shift(drop int) {
-	for i := range b.starts {
-		b.starts[i] -= drop
-	}
 }
 
 // score runs one batched pass over every pushed window and returns their
@@ -151,7 +141,7 @@ func (m *Models) threshold(model ModelName) float64 {
 
 // batchChunk is the most windows one model's batch holds: offline
 // scorers score batchChunk at a time, and the online worker flushes when
-// a model's pending batch reaches it, if the hand-off has not emptied
+// a model's pending list reaches it, if the hand-off has not emptied
 // first. Large enough to amortize per-batch overhead and the LSTM's
 // T−1 extra projected rows, small enough to stay L2-resident.
 const batchChunk = 64

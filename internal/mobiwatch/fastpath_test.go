@@ -1,10 +1,13 @@
 package mobiwatch
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/6g-xsec/xsec/internal/e2sm"
 	"github.com/6g-xsec/xsec/internal/nn"
 	"github.com/6g-xsec/xsec/internal/prov"
 	"github.com/6g-xsec/xsec/internal/ric"
@@ -116,11 +119,13 @@ func TestThresholdsAreTheEnginePercentile(t *testing.T) {
 }
 
 // TestOnlineFlagsMatchOfflineBatched feeds the mixed trace through the
-// worker's ingest entry in indication batches of several sizes and
-// requires the flagged windows to be exactly the Anomalous windows of the
-// offline batched scorers: both sides fill and score the same
-// pendingBatch, so neither the indication size nor the flush cadence may
-// change which windows cross. The triage queue folds flagged windows by
+// worker in indication batches of several sizes and requires the flagged
+// windows to be exactly the Anomalous windows of the offline batched
+// scorers: both sides fill and score the same pendingBatch, so neither
+// the indication size nor the flush cadence may change which windows
+// cross. Each size runs twice: through ingest with both lanes scoring
+// each job inline, and through the worker's four goroutines, the lanes
+// scoring side by side at whatever cadence the hand-off sets. The triage queue folds flagged windows by
 // episode, so the flagged set is read from where every one of them is
 // accounted for: the KindAlert event raise records on the window's chain,
 // whatever the queue did with the alert. Evidence is recorded by run, so
@@ -156,7 +161,15 @@ func TestOnlineFlagsMatchOfflineBatched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, size := range []int{1, 7, 64} {
+	for _, run := range []struct {
+		size   int
+		staged bool
+	}{{1, false}, {7, false}, {64, false}, {1, true}, {7, true}, {64, true}} {
+		size := run.size
+		label := fmt.Sprintf("batch %d, lanes inline", size)
+		if run.staged {
+			label = fmt.Sprintf("batch %d, lanes on their goroutines", size)
+		}
 		rt := &Runtime{
 			models: models,
 			opts:   RunOptions{NodeID: "gnb-replay"},
@@ -167,10 +180,25 @@ func TestOnlineFlagsMatchOfflineBatched(t *testing.T) {
 		// One chain per indication; sized so nothing is evicted or dropped.
 		ledger := prov.New(prov.Options{MaxChains: len(tr) + 1, Buffer: 8 * len(tr)})
 		old := prov.SetActive(ledger)
-		for base, sn := 0, uint64(1); base < len(tr); base, sn = base+size, sn+1 {
-			w.ingest(ric.Indication{NodeID: "gnb-replay", SN: sn}, tr[base:min(base+size, len(tr))])
+		if run.staged {
+			in := make(chan ric.Indication)
+			var wg sync.WaitGroup
+			w.start(in, &wg)
+			for base, sn := 0, uint64(1); base < len(tr); base, sn = base+size, sn+1 {
+				in <- ric.Indication{NodeID: "gnb-replay", SN: sn,
+					Message: e2sm.EncodeIndicationMessage(&e2sm.IndicationMessage{Records: tr[base:min(base+size, len(tr))]})}
+			}
+			close(in)
+			wg.Wait()
+		} else {
+			for base, sn := 0, uint64(1); base < len(tr); base, sn = base+size, sn+1 {
+				w.ingest(ric.Indication{NodeID: "gnb-replay", SN: sn}, tr[base:min(base+size, len(tr))])
+			}
+			w.flush("gnb-replay") // the tail the window stage flushes once its hand-off runs empty
 		}
-		w.flushLocked("gnb-replay") // the tail the scoring stage flushes once its hand-off runs empty
+		if seen := rt.stats.RecordsSeen.Load(); int(seen) != len(tr) {
+			t.Errorf("%s: %d records seen, %d ingested", label, seen, len(tr))
+		}
 		prov.SetActive(old)
 		ledger.Close() // drains what was recorded
 
@@ -190,25 +218,25 @@ func TestOnlineFlagsMatchOfflineBatched(t *testing.T) {
 		}
 		st := &rt.stats
 		if n := st.AlertsRaised.Load() + st.AlertsDropped.Load(); int(n) != offered || ledger.Dropped() != 0 {
-			t.Fatalf("batch %d: %d alerts offered, %d on the evidence chains (%d events dropped); the comparison needs all of them",
-				size, n, offered, ledger.Dropped())
+			t.Fatalf("%s: %d alerts offered, %d on the evidence chains (%d events dropped); the comparison needs all of them",
+				label, n, offered, ledger.Dropped())
 		}
 		if in, out := st.AlertsRaised.Load()+st.AlertsDropped.Load(),
 			st.AlertsTaken.Load()+st.AlertsFolded.Load()+st.AlertsShedPriority.Load()+st.AlertsShedStale.Load()+uint64(st.AlertsQueued.Load()); in != out {
-			t.Errorf("batch %d: %d alerts offered, %d accounted for", size, in, out)
+			t.Errorf("%s: %d alerts offered, %d accounted for", label, in, out)
 		}
 		for f := range want {
 			if !got[f] {
-				t.Errorf("batch %d: offline flags %+v, online does not", size, f)
+				t.Errorf("%s: offline flags %+v, online does not", label, f)
 			}
 		}
 		for f := range got {
 			if !want[f] {
-				t.Errorf("batch %d: online flags %+v, offline does not", size, f)
+				t.Errorf("%s: online flags %+v, offline does not", label, f)
 			}
 		}
 		if wins := rt.stats.WindowsScored.Load(); int(wins) != 2*len(tr)-2*models.Window+1 {
-			t.Errorf("batch %d: %d windows scored online, want %d", size, wins, 2*len(tr)-2*models.Window+1)
+			t.Errorf("%s: %d windows scored online, want %d", label, wins, 2*len(tr)-2*models.Window+1)
 		}
 		var inChains uint64
 		for _, c := range ledger.Chains() {
@@ -219,8 +247,8 @@ func TestOnlineFlagsMatchOfflineBatched(t *testing.T) {
 			}
 		}
 		if wins := rt.stats.WindowsScored.Load(); inChains != wins || ledger.Dropped() != 0 {
-			t.Errorf("batch %d: evidence chains account for %d windows (%d events dropped), %d were scored",
-				size, inChains, ledger.Dropped(), wins)
+			t.Errorf("%s: evidence chains account for %d windows (%d events dropped), %d were scored",
+				label, inChains, ledger.Dropped(), wins)
 		}
 	}
 }

@@ -185,8 +185,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		hdr := asn1lite.Marshal(&e2sm.IndicationHeader{NodeID: "gnb-fuzz", UEID: snap.UE})
 		w.ingest(ric.Indication{NodeID: "gnb-fuzz", SN: 1, Header: hdr}, next)
-		w.flushLocked("gnb-fuzz")
-		if n := w.queues[0].batch.len() + w.queues[1].batch.len(); n != 0 {
+		w.flush("gnb-fuzz")
+		if n := len(w.pending[0].starts) + len(w.pending[1].starts); n != 0 {
 			t.Fatalf("%d windows still pending after the flush", n)
 		}
 	})

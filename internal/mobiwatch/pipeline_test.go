@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -47,67 +48,210 @@ func eventually(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestStalledScorerBacksUpIntoCountedDrops holds the scoring stage still
-// (a threshold update that never finishes) and floods the shard. Intake
-// fills the hand-off and then blocks, having persisted no more than it
-// could hand over; the shard queue fills behind it; everything after that
-// is dropped by the RIC, where drops are counted. Released, the pipeline
-// scores exactly what was routed: shipped = seen + dropped, one batch per
-// routed indication is in the SDL, and its batches hold what was scored.
-// The two stages' series say which one was the bottleneck meanwhile.
-func TestStalledScorerBacksUpIntoCountedDrops(t *testing.T) {
+// stallRig is a one-shard runtime over a hand-driven E2 node.
+type stallRig struct {
+	rt     *Runtime
+	node   *garbageNode
+	reqID  e2ap.RequestID
+	benign mobiflow.Trace
+	store  *sdl.Store
+	plat   *ric.Platform
+	sn     uint64 // next indication to send
+
+	stopped bool
+}
+
+// warmIndications is how many indications fill the history past the
+// LSTM's span (Window+1 records; 4 by default).
+const warmIndications = 2
+
+func newStallRig(t *testing.T, shardBuffer int) *stallRig {
+	t.Helper()
 	benign, _, models := fixtures(t)
 	store := sdl.New()
 	p := ric.NewPlatform(store)
-	defer p.Close()
+	t.Cleanup(p.Close)
 	node := startGarbageNode(t, p)
 	waitReady(t, p)
 	x, err := p.RegisterXApp("mobiwatch-stall")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const shardBuffer = 8
 	rt, err := Run(x, models, RunOptions{NodeID: "garbage-node", ShardBuffer: shardBuffer})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqID := <-node.subs
-	depth := obsHandoffDepth.With("garbage-node")
-	intake0, score0 := obsIntakeSeconds.Count(), obsScoreSeconds.Count()
+	r := &stallRig{rt: rt, node: node, reqID: <-node.subs, benign: benign, store: store, plat: p}
+	t.Cleanup(func() { r.stop(t) })
+	return r
+}
 
-	// In flight while the scorer is stalled: the batch it holds, the
-	// hand-off, the batch intake is blocked sending — fed one at a time,
-	// so that intake has taken each from the shard queue — and then, all
-	// at once, the shard queue's worth and forty more.
-	const upstream = 1 + handoffDepth + 1
+// stop stops the runtime once; the rig's cleanup does it if the test has
+// not, after releasing any lane the test still holds.
+func (r *stallRig) stop(t *testing.T) {
+	t.Helper()
+	if r.stopped {
+		return
+	}
+	r.stopped = true
+	if err := r.rt.Stop(); err != nil {
+		t.Error(err)
+	}
+}
+
+// warm sends what fills the history, so that every further record
+// completes a window for each model: each indication sent from here on
+// is perIndication windows per model, cut into one job.
+func (r *stallRig) warm(t *testing.T) {
+	t.Helper()
+	if w := r.rt.models.Window; w+1 > warmIndications*perIndication {
+		t.Fatalf("window %d: the warm-up does not fill the LSTM's span", w)
+	}
+	for r.sn < warmIndications {
+		r.send(t)
+	}
+	eventually(t, "the warm-up is scored", func() bool {
+		return r.rt.stats.RecordsSeen.Load() == warmIndications*perIndication
+	})
+}
+
+func (r *stallRig) send(t *testing.T) {
+	r.node.indicate(t, r.reqID, r.benign, r.sn)
+	r.sn++
+}
+
+// hold takes the threshold write locks of the lanes named, so that each
+// stalls at its next job, and returns what releases them; a test that
+// fails holding them has them released by its cleanup.
+func (r *stallRig) hold(t *testing.T, lanes ...int) (release func()) {
+	for _, i := range lanes {
+		r.rt.thMu[i].Lock()
+	}
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			for _, i := range lanes {
+				r.rt.thMu[i].Unlock()
+			}
+		})
+	}
+	t.Cleanup(release)
+	return release
+}
+
+// fillLanes sends one indication per job until the window stage is
+// blocked handing a job to the first held lane: that lane holds the job
+// it stalled on plus laneDepth queued, and the window stage the one it
+// cannot hand over. A free lane scores each job as it comes.
+func (r *stallRig) fillLanes(t *testing.T, held int) {
+	t.Helper()
+	for k := 0; k < laneDepth+1; k++ {
+		passes := obsScoreWindow.Count()
+		r.send(t)
+		eventually(t, "the window stage has handed the job over", func() bool { return obsScoreWindow.Count() == passes+1 })
+	}
+	r.send(t)
+	depth := r.rt.workers[0].lanes[held].depth
+	eventually(t, "the held lane is full and the window stage blocked on it", func() bool { return depth.Value() == laneDepth+1 })
+}
+
+// TestStalledScorerBacksUpIntoCountedDrops holds both lanes still (a
+// threshold update that never finishes) and floods the shard. The window
+// stage fills the lanes and blocks, intake fills the hand-off and then
+// blocks, having persisted no more than it could hand over; the shard
+// queue fills behind it; everything after that is dropped by the RIC,
+// where drops are counted. Released, the pipeline scores exactly what was
+// routed: shipped = seen + dropped, one batch per routed indication is in
+// the SDL, and its batches hold what was scored. The stages' series say
+// which one was the bottleneck meanwhile.
+func TestStalledScorerBacksUpIntoCountedDrops(t *testing.T) {
+	stallBacksUpIntoCountedDrops(t, 0, 1)
+}
+
+// TestStalledLaneBacksUpIntoCountedDrops is the same with one lane held
+// and the other free: the free lane scores every job it is handed, but no
+// record is seen before both lanes have scored it, and the held lane alone
+// backs the stream up into counted drops.
+func TestStalledLaneBacksUpIntoCountedDrops(t *testing.T) {
+	for _, held := range []int{0, 1} {
+		t.Run(string([]ModelName{ModelAE, ModelLSTM}[held]), func(t *testing.T) {
+			stallBacksUpIntoCountedDrops(t, held)
+		})
+	}
+}
+
+func stallBacksUpIntoCountedDrops(t *testing.T, held ...int) {
+	const shardBuffer = 8
+	r := newStallRig(t, shardBuffer)
+	r.warm(t)
+	rt, store := r.rt, r.store
+	w := rt.workers[0]
+	depth := obsHandoffDepth.With("garbage-node")
+	m := r.plat.Metrics()
+	routed0 := m.IndicationsRouted.Load()
+	seen0, windows0 := rt.stats.RecordsSeen.Load(), rt.stats.WindowsScored.Load()
+	intake0, window0 := obsIntakeSeconds.Count(), obsScoreWindow.Count()
+
+	// In flight while a lane is stalled: the jobs the window stage has cut
+	// for it — fed one indication each — then the hand-off, the batch
+	// intake is blocked sending — fed one at a time, so that intake has
+	// taken each from the shard queue — and then, all at once, the shard
+	// queue's worth and forty more.
+	const jobs = laneDepth + 2
+	const upstream = jobs + handoffDepth + 1
 	const absorbed = upstream + shardBuffer
 	const sent = absorbed + 40
-	rt.thMu.Lock()
-	for sn := uint64(0); sn < sent; sn++ {
-		node.indicate(t, reqID, benign, sn)
-		if sn < upstream {
-			eventually(t, "intake has admitted the indication", func() bool { return obsIntakeSeconds.Count()-intake0 == sn+1 })
-		}
+	release := r.hold(t, held...)
+	r.fillLanes(t, held[0])
+	for k := jobs; k < upstream; k++ {
+		admitted := obsIntakeSeconds.Count()
+		r.send(t)
+		eventually(t, "intake has admitted the indication", func() bool { return obsIntakeSeconds.Count() == admitted+1 })
 	}
-	m := p.Metrics()
+	for k := upstream; k < sent; k++ {
+		r.send(t)
+	}
 	eventually(t, "every indication is routed or dropped", func() bool {
-		return m.IndicationsRouted.Load()+m.IndicationsDropped.Load() == sent
+		return m.IndicationsRouted.Load()-routed0+m.IndicationsDropped.Load() == sent
 	})
-	routed, dropped := m.IndicationsRouted.Load(), m.IndicationsDropped.Load()
+	routed, dropped := m.IndicationsRouted.Load()-routed0, m.IndicationsDropped.Load()
 	if routed != absorbed || dropped != sent-absorbed {
 		t.Errorf("%d routed and %d dropped of %d sent into a stalled pipeline that holds %d", routed, dropped, sent, absorbed)
 	}
-	// The gauge counts the batch intake is blocked handing over as well.
+	// The gauges count the batch and the job blocked in a hand-over too.
 	eventually(t, "the hand-off is full and intake blocked on it", func() bool { return depth.Value() == handoffDepth+1 })
 	if n := obsIntakeSeconds.Count() - intake0; n != upstream {
-		t.Errorf("intake admitted %d indications against a stalled scorer, want it blocked after %d", n, upstream)
+		t.Errorf("intake admitted %d indications against a stalled lane, want it blocked after %d", n, upstream)
 	}
-	if got, recs := store.Len(TelemetryNamespace), persistedRecords(t, store); got != upstream || recs != upstream*perIndication {
-		t.Errorf("%d batches of %d records persisted ahead of a stalled scorer, want the %d of %d the hand-off lets intake reach",
-			got, recs, upstream, upstream*perIndication)
+	if got, recs := store.Len(TelemetryNamespace), persistedRecords(t, store); got != warmIndications+upstream || recs != (warmIndications+upstream)*perIndication {
+		t.Errorf("%d batches of %d records persisted ahead of a stalled lane, want the %d of %d the hand-off lets intake reach",
+			got, recs, warmIndications+upstream, (warmIndications+upstream)*perIndication)
 	}
-	if seen := rt.stats.RecordsSeen.Load(); seen != 0 {
-		t.Errorf("%d records scored while the scorer was held", seen)
+	if seen := rt.stats.RecordsSeen.Load(); seen != seen0 {
+		t.Errorf("%d records seen while a lane was held", seen-seen0)
+	}
+	// A free lane scores every job the window stage has handed it: all
+	// of them if it comes before the held lane, all but the one the
+	// window stage is blocked on if after.
+	var wantWindows uint64
+	wantDepth := [2]float64{}
+	for _, i := range held {
+		wantDepth[i] = laneDepth
+	}
+	wantDepth[held[0]] = laneDepth + 1
+	if len(held) == 1 {
+		wantWindows = (jobs - 1) * perIndication
+		if held[0] == 1 {
+			wantWindows = jobs * perIndication
+		}
+	}
+	eventually(t, "a free lane has scored what it was handed", func() bool {
+		return rt.stats.WindowsScored.Load()-windows0 == wantWindows
+	})
+	for i := range w.lanes {
+		if got := w.lanes[i].depth.Value(); got != wantDepth[i] {
+			t.Errorf("lane %d reads depth %v with lanes %v held, want %v", i, got, held, wantDepth[i])
+		}
 	}
 	var sb strings.Builder
 	if err := obs.Default.WritePrometheus(&sb); err != nil {
@@ -115,41 +259,124 @@ func TestStalledScorerBacksUpIntoCountedDrops(t *testing.T) {
 	}
 	for _, want := range []string{
 		fmt.Sprintf("xsec_mobiwatch_handoff_depth{node=\"garbage-node\"} %d\n", handoffDepth+1),
+		fmt.Sprintf("xsec_mobiwatch_lane_depth{node=\"garbage-node\",model=%q} %d\n", w.lanes[held[0]].batch.model, laneDepth+1),
 		"xsec_mobiwatch_intake_seconds_count ",
-		"xsec_mobiwatch_score_seconds_count ",
-		"# HELP xsec_mobiwatch_score_seconds Scoring-stage time",
+		"xsec_mobiwatch_score_seconds_count{stage=\"window\"} ",
+		"xsec_mobiwatch_score_seconds_count{stage=\"ae\"} ",
+		"xsec_mobiwatch_score_seconds_count{stage=\"lstm\"} ",
+		"# HELP xsec_mobiwatch_score_seconds Scoring time by stage",
 	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
 
-	rt.thMu.Unlock()
-	eventually(t, "everything routed is scored", func() bool { return rt.stats.BatchesHandled.Load() == routed })
-	if err := rt.Stop(); err != nil {
-		t.Fatal(err)
-	}
+	release()
+	eventually(t, "everything routed is taken", func() bool { return rt.stats.BatchesHandled.Load() == warmIndications+routed })
+	r.stop(t)
 	seen := rt.stats.RecordsSeen.Load()
-	if seen+dropped*perIndication != sent*perIndication {
-		t.Errorf("shipped %d records ≠ seen %d + dropped %d", sent*perIndication, seen, dropped*perIndication)
+	if shipped := r.sn * perIndication; seen+dropped*perIndication != shipped {
+		t.Errorf("shipped %d records ≠ seen %d + dropped %d", shipped, seen, dropped*perIndication)
 	}
-	if got, recs := store.Len(TelemetryNamespace), persistedRecords(t, store); uint64(got)+store.Evicted(TelemetryNamespace) != routed || uint64(recs) != seen {
+	if got, recs := store.Len(TelemetryNamespace), persistedRecords(t, store); uint64(got)+store.Evicted(TelemetryNamespace) != warmIndications+routed || uint64(recs) != seen {
 		t.Errorf("%d batches of %d records persisted (%d evicted) for %d routed indications, %d records scored",
-			got, recs, store.Evicted(TelemetryNamespace), routed, seen)
+			got, recs, store.Evicted(TelemetryNamespace), warmIndications+routed, seen)
 	}
-	if in, sc := obsIntakeSeconds.Count()-intake0, obsScoreSeconds.Count()-score0; in != routed || sc < routed {
-		t.Errorf("%d intake and %d score observations for %d routed indications", in, sc, routed)
+	if in, win := obsIntakeSeconds.Count()-intake0, obsScoreWindow.Count()-window0; in != routed || win != routed {
+		t.Errorf("%d intake and %d window-stage observations for %d routed indications", in, win, routed)
 	}
-	if depth.Value() != 0 {
-		t.Errorf("hand-off depth reads %v after the drain", depth.Value())
+	if d0, d1 := w.lanes[0].depth.Value(), w.lanes[1].depth.Value(); depth.Value() != 0 || d0 != 0 || d1 != 0 {
+		t.Errorf("hand-off depth reads %v and lane depths %v, %v after the drain", depth.Value(), d0, d1)
 	}
+}
+
+// TestRecordsSeenWaitsForBothLanes pins when a record counts as seen: at
+// once when its flush had no window to score, and otherwise only once
+// both lanes have scored the job — whichever of the two finishes last.
+func TestRecordsSeenWaitsForBothLanes(t *testing.T) {
+	_, _, models := fixtures(t)
+	if models.Window <= perIndication {
+		t.Fatalf("window %d: the first indication completes a window", models.Window)
+	}
+	r := newStallRig(t, 0)
+	r.warm(t)
+	rt := r.rt
+	for _, held := range []int{0, 1} {
+		seen0, windows0 := rt.stats.RecordsSeen.Load(), rt.stats.WindowsScored.Load()
+		release := r.hold(t, held)
+		r.send(t)
+		eventually(t, "the free lane has scored its windows", func() bool {
+			return rt.stats.WindowsScored.Load()-windows0 == perIndication
+		})
+		if seen := rt.stats.RecordsSeen.Load(); seen != seen0 {
+			t.Errorf("lane %d held: %d records seen with one lane still to score them", held, seen-seen0)
+		}
+		release()
+		eventually(t, "the records are seen once both lanes have scored them", func() bool {
+			return rt.stats.RecordsSeen.Load()-seen0 == perIndication
+		})
+		if n := rt.stats.WindowsScored.Load() - windows0; n != 2*perIndication {
+			t.Errorf("lane %d held: %d windows scored, want %d", held, n, 2*perIndication)
+		}
+	}
+
+	// A flush without windows — the first indication of a fresh runtime —
+	// is seen at once, held lanes or not.
+	fresh := newStallRig(t, 0)
+	release := fresh.hold(t, 0, 1)
+	fresh.send(t)
+	eventually(t, "records without a window are seen at once", func() bool {
+		return fresh.rt.stats.RecordsSeen.Load() == perIndication
+	})
+	release()
+}
+
+// TestThresholdChangeWhileLanesSaturated applies an A1 threshold policy
+// while both lanes are full and the window stage is blocked handing them a
+// job: the update waits only for the jobs the lanes are scoring, never
+// for the window stage, which holds no threshold lock. (A window stage
+// that held one while blocked on a full lane would deadlock against the
+// waiting writer: the lane cannot read-lock past it to drain.)
+func TestThresholdChangeWhileLanesSaturated(t *testing.T) {
+	_, _, models := fixtures(t)
+	ae0, lstm0 := models.AEThreshold, models.LSTMThreshold
+	// The bundle is the package's shared fixture; this runs after the
+	// rig has stopped.
+	t.Cleanup(func() { models.AEThreshold, models.LSTMThreshold = ae0, lstm0 })
+	r := newStallRig(t, 0)
+	r.warm(t)
+	rt := r.rt
+	release := r.hold(t, 0, 1)
+	r.fillLanes(t, 0)
+	for k := 0; k < handoffDepth; k++ {
+		r.send(t)
+	}
+	done := make(chan error, 1)
+	go func() { done <- rt.SetThresholdPercentile(95) }()
+	release()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("SetThresholdPercentile did not return while the lanes were full")
+	}
+	if ae, lstm := rt.Thresholds(); ae != models.AEQuantiles[95] || lstm != models.LSTMQuantiles[95] {
+		t.Errorf("thresholds %g, %g after the update, want the 95th percentiles %g, %g", ae, lstm, models.AEQuantiles[95], models.LSTMQuantiles[95])
+	}
+	m := r.plat.Metrics()
+	eventually(t, "everything sent is seen or counted as dropped", func() bool {
+		return rt.stats.RecordsSeen.Load()+m.IndicationsDropped.Load()*perIndication == r.sn*perIndication
+	})
 }
 
 // TestStopMidStreamDrainsBothStages stops the runtime while indications
 // are still arriving. Stop returns only when intake has emptied the shard
-// queue, the scorer has emptied the hand-off and both goroutines are gone;
-// nothing is left between the stages, so every batch that reached the SDL
-// was scored, and every indication sent is routed or counted as dropped.
+// queue, the window stage the hand-off and the lanes their queues, and all
+// four goroutines per shard are gone; nothing is left between the stages,
+// so every batch that reached the SDL was scored, and every indication
+// sent is routed or counted as dropped.
 func TestStopMidStreamDrainsBothStages(t *testing.T) {
 	benign, _, models := fixtures(t)
 	store := sdl.New()
@@ -199,6 +426,19 @@ func TestStopMidStreamDrainsBothStages(t *testing.T) {
 		if _, open := <-w.handoff; open {
 			t.Error("a hand-off is still open after Stop")
 		}
+		for i := range w.lanes {
+			if _, open := <-w.lanes[i].in; open {
+				t.Errorf("lane %d's queue is still open after Stop", i)
+			}
+		}
+		if n := len(w.free); n > jobsInFlight {
+			t.Errorf("%d jobs on a free list bounded at %d", n, jobsInFlight)
+		}
+	}
+	for _, model := range []ModelName{ModelAE, ModelLSTM} {
+		if d := obsLaneDepth.With("garbage-node", string(model)).Value(); d != 0 {
+			t.Errorf("%s lane depth reads %v after Stop", model, d)
+		}
 	}
 }
 
@@ -234,13 +474,16 @@ func BenchmarkWorkerIntake(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkerIngest times the scoring stage per record on nine-record
-// indications of fixture benign telemetry: worker.ingest (encode, enqueue
-// the windows each record completes) plus the flush the scorer runs when
-// the hand-off is empty behind an indication — batched inference over
-// both models, evidence and alerts. It reports ns/rec; allocs/op is 0.
-// Evidence goes to a closed ledger, which counts and drops it: what the
-// ledger's writer does with an event is BenchmarkLedgerPersist's.
+// BenchmarkWorkerIngest times the scoring work per record on nine-record
+// indications of fixture benign telemetry: the window stage's
+// worker.ingest (encode, enqueue the windows each record completes) plus
+// the flush it runs when the hand-off is empty behind an indication,
+// which cuts the job, and both lanes' pass over it — batched inference,
+// evidence and alerts — run inline, as a worker whose lanes have no
+// goroutines scores. It reports ns/rec, the sum of the three stages'
+// work; allocs/op is 0, so jobs are recycled. Evidence goes to a closed
+// ledger, which counts and drops it: what the ledger's writer does with an
+// event is BenchmarkLedgerPersist's.
 func BenchmarkWorkerIngest(b *testing.B) {
 	benign, _, models := fixtures(b)
 	ledger := prov.New(prov.Options{})
@@ -263,14 +506,14 @@ func BenchmarkWorkerIngest(b *testing.B) {
 	for i := 0; i < 64; i++ { // fill the history and grow every buffer
 		next(i)
 		w.ingest(ind, batch)
-		w.flushLocked(ind.NodeID)
+		w.flush(ind.NodeID)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		next(64 + i)
 		w.ingest(ind, batch)
-		w.flushLocked(ind.NodeID)
+		w.flush(ind.NodeID)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perInd), "ns/rec")
 }

@@ -39,10 +39,13 @@ var (
 		"Alerts waiting in the triage queue for an analyzer worker, by node.", "node")
 	obsIntakeSeconds = obs.NewHistogram("xsec_mobiwatch_intake_seconds",
 		"Intake-stage time per E2 indication: payload decode plus its one SDL write.", obs.ExpBuckets(1e-6, 4, 12))
-	obsScoreSeconds = obs.NewHistogram("xsec_mobiwatch_score_seconds",
-		"Scoring-stage time per decoded telemetry batch (feature encode, batched inference, evidence, alerts); decode and persist are xsec_mobiwatch_intake_seconds.", obs.ExpBuckets(1e-6, 4, 12))
+	obsScoreSeconds = obs.NewHistogramVec("xsec_mobiwatch_score_seconds",
+		"Scoring time by stage, each observing its own pass: window (feature encode and cutting each flush into a job, per decoded batch, not counting a wait on a full lane), ae and lstm (one lane's batched inference, evidence and alerts, per job). Decode and persist are xsec_mobiwatch_intake_seconds.", obs.ExpBuckets(1e-6, 4, 12), "stage")
+	obsScoreWindow  = obsScoreSeconds.With("window")
 	obsHandoffDepth = obs.NewGaugeVec("xsec_mobiwatch_handoff_depth",
-		"Decoded, persisted batches the scoring stage has not taken yet, by node, counting the one an intake goroutine is blocked handing over: past the bound while scoring is the bottleneck, near zero while intake is.", "node")
+		"Decoded, persisted batches the window stage has not taken yet, by node, counting the one an intake goroutine is blocked handing over: past the bound while scoring is the bottleneck, near zero while intake is.", "node")
+	obsLaneDepth = obs.NewGaugeVec("xsec_mobiwatch_lane_depth",
+		"Jobs the window stage has handed a model's lane and the lane has not taken yet, by node and model, counting the one the window stage is blocked handing over: past the bound while that lane is the bottleneck.", "node", "model")
 	obsFlagSeconds = obs.NewHistogram("xsec_mobiwatch_flag_seconds",
 		"E2 indication arrival to anomaly flag.", obs.DefLatencyBuckets)
 )
@@ -96,8 +99,8 @@ type RunOptions struct {
 	Shards int
 	// ShardBuffer bounds each shard's dispatch queue (default 256).
 	ShardBuffer int
-	// ScoreLatency, when set, additionally receives every per-batch
-	// scoring latency observation. Colocated federated instances share
+	// ScoreLatency, when set, additionally receives every observation
+	// of xsec_mobiwatch_score_seconds, of all three stages. Colocated federated instances share
 	// the process-global histogram, so each instance passes its own
 	// private histogram here to report instance-attributed latency to
 	// the fleet collector.
@@ -138,17 +141,32 @@ const (
 	// so stale incidents do not leak into a new analysis.
 	contextSpan = time.Second
 	// handoffDepth bounds, in indications, the FIFO between a shard's
-	// intake and scoring goroutines. The scorer flushes whenever it finds
-	// the hand-off empty, so while scoring is the bottleneck a flush
-	// batches up to batchChunk windows (≈ 7 nine-record indications) and
-	// intake can run this far ahead of the scorer's longest pause; anything
-	// deeper is queueing delay ahead of the score and records held decoded. A full hand-off blocks intake,
-	// so the wait moves to the RIC's shard queue (ShardBuffer), whose
-	// drops are counted.
+	// intake goroutine and its window stage. The window stage flushes
+	// whenever it finds the hand-off empty, so while the lanes are the
+	// bottleneck a flush batches up to batchChunk windows (≈ 7 nine-record
+	// indications) and intake can run this far ahead of the window stage's
+	// longest pause, a wait on a full lane included; anything deeper is
+	// queueing delay ahead of the score and records held decoded. A full
+	// hand-off blocks intake, so the wait moves to the RIC's shard queue
+	// (ShardBuffer), whose drops are counted.
 	handoffDepth = 16
+	// laneDepth bounds, in jobs, the FIFO from the window stage to each
+	// lane. The lanes' passes differ in length and the window stage cuts
+	// jobs in bursts, so a shallow queue has the window stage park on a
+	// full lane and a lane park on an empty one, over and over: on a
+	// 2-CPU host benign_capacity read ≈ 240 k rec/s at depths 2 and 4
+	// against ≈ 260–275 k at 8, and 16 no better than 8 by more than the
+	// spread between runs. Each job holds a copy of its flush's records.
+	laneDepth = 8
+	// jobsInFlight is how many jobs one worker can hold at once: a lane's
+	// queue and the job it is scoring, for the lane furthest behind, plus
+	// the one the window stage is cutting. The worker's free list keeps
+	// that many for reuse.
+	jobsInFlight = laneDepth + 2
 )
 
-// Stats counts xApp activity. Every flagged window is either
+// Stats counts xApp activity. A record is in RecordsSeen once both lanes
+// have scored the windows it completed. Every flagged window is either
 // AlertsDropped (refused at offer by a full triage queue it did not
 // outrank) or AlertsRaised, and the queue accounts for each one:
 // raised + dropped = taken + folded + shed (both reasons) + queued, where
@@ -178,70 +196,98 @@ type Runtime struct {
 	triage *alertQueue
 	stats  Stats
 
-	// thMu guards the shared model thresholds: workers hold the read
-	// side per batch, SetThresholdPercentile the write side.
-	thMu    sync.RWMutex
+	// thMu guards the shared model thresholds, one lock per model in lane
+	// order (AE, LSTM): a lane holds its model's read side per job,
+	// SetThresholdPercentile both write sides.
+	thMu    [2]sync.RWMutex
 	workers []*worker
 	done    chan struct{}
 }
 
 // worker is one shard's detection pipeline: all indications of a UE land
-// on the same worker, in order. It runs as two goroutines joined by the
-// handoff channel. The intake stage (intake, admit) decodes each
-// indication and persists it to the SDL; the scoring stage (loop,
-// ingest) owns the sliding-window state and everything that reads it. One
-// of each, in FIFO order, so the scorer sees the record stream exactly as
-// one goroutine doing both would, and a record is always persisted before
-// it is scored. Shards share nothing but the read-mostly models.
+// on the same worker, in order. It runs as four goroutines. The intake
+// stage (intake, admit) decodes each indication and persists it to the
+// SDL, and hands it over the handoff channel to the window stage (loop,
+// ingest), which owns the sliding-window state: it encodes each record,
+// notes the windows it completes, and at each flush cuts them into one
+// job that it hands to two lanes, one per model (score), which score
+// their model's windows side by side. One goroutine per stage and per
+// lane, each in FIFO order, so each lane sees the windows, and the
+// records around them, exactly as one goroutine doing everything would,
+// and a record is always persisted before it is scored. Shards share
+// nothing but the read-mostly models.
 type worker struct {
 	rt *Runtime
 
 	// Intake stage only.
 	keyBuf []byte // reusable SDL key-rendering buffer
 
-	handoff chan decoded // intake → scoring, closed by intake
-	depth   *obs.Gauge   // batches admitted and not yet taken by the scorer, summed over the node's shards
+	handoff chan decoded // intake → window stage, closed by intake
+	depth   *obs.Gauge   // batches admitted and not yet taken by the window stage, summed over the node's shards
 
-	// Scoring stage only, from here down.
+	// Window stage only, from here down to the lanes.
 	encoder *feature.Encoder
 	recent  mobiflow.Trace     // trailing records for window + context
 	rows    *feature.RowBuffer // float32 encoding of recent, row for row
-	queues  [2]windowQueue     // windows awaiting the next flush: AE, LSTM
+	spans   [2]int             // records one window covers, per model
+	pending [2]windowList      // windows awaiting the next flush: AE, LSTM
+	unseen  int                // records ingested since the last flush
+	waited  time.Duration      // spent blocked on a full lane this pass
 	batchAt time.Time          // RIC arrival time of the batch being ingested
 	batchSN uint64             // its E2 indication sequence number
 
 	// Migration state (migrate.go): the control channel delivers
-	// checkpoint/restore operations into the scoring goroutine; ues
-	// tracks each UE's latest provenance chain until it has been idle
-	// for ueIdleHorizon; joins holds restored UEs awaiting their first
+	// checkpoint/restore operations into the window stage; ues tracks
+	// each UE's latest provenance chain until it has been idle for
+	// ueIdleHorizon; joins holds restored UEs awaiting their first
 	// post-migration indication.
 	ctrl  chan ctrlOp
 	ues   ueMarks
 	joins map[uint64]joinInfo
+
+	// free recycles finished jobs, at most jobsInFlight: the window stage
+	// takes, the lane that finishes a job last puts back.
+	free  chan *scoreJob
+	lanes [2]lane // AE, LSTM
 }
 
-// decoded is what intake hands the scorer: an indication whose records are
-// decoded and already in the SDL. ind.Message is dropped (the scorer needs
-// only the header and stamps); key is the indication's trace key, minted
-// once for both stages' spans.
+// decoded is what intake hands the window stage: an indication whose
+// records are decoded and already in the SDL. ind.Message is dropped (the
+// window stage needs only the header and stamps); key is the indication's
+// trace key, minted once for both stages' spans.
 type decoded struct {
 	ind     ric.Indication
 	records mobiflow.Trace
 	key     string
 }
 
-// windowQueue is one model's share of a worker's pending batch: the
-// tensor being filled plus, per pushed window, what raising an alert
-// after the batch is scored needs.
-type windowQueue struct {
-	batch     *pendingBatch
-	meta      []winMeta
-	anomalies *obs.Counter
+// windowList is one model's windows awaiting a score: where each starts
+// in the records it is cut from and, per window, what raising an alert
+// after it is scored needs.
+type windowList struct {
+	starts []int
+	meta   []winMeta
+}
+
+func (l *windowList) push(start int, m winMeta) {
+	l.starts = append(l.starts, start)
+	l.meta = append(l.meta, m)
+}
+
+// shift follows a drop of drop records from the front of what the
+// windows are cut from.
+func (l *windowList) shift(drop int) {
+	for i := range l.starts {
+		l.starts[i] -= drop
+	}
+}
+
+func (l *windowList) reset() {
+	l.starts, l.meta = l.starts[:0], l.meta[:0]
 }
 
 // winMeta names the records a pending window covers and the E2
-// indication that completed it; where it starts in the worker's history
-// is its batch's starts entry. A flush raises windows that are no longer
+// indication that completed it. A flush raises windows that are no longer
 // at the end of the history, so these travel with the window rather than
 // with the worker.
 type winMeta struct {
@@ -249,6 +295,33 @@ type winMeta struct {
 	seqLast  uint64
 	at       time.Time
 	sn       uint64
+}
+
+// scoreJob is one flush, cut by the window stage for both lanes and
+// immutable from then on: the history from the earliest window's context
+// on, as records and as encoded rows, and each model's windows, their
+// starts counted from the copy's first record. The lane that finishes it
+// last counts its records seen and puts it back on the worker's free list.
+type scoreJob struct {
+	node    string
+	records mobiflow.Trace
+	rows    *feature.RowBuffer
+	windows [2]windowList // AE, LSTM
+	seen    int           // records ingested since the flush before
+	left    atomic.Int32  // lanes yet to finish it
+}
+
+// lane scores one model's windows of each job, in job order. Its
+// pendingBatch holds the engine scratch, so a lane runs on one goroutine
+// at a time: its own, or, when in is nil, the window stage's, which then
+// scores each job inline as it cuts it.
+type lane struct {
+	idx       int // into thMu, pending, spans and a job's windows
+	batch     *pendingBatch
+	in        chan *scoreJob
+	depth     *obs.Gauge // jobs handed and not taken, summed over the node's shards
+	seconds   *obs.Histogram
+	anomalies *obs.Counter
 }
 
 // Run subscribes MobiWatch to a node's MOBIFLOW telemetry and starts
@@ -285,15 +358,7 @@ func Run(x *ric.XApp, models *Models, opts RunOptions) (*Runtime, error) {
 	for i := 0; i < sub.Shards(); i++ {
 		w := newWorker(rt)
 		rt.workers = append(rt.workers, w)
-		wg.Add(2)
-		go func(shard int) {
-			defer wg.Done()
-			w.intake(sub.C(shard))
-		}(i)
-		go func() {
-			defer wg.Done()
-			w.loop()
-		}()
+		w.start(sub.C(i), &wg)
 	}
 	go func() {
 		wg.Wait()
@@ -305,19 +370,59 @@ func Run(x *ric.XApp, models *Models, opts RunOptions) (*Runtime, error) {
 
 func newWorker(rt *Runtime) *worker {
 	m := rt.models
-	return &worker{
+	w := &worker{
 		rt:      rt,
 		handoff: make(chan decoded, handoffDepth),
 		depth:   obsHandoffDepth.With(rt.opts.NodeID),
 		encoder: feature.NewEncoder(m.Vocab),
 		rows:    feature.NewRowBuffer(m.RecordDim()),
-		queues: [2]windowQueue{
-			{batch: newPendingBatch(m, ModelAE), anomalies: obsAnomalyAE},
-			{batch: newPendingBatch(m, ModelLSTM), anomalies: obsAnomalyLSTM},
-		},
-		ctrl:  make(chan ctrlOp),
-		ues:   ueMarks{cur: make(map[uint64]chainMark)},
-		joins: make(map[uint64]joinInfo),
+		ctrl:    make(chan ctrlOp),
+		ues:     ueMarks{cur: make(map[uint64]chainMark)},
+		joins:   make(map[uint64]joinInfo),
+		free:    make(chan *scoreJob, jobsInFlight),
+	}
+	for i, l := range []struct {
+		model     ModelName
+		stage     string
+		anomalies *obs.Counter
+	}{{ModelAE, "ae", obsAnomalyAE}, {ModelLSTM, "lstm", obsAnomalyLSTM}} {
+		b := newPendingBatch(m, l.model)
+		w.spans[i] = b.span()
+		w.lanes[i] = lane{
+			idx:       i,
+			batch:     b,
+			depth:     obsLaneDepth.With(rt.opts.NodeID, string(l.model)),
+			seconds:   obsScoreSeconds.With(l.stage),
+			anomalies: l.anomalies,
+		}
+	}
+	return w
+}
+
+// start runs the worker's four goroutines on wg: intake on in, the
+// window stage, and a lane per model. Closing in stops them front to
+// back — intake closes the hand-off, the window stage then closes the
+// lanes' queues, and each lane returns once it has scored what they hold.
+func (w *worker) start(in <-chan ric.Indication, wg *sync.WaitGroup) {
+	wg.Add(2 + len(w.lanes))
+	go func() {
+		defer wg.Done()
+		w.intake(in)
+	}()
+	go func() {
+		defer wg.Done()
+		w.loop()
+	}()
+	for i := range w.lanes {
+		l := &w.lanes[i]
+		l.in = make(chan *scoreJob, laneDepth)
+		go func() {
+			defer wg.Done()
+			for job := range l.in {
+				l.depth.Add(-1)
+				w.score(l, job)
+			}
+		}()
 	}
 }
 
@@ -352,24 +457,29 @@ func (rt *Runtime) Stop() error {
 // detection thresholds are re-fitted at the given percentile of the
 // stored training-score distribution, without retraining or redeploying.
 func (rt *Runtime) SetThresholdPercentile(pct float64) error {
-	rt.thMu.Lock()
-	defer rt.thMu.Unlock()
+	for i := range rt.thMu {
+		rt.thMu[i].Lock()
+		defer rt.thMu[i].Unlock()
+	}
 	return rt.models.SetPercentile(pct)
 }
 
 // Thresholds reports the active detection thresholds.
 func (rt *Runtime) Thresholds() (ae, lstm float64) {
-	rt.thMu.RLock()
-	defer rt.thMu.RUnlock()
+	for i := range rt.thMu {
+		rt.thMu[i].RLock()
+		defer rt.thMu[i].RUnlock()
+	}
 	return rt.models.AEThreshold, rt.models.LSTMThreshold
 }
 
 // intake is the shard's first stage: it admits each indication and hands
-// the decoded batch to the scorer in arrival order. The send blocks while
-// the hand-off is full, so a scorer that falls behind backs the stream up
-// into the RIC's shard queue, the one place on this path that drops — and
-// counts. Closing the shard stream (Stop, or the node vanishing) ends
-// intake, which closes the hand-off, which ends the scorer.
+// the decoded batch to the window stage in arrival order. The send blocks
+// while the hand-off is full, so scoring that falls behind backs the
+// stream up into the RIC's shard queue, the one place on this path that
+// drops — and counts. Closing the shard stream (Stop, or the node
+// vanishing) ends intake, which closes the hand-off, which ends the
+// window stage and then the lanes.
 func (w *worker) intake(in <-chan ric.Indication) {
 	defer close(w.handoff)
 	for ind := range in {
@@ -407,19 +517,26 @@ func (w *worker) admit(ind ric.Indication) (b decoded, ok bool) {
 	return decoded{ind: ind, records: msg.Records, key: key}, true
 }
 
-// loop is the shard's second stage and the only goroutine that touches
-// window state: it scores the decoded batches in hand-off order and runs
-// the migration control operations. A control operation therefore races
-// the batches still in the hand-off exactly as it already raced the
-// indications still in the shard queue: a checkpoint taken now does not
-// contain them, and they are scored here afterwards.
+// loop is the window stage, the only goroutine that touches window
+// state: it ingests the decoded batches in hand-off order, hands each
+// flush to the lanes, and runs the migration control operations. A
+// control operation therefore races the batches still in the hand-off
+// exactly as it already raced the indications still in the shard queue:
+// a checkpoint taken now does not contain them, and they are scored
+// afterwards. It holds no threshold lock: it may block on a full lane,
+// and a lane waiting on a threshold update's write lock would never drain.
 //
-// Windows wait in the pending batches only while there is company for
-// them: behind each indication the scorer flushes if the hand-off is
-// empty, and ingest flushes when a model's batch reaches batchChunk. So
-// when the hand-off closes nothing is pending, and an idle scorer holds
-// no window back — no timer decides when a window is scored.
+// Windows wait in the pending lists only while there is company for
+// them: behind each indication the window stage flushes if the hand-off
+// is empty, and ingest flushes when a model's list reaches batchChunk. So
+// when the hand-off closes nothing is pending, and an idle stage holds no
+// window back — no timer decides when a window is scored.
 func (w *worker) loop() {
+	defer func() {
+		for i := range w.lanes {
+			close(w.lanes[i].in)
+		}
+	}()
 	rt := w.rt
 	for {
 		select {
@@ -430,13 +547,12 @@ func (w *worker) loop() {
 			w.depth.Add(-1)
 			rt.stats.BatchesHandled.Add(1)
 			start := time.Now()
-			rt.thMu.RLock()
 			w.ingest(b.ind, b.records)
 			if len(w.handoff) == 0 {
-				w.flushLocked(b.ind.NodeID)
+				w.flush(b.ind.NodeID)
 			}
-			rt.thMu.RUnlock()
-			end := w.observeScore(start)
+			end := w.observeScore(obsScoreWindow, start, w.waited)
+			w.waited = 0
 			obs.RecordSpan(b.key, "mobiwatch.score", start, end)
 		case op := <-w.ctrl:
 			w.handleCtrl(op)
@@ -444,15 +560,14 @@ func (w *worker) loop() {
 	}
 }
 
-// observeScore records one scoring pass that began at start and returns
-// when it ended.
-func (w *worker) observeScore(start time.Time) (end time.Time) {
-	rt := w.rt
+// observeScore records one pass of a stage that began at start, less
+// the time it waited on another stage, and returns when it ended.
+func (w *worker) observeScore(stage *obs.Histogram, start time.Time, waited time.Duration) (end time.Time) {
 	end = time.Now()
-	elapsed := end.Sub(start).Nanoseconds()
-	obsScoreSeconds.ObserveSeconds(elapsed)
-	if rt.opts.ScoreLatency != nil {
-		rt.opts.ScoreLatency.ObserveSeconds(elapsed)
+	busy := end.Sub(start).Nanoseconds() - waited.Nanoseconds()
+	stage.ObserveSeconds(busy)
+	if h := w.rt.opts.ScoreLatency; h != nil {
+		h.ObserveSeconds(busy)
 	}
 	return end
 }
@@ -470,11 +585,10 @@ func persistKey(buf []byte, nodeID string, seq uint64) []byte {
 	return append(buf, digits[:]...)
 }
 
-// ingest runs streaming inference over a telemetry batch that intake has
-// already persisted. The caller is the scoring goroutine and holds the
-// runtime's threshold read-lock.
+// ingest runs the window stage over a telemetry batch that intake has
+// already persisted: each record is encoded and the windows it completes
+// wait for the next flush. The caller is the window stage.
 func (w *worker) ingest(ind ric.Indication, batch mobiflow.Trace) {
-	rt := w.rt
 	nodeID := ind.NodeID
 	w.batchAt, w.batchSN = ind.ReceivedAt, ind.SN
 	w.forgetIdle(ind.ReceivedAt)
@@ -500,34 +614,32 @@ func (w *worker) ingest(ind ric.Indication, batch mobiflow.Trace) {
 	}
 	for i := range batch {
 		rec := &batch[i]
-		rt.stats.RecordsSeen.Add(1)
-		obsRecords.Inc()
+		w.unseen++
 
 		// Encode straight into the row buffer and enqueue the window(s)
-		// the record completes; scoring happens when a batch fills
-		// (here) or the hand-off is empty behind the indication (loop).
+		// the record completes; they are handed to the lanes when a list
+		// fills (here) or the hand-off is empty behind the indication
+		// (loop).
 		w.recent = append(w.recent, *rec)
 		w.rows.Push(w.encoder, *rec)
 		w.enqueueLatest()
-		if w.queues[0].batch.len() >= batchChunk || w.queues[1].batch.len() >= batchChunk {
-			w.flushLocked(nodeID)
+		if len(w.pending[0].starts) >= batchChunk || len(w.pending[1].starts) >= batchChunk {
+			w.flush(nodeID)
 		}
 		w.trimHistory()
 	}
 }
 
 // enqueueLatest appends the window the newest record completes to each
-// model's pending batch, once enough history exists to fill it.
+// model's pending list, once enough history exists to fill it.
 func (w *worker) enqueueLatest() {
 	n := len(w.recent)
-	for i := range w.queues {
-		q := &w.queues[i]
-		start := n - q.batch.span()
+	for i := range w.pending {
+		start := n - w.spans[i]
 		if start < 0 {
 			continue
 		}
-		q.batch.push(w.rows, start)
-		q.meta = append(q.meta, winMeta{
+		w.pending[i].push(start, winMeta{
 			seqFirst: w.recent[start].Seq,
 			seqLast:  w.recent[n-1].Seq,
 			at:       w.batchAt,
@@ -536,35 +648,134 @@ func (w *worker) enqueueLatest() {
 	}
 }
 
-// flushLocked scores every pending window in one batched pass per model,
-// records the evidence by run, and raises alerts for threshold crossings.
-// The caller holds the runtime's threshold read-lock.
-func (w *worker) flushLocked(nodeID string) {
-	rt := w.rt
-	for i := range w.queues {
-		q := &w.queues[i]
-		if len(q.meta) == 0 {
-			continue
+// flush hands every pending window to the lanes as one job: a copy of the
+// history from the earliest window's context on, and each model's
+// windows counted from there. Records ingested since the last flush are
+// seen once both lanes have scored the job, or now, when there is no
+// window to score. The caller is the window stage.
+func (w *worker) flush(nodeID string) {
+	seen := w.unseen
+	w.unseen = 0
+	if len(w.pending[0].starts)+len(w.pending[1].starts) == 0 {
+		w.rt.countSeen(seen)
+		return
+	}
+	job := w.newJob()
+	job.node, job.seen = nodeID, seen
+	job.cut(w.recent, w.rows, &w.pending)
+	job.left.Store(int32(len(w.lanes)))
+	for i := range w.lanes {
+		w.send(&w.lanes[i], job)
+	}
+	// Pending windows no longer pin history; trim to context needs.
+	w.trimHistory()
+}
+
+// cut fills an empty job from a window stage's history — recent and its
+// rows — and takes the stage's pending windows, leaving it the job's
+// empty lists: the history is copied from the earliest window's context
+// on, and the windows' starts are counted from there.
+func (job *scoreJob) cut(recent mobiflow.Trace, rows *feature.RowBuffer, pending *[2]windowList) {
+	base := len(recent)
+	for i := range pending {
+		// Windows are pushed in arrival order, so the first is the oldest.
+		if p := &pending[i]; len(p.starts) > 0 {
+			base = min(base, p.starts[0])
 		}
-		b := q.batch
+	}
+	base = max(base-contextRecords, 0)
+	job.records = append(job.records, recent[base:]...)
+	job.rows.CopyFrom(rows, base)
+	for i := range pending {
+		job.windows[i], pending[i] = pending[i], job.windows[i]
+		job.windows[i].shift(base)
+	}
+}
+
+// newJob takes a finished job off the free list, or makes one while
+// fewer than jobsInFlight exist.
+func (w *worker) newJob() *scoreJob {
+	select {
+	case job := <-w.free:
+		return job
+	default:
+		return &scoreJob{rows: feature.NewRowBuffer(w.rows.Dim())}
+	}
+}
+
+// send hands job to lane l, or scores it inline when the lane has no
+// goroutine. Time blocked on a full lane is the lane's, not the window
+// stage's, so it is kept out of the stage's observation.
+func (w *worker) send(l *lane, job *scoreJob) {
+	if l.in == nil {
+		w.score(l, job)
+		return
+	}
+	l.depth.Add(1)
+	select {
+	case l.in <- job:
+	default:
+		t := time.Now()
+		l.in <- job
+		w.waited += time.Since(t)
+	}
+}
+
+// score is lane l's pass over one job: a batched pass over its model's
+// windows under the model's threshold read-lock, the evidence by run, and
+// an alert for each threshold crossing. The lane that finishes the job
+// last counts its records seen and frees it.
+func (w *worker) score(l *lane, job *scoreJob) {
+	rt := w.rt
+	start := time.Now()
+	if win := &job.windows[l.idx]; len(win.starts) > 0 {
+		b := l.batch
+		mu := &rt.thMu[l.idx]
+		mu.RLock()
+		for _, s := range win.starts {
+			b.push(job.rows, s)
+		}
 		threshold := rt.models.threshold(b.model)
-		evidence := windowEvidence{batch: b, node: nodeID, threshold: threshold}
+		evidence := windowEvidence{batch: b, node: job.node, threshold: threshold}
 		for k, s32 := range b.score() {
-			m := &q.meta[k]
+			m := &win.meta[k]
 			s := float64(s32)
 			rt.stats.WindowsScored.Add(1)
 			obsWindows.Inc()
 			if evidence.observe(k, m, s) {
-				q.anomalies.Inc()
-				w.raise(nodeID, b.starts[k], b.span(), s, threshold, b.model, m.at, m.sn)
+				l.anomalies.Inc()
+				rt.raise(job.records, job.node, win.starts[k], b.span(), s, threshold, b.model, m.at, m.sn)
 			}
 		}
 		evidence.close()
 		b.reset()
-		q.meta = q.meta[:0]
+		mu.RUnlock()
 	}
-	// Pending windows no longer pin history; trim to context needs.
-	w.trimHistory()
+	w.observeScore(l.seconds, start, 0)
+	if job.left.Add(-1) == 0 {
+		rt.countSeen(job.seen)
+		job.reset()
+		select {
+		case w.free <- job:
+		default:
+		}
+	}
+}
+
+// reset empties a scored job for reuse. Its records are zeroed, so that
+// no record's strings outlive the job's use.
+func (job *scoreJob) reset() {
+	clear(job.records)
+	job.records = job.records[:0]
+	for i := range job.windows {
+		job.windows[i].reset()
+	}
+}
+
+// countSeen counts n records as scored.
+func (rt *Runtime) countSeen(n int) {
+	rt.stats.RecordsSeen.Add(uint64(n))
+	obsRecords.Add(uint64(n))
 }
 
 // windowEvidence puts one scored batch of one model on the evidence
@@ -573,8 +784,8 @@ func (w *worker) flushLocked(nodeID string) {
 // recorded, by the rule prov.Ledger applies writer-side (Count
 // accumulates, Score keeps the worst, SeqFirst and Threshold stay the
 // run's first, SeqLast, At and Digest track its last window). The ledger
-// retains the same chain either way; the scoring goroutine digests one
-// window and sends one event per run instead of per window. prov.Record
+// retains the same chain either way; a lane digests one window and sends
+// one event per run instead of per window. prov.Record
 // is a struct channel send, so the path stays allocation-free.
 type windowEvidence struct {
 	batch     *pendingBatch
@@ -638,13 +849,12 @@ func (e *windowEvidence) close() {
 
 // trimHistory drops records no longer needed for context windows.
 // Records referenced by still-pending windows (and their context) are
-// kept until the batch flushes.
+// kept until the windows are flushed.
 func (w *worker) trimHistory() {
 	drop := len(w.recent) - (contextRecords + w.rt.models.Window + 1)
-	for i := range w.queues {
-		// Windows are pushed in arrival order, so the first is the oldest.
-		if b := w.queues[i].batch; b.len() > 0 {
-			drop = min(drop, b.starts[0]-contextRecords)
+	for i := range w.pending {
+		if p := &w.pending[i]; len(p.starts) > 0 {
+			drop = min(drop, p.starts[0]-contextRecords)
 		}
 	}
 	if drop <= 0 {
@@ -657,29 +867,29 @@ func (w *worker) trimHistory() {
 	clear(w.recent[kept:])
 	w.recent = w.recent[:kept]
 	w.rows.Trim(drop)
-	for i := range w.queues {
-		w.queues[i].batch.shift(drop)
+	for i := range w.pending {
+		w.pending[i].shift(drop)
 	}
 }
 
-// raise flags the window at w.recent[winStart : winStart+winLen]. at and
-// sn identify the E2 indication that completed the window. The alert
-// offered views the worker's history; the triage queue copies what it
-// keeps.
-func (w *worker) raise(nodeID string, winStart, winLen int, score, threshold float64, model ModelName, at time.Time, sn uint64) {
-	window := w.recent[winStart : winStart+winLen]
+// raise flags the window at recent[winStart : winStart+winLen], recent
+// being a job's records. at and sn identify the E2 indication that
+// completed the window. The alert offered views the job's records; the
+// triage queue copies what it keeps.
+func (rt *Runtime) raise(recent mobiflow.Trace, nodeID string, winStart, winLen int, score, threshold float64, model ModelName, at time.Time, sn uint64) {
+	window := recent[winStart : winStart+winLen]
 	start := max(winStart-contextRecords, 0)
 	// Temporal bound: drop context records older than contextSpan
 	// before the window starts.
 	windowStart := window[0].Timestamp
 	for start < winStart &&
-		windowStart.Sub(w.recent[start].Timestamp) > contextSpan {
+		windowStart.Sub(recent[start].Timestamp) > contextSpan {
 		start++
 	}
 	alert := Alert{
 		NodeID:       nodeID,
 		Window:       window,
-		Context:      w.recent[start : winStart+winLen],
+		Context:      recent[start : winStart+winLen],
 		Score:        score,
 		Threshold:    threshold,
 		Model:        model,
@@ -690,7 +900,7 @@ func (w *worker) raise(nodeID string, winStart, winLen int, score, threshold flo
 	if !at.IsZero() {
 		obsFlagSeconds.ObserveSeconds(alert.At.Sub(at).Nanoseconds())
 	}
-	label := w.rt.triage.offer(alert)
+	label := rt.triage.offer(alert)
 	if label == labelShedPriority {
 		obs.L().Warn("mobiwatch: triage queue full of stronger alerts, alert refused",
 			"node", nodeID, "model", string(model))
