@@ -36,8 +36,8 @@ import (
 	"os"
 	"time"
 
+	"github.com/6g-xsec/xsec/internal/bench"
 	"github.com/6g-xsec/xsec/internal/core"
-	"github.com/6g-xsec/xsec/internal/fed"
 	"github.com/6g-xsec/xsec/internal/mitigate"
 	"github.com/6g-xsec/xsec/internal/mobiwatch"
 	"github.com/6g-xsec/xsec/internal/obs"
@@ -60,7 +60,7 @@ func main() {
 		mitigateMod = flag.String("mitigate", "enforce", "testbed mode: mitigation engine mode (off | dry-run | enforce)")
 		sessions    = flag.Int("sessions", 60, "testbed mode: benign training sessions")
 		epochs      = flag.Int("epochs", 25, "testbed mode: training epochs")
-		seed        = flag.Int64("seed", 4, "testbed mode: seed")
+		seed        = flag.Int64("seed", 4, "testbed and federation modes: seed")
 		logLevel    = obs.LogLevelFlag()
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz, and /fleet/* on this address for the run")
 	)
@@ -137,13 +137,14 @@ func auditEndpoint(endpoint, chainID, ueFilter, label, since, until string) erro
 func auditFederation(instances int, seed int64) error {
 	fmt.Printf("=== xsec-audit: federation drill (%d instances) ===\n", instances)
 	fmt.Println("training models, migrating mid-flood, crashing an instance...")
-	res, err := fed.RunDrill(fed.DrillOptions{Instances: instances, Seed: seed})
+	res, err := bench.RunDrill(instances, seed)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d UE contexts handed over %s -> %s at record %d/%d; %d attack alerts on %s\n\n",
+	fmt.Printf("%d UE contexts handed over %s -> %s at record %d/%d; %d attack alerts on %s\n",
 		len(res.AttackUEs), res.Source, res.Dest, res.PreRecords,
 		res.PreRecords+res.PostRecords, res.AlertsOnDest, res.Dest)
+	fmt.Printf("records scored (zero loss): %d/%d\n\n", res.TotalRecords, res.PreRecords+res.PostRecords)
 
 	for _, a := range res.Audits {
 		status := "OK"
@@ -188,8 +189,12 @@ func auditFederation(instances int, seed int64) error {
 		fmt.Printf("#%d %s: %s -> %s (%s)\n", tr.Seq, tr.Instance, tr.From, tr.To, tr.Reason)
 	}
 	fmt.Printf("\n--- distributed traces ---\n")
-	fmt.Printf("%d stitched trace(s); migrated UE %d: %d segments across %d instances, %d spans, complete=%v\n",
-		res.StitchedTraces, res.MigratedUE, res.TraceSegments, res.TraceInstances, res.TraceSpans, res.TraceComplete)
+	fmt.Printf("%d stitched trace(s) in %s; migrated UE %d: %d segments across %d instances, %d spans, complete=%v\n",
+		res.StitchedTraces, seconds(res.StitchSeconds), res.MigratedUE, res.TraceSegments, res.TraceInstances, res.TraceSpans, res.TraceComplete)
+	if n := len(res.ScrapeSeconds); n > 0 { // ascending
+		fmt.Printf("federation scrape: p50 %s, max %s over %d rounds\n",
+			seconds(res.ScrapeSeconds[n/2]), seconds(res.ScrapeSeconds[n-1]), n)
+	}
 	fmt.Printf("\n--- SLOs ---\n")
 	for _, s := range res.SLOs {
 		status := "ok"
@@ -208,6 +213,11 @@ func auditFederation(instances int, seed int64) error {
 	fmt.Printf("audit OK: all %d migrated UE(s) have joined chains with scoring resumed at the join (%d with direct seq reachback); "+
 		"trace stitched, victim auto-evicted, no SLO firing\n", len(res.Audits), res.Reachbacks)
 	return nil
+}
+
+// seconds renders a drill timing to 10 µs.
+func seconds(s float64) time.Duration {
+	return time.Duration(s * float64(time.Second)).Round(10 * time.Microsecond)
 }
 
 // auditRun drives a full testbed run — train, deploy with the governed

@@ -10,11 +10,12 @@
 //	xsec-bench -quick -table 2      # reduced dataset / epochs
 //	xsec-bench -fed                 # federated throughput baseline → BENCH_fed.json
 //	xsec-bench -fed -smoke          # reduced federation workload (CI path check; fails on a record lost across join+kill)
-//	xsec-bench -fleet               # federation drill's fleet baseline → BENCH_fleet.json (exit code = the drill's verdict)
 //
 // How fast a layer of the shipped system runs is benchmark/'s question
-// (bash benchmark/run.sh), not this command's; the two federation
-// baselines stay here until benchmark/ has a federated workload.
+// (bash benchmark/run.sh), not this command's; the federation baseline
+// stays here until benchmark/ has a federated workload. The federation
+// drill (mid-attack migration, fleet plane, a crash) is
+// xsec-audit -federation N.
 //
 // -log-level (default $XSEC_LOG_LEVEL) writes structured logs to stderr
 // at that level and above, none when empty; -metrics-addr serves
@@ -40,9 +41,8 @@ func main() {
 		quick       = flag.Bool("quick", false, "use the reduced configuration")
 		seed        = flag.Int64("seed", 1, "experiment seed")
 		fedBench    = flag.Bool("fed", false, "measure federated multi-RIC throughput vs a single instance")
-		fleetBench  = flag.Bool("fleet", false, "measure the fleet observability plane: scrapes, trace stitching, failure detection")
 		smoke       = flag.Bool("smoke", false, "shrink the -fed workload so CI exercises the path quickly (fails on a lost record)")
-		outPath     = flag.String("out", "", "baseline output path (default BENCH_<name>.json)")
+		outPath     = flag.String("out", "BENCH_fed.json", "-fed baseline output path")
 		logLevel    = obs.LogLevelFlag()
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz, and /fleet/* on this address for the run")
 	)
@@ -58,31 +58,10 @@ func main() {
 		cfg = bench.Quick(*seed)
 	}
 
-	// One row per machine-readable baseline: the flag that selects it,
-	// the file it lands in, and the run that produces it.
-	baselines := []struct {
-		selected *bool
-		file     string
-		run      func() (baseline, error)
-	}{
-		{fedBench, "BENCH_fed.json", func() (baseline, error) {
-			return bench.RunFedBench(bench.FedOptions{Seed: *seed, Smoke: *smoke})
-		}},
-		{fleetBench, "BENCH_fleet.json", func() (baseline, error) {
-			return bench.RunFleetBench(bench.FleetOptions{Seed: *seed})
-		}},
-	}
-	for _, b := range baselines {
-		if !*b.selected {
-			continue
-		}
-		path := *outPath
-		if path == "" {
-			path = b.file
-		}
-		res, err := b.run()
+	if *fedBench {
+		res, err := bench.RunFedBench(bench.FedOptions{Seed: *seed, Smoke: *smoke})
 		if err == nil {
-			err = writeBaseline(res, path)
+			err = writeBaseline(res, *outPath)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "xsec-bench:", err)
@@ -99,16 +78,9 @@ func main() {
 	fmt.Println(out)
 }
 
-// baseline is what every machine-readable bench result offers: the JSON
-// that is committed and the table that is printed.
-type baseline interface {
-	JSON() ([]byte, error)
-	Format() string
-}
-
 // writeBaseline persists a machine-readable baseline next to the
 // human-readable table.
-func writeBaseline(res baseline, path string) error {
+func writeBaseline(res *bench.FedResult, path string) error {
 	data, err := res.JSON()
 	if err != nil {
 		return err

@@ -10,7 +10,6 @@
 //	xsec-testbed -attack bts-dos      # one attack
 //	xsec-testbed -mitigate enforce    # governed mitigation engine (off | dry-run | enforce)
 //	xsec-testbed -model llama3        # pick the analyst personality
-//	xsec-testbed -federation 2        # federation drill: N RIC instances, mid-attack UE migration, a crash
 package main
 
 import (
@@ -22,7 +21,6 @@ import (
 	"time"
 
 	"github.com/6g-xsec/xsec/internal/core"
-	"github.com/6g-xsec/xsec/internal/fed"
 	"github.com/6g-xsec/xsec/internal/llm"
 	"github.com/6g-xsec/xsec/internal/mitigate"
 	"github.com/6g-xsec/xsec/internal/mobiwatch"
@@ -40,56 +38,16 @@ func main() {
 		seed        = flag.Int64("seed", 4, "seed")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /traces and /debug/pprof on this address (e.g. :9090)")
 		logLevel    = obs.LogLevelFlag()
-		federation  = flag.Int("federation", 0, "run the federation drill: N RIC instances, the attack UEs migrated mid-flood, the last instance crashed")
 	)
 	flag.Parse()
 	if err := obs.SetupCLI(os.Stderr, *logLevel, ""); err != nil {
 		fmt.Fprintln(os.Stderr, "xsec-testbed:", err)
 		os.Exit(2)
 	}
-	var err error
-	if *federation > 0 {
-		err = runFederation(*federation, *seed)
-	} else {
-		err = run(*attack, *mitigateMod, *model, *sessions, *epochs, *seed, *metricsAddr)
-	}
-	if err != nil {
+	if err := run(*attack, *mitigateMod, *model, *sessions, *epochs, *seed, *metricsAddr); err != nil {
 		fmt.Fprintln(os.Stderr, "xsec-testbed:", err)
 		os.Exit(1)
 	}
-}
-
-// runFederation drives the federation drill: a BTS-DoS flood is handed
-// over between two federated instances mid-attack, and the destination
-// must keep detecting it using the migrated window state and end it in a
-// governed (dry-run), audited mitigation decision; the fleet plane must
-// then stitch the migrated UE's trace and evict a crashed instance.
-func runFederation(instances int, seed int64) error {
-	fmt.Printf("=== 6G-XSec federated testbed (%d RIC instances) ===\n", instances)
-	fmt.Println("training models and generating the attack dataset...")
-	res, err := fed.RunDrill(fed.DrillOptions{Instances: instances, Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("flood: %d UE contexts, %d records before the handover (%s), %d after (%s)\n",
-		len(res.AttackUEs), res.PreRecords, res.Source, res.PostRecords, res.Dest)
-	fmt.Printf("mid-attack migration: %d UE states checkpointed on %s, shipped over the bus, restored on %s\n",
-		len(res.AttackUEs), res.Source, res.Dest)
-	fmt.Printf("\n=== summary ===\n")
-	fmt.Printf("records scored (zero loss): %d/%d\n", res.TotalRecords, res.PreRecords+res.PostRecords)
-	fmt.Printf("attack alerts on %s:     %d (window spans the migration boundary: %v)\n",
-		res.Dest, res.AlertsOnDest, res.AlertSpansBoundary)
-	fmt.Printf("migration audits:           %d joined chains, all OK: %v (%d with direct seq reachback)\n",
-		len(res.Audits), res.AuditsOK, res.Reachbacks)
-	if en := res.Mitigation; en != nil {
-		fmt.Printf("closed loop on %s:       verdict %s -> %s %s (%s), chain %s audited across the handover: %v\n",
-			res.Dest, res.Verdict, en.Action, en.Target, en.Decision, en.Chain, res.DecisionAudited)
-	}
-	fmt.Printf("stitched migration trace:   UE %d, %d segments across %d instances, complete: %v\n",
-		res.MigratedUE, res.TraceSegments, res.TraceInstances, res.TraceComplete)
-	fmt.Printf("crash -> ring eviction:     %s in %.3fs (ring updated: %v); SLOs firing: %d\n",
-		res.Victim, res.KillToEvictSecs, res.EvictedFromRing, res.FiringSLOs)
-	return res.Err()
 }
 
 func run(attack, mitigateMode, model string, sessions, epochs int, seed int64, metricsAddr string) error {

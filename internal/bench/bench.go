@@ -5,9 +5,10 @@
 // and Figure 5 (prompt/response example) — plus the ablations DESIGN.md
 // commits to (window size, threshold percentile, bottleneck width).
 // How fast the shipped system runs is benchmark/'s question, not this
-// package's; fed.go and fleet.go (BENCH_fed.json, BENCH_fleet.json) are
-// the exception, kept because they are CI's only record-loss and eviction
-// drills until benchmark/ has a federated workload (ROADMAP 2(f)).
+// package's; fed.go (BENCH_fed.json) and drill.go (the federation drill
+// xsec-audit -federation runs) are the exception, kept because they are
+// CI's only record-loss and eviction checks until benchmark/ has a
+// federated workload.
 //
 // The cmd/xsec-bench binary and the repository-root benchmarks both call
 // into this package, so the printed artifacts and the testing.B numbers

@@ -1,4 +1,4 @@
-package fed
+package bench
 
 import (
 	"errors"
@@ -9,9 +9,9 @@ import (
 
 	"github.com/6g-xsec/xsec/internal/analyzer"
 	"github.com/6g-xsec/xsec/internal/dataset"
+	"github.com/6g-xsec/xsec/internal/fed"
 	"github.com/6g-xsec/xsec/internal/mitigate"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
-	"github.com/6g-xsec/xsec/internal/mobiwatch"
 	"github.com/6g-xsec/xsec/internal/obs/fleet"
 	"github.com/6g-xsec/xsec/internal/prov"
 	"github.com/6g-xsec/xsec/internal/sdl"
@@ -19,20 +19,11 @@ import (
 	"github.com/6g-xsec/xsec/internal/ue"
 )
 
-// DrillOptions configures the federation drill.
-type DrillOptions struct {
-	// Instances is the federation size (default 2): the attack source is
-	// "ric-0", the handover destination "ric-1", and the crashed
-	// instance "ric-<Instances-1>".
-	Instances int
-	// Seed drives dataset generation and training (default 1).
-	Seed int64
-	// Models and Mixed, when set, skip the drill's own dataset
-	// generation and training (tests and benches reuse a cached
-	// environment; the CLIs let the drill build its own).
-	Models *mobiwatch.Models
-	Mixed  *dataset.Labeled
-}
+// This file is the federation drill (`xsec-audit -federation N`): a
+// federation of N RIC instances in one process, a BTS-DoS flood handed
+// over between two of them mid-attack, the fleet plane's scrapes and
+// stitched trace, and an unannounced crash. It judges; it records
+// nothing.
 
 const (
 	// alertTimeout bounds the drill's wait for the post-migration
@@ -56,107 +47,82 @@ const (
 // decision on the destination (an acked enforce runs through the same
 // core.Node wiring in core.TestMitigationEnforceEndToEnd).
 type DrillResult struct {
-	Instances int `json:"instances"`
+	Instances int
 
 	// AttackUEs are the BTS-DoS flood's UE contexts; all of them are
 	// migrated mid-attack from Source to Dest.
-	AttackUEs []uint64 `json:"attack_ues"`
-	Source    string   `json:"source"`
-	Dest      string   `json:"dest"`
+	AttackUEs []uint64
+	Source    string
+	Dest      string
 	// PreRecords/PostRecords split the attack stream at the handover.
-	PreRecords  int `json:"pre_records"`
-	PostRecords int `json:"post_records"`
+	PreRecords  int
+	PostRecords int
 	// BoundarySeq is the highest record sequence fed before migration.
-	BoundarySeq uint64 `json:"boundary_seq"`
+	BoundarySeq uint64
 	// AlertsOnDest counts the attack alerts the destination's analyzer
 	// took after the handover (a case each; an episode's later windows
 	// fold into one); detection continuity requires at least one.
-	AlertsOnDest int `json:"alerts_on_dest"`
+	AlertsOnDest int
 	// AlertSpansBoundary is the direct continuity witness: some alert
 	// window on the destination contains pre-migration records, which is
 	// only possible if the restored state was used.
-	AlertSpansBoundary bool `json:"alert_spans_boundary"`
+	AlertSpansBoundary bool
 	// Verdict is the destination expert's answer ("verdict/class") on the
 	// flood case Mitigation was decided on; "" if no such case came.
-	Verdict string `json:"verdict"`
+	Verdict string
 	// Mitigation is the destination engine's journal entry for that case,
 	// read back from the destination's own SDL: a release-ue of a flood
 	// UE the governor let through ("dry-run").
-	Mitigation *mitigate.Entry `json:"mitigation,omitempty"`
+	Mitigation *mitigate.Entry
 	// DecisionAudited closes the loop across the handover: Mitigation's
 	// chain is a destination chain complete from emit to mitigation
 	// (prov.ChainRecord.MissingStages), and the released UE's migration
 	// audit joins the destination to the source's pre-migration chain.
-	DecisionAudited bool `json:"decision_audited"`
+	DecisionAudited bool
 	// Audits holds one provenance verdict per migrated UE.
-	Audits []prov.MigrationAudit `json:"audits"`
+	Audits []prov.MigrationAudit
 	// AuditsOK is true when every migrated UE's chains are joined with
 	// no scoring gap.
-	AuditsOK bool `json:"audits_ok"`
+	AuditsOK bool
 	// Reachbacks counts audits whose first post-migration window also
 	// directly contains the UE's restored records (sequence-level
 	// witness; best-effort for interleaved floods, see prov.MigrationAudit).
-	Reachbacks int `json:"reachbacks"`
+	Reachbacks int
 	// TotalRecords is the cluster-wide scored-record count after the
 	// handover; zero-loss means it equals PreRecords+PostRecords.
-	TotalRecords uint64 `json:"total_records"`
+	TotalRecords uint64
 
 	// Trace stitching: the first migrated UE must yield one stitched
 	// cross-instance trace with at least two segments.
-	MigratedUE     uint64 `json:"migrated_ue"`
-	StitchedTraces int    `json:"stitched_traces"`
+	MigratedUE     uint64
+	StitchedTraces int
 	// TraceSegments/TraceSpans describe the migrated UE's trace.
-	TraceSegments  int  `json:"trace_segments"`
-	TraceSpans     int  `json:"trace_spans"`
-	TraceComplete  bool `json:"trace_complete"`
-	TraceInstances int  `json:"trace_instances"`
+	TraceSegments  int
+	TraceSpans     int
+	TraceComplete  bool
+	TraceInstances int
 	// StitchSeconds is how long assembling all stitched traces took.
-	StitchSeconds float64 `json:"stitch_seconds"`
+	StitchSeconds float64
 	// ScrapeSeconds is the wall-clock of each federation scrape round
 	// (request out to every live instance's report merged), ascending.
-	ScrapeSeconds []float64 `json:"scrape_seconds"`
+	ScrapeSeconds []float64
 
 	// Failure detection: Crash(victim) to the collector's auto-eviction.
-	Victim             string  `json:"victim"`
-	KillToEvictSecs    float64 `json:"kill_to_evict_seconds"`
-	EvictedFromRing    bool    `json:"evicted_from_ring"`
-	JournalTransitions int     `json:"journal_transitions"`
+	Victim             string
+	KillToEvictSecs    float64
+	EvictedFromRing    bool
+	JournalTransitions int
 
 	// Fleet surface at the end of the drill.
-	MergedSeries int                    `json:"merged_series"`
-	Health       []fleet.InstanceHealth `json:"health"`
-	SLOs         []fleet.SLOStatus      `json:"slos"`
-	FiringSLOs   int                    `json:"firing_slos"`
+	MergedSeries int
+	Health       []fleet.InstanceHealth
+	SLOs         []fleet.SLOStatus
+	FiringSLOs   int
 
 	// Store keeps the cluster's store (ledger, fleet journal) readable
 	// after teardown, so callers (xsec-audit) can render the joined
 	// chains the Audits refer to.
-	Store *sdl.Store `json:"-"`
-}
-
-// buildDrillEnv trains models and generates the attack dataset with
-// the quick settings the repo's unit tests use.
-func buildDrillEnv(seed int64) (*mobiwatch.Models, *dataset.Labeled, error) {
-	benign, err := dataset.GenerateBenign(dataset.BenignConfig{
-		Sessions: 40, Fleet: 10, Seed: seed,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("fed: benign dataset: %w", err)
-	}
-	models, err := mobiwatch.Train(benign, mobiwatch.TrainOptions{
-		Window: 4, Percentile: 99, Epochs: 12, Seed: seed + 2,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("fed: training: %w", err)
-	}
-	mixed, err := dataset.GenerateMixed(dataset.MixedConfig{
-		BenignConfig:       dataset.BenignConfig{Fleet: 10, Seed: seed + 1},
-		InstancesPerAttack: 1,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("fed: attack dataset: %w", err)
-	}
-	return models, mixed, nil
+	Store *sdl.Store
 }
 
 // floodHandover is the BTS-DoS flood of a mixed dataset, split where the
@@ -183,7 +149,7 @@ func newFloodHandover(mixed *dataset.Labeled) (*floodHandover, error) {
 		break
 	}
 	if len(h.ues) == 0 {
-		return nil, fmt.Errorf("fed: dataset contains no BTS-DoS event")
+		return nil, fmt.Errorf("bench: dataset contains no BTS-DoS event")
 	}
 	for _, rec := range mixed.Trace {
 		if h.isAttack[rec.UEID] {
@@ -191,7 +157,7 @@ func newFloodHandover(mixed *dataset.Labeled) (*floodHandover, error) {
 		}
 	}
 	if len(h.flood) < 8 {
-		return nil, fmt.Errorf("fed: flood too short (%d records)", len(h.flood))
+		return nil, fmt.Errorf("bench: flood too short (%d records)", len(h.flood))
 	}
 	h.boundary = len(h.flood) / 2
 	return h, nil
@@ -202,7 +168,7 @@ func newFloodHandover(mixed *dataset.Labeled) (*floodHandover, error) {
 // to ric-1, state and all, and the second half arrives at ric-1's gNB.
 // Each half is scored before the next step, so no record is in an
 // agent's buffer while its UE's state moves.
-func (h *floodHandover) run(cl *Cluster) error {
+func (h *floodHandover) run(cl *fed.Cluster) error {
 	src, dest := cl.Instance("ric-0"), cl.Instance("ric-1")
 	src.GNB().InjectTelemetry(h.flood[:h.boundary])
 	if err := cl.WaitRecords(uint64(h.boundary), handoverWait); err != nil {
@@ -210,16 +176,17 @@ func (h *floodHandover) run(cl *Cluster) error {
 	}
 	for _, u := range h.ues {
 		if err := cl.MigrateUE(u, src.ID(), dest.ID()); err != nil {
-			return fmt.Errorf("fed: migrating UE %d: %w", u, err)
+			return fmt.Errorf("bench: migrating UE %d: %w", u, err)
 		}
 	}
 	dest.GNB().InjectTelemetry(h.flood[h.boundary:])
 	return cl.WaitRecords(uint64(len(h.flood)), handoverWait)
 }
 
-// RunDrill judges detection, mitigation and recovery of a federation in
-// one experiment. It starts a cluster with the fleet collector attached
-// and, in order:
+// RunDrill judges detection, mitigation and recovery of a federation of
+// instances RIC instances (at least 2) in one experiment, on the models
+// and attack dataset of BuildEnv(Quick(seed)). It starts a cluster with
+// the fleet collector attached and, in order:
 //  1. pushes the dry-run mitigation policy and waits for every
 //     instance's first heartbeat;
 //  2. replays a BTS-DoS flood, handing the attacking UEs over from ric-0
@@ -235,28 +202,22 @@ func (h *floodHandover) run(cl *Cluster) error {
 //     waits for the failure detector to evict it from the ring.
 //
 // DrillResult.Err is the verdict.
-func RunDrill(opts DrillOptions) (*DrillResult, error) {
-	if opts.Instances < 2 {
-		opts.Instances = 2
+func RunDrill(instances int, seed int64) (*DrillResult, error) {
+	if instances < 2 {
+		instances = 2
 	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
+	env, err := BuildEnv(Quick(seed))
+	if err != nil {
+		return nil, err
 	}
-	models, mixed := opts.Models, opts.Mixed
-	if models == nil || mixed == nil {
-		var err error
-		if models, mixed, err = buildDrillEnv(opts.Seed); err != nil {
-			return nil, err
-		}
-	}
-	h, err := newFloodHandover(mixed)
+	h, err := newFloodHandover(env.Mixed)
 	if err != nil {
 		return nil, err
 	}
 
-	cl, err := StartCluster(ClusterOptions{
-		Instances:     opts.Instances,
-		Models:        models,
+	cl, err := fed.StartCluster(fed.ClusterOptions{
+		Instances:     instances,
+		Models:        env.Models,
 		InstallLedger: true,
 		Fleet:         &fleet.CollectorOptions{},
 	})
@@ -268,7 +229,7 @@ func RunDrill(opts DrillOptions) (*DrillResult, error) {
 
 	src, dest := cl.Instance("ric-0"), cl.Instance("ric-1")
 	res := &DrillResult{
-		Instances:   opts.Instances,
+		Instances:   instances,
 		AttackUEs:   h.ues,
 		Source:      src.ID(),
 		Dest:        dest.ID(),
@@ -286,17 +247,17 @@ func RunDrill(opts DrillOptions) (*DrillResult, error) {
 	}
 	err = waitFor(handoverWait, func() bool {
 		for _, inst := range cl.Instances() {
-			if inst.node.Mitigator().Mode() != mitigate.ModeDryRun {
+			if inst.Node().Mitigator().Mode() != mitigate.ModeDryRun {
 				return false
 			}
 		}
 		return true
 	})
 	if err != nil {
-		return nil, fmt.Errorf("fed: dry-run policy never reached every engine: %w", err)
+		return nil, fmt.Errorf("bench: dry-run policy never reached every engine: %w", err)
 	}
-	if err := waitFor(5*time.Second, func() bool { return col.Alive() >= opts.Instances }); err != nil {
-		return nil, fmt.Errorf("fed: collector never saw all %d instances: %w", opts.Instances, err)
+	if err := waitFor(5*time.Second, func() bool { return col.Alive() >= instances }); err != nil {
+		return nil, fmt.Errorf("bench: collector never saw all %d instances: %w", instances, err)
 	}
 
 	// 2. The handover. Wait for the destination's cases to show both
@@ -313,7 +274,7 @@ func RunDrill(opts DrillOptions) (*DrillResult, error) {
 	_ = waitFor(alertTimeout, func() bool { // res says what, if anything, never came
 		for more := true; more; {
 			select {
-			case c := <-dest.node.Cases():
+			case c := <-dest.Node().Cases():
 				destCases = append(destCases, c)
 			default:
 				more = false
@@ -341,13 +302,13 @@ func RunDrill(opts DrillOptions) (*DrillResult, error) {
 		start := time.Now()
 		done := col.ScrapeOnce()
 		if done == nil {
-			return nil, fmt.Errorf("fed: scrape round %d refused", n)
+			return nil, fmt.Errorf("bench: scrape round %d refused", n)
 		}
 		select {
 		case <-done:
 			res.ScrapeSeconds = append(res.ScrapeSeconds, time.Since(start).Seconds())
 		case <-time.After(5 * time.Second):
-			return nil, fmt.Errorf("fed: scrape round %d never completed", n)
+			return nil, fmt.Errorf("bench: scrape round %d never completed", n)
 		}
 	}
 	sort.Float64s(res.ScrapeSeconds)
@@ -371,7 +332,7 @@ func RunDrill(opts DrillOptions) (*DrillResult, error) {
 
 	// 4. Crash the last instance without telling the coordinator; only
 	// the failure detector can notice.
-	res.Victim = fmt.Sprintf("ric-%d", opts.Instances-1)
+	res.Victim = fmt.Sprintf("ric-%d", instances-1)
 	res.KillToEvictSecs, res.EvictedFromRing, err = crashAndAwaitEviction(cl, res.Victim)
 	if err != nil {
 		return nil, err
@@ -388,12 +349,11 @@ func RunDrill(opts DrillOptions) (*DrillResult, error) {
 	return res, nil
 }
 
-// Err is the drill's verdict, the exit code of xsec-testbed -federation,
-// xsec-audit -federation and xsec-bench -fleet: nil when the destination
-// flagged the migrated flood, every migrated UE's chains are joined, the
-// loop closed on an audited chain, the migrated UE's trace stitched
-// across instances, the crashed instance left the ring, and no SLO is
-// firing. It joins every check that failed.
+// Err is the drill's verdict, the exit code of xsec-audit -federation:
+// nil when the destination flagged the migrated flood, every migrated
+// UE's chains are joined, the loop closed on an audited chain, the
+// migrated UE's trace stitched across instances, the crashed instance
+// left the ring, and no SLO is firing. It joins every check that failed.
 func (res *DrillResult) Err() error {
 	var errs []error
 	fail := func(failed bool, msg string, args ...any) {
@@ -416,7 +376,7 @@ func (res *DrillResult) Err() error {
 // handover) and the closed loop (see DrillResult.DecisionAudited).
 // ledger is the store the cluster's provenance ledger persists to;
 // res.Audits must be current.
-func (res *DrillResult) judge(cases []*analyzer.Case, h *floodHandover, dest *Instance, ledger *sdl.Store) {
+func (res *DrillResult) judge(cases []*analyzer.Case, h *floodHandover, dest *fed.Instance, ledger *sdl.Store) {
 	res.AlertsOnDest, res.AlertSpansBoundary = 0, false
 	journal := mitigate.Entries(dest.Store())
 	for _, c := range cases {
@@ -455,7 +415,7 @@ func (res *DrillResult) judge(cases []*analyzer.Case, h *floodHandover, dest *In
 // turns dead before the ring changes; the clock stops at the ring. It
 // reports the seconds waited and whether the ring was updated within
 // evictTimeout.
-func crashAndAwaitEviction(cl *Cluster, victim string) (secs float64, evicted bool, err error) {
+func crashAndAwaitEviction(cl *fed.Cluster, victim string) (secs float64, evicted bool, err error) {
 	epochBefore := cl.Coordinator.Ring().Epoch
 	killedAt := time.Now()
 	if err := cl.Crash(victim); err != nil {

@@ -33,9 +33,9 @@ type ClusterOptions struct {
 }
 
 // Cluster wires N federated instances to one coordinator and broker in
-// a single process. Tests, xsec-bench -fed, xsec-testbed -federation,
-// and xsec-audit -federation all drive federations through it, so the
-// protocol exercised everywhere is the same one.
+// a single process. Tests, xsec-bench -fed and xsec-audit -federation
+// all drive federations through it, so the protocol exercised everywhere
+// is the same one.
 type Cluster struct {
 	Store       *sdl.Store // coordinator/SMO-side store (ring, A1, ledger)
 	Broker      *Broker

@@ -18,14 +18,15 @@
 //   - Instance (instance.go): one federated RIC — a core.Node (the
 //     whole loop, gNB agent to mitigation engine; DESIGN.md §11,
 //     "Composition") plus the bus client and the migration protocol
-//     endpoints. Tests, drills and benches feed its gNB agent with
-//     Instance.GNB().InjectTelemetry, which gives them the UE
-//     identities they need, and wait on Cluster.WaitRecords before a
+//     endpoints. Tests, the federation drill and benches feed its gNB
+//     agent with Instance.GNB().InjectTelemetry, which gives them the
+//     UE identities they need, and wait on Cluster.WaitRecords before a
 //     step that must see everything injected.
 //   - Coordinator (coordinator.go): the SMO side — ring epochs on
 //     join/leave and policy fan-out.
 //   - Cluster (cluster.go): an in-process harness wiring N instances to
-//     one coordinator, used by tests, xsec-bench -fed, and the testbed.
+//     one coordinator, used by tests, xsec-bench -fed, and the
+//     federation drill (internal/bench, xsec-audit -federation N).
 //
 // Migration keeps the evidence trail intact: the source records a
 // "migration out" provenance event on the UE's last chain, the

@@ -9,7 +9,6 @@ import (
 
 	"github.com/6g-xsec/xsec/internal/dataset"
 	"github.com/6g-xsec/xsec/internal/gnb"
-	"github.com/6g-xsec/xsec/internal/llm"
 	"github.com/6g-xsec/xsec/internal/mitigate"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
 	"github.com/6g-xsec/xsec/internal/mobiwatch"
@@ -21,7 +20,8 @@ import (
 )
 
 // The trained models and attack dataset are the expensive fixtures;
-// build them once for the whole package.
+// build them once for the whole package, with the settings of
+// bench.Quick(1) (this package cannot import bench, which imports it).
 var (
 	envOnce   sync.Once
 	envModels *mobiwatch.Models
@@ -32,7 +32,21 @@ var (
 func testEnv(t *testing.T) (*mobiwatch.Models, *dataset.Labeled) {
 	t.Helper()
 	envOnce.Do(func() {
-		envModels, envMixed, envErr = buildDrillEnv(1)
+		var benign mobiflow.Trace
+		benign, envErr = dataset.GenerateBenign(dataset.BenignConfig{Sessions: 40, Fleet: 10, Seed: 1})
+		if envErr != nil {
+			return
+		}
+		envModels, envErr = mobiwatch.Train(benign, mobiwatch.TrainOptions{
+			Window: 4, Percentile: 99, Epochs: 12, Seed: 3,
+		})
+		if envErr != nil {
+			return
+		}
+		envMixed, envErr = dataset.GenerateMixed(dataset.MixedConfig{
+			BenignConfig:       dataset.BenignConfig{Fleet: 10, Seed: 2},
+			InstancesPerAttack: 1,
+		})
 	})
 	if envErr != nil {
 		t.Fatalf("building test env: %v", envErr)
@@ -40,75 +54,16 @@ func testEnv(t *testing.T) (*mobiwatch.Models, *dataset.Labeled) {
 	return envModels, envMixed
 }
 
-// testDrill runs the acceptance drill that the migration and fleet
-// acceptance tests below each judge. Three instances, so the crashed
-// ric-2 is not the destination. Each test runs its own drill, so a
-// repeated run (-count) repeats the drill too.
-func testDrill(t *testing.T) *DrillResult {
-	t.Helper()
-	models, mixed := testEnv(t)
-	res, err := RunDrill(DrillOptions{
-		Instances: 3, Seed: 1, Models: models, Mixed: mixed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// TestMigrationScenarioContinuity is the federation acceptance test: a
-// BTS-DoS flood is handed over from ric-0 to ric-1 mid-attack, and the
-// destination must still detect it — with alert windows reaching back
-// into pre-migration history — and close the loop on it: a verdict and a
-// governed mitigation decision journaled in the destination's own SDL,
-// both on a destination chain the released UE's migration audit joins to
-// the source, while the provenance ledger shows every migrated UE's
-// chains joined with no scoring gap.
-func TestMigrationScenarioContinuity(t *testing.T) {
-	res := testDrill(t)
-	t.Logf("drill: %d UEs, %d+%d records, %d dest alerts (spansBoundary=%v), %d audits",
-		len(res.AttackUEs), res.PreRecords, res.PostRecords,
-		res.AlertsOnDest, res.AlertSpansBoundary, len(res.Audits))
-
-	if res.AlertsOnDest == 0 {
-		t.Fatal("destination raised no alert for the migrated attack")
-	}
-	if !res.AlertSpansBoundary {
-		t.Error("no destination alert window reaches into pre-migration history")
-	}
-	if want := uint64(res.PreRecords + res.PostRecords); res.TotalRecords != want {
-		t.Errorf("records scored = %d, want %d (zero loss)", res.TotalRecords, want)
-	}
-	if len(res.Audits) == 0 {
-		t.Fatal("ledger holds no migration audits")
-	}
-	if len(res.Audits) != len(res.AttackUEs) {
-		t.Errorf("audits for %d UEs, migrated %d", len(res.Audits), len(res.AttackUEs))
-	}
-	for _, a := range res.Audits {
-		if !a.OK() {
-			t.Errorf("UE %d: migration audit failed: %s (joined=%v continuous=%v)",
-				a.UEID, a.Err, a.Joined, a.Continuous)
+// waitFor polls cond until true or timeout.
+func waitFor(timeout time.Duration, cond func() bool) error {
+	deadline := time.Now().Add(timeout)
+	for !cond() {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("condition not met within %v", timeout)
 		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	if !res.AuditsOK {
-		t.Error("drill reports AuditsOK=false")
-	}
-
-	en := res.Mitigation
-	if en == nil {
-		t.Fatal("destination journaled no governed decision for the migrated flood")
-	}
-	t.Logf("destination decision: verdict %s, %s %s (%s) on chain %s", res.Verdict, en.Action, en.Target, en.Decision, en.Chain)
-	if want := llm.VerdictAnomalous.String() + "/" + llm.ClassBTSDoS.String(); res.Verdict != want {
-		t.Errorf("verdict = %q, want the flood classified", res.Verdict)
-	}
-	if en.Action != "release-ue" || en.Decision != "dry-run" || en.Mode != "dry-run" || en.NodeID != "gnb-"+res.Dest {
-		t.Errorf("journal entry = %+v, want a dry-run release-ue on the destination's node", en)
-	}
-	if !res.DecisionAudited {
-		t.Errorf("decision on chain %s is not on a destination chain carrying verdict and mitigation events for a UE whose migration audit is OK", en.Chain)
-	}
+	return nil
 }
 
 // TestClusterJoinRebalance checks ring-driven migration: when a new

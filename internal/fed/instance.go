@@ -282,6 +282,9 @@ func (i *Instance) ID() string { return i.id }
 // period later, sooner once a full indication's worth is pending.
 func (i *Instance) GNB() *gnb.GNB { return i.node.GNB }
 
+// Node returns the instance's whole loop, gNB agent to mitigation engine.
+func (i *Instance) Node() *core.Node { return i.node }
+
 // Runtime returns the MobiWatch runtime (stats, thresholds, UE state).
 func (i *Instance) Runtime() *mobiwatch.Runtime { return i.node.Watch() }
 

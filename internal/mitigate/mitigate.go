@@ -22,7 +22,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
@@ -185,8 +184,9 @@ type Entry struct {
 	Target  string `json:"target"`
 	Class   string `json:"class"`
 	Verdict string `json:"verdict"`
-	// Digest summarizes the triggering window (seq range + FNV of the
-	// message names) so an auditor can match the journal to telemetry.
+	// Digest summarizes the triggering window (seq range, record count
+	// and prov.DigestRecords over it) so an auditor can match the journal
+	// to telemetry.
 	Digest string `json:"window_digest"`
 	// Chain is the provenance chain ID ("node/sn") of the E2 indication
 	// whose flagged window led to this action, joining the journal to
@@ -643,15 +643,11 @@ func classOf(c *analyzer.Case) string {
 }
 
 // windowDigest fingerprints the triggering window: sequence range, record
-// count, and an FNV-32 over the message names.
+// count, and the evidence chain's digest of its records (seq, message
+// and UE of each).
 func windowDigest(w mobiflow.Trace) string {
 	if len(w) == 0 {
 		return ""
 	}
-	h := fnv.New32a()
-	for _, r := range w {
-		h.Write([]byte(r.Msg))
-		h.Write([]byte{0})
-	}
-	return fmt.Sprintf("seq[%d..%d]n%d#%08x", w[0].Seq, w[len(w)-1].Seq, len(w), h.Sum32())
+	return fmt.Sprintf("seq[%d..%d]n%d#%s", w[0].Seq, w[len(w)-1].Seq, len(w), prov.DigestRecords(w))
 }

@@ -399,6 +399,10 @@ func TestWindowDigestStable(t *testing.T) {
 	if want := fmt.Sprintf("seq[3..4]n2"); !strings.HasPrefix(d1, want) {
 		t.Errorf("digest = %q", d1)
 	}
+	other := mobiflow.Trace{{Seq: 3, Msg: "A", UEID: 7}, {Seq: 4, Msg: "B"}}
+	if d3 := windowDigest(other); d3 == d1 {
+		t.Errorf("windows differing only in UEID digest alike: %q", d3)
+	}
 }
 
 // TestEntryChainJoinsProvenance: every journaled action carries the

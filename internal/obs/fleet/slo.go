@@ -68,7 +68,7 @@ func defaultObjectives() []Objective {
 	return []Objective{
 		{
 			Name:          "detect-latency",
-			Description:   "99% of telemetry batches score within 50ms across the fleet",
+			Description:   "99% of scoring-stage passes (window, ae, lstm) finish within 50ms across the fleet",
 			Target:        0.99,
 			LatencySeries: "xsec_fleet_detect_latency_seconds",
 			LatencyBound:  0.05,

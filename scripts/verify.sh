@@ -3,9 +3,10 @@
 # recipe — ROADMAP.md, README.md, and .claude/skills/verify/SKILL.md all
 # point here, so change it in one place only.
 #
-# Usage: scripts/verify.sh  (from the repo root; 2 min 40 s cold on a
-# 2-CPU host, test cache emptied — the -race test run is nearly all of
-# it; internal/core, mobiwatch and bench take 56, 57 and 41 s inside it)
+# Usage: scripts/verify.sh  (from the repo root; 2 min 43 s cold on a
+# shared 2-CPU Linux host, test cache emptied — the -race test run is
+# nearly all of it; internal/bench, core and mobiwatch take 67, 63 and
+# 56 s inside it)
 set -eu
 
 cd "$(dirname "$0")/.."
