@@ -50,7 +50,7 @@ func RunTable2(cfg Config) (*Table2Result, error) {
 	foldSeed := cfg.Seed + 100
 	aeFolds, err := detect.KFoldBenign(winsAE, cfg.Folds, foldSeed, cfg.Percentile, func(train [][]float64) detect.Scorer {
 		ae := nn.NewAutoencoder(nn.AEConfig{InputDim: dim * cfg.Window, Hidden: []int{64, 16}, Seed: foldSeed})
-		ae.Train(train, nn.TrainConfig{Epochs: cfg.Epochs / 2, BatchSize: 16, LR: 3e-3, Seed: foldSeed})
+		ae.Train(train, nn.TrainConfig{Epochs: cfg.Epochs / 2, LR: 3e-3, Seed: foldSeed})
 		return detect.ScorerFunc(func(x []float64) float64 { return ae.Score(x) })
 	})
 	if err != nil {
@@ -79,7 +79,7 @@ func RunTable2(cfg Config) (*Table2Result, error) {
 		for i, flat := range train {
 			wins[i], nx[i] = unflattenPair(flat, dim, cfg.Window)
 		}
-		l.TrainNextStep(wins, nx, nn.TrainConfig{Epochs: cfg.Epochs / 2, BatchSize: 16, LR: 3e-3, Seed: foldSeed})
+		l.TrainNextStep(wins, nx, nn.TrainConfig{Epochs: cfg.Epochs / 2, LR: 3e-3, Seed: foldSeed})
 		return detect.ScorerFunc(func(flat []float64) float64 {
 			w, nxt := unflattenPair(flat, dim, cfg.Window)
 			return l.Score(w, nxt)

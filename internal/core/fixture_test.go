@@ -79,3 +79,40 @@ func sharedBundle(t *testing.T, opts mobiwatch.TrainOptions, benign mobiflow.Tra
 	bundles.byKey[key] = b
 	return b
 }
+
+// raceEnabled is set by race_test.go in a -race build.
+var raceEnabled bool
+
+// TestBenchmarkBundleBytes pins the bundle the benchmark deploys: its
+// training recipe (benchmark/setup.go's train) fits these bytes, so a
+// change to a training default, the fit or the calibrating engine moves
+// the hash (DESIGN §7.2).
+func TestBenchmarkBundleBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a 6 s fit under -race; CI runs it at -cpu 1,2,4 without")
+	}
+	fw, err := New(Options{
+		Seed:         1,
+		ReportPeriod: 10 * time.Millisecond,
+		TrainOpts:    mobiwatch.TrainOptions{Epochs: 5, Seed: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fw.Close()
+	benign, err := fw.CollectBenign(120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Train(benign); err != nil {
+		t.Fatal(err)
+	}
+	b, err := fw.Models.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "d5cc89ef8db8cf0cf4a2c8b0014e2b80f1d1c135f3cb976ac81e205d2cee74f7"
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
+		t.Errorf("sha256(benchmark bundle) = %s, want %s", got, want)
+	}
+}

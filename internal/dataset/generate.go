@@ -24,10 +24,6 @@ type BenignConfig struct {
 	Fleet int
 	// Seed drives every random choice.
 	Seed int64
-	// ServiceProb is the probability that a registered UE resumes with
-	// a service request instead of a fresh registration (default 0.25;
-	// set negative to disable).
-	ServiceProb float64
 	// Capture optionally receives the instrumented F1AP/NGAP streams.
 	Capture *pcaplite.Writer
 	// Start is the virtual start time (default 2024-06-01T00:00Z).
@@ -44,12 +40,6 @@ func (c *BenignConfig) defaults() {
 	if c.Start.IsZero() {
 		c.Start = time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
 	}
-	if c.ServiceProb == 0 {
-		c.ServiceProb = 0.25
-	}
-	if c.ServiceProb < 0 {
-		c.ServiceProb = 0
-	}
 }
 
 // Scenario is a generated environment: the network, its fleet, and the
@@ -60,9 +50,12 @@ type Scenario struct {
 	Fleet []*ue.UE
 	Clock *VClock
 
-	rng         *rand.Rand
-	serviceProb float64
+	rng *rand.Rand
 }
+
+// serviceProb is the probability that a registered UE resumes with a
+// service request instead of a fresh registration.
+const serviceProb = 0.25
 
 // NewScenario builds a network with a provisioned fleet (no traffic yet).
 func NewScenario(cfg BenignConfig) (*Scenario, error) {
@@ -91,7 +84,7 @@ func NewScenario(cfg BenignConfig) (*Scenario, error) {
 		u.Pace = func() { clock.Advance(time.Duration(5+rng.Intn(45)) * time.Millisecond) }
 		fleet[i] = u
 	}
-	return &Scenario{GNB: g, AMF: amf, Fleet: fleet, Clock: clock, rng: rng, serviceProb: cfg.ServiceProb}, nil
+	return &Scenario{GNB: g, AMF: amf, Fleet: fleet, Clock: clock, rng: rng}, nil
 }
 
 // RunBenignSessions drives n sessions round-robin across the fleet,
@@ -104,7 +97,7 @@ func (s *Scenario) RunBenignSessions(n int) (int, error) {
 		// A registered device sometimes resumes with a service request
 		// instead of re-registering — real idle-mode behavior that
 		// diversifies the benign distribution.
-		service := u.Registered() && s.rng.Float64() < s.serviceProb
+		service := u.Registered() && s.rng.Float64() < serviceProb
 		var res ue.SessionResult
 		var err error
 		if service {

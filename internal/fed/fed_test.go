@@ -176,7 +176,7 @@ func TestDegradedStandalone(t *testing.T) {
 	models, mixed := testEnv(t)
 	inst, err := StartInstance(InstanceOptions{
 		ID: "ric-dark", Models: models,
-		Dial: func() (*wire.Conn, error) { return nil, fmt.Errorf("no route to broker") },
+		dial: func() (*wire.Conn, error) { return nil, fmt.Errorf("no route to broker") },
 	})
 	if err != nil {
 		t.Fatal(err)

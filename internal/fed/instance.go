@@ -117,11 +117,13 @@ type InstanceOptions struct {
 	// BusAddr is the broker address; empty runs the instance standalone
 	// (no federation, detection only).
 	BusAddr string
-	// Dial overrides the bus transport (tests inject failures).
-	Dial func() (*wire.Conn, error)
 	// ShardBuffer bounds each MobiWatch shard queue (see
 	// mobiwatch.RunOptions).
 	ShardBuffer int
+
+	// dial overrides the bus transport; only this package's tests set
+	// it, to inject failures.
+	dial func() (*wire.Conn, error)
 }
 
 const (
@@ -255,7 +257,7 @@ func StartInstance(opts InstanceOptions) (*Instance, error) {
 		return nil, fmt.Errorf("fed: instance %s: %w", opts.ID, err)
 	}
 
-	dial := opts.Dial
+	dial := opts.dial
 	if dial == nil && opts.BusAddr != "" {
 		addr := opts.BusAddr
 		dial = func() (*wire.Conn, error) { return wire.Dial(addr, time.Second) }

@@ -98,8 +98,8 @@ type ServingOptions struct {
 	// Store, when non-nil, receives the governor's state-transition
 	// journal in GovernorNamespace.
 	Store *sdl.Store
-	// Clock overrides time.Now for tests.
-	Clock func() time.Time
+	// clock overrides time.Now; only this package's tests set it.
+	clock func() time.Time
 }
 
 // ServingStats counts serving-layer activity for one Service instance
@@ -153,14 +153,14 @@ type Service struct {
 
 // NewService wraps client with the serving layer.
 func NewService(client *Client, opts ServingOptions) *Service {
-	if opts.Clock == nil {
-		opts.Clock = time.Now
+	if opts.clock == nil {
+		opts.clock = time.Now
 	}
 	s := &Service{
 		client: client,
 		opts:   opts,
-		cache:  newVerdictCache(cacheSize, cacheTTL, opts.Clock),
-		parsed: newVerdictCache(cacheSize, cacheTTL, opts.Clock),
+		cache:  newVerdictCache(cacheSize, cacheTTL, opts.clock),
+		parsed: newVerdictCache(cacheSize, cacheTTL, opts.clock),
 		flight: make(map[cacheKey]*flightCall),
 	}
 	if _, err := rand.Read(s.secret[:]); err != nil {
@@ -431,7 +431,7 @@ func (s *Service) shedNow() bool {
 	if !s.satOpen {
 		return false
 	}
-	now := s.opts.Clock()
+	now := s.opts.clock()
 	if now.Sub(s.lastProbe) >= breakerCooldown {
 		s.lastProbe = now
 		return false
@@ -447,7 +447,7 @@ func (s *Service) saturation(cause error) {
 	s.satStreak++
 	if !s.satOpen && s.satStreak >= breakerTrip {
 		s.satOpen = true
-		s.lastProbe = s.opts.Clock()
+		s.lastProbe = s.opts.clock()
 		s.journalLocked("saturated", cause.Error())
 		obs.L().Warn("llm: expert endpoint saturated; shedding to rule-based verdicts",
 			"model", s.client.Model, "cause", cause)
@@ -483,7 +483,7 @@ func (s *Service) journalLocked(state, reason string) {
 		return
 	}
 	tr := GovernorTransition{
-		Seq: s.journalSeq, At: s.opts.Clock(),
+		Seq: s.journalSeq, At: s.opts.clock(),
 		State: state, Reason: reason, Shed: s.stats.Shed.Load(),
 	}
 	data, err := json.Marshal(tr)

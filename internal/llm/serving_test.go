@@ -103,7 +103,7 @@ func TestServingCacheTTL(t *testing.T) {
 	l := mixed(t)
 	srv, base := startServer(t)
 	clk := newFakeClock()
-	svc := NewService(NewClient(base, "chatgpt-4o"), ServingOptions{Clock: clk.Now})
+	svc := NewService(NewClient(base, "chatgpt-4o"), ServingOptions{clock: clk.Now})
 	defer svc.Close()
 
 	window := attackWindow(l, ue.AttackNullCipher)
@@ -300,7 +300,7 @@ func TestServingGovernorTripAndRecover(t *testing.T) {
 
 	clk := newFakeClock()
 	store := sdl.New()
-	svc := NewService(NewClient(ts.URL, "chatgpt-4o"), ServingOptions{Store: store, Clock: clk.Now})
+	svc := NewService(NewClient(ts.URL, "chatgpt-4o"), ServingOptions{Store: store, clock: clk.Now})
 	defer svc.Close()
 
 	// A failed exchange is not cached, so one window asked again goes
@@ -534,7 +534,7 @@ func TestRecallIsTheHitAndNothingElse(t *testing.T) {
 	l := mixed(t)
 	srv, base := startServer(t)
 	clk := newFakeClock()
-	svc := NewService(NewClient(base, "chatgpt-4o"), ServingOptions{Clock: clk.Now})
+	svc := NewService(NewClient(base, "chatgpt-4o"), ServingOptions{clock: clk.Now})
 	defer svc.Close()
 	ctx := context.Background()
 	w := attackWindow(l, ue.AttackNullCipher)

@@ -136,10 +136,11 @@ type Config struct {
 	// TTL bounds reversible actions; expiry triggers the inverse
 	// control. Default 30 s.
 	TTL time.Duration
-	// Clock supplies time (default time.Now). Journal timestamps and
+
+	// clock supplies time (default time.Now). Journal timestamps and
 	// rate/cooldown accounting use it; TTL and backoff timers are
-	// real-time.
-	Clock func() time.Time
+	// real-time. Only this package's tests set it.
+	clock func() time.Time
 }
 
 // Governor and issue tuning.
@@ -163,8 +164,8 @@ func (c *Config) defaults() {
 	if c.TTL <= 0 {
 		c.TTL = 30 * time.Second
 	}
-	if c.Clock == nil {
-		c.Clock = time.Now
+	if c.clock == nil {
+		c.clock = time.Now
 	}
 }
 
@@ -261,7 +262,7 @@ func New(cfg Config) *Engine {
 		timers:     map[uint64]*time.Timer{},
 		actions:    map[uint64]*action{},
 		tokens:     issueBurst,
-		lastRefill: cfg.Clock(),
+		lastRefill: cfg.clock(),
 	}
 	e.unregister = obsActive.Add(func() float64 { return float64(e.ActiveCount()) })
 	return e
@@ -318,7 +319,7 @@ func (e *Engine) Submit(c *analyzer.Case) *Entry {
 	if nodeID == "" {
 		nodeID = e.cfg.NodeID
 	}
-	now := e.cfg.Clock()
+	now := e.cfg.clock()
 
 	e.mu.Lock()
 	if e.closed {
@@ -431,7 +432,7 @@ func (e *Engine) issue(act *action) {
 	if err != nil {
 		e.mu.Lock()
 		delete(e.inflight, act.entry.Target)
-		e.recordLocked(act, StateFailed, err.Error(), e.cfg.Clock())
+		e.recordLocked(act, StateFailed, err.Error(), e.cfg.clock())
 		delete(e.actions, act.entry.ID)
 		e.mu.Unlock()
 		obsActions.With(act.entry.Action, "failed").Inc()
@@ -439,7 +440,7 @@ func (e *Engine) issue(act *action) {
 			"target", act.entry.Target, "err", err)
 		return
 	}
-	now := e.cfg.Clock()
+	now := e.cfg.clock()
 	obsLatency.Observe(now.Sub(act.verdict).Seconds())
 	obsActions.With(act.entry.Action, "acked").Inc()
 
@@ -477,7 +478,7 @@ func (e *Engine) expire(id uint64) {
 		e.mu.Unlock()
 		return
 	}
-	e.recordLocked(act, StateExpired, "ttl reached, rolling back", e.cfg.Clock())
+	e.recordLocked(act, StateExpired, "ttl reached, rolling back", e.cfg.clock())
 	e.wg.Add(1)
 	e.mu.Unlock()
 
@@ -492,7 +493,7 @@ func (e *Engine) expire(id uint64) {
 		})
 		err := e.sendWithRetries(act, payload)
 
-		now := e.cfg.Clock()
+		now := e.cfg.clock()
 		e.mu.Lock()
 		e.active--
 		e.cooldown[act.entry.Target] = now.Add(targetCooldown)
@@ -536,7 +537,7 @@ func (e *Engine) sendWithRetries(act *action, payload []byte) error {
 // record appends a lifecycle transition and persists the entry.
 func (e *Engine) record(act *action, s State, note string) {
 	e.mu.Lock()
-	e.recordLocked(act, s, note, e.cfg.Clock())
+	e.recordLocked(act, s, note, e.cfg.clock())
 	e.mu.Unlock()
 }
 

@@ -225,7 +225,7 @@ func TestGovernorSuppressions(t *testing.T) {
 		clock, _ := stoppedClock()
 		e := New(Config{
 			Issuer: &fakeIssuer{}, Store: store, Mode: ModeEnforce,
-			TTL: 10 * time.Millisecond, Clock: clock,
+			TTL: 10 * time.Millisecond, clock: clock,
 		})
 		defer e.Close()
 		en := e.Submit(blockCase(9))
@@ -241,7 +241,7 @@ func TestGovernorSuppressions(t *testing.T) {
 		clock, _ := stoppedClock()
 		e := New(Config{
 			Issuer: &fakeIssuer{}, Store: sdl.New(), Mode: ModeEnforce,
-			TTL: time.Hour, Clock: clock,
+			TTL: time.Hour, clock: clock,
 		})
 		defer e.Close()
 		// The clock stands still: the bucket holds one burst and refills nothing.
@@ -474,7 +474,7 @@ func TestTerminalActionsAndLapsedCooldownsAreForgotten(t *testing.T) {
 	clock, advance := stoppedClock()
 	iss := &fakeIssuer{}
 	store := sdl.New()
-	e := New(Config{NodeID: "gnb-test", Issuer: iss, Store: store, Mode: ModeEnforce, Clock: clock})
+	e := New(Config{NodeID: "gnb-test", Issuer: iss, Store: store, Mode: ModeEnforce, clock: clock})
 	defer e.Close()
 	held := func() (actions, cooldowns int) {
 		e.mu.Lock()

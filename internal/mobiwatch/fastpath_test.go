@@ -177,8 +177,12 @@ func TestOnlineFlagsMatchOfflineBatched(t *testing.T) {
 		}
 		rt.triage = newAlertQueue(&rt.stats, obsQueueDepth.With("gnb-replay"), time.Now)
 		w := newWorker(rt)
-		// One chain per indication; sized so nothing is evicted or dropped.
-		ledger := prov.New(prov.Options{MaxChains: len(tr) + 1, Buffer: 8 * len(tr)})
+		// One chain per indication: the default retention keeps them all,
+		// and the buffer is sized so nothing is dropped.
+		if len(tr) >= prov.DefaultMaxChains {
+			t.Fatalf("%d indications would evict chains past prov.DefaultMaxChains", len(tr))
+		}
+		ledger := prov.New(prov.Options{Buffer: 8 * len(tr)})
 		old := prov.SetActive(ledger)
 		if run.staged {
 			in := make(chan ric.Indication)

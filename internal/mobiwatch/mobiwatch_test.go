@@ -1,6 +1,8 @@
 package mobiwatch
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -243,5 +245,20 @@ func TestTrainDeterministic(t *testing.T) {
 	if m1.AEThreshold != m2.AEThreshold || m1.LSTMThreshold != m2.LSTMThreshold {
 		t.Errorf("thresholds differ across identical trainings: %g/%g vs %g/%g",
 			m1.AEThreshold, m1.LSTMThreshold, m2.AEThreshold, m2.LSTMThreshold)
+	}
+}
+
+// TestFixtureBundleBytes pins the shared fixture's bundle byte for byte:
+// a change to a training default, the fit or the engine that calibrates
+// the thresholds moves this hash (DESIGN §7.2).
+func TestFixtureBundleBytes(t *testing.T) {
+	_, _, models := fixtures(t)
+	b, err := models.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "19969409801d7f768b7144ee14bbc9cd419bf15389a38f0bed6674902ef24e8c"
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
+		t.Errorf("sha256(fixture bundle) = %s, want %s", got, want)
 	}
 }

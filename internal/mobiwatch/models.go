@@ -29,15 +29,18 @@ type TrainOptions struct {
 	Percentile float64
 	// Hidden are the autoencoder encoder widths (default {64, 16}).
 	Hidden []int
-	// Epochs (default 40) and LR (default 3e-3) drive both models.
+	// Epochs drives both models (default 40).
 	Epochs int
-	LR     float64
 	// Seed makes training deterministic.
 	Seed int64
 }
 
 // lstmHidden is the LSTM hidden width.
 const lstmHidden = 32
+
+// trainLR is the Adam learning rate both models are fitted at: the SMO
+// trains MobiWatch with one recipe.
+const trainLR = 3e-3
 
 func (o *TrainOptions) defaults() {
 	if o.Window == 0 {
@@ -51,9 +54,6 @@ func (o *TrainOptions) defaults() {
 	}
 	if o.Epochs == 0 {
 		o.Epochs = 40
-	}
-	if o.LR == 0 {
-		o.LR = 3e-3
 	}
 }
 
@@ -165,7 +165,7 @@ func train(benign mobiflow.Trace, opts TrainOptions, run func(fitAE, fitLSTM fun
 	vecs := feature.Vectorize(benign, vocab)
 	dim := len(vecs[0])
 	cfg := func(seed int64) nn.TrainConfig {
-		return nn.TrainConfig{Epochs: opts.Epochs, BatchSize: 16, LR: opts.LR, Seed: seed}
+		return nn.TrainConfig{Epochs: opts.Epochs, LR: trainLR, Seed: seed}
 	}
 
 	// Autoencoder on flattened windows; LSTM next-entry prediction.

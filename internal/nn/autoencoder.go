@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 )
 
 // Autoencoder compresses an input vector through a bottleneck and
@@ -94,29 +95,34 @@ func (a *Autoencoder) Score(x []float64) float64 {
 
 // TrainConfig configures model fitting.
 type TrainConfig struct {
-	Epochs    int
-	BatchSize int     // gradient accumulation size; 1 = pure SGD
-	LR        float64 // learning rate (Adam)
-	Seed      int64   // shuffling seed
-	// Workers bounds the data-parallel fan-out per mini-batch
+	Epochs int
+	LR     float64 // learning rate (Adam)
+	Seed   int64   // shuffling seed
+
+	// batchSize is the gradient accumulation size (default 16, what
+	// every fit that ships uses; 1 = pure SGD). Only this package's
+	// tests set it.
+	batchSize int
+	// workers bounds the data-parallel fan-out per mini-batch
 	// (0 = GOMAXPROCS). The loss curve for a fixed Seed is identical
 	// for every worker count: gradients accumulate into a fixed number
 	// of shards reduced in a fixed order, so scheduling never changes
-	// the arithmetic.
-	Workers int
-	// Verbose receives per-epoch mean loss when non-nil.
-	Verbose func(epoch int, loss float64)
+	// the arithmetic. Only this package's tests set it.
+	workers int
 }
 
 func (c *TrainConfig) defaults() {
 	if c.Epochs == 0 {
 		c.Epochs = 30
 	}
-	if c.BatchSize == 0 {
-		c.BatchSize = 16
+	if c.batchSize == 0 {
+		c.batchSize = 16
 	}
 	if c.LR == 0 {
 		c.LR = 1e-3
+	}
+	if c.workers <= 0 {
+		c.workers = runtime.GOMAXPROCS(0)
 	}
 }
 
@@ -130,7 +136,7 @@ type aeShard struct {
 
 // Train fits the autoencoder to the benign windows in data and returns the
 // per-epoch mean training loss. Mini-batches are fanned out over
-// TrainConfig.Workers goroutines; results are deterministic for a fixed
+// TrainConfig.workers goroutines; results are deterministic for a fixed
 // Seed regardless of worker count.
 func (a *Autoencoder) Train(data [][]float64, cfg TrainConfig) ([]float64, error) {
 	cfg.defaults()
@@ -151,10 +157,9 @@ func (a *Autoencoder) Train(data [][]float64, cfg TrainConfig) ([]float64, error
 	losses := make([]float64, 0, cfg.Epochs)
 
 	params := a.Params()
-	workers := cfg.workers()
 	nShards := maxGradShards
-	if cfg.BatchSize < nShards {
-		nShards = cfg.BatchSize
+	if cfg.batchSize < nShards {
+		nShards = cfg.batchSize
 	}
 	shards := make([]aeShard, nShards)
 	views := make([]shardGrads, nShards)
@@ -171,8 +176,8 @@ func (a *Autoencoder) Train(data [][]float64, cfg TrainConfig) ([]float64, error
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var epochLoss float64
 		ZeroGrads(a)
-		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
+		for start := 0; start < len(order); start += cfg.batchSize {
+			end := start + cfg.batchSize
 			if end > len(order) {
 				end = len(order)
 			}
@@ -181,7 +186,7 @@ func (a *Autoencoder) Train(data [][]float64, cfg TrainConfig) ([]float64, error
 			if len(batch) < ns {
 				ns = len(batch)
 			}
-			runShards(ns, workers, func(s int) {
+			runShards(ns, cfg.workers, func(s int) {
 				sh := &shards[s]
 				sh.loss = 0
 				for pos := s; pos < len(batch); pos += ns {
@@ -199,11 +204,7 @@ func (a *Autoencoder) Train(data [][]float64, cfg TrainConfig) ([]float64, error
 			opt.Step(params)
 			ZeroGrads(a)
 		}
-		mean := epochLoss / float64(len(data))
-		losses = append(losses, mean)
-		if cfg.Verbose != nil {
-			cfg.Verbose(epoch, mean)
-		}
+		losses = append(losses, epochLoss/float64(len(data)))
 	}
 	return losses, nil
 }

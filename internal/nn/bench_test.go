@@ -120,7 +120,7 @@ func BenchmarkAETrain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ae := NewAutoencoder(AEConfig{InputDim: 160, Hidden: []int{64, 16}, Seed: 1})
-		if _, err := ae.Train(data, TrainConfig{Epochs: 1, Seed: 2, Workers: 1}); err != nil {
+		if _, err := ae.Train(data, TrainConfig{Epochs: 1, Seed: 2, workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -151,7 +151,7 @@ func BenchmarkLSTMTrain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l := NewLSTM(1, 64, 32, 64)
-		if _, err := l.TrainNextStep(windows, nexts, TrainConfig{Epochs: 1, Seed: 2, Workers: 1}); err != nil {
+		if _, err := l.TrainNextStep(windows, nexts, TrainConfig{Epochs: 1, Seed: 2, workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

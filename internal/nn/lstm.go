@@ -288,7 +288,7 @@ type lstmShard struct {
 
 // TrainNextStep fits the LSTM on (window, next) pairs and returns
 // per-epoch mean loss. Mini-batches are fanned out over
-// TrainConfig.Workers goroutines; results are deterministic for a fixed
+// TrainConfig.workers goroutines; results are deterministic for a fixed
 // Seed regardless of worker count.
 func (l *LSTM) TrainNextStep(windows [][][]float64, nexts [][]float64, cfg TrainConfig) ([]float64, error) {
 	cfg.defaults()
@@ -318,10 +318,9 @@ func (l *LSTM) TrainNextStep(windows [][][]float64, nexts [][]float64, cfg Train
 	}
 	losses := make([]float64, 0, cfg.Epochs)
 
-	workers := cfg.workers()
 	nShards := maxGradShards
-	if cfg.BatchSize < nShards {
-		nShards = cfg.BatchSize
+	if cfg.batchSize < nShards {
+		nShards = cfg.batchSize
 	}
 	shards := make([]lstmShard, nShards)
 	views := make([]shardGrads, nShards)
@@ -338,8 +337,8 @@ func (l *LSTM) TrainNextStep(windows [][][]float64, nexts [][]float64, cfg Train
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var epochLoss float64
 		ZeroGrads(l)
-		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
+		for start := 0; start < len(order); start += cfg.batchSize {
+			end := start + cfg.batchSize
 			if end > len(order) {
 				end = len(order)
 			}
@@ -348,7 +347,7 @@ func (l *LSTM) TrainNextStep(windows [][][]float64, nexts [][]float64, cfg Train
 			if len(batch) < ns {
 				ns = len(batch)
 			}
-			runShards(ns, workers, func(s int) {
+			runShards(ns, cfg.workers, func(s int) {
 				sh := &shards[s]
 				sh.loss = 0
 				for pos := s; pos < len(batch); pos += ns {
@@ -367,11 +366,7 @@ func (l *LSTM) TrainNextStep(windows [][][]float64, nexts [][]float64, cfg Train
 			opt.Step(l.params)
 			ZeroGrads(l)
 		}
-		mean := epochLoss / float64(len(windows))
-		losses = append(losses, mean)
-		if cfg.Verbose != nil {
-			cfg.Verbose(epoch, mean)
-		}
+		losses = append(losses, epochLoss/float64(len(windows)))
 	}
 	return losses, nil
 }

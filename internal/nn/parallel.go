@@ -19,7 +19,7 @@ import (
 // TrainConfig.Seed on any machine and any worker count.
 
 // maxGradShards is the mini-batch fan-out width. 8 covers the default
-// BatchSize of 16 with two samples per shard while keeping per-shard
+// batch of 16 with two samples per shard while keeping per-shard
 // gradient memory (maxGradShards × model size) modest.
 const maxGradShards = 8
 
@@ -53,14 +53,6 @@ func reduceGrads(params []*Param, shards []shardGrads) {
 			addClear(p.G, sg[pi])
 		}
 	}
-}
-
-// workers resolves the configured worker count: 0 means GOMAXPROCS.
-func (c *TrainConfig) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // runShards executes fn(shard) for every shard in [0, n) on up to

@@ -80,9 +80,9 @@ func refFit(params []*Param, n int, cfg TrainConfig, clip float64, sample func(i
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var epochLoss float64
-		for start := 0; start < n; start += cfg.BatchSize {
-			batch := order[start:min(start+cfg.BatchSize, n)]
-			ns := min(8, cfg.BatchSize, len(batch))
+		for start := 0; start < n; start += cfg.batchSize {
+			batch := order[start:min(start+cfg.batchSize, n)]
+			ns := min(8, cfg.batchSize, len(batch))
 			shards := make([][][]float64, ns)
 			for s := range shards {
 				shards[s] = zerosLike(params)
@@ -308,7 +308,7 @@ func TestTrainMatchesDenseReference(t *testing.T) {
 			})
 
 			for _, workers := range []int{1, 2, 8} {
-				cfg.Workers = workers
+				cfg.workers = workers
 				ae := NewAutoencoder(aeCfg)
 				got, err := ae.Train(rows, cfg)
 				if err != nil {

@@ -149,7 +149,7 @@ func TestTrainWorkerCountInvariant(t *testing.T) {
 
 	aeCurve := func(workers int) []float64 {
 		ae := NewAutoencoder(AEConfig{InputDim: 16, Hidden: []int{8, 3}, Seed: 4})
-		losses, err := ae.Train(data, TrainConfig{Epochs: 4, Seed: 5, Workers: workers})
+		losses, err := ae.Train(data, TrainConfig{Epochs: 4, Seed: 5, workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestTrainWorkerCountInvariant(t *testing.T) {
 	}
 	lstmCurve := func(workers int) []float64 {
 		l := NewLSTM(6, recDim, 5, recDim)
-		losses, err := l.TrainNextStep(windows, nexts, TrainConfig{Epochs: 3, Seed: 8, Workers: workers})
+		losses, err := l.TrainNextStep(windows, nexts, TrainConfig{Epochs: 3, Seed: 8, workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,7 +37,7 @@ func TestAutoencoderLearnsBenignManifold(t *testing.T) {
 	test := syntheticWindows(rng, 50, dim)
 
 	ae := NewAutoencoder(AEConfig{InputDim: dim, Hidden: []int{16, 6}, Seed: 1})
-	losses, err := ae.Train(train, TrainConfig{Epochs: 60, BatchSize: 16, LR: 5e-3, Seed: 2})
+	losses, err := ae.Train(train, TrainConfig{Epochs: 60, LR: 5e-3, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestLSTMLearnsSequencePattern(t *testing.T) {
 		nexts = append(nexts, onehot(start+3))
 	}
 	l := NewLSTM(11, dim, 8, dim)
-	losses, err := l.TrainNextStep(windows, nexts, TrainConfig{Epochs: 120, BatchSize: 8, LR: 1e-2, Seed: 3})
+	losses, err := l.TrainNextStep(windows, nexts, TrainConfig{Epochs: 120, batchSize: 8, LR: 1e-2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,9 @@ type CollectorOptions struct {
 	// (migration audits live in the same store). Optional.
 	Store *sdl.Store
 
-	// Clock injects time (tests). Defaults to time.Now.
-	Clock func() time.Time
+	// clock injects time (default time.Now); only this package's tests
+	// set it.
+	clock func() time.Time
 }
 
 // The fleet plane's one timebase, compressed so the testbed notices a
@@ -86,8 +87,8 @@ type scrapeRound struct {
 // NewCollector builds a collector; call Start to run its loops, or
 // drive OnHeartbeat/Sweep/ScrapeOnce directly in tests.
 func NewCollector(opts CollectorOptions) *Collector {
-	if opts.Clock == nil {
-		opts.Clock = time.Now
+	if opts.clock == nil {
+		opts.clock = time.Now
 	}
 	return &Collector{
 		opts:        opts,
@@ -112,7 +113,7 @@ func (c *Collector) Start() {
 			case <-c.stop:
 				return
 			case <-t.C:
-				c.Sweep(c.opts.Clock())
+				c.Sweep(c.opts.clock())
 			}
 		}
 	}()
@@ -140,7 +141,7 @@ func (c *Collector) Stop() {
 // OnHeartbeat ingests one instance heartbeat: refreshes the failure
 // detector and rejoins suspect/dead instances.
 func (c *Collector) OnHeartbeat(hb Heartbeat) {
-	now := c.opts.Clock()
+	now := c.opts.clock()
 	obsHeartbeats.Inc()
 
 	c.mu.Lock()
@@ -184,7 +185,7 @@ func (c *Collector) OnHeartbeat(hb Heartbeat) {
 // instance's series, recomputes rollups, feeds the SLO engine, and
 // completes any pending scrape round the report answers.
 func (c *Collector) OnReport(rep Report) {
-	now := c.opts.Clock()
+	now := c.opts.clock()
 	obsReports.With(rep.Instance).Inc()
 
 	c.mu.Lock()
@@ -359,7 +360,7 @@ func (c *Collector) ScrapeOnce() <-chan struct{} {
 	if c.opts.Publish == nil {
 		return nil
 	}
-	now := c.opts.Clock()
+	now := c.opts.clock()
 
 	c.mu.Lock()
 	c.scrapeSeq++
@@ -446,7 +447,7 @@ func (c *Collector) MergedSeries() []obs.SeriesSnapshot {
 
 // SLO evaluates every objective now and returns their statuses.
 func (c *Collector) SLO() []SLOStatus {
-	now := c.opts.Clock()
+	now := c.opts.clock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]SLOStatus, 0, len(c.slos))

@@ -42,7 +42,7 @@ func TestFailureDetectorLifecycle(t *testing.T) {
 	var evicted []string
 	col := NewCollector(CollectorOptions{
 		Store: store,
-		Clock: clock.Now,
+		clock: clock.Now,
 		Evict: func(instance string) error { evicted = append(evicted, instance); return nil },
 	})
 
@@ -129,7 +129,7 @@ func TestFailureDetectorLifecycle(t *testing.T) {
 
 func TestHeartbeatReplayIgnored(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(20_000, 0)}
-	col := NewCollector(CollectorOptions{Clock: clock.Now})
+	col := NewCollector(CollectorOptions{clock: clock.Now})
 
 	col.OnHeartbeat(Heartbeat{Instance: "ric-0", Seq: 5, Epoch: 3})
 	first := col.Health()[0].LastHeartbeat
@@ -158,7 +158,7 @@ func TestScrapeRoundCompletion(t *testing.T) {
 		payload []byte
 	}
 	col := NewCollector(CollectorOptions{
-		Clock: clock.Now,
+		clock: clock.Now,
 		Publish: func(topic string, payload []byte) error {
 			published = append(published, struct {
 				topic   string
@@ -208,7 +208,7 @@ func TestScrapeSkipsDeadInstances(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(40_000, 0)}
 	var rounds int
 	col := NewCollector(CollectorOptions{
-		Clock:   clock.Now,
+		clock:   clock.Now,
 		Publish: func(string, []byte) error { rounds++; return nil },
 	})
 	col.OnHeartbeat(Heartbeat{Instance: "ric-0", Seq: 1})

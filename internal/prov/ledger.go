@@ -29,11 +29,12 @@ type Options struct {
 	// Buffer is the recording channel depth; events beyond it are
 	// dropped (and counted) rather than blocking the pipeline.
 	Buffer int
-	// MaxChains bounds retention: beyond it the oldest chain is evicted
-	// and its SDL keys deleted.
-	MaxChains int
-	// Clock is injectable for tests.
-	Clock func() time.Time
+
+	// maxChains bounds retention (default DefaultMaxChains): beyond it
+	// the oldest chain is evicted and its SDL keys deleted. Only this
+	// package's tests set it, and clock.
+	maxChains int
+	clock     func() time.Time
 }
 
 // Defaults for Options fields left zero.
@@ -112,19 +113,19 @@ func newLedger(o Options) *Ledger {
 	if o.Buffer <= 0 {
 		o.Buffer = DefaultBuffer
 	}
-	if o.MaxChains <= 0 {
-		o.MaxChains = DefaultMaxChains
+	if o.maxChains <= 0 {
+		o.maxChains = DefaultMaxChains
 	}
-	if o.Clock == nil {
-		o.Clock = time.Now
+	if o.clock == nil {
+		o.clock = time.Now
 	}
 	if o.Store == nil {
 		o.Store = sdl.New()
 	}
 	return &Ledger{
 		store:     o.Store,
-		clock:     o.Clock,
-		maxChains: o.MaxChains,
+		clock:     o.clock,
+		maxChains: o.maxChains,
 		ch:        make(chan Event, o.Buffer),
 		flushReq:  make(chan chan struct{}),
 		stop:      make(chan struct{}),
@@ -230,7 +231,7 @@ func (l *Ledger) handle(ev Event) {
 }
 
 // admitLocked enters a new chain into the FIFO ring, evicting the oldest
-// chain once MaxChains are retained.
+// chain once maxChains are retained.
 func (l *Ledger) admitLocked(id ChainID) {
 	if len(l.order) < l.maxChains {
 		l.order = append(l.order, id)

@@ -14,7 +14,7 @@ var testClock = func() time.Time { return time.Date(2026, 8, 6, 12, 0, 0, 0, tim
 
 func TestLedgerCoalescesBenignWindows(t *testing.T) {
 	store := sdl.New()
-	l := New(Options{Store: store, Clock: testClock})
+	l := New(Options{Store: store, clock: testClock})
 	defer l.Close()
 
 	id := ChainID{Node: "gnb-001", SN: 7}
@@ -60,7 +60,7 @@ func TestLedgerCoalescesBenignWindows(t *testing.T) {
 }
 
 func TestLedgerFlaggedBreaksCoalescing(t *testing.T) {
-	l := New(Options{Clock: testClock})
+	l := New(Options{clock: testClock})
 	defer l.Close()
 	id := ChainID{Node: "n", SN: 1}
 
@@ -81,7 +81,7 @@ func TestLedgerFlaggedBreaksCoalescing(t *testing.T) {
 
 func TestLedgerPersistenceParity(t *testing.T) {
 	store := sdl.New()
-	l := New(Options{Store: store, Clock: testClock})
+	l := New(Options{Store: store, clock: testClock})
 	defer l.Close()
 	id := ChainID{Node: "gnb-001", SN: 42}
 
@@ -112,7 +112,7 @@ func TestLedgerPersistenceParity(t *testing.T) {
 
 func TestLedgerEvictionBoundsRetentionAndCleansSDL(t *testing.T) {
 	store := sdl.New()
-	l := New(Options{Store: store, MaxChains: 2, Clock: testClock})
+	l := New(Options{Store: store, maxChains: 2, clock: testClock})
 	defer l.Close()
 
 	for sn := uint64(1); sn <= 3; sn++ {
@@ -148,7 +148,7 @@ func TestLedgerEvictionBoundsRetentionAndCleansSDL(t *testing.T) {
 // earlier eviction — and nothing else in the namespace.
 func TestLedgerEvictionTouchesOnlyItsOwnKeys(t *testing.T) {
 	store := sdl.New()
-	l := New(Options{Store: store, MaxChains: 3, Clock: testClock})
+	l := New(Options{Store: store, maxChains: 3, clock: testClock})
 	defer l.Close()
 
 	// Keys the ledger did not write: one outside the ev/ layout and one
@@ -263,7 +263,7 @@ func BenchmarkLedgerEvict(b *testing.B) {
 	const eventsPerChain = 6
 	for _, resident := range []int{1 << 10, 16 << 10} {
 		b.Run(fmt.Sprintf("resident=%dk", resident>>10), func(b *testing.B) {
-			l := newLedger(Options{Store: sdl.New(), MaxChains: 1 << 30, Clock: testClock})
+			l := newLedger(Options{Store: sdl.New(), maxChains: 1 << 30, clock: testClock})
 			for c := 0; c < resident; c++ {
 				recordFlagged(l, ChainID{Node: "resident", SN: uint64(c)}, eventsPerChain)
 			}
@@ -297,7 +297,7 @@ func BenchmarkReadChain(b *testing.B) {
 	for _, resident := range []int{1 << 10, 16 << 10} {
 		b.Run(fmt.Sprintf("resident=%dk", resident>>10), func(b *testing.B) {
 			store := sdl.New()
-			l := newLedger(Options{Store: store, MaxChains: 1 << 30, Clock: testClock})
+			l := newLedger(Options{Store: store, maxChains: 1 << 30, clock: testClock})
 			for c := 0; c < resident; c++ {
 				recordFlagged(l, ChainID{Node: "resident", SN: uint64(c)}, eventsPerChain)
 			}
@@ -314,7 +314,7 @@ func BenchmarkReadChain(b *testing.B) {
 }
 
 func TestLedgerTruncatesLongChains(t *testing.T) {
-	l := New(Options{Clock: testClock})
+	l := New(Options{clock: testClock})
 	defer l.Close()
 	id := ChainID{Node: "n", SN: 1}
 	for i := 0; i < DefaultMaxEventsPerChain+3; i++ {
@@ -375,7 +375,7 @@ func TestLedgerRecordNoAllocs(t *testing.T) {
 
 func TestLedgerConcurrentRecordAndQuery(t *testing.T) {
 	store := sdl.New()
-	l := New(Options{Store: store, MaxChains: 16})
+	l := New(Options{Store: store, maxChains: 16})
 	defer l.Close()
 
 	var wg sync.WaitGroup
@@ -432,7 +432,7 @@ func TestLedgerConcurrentRecordAndQuery(t *testing.T) {
 		t.Fatal("no chains retained after concurrent load")
 	}
 	if l.ChainCount() > 16 {
-		t.Fatalf("ChainCount = %d exceeds MaxChains", l.ChainCount())
+		t.Fatalf("ChainCount = %d exceeds maxChains", l.ChainCount())
 	}
 }
 

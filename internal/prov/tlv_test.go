@@ -54,7 +54,7 @@ func requireChain(t *testing.T, l *Ledger, store *sdl.Store, id ChainID, want []
 // an instant and reads back in UTC.
 func TestPersistedChainRoundTrips(t *testing.T) {
 	store := sdl.New()
-	l := New(Options{Store: store, Clock: testClock})
+	l := New(Options{Store: store, clock: testClock})
 	defer l.Close()
 	id := ChainID{Node: `gnb-"<001>"`, SN: 7}
 
@@ -91,7 +91,7 @@ func TestPersistedChainRoundTrips(t *testing.T) {
 // value, and so is the chain's next event; both read back bit for bit.
 func TestNonFiniteScoresPersist(t *testing.T) {
 	store := sdl.New()
-	l := New(Options{Store: store, Clock: testClock})
+	l := New(Options{Store: store, clock: testClock})
 	defer l.Close()
 	for i, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		id := ChainID{Node: "gnb-001", SN: uint64(i)}
@@ -111,7 +111,7 @@ func TestNonFiniteScoresPersist(t *testing.T) {
 // every folded benign run does) costs the fresh segment the SDL keeps and
 // nothing else; a new segment adds its key.
 func TestPersistAllocatesOnlyTheStoredValue(t *testing.T) {
-	l := newLedger(Options{Store: sdl.New(), Clock: testClock})
+	l := newLedger(Options{Store: sdl.New(), clock: testClock})
 	id := ChainID{Node: "gnb-001", SN: 9}
 	ev := Event{Chain: id, Kind: KindWindow, Model: "autoencoder", Score: 0.01, Threshold: 1.5, Digest: 77, SeqFirst: 1, SeqLast: 8}
 	l.handle(ev)
@@ -136,7 +136,7 @@ func TestLedgerRetainedBytesPerEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fills a full ledger")
 	}
-	l := newLedger(Options{Store: sdl.New(), Clock: testClock})
+	l := newLedger(Options{Store: sdl.New(), clock: testClock})
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -192,7 +192,7 @@ func TestLedgerRetainedBytesPerEvent(t *testing.T) {
 // persist copies at most its own segment.
 func BenchmarkLedgerPersist(b *testing.B) {
 	b.Run("fold", func(b *testing.B) {
-		l := newLedger(Options{Store: sdl.New(), Clock: testClock})
+		l := newLedger(Options{Store: sdl.New(), clock: testClock})
 		ev := Event{Chain: ChainID{Node: "gnb-001", SN: 9}, Kind: KindWindow, At: testClock(),
 			Model: "autoencoder", Score: 0.0123, Threshold: 1.5, Digest: 0xfeedface, SeqFirst: 1, SeqLast: 8, Count: 8}
 		l.handle(ev)
@@ -205,7 +205,7 @@ func BenchmarkLedgerPersist(b *testing.B) {
 	})
 	for _, n := range []int{segmentEvents, DefaultMaxEventsPerChain} {
 		b.Run(fmt.Sprintf("chain=%d", n), func(b *testing.B) {
-			l := newLedger(Options{Store: sdl.New(), MaxChains: 64, Clock: testClock})
+			l := newLedger(Options{Store: sdl.New(), maxChains: 64, clock: testClock})
 			ev := Event{Kind: KindWindow, At: testClock(), Model: "autoencoder", Threshold: 1.5, Flagged: true}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -228,7 +228,7 @@ func BenchmarkLedgerPersist(b *testing.B) {
 func FuzzEventTLV(f *testing.F) {
 	store := sdl.New()
 	published, cancel := store.Watch(Namespace, "ev/", 64)
-	l := New(Options{Store: store, Clock: testClock})
+	l := New(Options{Store: store, clock: testClock})
 	fullChain(l, ChainID{Node: "gnb-001", SN: 1}, 901, testClock())
 	l.Record(Event{Chain: ChainID{Node: "gnb-001", SN: 2}, Kind: KindVerdict, Score: math.NaN(), Threshold: math.Inf(-1), Note: "\xff"})
 	l.Close()

@@ -51,7 +51,7 @@ import (
 )
 
 // Bounded namespaces are the only ones whose size is worth a series: an
-// unbounded one is bounded by its writer (prov/ledger by MaxChains) or
+// unbounded one is bounded by its writer (prov/ledger by DefaultMaxChains) or
 // not at all.
 var (
 	obsEvicted = obs.NewCounterVec("xsec_sdl_evicted_total",
