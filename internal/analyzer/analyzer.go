@@ -125,13 +125,6 @@ func New(client Expert, store *sdl.Store) *Analyzer {
 // Stats returns live counters.
 func (a *Analyzer) Stats() *Stats { return &a.stats }
 
-// Process runs expert referencing for one alert. The context bounds the
-// expert query: cancellation (analyzer shutdown, per-case timeout)
-// aborts the in-flight REST call.
-func (a *Analyzer) Process(ctx context.Context, alert mobiwatch.Alert) (*Case, error) {
-	return a.process(ctx, alert, nil)
-}
-
 // expertWindow is what the expert is asked about: the alert's context when
 // it has one.
 func expertWindow(alert *mobiwatch.Alert) mobiflow.Trace {
@@ -141,9 +134,10 @@ func expertWindow(alert *mobiwatch.Alert) mobiflow.Trace {
 	return alert.Window
 }
 
-// process is Process for an alert the expert may already have answered
-// from memory: a non-nil recalled is the analysis, and the expert is not
-// asked again.
+// process runs expert referencing for one alert. The context bounds the
+// expert query: cancellation (analyzer shutdown, per-case timeout) aborts
+// the in-flight REST call. A non-nil recalled is an analysis the expert
+// already gave from memory, and the expert is not asked again.
 func (a *Analyzer) process(ctx context.Context, alert mobiwatch.Alert, recalled *llm.Analysis) (*Case, error) {
 	chainKey := obs.IndicationKey(alert.NodeID, alert.IndicationSN)
 	span := obs.StartSpan(chainKey, "analyzer.process")

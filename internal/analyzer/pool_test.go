@@ -178,7 +178,7 @@ func TestProcessCountsServingSources(t *testing.T) {
 		{llm.ServedLive, 0, 0},
 	} {
 		a := New(&stubExpert{served: tc.served}, sdl.New())
-		c, err := a.Process(context.Background(), alert)
+		c, err := a.process(context.Background(), alert, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,6 @@
 // Package asn1lite implements a compact, deterministic tag-length-value
-// (TLV) codec used by every protocol package in this repository (RRC, NAS,
-// F1AP, NGAP, E2AP, E2SM).
+// (TLV) codec used by the protocol packages in this repository (RRC, NAS,
+// F1AP, NGAP, E2AP, E2SM) and the federation bus.
 //
 // The real O-RAN and 3GPP protocols are specified in ASN.1 and encoded with
 // aligned PER. This repository substitutes a small TLV encoding with the
@@ -104,9 +104,6 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 // SetBytes makes b the encoded sequence: Bytes() as a codec with a layout
 // of its own (mobiflow's telemetry block) appended to it.
 func (e *Encoder) SetBytes(b []byte) { e.buf = b }
-
-// Len returns the number of encoded bytes so far.
-func (e *Encoder) Len() int { return len(e.buf) }
 
 // Reset truncates the encoder for reuse, retaining the buffer.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }

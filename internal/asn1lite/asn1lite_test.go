@@ -439,12 +439,12 @@ func TestQuickDecoderRobust(t *testing.T) {
 func TestEncoderReset(t *testing.T) {
 	var e Encoder
 	e.PutUint(1, 5)
-	if e.Len() == 0 {
-		t.Fatal("Len() = 0 after Put")
+	if len(e.Bytes()) == 0 {
+		t.Fatal("no bytes after Put")
 	}
 	e.Reset()
-	if e.Len() != 0 {
-		t.Errorf("Len() = %d after Reset", e.Len())
+	if len(e.Bytes()) != 0 {
+		t.Errorf("%d bytes after Reset", len(e.Bytes()))
 	}
 	e.PutUint(2, 6)
 	d := NewDecoder(e.Bytes())

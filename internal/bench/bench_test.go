@@ -98,11 +98,6 @@ func TestFigure4(t *testing.T) {
 	if !strings.Contains(out, "T>") || !strings.Contains(out, "legend") {
 		t.Error("plot malformed")
 	}
-	// Same-type instances show group similarity (paper's ①/② remark).
-	sim := res.GroupSimilarity()
-	if len(sim) == 0 {
-		t.Error("no group similarity computed")
-	}
 }
 
 func TestTable3MatchesPaper(t *testing.T) {

@@ -191,37 +191,6 @@ func (r *Figure4Result) Format() string {
 	return b.String()
 }
 
-// GroupSimilarity quantifies Figure 4's qualitative observation: attack
-// instances of the same type exhibit similar error patterns. It returns,
-// for each attack kind, the ratio of cross-instance mean error distance
-// to within-kind error spread (lower = more similar).
-func (r *Figure4Result) GroupSimilarity() map[int]float64 {
-	byKind := make(map[int][]float64)
-	for _, p := range r.Points {
-		if p.Kind >= 0 {
-			byKind[p.Kind] = append(byKind[p.Kind], p.Error)
-		}
-	}
-	out := make(map[int]float64)
-	for kind, errs := range byKind {
-		if len(errs) < 2 {
-			continue
-		}
-		var mean float64
-		for _, e := range errs {
-			mean += e
-		}
-		mean /= float64(len(errs))
-		var dev float64
-		for _, e := range errs {
-			d := e - mean
-			dev += d * d
-		}
-		out[kind] = dev / float64(len(errs)) / (mean*mean + 1e-12)
-	}
-	return out
-}
-
 // Figure5 renders the prompt template and the ChatGPT-4o personality's
 // response for a BTS DoS window (the paper's Figure 5).
 func Figure5(cfg Config) (string, error) {

@@ -1,6 +1,6 @@
 // Package cell defines the cellular identifiers, security algorithms, and
-// shared enumerations used across the protocol stack (RRC, NAS, F1AP,
-// NGAP), the gNodeB/UE simulators, and the MobiFlow telemetry schema.
+// shared enumerations used across the protocol stack (RRC, NAS, NGAP),
+// the gNodeB/UE simulators, and the MobiFlow telemetry schema.
 //
 // The definitions follow the 3GPP 5G system (TS 23.003 identifiers,
 // TS 33.501 algorithm identifiers) at the granularity the 6G-XSec paper's
@@ -179,7 +179,6 @@ const (
 	CauseMOSMS
 	CauseMPSPriorityAccess
 	CauseMCSPriorityAccess
-	causeCount
 )
 
 var causeNames = [...]string{
@@ -195,9 +194,6 @@ func (c EstablishmentCause) String() string {
 	}
 	return fmt.Sprintf("cause(%d)", uint8(c))
 }
-
-// Valid reports whether the cause is a defined value.
-func (c EstablishmentCause) Valid() bool { return c < causeCount }
 
 // Direction tells whether a control message travels from UE to network or
 // the reverse. MobiFlow telemetry records it for every message.

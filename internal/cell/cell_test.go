@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -89,14 +90,16 @@ func TestStringers(t *testing.T) {
 	}
 }
 
+// TestCauseValidity holds the cause table: every defined cause has its
+// TS 38.331 name, and a value past the table renders as a number.
 func TestCauseValidity(t *testing.T) {
-	for c := EstablishmentCause(0); c < causeCount; c++ {
-		if !c.Valid() {
-			t.Errorf("cause %d should be valid", c)
+	for c := CauseEmergency; c <= CauseMCSPriorityAccess; c++ {
+		if name := c.String(); name == "" || name == fmt.Sprintf("cause(%d)", uint8(c)) {
+			t.Errorf("cause %d has no name", c)
 		}
 	}
-	if EstablishmentCause(200).Valid() {
-		t.Error("cause 200 should be invalid")
+	if got := EstablishmentCause(200).String(); got != "cause(200)" {
+		t.Errorf("cause 200 renders as %q", got)
 	}
 }
 

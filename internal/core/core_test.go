@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/6g-xsec/xsec/internal/analyzer"
 	"github.com/6g-xsec/xsec/internal/e2sm"
 	"github.com/6g-xsec/xsec/internal/llm"
 	"github.com/6g-xsec/xsec/internal/mobiwatch"
@@ -250,13 +251,24 @@ func TestBuiltInExpertServedInProcess(t *testing.T) {
 	if _, err := attacker.RunBTSDoS(fw.GNB, 8); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case c := <-fw.Cases():
+	// A later window of the flood can share the live answer, coalesced
+	// onto its round trip or recalled from the cache it fills, and its
+	// case can come out first: skip those copies and wait for the live
+	// case itself.
+	for timeout := time.After(5 * time.Second); ; {
+		var c *analyzer.Case
+		select {
+		case c = <-fw.Cases():
+		case <-timeout:
+			t.Fatal("no live case with the listener closed")
+		}
+		if c.Analysis != nil && (c.Analysis.Served == llm.ServedCache || c.Analysis.Served == llm.ServedCoalesced) {
+			continue
+		}
 		if c.Analysis == nil || c.Analysis.Served != llm.ServedLive {
 			t.Errorf("analysis = %+v, want a live verdict", c.Analysis)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no case with the listener closed")
+		break
 	}
 
 	ext, err := New(Options{LLMBaseURL: fw.LLMBaseURL()})

@@ -107,7 +107,7 @@ func TestHitsDoNotWaitBehindRoundTrips(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	// A live case's round trip runs from ProcessedAt (Process stamps it
+	// A live case's round trip runs from ProcessedAt (the analyzer stamps it
 	// before it asks) for at least the expert's latency.
 	var trips []time.Time
 	for _, c := range cases {

@@ -32,7 +32,6 @@ type amfUE struct {
 
 	// pending challenge
 	rand [16]byte
-	sqn  uint64
 
 	capability uint32
 	cipher     cell.CipherAlg
@@ -127,8 +126,6 @@ func (a *AMF) HandleNGAP(msg *ngap.Message) ([]*ngap.Message, error) {
 			return nil, fmt.Errorf("corenet: NAS in %s: %w", msg.Type, err)
 		}
 		return a.handleNAS(msg.RANUEID, nasMsg)
-	case ngap.TypeInitialContextSetupResponse, ngap.TypeUEContextReleaseComplete:
-		return nil, nil
 	default:
 		return nil, fmt.Errorf("corenet: unexpected NGAP %s", msg.Type)
 	}
@@ -254,21 +251,8 @@ func (a *AMF) challenge(u *amfUE) ([]*ngap.Message, error) {
 	}
 	a.rng.Read(u.rand[:])
 	a.nextSQN++
-	u.sqn = a.nextSQN
-	autn := nas.Challenge(sub.K, u.rand, u.sqn)
+	autn := nas.Challenge(sub.K, u.rand, a.nextSQN)
 	return []*ngap.Message{a.downNAS(u, &nas.AuthenticationRequest{NgKSI: 0, RAND: u.rand, AUTN: autn})}, nil
-}
-
-// SQNFor exposes the sequence number of the pending challenge for a RAN
-// UE, letting the (simulated) UE verify AUTN as a real USIM would.
-func (a *AMF) SQNFor(ranUEID uint64) (uint64, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	u, ok := a.byRAN[ranUEID]
-	if !ok {
-		return 0, false
-	}
-	return u.sqn, true
 }
 
 // resolveSUCI de-conceals a SUCI. Only the null scheme is resolvable in
@@ -305,12 +289,4 @@ func (a *AMF) allocateGUTI(supi cell.SUPI) cell.GUTI {
 	}
 	a.byTMSI[tmsi] = supi
 	return cell.GUTI{PLMN: cell.TestPLMN, AMFSetID: 1, TMSI: tmsi}
-}
-
-// LookupTMSI resolves a TMSI to its SUPI (diagnostics, tests).
-func (a *AMF) LookupTMSI(tmsi cell.TMSI) (cell.SUPI, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	supi, ok := a.byTMSI[tmsi]
-	return supi, ok
 }

@@ -49,12 +49,8 @@ func runRegistration(t *testing.T, a *AMF, ranUE uint64, capability uint32) cell
 	if !ok {
 		t.Fatalf("expected AuthenticationRequest, got %T", nasOf(t, out[0]))
 	}
-	sqn, ok := a.SQNFor(ranUE)
-	if !ok {
-		t.Fatal("no SQN for pending challenge")
-	}
-	if !nas.VerifyAUTN(testK, auth.RAND, sqn, auth.AUTN) {
-		t.Fatal("AMF AUTN fails UE-side verification")
+	if auth.AUTN != nas.Challenge(testK, auth.RAND, a.nextSQN) {
+		t.Fatal("AMF AUTN is not the subscriber key's challenge")
 	}
 	out = uplink(t, a, ranUE, &nas.AuthenticationResponse{RES: nas.DeriveRES(testK, auth.RAND)})
 	smc, ok := nasOf(t, out[0]).(*nas.SecurityModeCommand)
@@ -80,7 +76,7 @@ func TestBenignRegistration(t *testing.T) {
 	if guti.TMSI == cell.InvalidTMSI {
 		t.Error("no TMSI allocated")
 	}
-	if supi, ok := a.LookupTMSI(guti.TMSI); !ok || supi != testSUPI {
+	if supi, ok := a.byTMSI[guti.TMSI]; !ok || supi != testSUPI {
 		t.Errorf("TMSI lookup = %q, %v", supi, ok)
 	}
 }
@@ -213,7 +209,7 @@ func TestReregistrationRotatesTMSI(t *testing.T) {
 	if g1.TMSI == g2.TMSI {
 		t.Error("TMSI not rotated on re-registration")
 	}
-	if _, ok := a.LookupTMSI(g1.TMSI); ok {
+	if _, ok := a.byTMSI[g1.TMSI]; ok {
 		t.Error("stale TMSI binding survives re-registration")
 	}
 }

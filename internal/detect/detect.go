@@ -50,15 +50,6 @@ func SortedPercentile(sorted []float64, pct float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Classify labels each score anomalous (true) when it exceeds threshold.
-func Classify(scores []float64, threshold float64) []bool {
-	out := make([]bool, len(scores))
-	for i, s := range scores {
-		out[i] = s > threshold
-	}
-	return out
-}
-
 // Confusion is a binary confusion matrix with "anomalous" as the positive
 // class.
 type Confusion struct {
@@ -120,14 +111,6 @@ func (c Confusion) F1() float64 {
 		return 0
 	}
 	return 2 * p * r / (p + r)
-}
-
-// FalsePositiveRate is FP / (FP + TN).
-func (c Confusion) FalsePositiveRate() float64 {
-	if c.FP+c.TN == 0 {
-		return 0
-	}
-	return float64(c.FP) / float64(c.FP+c.TN)
 }
 
 // String renders the matrix compactly.

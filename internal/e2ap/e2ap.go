@@ -390,9 +390,6 @@ func decodeAction(d *asn1lite.Decoder, a *Action) error {
 // ErrBadMessage reports a structurally invalid E2AP PDU.
 var ErrBadMessage = errors.New("e2ap: invalid message")
 
-// Encode serializes a message.
-func Encode(m *Message) []byte { return asn1lite.Marshal(m) }
-
 // AppendEncode serializes m, appending to dst, and returns the extended
 // slice. Once dst has steady-state capacity the call performs zero heap
 // allocations (the encoder lives on the caller's stack and the concrete

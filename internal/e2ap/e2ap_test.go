@@ -64,7 +64,7 @@ func sampleMessages() []*Message {
 func TestRoundTripAllTypes(t *testing.T) {
 	for _, in := range sampleMessages() {
 		in.TransactionID = 42
-		out, err := Decode(Encode(in))
+		out, err := Decode(AppendEncode(nil, in))
 		if err != nil {
 			t.Fatalf("%s: %v", in.Type, err)
 		}
@@ -76,7 +76,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 
 func TestDecodeRejectsInvalidType(t *testing.T) {
 	m := &Message{Type: MessageType(99)}
-	if _, err := Decode(Encode(m)); !errors.Is(err, ErrBadMessage) {
+	if _, err := Decode(AppendEncode(nil, m)); !errors.Is(err, ErrBadMessage) {
 		t.Errorf("err = %v, want ErrBadMessage", err)
 	}
 	if _, err := Decode([]byte{}); err == nil {
@@ -183,7 +183,7 @@ func TestQuickIndicationRoundTrip(t *testing.T) {
 		if in.IndicationMessage == nil {
 			in.IndicationMessage = []byte{}
 		}
-		out, err := Decode(Encode(in))
+		out, err := Decode(AppendEncode(nil, in))
 		if err != nil {
 			return false
 		}
@@ -205,21 +205,8 @@ func TestQuickDecodeRobust(t *testing.T) {
 	}
 }
 
-func BenchmarkEncodeIndication(b *testing.B) {
-	m := &Message{
-		Type: TypeIndication, TransactionID: 1,
-		RequestID: RequestID{100, 1}, RANFunctionID: 2,
-		IndicationHeader:  []byte("hdr"),
-		IndicationMessage: make([]byte, 256),
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Encode(m)
-	}
-}
-
 func BenchmarkDecodeIndication(b *testing.B) {
-	data := Encode(&Message{
+	data := AppendEncode(nil, &Message{
 		Type: TypeIndication, TransactionID: 1,
 		RequestID: RequestID{100, 1}, RANFunctionID: 2,
 		IndicationHeader:  []byte("hdr"),

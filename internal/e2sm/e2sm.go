@@ -171,11 +171,6 @@ type IndicationMessage struct {
 	Records mobiflow.Trace
 }
 
-// EncodeIndicationMessage serializes the batch.
-func EncodeIndicationMessage(m *IndicationMessage) []byte {
-	return mobiflow.EncodeTrace(m.Records)
-}
-
 // DecodeIndicationMessage parses a batch.
 func DecodeIndicationMessage(data []byte) (*IndicationMessage, error) {
 	tr, err := mobiflow.DecodeTrace(data)

@@ -47,7 +47,7 @@ func TestIndicationMessageRoundTrip(t *testing.T) {
 		{Seq: 1, Msg: "RRCSetupRequest", Timestamp: time.Unix(0, 0).UTC()},
 		{Seq: 2, Msg: "RRCSetup", Timestamp: time.Unix(0, 1).UTC()},
 	}}
-	out, err := DecodeIndicationMessage(EncodeIndicationMessage(in))
+	out, err := DecodeIndicationMessage(mobiflow.EncodeTrace(in.Records))
 	if err != nil {
 		t.Fatal(err)
 	}

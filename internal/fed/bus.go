@@ -184,12 +184,6 @@ func (b *Broker) Publish(topic string, payload []byte) error {
 	return b.publish(topic, payload, "", uint64(time.Now().UnixNano()))
 }
 
-// PublishTraced publishes with an attached trace context; subscribers
-// record the bus hop as a span on that trace.
-func (b *Broker) PublishTraced(topic string, payload []byte, trace string) error {
-	return b.publish(topic, payload, trace, uint64(time.Now().UnixNano()))
-}
-
 // SubscribeLocal registers a broker-side observer for topic. It sees
 // every future message on the topic (no replay of the retained log) and
 // runs on the publisher's goroutine after the broker lock is released.
@@ -336,7 +330,6 @@ type Client struct {
 	closed   bool
 
 	connected atomic.Bool
-	failures  atomic.Uint64
 	done      chan struct{}
 	wg        sync.WaitGroup
 }
@@ -365,9 +358,6 @@ func DialBus(instance, addr string) *Client {
 
 // Connected reports whether the broker is currently reachable.
 func (c *Client) Connected() bool { return c.connected.Load() }
-
-// PublishFailures counts publishes refused while degraded.
-func (c *Client) PublishFailures() uint64 { return c.failures.Load() }
 
 // Subscribe registers a handler for topic, resuming from the earliest
 // retained message (offset 0) on first subscription. Handlers run on
@@ -410,13 +400,11 @@ func (c *Client) PublishTraced(topic string, payload []byte, trace string) error
 	conn := c.conn
 	c.mu.Unlock()
 	if conn == nil || !c.connected.Load() {
-		c.failures.Add(1)
 		obsBusPublishFailures.With(c.instance).Inc()
 		return errors.New("fed: bus unreachable (degraded)")
 	}
 	f := frame{Op: opPublish, Topic: topic, Payload: payload, Trace: trace, Pub: uint64(time.Now().UnixNano())}
 	if err := c.send(conn, f); err != nil {
-		c.failures.Add(1)
 		obsBusPublishFailures.With(c.instance).Inc()
 		conn.Close() // wake the read loop into reconnect
 		return fmt.Errorf("fed: bus publish: %w", err)

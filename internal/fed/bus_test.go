@@ -111,6 +111,7 @@ func TestBusDegradedModeAndReconnectResume(t *testing.T) {
 
 	// A dial gate simulates the broker being unreachable.
 	var reachable atomic.Bool
+	failedBefore := obsBusPublishFailures.With("ric-flaky").Value()
 	c := NewClient("ric-flaky", func() (*wire.Conn, error) {
 		if !reachable.Load() {
 			return nil, fmt.Errorf("network unreachable")
@@ -130,7 +131,7 @@ func TestBusDegradedModeAndReconnectResume(t *testing.T) {
 	if err := c.Publish("ring", []byte("x")); err == nil {
 		t.Fatal("degraded publish succeeded")
 	}
-	if c.PublishFailures() == 0 {
+	if obsBusPublishFailures.With("ric-flaky").Value() == failedBefore {
 		t.Fatal("degraded publish not counted")
 	}
 	if len(got.snapshot()) != 0 {

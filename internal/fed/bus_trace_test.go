@@ -153,7 +153,7 @@ func TestBrokerSubscribeLocal(t *testing.T) {
 
 	// Local handlers see broker-side publishes without a loopback
 	// connection and without replay of prior history.
-	if err := b.PublishTraced("hb", []byte("beacon"), "gnb-x/9"); err != nil {
+	if err := b.publish("hb", []byte("beacon"), "gnb-x/9", uint64(time.Now().UnixNano())); err != nil {
 		t.Fatal(err)
 	}
 	select {

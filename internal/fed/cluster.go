@@ -235,33 +235,6 @@ func (cl *Cluster) Join(id string) (*Instance, error) {
 	return inst, nil
 }
 
-// Leave gracefully retires an instance: the coordinator publishes a
-// ring without it, the leaver migrates all of its UE state out, and the
-// instance stops once it is drained (or drainTimeout passes, in which
-// case undrained UEs cold-start on their new owners).
-func (cl *Cluster) Leave(id string, drainTimeout time.Duration) error {
-	inst := cl.Instance(id)
-	if inst == nil {
-		return fmt.Errorf("fed: no instance %q", id)
-	}
-	if _, err := cl.Coordinator.Leave(id); err != nil {
-		return err
-	}
-	if drainTimeout <= 0 {
-		drainTimeout = 10 * time.Second
-	}
-	deadline := time.Now().Add(drainTimeout)
-	for len(inst.UEs()) > 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	drained := len(inst.UEs()) == 0
-	cl.retire(id, inst)
-	if !drained {
-		return fmt.Errorf("fed: instance %s left with undrained UE state", id)
-	}
-	return nil
-}
-
 // Fleet returns the attached fleet collector (nil without
 // ClusterOptions.Fleet).
 func (cl *Cluster) Fleet() *fleet.Collector { return cl.collector }
@@ -270,7 +243,7 @@ func (cl *Cluster) Fleet() *fleet.Collector { return cl.collector }
 // simulating a real failure. Nothing removes it from the ring except
 // the fleet collector's failure detector noticing the missing
 // heartbeats and auto-evicting it; without a collector attached, the
-// ring keeps routing to a dead member until a manual Leave.
+// ring keeps routing to a dead member until the coordinator is told.
 func (cl *Cluster) Crash(id string) error {
 	inst := cl.Instance(id)
 	if inst == nil {

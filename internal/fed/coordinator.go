@@ -26,9 +26,6 @@ func NewCoordinator(store *sdl.Store, broker *Broker) *Coordinator {
 	return &Coordinator{store: store, broker: broker, a1: smo.NewA1(store)}
 }
 
-// A1 returns the coordinator's policy store.
-func (c *Coordinator) A1() *smo.A1 { return c.a1 }
-
 // Ring returns the current epoch (nil before SetInstances).
 func (c *Coordinator) Ring() *Ring {
 	c.mu.Lock()

@@ -174,6 +174,7 @@ func TestClusterJoinRebalance(t *testing.T) {
 // and migration fails fast instead of blocking.
 func TestDegradedStandalone(t *testing.T) {
 	models, mixed := testEnv(t)
+	failedBefore := obsBusPublishFailures.With("ric-dark").Value()
 	inst, err := StartInstance(InstanceOptions{
 		ID: "ric-dark", Models: models,
 		dial: func() (*wire.Conn, error) { return nil, fmt.Errorf("no route to broker") },
@@ -214,7 +215,7 @@ func TestDegradedStandalone(t *testing.T) {
 	if err := inst.MigrateUE(u, "ric-elsewhere"); err == nil {
 		t.Error("migration succeeded with unreachable bus")
 	}
-	if inst.Bus().PublishFailures() == 0 {
+	if obsBusPublishFailures.With("ric-dark").Value() == failedBefore {
 		t.Error("degraded publish failures not counted")
 	}
 }

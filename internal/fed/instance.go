@@ -257,13 +257,13 @@ func StartInstance(opts InstanceOptions) (*Instance, error) {
 		return nil, fmt.Errorf("fed: instance %s: %w", opts.ID, err)
 	}
 
-	dial := opts.dial
-	if dial == nil && opts.BusAddr != "" {
-		addr := opts.BusAddr
-		dial = func() (*wire.Conn, error) { return wire.Dial(addr, time.Second) }
+	switch {
+	case opts.dial != nil:
+		i.bus = NewClient(opts.ID, opts.dial)
+	case opts.BusAddr != "":
+		i.bus = DialBus(opts.ID, opts.BusAddr)
 	}
-	if dial != nil {
-		i.bus = NewClient(opts.ID, dial)
+	if i.bus != nil {
 		i.bus.Subscribe(TopicRing, i.onRing)
 		i.bus.Subscribe(TopicPolicy, i.onPolicy)
 		i.bus.SubscribeTraced(TopicMigrate, i.onMigrate)
@@ -292,9 +292,6 @@ func (i *Instance) Runtime() *mobiwatch.Runtime { return i.node.Watch() }
 
 // Store returns the instance's SDL.
 func (i *Instance) Store() *sdl.Store { return i.node.SDL }
-
-// Bus returns the instance's bus client (nil when standalone).
-func (i *Instance) Bus() *Client { return i.bus }
 
 // Records returns how many telemetry records this instance has scored.
 // The counter is readable after Stop, so zero-loss accounting can still

@@ -6,8 +6,6 @@ import (
 	"hash/fnv"
 	"slices"
 	"sort"
-
-	"github.com/6g-xsec/xsec/internal/sdl"
 )
 
 // SDL layout. The ring is published under RingNamespace/RingKey by the
@@ -167,27 +165,4 @@ func ParseRing(data []byte) (*Ring, error) {
 	sort.Strings(r.Instances)
 	r.build()
 	return &r, nil
-}
-
-// PublishRing stores the ring as the current epoch in an SDL store.
-func PublishRing(store *sdl.Store, r *Ring) error {
-	data, err := r.Encode()
-	if err != nil {
-		return err
-	}
-	store.Set(RingNamespace, RingKey, data)
-	return nil
-}
-
-// LoadRing reads the current ring from an SDL store.
-func LoadRing(store *sdl.Store) (*Ring, bool) {
-	raw, _, ok := store.Get(RingNamespace, RingKey)
-	if !ok {
-		return nil, false
-	}
-	r, err := ParseRing(raw)
-	if err != nil {
-		return nil, false
-	}
-	return r, true
 }

@@ -80,17 +80,28 @@ func TestRingRebalanceIsIncremental(t *testing.T) {
 	}
 }
 
+// TestRingPublishRoundtrip reads back the ring a coordinator stores in
+// its SDL when it publishes an epoch.
 func TestRingPublishRoundtrip(t *testing.T) {
-	store := sdl.New()
-	r := NewRing(7, []string{"ric-a", "ric-b"})
-	if err := PublishRing(store, r); err != nil {
+	b, err := NewBroker("127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := LoadRing(store)
-	if !ok {
-		t.Fatal("ring not readable back")
+	defer b.Close()
+	store := sdl.New()
+	r, err := NewCoordinator(store, b).SetInstances([]string{"ric-a", "ric-b"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.Epoch != 7 || len(got.Instances) != 2 || len(got.tokens) != 2*DefaultVnodes {
+	raw, _, ok := store.Get(RingNamespace, RingKey)
+	if !ok {
+		t.Fatal("the coordinator stored no ring")
+	}
+	got, err := ParseRing(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Epoch != 1 || len(got.Instances) != 2 || len(got.tokens) != 2*DefaultVnodes {
 		t.Fatalf("roundtrip = %+v", got)
 	}
 	for ue := uint64(1); ue <= 100; ue++ {

@@ -277,16 +277,9 @@ func (r *reporter) emit(ue uint64, chunk mobiflow.Trace, start time.Time) bool {
 		IndicationHeader:  r.hdrEnc.Bytes(),
 		IndicationMessage: r.msgEnc.Bytes(),
 	}
-	if err := r.a.ep.Send(&r.ind); err != nil {
-		return false
-	}
-	r.records.Add(uint64(len(chunk)))
-	r.indications.Inc()
-	r.batchSize.Observe(float64(len(chunk)))
-	obs.RecordSpan(obs.IndicationKey(nodeID, r.batchSeq),
-		"gnb.report", start, time.Now())
-	// Root of the evidence chain: what the node actually emitted,
-	// fingerprinted before the batch crosses any trust boundary.
+	// Root of the evidence chain: what the node emits, fingerprinted
+	// before the batch crosses any trust boundary, and recorded before the
+	// send so no event the RIC records for the indication precedes it.
 	prov.Record(prov.Event{
 		Chain:    prov.ChainID{Node: nodeID, SN: r.batchSeq},
 		Kind:     prov.KindEmit,
@@ -296,6 +289,14 @@ func (r *reporter) emit(ue uint64, chunk mobiflow.Trace, start time.Time) bool {
 		Records:  uint32(len(chunk)),
 		Digest:   prov.DigestRecords(chunk),
 	})
+	if err := r.a.ep.Send(&r.ind); err != nil {
+		return false
+	}
+	r.records.Add(uint64(len(chunk)))
+	r.indications.Inc()
+	r.batchSize.Observe(float64(len(chunk)))
+	obs.RecordSpan(obs.IndicationKey(nodeID, r.batchSeq),
+		"gnb.report", start, time.Now())
 	return true
 }
 

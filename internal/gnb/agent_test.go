@@ -1,6 +1,7 @@
 package gnb
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -123,19 +124,19 @@ func TestAgentControlActions(t *testing.T) {
 
 	// Release the UE.
 	ctrl := asn1lite.Marshal(&e2sm.ControlRequest{Action: e2sm.ControlReleaseUE, UEID: link.UEID()})
-	if err := x.Control("gnb-test", e2sm.XRCRANFunctionID, nil, ctrl); err != nil {
+	if err := x.ControlContext(context.Background(), "gnb-test", e2sm.XRCRANFunctionID, nil, ctrl); err != nil {
 		t.Fatal(err)
 	}
 	if g.ActiveUEs() != 0 {
 		t.Error("UE not released by control")
 	}
 	// Releasing again fails cleanly.
-	if err := x.Control("gnb-test", e2sm.XRCRANFunctionID, nil, ctrl); !errors.Is(err, ric.ErrControlFailed) {
+	if err := x.ControlContext(context.Background(), "gnb-test", e2sm.XRCRANFunctionID, nil, ctrl); !errors.Is(err, ric.ErrControlFailed) {
 		t.Errorf("double release: err = %v", err)
 	}
 	// Block a TMSI and verify at the data plane.
 	block := asn1lite.Marshal(&e2sm.ControlRequest{Action: e2sm.ControlBlockTMSI, TMSI: 0xFEED})
-	if err := x.Control("gnb-test", e2sm.XRCRANFunctionID, nil, block); err != nil {
+	if err := x.ControlContext(context.Background(), "gnb-test", e2sm.XRCRANFunctionID, nil, block); err != nil {
 		t.Fatal(err)
 	}
 	l2 := g.Attach()
@@ -144,11 +145,11 @@ func TestAgentControlActions(t *testing.T) {
 		t.Errorf("blocked TMSI got %v", m)
 	}
 	// Wrong RAN function for control.
-	if err := x.Control("gnb-test", e2sm.MobiFlowRANFunctionID, nil, ctrl); !errors.Is(err, ric.ErrControlFailed) {
+	if err := x.ControlContext(context.Background(), "gnb-test", e2sm.MobiFlowRANFunctionID, nil, ctrl); !errors.Is(err, ric.ErrControlFailed) {
 		t.Errorf("wrong fn control: err = %v", err)
 	}
 	// Undecodable control message.
-	if err := x.Control("gnb-test", e2sm.XRCRANFunctionID, nil, []byte{0xFF}); !errors.Is(err, ric.ErrControlFailed) {
+	if err := x.ControlContext(context.Background(), "gnb-test", e2sm.XRCRANFunctionID, nil, []byte{0xFF}); !errors.Is(err, ric.ErrControlFailed) {
 		t.Errorf("garbage control: err = %v", err)
 	}
 }
@@ -189,7 +190,7 @@ func TestControlFailureUnknownActionRoundTrip(t *testing.T) {
 		t.Errorf("cause = %q", resp.Cause)
 	}
 	// The decoded failure re-encodes to the identical PDU.
-	reenc, err := e2ap.Decode(e2ap.Encode(resp))
+	reenc, err := e2ap.Decode(e2ap.AppendEncode(nil, resp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestDuplicateBlockAndUnblockTMSI(t *testing.T) {
 	const tmsi = cell.TMSI(0xCAFE)
 	block := asn1lite.Marshal(&e2sm.ControlRequest{Action: e2sm.ControlBlockTMSI, TMSI: tmsi})
 	for i := 0; i < 2; i++ { // duplicate block: both ack, one entry
-		if err := x.Control("gnb-test", e2sm.XRCRANFunctionID, nil, block); err != nil {
+		if err := x.ControlContext(context.Background(), "gnb-test", e2sm.XRCRANFunctionID, nil, block); err != nil {
 			t.Fatalf("block %d: %v", i, err)
 		}
 	}
@@ -229,7 +230,7 @@ func TestDuplicateBlockAndUnblockTMSI(t *testing.T) {
 	}
 
 	unblock := asn1lite.Marshal(&e2sm.ControlRequest{Action: e2sm.ControlUnblockTMSI, TMSI: tmsi})
-	if err := x.Control("gnb-test", e2sm.XRCRANFunctionID, nil, unblock); err != nil {
+	if err := x.ControlContext(context.Background(), "gnb-test", e2sm.XRCRANFunctionID, nil, unblock); err != nil {
 		t.Fatal(err)
 	}
 	if g.BlockedTMSIs() != 0 {
@@ -239,7 +240,7 @@ func TestDuplicateBlockAndUnblockTMSI(t *testing.T) {
 		t.Errorf("unblocked TMSI got %v, want RRCSetup", m.Type())
 	}
 	// Unblocking an unblocked TMSI still acks (no-op rollback retry).
-	if err := x.Control("gnb-test", e2sm.XRCRANFunctionID, nil, unblock); err != nil {
+	if err := x.ControlContext(context.Background(), "gnb-test", e2sm.XRCRANFunctionID, nil, unblock); err != nil {
 		t.Errorf("no-op unblock: %v", err)
 	}
 }
@@ -252,7 +253,7 @@ func TestAgentOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	go p.ServeE2(l)
+	go wire.Serve(l, func(c *wire.Conn) { p.AttachNode(e2ap.NewEndpoint(c)) })
 
 	g := newTestGNB(t, nil)
 	conn, err := wire.Dial(l.Addr().String(), time.Second)

@@ -188,6 +188,43 @@ func TestReporterPerUEStateIsBounded(t *testing.T) {
 	}
 }
 
+// TestReportRootsChainBeforeSend is the RIC side of the evidence chain's
+// root: as each indication arrives it flushes the ledger, and the
+// indication's chain must already hold the gNB's emit event, with the
+// seq range and digest of the records it carries.
+func TestReportRootsChainBeforeSend(t *testing.T) {
+	led := prov.New(prov.Options{})
+	defer led.Close()
+	defer prov.SetActive(prov.SetActive(led)) // swap now, restore on return
+	const node = "gnb-root"
+	p, g, hangUp := serveAgent(t, node)
+	defer hangUp()
+	x, _ := p.RegisterXApp("root-collector")
+	sub := subscribe(t, x, node, time.Millisecond)
+	const ues = 32
+	for ue := uint64(1); ue <= ues; ue++ {
+		g.InjectTelemetry(ueRecords(ue, ue*10, 3))
+	}
+	for i := 0; i < ues; i++ {
+		select {
+		case ind := <-sub.C(0):
+			led.Flush()
+			got := decodeRecords(t, ind)
+			rec, ok := led.Chain(prov.ChainID{Node: node, SN: ind.SN})
+			if !ok || !rec.Has(prov.KindEmit) {
+				t.Fatalf("indication %d arrived before its chain's emit event (chain found: %v)", ind.SN, ok)
+			}
+			ev := rec.Events[0]
+			if ev.Kind != prov.KindEmit || ev.SeqFirst != got[0].Seq || ev.SeqLast != got[len(got)-1].Seq ||
+				ev.Digest != prov.DigestRecords(got) {
+				t.Fatalf("chain %d starts with %+v, want the emit event of seq %d..%d", ind.SN, ev, got[0].Seq, got[len(got)-1].Seq)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%d of %d indications arrived", i, ues)
+		}
+	}
+}
+
 // serveAgent serves a gNB named node to a fresh platform over an
 // in-process pipe. hangUp closes the gNB's end of the pipe and fails the
 // test unless ServeE2 returns, its report loops with it.

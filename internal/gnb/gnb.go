@@ -258,10 +258,9 @@ func (g *GNB) record(rs ...mobiflow.Record) {
 	}
 }
 
+// capture writes one PDU to the capture stream. Callers check
+// g.cfg.Capture first, so a gNB without one encodes no F1AP or NGAP.
 func (g *GNB) capture(iface pcaplite.Interface, payload []byte) {
-	if g.cfg.Capture == nil {
-		return
-	}
 	// Capture failures must not disturb the data plane; the writer's
 	// error will surface at Flush time in the dataset tooling.
 	_ = g.cfg.Capture.Write(pcaplite.Packet{Timestamp: g.cfg.Clock(), Iface: iface, Payload: payload})
@@ -270,11 +269,12 @@ func (g *GNB) capture(iface pcaplite.Interface, payload []byte) {
 // sendDL queues a downlink RRC message, recording it and capturing the
 // F1AP DL transfer. A full queue models radio loss: the PDU is dropped.
 func (g *GNB) sendDL(ctx *ueCtx, m rrc.Message) {
-	encoded := rrc.Encode(m)
-	g.capture(pcaplite.IfF1AP, f1ap.Encode(&f1ap.Message{
-		Type: f1ap.TypeDLRRCTransfer, DUUEID: ctx.ueID, CUUEID: ctx.ueID,
-		RNTI: ctx.rnti, RRCContainer: encoded,
-	}))
+	if g.cfg.Capture != nil {
+		g.capture(pcaplite.IfF1AP, f1ap.Encode(&f1ap.Message{
+			Type: f1ap.TypeDLRRCTransfer, DUUEID: ctx.ueID, CUUEID: ctx.ueID,
+			RNTI: ctx.rnti, RRCContainer: rrc.Encode(m),
+		}))
+	}
 	if recordableRRC(m.Type()) {
 		g.record(g.extractor.OnRRC(ctx.ueID, ctx.rnti, m, false))
 	}
@@ -299,14 +299,16 @@ func recordableRRC(t rrc.MsgType) bool {
 // handleUplink runs the CU logic for one uplink RRC PDU. Caller holds g.mu.
 func (g *GNB) handleUplink(ctx *ueCtx, m rrc.Message) error {
 	encoded := rrc.Encode(m)
-	f1Type := f1ap.TypeULRRCTransfer
-	if m.Type() == rrc.TypeSetupRequest {
-		f1Type = f1ap.TypeInitialULRRCTransfer
+	if g.cfg.Capture != nil {
+		f1Type := f1ap.TypeULRRCTransfer
+		if m.Type() == rrc.TypeSetupRequest {
+			f1Type = f1ap.TypeInitialULRRCTransfer
+		}
+		g.capture(pcaplite.IfF1AP, f1ap.Encode(&f1ap.Message{
+			Type: f1Type, DUUEID: ctx.ueID, CUUEID: ctx.ueID,
+			RNTI: ctx.rnti, RRCContainer: encoded,
+		}))
 	}
-	g.capture(pcaplite.IfF1AP, f1ap.Encode(&f1ap.Message{
-		Type: f1Type, DUUEID: ctx.ueID, CUUEID: ctx.ueID,
-		RNTI: ctx.rnti, RRCContainer: encoded,
-	}))
 
 	retx := ctx.lastUL != nil && bytes.Equal(ctx.lastUL, encoded)
 	ctx.lastUL = encoded
@@ -394,14 +396,17 @@ func (g *GNB) uplinkNAS(ctx *ueCtx, nasPDU []byte, retx bool) error {
 		ctx.sentIUE = true
 	}
 	up := &ngap.Message{Type: ngType, RANUEID: ctx.ueID, NASPDU: nasPDU}
-	g.capture(pcaplite.IfNGAP, ngap.Encode(up))
-
+	if g.cfg.Capture != nil {
+		g.capture(pcaplite.IfNGAP, ngap.Encode(up))
+	}
 	responses, err := g.cfg.AMF.HandleNGAP(up)
 	if err != nil {
 		return fmt.Errorf("gnb: AMF: %w", err)
 	}
 	for _, resp := range responses {
-		g.capture(pcaplite.IfNGAP, ngap.Encode(resp))
+		if g.cfg.Capture != nil {
+			g.capture(pcaplite.IfNGAP, ngap.Encode(resp))
+		}
 		g.handleNGDown(ctx, resp)
 	}
 	return nil
@@ -430,13 +435,15 @@ func (g *GNB) handleNGDown(ctx *ueCtx, m *ngap.Message) {
 	case ngap.TypeInitialContextSetupRequest:
 		// Activate AS security with the NAS-selected algorithms.
 		g.sendDL(ctx, &rrc.SecurityModeCommand{TransactionID: 1, CipherAlg: ctx.cipher, IntegAlg: ctx.integ})
-		resp := &ngap.Message{Type: ngap.TypeInitialContextSetupResponse, RANUEID: ctx.ueID, AMFUEID: m.AMFUEID}
-		g.capture(pcaplite.IfNGAP, ngap.Encode(resp))
+		if g.cfg.Capture != nil {
+			g.capture(pcaplite.IfNGAP, ngap.Encode(&ngap.Message{Type: ngap.TypeInitialContextSetupResponse, RANUEID: ctx.ueID, AMFUEID: m.AMFUEID}))
+		}
 
 	case ngap.TypeUEContextReleaseCommand:
 		g.releaseLocked(ctx, m.Cause)
-		resp := &ngap.Message{Type: ngap.TypeUEContextReleaseComplete, RANUEID: ctx.ueID, AMFUEID: m.AMFUEID}
-		g.capture(pcaplite.IfNGAP, ngap.Encode(resp))
+		if g.cfg.Capture != nil {
+			g.capture(pcaplite.IfNGAP, ngap.Encode(&ngap.Message{Type: ngap.TypeUEContextReleaseComplete, RANUEID: ctx.ueID, AMFUEID: m.AMFUEID}))
+		}
 	}
 }
 

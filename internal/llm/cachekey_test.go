@@ -22,7 +22,7 @@ func TestCacheKeyStability(t *testing.T) {
 	w2 := attackWindow(l, ue.AttackBlindDoS)
 
 	svc := NewService(NewClient("http://unused", ""), ServingOptions{})
-	c := svc.Client()
+	c := svc.client
 	for _, m := range DefaultModels {
 		for _, rag := range []bool{false, true} {
 			c.Model, c.RAG = m.Name, rag
@@ -67,7 +67,7 @@ func TestPromptDigestMatchesServedAnalysis(t *testing.T) {
 	defer svc.Close()
 
 	window := attackWindow(l, ue.AttackUplinkIDExtraction)
-	want := svc.Client().renderPrompt(window)
+	want := svc.client.renderPrompt(window)
 	live, err := svc.AnalyzeWindow(context.Background(), window)
 	if err != nil {
 		t.Fatal(err)

@@ -243,8 +243,8 @@ func TestServerClientEndToEnd(t *testing.T) {
 	if analysis.Model != "chatgpt-4o" {
 		t.Errorf("model = %q", analysis.Model)
 	}
-	if srv.Requests() != 1 {
-		t.Errorf("server requests = %d", srv.Requests())
+	if srv.requests.Load() != 1 {
+		t.Errorf("server requests = %d", srv.requests.Load())
 	}
 }
 
@@ -317,8 +317,8 @@ func TestServerTransportMatchesSocket(t *testing.T) {
 			t.Errorf("%s: in-process %d %q %q, socket %d %q %q", tc.name, status, ctype, body, wantStatus, wantType, wantBody)
 		}
 	}
-	if srv.Requests() != 2 {
-		t.Errorf("server requests = %d, want one analyze per transport", srv.Requests())
+	if srv.requests.Load() != 2 {
+		t.Errorf("server requests = %d, want one analyze per transport", srv.requests.Load())
 	}
 
 	// A full client over the transport, and a cancelled context refused.
@@ -420,8 +420,8 @@ func TestServerRefusesOversizedRequest(t *testing.T) {
 			}
 		}
 	}
-	if srv.Requests() != 0 {
-		t.Errorf("%d oversized requests were analyzed", srv.Requests())
+	if srv.requests.Load() != 0 {
+		t.Errorf("%d oversized requests were analyzed", srv.requests.Load())
 	}
 	client := NewClient("http://"+addr, "chatgpt-4o")
 	if a, err := client.AnalyzeWindow(context.Background(), attackWindow(l, ue.AttackBTSDoS)); err != nil || a.TopClass() != ClassBTSDoS {

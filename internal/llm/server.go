@@ -88,9 +88,6 @@ func NewServer(models ...ModelProfile) *Server {
 	return s
 }
 
-// Requests reports how many analyze calls the server has handled.
-func (s *Server) Requests() uint64 { return s.requests.Load() }
-
 // Handler returns the HTTP handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()

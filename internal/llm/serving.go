@@ -175,12 +175,6 @@ func NewService(client *Client, opts ServingOptions) *Service {
 	return s
 }
 
-// Client returns the wrapped client.
-func (s *Service) Client() *Client { return s.client }
-
-// Stats returns the per-instance counters.
-func (s *Service) Stats() *ServingStats { return &s.stats }
-
 // CacheLen reports live verdict-cache entries.
 func (s *Service) CacheLen() int { return s.cache.len() }
 
@@ -189,11 +183,6 @@ func (s *Service) Saturated() bool {
 	s.satMu.Lock()
 	defer s.satMu.Unlock()
 	return s.satOpen
-}
-
-// Models lists the models the endpoint hosts.
-func (s *Service) Models(ctx context.Context) ([]string, error) {
-	return s.client.Models(ctx)
 }
 
 // RegisterHealth joins /healthz under name: the check fails while the
@@ -491,24 +480,6 @@ func (s *Service) journalLocked(state, reason string) {
 		return
 	}
 	s.opts.Store.Set(GovernorNamespace, fmt.Sprintf("%06d", tr.Seq), data)
-}
-
-// GovernorJournal reads the journaled transitions, oldest first.
-func GovernorJournal(store *sdl.Store) []GovernorTransition {
-	keys := store.Keys(GovernorNamespace, "")
-	sort.Strings(keys)
-	out := make([]GovernorTransition, 0, len(keys))
-	for _, k := range keys {
-		data, _, ok := store.Get(GovernorNamespace, k)
-		if !ok {
-			continue
-		}
-		var tr GovernorTransition
-		if json.Unmarshal(data, &tr) == nil {
-			out = append(out, tr)
-		}
-	}
-	return out
 }
 
 // DegradedAnalysis runs the local expert engine over a rendered prompt

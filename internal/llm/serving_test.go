@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -82,11 +83,11 @@ func TestServingCacheHit(t *testing.T) {
 	if second.PromptDigest != first.PromptDigest {
 		t.Error("cached analysis lost the prompt digest")
 	}
-	if got := srv.Requests(); got != 1 {
+	if got := srv.requests.Load(); got != 1 {
 		t.Errorf("upstream requests = %d, want 1 (cache must short-circuit)", got)
 	}
-	if svc.Stats().CacheHits.Load() != 1 || svc.Stats().Live.Load() != 1 {
-		t.Errorf("stats = live %d cache %d", svc.Stats().Live.Load(), svc.Stats().CacheHits.Load())
+	if svc.stats.CacheHits.Load() != 1 || svc.stats.Live.Load() != 1 {
+		t.Errorf("stats = live %d cache %d", svc.stats.Live.Load(), svc.stats.CacheHits.Load())
 	}
 	// A hit is the cache's own immutable analysis, Served already "cache":
 	// serving it again copies nothing.
@@ -118,7 +119,7 @@ func TestServingCacheTTL(t *testing.T) {
 	if a.Served != ServedLive {
 		t.Errorf("post-TTL served = %q, want live (entry must expire)", a.Served)
 	}
-	if got := srv.Requests(); got != 2 {
+	if got := srv.requests.Load(); got != 2 {
 		t.Errorf("upstream requests = %d, want 2", got)
 	}
 }
@@ -170,7 +171,7 @@ func TestServingCoalesce(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := srv.Requests(); got != 1 {
+	if got := srv.requests.Load(); got != 1 {
 		t.Errorf("upstream requests = %d, want 1 (coalescing must share the flight)", got)
 	}
 	live, coalesced := 0, 0
@@ -235,9 +236,9 @@ func TestServingHedgeWins(t *testing.T) {
 	if elapsed := time.Since(start); elapsed >= hang {
 		t.Errorf("hedge did not cut the tail: %v elapsed", elapsed)
 	}
-	if svc.Stats().HedgeAttempts.Load() != 1 || svc.Stats().HedgeWins.Load() != 1 {
+	if svc.stats.HedgeAttempts.Load() != 1 || svc.stats.HedgeWins.Load() != 1 {
 		t.Errorf("hedge stats = attempts %d wins %d, want 1/1",
-			svc.Stats().HedgeAttempts.Load(), svc.Stats().HedgeWins.Load())
+			svc.stats.HedgeAttempts.Load(), svc.stats.HedgeWins.Load())
 	}
 }
 
@@ -262,8 +263,8 @@ func TestServingDegradesOnFailure(t *testing.T) {
 	if a.PromptDigest == 0 {
 		t.Error("degraded analysis lost the prompt digest; prov chains would break")
 	}
-	if svc.Stats().Shed.Load() != 1 {
-		t.Errorf("shed = %d", svc.Stats().Shed.Load())
+	if svc.stats.Shed.Load() != 1 {
+		t.Errorf("shed = %d", svc.stats.Shed.Load())
 	}
 
 	// Benign window: the fallback must not cry wolf.
@@ -348,7 +349,7 @@ func TestServingGovernorTripAndRecover(t *testing.T) {
 	}
 
 	// The SDL journal recorded both transitions, in order.
-	journal := GovernorJournal(store)
+	journal := governorJournal(store)
 	if len(journal) != 2 {
 		t.Fatalf("journal has %d transitions, want 2: %+v", len(journal), journal)
 	}
@@ -454,7 +455,7 @@ func TestServingOnePatternFromManyUEs(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if got := srv.Requests(); got > 2 {
+	if got := srv.requests.Load(); got > 2 {
 		t.Errorf("%d upstream requests for one pattern from %d UEs, want at most 2", got, ues)
 	}
 	want := prov.DigestText(RenderPrompt(episode))
@@ -469,7 +470,7 @@ func TestServingOnePatternFromManyUEs(t *testing.T) {
 			t.Errorf("UE %d: its window no longer carries its own identifiers", n)
 		}
 	}
-	st := svc.Stats()
+	st := &svc.stats
 	if hits, misses := st.CacheHits.Load(), st.CacheMisses.Load(); hits+misses != ues || hits < ues-4 {
 		t.Errorf("hits %d misses %d over %d analyses", hits, misses, ues)
 	}
@@ -519,7 +520,7 @@ func TestServingHitsAllocateNothing(t *testing.T) {
 // servingCounts reads every counter a served analysis moves: the
 // Service's own and the process-wide series.
 func servingCounts(svc *Service) [6]uint64 {
-	st := svc.Stats()
+	st := &svc.stats
 	return [6]uint64{
 		st.CacheHits.Load(), st.CacheMisses.Load(), st.Live.Load(),
 		obsCacheHits.Value(), obsCacheMisses.Value(), obsServedCache.Value(),
@@ -546,8 +547,8 @@ func TestRecallIsTheHitAndNothingElse(t *testing.T) {
 	if a, ok := svc.Recall(nil); ok || a != nil {
 		t.Fatalf("Recall of an empty window = %v, %v", a, ok)
 	}
-	if got := servingCounts(svc); got != before || srv.Requests() != 0 {
-		t.Fatalf("a Recall miss moved counters %v -> %v, upstream requests %d", before, got, srv.Requests())
+	if got := servingCounts(svc); got != before || srv.requests.Load() != 0 {
+		t.Fatalf("a Recall miss moved counters %v -> %v, upstream requests %d", before, got, srv.requests.Load())
 	}
 
 	if _, err := svc.AnalyzeWindow(ctx, w); err != nil { // the miss, counted here
@@ -567,10 +568,10 @@ func TestRecallIsTheHitAndNothingElse(t *testing.T) {
 		t.Errorf("a Recall hit moved counters %v -> %v, want %v", before, got, want)
 	}
 	// Three analyses were served (live, hit, recalled hit) over one round trip.
-	st := svc.Stats()
-	if served := st.CacheHits.Load() + st.CacheMisses.Load(); served != 3 || srv.Requests() != 1 {
+	st := &svc.stats
+	if served := st.CacheHits.Load() + st.CacheMisses.Load(); served != 3 || srv.requests.Load() != 1 {
 		t.Errorf("hits %d + misses %d = %d analyses over %d requests, want 3 over 1",
-			st.CacheHits.Load(), st.CacheMisses.Load(), served, srv.Requests())
+			st.CacheHits.Load(), st.CacheMisses.Load(), served, srv.requests.Load())
 	}
 
 	clk.Advance(cacheTTL + time.Second)
@@ -578,8 +579,8 @@ func TestRecallIsTheHitAndNothingElse(t *testing.T) {
 	if a, ok := svc.Recall(w); ok || a != nil {
 		t.Errorf("Recall past the TTL = %v, %v; want a miss", a, ok)
 	}
-	if got := servingCounts(svc); got != before || srv.Requests() != 1 {
-		t.Errorf("an expired Recall moved counters %v -> %v, upstream requests %d", before, got, srv.Requests())
+	if got := servingCounts(svc); got != before || srv.requests.Load() != 1 {
+		t.Errorf("an expired Recall moved counters %v -> %v, upstream requests %d", before, got, srv.requests.Load())
 	}
 }
 
@@ -605,8 +606,8 @@ func TestServingSharesParsedAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a1.Served != ServedLive || a2.Served != ServedLive || srv.Requests() != 2 {
-		t.Fatalf("served %q and %q over %d requests, want two live answers", a1.Served, a2.Served, srv.Requests())
+	if a1.Served != ServedLive || a2.Served != ServedLive || srv.requests.Load() != 2 {
+		t.Fatalf("served %q and %q over %d requests, want two live answers", a1.Served, a2.Served, srv.requests.Load())
 	}
 	if a1.Raw != a2.Raw {
 		t.Fatalf("the two patterns were answered differently:\n%s\n%s", a1.Raw, a2.Raw)
@@ -683,4 +684,22 @@ func BenchmarkServiceHit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// governorJournal reads the journaled transitions, oldest first.
+func governorJournal(store *sdl.Store) []GovernorTransition {
+	keys := store.Keys(GovernorNamespace, "")
+	sort.Strings(keys)
+	out := make([]GovernorTransition, 0, len(keys))
+	for _, k := range keys {
+		data, _, ok := store.Get(GovernorNamespace, k)
+		if !ok {
+			continue
+		}
+		var tr GovernorTransition
+		if json.Unmarshal(data, &tr) == nil {
+			out = append(out, tr)
+		}
+	}
+	return out
 }

@@ -74,7 +74,7 @@ func BenchmarkAppendTrace(b *testing.B) {
 		e.Reset()
 		mobiflow.AppendTrace(&e, c)
 		recs += len(c)
-		bytes += e.Len()
+		bytes += len(e.Bytes())
 	}
 	b.ReportMetric(float64(bytes)/float64(recs), "B/rec")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(recs), "ns/rec")

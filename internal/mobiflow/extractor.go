@@ -152,10 +152,3 @@ func (x *Extractor) ReleaseUE(ueID uint64) {
 	defer x.mu.Unlock()
 	delete(x.ues, ueID)
 }
-
-// ActiveUEs reports how many UE contexts the extractor is tracking.
-func (x *Extractor) ActiveUEs() int {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return len(x.ues)
-}

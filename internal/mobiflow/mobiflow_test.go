@@ -125,10 +125,6 @@ func TestTraceHelpers(t *testing.T) {
 	if got := tr.FilterUE(1); len(got) != 2 {
 		t.Errorf("FilterUE(1) len = %d", len(got))
 	}
-	mid := tr.Between(base, base.Add(1500*time.Millisecond))
-	if len(mid) != 2 {
-		t.Errorf("Between len = %d, want 2", len(mid))
-	}
 }
 
 func fakeClock() func() time.Time {
@@ -222,12 +218,12 @@ func TestExtractorTMSIFromRRCSetup(t *testing.T) {
 func TestExtractorRelease(t *testing.T) {
 	x := NewExtractor(fakeClock())
 	x.OnRRC(1, 0x11, &rrc.SetupRequest{}, false)
-	if x.ActiveUEs() != 1 {
-		t.Fatalf("ActiveUEs = %d", x.ActiveUEs())
+	if len(x.ues) != 1 {
+		t.Fatalf("%d UE contexts", len(x.ues))
 	}
 	x.ReleaseUE(1)
-	if x.ActiveUEs() != 0 {
-		t.Fatalf("ActiveUEs after release = %d", x.ActiveUEs())
+	if len(x.ues) != 0 {
+		t.Fatalf("%d UE contexts after release", len(x.ues))
 	}
 	// Fresh context: old state must be gone.
 	r := x.OnRRC(1, 0x12, &rrc.SetupRequest{}, false)

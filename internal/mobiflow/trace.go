@@ -75,17 +75,6 @@ func (t Trace) UEs() []uint64 {
 	return ids
 }
 
-// Between returns records with Timestamp in [from, to).
-func (t Trace) Between(from, to time.Time) Trace {
-	var out Trace
-	for _, r := range t {
-		if !r.Timestamp.Before(from) && r.Timestamp.Before(to) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Messages returns the message-name sequence, the m_i series.
 func (t Trace) Messages() []string {
 	out := make([]string, len(t))

@@ -294,7 +294,7 @@ func TestPersistAllocatesKeyAndValueOnly(t *testing.T) {
 				batch[k] = rec
 				batch[k].Seq = uint64(i*records + k + 1)
 			}
-			msgs[i] = e2sm.EncodeIndicationMessage(&e2sm.IndicationMessage{Records: batch})
+			msgs[i] = mobiflow.EncodeTrace(batch)
 		}
 		ind := ric.Indication{NodeID: "gnb-001", SN: 12345}
 		i := 0

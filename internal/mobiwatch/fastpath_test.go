@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/6g-xsec/xsec/internal/e2sm"
+	"github.com/6g-xsec/xsec/internal/mobiflow"
 	"github.com/6g-xsec/xsec/internal/nn"
 	"github.com/6g-xsec/xsec/internal/prov"
 	"github.com/6g-xsec/xsec/internal/ric"
@@ -190,7 +190,7 @@ func TestOnlineFlagsMatchOfflineBatched(t *testing.T) {
 			w.start(in, &wg)
 			for base, sn := 0, uint64(1); base < len(tr); base, sn = base+size, sn+1 {
 				in <- ric.Indication{NodeID: "gnb-replay", SN: sn,
-					Message: e2sm.EncodeIndicationMessage(&e2sm.IndicationMessage{Records: tr[base:min(base+size, len(tr))]})}
+					Message: mobiflow.EncodeTrace(tr[base:min(base+size, len(tr))])}
 			}
 			close(in)
 			wg.Wait()
@@ -264,8 +264,5 @@ func TestEnginesCached(t *testing.T) {
 	e := models.Engines()
 	if models.Engines() != e {
 		t.Error("Engines not cached")
-	}
-	if e.AE.InputDim() != models.RecordDim()*models.Window {
-		t.Errorf("AE engine input dim %d, want %d", e.AE.InputDim(), models.RecordDim()*models.Window)
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"github.com/6g-xsec/xsec/internal/dataset"
 	"github.com/6g-xsec/xsec/internal/e2ap"
-	"github.com/6g-xsec/xsec/internal/e2sm"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
 	"github.com/6g-xsec/xsec/internal/obs"
 	"github.com/6g-xsec/xsec/internal/prov"
@@ -33,7 +32,7 @@ func (n *garbageNode) indicate(t testing.TB, reqID e2ap.RequestID, benign mobifl
 	}
 	if err := n.ep.Send(&e2ap.Message{
 		Type: e2ap.TypeIndication, RequestID: reqID, IndicationSN: sn,
-		IndicationMessage: e2sm.EncodeIndicationMessage(&e2sm.IndicationMessage{Records: batch}),
+		IndicationMessage: mobiflow.EncodeTrace(batch),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +465,7 @@ func BenchmarkWorkerIntake(b *testing.B) {
 		for k := range batch {
 			batch[k].Seq = uint64(i*len(batch) + k + 1)
 		}
-		ind.SN, ind.Message = uint64(i), e2sm.EncodeIndicationMessage(&e2sm.IndicationMessage{Records: batch})
+		ind.SN, ind.Message = uint64(i), mobiflow.EncodeTrace(batch)
 		b.StartTimer()
 		if _, ok := w.admit(ind); !ok {
 			b.Fatal("intake refused a valid indication")

@@ -38,7 +38,7 @@ func retentionWorker(t *testing.T, node string) (*worker, *sdl.Store) {
 // the payload and persists it; ingest scores what it decoded.
 func feed(t testing.TB, w *worker, ind ric.Indication, batch mobiflow.Trace) {
 	t.Helper()
-	ind.Message = e2sm.EncodeIndicationMessage(&e2sm.IndicationMessage{Records: batch})
+	ind.Message = mobiflow.EncodeTrace(batch)
 	b, ok := w.admit(ind)
 	if !ok {
 		t.Fatalf("intake refused indication %d", ind.SN)
@@ -76,7 +76,7 @@ func nineRecordBatches(benign mobiflow.Trace, n int, seq uint64) (msgs [][]byte,
 			batch[k].Seq = seq
 			seq++
 		}
-		msgs = append(msgs, e2sm.EncodeIndicationMessage(&e2sm.IndicationMessage{Records: batch}))
+		msgs = append(msgs, mobiflow.EncodeTrace(batch))
 	}
 	return msgs, batch
 }

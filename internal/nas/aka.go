@@ -33,14 +33,6 @@ func Challenge(k [KeySize]byte, rand [16]byte, sqn uint64) (autn [16]byte) {
 	return autn
 }
 
-// VerifyAUTN lets the UE check that a challenge was produced by a network
-// holding k (anti-spoofing). A rogue base station without k produces AUTN
-// values the UE rejects with a MAC-failure cause.
-func VerifyAUTN(k [KeySize]byte, rand [16]byte, sqn uint64, autn [16]byte) bool {
-	want := Challenge(k, rand, sqn)
-	return hmac.Equal(want[:], autn[:])
-}
-
 // DeriveRES computes RES*, the UE's response to a (RAND) challenge under
 // key k.
 func DeriveRES(k [KeySize]byte, rand [16]byte) []byte {

@@ -1,79 +1,85 @@
 package nas_test
 
 import (
-	"bytes"
-	"errors"
-	"io"
 	"reflect"
 	"testing"
 
+	"github.com/6g-xsec/xsec/internal/cell"
 	"github.com/6g-xsec/xsec/internal/dataset"
-	"github.com/6g-xsec/xsec/internal/f1ap"
 	"github.com/6g-xsec/xsec/internal/nas"
-	"github.com/6g-xsec/xsec/internal/pcaplite"
-	"github.com/6g-xsec/xsec/internal/rrc"
+	"github.com/6g-xsec/xsec/internal/ngap"
 )
 
-// capturePDUs returns every NAS PDU the RRC containers of a
-// benign-and-attack dataset session's F1AP capture carry, in capture
-// order.
-func capturePDUs(f *testing.F) [][]byte {
-	var buf bytes.Buffer
-	w := pcaplite.NewWriter(&buf)
-	if _, err := dataset.GenerateMixed(dataset.MixedConfig{
-		BenignConfig:       dataset.BenignConfig{Fleet: 3, Seed: 21, Capture: w},
-		InstancesPerAttack: 1,
-	}); err != nil {
-		f.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
+// sessionPDUs returns the nas.Encode of every NAS message a dataset
+// fleet's sessions exchange with the simulated AMF, uplink and downlink
+// in order: each UE registers with its SUCI and its profile's
+// capabilities, deregisters, registers again with its GUTI and resumes
+// with a service request; then a GUTI the AMF does not know is asked for
+// its identity and fails authentication.
+func sessionPDUs(f *testing.F) [][]byte {
+	s, err := dataset.NewScenario(dataset.BenignConfig{Fleet: 10, Seed: 21})
+	if err != nil {
 		f.Fatal(err)
 	}
 	var out [][]byte
-	for r := pcaplite.NewReader(&buf); ; {
-		pkt, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return out
-		}
+	var ran uint64
+	// send carries m to the AMF on the current RAN UE and returns the last
+	// NAS message of its answer.
+	send := func(m nas.Message) nas.Message {
+		pdu := nas.Encode(m)
+		out = append(out, pdu)
+		resp, err := s.AMF.HandleNGAP(&ngap.Message{Type: ngap.TypeUplinkNASTransport, RANUEID: ran, NASPDU: pdu})
 		if err != nil {
 			f.Fatal(err)
 		}
-		if pkt.Iface != pcaplite.IfF1AP {
-			continue
+		var last nas.Message
+		for _, r := range resp {
+			if r.NASPDU == nil {
+				continue
+			}
+			out = append(out, r.NASPDU)
+			if last, err = nas.Decode(r.NASPDU); err != nil {
+				f.Fatal(err)
+			}
 		}
-		m, err := f1ap.Decode(pkt.Payload)
-		if err != nil {
-			f.Fatal(err)
-		}
-		if len(m.RRCContainer) == 0 {
-			continue
-		}
-		msg, err := rrc.Decode(m.RRCContainer)
-		if err != nil {
-			f.Fatal(err)
-		}
-		switch msg := msg.(type) {
-		case *rrc.SetupComplete:
-			out = append(out, msg.NASPDU)
-		case *rrc.ULInformationTransfer:
-			out = append(out, msg.NASPDU)
-		case *rrc.DLInformationTransfer:
-			out = append(out, msg.NASPDU)
-		case *rrc.Reconfiguration:
-			out = append(out, msg.NASPDU)
-		}
+		return last
 	}
+	for i, u := range s.Fleet {
+		suci, err := cell.SUCIFromSUPI(u.SUPI, 0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		id := nas.MobileIdentity{Type: nas.IdentitySUCI, SUCI: suci}
+		for _, regType := range []nas.RegistrationType{nas.RegInitial, nas.RegMobilityUpdate} {
+			ran++
+			auth := send(&nas.RegistrationRequest{RegType: regType, Identity: id, Capability: u.Profile.Capability}).(*nas.AuthenticationRequest)
+			send(&nas.AuthenticationResponse{RES: nas.DeriveRES(u.K, auth.RAND)})
+			guti := send(&nas.SecurityModeComplete{}).(*nas.RegistrationAccept).GUTI
+			send(&nas.RegistrationComplete{})
+			id = nas.MobileIdentity{Type: nas.IdentityGUTI, GUTI: guti}
+			if regType == nas.RegInitial {
+				send(&nas.DeregistrationRequest{})
+			}
+		}
+		ran++
+		send(&nas.ServiceRequest{TMSI: id.GUTI.TMSI})
+		ran++
+		id.GUTI.TMSI = cell.TMSI(0xA0000000 + i)
+		send(&nas.RegistrationRequest{Identity: id, Capability: u.Profile.Capability})
+		send(&nas.IdentityResponse{Identity: nas.MobileIdentity{Type: nas.IdentitySUCI, SUCI: suci}})
+		send(&nas.AuthenticationFailure{Cause: nas.CauseIllegalUE})
+	}
+	return out
 }
 
 // FuzzNASDecode holds nas.Decode — what the gNB and the AMF run on
-// every NAS PDU a UE sends, and dataset.ParseCapture on every captured
-// one — to three properties on arbitrary bytes: it never panics; a
-// message it accepts re-encodes to bytes that decode to an equal message
-// (an absent and an empty RES are the same message); and nothing it
-// returns is longer than the input. The seeds are the NAS PDUs of a
-// dataset session.
+// every NAS PDU a UE sends — to three properties on arbitrary bytes: it
+// never panics; a message it accepts re-encodes to bytes that decode to
+// an equal message (an absent and an empty RES are the same message);
+// and nothing it returns is longer than the input. The seeds are the NAS
+// PDUs of a dataset fleet's sessions.
 func FuzzNASDecode(f *testing.F) {
-	for _, pdu := range capturePDUs(f) {
+	for _, pdu := range sessionPDUs(f) {
 		f.Add(pdu)
 	}
 	f.Add([]byte{})

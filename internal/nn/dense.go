@@ -18,8 +18,6 @@ type Dense struct {
 
 	w *Param // len Out*In
 	b *Param // len Out
-
-	def *denseScratch // default workspace backing the convenience API
 }
 
 // denseScratch is the per-goroutine forward/backward state of one layer.
@@ -60,13 +58,6 @@ func (d *Dense) newScratch(input bool) *denseScratch {
 		s.gradIn = make([]float64, d.In)
 	}
 	return s
-}
-
-func (d *Dense) scratch() *denseScratch {
-	if d.def == nil {
-		d.def = d.newScratch(false)
-	}
-	return d.def
 }
 
 // forward computes the layer output into s, caching activations for a
@@ -123,29 +114,14 @@ func (d *Dense) backward(s *denseScratch, wG, bG, gradOut []float64) []float64 {
 	return gradIn
 }
 
-// Forward computes the layer output using the layer's default scratch —
-// the single-threaded convenience API. The returned slice is overwritten
-// on the next call. For concurrent use, share the layer through an MLP
-// and per-goroutine MLPScratch instead.
-func (d *Dense) Forward(x []float64) []float64 { return d.forward(d.scratch(), x) }
-
-// Backward consumes dLoss/dOutput, accumulates parameter gradients into
-// the layer's Params, and returns dLoss/dInput. Must follow a Forward
-// call with the matching input. The returned slice is owned by the
-// layer's default scratch and overwritten on the next call.
-func (d *Dense) Backward(gradOut []float64) []float64 {
-	return d.backward(d.scratch(), d.w.G, d.b.G, gradOut)
-}
-
 // MLP is a stack of dense layers. Like Dense, a trained MLP is
-// effectively read-only: concurrent goroutines may run ForwardWith /
-// BackwardWith simultaneously as long as each owns its MLPScratch.
+// effectively read-only: concurrent goroutines may run ForwardWith
+// simultaneously as long as each owns its MLPScratch.
 type MLP struct {
 	layers []*Dense
 	params []*Param
 
 	def *MLPScratch // default workspace backing the convenience API
-	pg  [][]float64 // Param.G slices aligned with params, built lazily
 }
 
 // MLPScratch holds the per-goroutine forward/backward state for every
@@ -195,14 +171,6 @@ func (m *MLP) scratch() *MLPScratch {
 	return m.def
 }
 
-// grads returns the shared Param.G slices aligned with Params().
-func (m *MLP) grads() [][]float64 {
-	if m.pg == nil {
-		m.pg = paramGrads(m.params)
-	}
-	return m.pg
-}
-
 // ForwardWith runs the network through the given workspace. The returned
 // slice is owned by s and overwritten by its next forward.
 func (m *MLP) ForwardWith(s *MLPScratch, x []float64) []float64 {
@@ -223,20 +191,6 @@ func (m *MLP) backwardInto(s *MLPScratch, grads [][]float64, gradOut []float64) 
 	}
 }
 
-// BackwardWith propagates gradients through workspace s, accumulating
-// into the shared Params. Concurrent BackwardWith calls on the same
-// model race on Param.G; use per-goroutine gradient buffers (as Train
-// does) when training in parallel.
-func (m *MLP) BackwardWith(s *MLPScratch, gradOut []float64) {
-	m.backwardInto(s, m.grads(), gradOut)
-}
-
 // Forward runs the network through the default scratch (single-threaded
 // convenience API). The returned slice is overwritten on the next call.
 func (m *MLP) Forward(x []float64) []float64 { return m.ForwardWith(m.scratch(), x) }
-
-// Backward propagates dLoss/dOutput through the stack, accumulating
-// parameter gradients.
-func (m *MLP) Backward(gradOut []float64) {
-	m.backwardInto(m.scratch(), m.grads(), gradOut)
-}

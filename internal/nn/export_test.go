@@ -18,3 +18,6 @@ func (e *LSTMInference) ScoreBatchDense(s *LSTMBatchScratch, xb, targets []float
 
 // ForcePortableKernels is forcePortableKernels.
 func ForcePortableKernels(t *testing.T) { forcePortableKernels(t) }
+
+// SIMD reports which GEMM kernel implementation is active.
+func SIMD() string { return simdKernel }

@@ -45,9 +45,6 @@ var kernelIdxF32 = gemmIdxGo
 // "generic") for benchmark metadata.
 var simdKernel = "generic"
 
-// SIMD reports which GEMM kernel implementation is active.
-func SIMD() string { return simdKernel }
-
 // gemmBlockGo is the portable float32 block kernel:
 // y[m*yStride+o] += Σ_k x[m*xStride+k] · wt[k*wtStride+o] for o in
 // [0, laneCols), m in [0, n). The zero-input skip is exact for finite

@@ -43,7 +43,7 @@ func TestDenseGradients(t *testing.T) {
 		ZeroGrads(m)
 		grad := make([]float64, 3)
 		MSE(m.Forward(x), target, grad)
-		m.Backward(grad)
+		m.backwardInto(m.scratch(), paramGrads(m.Params()), grad)
 
 		for _, p := range m.Params() {
 			for i := range p.W {
@@ -57,18 +57,18 @@ func TestDenseGradients(t *testing.T) {
 	}
 }
 
-// TestDenseInputGradient checks the one dLoss/dInput the public API still
-// returns — a lone layer's Dense.Backward; an MLP's Backward returns
-// nothing — against numerical differentiation, zeros in the input
-// included.
+// TestDenseInputGradient checks a lone layer's dLoss/dInput (an MLP's
+// backward pass returns none) against numerical differentiation, zeros in
+// the input included.
 func TestDenseInputGradient(t *testing.T) {
 	d := NewDense(rand.New(rand.NewSource(5)), 4, 3, ActTanh)
 	x := []float64{0.4, 0, -1.2, 0}
 	target := []float64{0.1, -0.6, 0.9}
-	loss := func() float64 { return MSE(d.Forward(x), target, nil) }
+	s := d.newScratch(false)
+	loss := func() float64 { return MSE(d.forward(s, x), target, nil) }
 	grad := make([]float64, 3)
-	MSE(d.Forward(x), target, grad)
-	got := append([]float64(nil), d.Backward(grad)...)
+	MSE(d.forward(s, x), target, grad)
+	got := append([]float64(nil), d.backward(s, d.w.G, d.b.G, grad)...)
 	for i := range x {
 		if want := numericalGrad(loss, &x[i]); math.Abs(got[i]-want) > 1e-5*(1+math.Abs(want)) {
 			t.Errorf("dLoss/dInput[%d]: analytic %g, numerical %g", i, got[i], want)
@@ -90,7 +90,7 @@ func TestDenseGradientsAllActivations(t *testing.T) {
 			ZeroGrads(m)
 			grad := make([]float64, 2)
 			MSE(m.Forward(x), target, grad)
-			m.Backward(grad)
+			m.backwardInto(m.scratch(), paramGrads(m.Params()), grad)
 			for _, p := range m.Params() {
 				for i := range p.W {
 					want := numericalGrad(loss, &p.W[i])
@@ -133,7 +133,7 @@ func TestLSTMGradients(t *testing.T) {
 		ZeroGrads(l)
 		grad := make([]float64, 2)
 		MSE(l.Forward(window), target, grad)
-		l.Backward(grad)
+		l.backwardInto(l.scratch(), paramGrads(l.Params()), grad)
 
 		for _, p := range l.Params() {
 			for i := range p.W {
@@ -156,11 +156,11 @@ func TestGradientAccumulation(t *testing.T) {
 
 	ZeroGrads(m)
 	MSE(m.Forward(x), target, grad)
-	m.Backward(grad)
+	m.backwardInto(m.scratch(), paramGrads(m.Params()), grad)
 	once := append([]float64(nil), m.Params()[0].G...)
 
 	MSE(m.Forward(x), target, grad)
-	m.Backward(grad)
+	m.backwardInto(m.scratch(), paramGrads(m.Params()), grad)
 	for i, g := range m.Params()[0].G {
 		if math.Abs(g-2*once[i]) > 1e-12 {
 			t.Fatalf("grad[%d] = %g after two passes, want %g", i, g, 2*once[i])

@@ -61,9 +61,6 @@ func (a *Autoencoder) QuantizeF32() *AEInference {
 	return e
 }
 
-// InputDim returns the flattened window dimension the engine expects.
-func (e *AEInference) InputDim() int { return e.inputDim }
-
 // NewBatchScratch allocates an empty arena; ScoreWindows grows it to the
 // largest batch seen and then reuses it.
 func (e *AEInference) NewBatchScratch() *AEBatchScratch { return &AEBatchScratch{} }
@@ -230,9 +227,6 @@ func (l *LSTM) QuantizeF32() *LSTMInference {
 		head: newPlane(l.wy.W, l.by.W, H, l.outDim, ActIdentity),
 	}
 }
-
-// Dims returns (input, hidden, output) widths.
-func (e *LSTMInference) Dims() (in, hidden, out int) { return e.inDim, e.hidDim, e.outDim }
 
 // NewBatchScratch allocates an empty arena; ScoreWindows grows it to the
 // largest batch seen and then reuses it.

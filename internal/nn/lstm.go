@@ -25,7 +25,6 @@ type LSTM struct {
 	params []*Param
 
 	def *LSTMScratch // default workspace backing the convenience API
-	pg  [][]float64  // Param.G slices aligned with params, built lazily
 }
 
 type lstmStep struct {
@@ -101,14 +100,6 @@ func (l *LSTM) scratch() *LSTMScratch {
 		l.def = l.NewScratch()
 	}
 	return l.def
-}
-
-// grads returns the shared Param.G slices aligned with Params().
-func (l *LSTM) grads() [][]float64 {
-	if l.pg == nil {
-		l.pg = paramGrads(l.params)
-	}
-	return l.pg
 }
 
 // step returns the t-th step cache, growing the workspace if the window
@@ -248,20 +239,6 @@ func (l *LSTM) backwardInto(s *LSTMScratch, grads [][]float64, gradOut []float64
 		}
 		dh, dhPrev = dhPrev, dh
 	}
-}
-
-// BackwardWith performs truncated BPTT through workspace s, accumulating
-// into the shared Params. Concurrent BackwardWith calls on the same
-// model race on Param.G; use per-goroutine gradient buffers (as
-// TrainNextStep does) when training in parallel.
-func (l *LSTM) BackwardWith(s *LSTMScratch, gradOut []float64) {
-	l.backwardInto(s, l.grads(), gradOut)
-}
-
-// Backward performs truncated BPTT over the window cached by the last
-// Forward call, accumulating parameter gradients from dLoss/dOutput.
-func (l *LSTM) Backward(gradOut []float64) {
-	l.backwardInto(l.scratch(), l.grads(), gradOut)
 }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }

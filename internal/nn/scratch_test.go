@@ -248,8 +248,9 @@ func TestRunShardsInlineOnSingleCPU(t *testing.T) {
 	}
 }
 
-// TestBackwardWithAccumulatesLikeBackward checks the exported scratch
-// backward against the convenience path.
+// TestBackwardWithAccumulatesLikeBackward checks that a backward pass
+// through a workspace of its own accumulates what one through the
+// model's default workspace does.
 func TestBackwardWithAccumulatesLikeBackward(t *testing.T) {
 	m := NewMLP(3, []int{4, 3, 4}, []Activation{ActTanh, ActIdentity})
 	x := []float64{0.2, -0.4, 0.9, 0.1}
@@ -258,13 +259,13 @@ func TestBackwardWithAccumulatesLikeBackward(t *testing.T) {
 
 	ZeroGrads(m)
 	MSE(m.Forward(x), target, grad)
-	m.Backward(grad)
+	m.backwardInto(m.scratch(), paramGrads(m.Params()), grad)
 	want := append([]float64(nil), m.Params()[0].G...)
 
 	ZeroGrads(m)
 	s := m.NewScratch()
 	MSE(m.ForwardWith(s, x), target, grad)
-	m.BackwardWith(s, grad)
+	m.backwardInto(s, paramGrads(m.Params()), grad)
 	for i, g := range m.Params()[0].G {
 		if g != want[i] {
 			t.Fatalf("grad[%d] = %g via scratch, %g via default", i, g, want[i])

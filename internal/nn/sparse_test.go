@@ -39,10 +39,10 @@ func TestScoreWindowsMatchDenseBitwise(t *testing.T) {
 
 	check := func(t *testing.T) {
 		aeEng := ae.QuantizeF32()
-		T := aeEng.InputDim() / dim
+		T := aeEng.inputDim / dim
 		starts := slidingStarts(len(raw), T)
 		want := make([]float32, len(starts))
-		xb := make([]float32, 0, len(starts)*aeEng.InputDim())
+		xb := make([]float32, 0, len(starts)*aeEng.inputDim)
 		for _, st := range starts {
 			xb = append(xb, rows.X[st*dim:(st+T)*dim]...)
 		}

@@ -48,14 +48,6 @@ type StitchedTrace struct {
 	Complete bool `json:"complete"`
 }
 
-// Duration is the stitched trace's end-to-end elapsed time.
-func (t StitchedTrace) Duration() time.Duration {
-	if t.Start.IsZero() || t.End.IsZero() {
-		return 0
-	}
-	return t.End.Sub(t.Start)
-}
-
 // spanIndex groups reported spans by trace key across all instances.
 type spanIndex map[string][]obs.Span
 

@@ -28,8 +28,8 @@ func TestHealthzRegistry(t *testing.T) {
 		t.Fatalf("empty registry: %d %q", code, body)
 	}
 
-	RegisterHealth("test/bus", func() error { return nil })
-	RegisterHealth("test/ring", func() error { return nil })
+	RegisterHealthDetail("test/bus", func() (string, error) { return "", nil })
+	RegisterHealthDetail("test/ring", func() (string, error) { return "", nil })
 	defer UnregisterHealth("test/bus")
 	defer UnregisterHealth("test/ring")
 	if code, body := get(); code != 200 || body != "ok\n" {
@@ -37,7 +37,7 @@ func TestHealthzRegistry(t *testing.T) {
 	}
 
 	// One failing check flips the probe to 503 and names the failure.
-	RegisterHealth("test/bus", func() error { return errors.New("degraded: broker unreachable") })
+	RegisterHealthDetail("test/bus", func() (string, error) { return "", errors.New("degraded: broker unreachable") })
 	code, body := get()
 	if code != 503 {
 		t.Fatalf("failing check: HTTP %d, want 503", code)
@@ -50,7 +50,7 @@ func TestHealthzRegistry(t *testing.T) {
 	}
 
 	// Recovery and unregistration restore readiness.
-	RegisterHealth("test/bus", func() error { return nil })
+	RegisterHealthDetail("test/bus", func() (string, error) { return "", nil })
 	if code, _ := get(); code != 200 {
 		t.Fatalf("recovered check: HTTP %d", code)
 	}

@@ -19,19 +19,14 @@ var (
 	healthChecks map[string]func() (string, error)
 )
 
-// RegisterHealth adds a named readiness check to /healthz. The probe
-// returns 200 only while every registered check returns nil; a failing
-// check flips it to 503 with one "name: error" line per failure, so an
-// orchestrator steering traffic across federated instances sees exactly
-// which dependency is degraded. Re-registering a name replaces it.
-func RegisterHealth(name string, check func() error) {
-	RegisterHealthDetail(name, func() (string, error) { return "", check() })
-}
-
-// RegisterHealthDetail adds a readiness check that also reports
-// per-subsystem detail (e.g. "bus=connected epoch=3 shards=16"). The
-// plain-text /healthz contract is unchanged — detail appears only in
-// the JSON form (?format=json or an Accept: application/json request).
+// RegisterHealthDetail adds a named readiness check to /healthz. The
+// probe returns 200 only while every registered check returns a nil
+// error; a failing check flips it to 503 with one "name: error" line per
+// failure, so an orchestrator steering traffic across federated
+// instances sees exactly which dependency is degraded. The detail (e.g.
+// "bus=connected epoch=3 shards=16") appears only in the JSON form
+// (?format=json or an Accept: application/json request). Re-registering
+// a name replaces it.
 func RegisterHealthDetail(name string, check func() (detail string, err error)) {
 	healthMu.Lock()
 	defer healthMu.Unlock()
@@ -139,7 +134,7 @@ func Handle(pattern string, h http.Handler) {
 //
 //	/metrics      Prometheus text exposition (version 0.0.4)
 //	/traces       retained pipeline spans as JSON, oldest first
-//	/healthz      readiness probe aggregating RegisterHealth checks
+//	/healthz      readiness probe aggregating RegisterHealthDetail checks
 //	/debug/pprof  the standard Go profiler surface
 func NewHandler(reg *Registry, tr *Tracer) http.Handler {
 	mux := http.NewServeMux()

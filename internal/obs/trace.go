@@ -17,9 +17,6 @@ type Span struct {
 	End   time.Time `json:"end"`
 }
 
-// Duration is the span's elapsed time.
-func (s Span) Duration() time.Duration { return s.End.Sub(s.Start) }
-
 // Tracer records completed spans into a bounded ring buffer: the
 // newest spans win, old ones are overwritten, and recording never
 // blocks the pipeline on a slow consumer.
@@ -66,13 +63,6 @@ func (t *Tracer) Record(s Span) {
 	t.mu.Unlock()
 }
 
-// Evicted reports how many spans this tracer has overwritten.
-func (t *Tracer) Evicted() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.evicted
-}
-
 // ActiveSpan is an in-flight span; End records it.
 type ActiveSpan struct {
 	t    *Tracer
@@ -111,16 +101,6 @@ func (t *Tracer) ByKey(key string) []Span {
 		}
 	}
 	return out
-}
-
-// Len reports how many spans are retained.
-func (t *Tracer) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.full {
-		return len(t.buf)
-	}
-	return t.next
 }
 
 // DefaultTracer is the process-wide tracer the pipeline records into.

@@ -24,8 +24,8 @@ func TestTracerStartEnd(t *testing.T) {
 	if s.Key != "gnb-001/7" || s.Stage != "ric.route" {
 		t.Fatalf("span = %+v", s)
 	}
-	if s.Duration() != time.Millisecond {
-		t.Fatalf("duration = %v", s.Duration())
+	if s.End.Sub(s.Start) != time.Millisecond {
+		t.Fatalf("duration = %v", s.End.Sub(s.Start))
 	}
 }
 
@@ -34,8 +34,8 @@ func TestTracerRingEviction(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tr.Record(Span{Key: IndicationKey("n", uint64(i)), Stage: "s"})
 	}
-	if tr.Len() != 3 {
-		t.Fatalf("len = %d, want 3", tr.Len())
+	if len(tr.Spans()) != 3 {
+		t.Fatalf("len = %d, want 3", len(tr.Spans()))
 	}
 	spans := tr.Spans()
 	// Oldest-first with the two earliest evicted.
@@ -86,15 +86,15 @@ func TestTracerLenAtCapacity(t *testing.T) {
 		tr.Record(Span{Key: IndicationKey("n", uint64(i)), Stage: "s"})
 		if want := i + 1; want > 4 {
 			want = 4
-		} else if tr.Len() != want {
-			t.Fatalf("Len after %d records = %d, want %d", i+1, tr.Len(), want)
+		} else if len(tr.Spans()) != want {
+			t.Fatalf("Len after %d records = %d, want %d", i+1, len(tr.Spans()), want)
 		}
-		if tr.Len() > 4 {
-			t.Fatalf("Len = %d exceeds capacity", tr.Len())
+		if len(tr.Spans()) > 4 {
+			t.Fatalf("Len = %d exceeds capacity", len(tr.Spans()))
 		}
 	}
-	if tr.Len() != 4 {
-		t.Fatalf("Len at capacity = %d, want 4", tr.Len())
+	if len(tr.Spans()) != 4 {
+		t.Fatalf("Len at capacity = %d, want 4", len(tr.Spans()))
 	}
 }
 
@@ -104,8 +104,8 @@ func TestTracerEvictedCounter(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tr.Record(Span{Key: "k", Stage: "s"})
 	}
-	if tr.Evicted() != 3 {
-		t.Fatalf("Evicted = %d, want 3", tr.Evicted())
+	if tr.evicted != 3 {
+		t.Fatalf("Evicted = %d, want 3", tr.evicted)
 	}
 	if got := traceEvicted.Value() - before; got != 3 {
 		t.Fatalf("xsec_trace_evicted_total advanced by %d, want 3", got)

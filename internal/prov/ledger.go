@@ -326,9 +326,6 @@ func (l *Ledger) Close() {
 // post-Close recording.
 func (l *Ledger) Dropped() uint64 { return l.dropped.Load() }
 
-// Evicted reports how many chains retention has discarded.
-func (l *Ledger) Evicted() uint64 { return l.evicted.Load() }
-
 // ChainCount reports how many chains the ledger retains.
 func (l *Ledger) ChainCount() int {
 	l.mu.RLock()

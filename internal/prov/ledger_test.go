@@ -24,7 +24,7 @@ func TestLedgerCoalescesBenignWindows(t *testing.T) {
 			Kind:     KindWindow,
 			SeqFirst: uint64(i + 1),
 			SeqLast:  uint64(i + 4),
-			Digest:   DigestFloats([]float64{float64(i)}),
+			Digest:   NewDigest().floats([]float64{float64(i)}),
 			Model:    "autoencoder",
 			Score:    0.1 * float64(i%3), // max is 0.2, at i=2
 		})
@@ -45,7 +45,7 @@ func TestLedgerCoalescesBenignWindows(t *testing.T) {
 	if ev.Score != 0.2 {
 		t.Fatalf("Score = %v, want max 0.2", ev.Score)
 	}
-	if ev.SeqLast != 8 || ev.Digest != DigestFloats([]float64{4}) {
+	if ev.SeqLast != 8 || ev.Digest != NewDigest().floats([]float64{4}) {
 		t.Fatalf("coalesced event does not track the latest window: %+v", ev)
 	}
 	// The SDL holds exactly one key for the chain, and its one segment
@@ -123,7 +123,7 @@ func TestLedgerEvictionBoundsRetentionAndCleansSDL(t *testing.T) {
 	if got := l.ChainCount(); got != 2 {
 		t.Fatalf("ChainCount = %d, want 2", got)
 	}
-	if got := l.Evicted(); got != 1 {
+	if got := l.evicted.Load(); got != 1 {
 		t.Fatalf("Evicted = %d, want 1", got)
 	}
 	if _, ok := l.Chain(ChainID{Node: "n", SN: 1}); ok {
@@ -210,7 +210,7 @@ func TestLedgerEvictionTouchesOnlyItsOwnKeys(t *testing.T) {
 	if n := chainKeys(victim); n != 0 {
 		t.Fatalf("re-created chain left %d keys behind on its second eviction", n)
 	}
-	if got := l.Evicted(); got != 5 {
+	if got := l.evicted.Load(); got != 5 {
 		t.Fatalf("Evicted = %d, want 5", got)
 	}
 	if got, want := len(store.Keys(Namespace, "ev/")), 3+1; got != want { // three 1-event chains + the foreign ev/ key
@@ -365,7 +365,7 @@ func TestLedgerRecordNoAllocs(t *testing.T) {
 		Threshold: 1.5,
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		ev.Digest = DigestFloats(w)
+		ev.Digest = NewDigest().floats(w)
 		l.Record(ev)
 	})
 	if allocs != 0 {

@@ -393,35 +393,11 @@ func (d Digest) Str(s string) Digest {
 	return d.Byte(0)
 }
 
-// Floats mixes a feature vector.
-func (d Digest) Floats(vs []float64) Digest {
-	for _, v := range vs {
-		d = d.F64(v)
-	}
-	return d
-}
-
-// Floats32 mixes a float32 feature vector through the same float64 bit
-// pattern as Floats, so a window digested from the batched float32
-// scoring path matches the float64 path digest when the values are
-// exactly representable (feature vectors are: indicators and small
-// fixed-point ratios). A run of +0 elements costs one multiplication.
-func (d Digest) Floats32(vs []float32) Digest {
-	run := 0
-	for _, v := range vs {
-		if math.Float32bits(v) == 0 {
-			run++
-			continue
-		}
-		d = d.zeroWords(run).F64(float64(v))
-		run = 0
-	}
-	return d.zeroWords(run)
-}
-
-// SparseFloats32 is Floats32(vs) for a vector whose every element
-// outside nz, an ascending index list, is +0: it costs one step per
-// listed element, whatever the length of the runs between them.
+// SparseFloats32 mixes a float32 feature vector whose every element
+// outside nz, an ascending index list, is +0, through each element's
+// float64 bit pattern (feature vectors are exactly representable:
+// indicators and small fixed-point ratios). A run of +0 elements costs
+// one multiplication, whatever its length.
 func (d Digest) SparseFloats32(vs []float32, nz []int32) Digest {
 	next := 0
 	for _, i := range nz {
@@ -464,12 +440,6 @@ func (d *Digest) UnmarshalJSON(data []byte) error {
 	*d = Digest(v)
 	return nil
 }
-
-// DigestFloats fingerprints one flattened feature window.
-func DigestFloats(vs []float64) Digest { return NewDigest().Floats(vs) }
-
-// DigestFloats32 fingerprints one flattened float32 feature window.
-func DigestFloats32(vs []float32) Digest { return NewDigest().Floats32(vs) }
 
 // DigestText fingerprints a rendered prompt or response.
 func DigestText(s string) Digest { return NewDigest().Str(s) }

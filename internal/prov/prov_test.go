@@ -57,10 +57,10 @@ func TestKindJSONRoundtrip(t *testing.T) {
 
 func TestDigestDeterministicAndSensitive(t *testing.T) {
 	w := []float64{0.1, 0.2, 0.3}
-	if DigestFloats(w) != DigestFloats([]float64{0.1, 0.2, 0.3}) {
+	if NewDigest().floats(w) != NewDigest().floats([]float64{0.1, 0.2, 0.3}) {
 		t.Fatal("digest not deterministic")
 	}
-	if DigestFloats(w) == DigestFloats([]float64{0.1, 0.2, 0.30000001}) {
+	if NewDigest().floats(w) == NewDigest().floats([]float64{0.1, 0.2, 0.30000001}) {
 		t.Fatal("digest insensitive to a feature change")
 	}
 	// The string terminator keeps concatenations distinguishable.
@@ -81,24 +81,24 @@ func TestDigestIsBytewiseFNV1a(t *testing.T) {
 		binary.LittleEndian.PutUint64(le[:], math.Float64bits(v))
 		h.Write(le[:])
 	}
-	if got, want := DigestFloats(window), Digest(h.Sum64()); got != want {
-		t.Fatalf("DigestFloats = %s, bytewise FNV-1a = %s", got, want)
+	if got, want := NewDigest().floats(window), Digest(h.Sum64()); got != want {
+		t.Fatalf("floats = %s, bytewise FNV-1a = %s", got, want)
 	}
 	f32 := make([]float32, len(window))
 	for i, v := range window {
 		f32[i] = float32(v)
 	}
-	if got, want := DigestFloats32(f32), DigestFloats(window); got != want {
-		t.Fatalf("DigestFloats32 = %s, DigestFloats of the same values = %s", got, want)
+	if got, want := NewDigest().floats32(f32), NewDigest().floats(window); got != want {
+		t.Fatalf("floats32 = %s, floats of the same values = %s", got, want)
 	}
 }
 
 // TestDigestZeroRunsMatchBytewise is the differential test of the
-// digest's fast path: Floats32 and SparseFloats32 mix a run of +0
+// digest's fast path: floats32 and SparseFloats32 mix a run of +0
 // elements as one multiplication per 64 of them, and must land where
 // byte-serial FNV-1a over every element's float64 bytes does — on random
 // vectors with runs longer than the power table, −0 (which is not a
-// zero run) and NaN payloads. The pinned value is what Floats32 gave
+// zero run) and NaN payloads. The pinned value is what floats32 gave
 // before it had a fast path, so a wrong table entry cannot hide behind a
 // reference that shares it.
 func TestDigestZeroRunsMatchBytewise(t *testing.T) {
@@ -132,11 +132,11 @@ func TestDigestZeroRunsMatchBytewise(t *testing.T) {
 			i++
 		}
 		want := bytewise(vs)
-		if got := DigestFloats32(vs); got != want {
-			t.Fatalf("trial %d (%d elements): Floats32 = %s, bytewise FNV-1a = %s", trial, len(vs), got, want)
+		if got := NewDigest().floats32(vs); got != want {
+			t.Fatalf("trial %d (%d elements): floats32 = %s, bytewise FNV-1a = %s", trial, len(vs), got, want)
 		}
 		if got := NewDigest().SparseFloats32(vs, nz); got != want {
-			t.Fatalf("trial %d (%d elements): SparseFloats32 = %s, bytewise FNV-1a = %s", trial, len(vs), got, want)
+			t.Fatalf("trial %d (%d elements): Sparsefloats32 = %s, bytewise FNV-1a = %s", trial, len(vs), got, want)
 		}
 	}
 
@@ -151,7 +151,7 @@ func TestDigestZeroRunsMatchBytewise(t *testing.T) {
 			pinned[i] = math.Float32frombits(0x7fc01234)
 		}
 	}
-	if got, want := DigestFloats32(pinned).String(), "3056df145f3925df"; got != want {
+	if got, want := NewDigest().floats32(pinned).String(), "3056df145f3925df"; got != want {
 		t.Fatalf("pinned vector digests to %s, want %s", got, want)
 	}
 }
@@ -218,4 +218,29 @@ func TestEventJSONOmitsZeroFields(t *testing.T) {
 			t.Fatalf("zero field %q serialized: %s", field, data)
 		}
 	}
+}
+
+// floats mixes a float64 vector element by element: the reference the
+// float32 digests are held to.
+func (d Digest) floats(vs []float64) Digest {
+	for _, v := range vs {
+		d = d.F64(v)
+	}
+	return d
+}
+
+// floats32 is SparseFloats32 over every element: it mixes vs through
+// the same float64 bit patterns as floats, a run of +0 elements in one
+// multiplication.
+func (d Digest) floats32(vs []float32) Digest {
+	run := 0
+	for _, v := range vs {
+		if math.Float32bits(v) == 0 {
+			run++
+			continue
+		}
+		d = d.zeroWords(run).F64(float64(v))
+		run = 0
+	}
+	return d.zeroWords(run)
 }

@@ -33,17 +33,6 @@ func (c ChainRecord) Has(k Kind) bool {
 	return false
 }
 
-// HasMitigation reports whether the chain contains a mitigation
-// transition with the given lifecycle state label.
-func (c ChainRecord) HasMitigation(state string) bool {
-	for i := range c.Events {
-		if c.Events[i].Kind == KindMitigation && c.Events[i].Label == state {
-			return true
-		}
-	}
-	return false
-}
-
 // MissingStages lists, for a chain that reached a mitigation, the
 // causal stages an auditor expects but the ledger lacks. An empty
 // result means the evidence chain is complete end to end.

@@ -146,10 +146,10 @@ func TestLedgerRetainedBytesPerEvent(t *testing.T) {
 		id := ChainID{Node: "gnb-001", SN: 40_000 + sn}
 		window := func(model string, flagged bool) Event {
 			seq++
-			return Event{Chain: id, Kind: KindWindow, SeqFirst: seq - 15, SeqLast: seq, Digest: DigestFloats([]float64{float64(seq)}),
+			return Event{Chain: id, Kind: KindWindow, SeqFirst: seq - 15, SeqLast: seq, Digest: NewDigest().floats([]float64{float64(seq)}),
 				Model: model, Score: 0.001 * float64(seq%997), Threshold: 0.73, Flagged: flagged}
 		}
-		l.handle(Event{Chain: id, Kind: KindEmit, Records: 9, SeqFirst: seq + 1, SeqLast: seq + 9, Digest: DigestFloats([]float64{float64(sn)})})
+		l.handle(Event{Chain: id, Kind: KindEmit, Records: 9, SeqFirst: seq + 1, SeqLast: seq + 9, Digest: NewDigest().floats([]float64{float64(sn)})})
 		l.handle(Event{Chain: id, Kind: KindTransport, Label: "sent"})
 		l.handle(Event{Chain: id, Kind: KindIndication, Label: "routed"})
 		for i := 0; i < 4; i++ {

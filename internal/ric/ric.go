@@ -14,7 +14,6 @@ package ric
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,7 +23,6 @@ import (
 	"github.com/6g-xsec/xsec/internal/obs"
 	"github.com/6g-xsec/xsec/internal/prov"
 	"github.com/6g-xsec/xsec/internal/sdl"
-	"github.com/6g-xsec/xsec/internal/wire"
 )
 
 // Platform-level observability. Indication routing is labeled per xApp
@@ -127,9 +125,6 @@ func NewPlatform(store *sdl.Store) *Platform {
 	}
 }
 
-// SDL returns the shared data layer.
-func (p *Platform) SDL() *sdl.Store { return p.store }
-
 // Metrics returns the live counter set.
 func (p *Platform) Metrics() *Metrics { return &p.metrics }
 
@@ -145,16 +140,6 @@ func (p *Platform) Nodes() []NodeInfo {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].NodeID < out[j].NodeID })
 	return out
-}
-
-// ServeE2 accepts gNB connections on a framed listener until it closes.
-func (p *Platform) ServeE2(l *wire.Listener) error {
-	return wire.Serve(l, func(c *wire.Conn) {
-		if err := p.AttachNode(e2ap.NewEndpoint(c)); err != nil && !errors.Is(err, io.EOF) {
-			// Connection-level failure; the node is already detached.
-			_ = err
-		}
-	})
 }
 
 // AttachNode runs the E2 Termination for one node connection: it performs

@@ -11,7 +11,6 @@ import (
 
 	"github.com/6g-xsec/xsec/internal/e2ap"
 	"github.com/6g-xsec/xsec/internal/sdl"
-	"github.com/6g-xsec/xsec/internal/wire"
 )
 
 // fakeNode is a minimal E2 agent: it performs setup, admits all
@@ -265,10 +264,10 @@ func TestControlRoundTrip(t *testing.T) {
 	waitFor(t, func() bool { return len(p.Nodes()) == 1 })
 
 	x, _ := p.RegisterXApp("x")
-	if err := x.Control("gnb-1", 3, []byte("hdr"), []byte("release")); err != nil {
+	if err := x.ControlContext(context.Background(), "gnb-1", 3, []byte("hdr"), []byte("release")); err != nil {
 		t.Fatal(err)
 	}
-	if err := x.Control("gnb-1", 3, nil, []byte("fail")); !errors.Is(err, ErrControlFailed) {
+	if err := x.ControlContext(context.Background(), "gnb-1", 3, nil, []byte("fail")); !errors.Is(err, ErrControlFailed) {
 		t.Errorf("err = %v, want ErrControlFailed", err)
 	}
 	m := p.Metrics()
@@ -382,32 +381,6 @@ func TestProcedureTimeout(t *testing.T) {
 	if _, err := x.Subscribe("mute", 2, nil, nil, SubscribeOptions{Buffer: 1}); !errors.Is(err, ErrTimeout) {
 		t.Errorf("err = %v, want ErrTimeout", err)
 	}
-}
-
-func TestServeE2OverTCP(t *testing.T) {
-	p := NewPlatform(sdl.New())
-	defer p.Close()
-	l, err := wire.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go p.ServeE2(l)
-
-	conn, err := wire.Dial(l.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep := e2ap.NewEndpoint(conn)
-	defer ep.Close()
-	if err := ep.Send(&e2ap.Message{Type: e2ap.TypeE2SetupRequest, NodeID: "gnb-tcp"}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := ep.Recv()
-	if err != nil || resp.Type != e2ap.TypeE2SetupResponse {
-		t.Fatalf("resp=%+v err=%v", resp, err)
-	}
-	waitFor(t, func() bool { return len(p.Nodes()) == 1 })
 }
 
 func TestPlatformClose(t *testing.T) {

@@ -49,8 +49,8 @@ func TestShardedOrderingAndFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sub.Shards() != shards || sub.NodeID() != "gnb-shard" {
-		t.Fatalf("sub shape: shards=%d node=%q", sub.Shards(), sub.NodeID())
+	if sub.Shards() != shards || sub.nodeID != "gnb-shard" {
+		t.Fatalf("sub shape: shards=%d node=%q", sub.Shards(), sub.nodeID)
 	}
 
 	// One consumer goroutine per shard, all draining concurrently.

@@ -41,9 +41,6 @@ func (p *Platform) RegisterXApp(name string) (*XApp, error) {
 	return x, nil
 }
 
-// Name returns the xApp name.
-func (x *XApp) Name() string { return x.name }
-
 // SDL returns the shared data layer.
 func (x *XApp) SDL() *sdl.Store { return x.platform.store }
 
@@ -142,9 +139,6 @@ func (s *Subscription) closeCh() {
 		q.mu.Unlock()
 	}
 }
-
-// NodeID reports which E2 node the subscription is bound to.
-func (s *Subscription) NodeID() string { return s.nodeID }
 
 func (x *XApp) nextRequestID() e2ap.RequestID {
 	x.mu.Lock()
@@ -282,18 +276,12 @@ func (s *Subscription) Delete() error {
 	return nil
 }
 
-// Control sends a RIC Control request (the closed-loop feedback primitive
-// of Figure 3) and waits for the acknowledgment under the platform's
-// default procedure timeout.
-func (x *XApp) Control(nodeID string, ranFunctionID uint16, header, message []byte) error {
-	return x.ControlContext(context.Background(), nodeID, ranFunctionID, header, message)
-}
-
-// ControlContext is Control with caller-supplied cancellation: the
-// request is abandoned when ctx is done (its deadline acts as a
-// per-request timeout tighter than the platform default), so a hung gNB
-// cannot wedge an issuing control loop. Timeouts and cancellations are
-// counted as control failures.
+// ControlContext sends a RIC Control request (the closed-loop feedback
+// primitive of Figure 3) and waits for the acknowledgment under the
+// platform's default procedure timeout. The request is abandoned when ctx
+// is done (its deadline acts as a per-request timeout tighter than the
+// platform default), so a hung gNB cannot wedge an issuing control loop.
+// Timeouts and cancellations are counted as control failures.
 func (x *XApp) ControlContext(ctx context.Context, nodeID string, ranFunctionID uint16, header, message []byte) error {
 	reqID := x.nextRequestID()
 	resp, err := x.platform.requestCtx(ctx, nodeID, &e2ap.Message{

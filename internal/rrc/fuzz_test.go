@@ -49,9 +49,9 @@ func captureContainers(f *testing.F) [][]byte {
 	}
 }
 
-// FuzzRRCDecode holds rrc.Decode — what the gNB runs on every uplink PDU
-// a UE sends, and dataset.ParseCapture on every captured container — to
-// three properties on arbitrary bytes: it never panics; a message it
+// FuzzRRCDecode holds rrc.Decode — what dataset.ParseCapture runs on
+// every captured container (the gNB takes RRC as values) — to three
+// properties on arbitrary bytes: it never panics; a message it
 // accepts re-encodes to bytes that decode to an equal message (an absent
 // and an empty NAS PDU are the same message); and nothing it returns is
 // longer than the input (a NAS PDU is a copy of part of it). The seeds

@@ -250,17 +250,21 @@ func TestBoundDeletesDoNotQueueClaims(t *testing.T) {
 	}
 }
 
-// TestExpiredEntriesReleaseTheirCharge: Purge removes an expired entry the
-// way Delete does, so the bytes a TTL'd entry was charged come back.
+// TestExpiredEntriesReleaseTheirCharge: an expired entry keeps its charge
+// until it is deleted or overwritten, which gives the bytes back the way
+// deleting a live entry does.
 func TestExpiredEntriesReleaseTheirCharge(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
-	s := NewWithClock(func() time.Time { return now })
+	s := newStore(DefaultShards, func() time.Time { return now })
 	s.Bound("ns", 1<<20)
-	s.SetTTL("ns", "k", []byte("v"), time.Second)
+	s.SetOwnedTTL("ns", "k", []byte("v"), time.Second)
+	s.SetOwnedTTL("ns", "k2", []byte("v"), time.Second)
 	s.Set("ns", "keep", []byte("v"))
 	now = now.Add(2 * time.Second)
-	if s.Purge() != 1 || s.Bytes("ns") != charge("keep", []byte("v")) {
-		t.Errorf("after Purge: %d B charged, want %d", s.Bytes("ns"), charge("keep", []byte("v")))
+	s.Delete("ns", "k")
+	s.Set("ns", "k2", []byte("w"))
+	if want := charge("keep", []byte("v")) + charge("k2", []byte("w")); s.Bytes("ns") != want {
+		t.Errorf("%d B charged, want %d", s.Bytes("ns"), want)
 	}
 }
 
@@ -327,7 +331,7 @@ func TestBoundEvictionReachesWatchersAndReaders(t *testing.T) {
 // or making it smaller than one empty entry per stripe is refused.
 func TestBoundDeclaration(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
-	s := NewWithClock(func() time.Time { return now })
+	s := newStore(DefaultShards, func() time.Time { return now })
 	s.Bound("ns", 1<<16)
 	s.Set("ns", "k", []byte("v"))
 	s.Bound("ns", 1<<16) // a second colocated writer
@@ -335,7 +339,7 @@ func TestBoundDeclaration(t *testing.T) {
 		t.Error("repeating Bound disturbed the namespace")
 	}
 	s.Set("late", "k", []byte("v"))
-	s.SetTTL("expired", "k", []byte("v"), time.Second)
+	s.SetOwnedTTL("expired", "k", []byte("v"), time.Second)
 	now = now.Add(2 * time.Second)
 	if s.Len("expired") != 0 {
 		t.Fatal("the TTL'd entry has not expired")

@@ -12,8 +12,8 @@
 //
 // # Retention
 //
-// SetTTL hides an entry from readers once its time is up; the bytes stay
-// until Purge (a scan of the whole store) or an overwrite. Use it for
+// SetOwnedTTL hides an entry from readers once its time is up; the bytes
+// stay until the key is overwritten or deleted. Use it for
 // state that must stop being *believed* after a while — an ownership
 // record whose writer may have died. Bound makes a namespace a FIFO of at
 // most so many bytes: the write that would exceed the bound deletes the
@@ -158,11 +158,6 @@ type watcher struct {
 // New returns an empty store using the real clock and DefaultShards.
 func New() *Store { return newStore(DefaultShards, time.Now) }
 
-// NewWithClock returns a store with an injectable clock for TTL tests.
-func NewWithClock(clock func() time.Time) *Store {
-	return newStore(DefaultShards, clock)
-}
-
 // newStore returns a store of shards lock stripes, rounded up to a power
 // of two; 1 is the unsharded single-lock layout.
 func newStore(shards int, clock func() time.Time) *Store {
@@ -285,12 +280,6 @@ func (s *Store) shardFor(namespace, key string) *shard {
 // The value is copied, so the caller may reuse its buffer.
 func (s *Store) Set(namespace, key string, value []byte) uint64 {
 	return s.set(namespace, key, value, 0, true)
-}
-
-// SetTTL stores value with a time-to-live; ttl <= 0 means no expiry.
-// The value is copied.
-func (s *Store) SetTTL(namespace, key string, value []byte, ttl time.Duration) uint64 {
-	return s.set(namespace, key, value, ttl, true)
 }
 
 // SetOwned stores value under (namespace, key) WITHOUT copying: the store
@@ -547,25 +536,6 @@ func (sh *shard) notifyLocked(ev Event) {
 		default: // drop on overflow
 		}
 	}
-}
-
-// Purge removes expired entries and returns how many were dropped.
-func (s *Store) Purge() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for namespace, m := range sh.ns {
-			for k, e := range m {
-				if s.expired(e) {
-					s.removeLocked(sh, m, namespace, k, e)
-					n++
-				}
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return n
 }
 
 // Len reports the number of live keys in a namespace.

@@ -73,8 +73,8 @@ func TestKeysAndGetAll(t *testing.T) {
 
 func TestTTLExpiry(t *testing.T) {
 	now := time.Unix(1000, 0)
-	s := NewWithClock(func() time.Time { return now })
-	s.SetTTL("ns", "k", []byte("v"), time.Second)
+	s := newStore(DefaultShards, func() time.Time { return now })
+	s.SetOwnedTTL("ns", "k", []byte("v"), time.Second)
 	if _, _, ok := s.Get("ns", "k"); !ok {
 		t.Fatal("fresh TTL key missing")
 	}
@@ -84,9 +84,6 @@ func TestTTLExpiry(t *testing.T) {
 	}
 	if s.Len("ns") != 0 {
 		t.Error("expired key counted in Len")
-	}
-	if n := s.Purge(); n != 1 {
-		t.Errorf("Purge = %d, want 1", n)
 	}
 }
 

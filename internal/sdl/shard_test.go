@@ -125,13 +125,13 @@ func TestWatchCancelRacesMutations(t *testing.T) {
 }
 
 // TestTTLExpiryPerShard plants TTL keys landing on different shards and
-// verifies expiry and Purge see every shard.
+// verifies expiry sees every shard.
 func TestTTLExpiryPerShard(t *testing.T) {
 	now := time.Unix(1000, 0)
 	s := newStore(8, func() time.Time { return now })
 	const n = 64
 	for i := 0; i < n; i++ {
-		s.SetTTL("ns", fmt.Sprintf("ttl/%03d", i), []byte("v"), time.Second)
+		s.SetOwnedTTL("ns", fmt.Sprintf("ttl/%03d", i), []byte("v"), time.Second)
 		s.Set("ns", fmt.Sprintf("keep/%03d", i), []byte("v"))
 	}
 	if got := s.Len("ns"); got != 2*n {
@@ -143,9 +143,6 @@ func TestTTLExpiryPerShard(t *testing.T) {
 	}
 	if got := len(s.Keys("ns", "ttl/")); got != 0 {
 		t.Errorf("expired keys still listed: %d", got)
-	}
-	if got := s.Purge(); got != n {
-		t.Errorf("Purge = %d, want %d", got, n)
 	}
 	if got := len(s.Keys("ns", "keep/")); got != n {
 		t.Errorf("unexpired keys lost: %d, want %d", got, n)
@@ -162,7 +159,7 @@ func TestSetOwnedDoesNotCopy(t *testing.T) {
 	}
 	// The TTL variant also takes ownership and expires.
 	now := time.Unix(1000, 0)
-	sc := NewWithClock(func() time.Time { return now })
+	sc := newStore(DefaultShards, func() time.Time { return now })
 	sc.SetOwnedTTL("ns", "k", []byte("v"), time.Second)
 	now = now.Add(2 * time.Second)
 	if _, _, ok := sc.Get("ns", "k"); ok {

@@ -30,7 +30,7 @@ func TestOwnershipTransferWatchSemantics(t *testing.T) {
 		mu.Unlock()
 	}
 
-	s := NewWithClock(clock)
+	s := newStore(DefaultShards, clock)
 	const ns = "fed/ue"
 
 	oldEvents, cancelOld := s.Watch(ns, "owner/inst-a/", 64)

@@ -57,12 +57,6 @@ func (r *Registry) Latest(name string) ([]byte, int, bool) {
 	return bundle, v, ok
 }
 
-// Get returns a specific version.
-func (r *Registry) Get(name string, version int) ([]byte, bool) {
-	bundle, _, ok := r.store.Get(registryNS, versionKey(name, version))
-	return bundle, ok
-}
-
 // Versions lists the stored version numbers, ascending.
 func (r *Registry) Versions(name string) []int {
 	keys := r.store.Keys(registryNS, name+"/v")
@@ -198,12 +192,6 @@ func (a *A1) Get(id string) (Policy, bool) {
 	}
 	return p, true
 }
-
-// Delete removes a policy.
-func (a *A1) Delete(id string) bool { return a.store.Delete(policyNS, id) }
-
-// List returns all policy IDs.
-func (a *A1) List() []string { return a.store.Keys(policyNS, "") }
 
 // Watch streams policy changes to an xApp.
 func (a *A1) Watch(buffer int) (<-chan sdl.Event, func()) {

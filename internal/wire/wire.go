@@ -1,15 +1,13 @@
-// Package wire provides framed, bidirectional message transport for the
-// O-RAN interfaces in this repository (E2, F1, NG).
+// Package wire provides framed, bidirectional message transport for E2
+// and the federation bus.
 //
-// Real O-RAN deployments carry E2AP and F1AP over SCTP, which provides
-// message boundaries on top of reliable delivery. The Go standard library
-// has no SCTP support, so this package substitutes a 4-byte big-endian
-// length prefix over TCP — preserving the two properties the protocols
-// above actually rely on: ordered reliable delivery and message framing
-// (see DESIGN.md §1).
-//
-// Every interface can also run fully in-process via Pipe, which the unit
-// tests and benchmarks use to avoid socket overhead and port allocation.
+// Real O-RAN deployments carry E2AP over SCTP, which provides message
+// boundaries on top of reliable delivery. The Go standard library has no
+// SCTP support, so this package substitutes a 4-byte big-endian length
+// prefix — preserving the two properties the protocols above actually
+// rely on: ordered reliable delivery and message framing (see DESIGN.md
+// §1). The federation bus runs it over TCP; E2 runs fully in-process via
+// Pipe in every executable.
 package wire
 
 import (
