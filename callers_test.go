@@ -21,7 +21,9 @@ import (
 // _test.go files (cmd/, examples/ and benchmark/ count), or satisfies an
 // interface some non-test code uses, or is on §11's kept list with its
 // reason. A kept entry that gains a caller or disappears fails too, so
-// the list stays the set of exceptions and nothing else.
+// the list stays the set of exceptions and nothing else. The rule holds
+// for unexported functions and methods as well, without a kept list: one
+// only a package's tests call belongs in a _test.go file.
 func TestExportedFunctionsHaveCallers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("a static scan; the race detector adds nothing to it")
@@ -49,6 +51,16 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 		if _, ok := s.exported[name]; !ok {
 			t.Errorf("DESIGN §11 keeps %s, which is not an exported function under internal/", name)
 		}
+	}
+	var unused []string
+	for name, fn := range s.unexported {
+		if !s.used[fn] && !s.satisfiesInterface(fn) {
+			unused = append(unused, name)
+		}
+	}
+	sort.Strings(unused)
+	for _, name := range unused {
+		t.Errorf("%s has no caller outside tests: delete it or move it into a _test.go file", name)
 	}
 }
 
@@ -88,26 +100,28 @@ func readKeptFunctions(t *testing.T, file string) map[string]string {
 // callerScan type-checks the module's non-test files and records which
 // functions they reference.
 type callerScan struct {
-	fset     *token.FileSet
-	std      types.Importer
-	module   string
-	pkgs     map[string]*types.Package // by import path
-	dirs     map[string]string         // import path → directory
-	exported map[string]*types.Func    // "pkg.Func" / "pkg.Type.Method" under internal/
-	used     map[*types.Func]bool
-	ifaces   map[*types.Interface]bool // every interface type non-test code mentions
+	fset       *token.FileSet
+	std        types.Importer
+	module     string
+	pkgs       map[string]*types.Package // by import path
+	dirs       map[string]string         // import path → directory
+	exported   map[string]*types.Func    // "pkg.Func" / "pkg.Type.Method" under internal/
+	unexported map[string]*types.Func    // the same for the other names, init aside
+	used       map[*types.Func]bool
+	ifaces     map[*types.Interface]bool // every interface type non-test code mentions
 }
 
 func newCallerScan(t *testing.T) *callerScan {
 	t.Helper()
 	s := &callerScan{
-		fset:     token.NewFileSet(),
-		module:   "github.com/6g-xsec/xsec",
-		pkgs:     map[string]*types.Package{},
-		dirs:     map[string]string{},
-		exported: map[string]*types.Func{},
-		used:     map[*types.Func]bool{},
-		ifaces:   map[*types.Interface]bool{},
+		fset:       token.NewFileSet(),
+		module:     "github.com/6g-xsec/xsec",
+		pkgs:       map[string]*types.Package{},
+		dirs:       map[string]string{},
+		exported:   map[string]*types.Func{},
+		unexported: map[string]*types.Func{},
+		used:       map[*types.Func]bool{},
+		ifaces:     map[*types.Interface]bool{},
 	}
 	s.std = importer.ForCompiler(s.fset, "gc", nil)
 	err := filepath.WalkDir(".", func(p string, d os.DirEntry, err error) error {
@@ -186,7 +200,7 @@ func (s *callerScan) load(imp string) (*types.Package, error) {
 		s.collectIfaces(tv.Type, map[types.Type]bool{})
 	}
 	if strings.HasPrefix(imp, s.module+"/internal/") {
-		s.collectExported(pkg)
+		s.collectFuncs(pkg)
 	}
 	return pkg, nil
 }
@@ -227,23 +241,32 @@ func (s *callerScan) collectIfaces(typ types.Type, seen map[types.Type]bool) {
 	}
 }
 
-func (s *callerScan) collectExported(pkg *types.Package) {
+// collectFuncs files every function and method of pkg under its
+// "pkg.Func" or "pkg.Type.Method" name: in exported when both names are
+// exported, in unexported otherwise. main and init have no callers.
+func (s *callerScan) collectFuncs(pkg *types.Package) {
+	file := func(name string, fn *types.Func, exported bool) {
+		if exported {
+			s.exported[name] = fn
+		} else {
+			s.unexported[name] = fn
+		}
+	}
 	scope := pkg.Scope()
 	for _, name := range scope.Names() {
 		switch obj := scope.Lookup(name).(type) {
 		case *types.Func:
-			if obj.Exported() && name != "main" {
-				s.exported[pkg.Name()+"."+name] = obj
+			if name != "main" && name != "init" {
+				file(pkg.Name()+"."+name, obj, obj.Exported())
 			}
 		case *types.TypeName:
 			named, ok := obj.Type().(*types.Named)
-			if !ok || !obj.Exported() || types.IsInterface(named) {
+			if !ok || types.IsInterface(named) {
 				continue
 			}
 			for i := 0; i < named.NumMethods(); i++ {
-				if m := named.Method(i); m.Exported() {
-					s.exported[pkg.Name()+"."+name+"."+m.Name()] = m
-				}
+				m := named.Method(i)
+				file(pkg.Name()+"."+name+"."+m.Name(), m, obj.Exported() && m.Exported())
 			}
 		}
 	}

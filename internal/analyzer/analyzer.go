@@ -9,7 +9,6 @@
 package analyzer
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"strings"
@@ -343,30 +342,6 @@ func (h *humanQueueEntry) MarshalTLV(e *asn1lite.Encoder) {
 	e.PutUint(tagWindows, h.Windows)
 	e.PutInt(tagAt, h.At.UnixNano())
 	e.PutNested(tagWindow, func(e *asn1lite.Encoder) { mobiflow.AppendTrace(e, h.Window) })
-}
-
-// decodeHumanEntry reads a stored humanQueueEntry back; At reads in UTC.
-func decodeHumanEntry(data []byte) (h humanQueueEntry, err error) {
-	d := asn1lite.NewDecoder(data)
-	for err == nil && d.Next() {
-		switch d.Tag() {
-		case tagReason:
-			h.Reason = string(d.RawValue())
-		case tagModel:
-			h.Model = string(d.RawValue())
-		case tagScore:
-			h.Score, err = d.Float()
-		case tagWindows:
-			h.Windows, err = d.Uint()
-		case tagAt:
-			var ns int64
-			ns, err = d.Int()
-			h.At = time.Unix(0, ns).UTC()
-		case tagWindow:
-			h.Window, err = mobiflow.DecodeTrace(d.RawValue())
-		}
-	}
-	return h, cmp.Or(err, d.Err())
 }
 
 func (a *Analyzer) enqueueHuman(c *Case, reason string) {

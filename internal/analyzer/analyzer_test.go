@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/6g-xsec/xsec/internal/asn1lite"
 	"github.com/6g-xsec/xsec/internal/cell"
 	"github.com/6g-xsec/xsec/internal/dataset"
 	"github.com/6g-xsec/xsec/internal/e2sm"
@@ -365,4 +367,28 @@ func TestHumanQueueKeepsCollidingCases(t *testing.T) {
 			t.Errorf("case %d reads back as %+v, %v", i, entry, err)
 		}
 	}
+}
+
+// decodeHumanEntry reads a stored humanQueueEntry back; At reads in UTC.
+func decodeHumanEntry(data []byte) (h humanQueueEntry, err error) {
+	d := asn1lite.NewDecoder(data)
+	for err == nil && d.Next() {
+		switch d.Tag() {
+		case tagReason:
+			h.Reason = string(d.RawValue())
+		case tagModel:
+			h.Model = string(d.RawValue())
+		case tagScore:
+			h.Score, err = d.Float()
+		case tagWindows:
+			h.Windows, err = d.Uint()
+		case tagAt:
+			var ns int64
+			ns, err = d.Int()
+			h.At = time.Unix(0, ns).UTC()
+		case tagWindow:
+			h.Window, err = mobiflow.DecodeTrace(d.RawValue())
+		}
+	}
+	return h, cmp.Or(err, d.Err())
 }

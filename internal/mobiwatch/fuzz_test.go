@@ -1,8 +1,11 @@
 package mobiwatch
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -188,6 +191,93 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		w.flush("gnb-fuzz")
 		if n := len(w.pending[0].starts) + len(w.pending[1].starts); n != 0 {
 			t.Fatalf("%d windows still pending after the flush", n)
+		}
+	})
+}
+
+// FuzzWindowKey holds the score memo's key to its contract on arbitrary
+// rows: two windows get one key if and only if their rows are equal bit
+// for bit. data sets the values of one window (seven bytes a value: its
+// row, its column, its bits); the second window is the first after one
+// edit — none, a value set to bits, a row's last value moved to the same
+// column of the next row (so the rows' column-value lists, run together,
+// read the same), or two rows swapped. Rows are 200 wide, so columns past
+// 127 take two bytes, and hold their values as RowBuffer does: every
+// column whose bits are not zero is listed, −0 and NaNs included.
+func FuzzWindowKey(f *testing.F) {
+	const dim, span = 200, 5
+	value := func(row int, col uint16, bits uint32) []byte {
+		return []byte{byte(row), byte(col), byte(col >> 8), byte(bits), byte(bits >> 8), byte(bits >> 16), byte(bits >> 24)}
+	}
+	one, negZero, sub := math.Float32bits(1), uint32(1)<<31, uint32(1)
+	base := slices.Concat(value(0, 3, one), value(0, 130, 0x7fc00001), value(1, 127, negZero),
+		value(1, 128, sub), value(2, 199, one), value(4, 0, 0x3dcccccd))
+	f.Add(base, uint8(0), uint16(0), uint32(0))
+	f.Add(base, uint8(1), uint16(130*span), uint32(0x7fc00002)) // another NaN payload
+	f.Add(base, uint8(1), uint16(130*span), uint32(0x7fc00001)) // the same NaN
+	f.Add(base, uint8(1), uint16(127*span+1), uint32(0))        // −0 becomes +0
+	f.Add(base, uint8(1), uint16(128*span+1), uint32(2))        // another subnormal
+	f.Add(base, uint8(2), uint16(0), uint32(0))
+	f.Add(base, uint8(2), uint16(1), uint32(0))
+	f.Add(base, uint8(3), uint16(2), uint32(0))
+	f.Add([]byte{}, uint8(3), uint16(0), uint32(0))
+
+	f.Fuzz(func(t *testing.T, data []byte, edit uint8, at uint16, bits uint32) {
+		a := make([][]float32, span)
+		for r := range a {
+			a[r] = make([]float32, dim)
+		}
+		for ; len(data) >= 7; data = data[7:] {
+			col := int(binary.LittleEndian.Uint16(data[1:])) % dim
+			a[int(data[0])%span][col] = math.Float32frombits(binary.LittleEndian.Uint32(data[3:]))
+		}
+		b := make([][]float32, span)
+		for r := range b {
+			b[r] = slices.Clone(a[r])
+		}
+		r := int(at) % span
+		switch edit % 4 {
+		case 1:
+			b[r][int(at)/span%dim] = math.Float32frombits(bits)
+		case 2:
+			// Row r's last value moves to row r+1 when it stays ahead of
+			// every value there: the lists run together are unchanged.
+			if r == span-1 {
+				break
+			}
+			nonZero := func(v float32) bool { return math.Float32bits(v) != 0 }
+			c := dim - 1
+			for c >= 0 && !nonZero(b[r][c]) {
+				c--
+			}
+			if c < 0 || slices.ContainsFunc(b[r+1][:c+1], nonZero) {
+				break
+			}
+			b[r][c], b[r+1][c] = 0, b[r][c]
+		case 3:
+			s := (r + 1) % span
+			b[r], b[s] = b[s], b[r]
+		}
+
+		var in nn.Rows
+		in.Dim, in.Off = dim, []int32{0}
+		equal := true
+		for i, row := range slices.Concat(a, b) {
+			in.X = append(in.X, row...)
+			for c, v := range row {
+				if math.Float32bits(v) != 0 {
+					in.Cols = append(in.Cols, int32(c))
+				}
+				if i < span && math.Float32bits(v) != math.Float32bits(b[i][c]) {
+					equal = false
+				}
+			}
+			in.Off = append(in.Off, int32(len(in.Cols)))
+		}
+		m := newScoreMemo(ModelAE)
+		m.intern(in, 0, 2*span)
+		if same := m.key(0, span) == m.key(span, span); same != equal {
+			t.Fatalf("edit %d: windows equal bit for bit %v, keys equal %v", edit%4, equal, same)
 		}
 	})
 }

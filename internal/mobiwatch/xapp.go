@@ -48,6 +48,8 @@ var (
 		"Jobs the window stage has handed a model's lane and the lane has not taken yet, by node and model, counting the one the window stage is blocked handing over: past the bound while that lane is the bottleneck.", "node", "model")
 	obsFlagSeconds = obs.NewHistogram("xsec_mobiwatch_flag_seconds",
 		"E2 indication arrival to anomaly flag.", obs.DefLatencyBuckets)
+	obsScoreMemo = obs.NewCounterVec("xsec_mobiwatch_score_memo_total",
+		"Windows the scoring path's memo answered (hit), sent to the engine and kept (miss), or sent to the engine without a lookup while it stands aside on telemetry that does not repeat (bypassed), and kept scores it dropped to stay in its bound (evicted), by model; Train's calibration and offline scoring count too.", "model", "outcome")
 )
 
 // Alert is one flagged anomalous window, handed to the LLM Analyzer.

@@ -191,3 +191,12 @@ func TestMSEPanicsOnMismatch(t *testing.T) {
 	}()
 	MSE([]float64{1}, []float64{1, 2}, nil)
 }
+
+// paramGrads returns the G slices of params, aligned index-for-index.
+func paramGrads(params []*Param) [][]float64 {
+	out := make([][]float64, len(params))
+	for i, p := range params {
+		out[i] = p.G
+	}
+	return out
+}

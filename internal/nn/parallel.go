@@ -23,15 +23,6 @@ import (
 // gradient memory (maxGradShards × model size) modest.
 const maxGradShards = 8
 
-// paramGrads returns the G slices of params, aligned index-for-index.
-func paramGrads(params []*Param) [][]float64 {
-	out := make([][]float64, len(params))
-	for i, p := range params {
-		out[i] = p.G
-	}
-	return out
-}
-
 // shardGrads is one shard's private gradient accumulators, shaped like
 // a model's params.
 type shardGrads [][]float64

@@ -43,9 +43,6 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{clock: time.Now, buf: make([]Span, capacity)}
 }
 
-// setClock injects a clock (tests).
-func (t *Tracer) setClock(clock func() time.Time) { t.clock = clock }
-
 // Record stores a finished span, evicting the oldest one once the ring
 // is full (evictions are counted — see Evicted).
 func (t *Tracer) Record(s Span) {

@@ -111,3 +111,6 @@ func TestTracerEvictedCounter(t *testing.T) {
 		t.Fatalf("xsec_trace_evicted_total advanced by %d, want 3", got)
 	}
 }
+
+// setClock injects a clock (tests).
+func (t *Tracer) setClock(clock func() time.Time) { t.clock = clock }
