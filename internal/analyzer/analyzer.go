@@ -11,6 +11,7 @@ package analyzer
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -276,7 +277,11 @@ func (a *Analyzer) RunPool(ctx context.Context, src AlertSource, opts PoolOption
 			// the answer rides on it, and is the one lookup it gets.
 			recalled, _ := alert.Recalled.(*llm.Analysis)
 			alert.Recalled = nil
-			cctx, cancel := context.WithTimeout(ctx, caseTimeout)
+			// Only a round trip reads the deadline.
+			cctx, cancel := ctx, func() {}
+			if recalled == nil {
+				cctx, cancel = context.WithTimeout(ctx, caseTimeout)
+			}
 			c, err := a.process(cctx, alert, recalled)
 			cancel()
 			src.Resolve(ticket, err == nil && c.Agree)
@@ -356,8 +361,19 @@ func (a *Analyzer) enqueueHuman(c *Case, reason string) {
 		Window:  c.Alert.Window,
 		At:      c.ProcessedAt,
 	}
-	key := fmt.Sprintf("case/%s/%020d/%s", c.Alert.NodeID, c.Alert.Window[0].Seq, c.Alert.Model)
-	a.store.Set(humanQueueNamespace, key, asn1lite.Marshal(&entry))
+	// The key is case/<node>/<first seq, %020d>/<model>.
+	var digits [20]byte
+	seq := strconv.AppendUint(digits[:0], c.Alert.Window[0].Seq, 10)
+	key := make([]byte, 0, 64)
+	key = append(key, "case/"...)
+	key = append(key, c.Alert.NodeID...)
+	key = append(key, '/')
+	key = append(key, "00000000000000000000"[len(seq):]...)
+	key = append(key, seq...)
+	key = append(key, '/')
+	key = append(key, c.Alert.Model...)
+	// Marshal returns a fresh buffer, so the store can keep it as it is.
+	a.store.SetOwned(humanQueueNamespace, string(key), asn1lite.Marshal(&entry))
 }
 
 // HumanQueueLen reports pending human-review cases.

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -365,6 +366,22 @@ func TestHumanQueueKeepsCollidingCases(t *testing.T) {
 			return a.Seq == b.Seq && a.Msg == b.Msg && a.UEID == b.UEID && a.RNTI == b.RNTI && a.Timestamp.Equal(b.Timestamp)
 		}) {
 			t.Errorf("case %d reads back as %+v, %v", i, entry, err)
+		}
+	}
+}
+
+// TestHumanQueueKeyLayout pins the hand-built review key to the
+// documented case/<node>/<first seq %020d>/<model> layout, up to a
+// sequence number of twenty digits.
+func TestHumanQueueKeyLayout(t *testing.T) {
+	store := sdl.New()
+	a := New(benignExpert{}, store)
+	for _, seq := range []uint64{0, 42, math.MaxUint64} {
+		c := &Case{Alert: mobiwatch.Alert{NodeID: "gnb/7", Model: mobiwatch.ModelLSTM, Window: mobiflow.Trace{{Seq: seq}}}}
+		a.enqueueHuman(c, "review")
+		key := fmt.Sprintf("case/%s/%020d/%s", "gnb/7", seq, mobiwatch.ModelLSTM)
+		if _, _, ok := store.Get(humanQueueNamespace, key); !ok {
+			t.Errorf("no entry under %s; held: %v", key, store.Keys(humanQueueNamespace, ""))
 		}
 	}
 }

@@ -66,7 +66,11 @@ type pendingBatch struct {
 	starts []int              // each pushed window's first row, in push order
 	scores []float32
 
-	memo       scoreMemo
+	memo scoreMemo
+	// memoed is whether score looked the pushed windows up in the memo,
+	// interning rows from memoLo on; reset clears it.
+	memoed     bool
+	memoLo     int
 	missAt     []int // a pass's windows the memo lacks, by push index
 	missStarts []int // and by first row, for the engine
 	missScores []float32
@@ -117,6 +121,7 @@ func (b *pendingBatch) score() []float32 {
 	in := nn.Rows{X: x, Dim: b.dim, Cols: cols, Off: off}
 	span := b.span()
 	m := &b.memo
+	b.memoed = false
 	if span > memoSpan || m.skip > 0 {
 		m.skip = max(m.skip-n, 0)
 		m.bypassed.Add(uint64(n))
@@ -128,10 +133,11 @@ func (b *pendingBatch) score() []float32 {
 		lo, hi = min(lo, st), max(hi, st+span)
 	}
 	m.intern(in, lo, hi)
+	b.memoed, b.memoLo = true, lo
 	b.missAt, b.missStarts = b.missAt[:0], b.missStarts[:0]
 	for i, st := range b.starts {
-		if s, ok := m.get(m.key(st-lo, span)); ok {
-			b.scores[i] = s
+		if e, ok := m.get(m.key(st-lo, span)); ok {
+			b.scores[i] = e.score
 		} else {
 			b.missAt = append(b.missAt, i)
 			b.missStarts = append(b.missStarts, st)
@@ -142,7 +148,7 @@ func (b *pendingBatch) score() []float32 {
 		b.run(in, b.missStarts, b.missScores)
 		for j, i := range b.missAt {
 			b.scores[i] = b.missScores[j]
-			m.put(m.key(b.starts[i]-lo, span), b.missScores[j])
+			m.put(m.key(b.starts[i]-lo, span), memoEntry{score: b.missScores[j]})
 		}
 	}
 	m.tally(n, len(b.missAt))
@@ -171,10 +177,33 @@ func grow(s []float32, n int) []float32 {
 	return s[:n]
 }
 
-// digest fingerprints the i-th pushed window's model input for its
-// provenance event: its rows, and for the LSTM the target row after
-// them, in order — at the cost of their non-zeros.
+// digest fingerprints the i-th pushed window for its provenance event. A
+// window the memo looked up and keeps is digested once, the first time
+// it is asked for, and the memo keeps the digest beside the score: the
+// digest reads the window's row bits and nothing else, and equal keys
+// mean equal row bits.
 func (b *pendingBatch) digest(i int) prov.Digest {
+	if !b.memoed {
+		return b.digestRows(i)
+	}
+	m := &b.memo
+	k := m.key(b.starts[i]-b.memoLo, b.span())
+	for g := range m.wins {
+		if e, ok := m.wins[g][k]; ok {
+			if !e.digested {
+				e.digest, e.digested = b.digestRows(i), true
+				m.wins[g][k] = e
+			}
+			return e.digest
+		}
+	}
+	return b.digestRows(i) // dropped by a generation flip later in the pass
+}
+
+// digestRows fingerprints the i-th pushed window's model input: its rows,
+// and for the LSTM the target row after them, in order — at the cost of
+// their non-zeros.
+func (b *pendingBatch) digestRows(i int) prov.Digest {
 	d := prov.NewDigest()
 	for r := b.starts[i]; r < b.starts[i]+b.span(); r++ {
 		d = d.SparseFloats32(b.rows.Row(r), b.rows.Cols(r))
@@ -182,7 +211,7 @@ func (b *pendingBatch) digest(i int) prov.Digest {
 	return d
 }
 
-func (b *pendingBatch) reset() { b.starts = b.starts[:0] }
+func (b *pendingBatch) reset() { b.starts, b.memoed = b.starts[:0], false }
 
 // The memo. Protocol telemetry repeats: in a benign trace whose UEs step
 // a fixed clock, nine windows in ten repeat an earlier one bit for bit.
@@ -230,13 +259,21 @@ const (
 // the span are 0, an ID no row is given.
 type windowKey [memoSpan]uint32
 
-// scoreMemo is a pendingBatch's memo of window scores, keyed by the
-// window's exact bits. Row IDs are never reused: a row that leaves the
-// row table and comes back is given a new one, so a kept score can be
+// memoEntry is what the memo keeps of a window: its score and, once a
+// provenance event has asked for it, its digest.
+type memoEntry struct {
+	score    float32
+	digested bool
+	digest   prov.Digest
+}
+
+// scoreMemo is a pendingBatch's memo of window scores and digests, keyed
+// by the window's exact bits. Row IDs are never reused: a row that leaves
+// the row table and comes back is given a new one, so a kept score can be
 // found only through the rows that produced it.
 type scoreMemo struct {
 	rows   [2]map[string]uint32 // a row's appendRowBits → its ID; the current generation first
-	wins   [2]map[windowKey]float32
+	wins   [2]map[windowKey]memoEntry
 	lastID uint32   // the newest ID given
 	buf    []byte   // a row's bits, encoded
 	ids    []uint32 // the IDs of the rows a pass reads, from its first
@@ -251,7 +288,7 @@ func newScoreMemo(model ModelName) scoreMemo {
 	c := func(outcome string) *obs.Counter { return obsScoreMemo.With(string(model), outcome) }
 	return scoreMemo{
 		rows: [2]map[string]uint32{{}, {}},
-		wins: [2]map[windowKey]float32{{}, {}},
+		wins: [2]map[windowKey]memoEntry{{}, {}},
 		hit:  c("hit"), miss: c("miss"), evicted: c("evicted"), bypassed: c("bypassed"),
 	}
 }
@@ -314,27 +351,27 @@ func (m *scoreMemo) key(first, span int) (k windowKey) {
 	return k
 }
 
-// get returns the score kept under k, if any.
-func (m *scoreMemo) get(k windowKey) (float32, bool) {
-	if s, ok := m.wins[0][k]; ok {
-		return s, true
+// get returns the entry kept under k, if any.
+func (m *scoreMemo) get(k windowKey) (memoEntry, bool) {
+	if e, ok := m.wins[0][k]; ok {
+		return e, true
 	}
-	s, ok := m.wins[1][k]
+	e, ok := m.wins[1][k]
 	if ok {
 		delete(m.wins[1], k)
-		m.put(k, s)
+		m.put(k, e)
 	}
-	return s, ok
+	return e, ok
 }
 
-// put keeps s under k.
-func (m *scoreMemo) put(k windowKey, s float32) {
+// put keeps e under k.
+func (m *scoreMemo) put(k windowKey, e memoEntry) {
 	if len(m.wins[0]) >= memoWindows {
 		m.evicted.Add(uint64(len(m.wins[1])))
 		clear(m.wins[1])
 		m.wins[0], m.wins[1] = m.wins[1], m.wins[0]
 	}
-	m.wins[0][k] = s
+	m.wins[0][k] = e
 }
 
 // tally counts a pass that looked up n windows and missed misses of them,

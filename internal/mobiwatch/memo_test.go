@@ -13,6 +13,7 @@ import (
 	"github.com/6g-xsec/xsec/internal/feature"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
 	"github.com/6g-xsec/xsec/internal/nn"
+	"github.com/6g-xsec/xsec/internal/prov"
 )
 
 // encodeRows encodes a trace the way the window stage does.
@@ -155,6 +156,74 @@ func TestMemoScoresMatchEngines(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestMemoDigestMatchesRows: the digest a window's provenance event gets
+// is the one its rows give, whether the memo digests it in this pass,
+// kept it from an earlier one, carried it across a generation flip, or
+// stood aside.
+func TestMemoDigestMatchesRows(t *testing.T) {
+	_, _, models := fixtures(t)
+	benign := encodeRows(models, collectBenign(t, 120, 41, false))
+	jittered := encodeRows(models, collectBenign(t, 240, 41, true))
+	for _, model := range []ModelName{ModelAE, ModelLSTM} {
+		t.Run(string(model), func(t *testing.T) {
+			b := newPendingBatch(models, model)
+			pass := func(name string, rows *feature.RowBuffer, lookAlways bool) {
+				nWins := rows.Len() - b.span() + 1
+				for base := 0; base < nWins; base += batchChunk {
+					for i := base; i < min(base+batchChunk, nWins); i++ {
+						b.push(rows, i)
+					}
+					if lookAlways {
+						b.memo.skip = 0
+					}
+					b.score()
+					for k, st := range b.starts {
+						want := prov.NewDigest()
+						for r := st; r < st+b.span(); r++ {
+							want = want.SparseFloats32(rows.Row(r), rows.Cols(r))
+						}
+						for ask := 0; ask < 2; ask++ {
+							if got := b.digest(k); got != want {
+								t.Fatalf("%s: window %d (ask %d) digests to %v, its rows to %v", name, st, ask, got, want)
+							}
+						}
+					}
+					b.reset()
+				}
+			}
+			digested := func(g int) (n int) {
+				for _, e := range b.memo.wins[g] {
+					if e.digested {
+						n++
+					}
+				}
+				return n
+			}
+
+			pass("benign", benign, true)
+			pass("benign again", benign, true) // every digest kept
+			if n := digested(0); n == 0 || n != len(b.memo.wins[0]) {
+				t.Fatalf("%d of %d kept windows digested, want all", n, len(b.memo.wins[0]))
+			}
+			// Keys whose first row ID is 0, which no row is given, fill the
+			// current generation: the benign windows move to the previous one.
+			for i := 0; i < memoWindows; i++ {
+				b.memo.put(windowKey{0, uint32(i + 1)}, memoEntry{})
+			}
+			if digested(1) == 0 {
+				t.Fatal("no digested window in the previous generation after a flip")
+			}
+			pass("benign after a flip", benign, true)
+
+			before := readMemoCounts(model)
+			pass("jittered", jittered, false)
+			if readMemoCounts(model).since(before).bypassed == 0 {
+				t.Error("the memo never stood aside on a jittered clock")
+			}
+		})
 	}
 }
 

@@ -787,8 +787,9 @@ func (rt *Runtime) countSeen(n int) {
 // accumulates, Score keeps the worst, SeqFirst and Threshold stay the
 // run's first, SeqLast, At and Digest track its last window). The ledger
 // retains the same chain either way; a lane digests one window and sends
-// one event per run instead of per window. prov.Record
-// is a struct channel send, so the path stays allocation-free.
+// one event per run instead of per window, and a window the memo keeps
+// is digested once, however often it repeats. prov.Record copies the
+// struct into the ledger's open batch, so the path stays allocation-free.
 type windowEvidence struct {
 	batch     *pendingBatch
 	node      string

@@ -26,8 +26,9 @@ type Options struct {
 	// Store is the SDL chains persist into; nil gives the ledger a
 	// private one. Either way the store holds the only copy of an event.
 	Store *sdl.Store
-	// Buffer is the recording channel depth; events beyond it are
-	// dropped (and counted) rather than blocking the pipeline.
+	// Buffer is how many recorded events one batch holds while the
+	// writer works on the previous one; events beyond it are dropped
+	// (and counted) rather than blocking the pipeline.
 	Buffer int
 
 	// maxChains bounds retention (default DefaultMaxChains): beyond it
@@ -49,21 +50,30 @@ const DefaultMaxEventsPerChain = 512
 
 // Ledger is an append-only provenance store. Record is safe for
 // concurrent use, never blocks, and allocates nothing; a single writer
-// goroutine owns all mutation, coalescing runs of benign window
-// observations (whatever a producer has not already folded) and
-// enforcing the retention bounds.
+// goroutine owns all mutation, a batch of recorded events at a time,
+// coalescing runs of benign window observations (whatever a producer has
+// not already folded) and enforcing the retention bounds.
 type Ledger struct {
 	store *sdl.Store
 	clock func() time.Time
 
 	maxChains int
 
-	ch       chan Event
+	// qmu guards the open batch Record appends to and the closed flag.
+	// The writer swaps the open batch for spare, its own, which it has
+	// emptied; a batch holds at most buffer events.
+	qmu    sync.Mutex
+	open   []Event
+	closed bool
+	spare  []Event
+	buffer int
+	// wake holds a token whenever the open batch may be non-empty: Record
+	// offers one when it appends to an empty batch.
+	wake     chan struct{}
 	flushReq chan chan struct{}
 	stop     chan struct{}
 	done     chan struct{}
 
-	closed  atomic.Bool
 	dropped atomic.Uint64
 	evicted atomic.Uint64
 
@@ -74,8 +84,11 @@ type Ledger struct {
 	// one's slot.
 	order []ChainID
 	head  int
-	// enc is persistLocked's encode buffer, reused from event to event.
-	enc []byte
+	// staged lists the chains a batch has changed, each with its open
+	// segment's bytes before its last event; the slots and their buffers
+	// are reused from batch to batch. enc is appendLast's encode buffer.
+	staged []stagedChain
+	enc    []byte
 }
 
 // chain is what the ledger holds of a chain besides the SDL: the events
@@ -85,13 +98,25 @@ type chain struct {
 	// this very slice, so it is never written again.
 	seg []byte
 	key string
-	// lastAt is where last's length prefix starts in seg; event i is in
-	// segment i/segmentEvents.
+	// lastAt is where last's length prefix starts in the open segment
+	// (seg, or the staged bytes while a batch changes the chain); event i
+	// is in segment i/segmentEvents.
 	lastAt, events int
 	// last is the latest stored event, the open benign run a window
 	// folds into without reading it back.
 	last      Event
 	truncated bool
+	// slot is the chain's index in Ledger.staged plus one while the batch
+	// being applied has changed it, else 0.
+	slot int
+}
+
+// stagedChain is a chain the batch being applied has changed: its open
+// segment's bytes up to c.lastAt, not yet published. c is nil once the
+// chain is evicted.
+type stagedChain struct {
+	c     *chain
+	bytes []byte
 }
 
 var (
@@ -126,7 +151,10 @@ func newLedger(o Options) *Ledger {
 		store:     o.Store,
 		clock:     o.clock,
 		maxChains: o.maxChains,
-		ch:        make(chan Event, o.Buffer),
+		open:      make([]Event, 0, o.Buffer),
+		spare:     make([]Event, 0, o.Buffer),
+		buffer:    o.Buffer,
+		wake:      make(chan struct{}, 1),
 		flushReq:  make(chan chan struct{}),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
@@ -134,21 +162,27 @@ func newLedger(o Options) *Ledger {
 	}
 }
 
-// Record offers one event to the ledger. It never blocks: when the
-// buffer is full (or the ledger closed) the event is dropped and
-// counted. The fast path is a closed-flag load and a channel send of a
-// fixed-size struct — no allocation.
+// Record offers one event to the ledger. It never blocks on the writer:
+// when the open batch is full (or the ledger closed) the event is
+// dropped and counted. The fast path is a short mutex hold around a copy
+// of a fixed-size struct into preallocated room, plus a wake-up when the
+// batch was empty — no allocation.
 func (l *Ledger) Record(ev Event) {
-	if l.closed.Load() {
+	l.qmu.Lock()
+	if l.closed || len(l.open) == l.buffer {
+		l.qmu.Unlock()
 		l.dropped.Add(1)
 		obsDropped.Inc()
 		return
 	}
-	select {
-	case l.ch <- ev:
-	default:
-		l.dropped.Add(1)
-		obsDropped.Inc()
+	l.open = append(l.open, ev)
+	first := len(l.open) == 1
+	l.qmu.Unlock()
+	if first {
+		select {
+		case l.wake <- struct{}{}:
+		default: // a token is already waiting; the writer will swap
+		}
 	}
 }
 
@@ -156,8 +190,8 @@ func (l *Ledger) Record(ev Event) {
 func (l *Ledger) run() {
 	for {
 		select {
-		case ev := <-l.ch:
-			l.handle(ev)
+		case <-l.wake:
+			l.drain()
 		case ack := <-l.flushReq:
 			l.drain()
 			close(ack)
@@ -169,65 +203,129 @@ func (l *Ledger) run() {
 	}
 }
 
+// drain takes the open batch, leaving the spare one empty in its place,
+// and applies it. Everything recorded before the swap is in the batch.
 func (l *Ledger) drain() {
-	for {
-		select {
-		case ev := <-l.ch:
-			l.handle(ev)
-		default:
-			return
-		}
-	}
+	l.qmu.Lock()
+	batch := l.open
+	l.open = l.spare
+	l.qmu.Unlock()
+	l.apply(batch)
+	clear(batch) // no event's strings outlive the batch
+	l.spare = batch[:0]
 }
 
-func (l *Ledger) handle(ev Event) {
-	if ev.At.IsZero() {
-		ev.At = l.clock()
+// apply folds, appends and admits the batch's events in order under one
+// hold of l.mu, then publishes each chain they changed once. A segment
+// that rolls over is published as it closes, so every published segment
+// holds its chain's events in order; a chain evicted mid-batch is not
+// published at all.
+func (l *Ledger) apply(batch []Event) {
+	if len(batch) == 0 {
+		return
 	}
-	if ev.Count == 0 {
-		ev.Count = 1
-	}
-	obsEvents.Inc()
-
+	obsEvents.Add(uint64(len(batch)))
 	l.mu.Lock()
-	c := l.chains[ev.Chain]
-	if c == nil {
-		c = &chain{}
-		l.admitLocked(ev.Chain)
-		l.chains[ev.Chain] = c
-	}
-
-	// Runs of benign window observations for the same model coalesce
-	// into one event: Count accumulates, Score keeps the worst seen,
-	// and the sequence range / digest track the latest window. This
-	// bounds chain growth in the steady state (the overwhelmingly
-	// common case is "window scored, nothing fired").
-	if last := &c.last; c.events > 0 && ev.Kind == KindWindow && !ev.Flagged &&
-		last.Kind == KindWindow && !last.Flagged && last.Model == ev.Model {
-		last.Count += ev.Count
-		last.At = ev.At
-		last.SeqLast = ev.SeqLast
-		last.Digest = ev.Digest
-		if ev.Score > last.Score {
-			last.Score = ev.Score
+	defer l.mu.Unlock()
+	for i := range batch {
+		ev := &batch[i]
+		if ev.At.IsZero() {
+			ev.At = l.clock()
 		}
-		l.persistLocked(c)
-		l.mu.Unlock()
-		return
-	}
+		if ev.Count == 0 {
+			ev.Count = 1
+		}
+		c := l.chains[ev.Chain]
+		if c == nil {
+			c = &chain{}
+			l.admitLocked(ev.Chain)
+			l.chains[ev.Chain] = c
+		}
 
-	if c.events >= DefaultMaxEventsPerChain {
-		c.truncated = true
-		l.mu.Unlock()
-		return
+		// Runs of benign window observations for the same model coalesce
+		// into one event: Count accumulates, Score keeps the worst seen,
+		// and the sequence range / digest track the latest window. This
+		// bounds chain growth in the steady state (the overwhelmingly
+		// common case is "window scored, nothing fired").
+		if last := &c.last; c.events > 0 && ev.Kind == KindWindow && !ev.Flagged &&
+			last.Kind == KindWindow && !last.Flagged && last.Model == ev.Model {
+			l.stageLocked(c)
+			last.Count += ev.Count
+			last.At = ev.At
+			last.SeqLast = ev.SeqLast
+			last.Digest = ev.Digest
+			if ev.Score > last.Score {
+				last.Score = ev.Score
+			}
+			continue
+		}
+
+		if c.events >= DefaultMaxEventsPerChain {
+			c.truncated = true
+			continue
+		}
+		if c.events%segmentEvents == 0 {
+			if c.slot > 0 {
+				l.publishLocked(c) // the closing segment, before any of the next
+			}
+			c.seg, c.key, c.lastAt = nil, segmentKey(ev.Chain, c.events/segmentEvents), 0
+			st := l.stageLocked(c)
+			st.bytes = st.bytes[:0]
+		} else {
+			st := l.stageLocked(c)
+			st.bytes = l.appendLast(st.bytes, c)
+			c.lastAt = len(st.bytes)
+		}
+		c.last = *ev
+		c.events++
 	}
-	if c.events%segmentEvents == 0 {
-		c.seg, c.key = nil, segmentKey(ev.Chain, c.events/segmentEvents)
+	for i := range l.staged {
+		if c := l.staged[i].c; c != nil {
+			l.publishLocked(c)
+			c.slot = 0
+			l.staged[i].c = nil
+		}
 	}
-	c.last, c.lastAt = ev, len(c.seg)
-	c.events++
-	l.persistLocked(c)
-	l.mu.Unlock()
+	l.staged = l.staged[:0]
+}
+
+// stageLocked returns c's staged slot, taking one for it, with the open
+// segment's bytes before its last event, if the batch has not changed it
+// yet.
+func (l *Ledger) stageLocked(c *chain) *stagedChain {
+	if c.slot > 0 {
+		return &l.staged[c.slot-1]
+	}
+	if len(l.staged) < cap(l.staged) {
+		l.staged = l.staged[:len(l.staged)+1]
+	} else {
+		l.staged = append(l.staged, stagedChain{})
+	}
+	st := &l.staged[len(l.staged)-1]
+	st.c = c
+	st.bytes = append(st.bytes[:0], c.seg[:c.lastAt]...)
+	c.slot = len(l.staged)
+	return st
+}
+
+// appendLast appends c.last to a segment as a length-prefixed TLV.
+func (l *Ledger) appendLast(seg []byte, c *chain) []byte {
+	e := asn1lite.NewEncoder(l.enc[:0])
+	c.last.MarshalTLV(&e)
+	l.enc = e.Bytes()
+	return append(binary.AppendUvarint(seg, uint64(len(l.enc))), l.enc...)
+}
+
+// publishLocked publishes c's open segment — its staged bytes with
+// c.last, the chain's latest event, as the tail — as a fresh exact-size
+// copy: the one allocation, handed to the store without a copy, since
+// the one it replaces may be in a reader's hands. c stays staged.
+func (l *Ledger) publishLocked(c *chain) {
+	st := &l.staged[c.slot-1]
+	st.bytes = l.appendLast(st.bytes[:c.lastAt], c)
+	c.seg = append(make([]byte, 0, len(st.bytes)), st.bytes...)
+	st.bytes = st.bytes[:c.lastAt]
+	l.store.SetOwned(Namespace, c.key, c.seg)
 }
 
 // admitLocked enters a new chain into the FIFO ring, evicting the oldest
@@ -247,6 +345,9 @@ func (l *Ledger) admitLocked(id ChainID) {
 // foreign keys are never touched.
 func (l *Ledger) evictLocked(id ChainID) {
 	c := l.chains[id]
+	if c.slot > 0 {
+		l.staged[c.slot-1].c = nil // nothing of it is published from here
+	}
 	for s := 0; s < (c.events-1)/segmentEvents; s++ {
 		l.store.Delete(Namespace, segmentKey(id, s))
 	}
@@ -254,21 +355,6 @@ func (l *Ledger) evictLocked(id ChainID) {
 	delete(l.chains, id)
 	l.evicted.Add(1)
 	obsEvicted.Inc()
-}
-
-// persistLocked publishes a fresh copy of the open segment with c.last,
-// the chain's latest event, as its tail (appended, or in place of the run
-// it folded into): the persist's one allocation, handed to the store
-// without a copy, since the one it replaces may be in a reader's hands.
-func (l *Ledger) persistLocked(c *chain) {
-	e := asn1lite.NewEncoder(l.enc[:0])
-	c.last.MarshalTLV(&e)
-	l.enc = e.Bytes()
-	var prefix [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(prefix[:], uint64(len(l.enc)))
-	seg := make([]byte, 0, c.lastAt+n+len(l.enc))
-	c.seg = append(append(append(seg, c.seg[:c.lastAt]...), prefix[:n]...), l.enc...)
-	l.store.SetOwned(Namespace, c.key, c.seg)
 }
 
 // appendKeyPrefix renders "ev/<node>/<sn>/" with the sequence number
@@ -312,14 +398,25 @@ func (l *Ledger) Flush() {
 	}
 }
 
-// Close drains outstanding events and stops the writer. Records issued
-// after Close are dropped (and counted); the event channel is never
-// closed, so late recorders cannot panic.
+// Close applies outstanding events and stops the writer. Records issued
+// after Close are dropped (and counted), so late recorders cannot panic
+// and nothing is left in a batch no writer will take.
 func (l *Ledger) Close() {
-	if l.closed.CompareAndSwap(false, true) {
+	l.qmu.Lock()
+	first := !l.closed
+	l.closed = true
+	l.qmu.Unlock()
+	if first {
 		close(l.stop)
 	}
 	<-l.done
+}
+
+// queued reports how many events wait in the open batch.
+func (l *Ledger) queued() int {
+	l.qmu.Lock()
+	defer l.qmu.Unlock()
+	return len(l.open)
 }
 
 // Dropped reports how many events were lost to backpressure or
@@ -344,11 +441,11 @@ func init() {
 		return float64(Active().ChainCount())
 	})
 	// Saturation is visible here before xsec_prov_dropped_total moves.
-	obs.NewGaugeFunc("xsec_prov_queue_depth", "Events waiting in the active ledger's recording buffer.", func() float64 {
-		return float64(len(Active().ch))
+	obs.NewGaugeFunc("xsec_prov_queue_depth", "Events waiting in the active ledger's open batch.", func() float64 {
+		return float64(Active().queued())
 	})
-	obs.NewGaugeFunc("xsec_prov_queue_capacity", "Capacity of the active ledger's recording buffer.", func() float64 {
-		return float64(cap(Active().ch))
+	obs.NewGaugeFunc("xsec_prov_queue_capacity", "How many events the active ledger's open batch holds.", func() float64 {
+		return float64(Active().buffer)
 	})
 }
 

@@ -247,6 +247,10 @@ func keyPrefix(id ChainID) string {
 	return string(appendKeyPrefix(make([]byte, 0, 64), id))
 }
 
+// handle applies one event as a batch of its own, on the caller's
+// goroutine: what the writer does with it, without a writer.
+func (l *Ledger) handle(ev Event) { l.apply([]Event{ev}) }
+
 // recordFlagged drives n flagged windows of chain id through an
 // unstarted writer's handle, on the caller's goroutine.
 func recordFlagged(l *Ledger, id ChainID, n int) {
@@ -468,5 +472,117 @@ func TestActiveLedgerSwap(t *testing.T) {
 	repl.Flush()
 	if _, ok := repl.Chain(ChainID{Node: "n", SN: 5}); !ok {
 		t.Fatal("package Record did not reach the active ledger")
+	}
+}
+
+// TestLedgerPublishesEachChainOncePerBatch: one writer pass over a batch
+// sets each segment it changed once, the segment that rolled over before
+// the one after it, and what it set is what the chain holds.
+func TestLedgerPublishesEachChainOncePerBatch(t *testing.T) {
+	store := sdl.New()
+	sets, cancel := store.Watch(Namespace, "", 64)
+	l := newLedger(Options{Store: store, clock: testClock})
+	short, long := ChainID{Node: "gnb-001", SN: 7}, ChainID{Node: "gnb-001", SN: 8}
+	indication := func(id ChainID) {
+		l.Record(Event{Chain: id, Kind: KindEmit, Records: 9, SeqFirst: 1, SeqLast: 9, Digest: 0xabc})
+		l.Record(Event{Chain: id, Kind: KindTransport, Label: "sent"})
+		l.Record(Event{Chain: id, Kind: KindIndication, Label: "routed"})
+		for i := 0; i < 3; i++ { // folds into one benign run
+			l.Record(Event{Chain: id, Kind: KindWindow, Model: "autoencoder", SeqFirst: uint64(i + 1), SeqLast: uint64(i + 8), Score: 0.1})
+		}
+	}
+	indication(short)
+	indication(long)
+	for i := 0; i < segmentEvents; i++ { // long rolls over into a second segment
+		l.Record(Event{Chain: long, Kind: KindWindow, Model: "lstm", Score: float64(i), Flagged: true})
+	}
+	l.drain()
+	cancel()
+
+	var keys []string
+	for ev := range sets {
+		keys = append(keys, ev.Key)
+	}
+	want := []string{segmentKey(long, 0), segmentKey(short, 0), segmentKey(long, 1)}
+	if fmt.Sprint(keys) != fmt.Sprint(want) {
+		t.Fatalf("one writer pass set %v, want %v: each changed segment once, a closing one first", keys, want)
+	}
+	for id, n := range map[ChainID]int{short: 4, long: 4 + segmentEvents} {
+		disk, err := ReadChain(store, id)
+		mem, _ := l.Chain(id)
+		if err != nil || len(disk.Events) != n || len(mem.Events) != n {
+			t.Fatalf("chain %s: %d events stored (%v), %d read through the ledger; want %d", id, len(disk.Events), err, len(mem.Events), n)
+		}
+		if run := disk.Events[3]; run.Count != 3 || run.SeqFirst != 1 || run.SeqLast != 10 {
+			t.Fatalf("chain %s: benign run = %+v, want 3 windows from seq 1 to 10", id, run)
+		}
+	}
+
+	// A chain the same batch admits and evicts is never published.
+	store = sdl.New()
+	sets, cancel = store.Watch(Namespace, "", 64)
+	l = newLedger(Options{Store: store, maxChains: 2, clock: testClock})
+	for sn := uint64(1); sn <= 3; sn++ {
+		l.Record(Event{Chain: ChainID{Node: "n", SN: sn}, Kind: KindEmit})
+	}
+	l.drain()
+	cancel()
+	keys = keys[:0]
+	for ev := range sets {
+		keys = append(keys, ev.Key)
+	}
+	want = []string{segmentKey(ChainID{Node: "n", SN: 2}, 0), segmentKey(ChainID{Node: "n", SN: 3}, 0)}
+	if fmt.Sprint(keys) != fmt.Sprint(want) {
+		t.Fatalf("a batch that evicted the chain it admitted first set %v, want %v", keys, want)
+	}
+}
+
+// TestLedgerRecordDuringSwapAndFlush races producers against the writer's
+// batch swap and against Flush: every event is applied or counted as
+// dropped, each chain keeps its producer's order, and what a producer
+// recorded before its Flush is readable when the Flush returns.
+func TestLedgerRecordDuringSwapAndFlush(t *testing.T) {
+	const producers, perProducer, perChain = 4, 600, 6
+	l := New(Options{Buffer: 64, maxChains: producers * perProducer / perChain, clock: testClock})
+	defer l.Close()
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			node := fmt.Sprintf("gnb-%d", p)
+			var before uint64 // drops when the chain's first event was recorded
+			for i := 0; i < perProducer; i++ {
+				id := ChainID{Node: node, SN: uint64(i / perChain)}
+				if i%perChain == 0 {
+					before = l.Dropped()
+				}
+				l.Record(Event{Chain: id, Kind: KindWindow, Model: "autoencoder", SeqFirst: uint64(i), Flagged: true})
+				if i%(4*perChain) != perChain-1 {
+					continue
+				}
+				l.Flush()
+				// Unless some producer lost an event meanwhile, all of the
+				// chain is in.
+				if rec, ok := l.Chain(id); l.Dropped() == before && (!ok || len(rec.Events) != perChain) {
+					t.Errorf("chain %s after Flush: %d events (retained %v), want %d", id, len(rec.Events), ok, perChain)
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	l.Flush()
+
+	applied := 0
+	for _, rec := range l.Chains() {
+		applied += len(rec.Events)
+		for i := 1; i < len(rec.Events); i++ {
+			if rec.Events[i].SeqFirst <= rec.Events[i-1].SeqFirst {
+				t.Fatalf("chain %s out of order: %d after %d", rec.ID, rec.Events[i].SeqFirst, rec.Events[i-1].SeqFirst)
+			}
+		}
+	}
+	if got := uint64(applied) + l.Dropped(); got != producers*perProducer {
+		t.Fatalf("%d applied + %d dropped = %d, want %d recorded", applied, l.Dropped(), got, producers*perProducer)
 	}
 }

@@ -10,14 +10,15 @@
 // Every stage of one telemetry batch's journey shares a stable chain ID
 // (the emitting node plus the E2 indication sequence number, the same
 // identity obs.IndicationKey mints for spans). Pipeline packages record
-// fixed-size Event structs into the active Ledger; recording is a
-// non-blocking channel send and performs no allocation, so it is safe on
-// the streaming-inference hot path. Benign windows (the common case) are
+// fixed-size Event structs into the active Ledger; recording appends to
+// a preallocated batch without waiting for the writer and performs no
+// allocation, so it is safe on the streaming-inference hot path. Benign windows (the common case) are
 // evidence by run, not by window: MobiWatch folds each run it scores into
 // one event before recording it, and the single writer goroutine, which
 // serializes events, merges whatever still arrives window by window with
 // the same rule — so the chain retained is the same wherever the fold
-// happened. The writer stores each event once, as TLV in the SDL, and
+// happened. The writer applies a batch at a time, stores each event once,
+// as TLV in the SDL, publishing each chain the batch changed once, and
 // enforces bounded retention, deleting on eviction exactly the keys it
 // wrote.
 package prov

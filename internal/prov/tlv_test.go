@@ -185,12 +185,40 @@ func TestLedgerRetainedBytesPerEvent(t *testing.T) {
 }
 
 // BenchmarkLedgerPersist times the writer's whole per-event cost. fold is
-// the path benign_capacity exercises: the fold into the chain's open run
-// plus its encode and segment write. chain=N appends N flagged windows to
-// each chain, as an alert flood does, with evictions: each op is one
-// event, and the 512-event figure stays near the 16-event one because a
-// persist copies at most its own segment.
+// a benign window folding into its chain's open run, applied alone: the
+// fold plus its encode and segment write. chain=N appends N flagged
+// windows to each chain, one event a batch, as an alert flood does, with
+// evictions: each op is one event, and the 512-event figure stays near
+// the 16-event one because a persist copies at most its own segment.
+// batch is what benign_capacity's writer does: batches of 64 events over
+// 8 chains, each an indication's emit, transport and indication and
+// benign runs of both models, with evictions; each op is one event, and
+// each chain is published once a batch.
 func BenchmarkLedgerPersist(b *testing.B) {
+	b.Run("batch", func(b *testing.B) {
+		const chains, perChain = 8, 8
+		l := newLedger(Options{Store: sdl.New(), maxChains: 64, clock: testClock})
+		batch := make([]Event, 0, chains*perChain)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for done, sn := 0, uint64(0); done < b.N; done += len(batch) {
+			batch = batch[:0]
+			for c := 0; c < chains; c++ {
+				sn++
+				id := ChainID{Node: "gnb-001", SN: sn}
+				batch = append(batch,
+					Event{Chain: id, Kind: KindEmit, At: testClock(), Records: 64, SeqFirst: sn * 64, SeqLast: sn*64 + 63, Digest: Digest(sn)},
+					Event{Chain: id, Kind: KindTransport, At: testClock(), Label: "sent"},
+					Event{Chain: id, Kind: KindIndication, At: testClock(), Label: "routed"})
+				for w := 0; w < perChain-3; w++ {
+					model := [2]string{"autoencoder", "lstm"}[w%2]
+					batch = append(batch, Event{Chain: id, Kind: KindWindow, At: testClock(), Model: model, Count: 12,
+						SeqFirst: sn * 64, SeqLast: sn*64 + uint64(w), Score: 0.01, Threshold: 1.5, Digest: Digest(w)})
+				}
+			}
+			l.apply(batch)
+		}
+	})
 	b.Run("fold", func(b *testing.B) {
 		l := newLedger(Options{Store: sdl.New(), clock: testClock})
 		ev := Event{Chain: ChainID{Node: "gnb-001", SN: 9}, Kind: KindWindow, At: testClock(),

@@ -3,11 +3,14 @@
 //
 // Real O-RAN deployments carry E2AP over SCTP, which provides message
 // boundaries on top of reliable delivery. The Go standard library has no
-// SCTP support, so this package substitutes a 4-byte big-endian length
-// prefix — preserving the two properties the protocols above actually
-// rely on: ordered reliable delivery and message framing (see DESIGN.md
-// §1). The federation bus runs it over TCP; E2 runs fully in-process via
-// Pipe in every executable.
+// SCTP support, so this package keeps the two properties the protocols
+// above actually rely on — ordered reliable delivery and message framing
+// (see DESIGN.md §1) — two ways. E2 runs fully in-process in every
+// executable, over Pipe: a queue of whole frames each way, so a frame
+// costs one channel send and the sender does not wait for the receiver
+// unless pipeDepth frames are already queued. The federation bus runs
+// over TCP (Dial, Listen), a byte stream, where each frame is a 4-byte
+// big-endian length prefix and the payload.
 package wire
 
 import (
@@ -31,10 +34,21 @@ var ErrFrameTooLarge = errors.New("wire: frame exceeds maximum size")
 // ErrClosed is returned by operations on a closed Conn.
 var ErrClosed = errors.New("wire: connection closed")
 
+// pipeDepth is how many frames a Pipe queues each way before Send waits
+// for the receiver: room for a gNB report flush's burst of indications,
+// so the agent hands them over without a rendezvous per frame, while a
+// stalled receiver still stops its sender after a bounded number of
+// frames.
+const pipeDepth = 64
+
 // A Conn is a framed message connection. It is safe for one concurrent
 // reader and any number of concurrent writers.
 type Conn struct {
-	nc net.Conn
+	// nc is the byte stream under a Dial or Listen connection; nil for a
+	// Pipe end, which moves whole frames over out and in instead.
+	nc  net.Conn
+	out chan<- []byte
+	in  <-chan []byte
 
 	writeMu sync.Mutex
 	// hdr and bufs are the send scratch state, guarded by writeMu: the
@@ -45,22 +59,27 @@ type Conn struct {
 
 	readMu sync.Mutex
 
-	closeOnce sync.Once
+	// closed is closed by Close; a Pipe's two ends share it, so closing
+	// either closes both.
+	closeOnce *sync.Once
 	closed    chan struct{}
 }
 
 // NewConn wraps an established net.Conn in message framing.
 func NewConn(nc net.Conn) *Conn {
-	return &Conn{nc: nc, closed: make(chan struct{})}
+	return &Conn{nc: nc, closeOnce: new(sync.Once), closed: make(chan struct{})}
 }
 
 // Pipe returns a connected pair of in-process Conns.
 func Pipe() (*Conn, *Conn) {
-	a, b := net.Pipe()
-	return NewConn(a), NewConn(b)
+	ab, ba := make(chan []byte, pipeDepth), make(chan []byte, pipeDepth)
+	once, closed := new(sync.Once), make(chan struct{})
+	return &Conn{out: ab, in: ba, closeOnce: once, closed: closed},
+		&Conn{out: ba, in: ab, closeOnce: once, closed: closed}
 }
 
-// Send writes one framed message. It is safe to call concurrently.
+// Send writes one framed message. It is safe to call concurrently, and
+// the caller may reuse payload as soon as it returns.
 func (c *Conn) Send(payload []byte) error {
 	if len(payload) > MaxFrameSize {
 		return fmt.Errorf("sending %d bytes: %w", len(payload), ErrFrameTooLarge)
@@ -69,6 +88,18 @@ func (c *Conn) Send(payload []byte) error {
 	case <-c.closed:
 		return ErrClosed
 	default:
+	}
+	if c.nc == nil {
+		// The frame the receiver gets is this copy: the one allocation
+		// a frame costs.
+		frame := make([]byte, len(payload))
+		copy(frame, payload)
+		select {
+		case c.out <- frame:
+			return nil
+		case <-c.closed:
+			return ErrClosed
+		}
 	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
@@ -90,8 +121,22 @@ func (c *Conn) Send(payload []byte) error {
 }
 
 // Recv reads one framed message. It blocks until a full frame arrives, the
-// connection closes (io.EOF), or an error occurs.
+// connection closes (io.EOF), or an error occurs. A closed Pipe still
+// delivers the frames queued before io.EOF.
 func (c *Conn) Recv() ([]byte, error) {
+	if c.nc == nil {
+		select {
+		case frame := <-c.in:
+			return frame, nil
+		case <-c.closed:
+			select {
+			case frame := <-c.in:
+				return frame, nil
+			default:
+				return nil, io.EOF
+			}
+		}
+	}
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
 
@@ -116,13 +161,15 @@ func (c *Conn) Recv() ([]byte, error) {
 	return payload, nil
 }
 
-// Close closes the connection. Pending Recv calls return io.EOF or an
-// error. Close is idempotent.
+// Close closes the connection; closing either end of a Pipe closes both.
+// Pending Recv calls return io.EOF or an error. Close is idempotent.
 func (c *Conn) Close() error {
 	var err error
 	c.closeOnce.Do(func() {
 		close(c.closed)
-		err = c.nc.Close()
+		if c.nc != nil {
+			err = c.nc.Close()
+		}
 	})
 	return err
 }

@@ -151,6 +151,86 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 }
 
+// TestPipeSendDoesNotWaitForReceiver: a Pipe queues pipeDepth frames
+// with nobody receiving, each Send returning at once, and a sender may
+// reuse its buffer as soon as Send returns.
+func TestPipeSendDoesNotWaitForReceiver(t *testing.T) {
+	a, b := Pipe()
+	defer a.Close()
+	defer b.Close()
+	sent := make(chan error, 1)
+	go func() {
+		buf := make([]byte, 3)
+		for i := 0; i < pipeDepth; i++ {
+			copy(buf, fmt.Sprintf("%03d", i))
+			if err := a.Send(buf); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+	select {
+	case err := <-sent:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Send waited for a receiver with fewer than %d frames queued", pipeDepth)
+	}
+	for i := 0; i < pipeDepth; i++ {
+		got, err := b.Recv()
+		if want := fmt.Sprintf("%03d", i); err != nil || string(got) != want {
+			t.Fatalf("frame %d = %q, %v; want %q", i, got, err, want)
+		}
+	}
+}
+
+// TestPipeCloseDeliversQueuedFrames: closing either end of a Pipe fails
+// later Sends on both, and each end's Recv returns the frames already
+// queued, in order, and then io.EOF. An oversized frame is refused and
+// queues nothing.
+func TestPipeCloseDeliversQueuedFrames(t *testing.T) {
+	for _, closer := range []string{"sender", "receiver"} {
+		t.Run(closer, func(t *testing.T) {
+			a, b := Pipe()
+			if err := a.Send(make([]byte, MaxFrameSize+1)); !errors.Is(err, ErrFrameTooLarge) {
+				t.Fatalf("oversized Send: %v, want ErrFrameTooLarge", err)
+			}
+			frames := []string{"one", "", "three"}
+			for _, f := range frames {
+				if err := a.Send([]byte(f)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if closer == "sender" {
+				a.Close()
+			} else {
+				b.Close()
+			}
+			for _, c := range []*Conn{a, b} {
+				if err := c.Send([]byte("late")); !errors.Is(err, ErrClosed) {
+					t.Fatalf("Send after Close: %v, want ErrClosed", err)
+				}
+			}
+			for i, want := range frames {
+				got, err := b.Recv()
+				if err != nil || string(got) != want || got == nil {
+					t.Fatalf("frame %d after Close = %q, %v; want %q", i, got, err, want)
+				}
+			}
+			for i := 0; i < 2; i++ {
+				if got, err := b.Recv(); !errors.Is(err, io.EOF) {
+					t.Fatalf("Recv past the queued frames = %q, %v; want io.EOF", got, err)
+				}
+			}
+			if _, err := a.Recv(); !errors.Is(err, io.EOF) {
+				t.Fatalf("Recv on the other end: %v, want io.EOF", err)
+			}
+		})
+	}
+}
+
 func TestConcurrentSenders(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
