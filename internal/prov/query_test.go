@@ -13,16 +13,25 @@ import (
 
 // fullChain records one end-to-end evidence chain into l.
 func fullChain(l *Ledger, id ChainID, ue uint64, at time.Time) {
-	l.Record(Event{Chain: id, Kind: KindEmit, At: at, Records: 10, SeqFirst: 1, SeqLast: 10})
-	l.Record(Event{Chain: id, Kind: KindIndication, At: at.Add(time.Millisecond), Label: "routed"})
-	l.Record(Event{Chain: id, Kind: KindWindow, At: at.Add(2 * time.Millisecond),
-		Model: "autoencoder", Score: 4.2, Threshold: 1.5, Flagged: true})
-	l.Record(Event{Chain: id, Kind: KindAlert, At: at.Add(3 * time.Millisecond),
-		Model: "autoencoder", Score: 4.2, Threshold: 1.5, Flagged: true, Label: "raised"})
-	l.Record(Event{Chain: id, Kind: KindVerdict, At: at.Add(4 * time.Millisecond),
-		Label: "anomalous", Action: "bts-dos", Score: 0.9, Digest: DigestText("prompt")})
-	l.Record(Event{Chain: id, Kind: KindMitigation, At: at.Add(5 * time.Millisecond),
-		ActionID: 1, Action: "release-ue", Label: "issued", Target: "ue/901", UEID: ue})
+	for _, ev := range chainEvents(id, ue, at) {
+		l.Record(ev)
+	}
+}
+
+// chainEvents is the end-to-end evidence chain fullChain records.
+func chainEvents(id ChainID, ue uint64, at time.Time) []Event {
+	return []Event{
+		{Chain: id, Kind: KindEmit, At: at, Records: 10, SeqFirst: 1, SeqLast: 10},
+		{Chain: id, Kind: KindIndication, At: at.Add(time.Millisecond), Label: "routed"},
+		{Chain: id, Kind: KindWindow, At: at.Add(2 * time.Millisecond),
+			Model: "autoencoder", Score: 4.2, Threshold: 1.5, Flagged: true},
+		{Chain: id, Kind: KindAlert, At: at.Add(3 * time.Millisecond),
+			Model: "autoencoder", Score: 4.2, Threshold: 1.5, Flagged: true, Label: "raised"},
+		{Chain: id, Kind: KindVerdict, At: at.Add(4 * time.Millisecond),
+			Label: "anomalous", Action: "bts-dos", Score: 0.9, Digest: DigestText("prompt")},
+		{Chain: id, Kind: KindMitigation, At: at.Add(5 * time.Millisecond),
+			ActionID: 1, Action: "release-ue", Label: "issued", Target: "ue/901", UEID: ue},
+	}
 }
 
 func TestQuerySelect(t *testing.T) {

@@ -252,13 +252,18 @@ func BenchmarkLedgerPersist(b *testing.B) {
 // and a length prefix or a TLV length claiming more than the input holds
 // is refused without allocating what it claims. The seeds are every value
 // the ledger published while recording an end-to-end chain and a verdict
-// with non-finite scores.
+// with non-finite scores, one event a batch, so each segment is seeded at
+// every length it passed through.
 func FuzzEventTLV(f *testing.F) {
 	store := sdl.New()
 	published, cancel := store.Watch(Namespace, "ev/", 64)
 	l := New(Options{Store: store, clock: testClock})
-	fullChain(l, ChainID{Node: "gnb-001", SN: 1}, 901, testClock())
-	l.Record(Event{Chain: ChainID{Node: "gnb-001", SN: 2}, Kind: KindVerdict, Score: math.NaN(), Threshold: math.Inf(-1), Note: "\xff"})
+	evs := append(chainEvents(ChainID{Node: "gnb-001", SN: 1}, 901, testClock()),
+		Event{Chain: ChainID{Node: "gnb-001", SN: 2}, Kind: KindVerdict, Score: math.NaN(), Threshold: math.Inf(-1), Note: "\xff"})
+	for _, ev := range evs {
+		l.Record(ev)
+		l.Flush()
+	}
 	l.Close()
 	cancel()
 	for ev := range published {
