@@ -10,21 +10,13 @@
 //	xsec-audit -mitigate dry-run        # audit the rehearsal journal instead
 //	xsec-audit -chain gnb-001/42        # restrict the audit to one chain
 //	xsec-audit -endpoint http://host:9090 -label bts-dos   # query a live deployment's /prov
-//	xsec-audit -federation 2            # audit the federation drill: mid-attack migration, fleet plane, crash
 //
 // In testbed mode the command exits non-zero when any issued mitigation
-// action lacks a complete evidence chain — the auditability contract. In
-// federation mode the exit code is the drill's verdict: non-zero when any
-// migrated UE's source and destination chains are not joined, the
-// destination reached no governed mitigation decision on an audited
-// chain, the migrated UE's trace does not stitch across instances, the
-// crashed instance is not auto-evicted, or any SLO is burning error
-// budget above threshold.
+// action lacks a complete evidence chain — the auditability contract.
 //
 // -log-level (default $XSEC_LOG_LEVEL) writes structured logs to stderr
 // at that level and above, none when empty; -metrics-addr serves
-// /metrics, /healthz, and the /fleet/* endpoints for the duration of the
-// run.
+// /metrics and /healthz for the duration of the run.
 package main
 
 import (
@@ -36,12 +28,10 @@ import (
 	"os"
 	"time"
 
-	"github.com/6g-xsec/xsec/internal/bench"
 	"github.com/6g-xsec/xsec/internal/core"
 	"github.com/6g-xsec/xsec/internal/mitigate"
 	"github.com/6g-xsec/xsec/internal/mobiwatch"
 	"github.com/6g-xsec/xsec/internal/obs"
-	"github.com/6g-xsec/xsec/internal/obs/fleet"
 	"github.com/6g-xsec/xsec/internal/prov"
 	"github.com/6g-xsec/xsec/internal/ue"
 )
@@ -55,14 +45,13 @@ func main() {
 		since    = flag.String("since", "", "endpoint mode: RFC 3339 lower time bound")
 		until    = flag.String("until", "", "endpoint mode: RFC 3339 upper time bound")
 
-		federation  = flag.Int("federation", 0, "audit the federation drill: run N instances, hand the attack over mid-flood, crash one; verify joined chains, stitched trace, eviction, SLOs")
 		attack      = flag.String("attack", "bts-dos", "testbed mode: attack to launch and audit")
 		mitigateMod = flag.String("mitigate", "enforce", "testbed mode: mitigation engine mode (off | dry-run | enforce)")
 		sessions    = flag.Int("sessions", 60, "testbed mode: benign training sessions")
 		epochs      = flag.Int("epochs", 25, "testbed mode: training epochs")
-		seed        = flag.Int64("seed", 4, "testbed and federation modes: seed")
+		seed        = flag.Int64("seed", 4, "testbed mode: seed")
 		logLevel    = obs.LogLevelFlag()
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz, and /fleet/* on this address for the run")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /healthz on this address for the run")
 	)
 	flag.Parse()
 
@@ -75,8 +64,6 @@ func main() {
 	switch {
 	case *endpoint != "":
 		err = auditEndpoint(*endpoint, *chainID, *ueFilter, *label, *since, *until)
-	case *federation > 0:
-		err = auditFederation(*federation, *seed)
 	default:
 		err = auditRun(*attack, *mitigateMod, *sessions, *epochs, *seed, *chainID)
 	}
@@ -124,100 +111,6 @@ func auditEndpoint(endpoint, chainID, ueFilter, label, since, until string) erro
 	}
 	fmt.Printf("%d chain(s)\n", len(chains))
 	return nil
-}
-
-// auditFederation runs the federation drill and audits what it leaves
-// behind: every migrated UE's destination chain must join to its source
-// chain with the joining indication scored, the destination must close
-// the loop on an audited chain, the migrated UE's spans must stitch into
-// one cross-instance trace, the crashed instance must be evicted from the
-// ring by the failure detector alone, and no SLO may burn error budget
-// above threshold. The joined chains are rendered so the hand-off is
-// readable end to end.
-func auditFederation(instances int, seed int64) error {
-	fmt.Printf("=== xsec-audit: federation drill (%d instances) ===\n", instances)
-	fmt.Println("training models, migrating mid-flood, crashing an instance...")
-	res, err := bench.RunDrill(instances, seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%d UE contexts handed over %s -> %s at record %d/%d; %d attack alerts on %s\n",
-		len(res.AttackUEs), res.Source, res.Dest, res.PreRecords,
-		res.PreRecords+res.PostRecords, res.AlertsOnDest, res.Dest)
-	fmt.Printf("records scored (zero loss): %d/%d\n\n", res.TotalRecords, res.PreRecords+res.PostRecords)
-
-	for _, a := range res.Audits {
-		status := "OK"
-		if !a.OK() {
-			status = "FAILED: " + a.Err
-		}
-		fmt.Printf("--- UE %d: %s -> %s (%s", a.UEID, a.From, a.To, status)
-		if a.Reachback {
-			fmt.Printf(", window reaches restored history")
-		}
-		fmt.Println(") ---")
-		for _, id := range []prov.ChainID{a.From, a.To} {
-			rec, err := prov.ReadChain(res.Store, id)
-			if err != nil {
-				fmt.Printf("chain %s: NOT PERSISTED (%v)\n", id, err)
-				continue
-			}
-			prov.WriteChain(os.Stdout, rec)
-		}
-		fmt.Println()
-	}
-	if en := res.Mitigation; en != nil {
-		fmt.Printf("--- closed loop on %s: verdict %s -> %s %s (%s), audited across the handover: %v ---\n",
-			res.Dest, res.Verdict, en.Action, en.Target, en.Decision, res.DecisionAudited)
-		if chain, err := prov.ParseChainID(en.Chain); err == nil {
-			if rec, err := prov.ReadChain(res.Store, chain); err == nil {
-				prov.WriteChain(os.Stdout, rec)
-			}
-		}
-	}
-
-	fmt.Printf("\n--- fleet health (%d instances) ---\n", res.Instances)
-	for _, h := range res.Health {
-		line := fmt.Sprintf("%-8s %-8s seq=%-4d ues=%-3d records=%d", h.Instance, h.State, h.HeartbeatSeq, h.UEs, h.Records)
-		if !h.EvictedAt.IsZero() {
-			line += "  evicted"
-		}
-		fmt.Println(line)
-	}
-	fmt.Printf("\n--- failure-detector journal (%d transitions) ---\n", res.JournalTransitions)
-	for _, tr := range fleet.ReadJournal(res.Store) {
-		fmt.Printf("#%d %s: %s -> %s (%s)\n", tr.Seq, tr.Instance, tr.From, tr.To, tr.Reason)
-	}
-	fmt.Printf("\n--- distributed traces ---\n")
-	fmt.Printf("%d stitched trace(s) in %s; migrated UE %d: %d segments across %d instances, %d spans, complete=%v\n",
-		res.StitchedTraces, seconds(res.StitchSeconds), res.MigratedUE, res.TraceSegments, res.TraceInstances, res.TraceSpans, res.TraceComplete)
-	if n := len(res.ScrapeSeconds); n > 0 { // ascending
-		fmt.Printf("federation scrape: p50 %s, max %s over %d rounds\n",
-			seconds(res.ScrapeSeconds[n/2]), seconds(res.ScrapeSeconds[n-1]), n)
-	}
-	fmt.Printf("\n--- SLOs ---\n")
-	for _, s := range res.SLOs {
-		status := "ok"
-		if s.Firing {
-			status = "FIRING"
-		}
-		fmt.Printf("%-18s target=%.4g sli=%.6f burn fast=%.3f slow=%.3f (threshold %.3g) %s\n",
-			s.Name, s.Target, s.SLI, s.BurnFast, s.BurnSlow, s.Threshold, status)
-	}
-	fmt.Printf("\nkill -> auto-evict: %s in %.3fs (ring updated=%v)\n\n",
-		res.Victim, res.KillToEvictSecs, res.EvictedFromRing)
-
-	if err := res.Err(); err != nil {
-		return err
-	}
-	fmt.Printf("audit OK: all %d migrated UE(s) have joined chains with scoring resumed at the join (%d with direct seq reachback); "+
-		"trace stitched, victim auto-evicted, no SLO firing\n", len(res.Audits), res.Reachbacks)
-	return nil
-}
-
-// seconds renders a drill timing to 10 µs.
-func seconds(s float64) time.Duration {
-	return time.Duration(s * float64(time.Second)).Round(10 * time.Microsecond)
 }
 
 // auditRun drives a full testbed run — train, deploy with the governed

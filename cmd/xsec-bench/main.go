@@ -13,14 +13,11 @@
 //
 // How fast a layer of the shipped system runs is benchmark/'s question
 // (bash benchmark/run.sh), not this command's; the federation baseline
-// stays here until benchmark/ has a federated workload. The federation
-// drill (mid-attack migration, fleet plane, a crash) is
-// xsec-audit -federation N.
+// stays here until benchmark/ has a federated workload.
 //
 // -log-level (default $XSEC_LOG_LEVEL) writes structured logs to stderr
 // at that level and above, none when empty; -metrics-addr serves
-// /metrics, /healthz, and the /fleet/* endpoints for the duration of the
-// run.
+// /metrics and /healthz for the duration of the run.
 package main
 
 import (
@@ -44,7 +41,7 @@ func main() {
 		smoke       = flag.Bool("smoke", false, "shrink the -fed workload so CI exercises the path quickly (fails on a lost record)")
 		outPath     = flag.String("out", "BENCH_fed.json", "-fed baseline output path")
 		logLevel    = obs.LogLevelFlag()
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz, and /fleet/* on this address for the run")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /healthz on this address for the run")
 	)
 	flag.Parse()
 

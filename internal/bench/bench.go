@@ -5,9 +5,8 @@
 // and Figure 5 (prompt/response example) — plus the ablations DESIGN.md
 // commits to (window size, threshold percentile, bottleneck width).
 // How fast the shipped system runs is benchmark/'s question, not this
-// package's; fed.go (BENCH_fed.json) and drill.go (the federation drill
-// xsec-audit -federation runs) are the exception, kept because they are
-// CI's only record-loss and eviction checks until benchmark/ has a
+// package's; fed.go (BENCH_fed.json) is the exception, kept because it
+// is CI's only federated record-loss check until benchmark/ has a
 // federated workload.
 //
 // The cmd/xsec-bench binary and the repository-root benchmarks both call

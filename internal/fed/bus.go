@@ -127,14 +127,8 @@ type Broker struct {
 	mu     sync.Mutex
 	topics map[string]*topicLog
 	conns  map[*busConn]struct{}
-	local  map[string][]LocalHandler
 	closed bool
 }
-
-// LocalHandler observes bus traffic broker-side without a connection.
-// Handlers run synchronously after the broker lock is released, on the
-// goroutine that published — keep them fast and non-blocking.
-type LocalHandler func(offset uint64, payload []byte, trace string)
 
 // NewBroker listens on addr (use "127.0.0.1:0" for an ephemeral port).
 func NewBroker(addr string) (*Broker, error) {
@@ -147,7 +141,6 @@ func NewBroker(addr string) (*Broker, error) {
 		retain: DefaultRetain,
 		topics: make(map[string]*topicLog),
 		conns:  make(map[*busConn]struct{}),
-		local:  make(map[string][]LocalHandler),
 	}
 	go wire.Serve(ln, b.handle)
 	return b, nil
@@ -184,17 +177,6 @@ func (b *Broker) Publish(topic string, payload []byte) error {
 	return b.publish(topic, payload, "", uint64(time.Now().UnixNano()))
 }
 
-// SubscribeLocal registers a broker-side observer for topic. It sees
-// every future message on the topic (no replay of the retained log) and
-// runs on the publisher's goroutine after the broker lock is released.
-// The colocated fleet collector uses this to consume heartbeats and
-// reports without a loopback connection.
-func (b *Broker) SubscribeLocal(topic string, fn LocalHandler) {
-	b.mu.Lock()
-	b.local[topic] = append(b.local[topic], fn)
-	b.mu.Unlock()
-}
-
 func (b *Broker) publish(topic string, payload []byte, trace string, pub uint64) error {
 	b.mu.Lock()
 	if b.closed {
@@ -218,12 +200,8 @@ func (b *Broker) publish(topic string, payload []byte, trace string, pub uint64)
 			b.enqueue(bc, frame{Op: opDeliver, Topic: topic, Offset: offset, Payload: payload, Trace: trace, Pub: pub})
 		}
 	}
-	local := b.local[topic]
 	b.mu.Unlock()
 	obsBusPublished.With(topic).Inc()
-	for _, fn := range local {
-		fn(offset, payload, trace)
-	}
 	return nil
 }
 

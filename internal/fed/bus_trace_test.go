@@ -133,51 +133,3 @@ func TestBusTracePropagatesEndToEnd(t *testing.T) {
 		t.Fatal("retained message never replayed")
 	}
 }
-
-func TestBrokerSubscribeLocal(t *testing.T) {
-	b, err := NewBroker("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	type delivery struct {
-		offset uint64
-		trace  string
-		body   string
-	}
-	got := make(chan delivery, 4)
-	b.SubscribeLocal("hb", func(offset uint64, payload []byte, trace string) {
-		got <- delivery{offset, trace, string(payload)}
-	})
-
-	// Local handlers see broker-side publishes without a loopback
-	// connection and without replay of prior history.
-	if err := b.publish("hb", []byte("beacon"), "gnb-x/9", uint64(time.Now().UnixNano())); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case d := <-got:
-		if d.body != "beacon" || d.trace != "gnb-x/9" {
-			t.Fatalf("local delivery = %+v", d)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("local handler never invoked")
-	}
-
-	// Client publishes reach local handlers too.
-	c := DialBus("ric-0", b.Addr())
-	defer c.Close()
-	waitConnected(t, c)
-	if err := c.Publish("hb", []byte("client-beacon")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case d := <-got:
-		if d.body != "client-beacon" {
-			t.Fatalf("client publish delivery = %+v", d)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("client publish never reached local handler")
-	}
-}

@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"github.com/6g-xsec/xsec/internal/mobiwatch"
-	"github.com/6g-xsec/xsec/internal/obs/fleet"
-	"github.com/6g-xsec/xsec/internal/prov"
 	"github.com/6g-xsec/xsec/internal/sdl"
 )
 
@@ -21,30 +19,17 @@ type ClusterOptions struct {
 	Models *mobiwatch.Models
 	// ShardBuffer is passed to every instance (see InstanceOptions).
 	ShardBuffer int
-	// InstallLedger activates a provenance ledger backed by the
-	// coordinator's store for the cluster's lifetime, so migration
-	// hand-offs from every instance land in one auditable place.
-	InstallLedger bool
-	// Fleet, when set, attaches a fleet collector (failure detection,
-	// metrics federation, SLOs, trace stitching) to the coordinator. The
-	// cluster wires Publish and Store, and Evict (through the
-	// coordinator's Leave) unless it is set.
-	Fleet *fleet.CollectorOptions
 }
 
 // Cluster wires N federated instances to one coordinator and broker in
-// a single process. Tests, xsec-bench -fed and xsec-audit -federation
-// all drive federations through it, so the protocol exercised everywhere
-// is the same one.
+// a single process. Tests and xsec-bench -fed drive federations through
+// it, so the protocol exercised everywhere is the same one.
 type Cluster struct {
-	Store       *sdl.Store // coordinator/SMO-side store (ring, A1, ledger)
+	Store       *sdl.Store // coordinator/SMO-side store (ring, A1)
 	Broker      *Broker
 	Coordinator *Coordinator
 
-	opts      ClusterOptions
-	ledger    *prov.Ledger
-	prev      *prov.Ledger
-	collector *fleet.Collector
+	opts ClusterOptions
 
 	mu        sync.Mutex
 	instances map[string]*Instance
@@ -68,10 +53,6 @@ func StartCluster(opts ClusterOptions) (*Cluster, error) {
 		opts:      opts,
 		instances: make(map[string]*Instance),
 	}
-	if opts.InstallLedger {
-		cl.ledger = prov.New(prov.Options{Store: store})
-		cl.prev = prov.SetActive(cl.ledger)
-	}
 	broker, err := NewBroker("127.0.0.1:0")
 	if err != nil {
 		cl.Close()
@@ -79,34 +60,6 @@ func StartCluster(opts ClusterOptions) (*Cluster, error) {
 	}
 	cl.Broker = broker
 	cl.Coordinator = NewCoordinator(store, broker)
-	if opts.Fleet != nil {
-		// Heartbeats and scrape reports are consumed broker-side (no
-		// loopback connection), scrape requests go out on the broker's
-		// bus, and a dead instance is evicted through the coordinator's
-		// Leave: survivors take over its hash range on the next epoch.
-		fo := *opts.Fleet
-		fo.Publish, fo.Store = broker.Publish, store
-		if fo.Evict == nil {
-			fo.Evict = func(instance string) error {
-				_, err := cl.Coordinator.Leave(instance)
-				return err
-			}
-		}
-		col := fleet.NewCollector(fo)
-		broker.SubscribeLocal(fleet.TopicHeartbeat, func(_ uint64, payload []byte, _ string) {
-			if hb, err := fleet.ParseHeartbeat(payload); err == nil {
-				col.OnHeartbeat(hb)
-			}
-		})
-		broker.SubscribeLocal(fleet.TopicReport, func(_ uint64, payload []byte, _ string) {
-			if rep, err := fleet.ParseReport(payload); err == nil {
-				col.OnReport(rep)
-			}
-		})
-		col.Mount()
-		col.Start()
-		cl.collector = col
-	}
 
 	ids := make([]string, 0, opts.Instances)
 	for n := 0; n < opts.Instances; n++ {
@@ -197,20 +150,6 @@ func (cl *Cluster) OwnerOf(ue uint64) *Instance {
 	return cl.Instance(r.Owner(ue))
 }
 
-// MigrateUE moves one UE's state from src to dest explicitly (a
-// directed handover), synchronously: it returns once dest has restored
-// and src has forgotten the UE.
-func (cl *Cluster) MigrateUE(ue uint64, src, dest string) error {
-	s := cl.Instance(src)
-	if s == nil {
-		return fmt.Errorf("fed: no instance %q", src)
-	}
-	if cl.Instance(dest) == nil {
-		return fmt.Errorf("fed: no instance %q", dest)
-	}
-	return s.MigrateUE(ue, dest)
-}
-
 // Join starts a new instance (default name "ric-<n>") and publishes the
 // epoch admitting it; it returns after every member applied the ring —
 // rebalancing migrations toward the joiner may still be draining.
@@ -235,24 +174,6 @@ func (cl *Cluster) Join(id string) (*Instance, error) {
 	return inst, nil
 }
 
-// Fleet returns the attached fleet collector (nil without
-// ClusterOptions.Fleet).
-func (cl *Cluster) Fleet() *fleet.Collector { return cl.collector }
-
-// Crash stops an instance abruptly WITHOUT telling the coordinator —
-// simulating a real failure. Nothing removes it from the ring except
-// the fleet collector's failure detector noticing the missing
-// heartbeats and auto-evicting it; without a collector attached, the
-// ring keeps routing to a dead member until the coordinator is told.
-func (cl *Cluster) Crash(id string) error {
-	inst := cl.Instance(id)
-	if inst == nil {
-		return fmt.Errorf("fed: no instance %q", id)
-	}
-	cl.retire(id, inst)
-	return nil
-}
-
 // Kill stops an instance abruptly — no drain, its un-migrated window
 // state is lost (new owners cold-start those UEs) — then publishes the
 // ring without it so survivors take over its hash range.
@@ -261,17 +182,13 @@ func (cl *Cluster) Kill(id string) error {
 	if inst == nil {
 		return fmt.Errorf("fed: no instance %q", id)
 	}
-	cl.retire(id, inst)
-	_, err := cl.Coordinator.Leave(id)
-	return err
-}
-
-func (cl *Cluster) retire(id string, inst *Instance) {
 	inst.Stop()
 	cl.mu.Lock()
 	delete(cl.instances, id)
 	cl.retired += inst.Records()
 	cl.mu.Unlock()
+	_, err := cl.Coordinator.Leave(id)
+	return err
 }
 
 // TotalRecords sums records scored across live and retired instances —
@@ -306,22 +223,7 @@ func (cl *Cluster) WaitRecords(n uint64, timeout time.Duration) error {
 	}
 }
 
-// FlushProv drains the cluster ledger to its store so audits read
-// everything recorded so far.
-func (cl *Cluster) FlushProv() {
-	if cl.ledger != nil {
-		cl.ledger.Flush()
-	}
-}
-
-// AuditMigrations flushes the ledger and verifies every migrated UE's
-// chains are joined with no scoring gap.
-func (cl *Cluster) AuditMigrations() []prov.MigrationAudit {
-	cl.FlushProv()
-	return prov.AuditMigrations(cl.Store)
-}
-
-// Close stops every instance, the broker, and the ledger.
+// Close stops every instance and the broker.
 func (cl *Cluster) Close() {
 	cl.mu.Lock()
 	ids := append([]string(nil), cl.order...)
@@ -337,14 +239,7 @@ func (cl *Cluster) Close() {
 	for _, inst := range insts {
 		inst.Stop()
 	}
-	if cl.collector != nil {
-		cl.collector.Stop()
-	}
 	if cl.Broker != nil {
 		cl.Broker.Close()
-	}
-	if cl.ledger != nil {
-		prov.SetActive(cl.prev)
-		cl.ledger.Close()
 	}
 }

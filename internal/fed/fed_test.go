@@ -71,7 +71,7 @@ func waitFor(timeout time.Duration, cond func() bool) error {
 // ring assigns to the joiner, with no scored records lost.
 func TestClusterJoinRebalance(t *testing.T) {
 	models, mixed := testEnv(t)
-	cl, err := StartCluster(ClusterOptions{Instances: 2, Models: models, InstallLedger: true})
+	cl, err := StartCluster(ClusterOptions{Instances: 2, Models: models})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package fed
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/6g-xsec/xsec/internal/asn1lite"
@@ -11,7 +10,6 @@ import (
 	"github.com/6g-xsec/xsec/internal/gnb"
 	"github.com/6g-xsec/xsec/internal/mobiwatch"
 	"github.com/6g-xsec/xsec/internal/obs"
-	"github.com/6g-xsec/xsec/internal/obs/fleet"
 	"github.com/6g-xsec/xsec/internal/prov"
 	"github.com/6g-xsec/xsec/internal/sdl"
 	"github.com/6g-xsec/xsec/internal/smo"
@@ -159,28 +157,14 @@ func (o *InstanceOptions) defaults() error {
 
 // Instance is one federated near-RT RIC: a core.Node — the whole loop,
 // gNB agent to mitigation engine, wired as core.New wires it — plus what
-// is federation: the bus endpoints of the migration protocol, the ring,
-// heartbeats and the fleet scrape. When the bus is unreachable the
-// instance keeps detecting standalone — federation degrades, the
-// security function does not.
+// is federation: the bus endpoints of the migration protocol and the
+// ring. When the bus is unreachable the instance keeps detecting
+// standalone — federation degrades, the security function does not.
 type Instance struct {
 	opts InstanceOptions
 	id   string // opts.ID
 	node *core.Node
 	bus  *Client
-
-	// scoreReg is a private registry holding this instance's
-	// score-latency histogram: colocated instances share the process
-	// Default registry, so instance-attributed series for the fleet
-	// plane are built here instead (see ObsSnapshot).
-	scoreReg *obs.Registry
-	// migrations counts this instance's migrations by direction beside
-	// the process-global xsec_fed_migrations_total, which every cluster
-	// in the process adds to; ObsSnapshot reports these.
-	migrations [len(migrationDirs)]atomic.Uint64
-
-	hbStop chan struct{}
-	hbWG   sync.WaitGroup
 
 	mu       sync.Mutex
 	ring     *Ring
@@ -201,7 +185,6 @@ const (
 
 // countMigration counts one migration of this instance in direction dir.
 func (i *Instance) countMigration(dir int) {
-	i.migrations[dir].Add(1)
 	obsMigrations.With(i.id, migrationDirs[dir]).Inc()
 }
 
@@ -241,16 +224,11 @@ func StartInstance(opts InstanceOptions) (*Instance, error) {
 		node:     node,
 		inflight: make(map[uint64]*outMigration),
 		migSem:   make(chan struct{}, maxConcurrentMigrations),
-		scoreReg: obs.NewRegistry(),
-		hbStop:   make(chan struct{}),
 	}
 	err = node.Deploy(models, mobiwatch.RunOptions{
 		Shards:       scoringShards,
 		ShardBuffer:  opts.ShardBuffer,
 		ReportPeriod: reportPeriod,
-		ScoreLatency: i.scoreReg.HistogramVec("xsec_mobiwatch_score_seconds",
-			"Scoring time per stage pass: window, ae and lstm (this instance only).",
-			obs.ExpBuckets(1e-6, 4, 12)).With(),
 	})
 	if err != nil {
 		node.Close()
@@ -268,9 +246,6 @@ func StartInstance(opts InstanceOptions) (*Instance, error) {
 		i.bus.Subscribe(TopicPolicy, i.onPolicy)
 		i.bus.SubscribeTraced(TopicMigrate, i.onMigrate)
 		i.bus.SubscribeTraced(TopicMigrateAck, i.onAck)
-		i.bus.Subscribe(fleet.TopicScrape, i.onScrape)
-		i.hbWG.Add(1)
-		go i.heartbeatLoop()
 	}
 	obs.RegisterHealthDetail("fed/"+opts.ID, i.healthDetail)
 	return i, nil
@@ -284,14 +259,8 @@ func (i *Instance) ID() string { return i.id }
 // period later, sooner once a full indication's worth is pending.
 func (i *Instance) GNB() *gnb.GNB { return i.node.GNB }
 
-// Node returns the instance's whole loop, gNB agent to mitigation engine.
-func (i *Instance) Node() *core.Node { return i.node }
-
 // Runtime returns the MobiWatch runtime (stats, thresholds, UE state).
 func (i *Instance) Runtime() *mobiwatch.Runtime { return i.node.Watch() }
-
-// Store returns the instance's SDL.
-func (i *Instance) Store() *sdl.Store { return i.node.SDL }
 
 // Records returns how many telemetry records this instance has scored.
 // The counter is readable after Stop, so zero-loss accounting can still
@@ -553,116 +522,9 @@ func (i *Instance) Stop() {
 	}
 	i.stopped = true
 	i.mu.Unlock()
-	close(i.hbStop)
-	i.hbWG.Wait()
 	obs.UnregisterHealth("fed/" + i.id)
 	if i.bus != nil {
 		i.bus.Close()
 	}
 	i.node.Close()
-}
-
-// heartbeatLoop publishes fleet liveness beacons until Stop. A beacon
-// that fails to publish (bus degraded) is simply skipped — the missing
-// heartbeats are exactly the signal the collector's failure detector
-// consumes.
-func (i *Instance) heartbeatLoop() {
-	defer i.hbWG.Done()
-	t := time.NewTicker(fleet.HeartbeatPeriod)
-	defer t.Stop()
-	var seq uint64
-	for {
-		select {
-		case <-i.hbStop:
-			return
-		case <-t.C:
-			seq++
-			hb := fleet.Heartbeat{
-				Instance:  i.id,
-				Node:      i.node.GNB.NodeID(),
-				Seq:       seq,
-				UnixNanos: time.Now().UnixNano(),
-				Epoch:     i.RingEpoch(),
-				UEs:       len(i.Runtime().UEs()),
-				Records:   i.Records(),
-			}
-			if payload, err := hb.Encode(); err == nil {
-				i.bus.Publish(fleet.TopicHeartbeat, payload)
-			}
-		}
-	}
-}
-
-// onScrape answers a fleet snapshot pull with this instance's metric
-// snapshot and retained trace spans.
-func (i *Instance) onScrape(_ uint64, payload []byte) {
-	req, err := fleet.ParseScrapeRequest(payload)
-	if err != nil {
-		return
-	}
-	rep := fleet.Report{
-		Instance:  i.id,
-		Node:      i.node.GNB.NodeID(),
-		Seq:       req.Seq,
-		UnixNanos: time.Now().UnixNano(),
-		Series:    i.ObsSnapshot(),
-		Spans:     i.fleetSpans(),
-	}
-	data, err := rep.Encode()
-	if err != nil {
-		return
-	}
-	if err := i.bus.Publish(fleet.TopicReport, data); err != nil {
-		obs.L().Warn("fed: scrape report publish failed", "instance", i.id, "err", err)
-	}
-}
-
-// ObsSnapshot builds this instance's per-instance metric snapshot for
-// the fleet plane. Colocated instances share the process-global Default
-// registry, so the snapshot is assembled from instance-owned sources:
-// the runtime's counters, ring state, the instance's own migration
-// counts, and the private score-latency histogram.
-func (i *Instance) ObsSnapshot() []obs.SeriesSnapshot {
-	st := i.Runtime().Stats()
-	node := i.node.GNB.NodeID()
-	nodeLbl := func() map[string]string { return map[string]string{"node": node} }
-	out := []obs.SeriesSnapshot{
-		{Name: "xsec_mobiwatch_records_total", Kind: "counter", Labels: nodeLbl(),
-			Value: float64(st.RecordsSeen.Load())},
-		{Name: "xsec_mobiwatch_windows_scored_total", Kind: "counter", Labels: nodeLbl(),
-			Value: float64(st.WindowsScored.Load())},
-		{Name: "xsec_mobiwatch_alerts_total", Kind: "counter",
-			Labels: map[string]string{"node": node, "outcome": "raised"},
-			Value:  float64(st.AlertsRaised.Load())},
-		{Name: "xsec_mobiwatch_alerts_total", Kind: "counter",
-			Labels: map[string]string{"node": node, "outcome": "dropped"},
-			Value:  float64(st.AlertsDropped.Load())},
-		{Name: "xsec_fed_ues", Kind: "gauge", Value: float64(len(i.Runtime().UEs()))},
-		{Name: "xsec_fed_ring_epoch", Kind: "gauge", Value: float64(i.RingEpoch())},
-	}
-	for dir, label := range migrationDirs {
-		out = append(out, obs.SeriesSnapshot{
-			Name: "xsec_fed_migrations_total", Kind: "counter",
-			Labels: map[string]string{"direction": label},
-			Value:  float64(i.migrations[dir].Load()),
-		})
-	}
-	out = append(out, i.scoreReg.Snapshot()...)
-	return out
-}
-
-// fleetSpans returns this instance's retained pipeline spans: the
-// process tracer filtered to keys minted by this instance's node (all
-// chain keys are "node/sn", and restore spans adopt the source chain's
-// key, so span attribution follows the trace context, not the
-// process).
-func (i *Instance) fleetSpans() []obs.Span {
-	prefix := i.node.GNB.NodeID() + "/"
-	var out []obs.Span
-	for _, sp := range obs.DefaultTracer.Spans() {
-		if len(sp.Key) > len(prefix) && sp.Key[:len(prefix)] == prefix {
-			out = append(out, sp)
-		}
-	}
-	return out
 }

@@ -101,12 +101,6 @@ type RunOptions struct {
 	Shards int
 	// ShardBuffer bounds each shard's dispatch queue (default 256).
 	ShardBuffer int
-	// ScoreLatency, when set, additionally receives every observation
-	// of xsec_mobiwatch_score_seconds, of all three stages. Colocated federated instances share
-	// the process-global histogram, so each instance passes its own
-	// private histogram here to report instance-attributed latency to
-	// the fleet collector.
-	ScoreLatency *obs.Histogram
 }
 
 func (o *RunOptions) defaults() {
@@ -568,9 +562,6 @@ func (w *worker) observeScore(stage *obs.Histogram, start time.Time, waited time
 	end = time.Now()
 	busy := end.Sub(start).Nanoseconds() - waited.Nanoseconds()
 	stage.ObserveSeconds(busy)
-	if h := w.rt.opts.ScoreLatency; h != nil {
-		h.ObserveSeconds(busy)
-	}
 	return end
 }
 

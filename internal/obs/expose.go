@@ -146,7 +146,7 @@ type BucketSnapshot struct {
 }
 
 // SeriesSnapshot is one series' state, machine-readable — what
-// Registry.Snapshot returns and the fleet plane ships between instances.
+// Registry.Snapshot returns.
 type SeriesSnapshot struct {
 	Name    string            `json:"name"`
 	Kind    string            `json:"kind"`
@@ -155,126 +155,6 @@ type SeriesSnapshot struct {
 	Count   uint64            `json:"count,omitempty"`
 	Sum     float64           `json:"sum,omitempty"`
 	Buckets []BucketSnapshot  `json:"buckets,omitempty"`
-}
-
-// WriteSeries renders a slice of series snapshots in the Prometheus
-// text exposition format (version 0.0.4). It is the federation-side
-// counterpart of Registry.WritePrometheus: the SMO merges per-instance
-// Snapshot()s (relabeled and rolled up) and serves them as one text
-// page. Series are grouped and sorted by family name, then by label
-// values; one TYPE line is emitted per family (no HELP — snapshots do
-// not carry help strings).
-func WriteSeries(w io.Writer, series []SeriesSnapshot) error {
-	sorted := append([]SeriesSnapshot(nil), series...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].Name != sorted[j].Name {
-			return sorted[i].Name < sorted[j].Name
-		}
-		return labelSig(sorted[i].Labels) < labelSig(sorted[j].Labels)
-	})
-	bw := bufio.NewWriter(w)
-	prevFamily := ""
-	for _, s := range sorted {
-		if s.Name != prevFamily {
-			bw.WriteString("# TYPE ")
-			bw.WriteString(s.Name)
-			bw.WriteByte(' ')
-			kind := s.Kind
-			if kind == "" {
-				kind = "untyped"
-			}
-			bw.WriteString(kind)
-			bw.WriteByte('\n')
-			prevFamily = s.Name
-		}
-		labels, values := splitLabels(s.Labels)
-		if len(s.Buckets) > 0 {
-			bucketLabels := append(append(make([]string, 0, len(labels)+1), labels...), "le")
-			for _, b := range s.Buckets {
-				le := "+Inf"
-				if b.LE != math.MaxFloat64 {
-					le = formatFloat(b.LE)
-				}
-				writeSample(bw, s.Name, "_bucket", bucketLabels, append(values, le),
-					strconv.FormatUint(b.Count, 10))
-			}
-			writeSample(bw, s.Name, "_sum", labels, values, formatFloat(s.Sum))
-			writeSample(bw, s.Name, "_count", labels, values, strconv.FormatUint(s.Count, 10))
-			continue
-		}
-		writeSample(bw, s.Name, "", labels, values, formatFloat(s.Value))
-	}
-	return bw.Flush()
-}
-
-// labelSig renders a label map as a stable sort key.
-func labelSig(labels map[string]string) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('\xff')
-		b.WriteString(labels[k])
-		b.WriteByte('\xff')
-	}
-	return b.String()
-}
-
-// splitLabels flattens a label map into sorted parallel name/value
-// slices for writeSample.
-func splitLabels(labels map[string]string) (names, values []string) {
-	if len(labels) == 0 {
-		return nil, nil
-	}
-	names = make([]string, 0, len(labels))
-	for k := range labels {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	values = make([]string, 0, len(names))
-	for _, k := range names {
-		values = append(values, labels[k])
-	}
-	return names, values
-}
-
-// HistQuantile estimates the q-quantile (0..1) of a cumulative bucket
-// snapshot with Prometheus-style linear interpolation inside the
-// bucket containing the rank. The +Inf bucket reports the highest
-// finite bound, so a quantile can never be invented beyond what the
-// histogram resolved.
-func HistQuantile(buckets []BucketSnapshot, q float64) float64 {
-	if len(buckets) == 0 {
-		return 0
-	}
-	total := buckets[len(buckets)-1].Count
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var prevCount uint64
-	var prevBound float64
-	for i, b := range buckets {
-		if float64(b.Count) >= rank {
-			if i == len(buckets)-1 {
-				return prevBound
-			}
-			inBucket := float64(b.Count - prevCount)
-			if inBucket == 0 {
-				return b.LE
-			}
-			return prevBound + (b.LE-prevBound)*((rank-float64(prevCount))/inBucket)
-		}
-		prevCount, prevBound = b.Count, b.LE
-	}
-	return prevBound
 }
 
 // Snapshot captures every series in the registry, sorted like the text

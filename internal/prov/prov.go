@@ -96,17 +96,12 @@ const (
 	// carrying the source chain key — the link that joins the two
 	// chains into one auditable history.
 	KindMigration
-	// KindFleet: an SMO fleet-plane membership transition — the
-	// heartbeat failure detector marking an instance suspect, dead
-	// (auto-evicted from the ring), or rejoined. Label carries the new
-	// state, Target the instance ID, Note the reason.
-	KindFleet
 
 	kindCount
 )
 
 var kindNames = [...]string{
-	"emit", "transport", "indication", "window", "alert", "verdict", "mitigation", "migration", "fleet",
+	"emit", "transport", "indication", "window", "alert", "verdict", "mitigation", "migration",
 }
 
 // String returns the ledger spelling of the kind.

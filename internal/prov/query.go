@@ -335,8 +335,6 @@ func WriteChain(w io.Writer, c ChainRecord) {
 			if ev.Target != "" {
 				fmt.Fprintf(w, " dest=%s", ev.Target)
 			}
-		case KindFleet:
-			fmt.Fprintf(w, " instance=%s -> %s", ev.Target, ev.Label)
 		}
 		if ev.Note != "" {
 			fmt.Fprintf(w, "\n%snote: %s", strings.Repeat(" ", 34), ev.Note)
