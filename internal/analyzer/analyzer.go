@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,12 +94,20 @@ type recaller interface {
 	Recall(window mobiflow.Trace) (*llm.Analysis, bool)
 }
 
+// looker is the half of an Expert a round-trip worker asks first: Lookup
+// answers from memory as Recall does, and on a miss hands back the window
+// keyed, for the worker's round trip (llm.Service does).
+type looker interface {
+	Lookup(window mobiflow.Trace) (*llm.Analysis, llm.Question, bool)
+}
+
 // Analyzer is the xApp.
 type Analyzer struct {
 	client Expert
 	store  *sdl.Store
 	clock  func() time.Time
 	stats  Stats
+	tlv    chan *asn1lite.Encoder // warm encoders for review entries, at most tlvBuffers
 }
 
 const (
@@ -119,7 +126,7 @@ func New(client Expert, store *sdl.Store) *Analyzer {
 	if store != nil {
 		store.Bound(humanQueueNamespace, HumanQueueBytes)
 	}
-	return &Analyzer{client: client, store: store, clock: time.Now}
+	return &Analyzer{client: client, store: store, clock: time.Now, tlv: make(chan *asn1lite.Encoder, tlvBuffers)}
 }
 
 // Stats returns live counters.
@@ -137,9 +144,14 @@ func expertWindow(alert *mobiwatch.Alert) mobiflow.Trace {
 // process runs expert referencing for one alert. The context bounds the
 // expert query: cancellation (analyzer shutdown, per-case timeout) aborts
 // the in-flight REST call. A non-nil recalled is an analysis the expert
-// already gave from memory, and the expert is not asked again.
-func (a *Analyzer) process(ctx context.Context, alert mobiwatch.Alert, recalled *llm.Analysis) (*Case, error) {
-	chainKey := obs.IndicationKey(alert.NodeID, alert.IndicationSN)
+// already gave from memory, and the expert is not asked again; otherwise
+// a non-nil q is the expert's own question about the window, which
+// process asks in place of AnalyzeWindow.
+func (a *Analyzer) process(ctx context.Context, alert mobiwatch.Alert, recalled *llm.Analysis, q *llm.Question) (*Case, error) {
+	chainKey := alert.TraceKey
+	if chainKey == "" {
+		chainKey = obs.IndicationKey(alert.NodeID, alert.IndicationSN)
+	}
 	span := obs.StartSpan(chainKey, "analyzer.process")
 	defer span.End()
 	if !alert.ReceivedAt.IsZero() {
@@ -155,7 +167,11 @@ func (a *Analyzer) process(ctx context.Context, alert mobiwatch.Alert, recalled 
 	window := expertWindow(&alert)
 	analysis := recalled
 	var err error
-	if analysis == nil {
+	switch {
+	case analysis != nil:
+	case q != nil:
+		analysis, err = q.Analyze(ctx)
+	default:
 		analysis, err = a.client.AnalyzeWindow(ctx, window)
 	}
 	a.stats.Processed.Add(1)
@@ -191,14 +207,16 @@ func (a *Analyzer) process(ctx context.Context, alert mobiwatch.Alert, recalled 
 	// Non-live serving sources are part of the evidence: an auditor
 	// reading the chain must be able to tell a fresh expert opinion from
 	// a cache replay or a degraded rule-based fallback.
-	var notes []string
 	switch analysis.Served {
-	case llm.ServedCache, llm.ServedCoalesced:
+	case llm.ServedCache:
 		a.stats.Cached.Add(1)
-		notes = append(notes, "served="+analysis.Served)
+		ev.Note = "served=" + llm.ServedCache
+	case llm.ServedCoalesced:
+		a.stats.Cached.Add(1)
+		ev.Note = "served=" + llm.ServedCoalesced
 	case llm.ServedDegraded:
 		a.stats.Degraded.Add(1)
-		notes = append(notes, "served="+analysis.Served)
+		ev.Note = "served=" + llm.ServedDegraded
 	}
 	if c.Agree {
 		a.stats.Agreements.Add(1)
@@ -211,9 +229,16 @@ func (a *Analyzer) process(ctx context.Context, alert mobiwatch.Alert, recalled 
 		obsCaseDisagree.Inc()
 		c.NeedsHuman = true
 		a.enqueueHuman(c, "detector/LLM disagreement")
-		notes = append(notes, "detector/LLM disagreement: escalated to human review")
+		const escalated = "detector/LLM disagreement: escalated to human review"
+		switch ev.Note {
+		case "":
+			ev.Note = escalated
+		case "served=" + llm.ServedCache: // benign load's false positive: a constant, no allocation
+			ev.Note = "served=" + llm.ServedCache + "; " + escalated
+		default:
+			ev.Note += "; " + escalated
+		}
 	}
-	ev.Note = strings.Join(notes, "; ")
 	prov.Record(ev)
 	return c, nil
 }
@@ -235,6 +260,9 @@ const (
 	// caseBuffer sizes RunPool's output channel: a few cases per worker,
 	// so a worker is free for the next alert while its consumer catches up.
 	caseBuffer = 16
+	// tlvBuffers is how many warm review-entry encoders an analyzer keeps:
+	// more than a default pool has takers (four workers and the recall lane).
+	tlvBuffers = 8
 )
 
 // AlertSource is where the pool's takers get their work: the MobiWatch
@@ -251,21 +279,25 @@ type AlertSource interface {
 
 // RunPool analyses alerts from src until src is exhausted or ctx is
 // canceled, emitting processed cases (order follows completion, not
-// arrival). Each case runs under its own deadline derived from ctx, so
-// analyzer shutdown cancels in-flight REST calls.
+// arrival). Each round trip runs under its own deadline derived from ctx,
+// so analyzer shutdown cancels in-flight REST calls; a case answered from
+// memory needs none.
 //
 // The pool is opts.Workers round-trip workers, which take whatever the
 // source ranks first, and, when the expert can recall, one recall lane: a
 // taker that wants only alerts the expert answers from memory. The lane is
 // handed its analysis by Recall and never calls AnalyzeWindow, so it is
 // never inside a round trip and an answer already in memory does not wait
-// for a worker that is.
+// for a worker that is. A worker whose expert can look a window up does
+// so before it sets a deadline, and a miss hands its round trip the key
+// the lookup computed.
 func (a *Analyzer) RunPool(ctx context.Context, src AlertSource, opts PoolOptions) <-chan *Case {
 	if opts.Workers <= 0 {
 		opts.Workers = 4
 	}
 	out := make(chan *Case, caseBuffer)
 	var wg sync.WaitGroup
+	lookup, _ := a.client.(looker)
 	taker := func(want func(*mobiwatch.Alert) bool) {
 		defer wg.Done()
 		for {
@@ -277,12 +309,20 @@ func (a *Analyzer) RunPool(ctx context.Context, src AlertSource, opts PoolOption
 			// the answer rides on it, and is the one lookup it gets.
 			recalled, _ := alert.Recalled.(*llm.Analysis)
 			alert.Recalled = nil
+			var miss llm.Question
+			var q *llm.Question
+			if recalled == nil && lookup != nil {
+				var hit bool
+				if recalled, miss, hit = lookup.Lookup(expertWindow(&alert)); !hit {
+					q = &miss
+				}
+			}
 			// Only a round trip reads the deadline.
 			cctx, cancel := ctx, func() {}
 			if recalled == nil {
 				cctx, cancel = context.WithTimeout(ctx, caseTimeout)
 			}
-			c, err := a.process(cctx, alert, recalled)
+			c, err := a.process(cctx, alert, recalled, q)
 			cancel()
 			src.Resolve(ticket, err == nil && c.Agree)
 			if err != nil {
@@ -372,8 +412,21 @@ func (a *Analyzer) enqueueHuman(c *Case, reason string) {
 	key = append(key, seq...)
 	key = append(key, '/')
 	key = append(key, c.Alert.Model...)
-	// Marshal returns a fresh buffer, so the store can keep it as it is.
-	a.store.SetOwned(humanQueueNamespace, string(key), asn1lite.Marshal(&entry))
+	// The entry is encoded into a warm buffer and the store keeps one
+	// copy of it.
+	var e *asn1lite.Encoder
+	select {
+	case e = <-a.tlv:
+		e.Reset()
+	default:
+		e = new(asn1lite.Encoder)
+	}
+	entry.MarshalTLV(e)
+	a.store.Set(humanQueueNamespace, string(key), e.Bytes())
+	select {
+	case a.tlv <- e:
+	default:
+	}
 }
 
 // HumanQueueLen reports pending human-review cases.

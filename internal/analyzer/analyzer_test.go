@@ -67,7 +67,7 @@ func TestProcessAgreement(t *testing.T) {
 		NodeID: "gnb-001", Model: mobiwatch.ModelAE, Score: 0.5, Threshold: 0.1,
 		Window: windowOf(l, ue.AttackBTSDoS), At: time.Now(),
 	}
-	c, err := a.process(context.Background(), alert, nil)
+	c, err := a.process(context.Background(), alert, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestProcessDisagreementGoesToHumans(t *testing.T) {
 		Window: windowOf(l, ue.AttackBTSDoS), At: time.Now(),
 		Folded: 6, // the strongest of a flood's seven flagged windows
 	}
-	c, err := a.process(context.Background(), alert, nil)
+	c, err := a.process(context.Background(), alert, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestProcessLLMFailure(t *testing.T) {
 	alert := mobiwatch.Alert{
 		Model: mobiwatch.ModelAE, Window: windowOf(l, ue.AttackBTSDoS), At: time.Now(),
 	}
-	c, err := a.process(context.Background(), alert, nil)
+	c, err := a.process(context.Background(), alert, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +219,11 @@ func TestSharedVerdictActsOnItsOwnWindow(t *testing.T) {
 		other[i].RNTI += 0x100
 		other[i].TMSI ^= 0x5A5A5A5A
 	}
-	first, err := an.process(context.Background(), mobiwatch.Alert{Window: episode, Context: episode}, nil)
+	first, err := an.process(context.Background(), mobiwatch.Alert{Window: episode, Context: episode}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := an.process(context.Background(), mobiwatch.Alert{Window: other, Context: other}, nil)
+	second, err := an.process(context.Background(), mobiwatch.Alert{Window: other, Context: other}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestHumanQueueIsBounded(t *testing.T) {
 		escalated++
 		window[0].Seq = uint64(escalated) // the queue keys a case by node, its window's first record and model
 		alert := mobiwatch.Alert{Model: mobiwatch.ModelAE, Score: 0.5, Threshold: 0.1, Window: window, At: time.Now()}
-		if c, err := a.process(context.Background(), alert, nil); err != nil || !c.NeedsHuman {
+		if c, err := a.process(context.Background(), alert, nil, nil); err != nil || !c.NeedsHuman {
 			t.Fatalf("case %d: err %v, case %+v; want an escalation", escalated, err, c)
 		}
 		if b := a.store.Bytes(humanQueueNamespace); b > HumanQueueBytes {
@@ -348,7 +348,7 @@ func TestHumanQueueKeepsCollidingCases(t *testing.T) {
 	cases := []shape{{"gnb-1", mobiwatch.ModelAE}, {"gnb-2", mobiwatch.ModelAE}, {"gnb-2", mobiwatch.ModelLSTM}}
 	for i, c := range cases {
 		alert := mobiwatch.Alert{NodeID: c.node, Model: c.model, Score: float64(i + 1), Window: window, At: time.Now()}
-		if got, err := a.process(context.Background(), alert, nil); err != nil || !got.NeedsHuman {
+		if got, err := a.process(context.Background(), alert, nil, nil); err != nil || !got.NeedsHuman {
 			t.Fatalf("case %d: err %v, case %+v; want an escalation", i, err, got)
 		}
 	}

@@ -27,7 +27,7 @@ func TestObsDetectLatency(t *testing.T) {
 		ReceivedAt:   time.Now().Add(-25 * time.Millisecond),
 		IndicationSN: 7,
 	}
-	if _, err := a.process(context.Background(), alert, nil); err != nil {
+	if _, err := a.process(context.Background(), alert, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := obsDetectLat.Count(); got != before+1 {
@@ -76,7 +76,7 @@ func TestObsDetectLatencySkippedWithoutReceivedAt(t *testing.T) {
 		// ReceivedAt deliberately zero: replayed or synthetic alerts must
 		// not pollute the latency distribution.
 	}
-	if _, err := a.process(context.Background(), alert, nil); err != nil {
+	if _, err := a.process(context.Background(), alert, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := obsDetectLat.Count(); got != before {

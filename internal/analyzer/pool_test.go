@@ -10,6 +10,7 @@ import (
 	"github.com/6g-xsec/xsec/internal/llm"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
 	"github.com/6g-xsec/xsec/internal/mobiwatch"
+	"github.com/6g-xsec/xsec/internal/obs"
 	"github.com/6g-xsec/xsec/internal/sdl"
 	"github.com/6g-xsec/xsec/internal/ue"
 )
@@ -178,7 +179,7 @@ func TestProcessCountsServingSources(t *testing.T) {
 		{llm.ServedLive, 0, 0},
 	} {
 		a := New(&stubExpert{served: tc.served}, sdl.New())
-		c, err := a.process(context.Background(), alert, nil)
+		c, err := a.process(context.Background(), alert, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -383,4 +384,104 @@ func TestRunPoolRecallLaneBypassesRoundTrips(t *testing.T) {
 	if n := a.Stats().Processed.Load(); n != 5 {
 		t.Errorf("processed = %d, want 5", n)
 	}
+}
+
+// TestCachedFalsePositiveAllocs gates what a round-trip worker allocates
+// on a case the expert answers from memory and disagrees with, the
+// false-positive path of benign load: the lookup keys the window on the
+// stack and sets no deadline, and the escalation is encoded into a reused
+// buffer, so the case costs the Case, the review entry's key and the one
+// copy of the entry the store keeps.
+func TestCachedFalsePositiveAllocs(t *testing.T) {
+	l := mixedTrace(t)
+	// Claude misses BTS DoS (Table 3): the cached verdict disagrees.
+	svc := llm.NewService(llm.NewClient(startExpert(t), "claude-3-sonnet"), llm.ServingOptions{})
+	defer svc.Close()
+	a := New(svc, sdl.New())
+	// What MobiWatch hands the analyzer: a window and its context, at most
+	// 4 + 12 records.
+	window := windowOf(l, ue.AttackBTSDoS)
+	window = window[:min(len(window), 16)]
+	alert := mobiwatch.Alert{
+		NodeID: "gnb-001", Model: mobiwatch.ModelAE, Score: 0.5, Threshold: 0.1,
+		IndicationSN: 7, TraceKey: "gnb-001/7", Window: window, Context: window, At: time.Now(),
+	}
+	if _, err := svc.AnalyzeWindow(context.Background(), window); err != nil {
+		t.Fatal(err)
+	}
+	cached := func() {
+		recalled, _, ok := svc.Lookup(expertWindow(&alert))
+		if !ok {
+			t.Fatal("the primed window is not in the verdict cache")
+		}
+		c, err := a.process(context.Background(), alert, recalled, nil)
+		if err != nil || !c.NeedsHuman {
+			t.Fatalf("case %+v, err %v; want a disagreement escalated", c, err)
+		}
+	}
+	cached()
+	if n := testing.AllocsPerRun(200, cached); n > 3 {
+		t.Errorf("a cached false-positive case allocates %v times, want at most 3 (case, review key, stored entry)", n)
+	}
+}
+
+// TestPoolLooksEachCaseUpOnce runs a mixed stream — windows of every
+// attack, each many times, interleaved — through a pool of round-trip
+// workers and the recall lane over one llm.Service: every case is looked
+// up in the verdict cache exactly once (hits + misses = cases), and every
+// miss is a live answer or a coalesced one.
+func TestPoolLooksEachCaseUpOnce(t *testing.T) {
+	l := mixedTrace(t)
+	svc := llm.NewService(llm.NewClient(startExpert(t), "chatgpt-4o"), llm.ServingOptions{})
+	defer svc.Close()
+	var windows []mobiflow.Trace
+	for _, k := range []ue.AttackKind{ue.AttackBTSDoS, ue.AttackBlindDoS, ue.AttackNullCipher, ue.AttackUplinkIDExtraction, ue.AttackDownlinkIDExtraction} {
+		if w := windowOf(l, k); len(w) > 0 {
+			windows = append(windows, w)
+		}
+	}
+	const n = 200
+	alerts := make([]mobiwatch.Alert, n)
+	for i := range alerts {
+		w := windows[i*7%len(windows)]
+		alerts[i] = mobiwatch.Alert{
+			NodeID: "gnb-001", Model: mobiwatch.ModelAE, Score: 0.5, Threshold: 0.1,
+			IndicationSN: uint64(i), Window: w, At: time.Now(),
+		}
+	}
+	a := New(svc, sdl.New())
+	before := llmCounts()
+	got := 0
+	for range a.RunPool(context.Background(), sourceOf(alerts...), PoolOptions{Workers: 4}) {
+		got++
+	}
+	after := llmCounts()
+	d := func(name string) uint64 { return after[name] - before[name] }
+	hits, misses := d("xsec_llm_cache_hits_total"), d("xsec_llm_cache_misses_total")
+	live, coalesced, shed := d("xsec_llm_served_total/live"), d("xsec_llm_coalesced_total"), d("xsec_llm_shed_total")
+	t.Logf("%d cases: %d hits, %d misses (%d live, %d coalesced, %d shed)", got, hits, misses, live, coalesced, shed)
+	if got != n || hits+misses != n {
+		t.Errorf("%d cases, %d looked up (%d hits + %d misses); want %d of each", got, hits+misses, hits, misses, n)
+	}
+	if misses != live+coalesced+shed || misses < uint64(len(windows)) {
+		t.Errorf("%d misses, %d live + %d coalesced + %d shed; want them equal and at least one per window (%d)",
+			misses, live, coalesced, shed, len(windows))
+	}
+	if a.Stats().Cached.Load() != hits+coalesced {
+		t.Errorf("the analyzer counts %d cached verdicts, the service served %d from memory", a.Stats().Cached.Load(), hits+coalesced)
+	}
+}
+
+// llmCounts reads the serving layer's process-wide counters, a labelled
+// series as name/value.
+func llmCounts() map[string]uint64 {
+	out := map[string]uint64{}
+	for _, sn := range obs.Default.Snapshot() {
+		name := sn.Name
+		if src := sn.Labels["source"]; src != "" {
+			name += "/" + src
+		}
+		out[name] = uint64(sn.Value)
+	}
+	return out
 }

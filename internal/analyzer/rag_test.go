@@ -23,7 +23,7 @@ func TestRAGTurnsDisagreementIntoAgreement(t *testing.T) {
 
 	// Zero-shot: disagreement.
 	zero := New(llm.NewClient(base, "chatgpt-4o"), sdl.New())
-	c0, err := zero.process(context.Background(), alert, nil)
+	c0, err := zero.process(context.Background(), alert, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestRAGTurnsDisagreementIntoAgreement(t *testing.T) {
 	client := llm.NewClient(base, "chatgpt-4o")
 	client.RAG = true
 	rag := New(client, sdl.New())
-	c1, err := rag.process(context.Background(), alert, nil)
+	c1, err := rag.process(context.Background(), alert, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

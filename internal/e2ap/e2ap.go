@@ -264,8 +264,22 @@ func (m *Message) MarshalTLV(e *asn1lite.Encoder) {
 	}
 }
 
+// ownField is appendField for a PDU whose bytes the decoder owns: a
+// non-empty raw becomes the field as it is, capped at its length, so the
+// field aliases the PDU instead of copying it.
+func ownField(dst, raw []byte, owned bool) []byte {
+	if !owned || len(raw) == 0 {
+		return appendField(dst, raw)
+	}
+	return raw[:len(raw):len(raw)]
+}
+
 // UnmarshalTLV implements asn1lite.Unmarshaler.
-func (m *Message) UnmarshalTLV(d *asn1lite.Decoder) error {
+func (m *Message) UnmarshalTLV(d *asn1lite.Decoder) error { return m.unmarshal(d, false) }
+
+// unmarshal decodes the fields d holds; with owned, the byte fields alias
+// the PDU (ownField).
+func (m *Message) unmarshal(d *asn1lite.Decoder, owned bool) error {
 	for d.Next() {
 		var err error
 		switch d.Tag() {
@@ -294,7 +308,7 @@ func (m *Message) UnmarshalTLV(d *asn1lite.Decoder) error {
 			v, err = d.Uint()
 			m.RANFunctionID = uint16(v)
 		case tagEventTrigger:
-			m.EventTrigger = appendField(m.EventTrigger, d.RawValue())
+			m.EventTrigger = ownField(m.EventTrigger, d.RawValue(), owned)
 		case tagAction:
 			var a Action
 			err = decodeAction(d, &a)
@@ -310,13 +324,13 @@ func (m *Message) UnmarshalTLV(d *asn1lite.Decoder) error {
 		case tagIndicationSN:
 			m.IndicationSN, err = d.Uint()
 		case tagIndHeader:
-			m.IndicationHeader = appendField(m.IndicationHeader, d.RawValue())
+			m.IndicationHeader = ownField(m.IndicationHeader, d.RawValue(), owned)
 		case tagIndMessage:
-			m.IndicationMessage = appendField(m.IndicationMessage, d.RawValue())
+			m.IndicationMessage = ownField(m.IndicationMessage, d.RawValue(), owned)
 		case tagCtrlHeader:
-			m.ControlHeader = appendField(m.ControlHeader, d.RawValue())
+			m.ControlHeader = ownField(m.ControlHeader, d.RawValue(), owned)
 		case tagCtrlMessage:
-			m.ControlMessage = appendField(m.ControlMessage, d.RawValue())
+			m.ControlMessage = ownField(m.ControlMessage, d.RawValue(), owned)
 		case tagCause:
 			m.Cause, err = d.String()
 		}
@@ -402,9 +416,15 @@ func AppendEncode(dst []byte, m *Message) []byte {
 }
 
 // Decode parses a message and validates its type.
-func Decode(data []byte) (*Message, error) {
+func Decode(data []byte) (*Message, error) { return decode(data, false) }
+
+// decodeOwned is Decode for a PDU the caller hands over and never touches
+// again: the byte fields are views of data, not copies.
+func decodeOwned(data []byte) (*Message, error) { return decode(data, true) }
+
+func decode(data []byte, owned bool) (*Message, error) {
 	var m Message
-	if err := asn1lite.Unmarshal(data, &m); err != nil {
+	if err := m.unmarshal(asn1lite.NewDecoder(data), owned); err != nil {
 		return nil, err
 	}
 	if !m.Type.Valid() {

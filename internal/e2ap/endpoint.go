@@ -91,12 +91,16 @@ func (ep *Endpoint) Send(m *Message) error {
 }
 
 // Recv blocks for the next message. io.EOF signals a clean peer close.
+// The connection hands each received frame over, so the message is
+// decoded in place: its byte fields are views of the frame, which nothing
+// else holds, and are the receiver's to keep (the RIC stores an
+// indication's message as it arrived).
 func (ep *Endpoint) Recv() (*Message, error) {
 	data, err := ep.conn.Recv()
 	if err != nil {
 		return nil, err
 	}
-	m, err := Decode(data)
+	m, err := decodeOwned(data)
 	if err != nil {
 		rxErrors.Inc()
 		return nil, fmt.Errorf("e2ap: receiving: %w", err)

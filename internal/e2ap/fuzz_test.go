@@ -57,6 +57,10 @@ func FuzzE2APDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
+		owned, err := decodeOwned(append([]byte(nil), data...))
+		if err != nil || !reflect.DeepEqual(canonical(owned), canonical(want)) {
+			t.Fatalf("decodeOwned: %+v, err %v; Decode: %+v", owned, err, want)
+		}
 		back, err := Decode(AppendEncode(nil, want))
 		if err != nil || !reflect.DeepEqual(canonical(back), canonical(want)) {
 			t.Fatalf("decode∘encode: %+v, %v; want %+v", back, err, want)

@@ -173,11 +173,22 @@ type IndicationMessage struct {
 
 // DecodeIndicationMessage parses a batch.
 func DecodeIndicationMessage(data []byte) (*IndicationMessage, error) {
-	tr, err := mobiflow.DecodeTrace(data)
+	tr, err := DecodeIndicationInto(nil, data)
 	if err != nil {
-		return nil, fmt.Errorf("e2sm: decoding indication message: %w", err)
+		return nil, err
 	}
 	return &IndicationMessage{Records: tr}, nil
+}
+
+// DecodeIndicationInto parses a batch into buf, truncated, and returns the
+// records: a caller that hands back the batches it is done with decodes
+// without allocating the batch.
+func DecodeIndicationInto(buf mobiflow.Trace, data []byte) (mobiflow.Trace, error) {
+	tr, err := mobiflow.DecodeTraceInto(buf[:0], data)
+	if err != nil {
+		return tr, fmt.Errorf("e2sm: decoding indication message: %w", err)
+	}
+	return tr, nil
 }
 
 // FunctionDefinition describes a service model in the E2 Setup exchange.

@@ -104,6 +104,9 @@ const burstInterval = 5 * time.Millisecond
 // beyond saturate to 1).
 const interArrivalCapMS = 1000.0
 
+// log10InterArrivalCap is the scale's denominator, computed once.
+var log10InterArrivalCap = math.Log10(interArrivalCapMS + 1)
+
 // Dim returns the per-record feature dimension for a vocabulary.
 func Dim(v *Vocabulary) int {
 	return v.Size() + widthDirection + widthLayer + widthCipher + widthInteg +
@@ -115,7 +118,9 @@ func Dim(v *Vocabulary) int {
 type Encoder struct {
 	vocab *Vocabulary
 
-	rntiSeen  map[cell.RNTI]bool
+	// rntiSeen has bit r set once RNTI r has been seen: 8 KiB for the
+	// whole 16-bit space, so cycling RNTIs cannot grow the encoder.
+	rntiSeen  [1 << 16 / 64]uint64
 	tmsiOwner map[cell.TMSI]uint64
 	// incomplete tracks UE contexts whose registration procedure is in
 	// flight; the count of its true entries is the RAN's "incomplete
@@ -143,7 +148,7 @@ func NewEncoder(vocab *Vocabulary) *Encoder {
 
 // Reset clears the identity history (e.g. between independent captures).
 func (e *Encoder) Reset() {
-	e.rntiSeen = make(map[cell.RNTI]bool)
+	clear(e.rntiSeen[:])
 	e.tmsiOwner = make(map[cell.TMSI]uint64)
 	e.incomplete = make(map[uint64]bool)
 	e.inFlight = 0
@@ -240,16 +245,19 @@ func (e *Encoder) encode(r mobiflow.Record) {
 	pos += widthFlags
 
 	// Derived identity features.
-	rntiFresh := r.RNTI != cell.InvalidRNTI && !e.rntiSeen[r.RNTI]
+	rntiFresh := false
 	if r.RNTI != cell.InvalidRNTI {
-		e.rntiSeen[r.RNTI] = true
+		seen, bit := &e.rntiSeen[r.RNTI/64], uint64(1)<<(r.RNTI%64)
+		rntiFresh = *seen&bit == 0
+		*seen |= bit
 	}
 	tmsiReuse := false
 	if r.TMSI != cell.InvalidTMSI {
-		if owner, ok := e.tmsiOwner[r.TMSI]; ok && owner != r.UEID {
-			tmsiReuse = true
+		owner, ok := e.tmsiOwner[r.TMSI]
+		tmsiReuse = ok && owner != r.UEID
+		if !ok || tmsiReuse {
+			e.tmsiOwner[r.TMSI] = r.UEID
 		}
-		e.tmsiOwner[r.TMSI] = r.UEID
 	}
 	if rntiFresh {
 		e.set(pos, 1)
@@ -271,16 +279,25 @@ func (e *Encoder) encode(r mobiflow.Record) {
 	// procedure in flight. Released or registered contexts leave the
 	// set; abandoned ones accumulate — the resource-exhaustion footprint
 	// of the DoS attacks.
-	wasInFlight := e.incomplete[r.UEID]
+	// One lookup; the map is written only where its entry changes.
+	wasInFlight, known := e.incomplete[r.UEID]
+	nowInFlight := false
 	switch {
 	case r.RRCState == rrc.StateReleased:
-		delete(e.incomplete, r.UEID)
+		if known {
+			delete(e.incomplete, r.UEID)
+		}
 	case r.NASState == nas.StateRegistered:
-		e.incomplete[r.UEID] = false
+		if !known || wasInFlight {
+			e.incomplete[r.UEID] = false
+		}
 	default:
-		e.incomplete[r.UEID] = true
+		nowInFlight = true
+		if !wasInFlight {
+			e.incomplete[r.UEID] = true
+		}
 	}
-	if nowInFlight := e.incomplete[r.UEID]; nowInFlight != wasInFlight {
+	if nowInFlight != wasInFlight {
 		if nowInFlight {
 			e.inFlight++
 		} else {
@@ -304,7 +321,7 @@ func (e *Encoder) encode(r mobiflow.Record) {
 			dt = 0
 		}
 		ms := float64(dt) / float64(time.Millisecond)
-		scaled := math.Log10(ms+1) / math.Log10(interArrivalCapMS+1)
+		scaled := math.Log10(ms+1) / log10InterArrivalCap
 		if scaled > 1 {
 			scaled = 1
 		}
@@ -371,14 +388,29 @@ func WindowsLSTM(vecs [][]float64, n int) (windows [][][]float64, nexts [][]floa
 // RowBuffer accumulates encoded records as contiguous float32 rows — the
 // staging area between the streaming encoder and batched inference —
 // with each row's non-zero column list kept beside it, as the encoder
-// wrote it. The scoring engines read windows of rows in place and run
-// their input layers over those lists, so the feature→tensor path copies
-// nothing and allocates nothing in steady state.
+// wrote it, and the row's ID from the buffer's Interner, if it has one.
+// The scoring engines read windows of rows in place and run their input
+// layers over those lists, so the feature→tensor path copies nothing and
+// allocates nothing in steady state.
 type RowBuffer struct {
 	dim  int
 	rows []float32 // flat, Len()×dim
 	cols []int32   // every row's non-zero columns, ascending per row
 	off  []int32   // Len()+1 offsets: row i's list is cols[off[i]:off[i+1]]
+	ids  []uint32  // row i's ID from intern, 0 for none
+	gen  uint64    // restarts of intern's IDs before this buffer's rows were named
+
+	intern Interner // nil: every row's ID is 0
+}
+
+// An Interner names rows as a RowBuffer writes them, for a reader that
+// keeps something per row bit pattern. Intern returns row's ID, or 0 for
+// no ID: two rows given the same non-zero ID between two restarts are
+// equal bit for bit. restarted reports that the IDs given before this
+// one no longer hold (they may be given again), and the buffer then
+// forgets the IDs of the rows it already holds.
+type Interner interface {
+	Intern(row []float32, cols []int32) (id uint32, restarted bool)
 }
 
 // NewRowBuffer returns an empty buffer for rows of the given dimension.
@@ -389,6 +421,9 @@ func NewRowBuffer(dim int) *RowBuffer {
 	return &RowBuffer{dim: dim, off: []int32{0}}
 }
 
+// InternWith makes in name every row Push writes from now on.
+func (b *RowBuffer) InternWith(in Interner) { b.intern = in }
+
 // Dim returns the per-row feature dimension.
 func (b *RowBuffer) Dim() int { return b.dim }
 
@@ -397,8 +432,9 @@ func (b *RowBuffer) Len() int { return len(b.rows) / b.dim }
 
 // Push encodes r through e directly into the buffer's next row and its
 // column list: the columns whose float32 bit pattern is not zero, so a
-// −0 would be listed. The backing arrays grow geometrically and are then
-// reused, so a buffer that is Trimmed back down stops allocating.
+// −0 would be listed. The buffer's Interner, if any, names the row. The
+// backing arrays grow geometrically and are then reused, so a buffer
+// that is Trimmed back down stops allocating.
 func (b *RowBuffer) Push(e *Encoder, r mobiflow.Record) {
 	if e.Dim() != b.dim {
 		panic(fmt.Sprintf("feature: RowBuffer of %d columns pushed a record of %d", b.dim, e.Dim()))
@@ -408,6 +444,7 @@ func (b *RowBuffer) Push(e *Encoder, r mobiflow.Record) {
 	b.rows = slices.Grow(b.rows, b.dim)[:n+b.dim]
 	row := b.rows[n:]
 	clear(row)
+	first := len(b.cols)
 	for i, c := range e.cols {
 		v := float32(e.vals[i])
 		row[c] = v
@@ -416,6 +453,15 @@ func (b *RowBuffer) Push(e *Encoder, r mobiflow.Record) {
 		}
 	}
 	b.off = append(b.off, int32(len(b.cols)))
+	var id uint32
+	if b.intern != nil {
+		var restarted bool
+		if id, restarted = b.intern.Intern(row, b.cols[first:]); restarted {
+			clear(b.ids)
+			b.gen++
+		}
+	}
+	b.ids = append(b.ids, id)
 }
 
 // Trim drops the oldest drop rows, sliding the rest down in place.
@@ -424,21 +470,23 @@ func (b *RowBuffer) Trim(drop int) {
 		return
 	}
 	if drop >= b.Len() {
-		b.rows, b.cols, b.off = b.rows[:0], b.cols[:0], b.off[:1]
+		b.rows, b.cols, b.off, b.ids = b.rows[:0], b.cols[:0], b.off[:1], b.ids[:0]
 		return
 	}
 	cut := b.off[drop]
 	b.rows = b.rows[:copy(b.rows, b.rows[drop*b.dim:])]
 	b.cols = b.cols[:copy(b.cols, b.cols[cut:])]
 	b.off = b.off[:copy(b.off, b.off[drop:])]
+	b.ids = b.ids[:copy(b.ids, b.ids[drop:])]
 	for i := range b.off {
 		b.off[i] -= cut
 	}
 }
 
 // CopyFrom makes b a copy of src's rows from row from on, each with its
-// column list: row i of b is then row from+i of src. b's backing arrays
-// are reused, so a buffer copied into again and again stops allocating.
+// column list and ID: row i of b is then row from+i of src. b's backing
+// arrays are reused, so a buffer copied into again and again stops
+// allocating.
 func (b *RowBuffer) CopyFrom(src *RowBuffer, from int) {
 	if src.dim != b.dim {
 		panic(fmt.Sprintf("feature: RowBuffer of %d columns copied from one of %d", b.dim, src.dim))
@@ -447,6 +495,8 @@ func (b *RowBuffer) CopyFrom(src *RowBuffer, from int) {
 	b.rows = append(b.rows[:0], src.rows[from*b.dim:]...)
 	b.cols = append(b.cols[:0], src.cols[cut:]...)
 	b.off = append(b.off[:0], src.off[from:]...)
+	b.ids = append(b.ids[:0], src.ids[from:]...)
+	b.gen = src.gen
 	for i := range b.off {
 		b.off[i] -= cut
 	}
@@ -469,6 +519,12 @@ func (b *RowBuffer) Cols(i int) []int32 {
 func (b *RowBuffer) Sparse() (rows []float32, cols, off []int32) {
 	return b.rows, b.cols, b.off
 }
+
+// IDs returns every row's ID, row for row (0 for a row without one), valid
+// until the next Push or Trim, and how many times the Interner had
+// restarted its IDs when it named them: IDs of one restart count only
+// compare with each other.
+func (b *RowBuffer) IDs() (ids []uint32, gen uint64) { return b.ids, b.gen }
 
 // WindowLabels derives per-window labels from per-record labels using the
 // paper's rule (§4, Dataset Labeling): any window containing a malicious

@@ -2,8 +2,11 @@ package feature
 
 import (
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/6g-xsec/xsec/internal/cell"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
@@ -264,5 +267,44 @@ func BenchmarkEncodeRecord(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.Encode(r)
+	}
+}
+
+// TestRNTICyclingKeepsEncoderSize cycles every valid RNTI through one
+// encoder twice, among repeats of a few: the live heap is what it was
+// before the cycles, and every record's fresh-RNTI feature is what a map
+// of the RNTIs seen so far says.
+func TestRNTICyclingKeepsEncoderSize(t *testing.T) {
+	v := BuildVocabulary(mobiflow.Trace{{Msg: "RRCSetupRequest"}})
+	e := NewEncoder(v)
+	b := NewRowBuffer(Dim(v))
+	freshCol := int32(Dim(v) - widthDerived)
+	seen := map[cell.RNTI]bool{}
+	rec := mobiflow.Record{Msg: "RRCSetupRequest", UEID: 1, Dir: cell.Uplink, Timestamp: time.Unix(1700000000, 0)}
+	check := func(rnti cell.RNTI) {
+		rec.RNTI = rnti
+		want := rnti != cell.InvalidRNTI && !seen[rnti]
+		seen[rnti] = true
+		b.Push(e, rec)
+		if got := slices.Contains(b.Cols(0), freshCol); got != want {
+			t.Fatalf("RNTI %#x: fresh %v, the map of RNTIs seen says %v", rnti, got, want)
+		}
+		b.Trim(1)
+	}
+	check(7) // the encoder and the buffer at their steady-state size
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for cycle := 0; cycle < 2; cycle++ {
+		for r := 0; r < 1<<16; r++ {
+			check(cell.RNTI(r))
+			check(cell.RNTI(r * 7919 % 11))
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(e)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 16<<10 {
+		t.Errorf("cycling every RNTI grew the live heap by %d B", grew)
 	}
 }

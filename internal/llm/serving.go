@@ -223,10 +223,15 @@ func (s *Service) AnalyzeWindow(ctx context.Context, window mobiflow.Trace) (*An
 	if len(window) == 0 {
 		return nil, fmt.Errorf("llm: empty window")
 	}
+	return s.analyze(ctx, window, s.windowKey(window))
+}
+
+// analyze is AnalyzeWindow for a non-empty window keyed as windowKey keys
+// it.
+func (s *Service) analyze(ctx context.Context, window mobiflow.Trace, key cacheKey) (*Analysis, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	key := s.windowKey(window)
 	if a, ok := s.recall(key); ok {
 		return a, nil
 	}
@@ -274,10 +279,39 @@ func (s *Service) AnalyzeWindow(ctx context.Context, window mobiflow.Trace) (*An
 // hit is (the caller does not ask AnalyzeWindow as well); a miss counts
 // nothing, because the AnalyzeWindow that follows it counts the miss.
 func (s *Service) Recall(window mobiflow.Trace) (*Analysis, bool) {
+	a, _, ok := s.Lookup(window)
+	return a, ok
+}
+
+// A Question is a window Lookup did not find in memory, with the key it
+// computed: Analyze asks for it exactly as AnalyzeWindow would, without
+// keying the window a second time.
+type Question struct {
+	s      *Service
+	window mobiflow.Trace
+	key    cacheKey
+}
+
+// Lookup is Recall for a caller that asks the endpoint on a miss: the
+// miss hands back the window as a Question. It counts what Recall counts.
+func (s *Service) Lookup(window mobiflow.Trace) (*Analysis, Question, bool) {
+	q := Question{s: s, window: window}
 	if len(window) == 0 {
-		return nil, false
+		return nil, q, false
 	}
-	return s.recall(s.windowKey(window))
+	q.key = s.windowKey(window)
+	if a, ok := s.recall(q.key); ok {
+		return a, Question{}, true
+	}
+	return nil, q, false
+}
+
+// Analyze answers the question as AnalyzeWindow answers its window.
+func (q Question) Analyze(ctx context.Context) (*Analysis, error) {
+	if len(q.window) == 0 {
+		return nil, fmt.Errorf("llm: empty window")
+	}
+	return q.s.analyze(ctx, q.window, q.key)
 }
 
 // recall is the cache hit both entry points serve.

@@ -55,7 +55,9 @@ func (m *Models) Engines() *FastEngines {
 // ScoreTrace*Batched scorers fill and score the same type, so an
 // offline evaluation runs the shipped scoring path by construction. Not
 // safe for concurrent use; each owner allocates its own, and with it its
-// own memo of the scores it has computed.
+// own memo of the scores it has computed, keyed by the row IDs the
+// buffer's rowTable gave: the rows a batch scores are all named by one
+// table.
 type pendingBatch struct {
 	model  ModelName
 	eng    *FastEngines
@@ -67,10 +69,9 @@ type pendingBatch struct {
 	scores []float32
 
 	memo scoreMemo
-	// memoed is whether score looked the pushed windows up in the memo,
-	// interning rows from memoLo on; reset clears it.
+	// memoed is whether score looked the pushed windows up in the memo;
+	// reset clears it.
 	memoed     bool
-	memoLo     int
 	missAt     []int // a pass's windows the memo lacks, by push index
 	missStarts []int // and by first row, for the engine
 	missScores []float32
@@ -110,7 +111,8 @@ func (b *pendingBatch) push(rows *feature.RowBuffer, start int) {
 // score returns the scores of every pushed window in push order, valid
 // until the next score call: the memo's for the windows it holds, and one
 // batched engine pass's for the rest, which the memo then keeps. While
-// the memo stands aside, every window goes to the engine.
+// the memo stands aside, every window goes to the engine, and so does a
+// window with a row the rowTable gave no ID.
 func (b *pendingBatch) score() []float32 {
 	n := len(b.starts)
 	b.scores = grow(b.scores, n)
@@ -121,6 +123,10 @@ func (b *pendingBatch) score() []float32 {
 	in := nn.Rows{X: x, Dim: b.dim, Cols: cols, Off: off}
 	span := b.span()
 	m := &b.memo
+	ids, gen := b.rows.IDs()
+	if gen != m.gen {
+		m.restart(gen)
+	}
 	b.memoed = false
 	if span > memoSpan || m.skip > 0 {
 		m.skip = max(m.skip-n, 0)
@@ -128,30 +134,32 @@ func (b *pendingBatch) score() []float32 {
 		b.run(in, b.starts, b.scores)
 		return b.scores
 	}
-	lo, hi := b.starts[0], b.starts[0]+span
-	for _, st := range b.starts {
-		lo, hi = min(lo, st), max(hi, st+span)
-	}
-	m.intern(in, lo, hi)
-	b.memoed, b.memoLo = true, lo
+	b.memoed = true
 	b.missAt, b.missStarts = b.missAt[:0], b.missStarts[:0]
+	looked := n
 	for i, st := range b.starts {
-		if e, ok := m.get(m.key(st-lo, span)); ok {
+		k, ok := keyOf(ids[st : st+span])
+		if !ok {
+			looked--
+		} else if e, hit := m.get(k); hit {
 			b.scores[i] = e.score
-		} else {
-			b.missAt = append(b.missAt, i)
-			b.missStarts = append(b.missStarts, st)
+			continue
 		}
+		b.missAt = append(b.missAt, i)
+		b.missStarts = append(b.missStarts, st)
 	}
 	if len(b.missAt) > 0 {
 		b.missScores = grow(b.missScores, len(b.missAt))
 		b.run(in, b.missStarts, b.missScores)
 		for j, i := range b.missAt {
 			b.scores[i] = b.missScores[j]
-			m.put(m.key(b.starts[i]-lo, span), memoEntry{score: b.missScores[j]})
+			if k, ok := keyOf(ids[b.starts[i] : b.starts[i]+span]); ok {
+				m.put(k, memoEntry{score: b.missScores[j]})
+			}
 		}
 	}
-	m.tally(n, len(b.missAt))
+	m.bypassed.Add(uint64(n - looked))
+	m.tally(looked, len(b.missAt)-(n-looked))
 	return b.scores
 }
 
@@ -186,8 +194,12 @@ func (b *pendingBatch) digest(i int) prov.Digest {
 	if !b.memoed {
 		return b.digestRows(i)
 	}
+	ids, _ := b.rows.IDs()
+	k, ok := keyOf(ids[b.starts[i] : b.starts[i]+b.span()])
+	if !ok {
+		return b.digestRows(i)
+	}
 	m := &b.memo
-	k := m.key(b.starts[i]-b.memoLo, b.span())
 	for g := range m.wins {
 		if e, ok := m.wins[g][k]; ok {
 			if !e.digested {
@@ -218,79 +230,93 @@ func (b *pendingBatch) reset() { b.starts, b.memoed = b.starts[:0], false }
 // The engines are batch-invariant, so a window's score is a function of
 // its rows' bits alone, and a lane can hand back the score it computed
 // for the same bits rather than run the engine again. The bits are the
-// attacker's to choose, so the memo trusts no hash: a row is interned
-// under an exact encoding of its bits, a window is keyed by its rows'
-// IDs, and both tables compare whole keys.
+// attacker's to choose, so the memo trusts no hash: the window stage
+// interns each row once, as it writes it, under an exact encoding of its
+// bits (rowTable), each lane keys a window by its rows' IDs, and both
+// tables compare whole keys.
 const (
 	// memoSpan is the widest window the memo keys (a key is a fixed array
 	// of row IDs, so a lookup allocates nothing). A wider one — N > 7 for
 	// the LSTM, whose window spans its target row too — is scored every
 	// time.
 	memoSpan = 8
-	// memoRows and memoWindows bound a memo's tables, per generation. Each
-	// table keeps two: entries go into the current one, a hit in the
-	// previous one moves there, and when the current one is full the
-	// previous one is dropped and the current one takes its place. So a
-	// flood of new windows costs at most 2×memoWindows kept scores, while
-	// a working set that fits one generation survives it. A row sits in
-	// several windows, so telemetry repeats rows more than windows (a
-	// benign trace of 3 900 windows has ≈ 390 distinct ones and 188
-	// distinct rows), and the row table is the smaller.
+	// memoRows and memoWindows bound the row table and a lane's memo, per
+	// generation. Each table keeps two: entries go into the current one, a
+	// hit in the previous one moves there, and when the current one is
+	// full the previous one is dropped and the current one takes its
+	// place. So a flood of new windows costs at most 2×memoWindows kept
+	// scores, while a working set that fits one generation survives it. A
+	// row sits in several windows, so telemetry repeats rows more than
+	// windows (a benign trace of 3 900 windows has ≈ 390 distinct ones and
+	// 188 distinct rows), and the row table is the smaller.
 	memoRows    = 1024
 	memoWindows = 2048
 	// memoProbe, memoFind and memoSkip keep the memo from costing more
 	// than it saves where telemetry does not repeat. The inter-arrival
 	// feature is continuous, so records stamped at jittered or wall-clock
-	// times seldom repeat a window bit for bit, and an attacker can vary
-	// every window. A lookup that misses adds a sixth to two fifths to the
-	// window's engine cost, and a hit saves nine tenths of it
+	// times seldom repeat a row or a window bit for bit, and an attacker
+	// can vary every one. A lookup that misses adds a sixth to two fifths
+	// to the window's engine cost, and a hit saves nine tenths of it
 	// (BenchmarkScoreMemo), so the memo gains only while it finds more
-	// than about one window in memoFind. The memo judges itself on what it finds: each
-	// memoProbe windows it looks up, if it found fewer than one in
-	// memoFind it stands aside for the next memoSkip windows, which go
-	// straight to the engine, and then probes again. Where no window
-	// repeats, it then looks up one window in sixteen.
+	// than about one window in memoFind. The row table and each lane judge
+	// themselves on what they find: each memoProbe rows interned or
+	// windows looked up, if fewer than one in memoFind could be found — a
+	// row that ends a window of rows all interned before, or a window
+	// kept — the row table gives the next memoSkip rows no ID, which costs
+	// nothing, or the lane sends the next memoSkip windows straight to the
+	// engine, and then each probes again. Where nothing repeats, one row
+	// and one window in sixteen is looked up.
 	memoProbe = 1024
 	memoFind  = 4
 	memoSkip  = 15 * memoProbe
 )
 
-// windowKey names a window by the IDs of its rows, in order; slots past
-// the span are 0, an ID no row is given.
-type windowKey [memoSpan]uint32
-
-// memoEntry is what the memo keeps of a window: its score and, once a
-// provenance event has asked for it, its digest.
-type memoEntry struct {
-	score    float32
-	digested bool
-	digest   prov.Digest
+// prober is the stand-aside judgement the row table and each lane's memo
+// make on their own counts.
+type prober struct {
+	looked, found int // of the current probe
+	skip          int // left to pass without a lookup
 }
 
-// scoreMemo is a pendingBatch's memo of window scores and digests, keyed
-// by the window's exact bits. Row IDs are never reused: a row that leaves
-// the row table and comes back is given a new one, so a kept score can be
-// found only through the rows that produced it.
-type scoreMemo struct {
-	rows   [2]map[string]uint32 // a row's appendRowBits → its ID; the current generation first
-	wins   [2]map[windowKey]memoEntry
-	lastID uint32   // the newest ID given
-	buf    []byte   // a row's bits, encoded
-	ids    []uint32 // the IDs of the rows a pass reads, from its first
-
-	looked, found int // windows the current probe has looked up, and found
-	skip          int // windows left to score without the memo
-
-	hit, miss, evicted, bypassed *obs.Counter // xsec_mobiwatch_score_memo_total, by outcome
-}
-
-func newScoreMemo(model ModelName) scoreMemo {
-	c := func(outcome string) *obs.Counter { return obsScoreMemo.With(string(model), outcome) }
-	return scoreMemo{
-		rows: [2]map[string]uint32{{}, {}},
-		wins: [2]map[windowKey]memoEntry{{}, {}},
-		hit:  c("hit"), miss: c("miss"), evicted: c("evicted"), bypassed: c("bypassed"),
+// tally counts n lookups of which found found what they looked for, and
+// closes the probe once it has counted memoProbe: the next memoSkip are
+// to stand aside if fewer than one in memoFind was found.
+func (p *prober) tally(n, found int) {
+	p.looked += n
+	p.found += found
+	if p.looked >= memoProbe {
+		if p.found*memoFind < p.looked {
+			p.skip = memoSkip
+		}
+		p.looked, p.found = 0, 0
 	}
+}
+
+// rowTable is a worker's interning of the rows its window stage writes,
+// the feature.Interner of its history buffer: both lanes key their memos
+// by the IDs it gives. Row IDs are never reused: a row that leaves the
+// table and comes back is given a new one, so a kept score can be found
+// only through the rows that produced it. Before the IDs would run out,
+// the table starts over and says so; the row buffer forgets the IDs it
+// holds, and each lane drops its memo when it first scores rows named
+// after the restart.
+type rowTable struct {
+	rows   [2]map[string]uint32 // a row's appendRowBits → its ID; the current generation first
+	lastID uint32               // the newest ID given
+	buf    []byte               // a row's bits, encoded
+	// span is the narrowest window a lane keys, and run how many rows in a
+	// row, up to the newest, the table held before: a window can repeat
+	// only if run ≥ span at its last row. Rows repeat where windows do
+	// not (on a jittered clock, the records one UE step emits at once), so
+	// the probe counts windows that could repeat, not rows.
+	span, run int
+	prober
+}
+
+// newRowTable returns an empty table for lanes whose narrowest window is
+// span rows.
+func newRowTable(span int) *rowTable {
+	return &rowTable{rows: [2]map[string]uint32{{}, {}}, span: span}
 }
 
 // appendRowBits appends an encoding of a row's exact bits, its non-zero
@@ -312,43 +338,98 @@ func appendRowBits(buf []byte, x []float32, cols []int32) []byte {
 	return buf
 }
 
-// intern puts the IDs of in's rows [lo, hi) in m.ids, giving a new ID to
-// each row the row table does not hold. If the pass could run the IDs out,
-// the memo starts over first, so that no ID in one pass was given before.
-func (m *scoreMemo) intern(in nn.Rows, lo, hi int) {
-	if uint64(m.lastID)+uint64(hi-lo) > math.MaxUint32 {
-		m.evicted.Add(uint64(len(m.wins[0]) + len(m.wins[1])))
-		for i := range m.rows {
-			clear(m.rows[i])
-			clear(m.wins[i])
-		}
-		m.lastID = 0
+// Intern returns the ID of the row whose values are x and non-zero
+// columns cols, giving it a new one if the table does not hold it, or 0
+// while the table stands aside.
+func (t *rowTable) Intern(x []float32, cols []int32) (id uint32, restarted bool) {
+	if t.skip > 0 {
+		t.skip--
+		t.run = 0
+		return 0, false
 	}
-	m.ids = m.ids[:0]
-	for r := lo; r < hi; r++ {
-		m.buf = appendRowBits(m.buf[:0], in.X[r*in.Dim:(r+1)*in.Dim], in.Cols[in.Off[r]:in.Off[r+1]])
-		id, ok := m.rows[0][string(m.buf)]
-		if !ok {
-			if id, ok = m.rows[1][string(m.buf)]; ok {
-				delete(m.rows[1], string(m.buf))
-			} else {
-				m.lastID++
-				id = m.lastID
-			}
-			if len(m.rows[0]) >= memoRows {
-				clear(m.rows[1])
-				m.rows[0], m.rows[1] = m.rows[1], m.rows[0]
-			}
-			m.rows[0][string(m.buf)] = id
+	if t.lastID == math.MaxUint32 {
+		for i := range t.rows {
+			clear(t.rows[i])
 		}
-		m.ids = append(m.ids, id)
+		t.lastID, restarted = 0, true
+	}
+	t.buf = appendRowBits(t.buf[:0], x, cols)
+	id, ok := t.rows[0][string(t.buf)]
+	found := ok
+	if !ok {
+		if id, found = t.rows[1][string(t.buf)]; found {
+			delete(t.rows[1], string(t.buf))
+		} else {
+			t.lastID++
+			id = t.lastID
+		}
+		if len(t.rows[0]) >= memoRows {
+			clear(t.rows[1])
+			t.rows[0], t.rows[1] = t.rows[1], t.rows[0]
+		}
+		t.rows[0][string(t.buf)] = id
+	}
+	if t.run++; !found {
+		t.run = 0
+	}
+	repeatable := 0
+	if t.run >= t.span {
+		repeatable = 1
+	}
+	t.tally(1, repeatable)
+	return id, restarted
+}
+
+// windowKey names a window by the IDs of its rows, in order; slots past
+// the span are 0, an ID no row is given.
+type windowKey [memoSpan]uint32
+
+// keyOf returns the key of the window whose rows have ids, and false if
+// one of them has none.
+func keyOf(ids []uint32) (k windowKey, ok bool) {
+	for i, id := range ids {
+		if id == 0 {
+			return k, false
+		}
+		k[i] = id
+	}
+	return k, true
+}
+
+// memoEntry is what the memo keeps of a window: its score and, once a
+// provenance event has asked for it, its digest.
+type memoEntry struct {
+	score    float32
+	digested bool
+	digest   prov.Digest
+}
+
+// scoreMemo is a pendingBatch's memo of window scores and digests, keyed
+// by the IDs of the window's rows.
+type scoreMemo struct {
+	wins [2]map[windowKey]memoEntry
+	gen  uint64 // the row table's restarts the keys were given under
+	prober
+
+	hit, miss, evicted, bypassed *obs.Counter // xsec_mobiwatch_score_memo_total, by outcome
+}
+
+func newScoreMemo(model ModelName) scoreMemo {
+	c := func(outcome string) *obs.Counter { return obsScoreMemo.With(string(model), outcome) }
+	return scoreMemo{
+		wins: [2]map[windowKey]memoEntry{{}, {}},
+		hit:  c("hit"), miss: c("miss"), evicted: c("evicted"), bypassed: c("bypassed"),
 	}
 }
 
-// key is the key of the window of span rows from the pass's row first.
-func (m *scoreMemo) key(first, span int) (k windowKey) {
-	copy(k[:], m.ids[first:first+span])
-	return k
+// restart drops every kept score: the row table has started its IDs over,
+// and gen is how often.
+func (m *scoreMemo) restart(gen uint64) {
+	m.evicted.Add(uint64(len(m.wins[0]) + len(m.wins[1])))
+	for i := range m.wins {
+		clear(m.wins[i])
+	}
+	m.gen = gen
 }
 
 // get returns the entry kept under k, if any.
@@ -374,20 +455,11 @@ func (m *scoreMemo) put(k windowKey, e memoEntry) {
 	m.wins[0][k] = e
 }
 
-// tally counts a pass that looked up n windows and missed misses of them,
-// and closes the probe once it has looked up memoProbe: the memo stands
-// aside for memoSkip windows if it found fewer than one in memoFind.
+// tally counts a pass that looked up n windows and missed misses of them.
 func (m *scoreMemo) tally(n, misses int) {
 	m.hit.Add(uint64(n - misses))
 	m.miss.Add(uint64(misses))
-	m.looked += n
-	m.found += n - misses
-	if m.looked >= memoProbe {
-		if m.found*memoFind < m.looked {
-			m.skip = memoSkip
-		}
-		m.looked, m.found = 0, 0
-	}
+	m.prober.tally(n, n-misses)
 }
 
 // threshold returns the model's active detection threshold.
@@ -424,6 +496,7 @@ func (m *Models) ScoreTraceLSTMBatched(tr mobiflow.Trace, prec nn.Precision) []W
 func (m *Models) scoreTraceBatched(tr mobiflow.Trace, b *pendingBatch) []WindowScore {
 	e := feature.NewEncoder(m.Vocab)
 	rows := feature.NewRowBuffer(b.dim)
+	rows.InternWith(newRowTable(b.span()))
 	for _, r := range tr {
 		rows.Push(e, r)
 	}

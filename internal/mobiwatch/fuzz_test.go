@@ -274,9 +274,14 @@ func FuzzWindowKey(f *testing.F) {
 			}
 			in.Off = append(in.Off, int32(len(in.Cols)))
 		}
-		m := newScoreMemo(ModelAE)
-		m.intern(in, 0, 2*span)
-		if same := m.key(0, span) == m.key(span, span); same != equal {
+		tbl := newRowTable(span)
+		ids := make([]uint32, 2*span)
+		for r := range ids {
+			ids[r], _ = tbl.Intern(in.X[r*dim:(r+1)*dim], in.Cols[in.Off[r]:in.Off[r+1]])
+		}
+		ka, _ := keyOf(ids[:span])
+		kb, _ := keyOf(ids[span:])
+		if same := ka == kb; same != equal {
 			t.Fatalf("edit %d: windows equal bit for bit %v, keys equal %v", edit%4, equal, same)
 		}
 	})

@@ -16,14 +16,25 @@ import (
 	"github.com/6g-xsec/xsec/internal/prov"
 )
 
-// encodeRows encodes a trace the way the window stage does.
+// encodeRows encodes a trace through a worker's window stage: its
+// encoder, its row buffer and the row table that names each row as the
+// buffer writes it.
 func encodeRows(m *Models, tr mobiflow.Trace) *feature.RowBuffer {
-	e := feature.NewEncoder(m.Vocab)
-	rows := feature.NewRowBuffer(m.RecordDim())
+	return internRows(m, tr, false).rows
+}
+
+// internRows is encodeRows returning the worker, whose rows hold the
+// trace. With lookAlways the row table interns every row, as it does on
+// telemetry that repeats.
+func internRows(m *Models, tr mobiflow.Trace, lookAlways bool) *worker {
+	w := newWorker(&Runtime{models: m})
 	for _, r := range tr {
-		rows.Push(e, r)
+		if lookAlways {
+			w.table.skip = 0
+		}
+		w.rows.Push(w.encoder, r)
 	}
-	return rows
+	return w
 }
 
 // engineScores scores the windows at starts with the model's engine
@@ -165,8 +176,16 @@ func TestMemoScoresMatchEngines(t *testing.T) {
 // stood aside.
 func TestMemoDigestMatchesRows(t *testing.T) {
 	_, _, models := fixtures(t)
-	benign := encodeRows(models, collectBenign(t, 120, 41, false))
-	jittered := encodeRows(models, collectBenign(t, 240, 41, true))
+	// A lane's memo keys windows by the IDs of one row table: both traces
+	// are named by the same one.
+	w := internRows(models, collectBenign(t, 120, 41, false), false)
+	benign := w.rows
+	jittered := feature.NewRowBuffer(models.RecordDim())
+	jittered.InternWith(w.table)
+	e := feature.NewEncoder(models.Vocab)
+	for _, r := range collectBenign(t, 240, 41, true) {
+		jittered.Push(e, r)
+	}
 	for _, model := range []ModelName{ModelAE, ModelLSTM} {
 		t.Run(string(model), func(t *testing.T) {
 			b := newPendingBatch(models, model)
@@ -244,19 +263,37 @@ func floodTrace(n int) mobiflow.Trace {
 }
 
 // TestMemoStandsAsideOnAFlood floods the memo with windows it has never
-// seen: it looks up the first probe's memoProbe windows, finds none, and
-// sends the next memoSkip straight to the engine, exact all the same.
+// seen. The row table interns the first probe's memoProbe rows, finds
+// none, and names none of the next memoSkip: the lane looks up the
+// windows whose rows all have IDs and sends the rest straight to the
+// engine. Where the table interns every row, the lane looks up the first
+// probe's memoProbe windows, finds none, and stands aside for the next
+// memoSkip. The scores are exact all the same.
 func TestMemoStandsAsideOnAFlood(t *testing.T) {
 	_, _, models := fixtures(t)
-	rows := encodeRows(models, floodTrace(memoProbe+memoSkip/2))
+	flood := floodTrace(memoProbe + memoSkip/2)
+	type aside struct {
+		by   string
+		rows *feature.RowBuffer
+	}
+	asides := []aside{
+		{"the row table", internRows(models, flood, false).rows},
+		{"the lane", internRows(models, flood, true).rows}, // the table interns every row
+	}
 	for _, model := range []ModelName{ModelAE, ModelLSTM} {
 		t.Run(string(model), func(t *testing.T) {
-			b := newPendingBatch(models, model)
-			c := memoPass(t, models, b, rows, batchChunk, false)
-			nWins := uint64(rows.Len() - b.span() + 1)
-			if c.hit != 0 || c.miss != memoProbe || c.bypassed != nWins-memoProbe {
-				t.Errorf("%d windows: %d hits, %d misses, %d bypassed; want 0, %d, %d",
-					nWins, c.hit, c.miss, c.bypassed, memoProbe, nWins-memoProbe)
+			for _, a := range asides {
+				b := newPendingBatch(models, model)
+				c := memoPass(t, models, b, a.rows, batchChunk, false)
+				nWins := uint64(a.rows.Len() - b.span() + 1)
+				looked := uint64(memoProbe)
+				if a.by == "the row table" {
+					looked = uint64(memoProbe - b.span() + 1) // the windows inside the probed rows
+				}
+				if c.hit != 0 || c.miss != looked || c.bypassed != nWins-looked {
+					t.Errorf("standing aside by %s, %d windows: %d hits, %d misses, %d bypassed; want 0, %d, %d",
+						a.by, nWins, c.hit, c.miss, c.bypassed, looked, nWins-looked)
+				}
 			}
 		})
 	}
@@ -269,16 +306,20 @@ func TestMemoStandsAsideOnAFlood(t *testing.T) {
 // under memoHeapBound.
 func TestMemoFloodStaysBounded(t *testing.T) {
 	_, _, models := fixtures(t)
-	rows := encodeRows(models, floodTrace(6*memoWindows))
+	flood := floodTrace(6 * memoWindows)
+	w := internRows(models, flood, true)
+	rows := w.rows
+	for g := range w.table.rows {
+		if n := len(w.table.rows[g]); n > memoRows {
+			t.Errorf("row generation %d holds %d, bound %d", g, n, memoRows)
+		}
+	}
 	for _, model := range []ModelName{ModelAE, ModelLSTM} {
 		t.Run(string(model), func(t *testing.T) {
 			b := newPendingBatch(models, model)
 			c := memoPass(t, models, b, rows, batchChunk, true)
 			m := &b.memo
 			for g := range m.wins {
-				if n := len(m.rows[g]); n > memoRows {
-					t.Errorf("row generation %d holds %d, bound %d", g, n, memoRows)
-				}
 				if n := len(m.wins[g]); n > memoWindows {
 					t.Errorf("window generation %d holds %d, bound %d", g, n, memoWindows)
 				}
@@ -293,12 +334,18 @@ func TestMemoFloodStaysBounded(t *testing.T) {
 		})
 	}
 
-	// What a full memo holds: both generations of both tables, filled
-	// with rows as wide as the flood's.
+	// What a full memo holds: both generations of a row table, filled
+	// with rows as wide as the flood's, and of one lane's window table.
 	const memoHeapBound = 768 << 10
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
+	tbl := newRowTable(models.Window)
+	for r := 0; r < rows.Len(); r++ {
+		tbl.skip = 0
+		tbl.Intern(rows.Row(r), rows.Cols(r))
+	}
+	tbl.buf = nil
 	b := newPendingBatch(models, ModelLSTM)
 	memoPass(t, models, b, rows, batchChunk, true)
 	b.scores, b.missAt, b.missStarts, b.missScores = nil, nil, nil, nil
@@ -307,41 +354,71 @@ func TestMemoFloodStaysBounded(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	runtime.KeepAlive(b)
-	t.Logf("a full memo holds %d KiB of live heap", held>>10)
+	runtime.KeepAlive(tbl)
+	t.Logf("a full row table and lane memo hold %d KiB of live heap", held>>10)
 	if held > memoHeapBound {
-		t.Errorf("a full memo holds %d B, bound %d", held, memoHeapBound)
+		t.Errorf("a full row table and lane memo hold %d B, bound %d", held, memoHeapBound)
 	}
 }
 
-// TestMemoStartsOverBeforeIDsRunOut runs a memo up to the last row ID:
-// the pass that would run the IDs out first drops every kept score and
-// row, so no ID is given twice, and the scores stay exact.
+// TestMemoStartsOverBeforeIDsRunOut runs a worker's row table up to the
+// last row ID. The row that would run the IDs out starts the table over:
+// the worker's row buffer forgets the IDs it holds, and both lanes drop
+// every kept score when they first score rows named after the restart,
+// so no hit crosses it. A flood, whose windows all differ, is named from
+// ID 1 before the restart and a benign trace from ID 1 after it, so a
+// score kept across the restart would be handed to a window it was not
+// computed for, which the engine's own score on each window catches.
 func TestMemoStartsOverBeforeIDsRunOut(t *testing.T) {
-	_, mixed, models := fixtures(t)
-	rows := encodeRows(models, mixed.Trace)
-	b := newPendingBatch(models, ModelAE)
-	memoPass(t, models, b, rows, batchChunk, true)
-	kept := uint64(len(b.memo.wins[0]) + len(b.memo.wins[1]))
-	b.memo.lastID = math.MaxUint32 - batchChunk
-	c := memoPass(t, models, b, rows, batchChunk, true)
-	if b.memo.lastID >= math.MaxUint32-batchChunk {
-		t.Errorf("IDs ran on to %d", b.memo.lastID)
+	_, _, models := fixtures(t)
+	w := internRows(models, floodTrace(3000), true)
+	kept := [2]uint64{}
+	for i := range w.lanes {
+		b := w.lanes[i].batch
+		memoPass(t, models, b, w.rows, batchChunk, true)
+		kept[i] = uint64(len(b.memo.wins[0]) + len(b.memo.wins[1]))
 	}
-	if c.evicted < kept {
-		t.Errorf("%d of %d kept scores dropped at the restart", c.evicted, kept)
+	w.rows.Trim(w.rows.Len())
+	w.table.lastID = math.MaxUint32 - 1
+	for _, r := range collectBenign(t, 120, 41, false) {
+		w.table.skip = 0
+		w.rows.Push(w.encoder, r)
+	}
+	if w.table.lastID >= math.MaxUint32-1 {
+		t.Fatalf("IDs ran on to %d", w.table.lastID)
+	}
+	ids, gen := w.rows.IDs()
+	if gen != 1 || ids[0] != 0 || ids[len(ids)-1] == 0 {
+		t.Fatalf("after the restart the buffer's IDs are of restart %d, first %d, last %d; want 1, 0 (forgotten), not 0",
+			gen, ids[0], ids[len(ids)-1])
+	}
+	for i := range w.lanes {
+		b := w.lanes[i].batch
+		c := memoPass(t, models, b, w.rows, batchChunk, true)
+		if b.memo.gen != 1 || c.evicted < kept[i] {
+			t.Errorf("%s: memo of restart %d, %d of %d kept scores dropped at the restart",
+				b.model, b.memo.gen, c.evicted, kept[i])
+		}
+		if c.hit == 0 || c.miss == 0 {
+			t.Errorf("%s: %d hits and %d misses after the restart, want some of each", b.model, c.hit, c.miss)
+		}
 	}
 }
 
 // BenchmarkScoreMemo is what the memo costs and saves per window, at
-// batchChunk windows a pass. hit runs one pass the memo always holds;
+// batchChunk windows a pass, the window stage's interning of the pass's
+// batchChunk new rows included. hit runs one pass the memo always holds;
 // miss runs a flood several times the memo's bound with the memo looking
 // up every window, so every pass interns new rows and evicts. The flood
 // and a benign trace on a jittered clock then run as shipped (memo),
-// where the memo stands aside for most passes, and straight through the
-// engine (engine), the floor the memo's bookkeeping adds to.
+// where the row table and the memo stand aside for most passes, and
+// straight through the engine (engine), the floor the memo's bookkeeping
+// adds to.
 func BenchmarkScoreMemo(b *testing.B) {
 	_, _, models := fixtures(b)
-	flood := encodeRows(models, floodTrace(6*memoWindows))
+	floodTr := floodTrace(6 * memoWindows)
+	lookedFlood := internRows(models, floodTr, true).rows
+	flood := encodeRows(models, floodTr)
 	jittered := encodeRows(models, collectBenign(b, 480, 41, true))
 	for _, model := range []ModelName{ModelAE, ModelLSTM} {
 		for _, c := range []struct {
@@ -349,8 +426,8 @@ func BenchmarkScoreMemo(b *testing.B) {
 			rows                     *feature.RowBuffer
 			engine, lookAlways, hold bool
 		}{
-			{name: "hit", rows: flood, lookAlways: true, hold: true},
-			{name: "miss", rows: flood, lookAlways: true},
+			{name: "hit", rows: lookedFlood, lookAlways: true, hold: true},
+			{name: "miss", rows: lookedFlood, lookAlways: true},
 			{name: "flood/memo", rows: flood},
 			{name: "flood/engine", rows: flood, engine: true},
 			{name: "jittered/memo", rows: jittered},
@@ -358,6 +435,7 @@ func BenchmarkScoreMemo(b *testing.B) {
 		} {
 			b.Run(fmt.Sprintf("%s/%s", model, c.name), func(b *testing.B) {
 				pb := newPendingBatch(models, model)
+				tbl := newRowTable(models.Window) // the window stage's, timed on the rows each pass adds
 				nWins := c.rows.Len() - pb.span() + 1
 				x, cols, off := c.rows.Sparse()
 				in := nn.Rows{X: x, Dim: c.rows.Dim(), Cols: cols, Off: off}
@@ -375,6 +453,12 @@ func BenchmarkScoreMemo(b *testing.B) {
 					if c.engine {
 						pb.run(in, starts, scores)
 						continue
+					}
+					for r := base + pb.span() - 1; r < base+pb.span()-1+batchChunk; r++ {
+						if c.lookAlways {
+							tbl.skip = 0
+						}
+						tbl.Intern(c.rows.Row(r), c.rows.Cols(r))
 					}
 					for _, st := range starts {
 						pb.push(c.rows, st)

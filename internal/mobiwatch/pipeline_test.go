@@ -442,8 +442,9 @@ func TestStopMidStreamDrainsBothStages(t *testing.T) {
 }
 
 // BenchmarkWorkerIntake times the intake stage on one nine-record
-// indication — the gNB agent's usual batch: decode plus one SDL write per
-// indication into the bounded telemetry namespace.
+// indication — the gNB agent's usual batch: decode into the batch the
+// window stage handed back, plus one SDL write per indication into the
+// bounded telemetry namespace.
 func BenchmarkWorkerIntake(b *testing.B) {
 	benign, err := dataset.GenerateBenign(dataset.BenignConfig{Sessions: 4, Fleet: 2, Seed: 3})
 	if err != nil {
@@ -455,7 +456,7 @@ func BenchmarkWorkerIntake(b *testing.B) {
 		b.Fatal(err)
 	}
 	store.Bound(TelemetryNamespace, TelemetryBytes)
-	w := &worker{rt: &Runtime{xapp: x}}
+	w := &worker{rt: &Runtime{xapp: x}, spare: make(chan mobiflow.Trace, 1)}
 	batch := append(mobiflow.Trace(nil), benign[:9]...)
 	ind := ric.Indication{NodeID: "gnb-bench"}
 	b.ReportAllocs()
@@ -467,9 +468,11 @@ func BenchmarkWorkerIntake(b *testing.B) {
 		}
 		ind.SN, ind.Message = uint64(i), mobiflow.EncodeTrace(batch)
 		b.StartTimer()
-		if _, ok := w.admit(ind); !ok {
+		d, ok := w.admit(ind)
+		if !ok {
 			b.Fatal("intake refused a valid indication")
 		}
+		w.recycle(d.records)
 	}
 }
 
@@ -515,4 +518,96 @@ func BenchmarkWorkerIngest(b *testing.B) {
 		w.flush(ind.NodeID)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perInd), "ns/rec")
+}
+
+// TestIntakeReusesOnlyReturnedBatches runs a worker's intake goroutine
+// against the test standing in for its window stage, which holds from one
+// to five decoded batches at a time before it hands them back. Every batch
+// holds exactly the records its indication carried until it is handed
+// back, no two batches held at once share memory, and intake does decode
+// into batches that were handed back. Under the race detector a write
+// into a held batch is a reported race as well as a mismatch.
+func TestIntakeReusesOnlyReturnedBatches(t *testing.T) {
+	store := sdl.New()
+	x, err := ric.NewPlatform(store).RegisterXApp("intake-reuse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Bound(TelemetryNamespace, TelemetryBytes)
+	w := &worker{
+		rt:      &Runtime{xapp: x},
+		handoff: make(chan decoded, handoffDepth),
+		spare:   make(chan mobiflow.Trace, handoffDepth+2),
+		depth:   obsHandoffDepth.With("intake-reuse"),
+	}
+	const indications = 2000
+	batchFor := func(sn uint64) mobiflow.Trace {
+		batch := make(mobiflow.Trace, 1+sn%9)
+		for i := range batch {
+			batch[i] = mobiflow.Record{Seq: sn*16 + uint64(i), UEID: sn, Msg: "RRCSetupRequest", RNTI: 0x4601}
+		}
+		return batch
+	}
+	in := make(chan ric.Indication)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.intake(in)
+	}()
+	go func() {
+		for sn := uint64(1); sn <= indications; sn++ {
+			in <- ric.Indication{NodeID: "gnb-reuse", SN: sn, Message: mobiflow.EncodeTrace(batchFor(sn))}
+		}
+		close(in)
+	}()
+	same := func(d decoded) bool {
+		want := batchFor(d.ind.SN)
+		if len(d.records) != len(want) {
+			return false
+		}
+		for i := range want {
+			if d.records[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	var held []decoded
+	handedOut := map[*mobiflow.Record]bool{} // every batch's first element
+	reused, got := 0, 0
+	for d := range w.handoff {
+		w.depth.Add(-1)
+		got++
+		if !same(d) {
+			t.Fatalf("indication %d decoded to %d records that are not the ones it carried", d.ind.SN, len(d.records))
+		}
+		first := &d.records[:1][0]
+		for _, h := range held {
+			if &h.records[:1][0] == first {
+				t.Fatalf("indications %d and %d, both held, decoded into the same batch", h.ind.SN, d.ind.SN)
+			}
+		}
+		if handedOut[first] {
+			reused++
+		}
+		handedOut[first] = true
+		held = append(held, d)
+		if len(held) > int(d.ind.SN%5) {
+			for _, h := range held {
+				if !same(h) {
+					t.Fatalf("indication %d's batch changed while the window stage held it", h.ind.SN)
+				}
+				w.recycle(h.records)
+			}
+			held = held[:0]
+		}
+	}
+	<-done
+	if got != indications {
+		t.Fatalf("%d of %d indications handed over", got, indications)
+	}
+	if reused == 0 {
+		t.Error("intake never decoded into a batch the window stage handed back")
+	}
+	t.Logf("%d of %d indications decoded into a batch handed back", reused, indications)
 }

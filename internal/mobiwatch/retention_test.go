@@ -8,9 +8,9 @@ import (
 	"time"
 
 	"github.com/6g-xsec/xsec/internal/asn1lite"
+	"github.com/6g-xsec/xsec/internal/e2ap"
 	"github.com/6g-xsec/xsec/internal/e2sm"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
-	"github.com/6g-xsec/xsec/internal/obs"
 	"github.com/6g-xsec/xsec/internal/ric"
 	"github.com/6g-xsec/xsec/internal/rrc"
 	"github.com/6g-xsec/xsec/internal/sdl"
@@ -35,7 +35,8 @@ func retentionWorker(t *testing.T, node string) (*worker, *sdl.Store) {
 
 // feed puts one indication carrying batch through both of the worker's
 // stages on the caller's goroutine: admit, the intake entry point, decodes
-// the payload and persists it; ingest scores what it decoded.
+// the payload and persists it; ingest scores what it decoded, and the
+// batch goes back to intake.
 func feed(t testing.TB, w *worker, ind ric.Indication, batch mobiflow.Trace) {
 	t.Helper()
 	ind.Message = mobiflow.EncodeTrace(batch)
@@ -44,6 +45,7 @@ func feed(t testing.TB, w *worker, ind ric.Indication, batch mobiflow.Trace) {
 		t.Fatalf("intake refused indication %d", ind.SN)
 	}
 	w.ingest(b.ind, b.records)
+	w.recycle(b.records)
 }
 
 // persistedRecords decodes every batch the telemetry namespace holds and
@@ -112,7 +114,7 @@ func TestRunBoundsTelemetryNamespace(t *testing.T) {
 // per record held in the same memory — the newest batch reads back
 // byte-identical to the message that carried it, and the oldest is gone.
 // Persisting into the full namespace, where each indication evicts, costs
-// two allocations per indication.
+// one allocation per indication, the key.
 func TestTelemetryRetentionIsCounted(t *testing.T) {
 	benign, _, _ := fixtures(t)
 	const node = "gnb-keep"
@@ -155,29 +157,32 @@ func TestTelemetryRetentionIsCounted(t *testing.T) {
 	}
 
 	// Into the full namespace every indication admits a new key and evicts
-	// an old one, and intake still allocates only the key string and the
-	// stored copy beyond decoding the payload and minting its trace key.
+	// an old one, and intake still allocates only the key string beyond
+	// the strings its records decode to.
 	const runs = 2000
 	fresh, _ := nineRecordBatches(benign, runs+1, last[len(last)-1].Seq+1)
 	evictedBefore := store.Evicted(TelemetryNamespace)
 	i := 0
 	admit := func() {
 		sent++
-		if _, ok := w.admit(ric.Indication{NodeID: node, SN: uint64(sent), Message: fresh[i]}); !ok {
+		d, ok := w.admit(ric.Indication{NodeID: node, SN: uint64(sent), Message: fresh[i]})
+		if !ok {
 			t.Fatalf("intake refused indication %d", sent)
 		}
+		w.recycle(d.records)
 		i++
 	}
 	j := 0
+	var into mobiflow.Trace
 	decode := func() {
-		if _, err := e2sm.DecodeIndicationMessage(fresh[j%len(fresh)]); err != nil {
+		var err error
+		if into, err = e2sm.DecodeIndicationInto(into, fresh[j%len(fresh)]); err != nil {
 			t.Fatal(err)
 		}
 		j++
-		traceKeySink = obs.IndicationKey(node, uint64(j))
 	}
-	if extra := testing.AllocsPerRun(runs, admit) - testing.AllocsPerRun(runs, decode); extra > 2 {
-		t.Errorf("persisting into the full namespace allocates %.1f times per indication, want at most 2 (key + value)", extra)
+	if extra := testing.AllocsPerRun(runs, admit) - testing.AllocsPerRun(runs, decode); extra > 1 {
+		t.Errorf("persisting into the full namespace allocates %.1f times per indication, want at most 1 (the key)", extra)
 	}
 	if got := store.Evicted(TelemetryNamespace) - evictedBefore; got < runs {
 		t.Errorf("%d indications admitted into the full namespace evicted %d batches, want at least %d", runs+1, got, runs)
@@ -191,19 +196,33 @@ func TestTelemetryRetentionIsCounted(t *testing.T) {
 }
 
 // TestTelemetryRetainedBytesPerRecord pins what keeping telemetry at rest
-// costs the live heap: the key, the one stored copy of the message and the
-// store's entry, shared by the nine records an indication carries
-// (≈ 34 B; ≈ 118 B when the message spent 87 B a record on per-record
-// fields).
+// costs the live heap: the key, the E2 frame the message arrived in, kept
+// as it is, and the store's entry, shared by the nine records an
+// indication carries (≈ 36 B; ≈ 34 B with an exact copy of the message
+// in place of the frame, ≈ 118 B when the message spent 87 B a record on
+// per-record fields).
 func TestTelemetryRetainedBytesPerRecord(t *testing.T) {
 	benign, _, _ := fixtures(t)
 	const node = "gnb-heap"
 	w, store := retentionWorker(t, node)
+	tx, rx := e2ap.Pipe()
+	defer tx.Close()
 	admit := func(msgs [][]byte) {
 		for sn, msg := range msgs {
-			if _, ok := w.admit(ric.Indication{NodeID: node, SN: uint64(sn + 1), Message: msg}); !ok {
+			// Through E2, as the RIC receives it.
+			err := tx.Send(&e2ap.Message{Type: e2ap.TypeIndication, IndicationSN: uint64(sn + 1), IndicationMessage: msg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := rx.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, ok := w.admit(ric.Indication{NodeID: node, SN: uint64(sn + 1), Message: m.IndicationMessage})
+			if !ok {
 				t.Fatalf("intake refused indication %d", sn+1)
 			}
+			w.recycle(d.records)
 		}
 	}
 	// A first round fills the span tracer's ring, so it holds the same

@@ -262,7 +262,7 @@ func (q *alertQueue) Take(ctx context.Context, want func(*Alert) bool) (a Alert,
 			}
 			waited := now.Sub(best.offered)
 			q.mu.Unlock()
-			wait.ObserveWithExemplar(waited.Seconds(), obs.IndicationKey(a.NodeID, a.IndicationSN))
+			wait.ObserveWithExemplar(waited.Seconds(), a.TraceKey)
 			return a, Ticket{best}, true
 		}
 		closed, wake := q.closed, q.wake

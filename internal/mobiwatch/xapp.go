@@ -49,7 +49,7 @@ var (
 	obsFlagSeconds = obs.NewHistogram("xsec_mobiwatch_flag_seconds",
 		"E2 indication arrival to anomaly flag.", obs.DefLatencyBuckets)
 	obsScoreMemo = obs.NewCounterVec("xsec_mobiwatch_score_memo_total",
-		"Windows the scoring path's memo answered (hit), sent to the engine and kept (miss), or sent to the engine without a lookup while it stands aside on telemetry that does not repeat (bypassed), and kept scores it dropped to stay in its bound (evicted), by model; Train's calibration and offline scoring count too.", "model", "outcome")
+		"Windows the scoring path's memo answered (hit), sent to the engine and kept (miss), or sent to the engine without a lookup while it or the row table stands aside on telemetry that does not repeat (bypassed), and kept scores it dropped to stay in its bound or when row IDs started over (evicted), by model; Train's calibration and offline scoring count too.", "model", "outcome")
 )
 
 // Alert is one flagged anomalous window, handed to the LLM Analyzer.
@@ -75,6 +75,10 @@ type Alert struct {
 	// IndicationSN is that indication's sequence number; together with
 	// NodeID it keys the pipeline trace spans.
 	IndicationSN uint64
+	// TraceKey is that key, obs.IndicationKey(NodeID, IndicationSN), as
+	// the RIC minted it on the indication's arrival ("" for an alert not
+	// raised from a RIC indication).
+	TraceKey string
 	// Folded is how many further flagged windows of the same episode the
 	// triage queue folded into this alert while it waited: the case
 	// stands for 1+Folded windows, of which this is the strongest.
@@ -218,19 +222,22 @@ type worker struct {
 	// Intake stage only.
 	keyBuf []byte // reusable SDL key-rendering buffer
 
-	handoff chan decoded // intake → window stage, closed by intake
-	depth   *obs.Gauge   // batches admitted and not yet taken by the window stage, summed over the node's shards
+	handoff chan decoded        // intake → window stage, closed by intake
+	spare   chan mobiflow.Trace // decoded batches the window stage is done with, back to intake
+	depth   *obs.Gauge          // batches admitted and not yet taken by the window stage, summed over the node's shards
 
 	// Window stage only, from here down to the lanes.
-	encoder *feature.Encoder
-	recent  mobiflow.Trace     // trailing records for window + context
-	rows    *feature.RowBuffer // float32 encoding of recent, row for row
-	spans   [2]int             // records one window covers, per model
-	pending [2]windowList      // windows awaiting the next flush: AE, LSTM
-	unseen  int                // records ingested since the last flush
-	waited  time.Duration      // spent blocked on a full lane this pass
-	batchAt time.Time          // RIC arrival time of the batch being ingested
-	batchSN uint64             // its E2 indication sequence number
+	encoder  *feature.Encoder
+	recent   mobiflow.Trace     // trailing records for window + context
+	rows     *feature.RowBuffer // float32 encoding of recent, row for row, each named by table
+	table    *rowTable          // row IDs both lanes' memos key windows by
+	spans    [2]int             // records one window covers, per model
+	pending  [2]windowList      // windows awaiting the next flush: AE, LSTM
+	unseen   int                // records ingested since the last flush
+	waited   time.Duration      // spent blocked on a full lane this pass
+	batchAt  time.Time          // RIC arrival time of the batch being ingested
+	batchSN  uint64             // its E2 indication sequence number
+	batchKey string             // and trace key
 
 	// Migration state (migrate.go): the control channel delivers
 	// checkpoint/restore operations into the window stage; ues tracks
@@ -249,12 +256,11 @@ type worker struct {
 
 // decoded is what intake hands the window stage: an indication whose
 // records are decoded and already in the SDL. ind.Message is dropped (the
-// window stage needs only the header and stamps); key is the indication's
-// trace key, minted once for both stages' spans.
+// window stage needs only the header, stamps and trace key). records is
+// intake's again once the window stage hands it back on spare.
 type decoded struct {
 	ind     ric.Indication
 	records mobiflow.Trace
-	key     string
 }
 
 // windowList is one model's windows awaiting a score: where each starts
@@ -291,6 +297,7 @@ type winMeta struct {
 	seqLast  uint64
 	at       time.Time
 	sn       uint64
+	key      string // the indication's trace key
 }
 
 // scoreJob is one flush, cut by the window stage for both lanes and
@@ -369,14 +376,17 @@ func newWorker(rt *Runtime) *worker {
 	w := &worker{
 		rt:      rt,
 		handoff: make(chan decoded, handoffDepth),
+		spare:   make(chan mobiflow.Trace, handoffDepth+2),
 		depth:   obsHandoffDepth.With(rt.opts.NodeID),
 		encoder: feature.NewEncoder(m.Vocab),
 		rows:    feature.NewRowBuffer(m.RecordDim()),
+		table:   newRowTable(m.Window), // the autoencoder's span, the LSTM's less one
 		ctrl:    make(chan ctrlOp),
 		ues:     ueMarks{cur: make(map[uint64]chainMark)},
 		joins:   make(map[uint64]joinInfo),
 		free:    make(chan *scoreJob, jobsInFlight),
 	}
+	w.rows.InternWith(w.table)
 	for i, l := range []struct {
 		model     ModelName
 		stage     string
@@ -487,30 +497,47 @@ func (w *worker) intake(in <-chan ric.Indication) {
 }
 
 // admit is the intake stage's work on one indication, none of which
-// touches window state: decode the payload and persist it to the SDL for
-// other services (§3.1) — the message bytes just accepted, in one write
-// that allocates the key string and the exact-length copy Set keeps,
-// whatever the record count. ok is false for an undecodable payload,
-// which is counted and goes no further.
+// touches window state: decode the payload into a batch the window stage
+// has handed back, if there is one, and persist the payload to the SDL
+// for other services (§3.1) — the message bytes as the RIC received them,
+// which nothing else holds, in one write that allocates the key string
+// alone, whatever the record count. ok is false for an undecodable
+// payload, which is counted and goes no further.
 func (w *worker) admit(ind ric.Indication) (b decoded, ok bool) {
 	start := time.Now()
-	msg, err := e2sm.DecodeIndicationMessage(ind.Message)
+	var buf mobiflow.Trace
+	select {
+	case buf = <-w.spare:
+	default:
+	}
+	records, err := e2sm.DecodeIndicationInto(buf, ind.Message)
 	if err != nil {
+		w.recycle(records)
 		obsBadBatches.Inc()
 		obs.L().Warn("mobiwatch: undecodable indication payload",
 			"node", ind.NodeID, "sn", ind.SN, "err", err)
 		return decoded{}, false
 	}
-	if len(msg.Records) > 0 {
-		w.keyBuf = persistKey(w.keyBuf, ind.NodeID, msg.Records[0].Seq)
-		w.rt.xapp.SDL().Set(TelemetryNamespace, string(w.keyBuf), ind.Message)
+	if len(records) > 0 {
+		w.keyBuf = persistKey(w.keyBuf, ind.NodeID, records[0].Seq)
+		w.rt.xapp.SDL().SetOwned(TelemetryNamespace, string(w.keyBuf), ind.Message)
 	}
 	end := time.Now()
 	obsIntakeSeconds.ObserveSeconds(end.Sub(start).Nanoseconds())
-	key := obs.IndicationKey(ind.NodeID, ind.SN)
-	obs.RecordSpan(key, "mobiwatch.intake", start, end)
+	obs.RecordSpan(ind.Key, "mobiwatch.intake", start, end)
 	ind.Message = nil
-	return decoded{ind: ind, records: msg.Records, key: key}, true
+	return decoded{ind: ind, records: records}, true
+}
+
+// recycle hands a decoded batch back to intake, emptied so that no
+// record's strings outlive its use; one that finds the list full is left
+// to the collector.
+func (w *worker) recycle(records mobiflow.Trace) {
+	clear(records)
+	select {
+	case w.spare <- records[:0]:
+	default:
+	}
 }
 
 // loop is the window stage, the only goroutine that touches window
@@ -544,12 +571,13 @@ func (w *worker) loop() {
 			rt.stats.BatchesHandled.Add(1)
 			start := time.Now()
 			w.ingest(b.ind, b.records)
+			w.recycle(b.records)
 			if len(w.handoff) == 0 {
 				w.flush(b.ind.NodeID)
 			}
 			end := w.observeScore(obsScoreWindow, start, w.waited)
 			w.waited = 0
-			obs.RecordSpan(b.key, "mobiwatch.score", start, end)
+			obs.RecordSpan(b.ind.Key, "mobiwatch.score", start, end)
 		case op := <-w.ctrl:
 			w.handleCtrl(op)
 		}
@@ -583,7 +611,7 @@ func persistKey(buf []byte, nodeID string, seq uint64) []byte {
 // wait for the next flush. The caller is the window stage.
 func (w *worker) ingest(ind ric.Indication, batch mobiflow.Trace) {
 	nodeID := ind.NodeID
-	w.batchAt, w.batchSN = ind.ReceivedAt, ind.SN
+	w.batchAt, w.batchSN, w.batchKey = ind.ReceivedAt, ind.SN, ind.Key
 	w.forgetIdle(ind.ReceivedAt)
 	if ue := e2sm.PeekIndicationUE(ind.Header); ue != 0 {
 		w.ues.put(ue, chainMark{node: nodeID, sn: ind.SN})
@@ -637,6 +665,7 @@ func (w *worker) enqueueLatest() {
 			seqLast:  w.recent[n-1].Seq,
 			at:       w.batchAt,
 			sn:       w.batchSN,
+			key:      w.batchKey,
 		})
 	}
 }
@@ -737,7 +766,7 @@ func (w *worker) score(l *lane, job *scoreJob) {
 			obsWindows.Inc()
 			if evidence.observe(k, m, s) {
 				l.anomalies.Inc()
-				rt.raise(job.records, job.node, win.starts[k], b.span(), s, threshold, b.model, m.at, m.sn)
+				rt.raise(job.records, job.node, win.starts[k], b.span(), s, threshold, b.model, m)
 			}
 		}
 		evidence.close()
@@ -867,10 +896,11 @@ func (w *worker) trimHistory() {
 }
 
 // raise flags the window at recent[winStart : winStart+winLen], recent
-// being a job's records. at and sn identify the E2 indication that
-// completed the window. The alert offered views the job's records; the
-// triage queue copies what it keeps.
-func (rt *Runtime) raise(recent mobiflow.Trace, nodeID string, winStart, winLen int, score, threshold float64, model ModelName, at time.Time, sn uint64) {
+// being a job's records. m names the E2 indication that completed the
+// window. The alert offered views the job's records; the triage queue
+// copies what it keeps.
+func (rt *Runtime) raise(recent mobiflow.Trace, nodeID string, winStart, winLen int, score, threshold float64, model ModelName, m *winMeta) {
+	at := m.at
 	window := recent[winStart : winStart+winLen]
 	start := max(winStart-contextRecords, 0)
 	// Temporal bound: drop context records older than contextSpan
@@ -889,7 +919,8 @@ func (rt *Runtime) raise(recent mobiflow.Trace, nodeID string, winStart, winLen 
 		Model:        model,
 		At:           time.Now(),
 		ReceivedAt:   at,
-		IndicationSN: sn,
+		IndicationSN: m.sn,
+		TraceKey:     m.key,
 	}
 	if !at.IsZero() {
 		obsFlagSeconds.ObserveSeconds(alert.At.Sub(at).Nanoseconds())

@@ -65,10 +65,16 @@ type Indication struct {
 	ActionID  uint16
 	SN        uint64
 	Header    []byte
-	Message   []byte
+	// Message is the indication message as it arrived: a view of the
+	// received E2 frame, which nothing else holds, so the subscriber may
+	// keep it without a copy.
+	Message []byte
 	// ReceivedAt is stamped by the E2 Termination on arrival, enabling
 	// control-loop latency accounting.
 	ReceivedAt time.Time
+	// Key is obs.IndicationKey(NodeID, SN), minted once on arrival: every
+	// span of the indication's journey is recorded under it.
+	Key string
 }
 
 // NodeInfo describes a connected E2 node.
@@ -248,6 +254,7 @@ func (p *Platform) route(node *nodeConn, msg *e2ap.Message) {
 			Header:     msg.IndicationHeader,
 			Message:    msg.IndicationMessage,
 			ReceivedAt: time.Now(),
+			Key:        obs.IndicationKey(node.info.NodeID, msg.IndicationSN),
 		}
 		routeLabel := "routed"
 		if sub.deliver(ind) {
@@ -262,8 +269,7 @@ func (p *Platform) route(node *nodeConn, msg *e2ap.Message) {
 			obs.L().Warn("ric: xApp subscription buffer full, indication dropped",
 				"xapp", sub.xapp.name, "node", node.info.NodeID, "sn", msg.IndicationSN)
 		}
-		obs.RecordSpan(obs.IndicationKey(node.info.NodeID, msg.IndicationSN),
-			"ric.route", ind.ReceivedAt, time.Now())
+		obs.RecordSpan(ind.Key, "ric.route", ind.ReceivedAt, time.Now())
 		prov.Record(prov.Event{
 			Chain: prov.ChainID{Node: node.info.NodeID, SN: msg.IndicationSN},
 			Kind:  prov.KindIndication,

@@ -404,3 +404,33 @@ func TestEntryOverheadIsMeasured(t *testing.T) {
 		t.Errorf("entries cost %.0f B beyond key and value, the bound charges %d", mean, entryOverhead)
 	}
 }
+
+// BenchmarkBoundedSet is a bounded namespace's steady state, the
+// telemetry persist's: every write admits a key the namespace has not
+// seen and evicts the oldest to make room. The value is stored as it is
+// (SetOwned), so what is timed and counted is the admission: the claim
+// queue, one lookup per claim, and the eviction's delete.
+func BenchmarkBoundedSet(b *testing.B) {
+	const ns = "bound-bench/evict"
+	s := New()
+	s.Bound(ns, 1<<20)
+	value := make([]byte, 256)
+	keys := make([]string, 1<<16) // ≈ 27 × the ≈ 2 400 entries the bound holds
+	for i := range keys {
+		keys[i] = fmt.Sprintf("gnb-bench/%020d", i)
+	}
+	i := 0
+	for ; i < len(keys)/2; i++ { // every stripe full and evicting
+		s.SetOwned(ns, keys[i], value)
+	}
+	before := s.Evicted(ns)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		s.SetOwned(ns, keys[(i+n)%len(keys)], value)
+	}
+	b.StopTimer()
+	if evicted := s.Evicted(ns) - before; evicted < uint64(b.N) {
+		b.Fatalf("%d writes evicted %d keys, want one each at least", b.N, evicted)
+	}
+}

@@ -333,14 +333,22 @@ func (s *Store) admitLocked(sh *shard, r *ring, m map[string]entry, namespace, k
 		r.release(key, old.value)
 	}
 	c := charge(key, value)
-	for i := r.head; r.used+c > r.max && i < len(r.claims); i++ {
-		if cl := r.claims[i]; cl.tick != tick && r.holds(m, cl) {
-			s.removeLocked(sh, m, namespace, cl.key, m[cl.key])
-			r.b.evicted.Add(1)
-			r.b.obsEvicted.Inc()
+	// Pop the claims from the head that name no live entry, and evict the
+	// live ones while the charge does not fit: one lookup a claim. The
+	// key's own claim is never evicted; if it is the head and room is
+	// still short, the live claims behind it are evicted and left queued.
+	for r.head < len(r.claims) {
+		cl := r.claims[r.head]
+		if e, ok := m[cl.key]; ok && e.tick == cl.tick {
+			if r.used+c <= r.max {
+				break
+			}
+			if cl.tick == tick {
+				s.evictBehindLocked(sh, r, m, namespace, c)
+				break
+			}
+			s.evictLocked(sh, r, m, namespace, cl.key, e)
 		}
-	}
-	for r.head < len(r.claims) && !r.holds(m, r.claims[r.head]) {
 		r.pop()
 	}
 	if tick == 0 {
@@ -356,6 +364,26 @@ func (s *Store) admitLocked(sh *shard, r *ring, m map[string]entry, namespace, k
 	r.b.obsKeys.Add(1)
 	r.b.obsBytes.Add(float64(c))
 	return tick
+}
+
+// evictBehindLocked evicts, oldest first, the live entries whose claims
+// queue behind the head until a charge of c fits, leaving their claims
+// for the head to pop.
+func (s *Store) evictBehindLocked(sh *shard, r *ring, m map[string]entry, namespace string, c int64) {
+	for i := r.head + 1; r.used+c > r.max && i < len(r.claims); i++ {
+		cl := r.claims[i]
+		if e, ok := m[cl.key]; ok && e.tick == cl.tick {
+			s.evictLocked(sh, r, m, namespace, cl.key, e)
+		}
+	}
+}
+
+// evictLocked deletes a live entry of a bounded namespace to make room,
+// and counts it.
+func (s *Store) evictLocked(sh *shard, r *ring, m map[string]entry, namespace, key string, e entry) {
+	s.removeLocked(sh, m, namespace, key, e)
+	r.b.evicted.Add(1)
+	r.b.obsEvicted.Inc()
 }
 
 // holds reports whether cl still names a live entry: one deleted since,

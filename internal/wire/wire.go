@@ -122,7 +122,9 @@ func (c *Conn) Send(payload []byte) error {
 
 // Recv reads one framed message. It blocks until a full frame arrives, the
 // connection closes (io.EOF), or an error occurs. A closed Pipe still
-// delivers the frames queued before io.EOF.
+// delivers the frames queued before io.EOF. The frame is the caller's:
+// a Pipe's is the copy Send made, a TCP connection's is read into a fresh
+// buffer, and neither keeps a reference to it.
 func (c *Conn) Recv() ([]byte, error) {
 	if c.nc == nil {
 		select {
