@@ -204,24 +204,18 @@ func (a *Analyzer) process(ctx context.Context, alert mobiwatch.Alert, recalled 
 		Action: analysis.TopClass().String(),
 		Score:  analysis.Confidence,
 	}
-	// Non-live serving sources are part of the evidence: an auditor
-	// reading the chain must be able to tell a fresh expert opinion from
-	// a cache replay or a degraded rule-based fallback.
 	switch analysis.Served {
-	case llm.ServedCache:
+	case llm.ServedCache, llm.ServedCoalesced:
 		a.stats.Cached.Add(1)
-		ev.Note = "served=" + llm.ServedCache
-	case llm.ServedCoalesced:
-		a.stats.Cached.Add(1)
-		ev.Note = "served=" + llm.ServedCoalesced
 	case llm.ServedDegraded:
 		a.stats.Degraded.Add(1)
-		ev.Note = "served=" + llm.ServedDegraded
 	}
+	notes := verdictNotes(analysis.Served)
 	if c.Agree {
 		a.stats.Agreements.Add(1)
 		obsCaseAgree.Inc()
 		c.Control = RecommendControl(analysis, window)
+		ev.Note = notes[0]
 	} else {
 		// MobiWatch flagged the window; the LLM disagrees. §3.3: human
 		// supervision is required for contradictory results.
@@ -229,18 +223,29 @@ func (a *Analyzer) process(ctx context.Context, alert mobiwatch.Alert, recalled 
 		obsCaseDisagree.Inc()
 		c.NeedsHuman = true
 		a.enqueueHuman(c, "detector/LLM disagreement")
-		const escalated = "detector/LLM disagreement: escalated to human review"
-		switch ev.Note {
-		case "":
-			ev.Note = escalated
-		case "served=" + llm.ServedCache: // benign load's false positive: a constant, no allocation
-			ev.Note = "served=" + llm.ServedCache + "; " + escalated
-		default:
-			ev.Note += "; " + escalated
-		}
+		ev.Note = notes[1]
 	}
 	prov.Record(ev)
 	return c, nil
+}
+
+const escalatedNote = "detector/LLM disagreement: escalated to human review"
+
+// verdictNotes is a verdict event's note, agreed and escalated to human
+// review, for an analysis served as served. Non-live serving sources are
+// part of the evidence: an auditor reading the chain must be able to tell
+// a fresh expert opinion from a cache replay or a degraded rule-based
+// fallback. Each note is a constant, so recording one allocates nothing.
+func verdictNotes(served string) [2]string {
+	switch served {
+	case llm.ServedCache:
+		return [2]string{"served=" + llm.ServedCache, "served=" + llm.ServedCache + "; " + escalatedNote}
+	case llm.ServedCoalesced:
+		return [2]string{"served=" + llm.ServedCoalesced, "served=" + llm.ServedCoalesced + "; " + escalatedNote}
+	case llm.ServedDegraded:
+		return [2]string{"served=" + llm.ServedDegraded, "served=" + llm.ServedDegraded + "; " + escalatedNote}
+	}
+	return [2]string{"", escalatedNote}
 }
 
 // PoolOptions tunes RunPool. The zero value means defaults.

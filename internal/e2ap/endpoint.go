@@ -92,9 +92,9 @@ func (ep *Endpoint) Send(m *Message) error {
 
 // Recv blocks for the next message. io.EOF signals a clean peer close.
 // The connection hands each received frame over, so the message is
-// decoded in place: its byte fields are views of the frame, which nothing
-// else holds, and are the receiver's to keep (the RIC stores an
-// indication's message as it arrived).
+// decoded in place: its byte fields are views of the frame, not copies,
+// and a field kept keeps the whole frame (the RIC's subscribers copy
+// what they store).
 func (ep *Endpoint) Recv() (*Message, error) {
 	data, err := ep.conn.Recv()
 	if err != nil {

@@ -295,7 +295,8 @@ func (r *reporter) emit(ue uint64, chunk mobiflow.Trace, start time.Time) bool {
 	r.records.Add(uint64(len(chunk)))
 	r.indications.Inc()
 	r.batchSize.Observe(float64(len(chunk)))
-	obs.RecordIndicationSpan(nodeID, r.batchSeq, "gnb.report", start, time.Now())
+	obs.RecordSpan(obs.IndicationKey(nodeID, r.batchSeq),
+		"gnb.report", start, time.Now())
 	return true
 }
 

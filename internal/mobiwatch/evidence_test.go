@@ -268,9 +268,9 @@ func TestFoldedEvidenceMatchesWriterFold(t *testing.T) {
 
 // TestPersistAllocatesKeyAndValueOnly pins the telemetry persist cost:
 // beyond the strings its records decode to, intake allocates the key
-// string alone — one allocation per indication, whatever its record
-// count. The batch is one the window stage handed back, the message is
-// stored as it arrived, and the trace key came with the indication.
+// string and the stored copy of the message — two allocations per
+// indication, whatever its record count. The batch is one the window
+// stage handed back, and the trace key came with the indication.
 func TestPersistAllocatesKeyAndValueOnly(t *testing.T) {
 	store := sdl.New()
 	x, err := ric.NewPlatform(store).RegisterXApp("persist-allocs")
@@ -318,8 +318,8 @@ func TestPersistAllocatesKeyAndValueOnly(t *testing.T) {
 			admit()
 			decode()
 		}
-		if extra := testing.AllocsPerRun(1000, admit) - testing.AllocsPerRun(1000, decode); extra > 1 {
-			t.Errorf("%d-record indications: persisting allocates %.1f times, want at most 1 (the key)", records, extra)
+		if extra := testing.AllocsPerRun(1000, admit) - testing.AllocsPerRun(1000, decode); extra > 2 {
+			t.Errorf("%d-record indications: persisting allocates %.1f times, want at most 2 (key + value)", records, extra)
 		}
 		data, _, ok := store.Get(TelemetryNamespace, string(persistKey(nil, "gnb-001", 1)))
 		if !ok || !bytes.Equal(data, msgs[0]) {

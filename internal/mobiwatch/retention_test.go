@@ -21,13 +21,20 @@ import (
 // bounds it.
 func retentionWorker(t *testing.T, node string) (*worker, *sdl.Store) {
 	t.Helper()
+	return boundedWorker(t, node, TelemetryBytes)
+}
+
+// boundedWorker is retentionWorker with the telemetry namespace bounded
+// at maxBytes.
+func boundedWorker(t *testing.T, node string, maxBytes int) (*worker, *sdl.Store) {
+	t.Helper()
 	_, _, models := fixtures(t)
 	store := sdl.New()
 	x, err := ric.NewPlatform(store).RegisterXApp("retention")
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.Bound(TelemetryNamespace, TelemetryBytes)
+	store.Bound(TelemetryNamespace, maxBytes)
 	rt := &Runtime{models: models, opts: RunOptions{NodeID: node}, xapp: x}
 	rt.triage = newAlertQueue(&rt.stats, obsQueueDepth.With(node), time.Now)
 	return newWorker(rt), store
@@ -114,7 +121,7 @@ func TestRunBoundsTelemetryNamespace(t *testing.T) {
 // per record held in the same memory — the newest batch reads back
 // byte-identical to the message that carried it, and the oldest is gone.
 // Persisting into the full namespace, where each indication evicts, costs
-// one allocation per indication, the key.
+// two allocations per indication.
 func TestTelemetryRetentionIsCounted(t *testing.T) {
 	benign, _, _ := fixtures(t)
 	const node = "gnb-keep"
@@ -157,8 +164,8 @@ func TestTelemetryRetentionIsCounted(t *testing.T) {
 	}
 
 	// Into the full namespace every indication admits a new key and evicts
-	// an old one, and intake still allocates only the key string beyond
-	// the strings its records decode to.
+	// an old one, and intake still allocates only the key string and the
+	// stored copy beyond the strings its records decode to.
 	const runs = 2000
 	fresh, _ := nineRecordBatches(benign, runs+1, last[len(last)-1].Seq+1)
 	evictedBefore := store.Evicted(TelemetryNamespace)
@@ -181,8 +188,8 @@ func TestTelemetryRetentionIsCounted(t *testing.T) {
 		}
 		j++
 	}
-	if extra := testing.AllocsPerRun(runs, admit) - testing.AllocsPerRun(runs, decode); extra > 1 {
-		t.Errorf("persisting into the full namespace allocates %.1f times per indication, want at most 1 (the key)", extra)
+	if extra := testing.AllocsPerRun(runs, admit) - testing.AllocsPerRun(runs, decode); extra > 2 {
+		t.Errorf("persisting into the full namespace allocates %.1f times per indication, want at most 2 (key + value)", extra)
 	}
 	if got := store.Evicted(TelemetryNamespace) - evictedBefore; got < runs {
 		t.Errorf("%d indications admitted into the full namespace evicted %d batches, want at least %d", runs+1, got, runs)
@@ -196,11 +203,11 @@ func TestTelemetryRetentionIsCounted(t *testing.T) {
 }
 
 // TestTelemetryRetainedBytesPerRecord pins what keeping telemetry at rest
-// costs the live heap: the key, the E2 frame the message arrived in, kept
-// as it is, and the store's entry, shared by the nine records an
-// indication carries (≈ 36 B; ≈ 34 B with an exact copy of the message
-// in place of the frame, ≈ 118 B when the message spent 87 B a record on
-// per-record fields).
+// costs the live heap: the key, the one stored copy of the message as it
+// arrived over E2 and the store's entry, shared by the nine records an
+// indication carries (≈ 34 B; ≈ 36 B when the store kept the E2 frame
+// the message is a view of, ≈ 118 B when the message spent 87 B a record
+// on per-record fields).
 func TestTelemetryRetainedBytesPerRecord(t *testing.T) {
 	benign, _, _ := fixtures(t)
 	const node = "gnb-heap"
@@ -245,6 +252,64 @@ func TestTelemetryRetainedBytesPerRecord(t *testing.T) {
 	t.Logf("%.0f B of live heap per persisted record (%d-byte nine-record messages)", perRecord, len(msgs[0]))
 	if perRecord > 45 {
 		t.Errorf("persisted telemetry costs %.0f B of live heap per record, want at most 45", perRecord)
+	}
+}
+
+// TestPaddedFramesStayWithinTheBound: an E2 node that pads every
+// indication, a 32 KiB IndicationHeader around a one-record message, gets
+// no more of the live heap than the telemetry namespace's bound, because
+// the store keeps a copy of each message and not the frame it is a view
+// of. Kept frames would hold ≈ 300 of them, ≈ 12 MB, under a 64 KiB
+// bound.
+func TestPaddedFramesStayWithinTheBound(t *testing.T) {
+	benign, _, _ := fixtures(t)
+	const (
+		node  = "gnb-pad"
+		bound = 64 << 10
+		pad   = 32 << 10
+	)
+	w, store := boundedWorker(t, node, bound)
+	tx, rx := e2ap.Pipe()
+	defer tx.Close()
+	sn := uint64(0)
+	admit := func(n int, header []byte) {
+		for range n {
+			sn++
+			rec := benign[int(sn)%len(benign)]
+			rec.Seq = sn
+			err := tx.Send(&e2ap.Message{Type: e2ap.TypeIndication, IndicationSN: sn,
+				IndicationHeader: header, IndicationMessage: mobiflow.EncodeTrace(mobiflow.Trace{rec})})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := rx.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, ok := w.admit(ric.Indication{NodeID: node, SN: sn, Header: m.IndicationHeader, Message: m.IndicationMessage})
+			if !ok {
+				t.Fatalf("intake refused indication %d", sn)
+			}
+			w.recycle(d.records)
+		}
+	}
+	// Unpadded frames fill the namespace, its maps and the span tracer's
+	// ring; padded ones then replace every entry it holds.
+	admit(2000, nil)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	kept, evicted := store.Len(TelemetryNamespace), store.Evicted(TelemetryNamespace)
+	admit(2000, make([]byte, pad))
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if got := store.Evicted(TelemetryNamespace) - evicted; got < uint64(2*kept) {
+		t.Fatalf("the padded round evicted %d entries, want every one of the %d kept twice over", got, kept)
+	}
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("%d indications kept, charged %d B; padded frames grew the live heap %d B", store.Len(TelemetryNamespace), store.Bytes(TelemetryNamespace), grew)
+	if grew > bound {
+		t.Errorf("padded indications grew the live heap by %d B, want at most the %d B bound", grew, bound)
 	}
 }
 

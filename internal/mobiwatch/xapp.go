@@ -499,10 +499,13 @@ func (w *worker) intake(in <-chan ric.Indication) {
 // admit is the intake stage's work on one indication, none of which
 // touches window state: decode the payload into a batch the window stage
 // has handed back, if there is one, and persist the payload to the SDL
-// for other services (§3.1) — the message bytes as the RIC received them,
-// which nothing else holds, in one write that allocates the key string
-// alone, whatever the record count. ok is false for an undecodable
-// payload, which is counted and goes no further.
+// for other services (§3.1) — the message bytes just accepted, in one
+// write that allocates the key string and the exact-length copy Set
+// keeps, whatever the record count. The message is a view of the E2
+// frame it arrived in, so the store keeps a copy: what the namespace's
+// bound charges is then what the entry holds, however a peer pads the
+// frame. ok is false for an undecodable payload, which is counted and
+// goes no further.
 func (w *worker) admit(ind ric.Indication) (b decoded, ok bool) {
 	start := time.Now()
 	var buf mobiflow.Trace
@@ -520,7 +523,7 @@ func (w *worker) admit(ind ric.Indication) (b decoded, ok bool) {
 	}
 	if len(records) > 0 {
 		w.keyBuf = persistKey(w.keyBuf, ind.NodeID, records[0].Seq)
-		w.rt.xapp.SDL().SetOwned(TelemetryNamespace, string(w.keyBuf), ind.Message)
+		w.rt.xapp.SDL().Set(TelemetryNamespace, string(w.keyBuf), ind.Message)
 	}
 	end := time.Now()
 	obsIntakeSeconds.ObserveSeconds(end.Sub(start).Nanoseconds())

@@ -15,12 +15,6 @@ type Span struct {
 	Stage string    `json:"stage"`
 	Start time.Time `json:"start"`
 	End   time.Time `json:"end"`
-
-	// node and sn name the indication of a span RecordIndicationSpan
-	// recorded: its Key is rendered when the span is read, not on the
-	// path that records it.
-	node string
-	sn   uint64
 }
 
 // Tracer records completed spans into a bounded ring buffer: the
@@ -86,21 +80,13 @@ func (a ActiveSpan) End() {
 // Spans returns the retained spans, oldest first.
 func (t *Tracer) Spans() []Span {
 	t.mu.Lock()
-	var out []Span
+	defer t.mu.Unlock()
 	if !t.full {
-		out = append(out, t.buf[:t.next]...)
-	} else {
-		out = make([]Span, 0, len(t.buf))
-		out = append(out, t.buf[t.next:]...)
-		out = append(out, t.buf[:t.next]...)
+		return append([]Span(nil), t.buf[:t.next]...)
 	}
-	t.mu.Unlock()
-	for i := range out {
-		if s := &out[i]; s.node != "" {
-			s.Key, s.node, s.sn = IndicationKey(s.node, s.sn), "", 0
-		}
-	}
-	return out
+	out := make([]Span, 0, len(t.buf))
+	out = append(out, t.buf[t.next:]...)
+	return append(out, t.buf[:t.next]...)
 }
 
 // ByKey returns the retained spans for one trace key, oldest first.
@@ -123,14 +109,6 @@ func StartSpan(key, stage string) ActiveSpan { return DefaultTracer.Start(key, s
 // RecordSpan records an already-timed stage on the default tracer.
 func RecordSpan(key, stage string, start, end time.Time) {
 	DefaultTracer.Record(Span{Key: key, Stage: stage, Start: start, End: end})
-}
-
-// RecordIndicationSpan records an already-timed stage of indication sn
-// from nodeID on the default tracer, keyed IndicationKey(nodeID, sn)
-// once the span is read: a stage that has no key to hand does not render
-// one per indication.
-func RecordIndicationSpan(nodeID string, sn uint64, stage string, start, end time.Time) {
-	DefaultTracer.Record(Span{Stage: stage, Start: start, End: end, node: nodeID, sn: sn})
 }
 
 // IndicationKey mints the trace key for one E2 indication: the emitting

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"reflect"
 	"testing"
 	"time"
 )
@@ -115,24 +114,3 @@ func TestTracerEvictedCounter(t *testing.T) {
 
 // setClock injects a clock (tests).
 func (t *Tracer) setClock(clock func() time.Time) { t.clock = clock }
-
-// TestIndicationSpanKeyedWhenRead: a span recorded by node and sequence
-// number reads back keyed as IndicationKey keys it, beside one recorded
-// with its key, and ByKey finds both.
-func TestIndicationSpanKeyedWhenRead(t *testing.T) {
-	tr := NewTracer(4)
-	old := DefaultTracer
-	DefaultTracer = tr
-	defer func() { DefaultTracer = old }()
-	at := time.Unix(1700000000, 0)
-	RecordIndicationSpan("gnb-7", 42, "gnb.report", at, at.Add(time.Millisecond))
-	RecordSpan(IndicationKey("gnb-7", 42), "ric.route", at, at.Add(2*time.Millisecond))
-	got := tr.ByKey("gnb-7/42")
-	want := []Span{
-		{Key: "gnb-7/42", Stage: "gnb.report", Start: at, End: at.Add(time.Millisecond)},
-		{Key: "gnb-7/42", Stage: "ric.route", Start: at, End: at.Add(2 * time.Millisecond)},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("ByKey = %+v, want %+v", got, want)
-	}
-}

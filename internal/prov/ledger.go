@@ -38,9 +38,11 @@ type Options struct {
 	clock     func() time.Time
 }
 
-// Defaults for Options fields left zero.
+// Defaults for Options fields left zero. A batch of DefaultBuffer events
+// is how long the writer may stall before events drop: ≈ 27 ms at the
+// ≈ 300 k events/s of benign_capacity on 2 CPUs.
 const (
-	DefaultBuffer    = 4096
+	DefaultBuffer    = 8192
 	DefaultMaxChains = 1024
 )
 

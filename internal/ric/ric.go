@@ -64,10 +64,10 @@ type Indication struct {
 	RequestID e2ap.RequestID
 	ActionID  uint16
 	SN        uint64
-	Header    []byte
-	// Message is the indication message as it arrived: a view of the
-	// received E2 frame, which nothing else holds, so the subscriber may
-	// keep it without a copy.
+	// Header and Message are views of the E2 frame the indication
+	// arrived in: a subscriber that keeps either past its handling keeps
+	// the whole frame, so it copies what it keeps.
+	Header  []byte
 	Message []byte
 	// ReceivedAt is stamped by the E2 Termination on arrival, enabling
 	// control-loop latency accounting.
