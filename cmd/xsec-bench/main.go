@@ -6,14 +6,11 @@
 //	xsec-bench -all                 # every artifact
 //	xsec-bench -table 2             # one table (1, 2, 3)
 //	xsec-bench -figure 4            # one figure (2, 4, 5)
-//	xsec-bench -ablation threshold  # window | threshold | bottleneck
+//	xsec-bench -ablation threshold  # window | threshold | bottleneck | rag
 //	xsec-bench -quick -table 2      # reduced dataset / epochs
-//	xsec-bench -fed                 # federated throughput baseline → BENCH_fed.json
-//	xsec-bench -fed -smoke          # reduced federation workload (CI path check; fails on a record lost across join+kill)
 //
 // How fast a layer of the shipped system runs is benchmark/'s question
-// (bash benchmark/run.sh), not this command's; the federation baseline
-// stays here until benchmark/ has a federated workload.
+// (bash benchmark/run.sh), not this command's.
 //
 // -log-level (default $XSEC_LOG_LEVEL) writes structured logs to stderr
 // at that level and above, none when empty; -metrics-addr serves
@@ -37,9 +34,6 @@ func main() {
 		all         = flag.Bool("all", false, "regenerate every artifact")
 		quick       = flag.Bool("quick", false, "use the reduced configuration")
 		seed        = flag.Int64("seed", 1, "experiment seed")
-		fedBench    = flag.Bool("fed", false, "measure federated multi-RIC throughput vs a single instance")
-		smoke       = flag.Bool("smoke", false, "shrink the -fed workload so CI exercises the path quickly (fails on a lost record)")
-		outPath     = flag.String("out", "BENCH_fed.json", "-fed baseline output path")
 		logLevel    = obs.LogLevelFlag()
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /healthz on this address for the run")
 	)
@@ -55,39 +49,12 @@ func main() {
 		cfg = bench.Quick(*seed)
 	}
 
-	if *fedBench {
-		res, err := bench.RunFedBench(bench.FedOptions{Seed: *seed, Smoke: *smoke})
-		if err == nil {
-			err = writeBaseline(res, *outPath)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xsec-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	out, err := run(cfg, *table, *figure, *ablation, *all)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "xsec-bench:", err)
 		os.Exit(1)
 	}
 	fmt.Println(out)
-}
-
-// writeBaseline persists a machine-readable baseline next to the
-// human-readable table.
-func writeBaseline(res *bench.FedResult, path string) error {
-	data, err := res.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println(res.Format())
-	fmt.Println("baseline written to", path)
-	return nil
 }
 
 func run(cfg bench.Config, table, figure int, ablation string, all bool) (string, error) {

@@ -404,7 +404,7 @@ func decodeHumanEntry(data []byte) (h humanQueueEntry, err error) {
 			ns, err = d.Int()
 			h.At = time.Unix(0, ns).UTC()
 		case tagWindow:
-			h.Window, err = mobiflow.DecodeTrace(d.RawValue())
+			h.Window, err = mobiflow.DecodeTraceInto(nil, d.RawValue())
 		}
 	}
 	return h, cmp.Or(err, d.Err())

@@ -1,6 +1,6 @@
 // Package asn1lite implements a compact, deterministic tag-length-value
 // (TLV) codec used by the protocol packages in this repository (RRC, NAS,
-// F1AP, NGAP, E2AP, E2SM) and the federation bus.
+// F1AP, NGAP, E2AP, E2SM).
 //
 // The real O-RAN and 3GPP protocols are specified in ASN.1 and encoded with
 // aligned PER. This repository substitutes a small TLV encoding with the

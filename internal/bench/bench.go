@@ -5,9 +5,7 @@
 // and Figure 5 (prompt/response example) — plus the ablations DESIGN.md
 // commits to (window size, threshold percentile, bottleneck width).
 // How fast the shipped system runs is benchmark/'s question, not this
-// package's; fed.go (BENCH_fed.json) is the exception, kept because it
-// is CI's only federated record-loss check until benchmark/ has a
-// federated workload.
+// package's.
 //
 // The cmd/xsec-bench binary and the repository-root benchmarks both call
 // into this package, so the printed artifacts and the testing.B numbers

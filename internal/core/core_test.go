@@ -184,14 +184,14 @@ func TestCloseWaitsForTheAgent(t *testing.T) {
 
 func TestA1PolicyAdjustsLiveThresholds(t *testing.T) {
 	fw := newTrainedFramework(t)
-	aeBefore, lstmBefore := fw.Watch().Thresholds()
+	aeBefore, lstmBefore := fw.watch.Thresholds()
 
 	if err := fw.A1.Put(smo.Policy{ID: "mobiwatch", ThresholdPercentile: 90}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		ae, lstm := fw.Watch().Thresholds()
+		ae, lstm := fw.watch.Thresholds()
 		if ae < aeBefore && lstm < lstmBefore {
 			break
 		}

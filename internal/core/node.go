@@ -28,11 +28,9 @@ const caseBuffer = 128
 // the shipped gNB agent ⇄ E2 loopback ⇄ near-RT RIC over the caller's
 // SDL, the expert endpoint, and — once Deploy has models — MobiWatch →
 // triage → analyzer pool → llm.Service → mitigation engine → case
-// stream. Framework is the single-node caller (its own SDL, ledger,
-// virtual clock, SMO); fed.Instance is the federated one (a store per
-// instance, the cluster's ledger, wall clock, policies from the bus).
-// Provenance goes to whatever ledger the caller made active; a Node
-// never calls prov.SetActive.
+// stream. Framework is its one caller (its own SDL, ledger, virtual
+// clock, SMO). Provenance goes to whatever ledger the caller made
+// active; a Node never calls prov.SetActive.
 type Node struct {
 	SDL *sdl.Store
 	RIC *ric.Platform
@@ -181,8 +179,7 @@ func (n *Node) Deploy(models *mobiwatch.Models, run mobiwatch.RunOptions) error 
 
 // ApplyPolicy applies one A1 policy to the running xApps: detection
 // thresholds re-fit without redeployment and the mitigation engine
-// re-governed. Framework's A1 watch and the federation bus fan-out both
-// deliver policies through this path.
+// re-governed. Framework's A1 watch delivers policies through this path.
 func (n *Node) ApplyPolicy(policy smo.Policy) {
 	if n.watch != nil && policy.ThresholdPercentile > 0 {
 		// Invalid percentiles are operator error; the policy simply
@@ -220,9 +217,6 @@ func (n *Node) pump(ctx context.Context) {
 
 // LLMBaseURL reports the expert endpoint in use.
 func (n *Node) LLMBaseURL() string { return n.llmAddr }
-
-// Watch exposes the MobiWatch runtime (nil before Deploy).
-func (n *Node) Watch() *mobiwatch.Runtime { return n.watch }
 
 // Cases streams processed incidents (after Deploy); Close closes it.
 func (n *Node) Cases() <-chan *analyzer.Case { return n.cases }

@@ -89,7 +89,7 @@ func TestSteadyStateHeapIsLevel(t *testing.T) {
 	}
 	retained := 0
 	for k, v := range fw.SDL.GetAll(ns, "") {
-		tr, err := mobiflow.DecodeTrace(v)
+		tr, err := mobiflow.DecodeTraceInto(nil, v)
 		if err != nil || len(tr) == 0 {
 			t.Fatalf("stored batch %s: %d records, err %v", k, len(tr), err)
 		}

@@ -73,7 +73,7 @@ func TestStoredTelemetryMatchesTheEvidence(t *testing.T) {
 	}
 	batches, records := 0, 0
 	for k, v := range store.GetAll(ns, node+"/") {
-		tr, err := mobiflow.DecodeTrace(v)
+		tr, err := mobiflow.DecodeTraceInto(nil, v)
 		if err != nil || len(tr) == 0 {
 			t.Fatalf("stored batch %s: %d records, err %v", k, len(tr), err)
 		}

@@ -13,8 +13,8 @@ import (
 // encBufPool recycles encode buffers across Send calls (and across
 // endpoints — the E2 Termination serves one goroutine per connected gNB,
 // all drawing from the same pool). wire.Conn.Send is done with the buffer
-// when it returns — a Pipe queues a copy, a TCP connection has written
-// it — so returning it to the pool right after Send is safe.
+// when it returns — a Pipe queues a copy — so returning it to the pool
+// right after Send is safe.
 var encBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 512); return &b },
 }

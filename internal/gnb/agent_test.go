@@ -13,7 +13,6 @@ import (
 	"github.com/6g-xsec/xsec/internal/ric"
 	"github.com/6g-xsec/xsec/internal/rrc"
 	"github.com/6g-xsec/xsec/internal/sdl"
-	"github.com/6g-xsec/xsec/internal/wire"
 )
 
 // agentEnv attaches a gNB agent to a platform over an in-process pipe.
@@ -243,47 +242,6 @@ func TestDuplicateBlockAndUnblockTMSI(t *testing.T) {
 	if err := x.ControlContext(context.Background(), "gnb-test", e2sm.XRCRANFunctionID, nil, unblock); err != nil {
 		t.Errorf("no-op unblock: %v", err)
 	}
-}
-
-func TestAgentOverTCP(t *testing.T) {
-	p := ric.NewPlatform(sdl.New())
-	defer p.Close()
-	l, err := wire.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go wire.Serve(l, func(c *wire.Conn) { p.AttachNode(e2ap.NewEndpoint(c)) })
-
-	g := newTestGNB(t, nil)
-	conn, err := wire.Dial(l.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go g.ServeE2(e2ap.NewEndpoint(conn))
-
-	deadline := time.Now().Add(2 * time.Second)
-	for len(p.Nodes()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("TCP agent did not attach")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// Full telemetry round trip over real sockets.
-	x, _ := p.RegisterXApp("tcp-collector")
-	sub := subscribe(t, x, "gnb-test", 5*time.Millisecond)
-	driveRegistration(t, g)
-	select {
-	case ind := <-sub.C(0):
-		msg, err := e2sm.DecodeIndicationMessage(ind.Message)
-		if err != nil || len(msg.Records) == 0 {
-			t.Fatalf("bad indication: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no indication over TCP")
-	}
-	_ = cell.RNTI(0)
 }
 
 func TestAgentSetupRejectedByRIC(t *testing.T) {

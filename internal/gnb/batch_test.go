@@ -1,8 +1,6 @@
 package gnb
 
 import (
-	"io"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -113,14 +111,19 @@ func TestReportBatchesPerUE(t *testing.T) {
 // warm flush allocates nothing for UEs it has never seen.
 func TestReporterPerUEStateIsBounded(t *testing.T) {
 	g := newTestGNB(t, nil)
-	// The far end discards raw frames without allocating. net.Pipe is
-	// unbuffered: flush returns once the peer has consumed every
-	// indication.
-	near, far := net.Pipe()
+	// The far end receives and discards every frame; Recv allocates
+	// nothing, so each emit costs the sender's frame copy alone.
+	near, far := wire.Pipe()
 	defer near.Close()
-	go io.Copy(io.Discard, far)
+	go func() {
+		for {
+			if _, err := far.Recv(); err != nil {
+				return
+			}
+		}
+	}()
 	r := &reporter{
-		a:           &e2Agent{g: g, ep: e2ap.NewEndpoint(wire.NewConn(near))},
+		a:           &e2Agent{g: g, ep: e2ap.NewEndpoint(near)},
 		byUE:        make(map[uint64]mobiflow.Trace),
 		records:     obsRecords.With("gnb-test"),
 		indications: obsIndicationsSent.With("gnb-test"),

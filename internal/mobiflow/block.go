@@ -302,10 +302,6 @@ func EncodeTrace(tr Trace) []byte { return appendBlock(make([]byte, 0, 2+16*len(
 // and call this per batch: steady-state encoding allocates nothing.
 func AppendTrace(e *asn1lite.Encoder, tr Trace) { e.SetBytes(appendBlock(e.Bytes(), tr)) }
 
-// DecodeTrace is DecodeTraceInto(nil, data): a slice sized once, from the
-// record count openBlock has bounded by the input's length.
-func DecodeTrace(data []byte) (Trace, error) { return DecodeTraceInto(nil, data) }
-
 // DecodeTraceInto parses a block, appending its records to buf (the
 // previous batch's, truncated, so that steady-state decoding reuses one
 // backing array). The records decoded before an error, bytes past the

@@ -93,7 +93,7 @@ func BenchmarkDecodeTrace(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w := wires[i%len(wires)]
-		tr, err := mobiflow.DecodeTrace(w)
+		tr, err := mobiflow.DecodeTraceInto(nil, w)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -70,13 +70,13 @@ func FuzzDecodeTrace(f *testing.F) {
 	f.Add(mobiflow.EncodeTrace(edge))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := mobiflow.DecodeTrace(data)
+		tr, err := mobiflow.DecodeTraceInto(nil, data)
 		if cap(tr) > len(data)/mobiflow.MinRecordBytes {
 			t.Fatalf("%d bytes sized a slice of %d records", len(data), cap(tr))
 		}
 		msg, msgErr := e2sm.DecodeIndicationMessage(data)
 		if (msgErr == nil) != (err == nil) || (err == nil && !reflect.DeepEqual(msg.Records, tr)) {
-			t.Fatalf("DecodeIndicationMessage: %+v, err %v; DecodeTrace: %d records, err %v", msg, msgErr, len(tr), err)
+			t.Fatalf("DecodeIndicationMessage: %+v, err %v; DecodeTraceInto: %d records, err %v", msg, msgErr, len(tr), err)
 		}
 		if err != nil {
 			return
@@ -84,7 +84,7 @@ func FuzzDecodeTrace(f *testing.F) {
 		if first, err := mobiflow.Decode(data); len(tr) > 0 && (err != nil || !reflect.DeepEqual(first, tr[0])) {
 			t.Fatalf("Decode of a block: %+v, %v; want its first record %+v", first, err, tr[0])
 		}
-		back, err := mobiflow.DecodeTrace(mobiflow.EncodeTrace(tr))
+		back, err := mobiflow.DecodeTraceInto(nil, mobiflow.EncodeTrace(tr))
 		if err != nil || !reflect.DeepEqual(back, tr) {
 			t.Fatalf("decode∘encode: %+v, %v; want %+v", back, err, tr)
 		}

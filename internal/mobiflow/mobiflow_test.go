@@ -61,7 +61,7 @@ func TestTraceEncodeDecode(t *testing.T) {
 	in[1].Seq = 8
 	in[1].Msg = "RegistrationRequest"
 	in[1].Layer = LayerNAS
-	out, err := DecodeTrace(EncodeTrace(in))
+	out, err := DecodeTraceInto(nil, EncodeTrace(in))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 
 // TestDecodeTraceIntoReusesBuffer pins the slice-reuse contract: decoding
 // into a truncated previous batch appends the new records without
-// growing a fresh backing array, and matches DecodeTrace.
+// growing a fresh backing array, and matches decoding into nil.
 func TestDecodeTraceIntoReusesBuffer(t *testing.T) {
 	mk := func(n int, base uint64) Trace {
 		tr := make(Trace, n)
@@ -47,13 +47,13 @@ func TestDecodeTraceIntoReusesBuffer(t *testing.T) {
 		t.Error("reused decode grew a new backing array")
 	}
 
-	// DecodeTrace stays equivalent.
-	direct, err := DecodeTrace(EncodeTrace(second))
+	// Decoding into nil stays equivalent.
+	direct, err := DecodeTraceInto(nil, EncodeTrace(second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(direct, second) {
-		t.Fatalf("DecodeTrace = %+v", direct)
+		t.Fatalf("DecodeTraceInto(nil, …) = %+v", direct)
 	}
 
 	// Garbage is rejected.
@@ -62,7 +62,7 @@ func TestDecodeTraceIntoReusesBuffer(t *testing.T) {
 	}
 }
 
-// TestDecodeTraceSizesItsSliceOnce: DecodeTrace costs one allocation more
+// TestDecodeTraceSizesItsSliceOnce: decoding into nil costs one allocation more
 // than decoding into a buffer that is already large enough (the slice,
 // made once at the block's declared count), keeps the records before a
 // truncation, refuses a count the input has no room for before sizing
@@ -73,9 +73,9 @@ func TestDecodeTraceSizesItsSliceOnce(t *testing.T) {
 		in[i] = Record{Seq: uint64(i + 1), UEID: 7, Msg: "RRCSetupRequest", Timestamp: time.Unix(1700000000+int64(i), 0).UTC()}
 	}
 	wire := EncodeTrace(in)
-	out, err := DecodeTrace(wire)
+	out, err := DecodeTraceInto(nil, wire)
 	if err != nil || !reflect.DeepEqual(out, in) {
-		t.Fatalf("DecodeTrace = %d records, %v", len(out), err)
+		t.Fatalf("DecodeTraceInto(nil, …) = %d records, %v", len(out), err)
 	}
 	if cap(out) != len(in) {
 		t.Errorf("16 records decoded into a slice of capacity %d", cap(out))
@@ -87,28 +87,28 @@ func TestDecodeTraceSizesItsSliceOnce(t *testing.T) {
 		}
 	})
 	got := testing.AllocsPerRun(200, func() {
-		if _, err := DecodeTrace(wire); err != nil {
+		if _, err := DecodeTraceInto(nil, wire); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if floor != 0 || got != 1 {
-		t.Errorf("DecodeTrace allocates %.0f times, decoding into a sized buffer %.0f: want 1 (the slice) and 0", got, floor)
+		t.Errorf("DecodeTraceInto(nil, …) allocates %.0f times, decoding into a sized buffer %.0f: want 1 (the slice) and 0", got, floor)
 	}
 
 	// Cut inside the eleventh record: ten are whole. The header is the
 	// same two bytes for 10 and 16 records.
 	cut := len(EncodeTrace(in[:10])) + 2
-	part, err := DecodeTrace(wire[:cut])
+	part, err := DecodeTraceInto(nil, wire[:cut])
 	if err == nil || !reflect.DeepEqual(part, in[:10]) || cap(part) != len(in) {
 		t.Errorf("truncated input: %d records (capacity %d), err %v; want the 10 whole ones and an error", len(part), cap(part), err)
 	}
 	// Claim more records than the bytes after the count can hold.
 	lying := append([]byte(nil), wire[:cut]...)
 	lying[1] = byte((cut-2)/minRecordBytes + 1)
-	if none, err := DecodeTrace(lying); err == nil || none != nil {
+	if none, err := DecodeTraceInto(nil, lying); err == nil || none != nil {
 		t.Errorf("a count of %d in %d bytes: %d records, %v; want no slice and an error", lying[1], cut-2, len(none), err)
 	}
-	if none, err := DecodeTrace(wire[:1]); err == nil || none != nil {
+	if none, err := DecodeTraceInto(nil, wire[:1]); err == nil || none != nil {
 		t.Errorf("1-byte input: %v, %v; want no slice and an error", none, err)
 	}
 }

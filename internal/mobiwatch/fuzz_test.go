@@ -4,19 +4,12 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
-	"reflect"
 	"slices"
 	"testing"
-	"time"
 
-	"github.com/6g-xsec/xsec/internal/asn1lite"
-	"github.com/6g-xsec/xsec/internal/dataset"
-	"github.com/6g-xsec/xsec/internal/e2sm"
 	"github.com/6g-xsec/xsec/internal/feature"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
 	"github.com/6g-xsec/xsec/internal/nn"
-	"github.com/6g-xsec/xsec/internal/prov"
-	"github.com/6g-xsec/xsec/internal/ric"
 )
 
 // smallBundle returns an untrained bundle small enough to fuzz: two
@@ -137,61 +130,6 @@ func FuzzLoad(f *testing.F) {
 			return
 		}
 		scoresOneWindow(t, m)
-	})
-}
-
-// FuzzDecodeSnapshot holds DecodeSnapshot — how a migrated-in UE's
-// detection state arrives off the fed bus — to four properties on
-// arbitrary bytes: it does not panic; a snapshot it returns re-encodes
-// and decodes back equal; it sizes nothing larger than the input holds,
-// whatever count or length the bytes declare; and a worker that restores
-// the snapshot, replaying its records through the encoder and the row
-// buffer, then scores an indication for the UE without panicking. The
-// seeds are EncodeSnapshot of a benign fixture UE's records.
-func FuzzDecodeSnapshot(f *testing.F) {
-	benign, err := dataset.GenerateBenign(dataset.BenignConfig{Sessions: 4, Fleet: 2, Seed: 3})
-	if err != nil {
-		f.Fatal(err)
-	}
-	ue := benign[0].UEID
-	records := benign.FilterUE(ue)
-	f.Add(EncodeSnapshot(&UESnapshot{UE: ue, Node: "gnb-1", LastSN: 7, Records: records}))
-	f.Add(EncodeSnapshot(&UESnapshot{UE: ue, Node: "gnb-2", LastSN: 1, Records: records[:1]}))
-	f.Add(EncodeSnapshot(&UESnapshot{}))
-
-	ledger := prov.New(prov.Options{})
-	ledger.Close() // evidence is counted and dropped, not kept across inputs
-	old := prov.SetActive(ledger)
-	f.Cleanup(func() { prov.SetActive(old) })
-	models := smallBundle()
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		snap, err := DecodeSnapshot(data)
-		if err != nil {
-			return
-		}
-		if cap(snap.Records) > len(data) || len(snap.Node) > len(data) {
-			t.Fatalf("%d bytes decoded into %d records and a %d-byte node", len(data), cap(snap.Records), len(snap.Node))
-		}
-		back, err := DecodeSnapshot(EncodeSnapshot(snap))
-		if err != nil || !reflect.DeepEqual(back, snap) {
-			t.Fatalf("decode∘encode: %+v, %v; want %+v", back, err, snap)
-		}
-
-		rt := &Runtime{models: models, opts: RunOptions{NodeID: "gnb-fuzz"}}
-		rt.triage = newAlertQueue(&rt.stats, obsQueueDepth.With("gnb-fuzz"), time.Now)
-		w := newWorker(rt)
-		w.restore(snap)
-		next := mobiflow.Trace{benign[1], benign[2]}
-		for i := range next {
-			next[i].UEID, next[i].Seq = snap.UE, snap.Records.LastSeq()+uint64(i)+1
-		}
-		hdr := asn1lite.Marshal(&e2sm.IndicationHeader{NodeID: "gnb-fuzz", UEID: snap.UE})
-		w.ingest(ric.Indication{NodeID: "gnb-fuzz", SN: 1, Header: hdr}, next)
-		w.flush("gnb-fuzz")
-		if n := len(w.pending[0].starts) + len(w.pending[1].starts); n != 0 {
-			t.Fatalf("%d windows still pending after the flush", n)
-		}
 	})
 }
 

@@ -76,7 +76,7 @@ func newStallRig(t *testing.T, shardBuffer int) *stallRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := Run(x, models, RunOptions{NodeID: "garbage-node", ShardBuffer: shardBuffer})
+	rt, err := Run(x, models, RunOptions{NodeID: "garbage-node", shardBuffer: shardBuffer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestStopMidStreamDrainsBothStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
-	rt, err := Run(x, models, RunOptions{NodeID: "garbage-node", Shards: 2})
+	rt, err := Run(x, models, RunOptions{NodeID: "garbage-node", shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,12 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"github.com/6g-xsec/xsec/internal/asn1lite"
 	"github.com/6g-xsec/xsec/internal/e2ap"
 	"github.com/6g-xsec/xsec/internal/e2sm"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
 	"github.com/6g-xsec/xsec/internal/ric"
-	"github.com/6g-xsec/xsec/internal/rrc"
 	"github.com/6g-xsec/xsec/internal/sdl"
 )
 
@@ -62,7 +60,7 @@ func persistedRecords(t testing.TB, store *sdl.Store) int {
 	t.Helper()
 	n := 0
 	for k, v := range store.GetAll(TelemetryNamespace, "") {
-		tr, err := mobiflow.DecodeTrace(v)
+		tr, err := mobiflow.DecodeTraceInto(nil, v)
 		if err != nil || len(tr) == 0 {
 			t.Fatalf("stored batch %s: %d records, err %v", k, len(tr), err)
 		}
@@ -310,79 +308,5 @@ func TestPaddedFramesStayWithinTheBound(t *testing.T) {
 	t.Logf("%d indications kept, charged %d B; padded frames grew the live heap %d B", store.Len(TelemetryNamespace), store.Bytes(TelemetryNamespace), grew)
 	if grew > bound {
 		t.Errorf("padded indications grew the live heap by %d B, want at most the %d B bound", grew, bound)
-	}
-}
-
-// TestIdleUEsAreForgotten sends one indication each from 100 000 UEs, ten
-// milliseconds apart on the indications' own arrival clock. The worker's
-// per-UE bookkeeping stays within two idle horizons' worth instead of
-// growing with every UE seen; a UE that keeps talking, and one restored by
-// a migration that has not spoken yet, are kept — the latter until its
-// join has fired and it too falls silent.
-func TestIdleUEsAreForgotten(t *testing.T) {
-	benign, _, _ := fixtures(t)
-	const (
-		node     = "gnb-idle"
-		step     = 10 * time.Millisecond
-		perTurn  = int(ueIdleHorizon / step)
-		talker   = uint64(1_000_001)
-		restored = uint64(1_000_002)
-	)
-	w, _ := retentionWorker(t, node)
-	t0 := time.Unix(1_700_000_000, 0)
-	sn := uint64(0)
-	send := func(ue uint64) {
-		sn++
-		// A released context, so that the feature encoder's own per-UE
-		// state (its in-flight registration set) stays out of this test.
-		rec := benign[int(sn)%len(benign)]
-		rec.Seq, rec.UEID, rec.RRCState = sn, ue, rrc.StateReleased
-		hdr := asn1lite.Marshal(&e2sm.IndicationHeader{NodeID: node, BatchSeq: sn, UEID: ue})
-		feed(t, w, ric.Indication{NodeID: node, SN: sn, Header: hdr, ReceivedAt: t0.Add(time.Duration(sn) * step)},
-			mobiflow.Trace{rec})
-	}
-	listed := func() int {
-		op := ctrlOp{kind: ctrlList, reply: make(chan ctrlReply, 1)}
-		w.handleCtrl(op)
-		return len((<-op.reply).ues)
-	}
-
-	w.restore(&UESnapshot{UE: restored, Node: "gnb-src", LastSN: 9, Records: benign[:3]})
-	most := 0
-	for ue := uint64(1); ue <= 100_000; ue++ {
-		send(ue)
-		if ue%uint64(perTurn/3) == 0 {
-			send(talker)
-		}
-		most = max(most, w.ues.len())
-	}
-	if limit := 2*perTurn + len(w.recent) + 2; most > limit || most < perTurn {
-		t.Errorf("per-UE marks peaked at %d over 100 000 UEs, want between one horizon's worth (%d) and two (%d)", most, perTurn, limit)
-	}
-	if n := listed(); n != w.ues.len() {
-		t.Errorf("ctrlList reports %d UEs, the worker holds %d", n, w.ues.len())
-	}
-	if _, ok := w.ues.get(1); ok {
-		t.Error("a UE silent for three horizons is still held")
-	}
-	if _, ok := w.ues.get(talker); !ok {
-		t.Error("a UE seen every third of a horizon was forgotten")
-	}
-	if m, ok := w.ues.get(restored); !ok || m.node != "gnb-src" || len(w.joins) != 1 {
-		t.Fatalf("a restored UE awaiting its first indication was forgotten (mark %+v, held %v, %d joins)", m, ok, len(w.joins))
-	}
-	if snap, ok := w.checkpoint(restored); !ok || snap.Node != "gnb-src" || snap.LastSN != 9 {
-		t.Errorf("checkpoint of the restored UE = %+v, %v; want its source chain forwarded", snap, ok)
-	}
-
-	send(restored) // the join fires; from here it is a UE like any other
-	if len(w.joins) != 0 {
-		t.Fatal("the restored UE's first indication did not fire its join")
-	}
-	for ue := uint64(200_001); ue <= 200_000+uint64(3*perTurn); ue++ {
-		send(ue)
-	}
-	if _, ok := w.ues.get(restored); ok {
-		t.Error("the once-restored UE is still held three horizons after it last spoke")
 	}
 }

@@ -24,8 +24,8 @@ func TestXAppShardedDetection(t *testing.T) {
 	rt, err := Run(x, models, RunOptions{
 		NodeID:       "gnb-live",
 		ReportPeriod: 5 * time.Millisecond,
-		Shards:       4,
-		ShardBuffer:  64,
+		shards:       4,
+		shardBuffer:  64,
 	})
 	if err != nil {
 		t.Fatal(err)

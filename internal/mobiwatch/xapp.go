@@ -97,25 +97,27 @@ type RunOptions struct {
 	// ReportPeriod is the E2SM event-trigger period (default 50 ms,
 	// inside the near-RT control loop).
 	ReportPeriod time.Duration
-	// Shards is the number of parallel scoring workers. Indications are
-	// partitioned by the UE ID in their headers (per-UE batches are the
-	// gNB agent's default), so records of one UE are always scored in
-	// order by one worker while different UEs proceed in parallel. The
-	// default 1 keeps the classic single sequential pipeline.
-	Shards int
-	// ShardBuffer bounds each shard's dispatch queue (default 256).
-	ShardBuffer int
+
+	// shards is the number of parallel scoring workers; only this
+	// package's tests run more than the one the shipped loop runs.
+	// Indications are partitioned by the UE ID in their headers (per-UE
+	// batches are the gNB agent's default), so records of one UE are
+	// always scored in order by one worker while different UEs proceed
+	// in parallel.
+	shards int
+	// shardBuffer bounds each shard's dispatch queue (default 256).
+	shardBuffer int
 }
 
 func (o *RunOptions) defaults() {
 	if o.ReportPeriod == 0 {
 		o.ReportPeriod = 50 * time.Millisecond
 	}
-	if o.Shards <= 0 {
-		o.Shards = 1
+	if o.shards <= 0 {
+		o.shards = 1
 	}
-	if o.ShardBuffer <= 0 {
-		o.ShardBuffer = 256
+	if o.shardBuffer <= 0 {
+		o.shardBuffer = 256
 	}
 }
 
@@ -123,7 +125,7 @@ const (
 	// TelemetryNamespace is the SDL namespace MobiWatch keeps MobiFlow
 	// telemetry in for other RIC services (§3.1): one value per admitted
 	// E2 indication, the indication message exactly as it was decoded
-	// (e2sm.DecodeIndicationMessage or mobiflow.DecodeTrace reads it
+	// (e2sm.DecodeIndicationMessage or mobiflow.DecodeTraceInto reads it
 	// back), under "<node>/<first record's seq, 20 digits>".
 	TelemetryNamespace = "mobiflow"
 	// TelemetryBytes bounds that namespace (sdl.Store.Bound). A value costs
@@ -148,7 +150,7 @@ const (
 	// longest pause, a wait on a full lane included; anything deeper is
 	// queueing delay ahead of the score and records held decoded. A full
 	// hand-off blocks intake, so the wait moves to the RIC's shard queue
-	// (ShardBuffer), whose drops are counted.
+	// (shardBuffer), whose drops are counted.
 	handoffDepth = 16
 	// laneDepth bounds, in jobs, the FIFO from the window stage to each
 	// lane. The lanes' passes differ in length and the window stage cuts
@@ -239,15 +241,6 @@ type worker struct {
 	batchSN  uint64             // its E2 indication sequence number
 	batchKey string             // and trace key
 
-	// Migration state (migrate.go): the control channel delivers
-	// checkpoint/restore operations into the window stage; ues tracks
-	// each UE's latest provenance chain until it has been idle for
-	// ueIdleHorizon; joins holds restored UEs awaiting their first
-	// post-migration indication.
-	ctrl  chan ctrlOp
-	ues   ueMarks
-	joins map[uint64]joinInfo
-
 	// free recycles finished jobs, at most jobsInFlight: the window stage
 	// takes, the lane that finishes a job last puts back.
 	free  chan *scoreJob
@@ -329,8 +322,8 @@ type lane struct {
 
 // Run subscribes MobiWatch to a node's MOBIFLOW telemetry and starts
 // online inference. The returned runtime's Take hands out flagged windows
-// until Stop. With RunOptions.Shards > 1 the indication stream is
-// UE-sharded and scored by that many parallel workers.
+// until Stop. With more than one shard (a test's setting) the indication
+// stream is UE-sharded and scored by that many parallel workers.
 func Run(x *ric.XApp, models *Models, opts RunOptions) (*Runtime, error) {
 	opts.defaults()
 	if opts.NodeID == "" {
@@ -341,8 +334,8 @@ func Run(x *ric.XApp, models *Models, opts RunOptions) (*Runtime, error) {
 	sub, err := x.Subscribe(opts.NodeID, e2sm.MobiFlowRANFunctionID, trigger,
 		[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport, Definition: action}},
 		ric.SubscribeOptions{
-			Shards: opts.Shards,
-			Buffer: opts.ShardBuffer,
+			Shards: opts.shards,
+			Buffer: opts.shardBuffer,
 			Key:    func(ind ric.Indication) uint64 { return e2sm.PeekIndicationUE(ind.Header) },
 		})
 	if err != nil {
@@ -381,9 +374,6 @@ func newWorker(rt *Runtime) *worker {
 		encoder: feature.NewEncoder(m.Vocab),
 		rows:    feature.NewRowBuffer(m.RecordDim()),
 		table:   newRowTable(m.Window), // the autoencoder's span, the LSTM's less one
-		ctrl:    make(chan ctrlOp),
-		ues:     ueMarks{cur: make(map[uint64]chainMark)},
-		joins:   make(map[uint64]joinInfo),
 		free:    make(chan *scoreJob, jobsInFlight),
 	}
 	w.rows.InternWith(w.table)
@@ -544,13 +534,10 @@ func (w *worker) recycle(records mobiflow.Trace) {
 }
 
 // loop is the window stage, the only goroutine that touches window
-// state: it ingests the decoded batches in hand-off order, hands each
-// flush to the lanes, and runs the migration control operations. A
-// control operation therefore races the batches still in the hand-off
-// exactly as it already raced the indications still in the shard queue:
-// a checkpoint taken now does not contain them, and they are scored
-// afterwards. It holds no threshold lock: it may block on a full lane,
-// and a lane waiting on a threshold update's write lock would never drain.
+// state: it ingests the decoded batches in hand-off order and hands each
+// flush to the lanes. It holds no threshold lock: it may block on a full
+// lane, and a lane waiting on a threshold update's write lock would never
+// drain.
 //
 // Windows wait in the pending lists only while there is company for
 // them: behind each indication the window stage flushes if the hand-off
@@ -564,26 +551,18 @@ func (w *worker) loop() {
 		}
 	}()
 	rt := w.rt
-	for {
-		select {
-		case b, ok := <-w.handoff:
-			if !ok {
-				return
-			}
-			w.depth.Add(-1)
-			rt.stats.BatchesHandled.Add(1)
-			start := time.Now()
-			w.ingest(b.ind, b.records)
-			w.recycle(b.records)
-			if len(w.handoff) == 0 {
-				w.flush(b.ind.NodeID)
-			}
-			end := w.observeScore(obsScoreWindow, start, w.waited)
-			w.waited = 0
-			obs.RecordSpan(b.ind.Key, "mobiwatch.score", start, end)
-		case op := <-w.ctrl:
-			w.handleCtrl(op)
+	for b := range w.handoff {
+		w.depth.Add(-1)
+		rt.stats.BatchesHandled.Add(1)
+		start := time.Now()
+		w.ingest(b.ind, b.records)
+		w.recycle(b.records)
+		if len(w.handoff) == 0 {
+			w.flush(b.ind.NodeID)
 		}
+		end := w.observeScore(obsScoreWindow, start, w.waited)
+		w.waited = 0
+		obs.RecordSpan(b.ind.Key, "mobiwatch.score", start, end)
 	}
 }
 
@@ -615,27 +594,6 @@ func persistKey(buf []byte, nodeID string, seq uint64) []byte {
 func (w *worker) ingest(ind ric.Indication, batch mobiflow.Trace) {
 	nodeID := ind.NodeID
 	w.batchAt, w.batchSN, w.batchKey = ind.ReceivedAt, ind.SN, ind.Key
-	w.forgetIdle(ind.ReceivedAt)
-	if ue := e2sm.PeekIndicationUE(ind.Header); ue != 0 {
-		w.ues.put(ue, chainMark{node: nodeID, sn: ind.SN})
-		if j, ok := w.joins[ue]; ok {
-			// First indication for a migrated-in UE: join this chain to
-			// the one its history arrived from. The windows this batch
-			// completes land on the same chain, so an auditor sees
-			// restored history feeding the first post-migration score.
-			delete(w.joins, ue)
-			prov.Record(prov.Event{
-				Chain:    prov.ChainID{Node: nodeID, SN: ind.SN},
-				Kind:     prov.KindMigration,
-				At:       w.batchAt,
-				Label:    "in",
-				UEID:     ue,
-				SeqFirst: j.seqFirst,
-				SeqLast:  j.seqLast,
-				Note:     j.src.String(),
-			})
-		}
-	}
 	for i := range batch {
 		rec := &batch[i]
 		w.unseen++

@@ -22,9 +22,8 @@ var (
 // RegisterHealthDetail adds a named readiness check to /healthz. The
 // probe returns 200 only while every registered check returns a nil
 // error; a failing check flips it to 503 with one "name: error" line per
-// failure, so an orchestrator steering traffic across federated
-// instances sees exactly which dependency is degraded. The detail (e.g.
-// "bus=connected epoch=3 shards=16") appears only in the JSON form
+// failure, so an orchestrator sees exactly which dependency is degraded.
+// The detail (e.g. "hits=12 misses=3") appears only in the JSON form
 // (?format=json or an Accept: application/json request). Re-registering
 // a name replaces it.
 func RegisterHealthDetail(name string, check func() (detail string, err error)) {

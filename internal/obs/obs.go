@@ -65,7 +65,9 @@ func NewGaugeFunc(name, help string, fn func() float64) {
 // over the sources registered with it. A component that comes and goes
 // (a node, its serving layer, its mitigation engine) adds its source in
 // its constructor and removes it in Close: colocated instances share the
-// series, and a closed one is neither counted nor kept reachable.
+// series, and a closed one is neither counted nor kept reachable. It is
+// still needed with one RIC a process: tests and benchmark/ run several
+// core nodes in one process, one after another or side by side.
 type SumGauge struct {
 	mu   sync.Mutex
 	next uint64

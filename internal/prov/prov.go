@@ -89,19 +89,12 @@ const (
 	KindVerdict
 	// KindMitigation: one lifecycle transition of a mitigation action.
 	KindMitigation
-	// KindMigration: a UE's detection state crossed a RIC-instance
-	// boundary. The old owner records Label "out" on the chain of the
-	// UE's last indication; the new owner records Label "in" on the
-	// chain of the first indication scored after restore, with Note
-	// carrying the source chain key — the link that joins the two
-	// chains into one auditable history.
-	KindMigration
 
 	kindCount
 )
 
 var kindNames = [...]string{
-	"emit", "transport", "indication", "window", "alert", "verdict", "mitigation", "migration",
+	"emit", "transport", "indication", "window", "alert", "verdict", "mitigation",
 }
 
 // String returns the ledger spelling of the kind.

@@ -330,11 +330,6 @@ func WriteChain(w io.Writer, c ChainRecord) {
 			if ev.UEID != 0 {
 				fmt.Fprintf(w, " ue=%d", ev.UEID)
 			}
-		case KindMigration:
-			fmt.Fprintf(w, " %s ue=%d seq %d..%d", ev.Label, ev.UEID, ev.SeqFirst, ev.SeqLast)
-			if ev.Target != "" {
-				fmt.Fprintf(w, " dest=%s", ev.Target)
-			}
 		}
 		if ev.Note != "" {
 			fmt.Fprintf(w, "\n%snote: %s", strings.Repeat(" ", 34), ev.Note)

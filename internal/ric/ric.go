@@ -6,9 +6,8 @@
 // Layer handle, and the xApp registration API used by MobiWatch and the
 // LLM Analyzer.
 //
-// The platform accepts E2 connections either over TCP (wire.Listen) or
-// in-process (e2ap.Pipe), so integration tests and the testbed binary use
-// identical code paths.
+// The platform accepts E2 connections in-process (e2ap.Pipe), so
+// integration tests and the testbed binary use identical code paths.
 package ric
 
 import (

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/6g-xsec/xsec/internal/obs"
 )
@@ -97,7 +96,7 @@ var small = charge("a", []byte("1"))
 // oneStripe is a store whose bounded namespace is a single ring of n small
 // entries' worth, so a test can say which key is the oldest.
 func oneStripe(ns string, n int) *Store {
-	s := newStore(1, time.Now)
+	s := newStore(1)
 	s.Bound(ns, n*int(small))
 	return s
 }
@@ -250,24 +249,6 @@ func TestBoundDeletesDoNotQueueClaims(t *testing.T) {
 	}
 }
 
-// TestExpiredEntriesReleaseTheirCharge: an expired entry keeps its charge
-// until it is deleted or overwritten, which gives the bytes back the way
-// deleting a live entry does.
-func TestExpiredEntriesReleaseTheirCharge(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	s := newStore(DefaultShards, func() time.Time { return now })
-	s.Bound("ns", 1<<20)
-	s.SetOwnedTTL("ns", "k", []byte("v"), time.Second)
-	s.SetOwnedTTL("ns", "k2", []byte("v"), time.Second)
-	s.Set("ns", "keep", []byte("v"))
-	now = now.Add(2 * time.Second)
-	s.Delete("ns", "k")
-	s.Set("ns", "k2", []byte("w"))
-	if want := charge("keep", []byte("v")) + charge("k2", []byte("w")); s.Bytes("ns") != want {
-		t.Errorf("%d B charged, want %d", s.Bytes("ns"), want)
-	}
-}
-
 // TestBoundEvictionReachesWatchersAndReaders fills a bounded namespace
 // three times over. A watcher gets one Deleted event per eviction, before
 // the Set that displaced it and in version order (one stripe orders all
@@ -276,7 +257,7 @@ func TestExpiredEntriesReleaseTheirCharge(t *testing.T) {
 func TestBoundEvictionReachesWatchersAndReaders(t *testing.T) {
 	for _, shards := range []int{1, 16} {
 		const maxKeys = 64
-		s := newStore(shards, time.Now)
+		s := newStore(shards)
 		s.Bound("ns", maxKeys*int(charge("k/0000", []byte("v"))))
 		events, cancel := s.Watch("ns", "", 8*maxKeys)
 		for i := 0; i < 3*maxKeys; i++ {
@@ -327,11 +308,10 @@ func TestBoundEvictionReachesWatchersAndReaders(t *testing.T) {
 }
 
 // TestBoundDeclaration: repeating a declaration is a no-op; changing it,
-// making it late — even on a namespace whose entries have all expired —
-// or making it smaller than one empty entry per stripe is refused.
+// making it late, or making it smaller than one empty entry per stripe is
+// refused.
 func TestBoundDeclaration(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	s := newStore(DefaultShards, func() time.Time { return now })
+	s := New()
 	s.Bound("ns", 1<<16)
 	s.Set("ns", "k", []byte("v"))
 	s.Bound("ns", 1<<16) // a second colocated writer
@@ -339,16 +319,10 @@ func TestBoundDeclaration(t *testing.T) {
 		t.Error("repeating Bound disturbed the namespace")
 	}
 	s.Set("late", "k", []byte("v"))
-	s.SetOwnedTTL("expired", "k", []byte("v"), time.Second)
-	now = now.Add(2 * time.Second)
-	if s.Len("expired") != 0 {
-		t.Fatal("the TTL'd entry has not expired")
-	}
 	for name, declare := range map[string]func(){
 		"a different bound":                func() { s.Bound("ns", 1<<17) },
 		"a bound after first write":        func() { s.Bound("late", 1<<16) },
-		"a bound over expired entries":     func() { s.Bound("expired", 1<<16) },
-		"under one empty entry per stripe": func() { s.Bound("small", s.ShardCount()*entryOverhead-1) },
+		"under one empty entry per stripe": func() { s.Bound("small", len(s.shards)*entryOverhead-1) },
 	} {
 		func() {
 			defer func() {
@@ -364,7 +338,7 @@ func TestBoundDeclaration(t *testing.T) {
 	if s.Len("ns") != 2 || s.Bytes("ns") != charge("k", []byte("v"))+charge("k2", []byte("v")) {
 		t.Errorf("Len = %d, %d B after refused declarations, want 2 keys", s.Len("ns"), s.Bytes("ns"))
 	}
-	if s.Bytes("late") != 0 || s.Bytes("expired") != 0 {
+	if s.Bytes("late") != 0 {
 		t.Error("a refused declaration charged its namespace")
 	}
 }
@@ -384,7 +358,7 @@ func TestEntryOverheadIsMeasured(t *testing.T) {
 	var sum float64
 	sizes := []int{3000, 20_000, 45_000}
 	for _, n := range sizes {
-		s := newStore(16, time.Now)
+		s := newStore(16)
 		s.Bound("ns", 1<<40)
 		var before, after runtime.MemStats
 		runtime.GC()

@@ -7,19 +7,16 @@
 // The OSC reference implementation backs its SDL with Redis; this package
 // provides an in-process equivalent with the operations the framework
 // needs: get/set/delete with versions, prefix listing, watch subscriptions,
-// and two retention classes beside "keep for ever": per-key TTL and a
-// per-namespace byte bound.
+// and one retention class beside "keep for ever": a per-namespace byte
+// bound.
 //
 // # Retention
 //
-// SetOwnedTTL hides an entry from readers once its time is up; the bytes
-// stay until the key is overwritten or deleted. Use it for
-// state that must stop being *believed* after a while — an ownership
-// record whose writer may have died. Bound makes a namespace a FIFO of at
-// most so many bytes: the write that would exceed the bound deletes the
-// oldest keys inside that same write. Use it for append-only data whose
-// rate the writer does not control (telemetry, a review queue): a time
-// bound is not a memory bound when the rate is an attacker's.
+// Bound makes a namespace a FIFO of at most so many bytes: the write that
+// would exceed the bound deletes the oldest keys inside that same write.
+// Use it for append-only data whose rate the writer does not control
+// (telemetry, a review queue): a time bound is not a memory bound when the
+// rate is an attacker's.
 //
 // # Sharding
 //
@@ -45,7 +42,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/6g-xsec/xsec/internal/obs"
 )
@@ -88,7 +84,6 @@ type Event struct {
 
 // Store is the shared data layer. The zero value is not usable; call New.
 type Store struct {
-	clock   func() time.Time
 	version atomic.Uint64
 	nextWID atomic.Uint64
 	mask    uint32
@@ -109,10 +104,9 @@ type shard struct {
 }
 
 type entry struct {
-	value     []byte
-	version   uint64
-	expiresAt int64  // Unix nanoseconds; zero = no TTL
-	tick      uint64 // admission number in a bounded namespace's ring; zero = never charged
+	value   []byte
+	version uint64
+	tick    uint64 // admission number in a bounded namespace's ring; zero = never charged
 }
 
 // bound is one namespace's retention declaration, shared by its rings.
@@ -155,17 +149,17 @@ type watcher struct {
 	ch        chan Event
 }
 
-// New returns an empty store using the real clock and DefaultShards.
-func New() *Store { return newStore(DefaultShards, time.Now) }
+// New returns an empty store of DefaultShards lock stripes.
+func New() *Store { return newStore(DefaultShards) }
 
 // newStore returns a store of shards lock stripes, rounded up to a power
 // of two; 1 is the unsharded single-lock layout.
-func newStore(shards int, clock func() time.Time) *Store {
+func newStore(shards int) *Store {
 	n := 1
 	for n < shards {
 		n <<= 1
 	}
-	s := &Store{clock: clock, mask: uint32(n - 1), shards: make([]shard, n), bounds: make(map[string]*bound)}
+	s := &Store{mask: uint32(n - 1), shards: make([]shard, n), bounds: make(map[string]*bound)}
 	for i := range s.shards {
 		s.shards[i].ns = make(map[string]map[string]entry)
 		s.shards[i].watchers = make(map[string]map[uint64]*watcher)
@@ -176,9 +170,9 @@ func newStore(shards int, clock func() time.Time) *Store {
 
 // Bound makes namespace a FIFO of at most maxBytes bytes, where an entry
 // costs len(key) + len(value) plus a fixed per-entry overhead: every
-// stripe admits its keys into a ring holding maxBytes/ShardCount() of
-// them, and the Set that would take a ring past its share first deletes
-// the keys holding its oldest claims — under the stripe lock that write
+// stripe admits its keys into a ring holding an equal share of maxBytes,
+// and the Set that would take a ring past its share first deletes the
+// keys holding its oldest claims — under the stripe lock that write
 // already holds, delivered to watchers as a Delete is, and counted
 // (Evicted). An entry is charged when it is admitted; Delete, an
 // overwrite and eviction release exactly that charge. Overwriting a key
@@ -191,10 +185,9 @@ func newStore(shards int, clock func() time.Time) *Store {
 // off at or just under maxBytes.
 //
 // The namespace's writer declares the bound before its first write.
-// Repeating a declaration is a no-op (colocated instances share a
-// store); changing one, bounding a namespace that already holds entries
-// (expired ones too: their bytes were never charged), or a bound below
-// one empty entry per stripe is a bug in the caller and panics.
+// Repeating a declaration is a no-op; changing one, bounding a namespace
+// that already holds entries (their bytes were never charged), or a bound
+// below one empty entry per stripe is a bug in the caller and panics.
 func (s *Store) Bound(namespace string, maxBytes int) {
 	per := maxBytes / len(s.shards)
 	if per < entryOverhead {
@@ -256,9 +249,6 @@ func (s *Store) Evicted(namespace string) uint64 {
 	return b.evicted.Load()
 }
 
-// ShardCount reports the number of lock stripes.
-func (s *Store) ShardCount() int { return len(s.shards) }
-
 // shardFor hashes (namespace, key) with FNV-1a onto a stripe.
 func (s *Store) shardFor(namespace, key string) *shard {
 	const (
@@ -279,7 +269,7 @@ func (s *Store) shardFor(namespace, key string) *shard {
 // Set stores value under (namespace, key) and returns the new version.
 // The value is copied, so the caller may reuse its buffer.
 func (s *Store) Set(namespace, key string, value []byte) uint64 {
-	return s.set(namespace, key, value, 0, true)
+	return s.set(namespace, key, value, true)
 }
 
 // SetOwned stores value under (namespace, key) WITHOUT copying: the store
@@ -288,15 +278,10 @@ func (s *Store) Set(namespace, key string, value []byte) uint64 {
 // mitigation journal marshals a fresh buffer per entry and discards it),
 // where the defensive copy of Set is pure waste.
 func (s *Store) SetOwned(namespace, key string, value []byte) uint64 {
-	return s.set(namespace, key, value, 0, false)
+	return s.set(namespace, key, value, false)
 }
 
-// SetOwnedTTL is SetOwned with a time-to-live; ttl <= 0 means no expiry.
-func (s *Store) SetOwnedTTL(namespace, key string, value []byte, ttl time.Duration) uint64 {
-	return s.set(namespace, key, value, ttl, false)
-}
-
-func (s *Store) set(namespace, key string, value []byte, ttl time.Duration, copyValue bool) uint64 {
+func (s *Store) set(namespace, key string, value []byte, copyValue bool) uint64 {
 	if copyValue {
 		value = append([]byte(nil), value...)
 	}
@@ -312,12 +297,8 @@ func (s *Store) set(namespace, key string, value []byte, ttl time.Duration, copy
 		tick = s.admitLocked(sh, r, m, namespace, key, value)
 	}
 	v := s.version.Add(1)
-	e := entry{value: value, version: v, tick: tick}
-	if ttl > 0 {
-		e.expiresAt = s.clock().Add(ttl).UnixNano()
-	}
-	m[key] = e
-	sh.notifyLocked(Event{Namespace: namespace, Key: key, Value: e.value, Version: v})
+	m[key] = entry{value: value, version: v, tick: tick}
+	sh.notifyLocked(Event{Namespace: namespace, Key: key, Value: value, Version: v})
 	sh.mu.Unlock()
 	return v
 }
@@ -429,27 +410,24 @@ func (r *ring) compact(m map[string]entry) {
 }
 
 // removeLocked deletes a present key, releases its charge and tells the
-// namespace's watchers, unless the entry had already expired out of their
-// sight.
+// namespace's watchers.
 func (s *Store) removeLocked(sh *shard, m map[string]entry, namespace, key string, e entry) {
 	delete(m, key)
 	if r := sh.rings[namespace]; r != nil && e.tick != 0 {
 		r.release(key, e.value)
 	}
 	v := s.version.Add(1)
-	if !s.expired(e) {
-		sh.notifyLocked(Event{Namespace: namespace, Key: key, Version: v, Deleted: true})
-	}
+	sh.notifyLocked(Event{Namespace: namespace, Key: key, Version: v, Deleted: true})
 }
 
 // Get returns the value and version for (namespace, key). ok is false if
-// the key is absent or expired. The returned slice must not be mutated.
+// the key is absent. The returned slice must not be mutated.
 func (s *Store) Get(namespace, key string) (value []byte, version uint64, ok bool) {
 	sh := s.shardFor(namespace, key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	e, ok := sh.ns[namespace][key]
-	if !ok || s.expired(e) {
+	if !ok {
 		return nil, 0, false
 	}
 	return e.value, e.version, true
@@ -468,14 +446,14 @@ func (s *Store) Delete(namespace, key string) bool {
 	return ok
 }
 
-// Keys lists the live keys in a namespace with the given prefix, sorted.
+// Keys lists the keys in a namespace with the given prefix, sorted.
 func (s *Store) Keys(namespace, prefix string) []string {
 	var out []string
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for k, e := range sh.ns[namespace] {
-			if strings.HasPrefix(k, prefix) && !s.expired(e) {
+		for k := range sh.ns[namespace] {
+			if strings.HasPrefix(k, prefix) {
 				out = append(out, k)
 			}
 		}
@@ -485,7 +463,7 @@ func (s *Store) Keys(namespace, prefix string) []string {
 	return out
 }
 
-// GetAll returns all live (key, value) pairs under a prefix; values are
+// GetAll returns all (key, value) pairs under a prefix; values are
 // copies.
 func (s *Store) GetAll(namespace, prefix string) map[string][]byte {
 	out := make(map[string][]byte)
@@ -493,17 +471,13 @@ func (s *Store) GetAll(namespace, prefix string) map[string][]byte {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for k, e := range sh.ns[namespace] {
-			if strings.HasPrefix(k, prefix) && !s.expired(e) {
+			if strings.HasPrefix(k, prefix) {
 				out[k] = append([]byte(nil), e.value...)
 			}
 		}
 		sh.mu.RUnlock()
 	}
 	return out
-}
-
-func (s *Store) expired(e entry) bool {
-	return e.expiresAt != 0 && s.clock().UnixNano() > e.expiresAt
 }
 
 // Watch subscribes to mutations in a namespace under a key prefix. The
@@ -566,17 +540,13 @@ func (sh *shard) notifyLocked(ev Event) {
 	}
 }
 
-// Len reports the number of live keys in a namespace.
+// Len reports the number of keys in a namespace.
 func (s *Store) Len(namespace string) int {
 	n := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, e := range sh.ns[namespace] {
-			if !s.expired(e) {
-				n++
-			}
-		}
+		n += len(sh.ns[namespace])
 		sh.mu.RUnlock()
 	}
 	return n

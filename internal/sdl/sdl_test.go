@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestSetGetDelete(t *testing.T) {
@@ -71,31 +70,33 @@ func TestKeysAndGetAll(t *testing.T) {
 	}
 }
 
-func TestTTLExpiry(t *testing.T) {
-	now := time.Unix(1000, 0)
-	s := newStore(DefaultShards, func() time.Time { return now })
-	s.SetOwnedTTL("ns", "k", []byte("v"), time.Second)
-	if _, _, ok := s.Get("ns", "k"); !ok {
-		t.Fatal("fresh TTL key missing")
-	}
-	now = now.Add(2 * time.Second)
-	if _, _, ok := s.Get("ns", "k"); ok {
-		t.Error("expired key still visible")
-	}
-	if s.Len("ns") != 0 {
-		t.Error("expired key counted in Len")
-	}
-}
-
+// TestWatchDeliversMatchingEvents: a watcher sees the writes under its
+// own namespace and prefix, and only those, while a watcher on a sibling
+// prefix and unrelated keys written from other goroutines (the -race
+// build checks the locking as much as the counts) share the namespace.
 func TestWatchDeliversMatchingEvents(t *testing.T) {
 	s := New()
 	events, cancel := s.Watch("ns", "ue/", 10)
 	defer cancel()
+	sibling, cancelSibling := s.Watch("ns", "uf/", 10)
+	defer cancelSibling()
 
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				s.Set("ns", fmt.Sprintf("unrelated/%d/%d", g, i), []byte("u"))
+			}
+		}(g)
+	}
 	s.Set("ns", "ue/1", []byte("x"))
 	s.Set("ns", "other", []byte("y"))   // prefix mismatch
 	s.Set("other", "ue/1", []byte("z")) // namespace mismatch
 	s.Delete("ns", "ue/1")
+	s.Set("ns", "uf/1", []byte("w")) // the sibling's
+	wg.Wait()
 
 	ev1 := <-events
 	if ev1.Key != "ue/1" || ev1.Deleted || string(ev1.Value) != "x" {
@@ -108,6 +109,14 @@ func TestWatchDeliversMatchingEvents(t *testing.T) {
 	select {
 	case ev := <-events:
 		t.Errorf("unexpected extra event %+v", ev)
+	default:
+	}
+	if ev := <-sibling; ev.Key != "uf/1" || ev.Deleted || string(ev.Value) != "w" {
+		t.Errorf("sibling event = %+v", ev)
+	}
+	select {
+	case ev := <-sibling:
+		t.Errorf("sibling watcher woke for %+v", ev)
 	default:
 	}
 }

@@ -4,19 +4,18 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
-func TestShardCountRoundsUpToPowerOfTwo(t *testing.T) {
-	if got := New().ShardCount(); got != DefaultShards {
-		t.Errorf("New().ShardCount() = %d, want %d", got, DefaultShards)
+func TestShardsRoundUpToPowerOfTwo(t *testing.T) {
+	if got := len(New().shards); got != DefaultShards {
+		t.Errorf("New() has %d shards, want %d", got, DefaultShards)
 	}
 	for _, tc := range []struct{ ask, want int }{
 		{1, 1}, {2, 2}, {3, 4}, {5, 8}, {16, 16}, {17, 32},
 	} {
-		s := newStore(tc.ask, time.Now)
-		if got := s.ShardCount(); got != tc.want {
-			t.Errorf("shards=%d -> ShardCount=%d, want %d", tc.ask, got, tc.want)
+		s := newStore(tc.ask)
+		if got := len(s.shards); got != tc.want {
+			t.Errorf("shards=%d -> %d shards, want %d", tc.ask, got, tc.want)
 		}
 	}
 }
@@ -24,7 +23,7 @@ func TestShardCountRoundsUpToPowerOfTwo(t *testing.T) {
 // TestUnshardedOptionBehaves proves the one-stripe layout is
 // semantically identical to the striped store.
 func TestUnshardedOptionBehaves(t *testing.T) {
-	s := newStore(1, time.Now)
+	s := newStore(1)
 	events, cancel := s.Watch("ns", "", 4)
 	defer cancel()
 	v1 := s.Set("ns", "a", []byte("1"))
@@ -45,7 +44,7 @@ func TestUnshardedOptionBehaves(t *testing.T) {
 // events are (a) complete per key, (b) version-ordered per key — the
 // per-shard delivery guarantee — and (c) carry globally unique versions.
 func TestWatchOrderingAcrossShards(t *testing.T) {
-	s := newStore(8, time.Now)
+	s := newStore(8)
 	const keys, writes = 32, 50
 	events, cancel := s.Watch("ns", "", keys*writes+16)
 	defer cancel()
@@ -95,7 +94,7 @@ drain:
 // no send-on-closed-channel panic, no deadlock (the per-shard
 // deregistration must fully exclude in-flight deliveries).
 func TestWatchCancelRacesMutations(t *testing.T) {
-	s := newStore(4, time.Now)
+	s := newStore(4)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -124,31 +123,6 @@ func TestWatchCancelRacesMutations(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTTLExpiryPerShard plants TTL keys landing on different shards and
-// verifies expiry sees every shard.
-func TestTTLExpiryPerShard(t *testing.T) {
-	now := time.Unix(1000, 0)
-	s := newStore(8, func() time.Time { return now })
-	const n = 64
-	for i := 0; i < n; i++ {
-		s.SetOwnedTTL("ns", fmt.Sprintf("ttl/%03d", i), []byte("v"), time.Second)
-		s.Set("ns", fmt.Sprintf("keep/%03d", i), []byte("v"))
-	}
-	if got := s.Len("ns"); got != 2*n {
-		t.Fatalf("Len before expiry = %d, want %d", got, 2*n)
-	}
-	now = now.Add(2 * time.Second)
-	if got := s.Len("ns"); got != n {
-		t.Errorf("Len after expiry = %d, want %d", got, n)
-	}
-	if got := len(s.Keys("ns", "ttl/")); got != 0 {
-		t.Errorf("expired keys still listed: %d", got)
-	}
-	if got := len(s.Keys("ns", "keep/")); got != n {
-		t.Errorf("unexpired keys lost: %d, want %d", got, n)
-	}
-}
-
 func TestSetOwnedDoesNotCopy(t *testing.T) {
 	s := New()
 	buf := []byte("owned")
@@ -156,14 +130,6 @@ func TestSetOwnedDoesNotCopy(t *testing.T) {
 	got, _, ok := s.Get("ns", "k")
 	if !ok || &got[0] != &buf[0] {
 		t.Error("SetOwned copied the value (or lost it)")
-	}
-	// The TTL variant also takes ownership and expires.
-	now := time.Unix(1000, 0)
-	sc := newStore(DefaultShards, func() time.Time { return now })
-	sc.SetOwnedTTL("ns", "k", []byte("v"), time.Second)
-	now = now.Add(2 * time.Second)
-	if _, _, ok := sc.Get("ns", "k"); ok {
-		t.Error("SetOwnedTTL key did not expire")
 	}
 }
 
@@ -205,7 +171,7 @@ func BenchmarkSetParallelUnsharded(b *testing.B) {
 }
 
 func benchSetParallel(b *testing.B, shards int) {
-	s := newStore(shards, time.Now)
+	s := newStore(shards)
 	val := make([]byte, 128)
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {

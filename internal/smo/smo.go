@@ -136,8 +136,8 @@ type Policy struct {
 	UpdatedAt time.Time `json:"updated_at"`
 }
 
-// Encode renders the policy in its A1 wire form (JSON), shared by the
-// SDL distribution path and the federation bus fan-out.
+// Encode renders the policy in its A1 wire form (JSON), the form the SDL
+// distribution path stores.
 func (p Policy) Encode() ([]byte, error) {
 	data, err := json.Marshal(p)
 	if err != nil {

@@ -70,49 +70,6 @@ func TestMultipleFramesPreserveBoundaries(t *testing.T) {
 	}
 }
 
-func TestTCPRoundTrip(t *testing.T) {
-	l, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	done := make(chan error, 1)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			done <- err
-			return
-		}
-		defer c.Close()
-		msg, err := c.Recv()
-		if err != nil {
-			done <- err
-			return
-		}
-		done <- c.Send(append([]byte("echo:"), msg...))
-	}()
-
-	c, err := Dial(l.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Send([]byte("ping")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "echo:ping" {
-		t.Errorf("got %q", got)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOversizeSendRejected(t *testing.T) {
 	a, _ := Pipe()
 	defer a.Close()
@@ -293,49 +250,6 @@ func TestQuickFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestServe(t *testing.T) {
-	l, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go Serve(l, func(c *Conn) {
-		defer c.Close()
-		for {
-			msg, err := c.Recv()
-			if err != nil {
-				return
-			}
-			c.Send(msg)
-		}
-	})
-	defer l.Close()
-
-	const clients = 4
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, err := Dial(l.Addr().String(), time.Second)
-			if err != nil {
-				t.Errorf("dial: %v", err)
-				return
-			}
-			defer c.Close()
-			want := fmt.Sprintf("client-%d", i)
-			if err := c.Send([]byte(want)); err != nil {
-				t.Errorf("send: %v", err)
-				return
-			}
-			got, err := c.Recv()
-			if err != nil || string(got) != want {
-				t.Errorf("echo = %q, %v; want %q", got, err, want)
-			}
-		}(i)
-	}
-	wg.Wait()
-}
-
 func BenchmarkPipeSendRecv(b *testing.B) {
 	x, y := Pipe()
 	defer x.Close()
@@ -355,44 +269,4 @@ func BenchmarkPipeSendRecv(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkTCPSend measures Conn.Send over a real TCP socket, where the
-// gathered header+payload write (one writev syscall per frame instead of
-// two write syscalls) is visible; a discarding reader drains the peer.
-func BenchmarkTCPSend(b *testing.B) {
-	l, err := Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		for {
-			if _, err := c.Recv(); err != nil {
-				return
-			}
-		}
-	}()
-	c, err := Dial(l.Addr().String(), time.Second)
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte{0x5a}, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Send(payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	c.Close()
-	<-done
 }
