@@ -1,6 +1,6 @@
 // Package asn1lite implements a compact, deterministic tag-length-value
 // (TLV) codec used by the protocol packages in this repository (RRC, NAS,
-// F1AP, NGAP, E2AP, E2SM).
+// E2AP, E2SM).
 //
 // The real O-RAN and 3GPP protocols are specified in ASN.1 and encoded with
 // aligned PER. This repository substitutes a small TLV encoding with the
@@ -62,19 +62,6 @@ func Marshal(m Marshaler) []byte {
 	var e Encoder
 	m.MarshalTLV(&e)
 	return e.Bytes()
-}
-
-// AppendMarshal appends m's encoding to dst and returns the extended
-// slice. It is the buffer-reusing alternative to Marshal for hot paths:
-// once dst has grown to steady-state capacity, the encode itself
-// allocates nothing (the Encoder may still escape through the interface
-// call; callers needing a strict zero-alloc guarantee should hold a
-// long-lived Encoder or use a package-level helper with a concrete
-// MarshalTLV call, as e2ap.AppendEncode does).
-func AppendMarshal(dst []byte, m Marshaler) []byte {
-	e := NewEncoder(dst)
-	m.MarshalTLV(&e)
-	return e.buf
 }
 
 // Unmarshal decodes data into m.

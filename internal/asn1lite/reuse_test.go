@@ -12,18 +12,6 @@ func (p *pair) MarshalTLV(e *Encoder) {
 	e.PutUint(2, p.B)
 }
 
-func TestAppendMarshalMatchesMarshal(t *testing.T) {
-	p := &pair{A: 7, B: 1 << 40}
-	want := Marshal(p)
-	if got := AppendMarshal(nil, p); !bytes.Equal(got, want) {
-		t.Errorf("AppendMarshal = %x, want %x", got, want)
-	}
-	got := AppendMarshal([]byte{0xAA}, p)
-	if len(got) == 0 || got[0] != 0xAA || !bytes.Equal(got[1:], want) {
-		t.Errorf("AppendMarshal with prefix = %x", got)
-	}
-}
-
 // TestPutNestedReuse proves the recycled child encoder produces the same
 // bytes as fresh encoders, including for re-entrant use of the outer
 // encoder inside the nested closure.

@@ -24,7 +24,6 @@ type Subscriber struct {
 
 // amfUE is the per-UE context at the AMF.
 type amfUE struct {
-	amfUEID uint64
 	ranUEID uint64
 	supi    cell.SUPI
 	guti    cell.GUTI
@@ -44,7 +43,6 @@ type AMF struct {
 	subs    map[cell.SUPI]Subscriber
 	byTMSI  map[cell.TMSI]cell.SUPI
 	byRAN   map[uint64]*amfUE
-	nextAMF uint64
 	nextSQN uint64
 	rng     *rand.Rand
 
@@ -134,8 +132,7 @@ func (a *AMF) HandleNGAP(msg *ngap.Message) ([]*ngap.Message, error) {
 func (a *AMF) ue(ranUEID uint64) *amfUE {
 	u, ok := a.byRAN[ranUEID]
 	if !ok {
-		a.nextAMF++
-		u = &amfUE{amfUEID: a.nextAMF, ranUEID: ranUEID}
+		u = &amfUE{ranUEID: ranUEID}
 		a.byRAN[ranUEID] = u
 	}
 	return u
@@ -152,7 +149,6 @@ func (a *AMF) downNAS(u *amfUE, m nas.Message) *ngap.Message {
 	return &ngap.Message{
 		Type:    ngap.TypeDownlinkNASTransport,
 		RANUEID: u.ranUEID,
-		AMFUEID: u.amfUEID,
 		NASPDU:  nas.Encode(m),
 	}
 }
@@ -214,7 +210,7 @@ func (a *AMF) handleNAS(ranUEID uint64, m nas.Message) ([]*ngap.Message, error) 
 		guti := a.allocateGUTI(u.supi)
 		u.guti = guti
 		return []*ngap.Message{
-			{Type: ngap.TypeInitialContextSetupRequest, RANUEID: u.ranUEID, AMFUEID: u.amfUEID},
+			{Type: ngap.TypeInitialContextSetupRequest, RANUEID: u.ranUEID},
 			a.downNAS(u, &nas.RegistrationAccept{GUTI: guti}),
 		}, nil
 
@@ -233,7 +229,7 @@ func (a *AMF) handleNAS(ranUEID uint64, m nas.Message) ([]*ngap.Message, error) 
 	case *nas.DeregistrationRequest:
 		out := []*ngap.Message{
 			a.downNAS(u, &nas.DeregistrationAccept{}),
-			{Type: ngap.TypeUEContextReleaseCommand, RANUEID: u.ranUEID, AMFUEID: u.amfUEID, Cause: "deregistration"},
+			{Type: ngap.TypeUEContextReleaseCommand, RANUEID: u.ranUEID, Cause: "deregistration"},
 		}
 		delete(a.byRAN, ranUEID)
 		return out, nil

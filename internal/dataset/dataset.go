@@ -1,8 +1,8 @@
 // Package dataset implements the data-collection pipeline of §4 of the
 // paper: benign traffic generation across a diverse device fleet (the
 // COLOSSEUM-scale substitute, see DESIGN.md §1), attack-scenario
-// injection for the five attacks, ground-truth labeling per the paper's
-// rules, and the offline pcap→MOBIFLOW parsing path.
+// injection for the five attacks, and ground-truth labeling per the
+// paper's rules. The telemetry is what the gNB agent extracts live.
 package dataset
 
 import (

@@ -1,12 +1,10 @@
 package dataset
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
 	"github.com/6g-xsec/xsec/internal/mobiflow"
-	"github.com/6g-xsec/xsec/internal/pcaplite"
 	"github.com/6g-xsec/xsec/internal/ue"
 )
 
@@ -136,77 +134,6 @@ func TestGenerateMixedLabels(t *testing.T) {
 	benign := len(l.Trace) - l.MaliciousCount()
 	if benign < l.MaliciousCount() {
 		t.Errorf("dataset not benign-dominated: %d benign vs %d malicious", benign, l.MaliciousCount())
-	}
-}
-
-func TestCaptureParityWithOnlineExtraction(t *testing.T) {
-	var buf bytes.Buffer
-	w := pcaplite.NewWriter(&buf)
-	online, err := GenerateBenign(BenignConfig{Sessions: 12, Fleet: 4, Seed: 5, Capture: w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	offline, err := ParseCapture(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(online) != len(offline) {
-		t.Fatalf("online %d records, offline %d", len(online), len(offline))
-	}
-	for i := range online {
-		if online[i].Msg != offline[i].Msg {
-			t.Fatalf("record %d: online %s, offline %s", i, online[i].Msg, offline[i].Msg)
-		}
-		if online[i].UEID != offline[i].UEID {
-			t.Errorf("record %d: UEID %d vs %d", i, online[i].UEID, offline[i].UEID)
-		}
-		if online[i].OutOfOrder != offline[i].OutOfOrder {
-			t.Errorf("record %d (%s): OutOfOrder %v vs %v", i, online[i].Msg, online[i].OutOfOrder, offline[i].OutOfOrder)
-		}
-		if online[i].Retransmission != offline[i].Retransmission {
-			t.Errorf("record %d (%s): Retransmission %v vs %v", i, online[i].Msg, online[i].Retransmission, offline[i].Retransmission)
-		}
-		if online[i].TMSI != offline[i].TMSI || online[i].SUPI != offline[i].SUPI {
-			t.Errorf("record %d: identity fields differ", i)
-		}
-	}
-}
-
-func TestParseCaptureAttackParity(t *testing.T) {
-	var buf bytes.Buffer
-	w := pcaplite.NewWriter(&buf)
-	l, err := GenerateMixed(MixedConfig{
-		BenignConfig:       BenignConfig{Fleet: 6, Seed: 9, Capture: w},
-		InstancesPerAttack: 1,
-		BenignBetween:      1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	offline, err := ParseCapture(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(offline) != len(l.Trace) {
-		t.Fatalf("offline %d records, online %d", len(offline), len(l.Trace))
-	}
-	for i := range offline {
-		if offline[i].Msg != l.Trace[i].Msg || offline[i].OutOfOrder != l.Trace[i].OutOfOrder {
-			t.Fatalf("record %d: offline (%s,%v) vs online (%s,%v)",
-				i, offline[i].Msg, offline[i].OutOfOrder, l.Trace[i].Msg, l.Trace[i].OutOfOrder)
-		}
-	}
-}
-
-func TestParseCaptureGarbage(t *testing.T) {
-	if _, err := ParseCapture(bytes.NewReader([]byte("not a capture"))); err == nil {
-		t.Error("garbage capture accepted")
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"github.com/6g-xsec/xsec/internal/gnb"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
 	"github.com/6g-xsec/xsec/internal/nas"
-	"github.com/6g-xsec/xsec/internal/pcaplite"
 	"github.com/6g-xsec/xsec/internal/ue"
 )
 
@@ -24,8 +23,6 @@ type BenignConfig struct {
 	Fleet int
 	// Seed drives every random choice.
 	Seed int64
-	// Capture optionally receives the instrumented F1AP/NGAP streams.
-	Capture *pcaplite.Writer
 	// Start is the virtual start time (default 2024-06-01T00:00Z).
 	Start time.Time
 }
@@ -65,10 +62,9 @@ func NewScenario(cfg BenignConfig) (*Scenario, error) {
 
 	amf := corenet.NewAMF(cfg.Seed + 1)
 	g, err := gnb.New(gnb.Config{
-		NodeID:  "gnb-001",
-		AMF:     amf,
-		Clock:   clock.Now,
-		Capture: cfg.Capture,
+		NodeID: "gnb-001",
+		AMF:    amf,
+		Clock:  clock.Now,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)

@@ -16,6 +16,7 @@ package e2sm
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/6g-xsec/xsec/internal/asn1lite"
@@ -55,6 +56,9 @@ func (t *EventTrigger) UnmarshalTLV(d *asn1lite.Decoder) error {
 			v, err := d.Uint()
 			if err != nil {
 				return err
+			}
+			if v > math.MaxInt64/uint64(time.Millisecond) {
+				return fmt.Errorf("e2sm: report period of %d ms overflows", v)
 			}
 			t.Period = time.Duration(v) * time.Millisecond
 		}
@@ -107,15 +111,17 @@ type IndicationHeader struct {
 	// UEID scopes the batch to one UE context when non-zero (real UE IDs
 	// start at 1). The gNB agent emits UE-scoped batches so the RIC can
 	// shard dispatch by UE; 0 means a mixed or unscoped batch, which
-	// routes through shard 0 (the pre-batching wire form decodes as 0,
-	// keeping old captures readable).
+	// routes through shard 0.
 	UEID uint64
 }
 
 // MarshalTLV implements asn1lite.Marshaler.
 func (h *IndicationHeader) MarshalTLV(e *asn1lite.Encoder) {
 	e.PutString(1, h.NodeID)
-	e.PutInt(2, h.CollectionStart.UnixNano())
+	// A zero start is outside UnixNano's range: it stays absent.
+	if !h.CollectionStart.IsZero() {
+		e.PutInt(2, h.CollectionStart.UnixNano())
+	}
 	e.PutUint(3, h.BatchSeq)
 	if h.UEID != 0 {
 		e.PutUint(4, h.UEID)

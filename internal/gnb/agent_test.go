@@ -3,6 +3,7 @@ package gnb
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,7 +21,7 @@ func agentEnv(t *testing.T) (*ric.Platform, *GNB) {
 	t.Helper()
 	p := ric.NewPlatform(sdl.New())
 	t.Cleanup(p.Close)
-	g := newTestGNB(t, nil)
+	g := newTestGNB(t)
 
 	ricEnd, nodeEnd := e2ap.Pipe()
 	go p.AttachNode(ricEnd)
@@ -106,6 +107,14 @@ func TestAgentRejectsBadSubscriptions(t *testing.T) {
 		[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport}}, ric.SubscribeOptions{Buffer: 1}); !errors.Is(err, ric.ErrSubscriptionFailed) {
 		t.Errorf("bad trigger: err = %v", err)
 	}
+	// A report period of 18 446 744 073 710 ms overflows time.Duration
+	// into 448.384 µs: refused, not reported every half millisecond.
+	var overflow asn1lite.Encoder
+	overflow.PutUint(1, 18_446_744_073_710)
+	if _, err := x.Subscribe("gnb-test", e2sm.MobiFlowRANFunctionID, overflow.Bytes(),
+		[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport}}, ric.SubscribeOptions{Buffer: 1}); !errors.Is(err, ric.ErrSubscriptionFailed) || !strings.Contains(err.Error(), "invalid event trigger") {
+		t.Errorf("overflowing trigger: err = %v", err)
+	}
 	// No report action.
 	if _, err := x.Subscribe("gnb-test", e2sm.MobiFlowRANFunctionID,
 		asn1lite.Marshal(&e2sm.EventTrigger{Period: time.Millisecond}),
@@ -158,7 +167,7 @@ func TestAgentControlActions(t *testing.T) {
 // ControlFailure is observed as the peer decodes it — proving the failure
 // PDU survives the e2ap encode/decode round trip intact.
 func TestControlFailureUnknownActionRoundTrip(t *testing.T) {
-	g := newTestGNB(t, nil)
+	g := newTestGNB(t)
 	ricEnd, nodeEnd := e2ap.Pipe()
 	go g.ServeE2(nodeEnd)
 
@@ -249,8 +258,8 @@ func TestAgentSetupRejectedByRIC(t *testing.T) {
 	// ServeE2 returns an error.
 	p := ric.NewPlatform(sdl.New())
 	defer p.Close()
-	g1 := newTestGNB(t, nil)
-	g2 := newTestGNB(t, nil)
+	g1 := newTestGNB(t)
+	g2 := newTestGNB(t)
 
 	r1, n1 := e2ap.Pipe()
 	go p.AttachNode(r1)

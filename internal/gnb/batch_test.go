@@ -110,7 +110,7 @@ func TestReportBatchesPerUE(t *testing.T) {
 // of stale records per UE ever seen), and recycling the slices means a
 // warm flush allocates nothing for UEs it has never seen.
 func TestReporterPerUEStateIsBounded(t *testing.T) {
-	g := newTestGNB(t, nil)
+	g := newTestGNB(t)
 	// The far end receives and discards every frame; Recv allocates
 	// nothing, so each emit costs the sender's frame copy alone.
 	near, far := wire.Pipe()

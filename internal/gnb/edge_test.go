@@ -8,7 +8,7 @@ import (
 )
 
 func TestReestablishmentFlow(t *testing.T) {
-	g := newTestGNB(t, nil)
+	g := newTestGNB(t)
 	link := driveRegistration(t, g)
 
 	// Radio-link failure: the UE asks to reestablish with its C-RNTI.
@@ -36,7 +36,7 @@ func TestReestablishmentFlow(t *testing.T) {
 }
 
 func TestDownlinkQueueOverflowDropsLikeRadioLoss(t *testing.T) {
-	g := newTestGNB(t, nil)
+	g := newTestGNB(t)
 	link := g.Attach()
 	// Each distinct setup request draws an RRCSetup; the queue keeps
 	// the first dlQueueDepth of them.
@@ -66,7 +66,7 @@ func TestDownlinkQueueOverflowDropsLikeRadioLoss(t *testing.T) {
 }
 
 func TestAbandonedContextStaysUntilReleased(t *testing.T) {
-	g := newTestGNB(t, nil)
+	g := newTestGNB(t)
 	link := g.Attach()
 	link.SendRRC(&rrc.SetupRequest{})
 	link.Abandon()
@@ -80,7 +80,7 @@ func TestAbandonedContextStaysUntilReleased(t *testing.T) {
 }
 
 func TestSetupRequestAfterAbandonGetsFreshRNTIs(t *testing.T) {
-	g := newTestGNB(t, nil)
+	g := newTestGNB(t)
 	l1 := g.Attach()
 	l1.SendRRC(&rrc.SetupRequest{})
 	l1.Abandon()

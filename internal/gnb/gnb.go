@@ -18,11 +18,9 @@ import (
 
 	"github.com/6g-xsec/xsec/internal/cell"
 	"github.com/6g-xsec/xsec/internal/corenet"
-	"github.com/6g-xsec/xsec/internal/f1ap"
 	"github.com/6g-xsec/xsec/internal/mobiflow"
 	"github.com/6g-xsec/xsec/internal/nas"
 	"github.com/6g-xsec/xsec/internal/ngap"
-	"github.com/6g-xsec/xsec/internal/pcaplite"
 	"github.com/6g-xsec/xsec/internal/rrc"
 )
 
@@ -40,9 +38,6 @@ type Config struct {
 	AMF *corenet.AMF
 	// Clock stamps telemetry; defaults to time.Now.
 	Clock func() time.Time
-	// Capture, when non-nil, receives F1AP/NGAP PDUs (the instrumented
-	// pcap stream of §4).
-	Capture *pcaplite.Writer
 }
 
 const (
@@ -175,21 +170,6 @@ func (l *Link) TryRecv() (rrc.Message, bool) {
 	}
 }
 
-// Recv blocks for the next downlink message until timeout.
-func (l *Link) Recv(timeout time.Duration) (rrc.Message, error) {
-	select {
-	case m, ok := <-l.ctx.dl:
-		if !ok {
-			return nil, ErrReleased
-		}
-		return m, nil
-	case <-time.After(timeout):
-		return nil, fmt.Errorf("gnb: downlink receive: %w", errTimeout)
-	}
-}
-
-var errTimeout = errors.New("timeout")
-
 // Abandon drops the UE side of the link without any signalling — the
 // behavior of a flooding attacker or a UE losing radio contact. The CU
 // context remains until released by the network.
@@ -258,23 +238,9 @@ func (g *GNB) record(rs ...mobiflow.Record) {
 	}
 }
 
-// capture writes one PDU to the capture stream. Callers check
-// g.cfg.Capture first, so a gNB without one encodes no F1AP or NGAP.
-func (g *GNB) capture(iface pcaplite.Interface, payload []byte) {
-	// Capture failures must not disturb the data plane; the writer's
-	// error will surface at Flush time in the dataset tooling.
-	_ = g.cfg.Capture.Write(pcaplite.Packet{Timestamp: g.cfg.Clock(), Iface: iface, Payload: payload})
-}
-
-// sendDL queues a downlink RRC message, recording it and capturing the
-// F1AP DL transfer. A full queue models radio loss: the PDU is dropped.
+// sendDL queues a downlink RRC message and records it. A full queue
+// models radio loss: the PDU is dropped.
 func (g *GNB) sendDL(ctx *ueCtx, m rrc.Message) {
-	if g.cfg.Capture != nil {
-		g.capture(pcaplite.IfF1AP, f1ap.Encode(&f1ap.Message{
-			Type: f1ap.TypeDLRRCTransfer, DUUEID: ctx.ueID, CUUEID: ctx.ueID,
-			RNTI: ctx.rnti, RRCContainer: rrc.Encode(m),
-		}))
-	}
 	if recordableRRC(m.Type()) {
 		g.record(g.extractor.OnRRC(ctx.ueID, ctx.rnti, m, false))
 	}
@@ -298,18 +264,8 @@ func recordableRRC(t rrc.MsgType) bool {
 
 // handleUplink runs the CU logic for one uplink RRC PDU. Caller holds g.mu.
 func (g *GNB) handleUplink(ctx *ueCtx, m rrc.Message) error {
+	// A retransmission is an uplink whose encoding repeats the last one.
 	encoded := rrc.Encode(m)
-	if g.cfg.Capture != nil {
-		f1Type := f1ap.TypeULRRCTransfer
-		if m.Type() == rrc.TypeSetupRequest {
-			f1Type = f1ap.TypeInitialULRRCTransfer
-		}
-		g.capture(pcaplite.IfF1AP, f1ap.Encode(&f1ap.Message{
-			Type: f1Type, DUUEID: ctx.ueID, CUUEID: ctx.ueID,
-			RNTI: ctx.rnti, RRCContainer: encoded,
-		}))
-	}
-
 	retx := ctx.lastUL != nil && bytes.Equal(ctx.lastUL, encoded)
 	ctx.lastUL = encoded
 
@@ -396,17 +352,11 @@ func (g *GNB) uplinkNAS(ctx *ueCtx, nasPDU []byte, retx bool) error {
 		ctx.sentIUE = true
 	}
 	up := &ngap.Message{Type: ngType, RANUEID: ctx.ueID, NASPDU: nasPDU}
-	if g.cfg.Capture != nil {
-		g.capture(pcaplite.IfNGAP, ngap.Encode(up))
-	}
 	responses, err := g.cfg.AMF.HandleNGAP(up)
 	if err != nil {
 		return fmt.Errorf("gnb: AMF: %w", err)
 	}
 	for _, resp := range responses {
-		if g.cfg.Capture != nil {
-			g.capture(pcaplite.IfNGAP, ngap.Encode(resp))
-		}
 		g.handleNGDown(ctx, resp)
 	}
 	return nil
@@ -435,15 +385,9 @@ func (g *GNB) handleNGDown(ctx *ueCtx, m *ngap.Message) {
 	case ngap.TypeInitialContextSetupRequest:
 		// Activate AS security with the NAS-selected algorithms.
 		g.sendDL(ctx, &rrc.SecurityModeCommand{TransactionID: 1, CipherAlg: ctx.cipher, IntegAlg: ctx.integ})
-		if g.cfg.Capture != nil {
-			g.capture(pcaplite.IfNGAP, ngap.Encode(&ngap.Message{Type: ngap.TypeInitialContextSetupResponse, RANUEID: ctx.ueID, AMFUEID: m.AMFUEID}))
-		}
 
 	case ngap.TypeUEContextReleaseCommand:
 		g.releaseLocked(ctx, m.Cause)
-		if g.cfg.Capture != nil {
-			g.capture(pcaplite.IfNGAP, ngap.Encode(&ngap.Message{Type: ngap.TypeUEContextReleaseComplete, RANUEID: ctx.ueID, AMFUEID: m.AMFUEID}))
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package gnb
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -9,7 +8,6 @@ import (
 	"github.com/6g-xsec/xsec/internal/cell"
 	"github.com/6g-xsec/xsec/internal/corenet"
 	"github.com/6g-xsec/xsec/internal/nas"
-	"github.com/6g-xsec/xsec/internal/pcaplite"
 	"github.com/6g-xsec/xsec/internal/rrc"
 )
 
@@ -17,7 +15,7 @@ var testK = [nas.KeySize]byte{1, 2, 3, 4}
 
 const testSUPI = cell.SUPI("imsi-001010000000001")
 
-func newTestGNB(t *testing.T, capture *pcaplite.Writer) *GNB {
+func newTestGNB(t *testing.T) *GNB {
 	t.Helper()
 	amf := corenet.NewAMF(7)
 	amf.AddSubscriber(corenet.Subscriber{SUPI: testSUPI, K: testK})
@@ -29,7 +27,6 @@ func newTestGNB(t *testing.T, capture *pcaplite.Writer) *GNB {
 			clock = clock.Add(time.Millisecond)
 			return clock
 		},
-		Capture: capture,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +44,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestAttachAllocatesDistinctRNTIs(t *testing.T) {
-	g := newTestGNB(t, nil)
+	g := newTestGNB(t)
 	seen := make(map[cell.RNTI]bool)
 	for i := 0; i < 50; i++ {
 		l := g.Attach()
@@ -122,7 +119,7 @@ func driveRegistration(t *testing.T, g *GNB) *Link {
 }
 
 func TestBenignRegistrationTelemetry(t *testing.T) {
-	g := newTestGNB(t, nil)
+	g := newTestGNB(t)
 	driveRegistration(t, g)
 
 	tr := g.Records()
@@ -158,7 +155,7 @@ func TestBenignRegistrationTelemetry(t *testing.T) {
 }
 
 func TestDeregistrationReleasesContext(t *testing.T) {
-	g := newTestGNB(t, nil)
+	g := newTestGNB(t)
 	link := driveRegistration(t, g)
 	if err := link.SendRRC(&rrc.ULInformationTransfer{NASPDU: nas.Encode(&nas.DeregistrationRequest{})}); err != nil {
 		t.Fatal(err)
@@ -186,7 +183,7 @@ func TestDeregistrationReleasesContext(t *testing.T) {
 }
 
 func TestRetransmissionRecordedOnce(t *testing.T) {
-	g := newTestGNB(t, nil)
+	g := newTestGNB(t)
 	link := g.Attach()
 	msg := &rrc.SetupRequest{Identity: rrc.UEIdentity{Kind: rrc.IdentityRandom, Random: 1}}
 	link.SendRRC(msg)
@@ -218,7 +215,7 @@ func TestRetransmissionRecordedOnce(t *testing.T) {
 }
 
 func TestBlockedTMSIRejected(t *testing.T) {
-	g := newTestGNB(t, nil)
+	g := newTestGNB(t)
 	g.BlockTMSI(0xBEEF)
 	link := g.Attach()
 	link.SendRRC(&rrc.SetupRequest{Identity: rrc.UEIdentity{Kind: rrc.IdentityTMSI, TMSI: 0xBEEF}})
@@ -232,7 +229,7 @@ func TestBlockedTMSIRejected(t *testing.T) {
 }
 
 func TestReleaseUEControl(t *testing.T) {
-	g := newTestGNB(t, nil)
+	g := newTestGNB(t)
 	link := g.Attach()
 	link.SendRRC(&rrc.SetupRequest{})
 	if err := g.ReleaseUE(link.UEID()); err != nil {
@@ -244,7 +241,7 @@ func TestReleaseUEControl(t *testing.T) {
 }
 
 func TestDrainRecords(t *testing.T) {
-	g := newTestGNB(t, nil)
+	g := newTestGNB(t)
 	link := g.Attach()
 	link.SendRRC(&rrc.SetupRequest{})
 	if n := len(g.DrainRecords()); n == 0 {
@@ -252,43 +249,5 @@ func TestDrainRecords(t *testing.T) {
 	}
 	if n := len(g.DrainRecords()); n != 0 {
 		t.Errorf("second drain = %d records", n)
-	}
-}
-
-func TestCaptureProducesParseableStreams(t *testing.T) {
-	var buf bytes.Buffer
-	w := pcaplite.NewWriter(&buf)
-	g := newTestGNB(t, w)
-	driveRegistration(t, g)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	packets, err := pcaplite.ReadAll(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f1, ng int
-	for _, p := range packets {
-		switch p.Iface {
-		case pcaplite.IfF1AP:
-			f1++
-		case pcaplite.IfNGAP:
-			ng++
-		}
-	}
-	if f1 == 0 || ng == 0 {
-		t.Errorf("capture: f1=%d ngap=%d", f1, ng)
-	}
-}
-
-func TestRecvBlockingAndTimeout(t *testing.T) {
-	g := newTestGNB(t, nil)
-	link := g.Attach()
-	if _, err := link.Recv(10 * time.Millisecond); err == nil {
-		t.Error("Recv on empty queue did not time out")
-	}
-	link.SendRRC(&rrc.SetupRequest{})
-	if m, err := link.Recv(time.Second); err != nil || m.Type() != rrc.TypeSetup {
-		t.Errorf("Recv = %v, %v", m, err)
 	}
 }

@@ -56,12 +56,6 @@ type Machine struct {
 // State returns the current 5GMM state.
 func (m *Machine) State() State { return m.state }
 
-// Reset returns to DEREGISTERED.
-func (m *Machine) Reset() {
-	m.state = StateDeregistered
-	m.identityRequested = false
-}
-
 // Observe applies a message, returning a *TransitionError if it is out of
 // order for the current state. As with the RRC machine, the transition is
 // still applied best-effort so tracking continues for noncompliant peers.

@@ -93,12 +93,3 @@ func TestNASStateString(t *testing.T) {
 		t.Errorf("got %q", State(99).String())
 	}
 }
-
-func TestMachineResetNAS(t *testing.T) {
-	var m Machine
-	m.Observe(&RegistrationRequest{})
-	m.Reset()
-	if m.State() != StateDeregistered {
-		t.Errorf("state = %v after Reset", m.State())
-	}
-}

@@ -1,16 +1,11 @@
-// Package ngap implements the NG Application Protocol subset (3GPP
-// TS 38.413) connecting the O-CU to the AMF in the simulated 5G core:
-// initial UE message, uplink/downlink NAS transport, and UE context
-// management. Together with internal/f1ap it forms the instrumented
-// interface pair the paper's dataset pipeline captures (§4).
+// Package ngap holds the NG Application Protocol subset (3GPP TS 38.413)
+// connecting the O-CU to the AMF in the simulated 5G core: initial UE
+// message, uplink/downlink NAS transport, and UE context management. The
+// gNB and the AMF run in one process and exchange these messages as
+// values; nothing encodes them.
 package ngap
 
-import (
-	"errors"
-	"fmt"
-
-	"github.com/6g-xsec/xsec/internal/asn1lite"
-)
+import "fmt"
 
 // MessageType discriminates NGAP procedure PDUs.
 type MessageType uint8
@@ -22,10 +17,7 @@ const (
 	TypeUplinkNASTransport
 	TypeDownlinkNASTransport
 	TypeInitialContextSetupRequest
-	TypeInitialContextSetupResponse
 	TypeUEContextReleaseCommand
-	TypeUEContextReleaseComplete
-	typeCount
 )
 
 var typeNames = [...]string{
@@ -34,9 +26,7 @@ var typeNames = [...]string{
 	"UplinkNASTransport",
 	"DownlinkNASTransport",
 	"InitialContextSetupRequest",
-	"InitialContextSetupResponse",
 	"UEContextReleaseCommand",
-	"UEContextReleaseComplete",
 }
 
 // String returns the TS 38.413 procedure name.
@@ -47,82 +37,13 @@ func (t MessageType) String() string {
 	return fmt.Sprintf("MessageType(%d)", uint8(t))
 }
 
-// Valid reports whether t is defined.
-func (t MessageType) Valid() bool { return t > TypeInvalid && t < typeCount }
-
 // Message is one NGAP PDU.
 type Message struct {
 	Type MessageType
-	// RANUEID and AMFUEID are the RAN / AMF UE NGAP IDs.
+	// RANUEID is the RAN UE NGAP ID: the gNB's UE context.
 	RANUEID uint64
-	AMFUEID uint64
 	// NASPDU carries the encoded NAS message for transport procedures.
 	NASPDU []byte
 	// Cause annotates release commands.
 	Cause string
-}
-
-// TLV tags.
-const (
-	tagType    = 1
-	tagRANUEID = 2
-	tagAMFUEID = 3
-	tagNASPDU  = 4
-	tagCause   = 5
-)
-
-// MarshalTLV implements asn1lite.Marshaler.
-func (m *Message) MarshalTLV(e *asn1lite.Encoder) {
-	e.PutUint(tagType, uint64(m.Type))
-	e.PutUint(tagRANUEID, m.RANUEID)
-	e.PutUint(tagAMFUEID, m.AMFUEID)
-	if m.NASPDU != nil {
-		e.PutBytes(tagNASPDU, m.NASPDU)
-	}
-	if m.Cause != "" {
-		e.PutString(tagCause, m.Cause)
-	}
-}
-
-// UnmarshalTLV implements asn1lite.Unmarshaler.
-func (m *Message) UnmarshalTLV(d *asn1lite.Decoder) error {
-	for d.Next() {
-		var err error
-		switch d.Tag() {
-		case tagType:
-			var v uint64
-			v, err = d.Uint()
-			m.Type = MessageType(v)
-		case tagRANUEID:
-			m.RANUEID, err = d.Uint()
-		case tagAMFUEID:
-			m.AMFUEID, err = d.Uint()
-		case tagNASPDU:
-			m.NASPDU, err = d.Bytes()
-		case tagCause:
-			m.Cause, err = d.String()
-		}
-		if err != nil {
-			return fmt.Errorf("ngap: tag %d: %w", d.Tag(), err)
-		}
-	}
-	return d.Err()
-}
-
-// ErrBadMessage reports a structurally invalid NGAP PDU.
-var ErrBadMessage = errors.New("ngap: invalid message")
-
-// Encode serializes a message.
-func Encode(m *Message) []byte { return asn1lite.Marshal(m) }
-
-// Decode parses and validates a message.
-func Decode(data []byte) (*Message, error) {
-	var m Message
-	if err := asn1lite.Unmarshal(data, &m); err != nil {
-		return nil, err
-	}
-	if !m.Type.Valid() {
-		return nil, fmt.Errorf("type %d: %w", m.Type, ErrBadMessage)
-	}
-	return &m, nil
 }

@@ -51,29 +51,12 @@ func (e *TransitionError) Error() string {
 // per-UE events.
 type Machine struct {
 	state State
-	// Transitions counts state changes, exposing session "churn" to
-	// telemetry.
-	transitions int
 }
 
 // State returns the current state.
 func (m *Machine) State() State { return m.state }
 
-// Transitions returns the number of completed state transitions.
-func (m *Machine) Transitions() int { return m.transitions }
-
-// Reset returns the machine to IDLE (used when an RNTI is recycled).
-func (m *Machine) Reset() {
-	m.state = StateIdle
-	m.transitions = 0
-}
-
-func (m *Machine) to(s State) {
-	if m.state != s {
-		m.state = s
-		m.transitions++
-	}
-}
+func (m *Machine) to(s State) { m.state = s }
 
 // Observe applies a message to the state machine, validating that the
 // message is legal in the current state. It returns a *TransitionError for
