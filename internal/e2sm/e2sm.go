@@ -3,9 +3,10 @@
 //
 //   - E2SM-MOBIFLOW: the security-telemetry report service model (§3.1 of
 //     the paper), an extension of the O-RAN E2SM-KPM reference model. It
-//     defines the event trigger (periodic report), the action definition
-//     (telemetry field selection), and the indication header/message that
-//     carry batches of MOBIFLOW records as (key, value) data.
+//     defines the event trigger (periodic report) and the indication
+//     header/message that carry batches of MOBIFLOW records as (key,
+//     value) data. A report action carries no definition: every UE
+//     context is reported.
 //
 //   - E2SM-XRC: a minimal RAN-control service model in the spirit of
 //     O-RAN E2SM-RC, giving the closed-loop example the control actions
@@ -66,52 +67,14 @@ func (t *EventTrigger) UnmarshalTLV(d *asn1lite.Decoder) error {
 	return d.Err()
 }
 
-// ActionDefinition selects which UE contexts a report action covers.
-type ActionDefinition struct {
-	// AllUEs reports every UE context when true.
-	AllUEs bool
-	// UEIDs restricts reporting when AllUEs is false.
-	UEIDs []uint64
-}
-
-// MarshalTLV implements asn1lite.Marshaler.
-func (a *ActionDefinition) MarshalTLV(e *asn1lite.Encoder) {
-	e.PutBool(1, a.AllUEs)
-	for _, id := range a.UEIDs {
-		e.PutUint(2, id)
-	}
-}
-
-// UnmarshalTLV implements asn1lite.Unmarshaler.
-func (a *ActionDefinition) UnmarshalTLV(d *asn1lite.Decoder) error {
-	for d.Next() {
-		switch d.Tag() {
-		case 1:
-			v, err := d.Bool()
-			if err != nil {
-				return err
-			}
-			a.AllUEs = v
-		case 2:
-			v, err := d.Uint()
-			if err != nil {
-				return err
-			}
-			a.UEIDs = append(a.UEIDs, v)
-		}
-	}
-	return d.Err()
-}
-
 // IndicationHeader identifies a MOBIFLOW report batch.
 type IndicationHeader struct {
 	NodeID          string
 	CollectionStart time.Time
 	BatchSeq        uint64
 	// UEID scopes the batch to one UE context when non-zero (real UE IDs
-	// start at 1). The gNB agent emits UE-scoped batches so the RIC can
-	// shard dispatch by UE; 0 means a mixed or unscoped batch, which
-	// routes through shard 0.
+	// start at 1); the gNB agent ships each UE's records as batches of
+	// their own. 0 means a mixed or unscoped batch.
 	UEID uint64
 }
 
@@ -151,25 +114,6 @@ func (h *IndicationHeader) UnmarshalTLV(d *asn1lite.Decoder) error {
 		}
 	}
 	return d.Err()
-}
-
-// PeekIndicationUE extracts the UEID from an encoded IndicationHeader
-// without materializing the struct (or allocating): the UE-sharded
-// dispatcher calls it once per indication to pick a queue. It returns 0
-// (the unscoped shard) for headers without a UEID or malformed input.
-func PeekIndicationUE(hdr []byte) uint64 {
-	var d asn1lite.Decoder
-	d.Reset(hdr)
-	for d.Next() {
-		if d.Tag() == 4 {
-			ue, err := d.Uint()
-			if err != nil {
-				return 0
-			}
-			return ue
-		}
-	}
-	return 0
 }
 
 // IndicationMessage carries one batch of telemetry records, as one block.

@@ -20,17 +20,6 @@ func TestEventTriggerRoundTrip(t *testing.T) {
 	}
 }
 
-func TestActionDefinitionRoundTrip(t *testing.T) {
-	in := &ActionDefinition{AllUEs: false, UEIDs: []uint64{3, 9}}
-	var out ActionDefinition
-	if err := asn1lite.Unmarshal(asn1lite.Marshal(in), &out); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(*in, out) {
-		t.Errorf("got %+v", out)
-	}
-}
-
 func TestIndicationHeaderRoundTrip(t *testing.T) {
 	in := &IndicationHeader{NodeID: "gnb-1", CollectionStart: time.Unix(5, 9).UTC(), BatchSeq: 12}
 	var out IndicationHeader

@@ -19,26 +19,26 @@ func overflowTrigger() []byte {
 }
 
 // FuzzE2SMDecode holds the E2SM decoders the gNB agent runs on bytes a
-// RIC sends — EventTrigger and ActionDefinition in a subscription,
-// ControlRequest in a control — and IndicationHeader, to three
+// RIC sends — EventTrigger in a subscription, ControlRequest in a
+// control — and IndicationHeader, to three
 // properties on arbitrary bytes: none panics; a value one accepts
 // re-encodes to bytes that decode to an equal value; and nothing one
 // returns is longer than the input. The seeds are what MobiWatch
 // subscribes with, what the analyzer and the mitigation engine control
-// with, the header of an indication, and an overflowing period.
+// with, a UE-scoped and an unscoped indication header, and an
+// overflowing period.
 func FuzzE2SMDecode(f *testing.F) {
 	f.Add(asn1lite.Marshal(&EventTrigger{Period: 20 * time.Millisecond}))
-	f.Add(asn1lite.Marshal(&ActionDefinition{AllUEs: true}))
-	f.Add(asn1lite.Marshal(&ActionDefinition{UEIDs: []uint64{3, 9}}))
 	f.Add(asn1lite.Marshal(&ControlRequest{Action: ControlBlockTMSI, UEID: 4, TMSI: 0xBEEF, Reason: "blind DoS: blocking replayed temporary identity"}))
 	f.Add(asn1lite.Marshal(&ControlRequest{Action: ControlUnblockTMSI, UEID: 4, TMSI: cell.TMSI(0xBEEF), Reason: "ttl rollback of block-tmsi"}))
+	f.Add(asn1lite.Marshal(&ControlRequest{Action: ControlRequireStrongSecurity, Reason: "null-security session detected: enforcing strong algorithms"}))
 	f.Add(asn1lite.Marshal(&IndicationHeader{NodeID: "gnb-001", CollectionStart: time.Unix(1717200000, 5).UTC(), BatchSeq: 12, UEID: 7}))
+	f.Add(asn1lite.Marshal(&IndicationHeader{NodeID: "gnb-001", BatchSeq: 13}))
 	f.Add(overflowTrigger())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, fresh := range []func() asn1lite.Unmarshaler{
 			func() asn1lite.Unmarshaler { return new(EventTrigger) },
-			func() asn1lite.Unmarshaler { return new(ActionDefinition) },
 			func() asn1lite.Unmarshaler { return new(ControlRequest) },
 			func() asn1lite.Unmarshaler { return new(IndicationHeader) },
 		} {

@@ -55,7 +55,7 @@ func subscribe(t *testing.T, x *ric.XApp, nodeID string, period time.Duration) *
 	t.Helper()
 	trigger := asn1lite.Marshal(&e2sm.EventTrigger{Period: period})
 	sub, err := x.Subscribe(nodeID, e2sm.MobiFlowRANFunctionID, trigger,
-		[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport}}, ric.SubscribeOptions{Buffer: 64})
+		[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport}}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestAgentReportsTelemetry(t *testing.T) {
 	driveRegistration(t, g)
 
 	select {
-	case ind := <-sub.C(0):
+	case ind := <-sub.C():
 		var hdr e2sm.IndicationHeader
 		if err := asn1lite.Unmarshal(ind.Header, &hdr); err != nil {
 			t.Fatal(err)
@@ -99,12 +99,12 @@ func TestAgentRejectsBadSubscriptions(t *testing.T) {
 
 	// Wrong RAN function.
 	if _, err := x.Subscribe("gnb-test", 99, asn1lite.Marshal(&e2sm.EventTrigger{Period: time.Millisecond}),
-		[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport}}, ric.SubscribeOptions{Buffer: 1}); !errors.Is(err, ric.ErrSubscriptionFailed) {
+		[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport}}, 1); !errors.Is(err, ric.ErrSubscriptionFailed) {
 		t.Errorf("wrong fn: err = %v", err)
 	}
 	// Invalid trigger.
 	if _, err := x.Subscribe("gnb-test", e2sm.MobiFlowRANFunctionID, []byte{0xFF},
-		[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport}}, ric.SubscribeOptions{Buffer: 1}); !errors.Is(err, ric.ErrSubscriptionFailed) {
+		[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport}}, 1); !errors.Is(err, ric.ErrSubscriptionFailed) {
 		t.Errorf("bad trigger: err = %v", err)
 	}
 	// A report period of 18 446 744 073 710 ms overflows time.Duration
@@ -112,13 +112,13 @@ func TestAgentRejectsBadSubscriptions(t *testing.T) {
 	var overflow asn1lite.Encoder
 	overflow.PutUint(1, 18_446_744_073_710)
 	if _, err := x.Subscribe("gnb-test", e2sm.MobiFlowRANFunctionID, overflow.Bytes(),
-		[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport}}, ric.SubscribeOptions{Buffer: 1}); !errors.Is(err, ric.ErrSubscriptionFailed) || !strings.Contains(err.Error(), "invalid event trigger") {
+		[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport}}, 1); !errors.Is(err, ric.ErrSubscriptionFailed) || !strings.Contains(err.Error(), "invalid event trigger") {
 		t.Errorf("overflowing trigger: err = %v", err)
 	}
 	// No report action.
 	if _, err := x.Subscribe("gnb-test", e2sm.MobiFlowRANFunctionID,
 		asn1lite.Marshal(&e2sm.EventTrigger{Period: time.Millisecond}),
-		[]e2ap.Action{{ID: 1, Type: e2ap.ActionPolicy}}, ric.SubscribeOptions{Buffer: 1}); !errors.Is(err, ric.ErrSubscriptionFailed) {
+		[]e2ap.Action{{ID: 1, Type: e2ap.ActionPolicy}}, 1); !errors.Is(err, ric.ErrSubscriptionFailed) {
 		t.Errorf("no report action: err = %v", err)
 	}
 }

@@ -59,16 +59,13 @@ func TestReportBatchesPerUE(t *testing.T) {
 	timeout := time.After(2 * time.Second)
 	for total := 0; total < len(tr); {
 		select {
-		case ind := <-sub.C(0):
+		case ind := <-sub.C():
 			var hdr e2sm.IndicationHeader
 			if err := asn1lite.Unmarshal(ind.Header, &hdr); err != nil {
 				t.Fatal(err)
 			}
 			if hdr.UEID == 0 {
 				t.Fatalf("indication without UE scope: %+v", hdr)
-			}
-			if got := e2sm.PeekIndicationUE(ind.Header); got != hdr.UEID {
-				t.Fatalf("PeekIndicationUE = %d, decoded header UEID = %d", got, hdr.UEID)
 			}
 			msg, err := e2sm.DecodeIndicationMessage(ind.Message)
 			if err != nil {
@@ -210,7 +207,7 @@ func TestReportRootsChainBeforeSend(t *testing.T) {
 	}
 	for i := 0; i < ues; i++ {
 		select {
-		case ind := <-sub.C(0):
+		case ind := <-sub.C():
 			led.Flush()
 			got := decodeRecords(t, ind)
 			rec, ok := led.Chain(prov.ChainID{Node: node, SN: ind.SN})
@@ -308,7 +305,7 @@ func TestReportShipsFullBacklogBeforeTick(t *testing.T) {
 	expect := func(want mobiflow.Trace) {
 		t.Helper()
 		select {
-		case ind := <-sub.C(0):
+		case ind := <-sub.C():
 			got := decodeRecords(t, ind)
 			if len(got) != len(want) {
 				t.Fatalf("indication carries %d records, want %d", len(got), len(want))
@@ -364,7 +361,7 @@ func TestReportConservesConcurrentInjection(t *testing.T) {
 	sub, err := x.Subscribe(node, e2sm.MobiFlowRANFunctionID,
 		asn1lite.Marshal(&e2sm.EventTrigger{Period: time.Millisecond}),
 		[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport}},
-		ric.SubscribeOptions{Buffer: injectors * perUE})
+		injectors*perUE)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +389,7 @@ func TestReportConservesConcurrentInjection(t *testing.T) {
 	timeout := time.After(10 * time.Second)
 	for got := 0; got < injectors*perUE; {
 		select {
-		case ind := <-sub.C(0):
+		case ind := <-sub.C():
 			for _, rec := range decodeRecords(t, ind) {
 				if rec.Seq != next[rec.UEID] {
 					t.Fatalf("UE %d delivered seq %d, want %d (lost, duplicated or reordered)", rec.UEID, rec.Seq, next[rec.UEID])

@@ -35,6 +35,31 @@ func TestReestablishmentFlow(t *testing.T) {
 	}
 }
 
+// TestReestablishmentWithoutSecurityFallsBackToSetup sends
+// RRCReestablishmentRequest on links whose AS security never completed —
+// a fresh one, and one that sends an unsolicited SecurityModeComplete
+// first: each is answered with RRCSetup, the fallback to a new
+// connection, never RRCReestablishment.
+func TestReestablishmentWithoutSecurityFallsBackToSetup(t *testing.T) {
+	g := newTestGNB(t)
+	for _, unsolicited := range []bool{false, true} {
+		link := g.Attach()
+		if unsolicited {
+			if err := link.SendRRC(&rrc.SecurityModeComplete{}); err != nil {
+				t.Fatal(err)
+			}
+			for _, ok := link.TryRecv(); ok; _, ok = link.TryRecv() {
+			}
+		}
+		if err := link.SendRRC(&rrc.ReestablishmentRequest{RNTI: link.RNTI(), Cause: cell.CauseMOData}); err != nil {
+			t.Fatal(err)
+		}
+		if m, ok := link.TryRecv(); !ok || m.Type() != rrc.TypeSetup {
+			t.Errorf("unsolicited SecurityModeComplete %v: answered %v, want RRCSetup", unsolicited, m)
+		}
+	}
+}
+
 func TestDownlinkQueueOverflowDropsLikeRadioLoss(t *testing.T) {
 	g := newTestGNB(t)
 	link := g.Attach()

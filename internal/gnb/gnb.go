@@ -77,6 +77,11 @@ type ueCtx struct {
 	sentIUE  bool     // InitialUEMessage already sent over NG
 	released bool
 
+	// smcSent: the AS security-mode command went down; secured: the UE
+	// completed it, so the context can be re-established.
+	smcSent bool
+	secured bool
+
 	// negotiated NAS security algorithms, mirrored into the AS
 	// security-mode command
 	cipher cell.CipherAlg
@@ -313,6 +318,7 @@ func (g *GNB) handleUplink(ctx *ueCtx, m rrc.Message) error {
 	case *rrc.SecurityModeComplete:
 		// AS security is up: deliver the held NAS (registration accept)
 		// inside the reconfiguration, per the standard call flow.
+		ctx.secured = ctx.smcSent
 		var nasPDU []byte
 		if len(ctx.pendNAS) > 0 {
 			nasPDU = ctx.pendNAS[0]
@@ -330,7 +336,13 @@ func (g *GNB) handleUplink(ctx *ueCtx, m rrc.Message) error {
 		// No CU response required.
 
 	case *rrc.ReestablishmentRequest:
-		g.sendDL(ctx, &rrc.Reestablishment{TransactionID: 0})
+		// Only a context with AS security can be re-established; any
+		// other falls back to a fresh connection (TS 38.331 §5.3.7).
+		if ctx.secured {
+			g.sendDL(ctx, &rrc.Reestablishment{TransactionID: 0})
+		} else {
+			g.sendDL(ctx, &rrc.Setup{TransactionID: 0, SRBCount: 1})
+		}
 	}
 	return nil
 }
@@ -384,6 +396,7 @@ func (g *GNB) handleNGDown(ctx *ueCtx, m *ngap.Message) {
 
 	case ngap.TypeInitialContextSetupRequest:
 		// Activate AS security with the NAS-selected algorithms.
+		ctx.smcSent = true
 		g.sendDL(ctx, &rrc.SecurityModeCommand{TransactionID: 1, CipherAlg: ctx.cipher, IntegAlg: ctx.integ})
 
 	case ngap.TypeUEContextReleaseCommand:

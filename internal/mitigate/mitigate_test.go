@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -303,6 +304,29 @@ func TestExhaustedRetriesFail(t *testing.T) {
 	// The dedup slot is released so a later retry can be proposed.
 	if en2 := e.Submit(blockCase(31)); en2.Decision != "approved" {
 		t.Errorf("post-failure decision = %s", en2.Decision)
+	}
+}
+
+// TestA1RefusesOverflowingTTL puts a policy whose TTL is one millisecond
+// past time.Duration's range through A1: A1 refuses it, nothing reads it
+// back, and the engine keeps its TTL, rather than one wrapped negative
+// that would roll every enforced block back at once.
+func TestA1RefusesOverflowingTTL(t *testing.T) {
+	e := New(Config{Issuer: &fakeIssuer{}, Store: sdl.New(), Mode: ModeEnforce, TTL: time.Minute})
+	defer e.Close()
+	a1 := smo.NewA1(sdl.New())
+	const overflow = math.MaxInt64/int(time.Millisecond) + 1
+	if err := a1.Put(smo.Policy{ID: "ttl", MitigationTTLMS: overflow}); err == nil {
+		t.Errorf("A1 accepted a TTL of %d ms", overflow)
+	}
+	if p, ok := a1.Get("ttl"); ok {
+		e.ApplyPolicy(p)
+	}
+	e.mu.Lock()
+	ttl := e.ttl
+	e.mu.Unlock()
+	if ttl != time.Minute {
+		t.Errorf("engine TTL = %v after the policy, want %v", ttl, time.Minute)
 	}
 }
 

@@ -30,8 +30,8 @@ type FastEngines struct {
 }
 
 // Engines returns the bundle's inference engines, building them on first
-// use and caching them for every later caller (workers across shards and
-// xApp instances share one engine pair). Engines built from a bundle do
+// use and caching them for every later caller (a worker's two lanes, the
+// offline scorers and every runtime of the bundle share one engine pair). Engines built from a bundle do
 // not follow later retraining.
 func (m *Models) Engines() *FastEngines {
 	build := func() *FastEngines {

@@ -15,9 +15,9 @@ import (
 )
 
 // TestConcurrentBundleScoring scores one shared bundle from many
-// goroutines, each with its own pendingBatch over the shared engine pair
-// — the sharded xApp's shape. Under -race this proves the engines are
-// read-only during inference.
+// goroutines, each with its own pendingBatch over the shared engine pair,
+// as a worker's two lanes and every runtime of one bundle do. Under -race
+// this proves the engines are read-only during inference.
 func TestConcurrentBundleScoring(t *testing.T) {
 	_, mixed, models := fixtures(t)
 	want := models.ScoreTraceAEBatched(mixed.Trace, nn.Float32)

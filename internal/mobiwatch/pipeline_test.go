@@ -47,7 +47,7 @@ func eventually(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// stallRig is a one-shard runtime over a hand-driven E2 node.
+// stallRig is a runtime over a hand-driven E2 node.
 type stallRig struct {
 	rt     *Runtime
 	node   *garbageNode
@@ -64,7 +64,7 @@ type stallRig struct {
 // LSTM's span (Window+1 records; 4 by default).
 const warmIndications = 2
 
-func newStallRig(t *testing.T, shardBuffer int) *stallRig {
+func newStallRig(t *testing.T, queueDepth int) *stallRig {
 	t.Helper()
 	benign, _, models := fixtures(t)
 	store := sdl.New()
@@ -76,7 +76,7 @@ func newStallRig(t *testing.T, shardBuffer int) *stallRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := Run(x, models, RunOptions{NodeID: "garbage-node", shardBuffer: shardBuffer})
+	rt, err := Run(x, models, RunOptions{NodeID: "garbage-node", queueDepth: queueDepth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,15 +150,15 @@ func (r *stallRig) fillLanes(t *testing.T, held int) {
 		eventually(t, "the window stage has handed the job over", func() bool { return obsScoreWindow.Count() == passes+1 })
 	}
 	r.send(t)
-	depth := r.rt.workers[0].lanes[held].depth
+	depth := r.rt.worker.lanes[held].depth
 	eventually(t, "the held lane is full and the window stage blocked on it", func() bool { return depth.Value() == laneDepth+1 })
 }
 
 // TestStalledScorerBacksUpIntoCountedDrops holds both lanes still (a
-// threshold update that never finishes) and floods the shard. The window
+// threshold update that never finishes) and floods the runtime. The window
 // stage fills the lanes and blocks, intake fills the hand-off and then
-// blocks, having persisted no more than it could hand over; the shard
-// queue fills behind it; everything after that is dropped by the RIC,
+// blocks, having persisted no more than it could hand over; the
+// subscription queue fills behind it; everything after that is dropped by the RIC,
 // where drops are counted. Released, the pipeline scores exactly what was
 // routed: shipped = seen + dropped, one batch per routed indication is in
 // the SDL, and its batches hold what was scored. The stages' series say
@@ -180,11 +180,11 @@ func TestStalledLaneBacksUpIntoCountedDrops(t *testing.T) {
 }
 
 func stallBacksUpIntoCountedDrops(t *testing.T, held ...int) {
-	const shardBuffer = 8
-	r := newStallRig(t, shardBuffer)
+	const queueDepth = 8
+	r := newStallRig(t, queueDepth)
 	r.warm(t)
 	rt, store := r.rt, r.store
-	w := rt.workers[0]
+	w := rt.worker
 	depth := obsHandoffDepth.With("garbage-node")
 	m := r.plat.Metrics()
 	routed0 := m.IndicationsRouted.Load()
@@ -194,11 +194,11 @@ func stallBacksUpIntoCountedDrops(t *testing.T, held ...int) {
 	// In flight while a lane is stalled: the jobs the window stage has cut
 	// for it — fed one indication each — then the hand-off, the batch
 	// intake is blocked sending — fed one at a time, so that intake has
-	// taken each from the shard queue — and then, all at once, the shard
+	// taken each from the subscription queue — and then, all at once, the
 	// queue's worth and forty more.
 	const jobs = laneDepth + 2
 	const upstream = jobs + handoffDepth + 1
-	const absorbed = upstream + shardBuffer
+	const absorbed = upstream + queueDepth
 	const sent = absorbed + 40
 	release := r.hold(t, held...)
 	r.fillLanes(t, held[0])
@@ -371,9 +371,9 @@ func TestThresholdChangeWhileLanesSaturated(t *testing.T) {
 }
 
 // TestStopMidStreamDrainsBothStages stops the runtime while indications
-// are still arriving. Stop returns only when intake has emptied the shard
-// queue, the window stage the hand-off and the lanes their queues, and all
-// four goroutines per shard are gone; nothing is left between the stages,
+// are still arriving. Stop returns only when intake has emptied the
+// subscription queue, the window stage the hand-off and the lanes their
+// queues, and all four of the worker's goroutines are gone; nothing is left between the stages,
 // so every batch that reached the SDL was scored, and every indication
 // sent is routed or counted as dropped.
 func TestStopMidStreamDrainsBothStages(t *testing.T) {
@@ -388,7 +388,7 @@ func TestStopMidStreamDrainsBothStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
-	rt, err := Run(x, models, RunOptions{NodeID: "garbage-node", shards: 2})
+	rt, err := Run(x, models, RunOptions{NodeID: "garbage-node"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,18 +421,17 @@ func TestStopMidStreamDrainsBothStages(t *testing.T) {
 		t.Error("a stage was still working after Stop returned")
 	}
 	eventually(t, "the runtime's goroutines are gone", func() bool { return runtime.NumGoroutine() <= before })
-	for _, w := range rt.workers {
-		if _, open := <-w.handoff; open {
-			t.Error("a hand-off is still open after Stop")
+	w := rt.worker
+	if _, open := <-w.handoff; open {
+		t.Error("the hand-off is still open after Stop")
+	}
+	for i := range w.lanes {
+		if _, open := <-w.lanes[i].in; open {
+			t.Errorf("lane %d's queue is still open after Stop", i)
 		}
-		for i := range w.lanes {
-			if _, open := <-w.lanes[i].in; open {
-				t.Errorf("lane %d's queue is still open after Stop", i)
-			}
-		}
-		if n := len(w.free); n > jobsInFlight {
-			t.Errorf("%d jobs on a free list bounded at %d", n, jobsInFlight)
-		}
+	}
+	if n := len(w.free); n > jobsInFlight {
+		t.Errorf("%d jobs on a free list bounded at %d", n, jobsInFlight)
 	}
 	for _, model := range []ModelName{ModelAE, ModelLSTM} {
 		if d := obsLaneDepth.With("garbage-node", string(model)).Value(); d != 0 {

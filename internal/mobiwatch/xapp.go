@@ -98,26 +98,17 @@ type RunOptions struct {
 	// inside the near-RT control loop).
 	ReportPeriod time.Duration
 
-	// shards is the number of parallel scoring workers; only this
-	// package's tests run more than the one the shipped loop runs.
-	// Indications are partitioned by the UE ID in their headers (per-UE
-	// batches are the gNB agent's default), so records of one UE are
-	// always scored in order by one worker while different UEs proceed
-	// in parallel.
-	shards int
-	// shardBuffer bounds each shard's dispatch queue (default 256).
-	shardBuffer int
+	// queueDepth bounds the RIC subscription's queue, in indications
+	// (default 256); only this package's tests set it.
+	queueDepth int
 }
 
 func (o *RunOptions) defaults() {
 	if o.ReportPeriod == 0 {
 		o.ReportPeriod = 50 * time.Millisecond
 	}
-	if o.shards <= 0 {
-		o.shards = 1
-	}
-	if o.shardBuffer <= 0 {
-		o.shardBuffer = 256
+	if o.queueDepth <= 0 {
+		o.queueDepth = 256
 	}
 }
 
@@ -142,15 +133,15 @@ const (
 	// (by telemetry timestamp) relative to the window start are excluded,
 	// so stale incidents do not leak into a new analysis.
 	contextSpan = time.Second
-	// handoffDepth bounds, in indications, the FIFO between a shard's
+	// handoffDepth bounds, in indications, the FIFO between the worker's
 	// intake goroutine and its window stage. The window stage flushes
 	// whenever it finds the hand-off empty, so while the lanes are the
 	// bottleneck a flush batches up to batchChunk windows (≈ 7 nine-record
 	// indications) and intake can run this far ahead of the window stage's
 	// longest pause, a wait on a full lane included; anything deeper is
 	// queueing delay ahead of the score and records held decoded. A full
-	// hand-off blocks intake, so the wait moves to the RIC's shard queue
-	// (shardBuffer), whose drops are counted.
+	// hand-off blocks intake, so the wait moves to the RIC's subscription
+	// queue (queueDepth), whose drops are counted.
 	handoffDepth = 16
 	// laneDepth bounds, in jobs, the FIFO from the window stage to each
 	// lane. The lanes' passes differ in length and the window stage cuts
@@ -201,13 +192,13 @@ type Runtime struct {
 	// thMu guards the shared model thresholds, one lock per model in lane
 	// order (AE, LSTM): a lane holds its model's read side per job,
 	// SetThresholdPercentile both write sides.
-	thMu    [2]sync.RWMutex
-	workers []*worker
-	done    chan struct{}
+	thMu   [2]sync.RWMutex
+	worker *worker
+	done   chan struct{}
 }
 
-// worker is one shard's detection pipeline: all indications of a UE land
-// on the same worker, in order. It runs as four goroutines. The intake
+// worker is the node's detection pipeline, fed the subscription's
+// indications in arrival order. It runs as four goroutines. The intake
 // stage (intake, admit) decodes each indication and persists it to the
 // SDL, and hands it over the handoff channel to the window stage (loop,
 // ingest), which owns the sliding-window state: it encodes each record,
@@ -216,8 +207,7 @@ type Runtime struct {
 // their model's windows side by side. One goroutine per stage and per
 // lane, each in FIFO order, so each lane sees the windows, and the
 // records around them, exactly as one goroutine doing everything would,
-// and a record is always persisted before it is scored. Shards share
-// nothing but the read-mostly models.
+// and a record is always persisted before it is scored.
 type worker struct {
 	rt *Runtime
 
@@ -226,7 +216,7 @@ type worker struct {
 
 	handoff chan decoded        // intake → window stage, closed by intake
 	spare   chan mobiflow.Trace // decoded batches the window stage is done with, back to intake
-	depth   *obs.Gauge          // batches admitted and not yet taken by the window stage, summed over the node's shards
+	depth   *obs.Gauge          // batches admitted and not yet taken by the window stage
 
 	// Window stage only, from here down to the lanes.
 	encoder  *feature.Encoder
@@ -315,29 +305,22 @@ type lane struct {
 	idx       int // into thMu, pending, spans and a job's windows
 	batch     *pendingBatch
 	in        chan *scoreJob
-	depth     *obs.Gauge // jobs handed and not taken, summed over the node's shards
+	depth     *obs.Gauge // jobs handed and not taken
 	seconds   *obs.Histogram
 	anomalies *obs.Counter
 }
 
 // Run subscribes MobiWatch to a node's MOBIFLOW telemetry and starts
 // online inference. The returned runtime's Take hands out flagged windows
-// until Stop. With more than one shard (a test's setting) the indication
-// stream is UE-sharded and scored by that many parallel workers.
+// until Stop.
 func Run(x *ric.XApp, models *Models, opts RunOptions) (*Runtime, error) {
 	opts.defaults()
 	if opts.NodeID == "" {
 		return nil, fmt.Errorf("mobiwatch: RunOptions.NodeID is required")
 	}
 	trigger := asn1lite.Marshal(&e2sm.EventTrigger{Period: opts.ReportPeriod})
-	action := asn1lite.Marshal(&e2sm.ActionDefinition{AllUEs: true})
 	sub, err := x.Subscribe(opts.NodeID, e2sm.MobiFlowRANFunctionID, trigger,
-		[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport, Definition: action}},
-		ric.SubscribeOptions{
-			Shards: opts.shards,
-			Buffer: opts.shardBuffer,
-			Key:    func(ind ric.Indication) uint64 { return e2sm.PeekIndicationUE(ind.Header) },
-		})
+		[]e2ap.Action{{ID: 1, Type: e2ap.ActionReport}}, opts.queueDepth)
 	if err != nil {
 		return nil, fmt.Errorf("mobiwatch: subscribing to %s: %w", opts.NodeID, err)
 	}
@@ -351,11 +334,8 @@ func Run(x *ric.XApp, models *Models, opts RunOptions) (*Runtime, error) {
 	}
 	rt.triage = newAlertQueue(&rt.stats, obsQueueDepth.With(opts.NodeID), time.Now)
 	var wg sync.WaitGroup
-	for i := 0; i < sub.Shards(); i++ {
-		w := newWorker(rt)
-		rt.workers = append(rt.workers, w)
-		w.start(sub.C(i), &wg)
-	}
+	rt.worker = newWorker(rt)
+	rt.worker.start(sub.C(), &wg)
 	go func() {
 		wg.Wait()
 		rt.triage.close()
@@ -469,11 +449,11 @@ func (rt *Runtime) Thresholds() (ae, lstm float64) {
 	return rt.models.AEThreshold, rt.models.LSTMThreshold
 }
 
-// intake is the shard's first stage: it admits each indication and hands
+// intake is the worker's first stage: it admits each indication and hands
 // the decoded batch to the window stage in arrival order. The send blocks
 // while the hand-off is full, so scoring that falls behind backs the
-// stream up into the RIC's shard queue, the one place on this path that
-// drops — and counts. Closing the shard stream (Stop, or the node
+// stream up into the RIC's subscription queue, the one place on this path
+// that drops — and counts. Closing the stream (Stop, or the node
 // vanishing) ends intake, which closes the hand-off, which ends the
 // window stage and then the lanes.
 func (w *worker) intake(in <-chan ric.Indication) {

@@ -32,12 +32,7 @@ var (
 	obsIndications = obs.NewCounterVec("xsec_ric_indications_total",
 		"RIC indications routed toward xApp subscriptions, by xApp and outcome.", "xapp", "outcome")
 	obsUnmatched = obsIndications.With("_none", "unmatched")
-	// Per-shard dispatch counters make backpressure attributable to the
-	// exact queue that filled, not just the xApp.
-	obsShardIndications = obs.NewCounterVec("xsec_ric_shard_indications_total",
-		"Indications entering per-shard xApp dispatch queues, by xApp, shard, and outcome.",
-		"xapp", "shard", "outcome")
-	obsNodes = obs.NewGauge("xsec_ric_e2_nodes",
+	obsNodes     = obs.NewGauge("xsec_ric_e2_nodes",
 		"Currently connected E2 nodes.")
 	obsProcedures = obs.NewCounterVec("xsec_ric_procedures_total",
 		"E2 procedures initiated by the platform, by procedure and outcome.", "procedure", "outcome")

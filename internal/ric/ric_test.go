@@ -129,7 +129,7 @@ func TestSubscribeCannotOvertakeSetupResponse(t *testing.T) {
 			for len(p.Nodes()) == 0 {
 				runtime.Gosched()
 			}
-			_, err := x.Subscribe("gnb-eager", 2, nil, nil, SubscribeOptions{})
+			_, err := x.Subscribe("gnb-eager", 2, nil, nil, 64)
 			subErr <- err
 		}()
 
@@ -183,7 +183,7 @@ func TestSubscribeAndIndications(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := x.Subscribe("gnb-1", 2, []byte("trigger"), []e2ap.Action{{ID: 1, Type: e2ap.ActionReport}}, SubscribeOptions{Buffer: 16})
+	sub, err := x.Subscribe("gnb-1", 2, []byte("trigger"), []e2ap.Action{{ID: 1, Type: e2ap.ActionReport}}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestSubscribeAndIndications(t *testing.T) {
 	}
 	for sn := uint64(1); sn <= 3; sn++ {
 		select {
-		case ind := <-sub.C(0):
+		case ind := <-sub.C():
 			if ind.SN != sn || string(ind.Message) != fmt.Sprintf("payload-%d", sn) {
 				t.Errorf("indication %d = %+v", sn, ind)
 			}
@@ -217,7 +217,7 @@ func TestSubscriptionRejected(t *testing.T) {
 	waitFor(t, func() bool { return len(p.Nodes()) == 1 })
 
 	x, _ := p.RegisterXApp("x")
-	if _, err := x.Subscribe("gnb-1", 2, nil, nil, SubscribeOptions{Buffer: 1}); !errors.Is(err, ErrSubscriptionFailed) {
+	if _, err := x.Subscribe("gnb-1", 2, nil, nil, 1); !errors.Is(err, ErrSubscriptionFailed) {
 		t.Errorf("err = %v, want ErrSubscriptionFailed", err)
 	}
 	if got := p.Metrics().SubscriptionsFail.Load(); got != 1 {
@@ -229,7 +229,7 @@ func TestSubscribeUnknownNode(t *testing.T) {
 	p := NewPlatform(sdl.New())
 	defer p.Close()
 	x, _ := p.RegisterXApp("x")
-	if _, err := x.Subscribe("nowhere", 2, nil, nil, SubscribeOptions{Buffer: 1}); !errors.Is(err, ErrNoSuchNode) {
+	if _, err := x.Subscribe("nowhere", 2, nil, nil, 1); !errors.Is(err, ErrNoSuchNode) {
 		t.Errorf("err = %v, want ErrNoSuchNode", err)
 	}
 }
@@ -241,7 +241,7 @@ func TestSubscriptionDelete(t *testing.T) {
 	waitFor(t, func() bool { return len(p.Nodes()) == 1 })
 
 	x, _ := p.RegisterXApp("x")
-	sub, err := x.Subscribe("gnb-1", 2, nil, nil, SubscribeOptions{Buffer: 4})
+	sub, err := x.Subscribe("gnb-1", 2, nil, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestSubscriptionDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Channel closed.
-	if _, open := <-sub.C(0); open {
+	if _, open := <-sub.C(); open {
 		t.Error("channel open after delete")
 	}
 	// Indications after delete are dropped, not delivered.
@@ -330,13 +330,13 @@ func TestNodeDisconnectClosesSubscriptions(t *testing.T) {
 	waitFor(t, func() bool { return len(p.Nodes()) == 1 })
 
 	x, _ := p.RegisterXApp("x")
-	sub, err := x.Subscribe("gnb-1", 2, nil, nil, SubscribeOptions{Buffer: 4})
+	sub, err := x.Subscribe("gnb-1", 2, nil, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	node.ep.Close()
 	select {
-	case _, open := <-sub.C(0):
+	case _, open := <-sub.C():
 		if open {
 			t.Error("expected closed channel after node disconnect")
 		}
@@ -378,7 +378,7 @@ func TestProcedureTimeout(t *testing.T) {
 	}()
 
 	x, _ := p.RegisterXApp("x")
-	if _, err := x.Subscribe("mute", 2, nil, nil, SubscribeOptions{Buffer: 1}); !errors.Is(err, ErrTimeout) {
+	if _, err := x.Subscribe("mute", 2, nil, nil, 1); !errors.Is(err, ErrTimeout) {
 		t.Errorf("err = %v, want ErrTimeout", err)
 	}
 }

@@ -3,7 +3,6 @@ package ric
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -44,41 +43,24 @@ func (p *Platform) RegisterXApp(name string) (*XApp, error) {
 // SDL returns the shared data layer.
 func (x *XApp) SDL() *sdl.Store { return x.platform.store }
 
-// ShardFunc extracts the partition key from an indication; indications
-// with equal keys are delivered to the same shard queue in arrival
-// order. The E2SM layer supplies it (e.g. e2sm.PeekIndicationUE over the
-// indication header) — the platform itself stays service-model agnostic.
-type ShardFunc func(Indication) uint64
-
-// SubscribeOptions configures Subscribe.
-type SubscribeOptions struct {
-	// Shards is the number of bounded dispatch queues (default 1).
-	Shards int
-	// Buffer is each shard queue's capacity (default 64). A full queue
-	// drops, counted per shard.
-	Buffer int
-	// Key partitions indications across queues. Required when Shards > 1.
-	Key ShardFunc
-}
-
-// Subscription is an active RIC subscription. Its indication stream is
-// partitioned into bounded per-shard queues by a caller-provided key
-// (typically the UE ID from the indication header). Indications with the
-// same key stay strictly ordered on one queue; different keys land on
-// different queues so downstream workers — one per shard — process them
-// in parallel. Backpressure is explicit: a full shard queue drops that
-// indication and increments its own counter, without stalling the E2
-// Termination or the other shards. Indications arrive until Delete is
-// called or the node disconnects, after which every shard stream is
-// closed.
+// Subscription is an active RIC subscription: one bounded FIFO of
+// indications, delivered in arrival order. Backpressure is explicit: a
+// full queue drops the indication and counts it, without stalling the E2
+// Termination. Indications arrive until Delete is called or the node
+// disconnects, after which the stream is closed.
 type Subscription struct {
 	ID     e2ap.RequestID
 	nodeID string
 	fnID   uint16
 	xapp   *XApp
 
-	key    ShardFunc
-	shards []shardQueue
+	// mu serializes deliveries against channel close: the router may be
+	// mid-send on another goroutine when Delete or a node detach closes
+	// the stream. Sends are non-blocking, so the lock is never held
+	// across a wait.
+	mu     sync.Mutex
+	closed bool
+	ch     chan Indication
 
 	// Interned per-xApp routing counters; resolved once at Subscribe
 	// so the delivery hot path performs no label lookup.
@@ -86,57 +68,33 @@ type Subscription struct {
 	obsDropped *obs.Counter
 }
 
-type shardQueue struct {
-	// mu serializes deliveries against channel close: the router may be
-	// mid-send on another goroutine when Delete or a node detach closes
-	// the stream. Sends are non-blocking, so the lock is never held
-	// across a wait.
-	mu      sync.Mutex
-	closed  bool
-	ch      chan Indication
-	routed  *obs.Counter
-	dropped *obs.Counter
-}
+// C returns the indication stream.
+func (s *Subscription) C() <-chan Indication { return s.ch }
 
-// Shards reports the queue count.
-func (s *Subscription) Shards() int { return len(s.shards) }
-
-// C returns shard i's indication stream.
-func (s *Subscription) C(i int) <-chan Indication { return s.shards[i].ch }
-
-// deliver routes one indication to its shard, non-blocking; false means
-// the queue was full or closed (the caller counts the xApp-level drop).
+// deliver queues one indication, non-blocking; false means the queue was
+// full or closed (the caller counts the drop).
 func (s *Subscription) deliver(ind Indication) bool {
-	q := &s.shards[0]
-	if len(s.shards) > 1 {
-		q = &s.shards[s.key(ind)%uint64(len(s.shards))]
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
 		return false
 	}
 	select {
-	case q.ch <- ind:
-		q.routed.Inc()
+	case s.ch <- ind:
 		return true
 	default:
-		q.dropped.Inc()
 		return false
 	}
 }
 
-// closeCh closes every shard stream exactly once, excluding any
-// in-flight deliver.
+// closeCh closes the stream exactly once, excluding any in-flight
+// deliver.
 func (s *Subscription) closeCh() {
-	for i := range s.shards {
-		q := &s.shards[i]
-		q.mu.Lock()
-		if !q.closed {
-			q.closed = true
-			close(q.ch)
-		}
-		q.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.closed = true
+		close(s.ch)
 	}
 }
 
@@ -192,37 +150,21 @@ func (p *Platform) requestCtx(ctx context.Context, nodeID string, msg *e2ap.Mess
 }
 
 // Subscribe establishes a RIC subscription on nodeID's RAN function,
-// delivering into opts.Shards bounded queues. A full queue drops (counted
-// in Metrics and per shard), matching the RMR behavior of the OSC
+// delivering into one queue of capacity indications. A full queue drops
+// (counted in Metrics and per xApp), matching the RMR behavior of the OSC
 // platform. The subscription is registered before the request is sent
 // (so indications racing the response are kept) and the registration is
 // rolled back on failure.
-func (x *XApp) Subscribe(nodeID string, ranFunctionID uint16, eventTrigger []byte, actions []e2ap.Action, opts SubscribeOptions) (*Subscription, error) {
-	if opts.Shards <= 0 {
-		opts.Shards = 1
-	}
-	if opts.Buffer <= 0 {
-		opts.Buffer = 64
-	}
-	if opts.Key == nil && opts.Shards > 1 {
-		return nil, fmt.Errorf("ric: Subscribe with %d shards requires SubscribeOptions.Key", opts.Shards)
-	}
+func (x *XApp) Subscribe(nodeID string, ranFunctionID uint16, eventTrigger []byte, actions []e2ap.Action, capacity int) (*Subscription, error) {
 	reqID := x.nextRequestID()
 	sub := &Subscription{
 		ID:         reqID,
 		nodeID:     nodeID,
 		fnID:       ranFunctionID,
 		xapp:       x,
-		key:        opts.Key,
-		shards:     make([]shardQueue, opts.Shards),
+		ch:         make(chan Indication, capacity),
 		obsRouted:  obsIndications.With(x.name, "routed"),
 		obsDropped: obsIndications.With(x.name, "dropped"),
-	}
-	for i := range sub.shards {
-		lbl := strconv.Itoa(i)
-		sub.shards[i].ch = make(chan Indication, opts.Buffer)
-		sub.shards[i].routed = obsShardIndications.With(x.name, lbl, "routed")
-		sub.shards[i].dropped = obsShardIndications.With(x.name, lbl, "dropped")
 	}
 	x.platform.mu.Lock()
 	x.platform.subs[reqID] = sub
@@ -249,12 +191,11 @@ func (x *XApp) Subscribe(nodeID string, ranFunctionID uint16, eventTrigger []byt
 	x.platform.metrics.SubscriptionsOK.Add(1)
 	obsProcedures.With("subscribe", "ok").Inc()
 	obs.L().Info("ric: subscription established",
-		"xapp", x.name, "node", nodeID, "function", ranFunctionID, "buffer", opts.Shards*opts.Buffer)
+		"xapp", x.name, "node", nodeID, "function", ranFunctionID, "buffer", capacity)
 	return sub, nil
 }
 
-// Delete tears the subscription down on the node and closes every shard
-// stream.
+// Delete tears the subscription down on the node and closes the stream.
 func (s *Subscription) Delete() error {
 	p := s.xapp.platform
 	p.mu.Lock()

@@ -8,6 +8,7 @@ package smo
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -128,8 +129,9 @@ type Policy struct {
 	MitigationMode string `json:"mitigation_mode,omitempty"`
 	// DenyActions lists E2SM-XRC action classes (by their canonical
 	// names, e.g. "block-tmsi") the engine must never issue. A non-nil
-	// empty list clears a previous deny list.
-	DenyActions []string `json:"deny_actions,omitempty"`
+	// empty list clears a previous deny list, so the wire form keeps []
+	// apart from an absent list (null).
+	DenyActions []string `json:"deny_actions"`
 	// MitigationTTLMS overrides the rollback TTL for reversible actions.
 	MitigationTTLMS int `json:"mitigation_ttl_ms,omitempty"`
 	// UpdatedAt stamps the last change.
@@ -152,7 +154,19 @@ func ParsePolicy(data []byte) (Policy, error) {
 	if err := json.Unmarshal(data, &p); err != nil {
 		return Policy{}, fmt.Errorf("smo: decoding policy: %w", err)
 	}
+	if err := p.check(); err != nil {
+		return Policy{}, err
+	}
 	return p, nil
+}
+
+// check refuses a policy no xApp can apply: a rollback TTL past
+// time.Duration's range would wrap negative and expire at once.
+func (p Policy) check() error {
+	if int64(p.MitigationTTLMS) > math.MaxInt64/int64(time.Millisecond) {
+		return fmt.Errorf("smo: mitigation TTL of %d ms overflows", p.MitigationTTLMS)
+	}
+	return nil
 }
 
 const policyNS = "a1/policies"
@@ -170,6 +184,9 @@ func NewA1(store *sdl.Store) *A1 { return &A1{store: store, clock: time.Now} }
 func (a *A1) Put(p Policy) error {
 	if p.ID == "" {
 		return fmt.Errorf("smo: policy ID required")
+	}
+	if err := p.check(); err != nil {
+		return err
 	}
 	p.UpdatedAt = a.clock()
 	data, err := p.Encode()

@@ -107,6 +107,13 @@ func TestA1Policies(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("no watch event")
 	}
+	// An empty deny list, which clears the engine's, survives the wire.
+	if err := a1.Put(Policy{ID: "clear", DenyActions: []string{}}); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := a1.Get("clear"); !ok || got.DenyActions == nil {
+		t.Errorf("Get of an empty deny list = %+v ok=%v, want a non-nil empty list", got, ok)
+	}
 	// Keys this version does not know — including the two it used to
 	// accept and never acted on — are tolerated, not an error.
 	old, err := ParsePolicy([]byte(`{"id":"sec-0","threshold_percentile":97,"auto_respond":true,"report_period_ms":100}`))
